@@ -118,25 +118,6 @@ def _normalize_to_interval(
     return None
 
 
-def _merge_beneficial(
-    a: Interval,
-    b: Interval,
-    attr: str,
-    stats: TableStats,
-    cost_model: SieveCostModel,
-) -> bool:
-    """θ(oc_x, oc_y) ≠ φ  — the Eq. 8 check (requires overlap)."""
-    intersection = a.intersection(b)
-    if intersection is None:
-        return False  # Theorem 1: disjoint merges are never beneficial
-    union = a.hull(b)
-    rho_union = interval_cardinality(union, stats, attr)
-    if rho_union <= 0:
-        return False
-    rho_intersection = interval_cardinality(intersection, stats, attr)
-    return rho_intersection / rho_union > cost_model.merge_threshold()
-
-
 def generate_candidate_guards(
     policies: Sequence[Policy],
     indexed_columns: frozenset[str],
@@ -199,18 +180,36 @@ def _sweep_merge(
     """
     produced: list[CandidateGuard] = []
     seen_spans: set[tuple] = {(iv.lo, iv.hi) for iv, _ in rangeable}
+    threshold = cost_model.merge_threshold()
+    # ρ of every candidate's own span, once: a neighbour lying inside the
+    # accumulated hull intersects it in exactly that span.
+    own_rho = [interval_cardinality(iv, stats, attr) for iv, _ in rangeable]
     n = len(rangeable)
     for i in range(n):
         acc_interval, acc_candidate = rangeable[i]
+        acc_rho = own_rho[i]  # ρ(acc_interval), carried with the hull
         acc_ids = set(acc_candidate.policy_ids)
         merged_any = False
         for j in range(i + 1, n):
             nxt_interval, nxt_candidate = rangeable[j]
             if not acc_interval.overlaps(nxt_interval):
                 break  # Corollary 1.2: later candidates start even further right
-            if not _merge_beneficial(acc_interval, nxt_interval, attr, stats, cost_model):
+            # θ(oc_x, oc_y) ≠ φ — the Eq. 8 check.  Overlap is established
+            # (Theorem 1: disjoint merges are never beneficial) and the
+            # sort puts nxt.lo at or right of acc.lo, so a neighbour that
+            # ends inside the hull leaves it unchanged: ρ(∪) is the carried
+            # value and ρ(∩) the neighbour's own, no estimate needed.
+            if nxt_interval.hi <= acc_interval.hi:
+                union, rho_union, rho_intersection = acc_interval, acc_rho, own_rho[j]
+            else:
+                union = acc_interval.hull(nxt_interval)
+                rho_union = interval_cardinality(union, stats, attr)
+                rho_intersection = interval_cardinality(
+                    acc_interval.intersection(nxt_interval), stats, attr
+                )
+            if rho_union <= 0 or rho_intersection / rho_union <= threshold:
                 continue
-            acc_interval = acc_interval.hull(nxt_interval)
+            acc_interval, acc_rho = union, rho_union
             acc_ids |= nxt_candidate.policy_ids
             merged_any = True
         if not merged_any:
@@ -230,7 +229,7 @@ def _sweep_merge(
             CandidateGuard(
                 condition=condition,
                 policy_ids=set(acc_ids),
-                cardinality=interval_cardinality(acc_interval, stats, attr),
+                cardinality=acc_rho,
             )
         )
     return produced

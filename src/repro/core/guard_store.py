@@ -197,7 +197,7 @@ class GuardStore:
             entry = self._cache.pop((querier, purpose, table.lower()), None)
             if entry is None:
                 return False
-            self._delete_rows(entry)
+            self._retire(entry)
             return True
 
     def invalidate(self, querier: Any = None) -> int:
@@ -211,7 +211,7 @@ class GuardStore:
                 key for key in self._cache if querier is None or key[0] == querier
             ]
             for key in doomed:
-                self._delete_rows(self._cache.pop(key))
+                self._retire(self._cache.pop(key))
             return len(doomed)
 
     # ---------------------------------------------------------- persistence
@@ -220,7 +220,7 @@ class GuardStore:
         self, key: CacheKey, expression: GuardedExpression, replacing: _CacheEntry | None
     ) -> None:
         if replacing is not None:
-            self._delete_rows(replacing)
+            self._retire(replacing)
         ge_id = next(self._ge_ids)
         expression.created_at = ge_id
         ge_rowid = self.db.insert_row(
@@ -252,7 +252,12 @@ class GuardStore:
             partition_rowids=partition_rowids,
         )
 
-    def _delete_rows(self, entry: _CacheEntry) -> None:
+    def _retire(self, entry: _CacheEntry) -> None:
+        """A replaced or dropped expression takes its persisted rows and
+        the engine's compiled predicates over its guard AST with it —
+        no later rewrite can produce that AST object again, and each
+        compiled predicate pins the AST plus a generated kernel."""
+        self.db.release_compiled(entry.expression.rendered_exprs())
         if entry.ge_rowid is not None:
             self.db.delete_row(GE_TABLE, entry.ge_rowid)
         for rowid in entry.guard_rowids:

@@ -94,6 +94,11 @@ class GuardedExpression:
     policy_count: int = 0
     generation_ms: float = 0.0
     created_at: int = 0
+    #: ``to_expr`` results by argument tuple.  The guards never change
+    #: after construction (a policy write builds a new expression), so
+    #: every rewrite of an epoch shares one AST per (qualifier, Δ-set) —
+    #: and with it the engine's compiled-predicate identity fast path.
+    _expr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy_count == 0:
@@ -134,8 +139,14 @@ class GuardedExpression:
         """The full ``G_1 ∨ ... ∨ G_n`` with selected branches using Δ.
 
         ``delta_guards`` holds indexes into ``self.guards``; Δ branches
-        call ``delta_udf(guard_key, querier, purpose, col...)``.
+        call ``delta_udf(guard_key, querier, purpose, col...)``.  The
+        (immutable) AST is built once per argument tuple and shared.
         """
+        memo_key = (qualifier, delta_guards, delta_udf, tuple(delta_columns))
+        try:
+            return self._expr_memo[memo_key]
+        except KeyError:
+            pass
         branches: list[Expr] = []
         for i, guard in enumerate(self.guards):
             use_delta = i in delta_guards
@@ -151,7 +162,14 @@ class GuardedExpression:
                     ),
                 )
             branches.append(guard.to_expr(qualifier, use_delta=use_delta, delta_call=call))
-        return make_or(branches)
+        # setdefault: two threads rendering at once still share one AST.
+        return self._expr_memo.setdefault(memo_key, make_or(branches))
+
+    def rendered_exprs(self) -> list[Expr]:
+        """Every AST :meth:`to_expr` has handed out (the guard store
+        releases the engine's compiled predicates over them when this
+        expression is replaced)."""
+        return [expr for expr in self._expr_memo.values() if expr is not None]
 
     def guard_key(self, index: int) -> str:
         """Stable identifier for one guard (passed to the Δ UDF)."""

@@ -157,6 +157,13 @@ class Database:
         self._fn_cache.clear()
         self.schema_version += 1
 
+    def release_compiled(self, nodes) -> int:
+        """Forget compiled predicates whose expression is one of
+        ``nodes`` or carries one as a top-level conjunct (matched by
+        object identity).  For owners of large shared ASTs — Sieve's
+        guard store — that know the AST will never be planned again."""
+        return self._fn_cache.discard_conjuncts(nodes)
+
     # ---------------------------------------------------------------- query
 
     def _planner(self) -> Planner:

@@ -116,10 +116,39 @@ def contains_scalar_subquery(expr: Expr) -> bool:
     return any(isinstance(node, ScalarSubquery) for node in walk(expr))
 
 
+class _Entry:
+    """One compiled callable under its key ``(expression, extra)``, the
+    key's structural hash taken once.
+
+    Expression nodes are frozen dataclasses whose ``__hash__`` walks the
+    whole tree — a thousand nodes for a policy-wide OR — so the entry
+    remembers it, and a dictionary finds an entry it already holds by
+    identity, without comparing trees."""
+
+    __slots__ = ("expr", "extra", "fn", "_hash")
+
+    def __init__(self, expr: Any, extra: tuple, fn: Callable | None = None):
+        self.expr = expr
+        self.extra = extra
+        self.fn = fn
+        self._hash = hash((expr, extra))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _Entry)
+            and self._hash == other._hash
+            and self.extra == other.extra
+            and (self.expr is other.expr or self.expr == other.expr)
+        )
+
+
 class CompiledExprCache:
     """A small LRU of compiled expression callables.
 
-    Keys are ``(expr, binding.cache_key(), mode, ...)`` — expression
+    Keys are ``(expr, (binding.cache_key(), mode, ...))`` — expression
     nodes are frozen dataclasses, so structurally identical predicates
     from independent rewrites hit the same entry.  Hit/miss totals are
     ticked into ``counters.expr_cache_hits`` / ``expr_cache_misses``
@@ -129,76 +158,98 @@ class CompiledExprCache:
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self._entries: OrderedDict[Any, Callable] = OrderedDict()
-        # Fast path: (id(expr), extra) -> primary key.  Structural keys
-        # make warm queries hit across re-rewrites, but hashing a
+        #: Each entry is its own key, so a structural probe (an entry
+        #: without a callable) comes back as the entry the cache holds.
+        self._entries: OrderedDict[_Entry, _Entry] = OrderedDict()
+        # Fast path: (id(expr), extra) -> (expr, entry).  Structural
+        # keys make warm queries hit across re-rewrites, but hashing a
         # policy-wide OR walks thousands of nodes; once an expression
-        # *object* has hit, later lookups through the same object skip
-        # the walk entirely.  Entries keep a strong reference to the
-        # expression (it is part of the primary key), so ids stay valid
-        # for as long as their alias can resolve.
-        self._id_alias: dict[tuple, Any] = {}
+        # *object* has hit, later lookups through the same object reach
+        # the held entry — hash remembered, matched by identity — and
+        # never touch the tree.  The alias holds the expression, so its
+        # id stays valid for as long as the alias can resolve.
+        self._id_alias: dict[tuple, tuple[Any, _Entry]] = {}
         # The cache is shared by every executor of one Database — and
         # the serving tier's workers execute on one Database from many
         # threads, where an unlocked LRU's move_to_end/popitem races
         # would corrupt mid-query (the same hazard GuardCache locks
-        # against).  Compilation itself stays outside the lock.
+        # against).  Compilation and tree hashing stay outside the lock.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: Any, counters: Any = None) -> Callable | None:
-        with self._lock:
-            fn = self._entries.get(key)
-            if fn is not None:
-                self._entries.move_to_end(key)
-        if counters is not None:
-            if fn is None:
-                counters.expr_cache_misses += 1
-            else:
-                counters.expr_cache_hits += 1
-        return fn
-
-    def put(self, key: Any, fn: Callable) -> None:
-        with self._lock:
-            entries = self._entries
-            entries[key] = fn
-            entries.move_to_end(key)
-            while len(entries) > self.capacity:
-                entries.popitem(last=False)
-
     def lookup(self, expr: Any, extra: tuple, counters: Any = None) -> Callable | None:
         """Two-tier get: by expression object id first, then by
         structural key (registering the id alias on a hit)."""
         alias = (id(expr), extra)
         with self._lock:
-            primary = self._id_alias.get(alias)
-            if primary is not None:
-                fn = self._entries.get(primary)
-                if fn is not None:
-                    self._entries.move_to_end(primary)
-                    if counters is not None:
-                        counters.expr_cache_hits += 1
-                    return fn
-                self._id_alias.pop(alias, None)  # evicted under the alias
-        key = (expr, *extra)
-        fn = self.get(key, counters)
-        if fn is not None:
+            aliased = self._id_alias.get(alias)
+            entry = self._get(aliased[1]) if aliased is not None else None
+            if aliased is not None and entry is None:
+                del self._id_alias[alias]  # evicted under the alias
+        if entry is None:
+            probe = _Entry(expr, extra)
             with self._lock:
-                if len(self._id_alias) > 4 * self.capacity:
-                    self._id_alias.clear()
-                self._id_alias[alias] = key
-        return fn
+                entry = self._get(probe)
+                if entry is not None:
+                    self._alias(alias, expr, entry)
+        if counters is not None:
+            if entry is None:
+                counters.expr_cache_misses += 1
+            else:
+                counters.expr_cache_hits += 1
+        return entry.fn if entry is not None else None
+
+    def _get(self, key: _Entry) -> _Entry | None:
+        """The held entry equal to ``key`` (lock held), refreshed in
+        the LRU order."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(entry)
+        return entry
 
     def store(self, expr: Any, extra: tuple, fn: Callable) -> None:
-        key = (expr, *extra)
-        self.put(key, fn)
+        entry = _Entry(expr, extra, fn)
         with self._lock:
-            if len(self._id_alias) > 4 * self.capacity:
-                self._id_alias.clear()
-            self._id_alias[(id(expr), extra)] = key
+            entries = self._entries
+            entries.pop(entry, None)  # a structural twin leaves, key and all
+            entries[entry] = entry
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
+            self._alias((id(expr), extra), expr, entry)
+
+    def _alias(self, alias: tuple, expr: Any, entry: _Entry) -> None:
+        if len(self._id_alias) > 4 * self.capacity:
+            self._id_alias.clear()
+        self._id_alias[alias] = (expr, entry)
+
+    def discard_conjuncts(self, nodes: Iterable[Any]) -> int:
+        """Drop every entry whose expression is one of ``nodes`` or has
+        one of them (the very object) as a top-level conjunct; returns
+        the number dropped.  How a superseded guarded expression takes
+        its compiled predicates with it: each holds the guard AST and a
+        generated kernel, and nothing would look them up again."""
+        from repro.expr.analysis import conjuncts
+
+        wanted = {id(node) for node in nodes}
+        if not wanted:
+            return 0
+        with self._lock:
+            doomed = [
+                entry
+                for entry in self._entries
+                if any(id(part) in wanted for part in conjuncts(entry.expr))
+            ]
+            for entry in doomed:
+                del self._entries[entry]
+            if doomed:
+                gone = set(doomed)
+                self._id_alias = {
+                    alias: held for alias, held in self._id_alias.items() if held[1] not in gone
+                }
+        return len(doomed)
 
     def clear(self) -> int:
         with self._lock:

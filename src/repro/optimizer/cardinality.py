@@ -62,7 +62,23 @@ def estimate_selectivity(expr: Expr | None, stats: TableStats) -> float:
     """Estimated fraction of the table's rows satisfying ``expr``."""
     if expr is None:
         return 1.0
-    sel = _estimate(expr, stats)
+    return _clamp(_estimate(expr, stats))
+
+
+def estimate_conjunction(
+    parts: list[Expr], stats: TableStats
+) -> tuple[list[float], float]:
+    """Selectivity of every conjunct and of their AND, each conjunct
+    estimated once — the same figures as :func:`estimate_selectivity`
+    of each part and of ``make_and(parts)``."""
+    raw = [_estimate(part, stats) for part in parts]
+    combined = 1.0
+    for sel in raw:
+        combined *= sel
+    return [_clamp(sel) for sel in raw], _clamp(combined)
+
+
+def _clamp(sel: float) -> float:
     return min(1.0, max(0.0, sel))
 
 

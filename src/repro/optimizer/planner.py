@@ -29,7 +29,6 @@ from repro.db.personality import Personality
 from repro.expr.analysis import (
     columns_referenced,
     conjuncts,
-    contains_subquery,
     disjuncts,
     make_and,
 )
@@ -75,7 +74,11 @@ from repro.engine.plans import (
     SetOpPlan,
     SortPlan,
 )
-from repro.optimizer.cardinality import estimate_selectivity, expected_pages
+from repro.optimizer.cardinality import (
+    estimate_conjunction,
+    estimate_selectivity,
+    expected_pages,
+)
 from repro.optimizer.stats import StatsCatalog, TableStats
 from repro.sql.ast import (
     DerivedTable,
@@ -362,7 +365,10 @@ class Planner:
         stats = self.stats.get(table)
         p = self.personality
         full_pred = make_and(pushed)
-        full_sel = estimate_selectivity(full_pred, stats)
+        # Each pushed conjunct is estimated once per plan; the candidate
+        # paths below share the figures (a guarded expression's OR is
+        # hundreds of leaf estimates).
+        conj_sels, full_sel = estimate_conjunction(pushed, stats)
         out_rows = full_sel * stats.row_count
 
         binding = RowBinding.for_table(alias, table.schema.names)
@@ -381,7 +387,7 @@ class Planner:
         candidates.append((seq_cost, seq))
 
         index_candidates = self._index_scan_candidates(
-            table.name, alias, pushed, stats, binding, out_rows
+            table.name, alias, pushed, conj_sels, stats, binding, out_rows
         )
         candidates.extend(index_candidates)
 
@@ -441,13 +447,14 @@ class Planner:
         table_name: str,
         alias: str,
         pushed: list[Expr],
+        conj_sels: list[float],
         stats: TableStats,
         binding: RowBinding,
         out_rows: float,
     ) -> list[tuple[float, PlanNode]]:
         p = self.personality
         out: list[tuple[float, PlanNode]] = []
-        for conj in pushed:
+        for conj, sel in zip(pushed, conj_sels):
             spec = self._sargable(conj)
             if spec is None:
                 continue
@@ -456,7 +463,6 @@ class Planner:
                 continue
             if index.kind == "hash" and not all(pr.is_point for pr in spec.probes):
                 continue
-            sel = estimate_selectivity(conj, stats)
             match_rows = sel * stats.row_count
             height = getattr(index, "height", 1)
             residual_parts = [c for c in pushed if c is not conj]
@@ -559,9 +565,11 @@ class Planner:
         return best
 
     def _sargable(self, conj: Expr) -> _Sargable | None:
-        """Extract an index-probe spec from one conjunct, if possible."""
-        if contains_subquery(conj):
-            return None
+        """Extract an index-probe spec from one conjunct, if possible.
+
+        Only a column compared with literals qualifies, so the node type
+        and its operands decide without walking the tree — a policy-wide
+        OR (or anything holding a subquery) is turned away at once."""
         if isinstance(conj, Comparison):
             col, value, op = None, None, conj.op
             if isinstance(conj.left, ColumnRef) and isinstance(conj.right, Literal):

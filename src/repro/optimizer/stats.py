@@ -15,6 +15,7 @@ from typing import Any, Sequence
 from repro.storage.table import HeapTable
 
 DEFAULT_BUCKETS = 64
+_NUMERIC = (int, float)
 
 
 @dataclass
@@ -95,7 +96,15 @@ class EquiDepthHistogram:
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
     ) -> float:
-        """Estimated fraction of rows in the (possibly open) range."""
+        """Estimated fraction of rows in the (possibly open) range.
+
+        Cumulative form, O(log B): buckets are equal-depth, so bucket
+        ``i`` ends at cumulative fraction ``(i + 1) / B`` and the rows
+        up to ``x`` are ``F(x) = (rank(x) + edge) / B`` — ``rank`` one
+        bisect over ``bounds``, ``edge`` the linear interpolation inside
+        the bucket ``x`` falls in.  The estimate is ``F(hi) − F(lo)``;
+        no bucket other than the two edge ones is read.
+        """
         if self.total == 0:
             return 0.0
         if lo is not None and hi is not None and lo == hi:
@@ -105,21 +114,18 @@ class EquiDepthHistogram:
         lo_eff = self.min_value if lo is None else lo
         hi_eff = self.max_value if hi is None else hi
         try:
-            if lo_eff > self.max_value or hi_eff < self.min_value:
-                return 0.0
+            if lo_eff > self.max_value or hi_eff < self.min_value or hi_eff < lo_eff:
+                return 0.0  # outside the column, or an empty (inverted) range
         except TypeError:
             return 0.0
-        # Count fully-covered buckets; interpolate the partial edge buckets
-        # under a uniform-within-bucket assumption for numeric columns.
-        frac = 0.0
-        prev_bound = self.min_value
-        for i, bound in enumerate(self.bounds):
-            bucket_lo, bucket_hi = prev_bound, bound
-            prev_bound = bound
-            if self._lt(bucket_hi, lo_eff) or self._lt(hi_eff, bucket_lo):
-                continue
-            coverage = self._bucket_coverage(bucket_lo, bucket_hi, lo_eff, hi_eff)
-            frac += coverage * (self.depth / self.total)
+        # Whole buckets between the two ranks, plus the covered share of
+        # the edge buckets.  bisect_left for ``lo`` and bisect_right for
+        # ``hi`` keep point buckets (one value filling a bucket) that sit
+        # exactly on an endpoint inside the closed range.
+        k_lo = bisect.bisect_left(self.bounds, lo_eff)
+        k_hi = bisect.bisect_right(self.bounds, hi_eff)
+        buckets = (k_hi + self._edge(k_hi, hi_eff, 1.0)) - (k_lo + self._edge(k_lo, lo_eff, 0.0))
+        frac = buckets * (self.depth / self.total)
         # Interpolation can miss point masses sitting exactly on bucket
         # bounds; an included endpoint contributes at least its equality
         # mass.
@@ -134,27 +140,27 @@ class EquiDepthHistogram:
             frac -= self.selectivity_eq(hi)
         return min(1.0, max(0.0, frac))
 
-    @staticmethod
-    def _lt(a: Any, b: Any) -> bool:
-        try:
-            return a < b
-        except TypeError:
-            return False
-
-    @staticmethod
-    def _bucket_coverage(bucket_lo: Any, bucket_hi: Any, lo: Any, hi: Any) -> float:
-        """Fraction of a bucket's value span covered by [lo, hi]."""
-        if isinstance(bucket_lo, (int, float)) and isinstance(bucket_hi, (int, float)):
-            span = float(bucket_hi) - float(bucket_lo)
-            if span <= 0:
-                return 1.0
-            left = max(float(bucket_lo), float(lo)) if isinstance(lo, (int, float)) else float(bucket_lo)
-            right = min(float(bucket_hi), float(hi)) if isinstance(hi, (int, float)) else float(bucket_hi)
-            if right < left:
-                return 0.0
-            return (right - left) / span
-        # Non-numeric: all-or-nothing per bucket.
-        return 1.0
+    def _edge(self, k: int, x: Any, whole: float) -> float:
+        """Share of bucket ``k`` lying left of ``x`` (uniform within the
+        bucket).  Non-numeric buckets are all-or-nothing: ``whole`` says
+        which — 1.0 on the ``hi`` side (the bucket ``hi`` falls in
+        counts), 0.0 on the ``lo`` side (so does the one ``lo`` falls in).
+        """
+        bounds = self.bounds
+        if k >= len(bounds):
+            return 0.0
+        bucket_lo = bounds[k - 1] if k else self.min_value
+        bucket_hi = bounds[k]
+        if not (
+            isinstance(bucket_lo, _NUMERIC)
+            and isinstance(bucket_hi, _NUMERIC)
+            and isinstance(x, _NUMERIC)
+        ):
+            return whole
+        span = float(bucket_hi) - float(bucket_lo)
+        if span <= 0:
+            return 0.0  # a point bucket is whole or absent; the ranks decide
+        return min(1.0, max(0.0, (float(x) - float(bucket_lo)) / span))
 
 
 @dataclass

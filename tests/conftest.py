@@ -93,14 +93,19 @@ def wifi_db_postgres():
     return make_wifi_db("postgres")
 
 
-@pytest.fixture(scope="session")
-def tippers_small():
-    """A small but realistic campus dataset shared across tests."""
+def make_tippers_small():
+    """A small but realistic campus world: (dataset, policies, store)."""
     dataset = generate_tippers(TippersConfig(n_devices=200, days=15, seed=3))
     campus = generate_campus_policies(dataset)
     store = PolicyStore(dataset.db, dataset.groups)
     store.insert_many(campus.policies)
     return dataset, campus, store
+
+
+@pytest.fixture(scope="session")
+def tippers_small():
+    """The small campus world, shared across tests."""
+    return make_tippers_small()
 
 
 # ----------------------------------------------------------- audit oracle

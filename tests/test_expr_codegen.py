@@ -265,6 +265,50 @@ def test_compiled_expr_cache_lru_and_id_alias():
     assert len(cache) == 0
 
 
+def test_compiled_expr_cache_hit_does_not_rehash_the_tree():
+    class CountingExpr:
+        """Stands in for a policy-wide OR: counts structural hashes."""
+
+        hashes = 0
+
+        def __hash__(self):
+            CountingExpr.hashes += 1
+            return 7
+
+        def __eq__(self, other):
+            return isinstance(other, CountingExpr)
+
+    cache = CompiledExprCache()
+    counters = CounterSet()
+    expr, extra = CountingExpr(), ((), "colpred", True)
+    cache.store(expr, extra, lambda cols, sel: sel)
+    assert CountingExpr.hashes == 1
+    for _ in range(50):
+        assert cache.lookup(expr, extra, counters) is not None
+    assert CountingExpr.hashes == 1  # id alias -> stored key, hash remembered
+    twin = CountingExpr()
+    assert cache.lookup(twin, extra, counters) is not None  # structural: one hash
+    assert cache.lookup(twin, extra, counters) is not None  # now aliased too
+    assert CountingExpr.hashes == 2
+    assert counters.expr_cache_hits == 52 and counters.expr_cache_misses == 0
+
+
+def test_compiled_expr_cache_discards_by_conjunct_identity():
+    cache = CompiledExprCache()
+    guard = Or((Comparison(CompareOp.EQ, col("a"), Literal(1)), Comparison(CompareOp.EQ, col("a"), Literal(2))))
+    other = Comparison(CompareOp.GT, col("b"), Literal(5))
+    extra = ((), "batchpred", True)
+    cache.store(guard, extra, lambda *a: "alone")
+    cache.store(And((other, guard)), extra, lambda *a: "conjunct")
+    cache.store(other, extra, lambda *a: "unrelated")
+    twin = Or(guard.children)  # equal structure, another object: not the one released
+    assert cache.discard_conjuncts([twin]) == 0
+    assert cache.discard_conjuncts([guard]) == 2
+    assert len(cache) == 1
+    assert cache.lookup(guard, extra) is None
+    assert cache.lookup(other, extra) is not None
+
+
 def test_database_reuses_compiled_predicates():
     from repro.db.database import connect
 

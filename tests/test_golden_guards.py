@@ -1,0 +1,229 @@
+"""Guard generation pinned across estimator rewrites.
+
+``tests/data/golden_guards.json`` holds, for seeded corpora over the
+conftest worlds and a 150-policy Mall querier, every selected guard's
+condition, partition and ``cardinality`` as generated by the bucket-
+sweep estimator (the commit before ``EquiDepthHistogram`` went
+cumulative).  A faster estimator must reproduce them: same guards, same
+partitions, cardinalities to 1e-6.  ``python tests/test_golden_guards.py``
+(with ``src`` on ``PYTHONPATH``, from the repo root) rewrites the file.
+
+The complexity test rides on the same Mall world: it counts the bucket
+bounds one estimate touches (through a counting list, not a product
+counter) and how that total grows with the corpus.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import json
+import math
+import pathlib
+import random
+
+import pytest
+
+from repro.core.candidate_gen import generate_candidate_guards
+from repro.core.generation import build_guarded_expression
+from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
+from repro.datasets.tippers import WIFI_TABLE
+from repro.optimizer.stats import EquiDepthHistogram
+from repro.policy.model import ObjectCondition, Policy
+
+from tests.conftest import make_policies, make_tippers_small, make_wifi_db
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_guards.json"
+
+
+def mall_world():
+    mall = generate_mall(MallConfig(seed=13, n_customers=900, days=25, personality="postgres"))
+    heap = mall.db.catalog.table(CONNECTIVITY_TABLE)
+    return (
+        mall.db.stats.get(heap),
+        frozenset(mall.db.catalog.indexed_columns(CONNECTIVITY_TABLE)),
+    )
+
+
+def mall_policies(n: int, seed: int = 13) -> list[Policy]:
+    """One shop's corpus: 25 owners, each policy an owner plus a
+    time-of-day window, a date window, or both (the benchmark's shape)."""
+    rng = random.Random(f"golden:{seed}:{n}")
+    community = sorted(rng.sample(range(900), 25))
+    out = []
+    for i in range(n):
+        conds = [ObjectCondition("owner", "=", rng.choice(community))]
+        kind = rng.random()
+        if kind < 0.55:
+            start = rng.randrange(600, 1200)
+            conds.append(
+                ObjectCondition("ts_time", ">=", start, "<=", min(1439, start + rng.randrange(60, 240)))
+            )
+        if kind >= 0.45:
+            start = rng.randrange(0, 21)
+            conds.append(
+                ObjectCondition("ts_date", ">=", start, "<=", min(24, start + rng.randrange(2, 10)))
+            )
+        out.append(
+            Policy(
+                owner=conds[0].value,
+                querier="shop-7",
+                purpose="any",
+                table=CONNECTIVITY_TABLE,
+                object_conditions=tuple(conds),
+                id=3_000_000 + i,
+            )
+        )
+    return out
+
+
+def _describe(policies, stats, indexed) -> dict:
+    # Policy ids come from a process-wide counter and the store lists a
+    # querier's policies group by group in (string-)hash order, so fix the
+    # order here and name policies by position.
+    policies = sorted(
+        policies,
+        key=lambda p: (str(p.owner), [str(oc) for oc in p.object_conditions], str(p.querier), p.purpose),
+    )
+    position = {p.id: i for i, p in enumerate(policies)}
+    expression = build_guarded_expression(policies, stats, indexed)
+    return {
+        "policies": len(policies),
+        "candidates": len(generate_candidate_guards(policies, indexed, stats)),
+        "guards": [
+            {
+                "condition": str(g.condition),
+                "partition": sorted(position[p.id] for p in g.policies),
+                "cardinality": g.cardinality,
+            }
+            for g in expression.guards
+        ],
+    }
+
+
+def snapshot(tippers, mall) -> dict:
+    """Every golden corpus, described."""
+    out = {}
+    wifi_indexed = frozenset({"owner", "wifiap", "ts_time", "ts_date"})
+    for name, db_args, policy_args in (
+        ("wifi-default", {}, {}),
+        ("wifi-dense", {"n_rows": 6000, "seed": 8}, {"seed": 5, "per_owner": 4}),
+    ):
+        db, _rows = make_wifi_db(**db_args)
+        out[name] = _describe(make_policies(**policy_args), db.table_stats("wifi"), wifi_indexed)
+
+    dataset, campus, store = tippers
+    heap = dataset.db.catalog.table(WIFI_TABLE)
+    stats = dataset.db.stats.get(heap)
+    indexed = frozenset(dataset.db.catalog.indexed_columns(WIFI_TABLE))
+    for profile in ("faculty", "grad"):
+        querier = campus.designated_queriers[profile][0]
+        policies = store.policies_for(querier, "analytics", WIFI_TABLE)
+        out[f"tippers-{profile}"] = _describe(policies, stats, indexed)
+
+    out["mall-150"] = _describe(mall_policies(150), *mall)
+    return out
+
+
+@pytest.fixture(scope="module")
+def mall():
+    return mall_world()
+
+
+def test_guards_match_the_recorded_sets(tippers_small, mall):
+    golden = json.loads(GOLDEN.read_text())
+    got = snapshot(tippers_small, mall)
+    assert got.keys() == golden.keys()
+    for name, want in golden.items():
+        have = got[name]
+        assert have["policies"] == want["policies"], name
+        assert have["candidates"] == want["candidates"], name
+        assert len(have["guards"]) == len(want["guards"]), name
+        for g, w in zip(have["guards"], want["guards"]):
+            assert g["condition"] == w["condition"], name
+            assert g["partition"] == w["partition"], name
+            assert g["cardinality"] == pytest.approx(w["cardinality"], abs=1e-6), name
+
+
+# --------------------------------------------------------------- complexity
+
+
+class _CountingBounds(list):
+    """Bucket bounds that count every element read — ``bisect``'s
+    comparisons and plain indexing alike — so a bucket sweep shows as
+    ~B touches per estimate and a binary search as ~log2 B."""
+
+    touches = 0
+
+    def __getitem__(self, index):
+        _CountingBounds.touches += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+class _CountingHistogram(EquiDepthHistogram):
+    """The product estimator over counting bounds; the call count and
+    the bucket count come from the wrapper, nothing in ``stats.py``."""
+
+    calls = 0
+
+    def selectivity_range(self, *args, **kwargs):
+        _CountingHistogram.calls += 1
+        return super().selectivity_range(*args, **kwargs)
+
+
+def _instrumented(stats):
+    """A copy of ``stats`` whose histograms count their work."""
+    clone = copy.deepcopy(stats)
+    for cstats in clone.columns.values():
+        hist = cstats.histogram
+        if hist is not None:
+            fields = {f.name: getattr(hist, f.name) for f in dataclasses.fields(hist)}
+            fields["bounds"] = _CountingBounds(hist.bounds)
+            cstats.histogram = _CountingHistogram(**fields)
+    return clone
+
+
+def _generation_work(n: int, stats, indexed) -> tuple[int, int]:
+    """(bound touches, range estimates) of generating candidates for an
+    ``n``-policy corpus.  A pair the sweep checks costs two estimates or
+    none, so touches per estimate bounds the touches per pair checked."""
+    _CountingBounds.touches = _CountingHistogram.calls = 0
+    generate_candidate_guards(mall_policies(n), indexed, stats)
+    return _CountingBounds.touches, _CountingHistogram.calls
+
+
+def test_range_estimate_touches_log_buckets(mall):
+    stats, _indexed = mall
+    counted = _instrumented(stats)
+    hist = counted.column("ts_time").histogram
+    n_buckets = len(hist.bounds)
+    assert n_buckets >= 32
+    budget = 8 * math.log2(n_buckets)  # a handful of bisects + edge reads
+    rng = random.Random(5)
+    for _ in range(200):
+        lo = rng.randrange(500, 1400)
+        hi = lo + rng.randrange(0, 400)
+        _CountingBounds.touches = 0
+        hist.selectivity_range(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        assert _CountingBounds.touches <= budget, (lo, hi)
+
+
+def test_generation_work_per_pair_does_not_grow_with_the_corpus(mall):
+    stats, indexed = mall
+    counted = _instrumented(stats)
+    touches_50, calls_50 = _generation_work(50, counted, indexed)
+    touches_400, calls_400 = _generation_work(400, counted, indexed)
+    assert calls_50 > 0 and calls_400 > calls_50
+    assert touches_400 / calls_400 <= 10 * (touches_50 / calls_50)
+    n_buckets = len(counted.column("ts_time").histogram.bounds)
+    assert touches_400 / calls_400 <= 8 * math.log2(n_buckets)
+
+
+if __name__ == "__main__":  # record the golden file
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(snapshot(make_tippers_small(), mall_world()), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

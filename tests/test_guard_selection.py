@@ -118,6 +118,25 @@ class TestBuildGuardedExpression:
         assert ge.generation_ms >= 0
         assert len(ge.guards) <= len(policies)
 
+    def test_rendered_ast_is_shared_per_argument_tuple(self):
+        db, _ = make_wifi_db(n_rows=2000)
+        ge = build_guarded_expression(
+            make_policies(n_owners=10), db.table_stats("wifi"), INDEXED, CM,
+            querier="prof", purpose="analytics", table="wifi",
+        )
+        plain = ge.to_expr()
+        assert ge.to_expr() is plain  # every rewrite of the epoch shares it
+        qualified = ge.to_expr(qualifier="w")
+        assert qualified is not plain and qualified != plain
+        with_delta = ge.to_expr(
+            delta_guards=frozenset({0}), delta_udf="sieve_delta", delta_columns=["id", "owner"]
+        )
+        assert with_delta is not plain
+        assert ge.to_expr(
+            delta_guards=frozenset({0}), delta_udf="sieve_delta", delta_columns=["id", "owner"]
+        ) is with_delta
+        assert {id(e) for e in ge.rendered_exprs()} == {id(plain), id(qualified), id(with_delta)}
+
     def test_invariant_check_catches_overlap(self):
         p = mk_policy(1)
         from repro.core.guards import Guard

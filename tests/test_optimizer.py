@@ -67,6 +67,120 @@ class TestHistogram:
         assert abs(sel - true_sel) < 0.5
 
 
+def _sweep_selectivity_range(hist, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
+    """The bucket sweep ``EquiDepthHistogram.selectivity_range`` used
+    before it went cumulative: every bucket visited, partial edge
+    buckets interpolated.  Kept here only, as the reference."""
+
+    def lt(a, b):
+        try:
+            return a < b
+        except TypeError:
+            return False
+
+    def coverage(bucket_lo, bucket_hi, lo, hi):
+        if isinstance(bucket_lo, (int, float)) and isinstance(bucket_hi, (int, float)):
+            span = float(bucket_hi) - float(bucket_lo)
+            if span <= 0:
+                return 1.0
+            left = max(float(bucket_lo), float(lo)) if isinstance(lo, (int, float)) else float(bucket_lo)
+            right = min(float(bucket_hi), float(hi)) if isinstance(hi, (int, float)) else float(bucket_hi)
+            if right < left:
+                return 0.0
+            return (right - left) / span
+        return 1.0
+
+    if hist.total == 0:
+        return 0.0
+    if lo is not None and hi is not None and lo == hi:
+        return hist.selectivity_eq(lo) if lo_inclusive and hi_inclusive else 0.0
+    lo_eff = hist.min_value if lo is None else lo
+    hi_eff = hist.max_value if hi is None else hi
+    try:
+        if lo_eff > hist.max_value or hi_eff < hist.min_value:
+            return 0.0
+    except TypeError:
+        return 0.0
+    frac = 0.0
+    prev_bound = hist.min_value
+    for bound in hist.bounds:
+        bucket_lo, bucket_hi = prev_bound, bound
+        prev_bound = bound
+        if lt(bucket_hi, lo_eff) or lt(hi_eff, bucket_lo):
+            continue
+        frac += coverage(bucket_lo, bucket_hi, lo_eff, hi_eff) * (hist.depth / hist.total)
+    if lo is not None and lo_inclusive:
+        frac = max(frac, hist.selectivity_eq(lo))
+    if hi is not None and hi_inclusive:
+        frac = max(frac, hist.selectivity_eq(hi))
+    if not lo_inclusive and lo is not None:
+        frac -= hist.selectivity_eq(lo)
+    if not hi_inclusive and hi is not None:
+        frac -= hist.selectivity_eq(hi)
+    return min(1.0, max(0.0, frac))
+
+
+def _columns():
+    """Column contents that stress the bucket layout: plain ints and
+    floats, strings, a heavy hitter filling several buckets, a single
+    repeated value, fewer rows than buckets."""
+    ints = st.lists(st.integers(-50, 200), min_size=1, max_size=400)
+    floats = st.lists(
+        st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=300
+    )
+    strings = st.lists(st.text("abcde", min_size=1, max_size=3), min_size=1, max_size=300)
+    heavy = st.builds(
+        lambda hitter, copies, rest: [hitter] * copies + rest,
+        st.integers(0, 100),
+        st.integers(50, 400),
+        st.lists(st.integers(0, 100), max_size=150),
+    )
+    single = st.builds(lambda v, n: [v] * n, st.integers(-5, 5), st.integers(1, 200))
+    few = st.lists(st.integers(0, 1000), min_size=1, max_size=63)
+    return st.one_of(ints, floats, strings, heavy, single, few)
+
+
+class TestCumulativeRangeEstimate:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_the_bucket_sweep(self, data):
+        values = data.draw(_columns())
+        hist = EquiDepthHistogram.build(values, buckets=data.draw(st.sampled_from([4, 16, 64])))
+        if isinstance(values[0], str):
+            probe = st.text("abcdef", max_size=3)
+        elif isinstance(values[0], float):
+            probe = st.floats(-150.0, 150.0, allow_nan=False)
+        else:
+            probe = st.integers(-80, 1100)
+        # Endpoints on bucket bounds and on min/max are the awkward ones.
+        endpoint = st.one_of(
+            st.none(), probe, st.sampled_from(hist.bounds), st.just(hist.min_value)
+        )
+        lo, hi = data.draw(endpoint), data.draw(endpoint)
+        if lo is not None and hi is not None and hi < lo:
+            lo, hi = hi, lo
+        lo_inc, hi_inc = data.draw(st.booleans()), data.draw(st.booleans())
+        got = hist.selectivity_range(lo, hi, lo_inc, hi_inc)
+        want = _sweep_selectivity_range(hist, lo, hi, lo_inc, hi_inc)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    def test_mixed_type_probe_estimates_zero_like_the_sweep(self):
+        hist = EquiDepthHistogram.build(list(range(100)))
+        for args in (("a", None), (None, "a"), ("a", "b"), (3, "b")):
+            assert hist.selectivity_range(*args) == _sweep_selectivity_range(hist, *args) == 0.0
+
+    def test_inverted_range_is_empty(self):
+        # The sweep let the "included endpoint" floor fire although
+        # lo > hi, so BETWEEN 700 AND 300 estimated ~0.001 of the table.
+        hist = EquiDepthHistogram.build(list(range(1000)))
+        assert _sweep_selectivity_range(hist, 700, 300) > 0.0
+        assert hist.selectivity_range(700, 300) == 0.0
+        assert hist.selectivity_range(700, 300, False, True) == 0.0
+        db, _rows = make_wifi_db(n_rows=500)
+        stats = db.table_stats("wifi")
+        assert estimate_selectivity(parse_expression("ts_time BETWEEN 900 AND 100"), stats) == 0.0
+
+
 class TestTableStats:
     def test_build(self):
         db, rows = make_wifi_db(n_rows=500)

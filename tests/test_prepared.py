@@ -283,6 +283,51 @@ def test_midstream_policy_churn_never_serves_stale_plans():
     assert sieve.plan_cache.stats.invalidations >= 1
 
 
+def test_policy_churn_retains_nothing_per_write():
+    """200 alternating writes, each a *new* policy (a corpus no earlier
+    epoch had), with reads in between: the superseded expression's
+    compiled predicates leave with it, so the compiled-predicate cache,
+    the plan cache and the guard store stay flat instead of gaining an
+    AST and a kernel per write."""
+    db, store = small_world()
+    sieve = Sieve(db, store)
+    shapes = [
+        sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics"),
+        sieve.prepare("SELECT COUNT(*) FROM t", "alice", "analytics"),
+    ]
+
+    def sizes():
+        return len(db._fn_cache), len(sieve.plan_cache), sieve.guard_store.cache_size()
+
+    settled = None
+    grant = None
+    for write in range(200):
+        if grant is None:
+            lo = 600 + write
+            grant = store.insert(
+                Policy(
+                    owner=write % 5,
+                    querier="alice",
+                    purpose="analytics",
+                    table="t",
+                    object_conditions=(
+                        ObjectCondition("owner", "=", write % 5),
+                        ObjectCondition("v", ">=", lo, "<=", lo + 40),
+                    ),
+                )
+            )
+        else:
+            store.delete(grant.id)
+            grant = None
+        shapes[0].execute([300])
+        shapes[1].execute()
+        sieve.execute("SELECT id FROM t WHERE v < 450", "alice", "analytics")  # unprepared path
+        if write == 5:
+            settled = sizes()
+        elif write > 5:
+            assert sizes() == settled, write
+
+
 def test_session_refresh_drops_plan_entries():
     db, store = small_world()
     sieve = Sieve(db, store)
