@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest bench-smoke bench bench-backend bench-engine bench-prepared bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest profile-fresh bench-smoke bench bench-backend bench-engine bench-prepared bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -21,6 +21,14 @@ bench-canonical:
 # the benchmark cannot rot).
 bench-selftest:
 	python3 bench/selftest.py --quick
+
+# Where a fresh-literal request spends its time: N prepared requests
+# with never-seen literals, single-threaded under cProfile, as ms per
+# src/repro layer plus the top functions (--mode warm|churn for the
+# other request kinds).  For finding waste; bench/ measures a change.
+N ?= 200
+profile-fresh:
+	$(PYTHON) tools/profile_request.py --mode fresh -n $(N)
 
 # One quick benchmark as a smoke signal: the session-cache bench builds
 # the Fig. 6 Mall world and asserts the warm path is >= 2x faster.

@@ -15,6 +15,7 @@ kept, since dropping them would widen the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 from repro.common.errors import SieveError
@@ -42,6 +43,18 @@ class Guard:
     @property
     def policy_ids(self) -> frozenset[int]:
         return frozenset(p.id for p in self.policies)
+
+    # What the Δ-vs-inline decision (Section 5.4) reads of a partition;
+    # the partition is fixed once the guard is built.
+    @cached_property
+    def has_derived_conditions(self) -> bool:
+        """Does any policy of the partition compare against a derived
+        (subquery) value?"""
+        return any(p.has_derived_conditions for p in self.policies)
+
+    @cached_property
+    def distinct_owners(self) -> int:
+        return len({str(p.owner) for p in self.policies})
 
     def partition_expr(self, qualifier: str | None = None) -> Expr | None:
         """E(P_Gi): the inlined DNF of the partition's policies, with the
@@ -94,10 +107,11 @@ class GuardedExpression:
     policy_count: int = 0
     generation_ms: float = 0.0
     created_at: int = 0
-    #: ``to_expr`` results by argument tuple.  The guards never change
-    #: after construction (a policy write builds a new expression), so
-    #: every rewrite of an epoch shares one AST per (qualifier, Δ-set) —
-    #: and with it the engine's compiled-predicate identity fast path.
+    #: ``to_expr`` / ``branch_expr`` results by argument tuple.  The
+    #: guards never change after construction (a policy write builds a
+    #: new expression), so every rewrite of an epoch shares one AST per
+    #: (qualifier, Δ-set) — and with it the node-attached analysis and
+    #: the engine's compiled-predicate identity fast path.
     _expr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -142,34 +156,56 @@ class GuardedExpression:
         call ``delta_udf(guard_key, querier, purpose, col...)``.  The
         (immutable) AST is built once per argument tuple and shared.
         """
-        memo_key = (qualifier, delta_guards, delta_udf, tuple(delta_columns))
+        columns = tuple(delta_columns)
+        memo_key = (qualifier, delta_guards, delta_udf, columns)
         try:
             return self._expr_memo[memo_key]
         except KeyError:
             pass
-        branches: list[Expr] = []
-        for i, guard in enumerate(self.guards):
-            use_delta = i in delta_guards
-            call = None
-            if use_delta:
-                if delta_udf is None:
-                    raise SieveError("delta guards require a registered delta UDF name")
-                call = FuncCall(
-                    delta_udf,
-                    (
-                        Literal(self.guard_key(i)),
-                        *(ColumnRef(c, table=qualifier) for c in delta_columns),
-                    ),
-                )
-            branches.append(guard.to_expr(qualifier, use_delta=use_delta, delta_call=call))
+        branches = [
+            self.branch_expr(i, qualifier, i in delta_guards, delta_udf, columns)
+            for i in range(len(self.guards))
+        ]
         # setdefault: two threads rendering at once still share one AST.
         return self._expr_memo.setdefault(memo_key, make_or(branches))
 
+    def branch_expr(
+        self,
+        index: int,
+        qualifier: str | None = None,
+        use_delta: bool = False,
+        delta_udf: str | None = None,
+        delta_columns: Sequence[str] = (),
+    ) -> Expr:
+        """``G_index`` alone — ``oc_g ∧ (partition | Δ(...))`` — built
+        once per argument tuple like :meth:`to_expr`, which ORs these
+        very nodes; the MySQL IndexGuards rewrite scans one per UNION
+        branch."""
+        columns = tuple(delta_columns) if use_delta else ()
+        memo_key = ("branch", index, qualifier, use_delta, delta_udf if use_delta else None, columns)
+        try:
+            return self._expr_memo[memo_key]
+        except KeyError:
+            pass
+        call = None
+        if use_delta:
+            if delta_udf is None:
+                raise SieveError("delta guards require a registered delta UDF name")
+            call = FuncCall(
+                delta_udf,
+                (
+                    Literal(self.guard_key(index)),
+                    *(ColumnRef(c, table=qualifier) for c in columns),
+                ),
+            )
+        branch = self.guards[index].to_expr(qualifier, use_delta=use_delta, delta_call=call)
+        return self._expr_memo.setdefault(memo_key, branch)
+
     def rendered_exprs(self) -> list[Expr]:
-        """Every AST :meth:`to_expr` has handed out (the guard store
-        releases the engine's compiled predicates over them when this
-        expression is replaced)."""
-        return [expr for expr in self._expr_memo.values() if expr is not None]
+        """Every AST :meth:`to_expr` and :meth:`branch_expr` have handed
+        out (the guard store releases the engine's compiled predicates
+        over them when this expression is replaced)."""
+        return [expr for expr in list(self._expr_memo.values()) if expr is not None]
 
     def guard_key(self, index: int) -> str:
         """Stable identifier for one guard (passed to the Δ UDF)."""

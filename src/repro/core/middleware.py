@@ -571,12 +571,13 @@ class Sieve:
         before = self.db.counters.snapshot() if need_delta else None
         with span("execute") as ex_span:
             if self.backend is not None:
-                # RewriteInfo.sql is already printed in the backend's
-                # dialect by the rewriter — exactly the text the engine
-                # sees, and printing stays out of the timed window so
-                # execution_ms is comparable with the bundled path's.
+                # RewriteInfo.sql is in the backend's dialect — exactly
+                # the text the engine sees; it is printed on first read,
+                # which stays out of the timed window so execution_ms
+                # is comparable with the bundled path's.
+                text = execution.rewrite.sql
                 start = time.perf_counter()
-                execution.result = self.backend.execute(execution.rewrite.sql)
+                execution.result = self.backend.execute(text)
                 execution.execution_ms = (time.perf_counter() - start) * 1000.0
                 execution.engine = "backend"
                 counters = self.db.counters

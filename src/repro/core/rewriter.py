@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.common.errors import SieveError
@@ -77,13 +78,27 @@ class RewriteInfo:
     enforced_tables: dict[str, str] = field(default_factory=dict)  # table -> cte name
     decisions: dict[str, StrategyDecision] = field(default_factory=dict)
     denied_tables: list[str] = field(default_factory=list)
-    sql: str = ""
     #: table -> guard keys materialized into its enforcement CTE, in
     #: guard order.  The audit tier records these; keeping them on the
     #: RewriteInfo makes audit records identical whether the rewrite
     #: came fresh or from the serving tier's rewrite cache (a cached
     #: rewrite carries its original info, guard keys included).
     guard_keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: The rewritten query and the dialect of the engine that will run
+    #: it — what :attr:`sql` prints.
+    rewritten: Query | None = field(default=None, init=False, repr=False, compare=False)
+    dialect: Any = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def sql(self) -> str:
+        """The rewritten query as the executing engine's SQL text.
+
+        Printed on first read: a backend and an inspector read it, the
+        bundled engine executes the AST and never does — and the text
+        of a policy-wide rewrite runs to kilobytes per request."""
+        from repro.sql.printer import to_sql
+
+        return "" if self.rewritten is None else to_sql(self.rewritten, dialect=self.dialect)
 
 
 def collect_table_names(query: Query) -> set[str]:
@@ -298,9 +313,7 @@ class SieveRewriter:
 
         rewritten = self._replace_tables(query, replacements)
         rewritten.ctes = new_ctes + rewritten.ctes
-        from repro.sql.printer import to_sql
-
-        info.sql = to_sql(rewritten, dialect=self.dialect)
+        info.rewritten, info.dialect = rewritten, self.dialect
         return rewritten, info
 
     # ------------------------------------------------------------ CTE body
@@ -375,17 +388,12 @@ class SieveRewriter:
         for i, guard in enumerate(expression.guards):
             index = self.db.catalog.index_on_column(table_name, guard.condition.attr)
             hint = IndexHint("FORCE", (index.name,)) if index is not None else None
-            use_delta = i in decision.delta_guards
-            delta_call = None
-            if use_delta:
-                delta_call = FuncCall(
-                    DELTA_UDF_NAME,
-                    (
-                        Literal(expression.guard_key(i)),
-                        *(ColumnRef(c) for c in columns),
-                    ),
-                )
-            branch_expr = guard.to_expr(None, use_delta=use_delta, delta_call=delta_call)
+            branch_expr = expression.branch_expr(
+                i,
+                use_delta=i in decision.delta_guards,
+                delta_udf=DELTA_UDF_NAME,
+                delta_columns=columns,
+            )
             where = make_and([p for p in (branch_expr, qpred) if p is not None])
             branches.append(
                 Select(

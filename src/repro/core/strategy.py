@@ -30,7 +30,7 @@ from repro.core.cost_model import SieveCostModel
 from repro.core.guards import GuardedExpression
 from repro.expr.analysis import contains_subquery
 from repro.expr.nodes import Expr
-from repro.optimizer.cardinality import estimate_selectivity, expected_pages
+from repro.optimizer.cardinality import estimate_conjunction, expected_pages
 from repro.optimizer.planner import Planner
 
 
@@ -110,10 +110,8 @@ def choose_strategy(
     # Cheap query conjuncts run before the guard disjunction (AND
     # short-circuits), so only the query-predicate-surviving rows pay
     # for guard checks — and those short-circuit too.
-    from repro.expr.analysis import make_and
-
     n_conjuncts = max(1, len(query_conjuncts))
-    full_query_sel = estimate_selectivity(make_and(list(query_conjuncts)), stats)
+    conjunct_sels, full_query_sel = estimate_conjunction(list(query_conjuncts), stats)
     rows_after_query = full_query_sel * stats.row_count
     guard_or_row_cost = alpha * (n_guards + avg_partition) * cpu_pred
 
@@ -154,7 +152,7 @@ def choose_strategy(
     cost_index_query = float("inf")
     best_column: str | None = None
     planner = Planner(db.catalog, db.stats, personality)
-    for conj in query_conjuncts:
+    for conj, conj_sel in zip(query_conjuncts, conjunct_sels):
         if contains_subquery(conj):
             continue
         spec = planner._sargable(conj)
@@ -162,7 +160,7 @@ def choose_strategy(
             continue
         if db.catalog.index_on_column(table_name, spec.column) is None:
             continue
-        rows = estimate_selectivity(conj, stats) * stats.row_count
+        rows = conj_sel * stats.row_count
         cost = (
             expected_pages(
                 rows, stats.page_count, _correlation(spec.column), stats.row_count
@@ -211,10 +209,9 @@ def decide_delta_guards(
     """Guards whose partitions evaluate through Δ (Section 5.4)."""
     chosen: set[int] = set()
     for i, guard in enumerate(expression.guards):
-        if any(p.has_derived_conditions for p in guard.policies):
+        if guard.has_derived_conditions:
             continue  # derived values need the engine's subquery machinery
-        owners = {str(p.owner) for p in guard.policies}
-        per_owner = guard.partition_size / max(1, len(owners))
+        per_owner = guard.partition_size / max(1, guard.distinct_owners)
         if cost_model.use_delta(guard.partition_size, per_owner):
             chosen.add(i)
     return frozenset(chosen)

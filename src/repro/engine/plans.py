@@ -378,8 +378,7 @@ def annotate_batch_capability(plan: PlanNode) -> None:
     the oracle.  A Sort+Limit pair consumes its input fully in both
     modes (fused top-k), so it stays batchable.
     """
-    from repro.expr.analysis import walk
-    from repro.expr.nodes import ScalarSubquery
+    from repro.expr.analysis import contains_scalar_subquery
 
     for child in plan.children():
         if child is not None:
@@ -394,7 +393,7 @@ def annotate_batch_capability(plan: PlanNode) -> None:
         plan.batchable = False  # table-less constant row
         return
     for expr in _node_exprs(plan):
-        if any(isinstance(node, ScalarSubquery) for node in walk(expr)):
+        if contains_scalar_subquery(expr):
             plan.batchable = False
             return
     plan.batchable = True

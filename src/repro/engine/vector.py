@@ -45,15 +45,10 @@ import heapq
 from typing import Any, Callable, Iterator
 
 from repro.common.errors import ExecutionError
-from repro.expr.analysis import conjuncts, contains_subquery
-from repro.expr.codegen import (
-    CodegenExprCompiler,
-    CodegenUnsupported,
-    contains_scalar_subquery,
-    is_metered_or,
-)
+from repro.expr.analysis import conjuncts, contains_scalar_subquery, contains_subquery
+from repro.expr.codegen import CodegenExprCompiler, CodegenUnsupported, is_metered_or
 from repro.expr.eval import RowBinding
-from repro.expr.nodes import Expr, Or
+from repro.expr.nodes import Expr
 from repro.engine.executor import (
     Executor,
     QueryResult,
@@ -281,25 +276,6 @@ class VectorizedExecutor(Executor):
 
         return stage
 
-    def _col_stage(self, expr: Expr, binding: RowBinding) -> _StageFn:
-        """A column-mode predicate kernel; falls back to the row path
-        for trees column mode cannot express."""
-        if self._needs_row_path(expr):
-            return self._row_stage(expr, binding)
-
-        def build() -> _StageFn:
-            try:
-                kernel = self._codegen(binding).compile_batch_predicate(expr)
-            except (CodegenUnsupported, SyntaxError):
-                return self._row_stage(expr, binding)
-
-            def stage(batch: RowBatch, sel: list, _k=kernel) -> list:
-                return _k(batch.columns(), sel)
-
-            return stage
-
-        return self._cached(expr, binding, "colpred", build)
-
     def _value_fn(self, expr: Expr, binding: RowBinding) -> Callable[[RowBatch, list], list]:
         """Batch value computation: ``fn(batch, sel) -> values``."""
         if self._needs_row_path(expr):
@@ -338,47 +314,45 @@ class VectorizedExecutor(Executor):
         return fn
 
     def _conjunct_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
-        """One conjunct as a stage.
+        """One conjunct as a stage, from the compiled-expression cache."""
+        return self._cached(conj, binding, "stage", lambda: self._build_stage(conj, binding))
 
-        A metered (policy-style) OR becomes a guard stage: on the
+    def _build_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
+        """A metered (policy-style) OR becomes a guard stage: on the
         codegen path a single fused loop kernel
         (:meth:`~repro.expr.codegen.CodegenExprCompiler.compile_batch_guard`
         — zero per-row Python calls), otherwise the guard-by-guard
         bitmap driver over per-disjunct row functions.  Everything
         else runs as one comprehension kernel, or per row when column
         mode can't express it (scalar subqueries, codegen off)."""
-        if is_metered_or(conj, self.counters):
-            assert isinstance(conj, Or)
-            if not self._needs_row_path(conj):
-                stage = self._guard_kernel_stage(conj, binding)
-                if stage is not None:
-                    return stage
+        metered = is_metered_or(conj, self.counters)
+        if not self._needs_row_path(conj):
+            codegen = self._codegen(binding)
+            try:
+                kernel = (
+                    codegen.compile_batch_guard(conj)
+                    if metered
+                    else codegen.compile_batch_predicate(conj)
+                )
+            except (CodegenUnsupported, SyntaxError):
+                pass
+            else:
+                return lambda batch, sel, _k=kernel: _k(batch.columns(), sel)
+        if metered:
             disjunct_fns = [self._row_stage(d, binding) for d in conj.children]
             return _guard_stage(disjunct_fns, self.counters)
-        if self._needs_row_path(conj):
-            return self._row_stage(conj, binding)
-        return self._col_stage(conj, binding)
-
-    def _guard_kernel_stage(self, conj: Or, binding: RowBinding) -> _StageFn | None:
-        try:
-            kernel = self._codegen(binding).compile_batch_guard(conj)
-        except (CodegenUnsupported, SyntaxError):
-            return None
-
-        def stage(batch: RowBatch, sel: list, _k=kernel) -> list:
-            return _k(batch.columns(), sel)
-
-        return stage
+        return self._row_stage(conj, binding)
 
     def _batch_pred(self, expr: Expr | None, binding: RowBinding) -> BatchPredicate | None:
+        """The filter as a stage per conjunct.  Stages are cached one
+        conjunct at a time: a policy-wide guard OR arrives as the same
+        object with every binding of a query shape, so a request with
+        new literals compiles only its own conjuncts, never the guard's
+        kernel again."""
         if expr is None:
             return None
-
-        def build() -> BatchPredicate:
-            stages = [self._conjunct_stage(c, binding) for c in conjuncts(expr)]
-            return BatchPredicate(stages, self.counters)
-
-        return self._cached(expr, binding, "batchpred", build)
+        stages = [self._conjunct_stage(c, binding) for c in conjuncts(expr)]
+        return BatchPredicate(stages, self.counters)
 
     # --------------------------------------------------------------- scans
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.expr.nodes import (
     And,
@@ -70,51 +70,95 @@ def make_or(parts: list[Expr]) -> Expr | None:
     return Or(tuple(flat))
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """Direct sub-expressions, in evaluation order.  Subquery internals
+    are owned by the SQL layer and analysed there, so ``ScalarSubquery``
+    is a leaf and ``InSubquery`` has only its probe expression."""
+    if isinstance(expr, (And, Or)):
+        return expr.children
+    if isinstance(expr, (Comparison, Arith)):
+        return (expr.left, expr.right)
+    if isinstance(expr, Between):
+        return (expr.expr, expr.low, expr.high)
+    if isinstance(expr, InList):
+        return (expr.expr, *expr.items)
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, (Not, IsNull)):
+        return (expr.child,)
+    if isinstance(expr, InSubquery):
+        return (expr.expr,)
+    return ()  # Literal, Param, ColumnRef, Star, ScalarSubquery
+
+
 def walk(expr: Expr) -> Iterator[Expr]:
     """Pre-order traversal of an expression tree."""
     yield expr
+    for child in children(expr):
+        yield from walk(child)
+
+
+class Facts(NamedTuple):
+    """What planner and executors ask of a tree before touching it."""
+
+    columns: frozenset[ColumnRef]  # not descending into subqueries
+    has_subquery: bool  # a ScalarSubquery or InSubquery anywhere
+    has_scalar_subquery: bool
+
+
+_NO_FACTS = Facts(frozenset(), False, False)
+
+
+def facts(expr: Expr) -> Facts:
+    """The tree's :class:`Facts`, composed bottom-up.
+
+    ``And``/``Or`` nodes remember theirs: nodes are immutable, so the
+    answer holds for the node's lifetime and is dropped with it — a
+    policy-wide guard OR, handed by identity to every rewrite of its
+    epoch, is analysed once, and a request pays for its own conjuncts.
+    (Two threads may both compute and store it; the values are equal.)
+    """
     if isinstance(expr, (And, Or)):
-        for child in expr.children:
-            yield from walk(child)
-    elif isinstance(expr, Not):
-        yield from walk(expr.child)
-    elif isinstance(expr, Comparison):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Between):
-        yield from walk(expr.expr)
-        yield from walk(expr.low)
-        yield from walk(expr.high)
-    elif isinstance(expr, InList):
-        yield from walk(expr.expr)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, Arith):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, IsNull):
-        yield from walk(expr.child)
-    elif isinstance(expr, InSubquery):
-        yield from walk(expr.expr)
-    # Literal, ColumnRef, ScalarSubquery, Star are leaves here. Subquery
-    # internals are owned by the SQL layer and analysed there.
+        known = expr.__dict__.get("_facts")
+        if known is None:
+            known = _merged(expr.children)
+            object.__setattr__(expr, "_facts", known)
+        return known
+    if isinstance(expr, ColumnRef):
+        return Facts(frozenset((expr,)), False, False)
+    if isinstance(expr, ScalarSubquery):
+        return Facts(frozenset(), True, True)
+    if isinstance(expr, InSubquery):
+        inner = facts(expr.expr)
+        return Facts(inner.columns, True, inner.has_scalar_subquery)
+    return _merged(children(expr))
 
 
-def columns_referenced(expr: Expr) -> set[ColumnRef]:
+def _merged(parts: tuple[Expr, ...]) -> Facts:
+    if not parts:
+        return _NO_FACTS
+    found = [facts(part) for part in parts]
+    return Facts(
+        frozenset().union(*(f.columns for f in found)),
+        any(f.has_subquery for f in found),
+        any(f.has_scalar_subquery for f in found),
+    )
+
+
+def columns_referenced(expr: Expr) -> frozenset[ColumnRef]:
     """All column references in the tree (not descending into subqueries)."""
-    return {node for node in walk(expr) if isinstance(node, ColumnRef)}
+    return facts(expr).columns
 
 
 def contains_subquery(expr: Expr) -> bool:
-    return any(isinstance(node, (ScalarSubquery, InSubquery)) for node in walk(expr))
+    return facts(expr).has_subquery
+
+
+def contains_scalar_subquery(expr: Expr) -> bool:
+    return facts(expr).has_scalar_subquery
 
 
 def is_constant(expr: Expr) -> bool:
     """True when the expression references no columns or subqueries."""
-    for node in walk(expr):
-        if isinstance(node, (ColumnRef, ScalarSubquery, InSubquery)):
-            return False
-    return True
+    found = facts(expr)
+    return not found.columns and not found.has_subquery

@@ -110,12 +110,6 @@ def contains_metered_or(expr: Expr) -> bool:
     )
 
 
-def contains_scalar_subquery(expr: Expr) -> bool:
-    from repro.expr.analysis import walk
-
-    return any(isinstance(node, ScalarSubquery) for node in walk(expr))
-
-
 class _Entry:
     """One compiled callable under its key ``(expression, extra)``, the
     key's structural hash taken once.
@@ -226,14 +220,15 @@ class CompiledExprCache:
         self._id_alias[alias] = (expr, entry)
 
     def discard_conjuncts(self, nodes: Iterable[Any]) -> int:
-        """Drop every entry whose expression is one of ``nodes`` or has
-        one of them (the very object) as a top-level conjunct; returns
-        the number dropped.  How a superseded guarded expression takes
-        its compiled predicates with it: each holds the guard AST and a
-        generated kernel, and nothing would look them up again."""
+        """Drop every entry whose expression shares a top-level conjunct
+        (the very object) with one of ``nodes``; returns the number
+        dropped.  How a superseded guarded expression takes its compiled
+        predicates with it: a scan's filter stages are cached per
+        conjunct, each holds guard AST and a generated kernel, and
+        nothing would look them up again."""
         from repro.expr.analysis import conjuncts
 
-        wanted = {id(node) for node in nodes}
+        wanted = {id(part) for node in nodes for part in conjuncts(node)}
         if not wanted:
             return 0
         with self._lock:

@@ -4,7 +4,11 @@ One expression vocabulary serves three consumers: the SQL parser
 produces these nodes, policies compile their object conditions into
 them, and the execution engine evaluates them against rows.  Nodes are
 immutable dataclasses so they can be shared freely between rewritten
-queries.
+queries.  Because a node never changes, an answer derived from one holds
+for its lifetime: ``And``/``Or`` nodes carry such answers as private
+attributes outside the dataclass fields (``analysis.facts``, the
+optimizer's OR selectivity) — invisible to equality, hashing and
+``repr``, and gone with the node.
 
 Rendering lives in one place: every node's ``__str__`` delegates to
 :func:`repro.sql.printer.print_expr` (default dialect), which is also

@@ -11,6 +11,7 @@ optimizer's access-path choice and Sieve's guard cost model call it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 from repro.expr.nodes import (
@@ -94,11 +95,20 @@ def _estimate(expr: Expr, stats: TableStats) -> float:
             sel *= _estimate(child, stats)
         return sel
     if isinstance(expr, Or):
+        # A policy-wide guard OR reaches every plan of its epoch as the
+        # same (immutable) node, and its selectivity depends on nothing
+        # but the statistics: the node remembers the figure with the
+        # TableStats it came from.  ANALYZE builds a new TableStats, so
+        # a remembered figure never outlives the statistics behind it.
+        known = expr.__dict__.get("_selectivity")
+        if known is not None and known[0]() is stats:
+            return known[1]
         # Inclusion-exclusion under independence, folded pairwise.
         sel = 0.0
         for child in expr.children:
             child_sel = _estimate(child, stats)
             sel = sel + child_sel - sel * child_sel
+        object.__setattr__(expr, "_selectivity", (weakref.ref(stats), sel))
         return sel
     if isinstance(expr, Not):
         return 1.0 - _estimate(expr.child, stats)

@@ -297,7 +297,7 @@ def test_compiled_expr_cache_discards_by_conjunct_identity():
     cache = CompiledExprCache()
     guard = Or((Comparison(CompareOp.EQ, col("a"), Literal(1)), Comparison(CompareOp.EQ, col("a"), Literal(2))))
     other = Comparison(CompareOp.GT, col("b"), Literal(5))
-    extra = ((), "batchpred", True)
+    extra = ((), "stage", True)
     cache.store(guard, extra, lambda *a: "alone")
     cache.store(And((other, guard)), extra, lambda *a: "conjunct")
     cache.store(other, extra, lambda *a: "unrelated")

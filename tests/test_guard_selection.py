@@ -135,7 +135,12 @@ class TestBuildGuardedExpression:
         assert ge.to_expr(
             delta_guards=frozenset({0}), delta_udf="sieve_delta", delta_columns=["id", "owner"]
         ) is with_delta
-        assert {id(e) for e in ge.rendered_exprs()} == {id(plain), id(qualified), id(with_delta)}
+        # ... and one node per guard branch, which the ORs are made of.
+        assert ge.branch_expr(0) is plain.children[0]
+        assert ge.branch_expr(1) is with_delta.children[1]
+        rendered = {id(e) for e in ge.rendered_exprs()}
+        assert {id(plain), id(qualified), id(with_delta)} <= rendered
+        assert all(id(branch) in rendered for branch in plain.children + with_delta.children)
 
     def test_invariant_check_catches_overlap(self):
         p = mk_policy(1)

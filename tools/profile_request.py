@@ -1,0 +1,207 @@
+"""Where one served request spends its time, by layer (profiling CLI).
+
+Builds the Fig. 6 Mall world (~37 k ``WiFi_Connectivity`` rows, 12 shop
+queriers x 150 policies) through the public API and drives the serving
+tier's prepared path — parse, auto-parameterize, ``Sieve.prepare`` once
+per (querier, shape), ``PreparedQuery.execute`` per request: what
+``SieveServer`` does with a repeated shape — single-threaded under
+``cProfile``.  Prints the mean request time, the time spent inside each
+``src/repro/<layer>`` (own time of its functions, so the column adds up)
+and the top functions by cumulative time.
+
+Modes (the canonical benchmark's workloads, one thread, no queue):
+
+* ``fresh`` — every request binds never-seen literals: plan-cache miss,
+  so strategy choice, rewrite and planning run per request;
+* ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
+* ``churn`` — [1 policy write, 5 reads]: the first read after a write
+  regenerates the written querier's guards.
+
+Every querier and shape is executed once before the profiled window, so
+guard generation and first-sight compilation are not in it (except, in
+``churn``, the regeneration the writes cause).  cProfile inflates call
+heavy code; use it to find where time goes, and ``bench/run.py`` to
+measure a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pathlib
+import pstats
+import random
+import sys
+import time
+from collections import defaultdict
+from typing import Callable, Sequence
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench.scenarios import mall_policies_for_shop  # noqa: E402
+from repro.core import Sieve  # noqa: E402
+from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
+from repro.expr.params import parameterize_query  # noqa: E402
+from repro.policy.store import PolicyStore  # noqa: E402
+from repro.sql.parser import parse_query  # noqa: E402
+from repro.sql.printer import to_sql  # noqa: E402
+
+TABLE = "WiFi_Connectivity"
+PURPOSE = "any"
+N_QUERIERS = 12
+POLICIES_PER_QUERIER = 150
+READS_PER_WRITE = 5
+
+#: The benchmark's four selective shapes: (SQL, ((axis, min width, max width), ...)).
+SHAPES = (
+    (f"SELECT COUNT(*) FROM {TABLE} WHERE ts_time BETWEEN {{t1}} AND {{t2}}", (("t", 60, 300),)),
+    (f"SELECT * FROM {TABLE} WHERE ts_date BETWEEN {{d1}} AND {{d2}}", (("d", 2, 6),)),
+    (
+        f"SELECT * FROM {TABLE} WHERE owner IN ({{owners}}) AND ts_date BETWEEN {{d1}} AND {{d2}}",
+        (("d", 6, 14),),
+    ),
+    (
+        f"SELECT * FROM {TABLE} WHERE shop_id IN ({{shops}}) AND ts_time BETWEEN {{t1}} "
+        "AND {t2} AND ts_date BETWEEN {d1} AND {d2}",
+        (("t", 120, 360), ("d", 6, 14)),
+    ),
+)
+
+
+class World:
+    """The Mall database, its policy store, one ``Sieve`` and the
+    prepared handles the serving tier would hold."""
+
+    def __init__(self, seed: int):
+        self.mall = generate_mall(MallConfig(seed=13, n_customers=900, days=25))
+        self.store = PolicyStore(self.mall.db, self.mall.groups)
+        rng = random.Random(seed)
+        self.shops = sorted(rng.sample(self.mall.shops, N_QUERIERS))
+        self.owners: dict[int, list[int]] = {}
+        for shop in self.shops:
+            policies = mall_policies_for_shop(self.mall, shop, POLICIES_PER_QUERIER)
+            self.owners[shop] = sorted({p.owner for p in policies})
+            self.store.insert_many(policies)
+        self.sieve = Sieve(self.mall.db, self.store)
+        self._prepared: dict = {}
+
+    def bind(self, shape: int, shop: int, rng: random.Random) -> str:
+        """One SQL text of ``SHAPES[shape]`` with literals from ``rng``."""
+        sql, axes = SHAPES[shape]
+        values: dict[str, object] = {}
+        for axis, lo, hi in axes:
+            width = rng.randrange(lo, hi + 1)
+            span = (600, 1320) if axis == "t" else (0, self.mall.config.days)
+            start = rng.randrange(span[0], span[1] - width)
+            values[f"{axis}1"], values[f"{axis}2"] = start, start + width
+        values["owners"] = ", ".join(map(str, sorted(rng.sample(self.owners[shop], 8))))
+        values["shops"] = ", ".join(map(str, sorted(rng.sample(self.mall.shops, 3))))
+        return sql.format(**values)
+
+    def serve(self, shop: int, sql: str) -> int:
+        """One request down the auto-prepared path; returns its row count."""
+        querier = self.mall.shop_querier(shop)
+        template, values = parameterize_query(parse_query(sql))
+        key = (querier, to_sql(template))
+        prepared = self._prepared.get(key)
+        if prepared is None:
+            prepared = self._prepared[key] = self.sieve.prepare(template, querier, PURPOSE)
+        return len(prepared.execute(values).rows)
+
+
+def make_requests(world: World, mode: str, n: int, seed: int) -> list[Callable[[], object]]:
+    """``n`` read requests (plus, in ``churn``, the writes between them)
+    as zero-argument callables, after warming every (querier, shape)."""
+    rng = random.Random(f"{seed}:{mode}")
+    pairs = [(shop, shape) for shop in world.shops for shape in range(len(SHAPES))]
+    fixed = {pair: world.bind(pair[1], pair[0], rng) for pair in pairs}
+    for (shop, _shape), sql in fixed.items():
+        world.serve(shop, sql)
+    order = [pair for _ in range(n // len(pairs) + 1) for pair in rng.sample(pairs, len(pairs))][:n]
+    if mode == "fresh":
+        texts = [world.bind(shape, shop, rng) for shop, shape in order]
+        return [lambda s=shop, t=text: world.serve(s, t) for (shop, _), text in zip(order, texts)]
+    reads = [lambda s=shop, t=fixed[(shop, shape)]: world.serve(s, t) for shop, shape in order]
+    if mode == "warm":
+        return reads
+    hot = world.shops[0]
+    spare = mall_policies_for_shop(world.mall, hot, n // (2 * READS_PER_WRITE) + 1, seed=seed)
+    out: list[Callable[[], object]] = []
+    for i, read in enumerate(reads):
+        if i % READS_PER_WRITE == 0:
+            # Insert, then delete the same policy: the corpus stays ~150.
+            policy = spare[i // (2 * READS_PER_WRITE)]
+            if i // READS_PER_WRITE % 2 == 0:
+                out.append(lambda p=policy: world.store.insert(p))
+            else:
+                out.append(lambda p=policy: world.store.delete(p.id))
+            sql = fixed[(hot, rng.randrange(len(SHAPES)))]
+            read = lambda t=sql: world.serve(hot, t)  # noqa: E731 - first read hits the written querier
+        out.append(read)
+    return out
+
+
+def layer_of(filename: str) -> str:
+    marker = "/src/repro/"
+    at = filename.find(marker)
+    if at < 0:
+        return "(outside src/repro)"
+    rest = filename[at + len(marker) :]
+    return rest.split("/", 1)[0] if "/" in rest else rest
+
+
+def report(profile: cProfile.Profile, n_requests: int, wall_s: float, top: int) -> str:
+    stats = pstats.Stats(profile)
+    own: dict[str, float] = defaultdict(float)
+    for (filename, _line, _name), (_cc, _nc, tottime, _cum, _callers) in stats.stats.items():
+        own[layer_of(filename)] += tottime
+    lines = [
+        f"{n_requests} requests, {wall_s / n_requests * 1000.0:.2f} ms each under cProfile",
+        "",
+        "own time per layer (ms per request):",
+    ]
+    for layer, seconds in sorted(own.items(), key=lambda kv: -kv[1]):
+        lines.append(f"  {layer:<22} {seconds / n_requests * 1000.0:8.3f}")
+    lines += ["", f"top {top} functions by cumulative time (ms per request, calls per request):"]
+    ranked = sorted(stats.stats.items(), key=lambda kv: -kv[1][3])
+    shown = 0
+    for (filename, line, name), (_cc, ncalls, _tot, cumtime, _callers) in ranked:
+        if layer_of(filename).startswith("("):
+            continue  # built-ins and this script's own driver frames
+        where = filename[filename.find("/src/repro/") + len("/src/") :]
+        lines.append(
+            f"  {cumtime / n_requests * 1000.0:8.3f}  {ncalls / n_requests:9.1f}  {where}:{line} {name}"
+        )
+        shown += 1
+        if shown >= top:
+            break
+    return "\n".join(lines)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mode", choices=("fresh", "warm", "churn"), default="fresh")
+    parser.add_argument("-n", type=int, default=200, help="read requests to profile (default 200)")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--top", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("-n must be at least 1")
+
+    world = World(args.seed)
+    requests = make_requests(world, args.mode, args.n, args.seed)
+    profile = cProfile.Profile()
+    start = time.perf_counter()
+    profile.enable()
+    for request in requests:
+        request()
+    profile.disable()
+    wall_s = time.perf_counter() - start
+    print(f"mode={args.mode} seed={args.seed}")
+    print(report(profile, args.n, wall_s, args.top))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
