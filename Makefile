@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest profile-fresh bench-smoke bench bench-backend bench-engine bench-prepared bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest profile-fresh bench-smoke bench bench-backend bench-engine bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -41,14 +41,10 @@ bench-backend:
 
 # The execution tier: tuple-at-a-time vs vectorized on the Fig. 6
 # guarded workload; asserts >= 3x and writes repo-root BENCH_engine.json.
+# Its prepared-mode rows assert warm prepared e2e <= 1.2x exec-only
+# (the planning tax the plan cache removes).
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_vectorized.py -q --benchmark-only
-
-# The prepared-query tier rides the engine bench: its prepared-mode
-# rows assert warm prepared e2e <= 1.2x exec-only (the planning tax
-# the plan cache removes).  Same bench, named entry point for the CI
-# prepared-smoke job.
-bench-prepared: bench-engine
 
 # The serving tier: closed-loop throughput/latency vs worker and
 # querier count on the bundled engine and the SQLite backend; asserts

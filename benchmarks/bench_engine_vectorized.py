@@ -29,8 +29,8 @@ end-to-end time lands within ``PREPARED_MAX_RATIO`` (1.2x) of
 exec-only time — i.e. the planning tax is actually gone.  Writes the
 numbers both to ``benchmarks/results/engine_vectorized.*`` and to a
 repo-root ``BENCH_engine.json`` so the performance trajectory is
-tracked at the top level (``make bench-engine`` / ``make
-bench-prepared`` / CI's engine-smoke and prepared-smoke jobs).
+tracked at the top level (``make bench-engine`` / CI's engine-smoke
+job).
 """
 
 from __future__ import annotations

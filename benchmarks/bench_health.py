@@ -94,7 +94,6 @@ def mall_world():
 def _fresh_sieve() -> tuple[Sieve, list]:
     mall, store, shops = mall_world()
     sieve = Sieve(mall.db, store)
-    sieve.enable_rewrite_cache()
     workload = [(mall.shop_querier(shop), sql) for shop in shops for sql in SQLS]
     for querier, sql in workload:  # warm guards + plans off the clock
         sieve.execute(sql, querier, "any")

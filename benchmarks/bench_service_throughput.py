@@ -13,7 +13,7 @@ Two engines, same middleware:
 
 * **sqlite backend** — rewrites execute on real SQLite over
   per-thread connections.  SQLite releases the GIL while stepping, so
-  with the rewrite cache keeping warm-path Python under ~3% of request
+  with the plan cache keeping warm-path Python under ~3% of request
   time, throughput scales with workers as far as the *cores* allow.
 * **bundled engine** — the pure-Python engine holds the GIL for the
   whole execution; workers buy concurrency (latency overlap), never
@@ -87,7 +87,6 @@ def sqlite_world():
     path = os.path.join(tempfile.mkdtemp(prefix="sieve-bench-"), "mall.db")
     backend = SqliteBackend(path).ship(mall.db)
     sieve = Sieve(mall.db, store, backend=backend)
-    sieve.enable_rewrite_cache()
     _warm(sieve, mall, shops)
     return mall, sieve, shops
 
@@ -104,7 +103,6 @@ def bundled_world():
     for shop in shops:
         store.insert_many(mall_policies_for_shop(mall, shop, 150))
     sieve = Sieve(mall.db, store)
-    sieve.enable_rewrite_cache()
     _warm(sieve, mall, shops)
     return mall, sieve, shops
 

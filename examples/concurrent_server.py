@@ -94,7 +94,7 @@ def main() -> None:
           f"queue wait p95: {stats.queue_wait.p95_ms:.2f} ms")
     print(f"guard cache: {sieve.guard_cache.stats.hits} hits, "
           f"{sieve.guard_cache.stats.misses} misses; "
-          f"rewrite cache: {sieve.rewrite_cache.stats.hits} hits")
+          f"plan cache: {sieve.plan_cache.stats.hits} hits")
     count_row = results[0].rows[0][0]
     print(f"Prof.Smith sees {count_row} of {db.catalog.table('WiFi_Dataset').row_count} events")
 

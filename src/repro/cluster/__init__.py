@@ -6,7 +6,7 @@ to one of N :class:`ClusterShard`\\ s, each owning a
 querier-partitioned view of the policy corpus
 (:meth:`PolicyStore.partition
 <repro.policy.store.PolicyStore.partition>`), shard-local guard and
-rewrite caches, and a private execution engine (replicated bundled
+plan caches, and a private execution engine (replicated bundled
 database or shipped backend) under its own
 :class:`~repro.service.SieveServer`.  Policy writes route through the
 coordinator to the owning shard — group policies scatter to every

@@ -4,7 +4,7 @@ One :class:`SieveCluster` fronts N :class:`ClusterShard`\\ s.  Each
 shard owns the full vertical slice of the serving stack for *its*
 queriers — a partition-scoped policy view
 (:meth:`~repro.policy.store.PolicyStore.partition`), its own
-guard/rewrite caches and guard store, its own execution engine (a
+guard/plan caches and guard store, its own execution engine (a
 replicated bundled-engine database or a shipped
 :class:`~repro.backend.Backend`), and its own
 :class:`~repro.service.SieveServer` worker pool.  The coordinator owns
@@ -106,6 +106,7 @@ from repro.common.errors import (
     ShardUnavailableError,
 )
 from repro.common.rng import make_rng
+from repro.core.cache import CacheStats
 from repro.core.cost_model import SieveCostModel
 from repro.core.middleware import Sieve
 from repro.cluster.replicate import replicate_database
@@ -268,44 +269,18 @@ class ClusterShard:
 
     def cached_queriers(self) -> set[Any]:
         """Queriers with warm state in any shard-local tier (guard
-        cache, rewrite cache, or persisted guard store) — the
-        candidates a rebalance checks for migration-driven
-        invalidation."""
-        out = {key[0] for key in self.sieve.guard_cache.keys()}
-        if self.sieve.rewrite_cache is not None:
-            out |= self.sieve.rewrite_cache.queriers()
-        if self.sieve.plan_cache is not None:
-            out |= self.sieve.plan_cache.queriers()
-        out |= {e.querier for e in self.sieve.guard_store.cached_expressions()}
-        return out
+        cache, plan cache, or persisted guard store) — the candidates
+        a rebalance checks for migration-driven invalidation."""
+        sieve = self.sieve
+        return (
+            sieve.guard_cache.queriers()
+            | sieve.plan_cache.queriers()
+            | {e.querier for e in sieve.guard_store.cached_expressions()}
+        )
 
     def invalidate_querier(self, querier: Any) -> int:
         """Drop one migrated querier's state from every shard tier."""
-        dropped = self.sieve.guard_cache.invalidate(querier=querier)
-        if self.sieve.rewrite_cache is not None:
-            dropped += self.sieve.rewrite_cache.invalidate(querier=querier)
-        if self.sieve.plan_cache is not None:
-            dropped += self.sieve.plan_cache.invalidate(querier=querier)
-        dropped += self.sieve.guard_store.invalidate(querier=querier)
-        return dropped
-
-
-def _merge_cache_stats(snapshots: Iterable[dict[str, float] | None]) -> dict[str, float]:
-    agg: dict[str, float] = {
-        "hits": 0,
-        "misses": 0,
-        "evictions": 0,
-        "invalidations": 0,
-        "coalesced": 0,
-    }
-    for snap in snapshots:
-        if not snap:
-            continue
-        for key in agg:
-            agg[key] += snap.get(key, 0)
-    lookups = agg["hits"] + agg["misses"]
-    agg["hit_rate"] = agg["hits"] / lookups if lookups else 0.0
-    return agg
+        return self.sieve.invalidate_caches(querier=querier)
 
 
 def _merge_latency(
@@ -336,10 +311,10 @@ class ClusterStats:
     :func:`_merge_latency`; the count-weighted
     :meth:`LatencySummary.merge
     <repro.service.server.LatencySummary.merge>` remains the fallback
-    for stats without histograms); ``guard_cache`` /
-    ``rewrite_cache`` / ``plan_cache`` aggregate the shards'
-    :class:`~repro.core.cache.CacheStats` snapshots with the hit rate
-    recomputed over the summed traffic.  ``partition_policies`` is the
+    for stats without histograms); ``guard_cache`` / ``plan_cache``
+    aggregate the shards' :class:`~repro.core.cache.CacheStats`
+    snapshots (:meth:`~repro.core.cache.CacheStats.merge`) with the hit
+    rate recomputed over the summed traffic.  ``partition_policies`` is the
     per-shard policy-partition size — the 1/N corpus share the bench
     asserts — ``per_shard`` retains each shard's full
     :class:`~repro.service.ServiceStats`, and ``health`` /
@@ -356,7 +331,6 @@ class ClusterStats:
     latency: LatencySummary = field(default_factory=LatencySummary)
     queue_wait: LatencySummary = field(default_factory=LatencySummary)
     guard_cache: dict[str, float] = field(default_factory=dict)
-    rewrite_cache: dict[str, float] = field(default_factory=dict)
     plan_cache: dict[str, float] = field(default_factory=dict)
     partition_policies: dict[str, int] = field(default_factory=dict)
     per_shard: dict[str, ServiceStats] = field(default_factory=dict)
@@ -383,9 +357,8 @@ class ClusterStats:
             pending=sum(s.pending for s in stats),
             latency=_merge_latency(stats, "latency_hist", "latency"),
             queue_wait=_merge_latency(stats, "queue_wait_hist", "queue_wait"),
-            guard_cache=_merge_cache_stats(s.guard_cache for s in stats),
-            rewrite_cache=_merge_cache_stats(s.rewrite_cache for s in stats),
-            plan_cache=_merge_cache_stats(s.plan_cache for s in stats),
+            guard_cache=CacheStats.merge(s.guard_cache for s in stats),
+            plan_cache=CacheStats.merge(s.plan_cache for s in stats),
             partition_policies=dict(partition_policies),
             per_shard=dict(per_shard),
             counters=dict(counters),
@@ -405,7 +378,6 @@ class ClusterStats:
             "latency": self.latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
             "guard_cache": dict(self.guard_cache),
-            "rewrite_cache": dict(self.rewrite_cache),
             "plan_cache": dict(self.plan_cache),
             "partition_policies": dict(self.partition_policies),
             "per_shard": {
@@ -1238,7 +1210,7 @@ class SieveCluster:
         retained :class:`ShardSpec` — same data replica/backend (a
         restart on the same volume) but a brand-new policy partition
         view filtered from the authoritative base store, a new guard
-        store and guard/rewrite caches, and a new worker pool — then
+        store and guard/plan caches, and a new worker pool — then
         swaps it in under the routing write lock with its fences set to
         the current base epoch (it is, by construction, policy-current).
         The husk's relay is detached and its pool killed.

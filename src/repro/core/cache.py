@@ -1,26 +1,24 @@
-"""Session-scoped guard caching — the middleware amortization layer.
+"""Fenced caching — the middleware amortization layer.
 
 The paper's core bet is that guarded expressions are generated *once*
 and amortized over many queries (Section 5.1: "the one-time cost of
-generating guards is amortized across query executions").  The seed
-middleware still re-ran the PQM policy filter (Section 3.2) and
-re-consulted the guard store on every ``Sieve.execute`` call.  This
-module makes repeated-querier traffic — the common case under heavy
-load — sublinear in policy-corpus work:
+generating guards is amortized across query executions").  This module
+is where the repo keeps that promise:
 
-* :class:`GuardCache` — a bounded LRU cache of resolved
-  ``(querier, purpose, relation)`` guard state, validated against the
-  :class:`~repro.policy.store.PolicyStore` *policy epoch*.  Every
-  policy mutation bumps the epoch; the cache's mutation hook drops only
-  the entries whose ``(querier, relation)`` the mutated policy can
-  affect (directly or through the group directory) and re-stamps the
-  rest, so unrelated queriers keep their warm state.
+* :class:`FencedCache` — the one mechanism: a bounded, thread-safe LRU
+  whose entries serve only at the policy epoch (and, optionally, the
+  catalog/statistics version) they were built for.  Every policy
+  mutation bumps the :class:`~repro.policy.store.PolicyStore` epoch;
+  the mutation hook drops only the entries the mutated policy can
+  affect and re-stamps the rest, so unrelated queriers stay warm.
+* :class:`GuardCache` and :class:`PlanCache` — its two declarations:
+  resolved ``(querier, purpose, relation)`` guard state, and the
+  post-rewrite, post-plan artifact of one prepared-query binding.
 * :class:`SieveSession` — the per-``(querier, purpose)`` façade
-  returned by :meth:`Sieve.session <repro.core.middleware.Sieve.session>`.
-  A session resolves each referenced relation through the shared
-  :class:`GuardCache` and offers :meth:`SieveSession.execute_many` for
-  batched workloads, so the policy corpus is filtered once per session
-  (per epoch) rather than once per query.
+  returned by :meth:`Sieve.session <repro.core.middleware.Sieve.session>`;
+  it resolves each referenced relation through the shared
+  :class:`GuardCache`, so the policy corpus is filtered once per
+  session (per epoch) rather than once per query.
 
 Interplay with Section 6 regeneration: a policy mutation evicts the
 affected cache entries, but the rebuild decision still belongs to
@@ -30,18 +28,18 @@ expression until the k̃-th insertion (Theorem 2), and that deferred
 expression is re-admitted to the cache at the current epoch.
 
 Cache traffic is charged to the deterministic counters
-(``guard_cache_hits`` / ``guard_cache_misses`` in
+(``guard_cache_hits`` … ``plan_cache_misses`` in
 :class:`~repro.db.counters.CounterSet`) so benches can assert hit
-rates without wall clocks.  See ``docs/ARCHITECTURE.md`` for where
-this layer sits in the dataflow.
+rates without wall clocks.  ``docs/ARCHITECTURE.md`` §3 places this
+layer in the dataflow and states the memoisation rule it is held to.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.common.concurrency import SingleFlight
 from repro.core.guards import GuardedExpression
@@ -55,11 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (middleware imports u
     from repro.sql.ast import Query
 
 DEFAULT_GUARD_CACHE_CAPACITY = 512
+DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one :class:`GuardCache`."""
+    """Hit/miss accounting for one :class:`FencedCache`."""
 
     hits: int = 0
     misses: int = 0
@@ -70,24 +69,189 @@ class CacheStats:
     coalesced: int = 0
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when never used)."""
-        total = self.lookups
+        total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
     def snapshot(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "coalesced": self.coalesced,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
+
+    @staticmethod
+    def merge(snapshots: Iterable[dict[str, float] | None]) -> dict[str, float]:
+        """Sum :meth:`snapshot` dicts (``None`` ones skipped) — the
+        cluster's cross-shard view, hit rate over the summed traffic."""
+        total = CacheStats()
+        for snap in snapshots:
+            for name, value in (snap or {}).items():
+                if name != "hit_rate":
+                    setattr(total, name, getattr(total, name) + value)
+        return total.snapshot()
+
+
+class FencedCache:
+    """A bounded LRU whose entries serve only inside their fence — the
+    one place the rule "what a querier sees across policy-state
+    changes" lives.
+
+    An entry is any object carrying the ``querier`` and lowercased
+    ``tables`` it was built for (what invalidation matches on) and its
+    fence: the policy ``epoch`` it is valid at and a ``version`` (the
+    database's ``plan_version``; ``None`` for state without that axis).
+    :meth:`lookup` serves an entry only when both equal the caller's.
+    Group-directory edits (and, for unversioned state, ``db.analyze()``)
+    move neither — call :meth:`Sieve.invalidate_caches
+    <repro.core.middleware.Sieve.invalidate_caches>` after them.
+
+    **Thread-safe** and process-wide shareable: every public method
+    holds an internal lock around the LRU dict (the seed's bare
+    ``OrderedDict`` corrupted under concurrent sessions — eviction
+    during another thread's iteration), never while calling out (no
+    store/builder re-entry → no lock-order cycles).
+    """
+
+    #: The ``CounterSet`` fields :meth:`charge` ticks — set by each declaration.
+    hit_counter = miss_counter = ""
+
+    def __init__(self, capacity: int):
+        if capacity <= 0:
+            raise ValueError(f"{type(self).__name__} capacity must be positive")
+        self.capacity = capacity
+        self.stats = CacheStats()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._flights = SingleFlight()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def keys(self) -> list:
+        with self._lock:
+            return list(self._entries)
+
+    def queriers(self) -> set[Any]:
+        """Distinct queriers holding an entry — what the cluster's
+        rebalance and recovery sweeps consult (a querier can hold plans
+        but no guard state: none of its relations carried policies)."""
+        with self._lock:
+            return {entry.querier for entry in self._entries.values()}
+
+    def lookup(self, key: Hashable, epoch: int, version: tuple | None = None) -> Any:
+        """The entry under ``key`` if it serves at this fence, else ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and (entry.version != version or entry.epoch < epoch):
+                # Version moved (catalog / stats / UDFs): the plan may
+                # be arbitrarily wrong at any epoch.  Older epoch: no
+                # mutation hook carried it forward (an unheard bump, or
+                # admission under an older epoch after capacity churn).
+                del self._entries[key]
+                entry = None
+            elif entry is not None and entry.epoch > epoch:
+                # The caller's snapshot is pinned behind a concurrent
+                # mutation that carried this entry forward.  Miss for
+                # this request (it must plan against its own epoch) but
+                # KEEP the entry — it is valid for live-epoch traffic.
+                entry = None
+            if entry is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return entry
+
+    def admit(self, key: Hashable, entry: Any) -> Any:
+        """Store ``entry`` (evicting least-recently-used ones past the
+        capacity) unless a fresher-epoch one is there; returns ``entry``."""
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None and existing.epoch > entry.epoch:
+                # A request pinned to an older snapshot must not
+                # clobber state already valid at a newer epoch; the
+                # caller still gets its own (epoch-consistent) entry.
+                return entry
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+        return entry
+
+    def get_or_build(self, key: Hashable, epoch: int, version: tuple | None, builder: Callable):
+        """:meth:`lookup`, then *single-flight* population: N concurrent
+        misses of one key at one fence run one builder; the rest wait
+        and share its entry (``stats.coalesced``).  ``builder()`` runs
+        outside the cache lock (it may take arbitrarily long and
+        re-enter the cache), must :meth:`admit` the entry itself, and
+        returns ``(entry, extra)`` — ``extra`` being whatever only the
+        caller that did the work may see (it may be mutated
+        downstream).  Returns ``(entry, extra, hit)``; ``extra`` is
+        ``None`` on a hit and for the followers of a coalesced build."""
+        entry = self.lookup(key, epoch, version)
+        if entry is not None:
+            return entry, None, True
+        (entry, extra), leader = self._flights.do((key, epoch, version), builder)
+        if not leader:
+            with self._lock:
+                self.stats.coalesced += 1
+            extra = None
+        return entry, extra, False
+
+    def charge(self, counters, hit: bool) -> None:
+        """Record a lookup on the engine's deterministic counters,
+        under this cache's lock — plain ``+=`` from concurrent workers
+        loses increments (the exact hazard the ``service_*`` counters
+        document), and benches assert on these values."""
+        name = self.hit_counter if hit else self.miss_counter
+        with self._lock:
+            setattr(counters, name, getattr(counters, name) + 1)
+
+    def invalidate(self, querier: Any = None, table: str | None = None) -> int:
+        """Drop entries matching the given querier and/or relation
+        (``None`` matches everything).  Returns the number dropped."""
+        table_lc = table.lower() if table is not None else None
+        with self._lock:
+            doomed = [
+                key
+                for key, entry in self._entries.items()
+                if (querier is None or entry.querier == querier)
+                and (table_lc is None or table_lc in entry.tables)
+            ]
+            for key in doomed:
+                del self._entries[key]
+            self.stats.invalidations += len(doomed)
+            return len(doomed)
+
+    def on_policy_mutation(self, kind: str, policy: Policy, epoch: int, groups) -> int:
+        """Targeted invalidation after a policy insert/delete/update
+        (wired to :meth:`PolicyStore.add_mutation_listener
+        <repro.policy.store.PolicyStore.add_mutation_listener>`).
+
+        Entries referencing the mutated policy's relation whose querier
+        the policy names — directly or via one of the querier's groups —
+        are dropped; survivors valid at the previous epoch are
+        re-stamped to ``epoch`` so they keep hitting.  Entries already
+        stale from an *unheard* bump (:meth:`reload_from_database
+        <repro.policy.store.PolicyStore.reload_from_database>` fires no
+        mutation events) stay stale and are dropped on their next
+        lookup.  Returns the number of entries dropped.
+        """
+        del kind  # insert/delete/update all invalidate identically
+        table_lc = policy.table.lower()
+        dropped = 0
+        with self._lock:
+            for key, entry in list(self._entries.items()):
+                if table_lc in entry.tables and (
+                    policy.querier == entry.querier
+                    or policy.querier in groups.groups_of(entry.querier)
+                ):
+                    del self._entries[key]
+                    dropped += 1
+                elif entry.epoch == epoch - 1:
+                    entry.epoch = epoch
+            self.stats.invalidations += dropped
+        return dropped
 
 
 @dataclass
@@ -105,78 +269,31 @@ class CachedGuardEntry:
     policies: list[Policy] = field(default_factory=list)
     expression: GuardedExpression | None = None
     epoch: int = 0
+    version = None  # not a field: guard state is fenced on the epoch alone
+
+    @property
+    def tables(self) -> tuple[str]:
+        return (self.table,)
 
 
-class GuardCache:
-    """Bounded LRU over resolved guard state, keyed by
-    ``(querier, purpose, relation)`` and validated by policy epoch.
+class GuardCache(FencedCache):
+    """The :class:`FencedCache` of resolved guard state, keyed by
+    ``(querier, purpose, relation)`` and fenced on the policy epoch: a
+    hit skips the PQM filter (Section 3.2) and the guard fetch."""
 
-    A lookup hits only when the stored entry was built (or re-stamped)
-    at the caller's epoch; stale entries are treated as misses and
-    dropped.  :meth:`on_policy_mutation` is the targeted-invalidation
-    hook wired to :meth:`PolicyStore.add_mutation_listener
-    <repro.policy.store.PolicyStore.add_mutation_listener>`.
-
-    The cache is **thread-safe** and process-wide shareable: every
-    public method holds an internal lock around the LRU dict (the
-    seed's bare ``OrderedDict`` corrupted under concurrent sessions —
-    eviction during another thread's iteration), and the lock is never
-    held while calling out (no store/builder re-entry → no lock-order
-    cycles).  :meth:`resolve` adds *single-flight* de-duplication: N
-    concurrent misses of the same ``(querier, purpose, relation,
-    epoch)`` run one builder; the rest wait and share the entry
-    (``stats.coalesced``).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_GUARD_CACHE_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("guard cache capacity must be positive")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[tuple[Any, str, str], CachedGuardEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._flights = SingleFlight()
+    hit_counter, miss_counter = "guard_cache_hits", "guard_cache_misses"
 
     @staticmethod
     def _key(querier: Any, purpose: str, table: str) -> tuple[Any, str, str]:
         return (querier, purpose, table.lower())
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def get(self, querier: Any, purpose: str, table: str, epoch: int) -> CachedGuardEntry | None:
+        return self.lookup(self._key(querier, purpose, table), epoch)
 
-    def keys(self) -> list[tuple[Any, str, str]]:
+    def peek(self, querier: Any, purpose: str, table: str) -> CachedGuardEntry | None:
+        """The stored entry regardless of epoch (introspection/tests)."""
         with self._lock:
-            return list(self._entries)
-
-    # --------------------------------------------------------------- lookup
-
-    def get(
-        self, querier: Any, purpose: str, table: str, epoch: int
-    ) -> CachedGuardEntry | None:
-        key = self._key(querier, purpose, table)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.epoch < epoch:
-                # Stale: a mutation hook never saw this entry (e.g. it
-                # was admitted under an older epoch after capacity
-                # churn).
-                del self._entries[key]
-                self.stats.misses += 1
-                return None
-            if entry.epoch > epoch:
-                # The caller's snapshot is pinned behind a concurrent
-                # mutation that carried this entry forward.  Miss for
-                # this request (it must plan against its own epoch) but
-                # KEEP the entry — it is valid for live-epoch traffic.
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+            return self._entries.get(self._key(querier, purpose, table))
 
     def put(
         self,
@@ -188,262 +305,20 @@ class GuardCache:
         expression: GuardedExpression | None,
     ) -> CachedGuardEntry:
         key = self._key(querier, purpose, table)
-        entry = CachedGuardEntry(
-            querier=querier,
-            purpose=purpose,
-            table=key[2],
-            policies=list(policies),
-            expression=expression,
-            epoch=epoch,
-        )
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None and existing.epoch > epoch:
-                # A request pinned to an older snapshot must not
-                # clobber state already valid at a newer epoch; the
-                # caller still gets its own (epoch-consistent) entry.
-                return entry
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
+        entry = CachedGuardEntry(querier, purpose, key[2], list(policies), expression, epoch)
+        return self.admit(key, entry)
 
     def resolve(
-        self,
-        querier: Any,
-        purpose: str,
-        table: str,
-        epoch: int,
-        builder: "Any",
+        self, querier: Any, purpose: str, table: str, epoch: int, builder: Callable
     ) -> tuple[CachedGuardEntry, bool, bool]:
-        """Get-or-build with single-flight de-duplication.
-
-        ``builder()`` must return ``(entry, rebuilt)`` and is expected
-        to :meth:`put` the entry itself (it runs *outside* the cache
-        lock — it may take arbitrarily long and re-enter the cache).
-        Returns ``(entry, rebuilt, hit)``; followers of a coalesced
-        build report ``rebuilt=False`` (they did not regenerate
-        anything themselves).
-        """
-        entry = self.get(querier, purpose, table, epoch)
-        if entry is not None:
-            return entry, False, True
-        flight_key = (*self._key(querier, purpose, table), epoch)
-        (entry, rebuilt), leader = self._flights.do(flight_key, builder)
-        if not leader:
-            with self._lock:
-                self.stats.coalesced += 1
-            rebuilt = False
-        return entry, rebuilt, False
-
-    def charge(self, counters, hit: bool) -> None:
-        """Record a lookup on the engine's deterministic counters,
-        under this cache's lock — plain ``+=`` from concurrent workers
-        loses increments (the exact hazard the ``service_*`` counters
-        document), and benches assert on these values."""
-        with self._lock:
-            if hit:
-                counters.guard_cache_hits += 1
-            else:
-                counters.guard_cache_misses += 1
-
-    def peek(self, querier: Any, purpose: str, table: str) -> CachedGuardEntry | None:
-        """The stored entry regardless of epoch (introspection/tests)."""
-        with self._lock:
-            return self._entries.get(self._key(querier, purpose, table))
-
-    # --------------------------------------------------------- invalidation
-
-    def invalidate(self, querier: Any = None, table: str | None = None) -> int:
-        """Drop entries matching the given querier and/or relation
-        (``None`` matches everything).  Returns the number dropped."""
-        table_lc = table.lower() if table is not None else None
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if (querier is None or entry.querier == querier)
-                and (table_lc is None or entry.table == table_lc)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def clear(self) -> int:
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.stats.invalidations += count
-            return count
-
-    def on_policy_mutation(self, kind: str, policy: Policy, epoch: int, groups) -> int:
-        """Targeted invalidation after a policy insert/delete/update.
-
-        Entries for the mutated policy's relation whose querier the
-        policy names — directly or via one of the querier's groups —
-        are dropped; surviving entries that were valid at the previous
-        epoch are re-stamped to ``epoch`` so they keep hitting.
-        Entries already stale from an *unheard* epoch bump (e.g.
-        :meth:`PolicyStore.reload_from_database
-        <repro.policy.store.PolicyStore.reload_from_database>`, which
-        fires no mutation events) are left stale and lazily dropped on
-        their next lookup.  Returns the number of entries dropped.
-        """
-        del kind  # insert/delete/update all invalidate identically
-        table_lc = policy.table.lower()
-        dropped = 0
-        with self._lock:
-            for key in list(self._entries):
-                entry = self._entries[key]
-                affected = entry.table == table_lc and (
-                    policy.querier == entry.querier
-                    or policy.querier in groups.groups_of(entry.querier)
-                )
-                if affected:
-                    del self._entries[key]
-                    dropped += 1
-                elif entry.epoch == epoch - 1:
-                    entry.epoch = epoch
-            self.stats.invalidations += dropped
-        return dropped
-
-
-DEFAULT_REWRITE_CACHE_CAPACITY = 256
-
-
-@dataclass
-class CachedRewrite:
-    """One memoized enforcement rewrite (serving-tier hot path).
-
-    ``info`` is the original rewrite's full bookkeeping — strategy
-    decisions, guard keys, denied tables — so downstream consumers of
-    a cache hit (the audit tier's
-    :class:`~repro.audit.DecisionRecord` in particular) observe the
-    exact same decision content as the cold path that built the entry.
-    Cache transparency of audit records is asserted by
-    ``tests/test_session_cache.py`` and the replay oracle.
-    """
-
-    rewritten: "Query"
-    info: Any  # RewriteInfo (not imported: cycle with core.rewriter)
-    policies_considered: int
-    epoch: int
-
-
-class RewriteCache:
-    """Bounded, thread-safe LRU of full enforcement rewrites, keyed by
-    ``(querier, purpose, sql_text)`` and validated by policy epoch.
-
-    The guard cache amortizes the *corpus* work (PQM filter + guard
-    fetch); repeated identical queries still re-pay parse → strategy →
-    rewrite → print on every call, which under a serving tier is the
-    dominant per-request CPU once guards are warm.  An entry is valid
-    exactly while the policy epoch is unchanged — the same invariant
-    the guard cache uses, since the rewrite is a pure function of
-    (query text, guarded expressions at this epoch, engine
-    personality).  Off by default on a bare :class:`Sieve`
-    (``rewrite_cache_capacity=0``) so per-query counter semantics stay
-    exactly as documented; :class:`~repro.service.SieveServer` enables
-    it.
-
-    Caveats mirror the guard cache's: group-directory edits and
-    ``db.analyze()`` don't bump the epoch — call
-    :meth:`Sieve.invalidate_caches
-    <repro.core.middleware.Sieve.invalidate_caches>` after either.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_REWRITE_CACHE_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("rewrite cache capacity must be positive")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[tuple[Any, str, str], CachedRewrite]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, querier: Any, purpose: str, sql: str, epoch: int) -> CachedRewrite | None:
-        key = (querier, purpose, sql)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.epoch < epoch:
-                del self._entries[key]  # stale: no mutation hook re-stamps rewrites
-                self.stats.misses += 1
-                return None
-            if entry.epoch > epoch:
-                # Caller pinned behind a concurrent mutation: miss, but
-                # keep the entry that live-epoch traffic is using (same
-                # rule as GuardCache.get).
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
-
-    def put(
-        self,
-        querier: Any,
-        purpose: str,
-        sql: str,
-        epoch: int,
-        rewritten: "Query",
-        info: Any,
-        policies_considered: int,
-    ) -> CachedRewrite:
-        entry = CachedRewrite(
-            rewritten=rewritten,
-            info=info,
-            policies_considered=policies_considered,
-            epoch=epoch,
-        )
-        key = (querier, purpose, sql)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None and existing.epoch > epoch:
-                return entry  # never clobber a fresher-epoch rewrite
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
-
-    def invalidate(self, querier: Any = None) -> int:
-        """Drop entries for one querier (``None`` = everyone)."""
-        with self._lock:
-            doomed = [
-                key for key in self._entries if querier is None or key[0] == querier
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def queriers(self) -> set[Any]:
-        """Distinct queriers with at least one memoized rewrite — the
-        cluster tier's rebalance sweeps these too (a querier can hold
-        rewrite entries without any guard-cache entry, e.g. when none
-        of its queried relations carried policies)."""
-        with self._lock:
-            return {key[0] for key in self._entries}
-
-    def clear(self) -> int:
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.stats.invalidations += count
-            return count
-
-
-DEFAULT_PLAN_CACHE_CAPACITY = 256
+        """:meth:`get_or_build` for one relation.  ``builder()`` returns
+        ``(entry, rebuilt)`` and is expected to :meth:`put` the entry
+        itself.  Returns ``(entry, rebuilt, hit)``; followers of a
+        coalesced build report ``rebuilt=False`` (they did not
+        regenerate anything themselves)."""
+        key = self._key(querier, purpose, table)
+        entry, rebuilt, hit = self.get_or_build(key, epoch, None, builder)
+        return entry, bool(rebuilt), hit
 
 
 @dataclass
@@ -453,33 +328,29 @@ class CachedPlan:
     ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
     bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
     (``None`` when a backend executes the printed ``info.sql``
-    instead).  Plan nodes are never mutated by the executors, so one
-    PlannedQuery is safely re-executed any number of times from any
-    thread.  ``info`` carries the original rewrite bookkeeping, so a
-    hit's audit record is identical to the cold path's (the same
-    cache-transparency contract :class:`CachedRewrite` documents).
-
-    Entries are validated on two axes: the policy ``epoch`` (stale
-    guards must never run) and the database ``plan_version`` (catalog /
-    UDF / statistics changes re-plan).  ``guard_signature`` records the
-    guard keys the rewrite materialized — introspection for tests and
-    operators, and the reason a hit can be trusted: any mutation that
-    could change the signature bumps the epoch.
+    instead).  Executors never mutate plan nodes, so one PlannedQuery
+    is safely re-executed any number of times from any thread.
+    ``info`` is the original rewrite's full bookkeeping — strategy
+    decisions, guard keys, denied tables — so a hit's audit record
+    (:class:`~repro.audit.DecisionRecord`) is identical to the cold
+    path's (asserted by ``tests/test_prepared.py`` and the replay
+    oracle).  Fenced on two axes: the policy ``epoch`` (stale guards
+    must never run) and ``version``, the database's ``plan_version``
+    (catalog / UDF / statistics changes re-plan).
     """
 
+    querier: Any
+    tables: frozenset[str]  # lowercased names of every relation referenced
+    epoch: int
+    version: tuple
     rewritten: "Query"
     planned: Any  # PlannedQuery | None (backend executions carry None)
     info: Any  # RewriteInfo (not imported: cycle with core.rewriter)
     policies_considered: int
-    epoch: int
-    plan_version: tuple
-    guard_signature: tuple
-    tables: frozenset[str]
-    querier: Any
 
 
-class PlanCache:
-    """Bounded, thread-safe LRU of post-rewrite, post-plan artifacts.
+class PlanCache(FencedCache):
+    """The :class:`FencedCache` of post-rewrite, post-plan artifacts.
 
     Keyed by ``(querier, purpose, template_key, binding values)`` —
     the binding values are part of the key because strategy choice and
@@ -491,199 +362,9 @@ class PlanCache:
     shapes with repeated values (the Fig. 6 serving workload — and any
     zero-literal query) skip parse → strategy → rewrite → plan
     entirely.
-
-    Validation mirrors :class:`RewriteCache` (policy epoch, both
-    directions) plus the database's ``plan_version`` (catalog / UDF /
-    statistics fingerprint).  :meth:`on_policy_mutation` drops only
-    entries whose referenced tables and querier the mutated policy can
-    affect and re-stamps the rest; :meth:`resolve` adds single-flight
-    population so N concurrent misses of one key build one plan.
     """
 
-    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[tuple, CachedPlan]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._flights = SingleFlight()
-
-    @staticmethod
-    def _key(querier: Any, purpose: str, template_key: str, values: tuple) -> tuple:
-        return (querier, purpose, template_key, values)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(
-        self,
-        querier: Any,
-        purpose: str,
-        template_key: str,
-        values: tuple,
-        epoch: int,
-        plan_version: tuple,
-    ) -> CachedPlan | None:
-        key = self._key(querier, purpose, template_key, values)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.plan_version != plan_version:
-                # Catalog / stats / UDF registry moved: the plan may be
-                # arbitrarily wrong (dropped index, new histogram) —
-                # drop it for every epoch.
-                del self._entries[key]
-                self.stats.misses += 1
-                return None
-            if entry.epoch < epoch:
-                del self._entries[key]  # stale: mutation hook never saw it
-                self.stats.misses += 1
-                return None
-            if entry.epoch > epoch:
-                # Caller pinned behind a concurrent mutation: miss, but
-                # keep the entry live-epoch traffic is using (same rule
-                # as GuardCache.get).
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
-
-    def put(
-        self,
-        querier: Any,
-        purpose: str,
-        template_key: str,
-        values: tuple,
-        epoch: int,
-        plan_version: tuple,
-        rewritten: "Query",
-        planned: Any,
-        info: Any,
-        policies_considered: int,
-        tables: Iterable[str],
-    ) -> CachedPlan:
-        guard_keys = getattr(info, "guard_keys", {}) or {}
-        entry = CachedPlan(
-            rewritten=rewritten,
-            planned=planned,
-            info=info,
-            policies_considered=policies_considered,
-            epoch=epoch,
-            plan_version=plan_version,
-            guard_signature=tuple(
-                (table, tuple(keys)) for table, keys in sorted(guard_keys.items())
-            ),
-            tables=frozenset(t.lower() for t in tables),
-            querier=querier,
-        )
-        key = self._key(querier, purpose, template_key, values)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None and existing.epoch > epoch:
-                return entry  # never clobber a fresher-epoch plan
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
-
-    def resolve(
-        self,
-        querier: Any,
-        purpose: str,
-        template_key: str,
-        values: tuple,
-        epoch: int,
-        plan_version: tuple,
-        builder: Any,
-    ) -> tuple[CachedPlan, Any, bool]:
-        """Get-or-build with single-flight population.
-
-        ``builder()`` runs outside the cache lock, must :meth:`put` the
-        entry itself, and returns ``(entry, execution)`` — the leader's
-        in-flight execution bookkeeping, which coalesced followers must
-        NOT share (it is mutated downstream), so they receive ``None``
-        and rebuild their view from the entry.  Returns ``(entry,
-        execution_or_None, hit)``.
-        """
-        entry = self.get(querier, purpose, template_key, values, epoch, plan_version)
-        if entry is not None:
-            return entry, None, True
-        flight_key = (querier, purpose, template_key, values, epoch, plan_version)
-        (entry, execution), leader = self._flights.do(flight_key, builder)
-        if not leader:
-            with self._lock:
-                self.stats.coalesced += 1
-            execution = None
-        return entry, execution, False
-
-    def charge(self, counters, hit: bool) -> None:
-        """Tick plan_cache_hits/misses under this cache's lock (plain
-        ``+=`` from concurrent service workers loses increments)."""
-        with self._lock:
-            if hit:
-                counters.plan_cache_hits += 1
-            else:
-                counters.plan_cache_misses += 1
-
-    def invalidate(self, querier: Any = None, table: str | None = None) -> int:
-        """Drop entries for one querier and/or referencing one table
-        (``None`` matches everything)."""
-        table_lc = table.lower() if table is not None else None
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if (querier is None or entry.querier == querier)
-                and (table_lc is None or table_lc in entry.tables)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def queriers(self) -> set[Any]:
-        """Distinct queriers with at least one cached plan (the cluster
-        tier's rebalance and recovery sweeps consult this, exactly as
-        they do :meth:`RewriteCache.queriers`)."""
-        with self._lock:
-            return {entry.querier for entry in self._entries.values()}
-
-    def clear(self) -> int:
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.stats.invalidations += count
-            return count
-
-    def on_policy_mutation(self, kind: str, policy: Policy, epoch: int, groups) -> int:
-        """Targeted invalidation after a policy insert/delete/update:
-        drop plans referencing the mutated policy's relation whose
-        querier the policy names (directly or via a group), re-stamp
-        the epoch-1 survivors so they keep hitting."""
-        del kind
-        table_lc = policy.table.lower()
-        dropped = 0
-        with self._lock:
-            for key in list(self._entries):
-                entry = self._entries[key]
-                affected = table_lc in entry.tables and (
-                    policy.querier == entry.querier
-                    or policy.querier in groups.groups_of(entry.querier)
-                )
-                if affected:
-                    del self._entries[key]
-                    dropped += 1
-                elif entry.epoch == epoch - 1:
-                    entry.epoch = epoch
-            self.stats.invalidations += dropped
-        return dropped
+    hit_counter, miss_counter = "plan_cache_hits", "plan_cache_misses"
 
 
 class SieveSession:
@@ -714,8 +395,6 @@ class SieveSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SieveSession(querier={self.querier!r}, purpose={self.purpose!r})"
 
-    # ----------------------------------------------------------- resolution
-
     def resolve(
         self, table: str, snapshot: "PolicySnapshot | None" = None
     ) -> tuple[CachedGuardEntry, bool]:
@@ -730,9 +409,8 @@ class SieveSession:
         :meth:`PolicyStore.snapshot
         <repro.policy.store.PolicyStore.snapshot>` per request so every
         relation resolves against the same epoch even while writers
-        mutate concurrently.  Misses are de-duplicated process-wide:
-        concurrent misses of the same key wait for one build
-        (single-flight) instead of each re-generating the guards.
+        mutate concurrently.  Concurrent misses of one key wait for one
+        build (single-flight) instead of each re-generating the guards.
         """
         sieve = self._sieve
         counters = sieve.db.counters
@@ -760,25 +438,16 @@ class SieveSession:
         return entry, rebuilt
 
     def refresh(self) -> int:
-        """Drop this querier's cached guard state in every tier — the
-        LRU, the rewrite memo (when enabled), and the guard store's
-        persisted expressions (e.g. after group directory edits, which
-        bypass the policy epoch; a stale expression must not be
-        re-admitted from the store)."""
-        dropped = self._sieve.guard_cache.invalidate(querier=self.querier)
-        if self._sieve.rewrite_cache is not None:
-            dropped += self._sieve.rewrite_cache.invalidate(querier=self.querier)
-        if self._sieve.plan_cache is not None:
-            dropped += self._sieve.plan_cache.invalidate(querier=self.querier)
-        dropped += self._sieve.guard_store.invalidate(querier=self.querier)
-        return dropped
+        """Drop this querier's cached state in every tier
+        (:meth:`Sieve.invalidate_caches
+        <repro.core.middleware.Sieve.invalidate_caches>`) — e.g. after
+        group directory edits, which bypass the policy epoch."""
+        return self._sieve.invalidate_caches(querier=self.querier)
 
     @property
     def cache_stats(self) -> CacheStats:
         """Stats of the middleware-wide guard cache this session feeds."""
         return self._sieve.guard_cache.stats
-
-    # ------------------------------------------------------------ execution
 
     def rewrite(self, sql: "str | Query") -> "Query":
         return self._sieve.rewrite(sql, self.querier, self.purpose)
@@ -807,7 +476,5 @@ class SieveSession:
         """
         return [self.execute(sql) for sql in sqls]
 
-    def execute_many_with_info(
-        self, sqls: Iterable["str | Query"]
-    ) -> "list[SieveExecution]":
+    def execute_many_with_info(self, sqls: Iterable["str | Query"]) -> "list[SieveExecution]":
         return [self.execute_with_info(sql) for sql in sqls]

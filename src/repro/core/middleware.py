@@ -60,10 +60,9 @@ from repro.common.errors import SieveError
 from repro.core.cache import (
     DEFAULT_GUARD_CACHE_CAPACITY,
     DEFAULT_PLAN_CACHE_CAPACITY,
-    DEFAULT_REWRITE_CACHE_CAPACITY,
+    CachedPlan,
     GuardCache,
     PlanCache,
-    RewriteCache,
     SieveSession,
 )
 from repro.core.cost_model import SieveCostModel, calibrate
@@ -151,8 +150,7 @@ class Sieve:
         regeneration: RegenerationController | None = None,
         guard_cache_capacity: int = DEFAULT_GUARD_CACHE_CAPACITY,
         backend=None,
-        rewrite_cache_capacity: int = 0,
-        plan_cache_capacity: int = 0,
+        plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
         audit: AuditLog | None = None,
     ):
         self.db = db
@@ -162,20 +160,11 @@ class Sieve:
         self.guard_store = GuardStore(db, policy_store)
         self.regeneration = regeneration
         self.guard_cache = GuardCache(capacity=guard_cache_capacity)
-        # Full-rewrite memoization for the serving tier; 0 = off (the
-        # default) so a bare Sieve keeps per-query counter semantics.
-        self.rewrite_cache = (
-            RewriteCache(capacity=rewrite_cache_capacity)
-            if rewrite_cache_capacity
-            else None
-        )
         # Prepared-query tier: post-rewrite, post-plan artifacts keyed
         # by (querier, purpose, template, binding values) — see
-        # :class:`~repro.core.cache.PlanCache`.  0 = off; the first
-        # :meth:`prepare` call turns it on.
-        self.plan_cache = (
-            PlanCache(capacity=plan_cache_capacity) if plan_cache_capacity else None
-        )
+        # :class:`~repro.core.cache.PlanCache`.  Only :meth:`prepare`d
+        # queries consult it; unused, it is an empty dict.
+        self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         # Optional audit tier (repro.audit): every execution appends a
         # hash-chained DecisionRecord.  None = off (zero cost).
         self.audit: AuditLog | None = None
@@ -253,27 +242,6 @@ class Sieve:
                 retain()
         return self.audit
 
-    def enable_rewrite_cache(
-        self, capacity: int = DEFAULT_REWRITE_CACHE_CAPACITY
-    ) -> RewriteCache:
-        """Turn on full-rewrite memoization (idempotent); the serving
-        tier calls this so repeated identical queries skip parse →
-        strategy → rewrite → print once guards are warm."""
-        if self.rewrite_cache is None:
-            self.rewrite_cache = RewriteCache(capacity=capacity)
-        return self.rewrite_cache
-
-    def enable_plan_cache(
-        self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY
-    ) -> PlanCache:
-        """Turn on the prepared-query plan cache (idempotent).
-
-        :meth:`prepare` calls this implicitly, so an explicit call is
-        only needed to size the cache before traffic arrives."""
-        if self.plan_cache is None:
-            self.plan_cache = PlanCache(capacity=capacity)
-        return self.plan_cache
-
     def enable_tracing(
         self, tracer: Tracer | None = None, slow_query_ms: float | None = None
     ) -> Tracer:
@@ -314,7 +282,7 @@ class Sieve:
         return self.profiler
 
     def _on_policy_mutation(self, kind: str, policy, epoch: int | None = None) -> None:
-        """Targeted guard-cache invalidation on corpus mutations.
+        """Targeted guard- and plan-cache invalidation on corpus mutations.
 
         ``epoch`` is the mutated-to version of *this* event; events are
         dispatched after the store's write lock drops, so the live
@@ -323,27 +291,21 @@ class Sieve:
         unrelated warm entries one epoch short."""
         if epoch is None:
             epoch = self.policy_store.epoch
-        self.guard_cache.on_policy_mutation(
-            kind, policy, epoch, self.policy_store.groups
-        )
-        if self.plan_cache is not None:
-            self.plan_cache.on_policy_mutation(
-                kind, policy, epoch, self.policy_store.groups
-            )
+        for cache in (self.guard_cache, self.plan_cache):
+            cache.on_policy_mutation(kind, policy, epoch, self.policy_store.groups)
 
-    def invalidate_caches(self) -> int:
-        """Drop all cached guard state — the LRU tier, the rewrite
-        memo, and the guard store's expressions (e.g. after editing
-        the group directory, which does not bump the policy epoch;
-        state built under the old membership must not survive any
-        tier)."""
-        dropped = self.guard_cache.clear()
-        if self.rewrite_cache is not None:
-            dropped += self.rewrite_cache.clear()
-        if self.plan_cache is not None:
-            dropped += self.plan_cache.clear()
-        dropped += self.guard_store.invalidate()
-        return dropped
+    def invalidate_caches(self, querier: Any = None) -> int:
+        """Drop ``querier``'s (default: everyone's) cached state in
+        every tier — guard cache, plan cache, and the guard store's
+        expressions, whose compiled predicates go with them (e.g. after
+        editing the group directory, which does not bump the policy
+        epoch; state built under the old membership must not survive
+        any tier).  Returns the number of entries dropped."""
+        return (
+            self.guard_cache.invalidate(querier=querier)
+            + self.plan_cache.invalidate(querier=querier)
+            + self.guard_store.invalidate(querier=querier)
+        )
 
     # ------------------------------------------------------------- plumbing
 
@@ -421,26 +383,8 @@ class Sieve:
         and re-insert are observed together or not at all)."""
         start = time.perf_counter()
         metadata = QueryMetadata(querier=querier, purpose=purpose)
-        with span("middleware.prepare") as prep:
+        with span("middleware.prepare"):
             snapshot = self.policy_store.snapshot()
-
-            # Serving-tier fast path: an identical (querier, purpose, SQL
-            # text) at an unchanged epoch reuses the finished rewrite —
-            # parse, strategy, rewrite and printing all skipped.
-            if self.rewrite_cache is not None and isinstance(sql, str):
-                cached = self.rewrite_cache.get(querier, purpose, sql, snapshot.epoch)
-                if cached is not None:
-                    prep.set(cached=True)
-                    execution = SieveExecution(
-                        result=QueryResult(columns=[], rows=[]),
-                        rewrite=cached.info,
-                        metadata=metadata,
-                        policies_considered=cached.policies_considered,
-                        middleware_ms=(time.perf_counter() - start) * 1000.0,
-                        policy_epoch=snapshot.epoch,
-                    )
-                    return execution, cached.rewritten
-
             session = self.session(querier, purpose)
             with span("parse"):
                 query = parse_query(sql) if isinstance(sql, str) else sql
@@ -480,16 +424,6 @@ class Sieve:
                 expressions[table_name] = expression
 
             rewritten, info = self.rewriter.rewrite(query, expressions, decisions, denied)
-            if self.rewrite_cache is not None and isinstance(sql, str):
-                self.rewrite_cache.put(
-                    querier,
-                    purpose,
-                    sql,
-                    snapshot.epoch,
-                    rewritten,
-                    info,
-                    policies_considered,
-                )
             middleware_ms = (time.perf_counter() - start) * 1000.0
             execution = SieveExecution(
                 result=QueryResult(columns=[], rows=[]),
@@ -644,15 +578,14 @@ class Sieve:
         ``sql`` may contain ``?`` positional and ``:name`` parameters;
         each :meth:`PreparedQuery.execute` binds a value vector and
         runs the full enforcement pipeline, memoizing the post-rewrite,
-        post-plan artifact in the plan cache (enabled here if it is not
-        already).  Repeated executions with the same values — including
-        every execution of a zero-parameter query — skip parse,
-        strategy, rewrite and planning entirely while staying row- and
-        counter-identical to the unprepared path, and the cache is
-        fenced to the policy epoch and catalog/stats version so a
-        policy or schema change is never served a stale plan.
+        post-plan artifact in the plan cache.  Repeated executions with
+        the same values — including every execution of a zero-parameter
+        query — skip parse, strategy, rewrite and planning entirely
+        while staying row- and counter-identical to the unprepared
+        path, and the cache is fenced to the policy epoch and
+        catalog/stats version so a policy or schema change is never
+        served a stale plan.
         """
-        self.enable_plan_cache()
         template = parse_query(sql) if isinstance(sql, str) else sql
         return PreparedQuery(self, template, querier, purpose)
 
@@ -663,9 +596,8 @@ class Sieve:
         start = time.perf_counter()
         metadata = QueryMetadata(querier=prepared.querier, purpose=prepared.purpose)
         cache = self.plan_cache
+        key = (prepared.querier, prepared.purpose, prepared.template_key, values)
         snapshot = self.policy_store.snapshot()
-        plan_version = self.db.plan_version
-        counters = self.db.counters
 
         def build():
             bound = bind_query(prepared.template, values)
@@ -673,43 +605,27 @@ class Sieve:
                 bound, prepared.querier, prepared.purpose
             )
             planned = None if self.backend is not None else self.db.plan(rewritten)
-            if cache is not None:
-                # Stamp the entry with the epoch and plan version the
-                # pipeline *actually* saw (``_prepare`` snapshots the
-                # store itself, and planning may lazily rebuild stats).
-                entry = cache.put(
-                    prepared.querier,
-                    prepared.purpose,
-                    prepared.template_key,
-                    values,
-                    execution.policy_epoch,
-                    self.db.plan_version,
-                    rewritten,
-                    planned,
-                    execution.rewrite,
-                    execution.policies_considered,
-                    collect_table_names(bound),
-                )
-            else:  # pragma: no cover - prepare() always enables the cache
-                entry = None
-            return entry, (execution, rewritten, bound, planned)
+            # Stamp the entry with the epoch and plan version the
+            # pipeline *actually* saw (``_prepare`` snapshots the store
+            # itself, and planning may lazily rebuild stats).
+            entry = CachedPlan(
+                querier=prepared.querier,
+                tables=frozenset(t.lower() for t in collect_table_names(bound)),
+                epoch=execution.policy_epoch,
+                version=self.db.plan_version,
+                rewritten=rewritten,
+                planned=planned,
+                info=execution.rewrite,
+                policies_considered=execution.policies_considered,
+            )
+            return cache.admit(key, entry), (execution, rewritten, bound, planned)
 
         with span("middleware.prepare") as prep:
-            if cache is not None:
-                entry, built, hit = cache.resolve(
-                    prepared.querier,
-                    prepared.purpose,
-                    prepared.template_key,
-                    values,
-                    snapshot.epoch,
-                    plan_version,
-                    build,
-                )
-                cache.charge(counters, hit)
-                prep.set(cached=hit, template=prepared.template_key)
-            else:  # pragma: no cover - prepare() always enables the cache
-                entry, built = build()
-                hit = False
+            entry, built, hit = cache.get_or_build(
+                key, snapshot.epoch, self.db.plan_version, build
+            )
+            cache.charge(self.db.counters, hit)
+            prep.set(cached=hit, template=prepared.template_key)
             if built is not None:
                 execution, rewritten, bound, planned = built
             else:

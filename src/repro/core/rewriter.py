@@ -81,8 +81,8 @@ class RewriteInfo:
     #: table -> guard keys materialized into its enforcement CTE, in
     #: guard order.  The audit tier records these; keeping them on the
     #: RewriteInfo makes audit records identical whether the rewrite
-    #: came fresh or from the serving tier's rewrite cache (a cached
-    #: rewrite carries its original info, guard keys included).
+    #: came fresh or from the plan cache (a cached plan carries its
+    #: original info, guard keys included).
     guard_keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: The rewritten query and the dialect of the engine that will run
     #: it — what :attr:`sql` prints.

@@ -33,7 +33,7 @@ Two compilation modes exist:
 
 :class:`CompiledExprCache` is the cross-execution LRU for compiled
 callables (keyed by structural expression equality + binding layout +
-mode); the Database owns one instance so RewriteCache-warm queries
+mode); the Database owns one instance so repeated queries
 stop recompiling identical predicates every run.  Expressions
 containing subqueries are never cached: IN memberships are data
 dependent and scalar subqueries capture executor-local state.

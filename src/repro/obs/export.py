@@ -92,18 +92,10 @@ def to_json(registry: MetricsRegistry) -> dict[str, Any]:
 
 
 def _cache_gauges(registry: MetricsRegistry, name: str, read: Any) -> None:
-    """Gauges over a CacheStats.snapshot()-shaped dict source.
-
-    ``read()`` returns the snapshot dict (or None when the tier runs
-    without that cache — every gauge then reads 0).
-    """
+    """Gauges over a CacheStats.snapshot()-shaped dict source."""
 
     def field(key: str):
-        def collect() -> float:
-            snap = read()
-            return float(snap.get(key, 0.0)) if snap else 0.0
-
-        return collect
+        return lambda: float(read().get(key, 0.0))
 
     registry.register_gauge(
         f"sieve_{name}_hit_rate", f"{name} hit rate (0..1)", field("hit_rate")
@@ -160,7 +152,6 @@ def server_registry(server: Any) -> MetricsRegistry:
         stat(lambda s: s.sheds),
     )
     _cache_gauges(registry, "guard_cache", lambda: cell["stats"].guard_cache)
-    _cache_gauges(registry, "rewrite_cache", lambda: cell["stats"].rewrite_cache)
     _cache_gauges(registry, "plan_cache", lambda: cell["stats"].plan_cache)
     monitor = getattr(server, "slo_monitor", None)
     if monitor is not None:
@@ -220,7 +211,6 @@ def cluster_registry(cluster: Any) -> MetricsRegistry:
         stat(lambda s: s.queue_wait),
     )
     _cache_gauges(registry, "guard_cache", lambda: cell["stats"].guard_cache)
-    _cache_gauges(registry, "rewrite_cache", lambda: cell["stats"].rewrite_cache)
     _cache_gauges(registry, "plan_cache", lambda: cell["stats"].plan_cache)
 
     def per_shard(reader):

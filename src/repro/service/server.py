@@ -235,12 +235,10 @@ class LatencySummary:
 class ServiceStats:
     """One consistent snapshot of a server's accounting.
 
-    ``guard_cache`` / ``rewrite_cache`` / ``plan_cache`` are
+    ``guard_cache`` / ``plan_cache`` are
     :meth:`~repro.core.cache.CacheStats.snapshot` dicts (``hits``,
     ``misses``, ``evictions``, ``invalidations``, ``coalesced``,
-    ``hit_rate``) of the pipeline's memoization tiers —
-    ``rewrite_cache`` / ``plan_cache`` are ``None`` when the
-    middleware runs without them.
+    ``hit_rate``) of the pipeline's two memoization tiers.
     Serving dashboards read hit rates and rejection counts from here;
     :class:`~repro.cluster.ClusterStats` aggregates them across shards.
     """
@@ -254,10 +252,12 @@ class ServiceStats:
     latency: LatencySummary = field(default_factory=LatencySummary)
     queue_wait: LatencySummary = field(default_factory=LatencySummary)
     guard_cache: dict[str, float] = field(default_factory=dict)
-    rewrite_cache: dict[str, float] | None = None
-    #: Prepared-query plan cache snapshot (``None`` when the server's
-    #: middleware runs without one).
-    plan_cache: dict[str, float] | None = None
+    #: Always ``None``: the text-keyed rewrite memo is gone (it was
+    #: never consulted once auto-prepare served repeated shapes).  The
+    #: field and its ``to_dict`` key stay only until the canonical
+    #: benchmark's traced run stops reading them.
+    rewrite_cache: None = None
+    plan_cache: dict[str, float] = field(default_factory=dict)
     #: Rejections issued by the adaptive shedder specifically (a
     #: subset of ``rejections``; 0 when no SLO clamp is configured).
     sheds: int = 0
@@ -280,15 +280,7 @@ class ServiceStats:
         return float(self.guard_cache.get("hit_rate", 0.0))
 
     @property
-    def rewrite_cache_hit_rate(self) -> float:
-        if not self.rewrite_cache:
-            return 0.0
-        return float(self.rewrite_cache.get("hit_rate", 0.0))
-
-    @property
     def plan_cache_hit_rate(self) -> float:
-        if not self.plan_cache:
-            return 0.0
         return float(self.plan_cache.get("hit_rate", 0.0))
 
     def to_dict(self) -> dict[str, Any]:
@@ -306,12 +298,8 @@ class ServiceStats:
             "queue_wait": self.queue_wait.to_dict(),
             "total_latency": self.total_latency.to_dict(),
             "guard_cache": dict(self.guard_cache),
-            "rewrite_cache": (
-                dict(self.rewrite_cache) if self.rewrite_cache is not None else None
-            ),
-            "plan_cache": (
-                dict(self.plan_cache) if self.plan_cache is not None else None
-            ),
+            "rewrite_cache": None,
+            "plan_cache": dict(self.plan_cache),
         }
 
 
@@ -345,28 +333,19 @@ class SieveServer:
         max_pending: int = DEFAULT_MAX_PENDING,
         max_batch: int = DEFAULT_MAX_BATCH,
         sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-        rewrite_cache_capacity: int = 256,
-        plan_cache_capacity: int = 256,
         auto_prepare_threshold: int = AUTO_PREPARE_THRESHOLD,
         shedder: AdaptiveShedder | None = None,
     ):
         if workers <= 0:
             raise ValueError("worker count must be positive")
         self.sieve = sieve
-        if rewrite_cache_capacity:
-            # Serving implies repeated traffic: memoize whole rewrites
-            # (epoch-validated) so the warm path is admission + execute.
-            sieve.enable_rewrite_cache(rewrite_cache_capacity)
-        if plan_cache_capacity:
-            # Same reasoning one layer deeper: repeated shapes skip
-            # parse → strategy → rewrite → plan entirely (value-keyed,
-            # epoch- and plan-version-fenced — see core.cache.PlanCache).
-            sieve.enable_plan_cache(plan_cache_capacity)
-        #: 0 disables auto-preparation (requests always take the plain
-        #: session path; explicit ``sieve.prepare`` still works).
-        self.auto_prepare_threshold = (
-            auto_prepare_threshold if plan_cache_capacity else 0
-        )
+        #: Serving implies repeated traffic: a shape seen this many
+        #: times is prepared, so its repeats skip parse → strategy →
+        #: rewrite → plan entirely (value-keyed, epoch- and
+        #: plan-version-fenced — see core.cache.PlanCache).  0 disables
+        #: auto-preparation (requests always take the plain session
+        #: path; explicit ``sieve.prepare`` still works).
+        self.auto_prepare_threshold = auto_prepare_threshold
         self._prepare_lock = threading.Lock()
         # (querier, purpose, template_key) → seen count, and, past the
         # threshold, → PreparedQuery.  Bounded FIFO (dict order).
@@ -928,8 +907,6 @@ class SieveServer:
             rejections = self._rejections
             failures = self._failures
             sheds = self._sheds
-        rewrite_cache = self.sieve.rewrite_cache
-        plan_cache = self.sieve.plan_cache
         return ServiceStats(
             workers=self.workers,
             pending=self._queue.pending(),
@@ -945,12 +922,7 @@ class SieveServer:
             queue_wait_hist=queue_wait_hist,
             total_latency_hist=total_hist,
             guard_cache=self.sieve.guard_cache.stats.snapshot(),
-            rewrite_cache=(
-                rewrite_cache.stats.snapshot() if rewrite_cache is not None else None
-            ),
-            plan_cache=(
-                plan_cache.stats.snapshot() if plan_cache is not None else None
-            ),
+            plan_cache=self.sieve.plan_cache.stats.snapshot(),
         )
 
     # ------------------------------------------------------------ health/SLO

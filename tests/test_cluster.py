@@ -570,25 +570,19 @@ def test_rebalance_under_live_policy_writes(cluster_world):
 def test_service_stats_expose_cache_hit_rates_and_rejections():
     db, store, _grant, _next_id = build_world(n_rows=300)
     sieve = Sieve(db, store)
-    # Threshold 3 so the test can observe all three memoization tiers:
-    # repeat 1 warms the rewrite cache, repeat 2 trips auto-prepare
-    # (plan-cache miss), repeat 3 is a plan-cache hit.
-    with SieveServer(sieve, workers=2, auto_prepare_threshold=3) as server:
+    with SieveServer(sieve, workers=2) as server:
         sql_a = f"SELECT COUNT(*) FROM {TABLE}"
         sql_b = f"SELECT COUNT(*) FROM {TABLE} WHERE ts_date < 6"
         server.execute(sql_a, QUERIERS[0], PURPOSE, timeout=60)  # guard miss
         server.execute(sql_b, QUERIERS[0], PURPOSE, timeout=60)  # guard hit
-        server.execute(sql_a, QUERIERS[0], PURPOSE, timeout=60)  # rewrite hit
         server.execute(sql_a, QUERIERS[0], PURPOSE, timeout=60)  # auto-prepared
         server.execute(sql_a, QUERIERS[0], PURPOSE, timeout=60)  # plan-cache hit
     stats = server.stats()
     assert stats.guard_cache["hits"] >= 1
     assert stats.guard_cache["misses"] >= 1
     assert 0.0 < stats.guard_cache_hit_rate < 1.0
-    assert stats.rewrite_cache is not None  # the server enables it
-    assert stats.rewrite_cache["hits"] >= 1
-    assert stats.rewrite_cache_hit_rate > 0.0
-    assert stats.plan_cache is not None  # the server enables it
+    # The field survives only for the canonical benchmark's reader.
+    assert stats.rewrite_cache is None and stats.to_dict()["rewrite_cache"] is None
     assert stats.plan_cache["misses"] >= 1
     assert stats.plan_cache["hits"] >= 1
     assert stats.plan_cache_hit_rate > 0.0
@@ -600,7 +594,7 @@ def test_cluster_stats_aggregate_caches_and_latency(cluster_world):
     db, store, _grant, _next_id, _oracle, queries = cluster_world
     with make_cluster(db, store) as cluster:
         # round 1: queries[0] is a guard miss, queries[1] a guard hit;
-        # round 2: both are rewrite-cache hits.
+        # round 2: both trip auto-prepare (plan-cache misses).
         for _ in range(2):
             for querier in QUERIERS:
                 for sql in queries:
@@ -614,9 +608,11 @@ def test_cluster_stats_aggregate_caches_and_latency(cluster_world):
         s.guard_cache["hits"] for s in per_shard
     )
     assert stats.guard_cache["hit_rate"] > 0.0
-    assert stats.rewrite_cache["hits"] == sum(
-        (s.rewrite_cache or {}).get("hits", 0) for s in per_shard
-    )
+    assert stats.plan_cache["misses"] == sum(
+        s.plan_cache["misses"] for s in per_shard
+    ) >= 1
+    assert all(s.rewrite_cache is None for s in per_shard)
+    assert "rewrite_cache" not in stats.to_dict()
     assert set(stats.partition_policies) == set(stats.per_shard)
 
 
@@ -674,19 +670,27 @@ def test_partition_hears_base_store_reload():
     assert part.epoch == epoch + 1
 
 
-def test_rebalance_sweeps_rewrite_only_queriers():
-    """A querier can hold rewrite-cache entries with no guard-cache
-    entry (it queried only unprotected relations); the rebalance sweep
-    must still see it so a migration drops those entries too."""
+def test_rebalance_sweeps_plan_only_queriers():
+    """A querier can hold plan-cache entries with no guard-cache entry
+    (it queried only unprotected relations); the rebalance sweep must
+    still see it so a migration drops those entries too."""
     db, store, _grant, _next_id = build_world(n_rows=100)
     with make_cluster(db, store, n_shards=2) as cluster:
-        visitor = "visitor-without-policies"
-        owner = cluster.route(visitor)
-        assert cluster.execute("SELECT * FROM Rooms", visitor, PURPOSE, timeout=60).rows
-        shard = cluster.shard(owner)
-        assert visitor not in {k[0] for k in shard.sieve.guard_cache.keys()}
-        assert visitor in shard.sieve.rewrite_cache.queriers()
+        joined = cluster._ring.with_node("joiner")
+        visitor = next(
+            v for v in (f"visitor-without-policies-{i}" for i in range(1000))
+            if joined.route(v) == "joiner"
+        )
+        shard = cluster.shard(cluster.route(visitor))
+        for _ in range(2):  # the repeat trips auto-prepare: one plan entry
+            assert cluster.execute("SELECT * FROM Rooms", visitor, PURPOSE, timeout=60).rows
+        assert visitor not in shard.sieve.guard_cache.queriers()
+        assert visitor in shard.sieve.plan_cache.queriers()
         assert visitor in shard.cached_queriers()
+        report = cluster.add_shard(ShardSpec(db=replicate_database(db), name="joiner"))
+        assert cluster.route(visitor) == "joiner"
+        assert report.invalidated_entries >= 1
+        assert visitor not in shard.cached_queriers()
 
 
 def test_mixed_named_and_auto_shard_names():

@@ -9,6 +9,7 @@ corresponding corruption.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,7 +18,7 @@ import pytest
 from repro import connect
 from repro.backend import SqliteBackend
 from repro.common.concurrency import RWLock, SingleFlight
-from repro.core.cache import GuardCache, RewriteCache
+from repro.core.cache import CachedPlan, GuardCache, PlanCache
 from repro.policy import GroupDirectory, ObjectCondition, Policy
 from repro.storage.schema import ColumnType, Schema
 
@@ -217,11 +218,32 @@ def _policy(querier, table="T", pid=1):
     )
 
 
-def test_guard_cache_hammer_8_threads():
+def _guard_ops(cache):
+    """GuardCache through its own (querier, purpose, relation) surface."""
+    return (
+        lambda q, t, epoch: cache.get(q, "p", t, epoch),
+        lambda q, t, epoch: cache.put(q, "p", t, epoch, [], None),
+    )
+
+
+def _plan_ops(cache):
+    """PlanCache the way the middleware drives it: key + CachedPlan."""
+    return (
+        lambda q, t, epoch: cache.lookup((q, "p", t, ()), epoch, ("v",)),
+        lambda q, t, epoch: cache.admit(
+            (q, "p", t, ()), CachedPlan(q, frozenset({t}), epoch, ("v",), None, None, None, 0)
+        ),
+    )
+
+
+@pytest.mark.parametrize("cls, ops", [(GuardCache, _guard_ops), (PlanCache, _plan_ops)])
+def test_fenced_cache_hammer_8_threads(cls, ops):
     """The satellite regression: concurrent get/put/invalidate/mutation
-    over a tiny LRU (constant eviction churn).  The seed's unlocked
-    OrderedDict died here with RuntimeError/KeyError."""
-    cache = GuardCache(capacity=8)
+    over a tiny LRU (constant eviction churn), on both declarations of
+    the one fenced cache.  The seed's unlocked OrderedDict died here
+    with RuntimeError/KeyError."""
+    cache = cls(capacity=8)
+    get, put = ops(cache)
     groups = GroupDirectory()
     queriers = [f"q{i}" for i in range(4)]
     tables = ["t1", "t2", "t3"]
@@ -231,8 +253,8 @@ def test_guard_cache_hammer_8_threads():
         for n in range(400):
             table = tables[n % len(tables)]
             epoch = n % 5
-            if cache.get(querier, "p", table, epoch) is None:
-                cache.put(querier, "p", table, epoch, [], None)
+            if get(querier, table, epoch) is None:
+                put(querier, table, epoch)
             if n % 17 == 0:
                 cache.invalidate(querier=querier)
             if n % 29 == 0:
@@ -241,29 +263,19 @@ def test_guard_cache_hammer_8_threads():
                 )
             if n % 43 == 0:
                 cache.keys()
+                cache.queriers()
                 len(cache)
 
-    errors = _run_threads(worker)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside the critical sections
+    try:
+        errors = _run_threads(worker)
+    finally:
+        sys.setswitchinterval(old_interval)
     assert not errors, errors[:3]
     assert len(cache) <= 8
     stats = cache.stats
-    assert stats.hits + stats.misses > 0
-
-
-def test_rewrite_cache_hammer_8_threads():
-    cache = RewriteCache(capacity=8)
-
-    def worker(i):
-        for n in range(500):
-            sql = f"SELECT {n % 11}"
-            if cache.get(f"q{i % 3}", "p", sql, n % 4) is None:
-                cache.put(f"q{i % 3}", "p", sql, n % 4, None, None, 0)
-            if n % 31 == 0:
-                cache.invalidate(querier=f"q{i % 3}")
-
-    errors = _run_threads(worker)
-    assert not errors, errors[:3]
-    assert len(cache) <= 8
+    assert stats.hits + stats.misses == N_THREADS * 400  # no lost update under the lock
 
 
 # ------------------------------------------------------------ SqliteBackend

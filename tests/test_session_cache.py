@@ -5,10 +5,13 @@ whatever a cold middleware answers, a warm session must answer too —
 including immediately after policy inserts, deletes and updates.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.core import Sieve
-from repro.core.cache import CacheStats, GuardCache
+from repro.core.cache import CachedGuardEntry, CachedPlan, CacheStats, GuardCache, PlanCache
 from repro.policy.groups import GroupDirectory
 from repro.policy.model import ObjectCondition, Policy
 from repro.policy.store import PolicyStore
@@ -349,78 +352,174 @@ class TestMutationInvalidation:
         assert seen == sorted(seen) and len(set(seen)) == len(seen)
 
 
-class TestGuardCacheUnit:
-    def test_lru_eviction_order(self):
-        cache = GuardCache(capacity=2)
-        cache.put("a", "p", "t1", 0, [], None)
-        cache.put("a", "p", "t2", 0, [], None)
-        assert cache.get("a", "p", "t1", 0) is not None  # t1 now most-recent
-        cache.put("a", "p", "t3", 0, [], None)           # evicts t2
-        assert cache.peek("a", "p", "t2") is None
-        assert cache.peek("a", "p", "t1") is not None
+def _guard_entry(querier, table, epoch, version=None):
+    assert version is None  # guard state has no second fence axis
+    return CachedGuardEntry(querier, "p", table, [], None, epoch)
+
+
+def _plan_entry(querier, table, epoch, version):
+    return CachedPlan(querier, frozenset({table}), epoch, version, None, None, None, 0)
+
+
+@pytest.fixture(
+    params=[(GuardCache, _guard_entry, None), (PlanCache, _plan_entry, ("catalog", 1))],
+    ids=["guard", "plan"],
+)
+def declared(request):
+    """One FencedCache declaration: (class, entry factory, the version
+    its entries are fenced on)."""
+    return request.param
+
+
+class TestFenceContract:
+    """The rule every declaration of ``FencedCache`` inherits, checked
+    once over both: what serves, what is dropped, what is kept."""
+
+    def test_stale_epoch_is_a_miss_and_dropped(self, declared):
+        cls, entry, version = declared
+        cache = cls(capacity=4)
+        cache.admit("k", entry("a", "t", 0, version))
+        assert cache.lookup("k", 1, version) is None
+        assert cache.keys() == []
+        assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+
+    def test_future_epoch_is_a_miss_but_kept_and_never_clobbered(self, declared):
+        """A request pinned to an old policy snapshot must miss without
+        evicting state a concurrent mutation already carried forward —
+        and must not clobber it on admit either (churn otherwise makes
+        every in-flight key rebuild twice per mutation)."""
+        cls, entry, version = declared
+        cache = cls(capacity=8)
+        fresh = cache.admit("k", entry("q", "t", 5, version))
+        assert cache.lookup("k", 4, version) is None  # pinned behind
+        assert cache.keys() == ["k"]  # ...but not evicted
+        stale = entry("q", "t", 4, version)
+        assert cache.admit("k", stale) is stale  # the pinned caller gets its own view
+        assert cache.lookup("k", 5, version) is fresh  # ...without clobbering
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+    def test_version_mismatch_drops_at_any_epoch(self):
+        for caller_epoch in (4, 5, 6):  # entry newer, equal, older
+            cache = PlanCache(capacity=4)
+            cache.admit("k", _plan_entry("q", "t", 5, ("catalog", 1)))
+            assert cache.lookup("k", caller_epoch, ("catalog", 2)) is None
+            assert cache.keys() == []
+
+    def test_coalesced_followers_share_the_leaders_entry(self, declared):
+        cls, entry, version = declared
+        cache = cls(capacity=4)
+        inside, release = threading.Event(), threading.Event()
+        builds = []
+
+        def build():
+            builds.append(1)
+            inside.set()
+            assert release.wait(timeout=10)
+            return cache.admit("k", entry("q", "t", 3, version)), "leader-only"
+
+        got = []
+
+        def call():
+            got.append(cache.get_or_build("k", 3, version, build))
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        threads[0].start()
+        assert inside.wait(timeout=10)  # thread 0 leads
+        for t in threads[1:]:
+            t.start()
+        time.sleep(0.1)  # let every follower reach the flight's wait
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1 and cache.stats.coalesced == 3
+        assert len({id(e) for e, _extra, _hit in got}) == 1
+        assert sorted(str(extra) for _e, extra, _hit in got) == ["None"] * 3 + ["leader-only"]
+        assert not any(hit for _e, _extra, hit in got)
+        assert cache.get_or_build("k", 3, version, build)[1:] == (None, True)  # now a hit
+
+    def test_targeted_invalidation_and_restamp(self, declared):
+        """Direct and group-derived drops; every survivor valid at the
+        previous epoch is carried forward; one staled by an unheard
+        bump (a store reload fires no events) stays stale."""
+        cls, entry, version = declared
+        groups = GroupDirectory()
+        groups.add_member("staff", "bob")
+        cache = cls(capacity=8)
+        cache.admit("alice-t", entry("alice", "t", 4, version))
+        cache.admit("alice-u", entry("alice", "u", 4, version))
+        cache.admit("bob-t", entry("bob", "t", 4, version))
+        cache.admit("carol-t", entry("carol", "t", 4, version))
+        cache.admit("dave-t", entry("dave", "t", 2, version))  # missed 2 -> 4
+
+        def policy(querier):
+            return Policy(
+                owner=1, querier=querier, purpose="any", table="T",
+                object_conditions=(ObjectCondition("owner", "=", 1),),
+            )
+
+        assert cache.on_policy_mutation("insert", policy("alice"), 5, groups) == 1
+        assert sorted(cache.keys()) == ["alice-u", "bob-t", "carol-t", "dave-t"]
+        assert cache.on_policy_mutation("delete", policy("staff"), 6, groups) == 1
+        assert cache.stats.invalidations == 2
+        for key in ("alice-u", "carol-t"):
+            assert cache.lookup(key, 6, version) is not None
+        assert cache.lookup("dave-t", 6, version) is None  # not revived
+
+    def test_invalidate_by_querier_and_table(self, declared):
+        cls, entry, version = declared
+        cache = cls(capacity=8)
+        cache.admit(1, entry("a", "t1", 0, version))
+        cache.admit(2, entry("a", "t2", 0, version))
+        cache.admit(3, entry("b", "t1", 0, version))
+        assert cache.queriers() == {"a", "b"}
+        assert cache.invalidate(querier="a", table="T1") == 1  # case-insensitive
+        assert cache.invalidate(querier="b") == 1
+        assert cache.keys() == [2] and cache.queriers() == {"a"}
+        assert cache.invalidate() == 1 and len(cache) == 0
+        assert cache.stats.invalidations == 3
+
+    def test_lru_eviction_order(self, declared):
+        cls, entry, version = declared
+        cache = cls(capacity=2)
+        cache.admit(1, entry("a", "t", 0, version))
+        cache.admit(2, entry("a", "t", 0, version))
+        assert cache.lookup(1, 0, version) is not None  # 1 now most-recent
+        cache.admit(3, entry("a", "t", 0, version))  # evicts 2
+        assert cache.keys() == [1, 3]
         assert cache.stats.evictions == 1
 
-    def test_stale_epoch_is_a_miss_and_dropped(self):
-        cache = GuardCache(capacity=4)
-        cache.put("a", "p", "t", 0, [], None)
-        assert cache.get("a", "p", "t", 1) is None
-        assert cache.peek("a", "p", "t") is None
-        assert cache.stats.misses == 1
-
-    def test_invalidate_by_querier_and_table(self):
-        cache = GuardCache(capacity=8)
-        cache.put("a", "p", "t1", 0, [], None)
-        cache.put("a", "p", "t2", 0, [], None)
-        cache.put("b", "p", "t1", 0, [], None)
-        assert cache.invalidate(querier="a", table="t1") == 1
-        assert cache.invalidate(querier="b") == 1
-        assert len(cache) == 1 and cache.peek("a", "p", "t2") is not None
-
-    def test_mutation_hook_does_not_revive_older_stale_entries(self):
-        """Entries staled by an unheard epoch bump (e.g. a store reload,
-        which fires no events) must stay stale through later mutations."""
-        cache = GuardCache(capacity=8)
-        cache.put("a", "p", "t", 0, [], None)   # valid at epoch 0
-        cache.put("b", "p", "t", 2, [], None)   # valid at epoch 2
-
-        class _NoGroups:
-            @staticmethod
-            def groups_of(_user):
-                return frozenset()
-
-        policy = Policy(
-            owner=1, querier="c", purpose="any", table="other",
-            object_conditions=(ObjectCondition("owner", "=", 1),),
-        )
-        # Epoch jumped 0 -> 2 without events ("a" missed it), then a
-        # mutation bumps 2 -> 3: only "b" may be re-stamped.
-        cache.on_policy_mutation("insert", policy, 3, _NoGroups())
-        assert cache.get("b", "p", "t", 3) is not None
-        assert cache.get("a", "p", "t", 3) is None
-
-    def test_capacity_must_be_positive(self):
+    def test_capacity_must_be_positive(self, declared):
         with pytest.raises(ValueError):
-            GuardCache(capacity=0)
+            declared[0](capacity=0)
 
-    def test_stats_hit_rate(self):
+    def test_charge_ticks_the_declared_counters(self, declared):
+        cls, _entry, _version = declared
+        db, _rows = make_wifi_db(n_rows=10, n_owners=2, seed=1)
+        before = db.counters.snapshot()
+        cache = cls(capacity=1)
+        cache.charge(db.counters, True)
+        cache.charge(db.counters, False)
+        diff = {k: v for k, v in db.counters.diff(before).items() if v}
+        assert diff == {cls.hit_counter: 1, cls.miss_counter: 1}
+
+    def test_guard_cache_spells_the_key_by_relation(self):
+        """``GuardCache``'s own surface: (querier, purpose, relation)
+        parts, relation matched case-insensitively."""
+        cache = GuardCache(capacity=4)
+        entry = cache.put("a", "p", "WiFi", 0, [], None)
+        assert entry.table == "wifi" and cache.keys() == [("a", "p", "wifi")]
+        assert cache.get("a", "p", "WIFI", 0) is cache.peek("a", "p", "wifi") is entry
+        assert cache.resolve("a", "p", "Wifi", 0, None) == (entry, False, True)
+
+    def test_stats_hit_rate_and_merge(self):
         stats = CacheStats(hits=3, misses=1)
         assert stats.hit_rate == pytest.approx(0.75)
         assert CacheStats().hit_rate == 0.0
         assert "hit_rate" in stats.snapshot()
-
-    def test_get_at_older_epoch_keeps_fresher_entry(self):
-        """A request pinned to an old policy snapshot must miss without
-        evicting state a concurrent mutation already carried forward —
-        and must not clobber it on put() either (churn otherwise makes
-        every in-flight key rebuild twice per mutation)."""
-        cache = GuardCache(capacity=8)
-        fresh = cache.put("q", "p", "t", epoch=5, policies=[], expression=None)
-        assert cache.get("q", "p", "t", epoch=4) is None  # pinned behind
-        assert cache.peek("q", "p", "t") is fresh  # ...but not evicted
-        stale = cache.put("q", "p", "t", epoch=4, policies=[], expression=None)
-        assert stale.epoch == 4  # the pinned caller gets its own view
-        assert cache.peek("q", "p", "t") is fresh  # ...without clobbering
-        assert cache.get("q", "p", "t", epoch=5) is fresh
+        merged = CacheStats.merge([stats.snapshot(), None, CacheStats(misses=4).snapshot()])
+        assert merged == CacheStats(hits=3, misses=5).snapshot()
+        assert merged["hit_rate"] == pytest.approx(0.375)
 
     def test_cross_querier_update_keeps_unrelated_entries_warm(self):
         """An update() that moves a policy to another querier bumps the
