@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest profile-fresh bench-smoke bench bench-backend bench-engine bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest profile-fresh profile-warm bench-smoke bench bench-backend bench-engine bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -29,6 +29,12 @@ bench-selftest:
 N ?= 200
 profile-fresh:
 	$(PYTHON) tools/profile_request.py --mode fresh -n $(N)
+
+# The same for a warm request (one fixed binding per querier and shape:
+# plan-cache hit, so what is left is the engine — scans, the guard
+# kernel, projection).
+profile-warm:
+	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
 
 # One quick benchmark as a smoke signal: the session-cache bench builds
 # the Fig. 6 Mall world and asserts the warm path is >= 2x faster.

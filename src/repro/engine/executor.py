@@ -184,16 +184,19 @@ class Executor:
                     continue
             yield row
 
-    def _probe_rowids(self, index, probes: list[IndexProbe]) -> Iterator[int]:
-        before = index.node_visits
+    def _probe_rowids(self, index, probes: list[IndexProbe]) -> list[int]:
+        """Every probe's rowids, in probe order; each search charges its
+        own node visits to this executor's counters."""
+        counters = self.counters
+        rowids: list[int] = []
         for probe in probes:
             if probe.is_point:
-                yield from index.search_eq(probe.eq_value)
+                rowids += index.search_eq(probe.eq_value, counters)
             else:
-                yield from index.search_range(
-                    probe.lo, probe.hi, probe.lo_inclusive, probe.hi_inclusive
+                rowids += index.search_range(
+                    probe.lo, probe.hi, probe.lo_inclusive, probe.hi_inclusive, counters
                 )
-        self.counters.index_node_visits += index.node_visits - before
+        return rowids
 
     def _exec_IndexScanPlan(self, plan: IndexScanPlan) -> Iterator[tuple]:
         table = self.catalog.table(plan.table_name)
@@ -347,10 +350,7 @@ class Executor:
             key = outer_fn(lrow)
             if key is None:
                 continue
-            before = index.node_visits
-            rowids = index.search_eq(key)
-            counters.index_node_visits += index.node_visits - before
-            for rowid in rowids:
+            for rowid in index.search_eq(key, counters):
                 rrow = table.get(rowid)
                 if rrow is None:
                     continue

@@ -5,11 +5,15 @@ generators and closure trees; at Sieve's scale (guarded scans checking
 hundreds of policy disjuncts per tuple) interpreter dispatch dwarfs
 the actual work.  This module replaces it with batch execution:
 
-* :class:`RowBatch` — a batch of tuples with lazily transposed
-  per-column arrays and a *selection* (surviving row indices, also
-  exposable as a :class:`~repro.index.bitmap.RowIdBitmap`).  Operators
-  exchange batches, so per-node overhead is paid once per ~thousand
-  rows instead of once per row.
+* :class:`RowBatch` — a batch of tuples with per-column arrays and a
+  *selection* (surviving row indices, also exposable as a
+  :class:`~repro.index.bitmap.RowIdBitmap`).  Operators exchange
+  batches, so per-node overhead is paid once per ~thousand rows instead
+  of once per row.  A base-table scan's batch is *table-backed*: its
+  rows are the heap's slots, its columns the table's own arrays, its
+  selection the rowids the scan reached — nothing is fetched, paired
+  or transposed before the filter has run, and only the survivors
+  materialise.
 * :class:`BatchPredicate` — a filter compiled into conjunct *stages*.
   Plain conjuncts become column-mode codegen kernels (one call filters
   the whole selection); a policy-style wide OR becomes a
@@ -42,7 +46,7 @@ cost weight).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
 from repro.expr.analysis import conjuncts, contains_scalar_subquery, contains_subquery
@@ -85,19 +89,25 @@ BATCH_ROWS = 1024
 class RowBatch:
     """A batch of row tuples plus a selection of surviving indices.
 
-    ``sel`` is ``None`` for "all rows" or an ascending index list;
+    ``sel`` is ``None`` for "all rows" or a list of distinct indices;
     :meth:`selection_bitmap` exposes it as a :class:`RowIdBitmap` for
     bitmap algebra.  ``columns()`` lazily transposes the *full* batch
     (a single C-level ``zip``); kernels then index columns by selected
     position, so narrowing a selection never copies row data.
+
+    A scan's batch is *table-backed*: ``rows`` is the heap's slot list,
+    ``cols`` the table's own column arrays and ``sel`` the rowids the
+    scan reached (always a list: a slot may be a tombstone) — nothing
+    is fetched or transposed, and only rows that survive the filter
+    are ever touched, by :meth:`take`.
     """
 
     __slots__ = ("rows", "sel", "_cols")
 
-    def __init__(self, rows: list[tuple], sel: list[int] | None = None):
+    def __init__(self, rows: list[tuple], sel: list[int] | None = None, cols: list | None = None):
         self.rows = rows
         self.sel = sel
-        self._cols: list | None = None
+        self._cols = cols
 
     def columns(self) -> list:
         if self._cols is None:
@@ -113,9 +123,7 @@ class RowBatch:
     def narrow(self, sel: list[int]) -> "RowBatch":
         """The same rows under a narrower selection — shares the column
         transposition, so pipelined operators never re-run ``zip``."""
-        narrowed = RowBatch(self.rows, sel)
-        narrowed._cols = self._cols
-        return narrowed
+        return RowBatch(self.rows, sel, self._cols)
 
     def take(self) -> list[tuple]:
         """The selected rows, in order."""
@@ -182,17 +190,17 @@ def _guard_stage(disjunct_fns: list[_StageFn], counters: Any) -> _StageFn:
                 # the batch size).
                 hit_set = set(hits)
                 remaining = [i for i in remaining if i not in hit_set]
-        # The OR of the per-disjunct selections: hits are disjoint by
-        # construction (matched rows leave `remaining`), so the union
-        # is a sort-merge of the hit lists — equivalent to OR-ing
-        # per-disjunct RowIdBitmaps but without paying big-int bit
-        # iteration to read the result back out.
-        matched.sort()
-        return matched
+        # The OR of the per-disjunct selections, in the selection's own
+        # order (an index scan's is not ascending).
+        found = set(matched)
+        return [i for i in sel if i in found]
 
     return stage
 
 
+def _chunked(rows: list) -> Iterator[list]:
+    """``rows`` in slices of ``BATCH_ROWS``."""
+    return (rows[start : start + BATCH_ROWS] for start in range(0, len(rows), BATCH_ROWS))
 
 
 def top_k_rows(rows: list[tuple], keys: list, limit: int) -> list[tuple]:
@@ -356,102 +364,63 @@ class VectorizedExecutor(Executor):
 
     # --------------------------------------------------------------- scans
 
-    def _vexec_SeqScanPlan(self, plan: SeqScanPlan) -> Iterator[RowBatch]:
-        table = self.catalog.table(plan.table_name)
+    def _table_batches(
+        self, plan, table, chunks: Iterable[list[int]], page_counter: str | None
+    ) -> Iterator[RowBatch]:
+        """Table-backed batches, one per chunk of rowids (tombstones
+        dropped here; an emptied chunk forms no batch).  Per-row counters
+        are charged as the tuple path charges them, each page a chunk
+        touches once per scan on ``page_counter``, and the filter runs
+        over the table's own column arrays."""
         pred = self._batch_pred(plan.filter, plan.binding)
         counters = self.counters
         page_size = table.page_size
-        for rowids, rows in table.scan_batches(page_size * BATCH_PAGES):
-            if not rows:
+        slots, columns = table.slots, table.column_arrays()
+        tombstones = table.row_count < table.slot_count
+        touched: set[int] = set()  # per-scan buffer-pool model
+        for rowids in chunks:
+            if tombstones:
+                rowids = [rowid for rowid in rowids if slots[rowid] is not None]
+            if not rowids:
                 continue
-            pages = 0
-            last = -1
-            for rid in rowids:
-                page = rid // page_size
-                if page != last:
-                    pages += 1
-                    last = page
-            counters.pages_sequential += pages
-            counters.tuples_scanned += len(rows)
+            if page_counter is not None:
+                pages = {rowid // page_size for rowid in rowids} - touched
+                touched |= pages
+                setattr(counters, page_counter, getattr(counters, page_counter) + len(pages))
+            counters.tuples_scanned += len(rowids)
             counters.batches += 1
-            batch = RowBatch(rows)
+            batch = RowBatch(slots, rowids, columns)
             if pred is not None:
-                sel = pred.apply(batch, batch.indices())
-                if not sel:
+                batch.sel = pred.apply(batch, rowids)
+                if not batch.sel:
                     continue
-                batch.sel = sel
             yield batch
 
-    def _fetched_batches(
-        self, plan, table, rowid_iter: Iterator[int], random_pages: bool
-    ) -> Iterator[RowBatch]:
-        """Shared heap-fetch path for index and bitmap scans: fetch in
-        the given rowid order, charge per-row counters identically to
-        the tuple path, filter batch-wise."""
-        pred = self._batch_pred(plan.filter, plan.binding)
-        counters = self.counters
-        page_size = table.page_size
-        pages_touched: set[int] = set()  # per-scan buffer-pool model
-        pending: list[int] = []
-
-        def flush(rowids: list[int]) -> RowBatch | None:
-            pairs = table.get_many(rowids)
-            if not pairs:
-                return None
-            if random_pages:
-                for rid, _row in pairs:
-                    page = rid // page_size
-                    if page not in pages_touched:
-                        pages_touched.add(page)
-                        counters.pages_random += 1
-            rows = [row for _rid, row in pairs]
-            counters.tuples_scanned += len(rows)
-            counters.batches += 1
-            batch = RowBatch(rows)
-            if pred is not None:
-                sel = pred.apply(batch, batch.indices())
-                if not sel:
-                    return None
-                batch.sel = sel
-            return batch
-
-        for rowid in rowid_iter:
-            pending.append(rowid)
-            if len(pending) >= BATCH_ROWS:
-                batch = flush(pending)
-                pending = []
-                if batch is not None:
-                    yield batch
-        if pending:
-            batch = flush(pending)
-            if batch is not None:
-                yield batch
+    def _vexec_SeqScanPlan(self, plan: SeqScanPlan) -> Iterator[RowBatch]:
+        table = self.catalog.table(plan.table_name)
+        step = table.page_size * BATCH_PAGES
+        chunks = (
+            list(range(start, min(start + step, table.slot_count)))
+            for start in range(0, table.slot_count, step)
+        )
+        yield from self._table_batches(plan, table, chunks, "pages_sequential")
 
     def _vexec_IndexScanPlan(self, plan: IndexScanPlan) -> Iterator[RowBatch]:
         table = self.catalog.table(plan.table_name)
         index = self.catalog.index_by_name(plan.table_name, plan.index_name)
-        seen: set[int] = set()
-
-        def deduped() -> Iterator[int]:
-            for rowid in self._probe_rowids(index, plan.probes):
-                if rowid not in seen:
-                    seen.add(rowid)
-                    yield rowid
-
-        yield from self._fetched_batches(plan, table, deduped(), random_pages=True)
+        rowids = list(dict.fromkeys(self._probe_rowids(index, plan.probes)))
+        yield from self._table_batches(plan, table, _chunked(rowids), "pages_random")
 
     def _vexec_BitmapOrPlan(self, plan: BitmapOrPlan) -> Iterator[RowBatch]:
         table = self.catalog.table(plan.table_name)
-        bitmap = RowIdBitmap()
+        found: set[int] = set()
         for index_name, _column, probes in plan.arms:
             index = self.catalog.index_by_name(plan.table_name, index_name)
-            bitmap = bitmap | RowIdBitmap.from_rowids(
-                self._probe_rowids(index, probes)
-            )
-        self.counters.pages_bitmap += len(bitmap.pages(table.page_size))
-        yield from self._fetched_batches(
-            plan, table, bitmap.iter_sorted(), random_pages=False
-        )
+            found.update(self._probe_rowids(index, probes))
+        rowids = sorted(found)  # one heap visit per row, in page order
+        page_size = table.page_size
+        self.counters.pages_bitmap += len({rowid // page_size for rowid in rowids})
+        yield from self._table_batches(plan, table, _chunked(rowids), None)
 
     def _vexec_CTEScanPlan(self, plan: CTEScanPlan) -> Iterator[RowBatch]:
         key = plan.cte_name.lower()
@@ -460,8 +429,7 @@ class VectorizedExecutor(Executor):
         pred = self._batch_pred(plan.filter, plan.binding)
         counters = self.counters
         source = self._cte_rows[key]
-        for start in range(0, len(source), BATCH_ROWS):
-            rows = source[start : start + BATCH_ROWS]
+        for rows in _chunked(source):
             counters.tuples_scanned += len(rows)
             counters.batches += 1
             batch = RowBatch(rows)
@@ -586,8 +554,7 @@ class VectorizedExecutor(Executor):
         rows = [
             key + tuple(s.result() for s in states) for key, states in groups.items()
         ]
-        for start in range(0, len(rows), BATCH_ROWS):
-            yield RowBatch(rows[start : start + BATCH_ROWS])
+        yield from map(RowBatch, _chunked(rows))
 
     # ------------------------------------------------- ordering and limits
 
@@ -615,8 +582,7 @@ class VectorizedExecutor(Executor):
         keys = self._composite_keys(plan, rows)
         order = sorted(range(len(rows)), key=keys.__getitem__)
         ordered = [rows[i] for i in order]
-        for start in range(0, len(ordered), BATCH_ROWS):
-            yield RowBatch(ordered[start : start + BATCH_ROWS])
+        yield from map(RowBatch, _chunked(ordered))
 
     def _vexec_LimitPlan(self, plan: LimitPlan) -> Iterator[RowBatch]:
         # The planner only marks Sort+Limit pairs batchable: a bare

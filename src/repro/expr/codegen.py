@@ -24,10 +24,12 @@ Two compilation modes exist:
   kernels ``fn(columns, selection) -> indices/values`` for the
   vectorized executor: one call evaluates the expression over a whole
   :class:`~repro.engine.vector.RowBatch` via a list comprehension (or,
-  for a top-level policy OR, a fused metering loop) with the
-  expression inlined.  Nested metered ORs compile to kernel-local
-  per-index helpers so ``policy_evals`` accounting survives inside
-  batch kernels; only scalar subqueries are refused
+  for a top-level policy OR, a fused metering kernel in which a row
+  *looks up* the guard branches that can hold for it instead of
+  walking them all) with the expression inlined.  Nested metered ORs
+  compile to kernel-local per-index helpers so ``policy_evals``
+  accounting survives inside batch kernels; only scalar subqueries are
+  refused
   (:class:`CodegenUnsupported`) — they need the outer row, so the
   executor routes such trees per row.
 
@@ -43,7 +45,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from repro.common.errors import ExecutionError
@@ -215,7 +219,11 @@ class CompiledExprCache:
             self._alias((id(expr), extra), expr, entry)
 
     def _alias(self, alias: tuple, expr: Any, entry: _Entry) -> None:
-        if len(self._id_alias) > 4 * self.capacity:
+        # An alias costs about a kilobyte (its key, the expression it
+        # keeps alive) and fresh-literal traffic leaves several per
+        # request that nothing looks up again; starting over costs the
+        # live ones one structural probe each.
+        if len(self._id_alias) > self.capacity:
             self._id_alias.clear()
         self._id_alias[alias] = (expr, entry)
 
@@ -266,6 +274,8 @@ class _Emitter:
     def __init__(self, compiler: "CodegenExprCompiler", mode: str, hoisted: bool = False):
         self.compiler = compiler
         self.mode = mode
+        #: What a helper function takes: the row, or the row's index.
+        self.arg = "_r" if mode == "row" else "_i"
         #: When True (loop-form kernels), column refs read per-row
         #: hoisted locals ``_v<pos>`` assigned once at the top of the
         #: row loop, instead of subscripting the column array at every
@@ -275,6 +285,9 @@ class _Emitter:
         self.inner_defs: list[str] = []  # col mode: helpers nested in the kernel
         self.env: dict[str, Any] = {}
         self.used_columns: set[int] = set()
+        #: Columns a guard kernel's first pass reads (bound in the
+        #: prelude like ``used_columns``, never hoisted per row).
+        self.probe_columns: set[int] = set()
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -359,7 +372,7 @@ class _Emitter:
             return "(" + " and ".join(parts) + ")"
         if isinstance(expr, Or):
             if is_metered_or(expr, c.counters):
-                return self._emit_metered_or(expr)
+                return f"{self.metered_helper(expr)}({self.arg})"
             parts = [f"bool({self.emit(ch)})" for ch in expr.children]
             return "(" + " or ".join(parts) + ")"
         if isinstance(expr, Not):
@@ -422,8 +435,9 @@ class _Emitter:
         args = ", ".join(self.emit(a) for a in expr.args)
         return f"{fn}({args})"
 
-    def _emit_metered_or(self, expr: Or) -> str:
-        """A wide OR becomes a flat helper: per-row short-circuit with
+    def metered_helper(self, expr: Or) -> str:
+        """A wide OR becomes a flat helper (returns its name; the value
+        is ``name(arg)``): per-row short-circuit with
         ``policy_evals += <disjuncts actually checked>`` — byte-for-byte
         the accounting of the closure compiler's metered OR.
 
@@ -432,8 +446,7 @@ class _Emitter:
         nested policy ORs stay metered inside batch kernels."""
         name = self.fresh("h")
         ctr = self.const(self.compiler.counters)
-        arg = "_r" if self.mode == "row" else "_i"
-        lines = [f"def {name}({arg}):"]
+        lines = [f"def {name}({self.arg}):"]
         for i, child in enumerate(expr.children):
             lines.append(f"    if {self.emit(child)}:")
             lines.append(f"        {ctr}.policy_evals += {i + 1}")
@@ -444,7 +457,82 @@ class _Emitter:
             self.defs.append("\n".join(lines))
         else:
             self.inner_defs.append("\n".join(lines))
-        return f"{name}({arg})"
+        return name
+
+
+def _probe_constant(value: Any) -> bool:
+    """Can a dict or ``bisect`` look-up stand in for ``==`` / ``<=``
+    against this constant?  Not NULL (equal to nothing), not NaN
+    (unequal to itself), not an unhashable value."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return value is not None and value == value
+
+
+def _guard_head(branch: Expr) -> tuple[Expr, Expr | None]:
+    """A guard OR's branch as ``(head, rest)``: the guard condition and
+    what is ANDed to it (``None`` for a guard alone)."""
+    if not isinstance(branch, And):
+        return branch, None
+    head, *rest = branch.children
+    return head, rest[0] if len(rest) == 1 else And(tuple(rest))
+
+
+def _head_points(head: Expr) -> tuple[ColumnRef, list] | None:
+    """Column and constants of a ``col = lit`` / ``col IN (lits)`` head
+    — what a dict finds — or ``None`` for any other shape."""
+    if isinstance(head, Comparison) and head.op is CompareOp.EQ:
+        column, items = head.left, (head.right,)
+    elif isinstance(head, InList) and not head.negated:
+        column, items = head.expr, head.items
+    else:
+        return None
+    if isinstance(column, ColumnRef) and all(
+        isinstance(item, Literal) and _probe_constant(item.value) for item in items
+    ):
+        return column, [item.value for item in items]
+    return None
+
+
+def _head_span(head: Expr) -> tuple[ColumnRef, Any, Any] | None:
+    """``(column, lo, hi)`` of a ``col BETWEEN lit AND lit`` head, or
+    ``None`` for any other shape."""
+    if (
+        isinstance(head, Between)
+        and not head.negated
+        and isinstance(head.expr, ColumnRef)
+        and isinstance(head.low, Literal)
+        and isinstance(head.high, Literal)
+        and _probe_constant(head.low.value)
+        and _probe_constant(head.high.value)
+    ):
+        return head.expr, head.low.value, head.high.value
+    return None
+
+
+def _span_table(spans: list[tuple]) -> tuple[list, tuple]:
+    """``(points, table)`` for ``(lo, hi, ordinal)`` spans, ordinals
+    ascending: ``table[bisect_left(points, v) + bisect_right(points, v)]``
+    holds the ordinals of the spans containing ``v`` — an odd slot
+    ``2k + 1`` is the point ``points[k]`` itself, an even slot ``2k``
+    the open gap below it.  Raises ``TypeError`` when the bounds have no
+    common order."""
+    points = sorted({bound for lo, hi, _j in spans for bound in (lo, hi)})
+    table: list[list[int]] = [[] for _ in range(2 * len(points) + 1)]
+    for lo, hi, j in spans:
+        for slot in range(2 * bisect_left(points, lo) + 1, 2 * bisect_left(points, hi) + 2):
+            table[slot].append(j)
+    return points, tuple(map(tuple, table))
+
+
+def _merge_candidates(*found: tuple | None) -> tuple:
+    """Several look-ups' branch ordinals as one ascending tuple."""
+    parts = [part for part in found if part]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(sorted(chain.from_iterable(parts)))
 
 
 class CodegenExprCompiler:
@@ -514,47 +602,140 @@ class CodegenExprCompiler:
 
     def compile_batch_guard(self, expr: Or) -> BatchPredFn:
         """The fused form of guard-by-guard evaluation: one wide
-        (metered) OR as a single loop kernel.
+        (metered) OR as a single kernel.
 
         Per index, disjuncts are tried in order; the first hit appends
         the index to the output selection and stops — accumulating the
         per-row checked count so one ``policy_evals`` update per batch
-        carries exactly the tuple path's total.  This is what makes
-        guarded scans batch-fast: a whole batch of policy checks runs
-        without a single per-row Python call.
+        carries exactly the tuple path's total.
+
+        A branch ``head`` or ``head AND rest`` whose head compares one
+        column with constants (``=``, ``IN``, ``BETWEEN`` — what a guard
+        is) is not walked to but *found* (:meth:`_guard_candidates`).
+        A first pass keeps ``(index, candidates)`` for the rows that
+        have a candidate branch and charges the others ``width`` apiece
+        in one multiplication; the second tries only the candidates, in
+        ordinal order, charging ``ordinal + 1`` on the first hit and
+        ``width`` on none.  That is the sequential walk's charge tick
+        for tick: a skipped branch's head is false for the row, so the
+        walk never reached its remainder (nor the partition OR's own
+        metering inside it).  When no branch can be looked up, every
+        branch is a candidate of every row: the candidate loop is
+        emitted unrolled and there is no first pass.
         """
         emitter = _Emitter(self, "col", hoisted=True)
         width = len(expr.children)
-        branches: list[str] = []
-        for j, child in enumerate(expr.children):
-            cond = emitter.emit(child)
-            branches += [
-                f"        if {cond}:",
-                f"            _n += {j + 1}",
-                "            _add(_i)",
-                "            continue",
+        candidates, tests = self._guard_candidates(emitter, expr.children)
+        if candidates is None:
+            tries: list[str] = []
+            for j, test in enumerate(tests):
+                tries += [
+                    f"        if {emitter.emit(test)}:",
+                    f"            _n += {j + 1}",
+                    "            _add(_i)",
+                    "            continue",
+                ]
+            tries.append(f"        _n += {width}")
+            loop = ["    _n = 0", "    for _i in _sel:"]
+        else:
+            loop = [
+                f"    _fns = ({', '.join(self._branch_fn(emitter, test) for test in tests)},)",
+                f"    _cand = [(_i, _js) for _i in _sel if (_js := {candidates})]",
+                f"    _n = {width} * (len(_sel) - len(_cand))",
+                "    for _i, _js in _cand:",
+            ]
+            tries = [
+                "        for _j in _js:",
+                "            if _fns[_j](_i):",
+                "                _n += _j + 1",
+                "                _add(_i)",
+                "                break",
+                "        else:",
+                f"            _n += {width}",
             ]
         ctr = emitter.const(self.counters)
-        hoists = [
-            f"        _v{pos} = _c{pos}[_i]"
-            for pos in sorted(emitter.used_columns)
-        ]
         lines = [
             "    _hits = []",
             "    _add = _hits.append",
-            "    _n = 0",
-            "    for _i in _sel:",
-            *hoists,
-            *branches,
-            f"        _n += {width}",
+            *loop,
+            *(f"        _v{pos} = _c{pos}[_i]" for pos in sorted(emitter.used_columns)),
+            *tries,
             f"    {ctr}.policy_evals += _n",
             "    return _hits",
         ]
         return self._kernel(emitter, lines)
 
+    def _guard_candidates(
+        self, emitter: _Emitter, branches: tuple[Expr, ...]
+    ) -> tuple[str | None, list[Expr | None]]:
+        """How a row finds the branches of a guard OR that can hold for
+        it: ``(expression, tests)``.
+
+        The expression (over ``_c<pos>[_i]``; ``None`` when no branch
+        can be looked up) gives the ascending ordinals of the row's
+        candidate branches, or something false.  Per guard column, a
+        dict maps each ``=`` / ``IN`` constant to its branches, and a
+        sorted-bounds table (:func:`_span_table`) each value to the
+        ``BETWEEN`` heads containing it; a branch neither can stand in
+        for is a candidate of every row.  ``tests[j]`` is what is left
+        to evaluate of candidate ``j``: the whole branch, or only its
+        remainder (``None``: nothing) after a dict hit, which *is* the
+        head evaluated true.
+        """
+        points: dict[int, dict[Any, list[int]]] = {}  # column -> constant -> ordinals
+        spans: dict[int, list[tuple]] = {}  # column -> (lo, hi, ordinal)
+        tests: list[Expr | None] = list(branches)
+        for j, branch in enumerate(branches):
+            head, rest = _guard_head(branch)
+            if (eq := _head_points(head)) is not None:
+                found = points.setdefault(self.binding.resolve(eq[0]), {})
+                for value in eq[1]:
+                    ordinals = found.setdefault(value, [])
+                    if not ordinals or ordinals[-1] != j:
+                        ordinals.append(j)
+                tests[j] = rest
+            elif (span := _head_span(head)) is not None:
+                spans.setdefault(self.binding.resolve(span[0]), []).append((*span[1:], j))
+        lookups: list[str] = []
+        always = set(range(len(branches)))
+        for pos, found in points.items():
+            table = emitter.const({value: tuple(js) for value, js in found.items()}.get)
+            lookups.append(f"{table}(_c{pos}[_i])")
+            always.difference_update(*found.values())
+            emitter.probe_columns.add(pos)
+        for pos, column_spans in spans.items():
+            try:
+                bounds, slots = _span_table(column_spans)
+            except TypeError:
+                continue  # bounds without a common order: candidates of every row
+            at, table = emitter.const(bounds), emitter.const(slots)
+            lookups.append(
+                f"((_w := _c{pos}[_i]) is not None and {table}[_bl({at}, _w) + _br({at}, _w)])"
+            )
+            always.difference_update(j for _lo, _hi, j in column_spans)
+            emitter.probe_columns.add(pos)
+        if not lookups:
+            return None, tests
+        if always:
+            lookups.insert(0, emitter.const(tuple(sorted(always))))
+        emitter.env.update(_bl=bisect_left, _br=bisect_right, _mrg=_merge_candidates)
+        return lookups[0] if len(lookups) == 1 else f"_mrg({', '.join(lookups)})", tests
+
+    @staticmethod
+    def _branch_fn(emitter: _Emitter, test: Expr | None) -> str:
+        """A kernel-local ``fn(_i) -> bool`` for one candidate branch
+        (a partition OR's metered helper is that function already)."""
+        if test is not None and is_metered_or(test, emitter.compiler.counters):
+            return emitter.metered_helper(test)
+        name = emitter.fresh("b")
+        body = "True" if test is None else emitter.emit(test)
+        emitter.inner_defs.append(f"def {name}(_i):\n    return {body}")
+        return name
+
     def _kernel(self, emitter: _Emitter, body_lines: list[str]) -> Callable:
         prelude = [
-            f"    _c{pos} = _cols[{pos}]" for pos in sorted(emitter.used_columns)
+            f"    _c{pos} = _cols[{pos}]"
+            for pos in sorted(emitter.used_columns | emitter.probe_columns)
         ]
         inner = [
             "\n".join("    " + line for line in block.split("\n"))

@@ -54,7 +54,7 @@ class RowBinding:
         self._by_name: dict[str, list[int]] = {}
         self._width = 0
         self._names_in_order: list[str] = []
-        self._cache_key: tuple | None = None
+        self._cache_key: str | None = None
 
     @classmethod
     def for_table(cls, alias: str, column_names: Sequence[str]) -> "RowBinding":
@@ -83,13 +83,15 @@ class RowBinding:
     def aliases(self) -> set[str]:
         return {alias for alias, _ in self._by_qualified}
 
-    def cache_key(self) -> tuple:
+    def cache_key(self) -> str:
         """A hashable layout fingerprint: two bindings with equal keys
         resolve every reference identically, so compiled expressions
         may be shared between them (the compiled-function cache keys
-        on this plus the expression)."""
+        on this plus the expression).  One string, not the nested
+        tuples it spells: every plan brings its own bindings and every
+        cached predicate keeps its key, hashed again at each look-up."""
         if self._cache_key is None:
-            self._cache_key = tuple(sorted(self._by_qualified.items()))
+            self._cache_key = repr(sorted(self._by_qualified.items()))
         return self._cache_key
 
     def has(self, ref: ColumnRef) -> bool:

@@ -7,8 +7,11 @@ removal from the leaf entry (no rebalancing on underflow — acceptable
 for an append-mostly workload and keeps invariants simple; lookups stay
 logarithmic because the structure only ever grows by splits).
 
-The tree reports ``height`` and counts ``node_visits`` per operation so
-the execution engine can charge a realistic index-traversal cost.
+The tree reports ``height`` and counts node visits so the execution
+engine can charge a realistic index-traversal cost: a search adds the
+nodes *it* visited to the ``counters`` it is handed (so two threads
+probing one tree are each charged their own), and ``node_visits`` keeps
+the tree's cumulative total as a statistic.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ class BPlusTreeIndex:
 
     def delete(self, key: Any, rowid: int) -> bool:
         """Remove one (key, rowid) entry; returns True when found."""
-        leaf = self._find_leaf(key)
+        leaf, _visits = self._find_leaf(key)
         pos = bisect.bisect_left(leaf.keys, key)
         if pos >= len(leaf.keys) or leaf.keys[pos] != key:
             return False
@@ -143,18 +146,26 @@ class BPlusTreeIndex:
 
     # ---------------------------------------------------------------- search
 
-    def _find_leaf(self, key: Any) -> _Leaf:
+    def _find_leaf(self, key: Any) -> tuple[_Leaf, int]:
+        """The leaf ``key`` belongs to (the leftmost one for ``None``)
+        and the number of nodes visited on the way, leaf included."""
         node = self._root
+        visits = 1
         while isinstance(node, _Inner):
-            self.node_visits += 1
-            pos = bisect.bisect_right(node.keys, key)
-            node = node.children[pos]
-        self.node_visits += 1
-        return node
+            visits += 1
+            node = node.children[bisect.bisect_right(node.keys, key) if key is not None else 0]
+        return node, visits
 
-    def search_eq(self, key: Any) -> list[int]:
-        """Rowids whose key equals ``key``."""
-        leaf = self._find_leaf(key)
+    def _charge(self, visits: int, counters: Any) -> None:
+        self.node_visits += visits
+        if counters is not None:
+            counters.index_node_visits += visits
+
+    def search_eq(self, key: Any, counters: Any = None) -> list[int]:
+        """Rowids whose key equals ``key``; the nodes visited are added
+        to ``counters.index_node_visits``."""
+        leaf, visits = self._find_leaf(key)
+        self._charge(visits, counters)
         pos = bisect.bisect_left(leaf.keys, key)
         if pos < len(leaf.keys) and leaf.keys[pos] == key:
             return list(leaf.values[pos])
@@ -166,33 +177,32 @@ class BPlusTreeIndex:
         hi: Any = None,
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
-    ) -> Iterator[int]:
-        """Rowids with keys in the given (possibly half-open) range.
+        counters: Any = None,
+    ) -> list[int]:
+        """Rowids with keys in the given (possibly half-open) range, in
+        key order; visits are charged as by :meth:`search_eq`.
 
-        ``None`` bounds are unbounded on that side.  Results stream in
-        key order, walking the leaf sibling chain.
+        ``None`` bounds are unbounded on that side.  Each leaf on the
+        sibling chain contributes one slice, its ends found by bisection;
+        the walk stops at the first leaf holding a key beyond the range.
         """
-        if lo is not None:
-            leaf: _Leaf | None = self._find_leaf(lo)
-        else:
-            node = self._root
-            while isinstance(node, _Inner):
-                self.node_visits += 1
-                node = node.children[0]
-            self.node_visits += 1
-            leaf = node
-        while leaf is not None:
-            for key, rowids in zip(leaf.keys, leaf.values):
-                if lo is not None:
-                    if key < lo or (not lo_inclusive and key == lo):
-                        continue
-                if hi is not None:
-                    if key > hi or (not hi_inclusive and key == hi):
-                        return
-                yield from rowids
+        leaf, visits = self._find_leaf(lo)
+        below = bisect.bisect_left if lo_inclusive else bisect.bisect_right
+        above = bisect.bisect_right if hi_inclusive else bisect.bisect_left
+        out: list[int] = []
+        while True:
+            keys = leaf.keys
+            start = 0 if lo is None else below(keys, lo)
+            stop = len(keys) if hi is None else above(keys, hi)
+            for rowids in leaf.values[start:stop]:
+                out += rowids
+            if max(start, stop) < len(keys) or leaf.next is None:
+                break  # a key past the lower bound is beyond the upper one
             leaf = leaf.next
-            if leaf is not None:
-                self.node_visits += 1
+            lo = None  # every later key is above the lower bound
+            visits += 1
+        self._charge(visits, counters)
+        return out
 
     def keys(self) -> Iterator[Any]:
         """All distinct keys in order (test/debug helper)."""

@@ -44,8 +44,12 @@ class HashIndex:
         self._entry_count -= 1
         return True
 
-    def search_eq(self, key: Any) -> list[int]:
+    def search_eq(self, key: Any, counters: Any = None) -> list[int]:
+        """One bucket visit, added to ``counters.index_node_visits``
+        (this call's own; ``node_visits`` is the cumulative statistic)."""
         self.node_visits += 1
+        if counters is not None:
+            counters.index_node_visits += 1
         return list(self._buckets.get(key, ()))
 
     def search_in(self, keys: Iterable[Any]) -> list[int]:

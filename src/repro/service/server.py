@@ -97,13 +97,6 @@ AUTO_PREPARE_THRESHOLD = 2
 #: Bound on the per-server shape-tracking map (counts + prepared
 #: handles); least-recently-created shapes age out beyond it.
 AUTO_PREPARE_MAX_SHAPES = 512
-#: Retained for signature compatibility with the reservoir-sampled
-#: latency accounting this tier used before the histogram tier:
-#: latency populations now live in bounded-by-construction
-#: :class:`~repro.obs.histogram.LatencyHistogram` buckets (O(buckets)
-#: memory however many requests are served), so nothing ages out and
-#: this knob bounds nothing.
-DEFAULT_SAMPLE_CAPACITY = 100_000
 #: The SLO monitor ticks at most this often (piggybacked on request
 #: admission/completion — no background thread).
 SLO_TICK_INTERVAL_S = 0.05
@@ -332,7 +325,6 @@ class SieveServer:
         workers: int = DEFAULT_WORKERS,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_batch: int = DEFAULT_MAX_BATCH,
-        sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
         auto_prepare_threshold: int = AUTO_PREPARE_THRESHOLD,
         shedder: AdaptiveShedder | None = None,
     ):

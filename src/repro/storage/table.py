@@ -9,6 +9,11 @@ paper's LinearScan / IndexScan trade-off (Section 5.5).
 Deletions are tombstones (the slot is set to None and skipped by
 scans); updates are in place.  Row ids are stable for the lifetime of
 the table, which the B+-tree and bitmap indexes rely on.
+
+The batch executor reads the heap in place: ``slots`` is the row list
+itself and ``column_arrays()`` its transposition, built on first use
+and superseded by the next write, so a scan's batch is a list of rowids
+over storage the table already holds.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ class HeapTable:
         self.page_size = page_size
         self._rows: list[tuple | None] = []
         self._live_count = 0
+        self._version = 0  # bumped by every write
+        self._columns: tuple[int, list[tuple]] | None = None  # see column_arrays()
 
     # ------------------------------------------------------------------ write
 
@@ -41,6 +48,7 @@ class HeapTable:
             self.schema.validate_row(row)
         self._rows.append(tuple(row))
         self._live_count += 1
+        self._version += 1
         return len(self._rows) - 1
 
     def extend(self, rows: Iterable[Sequence[Any]], validate: bool = True) -> None:
@@ -53,12 +61,14 @@ class HeapTable:
         if self._rows[rowid] is None:
             raise ExecutionError(f"update of deleted rowid {rowid} in {self.name}")
         self._rows[rowid] = tuple(row)
+        self._version += 1
 
     def delete(self, rowid: int) -> None:
         """Tombstone a row. Rowids of other rows are unaffected."""
         if self._rows[rowid] is not None:
             self._rows[rowid] = None
             self._live_count -= 1
+            self._version += 1
 
     # ------------------------------------------------------------------- read
 
@@ -109,40 +119,25 @@ class HeapTable:
             if row is not None:
                 yield rowid, row
 
-    def scan_batches(
-        self, batch_slots: int | None = None
-    ) -> Iterator[tuple[list[int], list[tuple]]]:
-        """Sequential scan in page-aligned batches: ``(rowids, rows)``
-        per slice of ``batch_slots`` slots (live rows only).
+    @property
+    def slots(self) -> list[tuple | None]:
+        """Every slot by rowid, ``None`` where tombstoned (read-only:
+        what a table-backed batch calls its rows)."""
+        return self._rows
 
-        Batches are aligned to page boundaries so a consumer counting
-        distinct pages per batch gets exactly the sequential-page total
-        a tuple-at-a-time scan would have charged.  The vectorized
-        executor's scan nodes are the consumer; the two list
-        comprehensions per slice are the whole per-row cost.
-        """
-        step = batch_slots or self.page_size * 8
-        step = max(self.page_size, (step // self.page_size) * self.page_size)
-        slots = self._rows
-        for start in range(0, len(slots), step):
-            chunk = slots[start : start + step]
-            rowids = [start + j for j, row in enumerate(chunk) if row is not None]
-            rows = [row for row in chunk if row is not None]
-            yield rowids, rows
-
-    def get_many(self, rowids: Iterable[int]) -> list[tuple[int, tuple]]:
-        """``(rowid, row)`` pairs for the live subset of ``rowids``,
-        in the given order (the batch fetch used by bitmap heap visits
-        and index scans)."""
-        slots = self._rows
-        n = len(slots)
-        out: list[tuple[int, tuple]] = []
-        for rid in rowids:
-            if 0 <= rid < n:
-                row = slots[rid]
-                if row is not None:
-                    out.append((rid, row))
-        return out
+    def column_arrays(self) -> list[tuple]:
+        """One array per column, indexed by rowid like ``slots`` (a
+        tombstone holds ``None`` in each).  Built on first use after a
+        write and kept under the write count it was built at: readers
+        racing to build it store equal values, and one overtaken by a
+        write stores arrays the next reader discards."""
+        version = self._version
+        built = self._columns
+        if built is None or built[0] != version:
+            blank = (None,) * len(self.schema.names)
+            rows = [blank if row is None else row for row in self._rows]
+            self._columns = built = (version, list(zip(*rows)) or [()] * len(blank))
+        return built[1]
 
     def column_values(self, name: str) -> list[Any]:
         """All live values of one column (used by statistics builders)."""

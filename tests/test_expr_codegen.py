@@ -3,9 +3,9 @@
 The generated-source compiler must be observationally identical to the
 closure compiler: same values on every row (including NULL edge
 cases), same ``policy_evals`` metering for wide ORs, and the batch
-kernels must agree with per-row evaluation.  Also covers the
-compiled-expression cache, the optimized RowIdBitmap paths, and the
-paged-heap batch scan helpers.
+kernels must agree with per-row evaluation — the guard-dispatch kernel
+included, in the rows it keeps *and* in what it charges.  Also covers
+the compiled-expression cache and the optimized RowIdBitmap paths.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.expr.nodes import (
 )
 from repro.index.bitmap import RowIdBitmap
 from repro.storage.schema import ColumnType, Schema
-from repro.storage.table import HeapTable
 
 COLUMNS = ["a", "b", "c", "d"]
 
@@ -211,6 +210,260 @@ def test_nested_metered_or_metered_in_batch_kernels():
     assert batch_counters.policy_evals == row_counters.policy_evals == 1 + 3 + 3
 
 
+# ------------------------------------------------- guard dispatch kernels
+
+NAN = float("nan")
+#: What a column holds, and is compared with.  Numbers mix int / float
+#: / bool (equal across types: ``1 == 1.0 == True``) with the two
+#: values a look-up cannot reproduce, NULL and NaN.
+NUMBERS = [-1, 0, 1, 2, 3, 5, 1.0, 2.5, True, False, None, NAN]
+TEXTS = ["x", "y", "z", None]
+FAMILY = {"a": NUMBERS, "b": NUMBERS, "c": TEXTS, "d": NUMBERS}
+
+
+def guard_kernel(expr, counters, binding=None):
+    """``(kernel, source)`` of the fused guard kernel for ``expr``."""
+    sources = []
+
+    class Capturing(CodegenExprCompiler):
+        @staticmethod
+        def _exec(src, env):
+            sources.append(src)
+            return CodegenExprCompiler._exec(src, env)
+
+    compiler = Capturing(binding or make_binding(), counters=counters)
+    return compiler.compile_batch_guard(expr), sources[-1]
+
+
+def guard_or_strategy():
+    """Guard-shaped ORs at least ``METERED_OR_WIDTH`` wide: each branch
+    is ``head`` or ``head AND rest``; heads are ``=``, ``IN``,
+    ``BETWEEN`` (what a look-up finds) or something it cannot."""
+    column = st.sampled_from(COLUMNS)
+
+    def constant(name):  # "=" may meet another type; an ordering may not
+        return st.sampled_from(FAMILY[name] + [2, "y"]).map(Literal)
+
+    def bound(name):  # a NULL bound raises in either mode, on the rows it meets
+        return st.sampled_from([v for v in FAMILY[name] if v is not None]).map(Literal)
+
+    def head(name):
+        ref = col(name)
+        return st.one_of(
+            constant(name).map(lambda k: Comparison(CompareOp.EQ, ref, k)),
+            st.lists(constant(name), min_size=1, max_size=3).map(
+                lambda ks: InList(ref, tuple(ks))
+            ),
+            st.tuples(bound(name), bound(name)).map(lambda b: Between(ref, b[0], b[1])),
+            # Not one a dict or a bounds table stands in for:
+            st.sampled_from(
+                [
+                    Comparison(CompareOp.NE, ref, Literal(1)),
+                    Comparison(CompareOp.EQ, ref, col("b")),
+                    Comparison(CompareOp.EQ, ref, Literal([1])),  # unhashable
+                    Not(Comparison(CompareOp.EQ, ref, Literal(0))),
+                    InList(ref, (Literal(1), Literal(2)), negated=True),
+                    IsNull(ref),
+                ]
+            ),
+        )
+
+    condition = st.one_of(
+        st.builds(
+            lambda name, op, k: Comparison(op, col(name), Literal(k)),
+            st.sampled_from(["a", "b", "d"]),
+            st.sampled_from([CompareOp.LT, CompareOp.GE, CompareOp.EQ]),
+            st.integers(-1, 4),
+        ),
+        st.builds(
+            lambda name, lo, width: Between(col(name), Literal(lo), Literal(lo + width)),
+            st.sampled_from(["a", "b", "d"]),
+            st.integers(-1, 3),
+            st.integers(0, 3),
+        ),
+    )
+    # A partition narrower than the metering width is a plain OR, a
+    # wider one ticks policy_evals itself — only when its guard holds.
+    partition = st.lists(condition, min_size=2, max_size=5).map(lambda xs: Or(tuple(xs)))
+    rest = st.one_of(
+        st.just(()),
+        condition.map(lambda c: (c,)),
+        partition.map(lambda p: (p,)),
+        st.tuples(condition, partition),
+    )
+    branch = st.builds(
+        lambda h, r: And((h, *r)) if r else h, column.flatmap(head), rest
+    )
+    return st.lists(branch, min_size=3, max_size=9).map(lambda xs: Or(tuple(xs)))
+
+
+def guard_rows(seed: int, n: int = 50) -> list[tuple]:
+    rng = random.Random(seed)
+    return [tuple(rng.choice(FAMILY[name]) for name in COLUMNS) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=guard_or_strategy(), seed=st.integers(0, 40), data=st.data())
+def test_guard_dispatch_kernel_matches_row_mode(expr, seed, data):
+    """The dispatch kernel keeps the rows and charges the policy_evals
+    of the row-mode walk over the same OR, on any selection."""
+    binding = make_binding()
+    rows = guard_rows(seed)
+    sel = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1))))
+    row_counters, kernel_counters = CounterSet(), CounterSet()
+    row_fn = CodegenExprCompiler(binding, counters=row_counters).compile(expr)
+    kernel, _source = guard_kernel(expr, kernel_counters)
+    expected = [i for i in sel if row_fn(rows[i])]
+    assert kernel(list(zip(*rows)), sel) == expected
+    assert kernel_counters.policy_evals == row_counters.policy_evals
+
+
+def test_guard_dispatch_charges_the_sequential_walk():
+    """Duplicate constants, overlapping ranges, a guard alone, and a
+    branch no look-up finds *between* ones it does."""
+    a, b = col("a"), col("b")
+    partition = Or(tuple(Comparison(CompareOp.EQ, b, Literal(v)) for v in (7, 8, 9)))
+    guard = Or(
+        (
+            And((Comparison(CompareOp.EQ, a, Literal(1)), partition)),  # 0
+            And((Between(a, Literal(2), Literal(6)), Comparison(CompareOp.EQ, b, Literal(0)))),  # 1
+            Comparison(CompareOp.GT, b, Literal(50)),  # 2: tried for every row
+            And((Comparison(CompareOp.EQ, a, Literal(1)), Comparison(CompareOp.EQ, b, Literal(3)))),  # 3
+            Between(a, Literal(4), Literal(9)),  # 4: a guard alone
+            InList(a, (Literal(1.0), Literal(True), Literal(11))),  # 5
+        )
+    )
+    rows = [(1, 9, 0, 0), (1, 3, 0, 0), (1, 4, 0, 0), (5, 0, 0, 0), (5, 1, 0, 0),
+            (3, 99, 0, 0), (None, 1, 0, 0), (12, None, 0, 0), (11, 0, 0, 0)]
+    counters = CounterSet()
+    kernel, source = guard_kernel(guard, counters)
+    assert kernel(list(zip(*rows)), list(range(len(rows)))) == [0, 1, 2, 3, 4, 5, 8]
+    # (1,9): branch 0's head, then its partition hits on the third policy.
+    # (1,3): partition misses (3), branch 3 hits.  (1,4): only branch 5 holds.
+    # (5,0): branch 1.  (5,1): branch 4.  (3,99): branch 2.  NULL and 12: none.
+    assert counters.policy_evals == (1 + 3) + (4 + 3) + (6 + 3) + 2 + 5 + 3 + 6 + 6 + 6
+    assert "_mrg(" in source  # two look-ups and an always-tried branch, merged by ordinal
+    row_counters = CounterSet()
+    row_fn = CodegenExprCompiler(make_binding(), counters=row_counters).compile(guard)
+    assert [i for i, row in enumerate(rows) if row_fn(row)] == [0, 1, 2, 3, 4, 5, 8]
+    assert row_counters.policy_evals == counters.policy_evals
+
+
+def test_guard_constants_no_lookup_reproduces_are_always_tried():
+    """NULL equals nothing, NaN not even itself (a dict would find the
+    very object), an unhashable constant cannot be a key: their
+    branches stay candidates of every row, evaluated as written."""
+    a = col("a")
+    guard = Or(
+        (
+            Comparison(CompareOp.EQ, a, Literal(NAN)),
+            Comparison(CompareOp.EQ, a, Literal(None)),
+            Comparison(CompareOp.EQ, a, Literal([1])),
+            InList(a, (Literal(2), Literal(None))),
+            Between(a, Literal(NAN), Literal(5)),
+            Comparison(CompareOp.EQ, a, Literal(4)),
+        )
+    )
+    rows = [(NAN, 0, 0, 0), (None, 0, 0, 0), (2, 0, 0, 0), (4, 0, 0, 0), (3, 0, 0, 0)]
+    counters = CounterSet()
+    kernel, source = guard_kernel(guard, counters)
+    assert kernel(list(zip(*rows)), list(range(len(rows)))) == [2, 3]
+    assert counters.policy_evals == 6 + 6 + 4 + 6 + 6
+    assert "_mrg(" in source  # branches 0-4 ride along as candidates of every row
+
+
+def test_guard_kernel_without_lookup_is_the_unrolled_loop():
+    """No branch a look-up can find: byte for byte the kernel this OR
+    compiled to before dispatch existed."""
+    a, b, c, d = (col(name) for name in COLUMNS)
+    nested = Or(tuple(Comparison(CompareOp.EQ, d, Literal(v)) for v in range(3)))
+    guard = Or(
+        (
+            And((Comparison(CompareOp.GT, a, Literal(1)), Comparison(CompareOp.LT, a, Literal(9)))),
+            Comparison(CompareOp.EQ, b, Literal(None)),
+            InList(c, (Literal(1), Literal(2)), negated=True),
+            And((Comparison(CompareOp.EQ, a, b), nested)),
+        )
+    )
+    _kernel, source = guard_kernel(guard, CounterSet())
+    assert source == UNROLLED_GUARD_KERNEL
+
+
+UNROLLED_GUARD_KERNEL = """\
+def _kernel(_cols, _sel):
+    _c0 = _cols[0]
+    _c1 = _cols[1]
+    _c2 = _cols[2]
+    _c3 = _cols[3]
+    def _h11(_i):
+        if ((_t13 := _v3) is not None and (_t14 := 0) is not None and _t13 == _t14):
+            _k12.policy_evals += 1
+            return True
+        if ((_t15 := _v3) is not None and (_t16 := 1) is not None and _t15 == _t16):
+            _k12.policy_evals += 2
+            return True
+        if ((_t17 := _v3) is not None and (_t18 := 2) is not None and _t17 == _t18):
+            _k12.policy_evals += 3
+            return True
+        _k12.policy_evals += 3
+        return False
+    _hits = []
+    _add = _hits.append
+    _n = 0
+    for _i in _sel:
+        _v0 = _c0[_i]
+        _v1 = _c1[_i]
+        _v2 = _c2[_i]
+        _v3 = _c3[_i]
+        if (bool(((_t1 := _v0) is not None and (_t2 := 1) is not None and _t1 > _t2)) and bool(((_t3 := _v0) is not None and (_t4 := 9) is not None and _t3 < _t4))):
+            _n += 1
+            _add(_i)
+            continue
+        if ((_t5 := _v1) is not None and (_t6 := None) is not None and _t5 == _t6):
+            _n += 2
+            _add(_i)
+            continue
+        if ((_t7 := _v2) is not None and _t7 not in _k8):
+            _n += 3
+            _add(_i)
+            continue
+        if (bool(((_t9 := _v0) is not None and (_t10 := _v1) is not None and _t9 == _t10)) and bool(_h11(_i))):
+            _n += 4
+            _add(_i)
+            continue
+        _n += 4
+    _k19.policy_evals += _n
+    return _hits"""
+
+
+def test_mall_guard_kernel_finds_its_guards(monkeypatch):
+    """The shape the serving path depends on cannot silently regress: a
+    Mall querier's guarded expression compiles to a kernel that looks
+    its ``owner = c`` guards up, not to a chain of comparisons."""
+    from repro.core import Sieve
+    from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
+    from repro.policy.store import PolicyStore
+
+    mall = generate_mall(MallConfig(seed=23, n_customers=100, days=8))
+    store = PolicyStore(mall.db, mall.groups)
+    store.insert_many(mall.policies)
+    sources = []
+    compile_source = CodegenExprCompiler._exec
+    monkeypatch.setattr(
+        CodegenExprCompiler,
+        "_exec",
+        staticmethod(lambda src, env: sources.append(src) or compile_source(src, env)),
+    )
+    sieve = Sieve(mall.db, store)
+    querier = mall.shop_querier(mall.shops[0])
+    expression, _ = sieve.guarded_expression_for(querier, "analytics", CONNECTIVITY_TABLE)
+    assert len(expression.guards) >= 3
+    sieve.execute(f"SELECT * FROM {CONNECTIVITY_TABLE}", querier, "analytics")
+    (kernel,) = [src for src in sources if "_hits" in src]
+    assert "_cand = [(_i, _js) for _i in _sel if (_js := " in kernel
+    assert "continue" not in kernel and " == " not in kernel
+
+
 def test_udfs_and_builtins_in_codegen():
     binding = make_binding()
     calls = []
@@ -351,36 +604,3 @@ def test_rowbatch_selection_bitmap_and_narrow():
     assert narrowed.take() == [rows[1], rows[4], rows[7]]
     assert list(narrowed.selection_bitmap().iter_sorted()) == [1, 4, 7]
     assert narrowed.columns() is cols  # transpose shared, not recomputed
-
-
-# ----------------------------------------------------------- heap table
-
-
-def test_scan_batches_page_aligned_and_complete():
-    table = HeapTable("t", Schema.of(("x", ColumnType.INT)), page_size=8)
-    for i in range(50):
-        table.insert((i,))
-    for rid in (3, 8, 21, 49):
-        table.delete(rid)
-    batches = list(table.scan_batches(batch_slots=20))  # rounds down to 16
-    all_ids: list[int] = []
-    prev_last_page = -1
-    for rowids, rows in batches:
-        assert len(rowids) == len(rows)
-        assert rowids == sorted(rowids)
-        if rowids:
-            # Page alignment: no page spans two batches.
-            assert rowids[0] // 8 > prev_last_page
-            prev_last_page = rowids[-1] // 8
-        all_ids.extend(rowids)
-    assert all_ids == [rid for rid, _ in table.scan()]
-    assert [r for _, rows in batches for r in rows] == [row for _, row in table.scan()]
-
-
-def test_get_many_skips_dead_and_out_of_range():
-    table = HeapTable("t", Schema.of(("x", ColumnType.INT)), page_size=8)
-    for i in range(10):
-        table.insert((i,))
-    table.delete(4)
-    pairs = table.get_many([2, 4, 9, 99, -1, 0])
-    assert pairs == [(2, (2,)), (9, (9,)), (0, (0,))]

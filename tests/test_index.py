@@ -67,6 +67,86 @@ class TestBPlusTree:
         tree.search_eq(250)
         assert tree.node_visits > before
 
+    def test_each_search_charges_its_own_visits(self):
+        """Visits go to the counters the search was handed; the tree's
+        own ``node_visits`` is only the running total."""
+        from repro.db.counters import CounterSet
+
+        tree = build_tree([(i, i) for i in range(500)])
+        height = tree.height
+        start = tree.node_visits
+        ours, theirs = CounterSet(), CounterSet()
+        assert tree.search_eq(250, ours) == [250]
+        assert ours.index_node_visits == height
+        assert tree.search_range(100, 140, counters=theirs) == list(range(100, 141))
+        assert theirs.index_node_visits > height  # the descent, then sibling leaves
+        assert ours.index_node_visits == height
+        tree.search_eq(7)  # no counters: only the statistic moves
+        assert tree.node_visits - start == ours.index_node_visits + theirs.index_node_visits + height
+        ix = HashIndex("hx", "t", "c")
+        ix.insert(1, 10)
+        assert ix.search_eq(1, ours) == [10] and ix.search_in([1, 2]) == [10]
+        assert ours.index_node_visits == height + 1 and ix.node_visits == 3
+
+    def test_interleaved_probes_are_charged_apart(self):
+        """Two executors probing one tree, the second running in the
+        middle of the first's scan: each pays for its own descent (a
+        before/after reading of the shared total charged both to one)."""
+        from repro.db.counters import CounterSet
+        from repro.engine.executor import Executor
+        from repro.engine.plans import IndexProbe
+        from repro.storage import Catalog
+
+        tree = build_tree([(i % 50, i) for i in range(2000)])
+        mine = [IndexProbe.range(3, 30), IndexProbe.point(7)]
+        yours = [IndexProbe.range(None, 45), IndexProbe.point(9), IndexProbe.point(11)]
+
+        def solo(probes):
+            executor = Executor(Catalog(), CounterSet(), {})
+            rowids = list(executor._probe_rowids(tree, probes))
+            return rowids, executor.counters.index_node_visits
+
+        first, second = (Executor(Catalog(), CounterSet(), {}) for _ in range(2))
+        scan = iter(first._probe_rowids(tree, mine))
+        head = [next(scan)]
+        assert list(second._probe_rowids(tree, yours)) == solo(yours)[0]
+        assert head + list(scan) == solo(mine)[0]
+        assert first.counters.index_node_visits == solo(mine)[1] > 0
+        assert second.counters.index_node_visits == solo(yours)[1] > 0
+
+    def test_concurrent_probes_are_charged_apart(self):
+        """Four threads on one tree under a short switch interval: a
+        thread's counters hold exactly its own visits."""
+        import sys
+        import threading
+
+        from repro.db.counters import CounterSet
+
+        tree = build_tree([(i % 97, i) for i in range(3000)])
+        solo = CounterSet()
+        tree.search_range(10, 60, counters=solo)
+        tree.search_eq(33, solo)
+        rounds = 200
+        counters = [CounterSet() for _ in range(4)]
+
+        def probe(mine):
+            for _ in range(rounds):
+                tree.search_range(10, 60, counters=mine)
+                tree.search_eq(33, mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=probe, args=(c,)) for c in counters]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [c.index_node_visits for c in counters] == [rounds * solo.index_node_visits] * 4
+
     def test_order_too_small(self):
         from repro.common.errors import ExecutionError
 
@@ -118,6 +198,52 @@ class TestBPlusTree:
         tree.check_invariants()
         for key, rids in shadow.items():
             assert sorted(tree.search_eq(key)) == sorted(rids)
+
+
+def walk_range(tree, lo, hi, lo_inclusive, hi_inclusive):
+    """Key-by-key reference for ``search_range``: ``(rowids, visits)``
+    of a descent to ``lo``'s leaf (the leftmost for ``None``) and a walk
+    along the sibling chain that ends at the first key past ``hi``."""
+    import bisect
+
+    node, visits = tree._root, 1
+    while hasattr(node, "children"):
+        node = node.children[bisect.bisect_right(node.keys, lo) if lo is not None else 0]
+        visits += 1
+    out = []
+    while node is not None:
+        for key, rowids in zip(node.keys, node.values):
+            if lo is not None and (key < lo or (not lo_inclusive and key == lo)):
+                continue
+            if hi is not None and (key > hi or (not hi_inclusive and key == hi)):
+                return out, visits
+            out.extend(rowids)
+        node = node.next
+        visits += node is not None
+    return out, visits
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 60), min_size=1, max_size=300),
+    dropped=st.sets(st.integers(0, 60)),
+    lo=st.one_of(st.none(), st.integers(-2, 62)),
+    hi=st.one_of(st.none(), st.integers(-2, 62)),  # may lie below lo
+    inclusive=st.tuples(st.booleans(), st.booleans()),
+)
+def test_range_search_slices_what_the_key_walk_finds(keys, dropped, lo, hi, inclusive):
+    """Leaf slices found by bisection: the rowids, in the order, for the
+    node visits of the key-by-key walk — over duplicate keys, leaves
+    emptied by deletes, open, half-open and inverted ranges."""
+    from repro.db.counters import CounterSet
+
+    tree = build_tree([(key, rid) for rid, key in enumerate(keys)], order=4)
+    for rid, key in enumerate(keys):
+        if key in dropped:
+            tree.delete(key, rid)
+    counters = CounterSet()
+    found = tree.search_range(lo, hi, *inclusive, counters=counters)
+    assert (found, counters.index_node_visits) == walk_range(tree, lo, hi, *inclusive)
 
 
 class TestHashIndex:

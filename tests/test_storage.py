@@ -110,6 +110,27 @@ class TestHeapTable:
             t.insert((i, i * 10, i * 100))
         assert t.column_values("ap") == [0, 10, 20]
 
+    def test_column_arrays_follow_every_write(self):
+        """Slot-indexed, a tombstone NULL in every column, one build per
+        run of reads, a fresh one after each kind of write."""
+        t = HeapTable("t", wifi_schema(), page_size=4)
+        assert t.column_arrays() == [(), (), ()]
+        for i in range(3):
+            t.insert((i, i * 10, i * 100))
+        arrays = t.column_arrays()
+        assert arrays == [(0, 1, 2), (0, 10, 20), (0, 100, 200)]
+        assert t.column_arrays() is arrays  # kept until the next write
+        t.delete(1)
+        assert t.column_arrays() == [(0, None, 2), (0, None, 20), (0, None, 200)]
+        t.update(2, (7, 70, 700))
+        assert t.column_arrays() == [(0, None, 7), (0, None, 70), (0, None, 700)]
+        t.insert((3, 30, 300))
+        arrays = t.column_arrays()
+        assert arrays == [(0, None, 7, 3), (0, None, 70, 30), (0, None, 700, 300)]
+        assert all(len(column) == t.slot_count == len(t.slots) for column in arrays)
+        t.delete(1)  # already a tombstone: nothing changed, nothing dropped
+        assert t.column_arrays() is arrays
+
     def test_validation_can_be_skipped(self):
         t = HeapTable("t", wifi_schema())
         t.insert(("not", "valid", "types"), validate=False)  # caller's risk

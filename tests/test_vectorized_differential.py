@@ -332,3 +332,112 @@ def test_topk_fusion_matches_full_sort(seed, limit, directions):
         context=f"top-k {d1}/{d2}/{limit}",
     )
     assert limited.rows == full.rows[:limit]
+
+
+# --------------------------------------------------- table-backed batches
+
+
+def _scan_plans(db):
+    """A SeqScan, an IndexScan whose probes overlap (the same rowid
+    from several) and a BitmapOr, built by hand so each runs whatever
+    the optimizer would have preferred on a table this small."""
+    from repro.engine.plans import BitmapOrPlan, IndexProbe, IndexScanPlan, SeqScanPlan
+    from repro.expr.eval import RowBinding
+    from repro.sql.parser import parse_query
+
+    binding = RowBinding.for_table("t", db.catalog.table("t").schema.names)
+    where = parse_query("SELECT * FROM t WHERE c >= 100 AND (a = 1 OR a = 3 OR b < 30)").body.where
+    common = dict(binding=binding, table_name="t", alias="t", filter=where, batchable=True)
+    return {
+        "seq": SeqScanPlan(**common),
+        "index": IndexScanPlan(
+            index_name="idx_t_b",
+            column="b",
+            probes=[IndexProbe.range(2, 12), IndexProbe.point(8), IndexProbe.range(8, 20, False)],
+            **common,
+        ),
+        "bitmap": BitmapOrPlan(
+            arms=[
+                ("idx_t_a", "a", [IndexProbe.point(3), IndexProbe.point(4)]),
+                ("idx_t_b", "b", [IndexProbe.range(None, 9), IndexProbe.point(3)]),
+            ],
+            **common,
+        ),
+    }
+
+
+def _run_plan(db, plan, vectorized: bool):
+    from repro.optimizer.planner import PlannedQuery
+
+    before = db.counters.snapshot()
+    result = db.run_plan(PlannedQuery(plan, {}), vectorized=vectorized, codegen=True)
+    return result.rows, db.counters.diff(before)
+
+
+def test_table_backed_scans_match_tuple_path_after_every_write_kind():
+    """SeqScan, multi-probe IndexScan and BitmapOr read the heap in
+    place; after deletes (a stale index entry and a wholly dead page
+    among them), an update and inserts they return the tuple path's
+    rows and charge every one of its counters."""
+    from repro.engine.vector import BATCH_PAGES
+
+    db = _build_random_db(5, "postgres")  # 300 rows, 16 to a page
+    table = db.catalog.table("t")
+
+    def check(stage: str):
+        for name, plan in _scan_plans(db).items():
+            rows, oracle = _run_plan(db, plan, vectorized=False)
+            batch_rows, counters = _run_plan(db, plan, vectorized=True)
+            assert batch_rows == rows, f"{stage}/{name}: rows diverged"
+            batches = counters["batches"]
+            oracle, counters = ({k: diff[k] for k in ENGINE_COUNTERS} for diff in (oracle, counters))
+            assert counters == oracle, f"{stage}/{name}: " + str(
+                {k: (oracle[k], v) for k, v in counters.items() if v != oracle[k]}
+            )
+            assert rows and oracle["tuples_scanned"] > len(rows), f"{stage}/{name}: vacuous"
+            paged = {"seq": "pages_sequential", "index": "pages_random", "bitmap": "pages_bitmap"}
+            assert oracle[paged[name]] > 0 and (name == "seq" or oracle["index_node_visits"] > 0)
+            if name == "seq":  # one batch per 8-page stretch holding a live row
+                step = 16 * BATCH_PAGES
+                assert batches == len({rowid // step for rowid in table.iter_rowids()})
+            else:
+                assert batches == 1
+        arrays = table.column_arrays()
+        assert len(arrays[0]) == table.slot_count
+        return arrays
+
+    arrays = check("loaded")
+    for rowid in (0, 17, 150, 299, *range(128, 144)):  # page 8 dies whole
+        db.delete_row("t", rowid)
+    stale = next(r for r in db.catalog.index_by_name("t", "idx_t_b").search_eq(8) if r != 150)
+    table.delete(stale)  # behind the catalog's back: idx_t_b still lists it
+    assert table.column_arrays() is not arrays
+    arrays = check("deleted")
+    db.update_row("t", 5, (5, 3, 8, 999))
+    assert table.column_arrays() is not arrays
+    arrays = check("updated")
+    db.insert("t", [(300 + i, i % 10, i % 50, 100 + i) for i in range(40)])
+    assert table.column_arrays() is not arrays
+    check("inserted")
+
+
+def test_table_backed_batches_always_carry_a_selection():
+    """A scan's batch is the heap's slots under a list of live rowids —
+    never ``sel=None``, which would sweep tombstones in."""
+    from repro.engine.vector import VectorizedExecutor
+
+    db = _build_random_db(6, "mysql")
+    table = db.catalog.table("t")
+    for rowid in (3, 40, 41):
+        db.delete_row("t", rowid)
+    executor = VectorizedExecutor(db.catalog, db.counters, {})
+    for name, plan in _scan_plans(db).items():
+        for with_filter in (True, False):
+            plan.filter = plan.filter if with_filter else None
+            batches = list(executor._batches(plan))
+            assert batches, name
+            for batch in batches:
+                assert batch.rows is table.slots and batch.columns() is table.column_arrays()
+                assert batch.sel is not None and len(batch.sel) == len(set(batch.sel))
+                assert all(table.slots[rowid] is not None for rowid in batch.sel)
+                assert batch.take() == [table.row(rowid) for rowid in batch.sel]
