@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest profile-fresh profile-warm bench-smoke bench bench-backend bench-engine bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest profile-fresh profile-warm profile-churn bench-smoke bench bench-backend bench-engine bench-service bench-cluster bench-audit bench-obs bench-health bench-faults bench-gate chaos-report health-report replay trace-dump audit-oracle docs-check
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -23,9 +23,10 @@ bench-selftest:
 	python3 bench/selftest.py --quick
 
 # Where a fresh-literal request spends its time: N prepared requests
-# with never-seen literals, single-threaded under cProfile, as ms per
-# src/repro layer plus the top functions (--mode warm|churn for the
-# other request kinds).  For finding waste; bench/ measures a change.
+# with never-seen literals, single-threaded — the median timed plainly,
+# then under cProfile as ms per src/repro layer plus the top functions
+# (--mode warm|churn for the other request kinds).  For finding waste;
+# bench/ measures a change.
 N ?= 200
 profile-fresh:
 	$(PYTHON) tools/profile_request.py --mode fresh -n $(N)
@@ -35,6 +36,12 @@ profile-fresh:
 # kernel, projection).
 profile-warm:
 	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
+
+# ... and under policy churn ([1 write, 5 reads]): prints the median
+# read after a write next to the median warm read — what a write costs
+# the next request (guard maintenance, one branch compile, a re-plan).
+profile-churn:
+	$(PYTHON) tools/profile_request.py --mode churn -n $(N)
 
 # One quick benchmark as a smoke signal: the session-cache bench builds
 # the Fig. 6 Mall world and asserts the warm path is >= 2x faster.

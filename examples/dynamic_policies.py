@@ -1,9 +1,10 @@
 """Dynamic policy churn and lazy guard regeneration (paper Section 6).
 
-Users keep adding policies while a querier keeps querying.  Sieve's
-guarded expressions go stale; the regeneration controller applies the
-Eq. 19 interval k̃ — regenerate only after k̃ new policies, immediately
-at the k̃-th (Theorem 2).
+Users keep adding policies while a querier keeps querying.  Each new
+policy is edited into the querier's guarded expression at once (it
+stays exact); the *choice* of guards drifts, and the regeneration
+controller applies the Eq. 19 interval k̃ — select the guards afresh
+only after k̃ new policies, immediately at the k̃-th (Theorem 2).
 
 Run:  python examples/dynamic_policies.py
 """

@@ -21,11 +21,11 @@ is where the repo keeps that promise:
   session (per epoch) rather than once per query.
 
 Interplay with Section 6 regeneration: a policy mutation evicts the
-affected cache entries, but the rebuild decision still belongs to
-:class:`~repro.core.regeneration.RegenerationController` — on the next
-resolve the middleware may deliberately keep serving the stale guarded
-expression until the k̃-th insertion (Theorem 2), and that deferred
-expression is re-admitted to the cache at the current epoch.
+affected cache entries, and the next resolve admits the guarded
+expression *maintained* to the new corpus at the current epoch; when
+its guards are selected afresh instead still belongs to
+:class:`~repro.core.regeneration.RegenerationController` (the k̃-th
+insertion, Theorem 2).
 
 Cache traffic is charged to the deterministic counters
 (``guard_cache_hits`` … ``plan_cache_misses`` in
@@ -401,7 +401,7 @@ class SieveSession:
         """Guard state for one relation, from cache when warm.
 
         Returns ``(entry, regenerated?)`` where ``regenerated`` is True
-        only when this call rebuilt the guarded expression (mirrors
+        only when this call selected the guards afresh (mirrors
         :meth:`GuardStore.get_or_build
         <repro.core.guard_store.GuardStore.get_or_build>`).
 

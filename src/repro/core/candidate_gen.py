@@ -22,7 +22,7 @@ probes) but never merged.  Derived values are never eligible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.common.intervals import Interval
 from repro.core.cost_model import SieveCostModel
@@ -74,11 +74,20 @@ def condition_cardinality(oc: ObjectCondition, stats: TableStats) -> float:
     return stats.row_count / 3.0
 
 
-def interval_cardinality(interval: Interval, stats: TableStats, attr: str) -> float:
+def _interval_cardinalities(
+    intervals: Sequence[Interval], stats: TableStats, attr: str
+) -> Callable[[Interval], float]:
+    """ρ of closed ranges over ``attr`` whose ends are ends of
+    ``intervals`` — every hull and intersection of them is one — from
+    one histogram look-up per distinct end, not per range."""
     cstats = stats.column(attr)
-    if cstats is None:
-        return stats.row_count / 3.0
-    return cstats.selectivity_range(interval.lo, interval.hi) * stats.row_count
+    if cstats is None or cstats.histogram is None:
+        rows = stats.row_count / 3.0 if cstats is None else 0.0
+        return lambda interval: rows
+    selectivity = cstats.histogram.closed_range_estimator(
+        end for interval in intervals for end in (interval.lo, interval.hi)
+    )
+    return lambda interval: selectivity(interval.lo, interval.hi) * stats.row_count
 
 
 def _eligible_conditions(
@@ -183,7 +192,8 @@ def _sweep_merge(
     threshold = cost_model.merge_threshold()
     # ρ of every candidate's own span, once: a neighbour lying inside the
     # accumulated hull intersects it in exactly that span.
-    own_rho = [interval_cardinality(iv, stats, attr) for iv, _ in rangeable]
+    rho = _interval_cardinalities([iv for iv, _ in rangeable], stats, attr)
+    own_rho = [rho(iv) for iv, _ in rangeable]
     n = len(rangeable)
     for i in range(n):
         acc_interval, acc_candidate = rangeable[i]
@@ -203,10 +213,8 @@ def _sweep_merge(
                 union, rho_union, rho_intersection = acc_interval, acc_rho, own_rho[j]
             else:
                 union = acc_interval.hull(nxt_interval)
-                rho_union = interval_cardinality(union, stats, attr)
-                rho_intersection = interval_cardinality(
-                    acc_interval.intersection(nxt_interval), stats, attr
-                )
+                rho_union = rho(union)
+                rho_intersection = rho(acc_interval.intersection(nxt_interval))
             if rho_union <= 0 or rho_intersection / rho_union <= threshold:
                 continue
             acc_interval, acc_rho = union, rho_union

@@ -1,7 +1,9 @@
 """End-to-end guarded-expression generation (Section 4 pipeline).
 
 Candidate generation + Algorithm-1 selection, timed, with the
-partition invariants checked before the result is returned.
+partition invariants checked before the result is returned — and its
+incremental counterpart, which brings an expression already selected to
+a changed policy set by editing partitions instead of selecting again.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import time
 from typing import Any, Sequence
 
+from repro.common.errors import SieveError
 from repro.core.candidate_gen import generate_candidate_guards
 from repro.core.cost_model import SieveCostModel
 from repro.core.guard_selection import select_guards
@@ -42,3 +45,37 @@ def build_guarded_expression(
     )
     expression.check_partition_invariants()
     return expression
+
+
+def maintain_guarded_expression(
+    expression: GuardedExpression,
+    policies: Sequence[Policy],
+    stats: TableStats,
+    indexed_columns: frozenset[str],
+    cost_model: SieveCostModel | None = None,
+) -> GuardedExpression | None:
+    """``expression`` brought to ``policies`` by the two exact edits
+    (:meth:`GuardedExpression.with_deleted` / ``with_inserted``):
+    ``expression`` itself when it already covers them, ``None`` when the
+    edits cannot get there (the caller regenerates).
+
+    The edits come from comparing the two policy sets by ``(id,
+    inserted_at)`` — an update re-stamps the policy, so it is a deletion
+    and an insertion — not from a log of writes: whatever happened in
+    between, in whatever order, the result covers exactly ``policies``.
+    """
+    held = {(p.id, p.inserted_at) for g in expression.guards for p in g.policies}
+    wanted = {(p.id, p.inserted_at): p for p in policies}
+    if held == wanted.keys():
+        return expression
+    cost_model = cost_model or SieveCostModel()
+    try:
+        maintained = expression.with_deleted({pid for pid, _at in held - wanted.keys()})
+        for key in sorted(wanted.keys() - held):
+            maintained = maintained.with_inserted(wanted[key], indexed_columns, stats, cost_model)
+        maintained.check_partition_invariants()
+    except SieveError:
+        return None
+    if maintained.covered_policy_ids() != {p.id for p in policies}:
+        return None
+    return maintained

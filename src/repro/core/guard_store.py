@@ -7,14 +7,18 @@ Three relations mirror the paper's layout:
 * ``rGG`` (``sieve_guards``): ``<id, guard_expression_id, attr, op, val, op2, val2>``
 * ``rGP`` (``sieve_guard_partitions``): ``<guard_id, policy_id>``
 
-Guarded expressions are regenerated lazily: inserting a policy flips
+Guarded expressions are brought up to date lazily: a policy write flips
 the ``outdated`` flag of every affected querier's expressions (found
-via the group directory); the next query by that querier rebuilds and
-re-persists (Section 5.1 "we generate guards during query execution
-using triggers in case the current guards are outdated").
+via the group directory); the next query by that querier either
+*maintains* the expression — the caller's ``maintain`` edits it to the
+querier's current policies and only the rGG/rGP rows of the guards that
+changed are rewritten — or rebuilds and re-persists it whole (Section
+5.1 "we generate guards during query execution using triggers in case
+the current guards are outdated").  Which of the two is the caller's
+decision (Section 6, :mod:`repro.core.regeneration`).
 
 This store is the *durable* tier: it owns the rGE/rGG/rGP rows and the
-staleness flags Section 6 regeneration reasons about.  The fast tier —
+staleness flags.  The fast tier —
 the epoch-validated LRU the hot path actually hits — lives above it in
 :mod:`repro.core.cache`; on a cache miss the middleware falls through
 to :meth:`GuardStore.get_or_build` here.
@@ -43,11 +47,10 @@ CacheKey = tuple[Any, str, str]  # (querier, purpose, table lowercased)
 @dataclass
 class _CacheEntry:
     expression: GuardedExpression
+    ge_rowid: int
     outdated: bool = False
-    ge_rowid: int | None = None
-    guard_rowids: list[int] = field(default_factory=list)
-    partition_rowids: list[int] = field(default_factory=list)
-    inserts_since_generation: int = 0
+    #: ``Guard.key`` -> (rGG rowid, rGP rowids) of each persisted guard.
+    guard_rows: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
 
 
 class GuardStore:
@@ -120,7 +123,9 @@ class GuardStore:
     # ------------------------------------------------------------ staleness
 
     def _on_policy_change(self, policy: Policy) -> None:
-        """Policy inserted/deleted: flip outdated on affected queriers.
+        """Policy inserted/deleted: flip outdated on affected queriers
+        (all the store needs to hear of a write — what changed is read
+        off the corpus when the expression is next asked for).
 
         Fired by the policy store *after* its write lock is released,
         so taking the guard-store lock here cannot form a cycle with a
@@ -133,25 +138,20 @@ class GuardStore:
                 affected = policy.querier == querier or (
                     policy.querier in self.policy_store.groups.groups_of(querier)
                 )
-                if not affected:
-                    continue
-                entry.outdated = True
-                entry.inserts_since_generation += 1
-                if entry.ge_rowid is not None:
-                    table_obj = self.db.catalog.table(GE_TABLE)
-                    row = list(table_obj.row(entry.ge_rowid))
-                    row[5] = True
-                    self.db.update_row(GE_TABLE, entry.ge_rowid, row)
+                if affected:
+                    self._flag(entry, True)
+
+    def _flag(self, entry: _CacheEntry, outdated: bool) -> None:
+        if entry.outdated != outdated:
+            entry.outdated = outdated
+            row = list(self.db.catalog.table(GE_TABLE).row(entry.ge_rowid))
+            row[5] = outdated
+            self.db.update_row(GE_TABLE, entry.ge_rowid, row)
 
     def is_outdated(self, querier: Any, purpose: str, table: str) -> bool:
         with self.lock:
             entry = self._cache.get((querier, purpose, table.lower()))
             return entry is None or entry.outdated
-
-    def inserts_since_generation(self, querier: Any, purpose: str, table: str) -> int:
-        with self.lock:
-            entry = self._cache.get((querier, purpose, table.lower()))
-            return entry.inserts_since_generation if entry else 0
 
     # --------------------------------------------------------------- access
 
@@ -162,16 +162,32 @@ class GuardStore:
         table: str,
         builder: Callable[[], GuardedExpression],
         force_rebuild: bool = False,
+        maintain: Callable[[GuardedExpression], GuardedExpression | None] | None = None,
     ) -> tuple[GuardedExpression, bool]:
-        """Return the cached G(P), rebuilding when outdated or missing.
+        """Return the cached G(P), brought up to date first.
 
-        Returns (expression, regenerated?).
+        ``maintain(held)`` returns the held expression edited to the
+        caller's corpus (``held`` itself when nothing changed), or
+        ``None`` to have it regenerated; it is asked whatever the
+        ``outdated`` flag says, so a caller pinned to another epoch's
+        corpus than the last one still gets an expression exact for its
+        own.  Without ``maintain`` an outdated expression is rebuilt.
+        Returns (expression, regenerated?) — ``regenerated`` only when
+        ``builder`` ran.
         """
         key: CacheKey = (querier, purpose, table.lower())
         with self.lock:
             entry = self._cache.get(key)
-            if entry is not None and not entry.outdated and not force_rebuild:
-                return entry.expression, False
+            if entry is not None and not force_rebuild:
+                if maintain is not None:
+                    maintained = maintain(entry.expression)
+                    if maintained is not None:
+                        if maintained is not entry.expression:
+                            self._persist_edit(entry, maintained)
+                        self._flag(entry, False)
+                        return maintained, False
+                elif not entry.outdated:
+                    return entry.expression, False
             expression = builder()
             self._persist(key, expression, replacing=entry)
             return expression, True
@@ -227,30 +243,46 @@ class GuardStore:
             GE_TABLE,
             (ge_id, str(key[0]), expression.table, key[1], "allow", False, ge_id),
         )
-        guard_rowids: list[int] = []
-        partition_rowids: list[int] = []
+        self._cache[key] = entry = _CacheEntry(expression, ge_rowid)
         for guard in expression.guards:
-            guard_id = next(self._guard_ids)
-            oc = guard.condition
-            tag, payload = _serialize(oc.value)
-            payload2 = _serialize(oc.value2)[1] if oc.op2 is not None else ""
-            guard_rowids.append(
-                self.db.insert_row(
-                    GUARD_TABLE,
-                    (guard_id, ge_id, tag, oc.attr, oc.op, payload, oc.op2 or "", payload2),
-                )
-            )
-            for policy in guard.policies:
-                partition_rowids.append(
-                    self.db.insert_row(PARTITION_TABLE, (guard_id, policy.id))
-                )
-        self._cache[key] = _CacheEntry(
-            expression=expression,
-            outdated=False,
-            ge_rowid=ge_rowid,
-            guard_rowids=guard_rowids,
-            partition_rowids=partition_rowids,
+            entry.guard_rows[guard.key] = self._write_guard(ge_id, guard)
+
+    def _persist_edit(self, entry: _CacheEntry, maintained: GuardedExpression) -> None:
+        """``maintained`` succeeds ``entry.expression`` under the same
+        rGE row.  Guards the two share by identity keep their rows and
+        their compiled branches; the others' rows are rewritten, and the
+        engine is told to forget the branches no expression holds any
+        more and the ORs that held them."""
+        held = entry.expression
+        shared = {id(guard) for guard in maintained.guards}
+        retired = [guard for guard in held.guards if id(guard) not in shared]
+        self.db.release_compiled(held.rendered_exprs(retired))
+        for guard in retired:
+            self._delete_guard(entry.guard_rows.pop(guard.key))
+        for guard in maintained.guards:
+            if guard.key not in entry.guard_rows:
+                # created_at is the rGE id, carried through every edit.
+                entry.guard_rows[guard.key] = self._write_guard(held.created_at, guard)
+        entry.expression = maintained
+
+    def _write_guard(self, ge_id: int, guard: Guard) -> tuple[int, list[int]]:
+        guard_id = next(self._guard_ids)
+        oc = guard.condition
+        tag, payload = _serialize(oc.value)
+        payload2 = _serialize(oc.value2)[1] if oc.op2 is not None else ""
+        rowid = self.db.insert_row(
+            GUARD_TABLE,
+            (guard_id, ge_id, tag, oc.attr, oc.op, payload, oc.op2 or "", payload2),
         )
+        return rowid, [
+            self.db.insert_row(PARTITION_TABLE, (guard_id, policy.id))
+            for policy in guard.policies
+        ]
+
+    def _delete_guard(self, rows: tuple[int, list[int]]) -> None:
+        self.db.delete_row(GUARD_TABLE, rows[0])
+        for rowid in rows[1]:
+            self.db.delete_row(PARTITION_TABLE, rowid)
 
     def _retire(self, entry: _CacheEntry) -> None:
         """A replaced or dropped expression takes its persisted rows and
@@ -258,12 +290,9 @@ class GuardStore:
         no later rewrite can produce that AST object again, and each
         compiled predicate pins the AST plus a generated kernel."""
         self.db.release_compiled(entry.expression.rendered_exprs())
-        if entry.ge_rowid is not None:
-            self.db.delete_row(GE_TABLE, entry.ge_rowid)
-        for rowid in entry.guard_rowids:
-            self.db.delete_row(GUARD_TABLE, rowid)
-        for rowid in entry.partition_rowids:
-            self.db.delete_row(PARTITION_TABLE, rowid)
+        self.db.delete_row(GE_TABLE, entry.ge_rowid)
+        for rows in entry.guard_rows.values():
+            self._delete_guard(rows)
 
     def load_persisted(self, querier: Any, purpose: str, table: str) -> GuardedExpression | None:
         """Rebuild a GuardedExpression from the rGE/rGG/rGP tables

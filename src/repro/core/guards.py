@@ -10,17 +10,30 @@ partitions the whole policy set.
 partition when it is *exactly* the guard predicate (it would be
 redundant); conditions that merely imply a widened/merged guard are
 kept, since dropping them would widen the policy.
+
+**Maintenance.**  A guarded expression is never mutated: a policy write
+is answered by :meth:`GuardedExpression.with_deleted` /
+:meth:`GuardedExpression.with_inserted`, which return a *new*
+expression sharing every untouched :class:`Guard` — and through it the
+guard's memoised branch AST, with the analysis, selectivity and
+compiled kernel branch that hang off those nodes — by identity.  Both
+edits keep ``G(P)`` exact; only the choice of guards drifts from what a
+fresh selection would pick, which Section 6 prices
+(:mod:`repro.core.regeneration`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 from repro.common.errors import SieveError
+from repro.core.candidate_gen import _eligible_conditions, condition_cardinality
+from repro.core.cost_model import SieveCostModel
 from repro.expr.analysis import make_and, make_or
 from repro.expr.nodes import ColumnRef, Expr, FuncCall, Literal
+from repro.optimizer.stats import TableStats
 from repro.policy.model import ObjectCondition, Policy
 
 
@@ -32,9 +45,20 @@ class Guard:
     condition: ObjectCondition
     policies: list[Policy]
     cardinality: float  # ρ(oc_g) as estimated rows
+    # As scored when selection chose the guard; maintenance edits the
+    # partition and leaves these (0 for a guard it made).
     cost: float = 0.0
     benefit: float = 0.0
     utility: float = 0.0
+    #: Ordinal in the expression's guard keys (Δ registrations, observed
+    #: cardinalities): given by the expression that first holds the
+    #: guard, kept by the guard that replaces it when its partition is
+    #: edited, never reused after it goes.
+    key: int | None = None
+    #: :meth:`branch_expr` results by argument tuple.  Condition and
+    #: partition never change, so every expression holding this guard
+    #: ORs the same branch node.
+    _branch_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def partition_size(self) -> int:
@@ -92,6 +116,48 @@ class Guard:
         assert result is not None
         return result
 
+    def branch_expr(
+        self,
+        guard_key: str,
+        qualifier: str | None = None,
+        use_delta: bool = False,
+        delta_udf: str | None = None,
+        delta_columns: Sequence[str] = (),
+    ) -> Expr:
+        """:meth:`to_expr`, built once per argument tuple (the Δ call is
+        ``delta_udf(guard_key, col...)``)."""
+        columns = tuple(delta_columns) if use_delta else ()
+        memo_key = (guard_key, qualifier, use_delta, delta_udf if use_delta else None, columns)
+        try:
+            return self._branch_memo[memo_key]
+        except KeyError:
+            pass
+        call = None
+        if use_delta:
+            if delta_udf is None:
+                raise SieveError("delta guards require a registered delta UDF name")
+            call = FuncCall(
+                delta_udf, (Literal(guard_key), *(ColumnRef(c, table=qualifier) for c in columns))
+            )
+        branch = self.to_expr(qualifier, use_delta=use_delta, delta_call=call)
+        # setdefault: two threads rendering at once still share one AST.
+        return self._branch_memo.setdefault(memo_key, branch)
+
+    def covers(self, oc: ObjectCondition) -> bool:
+        """Does every tuple satisfying ``oc`` satisfy this guard's
+        condition — is it the condition itself, or a constant range (or
+        point) inside the guard's closed range?"""
+        mine = self.condition
+        if mine == oc:
+            return True
+        if mine.attr.lower() != oc.attr.lower() or (mine.op, mine.op2) != (">=", "<="):
+            return False
+        inner = oc.interval()
+        try:
+            return inner is not None and mine.value <= inner.lo and inner.hi <= mine.value2
+        except TypeError:
+            return False
+
     def __str__(self) -> str:
         return f"Guard<{self.condition} | {self.partition_size} policies, ρ={self.cardinality:.0f}>"
 
@@ -107,16 +173,30 @@ class GuardedExpression:
     policy_count: int = 0
     generation_ms: float = 0.0
     created_at: int = 0
-    #: ``to_expr`` / ``branch_expr`` results by argument tuple.  The
-    #: guards never change after construction (a policy write builds a
-    #: new expression), so every rewrite of an epoch shares one AST per
-    #: (qualifier, Δ-set) — and with it the node-attached analysis and
-    #: the engine's compiled-predicate identity fast path.
+    #: Policies :meth:`with_inserted` has added since the guards were
+    #: last *selected* — the k of Eq. 19.
+    maintained_inserts: int = 0
+    #: The key the next guard new to this lineage gets.
+    next_key: int = 0
+    #: ``to_expr`` results by argument tuple.  The guards never change
+    #: after construction (a policy write makes a new expression), so
+    #: every rewrite of an epoch shares one AST per (qualifier, Δ-set) —
+    #: and with it the node-attached analysis and the engine's
+    #: compiled-predicate identity fast path.
     _expr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy_count == 0:
             self.policy_count = sum(g.partition_size for g in self.guards)
+        # A fresh selection is keyed by position; a guard maintenance
+        # adds takes the lineage's next unused key.
+        self.next_key = max(
+            [self.next_key, *(g.key + 1 for g in self.guards if g.key is not None)]
+        )
+        for guard in self.guards:
+            if guard.key is None:
+                guard.key = self.next_key
+                self.next_key += 1
 
     @property
     def total_cardinality(self) -> float:
@@ -177,39 +257,89 @@ class GuardedExpression:
         delta_udf: str | None = None,
         delta_columns: Sequence[str] = (),
     ) -> Expr:
-        """``G_index`` alone — ``oc_g ∧ (partition | Δ(...))`` — built
-        once per argument tuple like :meth:`to_expr`, which ORs these
-        very nodes; the MySQL IndexGuards rewrite scans one per UNION
-        branch."""
-        columns = tuple(delta_columns) if use_delta else ()
-        memo_key = ("branch", index, qualifier, use_delta, delta_udf if use_delta else None, columns)
-        try:
-            return self._expr_memo[memo_key]
-        except KeyError:
-            pass
-        call = None
-        if use_delta:
-            if delta_udf is None:
-                raise SieveError("delta guards require a registered delta UDF name")
-            call = FuncCall(
-                delta_udf,
-                (
-                    Literal(self.guard_key(index)),
-                    *(ColumnRef(c, table=qualifier) for c in columns),
-                ),
-            )
-        branch = self.guards[index].to_expr(qualifier, use_delta=use_delta, delta_call=call)
-        return self._expr_memo.setdefault(memo_key, branch)
+        """``G_index`` alone — ``oc_g ∧ (partition | Δ(...))`` — the
+        guard's own memoised node (:meth:`Guard.branch_expr`), which
+        :meth:`to_expr` ORs; the MySQL IndexGuards rewrite scans one per
+        UNION branch."""
+        return self.guards[index].branch_expr(
+            self.guard_key(index), qualifier, use_delta, delta_udf, delta_columns
+        )
 
-    def rendered_exprs(self) -> list[Expr]:
-        """Every AST :meth:`to_expr` and :meth:`branch_expr` have handed
-        out (the guard store releases the engine's compiled predicates
-        over them when this expression is replaced)."""
-        return [expr for expr in list(self._expr_memo.values()) if expr is not None]
+    def rendered_exprs(self, guards: Iterable[Guard] | None = None) -> list[Expr]:
+        """Every AST :meth:`to_expr` has handed out plus the branch
+        nodes of ``guards`` (default: all of this expression's) — what
+        the guard store releases the engine's compiled predicates over
+        when this expression is replaced: everything when it is
+        regenerated or dropped, the ORs and the guards its successor no
+        longer holds when it is maintained."""
+        out = [expr for expr in list(self._expr_memo.values()) if expr is not None]
+        for guard in self.guards if guards is None else guards:
+            out.extend(list(guard._branch_memo.values()))
+        return out
 
     def guard_key(self, index: int) -> str:
         """Stable identifier for one guard (passed to the Δ UDF)."""
-        return f"{self.querier}|{self.purpose}|{self.table}|{index}"
+        return f"{self.querier}|{self.purpose}|{self.table}|{self.guards[index].key}"
+
+    # ---------------------------------------------------------- maintenance
+
+    def _edited(self, guards: list[Guard], **changes: Any) -> "GuardedExpression":
+        return replace(
+            self, guards=guards, policy_count=sum(g.partition_size for g in guards), **changes
+        )
+
+    def with_deleted(self, policy_ids: Collection[int]) -> "GuardedExpression":
+        """This expression without ``policy_ids``: each leaves its
+        partition, and a guard left with none goes."""
+        guards: list[Guard] = []
+        for guard in self.guards:
+            if not guard.policy_ids.isdisjoint(policy_ids):
+                kept = [p for p in guard.policies if p.id not in policy_ids]
+                if not kept:
+                    continue
+                guard = replace(guard, policies=kept)
+            guards.append(guard)
+        return self._edited(guards)
+
+    def with_inserted(
+        self,
+        policy: Policy,
+        indexed_columns: frozenset[str],
+        stats: TableStats,
+        cost_model: SieveCostModel,
+    ) -> "GuardedExpression":
+        """This expression plus ``policy``.  Among the guards that cover
+        one of the policy's guard-eligible conditions it joins the one
+        whose cost (Eq. 3) grows least; when none does it becomes a
+        guard of its own on its most selective eligible condition."""
+        eligible = _eligible_conditions(policy, frozenset(c.lower() for c in indexed_columns))
+        if not eligible:
+            raise SieveError(f"policy {policy.id} has no guard-eligible condition")
+        joined = min(
+            (
+                (
+                    cost_model.guard_cost(g.cardinality, g.partition_size + 1)
+                    - cost_model.guard_cost(g.cardinality, g.partition_size),
+                    at,
+                )
+                for at, g in enumerate(self.guards)
+                if any(g.covers(oc) for oc in eligible)
+            ),
+            default=None,
+        )
+        guards = list(self.guards)
+        if joined is not None:
+            old = guards[joined[1]]
+            guards[joined[1]] = replace(
+                old, policies=sorted([*old.policies, policy], key=lambda p: p.id)
+            )
+        else:
+            rows, condition = min(
+                ((condition_cardinality(oc, stats), oc) for oc in eligible), key=lambda pair: pair[0]
+            )
+            # __post_init__ gives it the lineage's next key.
+            guards.append(Guard(condition=condition, policies=[policy], cardinality=rows))
+        return self._edited(guards, maintained_inserts=self.maintained_inserts + 1)
 
     def __str__(self) -> str:
         return (

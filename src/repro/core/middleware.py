@@ -17,8 +17,9 @@ Per query, Sieve:
 
 1. filters the policy corpus by query metadata (querier, purpose) —
    the PQM filter of Section 3.2;
-2. fetches (or lazily regenerates, Section 6) the guarded expression
-   for each referenced relation;
+2. fetches the guarded expression for each referenced relation,
+   maintained to the current policies (regenerated on the Section 6
+   schedule);
 3. chooses LinearScan / IndexQuery / IndexGuards and per-guard Δ
    (Sections 5.4-5.5);
 4. rewrites the query with enforcement CTEs (Section 5.3) and runs it
@@ -67,7 +68,7 @@ from repro.core.cache import (
 )
 from repro.core.cost_model import SieveCostModel, calibrate
 from repro.core.delta import DELTA_UDF_NAME, DeltaOperator
-from repro.core.generation import build_guarded_expression
+from repro.core.generation import build_guarded_expression, maintain_guarded_expression
 from repro.core.guard_store import GuardStore
 from repro.core.guards import GuardedExpression
 from repro.core.regeneration import RegenerationController
@@ -119,6 +120,9 @@ class SieveExecution:
     rewrite: RewriteInfo
     metadata: QueryMetadata
     policies_considered: int = 0
+    #: Relations whose guards this request *selected afresh* (a first
+    #: build, or the Section 6 schedule firing); an expression merely
+    #: maintained to a written corpus is not listed.
     regenerated_tables: list[str] = field(default_factory=list)
     middleware_ms: float = 0.0
     execution_ms: float = 0.0
@@ -330,43 +334,64 @@ class Sieve:
         """Fetch/build G(P) for one (querier, purpose, relation).
 
         ``snapshot`` (a :class:`~repro.policy.store.PolicySnapshot`)
-        pins the corpus the build reads; without one the live store is
-        consulted.  The whole decide-and-build sequence runs under the
-        guard store's lock — guard persistence writes rGE/rGG/rGP rows
-        into the bundled engine, which is not safe to mutate from two
-        threads (builds are the amortized-away cold path, so the
-        serialization never sits on warm-path queries)."""
+        pins the corpus the expression must cover; without one the live
+        store is consulted.  An expression the guard store already holds
+        is *maintained* to that corpus — the written policies leave or
+        join partitions, every other guard is shared with its
+        predecessor (:func:`~repro.core.generation.maintain_guarded_expression`)
+        — so it is exact at once, and the guards are selected afresh
+        only when the Section 6 schedule says the accumulated inserts
+        have made that worth its cost (``self.regeneration``, by default
+        a :class:`~repro.core.regeneration.RegenerationController` over
+        the current cost model), when maintenance cannot reach the
+        corpus, on ``force_rebuild``, or — so that decision records stay
+        replayable from their epoch alone — on every change while an
+        audit log is attached.  Returns ``(expression,
+        regenerated?)``.  Deciding, editing and persisting run under the
+        guard store's lock — persistence writes rGE/rGG/rGP rows into
+        the bundled engine, which is not safe to mutate from two threads
+        (this is the amortized-away cold path, so the serialization
+        never sits on warm-path queries); the corpus and the statistics
+        are read before it is taken."""
+        source = snapshot if snapshot is not None else self.policy_store
+        policies = source.policies_for(querier, purpose, table)
+        heap = self.db.catalog.table(table)
+        stats = self.db.stats.get(heap)
+        indexed = frozenset(self.db.catalog.indexed_columns(table))
 
         def builder() -> GuardedExpression:
-            source = snapshot if snapshot is not None else self.policy_store
-            policies = source.policies_for(querier, purpose, table)
-            heap = self.db.catalog.table(table)
             return build_guarded_expression(
                 policies,
-                self.db.stats.get(heap),
-                frozenset(self.db.catalog.indexed_columns(table)),
+                stats,
+                indexed,
                 self.cost_model,
                 querier=querier,
                 purpose=purpose,
                 table=heap.name,
             )
 
-        force = force_rebuild
-        with self.guard_store.lock:
-            if not force and self.regeneration is not None:
-                # Section 6: defer regeneration until the k-th insertion.
-                if self.guard_store.is_outdated(querier, purpose, table):
-                    cached = self.guard_store.peek(querier, purpose, table)
-                    if cached is not None:
-                        inserts = self.guard_store.inserts_since_generation(
-                            querier, purpose, table
-                        )
-                        avg_cardinality = cached.total_cardinality / max(1, len(cached.guards))
-                        if not self.regeneration.decide(inserts, avg_cardinality):
-                            return cached, False
-            return self.guard_store.get_or_build(
-                querier, purpose, table, builder, force_rebuild=force
+        def maintain(held: GuardedExpression) -> GuardedExpression | None:
+            maintained = maintain_guarded_expression(
+                held, policies, stats, indexed, self.cost_model
             )
+            if maintained is None or maintained is held:
+                return maintained
+            if self.audit is not None:
+                # A decision record replays from the corpus its epoch
+                # names (tools/replay.py): audited guards must be a
+                # function of that corpus, not of the writes before it.
+                return None
+            # Section 6: select again at the k-th insertion since the
+            # last selection; until then the edited expression serves.
+            schedule = self.regeneration or RegenerationController(self.cost_model)
+            mean_cardinality = maintained.total_cardinality / max(1, len(maintained.guards))
+            if schedule.decide(maintained.maintained_inserts, mean_cardinality):
+                return None
+            return maintained
+
+        return self.guard_store.get_or_build(
+            querier, purpose, table, builder, force_rebuild=force_rebuild, maintain=maintain
+        )
 
     # ------------------------------------------------------------ execution
 

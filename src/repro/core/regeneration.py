@@ -1,10 +1,10 @@
 """Dynamic policy churn and guard regeneration (paper Section 6).
 
-When policies arrive continuously, regenerating G(P) on every insert
-wastes work if no query runs in between, while never regenerating makes
-queries pay for evaluating stale guards plus the k un-guarded new
-policies.  The paper derives the optimal number of policy insertions
-between regenerations:
+When policies arrive continuously, *selecting* the guards of G(P) again
+on every insert wastes work if no query runs in between, while never
+selecting again leaves queries evaluating a guard set chosen for a
+corpus that has since grown by k policies.  The paper derives the
+optimal number of policy insertions between regenerations:
 
     k̃ = sqrt( 4 · C_G / (ρ(oc_G) · α · ce · r_pq) )        (Eq. 19)
 
@@ -14,17 +14,29 @@ constants, and ``r_pq`` the number of queries posed per policy insert.
 Theorem 2 adds that regeneration should happen *immediately* at the
 k-th insertion.
 
-:class:`RegenerationController` implements that schedule on top of the
-guard store's insert counters, and :func:`simulate_total_cost` replays
-an insert/query trace under any interval choice so the Section-6 bench
-can show the k̃ minimum.
+What is deferred here is the *selection*, never the policies.  Between
+regenerations the middleware serves the expression **maintained** to
+the current corpus (:func:`repro.core.generation.maintain_guarded_expression`):
+an inserted policy joins the partition of a guard that covers one of
+its conditions, or becomes a guard of its own; a deleted one leaves its
+partition.  That expression is exact — it admits precisely the rows the
+current policies permit — and only its cost drifts from what Algorithm 1
+would now pick, which is the term the paper's model charges the k
+policies arrived since (there: evaluated un-guarded beside the guards;
+here: riding in a partition or as a singleton guard chosen without
+weighing the rest).  :class:`RegenerationController` implements the
+schedule on the count of maintained inserts the expression carries
+(:attr:`~repro.core.guards.GuardedExpression.maintained_inserts`), and
+it is the middleware's default — ``Sieve(regeneration=...)`` overrides
+its constants.  :func:`simulate_total_cost` replays an insert/query
+trace under any interval choice so the Section-6 bench can show the k̃
+minimum.
 
 The session guard cache (:mod:`repro.core.cache`) composes with this
 schedule rather than overriding it: a policy mutation evicts the
-affected cache entries, but on the next resolve the controller may
-still defer the rebuild — the stale-but-acceptable expression is then
-re-admitted to the cache at the current epoch, so deferral costs one
-cache miss per mutation, not one per query.
+affected cache entries, and the next resolve admits the maintained (or,
+at the k-th insertion, regenerated) expression at the current epoch —
+one cache miss per mutation, not one per query.
 """
 
 from __future__ import annotations
@@ -52,9 +64,10 @@ def optimal_regeneration_interval(
 class RegenerationController:
     """Decides, per (querier, purpose, table), when to regenerate.
 
-    ``decide(inserts_since_generation)`` returns True when the guard
-    should be rebuilt now — i.e. the insert counter reached k̃
-    (Theorem 2: regenerate immediately at the k-th insertion).
+    ``decide(inserts_since_generation)`` returns True when the guards
+    should be selected afresh now — i.e. the count of inserts maintained
+    into the expression reached k̃ (Theorem 2: regenerate immediately at
+    the k-th insertion).
     """
 
     cost_model: SieveCostModel

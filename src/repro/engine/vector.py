@@ -327,24 +327,34 @@ class VectorizedExecutor(Executor):
 
     def _build_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
         """A metered (policy-style) OR becomes a guard stage: on the
-        codegen path a single fused loop kernel
-        (:meth:`~repro.expr.codegen.CodegenExprCompiler.compile_batch_guard`
-        — zero per-row Python calls), otherwise the guard-by-guard
-        bitmap driver over per-disjunct row functions.  Everything
-        else runs as one comprehension kernel, or per row when column
-        mode can't express it (scalar subqueries, codegen off)."""
+        codegen path a single fused kernel
+        (:meth:`~repro.expr.codegen.CodegenExprCompiler.compile_batch_guard`)
+        whose branches are compiled — and cached — one by one, so the
+        OR a policy write leaves behind reuses every branch the write
+        did not touch; otherwise the guard-by-guard bitmap driver over
+        per-disjunct row functions.  Everything else runs as one
+        comprehension kernel, or per row when column mode can't express
+        it (scalar subqueries, codegen off)."""
         metered = is_metered_or(conj, self.counters)
         if not self._needs_row_path(conj):
             codegen = self._codegen(binding)
+
+            def branch(node: Expr) -> Callable:
+                return self._cached(
+                    node, binding, "branch", lambda: codegen.compile_guard_branch(node)
+                )
+
             try:
                 kernel = (
-                    codegen.compile_batch_guard(conj)
+                    codegen.compile_batch_guard(conj, branch)
                     if metered
                     else codegen.compile_batch_predicate(conj)
                 )
             except (CodegenUnsupported, SyntaxError):
                 pass
             else:
+                if metered:
+                    return lambda batch, sel, _k=kernel: _k(batch.columns(), sel, batch.rows)
                 return lambda batch, sel, _k=kernel: _k(batch.columns(), sel)
         if metered:
             disjunct_fns = [self._row_stage(d, binding) for d in conj.children]

@@ -26,7 +26,8 @@ Two compilation modes exist:
   :class:`~repro.engine.vector.RowBatch` via a list comprehension (or,
   for a top-level policy OR, a fused metering kernel in which a row
   *looks up* the guard branches that can hold for it instead of
-  walking them all) with the expression inlined.  Nested metered ORs
+  walking them all, and tries those through row functions compiled one
+  per branch) with the expression inlined.  Nested metered ORs
   compile to kernel-local per-index helpers so ``policy_evals``
   accounting survives inside batch kernels; only scalar subqueries are
   refused
@@ -562,9 +563,12 @@ class CodegenExprCompiler:
     def compile(self, expr: Expr) -> RowFn:
         try:
             emitter = _Emitter(self, "row")
-            body = emitter.emit(expr)
-            src = "\n\n".join(emitter.defs + [f"def _main(_r):\n    return {body}"])
-            return self._exec(src, emitter.env)["_main"]
+            if is_metered_or(expr, self.counters):
+                main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
+            else:
+                main = "_main"
+                emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
+            return self._exec("\n\n".join(emitter.defs), emitter.env)[main]
         except ExecutionError:
             raise
         except Exception:
@@ -600,7 +604,9 @@ class CodegenExprCompiler:
         body = emitter.emit(expr)
         return self._kernel(emitter, [f"    return [{body} for _i in _sel]"])
 
-    def compile_batch_guard(self, expr: Or) -> BatchPredFn:
+    def compile_batch_guard(
+        self, expr: Or, compiled_branch: Callable[[Expr], RowFn] | None = None
+    ) -> BatchPredFn:
         """The fused form of guard-by-guard evaluation: one wide
         (metered) OR as a single kernel.
 
@@ -619,16 +625,34 @@ class CodegenExprCompiler:
         ``width`` on none.  That is the sequential walk's charge tick
         for tick: a skipped branch's head is false for the row, so the
         walk never reached its remainder (nor the partition OR's own
-        metering inside it).  When no branch can be looked up, every
-        branch is a candidate of every row: the candidate loop is
-        emitted unrolled and there is no first pass.
+        metering inside it).
+
+        The compile unit of that form is the *branch*, not the OR: what
+        a candidate still has to evaluate is a row function compiled on
+        its own (:meth:`compile_guard_branch`; ``compiled_branch(branch)``
+        lets the caller supply it from a cache) and the kernel is only
+        the dispatch shell — the look-up tables, rebuilt from the heads,
+        and the two loops — around those.  An OR that differs from one
+        already compiled in one branch therefore compiles one branch.
+        Which branch function a row calls, and in which order, depends
+        on the heads alone, so the charge is the one above whichever way
+        the functions were obtained.  The shell takes the batch's row
+        tuples beside its columns, ``fn(columns, selection, rows)`` —
+        the first pass reads a column per row, the second hands the few
+        candidates' tuples to the branch functions (without ``rows`` it
+        transposes the columns back).
+
+        When no branch can be looked up, every branch is a candidate of
+        every row: the candidate loop is emitted unrolled, in one unit
+        over the columns alone (``rows`` is accepted and unused), and
+        there is no first pass.
         """
         emitter = _Emitter(self, "col", hoisted=True)
         width = len(expr.children)
-        candidates, tests = self._guard_candidates(emitter, expr.children)
+        candidates = self._guard_candidates(emitter, expr.children)
         if candidates is None:
             tries: list[str] = []
-            for j, test in enumerate(tests):
+            for j, test in enumerate(expr.children):
                 tries += [
                     f"        if {emitter.emit(test)}:",
                     f"            _n += {j + 1}",
@@ -638,15 +662,19 @@ class CodegenExprCompiler:
             tries.append(f"        _n += {width}")
             loop = ["    _n = 0", "    for _i in _sel:"]
         else:
+            compiled = compiled_branch or self.compile_guard_branch
+            fns = emitter.const(tuple(compiled(branch) for branch in expr.children))
             loop = [
-                f"    _fns = ({', '.join(self._branch_fn(emitter, test) for test in tests)},)",
+                f"    _fns = {fns}",
+                "    if _rows is None:",
+                "        _rows = list(zip(*_cols))",
                 f"    _cand = [(_i, _js) for _i in _sel if (_js := {candidates})]",
                 f"    _n = {width} * (len(_sel) - len(_cand))",
                 "    for _i, _js in _cand:",
             ]
             tries = [
                 "        for _j in _js:",
-                "            if _fns[_j](_i):",
+                "            if _fns[_j](_rows[_i]):",
                 "                _n += _j + 1",
                 "                _add(_i)",
                 "                break",
@@ -663,37 +691,41 @@ class CodegenExprCompiler:
             f"    {ctr}.policy_evals += _n",
             "    return _hits",
         ]
-        return self._kernel(emitter, lines)
+        if candidates is None:
+            unrolled = self._kernel(emitter, lines)
+            return lambda cols, sel, rows=None: unrolled(cols, sel)
+        return self._kernel(emitter, lines, "_cols, _sel, _rows=None")
 
-    def _guard_candidates(
-        self, emitter: _Emitter, branches: tuple[Expr, ...]
-    ) -> tuple[str | None, list[Expr | None]]:
+    def compile_guard_branch(self, branch: Expr) -> RowFn:
+        """One branch of a dispatched guard OR as a row function: what
+        is left to evaluate of a row once the look-up has named the
+        branch a candidate — the whole branch, or only its remainder
+        (nothing: ``True``) behind a head a dict found, whose hit *is*
+        the head evaluated true."""
+        head, rest = _guard_head(branch)
+        test = rest if _head_points(head) is not None else branch
+        return self.compile(test if test is not None else Literal(True))
+
+    def _guard_candidates(self, emitter: _Emitter, branches: tuple[Expr, ...]) -> str | None:
         """How a row finds the branches of a guard OR that can hold for
-        it: ``(expression, tests)``.
-
-        The expression (over ``_c<pos>[_i]``; ``None`` when no branch
-        can be looked up) gives the ascending ordinals of the row's
+        it: an expression (over ``_c<pos>[_i]``; ``None`` when no branch
+        can be looked up) giving the ascending ordinals of the row's
         candidate branches, or something false.  Per guard column, a
         dict maps each ``=`` / ``IN`` constant to its branches, and a
         sorted-bounds table (:func:`_span_table`) each value to the
         ``BETWEEN`` heads containing it; a branch neither can stand in
-        for is a candidate of every row.  ``tests[j]`` is what is left
-        to evaluate of candidate ``j``: the whole branch, or only its
-        remainder (``None``: nothing) after a dict hit, which *is* the
-        head evaluated true.
+        for is a candidate of every row.
         """
         points: dict[int, dict[Any, list[int]]] = {}  # column -> constant -> ordinals
         spans: dict[int, list[tuple]] = {}  # column -> (lo, hi, ordinal)
-        tests: list[Expr | None] = list(branches)
         for j, branch in enumerate(branches):
-            head, rest = _guard_head(branch)
+            head = _guard_head(branch)[0]
             if (eq := _head_points(head)) is not None:
                 found = points.setdefault(self.binding.resolve(eq[0]), {})
                 for value in eq[1]:
                     ordinals = found.setdefault(value, [])
                     if not ordinals or ordinals[-1] != j:
                         ordinals.append(j)
-                tests[j] = rest
             elif (span := _head_span(head)) is not None:
                 spans.setdefault(self.binding.resolve(span[0]), []).append((*span[1:], j))
         lookups: list[str] = []
@@ -715,24 +747,15 @@ class CodegenExprCompiler:
             always.difference_update(j for _lo, _hi, j in column_spans)
             emitter.probe_columns.add(pos)
         if not lookups:
-            return None, tests
+            return None
         if always:
             lookups.insert(0, emitter.const(tuple(sorted(always))))
         emitter.env.update(_bl=bisect_left, _br=bisect_right, _mrg=_merge_candidates)
-        return lookups[0] if len(lookups) == 1 else f"_mrg({', '.join(lookups)})", tests
+        return lookups[0] if len(lookups) == 1 else f"_mrg({', '.join(lookups)})"
 
-    @staticmethod
-    def _branch_fn(emitter: _Emitter, test: Expr | None) -> str:
-        """A kernel-local ``fn(_i) -> bool`` for one candidate branch
-        (a partition OR's metered helper is that function already)."""
-        if test is not None and is_metered_or(test, emitter.compiler.counters):
-            return emitter.metered_helper(test)
-        name = emitter.fresh("b")
-        body = "True" if test is None else emitter.emit(test)
-        emitter.inner_defs.append(f"def {name}(_i):\n    return {body}")
-        return name
-
-    def _kernel(self, emitter: _Emitter, body_lines: list[str]) -> Callable:
+    def _kernel(
+        self, emitter: _Emitter, body_lines: list[str], args: str = "_cols, _sel"
+    ) -> Callable:
         prelude = [
             f"    _c{pos} = _cols[{pos}]"
             for pos in sorted(emitter.used_columns | emitter.probe_columns)
@@ -742,7 +765,7 @@ class CodegenExprCompiler:
             for block in emitter.inner_defs
         ]
         src = "\n".join(
-            ["def _kernel(_cols, _sel):", *prelude, *inner, *body_lines]
+            [f"def _kernel({args}):", *prelude, *inner, *body_lines]
         )
         return self._exec(src, emitter.env)["_kernel"]
 

@@ -89,25 +89,28 @@ def estimate_rows(expr: Expr | None, stats: TableStats) -> float:
 
 
 def _estimate(expr: Expr, stats: TableStats) -> float:
-    if isinstance(expr, And):
-        sel = 1.0
-        for child in expr.children:
-            sel *= _estimate(child, stats)
-        return sel
-    if isinstance(expr, Or):
+    if isinstance(expr, (And, Or)):
         # A policy-wide guard OR reaches every plan of its epoch as the
-        # same (immutable) node, and its selectivity depends on nothing
-        # but the statistics: the node remembers the figure with the
-        # TableStats it came from.  ANALYZE builds a new TableStats, so
-        # a remembered figure never outlives the statistics behind it.
+        # same (immutable) node — and each of its branches, an AND,
+        # every plan of every epoch until a write touches that guard —
+        # and their selectivity depends on nothing but the statistics:
+        # the node remembers the figure with the TableStats it came
+        # from.  ANALYZE builds a new TableStats, so a remembered figure
+        # never outlives the statistics behind it; an OR one branch away
+        # from the last one estimates that branch and folds the rest.
         known = expr.__dict__.get("_selectivity")
         if known is not None and known[0]() is stats:
             return known[1]
-        # Inclusion-exclusion under independence, folded pairwise.
-        sel = 0.0
-        for child in expr.children:
-            child_sel = _estimate(child, stats)
-            sel = sel + child_sel - sel * child_sel
+        if isinstance(expr, And):
+            sel = 1.0
+            for child in expr.children:
+                sel *= _estimate(child, stats)
+        else:
+            # Inclusion-exclusion under independence, folded pairwise.
+            sel = 0.0
+            for child in expr.children:
+                child_sel = _estimate(child, stats)
+                sel = sel + child_sel - sel * child_sel
         object.__setattr__(expr, "_selectivity", (weakref.ref(stats), sel))
         return sel
     if isinstance(expr, Not):

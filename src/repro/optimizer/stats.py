@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.storage.table import HeapTable
 
@@ -118,14 +118,9 @@ class EquiDepthHistogram:
                 return 0.0  # outside the column, or an empty (inverted) range
         except TypeError:
             return 0.0
-        # Whole buckets between the two ranks, plus the covered share of
-        # the edge buckets.  bisect_left for ``lo`` and bisect_right for
-        # ``hi`` keep point buckets (one value filling a bucket) that sit
-        # exactly on an endpoint inside the closed range.
-        k_lo = bisect.bisect_left(self.bounds, lo_eff)
-        k_hi = bisect.bisect_right(self.bounds, hi_eff)
-        buckets = (k_hi + self._edge(k_hi, hi_eff, 1.0)) - (k_lo + self._edge(k_lo, lo_eff, 0.0))
-        frac = buckets * (self.depth / self.total)
+        frac = (self.cumulative(hi_eff, True) - self.cumulative(lo_eff, False)) * (
+            self.depth / self.total
+        )
         # Interpolation can miss point masses sitting exactly on bucket
         # bounds; an included endpoint contributes at least its equality
         # mass.
@@ -139,6 +134,48 @@ class EquiDepthHistogram:
         if not hi_inclusive and hi is not None:
             frac -= self.selectivity_eq(hi)
         return min(1.0, max(0.0, frac))
+
+    def cumulative(self, x: Any, upper: bool) -> float:
+        """Buckets' worth of rows up to ``x``, taken as a range's upper
+        or lower end: whole buckets by rank plus the covered share of
+        the bucket ``x`` falls in.  ``bisect_left`` for a lower end and
+        ``bisect_right`` for an upper one keep point buckets (one value
+        filling a bucket) that sit exactly on an endpoint inside the
+        closed range."""
+        if upper:
+            k = bisect.bisect_right(self.bounds, x)
+            return k + self._edge(k, x, 1.0)
+        k = bisect.bisect_left(self.bounds, x)
+        return k + self._edge(k, x, 0.0)
+
+    def closed_range_estimator(self, points: Iterable[Any]) -> Callable[[Any, Any], float]:
+        """``selectivity_range(lo, hi)`` — closed, both ends given — for
+        ranges whose ends all come from ``points``, to the bit: what the
+        estimate reads of an end (its :meth:`cumulative` either way, its
+        equality mass) is looked up once per distinct point, and a range
+        combines two entries in O(1)."""
+        try:
+            at = {
+                x: (self.cumulative(x, False), self.cumulative(x, True), self.selectivity_eq(x))
+                for x in set(points)
+            }
+        except TypeError:
+            at = None  # points the column's values do not compare with
+        if at is None or self.total == 0:
+            return lambda lo, hi: 0.0
+        scale = self.depth / self.total
+        low, high = self.min_value, self.max_value
+
+        def estimate(lo: Any, hi: Any) -> float:
+            below, _, lo_mass = at[lo]
+            if lo == hi:
+                return lo_mass
+            if lo > high or hi < low or hi < lo:
+                return 0.0
+            _, upto, hi_mass = at[hi]
+            return min(1.0, max(0.0, (upto - below) * scale, lo_mass, hi_mass))
+
+        return estimate
 
     def _edge(self, k: int, x: Any, whole: float) -> float:
         """Share of bucket ``k`` lying left of ``x`` (uniform within the

@@ -318,6 +318,48 @@ def test_guard_dispatch_kernel_matches_row_mode(expr, seed, data):
     assert kernel_counters.policy_evals == row_counters.policy_evals
 
 
+@settings(max_examples=100, deadline=None)
+@given(expr=guard_or_strategy(), seed=st.integers(0, 40), data=st.data())
+def test_guard_kernel_assembled_from_cached_branches_matches_row_mode(expr, seed, data):
+    """The compile unit is the branch: an OR one branch away from one
+    already compiled — a branch dropped, moved or new, as a policy write
+    leaves it — takes every other branch's function from the caller's
+    cache, and still keeps the rows and charges the policy_evals of the
+    row-mode walk over *its* branches in *its* order."""
+    binding = make_binding()
+    rows = guard_rows(seed)
+    sel = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1))))
+    counters = CounterSet()
+    compiler = CodegenExprCompiler(binding, counters=counters)
+    compiled: dict[int, object] = {}
+
+    def branch(node):
+        if id(node) not in compiled:
+            compiled[id(node)] = compiler.compile_guard_branch(node)
+        return compiled[id(node)]
+
+    compiler.compile_batch_guard(expr, branch)
+    known = len(compiled)
+    assert known <= len(expr.children)  # the unrolled form asks for none
+    branches = list(expr.children)
+    moved = branches.pop(data.draw(st.integers(0, len(branches) - 1)))
+    edit = data.draw(st.sampled_from(["dropped", "moved", "new"]))
+    if edit == "moved":
+        branches.append(moved)
+    elif edit == "new":
+        branches.insert(0, data.draw(guard_or_strategy()).children[0])
+    sibling = Or(tuple(branches))
+    if not is_metered_or(sibling, counters):
+        return
+    kernel = compiler.compile_batch_guard(sibling, branch)
+    assert len(compiled) - known <= (1 if edit == "new" else 0) + (known == 0) * len(branches)
+    row_counters = CounterSet()
+    row_fn = CodegenExprCompiler(binding, counters=row_counters).compile(sibling)
+    expected = [i for i in sel if row_fn(rows[i])]
+    assert kernel(list(zip(*rows)), sel, rows) == expected  # as the executor calls it
+    assert counters.policy_evals == row_counters.policy_evals
+
+
 def test_guard_dispatch_charges_the_sequential_walk():
     """Duplicate constants, overlapping ranges, a guard alone, and a
     branch no look-up finds *between* ones it does."""
@@ -387,6 +429,15 @@ def test_guard_kernel_without_lookup_is_the_unrolled_loop():
     )
     _kernel, source = guard_kernel(guard, CounterSet())
     assert source == UNROLLED_GUARD_KERNEL
+    # ... in one compile unit: no branch is asked of a caller's cache.
+    asked = []
+    kernel = CodegenExprCompiler(make_binding(), counters=CounterSet()).compile_batch_guard(
+        guard, asked.append
+    )
+    assert asked == []
+    rows = guard_rows(3)
+    sel = list(range(len(rows)))  # ... and takes (and ignores) the row tuples the shell form needs
+    assert kernel(list(zip(*rows)), sel, rows) == kernel(list(zip(*rows)), sel)
 
 
 UNROLLED_GUARD_KERNEL = """\
@@ -462,6 +513,52 @@ def test_mall_guard_kernel_finds_its_guards(monkeypatch):
     (kernel,) = [src for src in sources if "_hits" in src]
     assert "_cand = [(_i, _js) for _i in _sel if (_js := " in kernel
     assert "continue" not in kernel and " == " not in kernel
+
+
+def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
+    """A maintained write hands the engine an OR that shares every
+    branch node but one with its predecessor: the next execution
+    compiles that branch and the dispatch shell around the cached rest
+    — two small ``compile()`` calls where the parent recompiled the
+    whole fused kernel."""
+    from repro.core import Sieve
+    from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
+    from repro.policy.model import ObjectCondition, Policy
+    from repro.policy.store import PolicyStore
+
+    mall = generate_mall(MallConfig(seed=23, n_customers=100, days=8))
+    store = PolicyStore(mall.db, mall.groups)
+    store.insert_many(mall.policies)
+    sieve = Sieve(mall.db, store)
+    querier = mall.shop_querier(mall.shops[0])
+    sql = f"SELECT * FROM {CONNECTIVITY_TABLE}"
+    sieve.execute(sql, querier, "analytics")
+    expression = sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE)
+    width = len(expression.guards)
+    branch_entries = lambda: sum(e.extra[1] == "branch" for e in mall.db._fn_cache._entries)  # noqa: E731
+    assert width >= 3 and branch_entries() == width
+
+    sources = []
+    compile_source = CodegenExprCompiler._exec
+    monkeypatch.setattr(
+        CodegenExprCompiler,
+        "_exec",
+        staticmethod(lambda src, env: sources.append(src) or compile_source(src, env)),
+    )
+    guard = expression.guards[0]
+    store.insert(
+        Policy(
+            owner=guard.policies[0].owner, querier=querier, purpose="analytics",
+            table=CONNECTIVITY_TABLE,
+            object_conditions=(guard.condition, ObjectCondition("ts_date", ">=", 1, "<=", 3)),
+        )
+    )
+    info = sieve.execute_with_info(sql, querier, "analytics")
+    assert info.regenerated_tables == []
+    branches = [src for src in sources if "(_r):" in src]
+    shells = [src for src in sources if "_hits" in src]
+    assert len(branches) == 1 and len(shells) == 1 and len(sources) == 2
+    assert branch_entries() == width  # the retired branch's entry left as the new one came
 
 
 def test_udfs_and_builtins_in_codegen():

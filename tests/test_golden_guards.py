@@ -8,9 +8,11 @@ cumulative).  A faster estimator must reproduce them: same guards, same
 partitions, cardinalities to 1e-6.  ``python tests/test_golden_guards.py``
 (with ``src`` on ``PYTHONPATH``, from the repo root) rewrites the file.
 
-The complexity test rides on the same Mall world: it counts the bucket
-bounds one estimate touches (through a counting list, not a product
-counter) and how that total grows with the corpus.
+The complexity tests ride on the same Mall world: they count the
+bucket bounds one estimate touches (through a counting list, not a
+product counter), how that total grows with the corpus, and how many
+times the merge sweep asks the histogram anything at all — three
+look-ups per distinct range end, however many pairs it weighs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ import random
 
 import pytest
 
-from repro.core.candidate_gen import generate_candidate_guards
+from repro.core.candidate_gen import (
+    _eligible_conditions,
+    condition_cardinality,
+    generate_candidate_guards,
+)
 from repro.core.generation import build_guarded_expression
 from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
 from repro.datasets.tippers import WIFI_TABLE
@@ -165,14 +171,25 @@ class _CountingBounds(list):
 
 
 class _CountingHistogram(EquiDepthHistogram):
-    """The product estimator over counting bounds; the call count and
-    the bucket count come from the wrapper, nothing in ``stats.py``."""
+    """The product estimator over counting bounds; the call counts and
+    the bucket count come from the wrapper, nothing in ``stats.py``.
+    ``lookups`` counts the per-value reads every estimate is made of
+    (``cumulative`` and ``selectivity_eq``: a bisect or two each)."""
 
     calls = 0
+    lookups = 0
 
     def selectivity_range(self, *args, **kwargs):
         _CountingHistogram.calls += 1
         return super().selectivity_range(*args, **kwargs)
+
+    def cumulative(self, *args, **kwargs):
+        _CountingHistogram.lookups += 1
+        return super().cumulative(*args, **kwargs)
+
+    def selectivity_eq(self, *args, **kwargs):
+        _CountingHistogram.lookups += 1
+        return super().selectivity_eq(*args, **kwargs)
 
 
 def _instrumented(stats):
@@ -187,13 +204,16 @@ def _instrumented(stats):
     return clone
 
 
+def _reset_counts() -> None:
+    _CountingBounds.touches = _CountingHistogram.calls = _CountingHistogram.lookups = 0
+
+
 def _generation_work(n: int, stats, indexed) -> tuple[int, int]:
-    """(bound touches, range estimates) of generating candidates for an
-    ``n``-policy corpus.  A pair the sweep checks costs two estimates or
-    none, so touches per estimate bounds the touches per pair checked."""
-    _CountingBounds.touches = _CountingHistogram.calls = 0
+    """(bound touches, histogram look-ups) of generating candidates for
+    an ``n``-policy corpus."""
+    _reset_counts()
     generate_candidate_guards(mall_policies(n), indexed, stats)
-    return _CountingBounds.touches, _CountingHistogram.calls
+    return _CountingBounds.touches, _CountingHistogram.lookups
 
 
 def test_range_estimate_touches_log_buckets(mall):
@@ -215,12 +235,34 @@ def test_range_estimate_touches_log_buckets(mall):
 def test_generation_work_per_pair_does_not_grow_with_the_corpus(mall):
     stats, indexed = mall
     counted = _instrumented(stats)
-    touches_50, calls_50 = _generation_work(50, counted, indexed)
-    touches_400, calls_400 = _generation_work(400, counted, indexed)
-    assert calls_50 > 0 and calls_400 > calls_50
-    assert touches_400 / calls_400 <= 10 * (touches_50 / calls_50)
+    touches_50, lookups_50 = _generation_work(50, counted, indexed)
+    touches_400, lookups_400 = _generation_work(400, counted, indexed)
+    assert lookups_50 > 0 and lookups_400 > lookups_50
+    assert touches_400 / lookups_400 <= 10 * (touches_50 / lookups_50)
     n_buckets = len(counted.column("ts_time").histogram.bounds)
-    assert touches_400 / calls_400 <= 8 * math.log2(n_buckets)
+    assert touches_400 / lookups_400 <= 4 * math.log2(n_buckets)  # two bisects + edge reads
+
+
+@pytest.mark.parametrize("n", [150, 400])
+def test_merge_sweep_asks_the_histogram_three_times_per_range_end(mall, n):
+    """Every hull and intersection the sweep weighs ends where two of
+    the original conditions end, so beyond ρ of each distinct condition
+    it needs (cumulative as a lower end, as an upper end, equality mass)
+    of each distinct end, once — and no range estimate of its own (the
+    parent made 3 174 for the 150-policy corpus)."""
+    stats, indexed = mall
+    counted = _instrumented(stats)
+    policies = mall_policies(n)
+    conditions = {oc for p in policies for oc in _eligible_conditions(p, indexed)}
+    _reset_counts()
+    for oc in conditions:
+        condition_cardinality(oc, counted)
+    own_calls, own_lookups = _CountingHistogram.calls, _CountingHistogram.lookups
+    ends = {(oc.attr, end) for oc in conditions for end in (oc.interval().lo, oc.interval().hi)}
+    _reset_counts()
+    generate_candidate_guards(policies, indexed, counted)
+    assert _CountingHistogram.calls == own_calls
+    assert 0 < _CountingHistogram.lookups - own_lookups <= 3 * len(ends)
 
 
 if __name__ == "__main__":  # record the golden file

@@ -170,6 +170,36 @@ class TestSieveEquivalence:
         info = sieve.execute_with_info(QUERY, "prof", "analytics")
         assert info.regenerated_tables == []  # deferred: k̃ is enormous
 
+    def test_deferred_regeneration_is_exact_after_insert_and_delete(self):
+        """Deferral defers the *selection* of guards, never a policy:
+        with k̃ out of reach, deleted policies stop admitting rows and an
+        inserted one starts to at the next query (the parent kept
+        serving the expression it had: 965 rows here, 519 of them
+        permitted by no policy)."""
+        db, rows, store, policies, _ = build_world()
+        cm = SieveCostModel(cg=1e9)
+        sieve = Sieve(db, store, cost_model=cm,
+                      regeneration=RegenerationController(cm, queries_per_insert=1.0))
+        sieve.execute(QUERY, "prof", "analytics")  # build once
+        mine = store.policies_for("prof", "analytics", "wifi")
+        assert len(mine) == 80
+        for policy in mine[::2]:
+            store.delete(policy.id)
+        kept = mine[1::2]
+        info = sieve.execute_with_info(QUERY, "prof", "analytics")
+        assert sorted(info.result.rows) == reference(rows, kept)
+        assert len(info.result.rows) == len(
+            Sieve(db, store).execute(QUERY, "prof", "analytics").rows
+        ) < 965
+        assert info.regenerated_tables == []
+        granted = store.insert(Policy(
+            owner=0, querier="prof", purpose="analytics", table="wifi",
+            object_conditions=(ObjectCondition("owner", "=", 0),),
+        ))
+        info = sieve.execute_with_info(QUERY, "prof", "analytics")
+        assert sorted(info.result.rows) == reference(rows, kept + [granted])
+        assert info.regenerated_tables == []
+
     def test_regeneration_immediate_when_cheap(self):
         db, rows, store, policies, _ = build_world()
         cm = SieveCostModel(cg=1e-9)  # free regeneration -> k̃ = 1

@@ -28,6 +28,7 @@ import builtins
 import random
 import sys
 import threading
+import time
 
 import pytest
 from conftest import WIFI_COLUMNS, brute_force_allowed, make_policies, make_wifi_db
@@ -38,6 +39,8 @@ from repro.backend import SqliteBackend
 from repro.common.errors import ExecutionError, ParseError
 from repro.core import Sieve
 from repro.core.cost_model import SieveCostModel
+from repro.core.guard_store import GUARD_TABLE, PARTITION_TABLE
+from repro.core.regeneration import RegenerationController
 from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
 from repro.datasets.policies import PolicyGenConfig, generate_campus_policies
 from repro.datasets.tippers import TippersConfig, WIFI_TABLE, generate_tippers
@@ -304,13 +307,19 @@ def test_midstream_policy_churn_never_serves_stale_plans():
 @pytest.mark.parametrize("world", [small_world, sparse_world])
 def test_policy_churn_retains_nothing_per_write(world):
     """200 alternating writes, each a *new* policy (a corpus no earlier
-    epoch had), with reads in between: the superseded expression's
-    compiled predicates leave with it, so the compiled-predicate cache,
-    the plan cache and the guard store stay flat instead of gaining an
-    AST and a kernel per write — under the single-SELECT rewrite and
-    under MySQL's UNION of per-guard scans alike."""
+    epoch had), with reads in between, every one of them *maintained*
+    (the selection schedule is put out of reach): the edited guard's
+    superseded branch and the superseded ORs take their compiled
+    predicates and their rGG/rGP rows with them, so the
+    compiled-predicate cache, the plan cache, the guard store and its
+    tables stay flat instead of gaining an AST and a kernel per write —
+    under the single-SELECT rewrite and under MySQL's UNION of per-guard
+    scans alike.  Then 60 more under the default schedule, which selects
+    afresh every k̃-th insert: whichever of the two a write took, nothing
+    accumulates."""
     db, store = world()
-    sieve = Sieve(db, store)
+    never = SieveCostModel(cg=1e12)
+    sieve = Sieve(db, store, regeneration=RegenerationController(never))
     union = "UNION" in sieve.rewritten_sql("SELECT id FROM t WHERE v < 300", "alice", "analytics")
     assert union == (world is sparse_world)
     shapes = [
@@ -319,37 +328,142 @@ def test_policy_churn_retains_nothing_per_write(world):
     ]
 
     def sizes():
-        return len(db._fn_cache), len(sieve.plan_cache), sieve.guard_store.cache_size()
+        return (
+            len(db._fn_cache),
+            len(sieve.plan_cache),
+            sieve.guard_store.cache_size(),
+            db.catalog.table(GUARD_TABLE).row_count,
+            db.catalog.table(PARTITION_TABLE).row_count,
+        )
+
+    def churn(writes, on_write):
+        grant = None
+        for write in range(writes):
+            if grant is None:
+                lo = 600 + write
+                grant = store.insert(
+                    Policy(
+                        owner=write % 5,
+                        querier="alice",
+                        purpose="analytics",
+                        table="t",
+                        object_conditions=(
+                            ObjectCondition("owner", "=", write % 5),
+                            ObjectCondition("v", ">=", lo, "<=", lo + 40),
+                        ),
+                    )
+                )
+            else:
+                store.delete(grant.id)
+                grant = None
+            infos = [shapes[0].execute_with_info([300]), shapes[1].execute_with_info()]
+            # ... and the unprepared path.
+            infos.append(sieve.execute_with_info("SELECT id FROM t WHERE v < 450", "alice", "analytics"))
+            on_write(write, [table for info in infos for table in info.regenerated_tables])
 
     settled = {}
-    grant = None
-    for write in range(200):
-        if grant is None:
-            lo = 600 + write
-            grant = store.insert(
-                Policy(
-                    owner=write % 5,
-                    querier="alice",
-                    purpose="analytics",
-                    table="t",
-                    object_conditions=(
-                        ObjectCondition("owner", "=", write % 5),
-                        ObjectCondition("v", ">=", lo, "<=", lo + 40),
-                    ),
-                )
-            )
-        else:
-            store.delete(grant.id)
-            grant = None
-        shapes[0].execute([300])
-        shapes[1].execute()
-        sieve.execute("SELECT id FROM t WHERE v < 450", "alice", "analytics")  # unprepared path
+
+    def maintained(write, regenerated):
+        assert regenerated == []
         # Compared with the same corpus shape two writes back: a grant
-        # in place is one more guard branch under the UNION rewrite.
+        # in place is one more policy in a partition.
         if write in (4, 5):
             settled[write % 2] = sizes()
         elif write > 5:
             assert sizes() == settled[write % 2], write
+
+    churn(200, maintained)
+    assert sieve.guard_store.peek("alice", "analytics", "t").maintained_inserts == 100
+
+    sieve.regeneration = None  # Eq. 19 at the default constants
+    regenerations = []
+    ceiling = tuple(2 * n + 8 for n in settled[0])  # a selection may pick a few more guards
+
+    def scheduled(write, regenerated):
+        regenerations.extend(regenerated)
+        assert all(n <= most for n, most in zip(sizes(), ceiling)), write
+
+    churn(60, scheduled)
+    assert 1 <= len(regenerations) <= 10
+
+
+def test_writers_and_readers_hammer_matches_the_oracle_at_each_epoch():
+    """Two writers churn ``prof``'s policies while six readers query:
+    every reply equals the row-by-row oracle over the corpus of the
+    epoch the reply says it planned against — whether that reader
+    maintained the expression, met one a concurrent reader had just
+    maintained (forwards, or back to an older snapshot's corpus), or
+    hit a warm cache."""
+    db, rows, _policies, sieve = wifi_world(100)
+    store = sieve.policy_store
+    store.retain_snapshots()
+    prepared = sieve.prepare("SELECT id FROM wifi WHERE ts_date >= ?", "prof", "analytics")
+    stop = threading.Event()
+    replies, errors = [], []
+
+    def writer(seed):
+        rng = random.Random(seed)
+        mine = []
+        try:
+            for _ in range(24):
+                seen, waited = len(replies), time.monotonic()
+                while len(replies) < seen + 3 and time.monotonic() - waited < 5:
+                    time.sleep(0.0005)  # let a few reads land on each corpus
+                if mine and rng.random() < 0.5:
+                    store.delete(mine.pop(rng.randrange(len(mine))).id)
+                else:
+                    owner, lo = rng.randrange(40), rng.randrange(0, 1200)
+                    conditions = [ObjectCondition("owner", "=", owner)]
+                    if rng.random() < 0.7:
+                        conditions.append(ObjectCondition("ts_time", ">=", lo, "<=", lo + 200))
+                    mine.append(
+                        store.insert(
+                            Policy(owner=owner, querier="prof", purpose="analytics", table="wifi",
+                                   object_conditions=tuple(conditions))
+                        )
+                    )
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    def reader(seed):
+        rng = random.Random(100 + seed)
+        try:
+            while not stop.is_set():
+                day = rng.randrange(0, 80)
+                if rng.random() < 0.5:
+                    info = prepared.execute_with_info([day])
+                else:
+                    info = sieve.execute_with_info(
+                        f"SELECT id FROM wifi WHERE ts_date >= {day}", "prof", "analytics"
+                    )
+                replies.append((info.policy_epoch, day, sorted(r[0] for r in info.result.rows)))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=writer, args=(seed,)) for seed in range(2)]
+        readers = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=120)
+        stop.set()
+        for t in readers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in readers + writers)
+    finally:
+        stop.set()
+        sys.setswitchinterval(old_interval)
+    assert errors == []
+    assert len({epoch for epoch, _day, _ids in replies}) >= 10
+    allowed_at = {}
+    for epoch, day, ids in replies:
+        if epoch not in allowed_at:
+            corpus = store.snapshot_at(epoch).policies_for("prof", "analytics", "wifi")
+            allowed_at[epoch] = brute_force_allowed(rows, corpus, WIFI_COLUMNS)
+        assert ids == sorted(r[0] for r in allowed_at[epoch] if r[4] >= day), (epoch, day)
 
 
 # ------------------------------------- what a fresh-literal request pays
@@ -387,37 +501,45 @@ def guard_or_of(sieve):
 
 def test_fresh_literals_compile_no_guard_kernel(monkeypatch):
     """After one execution of a shape, new literals trigger no
-    ``compile()`` of the fused guard kernel, and 200 of them leave the
-    compiled-expression cache with one guard-holding entry per guard OR
-    (the parent added a 100-policy kernel per request)."""
+    ``compile()`` of the fused guard kernel or of a branch of it, and
+    200 of them leave the compiled-expression cache with the
+    guard-holding entries it had — the guard OR's stage and one per
+    branch whose partition is metered (PR 14's parent added a
+    100-policy kernel per request)."""
     db, _rows, _policies, sieve = wifi_world(100)
     prepared = sieve.prepare(FRESH_SHAPE, "prof", "analytics")
     prepared.execute([100, 400, 3])
     assert db.counters.expr_cache_misses > 0
+    cache = db._fn_cache
+
+    def guard_sized():
+        return [
+            entry
+            for entry in cache._entries
+            if any(is_metered_or(part, db.counters) for part in analysis.conjuncts(entry.expr))
+        ]
+
+    held = guard_sized()
+    assert [entry.extra[1] for entry in held].count("stage") == 1
+    assert {entry.extra[1] for entry in held} <= {"stage", "branch"}
 
     guard_kernels = []
     real_compile = builtins.compile
 
     def counting_compile(source, *args, **kwargs):
-        if isinstance(source, str) and "policy_evals += _n" in source:
+        if isinstance(source, str) and ("policy_evals += _n" in source or "(_r):" in source):
             guard_kernels.append(source)
         return real_compile(source, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "compile", counting_compile)
-    before = len(db._fn_cache)
+    before = len(cache)
     rng = random.Random(5)
     fresh = 200
     for _ in range(fresh):
         lo = rng.randrange(0, 1000)
         prepared.execute([lo, lo + rng.randrange(1, 400), rng.randrange(0, 60)])
     assert guard_kernels == []
-    cache = db._fn_cache
-    guard_sized = [
-        entry
-        for entry in cache._entries
-        if any(is_metered_or(part, db.counters) for part in analysis.conjuncts(entry.expr))
-    ]
-    assert len(guard_sized) == 1
+    assert guard_sized() == held
     # What a binding may add is its own literal conjuncts' small kernels.
     assert len(cache) <= before + fresh * FRESH_CONJUNCTS
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cost_model import SieveCostModel, calibrate
 from repro.core.delta import DELTA_UDF_NAME, DeltaOperator
-from repro.core.generation import build_guarded_expression
+from repro.core.generation import build_guarded_expression, maintain_guarded_expression
 from repro.core.guard_store import GuardStore
 from repro.core.middleware import Sieve
 from repro.core.regeneration import (
@@ -247,6 +247,60 @@ class TestGuardStore:
         assert loaded is not None
         assert len(loaded.guards) == len(ge.guards)
         assert loaded.covered_policy_ids() == ge.covered_policy_ids()
+
+    def test_maintained_expression_rewrites_only_the_touched_guards_rows(self):
+        """``maintain`` edits the held expression instead of ``builder``
+        rebuilding it: not a regeneration, the flag (in memory and in
+        rGE) is cleared, guards shared with the predecessor keep their
+        rGG rows, and what is persisted round-trips to the maintained
+        expression after a mixed insert / delete / update sequence."""
+        db, store, gs = self.make()
+        builder = self._builder(db, store)
+        stats, cm = db.table_stats("wifi"), SieveCostModel()
+
+        def maintain(held):
+            policies = store.policies_for("prof", "analytics", "wifi")
+            return maintain_guarded_expression(held, policies, stats, INDEXED, cm)
+
+        first, _ = gs.get_or_build("prof", "analytics", "wifi", builder, maintain=maintain)
+        again, rebuilt = gs.get_or_build("prof", "analytics", "wifi", builder, maintain=maintain)
+        assert again is first and not rebuilt
+
+        def guard_rows():
+            return {
+                (row[3], row[5]): row[0]  # (attr, val) -> rGG id
+                for _rowid, row in db.catalog.table("sieve_guards").scan()
+            }
+
+        rows_before = guard_rows()
+        mine = store.policies_for("prof", "analytics", "wifi")
+        store.delete(mine[0].id)
+        store.insert(make_policies(n_owners=1, per_owner=1, seed=99)[0])
+        store.update(
+            Policy(
+                owner=mine[1].owner, querier="prof", purpose="analytics", table="wifi",
+                object_conditions=(mine[1].owner_condition,), id=mine[1].id,
+            )
+        )
+        assert gs.is_outdated("prof", "analytics", "wifi")
+        maintained, rebuilt = gs.get_or_build(
+            "prof", "analytics", "wifi", builder, maintain=maintain
+        )
+        assert not rebuilt and maintained is not first
+        assert not gs.is_outdated("prof", "analytics", "wifi")
+        assert db.execute("SELECT outdated FROM sieve_guarded_expressions").column("outdated") == [False]
+        assert maintained.covered_policy_ids() == {
+            p.id for p in store.policies_for("prof", "analytics", "wifi")
+        }
+        shared = [g for g in maintained.guards if any(g is h for h in first.guards)]
+        assert 0 < len(shared) < len(maintained.guards)
+        rows_after = guard_rows()
+        for guard in shared:
+            key = (guard.condition.attr, str(guard.condition.value))
+            assert rows_after[key] == rows_before[key]
+        loaded = gs.load_persisted("prof", "analytics", "wifi")
+        describe = lambda ge: sorted((str(g.condition), sorted(g.policy_ids)) for g in ge.guards)  # noqa: E731
+        assert describe(loaded) == describe(maintained)
 
     def test_outdated_flag_persisted(self):
         db, store, gs = self.make()

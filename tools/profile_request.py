@@ -15,11 +15,12 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
   so strategy choice, rewrite and planning run per request;
 * ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
-  regenerates the written querier's guards.
+  brings the written querier's guards to the new corpus (maintenance,
+  or every k-th insert a full regeneration) and re-plans.
 
 Every querier and shape is executed once before the profiled window, so
 guard generation and first-sight compilation are not in it (except, in
-``churn``, the regeneration the writes cause).  cProfile inflates call
+``churn``, what the writes cause).  cProfile inflates call
 heavy code; use it to find where time goes, and ``bench/run.py`` to
 measure a change.
 """
@@ -31,6 +32,7 @@ import cProfile
 import pathlib
 import pstats
 import random
+import statistics
 import sys
 import time
 from collections import defaultdict
@@ -110,9 +112,11 @@ class World:
         return len(prepared.execute(values).rows)
 
 
-def make_requests(world: World, mode: str, n: int, seed: int) -> list[Callable[[], object]]:
+def make_requests(world: World, mode: str, n: int, seed: int) -> list[tuple[str, Callable[[], object]]]:
     """``n`` read requests (plus, in ``churn``, the writes between them)
-    as zero-argument callables, after warming every (querier, shape)."""
+    as ``(kind, zero-argument callable)``, after warming every (querier,
+    shape).  ``kind`` is ``"read"``, ``"write"`` or ``"after_write"``
+    (the read that follows a write, on the written querier)."""
     rng = random.Random(f"{seed}:{mode}")
     pairs = [(shop, shape) for shop in world.shops for shape in range(len(SHAPES))]
     fixed = {pair: world.bind(pair[1], pair[0], rng) for pair in pairs}
@@ -121,25 +125,44 @@ def make_requests(world: World, mode: str, n: int, seed: int) -> list[Callable[[
     order = [pair for _ in range(n // len(pairs) + 1) for pair in rng.sample(pairs, len(pairs))][:n]
     if mode == "fresh":
         texts = [world.bind(shape, shop, rng) for shop, shape in order]
-        return [lambda s=shop, t=text: world.serve(s, t) for (shop, _), text in zip(order, texts)]
+        return [
+            ("read", lambda s=shop, t=text: world.serve(s, t))
+            for (shop, _), text in zip(order, texts)
+        ]
     reads = [lambda s=shop, t=fixed[(shop, shape)]: world.serve(s, t) for shop, shape in order]
     if mode == "warm":
-        return reads
+        return [("read", read) for read in reads]
     hot = world.shops[0]
     spare = mall_policies_for_shop(world.mall, hot, n // (2 * READS_PER_WRITE) + 1, seed=seed)
-    out: list[Callable[[], object]] = []
+    out: list[tuple[str, Callable[[], object]]] = []
     for i, read in enumerate(reads):
+        kind = "read"
         if i % READS_PER_WRITE == 0:
             # Insert, then delete the same policy: the corpus stays ~150.
             policy = spare[i // (2 * READS_PER_WRITE)]
             if i // READS_PER_WRITE % 2 == 0:
-                out.append(lambda p=policy: world.store.insert(p))
+                out.append(("write", lambda p=policy: world.store.insert(p)))
             else:
-                out.append(lambda p=policy: world.store.delete(p.id))
+                out.append(("write", lambda p=policy: world.store.delete(p.id)))
             sql = fixed[(hot, rng.randrange(len(SHAPES)))]
-            read = lambda t=sql: world.serve(hot, t)  # noqa: E731 - first read hits the written querier
-        out.append(read)
+            kind, read = "after_write", lambda t=sql: world.serve(hot, t)  # the written querier
+        out.append((kind, read))
     return out
+
+
+def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
+    """Run ``requests`` once, unprofiled; the median time per read kind."""
+    taken: dict[str, list[float]] = defaultdict(list)
+    for kind, request in requests:
+        start = time.perf_counter()
+        request()
+        taken[kind].append((time.perf_counter() - start) * 1000.0)
+    names = {"read": "read", "after_write": "read after a write", "write": "policy write"}
+    return "median, timed without cProfile: " + ", ".join(
+        f"{names[kind]} {statistics.median(taken[kind]):.2f} ms (n={len(taken[kind])})"
+        for kind in ("after_write", "read", "write")
+        if taken[kind]
+    )
 
 
 def layer_of(filename: str) -> str:
@@ -190,16 +213,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("-n must be at least 1")
 
     world = World(args.seed)
-    requests = make_requests(world, args.mode, args.n, args.seed)
+    # One schedule, two passes (an even count of write cycles leaves the
+    # churned corpus as it found it): timed plainly, then profiled.
+    n = args.n + (-args.n) % (2 * READS_PER_WRITE) if args.mode == "churn" else args.n
+    requests = make_requests(world, args.mode, n, args.seed)
+    print(f"mode={args.mode} seed={args.seed}")
+    print(timed(requests))
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
-    for request in requests:
+    for _kind, request in requests:
         request()
     profile.disable()
     wall_s = time.perf_counter() - start
-    print(f"mode={args.mode} seed={args.seed}")
-    print(report(profile, args.n, wall_s, args.top))
+    print(report(profile, n, wall_s, args.top))
     return 0
 
 
