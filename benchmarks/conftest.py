@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-import pathlib
-import sys
-
 import pytest
 
 from repro.bench.scenarios import bench_mall, bench_tippers
-
-# tools/ holds the replay harness (a script, not an installed package);
-# bench_audit.py drives it as a library.
-_TOOLS = str(pathlib.Path(__file__).resolve().parents[1] / "tools")
-if _TOOLS not in sys.path:
-    sys.path.insert(0, _TOOLS)
 
 
 @pytest.fixture(scope="session")

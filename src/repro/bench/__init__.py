@@ -1,21 +1,16 @@
-"""Benchmark support: scenario caches, engine runners, load
-generation (closed- and open-loop), result reporting."""
+"""Support for the paper-reproduction scripts under ``benchmarks/``:
+scenario caches, engine runners, result reporting."""
 
 from repro.bench.scenarios import bench_tippers, bench_mall, policies_for_querier
-from repro.bench.loadgen import ClientScript, LoadReport, run_closed_loop, run_open_loop
 from repro.bench.runner import measure_engine, EngineRun
 from repro.bench.results import write_result, format_table
 
 __all__ = [
-    "ClientScript",
-    "LoadReport",
     "bench_tippers",
     "bench_mall",
     "policies_for_querier",
     "measure_engine",
     "EngineRun",
-    "run_closed_loop",
-    "run_open_loop",
     "write_result",
     "format_table",
 ]

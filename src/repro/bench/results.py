@@ -20,9 +20,9 @@ Output format (per :func:`write_result` call with name ``<name>``):
   - a list/tuple ordered exactly as the Markdown table's columns
     (older benches, e.g. ``fig6_scalability.json``), or
   - an object keyed by metric name (newer benches, e.g.
-    ``session_cache.json`` with keys ``policies``, ``cold_ms``,
-    ``warm_ms``, ``cold_cost``, ``warm_cost``, ``speedup``,
-    ``hit_rate``).
+    ``backend_sqlite.json`` with keys ``query``, ``sieve_ms``,
+    ``baseline_ms``, ``mean_sieve_ms``, ``mean_baseline_ms``,
+    ``speedup``, ``rows_returned``).
 
   Wall-clock metrics are suffixed ``_ms`` and are hardware-dependent;
   deterministic metrics (``*_cost`` in

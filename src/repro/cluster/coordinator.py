@@ -53,11 +53,13 @@ protocol that never produces a wrong answer mid-flight:
    even under load, since such requests stop arriving after the
    swap), then shrinks its partition and drops exactly the migrated
    queriers' cached guards/rewrites.  Unmigrated queriers keep their
-   warm state — the property ``benchmarks/bench_cluster.py`` asserts.
+   warm state — the property
+   ``tests/test_cluster.py::test_add_shard_migrates_few_and_preserves_warm_guards``
+   asserts.
 
-**Crash tolerance** (the fault tier, all opt-in — without a
-:class:`RetryPolicy`, deadline, or injector the request path is the
-legacy fail-fast one above):
+**Crash tolerance** (the fault tier; one request path — without a
+:class:`RetryPolicy` it makes a single attempt, without a deadline it
+waits unbounded):
 
 * **deadlines** — ``submit(..., deadline_s=)`` (or a cluster
   ``default_deadline_s``) stamps an absolute deadline that rides the
@@ -155,9 +157,8 @@ _TRANSIENT_ERRORS = (
 class RetryPolicy:
     """Opt-in coordinator-side resilience knobs.
 
-    Without one (the default), the cluster keeps its legacy
-    fail-fast contract: one routing attempt, errors propagate
-    immediately — pinned by
+    Without one (the default), a request gets one routing attempt and
+    errors propagate immediately — pinned by
     ``tests/test_cluster.py::test_cluster_shard_failure_is_explicit_backpressure``.
     With one, :meth:`SieveCluster.execute
     <repro.cluster.coordinator.SieveCluster.execute>` retries
@@ -283,40 +284,21 @@ class ClusterShard:
         return self.sieve.invalidate_caches(querier=querier)
 
 
-def _merge_latency(
-    stats: "list[ServiceStats]", hist_attr: str, summary_attr: str
-) -> LatencySummary:
-    """Exact cross-shard latency merge.
-
-    When every shard carries its log-bucketed
-    :class:`~repro.obs.histogram.LatencyHistogram`, the merge adds
-    bucket counts — the merged quantiles are *identical* to a single
-    histogram over the union population (no count-weighted
-    approximation).  Falls back to :meth:`LatencySummary.merge
-    <repro.service.server.LatencySummary.merge>` for hand-built
-    summaries without histograms.
-    """
-    hists = [getattr(s, hist_attr, None) for s in stats]
-    if stats and all(h is not None for h in hists):
-        return LatencySummary.of_histogram(LatencyHistogram.merge(hists))
-    return LatencySummary.merge([getattr(s, summary_attr) for s in stats])
-
-
 @dataclass
 class ClusterStats:
     """Cluster-level aggregation of every shard's accounting.
 
     Counts are exact sums; ``latency`` / ``queue_wait`` merge the
-    per-shard latency *histograms* bucket-for-bucket (exact — see
-    :func:`_merge_latency`; the count-weighted
-    :meth:`LatencySummary.merge
-    <repro.service.server.LatencySummary.merge>` remains the fallback
-    for stats without histograms); ``guard_cache`` / ``plan_cache``
-    aggregate the shards' :class:`~repro.core.cache.CacheStats`
-    snapshots (:meth:`~repro.core.cache.CacheStats.merge`) with the hit
-    rate recomputed over the summed traffic.  ``partition_policies`` is the
-    per-shard policy-partition size — the 1/N corpus share the bench
-    asserts — ``per_shard`` retains each shard's full
+    per-shard latency *histograms* bucket-for-bucket, so the merged
+    quantiles are identical to one histogram over the union population
+    (:meth:`LatencyHistogram.merge
+    <repro.obs.histogram.LatencyHistogram.merge>`); ``guard_cache`` /
+    ``plan_cache`` aggregate the shards'
+    :class:`~repro.core.cache.CacheStats` snapshots
+    (:meth:`~repro.core.cache.CacheStats.merge`) with the hit rate
+    recomputed over the summed traffic.  ``partition_policies`` is the
+    per-shard policy-partition size (the 1/N corpus share);
+    ``per_shard`` retains each shard's full
     :class:`~repro.service.ServiceStats`, and ``health`` /
     ``reroutes`` carry the coordinator's tracked per-shard verdicts
     and active routing detours (:meth:`SieveCluster.health_tick`).
@@ -355,8 +337,12 @@ class ClusterStats:
             rejections=sum(s.rejections for s in stats),
             failures=sum(s.failures for s in stats),
             pending=sum(s.pending for s in stats),
-            latency=_merge_latency(stats, "latency_hist", "latency"),
-            queue_wait=_merge_latency(stats, "queue_wait_hist", "queue_wait"),
+            latency=LatencySummary.of_histogram(
+                LatencyHistogram.merge(s.latency_hist for s in stats)
+            ),
+            queue_wait=LatencySummary.of_histogram(
+                LatencyHistogram.merge(s.queue_wait_hist for s in stats)
+            ),
             guard_cache=CacheStats.merge(s.guard_cache for s in stats),
             plan_cache=CacheStats.merge(s.plan_cache for s in stats),
             partition_policies=dict(partition_policies),
@@ -453,8 +439,8 @@ class SieveCluster:
         if default_deadline_s is not None and default_deadline_s <= 0.0:
             raise ClusterError("default_deadline_s must be positive")
         self.store = store
-        #: Resilience (all opt-in; None/True defaults keep the legacy
-        #: fail-fast, unfenced-write-free behavior bit-identical):
+        #: Resilience: no retry policy = one attempt per request, no
+        #: default deadline = waits bounded only by the caller's own.
         self.retry_policy = retry_policy
         self.default_deadline_s = default_deadline_s
         #: Shared :class:`~repro.faults.FaultInjector` (chaos runs).
@@ -712,10 +698,15 @@ class SieveCluster:
         elif fault.kind == "drop_relay":
             self.drop_relay(name)
 
-    def _absolute_deadline(self, deadline_s: float | None) -> float | None:
-        """Relative budget (explicit, else the cluster default) → an
-        absolute perf_counter deadline shared by retries and hedges."""
+    def _absolute_deadline(
+        self, deadline_s: float | None, timeout: float | None = None
+    ) -> float | None:
+        """Relative budget (explicit, else the cluster default, else
+        the caller's ``timeout``) → an absolute perf_counter deadline
+        shared by retries and hedges."""
         budget = deadline_s if deadline_s is not None else self.default_deadline_s
+        if budget is None:
+            budget = timeout
         return None if budget is None else time.perf_counter() + budget
 
     def _routed_submit(
@@ -790,25 +781,16 @@ class SieveCluster:
         timeout: float | None = None,
         deadline_s: float | None = None,
     ) -> Any:
-        """Blocking execute.  Fail-fast by default; with a
-        :class:`RetryPolicy` and/or a deadline the resilient path
-        engages — transparent retries of transient failures, optional
-        hedged reads, and a typed
-        :class:`~repro.common.errors.DeadlineExceededError` instead of
-        an unbounded wait."""
-        if (
-            self.retry_policy is None
-            and deadline_s is None
-            and self.default_deadline_s is None
-        ):
-            # Legacy fail-fast path, bit-identical to before the fault
-            # tier existed: one attempt, errors propagate immediately.
-            return self.submit(sql, querier, purpose).result(timeout=timeout)
-        deadline = self._absolute_deadline(deadline_s)
-        if deadline is None and timeout is not None:
-            deadline = time.perf_counter() + timeout
+        """Blocking execute: one routed attempt, or — with a
+        :class:`RetryPolicy` — transparent retries of transient
+        failures and optional hedged reads.  The wait is bounded by
+        ``deadline_s`` (default: the cluster's ``default_deadline_s``;
+        failing both, ``timeout``) and ends in a typed
+        :class:`~repro.common.errors.DeadlineExceededError` when it
+        runs out."""
         return self._resilient_result(
-            sql, querier, purpose, with_info=False, deadline=deadline
+            sql, querier, purpose, with_info=False,
+            deadline=self._absolute_deadline(deadline_s, timeout),
         )
 
     def execute_with_info(
@@ -819,17 +801,9 @@ class SieveCluster:
         timeout: float | None = None,
         deadline_s: float | None = None,
     ) -> Any:
-        if (
-            self.retry_policy is None
-            and deadline_s is None
-            and self.default_deadline_s is None
-        ):
-            return self.submit_with_info(sql, querier, purpose).result(timeout=timeout)
-        deadline = self._absolute_deadline(deadline_s)
-        if deadline is None and timeout is not None:
-            deadline = time.perf_counter() + timeout
         return self._resilient_result(
-            sql, querier, purpose, with_info=True, deadline=deadline
+            sql, querier, purpose, with_info=True,
+            deadline=self._absolute_deadline(deadline_s, timeout),
         )
 
     # ------------------------------------------------------ resilient path
@@ -875,6 +849,17 @@ class SieveCluster:
             f"cluster wait for querier {querier!r} exhausted its deadline"
         )
 
+    def _bounded_result(
+        self, future: "Future[Any]", querier: Any, deadline: float | None
+    ) -> Any:
+        """The future's outcome, waiting no longer than the deadline."""
+        if deadline is None:
+            return future.result()
+        try:
+            return future.result(timeout=max(0.0, deadline - time.perf_counter()))
+        except FutureTimeoutError:
+            raise self._deadline_exhausted(querier) from None
+
     def _backoff_sleep(self, attempt: int, deadline: float | None) -> None:
         policy = self.retry_policy
         if policy is None:
@@ -904,14 +889,7 @@ class SieveCluster:
         policy = self.retry_policy
         hedge_delay = policy.hedge_delay_s if policy is not None else None
         if hedge_delay is None:
-            if deadline is None:
-                return future.result()
-            try:
-                return future.result(
-                    timeout=max(0.0, deadline - time.perf_counter())
-                )
-            except FutureTimeoutError:
-                raise self._deadline_exhausted(querier) from None
+            return self._bounded_result(future, querier, deadline)
         # Hedged wait: give the primary ``hedge_delay`` seconds, then
         # duplicate the read to the owning shard and take whichever
         # answers first.  Safe — queries are read-only; the duplicate
@@ -970,24 +948,32 @@ class SieveCluster:
         """One querier's batch — single-shard by construction, served
         with :meth:`SieveServer.execute_many
         <repro.service.server.SieveServer.execute_many>` ordering
-        semantics (``result[i]`` answers ``sqls[i]``)."""
-        if self.tracer is None:
+        semantics (``result[i]`` answers ``sqls[i]``).  The batch
+        shares one deadline (the cluster's ``default_deadline_s``,
+        else ``timeout``): it rides every admitted request and bounds
+        the gather, so a hung worker surfaces as
+        :class:`~repro.common.errors.DeadlineExceededError`."""
+        deadline = self._absolute_deadline(None, timeout)
+
+        def admit_all() -> "tuple[ClusterShard, list[Future[Any]]]":
             with self._route_lock.read_locked():
                 shard = self._checked_shard_locked(querier)
-                futures = [shard.server.submit(sql, querier, purpose) for sql in sqls]
+                return shard, [
+                    shard.server.admit(sql, querier, purpose, deadline=deadline)
+                    for sql in sqls
+                ]
+
+        if self.tracer is None:
+            _, futures = admit_all()
         else:
             # One routing root covers the whole batch; every admitted
             # request carries its trace id, so the batch's N shard-side
             # executions all correlate back to this one route.
             with self.tracer.trace("cluster.route", querier=str(querier)) as root:
-                with self._route_lock.read_locked():
-                    shard = self._checked_shard_locked(querier)
-                    futures = [
-                        shard.server.submit(sql, querier, purpose) for sql in sqls
-                    ]
+                shard, futures = admit_all()
                 root.set(shard=shard.name, batch=len(futures))
         self._tick("cluster_requests", len(futures))
-        return [future.result(timeout=timeout) for future in futures]
+        return [self._bounded_result(future, querier, deadline) for future in futures]
 
     # ------------------------------------------------------- policy writes
 

@@ -193,26 +193,17 @@ class Database:
         with span("run", vectorized=self.vectorized):
             return self.run_plan(planned)
 
-    def run_plan(
-        self,
-        planned: PlannedQuery,
-        vectorized: bool | None = None,
-        codegen: bool | None = None,
-    ) -> QueryResult:
-        """Execute an already-planned query, optionally overriding the
-        engine mode (``None`` keeps the database default) — the hook
-        the engine benchmarks use to time tuple vs vectorized
-        execution of one plan without re-planning."""
-        use_vectorized = self.vectorized if vectorized is None else vectorized
-        use_codegen = self.codegen if codegen is None else codegen
-        executor_cls = VectorizedExecutor if use_vectorized else Executor
+    def run_plan(self, planned: PlannedQuery) -> QueryResult:
+        """Execute an already-planned query in the database's engine
+        mode (a warm plan-cache hit enters here, skipping planning)."""
+        executor_cls = VectorizedExecutor if self.vectorized else Executor
         executor = executor_cls(
             self.catalog,
             self.counters,
             self._udfs,
             plan_subquery=self._plan_subquery,
             fn_cache=self._fn_cache,
-            use_codegen=use_codegen,
+            use_codegen=self.codegen,
         )
         return executor.run(planned.root, planned.cte_plans)
 

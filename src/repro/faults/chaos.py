@@ -1,9 +1,8 @@
 """The chaos differential: randomized fault plans vs a fault-free oracle.
 
 :func:`run_chaos_plan` is the harness shared by the test suite
-(``tests/test_chaos_differential.py``), the report tool
-(``tools/chaos_report.py``), and the fault bench
-(``benchmarks/bench_faults.py``).  One run builds a compact Sieve
+(``tests/test_chaos_differential.py``) and the report tool
+(``tools/chaos_report.py``).  One run builds a compact Sieve
 world, computes a fault-free oracle answer for every measured
 (querier, query) pair, then drives a 3-shard cluster through a mix of
 queries and policy-churn writes while a seeded

@@ -1,13 +1,11 @@
 """Log-bucketed, exactly-mergeable latency histograms.
 
-The serving tier originally kept a bounded reservoir of raw latency
-samples per server and summarized it on demand.  That breaks down at
-cluster scale: percentiles of a merged population are *not*
-recoverable from per-shard percentiles, so ``ClusterStats`` could only
-count-weight per-shard quantiles — exact for homogeneous shards,
-silently wrong the moment one shard is slow (precisely the case the
-health tier must detect).  A :class:`LatencyHistogram` fixes this with
-the standard log-bucketed design (HdrHistogram / DDSketch family):
+Percentiles of a merged population are *not* recoverable from
+per-shard percentiles — count-weighting per-shard quantiles is exact
+for homogeneous shards and silently wrong the moment one shard is slow
+(precisely the case the health tier must detect) — so every latency
+population the serving tier keeps is a :class:`LatencyHistogram`, the
+standard log-bucketed design (HdrHistogram / DDSketch family):
 
 * **buckets** — bucket 0 holds every value ``<= base_ms``; bucket
   ``i >= 1`` covers ``(base_ms * growth**(i-1), base_ms * growth**i]``.
@@ -29,12 +27,12 @@ the standard log-bucketed design (HdrHistogram / DDSketch family):
   default — noise at serving latencies).  ``count``/``sum``/``min``/
   ``max`` (hence the mean) are exact.
 
-:meth:`percentile` mirrors :func:`repro.service.server.percentile`
-semantics — ``q`` in 0..100, clamped, 0.0 when empty, linear
-interpolation between the neighboring ranks' bucket representatives —
-so the histogram-backed ``LatencySummary`` agrees with the reservoir
-one within the documented bound (pinned by
-``tests/test_obs_histogram.py``'s hypothesis property).
+:meth:`percentile` follows the exact sorted-sample definition — ``q``
+in 0..100, clamped, 0.0 when empty, linear interpolation between the
+neighboring ranks (here: their bucket representatives) — so the
+histogram-backed ``LatencySummary`` agrees with the exact one within
+the documented bound (pinned by ``tests/test_obs_histogram.py``'s
+hypothesis property against its own exact reference).
 """
 
 from __future__ import annotations

@@ -213,7 +213,8 @@ def clear_inherited_trace_id() -> None:
 def attributed_fraction(root: Span) -> float:
     """Fraction of a root span's wall time covered by its direct
     children — the "how much of e2e latency do named phases explain"
-    measure ``benchmarks/bench_obs.py`` asserts on."""
+    measure ``tests/test_obs_tracing.py`` holds at >= 90% over traced
+    Mall queries."""
     total = root.duration_ms
     if total <= 0.0:
         return 1.0

@@ -10,8 +10,8 @@ backpressure), grouped by (querier, purpose), executed against a
 consistent policy snapshot through the process-wide guard cache, and
 resolved via futures with per-request latency + queue-wait
 accounting.  See ``docs/ARCHITECTURE.md`` ("Service tier") for the
-request lifecycle and :mod:`repro.bench.loadgen` for the closed-loop
-load generator that drives it.
+request lifecycle; ``bench/load.py`` is the closed-loop client that
+drives it for the canonical benchmark.
 """
 
 from repro.common.errors import (
@@ -31,7 +31,6 @@ from repro.service.server import (
     LatencySummary,
     ServiceStats,
     SieveServer,
-    percentile,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "ServiceStoppedError",
     "ShardUnavailableError",
     "SieveServer",
-    "percentile",
 ]

@@ -42,9 +42,9 @@ below ``max_pending``, so rejections start while the served requests'
 latency is still inside budget ("reject earliest").  Recovery is
 hysteretic: shedding stays on until the burn signal has been clear
 for a cool-down window, so a marginal burn cannot flap admission
-open/closed.  ``benchmarks/bench_health.py`` is the overload-burst
-demonstration; the naive bounded queue serves everything it admits
-but blows through the latency budget doing so.
+open/closed (``tests/test_health.py`` drives the clamp and its
+release on a manual clock); the naive bounded queue serves everything
+it admits but blows through the latency budget doing so.
 """
 
 from __future__ import annotations

@@ -53,8 +53,7 @@ Throughput scales with workers only as far as the engine allows: the
 bundled pure-Python engine serializes on the GIL (workers buy
 concurrency, not parallelism), while a real backend such as
 :class:`~repro.backend.SqliteBackend` releases the GIL during
-execution — ``benchmarks/bench_service_throughput.py`` measures
-exactly this contrast.
+execution.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.common.errors import (
     DeadlineExceededError,
@@ -102,32 +101,10 @@ AUTO_PREPARE_MAX_SHAPES = 512
 SLO_TICK_INTERVAL_S = 0.05
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The q-th percentile (0..100) by linear interpolation; 0.0 when
-    empty.  Small-n friendly — benches quote p99 of a few thousand
-    requests, not of millions."""
-    if not values:
-        return 0.0
-    # Clamp: q outside [0, 100] would index past the sample list
-    # (q > 100) or extrapolate below the minimum (q < 0).
-    q = min(100.0, max(0.0, q))
-    # Already-ascending input (the common caller sorts once for all
-    # three quantiles) skips the re-sort.
-    ordered = list(values)
-    if any(a > b for a, b in zip(ordered, ordered[1:])):
-        ordered.sort()
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 @dataclass
 class LatencySummary:
-    """Percentiles of one latency population, in milliseconds."""
+    """Percentiles of one latency population, in milliseconds — the
+    five-field view of a :class:`~repro.obs.histogram.LatencyHistogram`."""
 
     count: int = 0
     mean_ms: float = 0.0
@@ -136,82 +113,13 @@ class LatencySummary:
     p99_ms: float = 0.0
 
     @classmethod
-    def of_seconds(cls, samples: Sequence[float]) -> "LatencySummary":
-        if not samples:
-            return cls()
-        ms = sorted(s * 1000.0 for s in samples)  # sort once for all quantiles
-        return cls(
-            count=len(ms),
-            mean_ms=sum(ms) / len(ms),
-            p50_ms=percentile(ms, 50),
-            p95_ms=percentile(ms, 95),
-            p99_ms=percentile(ms, 99),
-        )
-
-    @classmethod
     def of_histogram(cls, hist: LatencyHistogram) -> "LatencySummary":
         """The histogram-backed summary: count and mean are exact,
         quantiles carry the histogram's documented relative error
         bound (:attr:`LatencyHistogram.relative_error
         <repro.obs.histogram.LatencyHistogram.relative_error>`,
         ~2.5% at the default bucketing)."""
-        if not hist.count:
-            return cls()
-        return cls(
-            count=hist.count,
-            mean_ms=hist.mean_ms,
-            p50_ms=hist.percentile(50),
-            p95_ms=hist.percentile(95),
-            p99_ms=hist.percentile(99),
-        )
-
-    @classmethod
-    def merge(cls, summaries: "Sequence[LatencySummary]") -> "LatencySummary":
-        """Combine per-shard summaries into one cluster-level summary
-        (:class:`~repro.cluster.ClusterStats`).
-
-        The mean is exact (count-weighted).  Percentiles of a merged
-        population are not recoverable from per-population percentiles
-        alone, so each quantile is the count-weighted average of the
-        inputs' — exact when shards have similar latency shapes (the
-        homogeneous-shard case the cluster is built for) and documented
-        as an approximation otherwise.
-
-        The cluster no longer relies on this approximation on its main
-        path: when every shard's :class:`ServiceStats` carries its
-        :class:`~repro.obs.histogram.LatencyHistogram`, the roll-up
-        merges the histograms *exactly* and summarizes the merged
-        population (see :meth:`ClusterStats.merge
-        <repro.cluster.coordinator.ClusterStats.merge>`).  This method
-        remains the documented fallback for summary-only inputs.
-        """
-        populated = [s for s in summaries if s.count]
-        total = sum(s.count for s in populated)
-        if not total:
-            return cls()
-        if len(populated) == 1:
-            # One real population (single shard, or single-sample
-            # summaries merged with empties): its percentiles are exact
-            # — pass them through rather than re-deriving.
-            only = populated[0]
-            return cls(
-                count=only.count,
-                mean_ms=only.mean_ms,
-                p50_ms=only.p50_ms,
-                p95_ms=only.p95_ms,
-                p99_ms=only.p99_ms,
-            )
-
-        def weighted(attr: str) -> float:
-            return sum(getattr(s, attr) * s.count for s in populated) / total
-
-        return cls(
-            count=total,
-            mean_ms=weighted("mean_ms"),
-            p50_ms=weighted("p50_ms"),
-            p95_ms=weighted("p95_ms"),
-            p99_ms=weighted("p99_ms"),
-        )
+        return cls(**hist.summary_dict())
 
     def to_dict(self) -> dict[str, float]:
         """JSON-ready form (the metrics tier's summary sample source)."""
@@ -242,8 +150,6 @@ class ServiceStats:
     batches: int
     rejections: int
     failures: int
-    latency: LatencySummary = field(default_factory=LatencySummary)
-    queue_wait: LatencySummary = field(default_factory=LatencySummary)
     guard_cache: dict[str, float] = field(default_factory=dict)
     #: Always ``None``: the text-keyed rewrite memo is gone (it was
     #: never consulted once auto-prepare served repeated shapes).  The
@@ -254,15 +160,26 @@ class ServiceStats:
     #: Rejections issued by the adaptive shedder specifically (a
     #: subset of ``rejections``; 0 when no SLO clamp is configured).
     sheds: int = 0
-    #: End-to-end latency (submit → result, queue wait included) —
-    #: what the serving SLO is stated over.
-    total_latency: LatencySummary = field(default_factory=LatencySummary)
-    #: Histogram snapshots behind the three summaries (``None`` for
-    #: hand-built stats, e.g. in tests) — the cluster merges these
-    #: exactly instead of count-weighting quantiles.
-    latency_hist: LatencyHistogram | None = None
-    queue_wait_hist: LatencyHistogram | None = None
-    total_latency_hist: LatencyHistogram | None = None
+    #: The three latency populations — service time, queue wait, and
+    #: end-to-end (submit → result, queue wait included; what the
+    #: serving SLO is stated over) — as histogram snapshots, which the
+    #: cluster merges exactly.  ``latency`` / ``queue_wait`` /
+    #: ``total_latency`` are their five-field summaries.
+    latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
+    queue_wait_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
+    total_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
+
+    @property
+    def latency(self) -> LatencySummary:
+        return LatencySummary.of_histogram(self.latency_hist)
+
+    @property
+    def queue_wait(self) -> LatencySummary:
+        return LatencySummary.of_histogram(self.queue_wait_hist)
+
+    @property
+    def total_latency(self) -> LatencySummary:
+        return LatencySummary.of_histogram(self.total_latency_hist)
 
     @property
     def mean_batch_size(self) -> float:
@@ -907,9 +824,6 @@ class SieveServer:
             rejections=rejections,
             failures=failures,
             sheds=sheds,
-            latency=LatencySummary.of_histogram(latency_hist),
-            queue_wait=LatencySummary.of_histogram(queue_wait_hist),
-            total_latency=LatencySummary.of_histogram(total_hist),
             latency_hist=latency_hist,
             queue_wait_hist=queue_wait_hist,
             total_latency_hist=total_hist,

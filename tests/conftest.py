@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from repro.db.database import connect
+from repro.obs.histogram import LatencyHistogram
 from repro.datasets.policies import generate_campus_policies
 from repro.datasets.tippers import TippersConfig, generate_tippers
 from repro.policy.groups import GroupDirectory
@@ -113,18 +114,26 @@ def tippers_small():
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def load_replay_module():
-    """Import ``tools/replay.py`` (not an installed package) once."""
-    name = "repro_tools_replay"
+def load_tool_module(stem: str):
+    """Import ``tools/<stem>.py`` (not an installed package) once."""
+    name = f"repro_tools_{stem}"
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.spec_from_file_location(
-        name, _REPO_ROOT / "tools" / "replay.py"
+        name, _REPO_ROOT / "tools" / f"{stem}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def hist_of(values, **kwargs) -> LatencyHistogram:
+    """A histogram holding the given millisecond samples."""
+    hist = LatencyHistogram(**kwargs)
+    for v in values:
+        hist.record_ms(v)
+    return hist
 
 
 class AuditOracle:
@@ -165,7 +174,7 @@ class AuditOracle:
     def verify_and_replay(self):
         """Chain-verify and replay every attached log; returns the
         per-log ReplayReports (empty logs are skipped)."""
-        replay = load_replay_module()
+        replay = load_tool_module("replay")
         reports = []
         for sieve, log, backend_factory, compare_counters in self._attached:
             checked = log.verify()

@@ -27,7 +27,7 @@ from repro.datasets.policies import PolicyGenConfig, generate_campus_policies
 from repro.datasets.tippers import TippersConfig, WIFI_TABLE, generate_tippers
 from repro.policy.store import PolicyStore
 
-from tests.conftest import load_replay_module
+from tests.conftest import load_tool_module
 
 DELTA_MODES = {
     "delta-off": SieveCostModel(udf_invocation=1e18),
@@ -132,7 +132,7 @@ def test_replay_reproduces_recorded_window(request, workload, engine, delta_mode
 
     _churn(world)  # post-window churn: pinning must isolate the replay
 
-    replay = load_replay_module()
+    replay = load_tool_module("replay")
     report = replay.replay_records(
         log.records(),
         world["store"],
@@ -172,7 +172,7 @@ def test_mid_window_mutations_pin_distinct_epochs(request, workload):
 
     _churn(world)  # later churn again — invisible to the pinned replay
 
-    replay = load_replay_module()
+    replay = load_tool_module("replay")
     report = replay.replay_records(log.records(), store)
     assert report.ok, report.describe()
     assert sorted(report.epochs) == sorted(epochs)
@@ -198,7 +198,7 @@ def test_replay_refuses_backend_records_without_factory(request):
     sieve = Sieve(world["db"], world["store"], backend=SqliteBackend().ship(world["db"]))
     log = sieve.enable_audit()
     sieve.execute(world["queries"][0], world["queriers"][0], world["purpose"])
-    replay = load_replay_module()
+    replay = load_tool_module("replay")
     from repro.common.errors import AuditError
 
     with pytest.raises(AuditError, match="backend_factory"):

@@ -1,7 +1,7 @@
 """The chaos differential: the acceptance gate of the fault tier.
 
 Hundreds of seeded randomized fault plans (``SIEVE_CHAOS_PLANS``
-overrides the count; CI's chaos-smoke job runs a small slice) drive a
+overrides the count; CI's tools-smoke job runs a small slice) drive a
 3-shard cluster through crashes, hangs, lost replies, relay failures,
 mid-scatter faults and clock skew, and every run must uphold the
 fail-closed contract judged by :func:`repro.faults.chaos.run_chaos_plan`:

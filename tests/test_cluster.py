@@ -288,12 +288,18 @@ def cluster_world():
 
 def test_cluster_serves_every_querier_identically(cluster_world):
     db, store, _grant, _next_id, oracle, queries = cluster_world
+    single = Sieve(db, store)
     with make_cluster(db, store) as cluster:
         assert len(cluster.shard_names) == 4
         for querier in QUERIERS:
             for sql in queries:
-                rows = sorted(cluster.execute(sql, querier, PURPOSE, timeout=60).rows)
-                assert rows == oracle[(querier, sql)]
+                info = cluster.execute_with_info(sql, querier, PURPOSE, timeout=60)
+                assert sorted(info.result.rows) == oracle[(querier, sql)]
+                # the shard's partition hands the request exactly the
+                # policies the whole corpus would
+                assert info.policies_considered == single.execute_with_info(
+                    sql, querier, PURPOSE
+                ).policies_considered > 0
         # default-deny crosses the cluster boundary too
         assert cluster.execute(queries[0], "nobody", PURPOSE, timeout=60).rows == []
         stats = cluster.stats()
@@ -301,9 +307,11 @@ def test_cluster_serves_every_querier_identically(cluster_world):
         assert stats.requests == len(QUERIERS) * len(queries) + 1
         assert stats.failures == 0
         assert db.counters.cluster_requests == stats.requests
-        # partition sizes reflect the querier split, not the full corpus
+        # partition sizes reflect the querier split, not the full
+        # corpus: no shard filters more than half of it (>= 2x less
+        # policy-filter work per shard at N=4)
         assert sum(stats.partition_policies.values()) >= len(store)
-        assert max(stats.partition_policies.values()) < len(store)
+        assert max(stats.partition_policies.values()) <= len(store) // 2
 
 
 def test_cluster_routes_by_ring_and_only_owner_serves(cluster_world):

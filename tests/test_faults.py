@@ -208,6 +208,21 @@ def test_cluster_deadline_is_typed_not_a_hang():
         assert db.counters.cluster_deadline_timeouts >= 1
 
 
+def test_cluster_execute_many_honours_the_default_deadline():
+    """A batch rides the cluster's default deadline like a single
+    request: a shard that cannot answer in time is a typed refusal,
+    not rows a second late (or a hang, were the worker dead)."""
+    db, store, _, _ = build_world()
+    with make_cluster(db, store, default_deadline_s=0.1) as cluster:
+        cluster.slow_shard(cluster.route(QUERIERS[0]), 1.0)
+        timeouts0 = db.counters.cluster_deadline_timeouts
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            cluster.execute_many([QUERY, QUERY], QUERIERS[0], PURPOSE)
+        assert time.perf_counter() - started < 0.9
+        assert db.counters.cluster_deadline_timeouts == timeouts0 + 1
+
+
 def test_killed_server_fails_waiters_instead_of_hanging():
     """Satellite regression: a dead worker process must surface a
     typed ShardUnavailableError on every queued future — a bounded

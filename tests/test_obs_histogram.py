@@ -1,8 +1,7 @@
-"""Log-bucketed histogram: merge exactness, quantile error bounds,
-and the :class:`~repro.service.server.LatencySummary` edge cases the
-health tier leans on (ISSUE satellite: pin ``merge``/``percentile``
-edges and prove ``merge(split(xs))`` quantiles match ``quantiles(xs)``
-within the documented bound)."""
+"""Log-bucketed histogram: merge exactness, quantile error bounds
+against an exact sorted-sample reference (:func:`percentile` below),
+and the :class:`~repro.service.server.LatencySummary` edge cases of
+the cluster's latency roll-up the health tier leans on."""
 
 from __future__ import annotations
 
@@ -13,15 +12,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hist_of
 from repro.obs.histogram import DEFAULT_BASE_MS, DEFAULT_GROWTH, LatencyHistogram
-from repro.service.server import LatencySummary, percentile
+from repro.cluster import ClusterStats
+from repro.service.server import LatencySummary, ServiceStats
 
 
-def _hist_of(values, **kwargs) -> LatencyHistogram:
-    hist = LatencyHistogram(**kwargs)
-    for v in values:
-        hist.record_ms(v)
-    return hist
+def percentile(values, q: float) -> float:
+    """The exact q-th percentile (0..100, clamped) of raw samples by
+    linear interpolation between neighboring ranks; 0.0 when empty —
+    the reference the histogram's error bound is measured against."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = (min(100.0, max(0.0, q)) / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _rollup(*populations) -> LatencySummary:
+    """The cluster's latency summary over shards that served the given
+    per-shard populations (milliseconds)."""
+    per_shard = {
+        f"s{i}": ServiceStats(
+            workers=1, pending=0, requests=len(ms), batches=0, rejections=0,
+            failures=0, latency_hist=hist_of(ms),
+        )
+        for i, ms in enumerate(populations)
+    }
+    return ClusterStats.merge(per_shard, {}, {}).latency
 
 
 # --------------------------------------------------------------- construction
@@ -48,7 +69,7 @@ def test_empty_histogram():
 
 
 def test_single_sample_every_quantile_is_the_sample_within_bound():
-    hist = _hist_of([42.0])
+    hist = hist_of([42.0])
     for q in (0, 1, 50, 99, 100):
         assert hist.percentile(q) == pytest.approx(42.0, rel=hist.relative_error)
     assert hist.min_ms == 42.0
@@ -57,13 +78,13 @@ def test_single_sample_every_quantile_is_the_sample_within_bound():
 
 
 def test_percentile_q_is_clamped():
-    hist = _hist_of([1.0, 2.0, 3.0])
+    hist = hist_of([1.0, 2.0, 3.0])
     assert hist.percentile(-10) == hist.percentile(0)
     assert hist.percentile(250) == hist.percentile(100)
 
 
 def test_sub_base_samples_share_bucket_zero():
-    hist = _hist_of([1e-6, 5e-4, DEFAULT_BASE_MS])
+    hist = hist_of([1e-6, 5e-4, DEFAULT_BASE_MS])
     (lower, upper, count), *rest = hist.buckets()
     assert (lower, upper, count) == (0.0, DEFAULT_BASE_MS, 3)
     assert rest == []
@@ -81,7 +102,7 @@ def test_bucket_boundaries_are_lower_open_upper_closed():
 def test_representative_clamped_to_observed_range():
     # A lone sample deep inside a wide bucket: the geometric midpoint
     # may sit outside [min, max]; clamping can only reduce error.
-    hist = _hist_of([100.0])
+    hist = hist_of([100.0])
     assert hist.percentile(50) == 100.0
 
 
@@ -107,21 +128,21 @@ def test_merge_of_nothing_is_empty():
 
 
 def test_merge_with_empty_histogram_is_identity():
-    hist = _hist_of([1.0, 10.0, 100.0])
+    hist = hist_of([1.0, 10.0, 100.0])
     merged = LatencyHistogram.merge([hist, LatencyHistogram()])
     assert merged.to_dict() == hist.to_dict()
 
 
 def test_merge_does_not_mutate_inputs():
-    a = _hist_of([1.0, 2.0])
-    b = _hist_of([3.0, 4.0])
+    a = hist_of([1.0, 2.0])
+    b = hist_of([3.0, 4.0])
     before = (a.to_dict(), b.to_dict())
     LatencyHistogram.merge([a, b])
     assert (a.to_dict(), b.to_dict()) == before
 
 
 def test_copy_is_independent():
-    hist = _hist_of([5.0])
+    hist = hist_of([5.0])
     clone = hist.copy()
     clone.record_ms(500.0)
     assert hist.count == 1
@@ -130,7 +151,7 @@ def test_copy_is_independent():
 
 
 def test_to_dict_round_trips_exactly():
-    hist = _hist_of([0.0005, 1.0, 3.7, 250.0, 250.0])
+    hist = hist_of([0.0005, 1.0, 3.7, 250.0, 250.0])
     back = LatencyHistogram.from_dict(hist.to_dict())
     assert back.to_dict() == hist.to_dict()
     assert back.percentile(99) == hist.percentile(99)
@@ -140,7 +161,7 @@ def test_to_dict_round_trips_exactly():
 
 
 def test_count_over_threshold():
-    hist = _hist_of([1.0, 1.0, 10.0, 100.0])
+    hist = hist_of([1.0, 1.0, 10.0, 100.0])
     assert hist.count_over(50.0) == 1
     assert hist.count_over(5.0) == 2
     # Representatives carry the bucket error, so only threshold values
@@ -168,7 +189,7 @@ def test_merge_split_quantiles_match_direct_within_bound(samples, n_shards, seed
     direct single-histogram quantiles *exactly* (merge is bucket-exact)
     and (b) sit within the documented relative error of the true sample
     percentiles."""
-    direct = _hist_of(samples)
+    direct = hist_of(samples)
 
     rng = random.Random(seed)
     shards = [LatencyHistogram() for _ in range(n_shards)]
@@ -191,9 +212,8 @@ def test_merge_split_quantiles_match_direct_within_bound(samples, n_shards, seed
     # bucket representatives each carry the bound, so allow the bound
     # plus float slack.
     bound = direct.relative_error + 1e-9
-    exact_sorted = sorted(samples)
     for q in (50, 95, 99):
-        true = percentile(exact_sorted, q)
+        true = percentile(samples, q)
         got = direct.percentile(q)
         assert abs(got - true) <= bound * true + direct.base_ms
 
@@ -208,15 +228,14 @@ def test_merge_split_quantiles_match_direct_within_bound(samples, n_shards, seed
 )
 def test_of_histogram_tracks_of_seconds_within_bound(samples):
     """The histogram-backed LatencySummary must agree with the exact
-    reservoir one within the documented bound — the contract that let
-    the serving tier swap reservoir math out."""
-    exact = LatencySummary.of_seconds([ms / 1000.0 for ms in samples])
-    approx = LatencySummary.of_histogram(_hist_of(samples))
-    assert approx.count == exact.count
-    assert approx.mean_ms == pytest.approx(exact.mean_ms, rel=1e-9)
+    summary of the raw samples within the documented bound — the
+    contract that let the serving tier swap reservoir math out."""
+    approx = LatencySummary.of_histogram(hist_of(samples))
+    assert approx.count == len(samples)
+    assert approx.mean_ms == pytest.approx(sum(samples) / len(samples), rel=1e-9)
     bound = LatencyHistogram().relative_error + 1e-9
-    for attr in ("p50_ms", "p95_ms", "p99_ms"):
-        true = getattr(exact, attr)
+    for q, attr in ((50, "p50_ms"), (95, "p95_ms"), (99, "p99_ms")):
+        true = percentile(samples, q)
         got = getattr(approx, attr)
         assert abs(got - true) <= bound * true + DEFAULT_BASE_MS
 
@@ -230,20 +249,17 @@ def test_summary_of_empty_histogram_is_zero_summary():
 
 
 def test_summary_merge_empty_inputs():
-    assert LatencySummary.merge([]) == LatencySummary()
-    assert LatencySummary.merge([LatencySummary(), LatencySummary()]) == LatencySummary()
+    assert _rollup() == LatencySummary()
+    assert _rollup([], []) == LatencySummary()
 
 
 def test_summary_merge_single_population_passes_through_exactly():
-    only = LatencySummary.of_seconds([0.001, 0.002, 0.010])
-    merged = LatencySummary.merge([LatencySummary(), only, LatencySummary()])
-    assert merged == only
+    only = [1.0, 2.0, 10.0]
+    assert _rollup([], only, []) == LatencySummary.of_histogram(hist_of(only))
 
 
 def test_summary_merge_weighted_mean_is_exact():
-    a = LatencySummary.of_seconds([0.001] * 3)
-    b = LatencySummary.of_seconds([0.004] * 1)
-    merged = LatencySummary.merge([a, b])
+    merged = _rollup([1.0] * 3, [4.0])
     assert merged.count == 4
     assert merged.mean_ms == pytest.approx((3 * 1.0 + 1 * 4.0) / 4)
 
@@ -253,7 +269,7 @@ def test_percentile_function_edges():
     assert percentile([7.0], 0) == 7.0
     assert percentile([7.0], 100) == 7.0
     assert percentile([1.0, 3.0], 50) == 2.0
-    assert percentile([3.0, 1.0], 50) == 2.0  # unsorted input re-sorts
+    assert percentile([3.0, 1.0], 50) == 2.0  # unsorted input is sorted
     assert percentile([1.0, 3.0], -5) == 1.0
     assert percentile([1.0, 3.0], 500) == 3.0
 
@@ -262,6 +278,6 @@ def test_histogram_percentile_mirrors_reservoir_on_identical_buckets():
     """When every sample is its own bucket representative (clamped
     single-bucket populations), histogram interpolation reduces to the
     reservoir formula."""
-    hist = _hist_of([10.0] * 5)
+    hist = hist_of([10.0] * 5)
     assert hist.percentile(50) == 10.0
     assert hist.percentile(99) == 10.0

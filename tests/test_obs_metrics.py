@@ -3,14 +3,14 @@
 Counter-name consistency against the engine CounterSet (exactly-once
 registration, cost-weight-derived zero_weight flags), Prometheus/JSON
 rendering, the serving and cluster endpoints, the to_dict() snapshot
-surfaces, and the percentile/merge edge-case regressions.
+surfaces.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import make_policies, make_wifi_db
+from conftest import hist_of, make_policies, make_wifi_db
 from repro.cluster import ClusterStats, SieveCluster
 from repro.core.middleware import Sieve
 from repro.db.counters import CounterSet
@@ -24,7 +24,6 @@ from repro.obs.metrics import (
 )
 from repro.policy.store import PolicyStore
 from repro.service import LatencySummary, ServiceStats, SieveServer
-from repro.service.server import percentile
 
 SQL = "SELECT * FROM wifi WHERE ts_date BETWEEN 10 AND 40"
 
@@ -250,7 +249,7 @@ def test_service_stats_to_dict_shapes():
 def test_cluster_stats_to_dict_without_a_cluster():
     shard = ServiceStats(
         workers=1, pending=0, requests=5, batches=2, rejections=0, failures=1,
-        latency=LatencySummary.of_seconds([0.001, 0.002]),
+        latency_hist=hist_of([1.0, 2.0]),
         guard_cache={"hits": 3, "misses": 2, "evictions": 0, "invalidations": 0,
                      "coalesced": 0, "hit_rate": 0.6},
     )
@@ -266,43 +265,9 @@ def test_cluster_stats_to_dict_without_a_cluster():
 
 
 def test_latency_summary_to_dict_round_trip():
-    summary = LatencySummary.of_seconds([0.001, 0.003, 0.002])
+    hist = hist_of([1.0, 3.0, 2.0])
+    summary = LatencySummary.of_histogram(hist)
     data = summary.to_dict()
     assert data["count"] == 3
-    assert data["p50_ms"] == pytest.approx(2.0)
+    assert data["p50_ms"] == pytest.approx(2.0, rel=hist.relative_error)
     assert LatencySummary(**data) == summary
-
-
-# ----------------------------------------------- percentile/merge regressions
-
-
-def test_percentile_clamps_out_of_range_q():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 150.0) == 4.0  # q > 100: max, no IndexError
-    assert percentile(values, -5.0) == 1.0  # q < 0: min, no extrapolation
-    assert percentile([7.5], 99.0) == 7.5
-    assert percentile([], 50.0) == 0.0
-
-
-def test_percentile_accepts_unsorted_input():
-    assert percentile([3.0, 1.0, 2.0], 50.0) == 2.0
-
-
-def test_merge_empty_and_all_empty():
-    assert LatencySummary.merge([]) == LatencySummary()
-    assert LatencySummary.merge([LatencySummary(), LatencySummary()]) == LatencySummary()
-
-
-def test_merge_single_populated_is_exact_passthrough():
-    real = LatencySummary.of_seconds([0.001, 0.010, 0.100])
-    merged = LatencySummary.merge([LatencySummary(), real, LatencySummary()])
-    assert merged == real  # not re-weighted, bit-for-bit the input
-
-
-def test_merge_two_populated_is_count_weighted():
-    a = LatencySummary(count=1, mean_ms=10.0, p50_ms=10.0, p95_ms=10.0, p99_ms=10.0)
-    b = LatencySummary(count=3, mean_ms=2.0, p50_ms=2.0, p95_ms=2.0, p99_ms=2.0)
-    merged = LatencySummary.merge([a, b])
-    assert merged.count == 4
-    assert merged.mean_ms == pytest.approx(4.0)  # (10*1 + 2*3) / 4
-    assert merged.p95_ms == pytest.approx(4.0)

@@ -369,9 +369,14 @@ def _scan_plans(db):
 def _run_plan(db, plan, vectorized: bool):
     from repro.optimizer.planner import PlannedQuery
 
-    before = db.counters.snapshot()
-    result = db.run_plan(PlannedQuery(plan, {}), vectorized=vectorized, codegen=True)
-    return result.rows, db.counters.diff(before)
+    saved = (db.vectorized, db.codegen)
+    db.vectorized, db.codegen = vectorized, True
+    try:
+        before = db.counters.snapshot()
+        result = db.run_plan(PlannedQuery(plan, {}))
+        return result.rows, db.counters.diff(before)
+    finally:
+        db.vectorized, db.codegen = saved
 
 
 def test_table_backed_scans_match_tuple_path_after_every_write_kind():

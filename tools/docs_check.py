@@ -1,6 +1,6 @@
 """Docs gate, run via ``make docs-check``.
 
-Three checks, all AST/text based so nothing is imported or executed:
+Four checks, all AST/text based so nothing is imported or executed:
 
 1. every module under ``src/repro`` (including new packages such as
    ``repro/backend`` or ``repro/audit``) must have a module docstring;
@@ -10,7 +10,12 @@ Three checks, all AST/text based so nothing is imported or executed:
    doc bug;
 3. every script under ``tools/`` must be mentioned in ``README.md`` —
    an operational entry point (like ``tools/replay.py``) nobody can
-   discover is a doc bug too.
+   discover is a doc bug too;
+4. every ``make <target>``, ``benchmarks/*.py``, ``tools/*.py`` and
+   repo-root ``*.json`` that README.md, docs/ARCHITECTURE.md, the
+   Makefile or ``.github/workflows/ci.yml`` names must exist (a
+   target: be declared in the Makefile) — a doc that points at a
+   deleted script or target is a doc bug that otherwise goes unseen.
 
 Exits non-zero listing offenders; prints a one-line summary when clean.
 """
@@ -19,11 +24,28 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 DOCS = [ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md"]
+MAKEFILE = ROOT / "Makefile"
+#: Files whose references to targets and files check 4 resolves.
+REFERRERS = [*DOCS, MAKEFILE, ROOT / ".github" / "workflows" / "ci.yml"]
+
+#: ``make X`` where it is unmistakably a command: inside backticks,
+#: after a CI ``run:``, or alone on a line of a code block (so prose
+#: such as "make sure" is not taken for a target).
+_MAKE_REF = re.compile(
+    r"(?:`|run: )make ([a-z][a-z0-9-]*)"
+    r"|^make ([a-z][a-z0-9-]*)(?=\s*(?:#|$|[A-Z]+=))",
+    re.MULTILINE,
+)
+_MAKE_DECL = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
+_SCRIPT_REF = re.compile(r"\b(?:benchmarks|tools)/[\w-]+\.py\b")
+#: A bare ``name.json`` (no directory in front) is a repo-root file.
+_ROOT_JSON_REF = re.compile(r"(?<![\w/.<>*-])[\w-]+\.json\b")
 
 
 def check_docstrings() -> tuple[int, list[str]]:
@@ -63,12 +85,41 @@ def check_tool_mentions() -> tuple[int, list[str]]:
     return len(tools), unmentioned
 
 
+def dangling_references(
+    text: str, targets: set[str], root: pathlib.Path = ROOT
+) -> list[str]:
+    """The ``make`` targets and the script / root-JSON paths ``text``
+    names that are not in ``targets`` / do not exist under ``root``."""
+    named_targets = {a or b for a, b in _MAKE_REF.findall(text)}
+    named_paths = set(_SCRIPT_REF.findall(text)) | set(_ROOT_JSON_REF.findall(text))
+    return sorted(
+        [f"make {target}" for target in named_targets - targets]
+        + [path for path in named_paths if not (root / path).exists()]
+    )
+
+
+def check_references() -> tuple[int, list[str]]:
+    targets = set(_MAKE_DECL.findall(MAKEFILE.read_text()))
+    dangling = [
+        f"{ref} (named in {path.relative_to(ROOT)})"
+        for path in REFERRERS
+        for ref in dangling_references(path.read_text(), targets)
+    ]
+    return len(REFERRERS), dangling
+
+
 def main() -> int:
     checked, missing = check_docstrings()
     n_packages, unmentioned = check_package_mentions()
     n_tools, tools_unmentioned = check_tool_mentions()
     unmentioned += tools_unmentioned
+    n_referrers, dangling = check_references()
     failed = False
+    if dangling:
+        failed = True
+        print(f"{len(dangling)} reference(s) to a target or file that does not exist:")
+        for entry in dangling:
+            print(f"  {entry}")
     if missing:
         failed = True
         print(f"{len(missing)} module(s) lack a docstring:")
@@ -84,7 +135,8 @@ def main() -> int:
     print(
         f"docs-check: all {checked} modules under src/repro have docstrings; "
         f"all {n_packages} packages are documented in README + ARCHITECTURE; "
-        f"all {n_tools} tools/ scripts are documented in the README"
+        f"all {n_tools} tools/ scripts are documented in the README; "
+        f"every target and file the {n_referrers} docs/build files name exists"
     )
     return 0
 

@@ -19,7 +19,7 @@ Library use::
 
 As a script, ``python tools/replay.py [--queries N]`` runs a
 self-contained record → tamper-check → replay exercise over a Mall
-workload with mid-window policy churn (the CI ``audit-smoke`` job and
+workload with mid-window policy churn (the CI ``tools-smoke`` job and
 ``make replay``), exiting non-zero on any mismatch.
 """
 
