@@ -102,7 +102,7 @@ def test_fig3_inline_vs_delta(benchmark, campus_mysql, monkeypatch):
                 guards=[guard], policy_count=len(policies),
             )
             sieve.guard_store.get_or_build(
-                querier, "x", WIFI_TABLE, lambda: expression
+                querier, "x", WIFI_TABLE, lambda: expression, lambda held: held
             )
             inserted = policies
 

@@ -432,7 +432,6 @@ class SieveCluster:
         retry_policy: RetryPolicy | None = None,
         default_deadline_s: float | None = None,
         fault_injector: Any = None,
-        fence_gate: bool = True,
     ):
         if not specs:
             raise ClusterError("a cluster needs at least one shard")
@@ -447,13 +446,6 @@ class SieveCluster:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.counters is None:
             fault_injector.counters = store.db.counters
-        #: When True (default), routing refuses shards behind the
-        #: committed policy fence (fail-closed) and the two-phase
-        #: scatter refuses to commit a write an owning shard would
-        #: miss.  False reverts to the naive one-phase scatter — the
-        #: deliberate mixed-epoch bug the chaos suite's teeth test
-        #: proves it can catch.
-        self.fence_gate = fence_gate
         self._retry_rng = make_rng(
             retry_policy.seed if retry_policy is not None else 0, "cluster-retry"
         )
@@ -666,18 +658,21 @@ class SieveCluster:
             raise ShardUnavailableError(
                 f"shard {shard.name!r} owning querier {querier!r} is unavailable"
             )
-        # Epoch fence (fail-closed): a shard that owes a committed
-        # policy write it never applied — its relay died mid-epoch —
-        # would serve *stale policy*, the one failure mode worse than
-        # no answer.  Refuse until the supervisor rebuilds it.
-        if self.fence_gate and shard.policy_fence < shard.expected_fence:
+        self._check_fence(shard)
+        return shard
+
+    def _check_fence(self, shard: ClusterShard) -> None:
+        """Epoch fence (fail-closed): a shard that owes a committed
+        policy write it never applied — its relay died mid-epoch —
+        would serve *stale policy*, the one failure mode worse than no
+        answer.  Refuse until the supervisor rebuilds it."""
+        if shard.policy_fence < shard.expected_fence:
             self._tick("cluster_unavailable")
             raise ShardUnavailableError(
                 f"shard {shard.name!r} is behind the committed policy fence "
                 f"(applied {shard.policy_fence} < owed {shard.expected_fence}); "
                 "awaiting supervisor rebuild"
             )
-        return shard
 
     # ------------------------------------------------------------- requests
 
@@ -1016,11 +1011,9 @@ class SieveCluster:
     ) -> Any:
         """Epoch-fenced two-phase policy scatter.
 
-        *Prepare*: every owning shard must be able to apply the write
-        (process alive, relay attached) — any that cannot aborts the
-        whole write with :class:`~repro.common.errors.PolicyScatterError`
-        **before** the base store is touched, so an abort is atomic:
-        no shard, and no partition, ever observes a rolled-back write.
+        *Prepare* (:meth:`_prepare_scatter`) runs **before** the base
+        store is touched, so an abort is atomic: no shard, and no
+        partition, ever observes a rolled-back write.
 
         *Commit*: the base-store mutation (``apply()``) is the single
         commit point — live partitions relay it synchronously on this
@@ -1030,10 +1023,6 @@ class SieveCluster:
         its ``expected_fence`` advances but its ``policy_fence`` does
         not, and the routing fence gate refuses it (fail-closed) until
         the supervisor rebuilds it from the authoritative store.
-
-        With ``fence_gate=False`` the prepare phase is skipped — the
-        legacy naive scatter, kept as the deliberate mixed-epoch bug
-        the chaos suite's teeth test must catch.
         """
         injector = self.fault_injector
         write_no = injector.next_write() if injector is not None else None
@@ -1045,19 +1034,7 @@ class SieveCluster:
                     if name in self._shards
                 }
                 all_names = sorted(self._shards)
-            if self.fence_gate:
-                if injector is not None and injector.scatter_fault(
-                    write_no, "prepare"
-                ):
-                    raise self._abort_scatter(
-                        f"injected prepare fault (write {write_no})"
-                    )
-                for name in sorted(shards):
-                    if not self._shard_can_apply(shards[name]):
-                        raise self._abort_scatter(
-                            f"owning shard {name!r} cannot apply the write "
-                            "(crashed or relay detached)"
-                        )
+            self._prepare_scatter(shards, write_no)
             # A commit-phase fault crashes its victim here — after
             # prepare passed, before the commit point — so the victim
             # genuinely misses the write (the mid-scatter crash the
@@ -1077,6 +1054,21 @@ class SieveCluster:
                     if self._shard_can_apply(shard):
                         shard.policy_fence = fence
             return stamped
+
+    def _prepare_scatter(self, shards: dict[str, ClusterShard], write_no: Any) -> None:
+        """Prepare phase: every owning shard must be able to apply the
+        write (process alive, relay attached) — any that cannot aborts
+        the whole write with
+        :class:`~repro.common.errors.PolicyScatterError`."""
+        injector = self.fault_injector
+        if injector is not None and injector.scatter_fault(write_no, "prepare"):
+            raise self._abort_scatter(f"injected prepare fault (write {write_no})")
+        for name in sorted(shards):
+            if not self._shard_can_apply(shards[name]):
+                raise self._abort_scatter(
+                    f"owning shard {name!r} cannot apply the write "
+                    "(crashed or relay detached)"
+                )
 
     def insert_policy(self, policy: Policy) -> Policy:
         """Route one policy insert through the coordinator.
@@ -1167,9 +1159,8 @@ class SieveCluster:
         (fast, confidently) from a partition that silently stops
         observing base-store writes.  Nothing fails until the next
         policy write, when the two-phase scatter's prepare finds the
-        detached relay and aborts — or, with ``fence_gate=False``, when
-        nothing does, and the chaos suite's divergence detector must
-        catch the stale answers (the teeth test)."""
+        detached relay and aborts (the chaos suite's teeth test removes
+        that check in a subclass and must catch the stale answers)."""
         self.shard(name).partition.detach()
 
     # ----------------------------------------------------------- supervision

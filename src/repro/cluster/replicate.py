@@ -54,7 +54,6 @@ def replicate_database(source: Database, skip_tables: Iterable[str] = ()) -> Dat
         personality=source.personality,
         page_size=source.page_size,
         vectorized=source.vectorized,
-        codegen=source.codegen,
     )
     for name in source.catalog.table_names():
         if name.lower() in skip:

@@ -75,14 +75,14 @@ class GuardStore:
         # (and its cached expressions) must not be pinned by the store.
         self_ref = weakref.ref(self)
 
-        def _policy_hook(policy: Policy) -> None:
+        def _policy_hook(kind: str, policy: Policy, epoch: int) -> None:
             live = self_ref()
             if live is None:
-                policy_store.remove_listener(_policy_hook)
+                policy_store.remove_mutation_listener(_policy_hook)
                 return
             live._on_policy_change(policy)
 
-        policy_store.add_listener(_policy_hook)
+        policy_store.add_mutation_listener(_policy_hook)
 
     def _install(self) -> None:
         if self.db.catalog.has_table(GE_TABLE):
@@ -161,8 +161,8 @@ class GuardStore:
         purpose: str,
         table: str,
         builder: Callable[[], GuardedExpression],
+        maintain: Callable[[GuardedExpression], GuardedExpression | None],
         force_rebuild: bool = False,
-        maintain: Callable[[GuardedExpression], GuardedExpression | None] | None = None,
     ) -> tuple[GuardedExpression, bool]:
         """Return the cached G(P), brought up to date first.
 
@@ -171,23 +171,19 @@ class GuardStore:
         ``None`` to have it regenerated; it is asked whatever the
         ``outdated`` flag says, so a caller pinned to another epoch's
         corpus than the last one still gets an expression exact for its
-        own.  Without ``maintain`` an outdated expression is rebuilt.
-        Returns (expression, regenerated?) — ``regenerated`` only when
-        ``builder`` ran.
+        own.  Returns (expression, regenerated?) — ``regenerated`` only
+        when ``builder`` ran.
         """
         key: CacheKey = (querier, purpose, table.lower())
         with self.lock:
             entry = self._cache.get(key)
             if entry is not None and not force_rebuild:
-                if maintain is not None:
-                    maintained = maintain(entry.expression)
-                    if maintained is not None:
-                        if maintained is not entry.expression:
-                            self._persist_edit(entry, maintained)
-                        self._flag(entry, False)
-                        return maintained, False
-                elif not entry.outdated:
-                    return entry.expression, False
+                maintained = maintain(entry.expression)
+                if maintained is not None:
+                    if maintained is not entry.expression:
+                        self._persist_edit(entry, maintained)
+                    self._flag(entry, False)
+                    return maintained, False
             expression = builder()
             self._persist(key, expression, replacing=entry)
             return expression, True

@@ -214,7 +214,7 @@ class Sieve:
                 return
             live._on_policy_mutation(kind, policy, epoch)
 
-        policy_store.add_mutation_listener(_mutation_hook, with_epoch=True)
+        policy_store.add_mutation_listener(_mutation_hook)
 
     # ------------------------------------------------------------- sessions
 
@@ -285,7 +285,7 @@ class Sieve:
             self.cost_model.attach_profile(self.profiler)
         return self.profiler
 
-    def _on_policy_mutation(self, kind: str, policy, epoch: int | None = None) -> None:
+    def _on_policy_mutation(self, kind: str, policy, epoch: int) -> None:
         """Targeted guard- and plan-cache invalidation on corpus mutations.
 
         ``epoch`` is the mutated-to version of *this* event; events are
@@ -293,8 +293,6 @@ class Sieve:
         ``store.epoch`` may already be ahead (e.g. the second event of
         a cross-querier update) and re-stamping against it would strand
         unrelated warm entries one epoch short."""
-        if epoch is None:
-            epoch = self.policy_store.epoch
         for cache in (self.guard_cache, self.plan_cache):
             cache.on_policy_mutation(kind, policy, epoch, self.policy_store.groups)
 
@@ -390,7 +388,7 @@ class Sieve:
             return maintained
 
         return self.guard_store.get_or_build(
-            querier, purpose, table, builder, force_rebuild=force_rebuild, maintain=maintain
+            querier, purpose, table, builder, maintain, force_rebuild=force_rebuild
         )
 
     # ------------------------------------------------------------ execution

@@ -53,21 +53,18 @@ class Database:
         personality: Personality = MYSQL,
         page_size: int = DEFAULT_PAGE_SIZE,
         vectorized: bool = True,
-        codegen: bool = True,
     ):
         self.personality = personality
         self.page_size = page_size
         self.catalog = Catalog()
         self.stats = StatsCatalog()
         self.counters = CounterSet()
-        # Engine mode: ``vectorized`` routes queries through the batch
-        # executor (exotic nodes still fall back per subtree) and
-        # ``codegen`` compiles expressions to generated source instead
-        # of closure trees.  Both default on; turn both off to get the
-        # original tuple-at-a-time interpreter — the differential
-        # oracle and the benchmarks' baseline.
+        # The product is the batch executor running generated code
+        # (exotic nodes fall back per subtree to the tuple executor,
+        # still on generated row functions).  ``vectorized=False`` is
+        # the differential oracle: the tuple-at-a-time executor over
+        # closure trees, sharing no compiled code with the product.
         self.vectorized = vectorized
-        self.codegen = codegen
         self._fn_cache = CompiledExprCache()
         self._udfs: dict[str, Callable[..., Any]] = {}
         # Bumped on every catalog / UDF-registry change; combined with
@@ -195,15 +192,16 @@ class Database:
 
     def run_plan(self, planned: PlannedQuery) -> QueryResult:
         """Execute an already-planned query in the database's engine
-        mode (a warm plan-cache hit enters here, skipping planning)."""
+        mode (a warm plan-cache hit enters here, skipping planning).
+        The oracle gets no compiled-expression cache, so a differential
+        never compares the product with its own cached kernels."""
         executor_cls = VectorizedExecutor if self.vectorized else Executor
         executor = executor_cls(
             self.catalog,
             self.counters,
             self._udfs,
             plan_subquery=self._plan_subquery,
-            fn_cache=self._fn_cache,
-            use_codegen=self.codegen,
+            fn_cache=self._fn_cache if self.vectorized else None,
         )
         return executor.run(planned.root, planned.cte_plans)
 
@@ -324,17 +322,11 @@ def connect(
     personality: str | Personality = "mysql",
     page_size: int = DEFAULT_PAGE_SIZE,
     vectorized: bool = True,
-    codegen: bool = True,
 ) -> Database:
     """Create a fresh in-memory database with the given personality.
 
-    ``vectorized=False, codegen=False`` selects the original
-    tuple-at-a-time closure interpreter (the differential oracle)."""
+    ``vectorized=False`` selects the tuple-at-a-time closure
+    interpreter (the differential oracle)."""
     if isinstance(personality, str):
         personality = personality_by_name(personality)
-    return Database(
-        personality=personality,
-        page_size=page_size,
-        vectorized=vectorized,
-        codegen=codegen,
-    )
+    return Database(personality=personality, page_size=page_size, vectorized=vectorized)

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.common.errors import ExecutionError, PlanError
 from repro.db.counters import CounterSet
 from repro.expr.analysis import columns_referenced, contains_subquery
-from repro.expr.codegen import CodegenExprCompiler, CompiledExprCache
+from repro.expr.codegen import CompiledExprCache
 from repro.expr.eval import ExprCompiler, RowBinding
 from repro.expr.nodes import (
     And,
@@ -91,6 +91,11 @@ class Executor:
     during expression compilation.
     """
 
+    #: What compiles a row function: closure trees here — this class is
+    #: the differential oracle — and generated code in the batch
+    #: executor, whose fallback subtrees run these methods with it.
+    compiler_cls: type = ExprCompiler
+
     def __init__(
         self,
         catalog: Catalog,
@@ -98,7 +103,6 @@ class Executor:
         udfs: dict[str, Callable[..., Any]],
         plan_subquery: Callable[[Any], PlanNode] | None = None,
         fn_cache: CompiledExprCache | None = None,
-        use_codegen: bool = True,
     ):
         self.catalog = catalog
         self.counters = counters
@@ -108,7 +112,6 @@ class Executor:
         # callables (owned by the Database facade); executors come and
         # go per query, compiled expressions should not.
         self.fn_cache = fn_cache
-        self.use_codegen = use_codegen
         self._cte_rows: dict[str, list[tuple]] = {}
         self._in_subquery_cache: dict[int, frozenset] = {}
         self._scalar_cache: dict[tuple, Any] = {}
@@ -131,9 +134,8 @@ class Executor:
             raise ExecutionError(f"no executor for {type(plan).__name__}")
         return method(plan)
 
-    def _compiler(self, binding: RowBinding) -> ExprCompiler:
-        compiler_cls = CodegenExprCompiler if self.use_codegen else ExprCompiler
-        return compiler_cls(
+    def _compiler(self, binding: RowBinding):
+        return self.compiler_cls(
             binding,
             udfs=self.udfs,
             subquery_fn=self._make_scalar_subquery_fn(binding),
@@ -151,7 +153,7 @@ class Executor:
         cache = self.fn_cache
         if cache is None:
             return self._compiler(binding).compile(expr)
-        extra = (binding.cache_key(), "row", self.use_codegen)
+        extra = (binding.cache_key(), "row")
         fn = cache.lookup(expr, extra, self.counters)
         if fn is None:
             fn = self._compiler(binding).compile(expr)

@@ -6,8 +6,7 @@ hundreds of policy disjuncts per tuple) interpreter dispatch dwarfs
 the actual work.  This module replaces it with batch execution:
 
 * :class:`RowBatch` — a batch of tuples with per-column arrays and a
-  *selection* (surviving row indices, also exposable as a
-  :class:`~repro.index.bitmap.RowIdBitmap`).  Operators exchange
+  *selection* (surviving row indices).  Operators exchange
   batches, so per-node overhead is paid once per ~thousand rows instead
   of once per row.  A base-table scan's batch is *table-backed*: its
   rows are the heap's slots, its columns the table's own arrays, its
@@ -16,16 +15,14 @@ the actual work.  This module replaces it with batch execution:
   materialise.
 * :class:`BatchPredicate` — a filter compiled into conjunct *stages*.
   Plain conjuncts become column-mode codegen kernels (one call filters
-  the whole selection); a policy-style wide OR becomes a
-  **guard-by-guard** stage: each disjunct's kernel runs over the
-  still-unmatched selection, its hits are OR-ed into a
-  ``RowIdBitmap``, and ``counters.policy_evals`` is charged
-  ``len(remaining)`` per disjunct — the batch equivalent of the
-  closure compiler's short-circuit metering, tick-for-tick identical
-  to the tuple path (see ``docs/ARCHITECTURE.md``, "Vectorized
-  engine").  Conjuncts that embed nested metered ORs or scalar
-  subqueries run per-row through the row compiler so metering and
-  correlation semantics are preserved exactly.
+  the whole selection); a policy-style wide OR becomes one fused
+  **guard** kernel in which a row tries only the branches that can
+  hold for it, and ``counters.policy_evals`` is charged what the
+  closure compiler's short-circuit metering would charge — tick for
+  tick identical to the tuple path (see ``docs/ARCHITECTURE.md``,
+  "Vectorized engine").  A conjunct column mode cannot express (a
+  scalar subquery) runs per row through the generated row function,
+  which preserves metering and correlation semantics exactly.
 * :class:`VectorizedExecutor` — an :class:`~repro.engine.executor.Executor`
   subclass executing SeqScan / IndexScan / BitmapOr / CTEScan /
   DerivedScan / Filter / Project / HashJoin / Aggregate / Distinct /
@@ -49,7 +46,7 @@ import heapq
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
-from repro.expr.analysis import conjuncts, contains_scalar_subquery, contains_subquery
+from repro.expr.analysis import conjuncts, contains_subquery
 from repro.expr.codegen import CodegenExprCompiler, CodegenUnsupported, is_metered_or
 from repro.expr.eval import RowBinding
 from repro.expr.nodes import Expr
@@ -75,7 +72,6 @@ from repro.engine.plans import (
     SeqScanPlan,
     SortPlan,
 )
-from repro.index.bitmap import RowIdBitmap
 
 #: Sequential scans form one batch per this many heap pages (aligned to
 #: page boundaries so page accounting stays exact).
@@ -89,9 +85,8 @@ BATCH_ROWS = 1024
 class RowBatch:
     """A batch of row tuples plus a selection of surviving indices.
 
-    ``sel`` is ``None`` for "all rows" or a list of distinct indices;
-    :meth:`selection_bitmap` exposes it as a :class:`RowIdBitmap` for
-    bitmap algebra.  ``columns()`` lazily transposes the *full* batch
+    ``sel`` is ``None`` for "all rows" or a list of distinct indices.
+    ``columns()`` lazily transposes the *full* batch
     (a single C-level ``zip``); kernels then index columns by selected
     position, so narrowing a selection never copies row data.
 
@@ -116,9 +111,6 @@ class RowBatch:
 
     def indices(self) -> list[int]:
         return self.sel if self.sel is not None else list(range(len(self.rows)))
-
-    def selection_bitmap(self) -> RowIdBitmap:
-        return RowIdBitmap.from_rowids(self.indices())
 
     def narrow(self, sel: list[int]) -> "RowBatch":
         """The same rows under a narrower selection — shares the column
@@ -165,39 +157,6 @@ class BatchPredicate:
         return sel
 
 
-def _guard_stage(disjunct_fns: list[_StageFn], counters: Any) -> _StageFn:
-    """Guard-by-guard evaluation of one wide (metered) OR over a batch.
-
-    Each disjunct produces a selection bitmap OR-ed into the
-    accumulator; rows already matched leave the remaining set, so a
-    disjunct is charged — one ``policy_evals`` tick per row — exactly
-    for the rows that would still be checking it under tuple-at-a-time
-    short-circuiting.
-    """
-
-    def stage(batch: RowBatch, sel: list) -> list:
-        remaining = sel
-        matched: list = []
-        for fn in disjunct_fns:
-            if not remaining:
-                break
-            counters.policy_evals += len(remaining)
-            hits = fn(batch, remaining)
-            if hits:
-                matched.extend(hits)
-                # Narrow via a per-disjunct hash set: bitmap membership
-                # would cost one big-int shift per probe (quadratic in
-                # the batch size).
-                hit_set = set(hits)
-                remaining = [i for i in remaining if i not in hit_set]
-        # The OR of the per-disjunct selections, in the selection's own
-        # order (an index scan's is not ascending).
-        found = set(matched)
-        return [i for i in sel if i in found]
-
-    return stage
-
-
 def _chunked(rows: list) -> Iterator[list]:
     """``rows`` in slices of ``BATCH_ROWS``."""
     return (rows[start : start + BATCH_ROWS] for start in range(0, len(rows), BATCH_ROWS))
@@ -214,6 +173,8 @@ def top_k_rows(rows: list[tuple], keys: list, limit: int) -> list[tuple]:
 
 class VectorizedExecutor(Executor):
     """Batch executor; inherits the tuple path as per-node fallback."""
+
+    compiler_cls = CodegenExprCompiler
 
     # ------------------------------------------------------------ plumbing
 
@@ -263,18 +224,6 @@ class VectorizedExecutor(Executor):
 
     # --------------------------------------------------- kernel compilation
 
-    def _codegen(self, binding: RowBinding) -> CodegenExprCompiler:
-        return CodegenExprCompiler(
-            binding,
-            udfs=self.udfs,
-            subquery_fn=self._make_scalar_subquery_fn(binding),
-            in_subquery_fn=self._eval_in_subquery,
-            counters=self.counters,
-        )
-
-    def _needs_row_path(self, expr: Expr) -> bool:
-        return not self.use_codegen or contains_scalar_subquery(expr)
-
     def _row_stage(self, expr: Expr, binding: RowBinding) -> _StageFn:
         fn = self._row_fn(expr, binding)
 
@@ -285,19 +234,13 @@ class VectorizedExecutor(Executor):
         return stage
 
     def _value_fn(self, expr: Expr, binding: RowBinding) -> Callable[[RowBatch, list], list]:
-        """Batch value computation: ``fn(batch, sel) -> values``."""
-        if self._needs_row_path(expr):
-            fn = self._row_fn(expr, binding)
-
-            def values(batch: RowBatch, sel: list, _fn=fn) -> list:
-                rows = batch.rows
-                return [_fn(rows[i]) for i in sel]
-
-            return values
+        """Batch value computation: ``fn(batch, sel) -> values`` — a
+        column kernel, or the row function over the selected rows where
+        column mode cannot express the tree (a scalar subquery)."""
 
         def build() -> Callable[[RowBatch, list], list]:
             try:
-                kernel = self._codegen(binding).compile_batch_values(expr)
+                kernel = self._compiler(binding).compile_batch_values(expr)
             except (CodegenUnsupported, SyntaxError):
                 fn = self._row_fn(expr, binding)
                 return lambda batch, sel, _fn=fn: [_fn(batch.rows[i]) for i in sel]
@@ -313,7 +256,7 @@ class VectorizedExecutor(Executor):
         cache = self.fn_cache
         if cache is None:
             return build()
-        extra = (binding.cache_key(), mode, self.use_codegen)
+        extra = (binding.cache_key(), mode)
         fn = cache.lookup(expr, extra, self.counters)
         if fn is None:
             fn = build()
@@ -326,40 +269,29 @@ class VectorizedExecutor(Executor):
         return self._cached(conj, binding, "stage", lambda: self._build_stage(conj, binding))
 
     def _build_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
-        """A metered (policy-style) OR becomes a guard stage: on the
-        codegen path a single fused kernel
+        """A metered (policy-style) OR becomes a guard stage: a single
+        fused kernel
         (:meth:`~repro.expr.codegen.CodegenExprCompiler.compile_batch_guard`)
         whose branches are compiled — and cached — one by one, so the
         OR a policy write leaves behind reuses every branch the write
-        did not touch; otherwise the guard-by-guard bitmap driver over
-        per-disjunct row functions.  Everything else runs as one
-        comprehension kernel, or per row when column mode can't express
-        it (scalar subqueries, codegen off)."""
-        metered = is_metered_or(conj, self.counters)
-        if not self._needs_row_path(conj):
-            codegen = self._codegen(binding)
+        did not touch.  Everything else runs as one comprehension
+        kernel, or per row (the generated row function meters a wide OR
+        itself) when column mode can't express it: scalar subqueries."""
+        codegen = self._compiler(binding)
 
-            def branch(node: Expr) -> Callable:
-                return self._cached(
-                    node, binding, "branch", lambda: codegen.compile_guard_branch(node)
-                )
+        def branch(node: Expr) -> Callable:
+            return self._cached(
+                node, binding, "branch", lambda: codegen.compile_guard_branch(node)
+            )
 
-            try:
-                kernel = (
-                    codegen.compile_batch_guard(conj, branch)
-                    if metered
-                    else codegen.compile_batch_predicate(conj)
-                )
-            except (CodegenUnsupported, SyntaxError):
-                pass
-            else:
-                if metered:
-                    return lambda batch, sel, _k=kernel: _k(batch.columns(), sel, batch.rows)
-                return lambda batch, sel, _k=kernel: _k(batch.columns(), sel)
-        if metered:
-            disjunct_fns = [self._row_stage(d, binding) for d in conj.children]
-            return _guard_stage(disjunct_fns, self.counters)
-        return self._row_stage(conj, binding)
+        try:
+            if is_metered_or(conj, self.counters):
+                kernel = codegen.compile_batch_guard(conj, branch)
+                return lambda batch, sel, _k=kernel: _k(batch.columns(), sel, batch.rows)
+            kernel = codegen.compile_batch_predicate(conj)
+            return lambda batch, sel, _k=kernel: _k(batch.columns(), sel)
+        except (CodegenUnsupported, SyntaxError):
+            return self._row_stage(conj, binding)
 
     def _batch_pred(self, expr: Expr | None, binding: RowBinding) -> BatchPredicate | None:
         """The filter as a stage per conjunct.  Stages are cached one

@@ -21,7 +21,7 @@ judgment:
 Policy churn deliberately targets queriers *outside* the measured set,
 so the oracle stays valid for the whole run: a correct cluster answers
 measured queries identically no matter how the churn interleaves.
-That is also what gives the suite teeth — with ``fence_gate=False``
+That is also what gives the suite teeth — on :class:`NaiveScatterCluster`
 (the deliberately reintroduced naive one-phase scatter) a detached
 relay serves stale policy and the row-identity check MUST flag it
 (:func:`mixed_epoch_divergence` stages exactly that bug).
@@ -183,7 +183,6 @@ def run_chaos_plan(
     seed: int,
     *,
     n_ops: int = 40,
-    fence_gate: bool = True,
     deadline_s: float = 0.25,
     supervise_every: int = 7,
     hang_s: float = 0.05,
@@ -228,7 +227,6 @@ def run_chaos_plan(
         workers_per_shard=WORKERS_PER_SHARD,
         retry_policy=retry,
         fault_injector=injector,
-        fence_gate=fence_gate,
     ) as cluster:
         for step in range(n_ops):
             if rng.random() < 0.2:  # policy churn write
@@ -291,11 +289,23 @@ def run_chaos_plan(
     return result
 
 
+class NaiveScatterCluster(SieveCluster):
+    """The deliberately broken variant: a one-phase policy scatter (no
+    prepare) and routing that never checks the policy fence — the
+    mixed-epoch bug the teeth test proves the differential catches."""
+
+    def _check_fence(self, shard: Any) -> None:
+        pass
+
+    def _prepare_scatter(self, shards: Any, write_no: Any) -> None:
+        pass
+
+
 def mixed_epoch_divergence() -> tuple[bool, bool]:
     """Stage the mixed-epoch bug the fence gate exists to prevent, and
     report whether the differential catches it.
 
-    With ``fence_gate=False`` (naive one-phase scatter) a shard whose
+    On :class:`NaiveScatterCluster` a shard whose
     policy relay has silently died keeps serving while a policy
     *delete* commits under it — it answers from the stale epoch with
     rows the current policy no longer allows.  Returns
@@ -311,11 +321,10 @@ def mixed_epoch_divergence() -> tuple[bool, bool]:
     stale_querier = MEASURED_QUERIERS[0]
     sql = QUERIES[0]
 
-    def stage(fence_gate: bool) -> tuple[bool, bool]:
+    def stage(cluster_cls: type[SieveCluster]) -> tuple[bool, bool]:
         db, store, _ = build_world()
-        with SieveCluster.replicated(
-            db, store, n_shards=N_SHARDS, workers_per_shard=1,
-            fence_gate=fence_gate,
+        with cluster_cls.replicated(
+            db, store, n_shards=N_SHARDS, workers_per_shard=1
         ) as cluster:
             owner = cluster.route(stale_querier)
             victim = store.policies_for(stale_querier, PURPOSE)[0].id
@@ -338,6 +347,6 @@ def mixed_epoch_divergence() -> tuple[bool, bool]:
             )
             return rows != oracle, refused
 
-    naive_diverged, naive_refused = stage(fence_gate=False)
-    fenced_diverged, fenced_refused = stage(fence_gate=True)
+    naive_diverged, naive_refused = stage(NaiveScatterCluster)
+    fenced_diverged, fenced_refused = stage(SieveCluster)
     return naive_diverged and not naive_refused, fenced_refused and not fenced_diverged

@@ -11,7 +11,7 @@ Policies live in two relations, exactly as Sieve stores them:
 
 A write-through in-memory cache keeps Policy objects indexed by
 querier so that the PQM filter and the Δ operator never re-parse rows
-on the hot path.  Insert listeners let the guard store flip its
+on the hot path.  Mutation listeners let the guard store flip its
 ``outdated`` flags (Section 6).
 
 Every mutation (insert/delete/update) bumps a monotonically increasing
@@ -171,8 +171,7 @@ class PolicyStore:
         self._by_querier: dict[Any, list[Policy]] = defaultdict(list)
         self._rowids: dict[int, tuple[int, list[int]]] = {}  # policy id -> (rP rowid, rOC rowids)
         self._insert_clock = itertools.count(1)
-        self._listeners: list[Callable[[Policy], None]] = []
-        self._mutation_listeners: list[tuple[Callable[..., None], bool]] = []
+        self._mutation_listeners: list[Callable[[str, Policy, int], None]] = []
         self._reset_listeners: list[Callable[[], None]] = []
         self._epoch = 0
         self._tables_memo: tuple[int, frozenset[str]] | None = None
@@ -215,37 +214,23 @@ class PolicyStore:
 
     # -------------------------------------------------------------- writes
 
-    def add_listener(self, fn: Callable[[Policy], None]) -> None:
-        """Called after every policy insert (guard-store invalidation)."""
-        self._listeners.append(fn)
+    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
+        """Called as ``fn(kind, policy, epoch)`` after every mutation,
+        where ``kind`` is ``"insert"``, ``"delete"`` or ``"update"``.
+        ``epoch`` is the corpus version *as of that event*: a single
+        ``update`` crossing queriers/tables queues two events with
+        consecutive epochs, and cache hooks that re-stamp surviving
+        entries need each event's own epoch, not the final one (events
+        are dispatched after the write lock is released, so
+        ``store.epoch`` may already be further along)."""
+        self._mutation_listeners.append(fn)
 
-    def remove_listener(self, fn: Callable[[Policy], None]) -> None:
+    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
         """Deregister fn; no-op when absent (safe for dead-ref hooks)."""
         try:
-            self._listeners.remove(fn)
+            self._mutation_listeners.remove(fn)
         except ValueError:
             pass
-
-    def add_mutation_listener(
-        self, fn: Callable[..., None], with_epoch: bool = False
-    ) -> None:
-        """Called as ``fn(kind, policy)`` — or ``fn(kind, policy,
-        epoch)`` when registered with ``with_epoch=True`` — after every
-        mutation, where ``kind`` is ``"insert"``, ``"delete"`` or
-        ``"update"``.  ``epoch`` is the corpus version *as of that
-        event*: a single ``update`` crossing queriers/tables queues two
-        events with consecutive epochs, and cache hooks that re-stamp
-        surviving entries need each event's own epoch, not the final
-        one (events are dispatched after the write lock is released, so
-        ``store.epoch`` may already be further along)."""
-        self._mutation_listeners.append((fn, with_epoch))
-
-    def remove_mutation_listener(self, fn: Callable[..., None]) -> None:
-        """Deregister fn; no-op when absent (safe for dead-ref hooks)."""
-        for entry in self._mutation_listeners:
-            if entry[0] is fn:
-                self._mutation_listeners.remove(entry)
-                return
 
     def add_reset_listener(self, fn: Callable[[], None]) -> None:
         """Called (with no arguments) after a wholesale corpus reset —
@@ -295,13 +280,8 @@ class PolicyStore:
             for kind, policy, epoch in events:
                 # Iterate over copies: dead weakref hooks deregister
                 # themselves from inside the callback.
-                for listener in list(self._listeners):
-                    listener(policy)
-                for listener, wants_epoch in list(self._mutation_listeners):
-                    if wants_epoch:
-                        listener(kind, policy, epoch)
-                    else:
-                        listener(kind, policy)
+                for listener in list(self._mutation_listeners):
+                    listener(kind, policy, epoch)
 
     def _mutated(self, kind: str, policy: Policy) -> None:
         self._epoch += 1
@@ -617,7 +597,7 @@ class PolicyPartition:
     Created by :meth:`PolicyStore.partition`.  The partition exposes
     the read/listener surface a :class:`~repro.core.middleware.Sieve`
     consumes — ``snapshot()``, ``policies_for``, ``epoch``,
-    ``add_listener`` / ``add_mutation_listener`` — scoped to the
+    ``add_mutation_listener`` — scoped to the
     queriers an ownership predicate claims:
 
     * a policy whose querier ``owns()`` claims belongs to the
@@ -655,11 +635,10 @@ class PolicyPartition:
         self._epoch = 0
         self._membership_gen = 0
         self._snapshot_memo: tuple[tuple[int, int, int], PolicySnapshot] | None = None
-        self._listeners: list[Callable[[Policy], None]] = []
-        self._mutation_listeners: list[tuple[Callable[..., None], bool]] = []
+        self._mutation_listeners: list[Callable[[str, Policy, int], None]] = []
         self._archive: SnapshotArchive | None = None
         self._detached = False
-        base.add_mutation_listener(self._on_base_event, with_epoch=True)
+        base.add_mutation_listener(self._on_base_event)
         base.add_reset_listener(self._on_base_reset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -738,43 +717,24 @@ class PolicyPartition:
             self._epoch += 1
             epoch = self._epoch
             self._snapshot_memo = None
-            listeners = list(self._listeners)
-            mutation_listeners = list(self._mutation_listeners)
+            listeners = list(self._mutation_listeners)
         # Dispatch outside the partition lock, mirroring the base
         # store's contract: listeners may re-enter the partition.
         for listener in listeners:
-            listener(policy)
-        for listener, wants_epoch in mutation_listeners:
-            if wants_epoch:
-                listener(kind, policy, epoch)
-            else:
-                listener(kind, policy)
+            listener(kind, policy, epoch)
 
     # ---------------------------------------------- listener surface (Sieve)
 
-    def add_listener(self, fn: Callable[[Policy], None]) -> None:
+    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
         with self._lock:
-            self._listeners.append(fn)
+            self._mutation_listeners.append(fn)
 
-    def remove_listener(self, fn: Callable[[Policy], None]) -> None:
+    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
         with self._lock:
             try:
-                self._listeners.remove(fn)
+                self._mutation_listeners.remove(fn)
             except ValueError:
                 pass
-
-    def add_mutation_listener(
-        self, fn: Callable[..., None], with_epoch: bool = False
-    ) -> None:
-        with self._lock:
-            self._mutation_listeners.append((fn, with_epoch))
-
-    def remove_mutation_listener(self, fn: Callable[..., None]) -> None:
-        with self._lock:
-            for entry in self._mutation_listeners:
-                if entry[0] is fn:
-                    self._mutation_listeners.remove(entry)
-                    return
 
     # --------------------------------------------------------------- reads
 
@@ -805,9 +765,10 @@ class PolicyPartition:
             epoch=epoch,
             groups=base_snap.groups,
             by_querier=by_querier,
-            tables=frozenset(
-                p.table.lower() for ps in by_querier.values() for p in ps
-            ),
+            # Whether a relation is protected is a property of the
+            # corpus, not of this shard's share of it: a querier with
+            # no policy must be denied here as on one server.
+            tables=base_snap.tables,
         )
         with self._lock:
             # Memo only if nothing moved under us; a stale build is
@@ -943,18 +904,10 @@ class PinnedPolicyStore:
         return len(self._snapshot)
 
     # Listener surface: accepted and ignored — the corpus is immutable.
-    def add_listener(self, fn: Callable[[Policy], None]) -> None:
+    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
         del fn
 
-    def remove_listener(self, fn: Callable[[Policy], None]) -> None:
-        del fn
-
-    def add_mutation_listener(
-        self, fn: Callable[..., None], with_epoch: bool = False
-    ) -> None:
-        del fn, with_epoch
-
-    def remove_mutation_listener(self, fn: Callable[..., None]) -> None:
+    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
         del fn
 
     def add_reset_listener(self, fn: Callable[[], None]) -> None:

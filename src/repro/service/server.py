@@ -31,8 +31,8 @@ What each layer buys under concurrency:
 * the **shared guard cache** means N queriers' warm state is one
   process-wide LRU, and single-flight collapses N concurrent cold
   misses of one key into one guard generation;
-* **batching** serves all queued requests of one (querier, purpose) in
-  one session context and guarantees no two workers concurrently
+* **batching** serves all queued requests of one (querier, purpose)
+  back to back and guarantees no two workers concurrently
   rewrite the same key (Δ partition registration stays per-key
   serial);
 * the **bounded queue** turns overload into fast, explicit
@@ -89,12 +89,9 @@ from repro.service.admission import AdaptiveShedder, AdmissionQueue, Batch, Serv
 DEFAULT_WORKERS = 4
 DEFAULT_MAX_PENDING = 1024
 DEFAULT_MAX_BATCH = 16
-#: A query shape (auto-parameterized template) seen this many times
-#: is auto-prepared: the server extracts its literals, prepares the
-#: template once, and serves further repeats through the plan cache.
-AUTO_PREPARE_THRESHOLD = 2
-#: Bound on the per-server shape-tracking map (counts + prepared
-#: handles); least-recently-created shapes age out beyond it.
+#: Bound on the per-server map of prepared handles, one per query
+#: shape (auto-parameterized template) and (querier, purpose);
+#: least-recently-created shapes age out beyond it.
 AUTO_PREPARE_MAX_SHAPES = 512
 #: The SLO monitor ticks at most this often (piggybacked on request
 #: admission/completion — no background thread).
@@ -242,23 +239,18 @@ class SieveServer:
         workers: int = DEFAULT_WORKERS,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_batch: int = DEFAULT_MAX_BATCH,
-        auto_prepare_threshold: int = AUTO_PREPARE_THRESHOLD,
         shedder: AdaptiveShedder | None = None,
     ):
         if workers <= 0:
             raise ValueError("worker count must be positive")
         self.sieve = sieve
-        #: Serving implies repeated traffic: a shape seen this many
-        #: times is prepared, so its repeats skip parse → strategy →
-        #: rewrite → plan entirely (value-keyed, epoch- and
-        #: plan-version-fenced — see core.cache.PlanCache).  0 disables
-        #: auto-preparation (requests always take the plain session
-        #: path; explicit ``sieve.prepare`` still works).
-        self.auto_prepare_threshold = auto_prepare_threshold
+        # Serving implies repeated traffic: every SELECT is served
+        # through the PreparedQuery of its shape from the first
+        # sighting, so repeats skip parse → strategy → rewrite → plan
+        # entirely (value-keyed, epoch- and plan-version-fenced — see
+        # core.cache.PlanCache).  (querier, purpose, template_key) →
+        # PreparedQuery; bounded FIFO (dict order).
         self._prepare_lock = threading.Lock()
-        # (querier, purpose, template_key) → seen count, and, past the
-        # threshold, → PreparedQuery.  Bounded FIFO (dict order).
-        self._shape_counts: dict[tuple, int] = {}
         self._prepared: dict[tuple, Any] = {}
         self.workers = workers
         self._queue = AdmissionQueue(max_pending=max_pending, max_batch=max_batch)
@@ -513,7 +505,7 @@ class SieveServer:
         """Submit a batch for one (querier, purpose) and wait for all.
 
         All requests share the scheduling key, so the pool serves them
-        as admission-queue batches through one warm session context.
+        as admission-queue batches, one worker at a time.
 
         **Ordering guarantee** (pinned by
         ``tests/test_cluster.py::test_execute_many_preserves_submission_order``):
@@ -596,9 +588,6 @@ class SieveServer:
 
     def _serve_batch(self, batch: Batch) -> None:
         querier, purpose = batch.key
-        # One session context per batch: the first request warms the
-        # (querier, purpose, relation) guard state, the rest ride it.
-        session = self.sieve.session(querier, purpose)
         served_any = False
         for request in batch.requests:
             request.started_at = time.perf_counter()
@@ -661,7 +650,7 @@ class SieveServer:
                         # the second answer is delivered.  Safe —
                         # queries are read-only.
                         try:
-                            session.execute(request.sql)
+                            self.sieve.execute(request.sql, querier, purpose)
                         except Exception:
                             pass  # the delivered attempt decides the outcome
             if request.trace_id:
@@ -672,15 +661,10 @@ class SieveServer:
                 auto = self._auto_prepare(request.sql, querier, purpose)
                 if auto is not None:
                     prepared, values = auto
-                    result: Any = (
-                        prepared.execute_with_info(values)
-                        if request.with_info
-                        else prepared.execute(values)
-                    )
-                elif request.with_info:
-                    result = session.execute_with_info(request.sql)
+                    info = prepared.execute_with_info(values)
                 else:
-                    result = session.execute(request.sql)
+                    info = self.sieve.execute_with_info(request.sql, querier, purpose)
+                result: Any = info if request.with_info else info.result
             except BaseException as exc:  # resolve, never kill the worker
                 failed = True
                 request.finished_at = time.perf_counter()
@@ -700,25 +684,22 @@ class SieveServer:
             counters.service_batches += 1
 
     def _auto_prepare(self, sql: Any, querier: Any, purpose: str) -> Any:
-        """``(PreparedQuery, binding values)`` for a repeated query
-        shape, or ``None`` to take the plain session path.
+        """``(PreparedQuery, binding values)`` for a parameter-free
+        SELECT, or ``None`` to take the plain ``Sieve.execute`` path.
 
         The server parses the request, auto-parameterizes its literals
-        (:func:`repro.expr.params.parameterize_query`) and counts the
-        resulting template per (querier, purpose).  A shape seen
-        ``auto_prepare_threshold`` times is prepared once; every later
-        repeat — same SQL or same shape with different literals —
+        (:func:`repro.expr.params.parameterize_query`) and prepares the
+        resulting template once per (querier, purpose), at first sight;
+        every request of the shape — same SQL or different literals —
         executes through the plan cache.  Row- and enforcement-counter
         identical to the plain path by construction (the cache is
-        value-keyed), so callers cannot observe the switch except in
-        latency and the zero-weight ``plan_cache_*`` counters.
+        value-keyed), so callers cannot observe it except in latency
+        and the zero-weight ``plan_cache_*`` counters.
 
         Never raises: non-SELECT statements, unparseable SQL and
-        already-parameterized queries fall through so the session path
+        already-parameterized queries fall through so the plain path
         surfaces its usual errors.
         """
-        if not self.auto_prepare_threshold:
-            return None
         try:
             query = parse_query(sql) if isinstance(sql, str) else sql
             if not isinstance(query, Query) or collect_params(query):
@@ -730,18 +711,9 @@ class SieveServer:
         with self._prepare_lock:
             prepared = self._prepared.get(key)
             if prepared is None:
-                count = self._shape_counts.get(key, 0) + 1
-                self._shape_counts[key] = count
-                if count < self.auto_prepare_threshold:
-                    while len(self._shape_counts) > AUTO_PREPARE_MAX_SHAPES:
-                        self._shape_counts.pop(next(iter(self._shape_counts)))
-                    return None
-        if prepared is None:
-            built = self.sieve.prepare(template, querier, purpose)
-            with self._prepare_lock:
-                # Two workers can race past the threshold; first wins.
-                prepared = self._prepared.setdefault(key, built)
-                self._shape_counts.pop(key, None)
+                # A handle holds the template and nothing else, so
+                # building one under the lock costs a print of it.
+                prepared = self._prepared[key] = self.sieve.prepare(template, querier, purpose)
                 while len(self._prepared) > AUTO_PREPARE_MAX_SHAPES:
                     self._prepared.pop(next(iter(self._prepared)))
         return prepared, values

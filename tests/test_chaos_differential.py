@@ -57,8 +57,8 @@ def test_chaos_runs_are_replayable():
 
 
 def test_teeth_mixed_epoch_bug_is_caught_when_gate_disabled():
-    """The deliberate bug: with ``fence_gate=False`` a policy delete
-    commits under a shard whose relay died, and that shard keeps
+    """The deliberate bug: on ``NaiveScatterCluster`` (no prepare
+    phase, no routing fence check) a policy delete commits under a shard whose relay died, and that shard keeps
     serving rows from the stale epoch — the differential MUST flag the
     divergence (first element).  With the gate on, the same scenario
     is refused at prepare and answers stay correct (second element)."""

@@ -210,8 +210,7 @@ def test_partition_scopes_corpus_and_epochs():
     epochs = (part_a.epoch, part_b.epoch)
     events = []
     part_b.add_mutation_listener(
-        lambda kind, policy, epoch: events.append((kind, policy.querier, epoch)),
-        with_epoch=True,
+        lambda kind, policy, epoch: events.append((kind, policy.querier, epoch))
     )
     inserted = store.insert(grant(QUERIERS[1], 0))
     # Only B owns the mutation: B's epoch advanced and its listener

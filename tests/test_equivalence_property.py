@@ -142,6 +142,7 @@ def test_all_engines_agree(seed, policies, sql):
     sieve_m.guard_store.get_or_build(
         "prof", "analytics", "wifi",
         lambda: (_ for _ in ()).throw(AssertionError("cache must hold")),
+        lambda held: held,
     )
     assert sorted(sieve_m.execute(sql, "prof", "analytics").rows) == expected
 

@@ -690,14 +690,14 @@ def test_bitmap_from_rowids_and_iter_sorted(rowids):
         assert bitmap.pages(64) == sorted({r // 64 for r in rowids})
 
 
-def test_rowbatch_selection_bitmap_and_narrow():
+def test_rowbatch_selection_and_narrow():
     from repro.engine.vector import RowBatch
 
     rows = [(i, i * 2) for i in range(10)]
     batch = RowBatch(rows)
-    assert list(batch.selection_bitmap().iter_sorted()) == list(range(10))
+    assert batch.indices() == list(range(10))
     cols = batch.columns()
     narrowed = batch.narrow([1, 4, 7])
     assert narrowed.take() == [rows[1], rows[4], rows[7]]
-    assert list(narrowed.selection_bitmap().iter_sorted()) == [1, 4, 7]
+    assert narrowed.indices() == [1, 4, 7]
     assert narrowed.columns() is cols  # transpose shared, not recomputed

@@ -39,6 +39,7 @@ from repro.faults import (
     ScatterFault,
     ShardFault,
 )
+from repro.faults.chaos import NaiveScatterCluster
 from repro.policy import GroupDirectory, ObjectCondition, Policy, PolicyStore
 from repro.service import ServiceStoppedError, SieveServer
 from repro.storage.schema import ColumnType, Schema
@@ -96,9 +97,9 @@ def build_world(n_rows: int = 400):
     return db, store, grant, next_id
 
 
-def make_cluster(db, store, n_shards=3, **kwargs):
+def make_cluster(db, store, n_shards=3, cluster_cls=SieveCluster, **kwargs):
     kwargs.setdefault("workers_per_shard", 1)
-    return SieveCluster.replicated(db, store, n_shards=n_shards, **kwargs)
+    return cluster_cls.replicated(db, store, n_shards=n_shards, **kwargs)
 
 
 def oracle_rows(db, store, querier, sql=QUERY):
@@ -407,10 +408,10 @@ def test_fence_gate_blocks_routing_when_behind():
         shard.expected_fence = shard.policy_fence + 1  # stale by one epoch
         with pytest.raises(ShardUnavailableError):
             cluster.execute(QUERY, querier, PURPOSE, timeout=5.0)
-    # fence_gate=False is the deliberate naive mode: the stale shard
-    # keeps serving (the bug the chaos teeth test must catch).
+    # The deliberately naive subclass: the stale shard keeps serving
+    # (the bug the chaos teeth test must catch).
     db2, store2, _, _ = build_world()
-    with make_cluster(db2, store2, fence_gate=False) as cluster:
+    with make_cluster(db2, store2, cluster_cls=NaiveScatterCluster) as cluster:
         shard = cluster.shard(cluster.route(querier))
         shard.expected_fence = shard.policy_fence + 1
         cluster.execute(QUERY, querier, PURPOSE, timeout=5.0)

@@ -210,7 +210,7 @@ class TestPolicyStore:
     def test_listener_fires(self):
         store, _ = self.make_store()
         events = []
-        store.add_listener(lambda p: events.append(p.id))
+        store.add_mutation_listener(lambda kind, p, epoch: events.append(p.id))
         inserted = store.insert(simple_policy())
         assert events == [inserted.id]
 
@@ -286,32 +286,32 @@ class TestPolicyStoreEpochAndListeners:
         store, _ = self.make_store()
         events = []
         p = store.insert(simple_policy(querier="a"))
-        store.add_mutation_listener(lambda kind, pol: events.append((kind, pol.querier)))
+        store.add_mutation_listener(lambda kind, pol, epoch: events.append((kind, pol.querier)))
         store.update(simple_policy(querier="b", id=p.id))
         assert ("update", "b") in events  # the new version
         assert ("update", "a") in events  # the old view must invalidate too
 
-    def test_listeners_fire_with_epoch_already_bumped(self):
+    def test_listeners_hear_the_epoch_already_bumped(self):
         store, _ = self.make_store()
         observed = []
-        store.add_mutation_listener(lambda kind, pol: observed.append(store.epoch))
+        store.add_mutation_listener(lambda kind, pol, epoch: observed.append((store.epoch, epoch)))
         before = store.epoch
         store.insert(simple_policy())
-        assert observed == [before + 1]
+        assert observed == [(before + 1, before + 1)]
 
     def test_remove_listener_during_dispatch_neither_skips_nor_raises(self):
         store, _ = self.make_store()
         calls = []
 
-        def self_removing(policy):
+        def self_removing(kind, policy, epoch):
             calls.append("self_removing")
-            store.remove_listener(self_removing)
+            store.remove_mutation_listener(self_removing)
 
-        def steady(policy):
+        def steady(kind, policy, epoch):
             calls.append("steady")
 
-        store.add_listener(self_removing)
-        store.add_listener(steady)
+        store.add_mutation_listener(self_removing)
+        store.add_mutation_listener(steady)
         store.insert(simple_policy(owner=1))
         assert calls == ["self_removing", "steady"]  # nothing skipped
         store.insert(simple_policy(owner=2))
@@ -321,7 +321,7 @@ class TestPolicyStoreEpochAndListeners:
         store, _ = self.make_store()
         calls = []
 
-        def once(kind, policy):
+        def once(kind, policy, epoch):
             calls.append(kind)
             store.remove_mutation_listener(once)
 
@@ -332,15 +332,14 @@ class TestPolicyStoreEpochAndListeners:
 
     def test_remove_absent_listener_is_noop(self):
         store, _ = self.make_store()
-        store.remove_listener(lambda p: None)
-        store.remove_mutation_listener(lambda k, p: None)
+        store.remove_mutation_listener(lambda k, p, e: None)
 
     def test_reload_bumps_epoch_exactly_once_and_fires_no_events(self):
         store, _ = self.make_store()
         store.insert(simple_policy(owner=1))
         store.insert(simple_policy(owner=2))
         events = []
-        store.add_mutation_listener(lambda kind, pol: events.append(kind))
+        store.add_mutation_listener(lambda kind, pol, epoch: events.append(kind))
         before = store.epoch
         store.reload_from_database()
         assert store.epoch == before + 1

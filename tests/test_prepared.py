@@ -94,8 +94,8 @@ def test_unbound_param_refuses_to_execute():
     db = connect("mysql")
     db.create_table("t", Schema.of(("a", ColumnType.INT)))
     db.insert("t", [(1,), (2,)])
-    for codegen in (True, False):
-        db.codegen = codegen
+    for vectorized in (True, False):
+        db.vectorized = vectorized
         with pytest.raises(ExecutionError, match="unbound parameter"):
             db.execute(parse_query("SELECT a FROM t WHERE a = ?"))
 
@@ -683,28 +683,34 @@ def test_server_auto_prepares_repeated_shapes():
 
     db, store = small_world()
     sieve = Sieve(db, store)
-    thresholds = [(i * 53) % 400 for i in range(12)]
     oracle_sieve = Sieve(db, store)
-    expected = [
-        oracle_sieve.execute(
-            f"SELECT id FROM t WHERE v < {t} ORDER BY id", "alice", "analytics"
-        ).rows
-        for t in thresholds
-    ]
+    who = ("alice", "analytics")
+    sql = "SELECT id FROM t WHERE v < {} ORDER BY id".format
+    stats = sieve.plan_cache.stats
     with SieveServer(sieve, workers=2) as server:
-        got = server.execute_many(
-            [f"SELECT id FROM t WHERE v < {t} ORDER BY id" for t in thresholds],
-            "alice",
-            "analytics",
-            timeout=60,
-        )
-    assert [r.rows for r in got] == expected
-    stats = server.stats()
-    # All twelve requests share one auto-parameterized template: the
-    # shape crosses the threshold early and later repeats (different
-    # literals included) run through the plan cache.
-    assert stats.plan_cache["misses"] >= 1
-    assert sieve.plan_cache.stats.misses + sieve.plan_cache.stats.hits >= 10
+        # A shape is prepared at first sight: the first request is a
+        # plan-cache miss that admits, its repeat is a hit.
+        for _ in range(2):
+            got = server.execute(sql(300), *who, timeout=60)
+            assert got.rows == oracle_sieve.execute(sql(300), *who).rows
+        assert (stats.misses, stats.hits, len(sieve.plan_cache)) == (1, 1, 1)
+        # A fresh literal is the same shape: one more miss, no new handle.
+        server.execute(sql(301), *who, timeout=60)
+        assert (stats.misses, stats.hits) == (2, 1)
+        assert len(server._prepared) == 1
+        thresholds = [(i * 53) % 400 for i in range(12)]
+        got = server.execute_many([sql(t) for t in thresholds], *who, timeout=60)
+        assert [r.rows for r in got] == [oracle_sieve.execute(sql(t), *who).rows for t in thresholds]
+        assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
+        # What cannot be prepared falls through to Sieve.execute and
+        # raises what it raises.
+        for bad in ("DELETE FROM t", "SELEC id FROM t", "SELECT id FROM t WHERE v < ?"):
+            with pytest.raises(Exception) as direct:
+                oracle_sieve.execute(bad, *who)
+            with pytest.raises(type(direct.value)) as served:
+                server.execute(bad, *who, timeout=60)
+            assert str(served.value) == str(direct.value)
+        assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
 
 
 # ----------------------------- the differential property (all engines)
@@ -748,8 +754,8 @@ def _roundtrip_one(world, engine, sql):
     execution in rows AND enforcement counters, cold and warm."""
     db = world["db"]
     sieve = world["sieve_backend"] if engine == "sqlite" else world["sieve"]
-    saved = (db.vectorized, db.codegen)
-    db.vectorized, db.codegen = (False, False) if engine == "tuple" else (True, True)
+    saved = db.vectorized
+    db.vectorized = engine != "tuple"
     try:
         querier, purpose = world["querier"], world["purpose"]
         before = db.counters.snapshot()
@@ -764,7 +770,7 @@ def _roundtrip_one(world, engine, sql):
             assert got.rows == expected.rows, (engine, sql)
             assert audit_diff(db, before) == expected_diff, (engine, sql)
     finally:
-        db.vectorized, db.codegen = saved
+        db.vectorized = saved
 
 
 ENGINES = ["vectorized", "tuple", "sqlite"]
@@ -902,9 +908,8 @@ def test_memo_cold_equals_memo_warm(engine, personality, delta, shape, who, bind
         template = MEMO_SHAPES[shape].format(table=live["table"])
         querier = live["queriers"][who % len(live["queriers"])]
         purpose = live["purpose"]
-        mode = (False, False) if engine == "tuple" else (True, True)
         for world in (live, cold):
-            world["db"].vectorized, world["db"].codegen = mode
+            world["db"].vectorized = engine != "tuple"
         prepared = live["sieve"].prepare(template, querier, purpose)
         for date, minute in bindings:
             values = {0: (date, date + 2), 1: (minute, minute + 120), 2: (date, minute)}[shape]

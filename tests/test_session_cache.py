@@ -302,7 +302,7 @@ class TestMutationInvalidation:
     def test_mutation_event_kinds(self):
         _db, _rows, store, _sieve = build_world()
         events: list[str] = []
-        store.add_mutation_listener(lambda kind, policy: events.append(kind))
+        store.add_mutation_listener(lambda kind, policy, epoch: events.append(kind))
         p = store.insert(Policy(
             owner=1, querier="x", purpose="any", table="wifi",
             object_conditions=(ObjectCondition("owner", "=", 1),),
@@ -316,11 +316,10 @@ class TestMutationInvalidation:
 
     def test_dead_sieve_listeners_self_remove(self):
         """Short-lived Sieve instances over a long-lived store must not
-        accumulate in its listener lists after collection."""
+        accumulate in its listener list after collection."""
         import gc
 
         db, _rows, store, _sieve = build_world()
-        listeners = len(store._listeners)
         mutation_listeners = len(store._mutation_listeners)
         for _ in range(3):
             Sieve(db, store)
@@ -331,7 +330,7 @@ class TestMutationInvalidation:
             object_conditions=(ObjectCondition("owner", "=", 1),),
         ))
         store.delete(p.id)
-        assert len(store._listeners) == listeners
+        # Each Sieve registered two hooks: its own and its guard store's.
         assert len(store._mutation_listeners) == mutation_listeners
 
     def test_epoch_monotonic_across_mutations(self):

@@ -198,25 +198,33 @@ class TestGuardStore:
 
         return build
 
+    @staticmethod
+    def _keep(held):
+        """A ``maintain`` that finds the held expression current."""
+        return held
+
     def test_get_or_build_caches(self):
         db, store, gs = self.make()
-        ge1, built1 = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
-        ge2, built2 = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        ge1, built1 = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
+        ge2, built2 = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         assert built1 and not built2
         assert ge1 is ge2
 
     def test_policy_insert_flips_outdated(self):
         db, store, gs = self.make()
-        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         assert not gs.is_outdated("prof", "analytics", "wifi")
         store.insert(make_policies(n_owners=1, per_owner=1, seed=99)[0])
         assert gs.is_outdated("prof", "analytics", "wifi")
-        _, rebuilt = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
-        assert rebuilt
+        # A ``maintain`` that declines (None) has the expression rebuilt.
+        _, rebuilt = gs.get_or_build(
+            "prof", "analytics", "wifi", self._builder(db, store), lambda held: None
+        )
+        assert rebuilt and not gs.is_outdated("prof", "analytics", "wifi")
 
     def test_unrelated_querier_not_invalidated(self):
         db, store, gs = self.make()
-        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         other = Policy(
             owner=1, querier="someone-else", purpose="analytics", table="wifi",
             object_conditions=(ObjectCondition("owner", "=", 1),),
@@ -232,7 +240,7 @@ class TestGuardStore:
         for p in make_policies(n_owners=4):
             store.insert(p)
         gs = GuardStore(db, store)
-        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         group_policy = Policy(
             owner=9, querier="faculty", purpose="analytics", table="wifi",
             object_conditions=(ObjectCondition("owner", "=", 9),),
@@ -242,7 +250,7 @@ class TestGuardStore:
 
     def test_persistence_round_trip(self):
         db, store, gs = self.make()
-        ge, _ = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        ge, _ = gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         loaded = gs.load_persisted("prof", "analytics", "wifi")
         assert loaded is not None
         assert len(loaded.guards) == len(ge.guards)
@@ -262,8 +270,8 @@ class TestGuardStore:
             policies = store.policies_for("prof", "analytics", "wifi")
             return maintain_guarded_expression(held, policies, stats, INDEXED, cm)
 
-        first, _ = gs.get_or_build("prof", "analytics", "wifi", builder, maintain=maintain)
-        again, rebuilt = gs.get_or_build("prof", "analytics", "wifi", builder, maintain=maintain)
+        first, _ = gs.get_or_build("prof", "analytics", "wifi", builder, maintain)
+        again, rebuilt = gs.get_or_build("prof", "analytics", "wifi", builder, maintain)
         assert again is first and not rebuilt
 
         def guard_rows():
@@ -283,9 +291,7 @@ class TestGuardStore:
             )
         )
         assert gs.is_outdated("prof", "analytics", "wifi")
-        maintained, rebuilt = gs.get_or_build(
-            "prof", "analytics", "wifi", builder, maintain=maintain
-        )
+        maintained, rebuilt = gs.get_or_build("prof", "analytics", "wifi", builder, maintain)
         assert not rebuilt and maintained is not first
         assert not gs.is_outdated("prof", "analytics", "wifi")
         assert db.execute("SELECT outdated FROM sieve_guarded_expressions").column("outdated") == [False]
@@ -304,7 +310,7 @@ class TestGuardStore:
 
     def test_outdated_flag_persisted(self):
         db, store, gs = self.make()
-        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store))
+        gs.get_or_build("prof", "analytics", "wifi", self._builder(db, store), self._keep)
         store.insert(make_policies(n_owners=1, per_owner=1, seed=77)[0])
         flags = db.execute(
             "SELECT outdated FROM sieve_guarded_expressions"

@@ -2,9 +2,11 @@
 
 The batch executor must be semantically invisible: for every workload
 (Mall, TIPPERS), every execution strategy (LinearScan / IndexQuery /
-IndexGuards), Δ on/off, and every engine mode (tuple/vectorized ×
-closure/codegen), row sets must be identical to the tuple-at-a-time
-closure interpreter — and so must the per-tuple counters
+IndexGuards) and Δ on/off, the product engine (batch executor +
+generated code, whose fallback subtrees run the tuple executor on
+generated row functions) must return the row sets of the oracle — the
+tuple-at-a-time closure interpreter, ``db.vectorized = False`` — and
+so must the per-tuple counters
 (``policy_evals``, ``predicate_evals``, ``tuples_scanned``, page
 counters, UDF counters), which is what makes the paper's cost-unit
 shapes independent of the execution mode.  Random-query property
@@ -45,31 +47,32 @@ ENGINE_COUNTERS = (
     "udf_policy_evals",
 )
 
-#: (label, vectorized, codegen); the oracle is (False, False).
-MODES = [
-    ("tuple-codegen", False, True),
-    ("vectorized-closure", True, False),
-    ("vectorized-codegen", True, True),
-]
+#: (label, vectorized): the one product mode; the oracle is
+#: ``vectorized=False``.
+MODES = [("vectorized", True)]
 
 
-def run_mode(db, query, vectorized: bool, codegen: bool):
-    """Execute under one engine mode; returns (rows, engine counters)."""
-    saved = (db.vectorized, db.codegen)
-    db.vectorized, db.codegen = vectorized, codegen
+def run_mode(db, query, vectorized: bool):
+    """Execute under one engine mode; returns (rows, engine counters).
+    An oracle run must not touch the compiled-expression cache — it
+    shares no compiled code with the product it is compared against."""
+    saved = db.vectorized
+    db.vectorized = vectorized
     try:
         before = db.counters.snapshot()
         result = db.execute(query)
         diff = db.counters.diff(before)
     finally:
-        db.vectorized, db.codegen = saved
+        db.vectorized = saved
+    if not vectorized:
+        assert diff["expr_cache_hits"] == 0 and diff["expr_cache_misses"] == 0
     return result, {k: diff[k] for k in ENGINE_COUNTERS}
 
 
 def assert_modes_identical(db, query, context: str = ""):
-    oracle_result, oracle_counters = run_mode(db, query, False, False)
-    for label, vectorized, codegen in MODES:
-        result, counters = run_mode(db, query, vectorized, codegen)
+    oracle_result, oracle_counters = run_mode(db, query, False)
+    for label, vectorized in MODES:
+        result, counters = run_mode(db, query, vectorized)
         assert result.rows == oracle_result.rows, f"{context}: rows diverged in {label}"
         assert [c.lower() for c in result.columns] == [
             c.lower() for c in oracle_result.columns
@@ -183,7 +186,7 @@ def test_execution_info_names_engine_tier(request, workload):
     """SieveExecution.engine reflects the database's engine mode."""
     world = _world(request, workload)
     sql = f"SELECT * FROM {world.table}"
-    saved = (world.db.vectorized, world.db.codegen)
+    saved = world.db.vectorized
     try:
         world.db.vectorized = True
         info = world.sieve.execute_with_info(sql, world.queriers[0], world.purpose)
@@ -192,7 +195,7 @@ def test_execution_info_names_engine_tier(request, workload):
         info = world.sieve.execute_with_info(sql, world.queriers[0], world.purpose)
         assert info.engine == "tuple"
     finally:
-        world.db.vectorized, world.db.codegen = saved
+        world.db.vectorized = saved
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -203,14 +206,14 @@ def test_vectorized_path_actually_engaged(request, workload):
     rewritten = world.sieve.rewrite(
         f"SELECT * FROM {world.table}", world.queriers[0], world.purpose
     )
-    saved = (world.db.vectorized, world.db.codegen)
-    world.db.vectorized = world.db.codegen = True
+    saved = world.db.vectorized
+    world.db.vectorized = True
     try:
         before = world.db.counters.snapshot()
         world.db.execute(rewritten)
         diff = world.db.counters.diff(before)
     finally:
-        world.db.vectorized, world.db.codegen = saved
+        world.db.vectorized = saved
     assert diff["batches"] > 0
 
 
@@ -369,14 +372,14 @@ def _scan_plans(db):
 def _run_plan(db, plan, vectorized: bool):
     from repro.optimizer.planner import PlannedQuery
 
-    saved = (db.vectorized, db.codegen)
-    db.vectorized, db.codegen = vectorized, True
+    saved = db.vectorized
+    db.vectorized = vectorized
     try:
         before = db.counters.snapshot()
         result = db.run_plan(PlannedQuery(plan, {}))
         return result.rows, db.counters.diff(before)
     finally:
-        db.vectorized, db.codegen = saved
+        db.vectorized = saved
 
 
 def test_table_backed_scans_match_tuple_path_after_every_write_kind():

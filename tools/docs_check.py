@@ -1,6 +1,6 @@
 """Docs gate, run via ``make docs-check``.
 
-Four checks, all AST/text based so nothing is imported or executed:
+Five checks, all AST/text based so nothing is imported or executed:
 
 1. every module under ``src/repro`` (including new packages such as
    ``repro/backend`` or ``repro/audit``) must have a module docstring;
@@ -15,7 +15,12 @@ Four checks, all AST/text based so nothing is imported or executed:
    repo-root ``*.json`` that README.md, docs/ARCHITECTURE.md, the
    Makefile or ``.github/workflows/ci.yml`` names must exist (a
    target: be declared in the Makefile) — a doc that points at a
-   deleted script or target is a doc bug that otherwise goes unseen.
+   deleted script or target is a doc bug that otherwise goes unseen;
+5. every ``Name(kw=`` inside backticks in README.md or
+   docs/ARCHITECTURE.md, for ``Name`` one of the public constructors
+   (``connect``, ``Database``, ``Sieve``, ``SieveServer``,
+   ``SieveCluster``), must name a parameter that callable declares —
+   a doc that keeps advertising a deleted option is a doc bug.
 
 Exits non-zero listing offenders; prints a one-line summary when clean.
 """
@@ -46,6 +51,19 @@ _MAKE_DECL = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
 _SCRIPT_REF = re.compile(r"\b(?:benchmarks|tools)/[\w-]+\.py\b")
 #: A bare ``name.json`` (no directory in front) is a repo-root file.
 _ROOT_JSON_REF = re.compile(r"(?<![\w/.<>*-])[\w-]+\.json\b")
+
+#: Check 5: the public constructors whose keyword options the docs may
+#: name, and the module (under ``src/repro``) that declares each.
+CONSTRUCTORS = {
+    "connect": "db/database.py",
+    "Database": "db/database.py",
+    "Sieve": "core/middleware.py",
+    "SieveServer": "service/server.py",
+    "SieveCluster": "cluster/coordinator.py",
+}
+_CODE_SPAN = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
+_CONSTRUCTOR_CALL = re.compile(rf"(?<![\w.])({'|'.join(CONSTRUCTORS)})\(")
+_KEYWORD = re.compile(r"(?<![\w.])([A-Za-z_]\w*)=(?!=)")
 
 
 def check_docstrings() -> tuple[int, list[str]]:
@@ -108,13 +126,63 @@ def check_references() -> tuple[int, list[str]]:
     return len(REFERRERS), dangling
 
 
+def declared_parameters() -> dict[str, set[str]]:
+    """Parameter names of each of :data:`CONSTRUCTORS`, read off the
+    source: a function's own, a class's ``__init__``'s."""
+    declared: dict[str, set[str]] = {}
+    for name, module in CONSTRUCTORS.items():
+        for node in ast.parse((SRC / module).read_text()).body:
+            if getattr(node, "name", None) != name:
+                continue
+            if isinstance(node, ast.ClassDef):
+                node = next(n for n in node.body if getattr(n, "name", None) == "__init__")
+            args = node.args
+            declared[name] = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    return declared
+
+
+def undeclared_options(text: str, declared: dict[str, set[str]]) -> list[str]:
+    """``Name(kw=)`` for every keyword a code span of ``text`` passes
+    to one of :data:`CONSTRUCTORS` that the callable does not declare
+    (keywords of calls nested in the argument list are not its own)."""
+    found: set[str] = set()
+    for span in _CODE_SPAN.findall(text):
+        for call in _CONSTRUCTOR_CALL.finditer(span):
+            depth, own = 0, []
+            for char in span[call.end():]:
+                depth += (char == "(") - (char == ")")
+                if depth < 0:
+                    break
+                own.append(char if depth == 0 else " ")
+            for keyword in _KEYWORD.findall("".join(own)):
+                if keyword not in declared[call.group(1)]:
+                    found.add(f"{call.group(1)}({keyword}=)")
+    return sorted(found)
+
+
+def check_options() -> tuple[int, list[str]]:
+    declared = declared_parameters()
+    undeclared = [
+        f"{ref} (named in {doc.relative_to(ROOT)})"
+        for doc in DOCS
+        for ref in undeclared_options(doc.read_text(), declared)
+    ]
+    return len(declared), undeclared
+
+
 def main() -> int:
     checked, missing = check_docstrings()
     n_packages, unmentioned = check_package_mentions()
     n_tools, tools_unmentioned = check_tool_mentions()
     unmentioned += tools_unmentioned
     n_referrers, dangling = check_references()
+    n_constructors, undeclared = check_options()
     failed = False
+    if undeclared:
+        failed = True
+        print(f"{len(undeclared)} constructor option(s) the docs name that do not exist:")
+        for entry in undeclared:
+            print(f"  {entry}")
     if dangling:
         failed = True
         print(f"{len(dangling)} reference(s) to a target or file that does not exist:")
@@ -136,7 +204,8 @@ def main() -> int:
         f"docs-check: all {checked} modules under src/repro have docstrings; "
         f"all {n_packages} packages are documented in README + ARCHITECTURE; "
         f"all {n_tools} tools/ scripts are documented in the README; "
-        f"every target and file the {n_referrers} docs/build files name exists"
+        f"every target and file the {n_referrers} docs/build files name exists; "
+        f"every option the docs pass to the {n_constructors} public constructors is declared"
     )
     return 0
 
