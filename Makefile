@@ -80,6 +80,7 @@ bench-paper:
 # Fails if a module under src/repro lacks a docstring, a layer or metric
 # of the canonical benchmark is undocumented, or README / ARCHITECTURE /
 # this Makefile / ci.yml name a make target or file that does not exist,
-# or README / ARCHITECTURE pass a public constructor an option it lacks.
+# or README / ARCHITECTURE pass a public constructor an option it lacks,
+# or a doc or docstring names a tests/ file::test_id that does not exist.
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -24,7 +24,8 @@ the base :class:`~repro.policy.store.PolicyStore`:
 
     cluster.insert_policy(p)                       # admin write path
         │ owning shards: route(querier), or — for a group policy —
-        ▼ every shard holding a member (scatter)
+        ▼ every shard holding a member (scatter); every shard when
+          the write changes the protected set (a relation's first policy)
     base store write → partition event relay       # only owning shards'
                                                    # epochs advance
 
@@ -1007,9 +1008,17 @@ class SieveCluster:
         return PolicyScatterError(f"policy scatter aborted in prepare: {reason}")
 
     def _scatter_policy_write(
-        self, targets: Sequence[str], apply: Callable[[], Any]
+        self, queriers: Iterable[Any] | None, table: str, apply: Callable[[], Any]
     ) -> Any:
         """Epoch-fenced two-phase policy scatter.
+
+        The scatter set is the shards owning ``queriers`` — or, when
+        the write changes the *protected set* (``queriers`` is
+        ``None``: ``protect`` / ``unprotect``; or the first policy on a
+        not-yet-protected ``table``), **every** shard: protection is
+        corpus-wide, and a shard that cannot hear the change would go
+        on serving its queriers the unrewritten plan.
+        ``cluster_policy_fanout`` records the width.
 
         *Prepare* (:meth:`_prepare_scatter`) runs **before** the base
         store is touched, so an abort is atomic: no shard, and no
@@ -1027,13 +1036,17 @@ class SieveCluster:
         injector = self.fault_injector
         write_no = injector.next_write() if injector is not None else None
         with self._admin_lock:  # scatters serialize with rebalance/supervise
+            all_names = self.shard_names  # stable: membership changes hold the admin lock
+            if queriers is None or table.lower() not in self.store.snapshot().protected:
+                targets = all_names
+            else:
+                targets = sorted({n for q in queriers for n in self.owning_shards(q)})
             with self._route_lock.read_locked():
                 shards = {
                     name: self._shards[name]
                     for name in targets
                     if name in self._shards
                 }
-                all_names = sorted(self._shards)
             self._prepare_scatter(shards, write_no)
             # A commit-phase fault crashes its victim here — after
             # prepare passed, before the commit point — so the victim
@@ -1053,7 +1066,9 @@ class SieveCluster:
                     shard.expected_fence = fence
                     if self._shard_can_apply(shard):
                         shard.policy_fence = fence
-            return stamped
+        self._tick("cluster_policy_writes")
+        self._tick("cluster_policy_fanout", len(targets))
+        return stamped
 
     def _prepare_scatter(self, shards: dict[str, ClusterShard], write_no: Any) -> None:
         """Prepare phase: every owning shard must be able to apply the
@@ -1076,15 +1091,11 @@ class SieveCluster:
         The write lands in the base store (single source of truth) via
         the two-phase scatter (:meth:`_scatter_policy_write`);
         partition event relay delivers it to exactly the owning
-        shards — ``cluster_policy_fanout`` records the scatter width.
+        shards — all of them when it is the relation's first policy.
         """
-        targets = self.owning_shards(policy.querier)
-        stamped = self._scatter_policy_write(
-            targets, lambda: self.store.insert(policy)
+        return self._scatter_policy_write(
+            [policy.querier], policy.table, lambda: self.store.insert(policy)
         )
-        self._tick("cluster_policy_writes")
-        self._tick("cluster_policy_fanout", len(targets))
-        return stamped
 
     def insert_policies(self, policies: Iterable[Policy]) -> int:
         count = 0
@@ -1095,23 +1106,27 @@ class SieveCluster:
 
     def delete_policy(self, policy_id: int) -> None:
         policy = self.store.get(policy_id)
-        targets = self.owning_shards(policy.querier)
-        self._scatter_policy_write(targets, lambda: self.store.delete(policy_id))
-        self._tick("cluster_policy_writes")
-        self._tick("cluster_policy_fanout", len(targets))
+        self._scatter_policy_write(
+            [policy.querier], policy.table, lambda: self.store.delete(policy_id)
+        )
 
     def update_policy(self, policy: Policy) -> Policy:
         old = self.store.get(policy.id)
-        targets = sorted(
-            set(self.owning_shards(old.querier))
-            | set(self.owning_shards(policy.querier))
+        return self._scatter_policy_write(
+            [old.querier, policy.querier], policy.table, lambda: self.store.update(policy)
         )
-        stamped = self._scatter_policy_write(
-            targets, lambda: self.store.update(policy)
-        )
-        self._tick("cluster_policy_writes")
-        self._tick("cluster_policy_fanout", len(targets))
-        return stamped
+
+    def protect(self, table: str) -> None:
+        """Declare ``table`` protected on every shard (an all-shard
+        write; see :meth:`PolicyStore.protect
+        <repro.policy.store.PolicyStore.protect>`)."""
+        self._scatter_policy_write(None, table, lambda: self.store.protect(table))
+
+    def unprotect(self, table: str) -> None:
+        """Release ``table`` on every shard; refused while a policy
+        names it (:meth:`PolicyStore.unprotect
+        <repro.policy.store.PolicyStore.unprotect>`)."""
+        self._scatter_policy_write(None, table, lambda: self.store.unprotect(table))
 
     # ------------------------------------------------------ fault injection
 

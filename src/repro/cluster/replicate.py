@@ -10,8 +10,8 @@ own outright, so shard execution never contends with (or corrupts)
 another shard's heaps.
 
 Sieve-internal relations (``sieve_policies`` / ``sieve_object_
-conditions`` — the base store's persistence, which stays on the
-coordinator — and ``sieve_guarded_expressions`` / ``sieve_guards`` /
+conditions`` / ``sieve_protected`` — the base store's persistence,
+which stays on the coordinator — and ``sieve_guarded_expressions`` / ``sieve_guards`` /
 ``sieve_guard_partitions``, which each shard's own
 :class:`~repro.core.guard_store.GuardStore` re-creates for its
 partition) are deliberately *not* copied.  UDFs are not copied either:
@@ -33,12 +33,14 @@ from typing import Iterable
 from repro.core.guard_store import GE_TABLE, GUARD_TABLE, PARTITION_TABLE
 from repro.db.database import Database
 from repro.index.hashindex import HashIndex
-from repro.policy.store import CONDITION_TABLE, POLICY_TABLE
+from repro.policy.store import CONDITION_TABLE, POLICY_TABLE, PROTECTED_TABLE
 
 #: Middleware-owned relations that must not follow the data to shards.
 SIEVE_INTERNAL_TABLES = frozenset(
     name.lower()
-    for name in (POLICY_TABLE, CONDITION_TABLE, GE_TABLE, GUARD_TABLE, PARTITION_TABLE)
+    for name in (
+        POLICY_TABLE, CONDITION_TABLE, PROTECTED_TABLE, GE_TABLE, GUARD_TABLE, PARTITION_TABLE
+    )
 )
 
 

@@ -64,12 +64,12 @@ class _BaselineBase:
 
     def rewrite(self, sql: str | Query, querier: Any, purpose: str) -> Query:
         query = parse_query(sql) if isinstance(sql, str) else sql
-        protected = self.policy_store.tables_with_policies()
-        targets = sorted(collect_table_names(query) & protected)
+        snapshot = self.policy_store.snapshot()  # one corpus view for the whole rewrite
+        targets = sorted(collect_table_names(query) & snapshot.protected)
         new_ctes: list[CTE] = []
         replacements: dict[str, str] = {}
         for table_name in targets:
-            policies = self.policy_store.policies_for(querier, purpose, table_name)
+            policies = snapshot.policies_for(querier, purpose, table_name)
             cte_name = f"{table_name}_{self.name.lower()}"
             # "Append E(P) to the query's WHERE": query predicates and
             # policy expression are evaluated together, so the optimizer

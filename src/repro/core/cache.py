@@ -233,9 +233,11 @@ class FencedCache:
         are dropped; survivors valid at the previous epoch are
         re-stamped to ``epoch`` so they keep hitting.  Entries already
         stale from an *unheard* bump (:meth:`reload_from_database
-        <repro.policy.store.PolicyStore.reload_from_database>` fires no
-        mutation events) stay stale and are dropped on their next
-        lookup.  Returns the number of entries dropped.
+        <repro.policy.store.PolicyStore.reload_from_database>` and a
+        change to the protected set — corpus-wide, so no per-querier
+        event may carry an entry across them) stay stale and are
+        dropped on their next lookup.  Returns the number of entries
+        dropped.
         """
         del kind  # insert/delete/update all invalidate identically
         table_lc = policy.table.lower()

@@ -32,8 +32,11 @@ instead of re-filtering the corpus.  Use :meth:`Sieve.session` for an
 explicit per-querier handle with batched ``execute_many``; the plain
 ``execute`` entry points route through the same cache.
 
-Relations where the querier holds no applicable policies come back
-empty (opt-out default-deny, Section 3.1).
+Protected relations (the store's declared set,
+:attr:`PolicySnapshot.protected <repro.policy.store.PolicySnapshot.protected>`)
+where the querier holds no applicable policies come back empty
+(opt-out default-deny, Section 3.1) — also once the last policy on
+them has been revoked.
 
 Without a backend, the rewrite runs on the bundled engine's
 vectorized batch executor (:mod:`repro.engine.vector`) — the
@@ -83,7 +86,7 @@ from repro.engine.executor import QueryResult
 from repro.expr.nodes import ColumnRef, Star
 from repro.expr.params import collect_params, bind_query, normalize_bindings
 from repro.obs.tracing import SlowQueryLog, Tracer, current_trace_id, span
-from repro.policy.store import PolicyStore
+from repro.policy.store import PolicySnapshot, PolicyStore
 from repro.sql.ast import Query, Select
 from repro.sql.parser import parse_query
 from repro.sql.printer import to_sql
@@ -102,6 +105,14 @@ def _is_plain_select(query: Query) -> bool:
     if body.group_by or body.having or body.distinct or body.limit is not None:
         return False
     return all(isinstance(item.expr, (Star, ColumnRef)) for item in body.items)
+
+
+def _protected_relations(query: Query, snapshot: PolicySnapshot) -> list[str]:
+    """The relations of ``query`` under Sieve's control at ``snapshot``
+    — the declared protected set, not the relations that happen to
+    carry a policy: these are rewritten, and a querier no policy admits
+    reads nothing from them (opt-out default deny, Section 3.1)."""
+    return sorted(collect_table_names(query) & snapshot.protected)
 
 
 @dataclass(frozen=True)
@@ -241,9 +252,7 @@ class Sieve:
             self.audit = log if log is not None else AuditLog()
             if self.audit.counters is None:
                 self.audit.counters = self.db.counters
-            retain = getattr(self.policy_store, "retain_snapshots", None)
-            if retain is not None:
-                retain()
+            self.policy_store.retain_snapshots()
         return self.audit
 
     def enable_tracing(
@@ -412,8 +421,7 @@ class Sieve:
             with span("parse"):
                 query = parse_query(sql) if isinstance(sql, str) else sql
 
-            protected = snapshot.tables_with_policies()
-            targets = sorted(collect_table_names(query) & protected)
+            targets = _protected_relations(query, snapshot)
 
             expressions: dict[str, GuardedExpression] = {}
             decisions: dict[str, StrategyDecision] = {}
@@ -695,7 +703,7 @@ class Sieve:
             return self.db.catalog.table(target).name
         query = parse_query(target) if isinstance(target, str) else target
         names = collect_table_names(query)
-        protected = sorted(names & self.policy_store.snapshot().tables_with_policies())
+        protected = _protected_relations(query, self.policy_store.snapshot())
         if len(protected) == 1:
             return protected[0]
         if not protected and len(names) == 1:
@@ -722,9 +730,8 @@ class Sieve:
         """
         table = self._explain_table(target)
         snapshot = self.policy_store.snapshot()
-        protected = snapshot.tables_with_policies()
         heap = self.db.catalog.table(table)
-        if table.lower() in protected:
+        if table.lower() in snapshot.protected:
             entry, _rebuilt = self.session(querier, purpose).resolve(
                 table.lower(), snapshot=snapshot
             )

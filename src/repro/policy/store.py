@@ -9,6 +9,14 @@ Policies live in two relations, exactly as Sieve stores them:
   ``val`` may hold a serialized constant, IN-list, or the SQL text of a
   derived (nested-query) value.
 
+Beside them ``sieve_protected`` holds the *declared* set of protected
+relations — the objects default deny ranges over (Section 3.1).  A
+relation joins it at its first policy insert or by
+:meth:`PolicyStore.protect`; deleting policies never shrinks it (a
+revocation must not grant), only :meth:`PolicyStore.unprotect` does,
+and that is refused while a policy still names the relation.  Every
+consumer reads it as the one field :attr:`PolicySnapshot.protected`.
+
 A write-through in-memory cache keeps Policy objects indexed by
 querier so that the PQM filter and the Δ operator never re-parse rows
 on the hot path.  Mutation listeners let the guard store flip its
@@ -33,6 +41,13 @@ consistent corpus view even while writers interleave (an ``update`` —
 internally delete + re-insert — can never be observed half-applied
 through a snapshot).
 
+One read surface: what the corpus says is defined once, on
+:class:`PolicySnapshot`; :class:`PolicyView` writes the store-shaped
+reads, epoch pinning and the listener registry once over
+``snapshot()``, and :class:`PolicyStore`, :class:`PolicyPartition` and
+:class:`PinnedPolicyStore` add only where their snapshot comes from
+and what moves their epoch.
+
 Sharding (the cluster tier, :mod:`repro.cluster`):
 :meth:`PolicyStore.partition` carves querier-scoped
 :class:`PolicyPartition` views out of one corpus — each with its own
@@ -49,6 +64,7 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.concurrency import RWLock
@@ -59,6 +75,7 @@ from repro.storage.schema import ColumnType, Schema
 
 POLICY_TABLE = "sieve_policies"
 CONDITION_TABLE = "sieve_object_conditions"
+PROTECTED_TABLE = "sieve_protected"
 
 
 def _serialize(value: Any) -> tuple[str, str]:
@@ -100,7 +117,11 @@ class PolicySnapshot:
     epoch: int
     groups: GroupDirectory
     by_querier: dict[Any, tuple[Policy, ...]]
-    tables: frozenset[str]
+    #: The declared protected relations (lowercased) as of this epoch:
+    #: a query is rewritten on exactly these, whether or not any policy
+    #: is left on them.  Corpus-wide — a partition passes the base
+    #: store's through rather than judging from its own share.
+    protected: frozenset[str]
 
     def policies_for(
         self, querier: Any, purpose: str, table: str | None = None
@@ -121,8 +142,12 @@ class PolicySnapshot:
                 out.append(policy)
         return out
 
-    def tables_with_policies(self) -> frozenset[str]:
-        return self.tables
+    @cached_property
+    def by_id(self) -> dict[int, Policy]:
+        """Every policy of the view by id, in insertion order (built on
+        first use; a policy is filed under exactly one querier key)."""
+        policies = [p for ps in self.by_querier.values() for p in ps]
+        return {p.id: p for p in sorted(policies, key=lambda p: p.inserted_at)}
 
     def __len__(self) -> int:
         return sum(len(ps) for ps in self.by_querier.values())
@@ -161,24 +186,170 @@ class SnapshotArchive:
             return sorted(self._snapshots)
 
 
-class PolicyStore:
+class PolicyView:
+    """The read surface every policy store shares, each method written
+    once over :meth:`snapshot`: the store-shaped reads, epoch pinning
+    (the :class:`SnapshotArchive` wiring) and the listener registry a
+    :class:`~repro.core.middleware.Sieve` hooks.  A subclass says only
+    where its snapshot comes from and what moves its ``epoch``."""
+
+    def __init__(self, db, groups: GroupDirectory):
+        self.db = db
+        self.groups = groups
+        self._mutation_listeners: list[Callable[[str, Policy, int], None]] = []
+        self._reset_listeners: list[Callable[[], None]] = []
+        self._archive: SnapshotArchive | None = None
+        self._epoch = 0
+
+    @property
+    def epoch(self) -> int:
+        """Monotonic version of this view's corpus; bumped on every
+        mutation it observes (a partition's is its own — see its class
+        docstring — a pinned view's never moves).
+
+        Read without taking the lock: the epoch is a single int whose
+        torn read is impossible under CPython, and every consumer
+        revalidates against it anyway (a stale read just costs one
+        cache miss)."""
+        return self._epoch
+
+    def snapshot(self) -> PolicySnapshot:
+        raise NotImplementedError
+
+    def _archived(self, snap: PolicySnapshot) -> PolicySnapshot:
+        """``snap``, pinned under its epoch when retention is on."""
+        if self._archive is not None:
+            self._archive.record(snap)
+        return snap
+
+    # --------------------------------------------------------------- reads
+
+    def policies_for(
+        self, querier: Any, purpose: str, table: str | None = None
+    ) -> list[Policy]:
+        """The PQM filter (Section 3.2): policies relevant to a query's
+        metadata — defined for this querier directly or via any of the
+        querier's groups, with a matching (or 'any') purpose.
+
+        Delegates to the per-epoch snapshot so the filter logic exists
+        once (a direct store read and a snapshot-pinned serving-tier
+        read can never disagree) and repeated calls at one epoch reuse
+        the memoized view.  A partition's answer is the base store's
+        for any owned querier — it holds the querier's direct policies
+        and every group policy whose group contains it."""
+        return self.snapshot().policies_for(querier, purpose, table)
+
+    def all_policies(self) -> list[Policy]:
+        return list(self.snapshot().by_id.values())
+
+    def queriers(self) -> list[Any]:
+        """All distinct querier values with at least one policy."""
+        return list(self.snapshot().by_querier)
+
+    def get(self, policy_id: int) -> Policy:
+        try:
+            return self.snapshot().by_id[policy_id]
+        except KeyError:
+            raise PolicyError(f"unknown policy id {policy_id}") from None
+
+    def __len__(self) -> int:
+        return len(self.snapshot())
+
+    # --------------------------------------------------------- epoch pinning
+
+    def retain_snapshots(self, limit: int | None = None) -> None:
+        """Enable epoch pinning: from now on every snapshot handed out
+        is also archived by epoch for :meth:`snapshot_at` (the audit
+        tier's replay anchor).  Idempotent; ``limit`` bounds retention
+        FIFO (None = unbounded).  Every audited request takes a
+        snapshot, so every epoch a decision record can name is
+        archived.  A partition archives under *partition* epochs —
+        what its shard's decision records carry; a rebalance that
+        migrates queriers without an owned mutation changes membership
+        at an unchanged epoch, so replay windows must not straddle
+        rebalances (the coordinator quiesces shards around a move for
+        the same reason)."""
+        if self._archive is None:
+            self._archive = SnapshotArchive(limit)
+        else:
+            self._archive.limit = limit
+        self._archive.record(self.snapshot())
+
+    def snapshot_at(self, epoch: int) -> PolicySnapshot:
+        """The archived corpus view at ``epoch`` — its policies and the
+        protected set its records saw; raises
+        :class:`~repro.common.errors.PolicyError` when retention was
+        not enabled or the epoch predates it / aged out."""
+        archive = self._archive
+        snap = archive.get(epoch) if archive is not None else None
+        if snap is None:
+            raise PolicyError(
+                f"policy epoch {epoch} is not retained "
+                f"(call retain_snapshots() before recording decisions)"
+            )
+        return snap
+
+    def retained_epochs(self) -> list[int]:
+        """Epochs replay can pin (empty when retention is off)."""
+        return self._archive.epochs() if self._archive is not None else []
+
+    # ------------------------------------------------------------- listeners
+
+    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
+        """Called as ``fn(kind, policy, epoch)`` after every mutation,
+        where ``kind`` is ``"insert"``, ``"delete"`` or ``"update"``.
+        ``epoch`` is the corpus version *as of that event*: a single
+        ``update`` crossing queriers/tables queues two events with
+        consecutive epochs, and cache hooks that re-stamp surviving
+        entries need each event's own epoch, not the final one (events
+        are dispatched after the write lock is released, so
+        ``store.epoch`` may already be further along)."""
+        self._mutation_listeners.append(fn)
+
+    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
+        """Deregister fn; no-op when absent (safe for dead-ref hooks)."""
+        try:
+            self._mutation_listeners.remove(fn)
+        except ValueError:
+            pass
+
+    def add_reset_listener(self, fn: Callable[[], None]) -> None:
+        """Called (with no arguments) after a corpus-wide change —
+        :meth:`PolicyStore.reload_from_database`, or a change to the
+        protected set — which bumps the epoch *without* a per-policy
+        mutation event to carry cached entries across it.  Partition
+        views hook this to advance their own epochs; per-policy
+        listeners cannot, since there is no per-policy delta to report."""
+        self._reset_listeners.append(fn)
+
+    def remove_reset_listener(self, fn: Callable[[], None]) -> None:
+        """Deregister fn; no-op when absent."""
+        try:
+            self._reset_listeners.remove(fn)
+        except ValueError:
+            pass
+
+    def _fire(self, kind: str, policy: Policy, epoch: int) -> None:
+        # Iterate over a copy: dead weakref hooks deregister
+        # themselves from inside the callback.
+        for listener in list(self._mutation_listeners):
+            listener(kind, policy, epoch)
+
+
+class PolicyStore(PolicyView):
     """Policies persisted in the database plus a querier-keyed cache."""
 
     def __init__(self, db, groups: GroupDirectory | None = None):
-        self.db = db
-        self.groups = groups or GroupDirectory()
+        super().__init__(db, groups or GroupDirectory())
         self._by_id: dict[int, Policy] = {}
         self._by_querier: dict[Any, list[Policy]] = defaultdict(list)
         self._rowids: dict[int, tuple[int, list[int]]] = {}  # policy id -> (rP rowid, rOC rowids)
+        self._protected: dict[str, int] = {}  # lowercased relation -> sieve_protected rowid
         self._insert_clock = itertools.count(1)
-        self._mutation_listeners: list[Callable[[str, Policy, int], None]] = []
-        self._reset_listeners: list[Callable[[], None]] = []
-        self._epoch = 0
-        self._tables_memo: tuple[int, frozenset[str]] | None = None
         self._rwlock = RWLock()
-        self._pending_events: list[tuple[str, Policy]] = []
+        self._pending_events: list[tuple[str, Policy, int]] = []
+        self._pending_reset = False
         self._snapshot_memo: PolicySnapshot | None = None
-        self._archive: SnapshotArchive | None = None
         self._install()
 
     def _install(self) -> None:
@@ -211,83 +382,83 @@ class PolicyStore:
                 ),
             )
             self.db.create_index(CONDITION_TABLE, "policy_id", kind="hash")
+        if not self.db.catalog.has_table(PROTECTED_TABLE):  # also a pre-existing policy database
+            self.db.create_table(PROTECTED_TABLE, Schema.of(("relation", ColumnType.VARCHAR)))
 
     # -------------------------------------------------------------- writes
-
-    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        """Called as ``fn(kind, policy, epoch)`` after every mutation,
-        where ``kind`` is ``"insert"``, ``"delete"`` or ``"update"``.
-        ``epoch`` is the corpus version *as of that event*: a single
-        ``update`` crossing queriers/tables queues two events with
-        consecutive epochs, and cache hooks that re-stamp surviving
-        entries need each event's own epoch, not the final one (events
-        are dispatched after the write lock is released, so
-        ``store.epoch`` may already be further along)."""
-        self._mutation_listeners.append(fn)
-
-    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        """Deregister fn; no-op when absent (safe for dead-ref hooks)."""
-        try:
-            self._mutation_listeners.remove(fn)
-        except ValueError:
-            pass
-
-    def add_reset_listener(self, fn: Callable[[], None]) -> None:
-        """Called (with no arguments) after a wholesale corpus reset —
-        :meth:`reload_from_database` — which bumps the epoch *without*
-        firing per-policy mutation events.  Partition views hook this
-        to advance their own epochs; per-policy listeners cannot, since
-        a reload has no per-policy delta to report."""
-        self._reset_listeners.append(fn)
-
-    def remove_reset_listener(self, fn: Callable[[], None]) -> None:
-        """Deregister fn; no-op when absent."""
-        try:
-            self._reset_listeners.remove(fn)
-        except ValueError:
-            pass
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic corpus version; bumped on every mutation.
-
-        Read without taking the lock: the epoch is a single int whose
-        torn read is impossible under CPython, and every consumer
-        revalidates against it anyway (a stale read just costs one
-        cache miss)."""
-        return self._epoch
 
     @contextmanager
     def _writing(self) -> "Iterator[None]":
         """Exclusive mutation scope.  Reentrant (``update`` nests
-        ``insert``); mutation events accumulated by :meth:`_mutated`
-        fire after the *outermost* hold is released, so listeners run
-        on the mutating thread but outside the lock — they may safely
-        re-enter the store or take their own locks without ordering
-        against readers (the lock-cycle this breaks: a guard build
-        holding a cache/store-of-guards lock while reading policies,
-        concurrent with a mutation firing into that same lock)."""
+        ``insert``); a pending :meth:`_reset` and the mutation events
+        accumulated by :meth:`_mutated` fire after the *outermost* hold
+        is released, so listeners run on the mutating thread but
+        outside the lock — they may safely re-enter the store or take
+        their own locks without ordering against readers (the
+        lock-cycle this breaks: a guard build holding a
+        cache/store-of-guards lock while reading policies, concurrent
+        with a mutation firing into that same lock)."""
         self._rwlock.acquire_write()
         try:
             yield
         finally:
             events: list[tuple[str, Policy, int]] = []
-            if self._rwlock.write_depth() == 1 and self._pending_events:
+            reset = False
+            if self._rwlock.write_depth() == 1:
                 # Still exclusive here, so the swap cannot steal a
                 # later writer's events.
                 events, self._pending_events = self._pending_events, []
+                reset, self._pending_reset = self._pending_reset, False
             self._rwlock.release_write()
+            if reset:
+                for listener in list(self._reset_listeners):
+                    listener()
             for kind, policy, epoch in events:
-                # Iterate over copies: dead weakref hooks deregister
-                # themselves from inside the callback.
-                for listener in list(self._mutation_listeners):
-                    listener(kind, policy, epoch)
+                self._fire(kind, policy, epoch)
 
     def _mutated(self, kind: str, policy: Policy) -> None:
         self._epoch += 1
-        self._tables_memo = None
         self._snapshot_memo = None
         self._pending_events.append((kind, policy, self._epoch))
+
+    def _reset(self) -> None:
+        """A corpus-wide change — a reload, or a change to the
+        protected set: an epoch bump that no per-policy event carries
+        cached entries across (they strand one epoch short and drop at
+        their next lookup, on this store's Sieves and on every
+        partition's), plus the reset listeners once the lock drops."""
+        self._epoch += 1
+        self._snapshot_memo = None
+        self._pending_reset = True
+
+    # ----------------------------------------------------------- protection
+
+    def protect(self, table: str) -> None:
+        """Declare ``table`` protected: from the next epoch a querier
+        no policy admits reads nothing from it.  Implied by the
+        relation's first policy insert; idempotent."""
+        with self._writing():
+            self._protect_locked(table)
+
+    def _protect_locked(self, table: str) -> None:
+        name = table.lower()
+        if name not in self._protected:
+            self._protected[name] = self.db.insert_row(PROTECTED_TABLE, (name,))
+            self._reset()
+
+    def unprotect(self, table: str) -> None:
+        """Take ``table`` out of Sieve's control — the one operation
+        that shrinks the protected set (a ``delete`` never does: a
+        revocation must not grant).  Refused while any policy still
+        names the relation; a no-op on an unprotected one."""
+        name = table.lower()
+        with self._writing():
+            if any(p.table.lower() == name for p in self._by_id.values()):
+                raise PolicyError(f"cannot unprotect {table!r}: policies still name it")
+            rowid = self._protected.pop(name, None)
+            if rowid is not None:
+                self.db.delete_row(PROTECTED_TABLE, rowid)
+                self._reset()
 
     def insert(self, policy: Policy, _event_kind: str = "insert") -> Policy:
         """Persist one policy; returns it stamped with an insert time."""
@@ -347,6 +518,7 @@ class PolicyStore:
         self._by_id[stamped.id] = stamped
         self._by_querier[stamped.querier].append(stamped)
         self._rowids[stamped.id] = (rp_rowid, oc_rowids)
+        self._protect_locked(stamped.table)  # a relation's first policy declares it
         self._mutated(_event_kind, stamped)
         return stamped
 
@@ -408,52 +580,6 @@ class PolicyStore:
 
     # --------------------------------------------------------------- reads
 
-    def __len__(self) -> int:
-        with self._rwlock.read_locked():
-            return len(self._by_id)
-
-    def get(self, policy_id: int) -> Policy:
-        with self._rwlock.read_locked():
-            try:
-                return self._by_id[policy_id]
-            except KeyError:
-                raise PolicyError(f"unknown policy id {policy_id}") from None
-
-    def all_policies(self) -> list[Policy]:
-        with self._rwlock.read_locked():
-            return list(self._by_id.values())
-
-    def policies_for(
-        self, querier: Any, purpose: str, table: str | None = None
-    ) -> list[Policy]:
-        """The PQM filter (Section 3.2): policies relevant to a query's
-        metadata — defined for this querier directly or via any of the
-        querier's groups, with a matching (or 'any') purpose.
-
-        Delegates to the per-epoch snapshot so the filter logic exists
-        once (a direct store read and a snapshot-pinned serving-tier
-        read can never disagree) and repeated calls at one epoch reuse
-        the memoized view."""
-        return self.snapshot().policies_for(querier, purpose, table)
-
-    def queriers(self) -> list[Any]:
-        """All distinct querier values with at least one policy."""
-        with self._rwlock.read_locked():
-            return [q for q, ps in self._by_querier.items() if ps]
-
-    def tables_with_policies(self) -> frozenset[str]:
-        """Relations named by at least one policy, memoized per epoch
-        (the middleware consults this on every query).  Frozen: the
-        memoized set is shared across callers, so mutating it would
-        corrupt every later query at the same epoch."""
-        with self._rwlock.read_locked():
-            memo = self._tables_memo
-            if memo is not None and memo[0] == self._epoch:
-                return memo[1]
-            tables = frozenset(p.table.lower() for p in self._by_id.values())
-            self._tables_memo = (self._epoch, tables)
-            return tables
-
     def snapshot(self) -> PolicySnapshot:
         """A consistent copy-on-write view of the corpus at the current
         epoch, memoized until the next mutation.
@@ -471,44 +597,10 @@ class PolicyStore:
                 epoch=self._epoch,
                 groups=self.groups,
                 by_querier={q: tuple(ps) for q, ps in self._by_querier.items() if ps},
-                tables=frozenset(p.table.lower() for p in self._by_id.values()),
+                protected=frozenset(self._protected),
             )
             self._snapshot_memo = snap
-        if self._archive is not None:
-            self._archive.record(snap)
-        return snap
-
-    # --------------------------------------------------------- epoch pinning
-
-    def retain_snapshots(self, limit: int | None = None) -> None:
-        """Enable epoch pinning: from now on every snapshot handed out
-        is also archived by epoch for :meth:`snapshot_at` (the audit
-        tier's replay anchor).  Idempotent; ``limit`` bounds retention
-        FIFO (None = unbounded).  Every audited request takes a
-        snapshot, so every epoch a decision record can name is
-        archived."""
-        if self._archive is None:
-            self._archive = SnapshotArchive(limit)
-        else:
-            self._archive.limit = limit
-        self._archive.record(self.snapshot())
-
-    def snapshot_at(self, epoch: int) -> PolicySnapshot:
-        """The archived corpus view at ``epoch``; raises
-        :class:`~repro.common.errors.PolicyError` when retention was
-        not enabled or the epoch predates it / aged out."""
-        archive = self._archive
-        snap = archive.get(epoch) if archive is not None else None
-        if snap is None:
-            raise PolicyError(
-                f"policy epoch {epoch} is not retained "
-                f"(call retain_snapshots() before recording decisions)"
-            )
-        return snap
-
-    def retained_epochs(self) -> list[int]:
-        """Epochs replay can pin (empty when retention is off)."""
-        return self._archive.epochs() if self._archive is not None else []
+        return self._archived(snap)
 
     # ---------------------------------------------------------- partitioning
 
@@ -527,23 +619,20 @@ class PolicyStore:
     # ------------------------------------------------------------ reload
 
     def reload_from_database(self) -> int:
-        """Rebuild the cache from the rP/rOC tables (crash-recovery path,
-        exercised by tests to prove persistence round-trips).  Fires the
-        reset listeners (outside the lock, like mutation events) so
+        """Rebuild the cache from the rP/rOC tables and the declared
+        protected set (crash-recovery path, exercised by tests to prove
+        persistence round-trips) — a corpus-wide :meth:`_reset`, so
         partition views invalidate their own epochs too."""
-        with self._rwlock.write_locked():
-            count = self._reload_locked()
-        for listener in list(self._reset_listeners):
-            listener()
-        return count
+        with self._writing():
+            return self._reload_locked()
 
     def _reload_locked(self) -> int:
         self._by_id.clear()
         self._by_querier.clear()
         self._rowids.clear()
-        self._epoch += 1  # wholesale reload: all cached corpus views are stale
-        self._tables_memo = None
-        self._snapshot_memo = None
+        self._reset()  # wholesale reload: all cached corpus views are stale
+        protected_table = self.db.catalog.table(PROTECTED_TABLE)
+        self._protected = {row[0]: rowid for rowid, row in protected_table.scan()}
         conditions: dict[int, list[tuple[int, ObjectCondition]]] = defaultdict(list)
         cond_rowids: dict[int, list[int]] = defaultdict(list)
         cond_table = self.db.catalog.table(CONDITION_TABLE)
@@ -578,6 +667,9 @@ class PolicyStore:
             self._by_id[pid] = policy
             self._by_querier[policy.querier].append(policy)
             self._rowids[pid] = (rowid, cond_rowids[pid])
+            # Fail closed on a database written before the set was
+            # persisted: a relation a policy names is a protected one.
+            self._protect_locked(table)
             max_clock = max(max_clock, inserted_at)
         self._insert_clock = itertools.count(max_clock + 1)
         return len(self._by_id)
@@ -591,13 +683,12 @@ class PolicyStore:
             return text
 
 
-class PolicyPartition:
+class PolicyPartition(PolicyView):
     """One shard's live view of a :class:`PolicyStore` (cluster tier).
 
     Created by :meth:`PolicyStore.partition`.  The partition exposes
-    the read/listener surface a :class:`~repro.core.middleware.Sieve`
-    consumes — ``snapshot()``, ``policies_for``, ``epoch``,
-    ``add_mutation_listener`` — scoped to the
+    the :class:`PolicyView` surface a
+    :class:`~repro.core.middleware.Sieve` consumes, scoped to the
     queriers an ownership predicate claims:
 
     * a policy whose querier ``owns()`` claims belongs to the
@@ -626,17 +717,13 @@ class PolicyPartition:
     """
 
     def __init__(self, base: PolicyStore, owns: Callable[[Any], bool], name: str = ""):
+        super().__init__(base.db, base.groups)
         self.base = base
         self.name = name
-        self.db = base.db
-        self.groups = base.groups
         self._owns = owns
         self._lock = threading.Lock()
-        self._epoch = 0
         self._membership_gen = 0
         self._snapshot_memo: tuple[tuple[int, int, int], PolicySnapshot] | None = None
-        self._mutation_listeners: list[Callable[[str, Policy, int], None]] = []
-        self._archive: SnapshotArchive | None = None
         self._detached = False
         base.add_mutation_listener(self._on_base_event)
         base.add_reset_listener(self._on_base_reset)
@@ -696,11 +783,11 @@ class PolicyPartition:
     # ----------------------------------------------------------- event relay
 
     def _on_base_reset(self) -> None:
-        """Wholesale base reload: every partition view is stale.  Bump
-        the partition epoch (shard caches validated against it drop
-        their entries lazily, exactly like a single server's do against
-        the base epoch) without firing per-policy listeners — a reload
-        has no per-policy delta."""
+        """Wholesale base reload, or a change to the protected set:
+        every partition view is stale.  Bump the partition epoch (shard
+        caches validated against it drop their entries lazily, exactly
+        like a single server's do against the base epoch) without
+        firing per-policy listeners — there is no per-policy delta."""
         with self._lock:
             if self._detached:
                 return
@@ -717,31 +804,11 @@ class PolicyPartition:
             self._epoch += 1
             epoch = self._epoch
             self._snapshot_memo = None
-            listeners = list(self._mutation_listeners)
         # Dispatch outside the partition lock, mirroring the base
         # store's contract: listeners may re-enter the partition.
-        for listener in listeners:
-            listener(kind, policy, epoch)
-
-    # ---------------------------------------------- listener surface (Sieve)
-
-    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        with self._lock:
-            self._mutation_listeners.append(fn)
-
-    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        with self._lock:
-            try:
-                self._mutation_listeners.remove(fn)
-            except ValueError:
-                pass
+        self._fire(kind, policy, epoch)
 
     # --------------------------------------------------------------- reads
-
-    @property
-    def epoch(self) -> int:
-        """Partition-local corpus version (see class docstring)."""
-        return self._epoch
 
     def snapshot(self) -> PolicySnapshot:
         """A consistent partition-scoped corpus view, memoized until
@@ -751,13 +818,17 @@ class PolicyPartition:
         so the cost is O(partition size), and the returned snapshot's
         ``epoch`` is the *partition* epoch — exactly what this shard's
         caches validate against."""
+        # The stamp is read before the content: a write landing in
+        # between yields new content under the old stamp (one wasted
+        # miss), never old content under the new one (a stale plan
+        # admitted as current).
+        epoch = self._epoch
         base_snap = self.base.snapshot()
         with self._lock:
-            key = (base_snap.epoch, self._membership_gen, self._epoch)
+            key = (base_snap.epoch, self._membership_gen, epoch)
             memo = self._snapshot_memo
             if memo is not None and memo[0] == key:
                 return memo[1]
-            epoch = self._epoch
         by_querier = {
             q: ps for q, ps in base_snap.by_querier.items() if self.owns_querier(q)
         }
@@ -768,7 +839,7 @@ class PolicyPartition:
             # Whether a relation is protected is a property of the
             # corpus, not of this shard's share of it: a querier with
             # no policy must be denied here as on one server.
-            tables=base_snap.tables,
+            protected=base_snap.protected,
         )
         with self._lock:
             # Memo only if nothing moved under us; a stale build is
@@ -776,142 +847,27 @@ class PolicyPartition:
             # conservative-invalidation argument of the base store).
             if (base_snap.epoch, self._membership_gen, self._epoch) == key:
                 self._snapshot_memo = (key, snap)
-        if self._archive is not None:
-            self._archive.record(snap)
-        return snap
-
-    # --------------------------------------------------------- epoch pinning
-
-    def retain_snapshots(self, limit: int | None = None) -> None:
-        """Partition-scoped epoch pinning; see
-        :meth:`PolicyStore.retain_snapshots`.  Archived views are
-        keyed by *partition* epochs — exactly what this shard's
-        decision records carry.  Replay windows are per policy epoch;
-        a rebalance that migrates queriers without an owned mutation
-        changes membership at an unchanged epoch, so replay windows
-        must not straddle rebalances (the coordinator quiesces shards
-        around a move for the same reason)."""
-        if self._archive is None:
-            self._archive = SnapshotArchive(limit)
-        else:
-            self._archive.limit = limit
-        self._archive.record(self.snapshot())
-
-    def snapshot_at(self, epoch: int) -> PolicySnapshot:
-        """The archived partition view at ``epoch``; raises
-        :class:`~repro.common.errors.PolicyError` when not retained."""
-        archive = self._archive
-        snap = archive.get(epoch) if archive is not None else None
-        if snap is None:
-            raise PolicyError(
-                f"partition {self.name!r}: policy epoch {epoch} is not retained"
-            )
-        return snap
-
-    def retained_epochs(self) -> list[int]:
-        return self._archive.epochs() if self._archive is not None else []
-
-    def policies_for(
-        self, querier: Any, purpose: str, table: str | None = None
-    ) -> list[Policy]:
-        """The PQM filter over the partitioned corpus.  Identical to
-        the base store's answer for any owned querier — the partition
-        holds the querier's direct policies and every group policy
-        whose group contains it."""
-        return self.snapshot().policies_for(querier, purpose, table)
-
-    def tables_with_policies(self) -> frozenset[str]:
-        return self.snapshot().tables_with_policies()
-
-    def all_policies(self) -> list[Policy]:
-        return [p for p in self.base.all_policies() if self.owns_policy(p)]
-
-    def queriers(self) -> list[Any]:
-        """Distinct owned identities with at least one policy."""
-        return [q for q in self.base.queriers() if self.owns_querier(q)]
-
-    def get(self, policy_id: int) -> Policy:
-        """Policy ids are corpus-global; delegate to the base store."""
-        return self.base.get(policy_id)
-
-    def __len__(self) -> int:
-        return len(self.snapshot())
+        return self._archived(snap)
 
 
-class PinnedPolicyStore:
-    """A read-only PolicyStore facade frozen at one snapshot.
+class PinnedPolicyStore(PolicyView):
+    """A read-only policy store frozen at one snapshot.
 
     The replay harness (``tools/replay.py``) builds a fresh
     :class:`~repro.core.middleware.Sieve` over one of these per logged
-    policy epoch: the middleware sees the normal store surface —
-    ``snapshot()``, ``policies_for``, ``epoch``, the listener
-    registration points — but the corpus can never move, so a replayed
-    request plans against byte-for-byte the policy view the original
-    decision recorded, regardless of what happened to the live store
-    since.  Mutation surfaces are absent and listener registration is
-    a no-op (nothing will ever fire).
+    policy epoch: the middleware sees the normal :class:`PolicyView`
+    surface, but the corpus — policies and protected set alike — can
+    never move, so a replayed request plans against byte-for-byte the
+    policy view the original decision recorded, regardless of what
+    happened to the live store since.  Mutation surfaces are absent and
+    nothing ever fires a registered listener.
     """
 
     def __init__(self, db, snapshot: PolicySnapshot, groups: GroupDirectory | None = None):
-        self.db = db
+        super().__init__(db, groups if groups is not None else snapshot.groups)
         self._snapshot = snapshot
-        self.groups = groups if groups is not None else snapshot.groups
-        self._by_id: dict[int, Policy] | None = None
-
-    @property
-    def epoch(self) -> int:
-        return self._snapshot.epoch
+        self._epoch = snapshot.epoch
+        self.retain_snapshots()  # a pinned view is its own one-epoch archive
 
     def snapshot(self) -> PolicySnapshot:
         return self._snapshot
-
-    def snapshot_at(self, epoch: int) -> PolicySnapshot:
-        if epoch != self._snapshot.epoch:
-            raise PolicyError(
-                f"pinned store holds epoch {self._snapshot.epoch}, not {epoch}"
-            )
-        return self._snapshot
-
-    def retain_snapshots(self, limit: int | None = None) -> None:
-        """No-op: a pinned view is already its own archive."""
-
-    def retained_epochs(self) -> list[int]:
-        return [self._snapshot.epoch]
-
-    def policies_for(
-        self, querier: Any, purpose: str, table: str | None = None
-    ) -> list[Policy]:
-        return self._snapshot.policies_for(querier, purpose, table)
-
-    def tables_with_policies(self) -> frozenset[str]:
-        return self._snapshot.tables_with_policies()
-
-    def all_policies(self) -> list[Policy]:
-        return [p for ps in self._snapshot.by_querier.values() for p in ps]
-
-    def queriers(self) -> list[Any]:
-        return [q for q, ps in self._snapshot.by_querier.items() if ps]
-
-    def get(self, policy_id: int) -> Policy:
-        if self._by_id is None:
-            self._by_id = {p.id: p for p in self.all_policies()}
-        try:
-            return self._by_id[policy_id]
-        except KeyError:
-            raise PolicyError(f"unknown policy id {policy_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._snapshot)
-
-    # Listener surface: accepted and ignored — the corpus is immutable.
-    def add_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        del fn
-
-    def remove_mutation_listener(self, fn: Callable[[str, Policy, int], None]) -> None:
-        del fn
-
-    def add_reset_listener(self, fn: Callable[[], None]) -> None:
-        del fn
-
-    def remove_reset_listener(self, fn: Callable[[], None]) -> None:
-        del fn

@@ -84,6 +84,24 @@ def brute_force_allowed(rows, policies, columns=WIFI_COLUMNS):
     return [row for row in rows if any(fn(row) for fn in fns)]
 
 
+def make_owner_world(with_policy: bool = True):
+    """The protection tests' world: table ``t`` (50 rows, ``owner = id
+    % 5``), an empty store, and ``alice``'s one policy (``owner = 1``)
+    — already inserted unless ``with_policy`` is false.  Returns
+    ``(db, store, policy)``; ``bob`` and any other querier hold none."""
+    db = connect("mysql")
+    db.create_table("t", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
+    db.insert("t", [(i, i % 5) for i in range(50)])
+    db.create_index("t", "owner")
+    db.analyze()
+    store = PolicyStore(db)
+    policy = Policy(
+        owner=1, querier="alice", purpose="analytics", table="t",
+        object_conditions=(ObjectCondition("owner", "=", 1),),
+    )
+    return db, store, store.insert(policy) if with_policy else policy
+
+
 @pytest.fixture(scope="session")
 def wifi_db_mysql():
     return make_wifi_db("mysql")

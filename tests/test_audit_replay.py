@@ -27,7 +27,7 @@ from repro.datasets.policies import PolicyGenConfig, generate_campus_policies
 from repro.datasets.tippers import TippersConfig, WIFI_TABLE, generate_tippers
 from repro.policy.store import PolicyStore
 
-from tests.conftest import load_tool_module
+from tests.conftest import load_tool_module, make_owner_world
 
 DELTA_MODES = {
     "delta-off": SieveCostModel(udf_invocation=1e18),
@@ -176,6 +176,29 @@ def test_mid_window_mutations_pin_distinct_epochs(request, workload):
     report = replay.replay_records(log.records(), store)
     assert report.ok, report.describe()
     assert sorted(report.epochs) == sorted(epochs)
+
+
+def test_replay_reads_the_protected_set_its_record_saw():
+    """A window crossing a relation's first policy, the revocation of
+    its last and an ``unprotect``: each record replays under the
+    protected set archived with its own epoch — the live store's (by
+    then unprotected again) would replay the middle of the window open."""
+    db, store, policy = make_owner_world(with_policy=False)
+    sieve = Sieve(db, store)
+    log = sieve.enable_audit()
+    for write in (None, lambda: store.insert(policy), lambda: store.delete(policy.id),
+                  lambda: store.unprotect("t")):
+        if write is not None:
+            write()
+        for querier in ("bob", "alice"):
+            sieve.execute("SELECT * FROM t", querier, "analytics")
+    assert [r.rows_admitted for r in log.records()] == [50, 50, 0, 10, 0, 0, 50, 50]
+    protected = [store.snapshot_at(r.policy_epoch).protected for r in log.records()]
+    assert protected == [frozenset()] * 2 + [frozenset({"t"})] * 4 + [frozenset()] * 2
+
+    report = load_tool_module("replay").replay_records(log.records(), store)
+    assert report.ok, report.describe()
+    assert report.replayed == 8 and len(report.epochs) == 4
 
 
 def test_snapshot_at_requires_retention():

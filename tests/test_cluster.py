@@ -205,7 +205,7 @@ def test_partition_scopes_corpus_and_epochs():
         QUERIERS[0], PURPOSE, TABLE
     )
     assert part_a.policies_for(QUERIERS[1], PURPOSE, TABLE) == []
-    assert part_a.snapshot().tables_with_policies() == frozenset({TABLE.lower()})
+    assert part_a.snapshot().protected == frozenset({TABLE.lower()})
 
     epochs = (part_a.epoch, part_b.epoch)
     events = []

@@ -275,6 +275,34 @@ def test_policy_less_querier_is_denied_on_every_shard(n_shards):
                 assert many.result.rows == [] and many.policies_considered == 0
 
 
+@pytest.mark.parametrize("change", ["first-policy", "protect"])
+@pytest.mark.parametrize("n_shards", [3, 4])
+def test_a_relation_becoming_protected_reaches_every_shard(n_shards, change):
+    """The mirror image: while ``t`` is unprotected every shard caches
+    its policy-less queriers the unrewritten plan.  The relation's first
+    policy (or an explicit ``protect``) is corpus-wide, so it must strand
+    those plans on *every* shard — not only on the one owning the
+    written policy's querier."""
+    from conftest import make_owner_world
+
+    db, store, policy = make_owner_world(with_policy=False)
+    strangers = [f"stranger-{i}" for i in range(8)]
+    with SieveCluster.replicated(db, store, n_shards=n_shards, workers_per_shard=1) as cluster:
+        assert {cluster.route(q) for q in strangers} - {cluster.route("alice")}
+        for _ in range(2):  # cached, and served from the cache
+            for querier in strangers:
+                assert len(cluster.execute("SELECT * FROM t", querier, "analytics", timeout=60).rows) == 50
+        if change == "protect":
+            cluster.protect("t")
+        else:
+            cluster.insert_policy(policy)
+        assert db.counters.cluster_policy_fanout == n_shards
+        for querier in strangers:
+            assert cluster.execute("SELECT * FROM t", querier, "analytics", timeout=60).rows == []
+        expected = 10 if change == "first-policy" else 0
+        assert len(cluster.execute("SELECT * FROM t", "alice", "analytics", timeout=60).rows) == expected
+
+
 @pytest.mark.audit_oracle
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("engine", list(ENGINES), ids=list(ENGINES))

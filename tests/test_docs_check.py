@@ -69,3 +69,26 @@ def test_repo_docs_name_only_declared_constructor_options():
     n_constructors, undeclared = docs_check.check_options()
     assert n_constructors == 5
     assert undeclared == []
+
+
+def test_unknown_test_ids_are_reported(tmp_path):
+    (tmp_path / "test_world.py").write_text(
+        "class TestShape:\n    def test_round(self): pass\n\ndef test_flat(): pass\n"
+    )
+    text = """
+Held by `tests/test_world.py::test_flat`, ``test_world.py::TestShape::test_round``
+and `tests/test_world.py::test_flat[mall-3]`; `tests/test_world.py::test_made_up`,
+`test_world.py::TestGone::test_round` and `tests/test_nowhere.py::test_flat` hold
+nothing, and `expr/analysis.py::facts(expr)` is not a test id.
+"""
+    assert docs_check.unknown_test_ids(text, tests_dir=tmp_path) == [
+        "test_nowhere.py::test_flat",
+        "test_world.py::TestGone::test_round",
+        "test_world.py::test_made_up",
+    ]
+
+
+def test_repo_docs_name_only_tests_that_exist():
+    n_refs, unknown = docs_check.check_test_ids()
+    assert n_refs >= 11
+    assert unknown == []

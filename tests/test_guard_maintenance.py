@@ -99,17 +99,6 @@ class World:
                 self.store.insert(policy)
 
 
-def _keep_protected(store: PolicyStore, table: str) -> None:
-    """Somebody else's policy: a relation nobody holds a policy on is
-    not a protected one, and "deleting everything" must not end there."""
-    store.insert(
-        Policy(
-            owner=0, querier="somebody-else", purpose="any", table=table,
-            object_conditions=(ObjectCondition("owner", "=", 0),),
-        )
-    )
-
-
 @functools.cache
 def wifi_world() -> World:
     db, _rows = make_wifi_db()
@@ -117,7 +106,6 @@ def wifi_world() -> World:
     groups.add_member("faculty", "prof")
     store = PolicyStore(db, groups)
     store.insert_many(make_policies())
-    _keep_protected(store, "wifi")
     return World("wifi-default", db, store, "wifi", "prof", "analytics", "faculty", (0, 1439), (0, 89))
 
 
@@ -136,7 +124,6 @@ def mall_world() -> World:
     mall = generate_mall(MallConfig(seed=13, n_customers=900, days=25, personality="postgres"))
     store = PolicyStore(mall.db, mall.groups)
     store.insert_many(mall_policies(150))
-    _keep_protected(store, CONNECTIVITY_TABLE)
     group = sorted(mall.groups.groups_of("shop-7"))[0]
     return World(
         "mall-150", mall.db, store, CONNECTIVITY_TABLE, "shop-7", "any", group, (600, 1320), (0, 24)

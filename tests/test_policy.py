@@ -256,7 +256,7 @@ class TestPolicyStore:
         store.insert(simple_policy(querier="a"))
         store.insert(simple_policy(querier="b"))
         assert set(store.queriers()) == {"a", "b"}
-        assert store.tables_with_policies() == {"wifi"}
+        assert store.snapshot().protected == {"wifi"}
 
 
 class TestPolicyStoreEpochAndListeners:
@@ -295,6 +295,7 @@ class TestPolicyStoreEpochAndListeners:
         store, _ = self.make_store()
         observed = []
         store.add_mutation_listener(lambda kind, pol, epoch: observed.append((store.epoch, epoch)))
+        store.protect("wifi")  # a relation's *first* policy also moves the protected set
         before = store.epoch
         store.insert(simple_policy())
         assert observed == [(before + 1, before + 1)]
@@ -390,7 +391,7 @@ class TestPolicySnapshot:
         assert [p.id for p in snap.policies_for("prof", "analytics", "wifi")] == [
             p.id for p in store.policies_for("prof", "analytics", "wifi")
         ]
-        assert snap.tables_with_policies() == store.tables_with_policies()
+        assert snap.protected == {"wifi"}
         assert len(snap) == 2
         store.delete(p2.id)
         # The old view still sees the deleted policy; the store doesn't.

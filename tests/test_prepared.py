@@ -31,7 +31,13 @@ import threading
 import time
 
 import pytest
-from conftest import WIFI_COLUMNS, brute_force_allowed, make_policies, make_wifi_db
+from conftest import (
+    WIFI_COLUMNS,
+    brute_force_allowed,
+    make_owner_world,
+    make_policies,
+    make_wifi_db,
+)
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.audit import AUDIT_COUNTERS
@@ -711,6 +717,34 @@ def test_server_auto_prepares_repeated_shapes():
                 server.execute(bad, *who, timeout=60)
             assert str(served.value) == str(direct.value)
         assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
+
+
+@pytest.mark.parametrize("change", ["first-policy", "protect"])
+def test_a_relation_becoming_protected_reaches_warm_plans(change):
+    """A policy-less querier's cached plan on an unprotected relation is
+    the *unrewritten* query; when the relation becomes protected — its
+    first policy (someone else's), or an explicit ``protect`` — that
+    plan must be dropped, not re-stamped as an unrelated querier's,
+    through the held handle and through the server alike."""
+    from repro.service import SieveServer
+
+    db, store, policy = make_owner_world(with_policy=False)
+    sieve = Sieve(db, store)
+    held = sieve.prepare("SELECT * FROM t", "bob", "analytics")
+    with SieveServer(sieve, workers=1) as server:
+        for _ in range(2):  # cached, and served from the cache
+            assert len(held.execute().rows) == 50
+            assert len(server.execute("SELECT id FROM t", "bob", "analytics", timeout=60).rows) == 50
+        assert len(sieve.plan_cache) == 2 and sieve.plan_cache.stats.hits == 2
+        if change == "protect":
+            store.protect("t")
+        else:
+            store.insert(policy)
+        assert held.execute().rows == []
+        assert server.execute("SELECT id FROM t", "bob", "analytics", timeout=60).rows == []
+        # Dropped at their lookup and rebuilt — a re-stamped entry would have hit.
+        stats = sieve.plan_cache.stats
+        assert (stats.hits, stats.misses) == (2, 4)
 
 
 # ----------------------------- the differential property (all engines)

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.core import Sieve
+from repro.common.errors import PolicyError
 from repro.core.cache import CachedGuardEntry, CachedPlan, CacheStats, GuardCache, PlanCache
 from repro.policy.groups import GroupDirectory
 from repro.policy.model import ObjectCondition, Policy
@@ -160,6 +161,7 @@ class TestMutationInvalidation:
         db, rows, store, sieve = build_world()
         db.create_table("othertab", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
         db.analyze()
+        store.protect("othertab")  # its first policy would otherwise be a corpus-wide flush
         session = sieve.session("prof", "analytics")
         session.execute(QUERIES[0])
         store.insert(Policy(
@@ -224,17 +226,21 @@ class TestMutationInvalidation:
         second = session.execute("SELECT * FROM wifi")
         assert sorted(second.rows) == sorted(r for r in rows if r[2] in (3, 5))
 
-    def test_tables_with_policies_memo_tracks_mutations(self):
+    def test_protected_set_grows_by_insert_and_shrinks_only_by_unprotect(self):
         _db, _rows, store, _sieve = build_world()
-        assert store.tables_with_policies() == {"wifi"}
+        assert store.snapshot().protected == {"wifi"}
         p = Policy(
             owner=1, querier="prof", purpose="any", table="Other",
             object_conditions=(ObjectCondition("owner", "=", 1),),
         )
         inserted = store.insert(p)
-        assert store.tables_with_policies() == {"wifi", "other"}
+        assert store.snapshot().protected == {"wifi", "other"}
+        with pytest.raises(PolicyError):
+            store.unprotect("Other")  # a policy still names it
         store.delete(inserted.id)
-        assert store.tables_with_policies() == {"wifi"}
+        assert store.snapshot().protected == {"wifi", "other"}  # a revocation never grants
+        store.unprotect("Other")
+        assert store.snapshot().protected == {"wifi"}
 
     def test_membership_change_applied_after_invalidate_caches(self):
         """Group-directory edits bypass the epoch; the documented remedy

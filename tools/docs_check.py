@@ -1,6 +1,6 @@
 """Docs gate, run via ``make docs-check``.
 
-Five checks, all AST/text based so nothing is imported or executed:
+Six checks, all AST/text based so nothing is imported or executed:
 
 1. every module under ``src/repro`` (including new packages such as
    ``repro/backend`` or ``repro/audit``) must have a module docstring;
@@ -20,7 +20,12 @@ Five checks, all AST/text based so nothing is imported or executed:
    docs/ARCHITECTURE.md, for ``Name`` one of the public constructors
    (``connect``, ``Database``, ``Sieve``, ``SieveServer``,
    ``SieveCluster``), must name a parameter that callable declares —
-   a doc that keeps advertising a deleted option is a doc bug.
+   a doc that keeps advertising a deleted option is a doc bug;
+6. every ``test_file.py::test_id`` that README.md, docs/ARCHITECTURE.md
+   or a module under ``src/repro`` names (an invariant and "the test
+   that holds it") must resolve to a ``def`` in that file under
+   ``tests/`` — a renamed or deleted test otherwise leaves the claim
+   standing with nothing behind it.
 
 Exits non-zero listing offenders; prints a one-line summary when clean.
 """
@@ -64,6 +69,9 @@ CONSTRUCTORS = {
 _CODE_SPAN = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
 _CONSTRUCTOR_CALL = re.compile(rf"(?<![\w.])({'|'.join(CONSTRUCTORS)})\(")
 _KEYWORD = re.compile(r"(?<![\w.])([A-Za-z_]\w*)=(?!=)")
+#: Check 6: ``test_x.py::TestClass::test_id`` — a ``[param]`` suffix is
+#: not part of the match, so a parametrized id resolves to its ``def``.
+_TEST_REF = re.compile(r"\b(test_\w+\.py)((?:::\w+)+)")
 
 
 def check_docstrings() -> tuple[int, list[str]]:
@@ -170,6 +178,35 @@ def check_options() -> tuple[int, list[str]]:
     return len(declared), undeclared
 
 
+def unknown_test_ids(text: str, tests_dir: pathlib.Path = ROOT / "tests") -> list[str]:
+    """The ``test_file.py::test_id`` references of ``text`` that name
+    no such file under ``tests_dir`` or a component that file does not
+    define (every ``::`` component must be a ``def`` or ``class``)."""
+    unknown: set[str] = set()
+    for filename, components in _TEST_REF.findall(text):
+        path = tests_dir / filename
+        defined: set[str] = set()
+        if path.exists():
+            defined = {
+                node.name
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            }
+        if not set(components.split("::")[1:]) <= defined:
+            unknown.add(filename + components)
+    return sorted(unknown)
+
+
+def check_test_ids() -> tuple[int, list[str]]:
+    texts = {path: path.read_text() for path in [*DOCS, *sorted(SRC.rglob("*.py"))]}
+    unknown = [
+        f"{ref} (named in {path.relative_to(ROOT)})"
+        for path, text in texts.items()
+        for ref in unknown_test_ids(text)
+    ]
+    return sum(len(_TEST_REF.findall(text)) for text in texts.values()), unknown
+
+
 def main() -> int:
     checked, missing = check_docstrings()
     n_packages, unmentioned = check_package_mentions()
@@ -177,7 +214,13 @@ def main() -> int:
     unmentioned += tools_unmentioned
     n_referrers, dangling = check_references()
     n_constructors, undeclared = check_options()
+    n_test_ids, unknown_ids = check_test_ids()
     failed = False
+    if unknown_ids:
+        failed = True
+        print(f"{len(unknown_ids)} test id(s) the docs name that do not exist:")
+        for entry in unknown_ids:
+            print(f"  {entry}")
     if undeclared:
         failed = True
         print(f"{len(undeclared)} constructor option(s) the docs name that do not exist:")
@@ -205,7 +248,8 @@ def main() -> int:
         f"all {n_packages} packages are documented in README + ARCHITECTURE; "
         f"all {n_tools} tools/ scripts are documented in the README; "
         f"every target and file the {n_referrers} docs/build files name exists; "
-        f"every option the docs pass to the {n_constructors} public constructors is declared"
+        f"every option the docs pass to the {n_constructors} public constructors is declared; "
+        f"all {n_test_ids} test ids the docs and docstrings name exist"
     )
     return 0
 

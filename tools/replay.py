@@ -19,8 +19,10 @@ Library use::
 
 As a script, ``python tools/replay.py [--queries N]`` runs a
 self-contained record → tamper-check → replay exercise over a Mall
-workload with mid-window policy churn (the CI ``tools-smoke`` job and
-``make replay``), exiting non-zero on any mismatch.
+workload with mid-window policy churn — including the relation's first
+policy and the revocation of its last, so the window crosses both
+changes of what default deny ranges over (the CI ``tools-smoke`` job
+and ``make replay``), exiting non-zero on any mismatch.
 """
 
 from __future__ import annotations
@@ -177,14 +179,17 @@ def replay_records(
 def _selftest(n_queries: int) -> int:
     """Record a Mall window with mid-window policy churn, verify the
     chain, replay against the pinned epochs, and post-churn the corpus
-    to prove pinning isolates the replay.  Returns a process exit code."""
+    to prove pinning isolates the replay.  The window opens on an
+    unprotected relation and closes on a protected one whose every
+    policy is revoked: each record must replay under the protected set
+    its own epoch archived, not the live store's.  Returns a process
+    exit code."""
     from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
     from repro.policy.store import PolicyStore
 
     print(f"audit replay self-test: recording a {n_queries}-query Mall window")
     mall = generate_mall(MallConfig(seed=21, n_customers=80, days=8, personality="postgres"))
     store = PolicyStore(mall.db, mall.groups)
-    store.insert_many(mall.policies)
     log = AuditLog(chain_id="selftest")
     sieve = Sieve(mall.db, store, audit=log)
 
@@ -195,21 +200,30 @@ def _selftest(n_queries: int) -> int:
         f"SELECT shop_id, count(*) AS n FROM {CONNECTIVITY_TABLE} "
         f"WHERE ts_date >= {{lo}} GROUP BY shop_id",
     ]
-    victim = store.policies_for(queriers[0], "any", CONNECTIVITY_TABLE)[0]
     for i in range(n_queries):
+        if i == n_queries // 6:
+            store.insert_many(mall.policies)  # first policy: the relation becomes protected
+            victim = store.policies_for(queriers[0], "any", CONNECTIVITY_TABLE)[0]
         if i == n_queries // 3:
             store.delete(victim.id)  # mid-window churn: epoch advances
         if i == (2 * n_queries) // 3:
             store.insert(victim)  # …and again
+        if i == (5 * n_queries) // 6:
+            for policy in store.all_policies():  # revoked to empty: still protected
+                store.delete(policy.id)
         sql = templates[i % len(templates)].format(lo=i % 5, hi=i % 5 + 3)
         sieve.execute(sql, queriers[i % len(queriers)], "any")
+    admitted = [record.rows_admitted for record in log.records()]
+    if not admitted[0] or any(admitted[(5 * n_queries) // 6:]):
+        print("FAIL: the window did not open unprotected and close revoked-to-empty")
+        return 1
 
     checked = log.verify()
     print(f"chain verified: {checked} records, head {log.last_hash[:12]}…")
 
     # Post-window churn the live corpus; pinned replay must not notice.
-    store.delete(victim.id)
     store.insert(victim)
+    store.delete(victim.id)
 
     report = replay_records(log.records(), store)
     print(report.describe())
