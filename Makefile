@@ -49,8 +49,10 @@ profile-churn:
 chaos-report:
 	$(PYTHON) tools/chaos_report.py
 
-# Health smoke: render the cluster dashboard, slow one shard, and
-# verify the control loop flags + detours it (exits non-zero if not).
+# Health smoke: render the cluster dashboard, slow one shard, verify
+# the control loop flags + detours it, then crash + rebuild the fallback
+# and revoke a policy under the detour (exits non-zero on a missing
+# detour or a non-identical answer).
 health-report:
 	$(PYTHON) tools/health_report.py
 

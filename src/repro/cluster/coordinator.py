@@ -8,25 +8,26 @@ guard/plan caches and guard store, its own execution engine (a
 replicated bundled-engine database or a shipped
 :class:`~repro.backend.Backend`), and its own
 :class:`~repro.service.SieveServer` worker pool.  The coordinator owns
-only the routing table (a :class:`~repro.cluster.ring.HashRing`) and
-the base :class:`~repro.policy.store.PolicyStore`:
+only the routing table (one :class:`~repro.cluster.ring.Assignment`:
+the hash ring plus the health tier's detours) and the base
+:class:`~repro.policy.store.PolicyStore`:
 
 .. code-block:: text
 
     cluster.submit(sql, querier, purpose)          # → Future
-        │ route: ring.route(querier) → shard      (read-locked swap point;
+        │ route: assignment.owner(querier) → shard (read-locked swap point;
         ▼         down shard → ShardUnavailableError backpressure)
-    shard.server.submit(...)                       # per-shard admission,
+    shard.admit(...)                               # per-shard admission,
         │                                          # batching, backpressure
         ▼
     shard Sieve: partition snapshot → shard guard cache → rewrite
         → shard engine (replica / backend)         # 1/N corpus per shard
 
     cluster.insert_policy(p)                       # admin write path
-        │ owning shards: route(querier), or — for a group policy —
-        ▼ every shard holding a member (scatter); every shard when
+        │ scatter set: assignment.holders(querier), or — for a group
+        ▼ policy — the holders of every member; every shard when
           the write changes the protected set (a relation's first policy)
-    base store write → partition event relay       # only owning shards'
+    base store write → partition event relay       # only covering shards'
                                                    # epochs advance
 
 Scaling argument: policy filtering, guard caching, snapshot rebuilds
@@ -38,25 +39,37 @@ observable: for every (querier, purpose, query), cluster rows *and*
 per-request enforcement counters are identical to one
 :class:`~repro.service.SieveServer` over the whole corpus.
 
-**Online rebalancing** (:meth:`SieveCluster.add_shard` /
-:meth:`SieveCluster.remove_shard`) uses the ring's stability property
-— a shard change moves only ~1/N of the queriers — and a three-phase
-protocol that never produces a wrong answer mid-flight:
+**The handover.**  Who holds a querier changes four ways — a shard
+joins (:meth:`SieveCluster.add_shard`; ring stability moves only ~1/N
+of the queriers, all onto the joiner), a shard leaves
+(:meth:`SieveCluster.remove_shard`), a detour is installed over a
+flagged shard, a detour is lifted (:meth:`SieveCluster.health_tick`) —
+and every one of them is the same step from the old assignment to the
+new one, which never produces a wrong answer mid-flight:
 
-1. *grow*: partitions whose membership changes are widened to the
-   union of old and new ownership (a partition holding extra queriers
-   is still exactly correct for each of them);
-2. *swap*: the ring reference is replaced under the routing write
-   lock — new requests follow the new assignment atomically;
-3. *drain + shrink*: each shard that lost queriers waits for its
-   already-admitted requests for those queriers to finish
+1. *grow*: every partition is widened to the union of its old and new
+   coverage (a partition holding extra queriers is still exactly
+   correct for each of them), so a request admitted under either
+   assignment finds its whole policy set;
+2. *swap*: the assignment reference is replaced under the routing
+   write lock (route-and-admit holds the read lock) — new requests
+   follow the new assignment atomically;
+3. *drain → shrink → forget*, only on the shards whose coverage lost
+   something: wait for the already-admitted requests of the queriers
+   the shard no longer covers
    (:meth:`~repro.service.SieveServer.wait_quiesced` — terminating
-   even under load, since such requests stop arriving after the
-   swap), then shrinks its partition and drops exactly the migrated
-   queriers' cached guards/rewrites.  Unmigrated queriers keep their
-   warm state — the property
+   even under load, since such requests stop arriving at the swap),
+   then shrink the partition and drop exactly those queriers' cached
+   guards and plans.  Every other querier keeps its warm state — the
+   property
    ``tests/test_cluster.py::test_add_shard_migrates_few_and_preserves_warm_guards``
-   asserts.
+   asserts.  A shard that cannot drain within
+   :data:`REBALANCE_TIMEOUT_S` keeps its *widened* coverage and the
+   :class:`RebalanceReport` says ``drained=False``: its stragglers
+   stay exactly correct, at the cost of the shard observing those
+   queriers' mutations until a later handover shrinks it — never
+   shrink under a live straggler, which would silently serve it an
+   emptied policy view.
 
 **Crash tolerance** (the fault tier; one request path — without a
 :class:`RetryPolicy` it makes a single attempt, without a deadline it
@@ -71,16 +84,16 @@ waits unbounded):
   *transient* failures (shard down, admission full) with
   seeded-jitter backoff, and can hedge a slow read with a duplicate
   to the owning shard (safe: queries are read-only).
-* **epoch-fenced two-phase policy scatter** — prepare on every owning
-  shard, then the base-store write as the single commit point; an
-  abort is atomic (no shard observed anything), and a shard crashing
-  mid-scatter is *fenced out of routing* (``policy_fence <
-  expected_fence`` → typed refusal) rather than left silently serving
-  stale policy.
+* **epoch-fenced two-phase policy scatter** — prepare on every shard
+  covering the written querier, then the base-store write as the
+  single commit point; an abort is atomic (no shard observed
+  anything), and a shard crashing mid-scatter is *fenced out of
+  routing* (``policy_fence < expected_fence`` → typed refusal) rather
+  than left silently serving stale policy.
 * **supervision** — :meth:`SieveCluster.supervise` rebuilds crashed
   shards (fresh partition view + guard store from the authoritative
-  base store, same data replica) and rejoins them through the health
-  tier's recovery hold.
+  base store, same data replica, coverage read from the current
+  assignment) and rejoins them through the health tier's recovery hold.
 
 ``tests/test_chaos_differential.py`` drives seeded
 :class:`~repro.faults.FaultPlan`\\ s against all of it and holds the
@@ -95,6 +108,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as wait_futures
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -113,7 +127,7 @@ from repro.core.cache import CacheStats
 from repro.core.cost_model import SieveCostModel
 from repro.core.middleware import Sieve
 from repro.cluster.replicate import replicate_database
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.ring import Assignment, HashRing
 from repro.db.database import Database
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.slo import SLO, BurnRateMonitor, SLOSample
@@ -124,8 +138,8 @@ from repro.service.admission import SessionKey
 from repro.service.server import LatencySummary, ServiceStats, SieveServer
 
 DEFAULT_WORKERS_PER_SHARD = 2
-#: How long a rebalance waits for a shard's migrated-key stragglers.
-DEFAULT_REBALANCE_TIMEOUT_S = 30.0
+#: How long a handover waits for a shard's migrated-key stragglers.
+REBALANCE_TIMEOUT_S = 30.0
 
 _CLUSTER_COUNTERS = (
     "cluster_requests",
@@ -152,6 +166,8 @@ _TRANSIENT_ERRORS = (
     ServiceOverloadedError,
     ServiceStoppedError,
 )
+
+_NO_SPAN = nullcontext()  # what a request is routed under with tracing off
 
 
 @dataclass(frozen=True)
@@ -217,7 +233,12 @@ class ShardSpec:
 
 
 class ClusterShard:
-    """One shard: partition view + Sieve + server over a private engine."""
+    """One shard: partition view + Sieve + server over a private engine.
+
+    The methods below are everything the coordinator asks of a shard —
+    the surface a process boundary would have to carry.  ``sieve`` /
+    ``server`` / ``partition`` stay public for tests and tools.
+    """
 
     def __init__(
         self,
@@ -226,13 +247,14 @@ class ClusterShard:
         store: PolicyStore,
         owns: Callable[[Any], bool],
         workers: int,
-        max_pending: int,
-        max_batch: int,
         cost_model: SieveCostModel | None = None,
         audit: bool = False,
         tracer: Tracer | None = None,
     ):
         self.name = name
+        #: Retained: the supervisor rebuilds a crashed shard over the
+        #: same data replica/backend (a restart on the same volume).
+        self.spec = spec
         self.db = spec.db
         self.backend = spec.backend
         self.partition = store.partition(owns, name=name)
@@ -248,18 +270,19 @@ class ClusterShard:
             audit=self.audit_log,
         )
         if tracer is not None:
-            # Cluster-wide tracing: every shard's sieve.query roots
-            # deliver into the coordinator's shared tracer ring.
-            self.sieve.enable_tracing(tracer=tracer)
-        self.server = SieveServer(
-            self.sieve, workers=workers, max_pending=max_pending, max_batch=max_batch
-        )
+            self.enable_tracing(tracer)
+        self.server = SieveServer(self.sieve, workers=workers)
+        #: The routed request's way in (absolute deadline, fault
+        #: ordinal): :meth:`SieveServer.admit
+        #: <repro.service.server.SieveServer.admit>`, bound once — it
+        #: is the one shard call on the request hot path.
+        self.admit = self.server.admit
         #: Flipped by fault injection / decommissioning; the
         #: coordinator refuses to route to an unavailable shard.
         self.available = True
-        #: Set by :meth:`SieveCluster.crash_shard` — the shard process
-        #: is dead (server killed, relay detached) and must be rebuilt
-        #: by the supervisor, not merely restored.
+        #: Set by :meth:`crash` — the shard process is dead (server
+        #: killed, relay detached) and must be rebuilt by the
+        #: supervisor, not merely restored.
         self.crashed = False
         #: Epoch fencing for the two-phase policy scatter: the base
         #: epoch of the last committed write this shard *applied*
@@ -268,11 +291,96 @@ class ClusterShard:
         #: fence trails its owed fence — it would serve stale policy.
         self.policy_fence = 0
         self.expected_fence = 0
+        #: The health loop's (:meth:`SieveCluster.health_tick`) view of
+        #: this shard: its burn-rate monitor and when its current
+        #: healthy streak began.  Both die with the shard — a rebuilt
+        #: one starts without the dead process's history.
+        self.monitor: BurnRateMonitor | None = None
+        self.healthy_since: float | None = None
+
+    # ------------------------------------------------------------ lifecycle
+
+    def start(self) -> None:
+        self.server.start()
+
+    def stop(self, drain: bool = True) -> None:
+        """Decommission: refuse routing, finish (or fail) queued work,
+        and unhook the partition from the base store so a dead shard's
+        view stops observing (and being pinned by) its mutation events."""
+        self.available = False
+        self.server.stop(drain=drain)
+        self.partition.detach()
+
+    def crash(self) -> None:
+        """The shard *process* dies: the server is killed — queued
+        requests fail with
+        :class:`~repro.common.errors.ShardUnavailableError`, workers
+        exit after their current batch — the policy-event relay
+        detaches (the shard will MISS subsequent policy writes), and
+        routing refuses the shard."""
+        self.crashed = True
+        self.available = False
+        self.server.kill()
+        self.partition.detach()
+
+    def enable_tracing(self, tracer: Tracer) -> None:
+        """Deliver this shard's ``sieve.query`` roots into the
+        coordinator's shared tracer ring."""
+        self.sieve.enable_tracing(tracer=tracer)
+
+    def inject_faults(self, injector: Any, clock_skew_s: float) -> None:
+        """Install the cluster's shared fault injector and this shard's
+        planned clock skew (chaos runs)."""
+        self.server.fault_injector = injector
+        self.server.clock_skew_s = clock_skew_s
+
+    def inject_delay(self, delay_s: float) -> None:
+        """Pad every request this shard serves by ``delay_s``."""
+        self.server.inject_delay_s = delay_s
+
+    def drop_relay(self) -> None:
+        """The policy-event relay dies while the serving stack stays up."""
+        self.partition.detach()
+
+    # ------------------------------------------------------------- liveness
+
+    @property
+    def serving(self) -> bool:
+        """Routable and accepting work (the health loop's liveness)."""
+        return self.available and self.server.running
+
+    def can_apply(self) -> bool:
+        """Can this shard observe a base-store write right now?  The
+        hazards are a dead process (``crashed`` / killed server) and a
+        detached event relay — a merely ``fail_shard``-ed shard still
+        applies writes fine (its partition stays attached)."""
+        return not (self.crashed or self.server.killed or self.partition.detached)
+
+    def needs_rebuild(self) -> bool:
+        """Anything :meth:`can_apply` rules out, or a shrunken worker
+        pool (a crashed worker thread never comes back) — states
+        :meth:`SieveCluster.restore_shard` cannot fix because
+        shard-local state (partition view, caches, worker pool) is
+        unrecoverable.  A merely ``fail_shard``-ed shard is intact and
+        NOT rebuilt."""
+        return not self.can_apply() or self.server.lost_workers > 0
+
+    # ------------------------------------------------------------- coverage
+
+    def cover(self, owns: Callable[[Any], bool]) -> None:
+        """Point the partition at the queriers ``owns`` claims."""
+        self.partition.set_ownership(owns)
+
+    def drain(self, keep: Callable[[Any], bool], timeout: float) -> bool:
+        """Wait until no admitted request belongs to a querier outside
+        ``keep``; False on timeout."""
+        return self.server.wait_quiesced(
+            lambda key: not keep(key[0]), timeout=timeout
+        )
 
     def cached_queriers(self) -> set[Any]:
         """Queriers with warm state in any shard-local tier (guard
-        cache, plan cache, or persisted guard store) — the candidates
-        a rebalance checks for migration-driven invalidation."""
+        cache, plan cache, or persisted guard store)."""
         sieve = self.sieve
         return (
             sieve.guard_cache.queriers()
@@ -280,9 +388,26 @@ class ClusterShard:
             | {e.querier for e in sieve.guard_store.cached_expressions()}
         )
 
-    def invalidate_querier(self, querier: Any) -> int:
-        """Drop one migrated querier's state from every shard tier."""
-        return self.sieve.invalidate_caches(querier=querier)
+    def forget(self, keep: Callable[[Any], bool]) -> int:
+        """Drop the state every shard tier holds for queriers outside
+        ``keep``; returns the entries dropped."""
+        return sum(
+            self.sieve.invalidate_caches(querier=querier)
+            for querier in self.cached_queriers()
+            if not keep(querier)
+        )
+
+    # ----------------------------------------------------------- accounting
+
+    def stats(self) -> ServiceStats:
+        return self.server.stats()
+
+    def slo_sample(self, threshold_ms: float | None, now: float) -> SLOSample:
+        return self.server.slo_sample(threshold_ms, now)
+
+    def policy_count(self) -> int:
+        """Policies in this shard's partition — its corpus share."""
+        return len(self.partition)
 
 
 @dataclass
@@ -424,10 +549,6 @@ class SieveCluster:
         store: PolicyStore,
         specs: Sequence[ShardSpec],
         workers_per_shard: int = DEFAULT_WORKERS_PER_SHARD,
-        vnodes: int = DEFAULT_VNODES,
-        max_pending: int = 1024,
-        max_batch: int = 16,
-        rebalance_timeout: float = DEFAULT_REBALANCE_TIMEOUT_S,
         cost_model: SieveCostModel | None = None,
         audit: bool = False,
         retry_policy: RetryPolicy | None = None,
@@ -456,9 +577,6 @@ class SieveCluster:
         self._fault_index: dict[str, int] = {}
         self.audit_enabled = audit
         self.workers_per_shard = workers_per_shard
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self.rebalance_timeout = rebalance_timeout
         self.cost_model = cost_model
         self._counters = store.db.counters
         self._counter_lock = threading.Lock()
@@ -466,35 +584,32 @@ class SieveCluster:
         # shares one Tracer across every shard.
         self.tracer: Tracer | None = None
         self.slow_query_log: SlowQueryLog | None = None
-        self._route_lock = RWLock()  # readers: routing; writer: ring swap
-        self._admin_lock = threading.RLock()  # serializes rebalances
+        self._route_lock = RWLock()  # readers: routing; writer: assignment swap
+        self._admin_lock = threading.RLock()  # serializes handovers, scatters, supervision
         self._shard_seq = 0
         self._started = False
         self._stopped = False
-        # Health-aware routing state (configure_health() arms it).
-        # _reroutes maps degraded-shard → fallback-shard and is read on
-        # the routing hot path (mutated only under the route write
-        # lock); the rest is touched only under the admin lock.
-        self._reroutes: dict[str, str] = {}
+        # Health-aware routing state (configure_health() arms it),
+        # touched only under the admin lock.
         self._health_slo: SLO | None = None
         self._health_clock: Callable[[], float] = time.monotonic
         self._recovery_hold_s = 0.0
-        self._shard_monitors: dict[str, BurnRateMonitor] = {}
         self._shard_status: dict[str, str] = {}
-        self._healthy_since: dict[str, float] = {}
 
-        ring = HashRing(vnodes=vnodes)
-        named: list[tuple[str, ShardSpec]] = []
+        ring = HashRing()
+        named: dict[str, ShardSpec] = {}
         for spec in specs:
             name = self._claim_name(spec, ring)
             ring = ring.with_node(name)
-            named.append((name, spec))
-        self._ring = ring
-        #: Retained specs: the supervisor rebuilds a crashed shard over
-        #: the same data replica/backend (a restart on the same volume).
-        self._specs: dict[str, ShardSpec] = dict(named)
+            named[name] = spec
+        #: Who holds which querier — the one reference routing,
+        #: partition coverage, the policy scatter set and the
+        #: supervisor read; replaced whole, under the route write lock,
+        #: by :meth:`_apply_assignment` and by nothing else.
+        self._assignment = Assignment(ring)
         self._shards: dict[str, ClusterShard] = {
-            name: self._build_shard(name, spec, ring) for name, spec in named
+            name: self._build_shard(name, spec, self._assignment)
+            for name, spec in named.items()
         }
 
     @classmethod
@@ -537,34 +652,27 @@ class SieveCluster:
         self._shard_seq += 1
         return name
 
-    def _build_shard(self, name: str, spec: ShardSpec, ring: HashRing) -> ClusterShard:
-        # The ownership predicate closes over one immutable ring value;
-        # rebalances install new predicates explicitly, so an in-flight
-        # snapshot can never observe a half-swapped assignment.
+    def _build_shard(
+        self, name: str, spec: ShardSpec, assignment: Assignment
+    ) -> ClusterShard:
+        # The ownership predicate closes over one immutable assignment;
+        # handovers install new predicates explicitly, so an in-flight
+        # snapshot can never observe a half-swapped one.
         shard = ClusterShard(
             name,
             spec,
             self.store,
-            owns=lambda q, r=ring, n=name: r.route(q) == n,
+            owns=assignment.covers(name),
             workers=self.workers_per_shard,
-            max_pending=self.max_pending,
-            max_batch=self.max_batch,
             cost_model=self.cost_model,
             audit=self.audit_enabled,
             tracer=self.tracer,
         )
-        self._wire_faults(name, shard)
-        return shard
-
-    def _wire_faults(self, name: str, shard: ClusterShard) -> None:
-        """Install the shared injector (and the shard's planned clock
-        skew) on a newly built shard's server."""
         injector = self.fault_injector
-        if injector is None:
-            return
-        index = self._fault_index.setdefault(name, len(self._fault_index))
-        shard.server.fault_injector = injector
-        shard.server.clock_skew_s = injector.skew_s(index)
+        if injector is not None:
+            index = self._fault_index.setdefault(name, len(self._fault_index))
+            shard.inject_faults(injector, injector.skew_s(index))
+        return shard
 
     def enable_tracing(
         self, tracer: Tracer | None = None, slow_query_ms: float | None = None
@@ -581,7 +689,7 @@ class SieveCluster:
             with self._route_lock.read_locked():
                 shards = list(self._shards.values())
             for shard in shards:
-                shard.sieve.enable_tracing(tracer=self.tracer)
+                shard.enable_tracing(self.tracer)
         if slow_query_ms is not None and self.slow_query_log is None:
             self.slow_query_log = SlowQueryLog(threshold_ms=slow_query_ms)
             self.tracer.on_finish(self.slow_query_log.observe)
@@ -600,20 +708,14 @@ class SieveCluster:
             if not self._started:
                 self._started = True
                 for shard in self._shards.values():
-                    shard.server.start()
+                    shard.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
         with self._admin_lock:
             self._stopped = True
             for shard in self._shards.values():
-                shard.available = False
-                shard.server.stop(drain=drain)
-            for shard in self._shards.values():
-                # Unhook the partitions from the base store so a dead
-                # cluster's views stop observing (and being pinned by)
-                # its mutation events.
-                shard.partition.detach()
+                shard.stop(drain=drain)
 
     def __enter__(self) -> "SieveCluster":
         return self.start()
@@ -636,24 +738,23 @@ class SieveCluster:
                 raise ClusterError(f"unknown shard {name!r}") from None
 
     def route(self, querier: Any) -> str:
-        """The shard name currently owning ``querier``."""
-        with self._route_lock.read_locked():
-            return self._ring.route(querier)
+        """The home shard of ``querier`` (its ring owner; while a
+        detour is up its requests are admitted to the home's fallback,
+        see :meth:`reroutes`)."""
+        return self._assignment.ring.route(querier)
 
     def _checked_shard_locked(self, querier: Any) -> ClusterShard:
         """Owning shard for a routable request.  Caller must hold the
         routing read lock *across the admission call too*: the
         rebalance protocol's drain phase only waits for requests
         already queued, so route-then-enqueue must be atomic against a
-        ring swap (the swap takes the write lock).
+        swap of the assignment (the swap takes the write lock).
 
         Health-aware detour: a shard :meth:`health_tick` flagged is
-        deprioritized — its queriers land on the fallback shard whose
-        partition was widened to own them (``_reroutes``, installed
-        and cleared under the route write lock like a ring swap), so
-        rerouted answers stay row-identical."""
-        name = self._ring.route(querier)
-        shard = self._shards[self._reroutes.get(name, name)]
+        deprioritized — its queriers land on the fallback shard, whose
+        partition covers them too, so rerouted answers stay
+        row-identical."""
+        shard = self._shards[self._assignment.owner(querier)]
         if not shard.available:
             self._tick("cluster_unavailable")
             raise ShardUnavailableError(
@@ -681,16 +782,13 @@ class SieveCluster:
         """Actuate one planned shard fault (chaos runs): ``crash`` kills
         the addressed shard's process, ``slow`` pads its service times,
         ``drop_relay`` silently detaches its policy-event relay."""
-        with self._route_lock.read_locked():
-            names = sorted(self._shards)
-        if not names:
-            return
+        names = self.shard_names
         name = names[fault.shard % len(names)]
         self.fault_injector.record(fault.kind)
         if fault.kind == "crash":
             self.crash_shard(name)
         elif fault.kind == "slow":
-            self.shard(name).server.inject_delay_s = fault.delay_s
+            self.slow_shard(name, fault.delay_s)
         elif fault.kind == "drop_relay":
             self.drop_relay(name)
 
@@ -705,6 +803,16 @@ class SieveCluster:
             budget = timeout
         return None if budget is None else time.perf_counter() + budget
 
+    def _route_span(self, querier: Any) -> Any:
+        """Context manager yielding the ``cluster.route`` root span of
+        one routed admission — or ``None``, with tracing off, so both
+        cases share one admit body.  Its trace id rides the admitted
+        request — the shard worker's ``sieve.query`` root then reuses
+        it, correlating coordinator and shard sides of one request."""
+        if self.tracer is None:
+            return _NO_SPAN
+        return self.tracer.trace("cluster.route", querier=str(querier))
+
     def _routed_submit(
         self,
         sql: Any,
@@ -713,11 +821,7 @@ class SieveCluster:
         with_info: bool,
         deadline: float | None = None,
     ) -> "Future[Any]":
-        """Route-and-admit under one read lock.  With tracing on, the
-        routing runs inside a ``cluster.route`` root span whose trace
-        id rides the admitted request — the shard worker's
-        ``sieve.query`` root then reuses it, correlating coordinator
-        and shard sides of one request."""
+        """Route-and-admit one request under one read lock."""
         fault_tag = None
         injector = self.fault_injector
         if injector is not None:
@@ -727,22 +831,17 @@ class SieveCluster:
             fault_tag, due = injector.next_request()
             for fault in due:
                 self._apply_shard_fault(fault)
-        if self.tracer is None:
+        with self._route_span(querier) as root:
             with self._route_lock.read_locked():
                 shard = self._checked_shard_locked(querier)
-                return shard.server.admit(
+                future = shard.admit(
                     sql, querier, purpose, with_info=with_info,
                     deadline=deadline, fault_tag=fault_tag,
                 )
-        with self.tracer.trace("cluster.route", querier=str(querier)) as root:
-            with self._route_lock.read_locked():
-                shard = self._checked_shard_locked(querier)
-                future = shard.server.admit(
-                    sql, querier, purpose, with_info=with_info,
-                    deadline=deadline, fault_tag=fault_tag,
-                )
-            root.set(shard=shard.name)
-            return future
+            if root is not None:
+                root.set(shard=shard.name)
+        self._tick("cluster_requests")
+        return future
 
     def submit(
         self, sql: Any, querier: Any, purpose: str, deadline_s: float | None = None
@@ -752,22 +851,18 @@ class SieveCluster:
         (default: the cluster's ``default_deadline_s``) rides the
         request so an expired queued request is refused typed by the
         shard worker instead of executed late."""
-        future = self._routed_submit(
+        return self._routed_submit(
             sql, querier, purpose, with_info=False,
             deadline=self._absolute_deadline(deadline_s),
         )
-        self._tick("cluster_requests")
-        return future
 
     def submit_with_info(
         self, sql: Any, querier: Any, purpose: str, deadline_s: float | None = None
     ) -> "Future[Any]":
-        future = self._routed_submit(
+        return self._routed_submit(
             sql, querier, purpose, with_info=True,
             deadline=self._absolute_deadline(deadline_s),
         )
-        self._tick("cluster_requests")
-        return future
 
     def execute(
         self,
@@ -881,7 +976,6 @@ class SieveCluster:
         future = self._routed_submit(
             sql, querier, purpose, with_info, deadline=deadline
         )
-        self._tick("cluster_requests")
         policy = self.retry_policy
         hedge_delay = policy.hedge_delay_s if policy is not None else None
         if hedge_delay is None:
@@ -904,7 +998,6 @@ class SieveCluster:
             hedge = self._routed_submit(
                 sql, querier, purpose, with_info, deadline=deadline
             )
-            self._tick("cluster_requests")
             self._tick("cluster_hedges")
         except _TRANSIENT_ERRORS:
             hedge = None  # the primary may still answer; keep waiting
@@ -943,30 +1036,24 @@ class SieveCluster:
     ) -> list[Any]:
         """One querier's batch — single-shard by construction, served
         with :meth:`SieveServer.execute_many
-        <repro.service.server.SieveServer.execute_many>` ordering
+        <repro.service.SieveServer.execute_many>` ordering
         semantics (``result[i]`` answers ``sqls[i]``).  The batch
         shares one deadline (the cluster's ``default_deadline_s``,
         else ``timeout``): it rides every admitted request and bounds
         the gather, so a hung worker surfaces as
         :class:`~repro.common.errors.DeadlineExceededError`."""
         deadline = self._absolute_deadline(None, timeout)
-
-        def admit_all() -> "tuple[ClusterShard, list[Future[Any]]]":
+        # One routing root covers the whole batch; every admitted
+        # request carries its trace id, so the batch's N shard-side
+        # executions all correlate back to this one route.
+        with self._route_span(querier) as root:
             with self._route_lock.read_locked():
                 shard = self._checked_shard_locked(querier)
-                return shard, [
-                    shard.server.admit(sql, querier, purpose, deadline=deadline)
+                futures = [
+                    shard.admit(sql, querier, purpose, deadline=deadline)
                     for sql in sqls
                 ]
-
-        if self.tracer is None:
-            _, futures = admit_all()
-        else:
-            # One routing root covers the whole batch; every admitted
-            # request carries its trace id, so the batch's N shard-side
-            # executions all correlate back to this one route.
-            with self.tracer.trace("cluster.route", querier=str(querier)) as root:
-                shard, futures = admit_all()
+            if root is not None:
                 root.set(shard=shard.name, batch=len(futures))
         self._tick("cluster_requests", len(futures))
         return [self._bounded_result(future, querier, deadline) for future in futures]
@@ -977,31 +1064,20 @@ class SieveCluster:
         """Shards that observe a policy naming ``querier`` — the
         scatter set of a policy write.
 
-        For a user identity: its ring owner.  For a group identity:
-        every shard holding a member (their PQM filters consult the
-        group's policies) *plus* the ring owner of the group identity
-        itself, which serves any request issued under the group's own
-        name.  Mirrors :meth:`PolicyPartition.owns_querier
+        For a user identity: every shard holding it (its ring owner,
+        plus that shard's fallback while a detour is up).  For a group
+        identity: the holders of every member (their PQM filters
+        consult the group's policies) *plus* those of the group
+        identity itself, which serve any request issued under the
+        group's own name.  Mirrors :meth:`PolicyPartition.owns_querier
         <repro.policy.store.PolicyPartition.owns_querier>` exactly.
         """
-        with self._route_lock.read_locked():
-            ring = self._ring
-            targets = {ring.route(querier)}
-            if querier in self.store.groups:
-                targets |= {ring.route(m) for m in self.store.groups.members_of(querier)}
-            return sorted(targets)
-
-    def _shard_can_apply(self, shard: ClusterShard) -> bool:
-        """Can this shard observe a base-store write right now?  The
-        hazards are a dead process (``crashed`` / killed server) and a
-        detached event relay — a merely ``fail_shard``-ed shard still
-        applies writes fine (its partition stays attached), matching
-        the pre-fence behavior."""
-        return (
-            not shard.crashed
-            and not shard.server.killed
-            and not shard.partition.detached
-        )
+        assignment = self._assignment
+        targets = set(assignment.holders(querier))
+        if querier in self.store.groups:
+            for member in self.store.groups.members_of(querier):
+                targets.update(assignment.holders(member))
+        return sorted(targets)
 
     def _abort_scatter(self, reason: str) -> "PolicyScatterError":
         self._tick("cluster_scatter_aborts")
@@ -1012,13 +1088,14 @@ class SieveCluster:
     ) -> Any:
         """Epoch-fenced two-phase policy scatter.
 
-        The scatter set is the shards owning ``queriers`` — or, when
-        the write changes the *protected set* (``queriers`` is
-        ``None``: ``protect`` / ``unprotect``; or the first policy on a
-        not-yet-protected ``table``), **every** shard: protection is
-        corpus-wide, and a shard that cannot hear the change would go
-        on serving its queriers the unrewritten plan.
-        ``cluster_policy_fanout`` records the width.
+        The scatter set is the shards holding ``queriers``
+        (:meth:`owning_shards`) — or, when the write changes the
+        *protected set* (``queriers`` is ``None``: ``protect`` /
+        ``unprotect``; or the first policy on a not-yet-protected
+        ``table``), **every** shard: protection is corpus-wide, and a
+        shard that cannot hear the change would go on serving its
+        queriers the unrewritten plan.  ``cluster_policy_fanout``
+        records the width.
 
         *Prepare* (:meth:`_prepare_scatter`) runs **before** the base
         store is touched, so an abort is atomic: no shard, and no
@@ -1026,8 +1103,8 @@ class SieveCluster:
 
         *Commit*: the base-store mutation (``apply()``) is the single
         commit point — live partitions relay it synchronously on this
-        thread — after which every owning shard's fences advance to the
-        new epoch.  A shard that died *between* prepare and the commit
+        thread — after which the fences of every shard in the scatter
+        set advance to the new epoch.  A shard that died *between* prepare and the commit
         point (the injected ``commit``-phase fault) misses the relay:
         its ``expected_fence`` advances but its ``policy_fence`` does
         not, and the routing fence gate refuses it (fail-closed) until
@@ -1036,17 +1113,13 @@ class SieveCluster:
         injector = self.fault_injector
         write_no = injector.next_write() if injector is not None else None
         with self._admin_lock:  # scatters serialize with rebalance/supervise
-            all_names = self.shard_names  # stable: membership changes hold the admin lock
+            # Stable: handovers and rebuilds hold the admin lock too.
+            all_names = self.shard_names
             if queriers is None or table.lower() not in self.store.snapshot().protected:
                 targets = all_names
             else:
                 targets = sorted({n for q in queriers for n in self.owning_shards(q)})
-            with self._route_lock.read_locked():
-                shards = {
-                    name: self._shards[name]
-                    for name in targets
-                    if name in self._shards
-                }
+            shards = {name: self._shards[name] for name in targets}
             self._prepare_scatter(shards, write_no)
             # A commit-phase fault crashes its victim here — after
             # prepare passed, before the commit point — so the victim
@@ -1054,32 +1127,28 @@ class SieveCluster:
             # fence exists for).
             if injector is not None:
                 fault = injector.scatter_fault(write_no, "commit")
-                if fault is not None and all_names:
+                if fault is not None:
                     self.crash_shard(all_names[fault.shard % len(all_names)])
             stamped = apply()  # ← commit point: base write + live relay
             fence = self.store.epoch
-            with self._route_lock.read_locked():
-                for name in targets:
-                    shard = self._shards.get(name)
-                    if shard is None:
-                        continue
-                    shard.expected_fence = fence
-                    if self._shard_can_apply(shard):
-                        shard.policy_fence = fence
+            for shard in shards.values():
+                shard.expected_fence = fence
+                if shard.can_apply():
+                    shard.policy_fence = fence
         self._tick("cluster_policy_writes")
         self._tick("cluster_policy_fanout", len(targets))
         return stamped
 
     def _prepare_scatter(self, shards: dict[str, ClusterShard], write_no: Any) -> None:
-        """Prepare phase: every owning shard must be able to apply the
-        write (process alive, relay attached) — any that cannot aborts
-        the whole write with
+        """Prepare phase: every shard of the scatter set must be able
+        to apply the write (process alive, relay attached) — any that
+        cannot aborts the whole write with
         :class:`~repro.common.errors.PolicyScatterError`."""
         injector = self.fault_injector
         if injector is not None and injector.scatter_fault(write_no, "prepare"):
             raise self._abort_scatter(f"injected prepare fault (write {write_no})")
         for name in sorted(shards):
-            if not self._shard_can_apply(shards[name]):
+            if not shards[name].can_apply():
                 raise self._abort_scatter(
                     f"owning shard {name!r} cannot apply the write "
                     "(crashed or relay detached)"
@@ -1147,24 +1216,16 @@ class SieveCluster:
         around."""
         if delay_s < 0.0:
             raise ClusterError("delay_s must be non-negative")
-        self.shard(name).server.inject_delay_s = delay_s
+        self.shard(name).inject_delay(delay_s)
 
     def crash_shard(self, name: str) -> None:
-        """Fault injection: the shard *process* dies.
-
-        Harsher than :meth:`fail_shard` (a routing verdict over an
-        intact shard): the server is killed — queued requests fail with
-        :class:`~repro.common.errors.ShardUnavailableError`, workers
-        exit after their current batch — the policy-event relay
-        detaches (the shard will MISS subsequent policy writes), and
-        routing refuses the shard.  Recovery is a supervisor rebuild
-        (:meth:`supervise`), not :meth:`restore_shard`: the dead
-        process's partition view and caches are gone for good."""
-        shard = self.shard(name)
-        shard.crashed = True
-        shard.available = False
-        shard.server.kill()
-        shard.partition.detach()
+        """Fault injection: the shard *process* dies
+        (:meth:`ClusterShard.crash`).  Harsher than :meth:`fail_shard`
+        (a routing verdict over an intact shard), and recovery is a
+        supervisor rebuild (:meth:`supervise`), not
+        :meth:`restore_shard`: the dead process's partition view and
+        caches are gone for good."""
+        self.shard(name).crash()
 
     def drop_relay(self, name: str) -> None:
         """Fault injection: the shard's policy-event relay dies while
@@ -1176,23 +1237,9 @@ class SieveCluster:
         policy write, when the two-phase scatter's prepare finds the
         detached relay and aborts (the chaos suite's teeth test removes
         that check in a subclass and must catch the stale answers)."""
-        self.shard(name).partition.detach()
+        self.shard(name).drop_relay()
 
     # ----------------------------------------------------------- supervision
-
-    def _needs_rebuild(self, shard: ClusterShard) -> bool:
-        """Crashed process, killed server, detached relay, or a
-        shrunken worker pool (a crashed worker thread never comes
-        back) — states :meth:`restore_shard` cannot fix because
-        shard-local state (partition view, caches, worker pool) is
-        unrecoverable.  A merely ``fail_shard``-ed shard is intact and
-        NOT rebuilt."""
-        return (
-            shard.crashed
-            or shard.server.killed
-            or shard.partition.detached
-            or shard.server.lost_workers > 0
-        )
 
     def supervise(self) -> list[ShardRebuild]:
         """One supervisor pass: detect dead/degenerate shards and
@@ -1201,8 +1248,10 @@ class SieveCluster:
         A rebuild constructs a *fresh* :class:`ClusterShard` over the
         retained :class:`ShardSpec` — same data replica/backend (a
         restart on the same volume) but a brand-new policy partition
-        view filtered from the authoritative base store, a new guard
-        store and guard/plan caches, and a new worker pool — then
+        view filtered from the authoritative base store to what the
+        current assignment says the shard covers (its own queriers and
+        those of any shard detoured onto it), a new guard store and
+        guard/plan caches, and a new worker pool — then
         swaps it in under the routing write lock with its fences set to
         the current base epoch (it is, by construction, policy-current).
         The husk's relay is detached and its pool killed.
@@ -1217,29 +1266,21 @@ class SieveCluster:
         with self._admin_lock:
             if self._stopped or not self._started:
                 return []
-            with self._route_lock.read_locked():
-                shards = dict(self._shards)
             rebuilds: list[ShardRebuild] = []
-            for name, husk in shards.items():
-                if not self._needs_rebuild(husk):
+            for name, husk in list(self._shards.items()):
+                if not husk.needs_rebuild():
                     continue
                 started = time.perf_counter()
-                replacement = self._build_shard(name, self._specs[name], self._ring)
-                replacement.server.start()
+                replacement = self._build_shard(name, husk.spec, self._assignment)
+                replacement.start()
                 fence = self.store.epoch
                 replacement.policy_fence = fence
                 replacement.expected_fence = fence
                 with self._route_lock.write_locked():
                     self._shards[name] = replacement
-                # Retire the husk: whatever was still alive of it must
-                # not keep observing the base store or serving.
-                husk.available = False
-                husk.crashed = True
-                husk.server.kill()
-                husk.partition.detach()
-                # Its burn-rate history belongs to the dead process.
-                self._shard_monitors.pop(name, None)
-                self._healthy_since.pop(name, None)
+                # Whatever was still alive of the husk must not keep
+                # observing the base store or serving.
+                husk.crash()
                 self._tick("cluster_shard_rebuilds")
                 rebuilds.append(
                     ShardRebuild(
@@ -1268,7 +1309,7 @@ class SieveCluster:
         by necessity: a rerouted-away shard receives no traffic, so
         its burn signal decays to zero as the windows drain rather
         than by serving proof.  ``clock`` is injectable for
-        deterministic tests (samples are re-stamped with it)."""
+        deterministic tests (readings are stamped with it)."""
         if recovery_hold_s is not None and recovery_hold_s < 0.0:
             raise ClusterError("recovery_hold_s must be non-negative")
         with self._admin_lock:
@@ -1277,36 +1318,10 @@ class SieveCluster:
             self._recovery_hold_s = (
                 recovery_hold_s if recovery_hold_s is not None else slo.short_window_s
             )
-            self._shard_monitors = {}
             self._shard_status = {}
-            self._healthy_since = {}
+            for shard in self._shards.values():
+                shard.monitor = shard.healthy_since = None
         return self
-
-    def _shard_monitor(self, name: str, shard: ClusterShard) -> BurnRateMonitor:
-        monitor = self._shard_monitors.get(name)
-        if monitor is None:
-            slo = self._health_slo
-            clock = self._health_clock
-
-            def source(
-                server: SieveServer = shard.server,
-                threshold: float | None = slo.latency_ms,
-                read_clock: Callable[[], float] = clock,
-            ) -> SLOSample:
-                sample = server.slo_sample(threshold)
-                # Re-stamp with the cluster's clock so injected test
-                # clocks line up with the monitor's window arithmetic.
-                return SLOSample(
-                    now=read_clock(),
-                    requests=sample.requests,
-                    failures=sample.failures,
-                    over_latency=sample.over_latency,
-                )
-
-            monitor = self._shard_monitors[name] = BurnRateMonitor(
-                slo, source=source, clock=clock
-            )
-        return monitor
 
     def health_tick(self, now: float | None = None) -> dict[str, str]:
         """One health-control-loop iteration (call it periodically —
@@ -1314,135 +1329,76 @@ class SieveCluster:
         piggybacked ticking).
 
         Per shard: unavailable/stopped → ``unhealthy``; burn-rate
-        alert firing → ``degraded``; else ``healthy``.  Actuation:
-        every non-healthy shard gets a reroute onto a healthy fallback
-        (partition widened *before* the routing swap, the rebalance
-        grow-then-swap order, so no request ever sees a narrow
-        partition); a rerouted shard that has stayed healthy for
-        ``recovery_hold_s`` has its detour lifted (drain → shrink →
-        invalidate, the rebalance phase-3 discipline).  Returns the
+        alert firing → ``degraded``; else ``healthy``.  The tick only
+        decides *which detours should exist*: every non-healthy shard
+        without one gets a healthy fallback, and a detoured shard that
+        has stayed healthy for ``recovery_hold_s`` loses its detour.
+        The handover (module docstring) does the rest.  Returns the
         tracked status per shard."""
         with self._admin_lock:
             if self._health_slo is None:
                 raise ClusterError("configure_health() must run before health_tick()")
             if now is None:
                 now = self._health_clock()
-            with self._route_lock.read_locked():
-                shards = dict(self._shards)
-            for name in list(self._shard_monitors):
-                if name not in shards:
-                    self._shard_monitors.pop(name, None)
-                    self._healthy_since.pop(name, None)
+            slo, clock = self._health_slo, self._health_clock
+            shards = dict(self._shards)  # stable: membership changes hold the admin lock
             statuses: dict[str, str] = {}
             for name, shard in shards.items():
-                monitor = self._shard_monitor(name, shard)
-                if not shard.available or not shard.server.running:
+                if shard.monitor is None:
+                    # Readings are stamped on the cluster's clock so
+                    # injected test clocks line up with the monitor's
+                    # window arithmetic.
+                    shard.monitor = BurnRateMonitor(
+                        slo,
+                        source=lambda s=shard: s.slo_sample(slo.latency_ms, clock()),
+                        clock=clock,
+                    )
+                if not shard.serving:
                     statuses[name] = "unhealthy"
-                    continue
-                state = monitor.tick(now=now)
-                statuses[name] = (
-                    "degraded"
-                    if (state.fast_firing or state.slow_firing)
-                    else "healthy"
-                )
-            for name, status in statuses.items():
-                if status == "healthy":
-                    self._healthy_since.setdefault(name, now)
                 else:
-                    self._healthy_since.pop(name, None)
+                    state = shard.monitor.tick(now=now)
+                    firing = state.fast_firing or state.slow_firing
+                    statuses[name] = "degraded" if firing else "healthy"
+                if statuses[name] != "healthy":
+                    shard.healthy_since = None
+                elif shard.healthy_since is None:
+                    shard.healthy_since = now
             self._shard_status = statuses
+            detours = dict(self._assignment.detours)
             for name, status in statuses.items():
-                if status != "healthy" and name not in self._reroutes:
-                    self._install_reroute(name, statuses)
-            for name in list(self._reroutes):
-                since = self._healthy_since.get(name)
-                if (
-                    statuses.get(name) == "healthy"
-                    and since is not None
-                    and now - since >= self._recovery_hold_s
-                ):
-                    self._clear_reroute(name)
+                if status != "healthy" and name not in detours:
+                    fallback = self._pick_fallback(name, statuses, detours)
+                    # None: no healthy stand-in; routing keeps its verdict.
+                    if fallback is not None:
+                        detours[name] = fallback
+            for name in list(detours):
+                since = shards[name].healthy_since
+                if since is not None and now - since >= self._recovery_hold_s:
+                    del detours[name]
+            if detours != self._assignment.detours:
+                self._apply_assignment(Assignment(self._assignment.ring, detours))
             return dict(statuses)
 
-    def _set_fallback_ownership(self, fallback: str, covered: set[str]) -> None:
-        """Point a fallback's partition at its base queriers plus those
-        of every shard in ``covered`` (the reroute analogue of the
-        rebalance grow/shrink predicates)."""
-        shard = self._shards[fallback]
-        if covered:
-            shard.partition.set_ownership(
-                lambda q, n=fallback, r=self._ring, c=frozenset(covered): (
-                    r.route(q) == n or r.route(q) in c
-                )
-            )
-        else:
-            shard.partition.set_ownership(
-                lambda q, n=fallback, r=self._ring: r.route(q) == n
-            )
-
-    def _pick_fallback(self, degraded: str, statuses: dict[str, str]) -> str | None:
-        """A healthy, non-rerouted shard to stand in for ``degraded``
+    @staticmethod
+    def _pick_fallback(
+        degraded: str, statuses: dict[str, str], detours: dict[str, str]
+    ) -> str | None:
+        """A healthy, non-detoured shard to stand in for ``degraded``
         (preferring one not already covering another detour)."""
         candidates = [
             name
             for name in sorted(statuses)
             if name != degraded
             and statuses[name] == "healthy"
-            and name not in self._reroutes
+            and name not in detours
         ]
-        free = [name for name in candidates if name not in self._reroutes.values()]
+        free = [name for name in candidates if name not in detours.values()]
         choices = free or candidates
         return choices[0] if choices else None
 
-    def _install_reroute(self, name: str, statuses: dict[str, str]) -> None:
-        fallback = self._pick_fallback(name, statuses)
-        if fallback is None:
-            return  # no healthy stand-in; routing keeps its verdict as-is
-        covered = {d for d, f in self._reroutes.items() if f == fallback} | {name}
-        # Grow before swap: the fallback owns the detoured queriers'
-        # policies before any of their requests can reach it.
-        self._set_fallback_ownership(fallback, covered)
-        with self._route_lock.write_locked():
-            self._reroutes[name] = fallback
-
-    def _clear_reroute(self, name: str) -> None:
-        with self._route_lock.write_locked():
-            fallback = self._reroutes.pop(name, None)
-        if fallback is None or fallback not in self._shards:
-            return
-        shard = self._shards[fallback]
-        ring = self._ring
-        # New requests for the recovered shard's queriers now land on
-        # it again; drain the fallback's stragglers for them, then
-        # shrink its partition and drop their migrated cached state —
-        # on timeout keep the widened ownership (stragglers stay
-        # correct; a later tick retries the shrink via reinstall).
-        drained = shard.server.wait_quiesced(
-            lambda key, n=name, r=ring: r.route(key[0]) == n,
-            timeout=self.rebalance_timeout,
-        )
-        if not drained:
-            with self._route_lock.write_locked():
-                self._reroutes[name] = fallback
-            return
-        covered = {d for d, f in self._reroutes.items() if f == fallback}
-        self._set_fallback_ownership(fallback, covered)
-        for querier in {
-            q for q in shard.cached_queriers() if ring.route(q) == name
-        }:
-            shard.invalidate_querier(querier)
-
-    def _clear_all_reroutes(self) -> None:
-        """Lift every detour (rebalances recompute ownership from the
-        ring alone; the next health_tick re-detours against the new
-        assignment if a shard is still flagged)."""
-        for name in list(self._reroutes):
-            self._clear_reroute(name)
-
     def reroutes(self) -> dict[str, str]:
         """Active detours: degraded shard → fallback serving for it."""
-        with self._route_lock.read_locked():
-            return dict(self._reroutes)
+        return dict(self._assignment.detours)
 
     def shard_health(self) -> dict[str, str]:
         """The coordinator's tracked verdict per live shard (shards
@@ -1496,40 +1452,27 @@ class SieveCluster:
         db = replicate_database(self.store.db)
         return ShardSpec(db=db, backend=backend_factory(db) if backend_factory else None)
 
-    def add_shard(self, spec: ShardSpec, workers: int | None = None) -> RebalanceReport:
+    def add_shard(self, spec: ShardSpec) -> RebalanceReport:
         """Online scale-out: join one shard, migrating ~1/(N+1) of the
         queriers onto it (hash-ring stability — no querier moves
         between surviving shards)."""
         with self._admin_lock:
             if self._stopped:
                 raise ClusterError("cluster is stopped")
-            old_ring = self._ring
-            name = self._claim_name(spec, old_ring)
-            new_ring = old_ring.with_node(name)
-            shard = ClusterShard(
-                name,
-                spec,
-                self.store,
-                owns=lambda q, r=new_ring, n=name: r.route(q) == n,
-                workers=workers or self.workers_per_shard,
-                max_pending=self.max_pending,
-                max_batch=self.max_batch,
-                cost_model=self.cost_model,
-                audit=self.audit_enabled,
-                tracer=self.tracer,
-            )
-            self._specs[name] = spec
-            self._wire_faults(name, shard)
+            old = self._assignment
+            name = self._claim_name(spec, old.ring)
+            new = Assignment(old.ring.with_node(name), old.detours)
+            shard = self._build_shard(name, spec, new)
             if self._started:
-                shard.server.start()
-            return self._apply_assignment(
-                old_ring, new_ring, joining=shard, leaving=None
-            )
+                shard.start()
+            return self._apply_assignment(new, joining=shard)
 
     def remove_shard(self, name: str) -> RebalanceReport:
         """Online scale-in: decommission one shard, migrating exactly
         its queriers onto the survivors (no survivor-to-survivor
-        movement), then drain and stop it."""
+        movement), then drain and stop it.  A detour from or onto it
+        lapses: the queriers of a detour that lost its fallback go
+        home (typed backpressure while home is still down)."""
         with self._admin_lock:
             if self._stopped:
                 raise ClusterError("cluster is stopped")
@@ -1537,87 +1480,61 @@ class SieveCluster:
                 raise ClusterError(f"unknown shard {name!r}")
             if len(self._shards) == 1:
                 raise ClusterError("cannot remove the last shard")
-            old_ring = self._ring
-            new_ring = old_ring.without_node(name)
+            old = self._assignment
             return self._apply_assignment(
-                old_ring, new_ring, joining=None, leaving=self._shards[name]
+                Assignment(old.ring.without_node(name), old.detours)
             )
 
     def _apply_assignment(
-        self,
-        old_ring: HashRing,
-        new_ring: HashRing,
-        joining: ClusterShard | None,
-        leaving: ClusterShard | None,
+        self, new: Assignment, joining: ClusterShard | None = None
     ) -> RebalanceReport:
-        """Grow → swap → drain → shrink (see the module docstring)."""
-        # Health detours widen partitions with predicates closed over
-        # the *old* ring; lift them first (the next health_tick
-        # re-detours against the new assignment if still warranted).
-        self._clear_all_reroutes()
-        survivors = [
-            shard
-            for shard in self._shards.values()
-            if leaving is None or shard.name != leaving.name
-        ]
-        # Phase 1 — grow: survivors own the union of old and new
-        # assignments, so requests admitted under either ring resolve
-        # their full policy set (extra queriers are harmless).
-        for shard in survivors:
-            shard.partition.set_ownership(
-                lambda q, n=shard.name, o=old_ring, r=new_ring: o.route(q) == n
-                or r.route(q) == n
-            )
-        # Phase 2 — swap: atomic reference replacement; the leaving
-        # shard stops receiving *new* traffic in the same critical
-        # section.
+        """The handover from the current assignment to ``new`` (grow →
+        swap → drain → shrink → forget; see the module docstring).
+        Caller holds the admin lock."""
+        old = self._assignment
+        shards = list(self._shards.values())
+        leaving = [shard for shard in shards if shard.name not in new.ring]
+        covers = {shard.name: new.covers(shard.name) for shard in shards}
+        # Without a joiner, ring stability keeps every surviving key's
+        # home, so a shard still covering every home it covered has
+        # lost no querier; a joiner may take keys from anyone.
+        stable = new.ring.nodes <= old.ring.nodes
+        losers = []
+        for shard in shards:
+            held, keep = old.covers(shard.name), covers[shard.name]
+            was, now = old.homes(shard.name), new.homes(shard.name)
+            if not (stable and was <= now):
+                losers.append(shard)
+                shard.cover(lambda q, held=held, keep=keep: held(q) or keep(q))
+            elif new.ring is not old.ring or was != now:
+                shard.cover(keep)
+        # A leaving shard stops receiving *new* traffic in the same
+        # critical section that swaps the assignment.
         with self._route_lock.write_locked():
             if joining is not None:
                 self._shards[joining.name] = joining
-            self._ring = new_ring
-            if leaving is not None:
-                leaving.available = False
-        # Phase 3 — drain stragglers, then shrink + invalidate.  A
-        # shard that fails to drain within the timeout keeps its
-        # *widened* (old ∪ new) ownership: stragglers stay exactly
-        # correct, at the cost of the shard observing migrated
-        # queriers' mutations until a later rebalance shrinks it —
-        # never shrink under a live straggler, which would silently
-        # serve it an emptied policy view.
-        shard_drained: dict[str, bool] = {}
-        affected = list(survivors) if leaving is None else [*survivors, leaving]
-        for shard in affected:
-            shard_drained[shard.name] = shard.server.wait_quiesced(
-                lambda key, n=shard.name, r=new_ring: r.route(key[0]) != n,
-                timeout=self.rebalance_timeout,
-            )
-        drained = all(shard_drained.values())
+            self._assignment = new
+            for shard in leaving:
+                shard.available = False
+        drained = True
         invalidated = 0
-        for shard in survivors:
-            if not shard_drained[shard.name]:
-                continue
-            doomed = {
-                q
-                for q in shard.cached_queriers()
-                if new_ring.route(q) != shard.name
-            }
-            shard.partition.set_ownership(
-                lambda q, n=shard.name, r=new_ring: r.route(q) == n
-            )
-            for querier in doomed:
-                invalidated += shard.invalidate_querier(querier)
-        if leaving is not None:
-            leaving.server.stop(drain=True)
-            leaving.partition.detach()
+        for shard in losers:
+            keep = covers[shard.name]
+            if shard.drain(keep, REBALANCE_TIMEOUT_S):
+                shard.cover(keep)
+                invalidated += shard.forget(keep)
+            else:
+                drained = False
+        for shard in leaving:
+            shard.stop(drain=True)
             with self._route_lock.write_locked():
-                del self._shards[leaving.name]
-            self._specs.pop(leaving.name, None)
+                del self._shards[shard.name]
         universe = self.routable_queriers()
-        moved = old_ring.moved_keys(new_ring, universe)
+        moved = old.ring.moved_keys(new.ring, universe)
         self._tick("cluster_rebalance_moves", len(moved))
         return RebalanceReport(
             added=joining.name if joining is not None else None,
-            removed=leaving.name if leaving is not None else None,
+            removed=leaving[0].name if leaving else None,
             moved_queriers=moved,
             universe=len(universe),
             invalidated_entries=invalidated,
@@ -1655,13 +1572,13 @@ class SieveCluster:
         """Policies per shard partition — the ~1/N corpus share."""
         with self._route_lock.read_locked():
             shards = list(self._shards.values())
-        return {shard.name: len(shard.partition) for shard in shards}
+        return {shard.name: shard.policy_count() for shard in shards}
 
     def stats(self) -> ClusterStats:
         with self._route_lock.read_locked():
             shards = list(self._shards.values())
-        per_shard = {shard.name: shard.server.stats() for shard in shards}
-        partition_policies = {shard.name: len(shard.partition) for shard in shards}
+        per_shard = {shard.name: shard.stats() for shard in shards}
+        partition_policies = {shard.name: shard.policy_count() for shard in shards}
         with self._counter_lock:
             counters = {
                 name: getattr(self._counters, name) for name in _CLUSTER_COUNTERS

@@ -27,13 +27,18 @@ coordinator: :meth:`with_node` / :meth:`without_node` return new
 rings, so a routing swap is one atomic reference assignment and
 partition ownership predicates can safely close over the ring they
 were created with.
+
+:class:`Assignment` — the ring plus the health tier's detour map — is
+the one value that answers *who holds querier q*: where its requests
+go, which partitions cover it, and therefore which shards a policy
+write naming it must reach.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import ClusterError
 
@@ -133,3 +138,51 @@ class HashRing:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashRing(nodes={sorted(self._nodes)}, vnodes={self.vnodes})"
+
+
+class Assignment:
+    """Who holds which querier: a :class:`HashRing` plus its detours.
+
+    ``detours`` maps a flagged shard to the fallback serving in its
+    place.  A detoured querier is *covered twice*: by its home shard
+    (so lifting the detour, or losing the fallback, needs no handover
+    back) and by the fallback (so the detour answers row-identically).
+    Routing, partition coverage, the policy scatter set and the
+    supervisor's rebuild all read this one immutable value, so they
+    cannot disagree about it; a detour touching a shard that is not on
+    the ring lapses at construction.
+    """
+
+    def __init__(self, ring: HashRing, detours: Mapping[str, str] | None = None):
+        self.ring = ring
+        self.detours: dict[str, str] = {
+            home: fallback
+            for home, fallback in (detours or {}).items()
+            if home in ring and fallback in ring
+        }
+
+    def owner(self, querier: Any) -> str:
+        """The shard a request from ``querier`` is admitted to."""
+        home = self.ring.route(querier)
+        return self.detours.get(home, home)
+
+    def holders(self, querier: Any) -> tuple[str, ...]:
+        """Every shard whose partition covers ``querier``: its home,
+        plus the home's fallback while a detour is up."""
+        home = self.ring.route(querier)
+        fallback = self.detours.get(home)
+        return (home,) if fallback is None else (home, fallback)
+
+    def homes(self, name: str) -> frozenset[str]:
+        """The ring nodes whose queriers shard ``name`` covers: itself
+        and every shard detoured onto it (empty once off the ring)."""
+        if name not in self.ring:
+            return frozenset()
+        return frozenset(
+            [name, *(home for home, fb in self.detours.items() if fb == name)]
+        )
+
+    def covers(self, name: str) -> Callable[[Any], bool]:
+        """The ownership predicate of shard ``name``'s partition."""
+        homes, route = self.homes(name), self.ring.route
+        return lambda querier: route(querier) in homes

@@ -353,7 +353,7 @@ def cluster_health(cluster: Any) -> HealthRegistry:
                 "requests": stats.requests,
                 "p99_ms": stats.latency.p99_ms,
             }
-            if not shard.available or not shard.server.running:
+            if not shard.serving:
                 return ComponentHealth(
                     f"shard:{name}",
                     HealthStatus.UNHEALTHY,

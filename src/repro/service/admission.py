@@ -73,8 +73,8 @@ class AdaptiveShedder:
 
     Driven by :meth:`signal` (wired to a
     :class:`~repro.obs.slo.BurnRateMonitor` listener's ``fast_firing``
-    flag); consulted by :meth:`SieveServer._admit
-    <repro.service.server.SieveServer.submit>` via :meth:`should_shed`
+    flag); consulted by :meth:`SieveServer.admit
+    <repro.service.server.SieveServer.admit>` via :meth:`should_shed`
     before every enqueue.  State machine:
 
     * ``signal(True)`` → shedding immediately (reject earliest — the

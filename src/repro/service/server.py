@@ -420,20 +420,6 @@ class SieveServer:
         taking an *absolute* monotonic deadline (already stamped by the
         coordinator, so retries and hedges share one budget) and the
         coordinator-assigned fault ordinal (chaos runs only)."""
-        return self._admit(
-            sql, querier, purpose, with_info=with_info, deadline=deadline,
-            fault_tag=fault_tag,
-        )
-
-    def _admit(
-        self,
-        sql: Any,
-        querier: Any,
-        purpose: str,
-        with_info: bool,
-        deadline: float | None = None,
-        fault_tag: int | None = None,
-    ) -> "Future[Any]":
         if not self.running:
             raise ServiceStoppedError("server is not running (call start())")
         # Keep the burn-rate monitor ticking from the submission side
@@ -805,12 +791,17 @@ class SieveServer:
 
     # ------------------------------------------------------------ health/SLO
 
-    def slo_sample(self, threshold_ms: float | None) -> SLOSample:
+    def slo_sample(
+        self, threshold_ms: float | None, now: float | None = None
+    ) -> SLOSample:
         """One cumulative reading for a
         :class:`~repro.obs.slo.BurnRateMonitor`: served requests,
         failures, and — against ``threshold_ms`` — how many *total*
-        (queue wait + service) latencies exceeded the SLO threshold."""
-        now = time.monotonic()
+        (queue wait + service) latencies exceeded the SLO threshold.
+        ``now`` stamps the reading on the monitor's own clock (the
+        cluster's health loop runs on an injectable one)."""
+        if now is None:
+            now = time.monotonic()
         with self._lock:
             return SLOSample(
                 now=now,

@@ -683,7 +683,7 @@ def test_rebalance_sweeps_plan_only_queriers():
     still see it so a migration drops those entries too."""
     db, store, _grant, _next_id = build_world(n_rows=100)
     with make_cluster(db, store, n_shards=2) as cluster:
-        joined = cluster._ring.with_node("joiner")
+        joined = HashRing(cluster.shard_names).with_node("joiner")
         visitor = next(
             v for v in (f"visitor-without-policies-{i}" for i in range(1000))
             if joined.route(v) == "joiner"
@@ -729,6 +729,29 @@ def test_cluster_requires_shards_and_stays_stopped():
     with pytest.raises(ClusterError):
         cluster.add_shard(ShardSpec(db=replicate_database(db)))
 
+def test_coordinator_reaches_a_shard_only_through_its_own_surface():
+    """The shard contract is process-boundary sized: ``SieveCluster``
+    calls ``ClusterShard`` methods and never reaches through to the
+    server, partition or sieve behind them; partition coverage is set
+    in one place; and the chaos suite's deliberately naive cluster
+    still differs from the real one by exactly the two hooks it
+    overrides."""
+    import inspect
+    import pathlib
+
+    import repro.cluster
+    from repro.faults.chaos import NaiveScatterCluster
+
+    source = inspect.getsource(SieveCluster)
+    for reach_through in (".server.", ".partition.", ".sieve."):
+        assert reach_through not in source
+    package = pathlib.Path(repro.cluster.__file__).parent
+    assert sum(f.read_text().count("set_ownership(") for f in package.glob("*.py")) == 1
+    hooks = {n for n, v in vars(NaiveScatterCluster).items() if inspect.isfunction(v)}
+    assert hooks == {"_check_fence", "_prepare_scatter"}
+    assert all(inspect.isfunction(vars(SieveCluster)[hook]) for hook in hooks)
+
+
 # ----------------------------------------------------------------- audit
 
 
@@ -770,7 +793,7 @@ def test_audited_cluster_stress_per_shard_chains_and_lossless_merge():
                 served.append((querier, sql))
 
     with make_cluster(
-        db, store, n_shards=3, workers_per_shard=2, max_pending=8, audit=True
+        db, store, n_shards=3, workers_per_shard=2, audit=True
     ) as cluster:
         assert set(cluster.audit_logs()) == set(cluster.shard_names)
         clients = [

@@ -389,6 +389,134 @@ def test_slow_shard_is_deprioritized_and_recovery_holds():
         assert cluster.reroutes() == {}
 
 
+# ------------------------------------------- detour × fault / rebalance
+#
+# One assignment answers "who holds querier q" for routing, partition
+# coverage, the policy scatter set and the supervisor's rebuild, so a
+# detour cannot be forgotten by any of them.
+
+ROWS_SQL = f"SELECT * FROM {TABLE}"
+
+
+def _detour(cluster: SieveCluster, clock: FakeClock):
+    """Fail ``QUERIERS[0]``'s home shard and tick once; returns
+    ``(querier, home, fallback, the querier's baseline rows)``."""
+    cluster.configure_health(
+        SLO(latency_ms=50.0, short_window_s=1.0, long_window_s=4.0),
+        recovery_hold_s=0.0,
+        clock=clock,
+    )
+    querier, home = _victim_and_fallback(cluster)
+    baseline = sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows)
+    assert len(baseline) == 67
+    cluster.fail_shard(home)
+    cluster.health_tick(now=clock.advance(1.0))
+    fallback = cluster.reroutes()[home]
+    assert sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows) == baseline
+    return querier, home, fallback, baseline
+
+
+@pytest.mark.parametrize("relay", ["dropped", "intact"])
+def test_policy_write_under_a_detour_reaches_the_fallback_or_aborts(relay):
+    """The fallback serves the detoured querier, so revoking that
+    querier's policy is a write the fallback must hear: with its relay
+    dead the write aborts in prepare (it used to commit, and the
+    fallback went on returning the 67 revoked rows)."""
+    from repro.cluster import PolicyScatterError
+
+    db, store = _cluster_world()
+    clock = FakeClock()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        querier, home, fallback, baseline = _detour(cluster, clock)
+        (policy,) = store.policies_for(querier, PURPOSE)
+        if relay == "dropped":
+            cluster.drop_relay(fallback)
+            with pytest.raises(PolicyScatterError):
+                cluster.delete_policy(policy.id)
+            assert store.get(policy.id) == policy
+            rows = cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows
+            assert sorted(rows) == baseline
+        else:
+            assert cluster.owning_shards(querier) == sorted([home, fallback])
+            cluster.delete_policy(policy.id)
+            shard = cluster.shard(fallback)
+            assert shard.policy_fence == shard.expected_fence == store.epoch
+            assert cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows == []
+
+
+def test_rebuilt_fallback_still_covers_its_detour():
+    """The supervisor rebuilds a shard's partition from the assignment,
+    detours included (from the ring alone, the detoured querier read 0
+    of its 67 permitted rows off the rebuilt fallback)."""
+    db, store = _cluster_world()
+    clock = FakeClock()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        querier, home, fallback, baseline = _detour(cluster, clock)
+        cluster.crash_shard(fallback)
+        with pytest.raises(ShardUnavailableError):
+            cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60)
+        assert [r.name for r in cluster.supervise()] == [fallback]
+        assert cluster.reroutes() == {home: fallback}
+        rows = cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows
+        assert sorted(rows) == baseline
+
+
+def test_a_detour_survives_an_uninvolved_rebalance_and_lapses_with_its_target():
+    db, store = _cluster_world()
+    clock = FakeClock()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        baselines = {
+            q: sorted(cluster.execute(ROWS_SQL, q, PURPOSE, timeout=60).rows)
+            for q in QUERIERS
+        }
+        querier, home, fallback, _ = _detour(cluster, clock)
+        (bystander,) = set(cluster.shard_names) - {home, fallback}
+
+        def answers_hold():
+            assert cluster.reroutes() == {home: fallback}
+            for q, expected in baselines.items():
+                rows = cluster.execute(ROWS_SQL, q, PURPOSE, timeout=60).rows
+                assert sorted(rows) == expected, q
+
+        # The home shard stays failed throughout: any querier still
+        # homed there is answered only because the detour held.
+        assert cluster.add_shard(cluster.replica_spec()).drained
+        answers_hold()
+        assert cluster.remove_shard(bystander).drained
+        answers_hold()
+        # Losing the detour's target sends its queriers home — typed
+        # backpressure while home is down, never an empty answer.
+        assert cluster.remove_shard(fallback).drained
+        assert cluster.reroutes() == {}
+        assert cluster.route(querier) == home
+        with pytest.raises(ShardUnavailableError):
+            cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60)
+        cluster.restore_shard(home)
+        rows = cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows
+        assert sorted(rows) == baselines[querier]
+
+
+def test_a_lift_that_cannot_drain_never_shrinks_under_the_straggler(monkeypatch):
+    """One timeout rule for every handover: the detour is lifted, and
+    the fallback keeps its widened coverage for the request it is
+    still serving (it used to re-install the detour instead)."""
+    monkeypatch.setattr("repro.cluster.coordinator.REBALANCE_TIMEOUT_S", 0.05)
+    db, store = _cluster_world()
+    clock = FakeClock()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        querier, home, fallback, baseline = _detour(cluster, clock)
+        cluster.slow_shard(fallback, 0.5)
+        straggler = cluster.submit(ROWS_SQL, querier, PURPOSE)
+        cluster.restore_shard(home)
+        cluster.health_tick(now=clock.advance(1.0))  # hold 0 s: lifts at once
+        assert cluster.reroutes() == {}
+        assert not straggler.done()
+        assert cluster.shard(fallback).partition.owns_querier(querier)
+        assert sorted(straggler.result(timeout=60).rows) == baseline
+        rows = cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows
+        assert sorted(rows) == baseline
+
+
 def test_health_tick_requires_configuration():
     db, store = _cluster_world()
     from repro.cluster import ClusterError

@@ -18,7 +18,10 @@ As a script it is self-verifying (the CI smoke shape shared with
 ``tools/trace_dump.py``): build a small world, run traffic through a
 3-shard cluster, then slow one shard until the control loop flags it
 **degraded** and detours its queriers — and exit non-zero if the
-dashboard fails to show exactly that.
+dashboard fails to show exactly that.  Then the detour meets a fault:
+the fallback is crashed and rebuilt by the supervisor, and the detoured
+querier's policy is revoked; a non-identical answer after the rebuild,
+or any row after the revocation, also exits non-zero.
 """
 
 from __future__ import annotations
@@ -194,9 +197,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not any(victim in line and "->" in line for line in lines):
             print("FAIL: dashboard does not show the detour")
             return 1
+        fallback = cluster.reroutes()[victim]
+        print(f"\nOK: {victim} degraded and detoured to {fallback}; dashboard rendered")
+
+        # Detour x fault: the fallback answers for the victim's
+        # queriers now, so a rebuilt fallback must still cover them and
+        # a revocation naming them must reach it.
+        rows_sql = f"SELECT * FROM {TABLE}"
+        permitted = sorted(cluster.execute(rows_sql, QUERIERS[0], PURPOSE, timeout=60).rows)
+        cluster.crash_shard(fallback)
+        rebuilt = [rebuild.name for rebuild in cluster.supervise()]
+        rows = sorted(cluster.execute(rows_sql, QUERIERS[0], PURPOSE, timeout=60).rows)
+        if rebuilt != [fallback] or cluster.reroutes().get(victim) != fallback:
+            print(f"FAIL: expected {fallback} rebuilt under the detour, got {rebuilt}")
+            return 1
+        if not permitted or rows != permitted:
+            print(
+                f"FAIL: rebuilt fallback answered {len(rows)} rows, "
+                f"{len(permitted)} are permitted"
+            )
+            return 1
+        (policy,) = store.policies_for(QUERIERS[0], PURPOSE)
+        cluster.delete_policy(policy.id)
+        rows = cluster.execute(rows_sql, QUERIERS[0], PURPOSE, timeout=60).rows
+        if rows:
+            print(f"FAIL: {len(rows)} rows of a revoked policy served through the detour")
+            return 1
         print(
-            f"\nOK: {victim} degraded and detoured to "
-            f"{cluster.reroutes()[victim]}; dashboard rendered"
+            f"OK: {fallback} crashed and rebuilt under the detour "
+            f"({len(permitted)} rows identical); revocation reached it (0 rows)"
         )
     return 0
 
