@@ -24,7 +24,9 @@ bench-selftest:
 
 # Where a fresh-literal request spends its time: N prepared requests
 # with never-seen literals, single-threaded — the median timed plainly,
-# then under cProfile as ms per src/repro layer plus the top functions
+# the miss-path split (bind / strategy / rewrite / plan / first minus
+# repeat execution of a plan) and compile() calls per request, then
+# under cProfile as ms per src/repro layer plus the top functions
 # (--mode warm|churn for the other request kinds).  For finding waste;
 # bench/ measures a change.
 N ?= 200

@@ -94,9 +94,8 @@ class _BaselineBase:
 
         renamer = SieveRewriter.__new__(SieveRewriter)
         renamer.db = self.db
-        rewritten = renamer._replace_tables(query, replacements)
-        rewritten.ctes = new_ctes + rewritten.ctes
-        return rewritten
+        redirected = renamer._replace_tables(query, replacements)
+        return Query(body=redirected.body, ctes=new_ctes + redirected.ctes)
 
     def execute(self, sql: str | Query, querier: Any, purpose: str) -> QueryResult:
         return self.db.execute(self.rewrite(sql, querier, purpose))

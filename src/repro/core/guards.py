@@ -184,6 +184,10 @@ class GuardedExpression:
     #: and with it the node-attached analysis and the engine's
     #: compiled-predicate identity fast path.
     _expr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The guard side of strategy choice (rows, pages, Δ set) with the
+    #: statistics and cost model it was computed from — see
+    #: :func:`repro.core.strategy._guard_side`, which checks that stamp.
+    _strategy_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy_count == 0:

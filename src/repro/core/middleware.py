@@ -425,6 +425,7 @@ class Sieve:
 
             expressions: dict[str, GuardedExpression] = {}
             decisions: dict[str, StrategyDecision] = {}
+            query_predicates: dict[str, list] = {}
             denied: set[str] = set()
             regenerated: list[str] = []
             policies_considered = 0
@@ -439,7 +440,7 @@ class Sieve:
                 if rebuilt:
                     regenerated.append(table_name)
                 heap = self.db.catalog.table(table_name)
-                qpreds = query_predicates_for(
+                qpreds = query_predicates[table_name] = query_predicates_for(
                     query, table_name, {c.lower() for c in heap.schema.names}
                 )
                 with span("strategy", table=table_name) as st:
@@ -454,7 +455,9 @@ class Sieve:
                     st.set(strategy=decisions[table_name].strategy.value)
                 expressions[table_name] = expression
 
-            rewritten, info = self.rewriter.rewrite(query, expressions, decisions, denied)
+            rewritten, info = self.rewriter.rewrite(
+                query, expressions, decisions, denied, query_predicates
+            )
             middleware_ms = (time.perf_counter() - start) * 1000.0
             execution = SieveExecution(
                 result=QueryResult(columns=[], rows=[]),
@@ -641,7 +644,7 @@ class Sieve:
             # itself, and planning may lazily rebuild stats).
             entry = CachedPlan(
                 querier=prepared.querier,
-                tables=frozenset(t.lower() for t in collect_table_names(bound)),
+                tables=prepared.tables,
                 epoch=execution.policy_epoch,
                 version=self.db.plan_version,
                 rewritten=rewritten,
@@ -813,6 +816,9 @@ class PreparedQuery:
         #: so the same shape prepared from different whitespace or via
         #: the auto-parameterizer lands on the same cache entries.
         self.template_key = to_sql(template)
+        #: The base tables the statement names (lower-cased) — what a
+        #: cached plan of any binding is invalidated by.
+        self.tables = frozenset(collect_table_names(template))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

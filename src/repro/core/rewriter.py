@@ -30,8 +30,7 @@ but harmless.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
@@ -39,7 +38,14 @@ from repro.common.errors import SieveError
 from repro.core.delta import DELTA_UDF_NAME, DeltaOperator
 from repro.core.guards import GuardedExpression
 from repro.core.strategy import Strategy, StrategyDecision
-from repro.expr.analysis import conjuncts, make_and, make_or, walk
+from repro.expr.analysis import (
+    conjuncts,
+    contains_subquery,
+    make_and,
+    make_or,
+    map_children,
+    walk,
+)
 from repro.obs.tracing import span
 from repro.expr.nodes import (
     And,
@@ -56,11 +62,15 @@ from repro.expr.nodes import (
     Not,
     Or,
     Param,
+    ScalarSubquery,
+    Star,
 )
 from repro.sql.ast import (
     CTE,
     DerivedTable,
     IndexHint,
+    JoinClause,
+    OrderItem,
     Query,
     Select,
     SelectCore,
@@ -68,7 +78,6 @@ from repro.sql.ast import (
     SetOp,
     TableRef,
 )
-from repro.expr.nodes import Star
 
 
 @dataclass
@@ -130,6 +139,7 @@ def _collect_core(core: SelectCore, names: set[str], cte_names: set[str]) -> Non
 
 def _exprs_of_select(select: Select) -> list[Expr]:
     out = [i.expr for i in select.items]
+    out.extend(j.condition for j in select.joins if j.condition is not None)
     if select.where is not None:
         out.append(select.where)
     out.extend(select.group_by)
@@ -209,34 +219,15 @@ def strip_qualifiers(expr: Expr) -> Expr:
     """Rewrite qualified column refs to bare names (for CTE bodies)."""
     if isinstance(expr, ColumnRef):
         return ColumnRef(expr.name) if expr.table is not None else expr
-    if isinstance(expr, And):
-        return And(tuple(strip_qualifiers(c) for c in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(strip_qualifiers(c) for c in expr.children))
-    if isinstance(expr, Not):
-        return Not(strip_qualifiers(expr.child))
-    if isinstance(expr, Comparison):
-        return Comparison(expr.op, strip_qualifiers(expr.left), strip_qualifiers(expr.right))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, strip_qualifiers(expr.left), strip_qualifiers(expr.right))
-    if isinstance(expr, Between):
-        return Between(
-            strip_qualifiers(expr.expr),
-            strip_qualifiers(expr.low),
-            strip_qualifiers(expr.high),
-            expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            strip_qualifiers(expr.expr),
-            tuple(strip_qualifiers(i) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(strip_qualifiers(expr.child))
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, tuple(strip_qualifiers(a) for a in expr.args), expr.distinct)
-    return expr
+    return map_children(expr, strip_qualifiers)
+
+
+def _same(old: Any, new: Any) -> bool:
+    """Is a rebuilt ``Select`` field the field it was built from —
+    the object itself, or a list of the very same members?"""
+    if isinstance(new, list):
+        return all(a is b for a, b in zip(old, new))
+    return old is new
 
 
 class SieveRewriter:
@@ -264,15 +255,21 @@ class SieveRewriter:
         expressions: dict[str, GuardedExpression],
         decisions: dict[str, StrategyDecision],
         denied_tables: set[str] = frozenset(),
+        query_predicates: dict[str, list[Expr]] | None = None,
     ) -> tuple[Query, RewriteInfo]:
         """Produce the rewritten query plus bookkeeping.
 
         ``expressions``/``decisions`` are keyed by lowercase table name;
         ``denied_tables`` are relations the querier has no policies on —
         they rewrite to an empty projection (opt-out semantics).
+        ``query_predicates`` is :func:`query_predicates_for` of each
+        enforced table when the caller already has it (the middleware
+        does: strategy choice costs the same conjuncts).
         """
         with span("rewrite") as sp:
-            rewritten, info = self._rewrite(query, expressions, decisions, denied_tables)
+            rewritten, info = self._rewrite(
+                query, expressions, decisions, denied_tables, query_predicates
+            )
             sp.set(
                 enforced=len(info.enforced_tables), denied=len(info.denied_tables)
             )
@@ -284,6 +281,7 @@ class SieveRewriter:
         expressions: dict[str, GuardedExpression],
         decisions: dict[str, StrategyDecision],
         denied_tables: set[str] = frozenset(),
+        query_predicates: dict[str, list[Expr]] | None = None,
     ) -> tuple[Query, RewriteInfo]:
         info = RewriteInfo(decisions=dict(decisions))
         new_ctes: list[CTE] = []
@@ -298,11 +296,11 @@ class SieveRewriter:
         for table_name, expression in sorted(expressions.items()):
             decision = decisions[table_name]
             cte_name = self._cte_name(table_name)
-            qpreds = query_predicates_for(
-                query,
-                table_name,
-                {c.lower() for c in self.db.catalog.table(table_name).schema.names},
-            )
+            if query_predicates is not None:
+                qpreds = query_predicates[table_name]
+            else:
+                columns = self.db.catalog.table(table_name).schema.names
+                qpreds = query_predicates_for(query, table_name, {c.lower() for c in columns})
             body = self._enforcement_select(table_name, expression, decision, qpreds)
             new_ctes.append(CTE(cte_name, Query(body=body)))
             replacements[table_name.lower()] = cte_name
@@ -311,8 +309,8 @@ class SieveRewriter:
                 expression.guard_key(i) for i in range(len(expression.guards))
             )
 
-        rewritten = self._replace_tables(query, replacements)
-        rewritten.ctes = new_ctes + rewritten.ctes
+        redirected = self._replace_tables(query, replacements)
+        rewritten = Query(body=redirected.body, ctes=new_ctes + redirected.ctes)
         info.rewritten, info.dialect = rewritten, self.dialect
         return rewritten, info
 
@@ -431,29 +429,76 @@ class SieveRewriter:
     # ------------------------------------------------------ table renaming
 
     def _replace_tables(self, query: Query, replacements: dict[str, str]) -> Query:
-        new_query = copy.deepcopy(query)
-        self._replace_in_core(new_query.body, replacements)
-        for cte in new_query.ctes:
-            self._replace_in_core(cte.query.body, replacements)
-        return new_query
+        """``query`` with every reference to a replaced table — in its
+        body, its CTEs and every statement nested under them —
+        redirected to the table's CTE.  Only the spine that changes is
+        rebuilt (``Query`` → ``Select`` → FROM / JOIN item → the
+        ``TableRef``, and an expression only on the way down to a
+        subquery naming a replaced table); every other node is the
+        input's own, which is never touched: expression nodes are
+        immutable and nothing downstream edits a statement node."""
+        ctes = [
+            cte
+            if (sub := self._replace_tables(cte.query, replacements)) is cte.query
+            else CTE(cte.name, sub)
+            for cte in query.ctes
+        ]
+        body = self._replace_in_core(query.body, replacements)
+        if body is query.body and _same(query.ctes, ctes):
+            return query
+        return Query(body=body, ctes=ctes)
 
-    def _replace_in_core(self, core: SelectCore, replacements: dict[str, str]) -> None:
+    def _replace_in_core(self, core: SelectCore, replacements: dict[str, str]) -> SelectCore:
         if isinstance(core, SetOp):
-            self._replace_in_core(core.left, replacements)
-            self._replace_in_core(core.right, replacements)
-            return
-        for item in list(core.from_items) + [j.item for j in core.joins]:
-            if isinstance(item, TableRef):
-                new_name = replacements.get(item.name.lower())
-                if new_name is not None:
-                    if item.alias is None:
-                        item.alias = item.name
-                    item.name = new_name
-                    item.hint = None  # hints moved inside the CTE
-            elif isinstance(item, DerivedTable):
-                self._replace_in_core(item.query.body, replacements)
-        for expr in _exprs_of_select(core):
-            for node in walk(expr):
-                select = getattr(node, "select", None)
-                if select is not None and hasattr(select, "body"):
-                    self._replace_in_core(select.body, replacements)
+            left = self._replace_in_core(core.left, replacements)
+            right = self._replace_in_core(core.right, replacements)
+            if left is core.left and right is core.right:
+                return core
+            return SetOp(core.op, left, right, all=core.all)
+
+        def item_of(item):
+            if isinstance(item, DerivedTable):
+                sub = self._replace_tables(item.query, replacements)
+                return item if sub is item.query else DerivedTable(sub, item.alias)
+            new_name = replacements.get(item.name.lower())
+            if new_name is None:
+                return item
+            # The old name stays visible as the alias; hints moved inside the CTE.
+            return TableRef(new_name, alias=item.alias or item.name)
+
+        def expr_of(expr: Expr | None) -> Expr | None:
+            return None if expr is None else self._replace_in_expr(expr, replacements)
+
+        def join_of(join: JoinClause) -> JoinClause:
+            item, on = item_of(join.item), expr_of(join.condition)
+            return join if item is join.item and on is join.condition else JoinClause(item, on)
+
+        parts = {
+            "from_items": [item_of(item) for item in core.from_items],
+            "joins": [join_of(join) for join in core.joins],
+            "items": [
+                i if (e := expr_of(i.expr)) is i.expr else SelectItem(e, i.alias) for i in core.items
+            ],
+            "where": expr_of(core.where),
+            "group_by": [expr_of(e) for e in core.group_by],
+            "having": expr_of(core.having),
+            "order_by": [
+                o if (e := expr_of(o.expr)) is o.expr else OrderItem(e, o.ascending)
+                for o in core.order_by
+            ],
+        }
+        if all(_same(getattr(core, name), part) for name, part in parts.items()):
+            return core
+        return replace(core, **parts)
+
+    def _replace_in_expr(self, expr: Expr, replacements: dict[str, str]) -> Expr:
+        """``expr`` with the subqueries under it redirected; the same
+        node when none names a replaced table (for the common,
+        subquery-free tree that is one look at its remembered facts)."""
+        if not contains_subquery(expr):
+            return expr
+        if isinstance(expr, (ScalarSubquery, InSubquery)):
+            select = self._replace_tables(expr.select, replacements)
+            if select is not expr.select:
+                expr = replace(expr, select=select)
+        return map_children(expr, lambda child: self._replace_in_expr(child, replacements))

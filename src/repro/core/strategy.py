@@ -23,6 +23,7 @@ and the partition has no derived-value conditions.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -103,10 +104,6 @@ def choose_strategy(
     cpu_pred = personality.cpu_predicate_cost
     cpu_tuple = personality.cpu_tuple_cost
 
-    def _correlation(attr: str) -> float:
-        cstats = stats.column(attr)
-        return cstats.correlation if cstats is not None else 0.0
-
     # Cheap query conjuncts run before the guard disjunction (AND
     # short-circuits), so only the query-predicate-surviving rows pay
     # for guard checks — and those short-circuit too.
@@ -115,33 +112,11 @@ def choose_strategy(
     rows_after_query = full_query_sel * stats.row_count
     guard_or_row_cost = alpha * (n_guards + avg_partition) * cpu_pred
 
-    # Measured-over-estimated: a guard the profiler has observed costs
-    # with its live row count (clamped to the table — an EWMA can
-    # briefly overshoot under churn); unobserved guards keep their
-    # statistics-derived cardinality.
-    guard_rows: list[float] = []
-    measured_guards = 0
-    for i, g in enumerate(expression.guards):
-        observed = cost_model.observed_guard_rows(table_name, expression.guard_key(i))
-        if observed is None:
-            guard_rows.append(g.cardinality)
-        else:
-            guard_rows.append(min(float(stats.row_count), observed))
-            measured_guards += 1
-    sum_guard_rows = sum(guard_rows)
-    guard_pages = sum(
-        expected_pages(
-            rows,
-            stats.page_count,
-            _correlation(g.condition.attr),
-            stats.row_count,
-        )
-        for rows, g in zip(guard_rows, expression.guards)
+    guard_rows, measured_guards, sum_guard_rows, guard_pages, delta_guards = _guard_side(
+        expression, table_name, stats, cost_model
     )
-    cost_index_guards = (
-        guard_pages * personality.random_page_cost
-        + sum_guard_rows
-        * (cpu_tuple + n_conjuncts * cpu_pred + alpha * avg_partition * cpu_pred)
+    cost_index_guards = guard_pages * personality.random_page_cost + sum_guard_rows * (
+        cpu_tuple + n_conjuncts * cpu_pred + alpha * avg_partition * cpu_pred
     )
 
     # EXPLAIN-equivalent: would the optimizer index the query predicate?
@@ -151,11 +126,10 @@ def choose_strategy(
     # scattered IN-list.
     cost_index_query = float("inf")
     best_column: str | None = None
-    planner = Planner(db.catalog, db.stats, personality)
     for conj, conj_sel in zip(query_conjuncts, conjunct_sels):
         if contains_subquery(conj):
             continue
-        spec = planner._sargable(conj)
+        spec = Planner._sargable(conj)
         if spec is None:
             continue
         if db.catalog.index_on_column(table_name, spec.column) is None:
@@ -163,7 +137,7 @@ def choose_strategy(
         rows = conj_sel * stats.row_count
         cost = (
             expected_pages(
-                rows, stats.page_count, _correlation(spec.column), stats.row_count
+                rows, stats.page_count, _correlation(stats, spec.column), stats.row_count
             )
             * personality.random_page_cost
             + rows * (cpu_tuple + (n_conjuncts - 1) * cpu_pred)
@@ -191,16 +165,72 @@ def choose_strategy(
     if cost_linear < best_cost:
         best = Strategy.LINEAR_SCAN
 
-    delta_guards = decide_delta_guards(expression, cost_model)
     return StrategyDecision(
         strategy=best,
         query_index_column=best_column if best is Strategy.INDEX_QUERY else None,
         delta_guards=delta_guards,
         costs=costs,
-        guard_est_rows=tuple(guard_rows),
+        guard_est_rows=guard_rows,
         query_conjuncts=len(query_conjuncts),
         measured_guards=measured_guards,
     )
+
+
+def _correlation(stats, attr: str) -> float:
+    cstats = stats.column(attr)
+    return cstats.correlation if cstats is not None else 0.0
+
+
+def _guard_side(
+    expression: GuardedExpression, table_name: str, stats, cost_model: SieveCostModel
+) -> tuple[tuple[float, ...], int, float, float, frozenset[int]]:
+    """What the costs read of the guards alone — each guard's rows
+    (measured over estimated), how many were measured, their sum, the
+    pages fetching them touches, and the Δ set — none of it the query's.
+
+    The expression remembers the answer with what it was computed from:
+    the ``TableStats`` (weakly — ANALYZE builds a new one) and the cost
+    model (by identity — calibration builds a new one).  Nothing here
+    reads the personality.  A model with a profile attached is never
+    remembered for: an ``observe()`` changes the rows and leaves no
+    trace the expression could check.
+    """
+    known = expression._strategy_memo
+    if (
+        known is not None
+        and known[0]() is stats
+        and known[1] is cost_model
+        and cost_model.profile is None
+    ):
+        return known[2]
+    # Measured-over-estimated: a guard the profiler has observed costs
+    # with its live row count (clamped to the table — an EWMA can
+    # briefly overshoot under churn); unobserved guards keep their
+    # statistics-derived cardinality.
+    guard_rows: list[float] = []
+    measured_guards = 0
+    for i, g in enumerate(expression.guards):
+        observed = cost_model.observed_guard_rows(table_name, expression.guard_key(i))
+        if observed is None:
+            guard_rows.append(g.cardinality)
+        else:
+            guard_rows.append(min(float(stats.row_count), observed))
+            measured_guards += 1
+    guard_pages = sum(
+        expected_pages(
+            rows, stats.page_count, _correlation(stats, g.condition.attr), stats.row_count
+        )
+        for rows, g in zip(guard_rows, expression.guards)
+    )
+    side = (
+        tuple(guard_rows),
+        measured_guards,
+        sum(guard_rows),
+        guard_pages,
+        decide_delta_guards(expression, cost_model),
+    )
+    expression._strategy_memo = (weakref.ref(stats), cost_model, side)
+    return side
 
 
 def decide_delta_guards(

@@ -67,10 +67,14 @@ class Database:
         self.vectorized = vectorized
         self._fn_cache = CompiledExprCache()
         self._udfs: dict[str, Callable[..., Any]] = {}
-        # Bumped on every catalog / UDF-registry change; combined with
-        # the stats version into :attr:`plan_version`, the fingerprint
-        # cached plans are validated against.
-        self.schema_version = 0
+        self._udf_version = 0  # (re-)registrations and drops
+
+    @property
+    def schema_version(self) -> int:
+        """Bumped on every catalog / UDF-registry change.  Table and
+        index DDL is counted by the catalog itself (``catalog.version``),
+        so a change that does not come through this facade counts too."""
+        return self.catalog.version + self._udf_version
 
     @property
     def plan_version(self) -> tuple[int, int]:
@@ -83,21 +87,14 @@ class Database:
     def create_table(
         self, name: str, schema: Schema, page_size: int | None = None
     ) -> HeapTable:
-        table = self.catalog.create_table(
-            name, schema, page_size=page_size or self.page_size
-        )
-        self.schema_version += 1
-        return table
+        return self.catalog.create_table(name, schema, page_size=page_size or self.page_size)
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
         self.stats.invalidate(name)
-        self.schema_version += 1
 
     def create_index(self, table: str, column: str, kind: str = "btree", name: str | None = None):
-        index = self.catalog.create_index(table, column, kind=kind, name=name)
-        self.schema_version += 1
-        return index
+        return self.catalog.create_index(table, column, kind=kind, name=name)
 
     def analyze(self, table: str | None = None) -> None:
         """Rebuild statistics (for one table or all)."""
@@ -135,7 +132,7 @@ class Database:
         # Compiled expressions bind UDF callables at compile time;
         # (re-)registering a name must drop them.
         self._fn_cache.clear()
-        self.schema_version += 1
+        self._udf_version += 1
 
     def has_function(self, name: str) -> bool:
         return name.lower() in self._udfs
@@ -152,7 +149,7 @@ class Database:
     def drop_function(self, name: str) -> None:
         self._udfs.pop(name.lower(), None)
         self._fn_cache.clear()
-        self.schema_version += 1
+        self._udf_version += 1
 
     def release_compiled(self, nodes) -> int:
         """Forget compiled predicates whose expression is one of

@@ -15,7 +15,9 @@ the actual work.  This module replaces it with batch execution:
   materialise.
 * :class:`BatchPredicate` — a filter compiled into conjunct *stages*.
   Plain conjuncts become column-mode codegen kernels (one call filters
-  the whole selection); a policy-style wide OR becomes one fused
+  the whole selection), compiled once per *shape* — the conjunct with
+  its literals lifted out — and handed this conjunct's constants at
+  every call; a policy-style wide OR becomes one fused
   **guard** kernel in which a row tries only the branches that can
   hold for it, and ``counters.policy_evals`` is charged what the
   closure compiler's short-circuit metering would charge — tick for
@@ -50,6 +52,7 @@ from repro.expr.analysis import conjuncts, contains_subquery
 from repro.expr.codegen import CodegenExprCompiler, CodegenUnsupported, is_metered_or
 from repro.expr.eval import RowBinding
 from repro.expr.nodes import Expr
+from repro.expr.params import lift_constants
 from repro.engine.executor import (
     Executor,
     QueryResult,
@@ -234,49 +237,67 @@ class VectorizedExecutor(Executor):
         return stage
 
     def _value_fn(self, expr: Expr, binding: RowBinding) -> Callable[[RowBatch, list], list]:
-        """Batch value computation: ``fn(batch, sel) -> values`` — a
-        column kernel, or the row function over the selected rows where
+        """Batch value computation: ``fn(batch, sel) -> values`` — the
+        column kernel of the expression's shape over this expression's
+        constants, or the row function over the selected rows where
         column mode cannot express the tree (a scalar subquery)."""
+        kernel, consts = self._shape_kernel(expr, binding, "colval")
+        if kernel is None:
+            fn = self._row_fn(expr, binding)
+            return lambda batch, sel: [fn(batch.rows[i]) for i in sel]
+        return lambda batch, sel: kernel(batch.columns(), sel, consts)
 
-        def build() -> Callable[[RowBatch, list], list]:
+    def _shape_kernel(self, expr: Expr, binding: RowBinding, mode: str):
+        """``(kernel, constants)`` for one non-guard expression: the
+        kernel is compiled — and cached — per *shape*, the expression
+        with its literals lifted out, so a binding never seen before
+        costs one structural probe and no ``compile()``.  ``kernel`` is
+        ``None`` where column mode cannot express the tree."""
+        shape, consts = lift_constants(expr)
+
+        def build():
+            codegen = self._compiler(binding)
             try:
-                kernel = self._compiler(binding).compile_batch_values(expr)
+                if mode == "colval":
+                    return codegen.compile_batch_values(shape)
+                return codegen.compile_batch_predicate(shape)
             except (CodegenUnsupported, SyntaxError):
-                fn = self._row_fn(expr, binding)
-                return lambda batch, sel, _fn=fn: [_fn(batch.rows[i]) for i in sel]
+                return None
 
-            def values(batch: RowBatch, sel: list, _k=kernel) -> list:
-                return _k(batch.columns(), sel)
+        return self._cached(shape, binding, mode, build, by_identity=False), consts
 
-            return values
-
-        return self._cached(expr, binding, "colval", build)
-
-    def _cached(self, expr: Expr, binding: RowBinding, mode: str, build: Callable):
+    def _cached(
+        self, expr: Expr, binding: RowBinding, mode: str, build: Callable, by_identity: bool = True
+    ):
         cache = self.fn_cache
         if cache is None:
             return build()
         extra = (binding.cache_key(), mode)
-        fn = cache.lookup(expr, extra, self.counters)
+        fn = cache.lookup(expr, extra, self.counters, by_identity)
         if fn is None:
             fn = build()
-            if not contains_subquery(expr):
-                cache.store(expr, extra, fn)
+            if fn is not None and not contains_subquery(expr):
+                cache.store(expr, extra, fn, by_identity)
         return fn
 
     def _conjunct_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
-        """One conjunct as a stage, from the compiled-expression cache."""
-        return self._cached(conj, binding, "stage", lambda: self._build_stage(conj, binding))
-
-    def _build_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
-        """A metered (policy-style) OR becomes a guard stage: a single
-        fused kernel
+        """One conjunct as a stage.  A metered (policy-style) OR is a
+        guard stage, cached under the node itself: a single fused kernel
         (:meth:`~repro.expr.codegen.CodegenExprCompiler.compile_batch_guard`)
         whose branches are compiled — and cached — one by one, so the
         OR a policy write leaves behind reuses every branch the write
-        did not touch.  Everything else runs as one comprehension
-        kernel, or per row (the generated row function meters a wide OR
-        itself) when column mode can't express it: scalar subqueries."""
+        did not touch.  Everything else runs as the comprehension kernel
+        of its shape, or per row (the generated row function meters a
+        wide OR itself) when column mode can't express it: scalar
+        subqueries."""
+        if is_metered_or(conj, self.counters):
+            return self._cached(conj, binding, "stage", lambda: self._guard_stage(conj, binding))
+        kernel, consts = self._shape_kernel(conj, binding, "stage")
+        if kernel is None:
+            return self._row_stage(conj, binding)
+        return lambda batch, sel: kernel(batch.columns(), sel, consts)
+
+    def _guard_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
         codegen = self._compiler(binding)
 
         def branch(node: Expr) -> Callable:
@@ -285,13 +306,10 @@ class VectorizedExecutor(Executor):
             )
 
         try:
-            if is_metered_or(conj, self.counters):
-                kernel = codegen.compile_batch_guard(conj, branch)
-                return lambda batch, sel, _k=kernel: _k(batch.columns(), sel, batch.rows)
-            kernel = codegen.compile_batch_predicate(conj)
-            return lambda batch, sel, _k=kernel: _k(batch.columns(), sel)
+            kernel = codegen.compile_batch_guard(conj, branch)
         except (CodegenUnsupported, SyntaxError):
             return self._row_stage(conj, binding)
+        return lambda batch, sel: kernel(batch.columns(), sel, batch.rows)
 
     def _batch_pred(self, expr: Expr | None, binding: RowBinding) -> BatchPredicate | None:
         """The filter as a stage per conjunct.  Stages are cached one

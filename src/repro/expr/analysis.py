@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from repro.expr.nodes import (
     And,
@@ -89,6 +89,44 @@ def children(expr: Expr) -> tuple[Expr, ...]:
     if isinstance(expr, InSubquery):
         return (expr.expr,)
     return ()  # Literal, Param, ColumnRef, Star, ScalarSubquery
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` with ``fn`` applied to each direct sub-expression (the
+    ones :func:`children` lists) — the node itself when every child
+    comes back as itself, so untouched subtrees stay shared."""
+    if isinstance(expr, (And, Or)):
+        parts = tuple(map(fn, expr.children))
+        return expr if _same(parts, expr.children) else type(expr)(parts)
+    if isinstance(expr, (Comparison, Arith)):
+        left, right = fn(expr.left), fn(expr.right)
+        if left is expr.left and right is expr.right:
+            return expr
+        return type(expr)(expr.op, left, right)
+    if isinstance(expr, Between):
+        inner, low, high = fn(expr.expr), fn(expr.low), fn(expr.high)
+        if inner is expr.expr and low is expr.low and high is expr.high:
+            return expr
+        return Between(inner, low, high, expr.negated)
+    if isinstance(expr, InList):
+        inner, items = fn(expr.expr), tuple(map(fn, expr.items))
+        if inner is expr.expr and _same(items, expr.items):
+            return expr
+        return InList(inner, items, expr.negated)
+    if isinstance(expr, FuncCall):
+        args = tuple(map(fn, expr.args))
+        return expr if _same(args, expr.args) else FuncCall(expr.name, args, expr.distinct)
+    if isinstance(expr, (Not, IsNull)):
+        child = fn(expr.child)
+        return expr if child is expr.child else type(expr)(child)
+    if isinstance(expr, InSubquery):
+        inner = fn(expr.expr)
+        return expr if inner is expr.expr else InSubquery(inner, expr.select, expr.negated)
+    return expr  # Literal, Param, ColumnRef, Star, ScalarSubquery
+
+
+def _same(new: tuple, old: tuple) -> bool:
+    return all(a is b for a, b in zip(new, old))
 
 
 def walk(expr: Expr) -> Iterator[Expr]:

@@ -21,8 +21,10 @@ Two compilation modes exist:
   metered OR.
 * **column mode** (:meth:`compile_batch_predicate` /
   :meth:`compile_batch_values` / :meth:`compile_batch_guard`) — batch
-  kernels ``fn(columns, selection) -> indices/values`` for the
-  vectorized executor: one call evaluates the expression over a whole
+  kernels ``fn(columns, selection[, constants]) -> indices/values`` for
+  the vectorized executor (``constants`` fills the
+  :class:`~repro.expr.nodes.KernelConst` slots of a *shape*, so one
+  kernel serves every binding): one call evaluates the expression over a whole
   :class:`~repro.engine.vector.RowBatch` via a list comprehension (or,
   for a top-level policy OR, a fused metering kernel in which a row
   *looks up* the guard branches that can hold for it instead of
@@ -35,8 +37,9 @@ Two compilation modes exist:
   executor routes such trees per row.
 
 :class:`CompiledExprCache` is the cross-execution LRU for compiled
-callables (keyed by structural expression equality + binding layout +
-mode); the Database owns one instance so repeated queries
+callables (keyed by structural expression equality — of the shape,
+for a non-guard kernel — + binding layout + mode); the Database owns
+one instance so repeated queries
 stop recompiling identical predicates every run.  Expressions
 containing subqueries are never cached: IN memberships are data
 dependent and scalar subqueries capture executor-local state.
@@ -65,6 +68,7 @@ from repro.expr.nodes import (
     InList,
     InSubquery,
     IsNull,
+    KernelConst,
     Literal,
     Not,
     Or,
@@ -75,8 +79,8 @@ from repro.expr.nodes import (
 
 METERED_OR_WIDTH = ExprCompiler.METERED_OR_WIDTH
 
-BatchPredFn = Callable[[list, list], list]
-BatchValueFn = Callable[[list, list], list]
+BatchPredFn = Callable[..., list]  # (columns, selection[, constants]) -> indices
+BatchValueFn = Callable[..., list]  # (columns, selection[, constants]) -> values
 
 _CMP_OPS: dict[CompareOp, str] = {
     CompareOp.EQ: "==",
@@ -86,6 +90,11 @@ _CMP_OPS: dict[CompareOp, str] = {
     CompareOp.GT: ">",
     CompareOp.GE: ">=",
 }
+
+
+#: What a predicate / value kernel takes: a guard kernel's constants
+#: stay inlined (its dispatch tables are built from them).
+_SHAPE_ARGS = "_cols, _sel, _consts=()"
 
 
 class CodegenUnsupported(Exception):
@@ -179,20 +188,27 @@ class CompiledExprCache:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, expr: Any, extra: tuple, counters: Any = None) -> Callable | None:
+    def lookup(
+        self, expr: Any, extra: tuple, counters: Any = None, by_identity: bool = True
+    ) -> Callable | None:
         """Two-tier get: by expression object id first, then by
-        structural key (registering the id alias on a hit)."""
-        alias = (id(expr), extra)
-        with self._lock:
-            aliased = self._id_alias.get(alias)
-            entry = self._get(aliased[1]) if aliased is not None else None
-            if aliased is not None and entry is None:
-                del self._id_alias[alias]  # evicted under the alias
+        structural key (registering the id alias on a hit).  Kernel
+        *shapes* are looked up with ``by_identity=False`` — structural
+        tier only: a fresh binding's shape is an object nothing will
+        present again, and an alias for it would only be garbage."""
+        entry = None
+        if by_identity:
+            alias = (id(expr), extra)
+            with self._lock:
+                aliased = self._id_alias.get(alias)
+                entry = self._get(aliased[1]) if aliased is not None else None
+                if aliased is not None and entry is None:
+                    del self._id_alias[alias]  # evicted under the alias
         if entry is None:
             probe = _Entry(expr, extra)
             with self._lock:
                 entry = self._get(probe)
-                if entry is not None:
+                if entry is not None and by_identity:
                     self._alias(alias, expr, entry)
         if counters is not None:
             if entry is None:
@@ -209,7 +225,7 @@ class CompiledExprCache:
             self._entries.move_to_end(entry)
         return entry
 
-    def store(self, expr: Any, extra: tuple, fn: Callable) -> None:
+    def store(self, expr: Any, extra: tuple, fn: Callable, by_identity: bool = True) -> None:
         entry = _Entry(expr, extra, fn)
         with self._lock:
             entries = self._entries
@@ -217,13 +233,16 @@ class CompiledExprCache:
             entries[entry] = entry
             while len(entries) > self.capacity:
                 entries.popitem(last=False)
-            self._alias((id(expr), extra), expr, entry)
+            if by_identity:
+                self._alias((id(expr), extra), expr, entry)
 
     def _alias(self, alias: tuple, expr: Any, entry: _Entry) -> None:
-        # An alias costs about a kilobyte (its key, the expression it
-        # keeps alive) and fresh-literal traffic leaves several per
-        # request that nothing looks up again; starting over costs the
-        # live ones one structural probe each.
+        # An alias keeps its expression alive, and those that still
+        # arrive as new objects per request — row functions of a
+        # tuple-mode subtree (a bare LIMIT, a nested-loop join) and the
+        # per-row fallback, compiled per literal — leave one each that
+        # nothing looks up again; starting over costs the live ones
+        # (guard ORs, guard branches) one structural probe each.
         if len(self._id_alias) > self.capacity:
             self._id_alias.clear()
         self._id_alias[alias] = (expr, entry)
@@ -289,6 +308,9 @@ class _Emitter:
         #: Columns a guard kernel's first pass reads (bound in the
         #: prelude like ``used_columns``, never hoisted per row).
         self.probe_columns: set[int] = set()
+        #: How many slots of the kernel's constants vector the tree
+        #: reads (``_q<index>`` locals, unpacked in the prelude).
+        self.n_consts = 0
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -321,13 +343,16 @@ class _Emitter:
         c = self.compiler
         if isinstance(expr, Literal):
             return self.literal(expr.value)
+        if isinstance(expr, KernelConst):
+            self.n_consts = max(self.n_consts, expr.index + 1)
+            return f"_q{expr.index}"
         if isinstance(expr, ColumnRef):
             return self.column(c.binding.resolve(expr))
         if isinstance(expr, Comparison):
             lt, rt = self.fresh("t"), self.fresh("t")
             left, right = self.emit(expr.left), self.emit(expr.right)
             op = _CMP_OPS[expr.op]
-            if isinstance(expr.right, (Literal, ColumnRef)):
+            if isinstance(expr.right, (Literal, KernelConst, ColumnRef)):
                 # Lazy right side: a literal/column evaluation has no
                 # observable effects, so skipping it on a NULL left is
                 # indistinguishable from the closure compiler — and
@@ -357,9 +382,12 @@ class _Emitter:
         if isinstance(expr, InList):
             t = self.fresh("t")
             inner = self.emit(expr.expr)
+            members = None
             if all(isinstance(i, Literal) for i in expr.items):
-                values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
-                members = self.const(values)
+                members = self.const(frozenset(i.value for i in expr.items))  # type: ignore[union-attr]
+            elif len(expr.items) == 1 and isinstance(expr.items[0], KernelConst):
+                members = self.emit(expr.items[0])  # a lifted list: the set arrives whole
+            if members is not None:
                 op = "not in" if expr.negated else "in"
                 return f"(({t} := {inner}) is not None and {t} {op} {members})"
             items = [self.emit(i) for i in expr.items]
@@ -586,7 +614,12 @@ class CodegenExprCompiler:
     # ---------------------------------------------------------- column mode
 
     def compile_batch_predicate(self, expr: Expr) -> BatchPredFn:
-        """``fn(columns, selection) -> passing indices`` (order kept).
+        """``fn(columns, selection, constants=()) -> passing indices``
+        (order kept).  ``expr`` is usually a *shape*
+        (:func:`~repro.expr.params.lift_constants`): its
+        :class:`KernelConst` slots read ``constants``, so one compiled
+        kernel serves every binding of the shape; literals still in the
+        tree are inlined.
 
         Raises :class:`CodegenUnsupported` for trees that must stay on
         the row path (scalar subqueries) — the vectorized executor
@@ -596,13 +629,14 @@ class CodegenExprCompiler:
         """
         emitter = _Emitter(self, "col")
         body = emitter.emit(expr)
-        return self._kernel(emitter, [f"    return [_i for _i in _sel if {body}]"])
+        return self._kernel(emitter, [f"    return [_i for _i in _sel if {body}]"], _SHAPE_ARGS)
 
     def compile_batch_values(self, expr: Expr) -> BatchValueFn:
-        """``fn(columns, selection) -> value list`` (one per index)."""
+        """``fn(columns, selection, constants=()) -> value list`` (one
+        per index); constants as in :meth:`compile_batch_predicate`."""
         emitter = _Emitter(self, "col")
         body = emitter.emit(expr)
-        return self._kernel(emitter, [f"    return [{body} for _i in _sel]"])
+        return self._kernel(emitter, [f"    return [{body} for _i in _sel]"], _SHAPE_ARGS)
 
     def compile_batch_guard(
         self, expr: Or, compiled_branch: Callable[[Expr], RowFn] | None = None
@@ -760,6 +794,9 @@ class CodegenExprCompiler:
             f"    _c{pos} = _cols[{pos}]"
             for pos in sorted(emitter.used_columns | emitter.probe_columns)
         ]
+        if emitter.n_consts:
+            slots = "".join(f"_q{i}, " for i in range(emitter.n_consts))
+            prelude.append(f"    {slots}= _consts")
         inner = [
             "\n".join("    " + line for line in block.split("\n"))
             for block in emitter.inner_defs

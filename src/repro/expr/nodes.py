@@ -86,6 +86,18 @@ class Param(Expr):
 
 
 @dataclass(frozen=True)
+class KernelConst(Expr):
+    """Slot ``index`` of the constants vector a compiled batch kernel
+    is called with.  Exists only in kernel *shapes* — a conjunct with
+    its literals lifted out (:func:`repro.expr.params.lift_constants`),
+    so every binding of one shape shares one compiled kernel.  Not a
+    :class:`Param`: a Param reaching compilation is an unbound
+    parameter and must raise, whatever slots the shape holds."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
     table: str | None = None

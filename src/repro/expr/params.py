@@ -26,9 +26,11 @@ firing across executions.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ParseError
+from repro.expr.analysis import children, map_children
 from repro.expr.nodes import (
     And,
     Arith,
@@ -39,6 +41,7 @@ from repro.expr.nodes import (
     InList,
     InSubquery,
     IsNull,
+    KernelConst,
     Literal,
     Not,
     Or,
@@ -95,35 +98,9 @@ def _walk_expr(expr: Expr):
     """Pre-order traversal descending into subquery bodies (unlike
     :func:`repro.expr.analysis.walk`, params hide anywhere)."""
     yield expr
-    if isinstance(expr, (And, Or)):
-        for child in expr.children:
-            yield from _walk_expr(child)
-    elif isinstance(expr, Not):
-        yield from _walk_expr(expr.child)
-    elif isinstance(expr, Comparison):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, Between):
-        yield from _walk_expr(expr.expr)
-        yield from _walk_expr(expr.low)
-        yield from _walk_expr(expr.high)
-    elif isinstance(expr, InList):
-        yield from _walk_expr(expr.expr)
-        for item in expr.items:
-            yield from _walk_expr(item)
-    elif isinstance(expr, Arith):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from _walk_expr(arg)
-    elif isinstance(expr, IsNull):
-        yield from _walk_expr(expr.child)
-    elif isinstance(expr, ScalarSubquery):
-        for sub in _walk_exprs(expr.select):
-            yield from _walk_expr(sub)
-    elif isinstance(expr, InSubquery):
-        yield from _walk_expr(expr.expr)
+    for child in children(expr):
+        yield from _walk_expr(child)
+    if isinstance(expr, (ScalarSubquery, InSubquery)):
         for sub in _walk_exprs(expr.select):
             yield from _walk_expr(sub)
 
@@ -192,58 +169,11 @@ def bind_expr(expr: Expr, values: Sequence[Any]) -> Expr:
     subtrees with the input."""
     if isinstance(expr, Param):
         return Literal(values[expr.index])
-    if isinstance(expr, (And, Or)):
-        children = tuple(bind_expr(c, values) for c in expr.children)
-        if all(a is b for a, b in zip(children, expr.children)):
-            return expr
-        return type(expr)(children)
-    if isinstance(expr, Not):
-        child = bind_expr(expr.child, values)
-        return expr if child is expr.child else Not(child)
-    if isinstance(expr, Comparison):
-        left = bind_expr(expr.left, values)
-        right = bind_expr(expr.right, values)
-        if left is expr.left and right is expr.right:
-            return expr
-        return Comparison(expr.op, left, right)
-    if isinstance(expr, Between):
-        inner = bind_expr(expr.expr, values)
-        low = bind_expr(expr.low, values)
-        high = bind_expr(expr.high, values)
-        if inner is expr.expr and low is expr.low and high is expr.high:
-            return expr
-        return Between(inner, low, high, negated=expr.negated)
-    if isinstance(expr, InList):
-        inner = bind_expr(expr.expr, values)
-        items = tuple(bind_expr(i, values) for i in expr.items)
-        if inner is expr.expr and all(a is b for a, b in zip(items, expr.items)):
-            return expr
-        return InList(inner, items, negated=expr.negated)
-    if isinstance(expr, Arith):
-        left = bind_expr(expr.left, values)
-        right = bind_expr(expr.right, values)
-        if left is expr.left and right is expr.right:
-            return expr
-        return Arith(expr.op, left, right)
-    if isinstance(expr, FuncCall):
-        args = tuple(bind_expr(a, values) for a in expr.args)
-        if all(a is b for a, b in zip(args, expr.args)):
-            return expr
-        return FuncCall(expr.name, args, distinct=expr.distinct)
-    if isinstance(expr, IsNull):
-        child = bind_expr(expr.child, values)
-        return expr if child is expr.child else IsNull(child)
-    if isinstance(expr, ScalarSubquery):
+    if isinstance(expr, (ScalarSubquery, InSubquery)):
         sub = bind_query(expr.select, values)
-        return expr if sub is expr.select else ScalarSubquery(sub)
-    if isinstance(expr, InSubquery):
-        inner = bind_expr(expr.expr, values)
-        sub = bind_query(expr.select, values)
-        if inner is expr.expr and sub is expr.select:
-            return expr
-        return InSubquery(inner, sub, negated=expr.negated)
-    # Literal, ColumnRef, Star: leaves, never contain Params.
-    return expr
+        if sub is not expr.select:
+            expr = replace(expr, select=sub)
+    return map_children(expr, lambda child: bind_expr(child, values))
 
 
 def bind_query(query: Query, values: Sequence[Any] | Mapping[str, Any] | None = None) -> Query:
@@ -427,6 +357,45 @@ class _Extractor:
             limit=core.limit,
             distinct=core.distinct,
         )
+
+
+class _KernelLifter(_Extractor):
+    """The same extraction aimed at one compiled kernel instead of a
+    statement: slots are :class:`KernelConst` nodes (a surviving Param
+    is still an unbound parameter), subqueries keep their literals
+    (they are planned and run on their own), and an all-literal IN list
+    is one ``frozenset`` slot — the membership test the kernel emits."""
+
+    def _slot(self, value: Any) -> Expr:
+        self.values.append(value)
+        return KernelConst(len(self.values) - 1)
+
+    def predicate(self, expr: Expr) -> Expr:
+        if isinstance(expr, InList) and all(isinstance(i, Literal) for i in expr.items):
+            members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
+            return InList(self.value(expr.expr), (self._slot(members),), negated=expr.negated)
+        if isinstance(expr, (Literal, Arith, FuncCall)):
+            return self.value(expr)
+        return super().predicate(expr)
+
+    def query(self, query: Query) -> Query:
+        return query
+
+
+def lift_constants(expr: Expr) -> tuple[Expr, tuple[Any, ...]]:
+    """``(shape, constants)`` of one filter conjunct or projection
+    value: ``shape`` is ``expr`` with the literals parameterization
+    would extract replaced by :class:`KernelConst` slots, so two
+    expressions that differ only in those literals have equal shapes —
+    the key one compiled kernel is shared under.  The node remembers
+    the answer (it is the node's alone, so it needs no stamp): a cached
+    plan's filter is lifted once, not once per execution."""
+    known = expr.__dict__.get("_lifted")
+    if known is None:
+        lifter = _KernelLifter()
+        known = (lifter.predicate(expr), tuple(lifter.values))
+        object.__setattr__(expr, "_lifted", known)
+    return known
 
 
 def parameterize_query(query: Query) -> tuple[Query, tuple[Any, ...]]:

@@ -21,6 +21,7 @@ active personality honours them, mirroring MySQL vs PostgreSQL.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ from repro.expr.analysis import (
     conjuncts,
     disjuncts,
     make_and,
+    map_children,
 )
 from repro.expr.eval import RowBinding
 from repro.obs.tracing import span
@@ -108,6 +110,12 @@ class _Source:
     table_name: str | None  # base table name, None for derived/CTE
     hint: IndexHint | None
     column_names: list[str]
+
+    def __post_init__(self) -> None:
+        # What resolving a column reference compares against, once per
+        # source instead of once per reference.
+        self.alias_lc = self.alias.lower()
+        self.columns_lc = frozenset(c.lower() for c in self.column_names)
 
 
 @dataclass
@@ -315,15 +323,13 @@ class Planner:
 
     def _resolve_alias(self, ref: ColumnRef, sources: list[_Source]) -> str | None:
         if ref.table is not None:
+            qualifier = ref.table.lower()
             for source in sources:
-                if source.alias.lower() == ref.table.lower():
-                    return source.alias.lower()
+                if source.alias_lc == qualifier:
+                    return qualifier
             return None  # likely a correlated outer reference
-        matches = [
-            s.alias.lower()
-            for s in sources
-            if any(c.lower() == ref.name.lower() for c in s.column_names)
-        ]
+        name = ref.name.lower()
+        matches = [s.alias_lc for s in sources if name in s.columns_lc]
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
@@ -503,6 +509,7 @@ class Planner:
     ) -> tuple[float, PlanNode] | None:
         """A BitmapOr over a top-level OR conjunct, if one qualifies."""
         p = self.personality
+        version = self.catalog.version  # read before any arm derived under it
         best: tuple[float, PlanNode] | None = None
         for conj in pushed:
             if not isinstance(conj, Or):
@@ -511,7 +518,17 @@ class Planner:
             total_sel = 0.0
             feasible = True
             for disjunct in disjuncts(conj):
-                arm = self._best_arm(table_name, disjunct, stats)
+                # A guard branch reaches every plan of its querier as
+                # the same node until a policy write touches that guard,
+                # and its arm depends on the node, the statistics and
+                # which indexes exist: the node remembers it with both
+                # (as ``cardinality._estimate`` does the selectivity).
+                known = disjunct.__dict__.get("_arm")
+                if known is not None and known[0]() is stats and known[1] == version:
+                    arm = known[2]
+                else:
+                    arm = self._best_arm(table_name, disjunct, stats)
+                    object.__setattr__(disjunct, "_arm", (weakref.ref(stats), version, arm))
                 if arm is None:
                     feasible = False
                     break
@@ -564,7 +581,8 @@ class Planner:
                 best = (index.name, spec.column, spec.probes, sel)
         return best
 
-    def _sargable(self, conj: Expr) -> _Sargable | None:
+    @staticmethod
+    def _sargable(conj: Expr) -> _Sargable | None:
         """Extract an index-probe spec from one conjunct, if possible.
 
         Only a column compared with literals qualifies, so the node type
@@ -939,43 +957,4 @@ class Planner:
     def _substitute(self, expr: Expr, subs: dict[Expr, Expr]) -> Expr:
         if expr in subs:
             return subs[expr]
-        if isinstance(expr, And):
-            return And(tuple(self._substitute(c, subs) for c in expr.children))
-        if isinstance(expr, Or):
-            return Or(tuple(self._substitute(c, subs) for c in expr.children))
-        if isinstance(expr, Not):
-            return Not(self._substitute(expr.child, subs))
-        if isinstance(expr, Comparison):
-            return Comparison(
-                expr.op,
-                self._substitute(expr.left, subs),
-                self._substitute(expr.right, subs),
-            )
-        if isinstance(expr, Arith):
-            return Arith(
-                expr.op,
-                self._substitute(expr.left, subs),
-                self._substitute(expr.right, subs),
-            )
-        if isinstance(expr, Between):
-            return Between(
-                self._substitute(expr.expr, subs),
-                self._substitute(expr.low, subs),
-                self._substitute(expr.high, subs),
-                expr.negated,
-            )
-        if isinstance(expr, InList):
-            return InList(
-                self._substitute(expr.expr, subs),
-                tuple(self._substitute(i, subs) for i in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, IsNull):
-            return IsNull(self._substitute(expr.child, subs))
-        if isinstance(expr, FuncCall):
-            return FuncCall(
-                expr.name,
-                tuple(self._substitute(a, subs) for a in expr.args),
-                expr.distinct,
-            )
-        return expr
+        return map_children(expr, lambda child: self._substitute(child, subs))

@@ -23,6 +23,12 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, HeapTable] = {}
         self._indexes: dict[str, dict[str, Index]] = {}  # table -> {index name -> index}
+        #: Bumped by every table / index DDL — through the Database
+        #: facade or not — so whatever was derived from *which tables
+        #: and indexes exist* (a cached plan through
+        #: ``Database.plan_version``, the planner's remembered BitmapOr
+        #: arms) can tell.
+        self.version = 0
 
     # ----------------------------------------------------------------- tables
 
@@ -35,6 +41,7 @@ class Catalog:
         table = HeapTable(name, schema, page_size=page_size)
         self._tables[key] = table
         self._indexes[key] = {}
+        self.version += 1
         return table
 
     def drop_table(self, name: str) -> None:
@@ -43,6 +50,7 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[key]
         del self._indexes[key]
+        self.version += 1
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -80,6 +88,7 @@ class Catalog:
         for rowid, row in table.scan():
             index.insert(row[col_pos], rowid)
         per_table[index_name] = index
+        self.version += 1
         return index
 
     def drop_index(self, table_name: str, index_name: str) -> None:
@@ -87,6 +96,7 @@ class Catalog:
         if not per_table or index_name not in per_table:
             raise CatalogError(f"unknown index {index_name!r} on {table_name!r}")
         del per_table[index_name]
+        self.version += 1
 
     def indexes_on(self, table_name: str) -> list[Index]:
         return list(self._indexes.get(table_name.lower(), {}).values())

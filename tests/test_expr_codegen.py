@@ -37,6 +37,7 @@ from repro.expr.nodes import (
     Not,
     Or,
 )
+from repro.expr.params import lift_constants
 from repro.index.bitmap import RowIdBitmap
 from repro.storage.schema import ColumnType, Schema
 
@@ -587,6 +588,134 @@ def test_is_metered_or_width_contract():
     assert not is_metered_or(three, None)
     assert contains_metered_or(Not(three))
     assert not contains_metered_or(Not(two))
+
+
+# ------------------------------------------------- shape-keyed kernels
+
+
+def conjunct_strategy():
+    """Filter conjuncts the executor compiles per *shape*: comparisons,
+    BETWEEN, IN, IS NULL and arithmetic over typed columns, combined by
+    NOT / AND / OR (ORs up to four wide, so some nest a metered one),
+    with NULL, NaN, bool, float and str constants."""
+
+    def constant(name):
+        return st.sampled_from(FAMILY[name]).map(Literal)
+
+    def value(name):  # a column, or arithmetic over it
+        ref = col(name)
+        if name == "c":
+            return st.just(ref)
+        return st.one_of(
+            st.just(ref),
+            st.builds(Arith, st.sampled_from(["+", "-", "*", "/", "%"]), st.just(ref), constant(name)),
+            st.builds(Arith, st.sampled_from(["+", "*"]), constant(name), st.just(col("d"))),
+        )
+
+    def leaf(name):
+        return st.one_of(
+            st.builds(Comparison, st.sampled_from(list(CompareOp)), value(name), constant(name)),
+            st.builds(Comparison, st.sampled_from(list(CompareOp)), constant(name), value(name)),
+            st.builds(Between, value(name), constant(name), constant(name), st.booleans()),
+            st.builds(
+                lambda e, ks, n: InList(e, tuple(ks), n),
+                value(name),
+                st.lists(constant(name), min_size=1, max_size=4),
+                st.booleans(),
+            ),
+            st.builds(IsNull, value(name)),
+            st.just(Comparison(CompareOp.LT, col("a"), col("b"))),
+        )
+
+    leaves = st.sampled_from(COLUMNS).flatmap(leaf)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.lists(inner, min_size=2, max_size=3).map(lambda xs: And(tuple(xs))),
+            st.lists(inner, min_size=2, max_size=4).map(lambda xs: Or(tuple(xs))),
+        ),
+        max_leaves=8,
+    )
+
+
+def typed_rows(seed: int, n: int = 40) -> list[tuple]:
+    rng = random.Random(seed)
+    return [tuple(rng.choice(FAMILY[name]) for name in COLUMNS) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(conj=conjunct_strategy(), seed=st.integers(0, 30))
+def test_shape_kernel_equals_literal_kernel_and_row_mode(conj, seed):
+    """The kernel compiled from a conjunct's shape, applied to the
+    conjunct's constants, keeps the indices — and charges the
+    ``policy_evals`` — of the kernel compiled from the literal conjunct
+    (what the parent cached per binding) and of the row function."""
+    binding = make_binding()
+    rows = typed_rows(seed)
+    cols, sel = list(zip(*rows)), list(range(len(rows)))
+    shape, consts = lift_constants(conj)
+
+    def observe(run):
+        counters = CounterSet()
+        try:
+            return run(CodegenExprCompiler(binding, counters=counters)), counters.policy_evals
+        except TypeError as exc:  # an ordering across types, on the row that meets it
+            return type(exc).__name__, None
+
+    def by_row(compiler):
+        fn = compiler.compile(conj)
+        return [i for i in sel if fn(rows[i])]
+
+    literal = observe(lambda compiler: compiler.compile_batch_predicate(conj)(cols, sel))
+    shaped = observe(lambda compiler: compiler.compile_batch_predicate(shape)(cols, sel, consts))
+    assert shaped == literal == observe(by_row)
+    values = observe(lambda compiler: compiler.compile_batch_values(conj)(cols, sel))
+    assert observe(lambda compiler: compiler.compile_batch_values(shape)(cols, sel, consts)) == values
+
+
+def test_one_cache_entry_per_conjunct_shape():
+    """Conjuncts that differ only in their constants run one compiled
+    kernel; IN lists of different lengths (NULL members, negation) each
+    keep their own answer; another operator is another shape; and an
+    unbound parameter beside a literal still refuses to run."""
+    from repro.common.errors import ExecutionError
+    from repro.db.database import connect
+    from repro.sql.parser import parse_query
+
+    db = connect("postgres", page_size=16)
+    from repro.storage.schema import Column
+
+    db.create_table("t", Schema([Column("a", ColumnType.INT), Column("b", ColumnType.INT, nullable=True)]))
+    rows = [(i % 7, None if i % 5 == 0 else i % 3) for i in range(60)]
+    db.insert("t", rows)
+    db.analyze()
+    cache = db._fn_cache
+
+    def run(where, keep):
+        got = db.execute(f"SELECT a, b FROM t WHERE {where}").rows
+        assert sorted(got, key=repr) == sorted(filter(keep, rows), key=repr), where
+
+    run("a BETWEEN 1 AND 3 AND b IN (0, 1)", lambda r: 1 <= r[0] <= 3 and r[1] in (0, 1))
+    held = len(cache)
+    compiles = []
+    real_exec = CodegenExprCompiler._exec
+    CodegenExprCompiler._exec = staticmethod(lambda src, env: compiles.append(src) or real_exec(src, env))
+    try:
+        run("a BETWEEN 2 AND 6 AND b IN (2, 1)", lambda r: 2 <= r[0] <= 6 and r[1] in (1, 2))
+        run("a BETWEEN 0 AND 0 AND b IN (2)", lambda r: r[0] == 0 and r[1] == 2)
+        run("a BETWEEN 0 AND 9 AND b IN (0, 1, 2, NULL)", lambda r: r[1] is not None)
+        assert compiles == [] and len(cache) == held
+        run("a BETWEEN 0 AND 9 AND b NOT IN (0, NULL)", lambda r: r[1] in (1, 2))
+        run("a < 3", lambda r: r[0] < 3)
+        run("a <= 3", lambda r: r[0] <= 3)
+        assert len(compiles) == 3 and len(cache) == held + 3
+        with pytest.raises(ExecutionError, match="unbound parameter"):
+            db.execute(parse_query("SELECT a FROM t WHERE a = 5 OR b = ?"))
+        assert len(cache) == held + 3
+    finally:
+        CodegenExprCompiler._exec = staticmethod(real_exec)
+    assert not cache._id_alias  # no binding above was seen twice: nothing aliased
 
 
 # ----------------------------------------------------------- fn cache

@@ -25,6 +25,7 @@ oracle, SQLite backend), and at every moment of a policy churn
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import random
 import sys
 import threading
@@ -546,8 +547,8 @@ def test_fresh_literals_compile_no_guard_kernel(monkeypatch):
         prepared.execute([lo, lo + rng.randrange(1, 400), rng.randrange(0, 60)])
     assert guard_kernels == []
     assert guard_sized() == held
-    # What a binding may add is its own literal conjuncts' small kernels.
-    assert len(cache) <= before + fresh * FRESH_CONJUNCTS
+    # A binding adds nothing: its conjuncts run the kernels of their shapes.
+    assert len(cache) == before
 
 
 def _fresh_request_work(monkeypatch, n_policies):
@@ -593,10 +594,66 @@ def test_fresh_request_analysis_is_query_sized(monkeypatch):
         steps, lookups, guard_or = _fresh_request_work(monkeypatch, n_policies)
         assert steps <= per_node * query_nodes, (n_policies, steps)
         # Two per query conjunct (strategy choice, access path); the
-        # BitmapOr candidate costs one arm per guard — per guard, not
-        # per policy: each sargable conjunct of a guard branch once.
-        arm_parts = sum(len(analysis.conjuncts(branch)) for branch in guard_or.children)
-        assert lookups <= 2 * FRESH_CONJUNCTS + arm_parts, (n_policies, lookups)
+        # BitmapOr arms are remembered on the guard's branches.
+        assert guard_or is not None
+        assert lookups <= 2 * FRESH_CONJUNCTS, (n_policies, lookups)
+
+
+def _miss_path_work(monkeypatch, n_policies, fresh=200):
+    """What ``fresh`` never-seen bindings of one shape cost beyond their
+    own literals, after one warm-up binding: a count per kind of work."""
+    import copy
+
+    from repro.core import strategy as strategy_module
+    from repro.optimizer import planner as planner_module
+
+    db, _rows, _policies, sieve = wifi_world(n_policies)
+    prepared = sieve.prepare(FRESH_SHAPE, "prof", "analytics")
+    prepared.execute([100, 400, 3])
+    counts = {"compile": 0, "best_arm": 0, "expected_pages": 0, "histogram": 0, "deepcopy": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    cache_before, aliases_before = len(db._fn_cache), len(db._fn_cache._id_alias)
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "compile", counting("compile", builtins.compile))
+        patch.setattr(
+            planner_module.Planner, "_best_arm", counting("best_arm", planner_module.Planner._best_arm)
+        )
+        for module in (planner_module, strategy_module):
+            patch.setattr(module, "expected_pages", counting("expected_pages", module.expected_pages))
+        for name in ("selectivity_eq", "selectivity_range", "selectivity_in"):
+            patch.setattr(ColumnStats, name, counting("histogram", getattr(ColumnStats, name)))
+        patch.setattr(copy, "deepcopy", counting("deepcopy", copy.deepcopy))
+        rng = random.Random(9)
+        for _ in range(fresh):
+            lo = rng.randrange(0, 1000)
+            prepared.execute([lo, lo + rng.randrange(1, 400), rng.randrange(0, 60)])
+    counts["cache_growth"] = len(db._fn_cache) - cache_before
+    counts["alias_growth"] = len(db._fn_cache._id_alias) - aliases_before
+    return counts
+
+
+def test_miss_path_work_is_the_literals_own(monkeypatch):
+    """Over 200 fresh bindings nothing guard-sized, copy-sized or
+    ``compile()``-sized is done, and a querier with eight times the
+    policies does exactly the same work: no ``compile()``, no cache
+    entry or id-alias, no BitmapOr arm derived, no ``deepcopy``; page estimates and
+    histogram look-ups only for the query's own conjuncts — each once in
+    strategy choice and once in access-path choice."""
+    fresh = 200
+    small = _miss_path_work(monkeypatch, 50, fresh)
+    for kind in ("compile", "cache_growth", "alias_growth", "best_arm", "deepcopy"):
+        assert small[kind] == 0, (kind, small)
+    assert 0 < small["expected_pages"] <= 2 * FRESH_CONJUNCTS * fresh  # both conjuncts are sargable
+    assert 0 < small["histogram"] <= 2 * FRESH_CONJUNCTS * fresh
+    assert _miss_path_work(monkeypatch, 400, fresh) == small
+
 
 
 def test_analyze_between_requests_reestimates_the_guard():
@@ -658,6 +715,149 @@ def test_fresh_literal_hammer_matches_the_oracle():
     finally:
         sys.setswitchinterval(old_interval)
     assert failures == []
+
+
+# ------------------------------------------------- one test per stamp
+#
+# Strategy terms are remembered on the guarded expression, BitmapOr arms
+# and selectivities on the guard's branch nodes — each with a stamp for
+# what it was computed from besides the node.  Between two fresh
+# bindings of one shape the world changes under the long-lived Sieve;
+# its next request must plan, decide and answer exactly as a Sieve built
+# at that moment on the same database and corpus — one that holds the
+# same guards (selection is not what is under test: new indexes or
+# statistics would legitimately select others) as brand-new objects, so
+# nothing of it has been planned or costed before.  Each test fails if
+# the stamp it names is no longer checked.
+
+
+def _observe_request(db, prepared, values):
+    """(plan shape, decisions, rows) of one execution: the plan it built."""
+    plans = []
+    real_plan = db.plan
+    db.plan = lambda query: plans.append(real_plan(query)) or plans[-1]
+    try:
+        execution = prepared.execute_with_info(values)
+    finally:
+        del db.plan
+    decisions = {
+        table: (d.strategy, d.query_index_column, d.delta_guards, d.costs,
+                d.guard_est_rows, d.measured_guards)
+        for table, d in execution.rewrite.decisions.items()
+    }
+    (planned,) = plans
+    return _plan_shape(planned), decisions, sorted(execution.result.rows)
+
+
+def _assert_as_if_built_now(monkeypatch, db, sieve, values, rows, policies):
+    """The long-lived ``sieve``'s request on never-seen ``values``
+    equals a new Sieve's over copies of the same guards, and the
+    row-by-row oracle's."""
+    from repro.core import middleware as middleware_module
+
+    long_lived = _observe_request(db, sieve.prepare(FRESH_SHAPE, "prof", "analytics"), values)
+    held = sieve.guard_store.peek("prof", "analytics", "wifi")
+    copied = dataclasses.replace(held, guards=[dataclasses.replace(g) for g in held.guards])
+    with monkeypatch.context() as patch:
+        patch.setattr(middleware_module, "build_guarded_expression", lambda *a, **k: copied)
+        twin = Sieve(db, sieve.policy_store, cost_model=sieve.cost_model)
+        built_now = _observe_request(db, twin.prepare(FRESH_SHAPE, "prof", "analytics"), values)
+    assert long_lived == built_now
+    lo, hi, day = values
+    allowed = brute_force_allowed(rows, policies, WIFI_COLUMNS)
+    assert long_lived[2] == sorted((r[0],) for r in allowed if lo <= r[3] <= hi and r[4] >= day)
+    return long_lived
+
+
+def _stale_world(n_policies=100):
+    db, rows, policies, sieve = wifi_world(n_policies)
+    sieve.prepare(FRESH_SHAPE, "prof", "analytics").execute([100, 400, 3])  # memos fill
+    return db, rows, policies, sieve
+
+
+def test_dropping_and_creating_a_guard_index_rederives_the_arms(monkeypatch):
+    """Stamp: the catalog's version on a branch's remembered arm."""
+    db, rows, policies, sieve = _stale_world(20)  # few guards: the BitmapOr is the plan chosen
+    plan, _d, _r = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 420, 4], rows, policies)
+    assert "BitmapOr" in repr(plan)
+    warm = sieve.prepare(FRESH_SHAPE, "prof", "analytics")
+    db.catalog.drop_index("wifi", "idx_wifi_owner")  # not through the facade: the catalog counts it
+    assert warm.execute([150, 420, 4]).rows  # the cached plan named the index: planned again
+    plan, _d, _r = _assert_as_if_built_now(monkeypatch, db, sieve, [160, 430, 5], rows, policies)
+    assert "idx_wifi_owner" not in repr(plan)
+    db.create_index("wifi", "owner")
+    plan, _d, _r = _assert_as_if_built_now(monkeypatch, db, sieve, [170, 440, 6], rows, policies)
+    assert "idx_wifi_owner" in repr(plan)
+
+
+def test_analyze_restamps_strategy_terms_and_arms(monkeypatch):
+    """Stamp: the ``TableStats`` weak reference (on both memos)."""
+    db, rows, policies, sieve = _stale_world(20)  # the BitmapOr is chosen: its arms' figures show
+    before = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 420, 4], rows, policies)
+    assert "BitmapOr" in repr(before[0])
+    owner = policies[0].owner  # skew the table towards one guard, within the staleness ratio
+    extra = [(10_000 + i, 1, owner, 700, 30) for i in range(600)]
+    db.insert("wifi", extra)
+    db.analyze()
+    after = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 421, 4], rows + extra, policies)
+    assert after[1]["wifi"][3] != before[1]["wifi"][3]  # the costs moved with the statistics
+
+
+def test_an_observation_is_never_served_a_remembered_figure(monkeypatch):
+    """Stamp: no strategy memo while the cost model holds a profile."""
+    db, rows, policies, sieve = _stale_world()
+    before = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 420, 4], rows, policies)
+    expression = sieve.guard_store.peek("prof", "analytics", "wifi")
+    for i in range(len(expression.guards)):
+        sieve.cost_model.observe("wifi", expression.guard_key(i), 0.0)
+    after = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 421, 4], rows, policies)
+    assert after[1]["wifi"][5] == len(expression.guards)  # every guard costed as measured
+    assert after[1]["wifi"][0] != before[1]["wifi"][0]  # and the strategy flipped
+    for _ in range(8):  # the moving average climbs back
+        sieve.cost_model.observe("wifi", expression.guard_key(0), 4000.0)
+    again = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 422, 4], rows, policies)
+    assert again[1]["wifi"][3] != after[1]["wifi"][3]
+
+
+def test_a_new_cost_model_recomputes_the_delta_set(monkeypatch):
+    """Stamp: the cost model's identity."""
+    db, rows, policies, sieve = _stale_world(400)
+    before = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 420, 4], rows, policies)
+    sieve.cost_model = SieveCostModel(udf_invocation=0.0, udf_per_policy=0.0)  # Δ always wins
+    after = _assert_as_if_built_now(monkeypatch, db, sieve, [150, 421, 4], rows, policies)
+    assert after[1]["wifi"][2] and after[1]["wifi"][2] != before[1]["wifi"][2]
+
+
+def test_a_policy_write_rederives_one_arm(monkeypatch):
+    """Maintenance shares every guard a write did not touch — branch
+    node, remembered arm and all: the request after an insert (and
+    after the delete that undoes it) derives exactly one arm."""
+    from repro.optimizer.planner import Planner
+
+    db, rows, policies, sieve = _stale_world()
+    store = sieve.policy_store
+    derived = []
+    real = Planner._best_arm
+    monkeypatch.setattr(
+        Planner, "_best_arm", lambda self, *a: derived.append(a[1]) or real(self, *a)
+    )
+    prepared = sieve.prepare(FRESH_SHAPE, "prof", "analytics")
+    prepared.execute([150, 420, 4])
+    assert derived == []
+    written = store.insert(
+        Policy(
+            owner=7, querier="prof", purpose="analytics", table="wifi",
+            object_conditions=(ObjectCondition("owner", "=", 7), ObjectCondition("ts_date", "=", 12)),
+        )
+    )
+    execution = prepared.execute_with_info([151, 420, 4])
+    assert execution.regenerated_tables == [] and len(derived) == 1
+    del derived[:]
+    store.delete(written.id)
+    execution = prepared.execute_with_info([152, 420, 4])
+    assert execution.regenerated_tables == [] and len(derived) == 1
+    monkeypatch.undo()
+    _assert_as_if_built_now(monkeypatch, db, sieve, [153, 420, 4], rows, policies)
 
 
 def test_session_refresh_drops_plan_entries():

@@ -168,3 +168,102 @@ class TestRewriteStructure:
         before = str(original)
         self.sieve.rewrite(original, "prof", "analytics")
         assert str(original) == before
+
+
+# ------------------------------------------------- sharing, not copying
+
+#: One statement per place a table reference can hide.
+NESTED_SHAPES = (
+    "SELECT a.id FROM wifi AS a JOIN wifi AS b ON a.id = b.id WHERE a.ts_date >= 3",
+    "SELECT x.id FROM (SELECT id, owner FROM wifi WHERE ts_date > 3) AS x WHERE x.owner > 3",
+    "SELECT id FROM plain WHERE id IN (SELECT id FROM wifi WHERE ts_date = 3)",
+    "SELECT id FROM wifi WHERE ts_date = 3 UNION SELECT id FROM wifi WHERE ts_date = 4",
+    "WITH recent AS (SELECT id, owner FROM wifi WHERE ts_date >= 3) SELECT id FROM recent",
+    "SELECT id FROM plain AS p JOIN plain AS q ON p.id = q.id AND p.id IN (SELECT id FROM wifi)",
+    "SELECT id FROM (WITH v AS (SELECT id FROM wifi) SELECT id FROM v) AS d",
+)
+
+
+class TestRewriteShares:
+    def setup_method(self):
+        from repro.storage.schema import ColumnType, Schema
+
+        TestRewriteStructure.setup_method(self)
+        self.db.create_table("plain", Schema.of(("id", ColumnType.INT),))
+        self.db.insert("plain", [(i,) for i in range(20)])
+
+    @pytest.mark.parametrize("sql", NESTED_SHAPES)
+    def test_input_untouched_and_every_reference_redirected(self, sql):
+        """The rewrite shares the input's nodes instead of copying them:
+        the input prints as before, rewriting twice prints the same
+        text, and no statement nested anywhere reads ``wifi`` itself —
+        a subquery in a JOIN's ON clause and a WITH inside a derived
+        table included (the parent left both reading the bare table)."""
+        original = parse_query(sql)
+        before = str(original)
+        first = self.sieve._prepare(original, "prof", "analytics")[0].rewrite
+        again = self.sieve._prepare(original, "prof", "analytics")[0].rewrite
+        assert str(original) == before
+        assert first.sql == again.sql
+        body = first.sql[first.sql.index("wifi_sieve AS (") :]
+        body = body[body.index(") ") :]  # past the enforcement CTE itself
+        assert "wifi_sieve" in body
+        assert "FROM wifi " not in body + " " and "JOIN wifi " not in body + " "
+
+    def test_untouched_nodes_are_the_inputs_own(self):
+        """Only the spine down to a replaced reference is rebuilt."""
+        original = parse_query(
+            "SELECT id FROM wifi WHERE ts_date = 3 AND id IN (SELECT id FROM plain) "
+            "AND owner IN (SELECT owner FROM wifi) ORDER BY id"
+        )
+        rewritten = self.sieve.rewrite(original, "prof", "analytics")
+        assert rewritten.body is not original.body
+        assert rewritten.body.items[0] is original.body.items[0]
+        assert rewritten.body.order_by[0] is original.body.order_by[0]
+        date, plain_in, wifi_in = original.body.where.children
+        new_date, new_plain_in, new_wifi_in = rewritten.body.where.children
+        assert new_date is date and new_plain_in is plain_in  # nothing replaced under them
+        assert new_wifi_in is not wifi_in and new_wifi_in.expr is wifi_in.expr
+        assert new_wifi_in.select.body.from_items[0].name == "wifi_sieve"
+
+    def test_guard_or_in_the_cte_is_the_expressions_node(self):
+        execution, rewritten = self.sieve._prepare(
+            "SELECT * FROM wifi WHERE ts_date = 3", "prof", "analytics"
+        )
+        expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")
+        decision = execution.rewrite.decisions["wifi"]
+        guard_or = expression.to_expr(
+            delta_guards=decision.delta_guards,
+            delta_udf="sieve_delta",
+            delta_columns=self.db.catalog.table("wifi").schema.names,
+        )
+        where = rewritten.ctes[0].query.body.where
+        assert any(part is guard_or for part in where.children)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT p.id FROM plain AS p JOIN plain AS q ON p.id = q.id AND p.id IN (SELECT id FROM wifi)",
+            "SELECT id FROM (WITH v AS (SELECT id FROM wifi) SELECT id FROM v) AS d",
+        ],
+    )
+    def test_hidden_references_are_enforced_on_a_backend(self, sql):
+        """A querier no policy admits reads nothing through a subquery
+        in an ON clause or a WITH nested in a derived table (SQLite runs
+        the text; the bundled planner refuses both shapes)."""
+        from repro.backend import SqliteBackend
+
+        sieve = Sieve(self.db, self.store, backend=SqliteBackend().ship(self.db))
+        assert sieve.execute(sql, "nobody", "analytics").rows == []
+        assert "wifi_sieve" in sieve.rewritten_sql(sql, "nobody", "analytics")
+
+    def test_on_clause_subquery_is_never_served_unrewritten(self):
+        """The bundled engine plans a subquery without the statement's
+        CTEs, so a protected table under one ends in a refusal (as it
+        does in WHERE) — the parent served it the bare table instead."""
+        from repro.common.errors import CatalogError
+
+        sql = "SELECT p.id FROM plain AS p JOIN plain AS q ON p.id = q.id AND p.id IN (SELECT id FROM wifi)"
+        for querier in ("nobody", "prof"):
+            with pytest.raises(CatalogError, match="wifi_sieve"):
+                self.sieve.execute(sql, querier, "analytics")

@@ -5,14 +5,19 @@ queriers x 150 policies) through the public API and drives the serving
 tier's prepared path — parse, auto-parameterize, ``Sieve.prepare`` once
 per (querier, shape), ``PreparedQuery.execute`` per request: what
 ``SieveServer`` does with a repeated shape — single-threaded under
-``cProfile``.  Prints the mean request time, the time spent inside each
-``src/repro/<layer>`` (own time of its functions, so the column adds up)
-and the top functions by cumulative time.
+``cProfile``.  Prints the median request time timed plainly, then the
+mean under the profiler, the time spent inside each ``src/repro/<layer>``
+(own time of its functions, so the column adds up) and the top functions
+by cumulative time.  In ``fresh`` mode it also prints the miss-path
+split, timed without the profiler — bind / strategy / rewrite / plan /
+what a plan's first execution costs beyond a repeat — and the
+``compile()`` calls per request.
 
 Modes (the canonical benchmark's workloads, one thread, no queue):
 
-* ``fresh`` — every request binds never-seen literals: plan-cache miss,
-  so strategy choice, rewrite and planning run per request;
+* ``fresh`` — every request binds never-seen literals (each pass its
+  own): plan-cache miss, so strategy choice, rewrite and planning run
+  per request;
 * ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
@@ -165,6 +170,68 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
     )
 
 
+def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
+    """Where a plan-cache miss spends its time, stage by stage: run
+    ``requests`` (fresh literals) once with a plain timer around each
+    stage of ``_prepared_execute.build`` — no cProfile — and re-run
+    every plan once more, so what the *first* execution of a plan costs
+    beyond a repeat (kernel compilation) shows; plus ``compile()``
+    calls per request.  Medians over the requests."""
+    import builtins
+
+    from repro.core import middleware
+
+    taken: dict[str, list[float]] = defaultdict(list)
+    compiles = [0]
+
+    def stage(name: str, fn: Callable) -> Callable:
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                taken[name].append((time.perf_counter() - start) * 1000.0)
+
+        return run
+
+    db, rewriter = world.mall.db, world.sieve.rewriter
+    run_plan = db.run_plan
+
+    def run_twice(planned):
+        result = stage("first execution", run_plan)(planned)
+        stage("repeat execution", run_plan)(planned)
+        return result
+
+    def counting_compile(*args, **kwargs):
+        compiles[0] += 1
+        return real_compile(*args, **kwargs)
+
+    real_compile = builtins.compile
+    saved = (middleware.bind_query, middleware.choose_strategy)
+    middleware.bind_query = stage("bind", saved[0])
+    middleware.choose_strategy = stage("strategy", saved[1])
+    rewriter.rewrite = stage("rewrite", rewriter.rewrite)
+    db.plan, db.run_plan = stage("plan", db.plan), run_twice
+    builtins.compile = counting_compile
+    try:
+        for _kind, request in requests:
+            request()
+    finally:
+        builtins.compile = real_compile
+        middleware.bind_query, middleware.choose_strategy = saved
+        del rewriter.rewrite, db.plan, db.run_plan
+    med = {name: statistics.median(times) for name, times in taken.items()}
+    first_cost = med["first execution"] - med["repeat execution"]
+    parts = [f"{name} {med[name]:.3f}" for name in ("bind", "strategy", "rewrite", "plan")]
+    return (
+        "miss path, medians in ms, timed without cProfile: "
+        + ", ".join(parts)
+        + f", first execution - repeat of the same plan {first_cost:.3f}"
+        f" ({med['first execution']:.3f} - {med['repeat execution']:.3f});"
+        f" compile() calls per request {compiles[0] / len(requests):.2f}"
+    )
+
+
 def layer_of(filename: str) -> str:
     marker = "/src/repro/"
     at = filename.find(marker)
@@ -219,6 +286,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     requests = make_requests(world, args.mode, n, args.seed)
     print(f"mode={args.mode} seed={args.seed}")
     print(timed(requests))
+    if args.mode == "fresh":
+        # Literals are fresh once: each further pass binds its own.
+        print(miss_path_split(world, make_requests(world, "fresh", n, args.seed + 1)))
+        requests = make_requests(world, "fresh", n, args.seed + 2)
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
