@@ -40,10 +40,10 @@ them has been revoked.
 
 Without a backend, the rewrite runs on the bundled engine's
 vectorized batch executor (:mod:`repro.engine.vector`) — the
-database's default mode — falling back tuple-at-a-time per plan
-subtree where batching does not apply; ``SieveExecution.engine``
-records the serving tier/mode.  Pass ``backend=`` (a
-:class:`repro.backend.Backend`, e.g. ``SqliteBackend().ship(db)``) to
+database's default mode, a batch operator for every plan node;
+``SieveExecution.engine`` records the serving tier/mode.  Pass
+``backend=`` (a :class:`repro.backend.Backend`, e.g.
+``SqliteBackend().ship(db)``) to
 execute the rewritten queries on a real DBMS instead — the rewrite is
 printed in the backend's SQL dialect and shipped there, mirroring how
 the paper's Experiments 4-5 run Sieve's output on actual
@@ -139,9 +139,8 @@ class SieveExecution:
     execution_ms: float = 0.0
     #: Which execution tier served the query: ``"backend"`` (external
     #: DBMS) or the bundled engine's configured mode — ``"vectorized"``
-    #: / ``"tuple"``.  For the bundled engine this reports the
-    #: database-wide mode; individual plan subtrees may still have run
-    #: tuple-at-a-time via the per-node fallback rules.
+    #: / ``"tuple"`` (the differential oracle); a plan runs wholly in
+    #: one of them.
     engine: str = ""
     #: The policy epoch this request planned against — the epoch of the
     #: :class:`~repro.policy.store.PolicySnapshot` taken at admission

@@ -156,49 +156,6 @@ class CounterSet:
     audit_flushes: int = 0
     weights: CostWeights = field(default_factory=CostWeights)
 
-    _COUNTER_NAMES = (
-        "pages_sequential",
-        "pages_random",
-        "pages_bitmap",
-        "tuples_scanned",
-        "tuples_output",
-        "predicate_evals",
-        "policy_evals",
-        "index_node_visits",
-        "udf_invocations",
-        "udf_policy_evals",
-        "guard_cache_hits",
-        "guard_cache_misses",
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "batches",
-        "expr_cache_hits",
-        "expr_cache_misses",
-        "backend_queries",
-        "backend_rows",
-        "service_requests",
-        "service_batches",
-        "service_rejections",
-        "service_failures",
-        "service_queue_wait_us",
-        "service_exec_us",
-        "cluster_requests",
-        "cluster_unavailable",
-        "cluster_policy_writes",
-        "cluster_policy_fanout",
-        "cluster_rebalance_moves",
-        "service_deadline_timeouts",
-        "cluster_retries",
-        "cluster_hedges",
-        "cluster_hedge_wins",
-        "cluster_deadline_timeouts",
-        "cluster_scatter_aborts",
-        "cluster_shard_rebuilds",
-        "faults_injected",
-        "audit_records",
-        "audit_flushes",
-    )
-
     def reset(self) -> None:
         for name in self._COUNTER_NAMES:
             setattr(self, name, 0)
@@ -241,3 +198,10 @@ class CounterSet:
         parts = [f"{name}={getattr(self, name)}" for name in self._COUNTER_NAMES]
         parts.append(f"cost_units={self.cost_units:.2f}")
         return "CounterSet(" + ", ".join(parts) + ")"
+
+
+#: The counters: every ``int`` field, in declaration order — what
+#: ``reset`` / ``snapshot`` / ``diff`` and the metrics registry
+#: (:func:`repro.obs.metrics.register_counterset`) iterate, so declaring
+#: a field above is the whole of adding a counter.
+CounterSet._COUNTER_NAMES = tuple(f.name for f in fields(CounterSet) if f.type == "int")

@@ -59,11 +59,11 @@ class Database:
         self.catalog = Catalog()
         self.stats = StatsCatalog()
         self.counters = CounterSet()
-        # The product is the batch executor running generated code
-        # (exotic nodes fall back per subtree to the tuple executor,
-        # still on generated row functions).  ``vectorized=False`` is
-        # the differential oracle: the tuple-at-a-time executor over
-        # closure trees, sharing no compiled code with the product.
+        # The product is the batch executor running generated code: a
+        # batch operator per plan node, no other executor beneath it.
+        # ``vectorized=False`` is the differential oracle: the
+        # tuple-at-a-time executor over closure trees, sharing no
+        # compiled code with the product.
         self.vectorized = vectorized
         self._fn_cache = CompiledExprCache()
         self._udfs: dict[str, Callable[..., Any]] = {}
@@ -286,11 +286,8 @@ class Database:
             return summary(len(updates))
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
-    def _plan_subquery(self, query_ast: Any) -> PlanNode:
-        planned = self._planner().plan(query_ast)
-        if planned.cte_plans:
-            raise ExecutionError("WITH inside scalar subqueries is not supported")
-        return planned.root
+    def _plan_subquery(self, query_ast: Query, cte_plans: dict[str, PlanNode]) -> PlanNode:
+        return self._planner().plan_subquery(query_ast, cte_plans)
 
     # -------------------------------------------------------------- explain
 

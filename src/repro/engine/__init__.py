@@ -20,11 +20,9 @@ from repro.engine.plans import (
     IndexProbe,
 )
 from repro.engine.executor import Executor, QueryResult
-from repro.engine.plans import annotate_batch_capability
 from repro.engine.vector import BatchPredicate, RowBatch, VectorizedExecutor
 
 __all__ = [
-    "annotate_batch_capability",
     "BatchPredicate",
     "RowBatch",
     "VectorizedExecutor",

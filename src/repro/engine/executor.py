@@ -88,12 +88,13 @@ class Executor:
 
     ``plan_subquery`` is a callback (provided by the Database facade)
     that plans a Query AST — used for scalar/IN subqueries discovered
-    during expression compilation.
+    during expression compilation — next to the running statement's
+    CTE plans, which the subquery's FROM may name.
     """
 
     #: What compiles a row function: closure trees here — this class is
     #: the differential oracle — and generated code in the batch
-    #: executor, whose fallback subtrees run these methods with it.
+    #: executor, which keeps only the subquery evaluation below.
     compiler_cls: type = ExprCompiler
 
     def __init__(
@@ -101,7 +102,7 @@ class Executor:
         catalog: Catalog,
         counters: CounterSet,
         udfs: dict[str, Callable[..., Any]],
-        plan_subquery: Callable[[Any], PlanNode] | None = None,
+        plan_subquery: Callable[[Any, dict[str, PlanNode]], PlanNode] | None = None,
         fn_cache: CompiledExprCache | None = None,
     ):
         self.catalog = catalog
@@ -112,6 +113,7 @@ class Executor:
         # callables (owned by the Database facade); executors come and
         # go per query, compiled expressions should not.
         self.fn_cache = fn_cache
+        self._cte_plans: dict[str, PlanNode] = {}
         self._cte_rows: dict[str, list[tuple]] = {}
         self._in_subquery_cache: dict[int, frozenset] = {}
         self._scalar_cache: dict[tuple, Any] = {}
@@ -119,6 +121,7 @@ class Executor:
     # -------------------------------------------------------------- entry
 
     def run(self, root: PlanNode, cte_plans: dict[str, PlanNode]) -> QueryResult:
+        self._cte_plans = cte_plans
         self._cte_rows = {}
         for name, plan in cte_plans.items():
             self._cte_rows[name] = list(self._iter(plan))
@@ -494,7 +497,7 @@ class Executor:
             return cached
         if self.plan_subquery is None:
             raise ExecutionError("subquery planning is not available here")
-        plan = self.plan_subquery(query_ast)
+        plan = self.plan_subquery(query_ast, self._cte_plans)
         rows = list(self._iter(plan))
         if rows and len(rows[0]) != 1:
             raise ExecutionError("IN subquery must produce exactly one column")
@@ -526,7 +529,7 @@ class Executor:
         )
         if self.plan_subquery is None:
             raise ExecutionError("subquery planning is not available here")
-        plan = self.plan_subquery(bound_ast)
+        plan = self.plan_subquery(bound_ast, self._cte_plans)
         rows = list(self._iter(plan))
         if len(rows) > 1:
             raise ExecutionError("scalar subquery produced more than one row")
@@ -551,13 +554,20 @@ class Executor:
         own: set[tuple[str | None, str]] = set()
         own_aliases: set[str] = set()
         for item in body.from_items:
-            if isinstance(item, TableRef) and self.catalog.has_table(item.name):
-                schema = self.catalog.table(item.name).schema
-                alias = (item.alias or item.name).lower()
-                own_aliases.add(alias)
-                for col in schema.names:
-                    own.add((alias, col.lower()))
-                    own.add((None, col.lower()))
+            if not isinstance(item, TableRef):
+                continue
+            cte_plan = self._cte_plans.get(item.name.lower())
+            if cte_plan is not None:
+                names = cte_plan.binding.column_names
+            elif self.catalog.has_table(item.name):
+                names = self.catalog.table(item.name).schema.names
+            else:
+                continue
+            alias = (item.alias or item.name).lower()
+            own_aliases.add(alias)
+            for col in names:
+                own.add((alias, col.lower()))
+                own.add((None, col.lower()))
         refs: list[ColumnRef] = []
         exprs: list[Expr] = []
         if body.where is not None:

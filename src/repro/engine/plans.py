@@ -55,10 +55,6 @@ class PlanNode:
     binding: RowBinding = field(default_factory=RowBinding)
     est_rows: float = 0.0
     est_cost: float = 0.0
-    #: Planner annotation: this node may execute on the vectorized
-    #: batch path (see :func:`annotate_batch_capability`).  Nodes left
-    #: False run tuple-at-a-time; the executors mix freely per subtree.
-    batchable: bool = False
 
     @property
     def node_name(self) -> str:
@@ -316,91 +312,3 @@ class SetOpPlan(PlanNode):
 
     def describe(self) -> str:
         return self.op + (" ALL" if self.all else "")
-
-
-# ----------------------------------------------------- batch capability
-
-#: Node types the vectorized executor implements.  NLJoin/IndexNLJoin
-#: and set operations stay tuple-at-a-time (random-access probe loops
-#: and row-set algebra gain nothing from batching), as does any node
-#: whose expressions hold correlated scalar subqueries.
-_VECTOR_CAPABLE = (
-    "SeqScanPlan",
-    "IndexScanPlan",
-    "BitmapOrPlan",
-    "CTEScanPlan",
-    "DerivedScanPlan",
-    "FilterPlan",
-    "ProjectPlan",
-    "HashJoinPlan",
-    "AggregatePlan",
-    "SortPlan",
-    "LimitPlan",
-    "DistinctPlan",
-)
-
-
-def _node_exprs(plan: PlanNode) -> list[Expr]:
-    exprs: list[Expr | None] = []
-    if isinstance(plan, (SeqScanPlan, IndexScanPlan, BitmapOrPlan, CTEScanPlan, DerivedScanPlan)):
-        exprs.append(plan.filter)
-    if isinstance(plan, FilterPlan):
-        exprs.append(plan.expr)
-    if isinstance(plan, ProjectPlan):
-        exprs.extend(plan.exprs)
-    if isinstance(plan, HashJoinPlan):
-        exprs.extend(plan.left_keys)
-        exprs.extend(plan.right_keys)
-        exprs.append(plan.residual)
-    if isinstance(plan, AggregatePlan):
-        exprs.extend(plan.group_exprs)
-        exprs.extend(spec.arg for spec in plan.aggregates)
-    if isinstance(plan, SortPlan):
-        exprs.extend(plan.sort_exprs)
-    return [e for e in exprs if e is not None]
-
-
-def annotate_batch_capability(plan: PlanNode) -> None:
-    """Mark each node of a plan tree as batch-capable or not.
-
-    Called by the planner on every finished plan (including subquery
-    plans), so executors can trust the annotation instead of
-    re-deriving it per execution.  A node is batchable when the
-    vectorized executor implements it and none of its own expressions
-    require per-row correlated evaluation (scalar subqueries).  The
-    flag is per node — a batchable parent happily consumes a
-    tuple-at-a-time child and vice versa.
-
-    One exception is subtree-wide: a bare LIMIT (no Sort beneath it)
-    terminates its child mid-stream, and a batched producer charges
-    scan counters a whole batch at a time — so everything under it
-    must run tuple-at-a-time to keep per-tuple counters identical to
-    the oracle.  A Sort+Limit pair consumes its input fully in both
-    modes (fused top-k), so it stays batchable.
-    """
-    from repro.expr.analysis import contains_scalar_subquery
-
-    for child in plan.children():
-        if child is not None:
-            annotate_batch_capability(child)
-    if isinstance(plan, LimitPlan) and not isinstance(plan.child, SortPlan):
-        _clear_batchable(plan)
-        return
-    if type(plan).__name__ not in _VECTOR_CAPABLE:
-        plan.batchable = False
-        return
-    if isinstance(plan, ProjectPlan) and plan.child is None:
-        plan.batchable = False  # table-less constant row
-        return
-    for expr in _node_exprs(plan):
-        if contains_scalar_subquery(expr):
-            plan.batchable = False
-            return
-    plan.batchable = True
-
-
-def _clear_batchable(plan: PlanNode) -> None:
-    plan.batchable = False
-    for child in plan.children():
-        if child is not None:
-            _clear_batchable(child)

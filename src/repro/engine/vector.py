@@ -25,19 +25,19 @@ the actual work.  This module replaces it with batch execution:
   "Vectorized engine").  A conjunct column mode cannot express (a
   scalar subquery) runs per row through the generated row function,
   which preserves metering and correlation semantics exactly.
-* :class:`VectorizedExecutor` — an :class:`~repro.engine.executor.Executor`
-  subclass executing SeqScan / IndexScan / BitmapOr / CTEScan /
-  DerivedScan / Filter / Project / HashJoin / Aggregate / Distinct /
-  Sort / Limit over batches.  Exotic nodes (NLJoin, IndexNLJoin, set
-  ops, correlated subqueries) fall back to the inherited
-  tuple-at-a-time methods per subtree, with their output re-chunked
-  into batches — the planner marks capability per node
-  (``PlanNode.batchable``), so mixing is free.
+* :class:`VectorizedExecutor` — one batch operator (``_vexec_<Node>``)
+  for every concrete plan node; a product run never enters the tuple
+  methods of the :class:`~repro.engine.executor.Executor` it extends
+  (the differential oracle), from which it keeps construction, the
+  row-function cache and subquery evaluation.
 
 Counter semantics in batch mode: ``tuples_scanned``, page counters,
 ``predicate_evals`` (one per input row per filter) and
 ``policy_evals`` are charged in the same per-row amounts as the tuple
 path — the differential suite asserts equality on real workloads.
+The one stated difference: an operator streaming into a bare ``LIMIT``
+finishes the batch it is on, so there each counter lies in
+``[oracle, oracle + one batch)`` (``docs/ARCHITECTURE.md``).
 ``counters.batches`` additionally counts scan batches formed (zero
 cost weight).
 """
@@ -45,6 +45,7 @@ cost weight).
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
@@ -68,11 +69,14 @@ from repro.engine.plans import (
     DistinctPlan,
     FilterPlan,
     HashJoinPlan,
+    IndexNLJoinPlan,
     IndexScanPlan,
     LimitPlan,
+    NLJoinPlan,
     PlanNode,
     ProjectPlan,
     SeqScanPlan,
+    SetOpPlan,
     SortPlan,
 )
 
@@ -81,7 +85,7 @@ from repro.engine.plans import (
 BATCH_PAGES = 8
 
 #: Row-count granularity for batches not tied to the page structure
-#: (CTE scans, bitmap heap fetches, fallback re-chunking).
+#: (CTE scans, index and bitmap heap fetches, nested-loop pairs).
 BATCH_ROWS = 1024
 
 
@@ -160,6 +164,15 @@ class BatchPredicate:
         return sel
 
 
+def _filtered(batch: RowBatch, pred: BatchPredicate | None) -> RowBatch | None:
+    """``batch`` under the selection ``pred`` leaves of it; ``None``
+    when it leaves nothing."""
+    if pred is None:
+        return batch
+    sel = pred.apply(batch, batch.indices())
+    return batch.narrow(sel) if sel else None
+
+
 def _chunked(rows: list) -> Iterator[list]:
     """``rows`` in slices of ``BATCH_ROWS``."""
     return (rows[start : start + BATCH_ROWS] for start in range(0, len(rows), BATCH_ROWS))
@@ -174,14 +187,33 @@ def top_k_rows(rows: list[tuple], keys: list, limit: int) -> list[tuple]:
     return [rows[i] for _key, i in best]
 
 
+def _union_inputs(plan: SetOpPlan) -> list[PlanNode]:
+    """The inputs of a UNION, left to right, with those of every UNION
+    nested in it whose duplicate handling it subsumes (any under a
+    UNION, a UNION ALL under a UNION ALL).  The MySQL IndexGuards
+    rewrite is one left-deep chain, a node per guard: run as one
+    operator it costs no generator frame per guard."""
+    inputs: list[PlanNode] = []
+    pending: list[PlanNode | None] = [plan]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, SetOpPlan) and node.op == "UNION" and (node.all or not plan.all):
+            pending += [node.right, node.left]
+        else:
+            assert node is not None
+            inputs.append(node)
+    return inputs
+
+
 class VectorizedExecutor(Executor):
-    """Batch executor; inherits the tuple path as per-node fallback."""
+    """Batch executor: every plan node runs as a ``_vexec_`` operator."""
 
     compiler_cls = CodegenExprCompiler
 
     # ------------------------------------------------------------ plumbing
 
     def run(self, root: PlanNode, cte_plans: dict[str, PlanNode]) -> QueryResult:
+        self._cte_plans = cte_plans
         self._cte_rows = {}
         for name, plan in cte_plans.items():
             self._cte_rows[name] = self._collect_rows(plan)
@@ -196,34 +228,15 @@ class VectorizedExecutor(Executor):
         return out
 
     def _iter(self, plan: PlanNode) -> Iterator[tuple]:
-        """Row iteration for inherited tuple-mode parents: batchable
-        subtrees still execute vectorized underneath them."""
-        if self._has_vexec(plan):
-            return self._flatten(plan)
-        return super()._iter(plan)
-
-    def _flatten(self, plan: PlanNode) -> Iterator[tuple]:
+        """The plan's rows, for the inherited subquery evaluation."""
         for batch in self._batches(plan):
             yield from batch.take()
 
-    def _has_vexec(self, plan: PlanNode) -> bool:
-        return plan.batchable and hasattr(self, f"_vexec_{type(plan).__name__}")
-
     def _batches(self, plan: PlanNode) -> Iterator[RowBatch]:
-        if self._has_vexec(plan):
-            return getattr(self, f"_vexec_{type(plan).__name__}")(plan)
-        return self._fallback_batches(plan)
-
-    def _fallback_batches(self, plan: PlanNode) -> Iterator[RowBatch]:
-        """Chunk a tuple-at-a-time subtree's rows into batches."""
-        buf: list[tuple] = []
-        for row in super()._iter(plan):
-            buf.append(row)
-            if len(buf) >= BATCH_ROWS:
-                yield RowBatch(buf)
-                buf = []
-        if buf:
-            yield RowBatch(buf)
+        operator = getattr(self, f"_vexec_{type(plan).__name__}", None)
+        if operator is None:
+            raise ExecutionError(f"no batch operator for {type(plan).__name__}")
+        return operator(plan)
 
     # --------------------------------------------------- kernel compilation
 
@@ -392,24 +405,15 @@ class VectorizedExecutor(Executor):
         for rows in _chunked(source):
             counters.tuples_scanned += len(rows)
             counters.batches += 1
-            batch = RowBatch(rows)
-            if pred is not None:
-                sel = pred.apply(batch, batch.indices())
-                if not sel:
-                    continue
-                batch.sel = sel
-            yield batch
+            if (batch := _filtered(RowBatch(rows), pred)) is not None:
+                yield batch
 
     def _vexec_DerivedScanPlan(self, plan: DerivedScanPlan) -> Iterator[RowBatch]:
         assert plan.child is not None
         pred = self._batch_pred(plan.filter, plan.binding)
         for batch in self._batches(plan.child):
-            if pred is not None:
-                sel = pred.apply(batch, batch.indices())
-                if not sel:
-                    continue
-                batch = batch.narrow(sel)
-            yield batch
+            if (batch := _filtered(batch, pred)) is not None:
+                yield batch
 
     # ----------------------------------------------------- filter / project
 
@@ -417,12 +421,13 @@ class VectorizedExecutor(Executor):
         assert plan.child is not None and plan.expr is not None
         pred = self._batch_pred(plan.expr, plan.child.binding)
         for batch in self._batches(plan.child):
-            sel = pred.apply(batch, batch.indices())
-            if sel:
-                yield batch.narrow(sel)
+            if (batch := _filtered(batch, pred)) is not None:
+                yield batch
 
     def _vexec_ProjectPlan(self, plan: ProjectPlan) -> Iterator[RowBatch]:
-        assert plan.child is not None
+        if plan.child is None:  # table-less SELECT: the one constant row
+            yield RowBatch([tuple(self._row_fn(e, RowBinding())(()) for e in plan.exprs)])
+            return
         fns = [self._value_fn(e, plan.child.binding) for e in plan.exprs]
         for batch in self._batches(plan.child):
             sel = batch.indices()
@@ -464,15 +469,53 @@ class VectorizedExecutor(Executor):
                 lrow = rows[pos]
                 for rrow in bucket:
                     combined.append(lrow + rrow)
-            if not combined:
-                continue
-            out = RowBatch(combined)
-            if residual is not None:
-                keep = residual.apply(out, out.indices())
-                if not keep:
+            if combined and (out := _filtered(RowBatch(combined), residual)) is not None:
+                yield out
+
+    def _vexec_NLJoinPlan(self, plan: NLJoinPlan) -> Iterator[RowBatch]:
+        assert plan.left is not None and plan.right is not None
+        condition = self._batch_pred(plan.condition, plan.binding)
+        right_rows = self._collect_rows(plan.right)
+        for batch in self._batches(plan.left):
+            pairs = (lrow + rrow for lrow in batch.take() for rrow in right_rows)
+            while combined := list(islice(pairs, BATCH_ROWS)):
+                if (out := _filtered(RowBatch(combined), condition)) is not None:
+                    yield out
+
+    def _vexec_IndexNLJoinPlan(self, plan: IndexNLJoinPlan) -> Iterator[RowBatch]:
+        assert plan.left is not None and plan.outer_key is not None
+        table = self.catalog.table(plan.inner_table)
+        index = self.catalog.index_by_name(plan.inner_table, plan.inner_index)
+        outer_key = self._value_fn(plan.outer_key, plan.left.binding)
+        inner_binding = RowBinding.for_table(plan.inner_alias, table.schema.names)
+        inner_pred = self._batch_pred(plan.inner_filter, inner_binding)
+        residual = self._batch_pred(plan.residual, plan.binding)
+        counters = self.counters
+        page_size, slots = table.page_size, table.slots
+        touched: set[int] = set()  # per-join buffer-pool model
+        for batch in self._batches(plan.left):
+            sel, rows = batch.indices(), batch.rows
+            outer: list[tuple] = []  # one entry per fetched inner row,
+            rowids: list[int] = []  # left-major like the tuple path
+            for pos, key in zip(sel, outer_key(batch, sel)):
+                if key is None:
                     continue
-                out.sel = keep
-            yield out
+                for rowid in index.search_eq(key, counters):
+                    if slots[rowid] is not None:
+                        outer.append(rows[pos])
+                        rowids.append(rowid)
+            pages = {rowid // page_size for rowid in rowids} - touched
+            touched |= pages
+            counters.pages_random += len(pages)
+            counters.tuples_scanned += len(rowids)
+            # A rowid may repeat (several outer rows, one inner row), so
+            # the inner rows form their own batch, not a table-backed one.
+            inner = _filtered(RowBatch([slots[rowid] for rowid in rowids]), inner_pred)
+            if inner is None:
+                continue
+            combined = [outer[i] + inner.rows[i] for i in inner.indices()]
+            if combined and (out := _filtered(RowBatch(combined), residual)) is not None:
+                yield out
 
     # ---------------------------------------------------------- aggregation
 
@@ -545,32 +588,61 @@ class VectorizedExecutor(Executor):
         yield from map(RowBatch, _chunked(ordered))
 
     def _vexec_LimitPlan(self, plan: LimitPlan) -> Iterator[RowBatch]:
-        # The planner only marks Sort+Limit pairs batchable: a bare
-        # LIMIT terminates its child mid-stream, which cannot keep
-        # batch-charged scan counters identical to the tuple oracle
-        # (annotate_batch_capability forces those subtrees tuple-wise).
-        child = plan.child
-        if not isinstance(child, SortPlan) or child.child is None:
-            raise ExecutionError(
-                "bare LIMIT reached the batch executor; planner annotation broken"
-            )
-        if plan.limit <= 0:
+        child, remaining = plan.child, plan.limit
+        assert child is not None
+        if remaining <= 0:
             return
-        # Fused top-k: never fully sort what a LIMIT will discard.
-        rows = self._collect_rows(child.child)
-        if not rows:
+        if isinstance(child, SortPlan) and child.child is not None:
+            # Fused top-k: never fully sort what a LIMIT will discard.
+            rows = self._collect_rows(child.child)
+            if rows:
+                keys = self._composite_keys(child, rows)
+                yield RowBatch(top_k_rows(rows, keys, remaining))
             return
-        keys = self._composite_keys(child, rows)
-        yield RowBatch(top_k_rows(rows, keys, plan.limit))
+        # A bare LIMIT cuts a streaming child: the batch that crosses the
+        # limit is truncated and no further one is pulled — what the
+        # child charged for that batch stays charged.
+        for batch in self._batches(child):
+            rows = batch.take()
+            yield RowBatch(rows if len(rows) <= remaining else rows[:remaining])
+            remaining -= len(rows)
+            if remaining <= 0:
+                return
+
+    # ------------------------------------------------- distinct and set ops
+
+    def _first_seen(
+        self, plans: Iterable[PlanNode], wanted: Callable[[tuple], bool] | None = None
+    ) -> Iterator[RowBatch]:
+        """Each distinct ``wanted`` row of the plans' output once, where
+        it first appears."""
+        seen: set[tuple] = set()
+        for plan in plans:
+            for batch in self._batches(plan):
+                out: list[tuple] = []
+                for row in batch.take():
+                    if row not in seen and (wanted is None or wanted(row)):
+                        seen.add(row)
+                        out.append(row)
+                if out:
+                    yield RowBatch(out)
 
     def _vexec_DistinctPlan(self, plan: DistinctPlan) -> Iterator[RowBatch]:
         assert plan.child is not None
-        seen: set[tuple] = set()
-        for batch in self._batches(plan.child):
-            out: list[tuple] = []
-            for row in batch.take():
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-            if out:
-                yield RowBatch(out)
+        return self._first_seen([plan.child])
+
+    def _vexec_SetOpPlan(self, plan: SetOpPlan) -> Iterator[RowBatch]:
+        assert plan.left is not None and plan.right is not None
+        if plan.op == "UNION":
+            inputs = _union_inputs(plan)
+            if plan.all:
+                for side in inputs:
+                    yield from self._batches(side)
+            else:
+                yield from self._first_seen(inputs)
+            return
+        right = set(self._iter(plan.right))
+        if plan.op == "EXCEPT":
+            yield from self._first_seen([plan.left], lambda row: row not in right)
+        else:  # INTERSECT
+            yield from self._first_seen([plan.left], right.__contains__)

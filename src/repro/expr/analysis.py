@@ -141,10 +141,9 @@ class Facts(NamedTuple):
 
     columns: frozenset[ColumnRef]  # not descending into subqueries
     has_subquery: bool  # a ScalarSubquery or InSubquery anywhere
-    has_scalar_subquery: bool
 
 
-_NO_FACTS = Facts(frozenset(), False, False)
+_NO_FACTS = Facts(frozenset(), False)
 
 
 def facts(expr: Expr) -> Facts:
@@ -163,12 +162,11 @@ def facts(expr: Expr) -> Facts:
             object.__setattr__(expr, "_facts", known)
         return known
     if isinstance(expr, ColumnRef):
-        return Facts(frozenset((expr,)), False, False)
+        return Facts(frozenset((expr,)), False)
     if isinstance(expr, ScalarSubquery):
-        return Facts(frozenset(), True, True)
+        return Facts(frozenset(), True)
     if isinstance(expr, InSubquery):
-        inner = facts(expr.expr)
-        return Facts(inner.columns, True, inner.has_scalar_subquery)
+        return Facts(facts(expr.expr).columns, True)
     return _merged(children(expr))
 
 
@@ -179,7 +177,6 @@ def _merged(parts: tuple[Expr, ...]) -> Facts:
     return Facts(
         frozenset().union(*(f.columns for f in found)),
         any(f.has_subquery for f in found),
-        any(f.has_scalar_subquery for f in found),
     )
 
 
@@ -190,10 +187,6 @@ def columns_referenced(expr: Expr) -> frozenset[ColumnRef]:
 
 def contains_subquery(expr: Expr) -> bool:
     return facts(expr).has_subquery
-
-
-def contains_scalar_subquery(expr: Expr) -> bool:
-    return facts(expr).has_scalar_subquery
 
 
 def is_constant(expr: Expr) -> bool:

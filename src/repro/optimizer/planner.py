@@ -58,7 +58,6 @@ from repro.expr.nodes import (
 from repro.engine.plans import (
     AggregatePlan,
     AggSpec,
-    annotate_batch_capability,
     BitmapOrPlan,
     CTEScanPlan,
     DerivedScanPlan,
@@ -154,12 +153,16 @@ class Planner:
                 cte_plans[cte.name.lower()] = sub
                 self._cte_bindings[cte.name.lower()] = sub.binding.column_names
             root = self._plan_core(query.body, extra_ctes=cte_plans)
-            # Batch-capability annotation: the vectorized executor trusts
-            # these flags, so every plan leaving the planner carries them.
-            annotate_batch_capability(root)
-            for cte_plan in cte_plans.values():
-                annotate_batch_capability(cte_plan)
             return PlannedQuery(root=root, cte_plans=cte_plans)
+
+    def plan_subquery(self, query: Query, outer_ctes: dict[str, PlanNode]) -> PlanNode:
+        """Plan an expression subquery of a statement planned earlier:
+        its FROM may name that statement's CTEs (``outer_ctes``, which
+        the executor has materialised by the time it asks)."""
+        if query.ctes:
+            raise PlanError("WITH inside an expression subquery is not supported")
+        self._cte_bindings = {}
+        return self._plan_core(query.body, extra_ctes=outer_ctes)
 
     def _plan_core(self, core: SelectCore, extra_ctes: dict[str, PlanNode]) -> PlanNode:
         if isinstance(core, SetOp):

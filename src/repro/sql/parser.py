@@ -56,6 +56,16 @@ from repro.sql.ast import (
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 
+#: Deepest nesting the parser follows, counted where the descent
+#: re-enters itself: a query (CTE body, derived table, subquery), a
+#: parenthesised SELECT block, an expression (parentheses, call
+#: arguments, IN list), one NOT, one unary minus.  A top-level
+#: statement's query and clause root are levels one and two, so this is
+#: 100 nested parentheses in its WHERE.  A level costs at most nine
+#: Python frames: deeper input is refused here, typed, and never half
+#: way down by the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 102
+
 _COMPARE_OPS = {
     "=": CompareOp.EQ,
     "!=": CompareOp.NE,
@@ -90,6 +100,7 @@ class _Parser:
         # `:name` reuses the slot of its first occurrence.
         self._param_count = 0
         self._param_slots: dict[str, int] = {}
+        self._depth = 0  # nesting levels open, see _descend
 
     # ------------------------------------------------------------- utilities
 
@@ -131,6 +142,14 @@ class _Parser:
             return self._advance().value
         raise ParseError(f"expected identifier, found {self._cur}", self._cur.position)
 
+    def _descend(self) -> None:
+        """Open one nesting level; ``self._depth -= 1`` closes it."""
+        self._depth += 1
+        if self._depth > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"nested deeper than {MAX_NESTING_DEPTH} levels", self._cur.position
+            )
+
     def expect_eof(self) -> None:
         if self._cur.type is not TokenType.EOF:
             raise ParseError(f"unexpected trailing input: {self._cur}", self._cur.position)
@@ -138,6 +157,7 @@ class _Parser:
     # ------------------------------------------------------------ statements
 
     def parse_query(self) -> Query:
+        self._descend()
         ctes: list[CTE] = []
         if self._accept_keyword("with"):
             while True:
@@ -150,6 +170,7 @@ class _Parser:
                 if not self._accept_punct(","):
                     break
         body = self._parse_select_core()
+        self._depth -= 1
         return Query(body=body, ctes=ctes)
 
     def _parse_select_core(self) -> SelectCore:
@@ -174,7 +195,9 @@ class _Parser:
     def _parse_select_block(self) -> SelectCore:
         if self._cur.type is TokenType.PUNCT and self._cur.value == "(":
             self._advance()
+            self._descend()
             inner = self._parse_select_core()
+            self._depth -= 1
             self._expect_punct(")")
             return inner
         return self._parse_select()
@@ -317,12 +340,11 @@ class _Parser:
     # ----------------------------------------------------------- expressions
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
+        self._descend()
         parts = [self._parse_and()]
         while self._accept_keyword("or"):
             parts.append(self._parse_and())
+        self._depth -= 1
         if len(parts) == 1:
             return parts[0]
         return Or(tuple(parts))
@@ -337,7 +359,10 @@ class _Parser:
 
     def _parse_not(self) -> Expr:
         if self._accept_keyword("not"):
-            return Not(self._parse_not())
+            self._descend()
+            inner = self._parse_not()
+            self._depth -= 1
+            return Not(inner)
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expr:
@@ -399,7 +424,9 @@ class _Parser:
     def _parse_unary(self) -> Expr:
         if self._cur.type is TokenType.OPERATOR and self._cur.value == "-":
             self._advance()
+            self._descend()
             inner = self._parse_unary()
+            self._depth -= 1
             if isinstance(inner, Literal) and isinstance(inner.value, (int, float)):
                 return Literal(-inner.value)
             return Arith("-", Literal(0), inner)

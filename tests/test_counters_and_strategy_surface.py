@@ -1,5 +1,8 @@
 """Counter accounting API and strategy-decision surfaces."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.db.counters import CounterSet, CostWeights
@@ -50,6 +53,37 @@ class TestCounterSet:
         c = CounterSet()
         c.pages_bitmap = 7
         assert "pages_bitmap=7" in str(c)
+
+    def test_the_counters_are_the_declared_int_fields(self):
+        declared = [f.name for f in dataclasses.fields(CounterSet)]
+        assert declared[-1] == "weights"
+        assert list(CounterSet._COUNTER_NAMES) == declared[:-1]
+        assert list(CounterSet().snapshot()) == declared[:-1] == list(CounterSet().diff({}))
+
+    def test_a_newly_declared_counter_needs_no_second_edit(self, monkeypatch):
+        """The module as it would read with one more field declared:
+        ``snapshot`` / ``diff`` / ``reset`` and the metrics registry
+        carry the counter, nothing else edited."""
+        import repro.db.counters as counters_module
+        import repro.obs.metrics as metrics
+
+        source = inspect.getsource(counters_module)
+        declaration = "    weights: CostWeights = field("
+        assert source.count(declaration) == 1
+        namespace = {"__name__": counters_module.__name__}
+        exec(source.replace(declaration, "    brand_new: int = 0\n" + declaration), namespace)
+        grown = namespace["CounterSet"]
+        assert grown._COUNTER_NAMES == CounterSet._COUNTER_NAMES + ("brand_new",)
+
+        counters = grown(brand_new=4)
+        assert counters.snapshot()["brand_new"] == 4 and counters.diff({})["brand_new"] == 4
+        monkeypatch.setattr(metrics, "CounterSet", grown)
+        registry = metrics.MetricsRegistry()
+        metrics.register_counterset(registry, counters)
+        (metric,) = registry.get(f"{metrics.COUNTER_METRIC_PREFIX}brand_new_total")
+        assert metric.zero_weight and metric.samples()[0].value == 4
+        counters.reset()
+        assert counters.brand_new == 0 and metric.samples()[0].value == 0
 
 
 class TestStrategySurface:

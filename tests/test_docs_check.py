@@ -92,3 +92,23 @@ def test_repo_docs_name_only_tests_that_exist():
     n_refs, unknown = docs_check.check_test_ids()
     assert n_refs >= 11
     assert unknown == []
+
+
+def test_an_import_of_the_oracle_is_reported():
+    assert docs_check.imports_oracle("from repro.engine.executor import QueryResult, Executor\n")
+    assert docs_check.imports_oracle("def f():\n    from repro.engine import Executor as E\n")
+    assert docs_check.imports_oracle("from repro.engine.executor import *\n")
+    assert docs_check.imports_oracle("import os, repro.engine.executor\n")
+    assert not docs_check.imports_oracle(
+        "from repro.engine.executor import QueryResult\n"
+        "from repro.engine import VectorizedExecutor\n"
+        "Executor = None  # a name, not an import\n"
+    )
+
+
+def test_only_the_allowed_modules_import_the_oracle():
+    n_allowed, outside = docs_check.check_oracle_boundary()
+    assert n_allowed == 3
+    assert outside == []
+    for module in docs_check.ORACLE_IMPORTERS:  # the allowance is not stale
+        assert docs_check.imports_oracle((docs_check.SRC / module).read_text()), module

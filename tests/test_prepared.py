@@ -1050,7 +1050,7 @@ def test_prepared_roundtrip_property(
 # branches) and per-conjunct kernels make the n-th request on a
 # long-lived world take shortcuts the first request on a new world
 # cannot.  Both must produce the same rows, enforcement counters,
-# strategy and plan — estimates, access paths and ``batchable`` flags.
+# strategy and plan — estimates and access paths.
 
 
 def _memo_world(dataset, personality, delta):
@@ -1098,7 +1098,6 @@ def _plan_shape(planned):
             node.describe(),
             node.est_rows,
             node.est_cost,
-            node.batchable,
             tuple(shape(child) for child in node.children() if child is not None),
         )
 

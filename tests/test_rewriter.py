@@ -250,7 +250,7 @@ class TestRewriteShares:
     def test_hidden_references_are_enforced_on_a_backend(self, sql):
         """A querier no policy admits reads nothing through a subquery
         in an ON clause or a WITH nested in a derived table (SQLite runs
-        the text; the bundled planner refuses both shapes)."""
+        the text; the bundled planner refuses the second shape)."""
         from repro.backend import SqliteBackend
 
         sieve = Sieve(self.db, self.store, backend=SqliteBackend().ship(self.db))
@@ -258,12 +258,16 @@ class TestRewriteShares:
         assert "wifi_sieve" in sieve.rewritten_sql(sql, "nobody", "analytics")
 
     def test_on_clause_subquery_is_never_served_unrewritten(self):
-        """The bundled engine plans a subquery without the statement's
-        CTEs, so a protected table under one ends in a refusal (as it
-        does in WHERE) — the parent served it the bare table instead."""
-        from repro.common.errors import CatalogError
+        """The bundled engine plans a subquery with the statement's CTEs
+        in scope, so a protected table under one is read through its
+        enforcement CTE (as it is in WHERE): the rows are the SQLite
+        backend's, and a querier no policy admits reads none."""
+        from repro.backend import SqliteBackend
 
         sql = "SELECT p.id FROM plain AS p JOIN plain AS q ON p.id = q.id AND p.id IN (SELECT id FROM wifi)"
-        for querier in ("nobody", "prof"):
-            with pytest.raises(CatalogError, match="wifi_sieve"):
-                self.sieve.execute(sql, querier, "analytics")
+        on_sqlite = Sieve(self.db, self.store, backend=SqliteBackend().ship(self.db))
+        assert self.sieve.execute(sql, "nobody", "analytics").rows == []
+        rows = self.sieve.execute(sql, "prof", "analytics").rows
+        unenforced = self.db.execute(sql).rows
+        assert rows and len(rows) < len(unenforced)
+        assert sorted(rows) == sorted(on_sqlite.execute(sql, "prof", "analytics").rows)

@@ -1,6 +1,6 @@
 """Docs gate, run via ``make docs-check``.
 
-Six checks, all AST/text based so nothing is imported or executed:
+Seven checks, all AST/text based so nothing is imported or executed:
 
 1. every module under ``src/repro`` (including new packages such as
    ``repro/backend`` or ``repro/audit``) must have a module docstring;
@@ -25,7 +25,12 @@ Six checks, all AST/text based so nothing is imported or executed:
    or a module under ``src/repro`` names (an invariant and "the test
    that holds it") must resolve to a ``def`` in that file under
    ``tests/`` — a renamed or deleted test otherwise leaves the claim
-   standing with nothing behind it.
+   standing with nothing behind it;
+7. under ``src/repro`` only ``engine/vector.py`` (which extends it),
+   ``engine/__init__.py`` (which exports it) and ``db/database.py``
+   (``connect(vectorized=False)``) may import the differential oracle,
+   ``repro.engine.executor.Executor`` — a second way into the tuple
+   executor is a second engine in the product.
 
 Exits non-zero listing offenders; prints a one-line summary when clean.
 """
@@ -72,6 +77,10 @@ _KEYWORD = re.compile(r"(?<![\w.])([A-Za-z_]\w*)=(?!=)")
 #: Check 6: ``test_x.py::TestClass::test_id`` — a ``[param]`` suffix is
 #: not part of the match, so a parametrized id resolves to its ``def``.
 _TEST_REF = re.compile(r"\b(test_\w+\.py)((?:::\w+)+)")
+
+
+#: Check 7: the modules (under ``src/repro``) that may import the oracle.
+ORACLE_IMPORTERS = {"engine/vector.py", "engine/__init__.py", "db/database.py"}
 
 
 def check_docstrings() -> tuple[int, list[str]]:
@@ -207,6 +216,33 @@ def check_test_ids() -> tuple[int, list[str]]:
     return sum(len(_TEST_REF.findall(text)) for text in texts.values()), unknown
 
 
+def imports_oracle(source: str) -> bool:
+    """Whether a module's source imports ``Executor`` — by name (or
+    ``*``) from ``repro.engine.executor`` or its re-export in
+    ``repro.engine``, or the ``repro.engine.executor`` module whole."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {alias.name for alias in node.names}
+        if isinstance(node, ast.Import):
+            if "repro.engine.executor" in names:
+                return True
+        elif node.module in ("repro.engine.executor", "repro.engine") and names & {"Executor", "*"}:
+            return True
+    return False
+
+
+def check_oracle_boundary() -> tuple[int, list[str]]:
+    paths = sorted(SRC.rglob("*.py"))
+    outside = [
+        f"{path.relative_to(ROOT)} imports repro.engine.executor.Executor"
+        for path in paths
+        if path.relative_to(SRC).as_posix() not in ORACLE_IMPORTERS
+        and imports_oracle(path.read_text())
+    ]
+    return len(ORACLE_IMPORTERS), outside
+
+
 def main() -> int:
     checked, missing = check_docstrings()
     n_packages, unmentioned = check_package_mentions()
@@ -215,7 +251,13 @@ def main() -> int:
     n_referrers, dangling = check_references()
     n_constructors, undeclared = check_options()
     n_test_ids, unknown_ids = check_test_ids()
+    n_importers, outside = check_oracle_boundary()
     failed = False
+    if outside:
+        failed = True
+        print(f"{len(outside)} module(s) import the oracle from outside its boundary:")
+        for entry in outside:
+            print(f"  {entry}")
     if unknown_ids:
         failed = True
         print(f"{len(unknown_ids)} test id(s) the docs name that do not exist:")
@@ -249,7 +291,8 @@ def main() -> int:
         f"all {n_tools} tools/ scripts are documented in the README; "
         f"every target and file the {n_referrers} docs/build files name exists; "
         f"every option the docs pass to the {n_constructors} public constructors is declared; "
-        f"all {n_test_ids} test ids the docs and docstrings name exist"
+        f"all {n_test_ids} test ids the docs and docstrings name exist; "
+        f"only the {n_importers} allowed modules import the oracle executor"
     )
     return 0
 
