@@ -42,15 +42,14 @@ from repro.common.errors import ChainVerificationError
 class AuditLog:
     """One append-only, hash-chained decision log.
 
-    ``counters`` (a :class:`~repro.db.counters.CounterSet`) receives
-    the zero-weight ``audit_records`` / ``audit_flushes`` bookkeeping;
-    the middleware binds it to its database's counters when attaching
-    the log.
+    It counts its own traffic: ``len(log)`` records chained, and
+    :attr:`flushes` — the chaining passes that appended them (a worker
+    buffer's flush, or one direct unbuffered append).
     """
 
-    def __init__(self, chain_id: str = "", counters=None):
+    def __init__(self, chain_id: str = ""):
         self.chain_id = chain_id
-        self.counters = counters
+        self.flushes = 0
         self._lock = threading.Lock()
         self._records: list[DecisionRecord] = []
         self._last_hash = GENESIS_HASH
@@ -119,9 +118,7 @@ class AuditLog:
                 )
                 self._records.append(record)
                 self._last_hash = record.record_hash
-            if self.counters is not None:
-                self.counters.audit_records += len(payloads)
-                self.counters.audit_flushes += 1
+            self.flushes += 1
 
     # --------------------------------------------------------------- reading
 

@@ -36,11 +36,10 @@ from repro.common.errors import ChainVerificationError
 #: Hash of the empty chain — what the first record's ``prev_hash`` is.
 GENESIS_HASH = "0" * 32
 
-#: Counters whose per-request deltas a record captures.  Exactly the
-#: enforcement/execution set the differential suites compare (see
-#: ``tests/test_cluster_differential.py``); the serving tiers'
-#: bookkeeping counters — including ``audit_*`` itself — are excluded
-#: so audited and unaudited runs record identical deltas.
+#: Counters whose per-request deltas a record captures: every engine
+#: counter but ``batches``, which describes how the batch executor cut
+#: the scan rather than the work done.  Nothing auditing does ticks a
+#: counter, so audited and unaudited runs record identical deltas.
 AUDIT_COUNTERS = (
     "pages_sequential",
     "pages_random",

@@ -141,6 +141,8 @@ DEFAULT_WORKERS_PER_SHARD = 2
 #: How long a handover waits for a shard's migrated-key stragglers.
 REBALANCE_TIMEOUT_S = 30.0
 
+#: The coordinator's own events, in :attr:`ClusterStats.counters` order
+#: (which adds ``faults_injected``, the shared injector's fired total).
 _CLUSTER_COUNTERS = (
     "cluster_requests",
     "cluster_unavailable",
@@ -153,7 +155,6 @@ _CLUSTER_COUNTERS = (
     "cluster_deadline_timeouts",
     "cluster_scatter_aborts",
     "cluster_shard_rebuilds",
-    "faults_injected",
 )
 
 #: Failures the coordinator's resilient path may transparently retry:
@@ -425,7 +426,10 @@ class ClusterStats:
     recomputed over the summed traffic.  ``partition_policies`` is the
     per-shard policy-partition size (the 1/N corpus share);
     ``per_shard`` retains each shard's full
-    :class:`~repro.service.ServiceStats`, and ``health`` /
+    :class:`~repro.service.ServiceStats`; ``counters`` are the
+    coordinator's own event counts (the ``cluster_*`` routing, scatter,
+    rebalance, retry and supervision counts, plus ``faults_injected``
+    — what the fault injector fired); and ``health`` /
     ``reroutes`` carry the coordinator's tracked per-shard verdicts
     and active routing detours (:meth:`SieveCluster.health_tick`).
     """
@@ -436,6 +440,7 @@ class ClusterStats:
     rejections: int
     failures: int
     pending: int
+    deadline_timeouts: int = 0
     latency: LatencySummary = field(default_factory=LatencySummary)
     queue_wait: LatencySummary = field(default_factory=LatencySummary)
     guard_cache: dict[str, float] = field(default_factory=dict)
@@ -463,6 +468,7 @@ class ClusterStats:
             rejections=sum(s.rejections for s in stats),
             failures=sum(s.failures for s in stats),
             pending=sum(s.pending for s in stats),
+            deadline_timeouts=sum(s.deadline_timeouts for s in stats),
             latency=LatencySummary.of_histogram(
                 LatencyHistogram.merge(s.latency_hist for s in stats)
             ),
@@ -487,6 +493,7 @@ class ClusterStats:
             "rejections": self.rejections,
             "failures": self.failures,
             "pending": self.pending,
+            "deadline_timeouts": self.deadline_timeouts,
             "latency": self.latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
             "guard_cache": dict(self.guard_cache),
@@ -538,10 +545,11 @@ class SieveCluster:
     :class:`~repro.common.errors.ShardUnavailableError` when the
     owning shard is down (explicit backpressure, mirroring
     ``ServiceOverloadedError``) — fault injection via
-    :meth:`fail_shard` / :meth:`restore_shard`.  ``cluster_*``
-    counters are charged to the *coordinator's* database (the one
-    holding the base policy store).  Like the underlying servers, a
-    stopped cluster cannot be restarted.
+    :meth:`fail_shard` / :meth:`restore_shard`.  The coordinator
+    counts its own routing, scatter, rebalance and fault-handling
+    events (``stats().counters``); each shard's engine and serving
+    counts stay on the shard.  Like the underlying servers, a stopped
+    cluster cannot be restarted.
     """
 
     def __init__(
@@ -566,8 +574,6 @@ class SieveCluster:
         self.default_deadline_s = default_deadline_s
         #: Shared :class:`~repro.faults.FaultInjector` (chaos runs).
         self.fault_injector = fault_injector
-        if fault_injector is not None and fault_injector.counters is None:
-            fault_injector.counters = store.db.counters
         self._retry_rng = make_rng(
             retry_policy.seed if retry_policy is not None else 0, "cluster-retry"
         )
@@ -578,7 +584,7 @@ class SieveCluster:
         self.audit_enabled = audit
         self.workers_per_shard = workers_per_shard
         self.cost_model = cost_model
-        self._counters = store.db.counters
+        self._counters = dict.fromkeys(_CLUSTER_COUNTERS, 0)
         self._counter_lock = threading.Lock()
         # Cluster-level observability (None = off); enable_tracing()
         # shares one Tracer across every shard.
@@ -697,7 +703,7 @@ class SieveCluster:
 
     def _tick(self, counter: str, amount: int = 1) -> None:
         with self._counter_lock:
-            setattr(self._counters, counter, getattr(self._counters, counter) + amount)
+            self._counters[counter] += amount
 
     # ------------------------------------------------------------ lifecycle
 
@@ -1574,15 +1580,22 @@ class SieveCluster:
             shards = list(self._shards.values())
         return {shard.name: shard.policy_count() for shard in shards}
 
+    def shard_databases(self) -> dict[str, Database]:
+        """Each shard's executing database, one ring snapshot (a scrape
+        reads engine counters here, so a shard removed mid-scrape is
+        simply absent)."""
+        with self._route_lock.read_locked():
+            return {name: shard.db for name, shard in self._shards.items()}
+
     def stats(self) -> ClusterStats:
         with self._route_lock.read_locked():
             shards = list(self._shards.values())
         per_shard = {shard.name: shard.stats() for shard in shards}
         partition_policies = {shard.name: shard.policy_count() for shard in shards}
         with self._counter_lock:
-            counters = {
-                name: getattr(self._counters, name) for name in _CLUSTER_COUNTERS
-            }
+            counters = dict(self._counters)
+        injector = self.fault_injector
+        counters["faults_injected"] = injector.fired_total if injector is not None else 0
         return ClusterStats.merge(
             per_shard,
             partition_policies,
@@ -1595,8 +1608,10 @@ class SieveCluster:
 
     def metrics_registry(self) -> Any:
         """The cluster's :class:`~repro.obs.metrics.MetricsRegistry`
-        (built lazily, once): coordinator engine counters, merged
-        serving summaries and per-shard labelled gauges."""
+        (built lazily, once): each shard's engine counters labelled
+        ``shard=``, the serving and cache totals and coordinator counts
+        of :meth:`stats`, merged serving summaries and per-shard
+        labelled gauges."""
         registry = getattr(self, "_metrics_registry", None)
         if registry is None:
             from repro.obs.export import cluster_registry

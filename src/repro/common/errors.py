@@ -61,7 +61,7 @@ class ServiceOverloadedError(ServiceError):
     """Admission rejected: the server's bounded queue is full.
 
     Backpressure, not a bug — the caller should retry later or shed
-    load.  Rejections are counted in ``counters.service_rejections``.
+    load.  Rejections are counted in ``SieveServer.stats().rejections``.
     """
 
 
@@ -82,8 +82,9 @@ class DeadlineExceededError(ServiceError):
     error instead of blocking forever.  Always a *typed* failure —
     under faults a caller receives either a correct answer or an error
     of this hierarchy, never a silent partial answer.  Counted in
-    ``counters.service_deadline_timeouts`` (worker-side drops) and
-    ``counters.cluster_deadline_timeouts`` (coordinator-side waits).
+    ``SieveServer.stats().deadline_timeouts`` (worker-side drops) and
+    ``SieveCluster.stats().counters["cluster_deadline_timeouts"]``
+    (coordinator-side waits).
     """
 
 
@@ -110,7 +111,8 @@ class ShardUnavailableError(ClusterError):
     :class:`ServiceOverloadedError`: the coordinator refuses the
     request immediately instead of queueing it against a dead shard —
     callers should retry after the cluster is rebalanced or the shard
-    restored.  Counted in ``counters.cluster_unavailable``.
+    restored.  Counted in
+    ``SieveCluster.stats().counters["cluster_unavailable"]``.
     """
 
 
@@ -123,5 +125,5 @@ class PolicyScatterError(ClusterError):
     untouched — aborting is atomic: **no** shard observed the write,
     so partitions can never be left on mixed policy epochs.  Callers
     should repair the cluster (``supervise()``) and retry the write.
-    Counted in ``counters.cluster_scatter_aborts``.
+    Counted in ``SieveCluster.stats().counters["cluster_scatter_aborts"]``.
     """

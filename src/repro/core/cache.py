@@ -27,10 +27,9 @@ its guards are selected afresh instead still belongs to
 :class:`~repro.core.regeneration.RegenerationController` (the k̃-th
 insertion, Theorem 2).
 
-Cache traffic is charged to the deterministic counters
-(``guard_cache_hits`` … ``plan_cache_misses`` in
-:class:`~repro.db.counters.CounterSet`) so benches can assert hit
-rates without wall clocks.  ``docs/ARCHITECTURE.md`` §3 places this
+Cache traffic is counted once, in each cache's :class:`CacheStats`
+(under the lookup's own lock), so benches and the serving tier assert
+hit rates without wall clocks.  ``docs/ARCHITECTURE.md`` §3 places this
 layer in the dataflow and states the memoisation rule it is held to.
 """
 
@@ -109,9 +108,6 @@ class FencedCache:
     during another thread's iteration), never while calling out (no
     store/builder re-entry → no lock-order cycles).
     """
-
-    #: The ``CounterSet`` fields :meth:`charge` ticks — set by each declaration.
-    hit_counter = miss_counter = ""
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -198,15 +194,6 @@ class FencedCache:
             extra = None
         return entry, extra, False
 
-    def charge(self, counters, hit: bool) -> None:
-        """Record a lookup on the engine's deterministic counters,
-        under this cache's lock — plain ``+=`` from concurrent workers
-        loses increments (the exact hazard the ``service_*`` counters
-        document), and benches assert on these values."""
-        name = self.hit_counter if hit else self.miss_counter
-        with self._lock:
-            setattr(counters, name, getattr(counters, name) + 1)
-
     def invalidate(self, querier: Any = None, table: str | None = None) -> int:
         """Drop entries matching the given querier and/or relation
         (``None`` matches everything).  Returns the number dropped."""
@@ -282,8 +269,6 @@ class GuardCache(FencedCache):
     """The :class:`FencedCache` of resolved guard state, keyed by
     ``(querier, purpose, relation)`` and fenced on the policy epoch: a
     hit skips the PQM filter (Section 3.2) and the guard fetch."""
-
-    hit_counter, miss_counter = "guard_cache_hits", "guard_cache_misses"
 
     @staticmethod
     def _key(querier: Any, purpose: str, table: str) -> tuple[Any, str, str]:
@@ -366,8 +351,6 @@ class PlanCache(FencedCache):
     entirely.
     """
 
-    hit_counter, miss_counter = "plan_cache_hits", "plan_cache_misses"
-
 
 class SieveSession:
     """A ``(querier, purpose)``-scoped handle on the middleware.
@@ -415,7 +398,6 @@ class SieveSession:
         build (single-flight) instead of each re-generating the guards.
         """
         sieve = self._sieve
-        counters = sieve.db.counters
         snap = snapshot if snapshot is not None else sieve.policy_store.snapshot()
 
         def build() -> tuple[CachedGuardEntry, bool]:
@@ -435,7 +417,6 @@ class SieveSession:
             entry, rebuilt, hit = sieve.guard_cache.resolve(
                 self.querier, self.purpose, table, snap.epoch, build
             )
-            sieve.guard_cache.charge(counters, hit)
             sp.set(hit=hit, rebuilt=rebuilt, policies=len(entry.policies))
         return entry, rebuilt
 

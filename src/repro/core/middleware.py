@@ -238,8 +238,7 @@ class Sieve:
     def enable_audit(self, log: AuditLog | None = None) -> AuditLog:
         """Attach an append-only decision log (idempotent).
 
-        Binds the log's bookkeeping counters to this database's and
-        enables snapshot retention on the policy store so every epoch a
+        Enables snapshot retention on the policy store so every epoch a
         record names stays replayable
         (:meth:`~repro.policy.store.PolicyStore.snapshot_at`).  From
         here on every ``execute_with_info`` chains one
@@ -249,8 +248,6 @@ class Sieve:
         """
         if self.audit is None:
             self.audit = log if log is not None else AuditLog()
-            if self.audit.counters is None:
-                self.audit.counters = self.db.counters
             self.policy_store.retain_snapshots()
         return self.audit
 
@@ -657,7 +654,6 @@ class Sieve:
             entry, built, hit = cache.get_or_build(
                 key, snapshot.epoch, self.db.plan_version, build
             )
-            cache.charge(self.db.counters, hit)
             prep.set(cached=hit, template=prepared.template_key)
             if built is not None:
                 execution, rewritten, bound, planned = built

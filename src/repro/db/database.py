@@ -65,7 +65,9 @@ class Database:
         # tuple-at-a-time executor over closure trees, sharing no
         # compiled code with the product.
         self.vectorized = vectorized
-        self._fn_cache = CompiledExprCache()
+        #: The product's compiled expressions, shared by every execution
+        #: (it counts its own hits and misses).
+        self.expr_cache = CompiledExprCache()
         self._udfs: dict[str, Callable[..., Any]] = {}
         self._udf_version = 0  # (re-)registrations and drops
 
@@ -131,7 +133,7 @@ class Database:
         self._udfs[name.lower()] = counted
         # Compiled expressions bind UDF callables at compile time;
         # (re-)registering a name must drop them.
-        self._fn_cache.clear()
+        self.expr_cache.clear()
         self._udf_version += 1
 
     def has_function(self, name: str) -> bool:
@@ -148,7 +150,7 @@ class Database:
 
     def drop_function(self, name: str) -> None:
         self._udfs.pop(name.lower(), None)
-        self._fn_cache.clear()
+        self.expr_cache.clear()
         self._udf_version += 1
 
     def release_compiled(self, nodes) -> int:
@@ -156,7 +158,7 @@ class Database:
         ``nodes`` or carries one as a top-level conjunct (matched by
         object identity).  For owners of large shared ASTs — Sieve's
         guard store — that know the AST will never be planned again."""
-        return self._fn_cache.discard_conjuncts(nodes)
+        return self.expr_cache.discard_conjuncts(nodes)
 
     # ---------------------------------------------------------------- query
 
@@ -198,7 +200,7 @@ class Database:
             self.counters,
             self._udfs,
             plan_subquery=self._plan_subquery,
-            fn_cache=self._fn_cache if self.vectorized else None,
+            fn_cache=self.expr_cache if self.vectorized else None,
         )
         return executor.run(planned.root, planned.cte_plans)
 

@@ -157,7 +157,7 @@ class Executor:
         if cache is None:
             return self._compiler(binding).compile(expr)
         extra = (binding.cache_key(), "row")
-        fn = cache.lookup(expr, extra, self.counters)
+        fn = cache.lookup(expr, extra)
         if fn is None:
             fn = self._compiler(binding).compile(expr)
             if not contains_subquery(expr):

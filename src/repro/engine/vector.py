@@ -286,7 +286,7 @@ class VectorizedExecutor(Executor):
         if cache is None:
             return build()
         extra = (binding.cache_key(), mode)
-        fn = cache.lookup(expr, extra, self.counters, by_identity)
+        fn = cache.lookup(expr, extra, by_identity)
         if fn is None:
             fn = build()
             if fn is not None and not contains_subquery(expr):

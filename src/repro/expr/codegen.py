@@ -158,10 +158,9 @@ class CompiledExprCache:
 
     Keys are ``(expr, (binding.cache_key(), mode, ...))`` — expression
     nodes are frozen dataclasses, so structurally identical predicates
-    from independent rewrites hit the same entry.  Hit/miss totals are
-    ticked into ``counters.expr_cache_hits`` / ``expr_cache_misses``
-    when a counter set is supplied (zero cost weight: cache
-    bookkeeping is not engine work).
+    from independent rewrites hit the same entry.  The cache counts its
+    own :meth:`lookup` traffic, :attr:`hits` and :attr:`misses`, under
+    its lock.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -183,39 +182,38 @@ class CompiledExprCache:
         # would corrupt mid-query (the same hazard GuardCache locks
         # against).  Compilation and tree hashing stay outside the lock.
         self._lock = threading.Lock()
+        self.hits = self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def lookup(
-        self, expr: Any, extra: tuple, counters: Any = None, by_identity: bool = True
-    ) -> Callable | None:
+    def lookup(self, expr: Any, extra: tuple, by_identity: bool = True) -> Callable | None:
         """Two-tier get: by expression object id first, then by
         structural key (registering the id alias on a hit).  Kernel
         *shapes* are looked up with ``by_identity=False`` — structural
         tier only: a fresh binding's shape is an object nothing will
         present again, and an alias for it would only be garbage."""
-        entry = None
         if by_identity:
             alias = (id(expr), extra)
             with self._lock:
                 aliased = self._id_alias.get(alias)
-                entry = self._get(aliased[1]) if aliased is not None else None
-                if aliased is not None and entry is None:
+                if aliased is not None:
+                    entry = self._get(aliased[1])
+                    if entry is not None:
+                        self.hits += 1
+                        return entry.fn
                     del self._id_alias[alias]  # evicted under the alias
-        if entry is None:
-            probe = _Entry(expr, extra)
-            with self._lock:
-                entry = self._get(probe)
-                if entry is not None and by_identity:
-                    self._alias(alias, expr, entry)
-        if counters is not None:
+        probe = _Entry(expr, extra)
+        with self._lock:
+            entry = self._get(probe)
             if entry is None:
-                counters.expr_cache_misses += 1
-            else:
-                counters.expr_cache_hits += 1
-        return entry.fn if entry is not None else None
+                self.misses += 1
+                return None
+            self.hits += 1
+            if by_identity:
+                self._alias(alias, expr, entry)
+        return entry.fn
 
     def _get(self, key: _Entry) -> _Entry | None:
         """The held entry equal to ``key`` (lock held), refreshed in
@@ -237,11 +235,11 @@ class CompiledExprCache:
                 self._alias((id(expr), extra), expr, entry)
 
     def _alias(self, alias: tuple, expr: Any, entry: _Entry) -> None:
-        # An alias keeps its expression alive, and those that still
-        # arrive as new objects per request — row functions of a
-        # tuple-mode subtree (a bare LIMIT, a nested-loop join) and the
-        # per-row fallback, compiled per literal — leave one each that
-        # nothing looks up again; starting over costs the live ones
+        # An alias keeps its expression alive, and the row functions
+        # that still arrive as new objects per request — a table-less
+        # SELECT's values, compiled per literal (every other non-guard
+        # expression is looked up by shape, unaliased) — leave one each
+        # that nothing looks up again; starting over costs the live ones
         # (guard ORs, guard branches) one structural probe each.
         if len(self._id_alias) > self.capacity:
             self._id_alias.clear()

@@ -15,10 +15,10 @@ Policy writes drive a separate write clock (:meth:`next_write` /
 :meth:`scatter_fault`), consulted by the coordinator's two-phase
 scatter at each phase.
 
-Every fault that actually fires is recorded (:attr:`fired`, plus the
-``faults_injected`` counter on the coordinator's database), so chaos
-reports can show what a run exercised rather than what the plan merely
-contained.
+Every fault that actually fires is recorded (:attr:`fired`; the
+cluster reports :attr:`FaultInjector.fired_total` as its
+``faults_injected`` count), so chaos reports can show what a run
+exercised rather than what the plan merely contained.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class FaultInjector:
     a real failure of that component would land.
     """
 
-    def __init__(self, plan: FaultPlan, counters=None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.counters = counters  # CounterSet of the coordinator's db, optional
         self._lock = threading.Lock()
         self._request_clock = 0
         self._write_clock = 0
@@ -119,10 +118,6 @@ class FaultInjector:
         trigger if the run ends early or the target shard is gone)."""
         with self._lock:
             self.fired[kind] = self.fired.get(kind, 0) + 1
-            # faults_injected is ticked only here, so this lock is the
-            # counter's writer serialization too.
-            if self.counters is not None:
-                self.counters.faults_injected += 1
 
     @property
     def fired_total(self) -> int:

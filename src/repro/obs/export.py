@@ -4,10 +4,18 @@ Builders here are duck-typed against the serving/cluster tiers (no
 imports from :mod:`repro.service` or :mod:`repro.cluster`, so the
 dependency arrow stays one-way): :func:`server_registry` wires a
 :class:`~repro.obs.metrics.MetricsRegistry` over a ``SieveServer``
-and :func:`cluster_registry` over a ``SieveCluster``.  Both mirror
-the full engine :class:`~repro.db.counters.CounterSet` and add the
-tier's own gauges/summaries, reading one ``stats()`` snapshot per
-scrape through a registry preparer.
+and :func:`cluster_registry` over a ``SieveCluster``.  Both expose
+every count once, read from the tier that keeps it: engine counters
+from the executing database's :class:`~repro.db.counters.CounterSet`
+(on a cluster, each shard's, labelled ``shard=``), compiled-expression
+traffic from that database's cache, serving and cache totals from
+``stats()`` (``ServiceStats`` / ``ClusterStats`` and their
+:class:`~repro.core.cache.CacheStats`), audit records from the audit
+log, and the coordinator's routing and fault counts from
+``ClusterStats.counters``.  Queue-wait and service-time totals are the
+latency summaries' ``_sum`` samples.  Each tier's own
+gauges/summaries read one ``stats()`` snapshot per scrape through a
+registry preparer.
 
 Exposition:
 
@@ -91,12 +99,14 @@ def to_json(registry: MetricsRegistry) -> dict[str, Any]:
     return {"metrics": metrics}
 
 
-def _cache_gauges(registry: MetricsRegistry, name: str, read: Any) -> None:
-    """Gauges over a CacheStats.snapshot()-shaped dict source."""
+def _cache_metrics(registry: MetricsRegistry, name: str, read: Any) -> None:
+    """Counters and gauges over a CacheStats.snapshot()-shaped dict source."""
 
     def field(key: str):
         return lambda: float(read().get(key, 0.0))
 
+    for key in ("hits", "misses"):
+        registry.register_counter(f"sieve_{name}_{key}_total", f"{name} {key}", field(key))
     registry.register_gauge(
         f"sieve_{name}_hit_rate", f"{name} hit rate (0..1)", field("hit_rate")
     )
@@ -108,14 +118,58 @@ def _cache_gauges(registry: MetricsRegistry, name: str, read: Any) -> None:
     )
 
 
-def server_registry(server: Any) -> MetricsRegistry:
-    """A registry over one ``SieveServer``: full engine counter set +
-    serving gauges/summaries (one ``stats()`` call per scrape)."""
-    registry = MetricsRegistry()
-    register_counterset(registry, server.sieve.db.counters)
+def _owned_counts(
+    registry: MetricsRegistry, stats: Any, dbs: Any, audit_logs: Any
+) -> None:
+    """The counts both front ends expose, each read from its owner:
+    engine counters and compiled-expression traffic of the databases
+    ``dbs()`` maps labels to, serving and cache totals of the scrape's
+    ``stats()`` snapshot, records of the logs ``audit_logs()`` returns."""
+    register_counterset(
+        registry, lambda: {labels: db.counters for labels, db in dbs().items()}
+    )
+    for event in ("hits", "misses"):
+        registry.register_counter(
+            f"sieve_expr_cache_{event}_total",
+            f"Compiled-expression cache {event}",
+            lambda e=event: {
+                labels: getattr(db.expr_cache, e) for labels, db in dbs().items()
+            },
+        )
+    for field in ("requests", "batches", "rejections", "failures", "deadline_timeouts"):
+        registry.register_counter(
+            f"sieve_service_{field}_total",
+            f"Serving count stats().{field}",
+            lambda f=field: getattr(stats(), f),
+        )
+    _cache_metrics(registry, "guard_cache", lambda: stats().guard_cache)
+    _cache_metrics(registry, "plan_cache", lambda: stats().plan_cache)
+    registry.register_counter(
+        "sieve_audit_records_total",
+        "Decision records chained into the audit log",
+        lambda: sum(len(log) for log in audit_logs()),
+    )
+    registry.register_counter(
+        "sieve_audit_flushes_total",
+        "Audit chaining passes (a worker buffer's flush, or one direct append)",
+        lambda: sum(log.flushes for log in audit_logs()),
+    )
 
+
+def server_registry(server: Any) -> MetricsRegistry:
+    """A registry over one ``SieveServer``: the engine, serving, cache
+    and audit counts + serving gauges/summaries (one ``stats()`` call
+    per scrape)."""
+    registry = MetricsRegistry()
     cell: dict[str, Any] = {}
     registry.add_preparer(lambda: cell.__setitem__("stats", server.stats()))
+    sieve = server.sieve
+    _owned_counts(
+        registry,
+        lambda: cell["stats"],
+        lambda: {(): sieve.db},
+        lambda: [] if sieve.audit is None else [sieve.audit],
+    )
 
     def stat(reader):
         return lambda: reader(cell["stats"])
@@ -151,8 +205,6 @@ def server_registry(server: Any) -> MetricsRegistry:
         "Requests rejected by the SLO-aware adaptive shedder",
         stat(lambda s: s.sheds),
     )
-    _cache_gauges(registry, "guard_cache", lambda: cell["stats"].guard_cache)
-    _cache_gauges(registry, "plan_cache", lambda: cell["stats"].plan_cache)
     monitor = getattr(server, "slo_monitor", None)
     if monitor is not None:
         monitor.register_metrics(registry)
@@ -180,14 +232,33 @@ def server_registry(server: Any) -> MetricsRegistry:
 
 
 def cluster_registry(cluster: Any) -> MetricsRegistry:
-    """A registry over one ``SieveCluster``: the coordinator's engine
-    counters (including the ``cluster_*`` routing counters), merged
-    serving summaries, and per-shard labelled gauges."""
+    """A registry over one ``SieveCluster``: each shard's engine counters
+    labelled ``shard=`` (no shard executes on the coordinator's
+    database), the serving, cache and coordinator totals of
+    ``stats()``, merged serving summaries, and per-shard labelled
+    gauges."""
     registry = MetricsRegistry()
-    register_counterset(registry, cluster.store.db.counters)
-
     cell: dict[str, Any] = {}
-    registry.add_preparer(lambda: cell.__setitem__("stats", cluster.stats()))
+
+    def prepare() -> None:
+        cell["stats"] = cluster.stats()
+        cell["dbs"] = {
+            (("shard", name),): db for name, db in cluster.shard_databases().items()
+        }
+
+    registry.add_preparer(prepare)
+    _owned_counts(
+        registry,
+        lambda: cell["stats"],
+        lambda: cell["dbs"],
+        lambda: cluster.audit_logs().values(),
+    )
+    for name in cluster.stats().counters:
+        registry.register_counter(
+            f"sieve_{name}_total",
+            f"Coordinator count {name} (ClusterStats.counters)",
+            lambda n=name: cell["stats"].counters[n],
+        )
 
     def stat(reader):
         return lambda: reader(cell["stats"])
@@ -210,8 +281,6 @@ def cluster_registry(cluster: Any) -> MetricsRegistry:
         "Merged per-shard queue wait, milliseconds",
         stat(lambda s: s.queue_wait),
     )
-    _cache_gauges(registry, "guard_cache", lambda: cell["stats"].guard_cache)
-    _cache_gauges(registry, "plan_cache", lambda: cell["stats"].plan_cache)
 
     def per_shard(reader):
         def collect() -> dict[tuple[tuple[str, str], ...], float]:

@@ -10,9 +10,11 @@ tiers' ``CacheStats`` — each with its own snapshot shape.  A
   names end in ``_total``).  Counters registered from a
   :class:`~repro.db.counters.CounterSet` carry a ``zero_weight`` flag:
   True exactly when the counter contributes nothing to ``cost_units``
-  (bookkeeping, not engine work) — derived by *probing* the cost
-  model (:func:`weighted_counter_names`), so the flag can never drift
-  from the authoritative weights.
+  (``tuples_output``, ``batches``, the backend counts) — derived by
+  *probing* the cost model (:func:`weighted_counter_names`), so the
+  flag can never drift from the authoritative weights.  The registry
+  stores nothing of its own: every other counter reads the tier that
+  keeps the count (:mod:`repro.obs.export`).
 * **gauge** — a point-in-time level (queue depth, worker count,
   cache hit rate).
 * **summary** — a latency population exposed Prometheus-summary
@@ -239,25 +241,25 @@ def weighted_counter_names() -> frozenset[str]:
 
 def register_counterset(
     registry: MetricsRegistry,
-    counters: CounterSet,
+    counters: Callable[[], Mapping[Labels, CounterSet]],
     prefix: str = COUNTER_METRIC_PREFIX,
 ) -> list[Metric]:
     """Mirror every :class:`CounterSet` counter into ``registry``.
 
     Each counter ``x`` registers exactly once as ``<prefix>x_total``
-    with ``zero_weight`` derived from the live cost weights.  Reads go
-    straight to the (GIL-coherent) counter attributes — no snapshot
-    needed for a scrape.
+    with ``zero_weight`` derived from the live cost weights.
+    ``counters`` returns ``{labels: CounterSet}`` at each scrape, one
+    labelled sample per entry (``{(): db.counters}`` for one database,
+    a cluster's shards labelled ``shard=``); reads go straight to the
+    (GIL-coherent) attributes, no snapshot needed.
     """
     weighted = weighted_counter_names()
-    out = []
-    for name in CounterSet._COUNTER_NAMES:
-        out.append(
-            registry.register_counter(
-                f"{prefix}{name}_total",
-                f"Engine counter {name} (deterministic, see repro.db.counters)",
-                lambda n=name: getattr(counters, n),
-                zero_weight=name not in weighted,
-            )
+    return [
+        registry.register_counter(
+            f"{prefix}{name}_total",
+            f"Engine counter {name} (deterministic, see repro.db.counters)",
+            lambda n=name: {labels: getattr(c, n) for labels, c in counters().items()},
+            zero_weight=name not in weighted,
         )
-    return out
+        for name in CounterSet._COUNTER_NAMES
+    ]

@@ -22,7 +22,7 @@ and runs a fixed pool of worker threads over a bounded
         │
         ▼
     Future resolved; latency split into queue-wait + service time
-        (``service_*`` counters and :meth:`SieveServer.stats`)
+        (:meth:`SieveServer.stats`)
 
 What each layer buys under concurrency:
 
@@ -139,6 +139,8 @@ class ServiceStats:
     ``hit_rate``) of the pipeline's two memoization tiers.
     Serving dashboards read hit rates and rejection counts from here;
     :class:`~repro.cluster.ClusterStats` aggregates them across shards.
+    This is the one count of each serving event — no other counter
+    repeats it.
     """
 
     workers: int
@@ -147,6 +149,9 @@ class ServiceStats:
     batches: int
     rejections: int
     failures: int
+    #: Queued requests a worker refused because their deadline had
+    #: already passed (a subset of ``failures``).
+    deadline_timeouts: int = 0
     guard_cache: dict[str, float] = field(default_factory=dict)
     #: Always ``None``: the text-keyed rewrite memo is gone (it was
     #: never consulted once auto-prepare served repeated shapes).  The
@@ -199,6 +204,7 @@ class ServiceStats:
             "batches": self.batches,
             "rejections": self.rejections,
             "failures": self.failures,
+            "deadline_timeouts": self.deadline_timeouts,
             "sheds": self.sheds,
             "mean_batch_size": self.mean_batch_size,
             "latency": self.latency.to_dict(),
@@ -262,6 +268,7 @@ class SieveServer:
         self._batches = 0
         self._rejections = 0
         self._failures = 0
+        self._deadline_timeouts = 0
         self._sheds = 0
         # Log-bucketed, exactly-mergeable latency populations (see
         # repro.obs.histogram): service time, queue wait, and the
@@ -432,7 +439,6 @@ class SieveServer:
             with self._lock:
                 self._sheds += 1
                 self._rejections += 1
-                self.sieve.db.counters.service_rejections += 1
             raise ServiceOverloadedError(
                 "admission clamped: the latency SLO is burning fast "
                 f"(effective capacity {self.shedder.capacity(self._queue.max_pending)} "
@@ -459,7 +465,6 @@ class SieveServer:
             # propagates uncounted.
             with self._lock:
                 self._rejections += 1
-                self.sieve.db.counters.service_rejections += 1
             raise
         return request.future
 
@@ -595,9 +600,11 @@ class SieveServer:
                         "deadline passed while the request was queued"
                     )
                 )
-                self.sieve.db.counters.service_deadline_timeouts += 1
-                self._record(request, failed=True)
+                self._record(request, failed=True, expired=True)
                 continue
+            # Resolved before any fault fires, so a duplicated delivery
+            # runs the very handle and bindings the delivered one does.
+            auto = self._auto_prepare(request.sql, querier, purpose)
             # Fault-injection hooks run OUTSIDE the per-request
             # try/except below: an injected worker crash must escape to
             # the worker loop's crash barrier, not resolve this one
@@ -631,12 +638,12 @@ class SieveServer:
                             self._record(request, failed=True)
                             continue
                     elif action.kind == "duplicate":
-                        # Duplicated delivery: the query runs twice
-                        # (double engine work, double counters); only
-                        # the second answer is delivered.  Safe —
-                        # queries are read-only.
+                        # Duplicated delivery: the query runs twice, down
+                        # the same path (double engine work, double
+                        # counters); only the second answer is
+                        # delivered.  Safe — queries are read-only.
                         try:
-                            self.sieve.execute(request.sql, querier, purpose)
+                            self._run(request.sql, querier, purpose, auto)
                         except Exception:
                             pass  # the delivered attempt decides the outcome
             if request.trace_id:
@@ -644,12 +651,7 @@ class SieveServer:
             if self.inject_delay_s > 0.0:
                 time.sleep(self.inject_delay_s)
             try:
-                auto = self._auto_prepare(request.sql, querier, purpose)
-                if auto is not None:
-                    prepared, values = auto
-                    info = prepared.execute_with_info(values)
-                else:
-                    info = self.sieve.execute_with_info(request.sql, querier, purpose)
+                info = self._run(request.sql, querier, purpose, auto)
                 result: Any = info if request.with_info else info.result
             except BaseException as exc:  # resolve, never kill the worker
                 failed = True
@@ -664,10 +666,16 @@ class SieveServer:
             self._record(request, failed=failed)
         if not served_any:
             return  # an all-cancelled batch must not skew batch stats
-        counters = self.sieve.db.counters
         with self._lock:
             self._batches += 1
-            counters.service_batches += 1
+
+    def _run(self, sql: Any, querier: Any, purpose: str, auto: Any) -> Any:
+        """One execution of a request: through its prepared handle when
+        :meth:`_auto_prepare` found one, else the plain pipeline."""
+        if auto is None:
+            return self.sieve.execute_with_info(sql, querier, purpose)
+        prepared, values = auto
+        return prepared.execute_with_info(values)
 
     def _auto_prepare(self, sql: Any, querier: Any, purpose: str) -> Any:
         """``(PreparedQuery, binding values)`` for a parameter-free
@@ -680,7 +688,7 @@ class SieveServer:
         executes through the plan cache.  Row- and enforcement-counter
         identical to the plain path by construction (the cache is
         value-keyed), so callers cannot observe it except in latency
-        and the zero-weight ``plan_cache_*`` counters.
+        and the plan cache's :class:`~repro.core.cache.CacheStats`.
 
         Never raises: non-SELECT statements, unparseable SQL and
         already-parameterized queries fall through so the plain path
@@ -723,21 +731,20 @@ class SieveServer:
             if request.started_at:
                 self._record(request, failed=True)
 
-    def _record(self, request: ServiceRequest, failed: bool) -> None:
-        counters = self.sieve.db.counters
+    def _record(
+        self, request: ServiceRequest, failed: bool, expired: bool = False
+    ) -> None:
         with self._lock:
             self._requests += 1
             if failed:
                 self._failures += 1
-                counters.service_failures += 1
+            if expired:
+                self._deadline_timeouts += 1
             self._latency_hist.record_seconds(request.service_s)
             self._queue_wait_hist.record_seconds(request.queue_wait_s)
             self._total_hist.record_seconds(
                 max(0.0, request.finished_at - request.submitted_at)
             )
-            counters.service_requests += 1
-            counters.service_queue_wait_us += int(request.queue_wait_s * 1_000_000)
-            counters.service_exec_us += int(request.service_s * 1_000_000)
         # Outside the lock: the tick's sample source re-takes it.
         self._tick_slo()
 
@@ -773,6 +780,7 @@ class SieveServer:
             batches = self._batches
             rejections = self._rejections
             failures = self._failures
+            deadline_timeouts = self._deadline_timeouts
             sheds = self._sheds
         return ServiceStats(
             workers=self.workers,
@@ -781,6 +789,7 @@ class SieveServer:
             batches=batches,
             rejections=rejections,
             failures=failures,
+            deadline_timeouts=deadline_timeouts,
             sheds=sheds,
             latency_hist=latency_hist,
             queue_wait_hist=queue_wait_hist,

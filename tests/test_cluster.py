@@ -305,7 +305,7 @@ def test_cluster_serves_every_querier_identically(cluster_world):
         assert stats.shards == 4
         assert stats.requests == len(QUERIERS) * len(queries) + 1
         assert stats.failures == 0
-        assert db.counters.cluster_requests == stats.requests
+        assert stats.counters["cluster_requests"] == stats.requests
         # partition sizes reflect the querier split, not the full
         # corpus: no shard filters more than half of it (>= 2x less
         # policy-filter work per shard at N=4)
@@ -343,15 +343,13 @@ def test_cluster_policy_writes_route_and_scatter(cluster_world):
             name: cluster.shard(name).partition.epoch for name in cluster.shard_names
         }
         assert cluster.owning_shards(target) == [owner_shard]
-        writes0 = db.counters.cluster_policy_writes
-        fanout0 = db.counters.cluster_policy_fanout
         inserted = cluster.insert_policy(grant(target, 1))
         # direct policy: delivered to exactly the owning shard
         for name in cluster.shard_names:
             expected = epochs[name] + (1 if name == owner_shard else 0)
             assert cluster.shard(name).partition.epoch == expected
-        assert db.counters.cluster_policy_writes == writes0 + 1
-        assert db.counters.cluster_policy_fanout == fanout0 + 1
+        assert cluster.stats().counters["cluster_policy_writes"] == 1
+        assert cluster.stats().counters["cluster_policy_fanout"] == 1
 
         # group policy: scatters to every shard holding a member, plus
         # the ring owner of the group identity itself (which would
@@ -376,12 +374,12 @@ def test_cluster_policy_writes_route_and_scatter(cluster_world):
         for name in cluster.shard_names:
             expected = epochs[name] + (1 if name in member_shards else 0)
             assert cluster.shard(name).partition.epoch == expected
-        assert db.counters.cluster_policy_fanout == fanout0 + 1 + len(member_shards)
+        assert cluster.stats().counters["cluster_policy_fanout"] == 1 + len(member_shards)
 
         # routed delete restores the corpus for the other tests
         cluster.delete_policy(inserted.id)
         cluster.delete_policy(group_policy.id)
-        assert db.counters.cluster_policy_writes == writes0 + 4
+        assert cluster.stats().counters["cluster_policy_writes"] == 4
 
 
 def test_cluster_update_policy_fans_to_both_queriers(cluster_world):
@@ -396,10 +394,10 @@ def test_cluster_update_policy_fans_to_both_queriers(cluster_world):
             object_conditions=inserted.object_conditions,
             id=inserted.id,
         )
-        fanout0 = db.counters.cluster_policy_fanout
+        fanout0 = cluster.stats().counters["cluster_policy_fanout"]
         cluster.update_policy(moved)
         expected = len({cluster.route(QUERIERS[3]), cluster.route(QUERIERS[4])})
-        assert db.counters.cluster_policy_fanout == fanout0 + expected
+        assert cluster.stats().counters["cluster_policy_fanout"] == fanout0 + expected
         cluster.delete_policy(inserted.id)
 
 
@@ -408,11 +406,10 @@ def test_cluster_shard_failure_is_explicit_backpressure(cluster_world):
     with make_cluster(db, store) as cluster:
         victim_querier = QUERIERS[0]
         victim = cluster.route(victim_querier)
-        unavailable0 = db.counters.cluster_unavailable
         cluster.fail_shard(victim)
         with pytest.raises(ShardUnavailableError):
             cluster.execute(queries[0], victim_querier, PURPOSE, timeout=60)
-        assert db.counters.cluster_unavailable == unavailable0 + 1
+        assert cluster.stats().counters["cluster_unavailable"] == 1
         # other shards keep serving
         survivor = next(q for q in QUERIERS if cluster.route(q) != victim)
         rows = sorted(cluster.execute(queries[0], survivor, PURPOSE, timeout=60).rows)
@@ -454,7 +451,7 @@ def test_add_shard_migrates_few_and_preserves_warm_guards(cluster_world):
                     assert key in surviving, (
                         f"rebalance evicted unmigrated querier {key[0]!r} on {name}"
                     )
-        assert db.counters.cluster_rebalance_moves >= len(moved)
+        assert cluster.stats().counters["cluster_rebalance_moves"] == len(moved)
         # every querier still gets oracle-identical answers
         for querier in QUERIERS:
             rows = sorted(cluster.execute(queries[0], querier, PURPOSE, timeout=60).rows)

@@ -40,25 +40,6 @@ from repro.service import SieveServer
 
 N_SHARDS = 3
 
-#: Counters that measure enforcement + execution work.  The serving
-#: tier's cache/service/cluster bookkeeping counters are excluded —
-#: they are accounted per tier, not per engine, and carry zero cost
-#: weight by design.
-ENFORCEMENT_COUNTERS = (
-    "pages_sequential",
-    "pages_random",
-    "pages_bitmap",
-    "tuples_scanned",
-    "tuples_output",
-    "predicate_evals",
-    "policy_evals",
-    "index_node_visits",
-    "udf_invocations",
-    "udf_policy_evals",
-    "backend_queries",
-    "backend_rows",
-)
-
 DELTA_MODES = {
     # Δ never wins the per-tuple cost comparison.
     "delta-off": SieveCostModel(udf_invocation=1e18),
@@ -145,15 +126,12 @@ def _world(request, name: str) -> ClusterWorld:
     return request.getfixturevalue(f"{name}_world")
 
 
-def _enforcement(diff: dict[str, int]) -> dict[str, int]:
-    return {name: diff[name] for name in ENFORCEMENT_COUNTERS}
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("engine", list(ENGINES), ids=list(ENGINES))
 @pytest.mark.parametrize("delta_mode", list(DELTA_MODES), ids=list(DELTA_MODES))
 def test_cluster_equals_single_server(request, workload, engine, delta_mode):
-    """Rows and per-request enforcement counters are identical."""
+    """Rows and per-request engine counters — every one of them — are
+    identical."""
     world = _world(request, workload)
     cost_model = DELTA_MODES[delta_mode]
     backend_factory = ENGINES[engine]
@@ -179,16 +157,16 @@ def test_cluster_equals_single_server(request, workload, engine, delta_mode):
                 shard = cluster.shard(cluster.route(querier))
                 single_before = world.db.counters.snapshot()
                 single_rows = server.execute(sql, querier, world.purpose, timeout=120).rows
-                single_diff = _enforcement(world.db.counters.diff(single_before))
+                single_diff = world.db.counters.diff(single_before)
                 shard_before = shard.db.counters.snapshot()
                 cluster_rows = cluster.execute(sql, querier, world.purpose, timeout=120).rows
-                shard_diff = _enforcement(shard.db.counters.diff(shard_before))
+                shard_diff = shard.db.counters.diff(shard_before)
                 assert sorted(cluster_rows) == sorted(single_rows), (
                     f"{workload}/{engine}/{delta_mode}: rows diverged for "
                     f"querier={querier!r} sql={sql!r}"
                 )
                 assert shard_diff == single_diff, (
-                    f"{workload}/{engine}/{delta_mode}: enforcement counters "
+                    f"{workload}/{engine}/{delta_mode}: engine counters "
                     f"diverged for querier={querier!r} sql={sql!r}"
                 )
                 delta_udf_calls += shard_diff["udf_invocations"]
@@ -237,7 +215,7 @@ def test_cluster_equals_single_server_across_routed_mutations(request, workload)
             assert sorted(cluster.execute(sql, querier, world.purpose, timeout=120).rows) == sorted(
                 single.execute(sql, querier, world.purpose).rows
             )
-    assert world.db.counters.cluster_policy_writes >= 2
+        assert cluster.stats().counters["cluster_policy_writes"] == 2
 
 
 @pytest.mark.parametrize("n_shards", [3, 4])
@@ -296,7 +274,7 @@ def test_a_relation_becoming_protected_reaches_every_shard(n_shards, change):
             cluster.protect("t")
         else:
             cluster.insert_policy(policy)
-        assert db.counters.cluster_policy_fanout == n_shards
+        assert cluster.stats().counters["cluster_policy_fanout"] == n_shards
         for querier in strangers:
             assert cluster.execute("SELECT * FROM t", querier, "analytics", timeout=60).rows == []
         expected = 10 if change == "first-policy" else 0

@@ -278,6 +278,34 @@ def test_fenced_cache_hammer_8_threads(cls, ops):
     assert stats.hits + stats.misses == N_THREADS * 400  # no lost update under the lock
 
 
+def test_compiled_expr_cache_counts_every_lookup_8_threads():
+    """The compiled-expression cache counts its own traffic under its
+    lock: eight threads hammering one Database's cache — identity and
+    structural lookups, stores, a tiny key space — lose no count."""
+    from repro.expr.nodes import ColumnRef, CompareOp, Comparison, Literal
+
+    cache = connect("mysql").expr_cache
+    exprs = [Comparison(CompareOp.EQ, ColumnRef("a"), Literal(i)) for i in range(6)]
+    rounds = 500
+
+    def worker(i):
+        for n in range(rounds):
+            expr, extra = exprs[(i + n) % len(exprs)], ((), "row")
+            by_identity = n % 3 != 0
+            if cache.lookup(expr, extra, by_identity) is None:
+                cache.store(expr, extra, len, by_identity)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside the critical sections
+    try:
+        errors = _run_threads(worker)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors, errors[:3]
+    assert cache.hits + cache.misses == N_THREADS * rounds
+    assert cache.misses >= len(exprs)
+
+
 # ------------------------------------------------------------ SqliteBackend
 
 

@@ -79,7 +79,7 @@ class TestCounterSet:
         assert counters.snapshot()["brand_new"] == 4 and counters.diff({})["brand_new"] == 4
         monkeypatch.setattr(metrics, "CounterSet", grown)
         registry = metrics.MetricsRegistry()
-        metrics.register_counterset(registry, counters)
+        metrics.register_counterset(registry, lambda: {(): counters})
         (metric,) = registry.get(f"{metrics.COUNTER_METRIC_PREFIX}brand_new_total")
         assert metric.zero_weight and metric.samples()[0].value == 4
         counters.reset()

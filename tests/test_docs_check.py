@@ -106,6 +106,42 @@ def test_an_import_of_the_oracle_is_reported():
     )
 
 
+def test_a_counter_the_counterset_does_not_have_is_reported():
+    members = docs_check.counterset_members(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass CounterSet:\n"
+        "    tuples_scanned: int = 0\n"
+        "    def snapshot(self): ...\n"
+        "CounterSet._COUNTER_NAMES = ()\n"
+    )
+    assert members == {"tuples_scanned", "snapshot", "_COUNTER_NAMES"}
+    text = """
+Each rejection ticks ``counters.rejected``; `db.counters.tuples_scanned` and
+`self.counters.snapshot()` exist, as do :class:`repro.db.counters.CounterSet`,
+`db/counters.py` and `stats().counters["cluster_retries"]`; `my_counters.x` is
+another name, while `server.counters.lookups` names a count kept elsewhere.
+"""
+    assert docs_check.unknown_counters(text, members) == [
+        "counters.lookups",
+        "counters.rejected",
+    ]
+    source = (
+        'def f(counters):\n'
+        '    """Ticks ``counters.records``."""\n'
+        "    counters.tuples_scanned += 1  # and counters.flushes\n"
+    )
+    assert docs_check.unknown_counters(docs_check.comments_and_strings(source), members) == [
+        "counters.flushes",
+        "counters.records",
+    ]
+
+
+def test_repo_docs_name_only_counters_that_exist():
+    n_members, unknown = docs_check.check_counter_names()
+    assert n_members >= 13
+    assert unknown == []
+
+
 def test_only_the_allowed_modules_import_the_oracle():
     n_allowed, outside = docs_check.check_oracle_boundary()
     assert n_allowed == 3

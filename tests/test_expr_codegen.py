@@ -536,7 +536,7 @@ def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
     sieve.execute(sql, querier, "analytics")
     expression = sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE)
     width = len(expression.guards)
-    branch_entries = lambda: sum(e.extra[1] == "branch" for e in mall.db._fn_cache._entries)  # noqa: E731
+    branch_entries = lambda: sum(e.extra[1] == "branch" for e in mall.db.expr_cache._entries)  # noqa: E731
     assert width >= 3 and branch_entries() == width
 
     sources = []
@@ -690,7 +690,7 @@ def test_one_cache_entry_per_conjunct_shape():
     rows = [(i % 7, None if i % 5 == 0 else i % 3) for i in range(60)]
     db.insert("t", rows)
     db.analyze()
-    cache = db._fn_cache
+    cache = db.expr_cache
 
     def run(where, keep):
         got = db.execute(f"SELECT a, b FROM t WHERE {where}").rows
@@ -723,23 +723,21 @@ def test_one_cache_entry_per_conjunct_shape():
 
 def test_compiled_expr_cache_lru_and_id_alias():
     cache = CompiledExprCache(capacity=2)
-    counters = CounterSet()
     e1 = Comparison(CompareOp.EQ, col("a"), Literal(1))
     e2 = Comparison(CompareOp.EQ, col("a"), Literal(2))
     e3 = Comparison(CompareOp.EQ, col("a"), Literal(3))
     extra = ((), "row")
-    assert cache.lookup(e1, extra, counters) is None
+    assert cache.lookup(e1, extra) is None
     cache.store(e1, extra, lambda r: 1)
-    assert cache.lookup(e1, extra, counters) is not None  # id fast path
+    assert cache.lookup(e1, extra) is not None  # id fast path
     # A structurally equal but distinct object also hits, then aliases.
     e1_clone = Comparison(CompareOp.EQ, col("a"), Literal(1))
-    assert cache.lookup(e1_clone, extra, counters) is not None
+    assert cache.lookup(e1_clone, extra) is not None
     cache.store(e2, extra, lambda r: 2)
     cache.store(e3, extra, lambda r: 3)  # evicts e1 (capacity 2)
-    assert cache.lookup(e1, extra, counters) is None
-    assert cache.lookup(e3, extra, counters) is not None
-    assert counters.expr_cache_hits == 3
-    assert counters.expr_cache_misses == 2
+    assert cache.lookup(e1, extra) is None
+    assert cache.lookup(e3, extra) is not None
+    assert (cache.hits, cache.misses) == (3, 2)
     assert cache.clear() == 2
     assert len(cache) == 0
 
@@ -758,18 +756,17 @@ def test_compiled_expr_cache_hit_does_not_rehash_the_tree():
             return isinstance(other, CountingExpr)
 
     cache = CompiledExprCache()
-    counters = CounterSet()
     expr, extra = CountingExpr(), ((), "colpred", True)
     cache.store(expr, extra, lambda cols, sel: sel)
     assert CountingExpr.hashes == 1
     for _ in range(50):
-        assert cache.lookup(expr, extra, counters) is not None
+        assert cache.lookup(expr, extra) is not None
     assert CountingExpr.hashes == 1  # id alias -> stored key, hash remembered
     twin = CountingExpr()
-    assert cache.lookup(twin, extra, counters) is not None  # structural: one hash
-    assert cache.lookup(twin, extra, counters) is not None  # now aliased too
+    assert cache.lookup(twin, extra) is not None  # structural: one hash
+    assert cache.lookup(twin, extra) is not None  # now aliased too
     assert CountingExpr.hashes == 2
-    assert counters.expr_cache_hits == 52 and counters.expr_cache_misses == 0
+    assert (cache.hits, cache.misses) == (52, 0)
 
 
 def test_compiled_expr_cache_discards_by_conjunct_identity():
@@ -797,9 +794,9 @@ def test_database_reuses_compiled_predicates():
     db.analyze()
     sql = "SELECT * FROM t WHERE a > 17"
     db.execute(sql)
-    warm_before = db.counters.expr_cache_hits
+    warm_before = db.expr_cache.hits
     db.execute(sql)
-    assert db.counters.expr_cache_hits > warm_before
+    assert db.expr_cache.hits > warm_before
 
 
 # ------------------------------------------------------------- bitmaps

@@ -29,7 +29,7 @@ from repro.cluster import (
     ShardUnavailableError,
     SieveCluster,
 )
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, ReproError
 from repro.core import Sieve
 from repro.db.database import connect
 from repro.faults import (
@@ -191,7 +191,8 @@ def test_server_deadline_refuses_expired_queued_work():
         with pytest.raises(DeadlineExceededError):
             victim.result(timeout=5.0)
         blocker.result(timeout=5.0)
-        assert db.counters.service_deadline_timeouts == 1
+        stats = server.stats()
+        assert stats.deadline_timeouts == 1 and stats.failures == 1
     finally:
         server.inject_delay_s = 0.0
         server.stop()
@@ -206,7 +207,7 @@ def test_cluster_deadline_is_typed_not_a_hang():
         with pytest.raises(DeadlineExceededError):
             cluster.execute(QUERY, QUERIERS[0], PURPOSE)
         assert time.perf_counter() - started < 2.0
-        assert db.counters.cluster_deadline_timeouts >= 1
+        assert cluster.stats().counters["cluster_deadline_timeouts"] >= 1
 
 
 def test_cluster_execute_many_honours_the_default_deadline():
@@ -216,12 +217,11 @@ def test_cluster_execute_many_honours_the_default_deadline():
     db, store, _, _ = build_world()
     with make_cluster(db, store, default_deadline_s=0.1) as cluster:
         cluster.slow_shard(cluster.route(QUERIERS[0]), 1.0)
-        timeouts0 = db.counters.cluster_deadline_timeouts
         started = time.perf_counter()
         with pytest.raises(DeadlineExceededError):
             cluster.execute_many([QUERY, QUERY], QUERIERS[0], PURPOSE)
         assert time.perf_counter() - started < 0.9
-        assert db.counters.cluster_deadline_timeouts == timeouts0 + 1
+        assert cluster.stats().counters["cluster_deadline_timeouts"] == 1
 
 
 def test_killed_server_fails_waiters_instead_of_hanging():
@@ -272,7 +272,7 @@ def test_retry_budget_is_spent_then_typed_error():
         cluster.fail_shard(cluster.route(querier))
         with pytest.raises(ShardUnavailableError):
             cluster.execute(QUERY, querier, PURPOSE)
-        assert db.counters.cluster_retries == 2  # attempts 2 and 3
+        assert cluster.stats().counters["cluster_retries"] == 2  # attempts 2 and 3
         # A transient outage mid-budget is absorbed: fail, then heal
         # before the retry lands.
         cluster.restore_shard(cluster.route(querier))
@@ -292,7 +292,7 @@ def test_retry_recovers_after_supervisor_rebuild():
         assert [r.name for r in rebuilds] == [cluster.route(querier)]
         assert cluster.supervise() == []  # idempotent: nothing left to fix
         assert cluster.execute(QUERY, querier, PURPOSE).rows == before
-        assert db.counters.cluster_shard_rebuilds == 1
+        assert cluster.stats().counters["cluster_shard_rebuilds"] == 1
 
 
 def test_hedged_read_wins_past_a_dropped_reply():
@@ -314,9 +314,25 @@ def test_hedged_read_wins_past_a_dropped_reply():
         querier = QUERIERS[0]
         rows = cluster.execute(QUERY, querier, PURPOSE, deadline_s=5.0).rows
         assert rows == oracle_rows(db, store, querier)
-        assert db.counters.cluster_hedges == 1
-        assert db.counters.cluster_hedge_wins == 1
-        assert db.counters.faults_injected >= 1
+        counters = cluster.stats().counters
+        assert counters["cluster_hedges"] == 1
+        assert counters["cluster_hedge_wins"] == 1
+        assert counters["faults_injected"] >= 1
+
+
+def test_duplicated_delivery_runs_the_delivered_path():
+    """A duplicated first-sight request runs twice through the prepared
+    handle the shard serves it with: the copy misses the plan cache and
+    admits the plan, the delivered attempt hits it."""
+    db, store, _, _ = build_world()
+    plan = FaultPlan(seed=0, request_faults=(RequestFault(0, "duplicate"),))
+    with make_cluster(db, store, n_shards=2, fault_injector=FaultInjector(plan)) as cluster:
+        querier = QUERIERS[0]
+        rows = cluster.execute(QUERY, querier, PURPOSE, deadline_s=5.0).rows
+        assert rows == oracle_rows(db, store, querier)
+        plan_cache = cluster.shard(cluster.route(querier)).sieve.plan_cache.stats
+        assert (plan_cache.misses, plan_cache.hits) == (1, 1)
+        assert cluster.stats().counters["faults_injected"] == 1
 
 
 def test_dropped_reply_without_hedge_hits_the_deadline():
@@ -330,7 +346,7 @@ def test_dropped_reply_without_hedge_hits_the_deadline():
         with pytest.raises(DeadlineExceededError):
             cluster.execute(QUERY, querier, PURPOSE, deadline_s=0.2)
         assert time.perf_counter() - started < 2.0
-        assert db.counters.cluster_deadline_timeouts >= 1
+        assert cluster.stats().counters["cluster_deadline_timeouts"] >= 1
 
 
 # ------------------------------------------------------------ policy scatter
@@ -348,7 +364,7 @@ def test_scatter_abort_is_atomic():
         # Atomic: the base store never saw the write.
         assert store.epoch == epoch_before
         assert len(store.policies_for(querier, PURPOSE)) == count_before
-        assert db.counters.cluster_scatter_aborts == 1
+        assert cluster.stats().counters["cluster_scatter_aborts"] == 1
         # The supervisor rebuilds the detached-relay shard; the same
         # write then commits and is served.
         assert len(cluster.supervise()) == 1
@@ -452,6 +468,89 @@ def test_backend_error_fault_is_typed_and_transient():
         assert sorted(cluster.execute(QUERY, querier, PURPOSE).rows) == sorted(
             oracle_rows(db, store, querier)
         )
+
+
+def _chaos_traffic(cluster, grant):
+    """A deterministic sequence of reads, failed writes, a failed shard
+    and a rebuild; returns each step's outcome (row count or error)."""
+    outcomes = []
+
+    def read(querier, **kwargs):
+        try:
+            outcomes.append(len(cluster.execute(QUERY, querier, PURPOSE, **kwargs).rows))
+        except ReproError as exc:  # the outcome is the (typed) error
+            outcomes.append(type(exc).__name__)
+
+    for deadline_s in (5.0, 1.0):  # the second pass carries the dropped reply
+        for querier in QUERIERS:
+            read(querier, deadline_s=deadline_s)
+    for _ in range(2):
+        try:
+            cluster.insert_policy(grant(QUERIERS[0], 1))
+        except PolicyScatterError:
+            outcomes.append("PolicyScatterError")
+    home = cluster.route(QUERIERS[0])
+    cluster.fail_shard(home)
+    read(QUERIERS[0])
+    cluster.restore_shard(home)
+    for querier in QUERIERS:
+        read(querier, deadline_s=5.0)
+    outcomes.append([rebuild.name for rebuild in cluster.supervise()])
+    for querier in QUERIERS:
+        read(querier, deadline_s=5.0)
+    return outcomes
+
+
+CHAOS_PLAN = FaultPlan(
+    seed=0,
+    request_faults=(RequestFault(3, "backend_error"), RequestFault(8, "drop")),
+    shard_faults=(ShardFault(14, 1, "crash"),),
+    scatter_faults=(ScatterFault(0, "prepare", 0),),
+)
+
+
+def test_cluster_counts_are_pinned_under_a_fault_plan():
+    """Each count of the fault tier read from its owner — the
+    coordinator's ``ClusterStats.counters``, the shards'
+    ``ServiceStats`` and ``CacheStats`` — pinned for one deterministic
+    chaos traffic; the values are what the same traffic reported while
+    ``CounterSet`` still carried copies of them.  Routing, retries, the
+    fault plan and audit tick nothing on the database behind the base
+    policy store: it executed nothing."""
+    db, store, grant, _ = build_world()
+    before = db.counters.snapshot()
+    policy = RetryPolicy(max_attempts=3, base_backoff_s=0.001, max_backoff_s=0.002)
+    with make_cluster(
+        db, store, n_shards=2, audit=True, retry_policy=policy,
+        fault_injector=FaultInjector(CHAOS_PLAN),
+    ) as cluster:
+        outcomes = _chaos_traffic(cluster, grant)
+        stats = cluster.stats()
+        assert sum(len(log) for log in cluster.audit_logs().values()) > 0
+    assert db.counters.diff(before) == dict.fromkeys(before, 0)
+    assert outcomes.count("ShardUnavailableError") == 3 and "DeadlineExceededError" in outcomes
+    assert stats.counters == {
+        "cluster_requests": 22,
+        "cluster_unavailable": 9,
+        "cluster_policy_writes": 1,
+        "cluster_policy_fanout": 1,
+        "cluster_rebalance_moves": 0,
+        "cluster_retries": 6,
+        "cluster_hedges": 0,
+        "cluster_hedge_wins": 0,
+        "cluster_deadline_timeouts": 1,
+        "cluster_scatter_aborts": 1,
+        "cluster_shard_rebuilds": 1,
+        "faults_injected": 4,
+    }
+    assert (stats.requests, stats.batches, stats.rejections, stats.failures) == (18, 18, 0, 1)
+    events = ("hits", "misses", "evictions", "invalidations", "coalesced")
+    assert [stats.guard_cache[k] for k in events] == [0, 7, 0, 1, 0]
+    assert [stats.plan_cache[k] for k in events] == [10, 7, 0, 1, 0]
+    assert {name: s.requests for name, s in stats.per_shard.items()} == {
+        "shard-0": 16,
+        "shard-1": 2,
+    }
 
 
 def test_worker_crash_fault_fails_batch_typed():

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import hist_of, make_policies, make_wifi_db
 from repro.cluster import ClusterStats, SieveCluster
+from repro.common.errors import CatalogError
 from repro.core.middleware import Sieve
 from repro.db.counters import CounterSet
 from repro.obs.export import to_json, to_prometheus
@@ -56,7 +57,7 @@ def _served_sieve():
 def test_every_engine_counter_registers_exactly_once():
     registry = MetricsRegistry()
     counters = CounterSet()
-    metrics = register_counterset(registry, counters)
+    metrics = register_counterset(registry, lambda: {(): counters})
     assert len(metrics) == len(CounterSet._COUNTER_NAMES)
     for name in CounterSet._COUNTER_NAMES:
         metric_name = f"{COUNTER_METRIC_PREFIX}{name}_total"
@@ -73,7 +74,7 @@ def test_weighted_set_probes_the_live_cost_model():
 def test_counter_samples_track_the_live_counterset():
     registry = MetricsRegistry()
     counters = CounterSet()
-    register_counterset(registry, counters)
+    register_counterset(registry, lambda: {(): counters})
     counters.tuples_scanned += 7
     (metric,) = registry.get("sieve_tuples_scanned_total")
     (sample,) = metric.samples()
@@ -157,7 +158,7 @@ def test_prometheus_headers_once_per_name_across_label_sets():
 def test_json_snapshot_carries_metadata():
     registry = MetricsRegistry()
     counters = CounterSet()
-    register_counterset(registry, counters)
+    register_counterset(registry, lambda: {(): counters})
     counters.pages_sequential += 5
     body = to_json(registry)
     by_name = {m["name"]: m for m in body["metrics"]}
@@ -167,7 +168,7 @@ def test_json_snapshot_carries_metadata():
     assert scanned["samples"] == [
         {"name": "sieve_pages_sequential_total", "labels": {}, "value": 5.0}
     ]
-    assert by_name["sieve_audit_records_total"]["zero_weight"] is True
+    assert by_name["sieve_batches_total"]["zero_weight"] is True
 
 
 # --------------------------------------------------------- serving endpoints
@@ -223,6 +224,176 @@ def test_cluster_metrics_endpoints_label_shards():
     assert set(shard_requests) == set(names)
     assert sum(shard_requests.values()) == 3.0
     assert by_name["sieve_cluster_requests_total"]["samples"][0]["value"] == 3.0
+
+
+def _samples(body, name):
+    """``{labels: value}`` of one metric in a JSON body."""
+    (metric,) = [m for m in body["metrics"] if m["name"] == name]
+    return {tuple(sorted(s["labels"].items())): s["value"] for s in metric["samples"]}
+
+
+def test_cluster_exposition_reads_the_shards_that_executed():
+    """A cluster's engine counters are its shards', labelled ``shard=``
+    — the coordinator's database executes nothing — and its serving and
+    cache totals are ``ClusterStats``'."""
+    db, _rows = make_wifi_db()
+    store = PolicyStore(db)
+    store.insert_many(make_policies())
+    with SieveCluster.replicated(db, store, n_shards=2) as cluster:
+        for querier in ("prof", "stranger") * 3:
+            cluster.execute(SQL, querier, "analytics")
+        body = cluster.metrics_json()
+        stats = cluster.stats()
+        scanned = {
+            name: cluster.shard(name).db.counters.tuples_scanned for name in cluster.shard_names
+        }
+    assert _samples(body, "sieve_service_requests_total") == {(): 6.0}
+    by_shard = _samples(body, "sieve_tuples_scanned_total")
+    assert by_shard == {(("shard", name),): float(value) for name, value in scanned.items()}
+    assert sum(by_shard.values()) > 0
+    assert _samples(body, "sieve_plan_cache_misses_total") == {(): stats.plan_cache["misses"]}
+    assert _samples(body, "sieve_guard_cache_hits_total") == {(): stats.guard_cache["hits"]}
+    assert db.counters.tuples_scanned == 0
+
+
+def test_a_shard_removed_mid_scrape_leaves_the_scrape_whole():
+    """Scale-in between the scrape's ``stats()`` snapshot and its read of
+    the shards' engine counters: the scrape answers, with the counters of
+    the shards still in the ring."""
+    db, _rows = make_wifi_db()
+    store = PolicyStore(db)
+    store.insert_many(make_policies())
+    with SieveCluster.replicated(db, store, n_shards=2) as cluster:
+        for querier in ("prof", "stranger"):
+            cluster.execute(SQL, querier, "analytics")
+        cluster.metrics_registry()
+        victim, survivor = cluster.shard_names
+        snapshot = cluster.stats
+
+        def stats_then_scale_in():
+            stats = snapshot()
+            cluster.remove_shard(victim)
+            return stats
+
+        cluster.stats = stats_then_scale_in
+        body = cluster.metrics_json()
+        scanned = cluster.shard(survivor).db.counters.tuples_scanned
+    assert set(_samples(body, "sieve_shard_requests")) == {
+        (("shard", victim),), (("shard", survivor),)
+    }
+    assert _samples(body, "sieve_tuples_scanned_total") == {
+        (("shard", survivor),): float(scanned)
+    }
+
+
+#: Every metric name a server and a 2-shard cluster expose (no tracer,
+#: no SLO monitor attached).
+SERVER_METRICS = (
+    "sieve_audit_flushes_total", "sieve_audit_records_total", "sieve_backend_queries_total",
+    "sieve_backend_rows_total", "sieve_batches_total", "sieve_expr_cache_hits_total",
+    "sieve_expr_cache_misses_total", "sieve_guard_cache_entries_evicted",
+    "sieve_guard_cache_hit_rate", "sieve_guard_cache_hits_total",
+    "sieve_guard_cache_invalidations", "sieve_guard_cache_misses_total",
+    "sieve_index_node_visits_total", "sieve_pages_bitmap_total", "sieve_pages_random_total",
+    "sieve_pages_sequential_total", "sieve_plan_cache_entries_evicted",
+    "sieve_plan_cache_hit_rate", "sieve_plan_cache_hits_total",
+    "sieve_plan_cache_invalidations", "sieve_plan_cache_misses_total",
+    "sieve_policy_evals_total", "sieve_predicate_evals_total", "sieve_queue_wait_ms",
+    "sieve_request_latency_ms", "sieve_service_batches_total",
+    "sieve_service_deadline_timeouts_total", "sieve_service_failures_total",
+    "sieve_service_mean_batch_size", "sieve_service_pending", "sieve_service_rejections_total",
+    "sieve_service_requests_total", "sieve_service_sheds_total", "sieve_service_workers",
+    "sieve_total_latency_ms", "sieve_tuples_output_total", "sieve_tuples_scanned_total",
+    "sieve_udf_invocations_total", "sieve_udf_policy_evals_total",
+)
+_COORDINATOR_COUNTS = (
+    "cluster_deadline_timeouts", "cluster_hedge_wins", "cluster_hedges",
+    "cluster_policy_fanout", "cluster_policy_writes", "cluster_rebalance_moves",
+    "cluster_requests", "cluster_retries", "cluster_scatter_aborts",
+    "cluster_shard_rebuilds", "cluster_unavailable", "faults_injected",
+)
+CLUSTER_METRICS = (
+    "sieve_audit_flushes_total", "sieve_audit_records_total", "sieve_backend_queries_total",
+    "sieve_backend_rows_total", "sieve_batches_total",
+    "sieve_cluster_deadline_timeouts_total", "sieve_cluster_hedge_wins_total",
+    "sieve_cluster_hedges_total", "sieve_cluster_latency_ms", "sieve_cluster_pending",
+    "sieve_cluster_policy_fanout_total", "sieve_cluster_policy_writes_total",
+    "sieve_cluster_queue_wait_ms", "sieve_cluster_rebalance_moves_total",
+    "sieve_cluster_requests_total", "sieve_cluster_reroutes", "sieve_cluster_retries_total",
+    "sieve_cluster_scatter_aborts_total", "sieve_cluster_shard_rebuilds_total",
+    "sieve_cluster_shards", "sieve_cluster_unavailable_total", "sieve_expr_cache_hits_total",
+    "sieve_expr_cache_misses_total", "sieve_faults_injected_total",
+    "sieve_guard_cache_entries_evicted", "sieve_guard_cache_hit_rate",
+    "sieve_guard_cache_hits_total", "sieve_guard_cache_invalidations",
+    "sieve_guard_cache_misses_total", "sieve_index_node_visits_total",
+    "sieve_pages_bitmap_total", "sieve_pages_random_total", "sieve_pages_sequential_total",
+    "sieve_plan_cache_entries_evicted", "sieve_plan_cache_hit_rate",
+    "sieve_plan_cache_hits_total", "sieve_plan_cache_invalidations",
+    "sieve_plan_cache_misses_total", "sieve_policy_evals_total", "sieve_predicate_evals_total",
+    "sieve_service_batches_total", "sieve_service_deadline_timeouts_total",
+    "sieve_service_failures_total", "sieve_service_rejections_total",
+    "sieve_service_requests_total", "sieve_shard_failures", "sieve_shard_health",
+    "sieve_shard_p95_ms", "sieve_shard_partition_policies", "sieve_shard_pending",
+    "sieve_shard_requests", "sieve_tuples_output_total", "sieve_tuples_scanned_total",
+    "sieve_udf_invocations_total", "sieve_udf_policy_evals_total",
+)
+#: Names each front end exposed while ``CounterSet`` carried copies of
+#: the serving, cache, cluster, fault and audit counts, and why each is
+#: gone: it was always 0 on that front end, or it is the quantity of an
+#: existing ``_sum`` sample.  Every other earlier name is still exposed.
+RETIRED_METRICS = {
+    "server": {
+        **{
+            f"sieve_{name}_total": "always 0: a server routes nothing and owns no injector"
+            for name in _COORDINATOR_COUNTS
+        },
+        "sieve_service_queue_wait_us_total": "sieve_queue_wait_ms_sum",
+        "sieve_service_exec_us_total": "sieve_request_latency_ms_sum",
+    },
+    "cluster": {
+        "sieve_service_queue_wait_us_total": "sieve_cluster_queue_wait_ms_sum",
+        "sieve_service_exec_us_total": "sieve_cluster_latency_ms_sum",
+    },
+}
+
+
+def test_exposed_metric_names_are_pinned():
+    db, _rows = make_wifi_db()
+    store = PolicyStore(db)
+    store.insert_many(make_policies())
+    exposed = {
+        "server": SieveServer(Sieve(db, store), workers=1).metrics_registry(),
+        "cluster": SieveCluster.replicated(db, store, n_shards=2).metrics_registry(),
+    }
+    assert sorted({m.name for m in exposed["server"].metrics()}) == list(SERVER_METRICS)
+    assert sorted({m.name for m in exposed["cluster"].metrics()}) == list(CLUSTER_METRICS)
+    for front_end, retired in RETIRED_METRICS.items():
+        text = to_prometheus(exposed[front_end])
+        for name, reason in retired.items():
+            assert name not in text
+            assert reason.startswith("always 0") or f"\n{reason} " in text, (name, reason)
+
+
+def test_serving_and_cache_counts_are_pinned_for_one_traffic():
+    """One deterministic traffic's counts, each read from its owner;
+    the pinned values are what the same traffic reported while
+    ``CounterSet`` still carried copies of them."""
+    sieve = _served_sieve()
+    sqls = [SQL, "SELECT id, owner FROM wifi WHERE wifiap = 3", "SELECT count(*) AS n FROM wifi"]
+    with SieveServer(sieve, workers=1) as server:
+        for _ in range(2):
+            for sql in sqls:
+                for querier in ("prof", "stranger"):
+                    server.execute(sql, querier, "analytics", timeout=60)
+        server.execute(SQL.replace("10 AND 40", "11 AND 41"), "prof", "analytics", timeout=60)
+        with pytest.raises(CatalogError):
+            server.execute("SELECT * FROM no_such_table", "prof", "analytics", timeout=60)
+        stats = server.stats()
+    assert (stats.requests, stats.batches, stats.rejections, stats.failures) == (14, 14, 0, 1)
+    assert stats.deadline_timeouts == 0
+    events = ("hits", "misses", "evictions", "invalidations", "coalesced")
+    assert [stats.guard_cache[k] for k in events] == [5, 2, 0, 0, 0]
+    assert [stats.plan_cache[k] for k in events] == [6, 8, 0, 0, 0]
 
 
 # ----------------------------------------------------------- dict snapshots

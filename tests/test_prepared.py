@@ -14,9 +14,8 @@ Three layers under test:
   ``plan_version``.
 
 The invariant everything here defends: **a prepared execution is
-indistinguishable from an unprepared one** — same rows, same
-enforcement counters (:data:`repro.audit.AUDIT_COUNTERS`; cache
-bookkeeping counters are zero-weight and excluded by design) — for
+indistinguishable from an unprepared one** — same rows, same engine
+counters (every one: the plan cache counts its own hits and misses) — for
 every workload (Mall, TIPPERS), every engine (vectorized, tuple
 oracle, SQLite backend), and at every moment of a policy churn
 (a stale plan is never served).
@@ -41,7 +40,6 @@ from conftest import (
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.audit import AUDIT_COUNTERS
 from repro.backend import SqliteBackend
 from repro.common.errors import ExecutionError, ParseError
 from repro.core import Sieve
@@ -198,10 +196,6 @@ def sparse_world():
     return small_world(n_rows=20_000, n_owners=2000)
 
 
-def audit_diff(db, before):
-    return {k: v for k, v in db.counters.diff(before).items() if k in AUDIT_COUNTERS}
-
-
 def test_prepared_rows_and_counters_match_unprepared():
     db, store = small_world()
     sieve = Sieve(db, store)
@@ -211,18 +205,19 @@ def test_prepared_rows_and_counters_match_unprepared():
     expected = sieve.execute(oracle_sql, "alice", "analytics")
     before = db.counters.snapshot()
     cold = prepared.execute([300])
-    cold_diff = audit_diff(db, before)
+    cold_diff = db.counters.diff(before)
     assert cold.rows == expected.rows
 
+    hits = sieve.plan_cache.stats.hits
     before = db.counters.snapshot()
     warm = prepared.execute([300])
-    warm_diff = audit_diff(db, before)
+    warm_diff = db.counters.diff(before)
     assert warm.rows == expected.rows
-    assert db.counters.diff(before)["plan_cache_hits"] == 1
+    assert sieve.plan_cache.stats.hits == hits + 1
 
     before = db.counters.snapshot()
     sieve.execute(oracle_sql, "alice", "analytics")
-    unprepared_diff = audit_diff(db, before)
+    unprepared_diff = db.counters.diff(before)
     assert warm_diff == unprepared_diff == cold_diff
 
 
@@ -231,9 +226,10 @@ def test_policy_epoch_bump_invalidates_but_never_breaks():
     sieve = Sieve(db, store)
     prepared = sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics")
     prepared.execute([300])
-    before = db.counters.snapshot()
+    stats = sieve.plan_cache.stats
+    hits = stats.hits
     prepared.execute([300])
-    assert db.counters.diff(before)["plan_cache_hits"] == 1
+    assert stats.hits == hits + 1
 
     grant = store.insert(
         Policy(
@@ -247,10 +243,9 @@ def test_policy_epoch_bump_invalidates_but_never_breaks():
             ),
         )
     )
-    before = db.counters.snapshot()
+    misses = stats.misses
     widened = prepared.execute([2000])
-    diff = db.counters.diff(before)
-    assert diff["plan_cache_misses"] >= 1 and diff["plan_cache_hits"] == 0
+    assert stats.misses >= misses + 1 and stats.hits == hits + 1
     oracle = sieve.execute("SELECT id FROM t WHERE v < 2000", "alice", "analytics")
     assert widened.rows == oracle.rows
 
@@ -267,16 +262,17 @@ def test_plan_version_bump_invalidates():
     prepared = sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics")
     prepared.execute([300])
 
+    stats = sieve.plan_cache.stats
     db.analyze("t")  # stats version bump
-    before = db.counters.snapshot()
+    misses = stats.misses
     prepared.execute([300])
-    assert db.counters.diff(before)["plan_cache_misses"] == 1
+    assert stats.misses == misses + 1
 
     prepared.execute([300])  # re-warm
     db.create_index("t", "id")  # schema version bump
-    before = db.counters.snapshot()
+    misses = stats.misses
     prepared.execute([300])
-    assert db.counters.diff(before)["plan_cache_misses"] == 1
+    assert stats.misses == misses + 1
 
 
 def test_midstream_policy_churn_never_serves_stale_plans():
@@ -336,7 +332,7 @@ def test_policy_churn_retains_nothing_per_write(world):
 
     def sizes():
         return (
-            len(db._fn_cache),
+            len(db.expr_cache),
             len(sieve.plan_cache),
             sieve.guard_store.cache_size(),
             db.catalog.table(GUARD_TABLE).row_count,
@@ -516,8 +512,8 @@ def test_fresh_literals_compile_no_guard_kernel(monkeypatch):
     db, _rows, _policies, sieve = wifi_world(100)
     prepared = sieve.prepare(FRESH_SHAPE, "prof", "analytics")
     prepared.execute([100, 400, 3])
-    assert db.counters.expr_cache_misses > 0
-    cache = db._fn_cache
+    cache = db.expr_cache
+    assert cache.misses > 0
 
     def guard_sized():
         return [
@@ -619,7 +615,7 @@ def _miss_path_work(monkeypatch, n_policies, fresh=200):
 
         return wrapper
 
-    cache_before, aliases_before = len(db._fn_cache), len(db._fn_cache._id_alias)
+    cache_before, aliases_before = len(db.expr_cache), len(db.expr_cache._id_alias)
     with monkeypatch.context() as patch:
         patch.setattr(builtins, "compile", counting("compile", builtins.compile))
         patch.setattr(
@@ -634,8 +630,8 @@ def _miss_path_work(monkeypatch, n_policies, fresh=200):
         for _ in range(fresh):
             lo = rng.randrange(0, 1000)
             prepared.execute([lo, lo + rng.randrange(1, 400), rng.randrange(0, 60)])
-    counts["cache_growth"] = len(db._fn_cache) - cache_before
-    counts["alias_growth"] = len(db._fn_cache._id_alias) - aliases_before
+    counts["cache_growth"] = len(db.expr_cache) - cache_before
+    counts["alias_growth"] = len(db.expr_cache._id_alias) - aliases_before
     return counts
 
 
@@ -867,9 +863,9 @@ def test_session_refresh_drops_plan_entries():
     prepared = session.prepare("SELECT id FROM t WHERE v < ?")
     prepared.execute([300])
     assert session.refresh() >= 1
-    before = db.counters.snapshot()
+    misses = sieve.plan_cache.stats.misses
     prepared.execute([300])
-    assert db.counters.diff(before)["plan_cache_misses"] == 1
+    assert sieve.plan_cache.stats.misses == misses + 1
 
 
 def test_plan_cache_lru_evicts_at_capacity():
@@ -879,9 +875,9 @@ def test_plan_cache_lru_evicts_at_capacity():
     for value in (100, 200, 300):  # three value-keyed entries, capacity 2
         prepared.execute([value])
     assert sieve.plan_cache.stats.evictions >= 1
-    before = db.counters.snapshot()
+    hits = sieve.plan_cache.stats.hits
     prepared.execute([300])  # most recent entry survived
-    assert db.counters.diff(before)["plan_cache_hits"] == 1
+    assert sieve.plan_cache.stats.hits == hits + 1
 
 
 def test_server_auto_prepares_repeated_shapes():
@@ -994,7 +990,7 @@ def _roundtrip_one(world, engine, sql):
         querier, purpose = world["querier"], world["purpose"]
         before = db.counters.snapshot()
         expected = sieve.execute(sql, querier, purpose)
-        expected_diff = audit_diff(db, before)
+        expected_diff = db.counters.diff(before)
 
         template, values = parameterize_query(parse_query(sql))
         prepared = sieve.prepare(template, querier, purpose)
@@ -1002,7 +998,7 @@ def _roundtrip_one(world, engine, sql):
             before = db.counters.snapshot()
             got = prepared.execute(values)
             assert got.rows == expected.rows, (engine, sql)
-            assert audit_diff(db, before) == expected_diff, (engine, sql)
+            assert db.counters.diff(before) == expected_diff, (engine, sql)
     finally:
         db.vectorized = saved
 
@@ -1110,7 +1106,7 @@ def _observe(world, run):
     db = world["db"]
     before = db.counters.snapshot()
     execution = run()
-    counters = audit_diff(db, before)
+    counters = db.counters.diff(before)
     decisions = {
         table: (d.strategy, d.query_index_column, d.delta_guards, d.costs)
         for table, d in execution.rewrite.decisions.items()

@@ -61,10 +61,10 @@ class TestWarmEqualsCold:
         db, rows, store, sieve = build_world()
         session = sieve.session("prof", "analytics")
         session.execute(QUERIES[0])
-        hits_before = db.counters.guard_cache_hits
+        hits_before = sieve.guard_cache.stats.hits
         session.execute(QUERIES[0])
         session.execute(QUERIES[1])
-        assert db.counters.guard_cache_hits >= hits_before + 2
+        assert sieve.guard_cache.stats.hits >= hits_before + 2
         assert session.cache_stats.hit_rate > 0
 
     def test_execute_many_matches_per_query_execute(self):
@@ -81,10 +81,10 @@ class TestWarmEqualsCold:
         db, _rows, _store, sieve = build_world()
         first = sieve.session("prof", "analytics")
         first.execute(QUERIES[0])
-        hits = db.counters.guard_cache_hits
+        hits = sieve.guard_cache.stats.hits
         second = sieve.session("prof", "analytics")
         second.execute(QUERIES[0])
-        assert db.counters.guard_cache_hits == hits + 1
+        assert sieve.guard_cache.stats.hits == hits + 1
 
     def test_warm_path_charges_identical_enforcement_counters(self):
         """Bit-identical means the *counters* too: the cached-guard
@@ -92,8 +92,6 @@ class TestWarmEqualsCold:
         middleware charges — a cache that changed the plan (or skipped
         policy evaluation it should have done) would show up here even
         when the row sets happen to agree."""
-        from repro.audit import AUDIT_COUNTERS
-
         db, rows, store, sieve = build_world(seed=21)
         session = sieve.session("prof", "analytics")
         for sql in QUERIES:
@@ -101,17 +99,11 @@ class TestWarmEqualsCold:
         for sql in QUERIES:
             before = db.counters.snapshot()
             warm = session.execute(sql)
-            warm_delta = {
-                k: v for k, v in db.counters.diff(before).items()
-                if k in AUDIT_COUNTERS
-            }
+            warm_delta = db.counters.diff(before)
             cold_sieve = Sieve(db, store)  # no warm cache at all
             before = db.counters.snapshot()
             cold = cold_sieve.execute(sql, "prof", "analytics")
-            cold_delta = {
-                k: v for k, v in db.counters.diff(before).items()
-                if k in AUDIT_COUNTERS
-            }
+            cold_delta = db.counters.diff(before)
             assert warm.rows == cold.rows
             assert warm_delta == cold_delta, (
                 f"cached-guard path charged different enforcement "
@@ -122,9 +114,9 @@ class TestWarmEqualsCold:
         db, _rows, store, sieve = build_world()
         session = sieve.session("stranger", "analytics")
         assert session.execute(QUERIES[0]).rows == []
-        before = db.counters.guard_cache_hits
+        before = sieve.guard_cache.stats.hits
         assert session.execute(QUERIES[0]).rows == []
-        assert db.counters.guard_cache_hits == before + 1  # denial is cached too
+        assert sieve.guard_cache.stats.hits == before + 1  # denial is cached too
 
 
 class TestMutationInvalidation:
@@ -145,9 +137,9 @@ class TestMutationInvalidation:
         # prof's entry survived (re-stamped, still hits) ...
         entry = sieve.guard_cache.peek("prof", "analytics", "wifi")
         assert entry is not None and entry.epoch == store.epoch
-        hits = db.counters.guard_cache_hits
+        hits = sieve.guard_cache.stats.hits
         prof.execute(QUERIES[0])
-        assert db.counters.guard_cache_hits == hits + 1
+        assert sieve.guard_cache.stats.hits == hits + 1
         # ... while colleague's was dropped and rebuilds on next query.
         assert sieve.guard_cache.peek("colleague", "analytics", "wifi") is None
         got = other.execute(QUERIES[0])
@@ -498,15 +490,16 @@ class TestFenceContract:
         with pytest.raises(ValueError):
             declared[0](capacity=0)
 
-    def test_charge_ticks_the_declared_counters(self, declared):
-        cls, _entry, _version = declared
-        db, _rows = make_wifi_db(n_rows=10, n_owners=2, seed=1)
-        before = db.counters.snapshot()
+    def test_the_cache_counts_each_lookup_once(self, declared):
+        """A lookup's count is the cache's own: its ``CacheStats``, under
+        the lookup's lock — there is no second copy to charge."""
+        cls, entry, version = declared
         cache = cls(capacity=1)
-        cache.charge(db.counters, True)
-        cache.charge(db.counters, False)
-        diff = {k: v for k, v in db.counters.diff(before).items() if v}
-        assert diff == {cls.hit_counter: 1, cls.miss_counter: 1}
+        cache.admit("k", entry("a", "t", 0, version))
+        assert cache.lookup("k", 0, version) is not None
+        assert cache.lookup("gone", 0, version) is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert not hasattr(cache, "charge")
 
     def test_guard_cache_spells_the_key_by_relation(self):
         """``GuardCache``'s own surface: (querier, purpose, relation)
@@ -544,9 +537,9 @@ class TestFenceContract:
                 id=moved.id,
             )
         )
-        hits_before = db.counters.guard_cache_hits
+        hits_before = sieve.guard_cache.stats.hits
         session_prof.execute(QUERIES[0])
-        assert db.counters.guard_cache_hits == hits_before + 1, (
+        assert sieve.guard_cache.stats.hits == hits_before + 1, (
             "unrelated querier lost its warm guard state across a "
             "cross-querier update"
         )

@@ -1,6 +1,6 @@
 """Docs gate, run via ``make docs-check``.
 
-Seven checks, all AST/text based so nothing is imported or executed:
+Eight checks, all AST/text based so nothing is imported or executed:
 
 1. every module under ``src/repro`` (including new packages such as
    ``repro/backend`` or ``repro/audit``) must have a module docstring;
@@ -30,7 +30,11 @@ Seven checks, all AST/text based so nothing is imported or executed:
    ``engine/__init__.py`` (which exports it) and ``db/database.py``
    (``connect(vectorized=False)``) may import the differential oracle,
    ``repro.engine.executor.Executor`` — a second way into the tuple
-   executor is a second engine in the product.
+   executor is a second engine in the product;
+8. every ``counters.<name>`` that README.md, docs/ARCHITECTURE.md or a
+   comment or string under ``src/repro`` names must be a field or
+   method of ``CounterSet`` (``db/counters.py``) — a count that moved to
+   the tier owning it leaves no doc pointing at the engine counters.
 
 Exits non-zero listing offenders; prints a one-line summary when clean.
 """
@@ -38,9 +42,11 @@ Exits non-zero listing offenders; prints a one-line summary when clean.
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -81,6 +87,10 @@ _TEST_REF = re.compile(r"\b(test_\w+\.py)((?:::\w+)+)")
 
 #: Check 7: the modules (under ``src/repro``) that may import the oracle.
 ORACLE_IMPORTERS = {"engine/vector.py", "engine/__init__.py", "db/database.py"}
+
+#: Check 8: ``counters.<name>`` — not the module (``repro.db.counters.X``,
+#: ``db/counters.py``) and not part of a longer identifier.
+_COUNTER_REF = re.compile(r"(?<![\w/])(?<!repro\.db\.)counters\.([A-Za-z_]\w*)")
 
 
 def check_docstrings() -> tuple[int, list[str]]:
@@ -243,6 +253,60 @@ def check_oracle_boundary() -> tuple[int, list[str]]:
     return len(ORACLE_IMPORTERS), outside
 
 
+def counterset_members(source: str | None = None) -> set[str]:
+    """The field and method names of ``CounterSet``, read off
+    ``db/counters.py`` (or ``source``), with the attributes the module
+    sets on the class after its body."""
+    tree = ast.parse(source if source is not None else (SRC / "db" / "counters.py").read_text())
+    members: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "CounterSet":
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.add(item.target.id)
+                elif isinstance(item, ast.FunctionDef):
+                    members.add(item.name)
+        elif isinstance(node, ast.Assign):
+            members.update(
+                target.attr
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+                and getattr(target.value, "id", None) == "CounterSet"
+            )
+    return members
+
+
+def unknown_counters(text: str, members: set[str]) -> list[str]:
+    """The ``counters.<name>`` references of ``text`` that name no
+    ``CounterSet`` member."""
+    return sorted(
+        {f"counters.{name}" for name in _COUNTER_REF.findall(text) if name not in members}
+    )
+
+
+def comments_and_strings(source: str) -> str:
+    """A module's comments and string literals (docstrings included),
+    one per line — where its prose lives."""
+    return "\n".join(
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type in (tokenize.COMMENT, tokenize.STRING)
+    )
+
+
+def check_counter_names() -> tuple[int, list[str]]:
+    members = counterset_members()
+    texts = {doc: doc.read_text() for doc in DOCS}
+    for path in sorted(SRC.rglob("*.py")):
+        texts[path] = comments_and_strings(path.read_text())
+    unknown = [
+        f"{ref} (named in {path.relative_to(ROOT)})"
+        for path, text in texts.items()
+        for ref in unknown_counters(text, members)
+    ]
+    return len(members), unknown
+
+
 def main() -> int:
     checked, missing = check_docstrings()
     n_packages, unmentioned = check_package_mentions()
@@ -252,7 +316,13 @@ def main() -> int:
     n_constructors, undeclared = check_options()
     n_test_ids, unknown_ids = check_test_ids()
     n_importers, outside = check_oracle_boundary()
+    n_members, unknown_counter_refs = check_counter_names()
     failed = False
+    if unknown_counter_refs:
+        failed = True
+        print(f"{len(unknown_counter_refs)} counter(s) the docs name that CounterSet does not have:")
+        for entry in unknown_counter_refs:
+            print(f"  {entry}")
     if outside:
         failed = True
         print(f"{len(outside)} module(s) import the oracle from outside its boundary:")
@@ -292,7 +362,8 @@ def main() -> int:
         f"every target and file the {n_referrers} docs/build files name exists; "
         f"every option the docs pass to the {n_constructors} public constructors is declared; "
         f"all {n_test_ids} test ids the docs and docstrings name exist; "
-        f"only the {n_importers} allowed modules import the oracle executor"
+        f"only the {n_importers} allowed modules import the oracle executor; "
+        f"every counters.<name> the docs and comments name is one of CounterSet's {n_members} members"
     )
     return 0
 
