@@ -1,7 +1,8 @@
 """Guard generation pinned across estimator rewrites.
 
 ``tests/data/golden_guards.json`` holds, for seeded corpora over the
-conftest worlds and a 150-policy Mall querier, every selected guard's
+conftest worlds and Mall queriers of 150, 400 and 1 000 policies (where
+overlapping ranges are densest), every selected guard's
 condition, partition and ``cardinality`` as generated by the bucket-
 sweep estimator (the commit before ``EquiDepthHistogram`` went
 cumulative).  A faster estimator must reproduce them: same guards, same
@@ -127,7 +128,8 @@ def snapshot(tippers, mall) -> dict:
         policies = store.policies_for(querier, "analytics", WIFI_TABLE)
         out[f"tippers-{profile}"] = _describe(policies, stats, indexed)
 
-    out["mall-150"] = _describe(mall_policies(150), *mall)
+    for n in (150, 400, 1000):
+        out[f"mall-{n}"] = _describe(mall_policies(n), *mall)
     return out
 
 
