@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest bench-paper profile-fresh profile-warm profile-churn chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest bench-paper profile-fresh profile-warm profile-churn profile-cold chaos-report health-report replay trace-dump audit-oracle docs-check
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -44,6 +44,15 @@ profile-warm:
 # the next request (guard maintenance, one branch compile, a re-plan).
 profile-churn:
 	$(PYTHON) tools/profile_request.py --mode churn -n $(N)
+
+# ... and for a cold request, each querier's first, which generates its
+# guards (Section 4): the median over three fresh 12-querier worlds and
+# its split timed plainly (candidates / merge sweep / selection / plan /
+# branch compile() / execute / other), then guard generation for one
+# shop at 150 / 400 / 1 000 / 2 000 policies and how it grows, then a
+# fourth world's cold requests under cProfile.
+profile-cold:
+	$(PYTHON) tools/profile_request.py --mode cold -n 36
 
 # Chaos smoke: replay a seeded matrix of fault plans against the
 # fault-free oracle and print the per-seed outcome table (exits

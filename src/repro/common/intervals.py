@@ -1,11 +1,10 @@
 """Closed-interval arithmetic over orderable values.
 
-Guard-candidate generation (paper Section 4.1) reasons about object
-conditions as value ranges: whether two ranges overlap, what their
-intersection and union span are, and how wide each is.  Intervals are
-closed on both ends, matching the paper's ``[val1, val2]`` notation;
-open endpoints produced by ``<``/``>`` comparisons are handled by the
-caller nudging the endpoint (see ``ObjectCondition.interval``).
+Policy conditions are reasoned about as value ranges (see
+``ObjectCondition.interval``): guard maintenance asks whether one lies
+inside a guard's range, and policy factoring whether two can both hold.
+Intervals are closed on both ends, matching the paper's ``[val1, val2]``
+notation.
 """
 
 from __future__ import annotations
@@ -25,27 +24,9 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval lower bound {self.lo!r} > upper bound {self.hi!r}")
 
-    def contains(self, value: Any) -> bool:
-        """Return True when ``lo <= value <= hi``."""
-        return self.lo <= value <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         """Return True when the two closed intervals share at least a point."""
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """The overlapping sub-interval, or None when disjoint."""
-        if not self.overlaps(other):
-            return None
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both (the merge used for guards)."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def covers(self, other: "Interval") -> bool:
-        """True when ``other`` lies entirely within this interval."""
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo}, {self.hi}]"

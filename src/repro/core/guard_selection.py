@@ -40,15 +40,6 @@ def select_guards(
     """Greedy utility-ordered cover of ``policies`` by ``candidates``."""
     by_id = {p.id: p for p in policies}
     all_ids = set(by_id)
-    reachable: set[int] = set()
-    for candidate in candidates:
-        reachable |= candidate.policy_ids
-    missing = all_ids - reachable
-    if missing:
-        raise SieveError(
-            f"policies {sorted(missing)} have no candidate guard; every policy "
-            "must contribute at least its owner condition (Section 4.1)"
-        )
 
     def utility(candidate: CandidateGuard, live_ids: set[int]) -> float:
         size = len(live_ids)
@@ -57,8 +48,9 @@ def select_guards(
         benefit = cost_model.guard_benefit(table_rows, candidate.cardinality, size)
         return benefit / cost_model.guard_read_cost(candidate.cardinality)
 
-    # Lazy max-heap: (negated utility, tiebreak, partition size at push, candidate idx)
-    live: list[set[int]] = [set(c.policy_ids) for c in candidates]
+    # Lazy max-heap: (negated utility, tiebreak, partition size at push, candidate idx).
+    # A partition is replaced, never edited, so it starts as the candidate's own set.
+    live: list[set[int]] = [c.policy_ids for c in candidates]
     counter = itertools.count()
     heap: list[tuple[float, int, int, int]] = []
     for idx, candidate in enumerate(candidates):
@@ -93,8 +85,10 @@ def select_guards(
         covered |= current
 
     if covered != all_ids:
+        # Every policy some candidate holds is covered by now.
         raise SieveError(
-            f"guard selection failed to cover policies {sorted(all_ids - covered)}"
+            f"policies {sorted(all_ids - covered)} have no candidate guard; every policy "
+            "must contribute at least its owner condition (Section 4.1)"
         )
     return selected
 

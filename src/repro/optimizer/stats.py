@@ -148,32 +148,35 @@ class EquiDepthHistogram:
         k = bisect.bisect_left(self.bounds, x)
         return k + self._edge(k, x, 0.0)
 
-    def closed_range_estimator(self, points: Iterable[Any]) -> Callable[[Any, Any], float]:
-        """``selectivity_range(lo, hi)`` — closed, both ends given — for
-        ranges whose ends all come from ``points``, to the bit: what the
-        estimate reads of an end (its :meth:`cumulative` either way, its
-        equality mass) is looked up once per distinct point, and a range
-        combines two entries in O(1)."""
+    def closed_range_estimator(
+        self, lows: Iterable[Any], highs: Iterable[Any], rows: float
+    ) -> Callable[[Any, Any], float]:
+        """``selectivity_range(lo, hi) * rows`` — closed, both ends given
+        — for ranges whose lower end comes from ``lows`` and upper end
+        from ``highs``, to the bit: what the estimate reads of an end (its
+        :meth:`cumulative` as that end, its equality mass) is looked up
+        once per distinct point, and a range combines two entries in
+        O(1)."""
+        lows, highs = set(lows), set(highs)
         try:
-            at = {
-                x: (self.cumulative(x, False), self.cumulative(x, True), self.selectivity_eq(x))
-                for x in set(points)
-            }
+            mass = {x: self.selectivity_eq(x) for x in lows | highs}
+            low_at = {x: (self.cumulative(x, False), mass[x]) for x in lows}
+            high_at = {x: (self.cumulative(x, True), mass[x]) for x in highs}
         except TypeError:
-            at = None  # points the column's values do not compare with
-        if at is None or self.total == 0:
-            return lambda lo, hi: 0.0
+            low_at = None  # points the column's values do not compare with
+        if low_at is None or self.total == 0:
+            return lambda lo, hi: 0.0 * rows
         scale = self.depth / self.total
         low, high = self.min_value, self.max_value
 
         def estimate(lo: Any, hi: Any) -> float:
-            below, _, lo_mass = at[lo]
+            below, lo_mass = low_at[lo]
             if lo == hi:
-                return lo_mass
+                return lo_mass * rows
             if lo > high or hi < low or hi < lo:
-                return 0.0
-            _, upto, hi_mass = at[hi]
-            return min(1.0, max(0.0, (upto - below) * scale, lo_mass, hi_mass))
+                return 0.0 * rows
+            upto, hi_mass = high_at[hi]
+            return min(1.0, max(0.0, (upto - below) * scale, lo_mass, hi_mass)) * rows
 
         return estimate
 

@@ -1,14 +1,18 @@
 """Candidate guard generation: Theorem 1 and its corollaries."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import candidate_gen
 from repro.core.candidate_gen import (
     CandidateGuard,
     condition_cardinality,
     generate_candidate_guards,
 )
 from repro.core.cost_model import SieveCostModel
+from repro.optimizer.stats import ColumnStats, EquiDepthHistogram, TableStats
 from repro.policy.model import ObjectCondition, Policy
 
 from tests.conftest import make_wifi_db
@@ -188,3 +192,138 @@ def test_candidates_always_cover_all_policies(windows):
     for c in cg:
         covered |= c.policy_ids
     assert covered == {p.id for p in policies}
+
+
+# ------------------------------------------------- the sweep vs its reference
+
+
+def pairwise_sweep(los, his, candidates, attr, stats, cost_model):
+    """The merge sweep as the hull walk replaced it: per anchor, every
+    overlapping neighbour in order, each weighed by Eq. 8 against the
+    hull as it stands, ρ straight from ``selectivity_range``."""
+    cstats = stats.column(attr)
+    if cstats is None or cstats.histogram is None:
+        flat = stats.row_count / 3.0 if cstats is None else 0.0
+        rho = lambda lo, hi: flat  # noqa: E731
+    else:
+        rho = lambda lo, hi: cstats.histogram.selectivity_range(lo, hi) * stats.row_count  # noqa: E731
+    produced = []
+    seen_spans = set(zip(los, his))
+    threshold = cost_model.merge_threshold()
+    own_rho = [rho(lo, hi) for lo, hi in zip(los, his)]
+    n = len(los)
+    for i in range(n):
+        acc_lo, acc_hi, acc_rho = los[i], his[i], own_rho[i]
+        acc_ids = set(candidates[i].policy_ids)
+        merged_any = False
+        for j in range(i + 1, n):
+            if not (acc_lo <= his[j] and los[j] <= acc_hi):
+                break
+            if his[j] <= acc_hi:
+                union, rho_union, rho_intersection = (acc_lo, acc_hi), acc_rho, own_rho[j]
+            else:
+                union = (min(acc_lo, los[j]), max(acc_hi, his[j]))
+                rho_union = rho(*union)
+                rho_intersection = rho(max(acc_lo, los[j]), min(acc_hi, his[j]))
+            if rho_union <= 0 or rho_intersection / rho_union <= threshold:
+                continue
+            (acc_lo, acc_hi), acc_rho = union, rho_union
+            acc_ids |= candidates[j].policy_ids
+            merged_any = True
+        if not merged_any or (acc_lo, acc_hi) in seen_spans:
+            continue
+        seen_spans.add((acc_lo, acc_hi))
+        condition = ObjectCondition(attr=attr, op=">=", value=acc_lo, op2="<=", value2=acc_hi)
+        produced.append(CandidateGuard(condition=condition, policy_ids=acc_ids, cardinality=acc_rho))
+    return produced
+
+
+_DOMAIN = 100
+
+
+def _condition(kind, value, width):
+    if kind == "range":  # width 0 is a point range [v, v]
+        return ObjectCondition("a", ">=", value, "<=", value + width)
+    if kind == "=":
+        return ObjectCondition("a", "=", value)
+    return ObjectCondition("a", kind, value)  # open-ended: widened to the column's min / max
+
+
+def _world(values, buckets, column, specs, ce):
+    """(policies, stats, cost model): one range condition per policy on
+    column ``a``, whose statistics are built from ``values``."""
+    stats = TableStats("t", row_count=len(values), page_count=1)
+    if column != "no column":
+        histogram = EquiDepthHistogram.build(values, buckets) if column == "histogram" else None
+        stats.columns["a"] = ColumnStats("a", len(values), 0, len(set(values)), histogram)
+    policies = [
+        Policy(
+            owner=i % 5,
+            querier="q",
+            purpose="p",
+            table="t",
+            object_conditions=(ObjectCondition("owner", "=", i % 5), _condition(*spec)),
+        )
+        for i, spec in enumerate(specs)
+    ]
+    return policies, stats, SieveCostModel(cr=1.0, ce=ce)
+
+
+@st.composite
+def sweep_worlds(draw):
+    # Every value once makes ρ follow the width; a few distinct values
+    # leave wide buckets with a low distinct count, whose equality
+    # estimate outweighs a narrow range's interpolation.
+    if draw(st.booleans()):
+        values = list(range(_DOMAIN + 1))
+        distinct = values
+    else:
+        distinct = draw(st.lists(st.integers(0, _DOMAIN), min_size=1, max_size=6))
+        values = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    # Heavy hitters fill whole buckets: point-mass buckets on the bounds.
+    for value, copies in draw(st.lists(st.tuples(st.sampled_from(distinct), st.integers(1, 60)), max_size=3)):
+        values += [value] * copies
+    # Ends on a coarse grid, so spans repeat (also as `=` v beside [v, v],
+    # and `>= v` widened beside [v, max]), nest and chain.
+    specs = st.tuples(
+        st.sampled_from(["range"] * 6 + ["=", ">", ">=", "<", "<="]),
+        st.integers(-1, _DOMAIN // 5 + 1).map(lambda v: 5 * v),
+        st.integers(0, 12).map(lambda w: 5 * w),
+    )
+    return _world(
+        values,
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from(["histogram", "no histogram", "no column"])),
+        draw(st.lists(specs, min_size=2, max_size=25)),
+        draw(st.sampled_from([0.02, 0.2, 0.5, 1.0, 4.0])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_worlds())
+# After [85, 110] fails against the hull [65, 105], [95, 130] still
+# merges: its start, 95, carries a point-mass bucket that the failed
+# intersection [85, 105] interpolates to much less.  The cut-off must
+# allow for a later start's equality mass.
+@example(_world([83, 83] + [95] * 6, 2, "histogram", [("range", 65, 40), ("range", 90, 60), ("range", 85, 25), ("range", 95, 35)], 4.0))
+# [60, 115] reaches past the hull [10, 70] and fails Eq. 8: its policy
+# stays out, though its own ρ against the hull's would pass.
+@example(_world([62, 91, 91], 2, "histogram", [("range", 60, 55), ("range", 10, 60), ("range", 55, 25)], 0.5))
+# [10, 10] passes against the hull [0, 50] of its time, not against the
+# [0, 80] that [40, 80] grows it to afterwards.
+@example(_world(list(range(_DOMAIN + 1)), 4, "histogram", [("range", 40, 40), ("range", 0, 50), ("range", 10, 0)], 0.02))
+def test_the_hull_walk_emits_what_the_pairwise_sweep_emits(world):
+    """Same candidates in the same order: condition, policy ids and
+    cardinality equal to the bit, whatever the duplicates, nesting,
+    open ends, flat ρ or point-mass buckets."""
+    policies, stats, cost_model = world
+
+    def candidates():
+        return [
+            (c.condition, c.policy_ids, c.cardinality)
+            for c in generate_candidate_guards(policies, frozenset({"a"}), stats, cost_model)
+        ]
+
+    walked = candidates()
+    with mock.patch.object(candidate_gen, "_sweep_merge", pairwise_sweep):
+        assert walked == candidates()

@@ -1,19 +1,23 @@
-"""Guard generation pinned across estimator rewrites.
+"""Guard generation pinned across estimator and sweep rewrites.
 
 ``tests/data/golden_guards.json`` holds, for seeded corpora over the
 conftest worlds and Mall queriers of 150, 400 and 1 000 policies (where
-overlapping ranges are densest), every selected guard's
-condition, partition and ``cardinality`` as generated by the bucket-
-sweep estimator (the commit before ``EquiDepthHistogram`` went
-cumulative).  A faster estimator must reproduce them: same guards, same
-partitions, cardinalities to 1e-6.  ``python tests/test_golden_guards.py``
-(with ``src`` on ``PYTHONPATH``, from the repo root) rewrites the file.
+overlapping ranges are densest), every selected guard's condition,
+partition and ``cardinality``: the first five as generated by the
+bucket-sweep estimator (the commit before ``EquiDepthHistogram`` went
+cumulative), the 400- and 1 000-policy ones by the pairwise merge sweep
+the hull walk replaced.  A faster estimator or sweep must reproduce
+them: same guards, same partitions, cardinalities to 1e-6.
+``PYTHONPATH=src:. python tests/test_golden_guards.py`` (from the repo
+root) rewrites the file.
 
 The complexity tests ride on the same Mall world: they count the
 bucket bounds one estimate touches (through a counting list, not a
-product counter), how that total grows with the corpus, and how many
+product counter), how that total grows with the corpus, how many
 times the merge sweep asks the histogram anything at all — three
-look-ups per distinct range end, however many pairs it weighs.
+look-ups per distinct range end, however many pairs it weighs — and
+the sweep's own work: the estimates it makes and the range ends it
+reads, pinned.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import random
 
 import pytest
 
+from repro.core import candidate_gen
 from repro.core.candidate_gen import (
     _eligible_conditions,
     condition_cardinality,
     generate_candidate_guards,
 )
+from repro.core.cost_model import SieveCostModel
 from repro.core.generation import build_guarded_expression
 from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
 from repro.datasets.tippers import WIFI_TABLE
@@ -265,6 +271,73 @@ def test_merge_sweep_asks_the_histogram_three_times_per_range_end(mall, n):
     generate_candidate_guards(policies, indexed, counted)
     assert _CountingHistogram.calls == own_calls
     assert 0 < _CountingHistogram.lookups - own_lookups <= 3 * len(ends)
+
+
+class _CountingEnds(list):
+    """Range ends that count every element read: one per index, the
+    length of a slice, the whole list per iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        _CountingEnds.reads += len(got) if isinstance(index, slice) else 1
+        return got
+
+    def __iter__(self):
+        _CountingEnds.reads += len(self)
+        return super().__iter__()
+
+
+class _CountingEstimates(EquiDepthHistogram):
+    """The product histogram, counting the closed-range estimates made
+    through :meth:`closed_range_estimator`."""
+
+    made = 0
+
+    def closed_range_estimator(self, *args, **kwargs):
+        estimate = super().closed_range_estimator(*args, **kwargs)
+
+        def counted(lo, hi):
+            _CountingEstimates.made += 1
+            return estimate(lo, hi)
+
+        return counted
+
+
+def _sweep_work(n: int, cost_model, stats, indexed, monkeypatch) -> tuple[int, int]:
+    """(closed-range estimates, range ends read) of the merge sweep over
+    an ``n``-policy corpus."""
+    clone = copy.deepcopy(stats)
+    for cstats in clone.columns.values():
+        hist = cstats.histogram
+        if hist is not None:
+            cstats.histogram = _CountingEstimates(**{f.name: getattr(hist, f.name) for f in dataclasses.fields(hist)})
+    sweep = candidate_gen._sweep_merge
+    monkeypatch.setattr(
+        candidate_gen, "_sweep_merge", lambda los, his, *rest: sweep(los, _CountingEnds(his), *rest)
+    )
+    _CountingEstimates.made = _CountingEnds.reads = 0
+    generate_candidate_guards(mall_policies(n), indexed, clone, cost_model)
+    return _CountingEstimates.made, _CountingEnds.reads
+
+
+@pytest.mark.parametrize(
+    "n, ce, estimates, ends_read",
+    # ce 0.2 is the default, Eq. 8's θ ≈ 0.17; ce 1.0 makes θ 0.5, where
+    # checks fail and the cut-off ends walks early.
+    [(150, 0.2, 1204, 6725), (400, 0.2, 3875, 30842), (150, 1.0, 1217, 4448)],
+)
+def test_merge_sweep_work_is_pinned(mall, monkeypatch, n, ce, estimates, ends_read):
+    """The sweep's work as counts, not time, so a change to the walk
+    shows here deterministically.  An estimate is one closed-range ρ: a
+    range's own, the intersection a shared step meets, a hull union per
+    Eq. 8 check, an equality mass for the cut-off.  An end read is one
+    neighbour looked at, by the walk or when reading the policy ids of
+    an emitted span.  At the default θ the pairwise sweep this replaced
+    made 2 618 and 9 563 estimates here, two for every neighbour reaching
+    past the hull, over 5 151 and 30 972 overlapping pairs."""
+    assert _sweep_work(n, SieveCostModel(cr=1.0, ce=ce), *mall, monkeypatch) == (estimates, ends_read)
 
 
 if __name__ == "__main__":  # record the golden file

@@ -164,6 +164,20 @@ class TestCumulativeRangeEstimate:
         want = _sweep_selectivity_range(hist, lo, hi, lo_inc, hi_inc)
         assert got == pytest.approx(want, abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_closed_range_estimator_is_selectivity_range_to_the_bit(self, data):
+        values = data.draw(_columns())
+        hist = EquiDepthHistogram.build(values, buckets=data.draw(st.sampled_from([4, 16, 64])))
+        probe = st.integers(-80, 1100) if not isinstance(values[0], str) else st.text("abcdef", max_size=3)
+        endpoint = st.one_of(probe, st.sampled_from(hist.bounds), st.just(hist.min_value))
+        lows = data.draw(st.lists(endpoint, min_size=1, max_size=6))
+        highs = data.draw(st.lists(endpoint, min_size=1, max_size=6))
+        estimate = hist.closed_range_estimator(lows, highs, 1234)
+        for lo in lows:
+            for hi in highs:
+                assert estimate(lo, hi) == hist.selectivity_range(lo, hi) * 1234, (lo, hi)
+
     def test_mixed_type_probe_estimates_zero_like_the_sweep(self):
         hist = EquiDepthHistogram.build(list(range(100)))
         for args in (("a", None), (None, "a"), ("a", "b"), (3, "b")):

@@ -21,13 +21,20 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
 * ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
-  or every k-th insert a full regeneration) and re-plans.
+  or every k-th insert a full regeneration) and re-plans;
+* ``cold``  — each querier's first request, which generates its guards
+  (Section 4) and compiles its kernels: the median over fresh worlds
+  (``-n`` rounds up to whole worlds of 12 queriers) and its split,
+  timed plainly — candidate generation besides the merge sweep, the
+  sweep, selection, planning, ``compile()``, execution and the rest —
+  then guard generation alone for one shop at 150 / 400 / 1 000 /
+  2 000 policies and its growth, then one more world under cProfile.
 
-Every querier and shape is executed once before the profiled window, so
-guard generation and first-sight compilation are not in it (except, in
-``churn``, what the writes cause).  cProfile inflates call
-heavy code; use it to find where time goes, and ``bench/run.py`` to
-measure a change.
+Except in ``cold``, every querier and shape is executed once before the
+profiled window, so guard generation and first-sight compilation are
+not in it (except, in ``churn``, what the writes cause).  cProfile
+inflates call heavy code; use it to find where time goes, and
+``bench/run.py`` to measure a change.
 """
 
 from __future__ import annotations
@@ -232,6 +239,111 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
     )
 
 
+def cold_requests(world: World, seed: int) -> list[Callable[[], object]]:
+    """Each querier's first request — the one that generates its guards —
+    on a shape that cycles with the querier."""
+    rng = random.Random(f"{seed}:cold")
+    texts = [(shop, world.bind(i % len(SHAPES), shop, rng)) for i, shop in enumerate(world.shops)]
+    return [lambda s=shop, t=text: world.serve(s, t) for shop, text in texts]
+
+
+#: The stages of a cold request timed in ``cold_split``: (label, module, attribute).
+COLD_STAGES = (
+    ("candidates", "repro.core.generation", "generate_candidate_guards"),
+    ("sweep", "repro.core.candidate_gen", "_sweep_merge"),
+    ("selection", "repro.core.generation", "select_guards"),
+    ("plan", None, "plan"),
+    ("compile()", "builtins", "compile"),
+    ("execute", None, "run_plan"),
+)
+
+
+def cold_split(worlds: int, seed: int) -> str:
+    """The median cold request over ``worlds`` fresh worlds (each
+    querier's first request, single-threaded), and its split: each
+    stage's own time with a plain timer — a stage nested in another
+    (the sweep inside candidate generation, ``compile()`` inside
+    planning or execution) is taken out of the outer one — and the rest
+    of the request as ``other``.  Medians over the requests."""
+    import importlib
+
+    own: dict[str, list[float]] = defaultdict(list)
+    totals: list[float] = []
+    for round_ in range(worlds):
+        world = World(seed + round_)
+        db = world.mall.db
+        spent: dict[str, float] = defaultdict(float)
+        inner = [0.0]  # time taken by stages nested in the running one
+
+        def stage(name: str, fn: Callable) -> Callable:
+            def run(*args, **kwargs):
+                outer, inner[0] = inner[0], 0.0
+                start = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    took = time.perf_counter() - start
+                    spent[name] += took - inner[0]
+                    inner[0] = outer + took
+
+            return run
+
+        owners = [db if module is None else importlib.import_module(module) for _, module, _ in COLD_STAGES]
+        saved = [getattr(owner, attr) for owner, (_, _, attr) in zip(owners, COLD_STAGES)]
+        for owner, (name, _, attr), fn in zip(owners, COLD_STAGES, saved):
+            setattr(owner, attr, stage(name, fn))
+        try:
+            for request in cold_requests(world, seed + round_):
+                spent.clear()
+                start = time.perf_counter()
+                request()
+                total = (time.perf_counter() - start) * 1000.0
+                totals.append(total)
+                for name, _, _ in COLD_STAGES:
+                    own[name].append(spent[name] * 1000.0)
+                own["other"].append(total - sum(spent.values()) * 1000.0)
+        finally:
+            for owner, (_, module, attr), fn in zip(owners, COLD_STAGES, saved):
+                if module is None:
+                    delattr(owner, attr)  # the instance attribute shadowed the method
+                else:
+                    setattr(owner, attr, fn)
+    parts = [f"{name} {statistics.median(own[name]):.2f}" for name in [*(s[0] for s in COLD_STAGES), "other"]]
+    return (
+        f"cold request (first per querier, {len(totals)} over {worlds} worlds), median "
+        f"{statistics.median(totals):.2f} ms; own time per stage, medians in ms, timed without "
+        "cProfile: " + ", ".join(parts)
+    )
+
+
+LADDER = (150, 400, 1000, 2000)
+
+
+def generation_ladder(world: World, repeats: int = 3) -> str:
+    """Guard generation (candidates + selection) for one shop's corpus at
+    each ``LADDER`` size, median of ``repeats``, and how it grows."""
+    from repro.core.generation import build_guarded_expression
+
+    db = world.mall.db
+    stats = db.stats.get(db.catalog.table(TABLE))
+    indexed = frozenset(db.catalog.indexed_columns(TABLE))
+    taken: dict[int, float] = {}
+    for n in LADDER:
+        policies = mall_policies_for_shop(world.mall, world.shops[0], n)
+        runs = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            build_guarded_expression(policies, stats, indexed)
+            runs.append((time.perf_counter() - start) * 1000.0)
+        taken[n] = statistics.median(runs)
+    return (
+        "guard generation, median of "
+        f"{repeats} in ms: "
+        + ", ".join(f"n{n} {ms:.1f}" for n, ms in taken.items())
+        + f"; n400 / n150 = {taken[400] / taken[150]:.2f}, n2000 / n1000 = {taken[2000] / taken[1000]:.2f}"
+    )
+
+
 def layer_of(filename: str) -> str:
     marker = "/src/repro/"
     at = filename.find(marker)
@@ -271,25 +383,35 @@ def report(profile: cProfile.Profile, n_requests: int, wall_s: float, top: int) 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=("fresh", "warm", "churn"), default="fresh")
-    parser.add_argument("-n", type=int, default=200, help="read requests to profile (default 200)")
+    parser.add_argument("--mode", choices=("fresh", "warm", "churn", "cold"), default="fresh")
+    parser.add_argument(
+        "-n", type=int, default=200, help="read requests to profile (default 200; cold: whole worlds of 12)"
+    )
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
 
-    world = World(args.seed)
-    # One schedule, two passes (an even count of write cycles leaves the
-    # churned corpus as it found it): timed plainly, then profiled.
-    n = args.n + (-args.n) % (2 * READS_PER_WRITE) if args.mode == "churn" else args.n
-    requests = make_requests(world, args.mode, n, args.seed)
     print(f"mode={args.mode} seed={args.seed}")
-    print(timed(requests))
-    if args.mode == "fresh":
-        # Literals are fresh once: each further pass binds its own.
-        print(miss_path_split(world, make_requests(world, "fresh", n, args.seed + 1)))
-        requests = make_requests(world, "fresh", n, args.seed + 2)
+    if args.mode == "cold":
+        worlds = -(-args.n // N_QUERIERS)
+        print(cold_split(worlds, args.seed))
+        world = World(args.seed + worlds)  # a cold one more, for the profile
+        print(generation_ladder(world))
+        requests = [("read", request) for request in cold_requests(world, args.seed + worlds)]
+        n = len(requests)
+    else:
+        world = World(args.seed)
+        # One schedule, two passes (an even count of write cycles leaves the
+        # churned corpus as it found it): timed plainly, then profiled.
+        n = args.n + (-args.n) % (2 * READS_PER_WRITE) if args.mode == "churn" else args.n
+        requests = make_requests(world, args.mode, n, args.seed)
+        print(timed(requests))
+        if args.mode == "fresh":
+            # Literals are fresh once: each further pass binds its own.
+            print(miss_path_split(world, make_requests(world, "fresh", n, args.seed + 1)))
+            requests = make_requests(world, "fresh", n, args.seed + 2)
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
