@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
+from types import CodeType
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
@@ -280,8 +281,16 @@ class VectorizedExecutor(Executor):
         return self._cached(shape, binding, mode, build, by_identity=False), consts
 
     def _cached(
-        self, expr: Expr, binding: RowBinding, mode: str, build: Callable, by_identity: bool = True
+        self,
+        expr: Expr | str,
+        binding: RowBinding,
+        mode: str,
+        build: Callable,
+        by_identity: bool = True,
     ):
+        """What ``build()`` returns, through the compiled-expression
+        cache under ``expr`` — an expression, or a guard kernel's
+        generated source (mode ``"shell"``, its code object)."""
         cache = self.fn_cache
         if cache is None:
             return build()
@@ -289,7 +298,7 @@ class VectorizedExecutor(Executor):
         fn = cache.lookup(expr, extra, by_identity)
         if fn is None:
             fn = build()
-            if fn is not None and not contains_subquery(expr):
+            if fn is not None and not (isinstance(expr, Expr) and contains_subquery(expr)):
                 cache.store(expr, extra, fn, by_identity)
         return fn
 
@@ -318,8 +327,13 @@ class VectorizedExecutor(Executor):
                 node, binding, "branch", lambda: codegen.compile_guard_branch(node)
             )
 
+        def shell(source: str) -> CodeType:
+            return self._cached(
+                source, binding, "shell", lambda: codegen.compile_source(source), by_identity=False
+            )
+
         try:
-            kernel = codegen.compile_batch_guard(conj, branch)
+            kernel = codegen.compile_batch_guard(conj, branch, shell)
         except (CodegenUnsupported, SyntaxError):
             return self._row_stage(conj, binding)
         return lambda batch, sel: kernel(batch.columns(), sel, batch.rows)

@@ -52,9 +52,11 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import chain
+from types import CodeType
 from typing import Any, Callable, Iterable
 
 from repro.common.errors import ExecutionError
+from repro.expr.analysis import conjuncts
 from repro.expr.eval import _BUILTIN_SCALARS, ExprCompiler, RowBinding, RowFn
 from repro.expr.nodes import (
     And,
@@ -128,17 +130,21 @@ class _Entry:
     """One compiled callable under its key ``(expression, extra)``, the
     key's structural hash taken once.
 
-    Expression nodes are frozen dataclasses whose ``__hash__`` walks the
-    whole tree — a thousand nodes for a policy-wide OR — so the entry
-    remembers it, and a dictionary finds an entry it already holds by
-    identity, without comparing trees."""
+    A dictionary finds an entry it already holds by identity, without
+    comparing trees.  ``parts`` are the object ids of the expression's
+    top-level conjuncts, the ids the cache files the entry under for
+    :meth:`CompiledExprCache.discard_conjuncts` (the entry holds the
+    expression, so they stay valid while it is held)."""
 
-    __slots__ = ("expr", "extra", "fn", "_hash")
+    __slots__ = ("expr", "extra", "fn", "parts", "_hash")
 
-    def __init__(self, expr: Any, extra: tuple, fn: Callable | None = None):
+    def __init__(
+        self, expr: Any, extra: tuple, fn: Callable | None = None, parts: tuple[int, ...] = ()
+    ):
         self.expr = expr
         self.extra = extra
         self.fn = fn
+        self.parts = parts
         self._hash = hash((expr, extra))
 
     def __hash__(self) -> int:
@@ -176,6 +182,13 @@ class CompiledExprCache:
         # never touch the tree.  The alias holds the expression, so its
         # id stays valid for as long as the alias can resolve.
         self._id_alias: dict[tuple, tuple[Any, _Entry]] = {}
+        # What discard_conjuncts reads instead of scanning: each held
+        # entry under the ids of its top-level conjuncts, and the
+        # aliases resolving to each entry (structurally: an alias left
+        # by a replaced twin or an evicted entry resolves to its equal),
+        # exactly the alias map's keys, cleared with it.
+        self._by_part: dict[int, set[_Entry]] = {}
+        self._aliases_of: dict[_Entry, set[tuple]] = {}
         # The cache is shared by every executor of one Database — and
         # the serving tier's workers execute on one Database from many
         # threads, where an unlocked LRU's move_to_end/popitem races
@@ -203,7 +216,7 @@ class CompiledExprCache:
                     if entry is not None:
                         self.hits += 1
                         return entry.fn
-                    del self._id_alias[alias]  # evicted under the alias
+                    self._unalias(alias)  # evicted under the alias
         probe = _Entry(expr, extra)
         with self._lock:
             entry = self._get(probe)
@@ -224,15 +237,27 @@ class CompiledExprCache:
         return entry
 
     def store(self, expr: Any, extra: tuple, fn: Callable, by_identity: bool = True) -> None:
-        entry = _Entry(expr, extra, fn)
+        entry = _Entry(expr, extra, fn, tuple(id(part) for part in conjuncts(expr)))
         with self._lock:
             entries = self._entries
-            entries.pop(entry, None)  # a structural twin leaves, key and all
+            twin = entries.pop(entry, None)  # a structural twin leaves, key and all
+            if twin is not None:
+                self._unfile(twin)
             entries[entry] = entry
+            for part in entry.parts:
+                self._by_part.setdefault(part, set()).add(entry)
             while len(entries) > self.capacity:
-                entries.popitem(last=False)
+                self._unfile(entries.popitem(last=False)[0])
             if by_identity:
                 self._alias((id(expr), extra), expr, entry)
+
+    def _unfile(self, entry: _Entry) -> None:
+        """Take a departing entry out of the conjunct index (lock held)."""
+        for part in entry.parts:
+            filed = self._by_part[part]
+            filed.discard(entry)
+            if not filed:
+                del self._by_part[part]
 
     def _alias(self, alias: tuple, expr: Any, entry: _Entry) -> None:
         # An alias keeps its expression alive, and the row functions
@@ -243,33 +268,36 @@ class CompiledExprCache:
         # (guard ORs, guard branches) one structural probe each.
         if len(self._id_alias) > self.capacity:
             self._id_alias.clear()
+            self._aliases_of.clear()
+        if alias in self._id_alias:
+            self._unalias(alias)
         self._id_alias[alias] = (expr, entry)
+        self._aliases_of.setdefault(entry, set()).add(alias)
+
+    def _unalias(self, alias: tuple) -> None:
+        entry = self._id_alias.pop(alias)[1]
+        aliases = self._aliases_of[entry]
+        aliases.discard(alias)
+        if not aliases:
+            del self._aliases_of[entry]
 
     def discard_conjuncts(self, nodes: Iterable[Any]) -> int:
         """Drop every entry whose expression shares a top-level conjunct
-        (the very object) with one of ``nodes``; returns the number
-        dropped.  How a superseded guarded expression takes its compiled
-        predicates with it: a scan's filter stages are cached per
-        conjunct, each holds guard AST and a generated kernel, and
-        nothing would look them up again."""
-        from repro.expr.analysis import conjuncts
-
+        (the very object) with one of ``nodes``, and the aliases that
+        resolve to it; returns the number dropped.  How a superseded
+        guarded expression takes its compiled predicates with it: a
+        scan's filter stages are cached per conjunct, each holds guard
+        AST and a generated kernel, and nothing would look them up
+        again.  The entries are found through the conjunct index, so a
+        release costs the released nodes, not the cache."""
         wanted = {id(part) for node in nodes for part in conjuncts(node)}
-        if not wanted:
-            return 0
         with self._lock:
-            doomed = [
-                entry
-                for entry in self._entries
-                if any(id(part) in wanted for part in conjuncts(entry.expr))
-            ]
+            doomed = set().union(*(self._by_part.get(part, ()) for part in wanted))
             for entry in doomed:
                 del self._entries[entry]
-            if doomed:
-                gone = set(doomed)
-                self._id_alias = {
-                    alias: held for alias, held in self._id_alias.items() if held[1] not in gone
-                }
+                self._unfile(entry)
+                for alias in self._aliases_of.pop(entry, ()):
+                    del self._id_alias[alias]
         return len(doomed)
 
     def clear(self) -> int:
@@ -277,6 +305,8 @@ class CompiledExprCache:
             n = len(self._entries)
             self._entries.clear()
             self._id_alias.clear()
+            self._by_part.clear()
+            self._aliases_of.clear()
             return n
 
 
@@ -637,7 +667,10 @@ class CodegenExprCompiler:
         return self._kernel(emitter, [f"    return [{body} for _i in _sel]"], _SHAPE_ARGS)
 
     def compile_batch_guard(
-        self, expr: Or, compiled_branch: Callable[[Expr], RowFn] | None = None
+        self,
+        expr: Or,
+        compiled_branch: Callable[[Expr], RowFn] | None = None,
+        compiled_shell: Callable[[str], CodeType] | None = None,
     ) -> BatchPredFn:
         """The fused form of guard-by-guard evaluation: one wide
         (metered) OR as a single kernel.
@@ -668,7 +701,12 @@ class CodegenExprCompiler:
         already compiled in one branch therefore compiles one branch.
         Which branch function a row calls, and in which order, depends
         on the heads alone, so the charge is the one above whichever way
-        the functions were obtained.  The shell takes the batch's row
+        the functions were obtained.  The shell's source names no
+        constant of the OR — its width, tables and branch functions are
+        environment constants — so ORs of one shape (the same look-up
+        columns and kinds) share one source, and ``compiled_shell(source)``
+        lets the caller supply its code object from a cache: a write that
+        keeps the guard count compiles no shell.  The shell takes the batch's row
         tuples beside its columns, ``fn(columns, selection, rows)`` —
         the first pass reads a column per row, the second hands the few
         candidates' tuples to the branch functions (without ``rows`` it
@@ -680,9 +718,9 @@ class CodegenExprCompiler:
         there is no first pass.
         """
         emitter = _Emitter(self, "col", hoisted=True)
-        width = len(expr.children)
         candidates = self._guard_candidates(emitter, expr.children)
         if candidates is None:
+            width = len(expr.children)
             tries: list[str] = []
             for j, test in enumerate(expr.children):
                 tries += [
@@ -696,12 +734,13 @@ class CodegenExprCompiler:
         else:
             compiled = compiled_branch or self.compile_guard_branch
             fns = emitter.const(tuple(compiled(branch) for branch in expr.children))
+            width = emitter.const(len(expr.children))
             loop = [
-                f"    _fns = {fns}",
+                f"    _fns, _width = {fns}, {width}",
                 "    if _rows is None:",
                 "        _rows = list(zip(*_cols))",
                 f"    _cand = [(_i, _js) for _i in _sel if (_js := {candidates})]",
-                f"    _n = {width} * (len(_sel) - len(_cand))",
+                "    _n = _width * (len(_sel) - len(_cand))",
                 "    for _i, _js in _cand:",
             ]
             tries = [
@@ -711,7 +750,7 @@ class CodegenExprCompiler:
                 "                _add(_i)",
                 "                break",
                 "        else:",
-                f"            _n += {width}",
+                "            _n += _width",
             ]
         ctr = emitter.const(self.counters)
         lines = [
@@ -726,7 +765,7 @@ class CodegenExprCompiler:
         if candidates is None:
             unrolled = self._kernel(emitter, lines)
             return lambda cols, sel, rows=None: unrolled(cols, sel)
-        return self._kernel(emitter, lines, "_cols, _sel, _rows=None")
+        return self._kernel(emitter, lines, "_cols, _sel, _rows=None", compiled_shell)
 
     def compile_guard_branch(self, branch: Expr) -> RowFn:
         """One branch of a dispatched guard OR as a row function: what
@@ -786,7 +825,11 @@ class CodegenExprCompiler:
         return lookups[0] if len(lookups) == 1 else f"_mrg({', '.join(lookups)})"
 
     def _kernel(
-        self, emitter: _Emitter, body_lines: list[str], args: str = "_cols, _sel"
+        self,
+        emitter: _Emitter,
+        body_lines: list[str],
+        args: str = "_cols, _sel",
+        compiled: Callable[[str], CodeType] | None = None,
     ) -> Callable:
         prelude = [
             f"    _c{pos} = _cols[{pos}]"
@@ -802,10 +845,19 @@ class CodegenExprCompiler:
         src = "\n".join(
             [f"def _kernel({args}):", *prelude, *inner, *body_lines]
         )
-        return self._exec(src, emitter.env)["_kernel"]
+        return self._exec(src, emitter.env, compiled)["_kernel"]
+
+    @classmethod
+    def _exec(
+        cls, src: str, env: dict[str, Any], compiled: Callable[[str], CodeType] | None = None
+    ) -> dict[str, Any]:
+        """Run the generated module ``src`` over ``env``: its code object
+        from ``compiled(src)`` when given, else :meth:`compile_source`."""
+        namespace = dict(env)
+        exec((compiled or cls.compile_source)(src), namespace)  # noqa: S102
+        return namespace
 
     @staticmethod
-    def _exec(src: str, env: dict[str, Any]) -> dict[str, Any]:
-        namespace = dict(env)
-        exec(compile(src, "<sieve-codegen>", "exec"), namespace)  # noqa: S102
-        return namespace
+    def compile_source(src: str) -> CodeType:
+        """``compile()`` of one generated module: the only call."""
+        return compile(src, "<sieve-codegen>", "exec")

@@ -7,8 +7,8 @@ immutable dataclasses so they can be shared freely between rewritten
 queries.  Because a node never changes, an answer derived from one holds
 for its lifetime: ``And``/``Or`` nodes carry such answers as private
 attributes outside the dataclass fields (``analysis.facts``, the
-optimizer's OR selectivity) — invisible to equality, hashing and
-``repr``, and gone with the node.
+optimizer's OR selectivity, their own hash) — invisible to equality,
+hashing and ``repr``, and gone with the node.
 
 Rendering lives in one place: every node's ``__str__`` delegates to
 :func:`repro.sql.printer.print_expr` (default dialect), which is also
@@ -130,14 +130,30 @@ class InList(Expr):
     negated: bool = False
 
 
+def _remembered_hash(node: "And | Or") -> int:
+    """The dataclass hash of an ``And``/``Or``, ``hash((children,))``,
+    taken once: a frozen dataclass recomputes it on every call, which
+    for a guard OR walks the whole tree, while a remembered one makes
+    hashing an OR that shares its branch nodes cost its width."""
+    known = node.__dict__.get("_hash")
+    if known is None:
+        known = hash((node.children,))
+        object.__setattr__(node, "_hash", known)
+    return known
+
+
 @dataclass(frozen=True)
 class And(Expr):
     children: tuple[Expr, ...]
+
+    __hash__ = _remembered_hash
 
 
 @dataclass(frozen=True)
 class Or(Expr):
     children: tuple[Expr, ...]
+
+    __hash__ = _remembered_hash
 
 
 @dataclass(frozen=True)

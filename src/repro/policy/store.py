@@ -126,8 +126,13 @@ class PolicySnapshot:
     def policies_for(
         self, querier: Any, purpose: str, table: str | None = None
     ) -> list[Policy]:
-        """The PQM filter (Section 3.2) over this frozen corpus view."""
-        keys = [querier, *self.groups.groups_of(querier)]
+        """The PQM filter (Section 3.2) over this frozen corpus view:
+        the querier's own policies, then each of its groups' in
+        ``group_id`` order — never set order, which moves with the hash
+        seed and would reach Baseline P/U's inlined OR and the order of
+        SIEVE's partitions."""
+        groups = self.groups
+        keys = [querier, *sorted(groups.groups_of(querier), key=groups.group_id)]
         seen: set[int] = set()
         out: list[Policy] = []
         for key in keys:

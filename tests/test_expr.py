@@ -182,3 +182,57 @@ class TestAnalysis:
     def test_is_constant(self):
         assert is_constant(parse_expression("1 + 2 = 3"))
         assert not is_constant(parse_expression("a = 1"))
+
+
+class TestRememberedHash:
+    """``And`` / ``Or`` take their dataclass hash once: the same value,
+    so no dict or set order moves, and a repeat costs no child."""
+
+    class Counting:
+        """A child that counts how often it is hashed."""
+
+        hashes = 0
+
+        def __hash__(self):
+            TestRememberedHash.Counting.hashes += 1
+            return 7
+
+    @pytest.mark.parametrize("node_type", [And, Or])
+    def test_hash_is_the_dataclass_hash_taken_once(self, node_type):
+        counting = TestRememberedHash.Counting
+        wide = node_type(tuple(counting() for _ in range(40)))
+        counting.hashes = 0
+        first = hash(wide)
+        assert counting.hashes == 40
+        assert hash(wide) == first and counting.hashes == 40  # visits no child
+        assert first == hash((wide.children,))
+        parsed = parse_expression("a = 1 AND (b = 2 OR c IN (1, 2)) AND d BETWEEN 1 AND 3")
+        for node in (parsed, parsed.children[1]):
+            assert hash(node) == hash((node.children,)) == hash(node)
+
+    def test_an_or_sharing_its_branches_hashes_its_width(self):
+        counting = TestRememberedHash.Counting
+        branches = [And((counting(), counting(), counting())) for _ in range(25)]
+        held = Or(tuple(branches))
+        hash(held)
+        counting.hashes = 0
+        successor = Or((*branches[:24], And((counting(), counting(), counting()))))
+        assert hash(successor) != 0 and counting.hashes == 3  # only the new branch's leaves
+
+    def test_equality_repr_and_replace_are_unchanged(self):
+        from dataclasses import fields, replace
+
+        node = parse_expression("a = 1 OR b = 2")
+        twin = parse_expression("a = 1 OR b = 2")
+        before = repr(node)
+        hash(node)
+        assert node == twin and twin == node and hash(twin) == hash(node)
+        assert repr(node) == before == "Or(children=(Comparison(op=<CompareOp.EQ: '='>, " \
+            "left=ColumnRef(name='a', table=None), right=Literal(value=1)), " \
+            "Comparison(op=<CompareOp.EQ: '='>, left=ColumnRef(name='b', table=None), " \
+            "right=Literal(value=2))))"
+        assert [f.name for f in fields(node)] == ["children"]
+        other = replace(node, children=node.children[:1])
+        assert other == Or(node.children[:1]) and other != node
+        assert hash(other) == hash((node.children[:1],))
+        assert {node: 1}[twin] == 1

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.counters import CounterSet
+from repro.expr.analysis import conjuncts
 from repro.expr.codegen import (
     CodegenExprCompiler,
     CompiledExprCache,
@@ -228,9 +229,9 @@ def guard_kernel(expr, counters, binding=None):
 
     class Capturing(CodegenExprCompiler):
         @staticmethod
-        def _exec(src, env):
+        def compile_source(src):
             sources.append(src)
-            return CodegenExprCompiler._exec(src, env)
+            return CodegenExprCompiler.compile_source(src)
 
     compiler = Capturing(binding or make_binding(), counters=counters)
     return compiler.compile_batch_guard(expr), sources[-1]
@@ -500,11 +501,11 @@ def test_mall_guard_kernel_finds_its_guards(monkeypatch):
     store = PolicyStore(mall.db, mall.groups)
     store.insert_many(mall.policies)
     sources = []
-    compile_source = CodegenExprCompiler._exec
+    compile_source = CodegenExprCompiler.compile_source
     monkeypatch.setattr(
         CodegenExprCompiler,
-        "_exec",
-        staticmethod(lambda src, env: sources.append(src) or compile_source(src, env)),
+        "compile_source",
+        staticmethod(lambda src: sources.append(src) or compile_source(src)),
     )
     sieve = Sieve(mall.db, store)
     querier = mall.shop_querier(mall.shops[0])
@@ -519,9 +520,9 @@ def test_mall_guard_kernel_finds_its_guards(monkeypatch):
 def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
     """A maintained write hands the engine an OR that shares every
     branch node but one with its predecessor: the next execution
-    compiles that branch and the dispatch shell around the cached rest
-    — two small ``compile()`` calls where the parent recompiled the
-    whole fused kernel."""
+    compiles that branch and nothing else — the write kept the guard
+    count, so the dispatch shell around the cached rest has a source
+    already compiled once, and its code object comes from the cache."""
     from repro.core import Sieve
     from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
     from repro.policy.model import ObjectCondition, Policy
@@ -540,11 +541,11 @@ def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
     assert width >= 3 and branch_entries() == width
 
     sources = []
-    compile_source = CodegenExprCompiler._exec
+    compile_source = CodegenExprCompiler.compile_source
     monkeypatch.setattr(
         CodegenExprCompiler,
-        "_exec",
-        staticmethod(lambda src, env: sources.append(src) or compile_source(src, env)),
+        "compile_source",
+        staticmethod(lambda src: sources.append(src) or compile_source(src)),
     )
     guard = expression.guards[0]
     store.insert(
@@ -558,8 +559,9 @@ def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
     assert info.regenerated_tables == []
     branches = [src for src in sources if "(_r):" in src]
     shells = [src for src in sources if "_hits" in src]
-    assert len(branches) == 1 and len(shells) == 1 and len(sources) == 2
+    assert len(branches) == 1 and shells == [] and len(sources) == 1
     assert branch_entries() == width  # the retired branch's entry left as the new one came
+    assert len(sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE).guards) == width
 
 
 def test_udfs_and_builtins_in_codegen():
@@ -699,8 +701,8 @@ def test_one_cache_entry_per_conjunct_shape():
     run("a BETWEEN 1 AND 3 AND b IN (0, 1)", lambda r: 1 <= r[0] <= 3 and r[1] in (0, 1))
     held = len(cache)
     compiles = []
-    real_exec = CodegenExprCompiler._exec
-    CodegenExprCompiler._exec = staticmethod(lambda src, env: compiles.append(src) or real_exec(src, env))
+    real_compile = CodegenExprCompiler.compile_source
+    CodegenExprCompiler.compile_source = staticmethod(lambda src: compiles.append(src) or real_compile(src))
     try:
         run("a BETWEEN 2 AND 6 AND b IN (2, 1)", lambda r: 2 <= r[0] <= 6 and r[1] in (1, 2))
         run("a BETWEEN 0 AND 0 AND b IN (2)", lambda r: r[0] == 0 and r[1] == 2)
@@ -714,7 +716,7 @@ def test_one_cache_entry_per_conjunct_shape():
             db.execute(parse_query("SELECT a FROM t WHERE a = 5 OR b = ?"))
         assert len(cache) == held + 3
     finally:
-        CodegenExprCompiler._exec = staticmethod(real_exec)
+        CodegenExprCompiler.compile_source = staticmethod(real_compile)
     assert not cache._id_alias  # no binding above was seen twice: nothing aliased
 
 
@@ -769,6 +771,35 @@ def test_compiled_expr_cache_hit_does_not_rehash_the_tree():
     assert (cache.hits, cache.misses) == (52, 0)
 
 
+def scan_release(cache, nodes):
+    """What releasing ``nodes`` drops, found the long way — every held
+    entry's conjuncts compared, every alias resolved: ``(entries,
+    aliases)`` as sets of entry ids and alias keys."""
+    wanted = {id(part) for node in nodes for part in conjuncts(node)}
+    gone = {entry for entry in cache._entries if any(id(p) in wanted for p in conjuncts(entry.expr))}
+    aliases = {alias for alias, held in cache._id_alias.items() if held[1] in gone}
+    return {id(entry) for entry in gone}, aliases
+
+
+def release_like_the_scan(cache, nodes):
+    """Release ``nodes`` and check that exactly the scan's entries and
+    aliases left: ``(entries dropped, aliases dropped, the nodes the
+    release asked conjuncts of)``."""
+    from repro.expr import analysis, codegen
+
+    entries, aliases = {id(e) for e in cache._entries}, set(cache._id_alias)
+    gone, unaliased = scan_release(cache, nodes)
+    asked = []
+    spy = lambda node: asked.append(node) or conjuncts(node)  # noqa: E731
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "conjuncts", spy)
+        patch.setattr(codegen, "conjuncts", spy, raising=False)
+        assert cache.discard_conjuncts(nodes) == len(gone)
+    assert {id(e) for e in cache._entries} == entries - gone
+    assert set(cache._id_alias) == aliases - unaliased
+    return len(gone), len(unaliased), asked
+
+
 def test_compiled_expr_cache_discards_by_conjunct_identity():
     cache = CompiledExprCache()
     guard = Or((Comparison(CompareOp.EQ, col("a"), Literal(1)), Comparison(CompareOp.EQ, col("a"), Literal(2))))
@@ -778,11 +809,49 @@ def test_compiled_expr_cache_discards_by_conjunct_identity():
     cache.store(And((other, guard)), extra, lambda *a: "conjunct")
     cache.store(other, extra, lambda *a: "unrelated")
     twin = Or(guard.children)  # equal structure, another object: not the one released
-    assert cache.discard_conjuncts([twin]) == 0
-    assert cache.discard_conjuncts([guard]) == 2
+    assert release_like_the_scan(cache, [twin])[:2] == (0, 0)
+    assert release_like_the_scan(cache, [guard])[:2] == (2, 2)
     assert len(cache) == 1
     assert cache.lookup(guard, extra) is None
     assert cache.lookup(other, extra) is not None
+
+    # Releasing one OR from a cache of 2 000 unrelated entries asks
+    # ``conjuncts`` of the released node alone, and drops exactly what a
+    # scan of every entry and alias drops — also for a structural twin
+    # under its own key, a twin that replaced the OR's entry, a twin
+    # aliased to the OR's entry, and an entry the LRU evicted, whose
+    # alias stays.
+    def eq(name, value):
+        return Comparison(CompareOp.EQ, col(name), Literal(value))
+
+    def unrelated(i):
+        cache.store(And((eq("b", i), eq("c", i))), ((), "unrelated"), lambda *a: None, by_identity=False)
+
+    cache = CompiledExprCache(capacity=2010)
+    guard = Or(tuple(eq("a", i) for i in range(30)))
+    twin = Or(guard.children)
+    evicted = Or(tuple(eq("a", i) for i in range(31)))
+    cache.store(evicted, ((), "evicted"), lambda *a: "evicted")  # the LRU's oldest
+    for i in range(2000):
+        unrelated(i)
+    cache.store(guard, ((), "stage"), lambda *a: "alone")
+    cache.store(And((eq("d", 1), guard)), ((), "conjunct"), lambda *a: "conjunct")
+    cache.store(twin, ((), "twin"), lambda *a: "twin")  # its own entry, its own conjunct
+    cache.store(guard, ((), "replaced"), lambda *a: "replaced")
+    cache.store(twin, ((), "replaced"), lambda *a: "the twin's")  # the guard's alias resolves to it
+    assert cache.lookup(twin, ((), "stage"))() == "alone"  # aliased to the guard's entry
+    for i in range(2000, 2006):
+        unrelated(i)
+    assert len(cache) == 2010 and (id(evicted), ((), "evicted")) in cache._id_alias
+    assert all(entry.expr is not evicted for entry in cache._entries)
+
+    for released, dropped in ((evicted, (0, 0)), (guard, (2, 3)), (twin, (2, 3))):
+        *counts, asked = release_like_the_scan(cache, [released])
+        assert tuple(counts) == dropped
+        assert len(asked) == 1 and asked[0] is released
+    assert len(cache) == 2010 - 4
+    for mode in ("stage", "conjunct", "twin", "replaced"):
+        assert cache.lookup(guard, ((), mode)) is None and cache.lookup(twin, ((), mode)) is None
 
 
 def test_database_reuses_compiled_predicates():

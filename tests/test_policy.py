@@ -397,3 +397,69 @@ class TestPolicySnapshot:
         # The old view still sees the deleted policy; the store doesn't.
         assert len(snap.policies_for("other", "analytics", "wifi")) == 1
         assert len(store.policies_for("other", "analytics", "wifi")) == 0
+
+
+#: One querier in eight groups, each group granted five owners' rows in
+#: its own overlapping time window; prints the group-derived policy
+#: order and what Baseline P and SIEVE read under it.
+HASH_SEED_WORLD = r"""
+import json, random
+from repro import connect
+from repro.core import BaselineP, Sieve
+from repro.policy import GroupDirectory, ObjectCondition, Policy, PolicyStore
+from repro.storage.schema import ColumnType, Schema
+
+db = connect("mysql", page_size=16)
+db.create_table("W", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT), ("ts_time", ColumnType.TIME)))
+rng = random.Random(5)
+db.insert("W", [(i, rng.randrange(40), rng.randrange(1440)) for i in range(600)])
+for column in ("owner", "ts_time"):
+    db.create_index("W", column)
+db.analyze()
+groups = GroupDirectory()
+for g in range(8):
+    groups.add_member(f"group-{g}", "querier")
+store = PolicyStore(db, groups)
+for g in range(8):
+    for owner in range(40):
+        if owner % 8 <= g % 3:
+            store.insert(Policy(
+                owner=owner, querier=f"group-{g}", purpose="any", table="W",
+                object_conditions=(
+                    ObjectCondition("owner", "=", owner),
+                    ObjectCondition("ts_time", ">=", 90 * g, "<=", 90 * g + 700),
+                ),
+            ))
+order = [p.id for p in store.snapshot().policies_for("querier", "any", "W")]
+counts = {}
+for name, engine in (("BaselineP", BaselineP(db, store)), ("SIEVE", Sieve(db, store))):
+    before = db.counters.snapshot()
+    rows = engine.execute("SELECT * FROM W WHERE ts_time BETWEEN 300 AND 1100", "querier", "any").rows
+    counts[name] = [sorted(rows), db.counters.diff(before)]
+print(json.dumps({"order": order, "counts": counts}))
+"""
+
+
+def test_group_derived_policy_order_and_counters_ignore_the_hash_seed():
+    """A querier's group-derived policies come in ``group_id`` order, so
+    Baseline P's inlined OR, SIEVE's partitions and every engine counter
+    are the same whatever ``PYTHONHASHSEED`` the process runs under."""
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+    def run(seed: str) -> dict:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_WORLD], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(done.stdout)
+
+    first, second = run("0"), run("1")
+    assert len(first["order"]) > 8 and first["counts"]["SIEVE"][1]["policy_evals"] > 0
+    assert first["order"] == second["order"]
+    assert first["counts"] == second["counts"]

@@ -255,6 +255,58 @@ def cold_requests(world: World, seed: int) -> list[Callable[[], object]]:
     return [lambda s=shop, t=text: world.serve(s, t) for shop, text in texts]
 
 
+class StageClock:
+    """Own time per stage with a plain timer (no cProfile), while in a
+    ``with`` block: each ``(label, owner, attribute)`` is wrapped, and a
+    stage nested in another (``compile()`` inside planning or execution)
+    is taken out of the outer one.  Several attributes may share a
+    label.  ``spent`` maps labels to seconds since the last ``clear()``.
+    """
+
+    def __init__(self, stages: Sequence[tuple[str, object, str]]):
+        self.stages = stages
+        self.spent: dict[str, float] = defaultdict(float)
+        self._inner = 0.0  # time taken by stages nested in the running one
+        self._saved: list[tuple[object, str, object, bool]] = []
+
+    def _wrap(self, name: str, fn: Callable) -> Callable:
+        def run(*args, **kwargs):
+            outer, self._inner = self._inner, 0.0
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = time.perf_counter() - start
+                self.spent[name] += took - self._inner
+                self._inner = outer + took
+
+        return run
+
+    def clear(self) -> None:
+        self.spent.clear()
+
+    def __enter__(self) -> "StageClock":
+        for name, owner, attr in self.stages:
+            fn = getattr(owner, attr)
+            # An instance's method is shadowed by an instance attribute,
+            # removed again on exit; a module's or class's is replaced.
+            self._saved.append((owner, attr, fn, attr in vars(owner)))
+            setattr(owner, attr, self._wrap(name, fn))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for owner, attr, fn, owned in reversed(self._saved):
+            if owned:
+                setattr(owner, attr, fn)
+            else:
+                delattr(owner, attr)
+        self._saved.clear()
+
+
+def split_line(own: dict[str, list[float]], labels: Sequence[str]) -> str:
+    return ", ".join(f"{name} {statistics.median(own[name]):.2f}" for name in [*labels, "other"])
+
+
 #: The stages of a cold request timed in ``cold_split``: (label, module, attribute).
 COLD_STAGES = (
     ("candidates", "repro.core.generation", "generate_candidate_guards"),
@@ -269,58 +321,100 @@ COLD_STAGES = (
 def cold_split(worlds: int, seed: int) -> str:
     """The median cold request over ``worlds`` fresh worlds (each
     querier's first request, single-threaded), and its split: each
-    stage's own time with a plain timer — a stage nested in another
-    (the sweep inside candidate generation, ``compile()`` inside
-    planning or execution) is taken out of the outer one — and the rest
-    of the request as ``other``.  Medians over the requests."""
+    stage's own time (:class:`StageClock`) and the rest of the request
+    as ``other``.  Medians over the requests."""
     import importlib
 
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
+    labels = [name for name, _, _ in COLD_STAGES]
     for round_ in range(worlds):
         world = World(seed + round_)
-        db = world.mall.db
-        spent: dict[str, float] = defaultdict(float)
-        inner = [0.0]  # time taken by stages nested in the running one
-
-        def stage(name: str, fn: Callable) -> Callable:
-            def run(*args, **kwargs):
-                outer, inner[0] = inner[0], 0.0
-                start = time.perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    took = time.perf_counter() - start
-                    spent[name] += took - inner[0]
-                    inner[0] = outer + took
-
-            return run
-
-        owners = [db if module is None else importlib.import_module(module) for _, module, _ in COLD_STAGES]
-        saved = [getattr(owner, attr) for owner, (_, _, attr) in zip(owners, COLD_STAGES)]
-        for owner, (name, _, attr), fn in zip(owners, COLD_STAGES, saved):
-            setattr(owner, attr, stage(name, fn))
-        try:
+        stages = [
+            (name, world.mall.db if module is None else importlib.import_module(module), attr)
+            for name, module, attr in COLD_STAGES
+        ]
+        with StageClock(stages) as clock:
             for request in cold_requests(world, seed + round_):
-                spent.clear()
+                clock.clear()
                 start = time.perf_counter()
                 request()
                 total = (time.perf_counter() - start) * 1000.0
                 totals.append(total)
-                for name, _, _ in COLD_STAGES:
-                    own[name].append(spent[name] * 1000.0)
-                own["other"].append(total - sum(spent.values()) * 1000.0)
-        finally:
-            for owner, (_, module, attr), fn in zip(owners, COLD_STAGES, saved):
-                if module is None:
-                    delattr(owner, attr)  # the instance attribute shadowed the method
-                else:
-                    setattr(owner, attr, fn)
-    parts = [f"{name} {statistics.median(own[name]):.2f}" for name in [*(s[0] for s in COLD_STAGES), "other"]]
+                for name in labels:
+                    own[name].append(clock.spent[name] * 1000.0)
+                own["other"].append(total - sum(clock.spent.values()) * 1000.0)
     return (
         f"cold request (first per querier, {len(totals)} over {worlds} worlds), median "
         f"{statistics.median(totals):.2f} ms; own time per stage, medians in ms, timed without "
-        "cProfile: " + ", ".join(parts)
+        "cProfile: " + split_line(own, labels)
+    )
+
+
+def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
+    """Where a read after a policy write spends its time: run the churn
+    schedule ``requests`` once with each stage's own time taken
+    (:class:`StageClock`) — the release of the retired guards' compiled
+    predicates, guard maintenance (or a scheduled regeneration),
+    strategy choice, rewrite, planning, building the guard kernel
+    around its cached branches, ``compile()``, execution and the rest —
+    and the ``compile()`` calls per after-write read, dispatch shells
+    (generated guard kernels) and guard branches (row functions)
+    counted apart.  Medians over the after-write reads."""
+    import builtins
+
+    from repro.core import middleware
+    from repro.engine.vector import VectorizedExecutor
+
+    db = world.mall.db
+    stages = (
+        ("release", db, "release_compiled"),
+        ("guard maintenance", middleware, "maintain_guarded_expression"),
+        ("guard maintenance", middleware, "build_guarded_expression"),
+        ("strategy", middleware, "choose_strategy"),
+        ("rewrite", world.sieve.rewriter, "rewrite"),
+        ("plan", db, "plan"),
+        ("guard-kernel build", VectorizedExecutor, "_guard_stage"),
+        ("compile()", builtins, "compile"),
+        ("execute", db, "run_plan"),
+    )
+    labels = list(dict.fromkeys(name for name, _, _ in stages))
+    own: dict[str, list[float]] = defaultdict(list)
+    totals: list[float] = []
+    compiled = Counter()
+    real_compile = builtins.compile
+
+    def counting_compile(source, *args, **kwargs):
+        if isinstance(source, str) and counting[0]:
+            kind = "shell" if "_hits" in source else "branch" if "(_r):" in source else "other"
+            compiled[kind] += 1
+        return real_compile(source, *args, **kwargs)
+
+    counting = [False]
+    builtins.compile = counting_compile
+    try:
+        with StageClock(stages) as clock:
+            for kind, request in requests:
+                counting[0] = kind == "after_write"
+                clock.clear()
+                start = time.perf_counter()
+                request()
+                if kind != "after_write":
+                    continue
+                total = (time.perf_counter() - start) * 1000.0
+                totals.append(total)
+                for name in labels:
+                    own[name].append(clock.spent[name] * 1000.0)
+                own["other"].append(total - sum(clock.spent.values()) * 1000.0)
+    finally:
+        builtins.compile = real_compile
+    n = len(totals)
+    return (
+        f"read after a write ({n}), median {statistics.median(totals):.2f} ms; own time per stage, "
+        "medians in ms, timed without cProfile: " + split_line(own, labels) + "\n"
+        f"compile() calls per read after a write: {sum(compiled.values()) / n:.2f} "
+        f"(dispatch shells {compiled['shell'] / n:.2f}, guard branches {compiled['branch'] / n:.2f}, "
+        f"other {compiled['other'] / n:.2f})"
     )
 
 
@@ -496,6 +590,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         n = args.n + (-args.n) % (2 * READS_PER_WRITE) if args.mode == "churn" else args.n
         requests = make_requests(world, args.mode, n, args.seed)
         print(timed(requests))
+        if args.mode == "churn":
+            print(churn_split(world, requests))
         if args.mode == "fresh":
             # Literals are fresh once: each further pass binds its own.
             print(miss_path_split(world, make_requests(world, "fresh", n, args.seed + 1)))
