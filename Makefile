@@ -41,7 +41,10 @@ profile-warm:
 
 # ... and under policy churn ([1 write, 5 reads]): prints the median
 # read after a write next to the median warm read — what a write costs
-# the next request (guard maintenance, one branch compile, a re-plan).
+# the next request — then that read's own time per stage timed plainly
+# (release / guard maintenance / strategy / rewrite / plan / guard-kernel
+# build / compile() / execute / other) and its compile() calls, dispatch
+# shells and guard branches counted apart.
 profile-churn:
 	$(PYTHON) tools/profile_request.py --mode churn -n $(N)
 

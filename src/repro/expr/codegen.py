@@ -175,8 +175,8 @@ class CompiledExprCache:
         #: without a callable) comes back as the entry the cache holds.
         self._entries: OrderedDict[_Entry, _Entry] = OrderedDict()
         # Fast path: (id(expr), extra) -> (expr, entry).  Structural
-        # keys make warm queries hit across re-rewrites, but hashing a
-        # policy-wide OR walks thousands of nodes; once an expression
+        # keys make warm queries hit across re-rewrites, but a structural
+        # probe hashes the key and compares trees; once an expression
         # *object* has hit, later lookups through the same object reach
         # the held entry — hash remembered, matched by identity — and
         # never touch the tree.  The alias holds the expression, so its
@@ -187,8 +187,8 @@ class CompiledExprCache:
         # aliases resolving to each entry (structurally: an alias left
         # by a replaced twin or an evicted entry resolves to its equal),
         # exactly the alias map's keys, cleared with it.
-        self._by_part: dict[int, set[_Entry]] = {}
-        self._aliases_of: dict[_Entry, set[tuple]] = {}
+        self._by_part: dict[int, list[_Entry]] = {}
+        self._aliases_of: dict[_Entry, list[tuple]] = {}
         # The cache is shared by every executor of one Database — and
         # the serving tier's workers execute on one Database from many
         # threads, where an unlocked LRU's move_to_end/popitem races
@@ -245,7 +245,7 @@ class CompiledExprCache:
                 self._unfile(twin)
             entries[entry] = entry
             for part in entry.parts:
-                self._by_part.setdefault(part, set()).add(entry)
+                self._by_part.setdefault(part, []).append(entry)
             while len(entries) > self.capacity:
                 self._unfile(entries.popitem(last=False)[0])
             if by_identity:
@@ -255,7 +255,7 @@ class CompiledExprCache:
         """Take a departing entry out of the conjunct index (lock held)."""
         for part in entry.parts:
             filed = self._by_part[part]
-            filed.discard(entry)
+            filed.remove(entry)
             if not filed:
                 del self._by_part[part]
 
@@ -272,12 +272,12 @@ class CompiledExprCache:
         if alias in self._id_alias:
             self._unalias(alias)
         self._id_alias[alias] = (expr, entry)
-        self._aliases_of.setdefault(entry, set()).add(alias)
+        self._aliases_of.setdefault(entry, []).append(alias)
 
     def _unalias(self, alias: tuple) -> None:
         entry = self._id_alias.pop(alias)[1]
         aliases = self._aliases_of[entry]
-        aliases.discard(alias)
+        aliases.remove(alias)
         if not aliases:
             del self._aliases_of[entry]
 

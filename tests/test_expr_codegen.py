@@ -854,6 +854,50 @@ def test_compiled_expr_cache_discards_by_conjunct_identity():
         assert cache.lookup(guard, ((), mode)) is None and cache.lookup(twin, ((), mode)) is None
 
 
+def test_compiled_expr_cache_index_survives_concurrent_use():
+    """Eight threads store, look up (twins included) and release at
+    once, with a tiny switch interval and a capacity the traffic
+    overflows: afterwards the conjunct index holds exactly the held
+    entries and the alias records exactly the alias map."""
+    import sys
+    import threading
+
+    cache = CompiledExprCache(capacity=64)
+    ors = [Or(tuple(Comparison(CompareOp.EQ, col("a"), Literal(k)) for k in range(i, i + 5))) for i in range(40)]
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(600):
+            node = rng.choice(ors)
+            roll = rng.random()
+            if roll < 0.4:
+                cache.store(node, ((), rng.choice("xy")), lambda *a: None)
+            elif roll < 0.6:
+                cache.store(And((col("b"), node)), ((), "x"), lambda *a: None, by_identity=False)
+            elif roll < 0.9:
+                cache.lookup(rng.choice([node, Or(node.children)]), ((), rng.choice("xy")))
+            else:
+                cache.discard_conjuncts([node])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    held = list(cache._entries)
+    filed = {(part, id(entry)) for part, entries in cache._by_part.items() for entry in entries}
+    assert filed == {(id(part), id(entry)) for entry in held for part in conjuncts(entry.expr)}
+    recorded = {(alias, entry) for entry, aliases in cache._aliases_of.items() for alias in aliases}
+    assert {alias for alias, _entry in recorded} == set(cache._id_alias)
+    assert all(cache._id_alias[alias][1] == entry for alias, entry in recorded)
+
+
 def test_database_reuses_compiled_predicates():
     from repro.db.database import connect
 

@@ -21,7 +21,10 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
 * ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
-  or every k-th insert a full regeneration) and re-plans;
+  or every k-th insert a full regeneration) and re-plans; its split,
+  timed plainly — release, guard maintenance, strategy, rewrite, plan,
+  guard-kernel build, ``compile()``, execution and the rest — and its
+  ``compile()`` calls, dispatch shells and guard branches apart;
 * ``cold``  — each querier's first request, which generates its guards
   (Section 4) and compiles its kernels: the median over fresh worlds
   (``-n`` rounds up to whole worlds of 12 queriers) and its split,
