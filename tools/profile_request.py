@@ -263,12 +263,12 @@ class StageClock:
     ``with`` block: each ``(label, owner, attribute)`` is wrapped, and a
     stage nested in another (``compile()`` inside planning or execution)
     is taken out of the outer one.  Several attributes may share a
-    label.  ``spent`` maps labels to seconds since the last ``clear()``.
-    """
+    label; ``labels`` lists them once each, in order."""
 
     def __init__(self, stages: Sequence[tuple[str, object, str]]):
         self.stages = stages
-        self.spent: dict[str, float] = defaultdict(float)
+        self.labels = list(dict.fromkeys(name for name, _, _ in stages))
+        self.spent: dict[str, float] = defaultdict(float)  # seconds
         self._inner = 0.0  # time taken by stages nested in the running one
         self._saved: list[tuple[object, str, object, bool]] = []
 
@@ -285,8 +285,22 @@ class StageClock:
 
         return run
 
-    def clear(self) -> None:
+    def timed(self, request: Callable[[], object], own: dict[str, list[float]]) -> float:
+        """Run ``request``; append each stage's own ms, and the rest of
+        it as ``other``, to ``own``; return the request's ms."""
         self.spent.clear()
+        start = time.perf_counter()
+        request()
+        total = (time.perf_counter() - start) * 1000.0
+        for name in self.labels:
+            own[name].append(self.spent[name] * 1000.0)
+        own["other"].append(total - sum(self.spent.values()) * 1000.0)
+        return total
+
+    def split(self, own: dict[str, list[float]]) -> str:
+        return ", ".join(
+            f"{name} {statistics.median(own[name]):.2f}" for name in [*self.labels, "other"]
+        )
 
     def __enter__(self) -> "StageClock":
         for name, owner, attr in self.stages:
@@ -304,10 +318,6 @@ class StageClock:
             else:
                 delattr(owner, attr)
         self._saved.clear()
-
-
-def split_line(own: dict[str, list[float]], labels: Sequence[str]) -> str:
-    return ", ".join(f"{name} {statistics.median(own[name]):.2f}" for name in [*labels, "other"])
 
 
 #: The stages of a cold request timed in ``cold_split``: (label, module, attribute).
@@ -330,7 +340,6 @@ def cold_split(worlds: int, seed: int) -> str:
 
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
-    labels = [name for name, _, _ in COLD_STAGES]
     for round_ in range(worlds):
         world = World(seed + round_)
         stages = [
@@ -339,18 +348,11 @@ def cold_split(worlds: int, seed: int) -> str:
         ]
         with StageClock(stages) as clock:
             for request in cold_requests(world, seed + round_):
-                clock.clear()
-                start = time.perf_counter()
-                request()
-                total = (time.perf_counter() - start) * 1000.0
-                totals.append(total)
-                for name in labels:
-                    own[name].append(clock.spent[name] * 1000.0)
-                own["other"].append(total - sum(clock.spent.values()) * 1000.0)
+                totals.append(clock.timed(request, own))
     return (
         f"cold request (first per querier, {len(totals)} over {worlds} worlds), median "
         f"{statistics.median(totals):.2f} ms; own time per stage, medians in ms, timed without "
-        "cProfile: " + split_line(own, labels)
+        "cProfile: " + clock.split(own)
     )
 
 
@@ -381,10 +383,10 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
         ("compile()", builtins, "compile"),
         ("execute", db, "run_plan"),
     )
-    labels = list(dict.fromkeys(name for name, _, _ in stages))
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
     compiled = Counter()
+    counting = [False]  # only while a read after a write runs
     real_compile = builtins.compile
 
     def counting_compile(source, *args, **kwargs):
@@ -393,28 +395,21 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
             compiled[kind] += 1
         return real_compile(source, *args, **kwargs)
 
-    counting = [False]
     builtins.compile = counting_compile
     try:
         with StageClock(stages) as clock:
             for kind, request in requests:
                 counting[0] = kind == "after_write"
-                clock.clear()
-                start = time.perf_counter()
-                request()
-                if kind != "after_write":
-                    continue
-                total = (time.perf_counter() - start) * 1000.0
-                totals.append(total)
-                for name in labels:
-                    own[name].append(clock.spent[name] * 1000.0)
-                own["other"].append(total - sum(clock.spent.values()) * 1000.0)
+                if counting[0]:
+                    totals.append(clock.timed(request, own))
+                else:
+                    request()
     finally:
         builtins.compile = real_compile
     n = len(totals)
     return (
         f"read after a write ({n}), median {statistics.median(totals):.2f} ms; own time per stage, "
-        "medians in ms, timed without cProfile: " + split_line(own, labels) + "\n"
+        "medians in ms, timed without cProfile: " + clock.split(own) + "\n"
         f"compile() calls per read after a write: {sum(compiled.values()) / n:.2f} "
         f"(dispatch shells {compiled['shell'] / n:.2f}, guard branches {compiled['branch'] / n:.2f}, "
         f"other {compiled['other'] / n:.2f})"
