@@ -865,9 +865,16 @@ def test_compiled_expr_cache_index_survives_concurrent_use():
     cache = CompiledExprCache(capacity=64)
     ors = [Or(tuple(Comparison(CompareOp.EQ, col("a"), Literal(k)) for k in range(i, i + 5))) for i in range(40)]
 
+    errors = []
+
     def work(seed):
-        rng = random.Random(seed)
-        for _ in range(600):
+        try:
+            churn(random.Random(seed))
+        except Exception as exc:  # a race surfaces here first: report it, don't lose it
+            errors.append(exc)
+
+    def churn(rng):
+        for _ in range(1500):
             node = rng.choice(ors)
             roll = rng.random()
             if roll < 0.4:
@@ -889,7 +896,7 @@ def test_compiled_expr_cache_index_survives_concurrent_use():
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
     held = list(cache._entries)
     filed = {(part, id(entry)) for part, entries in cache._by_part.items() for entry in entries}
     assert filed == {(id(part), id(entry)) for entry in held for part in conjuncts(entry.expr)}
