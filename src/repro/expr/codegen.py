@@ -38,8 +38,9 @@ Two compilation modes exist:
 
 :class:`CompiledExprCache` is the cross-execution LRU for compiled
 callables (keyed by structural expression equality — of the shape,
-for a non-guard kernel — + binding layout + mode); the Database owns
-one instance so repeated queries
+for a non-guard kernel — + binding layout + mode; a guard kernel's
+dispatch shell is keyed by its source and holds its code object); the
+Database owns one instance so repeated queries
 stop recompiling identical predicates every run.  Expressions
 containing subqueries are never cached: IN memberships are data
 dependent and scalar subqueries capture executor-local state.
