@@ -23,8 +23,8 @@ bench-selftest:
 	python3 bench/selftest.py --quick
 
 # Where a fresh-literal request spends its time: N prepared requests
-# with never-seen literals, single-threaded — the median timed plainly,
-# the miss-path split (bind / strategy / rewrite / plan / first minus
+# with never-seen literals, single-threaded — the median timed plainly
+# with parse_query / compile() calls per read, the miss-path split (bind / strategy / rewrite / plan / first minus
 # repeat execution of a plan) and compile() calls per request, then
 # under cProfile as ms per src/repro layer plus the top functions
 # (--mode warm|churn for the other request kinds).  For finding waste;
@@ -33,9 +33,9 @@ N ?= 200
 profile-fresh:
 	$(PYTHON) tools/profile_request.py --mode fresh -n $(N)
 
-# The same for a warm request (one fixed binding per querier and shape:
-# plan-cache hit, so what is left is the engine — scans, the guard
-# kernel, projection).
+# The same for a warm request (one fixed text per querier and shape:
+# the statement memo skips parsing and the plan cache hits, so what is
+# left is the engine — scans, the guard kernel, projection).
 profile-warm:
 	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
 

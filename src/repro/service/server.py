@@ -252,12 +252,18 @@ class SieveServer:
         self.sieve = sieve
         # Serving implies repeated traffic: every SELECT is served
         # through the PreparedQuery of its shape from the first
-        # sighting, so repeats skip parse → strategy → rewrite → plan
-        # entirely (value-keyed, epoch- and plan-version-fenced — see
+        # sighting, so a repeated shape skips strategy → rewrite → plan
+        # (value-keyed, epoch- and plan-version-fenced — see
         # core.cache.PlanCache).  (querier, purpose, template_key) →
         # PreparedQuery; bounded FIFO (dict order).
         self._prepare_lock = threading.Lock()
         self._prepared: dict[tuple, Any] = {}
+        # The statement memo: SQL text → (template_key, values), so a
+        # repeated *text* also skips lex → parse → parameterize → print
+        # and goes straight to its querier's handle.  Shared by
+        # queriers (parsing is a pure function of the text); bounded
+        # FIFO like _prepared, written under _prepare_lock.
+        self._statements: dict[str, tuple[str, tuple]] = {}
         self.workers = workers
         self._queue = AdmissionQueue(max_pending=max_pending, max_batch=max_batch)
         self._threads: list[threading.Thread] = []
@@ -681,19 +687,29 @@ class SieveServer:
         """``(PreparedQuery, binding values)`` for a parameter-free
         SELECT, or ``None`` to take the plain ``Sieve.execute`` path.
 
-        The server parses the request, auto-parameterizes its literals
-        (:func:`repro.expr.params.parameterize_query`) and prepares the
-        resulting template once per (querier, purpose), at first sight;
-        every request of the shape — same SQL or different literals —
-        executes through the plan cache.  Row- and enforcement-counter
-        identical to the plain path by construction (the cache is
-        value-keyed), so callers cannot observe it except in latency
-        and the plan cache's :class:`~repro.core.cache.CacheStats`.
+        A text served before is looked up in the statement memo: its
+        template key and values lead straight to the (querier, purpose)
+        handle, with nothing parsed, parameterized or printed.  Any
+        other request — a new text, or a known text whose handle this
+        querier lacks or has aged out — is parsed, its literals are
+        auto-parameterized (:func:`repro.expr.params.parameterize_query`)
+        and the resulting template is prepared once per (querier,
+        purpose), at first sight; every request of the shape — same SQL
+        or different literals — executes through the plan cache.  Row-
+        and enforcement-counter identical to the plain path by
+        construction (the cache is value-keyed), so callers cannot
+        observe it except in latency and the plan cache's
+        :class:`~repro.core.cache.CacheStats`.
 
         Never raises: non-SELECT statements, unparseable SQL and
         already-parameterized queries fall through so the plain path
-        surfaces its usual errors.
+        surfaces its usual errors; none of them is memoized.
         """
+        memo = self._statements.get(sql) if isinstance(sql, str) else None
+        if memo is not None:
+            prepared = self._prepared.get((querier, purpose, memo[0]))
+            if prepared is not None:
+                return prepared, memo[1]
         try:
             query = parse_query(sql) if isinstance(sql, str) else sql
             if not isinstance(query, Query) or collect_params(query):
@@ -707,9 +723,15 @@ class SieveServer:
             if prepared is None:
                 # A handle holds the template and nothing else, so
                 # building one under the lock costs a print of it.
-                prepared = self._prepared[key] = self.sieve.prepare(template, querier, purpose)
+                # It is filed under that print, which the memo shares.
+                prepared = self.sieve.prepare(template, querier, purpose)
+                self._prepared[(querier, purpose, prepared.template_key)] = prepared
                 while len(self._prepared) > AUTO_PREPARE_MAX_SHAPES:
                     self._prepared.pop(next(iter(self._prepared)))
+            if isinstance(sql, str):
+                self._statements[sql] = (prepared.template_key, values)
+                while len(self._statements) > AUTO_PREPARE_MAX_SHAPES:
+                    self._statements.pop(next(iter(self._statements)))
         return prepared, values
 
     def _fail_unresolved(self, batch: Batch) -> None:

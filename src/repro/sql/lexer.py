@@ -67,8 +67,9 @@ def tokenize(text: str) -> list[Token]:
             i = n if nl == -1 else nl + 1
             continue
         if ch == "'":
+            start = i
             value, i = _read_string(text, i)
-            tokens.append(Token(TokenType.STRING, value, i))
+            tokens.append(Token(TokenType.STRING, value, start))
             continue
         if ch in ('"', "`"):
             end = text.find(ch, i + 1)
@@ -81,6 +82,8 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and (text[i].isdigit() or text[i] == "."):
                 i += 1
+            if text.count(".", start, i) > 1:
+                raise ParseError(f"malformed number {text[start:i]!r}", start)
             # allow exponents like 1e-5
             if i < n and text[i] in "eE":
                 j = i + 1

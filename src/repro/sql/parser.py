@@ -232,6 +232,8 @@ class _Parser:
             token = self._advance()
             if token.type is not TokenType.NUMBER:
                 raise ParseError("LIMIT expects a number", token.position)
+            if not token.value.isdigit():
+                raise ParseError("LIMIT expects a whole number", token.position)
             select.limit = int(token.value)
         return select
 

@@ -905,14 +905,166 @@ def test_server_auto_prepares_repeated_shapes():
         assert [r.rows for r in got] == [oracle_sieve.execute(sql(t), *who).rows for t in thresholds]
         assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
         # What cannot be prepared falls through to Sieve.execute and
-        # raises what it raises.
+        # raises what it raises, at every sighting: it is never memoized.
         for bad in ("DELETE FROM t", "SELEC id FROM t", "SELECT id FROM t WHERE v < ?"):
             with pytest.raises(Exception) as direct:
                 oracle_sieve.execute(bad, *who)
-            with pytest.raises(type(direct.value)) as served:
-                server.execute(bad, *who, timeout=60)
-            assert str(served.value) == str(direct.value)
+            for _ in range(3):
+                with pytest.raises(type(direct.value)) as served:
+                    server.execute(bad, *who, timeout=60)
+                assert str(served.value) == str(direct.value)
+            assert bad not in server._statements
         assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
+
+
+def counting_parses(monkeypatch) -> list[int]:
+    """Count the server's ``parse_query`` calls: the returned one-item
+    list holds the running total."""
+    from repro.service import server as server_module
+
+    calls = [0]
+    real = server_module.parse_query
+
+    def spy(text):
+        calls[0] += 1
+        return real(text)
+
+    monkeypatch.setattr(server_module, "parse_query", spy)
+    return calls
+
+
+def two_querier_world():
+    """``small_world`` plus ``bob``, whose two policies (owners 3-4,
+    ``v < 300``) admit different rows than ``alice``'s."""
+    db, store = small_world()
+    for owner in (3, 4):
+        store.insert(
+            Policy(
+                owner=owner,
+                querier="bob",
+                purpose="analytics",
+                table="t",
+                object_conditions=(ObjectCondition("owner", "=", owner), ObjectCondition("v", "<", 300)),
+            )
+        )
+    return db, store
+
+
+def test_server_serves_a_repeated_text_without_parsing_it(monkeypatch):
+    from repro.service import SieveServer
+
+    db, store = small_world()
+    sieve = Sieve(db, store)
+    who = ("alice", "analytics")
+    sql = "SELECT id FROM t WHERE v < 300 ORDER BY id"
+    expected = Sieve(db, store).execute(sql, *who).rows
+    parses = counting_parses(monkeypatch)
+    with SieveServer(sieve, workers=1) as server:
+        assert server.execute(sql, *who, timeout=60).rows == expected
+        assert parses[0] == 1
+        for _ in range(3):
+            assert server.execute(sql, *who, timeout=60).rows == expected
+        assert parses[0] == 1
+        # A new literal in the known shape is parsed once, for its own values.
+        server.execute(sql.replace("300", "301"), *who, timeout=60)
+        assert parses[0] == 2 and len(server._prepared) == 1
+        # Both texts share the handle's template key, not prints of their own.
+        (handle,) = server._prepared.values()
+        assert all(key is handle.template_key for key, _values in server._statements.values())
+    assert sieve.plan_cache.stats.hits == 3
+
+
+@pytest.mark.parametrize("first", ["alice", "bob"])
+def test_a_shared_text_selects_each_queriers_own_handle(first):
+    from repro.service import SieveServer
+
+    db, store = two_querier_world()
+    oracle = Sieve(db, store)
+    sql = "SELECT id FROM t WHERE v < 500 ORDER BY id"
+    expected = {who: oracle.execute(sql, who, "analytics").rows for who in ("alice", "bob")}
+    assert expected["alice"] != expected["bob"]
+    order = [first, "bob" if first == "alice" else "alice"]
+    with SieveServer(Sieve(db, store), workers=1) as server:
+        for who in order * 2:
+            assert server.execute(sql, who, "analytics", timeout=60).rows == expected[who]
+        assert len(server._statements) == 1
+        assert sorted(key[0] for key in server._prepared) == ["alice", "bob"]
+        assert {handle.querier for handle in server._prepared.values()} == {"alice", "bob"}
+        for (querier, _purpose, _template), handle in server._prepared.items():
+            assert handle.querier == querier
+
+
+def test_statement_memo_stays_within_its_bound():
+    from repro.service import SieveServer
+    from repro.service.server import AUTO_PREPARE_MAX_SHAPES
+
+    db, store = small_world()
+    server = SieveServer(Sieve(db, store))  # never started: the front end alone
+    texts = [f"SELECT id FROM t WHERE v < {i}" for i in range(AUTO_PREPARE_MAX_SHAPES + 40)]
+    for text in texts:
+        server._auto_prepare(text, "alice", "analytics")
+    assert len(server._statements) == AUTO_PREPARE_MAX_SHAPES
+    # FIFO: the first texts aged out, the latest are held.
+    assert texts[0] not in server._statements and texts[-1] in server._statements
+    assert len(server._prepared) == 1
+
+
+def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
+    from repro.service import SieveServer
+
+    db, store = small_world()
+    who = ("alice", "analytics")
+    sql = "SELECT id FROM t WHERE v < 300 ORDER BY id"
+    expected = Sieve(db, store).execute(sql, *who).rows
+    parses = counting_parses(monkeypatch)
+    with SieveServer(Sieve(db, store), workers=1) as server:
+        server.execute(sql, *who, timeout=60)
+        (key,) = server._prepared
+        evicted = server._prepared.pop(key)
+        assert sql in server._statements
+        assert server.execute(sql, *who, timeout=60).rows == expected
+        assert parses[0] == 2
+        assert server._prepared[key] is not evicted
+        assert server.execute(sql, *who, timeout=60).rows == expected
+        assert parses[0] == 2
+
+
+def test_statement_memo_under_eight_threads(monkeypatch):
+    """Eight clients, one querier each, share one server (eight
+    workers) over texts they all send and texts only they send; a bound
+    of 6 keeps the memo and the handle map evicting while hits read
+    them.  Every reply matches the oracle, the memo holds its bound."""
+    from repro.service import SieveServer, server as server_module
+
+    monkeypatch.setattr(server_module, "AUTO_PREPARE_MAX_SHAPES", 6)
+    db, store = two_querier_world()
+    queriers = ["alice", "bob"] + [f"q{i}" for i in range(6)]
+    sql = "SELECT id FROM t WHERE v < {} ORDER BY id".format
+    shared = [sql(t) for t in (100, 250, 400, 550)]
+    work = {
+        who: [shared[i % 4] if i % 2 else sql(1000 + 40 * n + i) for i in range(24)]
+        for n, who in enumerate(queriers)
+    }
+    oracle = Sieve(db, store)
+    expected = {(who, text): oracle.execute(text, who, "analytics").rows for who, texts in work.items() for text in texts}
+    errors: list[tuple[str, BaseException]] = []
+    with SieveServer(Sieve(db, store), workers=8) as server:
+
+        def client(who):
+            try:
+                for text in work[who]:
+                    assert server.execute(text, who, "analytics", timeout=60).rows == expected[(who, text)]
+            except BaseException as exc:  # reported below, with the thread's querier
+                errors.append((who, exc))
+
+        threads = [threading.Thread(target=client, args=(who,)) for who in queriers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(server._statements) <= 6 and len(server._prepared) <= 6
+    assert any(rows for rows in expected.values()) and any(not rows for rows in expected.values())
 
 
 @pytest.mark.parametrize("change", ["first-policy", "protect"])

@@ -58,6 +58,16 @@ class TestLexer:
         with pytest.raises(ParseError):
             tokenize("SELECT #")
 
+    def test_malformed_number_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            tokenize("a = 1.2.3")
+        assert err.value.position == 4
+
+    def test_string_token_position_is_its_start(self):
+        tokens = tokenize("x = 'ab' AND y")
+        assert (tokens[2].type, tokens[2].position) == (TokenType.STRING, 4)
+        assert tokens[3].position == 9
+
 
 class TestExpressionParsing:
     def test_precedence_or_and(self):
@@ -194,6 +204,32 @@ class TestQueryParsing:
         assert q2.body.from_items[0].hint.index_names == ()
         q3 = parse_query("SELECT * FROM t AS x IGNORE INDEX (a, b)")
         assert q3.body.from_items[0].hint.kind == "IGNORE"
+
+    @pytest.mark.parametrize(
+        "sql, message, position",
+        [
+            ("SELECT * FROM t WHERE a = 1.2.3", "malformed number", 26),
+            ("SELECT * FROM t LIMIT 1.5", "LIMIT expects a whole number", 22),
+            ("SELECT * FROM t LIMIT 1e3", "LIMIT expects a whole number", 22),
+            ("SELECT * FROM t LIMIT 'ab'", "LIMIT expects a number", 22),
+        ],
+    )
+    def test_malformed_literals_raise_typed_at_their_start(self, sql, message, position):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_query(sql)
+        assert err.value.position == position
+
+    def test_malformed_literals_reach_a_server_client_typed(self):
+        from conftest import make_owner_world
+
+        from repro.core import Sieve
+        from repro.service import SieveServer
+
+        db, store, _policy = make_owner_world()
+        with SieveServer(Sieve(db, store), workers=1) as server:
+            for sql in ("SELECT * FROM t WHERE owner = 1.2.3", "SELECT * FROM t LIMIT 1.5"):
+                with pytest.raises(ParseError):
+                    server.execute(sql, "alice", "analytics", timeout=60)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):

@@ -2,10 +2,12 @@
 
 Builds the Fig. 6 Mall world (~37 k ``WiFi_Connectivity`` rows, 12 shop
 queriers x 150 policies) through the public API and drives the serving
-tier's prepared path — parse, auto-parameterize, ``Sieve.prepare`` once
-per (querier, shape), ``PreparedQuery.execute`` per request: what
-``SieveServer`` does with a repeated shape — single-threaded under
-``cProfile``.  Prints the median request time timed plainly, then the
+tier's prepared path — the front end of a ``SieveServer`` that is never
+started (its statement memo, or parse, auto-parameterize and
+``Sieve.prepare`` once per (querier, shape)), then
+``PreparedQuery.execute`` per request — single-threaded under
+``cProfile``.  Prints the median request time timed plainly and the
+``parse_query`` and ``compile()`` calls per read, then the
 mean under the profiler, the time spent inside each ``src/repro/<layer>``
 (own time of its functions, so the column adds up) and the top functions
 by cumulative time.  In ``fresh`` mode it also prints the miss-path
@@ -18,7 +20,8 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
 * ``fresh`` — every request binds never-seen literals (each pass its
   own): plan-cache miss, so strategy choice, rewrite and planning run
   per request;
-* ``warm``  — one fixed binding per (querier, shape): plan-cache hit;
+* ``warm``  — one fixed text per (querier, shape): a statement-memo hit
+  (no parse) and a plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
   or every k-th insert a full regeneration) and re-plans; its split,
@@ -67,10 +70,8 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 from repro.bench.scenarios import mall_policies_for_shop  # noqa: E402
 from repro.core import Sieve  # noqa: E402
 from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
-from repro.expr.params import parameterize_query  # noqa: E402
 from repro.policy.store import PolicyStore  # noqa: E402
-from repro.sql.parser import parse_query  # noqa: E402
-from repro.sql.printer import to_sql  # noqa: E402
+from repro.service import SieveServer, server  # noqa: E402
 
 TABLE = "WiFi_Connectivity"
 PURPOSE = "any"
@@ -96,7 +97,8 @@ SHAPES = (
 
 class World:
     """The Mall database, its policy store, one ``Sieve`` and the
-    prepared handles the serving tier would hold."""
+    serving tier's front end over it (a ``SieveServer`` never started:
+    its statement memo and prepared handles, no workers)."""
 
     def __init__(self, seed: int):
         self.mall = generate_mall(MallConfig(seed=13, n_customers=900, days=25))
@@ -109,7 +111,7 @@ class World:
             self.owners[shop] = sorted({p.owner for p in policies})
             self.store.insert_many(policies)
         self.sieve = Sieve(self.mall.db, self.store)
-        self._prepared: dict = {}
+        self.server = SieveServer(self.sieve)
 
     def bind(self, shape: int, shop: int, rng: random.Random) -> str:
         """One SQL text of ``SHAPES[shape]`` with literals from ``rng``."""
@@ -126,12 +128,7 @@ class World:
 
     def serve(self, shop: int, sql: str) -> int:
         """One request down the auto-prepared path; returns its row count."""
-        querier = self.mall.shop_querier(shop)
-        template, values = parameterize_query(parse_query(sql))
-        key = (querier, to_sql(template))
-        prepared = self._prepared.get(key)
-        if prepared is None:
-            prepared = self._prepared[key] = self.sieve.prepare(template, querier, PURPOSE)
+        prepared, values = self.server._auto_prepare(sql, self.mall.shop_querier(shop), PURPOSE)
         return len(prepared.execute(values).rows)
 
 
@@ -174,17 +171,42 @@ def make_requests(world: World, mode: str, n: int, seed: int) -> list[tuple[str,
 
 
 def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
-    """Run ``requests`` once, unprofiled; the median time per read kind."""
+    """Run ``requests`` once, unprofiled; the median time per read kind,
+    then the ``parse_query`` and ``compile()`` calls per read of each kind."""
+    import builtins
+
     taken: dict[str, list[float]] = defaultdict(list)
-    for kind, request in requests:
-        start = time.perf_counter()
-        request()
-        taken[kind].append((time.perf_counter() - start) * 1000.0)
+    calls: dict[str, Counter] = defaultdict(Counter)
+    kind = ""
+    real_parse, real_compile = server.parse_query, builtins.compile
+
+    def counting(name: str, fn: Callable) -> Callable:
+        def run(*args, **kwargs):
+            calls[kind][name] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    server.parse_query = counting("parse_query", real_parse)
+    builtins.compile = counting("compile()", real_compile)
+    try:
+        for kind, request in requests:
+            start = time.perf_counter()
+            request()
+            taken[kind].append((time.perf_counter() - start) * 1000.0)
+    finally:
+        server.parse_query, builtins.compile = real_parse, real_compile
     names = {"read": "read", "after_write": "read after a write", "write": "policy write"}
-    return "median, timed without cProfile: " + ", ".join(
-        f"{names[kind]} {statistics.median(taken[kind]):.2f} ms (n={len(taken[kind])})"
-        for kind in ("after_write", "read", "write")
-        if taken[kind]
+    kinds = [k for k in ("after_write", "read", "write") if taken[k]]
+    reads = [k for k in kinds if k != "write"]
+    return (
+        "median, timed without cProfile: "
+        + ", ".join(f"{names[k]} {statistics.median(taken[k]):.2f} ms (n={len(taken[k])})" for k in kinds)
+        + "\nparse_query / compile() calls per "
+        + ", per ".join(
+            f"{names[k]} {calls[k]['parse_query'] / len(taken[k]):.2f} / {calls[k]['compile()'] / len(taken[k]):.2f}"
+            for k in reads
+        )
     )
 
 
