@@ -10,8 +10,10 @@ is meant to amortise the policy check (paper Section 5.3, footnote 8).
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError, PlanError
@@ -418,33 +420,8 @@ class Executor:
         remaining = plan.limit
         if remaining <= 0:
             return
-        child = plan.child
-        if isinstance(child, SortPlan) and child.child is not None:
-            # Fused top-k: a LIMIT directly above a Sort keeps a heap of
-            # the best `limit` rows instead of fully sorting the input.
-            # Equivalent to the unfused pair: one stable sort on the
-            # composite direction-aware key equals the multi-pass stable
-            # sorts, and nsmallest's index tiebreaker keeps stability.
-            fns = [self._row_fn(e, child.child.binding) for e in child.sort_exprs]
-            ascending = child.ascending
-
-            def key_of(row: tuple) -> tuple:
-                return tuple(
-                    _sort_key(fn(row)) if asc else _ReverseKey(_sort_key(fn(row)))
-                    for fn, asc in zip(fns, ascending)
-                )
-
-            best = heapq.nsmallest(
-                remaining,
-                (
-                    (key_of(row), i, row)
-                    for i, row in enumerate(self._iter(child.child))
-                ),
-            )
-            for _key, _i, row in best:
-                yield row
-            return
-        for row in self._iter(child):
+        # Over a Sort this is the sort's first `limit` rows.
+        for row in self._iter(plan.child):
             yield row
             remaining -= 1
             if remaining == 0:
@@ -586,35 +563,28 @@ class Executor:
         return refs
 
 
+#: NaN's sort key: above ``(1, "num", inf)`` (a longer tuple with an
+#: equal prefix) and below every non-numeric type's key.
+_NAN_KEY = (1, "num", math.inf, 0)
+
+
 def _sort_key(value: Any) -> tuple:
-    """Total order with None first and mixed types grouped by type name."""
+    """Total order with None first and mixed types grouped by type name;
+    NaN sorts after every number, all NaNs equal (PostgreSQL's order)."""
     if value is None:
         return (0, "", 0)
     if isinstance(value, bool):
         return (1, "bool", int(value))
     if isinstance(value, (int, float)):
-        return (1, "num", value)
+        return (1, "num", value) if value == value else _NAN_KEY
     return (1, type(value).__name__, value)
 
 
-class _ReverseKey:
-    """Inverts ordering of a wrapped sort key (DESC members of the
-    composite top-k key, shared by both executors)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseKey) and other.key == self.key
-
-
 class _AggState:
-    """Incremental state for one aggregate computation."""
+    """Incremental state for one aggregate computation.  The oracle
+    feeds it a row at a time (``update``), the batch executor a group's
+    argument values at a time (``fold``); both keep only what the
+    function reads."""
 
     __slots__ = ("spec", "count", "total", "min", "max", "distinct")
 
@@ -633,7 +603,7 @@ class _AggState:
         self.update_value(arg_fn(row))
 
     def update_value(self, value: Any) -> None:
-        """Fold one already-computed argument value (batch path)."""
+        """Fold one already-computed argument value."""
         if value is None:
             return
         if self.distinct is not None:
@@ -641,14 +611,38 @@ class _AggState:
                 return
             self.distinct.add(value)
         self.count += 1
-        if self.total is None:
-            self.total = value
-        else:
-            self.total = self.total + value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        func = self.spec.func
+        if func == "sum" or func == "avg":
+            self.total = value if self.total is None else self.total + value
+        elif func == "min":
+            if self.min is None or value < self.min:
+                self.min = value
+        elif func == "max":
+            if self.max is None or value > self.max:
+                self.max = value
+
+    def fold(self, values: list) -> None:
+        """A fresh state's ``update_value`` over ``values`` in order, in
+        one call: NULLs skipped, DISTINCT keeps first occurrences, ``+``
+        left to right from the first value (not ``sum()``'s ``0 +``,
+        which turns a lone -0.0 into 0.0), and MIN / MAX keep the first
+        of equals — the builtins replace only on a strict ``<`` / ``>``,
+        as here."""
+        assert self.count == 0, "fold starts from a fresh state"
+        if None in values:
+            values = [v for v in values if v is not None]
+        if self.distinct is not None:
+            values = list(dict.fromkeys(values))
+        self.count = len(values)
+        if not values:
+            return
+        func = self.spec.func
+        if func == "sum" or func == "avg":
+            self.total = reduce(add, values)
+        elif func == "min":
+            self.min = min(values)
+        elif func == "max":
+            self.max = max(values)
 
     def result(self) -> Any:
         func = self.spec.func

@@ -44,8 +44,9 @@ cost weight).
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter, defaultdict
 from itertools import islice
+from math import isnan
 from types import CodeType
 from typing import Any, Callable, Iterable, Iterator
 
@@ -59,7 +60,6 @@ from repro.engine.executor import (
     Executor,
     QueryResult,
     _AggState,
-    _ReverseKey,
     _sort_key,
 )
 from repro.engine.plans import (
@@ -179,13 +179,14 @@ def _chunked(rows: list) -> Iterator[list]:
     return (rows[start : start + BATCH_ROWS] for start in range(0, len(rows), BATCH_ROWS))
 
 
-def top_k_rows(rows: list[tuple], keys: list, limit: int) -> list[tuple]:
-    """First ``limit`` rows of the stable composite sort — via a heap,
-    never materializing the full ordering.  ``keys[i]`` is row ``i``'s
-    composite key (DESC members wrapped in :class:`_ReverseKey`); the
-    index tiebreaker reproduces stable-sort semantics exactly."""
-    best = heapq.nsmallest(limit, ((keys[i], i) for i in range(len(rows))))
-    return [rows[i] for _key, i in best]
+def _sort_keys(values: list) -> list:
+    """``_sort_key`` of each value — or the values themselves where
+    they already sort that way: all of one type, not NULL, and no NaN."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds != {type(None)}:
+        if kinds != {float} or not any(map(isnan, values)):
+            return values
+    return [_sort_key(v) for v in values]
 
 
 def _union_inputs(plan: SetOpPlan) -> list[PlanNode]:
@@ -534,6 +535,11 @@ class VectorizedExecutor(Executor):
     # ---------------------------------------------------------- aggregation
 
     def _vexec_AggregatePlan(self, plan: AggregatePlan) -> Iterator[RowBatch]:
+        """Hash aggregation over the input's columns: the rows are split
+        by group key once, and each group's argument values are folded
+        in one call (``_AggState.fold``); a COUNT(*) only counts.  Groups
+        come out in first-seen order; without GROUP BY there is exactly
+        one, also over no rows."""
         assert plan.child is not None
         binding = plan.child.binding
         group_fns = [self._value_fn(e, binding) for e in plan.group_exprs]
@@ -541,81 +547,67 @@ class VectorizedExecutor(Executor):
             self._value_fn(spec.arg, binding) if spec.arg is not None else None
             for spec in plan.aggregates
         ]
-        groups: dict[tuple, list[_AggState]] = {}
+        keys: list[tuple] = []
+        args: list[list | None] = [None if fn is None else [] for fn in arg_fns]
+        rows_in = 0
         for batch in self._batches(plan.child):
             sel = batch.indices()
             if not sel:
                 continue
-            key_cols = [fn(batch, sel) for fn in group_fns]
-            keys = (
-                list(zip(*key_cols)) if key_cols else [()] * len(sel)
-            )
-            arg_cols = [
-                fn(batch, sel) if fn is not None else None for fn in arg_fns
-            ]
-            for k, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [_AggState(spec) for spec in plan.aggregates]
-                    groups[key] = states
-                for state, col in zip(states, arg_cols):
-                    if col is None:  # COUNT(*)
-                        state.count += 1
-                    else:
-                        state.update_value(col[k])
-        if not groups and not plan.group_exprs:
-            yield RowBatch(
-                [tuple(s.result() for s in (_AggState(sp) for sp in plan.aggregates))]
-            )
-            return
-        rows = [
-            key + tuple(s.result() for s in states) for key, states in groups.items()
-        ]
+            rows_in += len(sel)
+            if group_fns:
+                keys += zip(*[fn(batch, sel) for fn in group_fns])
+            for col, fn in zip(args, arg_fns):
+                if fn is not None:
+                    col += fn(batch, sel)
+        parts: list[tuple[tuple, int, list[int] | None]]  # (key, rows, positions)
+        if not group_fns:
+            parts = [((), rows_in, None)]
+        elif all(col is None for col in args):
+            parts = [(key, count, None) for key, count in Counter(keys).items()]
+        else:
+            positions: defaultdict[tuple, list[int]] = defaultdict(list)
+            for i, key in enumerate(keys):
+                positions[key].append(i)
+            parts = [(key, len(picks), picks) for key, picks in positions.items()]
+        rows = []
+        for key, count, picks in parts:
+            states = [_AggState(spec) for spec in plan.aggregates]
+            for state, col in zip(states, args):
+                if col is None:
+                    state.count += count
+                else:
+                    state.fold(col if picks is None else [col[i] for i in picks])
+            rows.append(key + tuple(state.result() for state in states))
         yield from map(RowBatch, _chunked(rows))
 
     # ------------------------------------------------- ordering and limits
 
-    def _composite_keys(self, plan: SortPlan, rows: list[tuple]) -> list:
-        """Per-row composite sort keys (DESC members reverse-wrapped);
-        one stable sort on these equals the tuple path's multi-pass
-        stable sorts."""
-        assert plan.child is not None
-        batch = RowBatch(rows)
-        sel = batch.indices()
-        cols = []
-        for expr, asc in zip(plan.sort_exprs, plan.ascending):
-            values = self._value_fn(expr, plan.child.binding)(batch, sel)
-            if asc:
-                cols.append([_sort_key(v) for v in values])
-            else:
-                cols.append([_ReverseKey(_sort_key(v)) for v in values])
-        return list(zip(*cols))
-
     def _vexec_SortPlan(self, plan: SortPlan) -> Iterator[RowBatch]:
+        """The oracle's sort: one stable pass per key column, least
+        significant first, over the row positions; the ordered rows are
+        formed a batch at a time, so a LIMIT above forms only its own."""
         assert plan.child is not None
         rows = self._collect_rows(plan.child)
         if not rows:
             return
-        keys = self._composite_keys(plan, rows)
-        order = sorted(range(len(rows)), key=keys.__getitem__)
-        ordered = [rows[i] for i in order]
-        yield from map(RowBatch, _chunked(ordered))
+        batch = RowBatch(rows)
+        sel, order = batch.indices(), batch.indices()
+        for expr, asc in reversed(list(zip(plan.sort_exprs, plan.ascending))):
+            keys = _sort_keys(self._value_fn(expr, plan.child.binding)(batch, sel))
+            order.sort(key=keys.__getitem__, reverse=not asc)
+        for chunk in _chunked(order):
+            yield RowBatch([rows[i] for i in chunk])
 
     def _vexec_LimitPlan(self, plan: LimitPlan) -> Iterator[RowBatch]:
         child, remaining = plan.child, plan.limit
         assert child is not None
         if remaining <= 0:
             return
-        if isinstance(child, SortPlan) and child.child is not None:
-            # Fused top-k: never fully sort what a LIMIT will discard.
-            rows = self._collect_rows(child.child)
-            if rows:
-                keys = self._composite_keys(child, rows)
-                yield RowBatch(top_k_rows(rows, keys, remaining))
-            return
-        # A bare LIMIT cuts a streaming child: the batch that crosses the
-        # limit is truncated and no further one is pulled — what the
-        # child charged for that batch stays charged.
+        # Over a Sort this is the sort's first `limit` rows.  A bare
+        # LIMIT cuts a streaming child: the batch that crosses the limit
+        # is truncated and no further one is pulled — what the child
+        # charged for that batch stays charged.
         for batch in self._batches(child):
             rows = batch.take()
             yield RowBatch(rows if len(rows) <= remaining else rows[:remaining])

@@ -134,10 +134,10 @@ class ObjectCondition:
     def to_expr(self, qualifier: str | None = None) -> Expr:
         col = ColumnRef(self.attr, table=qualifier)
         if self.is_range:
-            lo_cmp = Comparison(_COMPARE[self.op], col, Literal(self.value))
-            hi_cmp = Comparison(_COMPARE[self.op2], col, Literal(self.value2))
             if self.op == ">=" and self.op2 == "<=":
                 return Between(col, Literal(self.value), Literal(self.value2))
+            lo_cmp = Comparison(_COMPARE[self.op], col, Literal(self.value))
+            hi_cmp = Comparison(_COMPARE[self.op2], col, Literal(self.value2))
             result = make_and([lo_cmp, hi_cmp])
             assert result is not None
             return result

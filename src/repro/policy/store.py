@@ -133,6 +133,7 @@ class PolicySnapshot:
         SIEVE's partitions."""
         groups = self.groups
         keys = [querier, *sorted(groups.groups_of(querier), key=groups.group_id)]
+        wanted = table.lower() if table is not None else None
         seen: set[int] = set()
         out: list[Policy] = []
         for key in keys:
@@ -141,7 +142,7 @@ class PolicySnapshot:
                     continue
                 if purpose != policy.purpose and policy.purpose != ANY_PURPOSE:
                     continue
-                if table is not None and policy.table.lower() != table.lower():
+                if wanted is not None and policy.table.lower() != wanted:
                     continue
                 seen.add(policy.id)
                 out.append(policy)

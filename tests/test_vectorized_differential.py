@@ -21,6 +21,7 @@ batch it is on (``assert_limit_bound``).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ from repro.datasets.tippers import TippersConfig, WIFI_TABLE, generate_tippers
 from repro.common.errors import ExecutionError
 from repro.db.database import connect
 from repro.engine import plans as plan_nodes
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, _AggState
 from repro.engine.vector import BATCH_PAGES, BATCH_ROWS, VectorizedExecutor
 from repro.policy import GroupDirectory, ObjectCondition, Policy
 from repro.policy.store import PolicyStore
@@ -303,22 +304,27 @@ def test_strategy_matrix_identical(request, workload, strategy, delta_on):
 # --------------------------------------------------------- random queries
 
 
-def _build_random_db(seed: int, personality: str):
+#: A nullable FLOAT column's values: NULL, NaN (one shared object and
+#: fresh ones), ties, signed zeros and ints beside floats.
+_X_VALUES = [None, float("nan"), "fresh-nan", -1.5, -0.0, 0.0, 2, 2.0, 7.25, 1e300]
+
+
+def _build_random_db(seed: int, personality: str, with_x: bool = False):
+    """``t``: 300 rows of random ints; ``with_x`` adds the nullable
+    FLOAT column ``x`` drawn from ``_X_VALUES``."""
     rng = random.Random(seed)
     db = connect(personality, page_size=16)
-    db.create_table(
-        "t",
-        Schema.of(
-            ("id", ColumnType.INT),
-            ("a", ColumnType.INT),
-            ("b", ColumnType.INT),
-            ("c", ColumnType.INT),
-        ),
-    )
+    columns = [Column(name, ColumnType.INT) for name in ("id", "a", "b", "c")]
+    if with_x:
+        columns.append(Column("x", ColumnType.FLOAT, nullable=True))
+    db.create_table("t", Schema(columns))
     rows = [
         (i, rng.randrange(10), rng.randrange(50), rng.randrange(1000))
         for i in range(300)
     ]
+    if with_x:
+        xs = [rng.choice(_X_VALUES) for _ in rows]
+        rows = [row + (float("nan") if x == "fresh-nan" else x,) for row, x in zip(rows, xs)]
     db.insert("t", rows)
     db.create_index("t", "a")
     db.create_index("t", "b")
@@ -369,9 +375,11 @@ def test_random_queries_identical_across_modes(seed, sql, personality):
     directions=st.tuples(st.booleans(), st.booleans()),
 )
 def test_topk_fusion_matches_full_sort(seed, limit, directions):
-    """ORDER BY + LIMIT (the fused top-k) equals the full sort's prefix
-    in every mode, for every direction combination."""
-    db = _build_random_db(seed, "mysql")
+    """ORDER BY + LIMIT equals the full sort's prefix in every mode, for
+    every direction combination — also over a FLOAT key holding NULL,
+    NaN and ties, where NULL sorts first and NaN after every number,
+    all NaNs equal (PostgreSQL's order; ``id`` breaks the ties)."""
+    db = _build_random_db(seed, "mysql", with_x=True)
     d1 = "ASC" if directions[0] else "DESC"
     d2 = "ASC" if directions[1] else "DESC"
     full = db.execute(f"SELECT id, a, c FROM t ORDER BY a {d1}, c {d2}, id")
@@ -381,6 +389,33 @@ def test_topk_fusion_matches_full_sort(seed, limit, directions):
         context=f"top-k {d1}/{d2}/{limit}",
     )
     assert limited.rows == full.rows[:limit]
+
+    for by_x in (  # NULLs and ints beside floats; then floats alone, NaN among them
+        f"SELECT id, x FROM t ORDER BY x {d1}, id {d2}",
+        f"SELECT id, x * 1.0 AS y FROM t WHERE x IS NOT NULL ORDER BY y {d1}, id {d2}",
+    ):
+        full, limited = (_exactly_as_oracle(db, sql) for sql in (by_x, f"{by_x} LIMIT {limit}"))
+        assert _exact(limited.rows) == _exact(full.rows[:limit])
+        ranks = [0 if x is None else 2 if math.isnan(x) else 1 for _id, x in full.rows]
+        assert ranks == sorted(ranks, reverse=not directions[0])
+        runs: dict[tuple, list[int]] = {}
+        for row_id, x in full.rows:
+            runs.setdefault(("nan",) if x is not None and math.isnan(x) else (x,), []).append(row_id)
+        for ids in runs.values():  # ties (all NaNs one tie) ordered by id
+            assert ids == sorted(ids, reverse=not directions[1])
+        numbers = [x for _id, x in full.rows if x is not None and not math.isnan(x)]
+        assert numbers == sorted(numbers, reverse=not directions[0])
+
+
+def _exactly_as_oracle(db, sql: str):
+    """The product's result, once its rows equal the oracle's value for
+    value (``_exact``: a computed NaN equals a NaN) and its counters
+    too."""
+    oracle, oracle_counters = run_mode(db, sql, False)
+    product, counters = run_mode(db, sql, True)
+    assert _exact(product.rows) == _exact(oracle.rows), sql
+    assert counters == oracle_counters, sql
+    return product
 
 
 # --------------------------------------------------- table-backed batches
@@ -495,6 +530,137 @@ def test_table_backed_batches_always_carry_a_selection():
                 assert batch.sel is not None and len(batch.sel) == len(set(batch.sel))
                 assert all(table.slots[rowid] is not None for rowid in batch.sel)
                 assert batch.take() == [table.row(rowid) for rowid in batch.sel]
+
+
+# -------------------------------------------------------------- aggregates
+
+
+@pytest.fixture(scope="module", params=["mysql", "postgres"])
+def agg_db(request):
+    """``t``: 2 × ``BATCH_ROWS`` + 300 rows, so every group spans batch
+    boundaries; nullable group keys ``g`` (INT) and ``h`` (VARCHAR) and
+    arguments ``i`` (INT), ``f`` (FLOAT: NaN — one shared object and
+    fresh ones — ±0.0, ints beside floats, sums whose order shows) and
+    ``s`` (VARCHAR).  Group ``g = 9`` holds only -0.0 and NULL in ``f``.
+    ``w`` (FLOAT) falls with ``id`` and is NaN at every 64th row after
+    the first — at each later batch's first row — so MIN and MAX meet
+    NaN after their first value, where only the oracle's fold order
+    gives the oracle's answer."""
+    rng = random.Random(5)
+    db = connect(request.param)
+    db.create_table(
+        "t",
+        Schema(
+            [
+                Column("id", ColumnType.INT),
+                Column("g", ColumnType.INT, nullable=True),
+                Column("h", ColumnType.VARCHAR, nullable=True),
+                Column("i", ColumnType.INT, nullable=True),
+                Column("f", ColumnType.FLOAT, nullable=True),
+                Column("s", ColumnType.VARCHAR, nullable=True),
+                Column("w", ColumnType.FLOAT),
+            ]
+        ),
+    )
+    shared_nan = float("nan")
+    floats = [None, shared_nan, -0.0, 0.0, 3, 3.0, 0.1, 0.2, 1e16, -2.5]
+    rows = []
+    for n in range(2 * BATCH_ROWS + 300):
+        g = rng.choice([None, 0, 1, 2, 3, 9])
+        if g == 9:
+            f = rng.choice([None, -0.0])
+        else:
+            f = float("nan") if rng.random() < 0.01 else rng.choice(floats)
+        h = rng.choice([None, "p", "q"])
+        i = rng.choice([None, *range(-3, 20)])
+        s = rng.choice([None, "ant", "bee", "Cat", ""])
+        rows.append((n, g, h, i, f, s, float("nan") if n and n % 64 == 0 else float(-n)))
+    db.insert("t", rows)
+    db.analyze()
+    return db
+
+
+_AGGS = (
+    "count(*) AS n, count(i) AS ci, count(f) AS cf, count(s) AS cs, "
+    "sum(i) AS si, avg(i) AS ai, min(i) AS mi, max(i) AS xi, "
+    "sum(f) AS sf, avg(f) AS af, min(f) AS mf, max(f) AS xf, min(s) AS ms, max(s) AS xs, "
+    "min(w) AS mw, max(0 - w) AS xw"
+)
+_DISTINCT_AGGS = (
+    "count(DISTINCT i) AS ci, count(DISTINCT f) AS cf, count(DISTINCT s) AS cs, "
+    "sum(DISTINCT i) AS si, avg(DISTINCT i) AS ai, sum(DISTINCT f) AS sf, "
+    "avg(DISTINCT f) AS af, min(DISTINCT f) AS mf, max(DISTINCT f) AS xf, max(DISTINCT s) AS xs"
+)
+_AGG_QUERIES = [
+    f"SELECT {_AGGS} FROM t",
+    f"SELECT {_DISTINCT_AGGS} FROM t",
+    f"SELECT g, {_AGGS} FROM t GROUP BY g",
+    f"SELECT g, h, {_AGGS} FROM t GROUP BY g, h",
+    f"SELECT h, g, {_DISTINCT_AGGS} FROM t GROUP BY h, g",
+    "SELECT g, count(*) AS n FROM t GROUP BY g",
+    "SELECT h, g, count(*) AS n FROM t WHERE i > 4 GROUP BY h, g",
+    "SELECT g, h, count(*) AS n FROM t GROUP BY g, h HAVING count(*) > 100",
+    f"SELECT g, {_AGGS} FROM t GROUP BY g HAVING sum(i) > 1000 AND count(f) > 10",
+    # A CTE scan hands its consumer batches of exactly BATCH_ROWS rows.
+    f"WITH c AS (SELECT * FROM t WHERE id >= 0) SELECT g, h, {_AGGS} FROM c GROUP BY g, h",
+    f"WITH c AS (SELECT * FROM t) SELECT {_DISTINCT_AGGS} FROM c",
+    # Computed arguments: fresh values, not the stored objects.
+    "SELECT g, sum(f * 2) AS s2, avg(i + f) AS a2, max(i - 1) AS m2 FROM t GROUP BY g",
+    # Empty input: one row without GROUP BY, none with it.
+    f"SELECT {_AGGS} FROM t WHERE id < 0",
+    f"SELECT {_DISTINCT_AGGS} FROM t WHERE id < 0",
+    f"SELECT g, {_AGGS} FROM t WHERE id < 0 GROUP BY g",
+]
+
+
+def _exact(rows: list[tuple]) -> list[tuple]:
+    """Each value as ``(type, repr)``: NaN equals NaN, while -0.0 and
+    0.0, 1 and 1.0, and floats one ulp apart differ."""
+    return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("sql", _AGG_QUERIES)
+def test_aggregates_identical_across_modes(agg_db, sql):
+    """The batch fold equals the oracle's row-at-a-time fold: values to
+    the bit and type, groups in first-seen order, counters equal."""
+    _exactly_as_oracle(agg_db, sql)
+
+
+def test_the_aggregate_world_holds_its_awkward_cases(agg_db):
+    """What the differential above depends on is really there: a SUM
+    that ``sum()``'s ``0 +`` would turn from -0.0 into 0.0, a NaN that
+    reaches SUM and MIN / MAX, and groups on both sides of a batch
+    boundary."""
+    (row,) = agg_db.execute("SELECT sum(f) AS s, count(f) AS c FROM t WHERE g = 9").rows
+    assert row[1] > 0 and repr(row[0]) == "-0.0"
+    (row,) = agg_db.execute("SELECT sum(f) AS s, count(f) AS c FROM t").rows
+    assert math.isnan(row[0])
+    ids = agg_db.execute("SELECT g, min(id) AS lo, max(id) AS hi FROM t GROUP BY g").rows
+    assert len(ids) == 6 and all(lo < BATCH_ROWS < hi for _g, lo, hi in ids)
+
+
+def test_a_batch_aggregate_never_folds_row_by_row(monkeypatch):
+    """The product folds a batch per call: a COUNT(*) over 10 000 rows,
+    grouped or not, and a grouped SUM never reach the oracle's per-row
+    ``_AggState.update_value`` — which the spy does see the oracle use."""
+    calls: list = []
+    update_value = _AggState.update_value
+
+    def spy(self, value):
+        calls.append(value)
+        update_value(self, value)
+
+    monkeypatch.setattr(_AggState, "update_value", spy)
+    db = connect("mysql")
+    db.create_table("t", Schema.of(("id", ColumnType.INT), ("a", ColumnType.INT)))
+    db.insert("t", [(i, i % 7) for i in range(10_000)])
+    db.analyze()
+    assert db.execute("SELECT count(*) AS n FROM t").rows == [(10_000,)]
+    grouped = db.execute("SELECT a, count(*) AS n, sum(id) AS s FROM t GROUP BY a").rows
+    assert [n for _a, n, _s in grouped] == [1429] * 4 + [1428] * 3
+    assert calls == []
+    run_mode(db, "SELECT sum(id) AS s FROM t", vectorized=False)
+    assert len(calls) == 10_000
 
 
 # ------------------------------------------- every node a batch operator

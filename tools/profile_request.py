@@ -79,7 +79,8 @@ N_QUERIERS = 12
 POLICIES_PER_QUERIER = 150
 READS_PER_WRITE = 5
 
-#: The benchmark's four selective shapes: (SQL, ((axis, min width, max width), ...)).
+#: The benchmark's four selective shapes, then a grouped count and an
+#: ORDER BY with its LIMIT: (SQL, ((axis, min width, max width), ...)).
 SHAPES = (
     (f"SELECT COUNT(*) FROM {TABLE} WHERE ts_time BETWEEN {{t1}} AND {{t2}}", (("t", 60, 300),)),
     (f"SELECT * FROM {TABLE} WHERE ts_date BETWEEN {{d1}} AND {{d2}}", (("d", 2, 6),)),
@@ -91,6 +92,15 @@ SHAPES = (
         f"SELECT * FROM {TABLE} WHERE shop_id IN ({{shops}}) AND ts_time BETWEEN {{t1}} "
         "AND {t2} AND ts_date BETWEEN {d1} AND {d2}",
         (("t", 120, 360), ("d", 6, 14)),
+    ),
+    (
+        f"SELECT owner, COUNT(*) FROM {TABLE} WHERE ts_date BETWEEN {{d1}} AND {{d2}} GROUP BY owner",
+        (("d", 2, 6),),
+    ),
+    (
+        f"SELECT id, owner, ts_time FROM {TABLE} WHERE ts_date BETWEEN {{d1}} AND {{d2}} "
+        "ORDER BY ts_time DESC, id LIMIT 20",
+        (("d", 1, 3),),
     ),
 )
 
