@@ -72,7 +72,7 @@ profile-plans:
 chaos-report:
 	$(PYTHON) tools/chaos_report.py
 
-# Health smoke: render the cluster dashboard, slow one shard, verify
+# Health smoke: render the cluster dashboard, fail one shard, verify
 # the control loop flags + detours it, then crash + rebuild the fallback
 # and revoke a policy under the detour (exits non-zero on a missing
 # detour or a non-identical answer).

@@ -98,7 +98,7 @@ def main() -> None:
     count_row = results[0].rows[0][0]
     print(f"Prof.Smith sees {count_row} of {db.catalog.table('WiFi_Dataset').row_count} events")
 
-    # 2. Backpressure: a one-slot queue sheds load explicitly instead
+    # 2. Backpressure: a one-slot queue rejects load explicitly instead
     #    of queueing without bound.
     tiny = SieveServer(sieve, workers=1, max_pending=1)
     rejected = 0

@@ -34,6 +34,7 @@ from repro.common.errors import (
     ShardUnavailableError,
 )
 from repro.cluster.coordinator import (
+    RECOVERY_HOLD_S,
     ClusterShard,
     ClusterStats,
     RebalanceReport,
@@ -53,6 +54,7 @@ __all__ = [
     "DeadlineExceededError",
     "HashRing",
     "PolicyScatterError",
+    "RECOVERY_HOLD_S",
     "RebalanceReport",
     "RetryPolicy",
     "SIEVE_INTERNAL_TABLES",

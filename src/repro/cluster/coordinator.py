@@ -43,7 +43,7 @@ per-request enforcement counters are identical to one
 joins (:meth:`SieveCluster.add_shard`; ring stability moves only ~1/N
 of the queriers, all onto the joiner), a shard leaves
 (:meth:`SieveCluster.remove_shard`), a detour is installed over a
-flagged shard, a detour is lifted (:meth:`SieveCluster.health_tick`) —
+down shard, a detour is lifted (:meth:`SieveCluster.health_tick`) —
 and every one of them is the same step from the old assignment to the
 new one, which never produces a wrong answer mid-flight:
 
@@ -130,7 +130,6 @@ from repro.cluster.replicate import replicate_database
 from repro.cluster.ring import Assignment, HashRing
 from repro.db.database import Database
 from repro.obs.histogram import LatencyHistogram
-from repro.obs.slo import SLO, BurnRateMonitor, SLOSample
 from repro.obs.tracing import SlowQueryLog, Tracer
 from repro.policy.model import Policy
 from repro.policy.store import PolicyStore
@@ -140,6 +139,9 @@ from repro.service.server import LatencySummary, ServiceStats, SieveServer
 DEFAULT_WORKERS_PER_SHARD = 2
 #: How long a handover waits for a shard's migrated-key stragglers.
 REBALANCE_TIMEOUT_S = 30.0
+#: How long a down shard must stay up again before
+#: :meth:`SieveCluster.health_tick` lifts its detour.
+RECOVERY_HOLD_S = 5.0
 
 #: The coordinator's own events, in :attr:`ClusterStats.counters` order
 #: (which adds ``faults_injected``, the shared injector's fired total).
@@ -292,11 +294,9 @@ class ClusterShard:
         #: fence trails its owed fence — it would serve stale policy.
         self.policy_fence = 0
         self.expected_fence = 0
-        #: The health loop's (:meth:`SieveCluster.health_tick`) view of
-        #: this shard: its burn-rate monitor and when its current
-        #: healthy streak began.  Both die with the shard — a rebuilt
-        #: one starts without the dead process's history.
-        self.monitor: BurnRateMonitor | None = None
+        #: When this shard's current healthy streak began, as the
+        #: health loop (:meth:`SieveCluster.health_tick`) saw it.  It
+        #: dies with the shard — a rebuilt one starts a fresh streak.
         self.healthy_since: float | None = None
 
     # ------------------------------------------------------------ lifecycle
@@ -402,9 +402,6 @@ class ClusterShard:
 
     def stats(self) -> ServiceStats:
         return self.server.stats()
-
-    def slo_sample(self, threshold_ms: float | None, now: float) -> SLOSample:
-        return self.server.slo_sample(threshold_ms, now)
 
     def policy_count(self) -> int:
         """Policies in this shard's partition — its corpus share."""
@@ -567,6 +564,8 @@ class SieveCluster:
             raise ClusterError("a cluster needs at least one shard")
         if default_deadline_s is not None and default_deadline_s <= 0.0:
             raise ClusterError("default_deadline_s must be positive")
+        if workers_per_shard <= 0:
+            raise ClusterError("workers_per_shard must be positive")
         self.store = store
         #: Resilience: no retry policy = one attempt per request, no
         #: default deadline = waits bounded only by the caller's own.
@@ -595,11 +594,7 @@ class SieveCluster:
         self._shard_seq = 0
         self._started = False
         self._stopped = False
-        # Health-aware routing state (configure_health() arms it),
-        # touched only under the admin lock.
-        self._health_slo: SLO | None = None
-        self._health_clock: Callable[[], float] = time.monotonic
-        self._recovery_hold_s = 0.0
+        # The health loop's last verdict per shard (health_tick()).
         self._shard_status: dict[str, str] = {}
 
         ring = HashRing()
@@ -756,7 +751,7 @@ class SieveCluster:
         already queued, so route-then-enqueue must be atomic against a
         swap of the assignment (the swap takes the write lock).
 
-        Health-aware detour: a shard :meth:`health_tick` flagged is
+        Health-aware detour: a shard :meth:`health_tick` found down is
         deprioritized — its queriers land on the fallback shard, whose
         partition covers them too, so rerouted answers stay
         row-identical."""
@@ -1216,10 +1211,9 @@ class SieveCluster:
 
     def slow_shard(self, name: str, delay_s: float) -> None:
         """Fault injection: pad every request ``name`` serves by
-        ``delay_s`` (0 heals it).  The shard still answers correctly —
-        just slowly enough to burn its latency SLO, which is exactly
-        the failure mode :meth:`health_tick` detects and routes
-        around."""
+        ``delay_s`` (0 heals it).  The shard still answers correctly,
+        just slowly; a hedged read (:class:`RetryPolicy`) is what
+        answers past it."""
         if delay_s < 0.0:
             raise ClusterError("delay_s must be non-negative")
         self.shard(name).inject_delay(delay_s)
@@ -1263,9 +1257,9 @@ class SieveCluster:
         The husk's relay is detached and its pool killed.
 
         Rejoin goes through the existing health machinery: the rebuilt
-        shard is immediately routable, and if health-aware routing had
+        shard is immediately routable, and if :meth:`health_tick` had
         installed a detour for it, the recovery hold
-        (:meth:`configure_health`) keeps the detour until the shard has
+        (:data:`RECOVERY_HOLD_S`) keeps the detour until the shard has
         stayed healthy for the hold window — rebuilds get no shortcut
         around the hysteresis.  Call it periodically (there is no
         background thread, matching :meth:`health_tick`)."""
@@ -1297,78 +1291,33 @@ class SieveCluster:
                 )
             return rebuilds
 
-    # ----------------------------------------------------------- health/SLO
-
-    def configure_health(
-        self,
-        slo: SLO,
-        recovery_hold_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "SieveCluster":
-        """Arm health-aware routing: one per-shard
-        :class:`~repro.obs.slo.BurnRateMonitor` over ``slo``, actuated
-        by :meth:`health_tick`.
-
-        ``recovery_hold_s`` is the hysteresis window — a flagged shard
-        must stay clear for this long before its reroute is lifted
-        (default: the SLO's short window).  Recovery is *time-based*
-        by necessity: a rerouted-away shard receives no traffic, so
-        its burn signal decays to zero as the windows drain rather
-        than by serving proof.  ``clock`` is injectable for
-        deterministic tests (readings are stamped with it)."""
-        if recovery_hold_s is not None and recovery_hold_s < 0.0:
-            raise ClusterError("recovery_hold_s must be non-negative")
-        with self._admin_lock:
-            self._health_slo = slo
-            self._health_clock = clock
-            self._recovery_hold_s = (
-                recovery_hold_s if recovery_hold_s is not None else slo.short_window_s
-            )
-            self._shard_status = {}
-            for shard in self._shards.values():
-                shard.monitor = shard.healthy_since = None
-        return self
+    # --------------------------------------------------------------- health
 
     def health_tick(self, now: float | None = None) -> dict[str, str]:
         """One health-control-loop iteration (call it periodically —
-        there is no background thread, matching the serving tier's
-        piggybacked ticking).
+        there is no background thread).
 
-        Per shard: unavailable/stopped → ``unhealthy``; burn-rate
-        alert firing → ``degraded``; else ``healthy``.  The tick only
-        decides *which detours should exist*: every non-healthy shard
-        without one gets a healthy fallback, and a detoured shard that
-        has stayed healthy for ``recovery_hold_s`` loses its detour.
-        The handover (module docstring) does the rest.  Returns the
-        tracked status per shard."""
+        Per shard: not serving (failed, crashed, stopped) →
+        ``unhealthy``; else ``healthy``.  The tick only decides *which
+        detours should exist*: every unhealthy shard without one gets a
+        healthy fallback, and a detoured shard that has stayed healthy
+        for :data:`RECOVERY_HOLD_S` loses its detour.  The handover
+        (module docstring) does the rest.  ``now`` (monotonic seconds
+        by default) is injectable for deterministic tests.  Returns the
+        status per shard."""
         with self._admin_lock:
-            if self._health_slo is None:
-                raise ClusterError("configure_health() must run before health_tick()")
             if now is None:
-                now = self._health_clock()
-            slo, clock = self._health_slo, self._health_clock
+                now = time.monotonic()
             shards = dict(self._shards)  # stable: membership changes hold the admin lock
             statuses: dict[str, str] = {}
             for name, shard in shards.items():
-                if shard.monitor is None:
-                    # Readings are stamped on the cluster's clock so
-                    # injected test clocks line up with the monitor's
-                    # window arithmetic.
-                    shard.monitor = BurnRateMonitor(
-                        slo,
-                        source=lambda s=shard: s.slo_sample(slo.latency_ms, clock()),
-                        clock=clock,
-                    )
                 if not shard.serving:
                     statuses[name] = "unhealthy"
-                else:
-                    state = shard.monitor.tick(now=now)
-                    firing = state.fast_firing or state.slow_firing
-                    statuses[name] = "degraded" if firing else "healthy"
-                if statuses[name] != "healthy":
                     shard.healthy_since = None
-                elif shard.healthy_since is None:
-                    shard.healthy_since = now
+                else:
+                    statuses[name] = "healthy"
+                    if shard.healthy_since is None:
+                        shard.healthy_since = now
             self._shard_status = statuses
             detours = dict(self._assignment.detours)
             for name, status in statuses.items():
@@ -1379,7 +1328,7 @@ class SieveCluster:
                         detours[name] = fallback
             for name in list(detours):
                 since = shards[name].healthy_since
-                if since is not None and now - since >= self._recovery_hold_s:
+                if since is not None and now - since >= RECOVERY_HOLD_S:
                     del detours[name]
             if detours != self._assignment.detours:
                 self._apply_assignment(Assignment(self._assignment.ring, detours))
@@ -1387,14 +1336,14 @@ class SieveCluster:
 
     @staticmethod
     def _pick_fallback(
-        degraded: str, statuses: dict[str, str], detours: dict[str, str]
+        down: str, statuses: dict[str, str], detours: dict[str, str]
     ) -> str | None:
-        """A healthy, non-detoured shard to stand in for ``degraded``
+        """A healthy, non-detoured shard to stand in for ``down``
         (preferring one not already covering another detour)."""
         candidates = [
             name
             for name in sorted(statuses)
-            if name != degraded
+            if name != down
             and statuses[name] == "healthy"
             and name not in detours
         ]
@@ -1403,7 +1352,7 @@ class SieveCluster:
         return choices[0] if choices else None
 
     def reroutes(self) -> dict[str, str]:
-        """Active detours: degraded shard → fallback serving for it."""
+        """Active detours: down shard → fallback serving for it."""
         return dict(self._assignment.detours)
 
     def shard_health(self) -> dict[str, str]:

@@ -22,16 +22,13 @@ stays allocation-light:
   log-bucketed, exactly-mergeable latency population behind every
   serving-tier summary (error-bounded quantiles, exact cross-shard
   merges);
-* :mod:`repro.obs.slo` + :mod:`repro.obs.health` — declarative
-  :class:`SLO` targets evaluated as multi-window burn rates
-  (:class:`BurnRateMonitor`) and per-component :class:`HealthRegistry`
-  checks rolled up to healthy/degraded/unhealthy; together they drive
-  the serving tier's adaptive shedding and the cluster's health-aware
-  routing.
+* :mod:`repro.obs.health` — per-component :class:`HealthRegistry`
+  checks (worker liveness, queue depth, snapshot consistency, cache
+  hit-rate floors, shard liveness) rolled up to
+  healthy/degraded/unhealthy.
 
 See ``docs/ARCHITECTURE.md`` §11 for the span taxonomy and exposition
-formats and §12 for histogram buckets, burn-rate windows, and the
-shedding/routing feedback loop.
+formats and §12 for histogram buckets and the health checks.
 """
 
 from repro.obs.health import (
@@ -50,7 +47,6 @@ from repro.obs.metrics import (
     register_counterset,
     weighted_counter_names,
 )
-from repro.obs.slo import SLO, AlertEvent, BurnRateMonitor, SLOSample, SLOState
 from repro.obs.profile import SelectivityProfiler
 from repro.obs.tracing import (
     SlowQueryLog,
@@ -63,8 +59,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "AlertEvent",
-    "BurnRateMonitor",
     "ComponentHealth",
     "HealthRegistry",
     "HealthReport",
@@ -72,9 +66,6 @@ __all__ = [
     "LatencyHistogram",
     "Metric",
     "MetricsRegistry",
-    "SLO",
-    "SLOSample",
-    "SLOState",
     "Sample",
     "SelectivityProfiler",
     "SlowQueryLog",

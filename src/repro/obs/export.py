@@ -200,14 +200,6 @@ def server_registry(server: Any) -> MetricsRegistry:
         "End-to-end latency (submit to result, queue wait included), milliseconds",
         stat(lambda s: s.total_latency),
     )
-    registry.register_counter(
-        "sieve_service_sheds_total",
-        "Requests rejected by the SLO-aware adaptive shedder",
-        stat(lambda s: s.sheds),
-    )
-    monitor = getattr(server, "slo_monitor", None)
-    if monitor is not None:
-        monitor.register_metrics(registry)
 
     tracer = getattr(server.sieve, "tracer", None)
     if tracer is not None:
@@ -314,18 +306,17 @@ def cluster_registry(cluster: Any) -> MetricsRegistry:
             for name, count in cell["stats"].partition_policies.items()
         },
     )
-    _HEALTH_SEVERITY = {"healthy": 0.0, "degraded": 1.0, "unhealthy": 2.0}
     registry.register_gauge(
         "sieve_shard_health",
-        "Tracked shard health (0=healthy, 1=degraded, 2=unhealthy)",
+        "Tracked shard health (0=healthy, 2=unhealthy)",
         lambda: {
-            (("shard", name),): _HEALTH_SEVERITY.get(status, 0.0)
+            (("shard", name),): 2.0 if status == "unhealthy" else 0.0
             for name, status in cell["stats"].health.items()
         },
     )
     registry.register_gauge(
         "sieve_cluster_reroutes",
-        "Active health detours (degraded shards being routed around)",
+        "Active health detours (down shards being routed around)",
         stat(lambda s: len(s.reroutes)),
     )
     return registry

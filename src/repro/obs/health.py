@@ -9,17 +9,17 @@ and rolls the statuses up worst-first:
 
 * ``healthy`` — serving normally;
 * ``degraded`` — serving, but outside normal operating bounds (hit
-  rate under its floor, queue depth near the admission bound, a
-  burn-rate alert firing, one shard down in a cluster that routes
-  around it);
+  rate under its floor, queue depth near the admission bound, one
+  shard down in a cluster that routes around it);
 * ``unhealthy`` — not serving (server stopped, worker threads dead,
   every shard unreachable).
 
-A check that *raises* reports ``unhealthy`` with the exception as
-detail — a health endpoint must never throw.  Checks read the same
-snapshots the metrics tier exposes, so a verdict is always explainable
-by the numbers next to it (each :class:`ComponentHealth` carries its
-evidence in ``data``).
+A check that *raises* — returning anything but a
+:class:`ComponentHealth` included — reports ``unhealthy`` with the
+exception as detail: a health endpoint must never throw.  Checks read
+the same snapshots the metrics tier exposes, so a verdict is always
+explainable by the numbers next to it (each :class:`ComponentHealth`
+carries its evidence in ``data``).
 
 :func:`server_health` and :func:`cluster_health` build the standard
 registries over a ``SieveServer`` / ``SieveCluster`` (duck-typed, no
@@ -126,15 +126,14 @@ class HealthReport:
 class HealthRegistry:
     """Named health checks; :meth:`report` runs them all.
 
-    A check returns a :class:`ComponentHealth` (its ``name`` is
-    overwritten with the registered one), a bare
-    :class:`HealthStatus`, or a ``(status, detail)`` tuple.
+    A check returns a :class:`ComponentHealth`; its ``name`` is
+    overwritten with the registered one.
     """
 
     def __init__(self) -> None:
-        self._checks: list[tuple[str, Callable[[], Any]]] = []
+        self._checks: list[tuple[str, Callable[[], ComponentHealth]]] = []
 
-    def register(self, name: str, check: Callable[[], Any]) -> None:
+    def register(self, name: str, check: Callable[[], ComponentHealth]) -> None:
         if any(existing == name for existing, _ in self._checks):
             raise ValueError(f"health check {name!r} is already registered")
         self._checks.append((name, check))
@@ -142,19 +141,14 @@ class HealthRegistry:
     def names(self) -> list[str]:
         return [name for name, _ in self._checks]
 
-    def _run_one(self, name: str, check: Callable[[], Any]) -> ComponentHealth:
+    def _run_one(self, name: str, check: Callable[[], ComponentHealth]) -> ComponentHealth:
         try:
             result = check()
+            return ComponentHealth(name, result.status, result.detail, result.data)
         except Exception as exc:  # endpoint must not throw
             return ComponentHealth(
                 name, HealthStatus.UNHEALTHY, detail=f"check raised: {exc!r}"
             )
-        if isinstance(result, ComponentHealth):
-            return ComponentHealth(name, result.status, result.detail, result.data)
-        if isinstance(result, HealthStatus):
-            return ComponentHealth(name, result)
-        status, detail = result
-        return ComponentHealth(name, status, detail)
 
     def report(self) -> HealthReport:
         components = tuple(self._run_one(name, check) for name, check in self._checks)
@@ -199,10 +193,8 @@ def server_health(
     min_lookups: int = MIN_LOOKUPS_FOR_FLOOR,
 ) -> HealthRegistry:
     """The standard registry over one ``SieveServer``: worker-pool
-    liveness, admission-queue depth (and active shedding), policy
-    snapshot consistency, cache hit-rate floors, and — when
-    :meth:`~repro.service.server.SieveServer.enable_slo` is on — the
-    burn-rate monitor's firing state."""
+    liveness, admission-queue depth, policy snapshot consistency and
+    the guard cache's hit-rate floor."""
     registry = HealthRegistry()
 
     def workers() -> ComponentHealth:
@@ -225,16 +217,7 @@ def server_health(
         pending = server.pending()
         max_pending = server.max_pending
         ratio = pending / max_pending if max_pending else 0.0
-        shedder = getattr(server, "shedder", None)
-        shedding = bool(shedder is not None and shedder.shedding)
-        data = {"pending": pending, "max_pending": max_pending, "shedding": shedding}
-        if shedding:
-            return ComponentHealth(
-                "admission_queue",
-                HealthStatus.DEGRADED,
-                "adaptive shedding active (fast burn fired)",
-                data,
-            )
+        data = {"pending": pending, "max_pending": max_pending}
         if ratio >= queue_floor:
             return ComponentHealth(
                 "admission_queue",
@@ -269,28 +252,6 @@ def server_health(
             )
         return ComponentHealth("policy_store", HealthStatus.HEALTHY, "", data)
 
-    def slo() -> ComponentHealth:
-        monitor = getattr(server, "slo_monitor", None)
-        if monitor is None:
-            return ComponentHealth("slo", HealthStatus.HEALTHY, "no SLO configured")
-        state = monitor.state
-        data = state.to_dict()
-        if state.fast_firing:
-            return ComponentHealth(
-                "slo",
-                HealthStatus.DEGRADED,
-                f"fast burn {state.burn_short:.1f}x budget",
-                data,
-            )
-        if state.slow_firing:
-            return ComponentHealth(
-                "slo",
-                HealthStatus.DEGRADED,
-                f"slow burn {state.burn_long:.1f}x budget",
-                data,
-            )
-        return ComponentHealth("slo", HealthStatus.HEALTHY, "", data)
-
     registry.register("workers", workers)
     registry.register("admission_queue", admission)
     registry.register("policy_store", policy_store)
@@ -305,17 +266,14 @@ def server_health(
             min_lookups,
         ),
     )
-    registry.register("slo", slo)
     return registry
 
 
 def cluster_health(cluster: Any) -> HealthRegistry:
     """The standard registry over one ``SieveCluster``.
 
-    Per-shard liveness components (``shard:<name>``) report the
-    coordinator's tracked status (:meth:`SieveCluster.shard_health
-    <repro.cluster.coordinator.SieveCluster.shard_health>` — fed by
-    ``health_tick`` and fault injection).  The roll-up is
+    Per-shard liveness components (``shard:<name>``) report whether
+    the shard is serving (available and running).  The roll-up is
     cluster-aware: unreachable shards cap the *cluster* verdict at
     ``degraded`` while at least one shard still serves (the router
     steers around them); only a cluster with no serving shard is
@@ -334,7 +292,7 @@ def cluster_health(cluster: Any) -> HealthRegistry:
             return ComponentHealth(
                 "coordinator",
                 HealthStatus.DEGRADED,
-                f"routing around {len(data['reroutes'])} degraded shard(s)",
+                f"routing around {len(data['reroutes'])} down shard(s)",
                 data,
             )
         return ComponentHealth("coordinator", HealthStatus.HEALTHY, "", data)
@@ -344,7 +302,6 @@ def cluster_health(cluster: Any) -> HealthRegistry:
     def shard_check(name: str) -> Callable[[], ComponentHealth]:
         def check() -> ComponentHealth:
             shard = cluster.shard(name)
-            status = HealthStatus(cluster.shard_health().get(name, "healthy"))
             stats = shard.server.stats()
             data = {
                 "available": shard.available,
@@ -358,13 +315,6 @@ def cluster_health(cluster: Any) -> HealthRegistry:
                     f"shard:{name}",
                     HealthStatus.UNHEALTHY,
                     "shard unreachable" if not shard.available else "server stopped",
-                    data,
-                )
-            if status is HealthStatus.DEGRADED:
-                return ComponentHealth(
-                    f"shard:{name}",
-                    HealthStatus.DEGRADED,
-                    "burn-rate monitor flagged this shard",
                     data,
                 )
             return ComponentHealth(f"shard:{name}", HealthStatus.HEALTHY, "", data)

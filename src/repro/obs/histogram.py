@@ -14,8 +14,7 @@ standard log-bucketed design (HdrHistogram / DDSketch family):
 * **exact merging** — two histograms with the same ``(base_ms,
   growth)`` merge by adding bucket counts.  ``merge(split(xs)) ==
   histogram(xs)`` *exactly*, bucket for bucket (and hence identical
-  quantiles) — the property the cluster's latency roll-up and the SLO
-  windowing lean on.  The one caveat: ``sum_ms`` is a float
+  quantiles) — the property the cluster's latency roll-up leans on.  The one caveat: ``sum_ms`` is a float
   accumulator, so merged vs direct sums agree only up to float
   addition order (last-ulp, not bucket, differences).
 * **error-bounded quantiles** — a bucket reports its geometric
@@ -178,17 +177,6 @@ class LatencyHistogram:
                 break
         assert lo_value is not None and hi_value is not None
         return lo_value * (1.0 - frac) + hi_value * frac
-
-    def count_over(self, threshold_ms: float) -> int:
-        """How many recorded samples exceeded ``threshold_ms``,
-        counting each bucket by its representative value (so the answer
-        is exact except for the single bucket straddling the threshold,
-        where it errs by at most that bucket's population)."""
-        if not self.count:
-            return 0
-        return sum(
-            n for idx, n in self._counts.items() if self._representative(idx) > threshold_ms
-        )
 
     # ------------------------------------------------------------- exposition
 

@@ -22,7 +22,6 @@ from repro.common.errors import (
     ShardUnavailableError,
 )
 from repro.service.admission import (
-    AdaptiveShedder,
     AdmissionQueue,
     Batch,
     ServiceRequest,
@@ -34,7 +33,6 @@ from repro.service.server import (
 )
 
 __all__ = [
-    "AdaptiveShedder",
     "AdmissionQueue",
     "Batch",
     "ClusterError",

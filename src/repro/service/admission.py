@@ -31,20 +31,6 @@ that picks up an expired request resolves it with
 :class:`~repro.common.errors.DeadlineExceededError` instead of
 executing it — queue time already ate the budget, so running the query
 would burn a worker on an answer nobody is waiting for.
-
-On top of the static bound sits **SLO-aware adaptive shedding**
-(:class:`AdaptiveShedder`): when the serving tier's burn-rate monitor
-(:class:`~repro.obs.slo.BurnRateMonitor`) reports a *fast burn* —
-the latency budget being consumed at a multiple of its sustainable
-rate, which under overload shows up seconds before the queue is
-actually full — the shedder clamps the *effective* queue bound far
-below ``max_pending``, so rejections start while the served requests'
-latency is still inside budget ("reject earliest").  Recovery is
-hysteretic: shedding stays on until the burn signal has been clear
-for a cool-down window, so a marginal burn cannot flap admission
-open/closed (``tests/test_health.py`` drives the clamp and its
-release on a manual clock); the naive bounded queue serves everything
-it admits but blows through the latency budget doing so.
 """
 
 from __future__ import annotations
@@ -56,126 +42,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.errors import ServiceOverloadedError, ServiceStoppedError
+from repro.common.errors import ServiceError, ServiceOverloadedError, ServiceStoppedError
 
 #: A scheduling key: one (querier, purpose) metadata context.
 SessionKey = tuple[Any, str]
-
-#: While shedding, the effective queue bound is this fraction of
-#: ``max_pending`` (never below one batch's worth of requests).
-DEFAULT_SHED_CAPACITY_FACTOR = 0.125
-#: How long the burn signal must stay clear before shedding releases.
-DEFAULT_SHED_COOLDOWN_S = 1.0
-
-
-class AdaptiveShedder:
-    """SLO-aware admission clamp with hysteretic recovery.
-
-    Driven by :meth:`signal` (wired to a
-    :class:`~repro.obs.slo.BurnRateMonitor` listener's ``fast_firing``
-    flag); consulted by :meth:`SieveServer.admit
-    <repro.service.server.SieveServer.admit>` via :meth:`should_shed`
-    before every enqueue.  State machine:
-
-    * ``signal(True)`` → shedding immediately (reject earliest — the
-      queue is clamped the moment the fast burn fires);
-    * ``signal(False)`` → shedding *stays on* until the signal has
-      been continuously clear for ``cooldown_s`` (no flapping inside
-      the cool-down window — pinned by ``tests/test_health.py``);
-    * every clamped rejection (:meth:`should_shed`) also refreshes the
-      hold: the clamp keeps served latency inside budget, which clears
-      the burn — but excess arrivals still hitting the clamp mean the
-      overload persists, so release waits for *both* to go quiet.
-
-    The clamp itself is ``capacity_fn()`` requests when provided
-    (e.g. derived from the SLO budget and the measured service time,
-    see :meth:`SieveServer.enable_slo
-    <repro.service.server.SieveServer.enable_slo>`), else
-    ``shed_capacity_factor * max_pending``.  Thread-safe; the clock is
-    injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        shed_capacity_factor: float = DEFAULT_SHED_CAPACITY_FACTOR,
-        cooldown_s: float = DEFAULT_SHED_COOLDOWN_S,
-        capacity_fn: Callable[[], int] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if not (0.0 < shed_capacity_factor <= 1.0):
-            raise ValueError("shed_capacity_factor must be in (0, 1]")
-        if cooldown_s < 0.0:
-            raise ValueError("cooldown_s must be non-negative")
-        self.shed_capacity_factor = shed_capacity_factor
-        self.cooldown_s = cooldown_s
-        self._capacity_fn = capacity_fn
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._shedding = False
-        self._last_fire = -float("inf")
-        self._sheds = 0
-        self._activations = 0
-
-    @property
-    def shedding(self) -> bool:
-        with self._lock:
-            return self._shedding
-
-    @property
-    def sheds(self) -> int:
-        """Requests rejected by the clamp (a subset of the server's
-        total rejections)."""
-        with self._lock:
-            return self._sheds
-
-    @property
-    def activations(self) -> int:
-        """How many times shedding engaged (rising edges)."""
-        with self._lock:
-            return self._activations
-
-    def signal(self, firing: bool, now: float | None = None) -> None:
-        """Feed one fast-burn observation (monitor listener hook)."""
-        if now is None:
-            now = self._clock()
-        with self._lock:
-            if firing:
-                if not self._shedding:
-                    self._activations += 1
-                self._shedding = True
-                self._last_fire = now
-            elif self._shedding and now - self._last_fire >= self.cooldown_s:
-                self._shedding = False
-
-    def capacity(self, max_pending: int) -> int:
-        """The clamped queue bound while shedding."""
-        if self._capacity_fn is not None:
-            derived = self._capacity_fn()
-        else:
-            derived = int(max_pending * self.shed_capacity_factor)
-        return max(1, min(derived, max_pending))
-
-    def should_shed(self, pending: int, max_pending: int) -> bool:
-        """True when this submission must be rejected (clamp active
-        and the queue already holds the clamped capacity).
-
-        Every clamped rejection refreshes the hold timer: while the
-        clamp keeps the queue short, served latency sits back inside
-        budget and the burn signal *clears* — releasing on that alone
-        would reopen admission under sustained overload and limit-cycle
-        the latency through the budget.  The still-arriving excess load
-        is the evidence overload persists; the clamp releases only
-        after both the burn and the clamp itself have been quiet for
-        the cool-down."""
-        with self._lock:
-            if not self._shedding:
-                return False
-        if pending < self.capacity(max_pending):
-            return False
-        with self._lock:
-            self._sheds += 1
-            self._last_fire = self._clock()
-        return True
 
 
 @dataclass
@@ -252,9 +122,9 @@ class AdmissionQueue:
 
     def __init__(self, max_pending: int = 1024, max_batch: int = 16):
         if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
+            raise ServiceError("max_pending must be positive")
         if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+            raise ServiceError("max_batch must be positive")
         self.max_pending = max_pending
         self.max_batch = max_batch
         self._cond = threading.Condition()

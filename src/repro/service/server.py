@@ -40,13 +40,9 @@ What each layer buys under concurrency:
   instead of unbounded latency;
 * latency populations (service, queue wait, end-to-end total) are
   **log-bucketed histograms** (:mod:`repro.obs.histogram`) — exactly
-  mergeable across shards, error-bounded quantiles — and with
-  :meth:`SieveServer.enable_slo` a **burn-rate monitor**
-  (:mod:`repro.obs.slo`) watches the end-to-end population and clamps
-  admission (:class:`~repro.service.admission.AdaptiveShedder`)
-  while the latency budget burns fast, so the requests that *are*
-  served stay inside budget; ``health()`` / ``health_json()`` roll
-  the whole story up to healthy/degraded/unhealthy
+  mergeable across shards, error-bounded quantiles; ``health()`` /
+  ``health_json()`` roll worker liveness, queue depth, snapshot
+  consistency and cache hit rates up to healthy/degraded/unhealthy
   (:mod:`repro.obs.health`).
 
 Throughput scales with workers only as far as the engine allows: the
@@ -67,6 +63,7 @@ from typing import Any, Iterable
 from repro.common.errors import (
     DeadlineExceededError,
     ExecutionError,
+    ServiceError,
     ServiceOverloadedError,
     ServiceStoppedError,
     ShardUnavailableError,
@@ -78,13 +75,12 @@ from repro.sql.ast import Query
 from repro.sql.parser import parse_query
 from repro.sql.printer import to_sql
 from repro.obs.histogram import LatencyHistogram
-from repro.obs.slo import SLO, BurnRateMonitor, SLOSample
 from repro.obs.tracing import (
     clear_inherited_trace_id,
     current_trace_id,
     set_inherited_trace_id,
 )
-from repro.service.admission import AdaptiveShedder, AdmissionQueue, Batch, ServiceRequest
+from repro.service.admission import AdmissionQueue, Batch, ServiceRequest
 
 DEFAULT_WORKERS = 4
 DEFAULT_MAX_PENDING = 1024
@@ -93,9 +89,6 @@ DEFAULT_MAX_BATCH = 16
 #: shape (auto-parameterized template) and (querier, purpose);
 #: least-recently-created shapes age out beyond it.
 AUTO_PREPARE_MAX_SHAPES = 512
-#: The SLO monitor ticks at most this often (piggybacked on request
-#: admission/completion — no background thread).
-SLO_TICK_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -159,14 +152,11 @@ class ServiceStats:
     #: benchmark's traced run stops reading them.
     rewrite_cache: None = None
     plan_cache: dict[str, float] = field(default_factory=dict)
-    #: Rejections issued by the adaptive shedder specifically (a
-    #: subset of ``rejections``; 0 when no SLO clamp is configured).
-    sheds: int = 0
     #: The three latency populations — service time, queue wait, and
-    #: end-to-end (submit → result, queue wait included; what the
-    #: serving SLO is stated over) — as histogram snapshots, which the
-    #: cluster merges exactly.  ``latency`` / ``queue_wait`` /
-    #: ``total_latency`` are their five-field summaries.
+    #: end-to-end (submit → result, queue wait included) — as
+    #: histogram snapshots, which the cluster merges exactly.
+    #: ``latency`` / ``queue_wait`` / ``total_latency`` are their
+    #: five-field summaries.
     latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
     queue_wait_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
     total_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -205,7 +195,6 @@ class ServiceStats:
             "rejections": self.rejections,
             "failures": self.failures,
             "deadline_timeouts": self.deadline_timeouts,
-            "sheds": self.sheds,
             "mean_batch_size": self.mean_batch_size,
             "latency": self.latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
@@ -245,10 +234,9 @@ class SieveServer:
         workers: int = DEFAULT_WORKERS,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_batch: int = DEFAULT_MAX_BATCH,
-        shedder: AdaptiveShedder | None = None,
     ):
         if workers <= 0:
-            raise ValueError("worker count must be positive")
+            raise ServiceError("worker count must be positive")
         self.sieve = sieve
         # Serving implies repeated traffic: every SELECT is served
         # through the PreparedQuery of its shape from the first
@@ -275,18 +263,12 @@ class SieveServer:
         self._rejections = 0
         self._failures = 0
         self._deadline_timeouts = 0
-        self._sheds = 0
         # Log-bucketed, exactly-mergeable latency populations (see
         # repro.obs.histogram): service time, queue wait, and the
-        # end-to-end total the SLO is stated over.
+        # end-to-end total.
         self._latency_hist = LatencyHistogram()
         self._queue_wait_hist = LatencyHistogram()
         self._total_hist = LatencyHistogram()
-        #: SLO-aware admission clamp (None = never sheds); usually
-        #: installed by :meth:`enable_slo` rather than passed directly.
-        self.shedder = shedder
-        #: Burn-rate monitor driving the shedder (:meth:`enable_slo`).
-        self.slo_monitor: BurnRateMonitor | None = None
         #: Fault injection: per-request service-time padding (seconds).
         #: The cluster's ``slow_shard`` sets this to simulate one shard
         #: answering slowly without touching the engine.
@@ -435,21 +417,6 @@ class SieveServer:
         coordinator-assigned fault ordinal (chaos runs only)."""
         if not self.running:
             raise ServiceStoppedError("server is not running (call start())")
-        # Keep the burn-rate monitor ticking from the submission side
-        # too: under full overload no request completes quickly, and
-        # recovery (hysteresis release) must not wait on completions.
-        self._tick_slo()
-        if self.shedder is not None and self.shedder.should_shed(
-            self._queue.pending(), self._queue.max_pending
-        ):
-            with self._lock:
-                self._sheds += 1
-                self._rejections += 1
-            raise ServiceOverloadedError(
-                "admission clamped: the latency SLO is burning fast "
-                f"(effective capacity {self.shedder.capacity(self._queue.max_pending)} "
-                f"of {self._queue.max_pending})"
-            )
         request = ServiceRequest(
             sql=sql,
             querier=querier,
@@ -767,13 +734,6 @@ class SieveServer:
             self._total_hist.record_seconds(
                 max(0.0, request.finished_at - request.submitted_at)
             )
-        # Outside the lock: the tick's sample source re-takes it.
-        self._tick_slo()
-
-    def _tick_slo(self) -> None:
-        monitor = self.slo_monitor
-        if monitor is not None:
-            monitor.maybe_tick(SLO_TICK_INTERVAL_S)
 
     # ----------------------------------------------------------- accounting
 
@@ -803,7 +763,6 @@ class SieveServer:
             rejections = self._rejections
             failures = self._failures
             deadline_timeouts = self._deadline_timeouts
-            sheds = self._sheds
         return ServiceStats(
             workers=self.workers,
             pending=self._queue.pending(),
@@ -812,7 +771,6 @@ class SieveServer:
             rejections=rejections,
             failures=failures,
             deadline_timeouts=deadline_timeouts,
-            sheds=sheds,
             latency_hist=latency_hist,
             queue_wait_hist=queue_wait_hist,
             total_latency_hist=total_hist,
@@ -820,79 +778,7 @@ class SieveServer:
             plan_cache=self.sieve.plan_cache.stats.snapshot(),
         )
 
-    # ------------------------------------------------------------ health/SLO
-
-    def slo_sample(
-        self, threshold_ms: float | None, now: float | None = None
-    ) -> SLOSample:
-        """One cumulative reading for a
-        :class:`~repro.obs.slo.BurnRateMonitor`: served requests,
-        failures, and — against ``threshold_ms`` — how many *total*
-        (queue wait + service) latencies exceeded the SLO threshold.
-        ``now`` stamps the reading on the monitor's own clock (the
-        cluster's health loop runs on an injectable one)."""
-        if now is None:
-            now = time.monotonic()
-        with self._lock:
-            return SLOSample(
-                now=now,
-                requests=self._requests,
-                failures=self._failures,
-                over_latency=(
-                    self._total_hist.count_over(threshold_ms)
-                    if threshold_ms is not None
-                    else 0
-                ),
-            )
-
-    def enable_slo(
-        self,
-        slo: SLO,
-        shed: bool = True,
-        shed_cooldown_s: float | None = None,
-        clock: Any = time.monotonic,
-    ) -> BurnRateMonitor:
-        """Attach a burn-rate monitor for ``slo`` (idempotent), and —
-        with ``shed`` (default) — the adaptive admission clamp.
-
-        The monitor ticks piggybacked on admissions/completions (no
-        background thread).  When its fast-burn alert fires, the
-        shedder clamps the effective queue to a quarter of the depth
-        the latency budget could absorb — ``0.25 * latency_ms / mean
-        service time * workers`` requests, derived live from the
-        latency histogram — and releases only after the burn has
-        stayed clear for the cool-down (default: the SLO's short
-        window).  The quarter (not half) targets a steady-state queue
-        wait well under the budget so the p99 — queue wait plus the
-        service-time and scheduler tail — still lands inside it.
-        """
-        if self.slo_monitor is not None:
-            return self.slo_monitor
-        monitor = BurnRateMonitor(
-            slo, source=lambda: self.slo_sample(slo.latency_ms), clock=clock
-        )
-        if shed:
-            def budget_capacity() -> int:
-                if slo.latency_ms is None:
-                    return int(self._queue.max_pending * 0.125)
-                with self._lock:
-                    mean_ms = self._latency_hist.mean_ms
-                if mean_ms <= 0.0:
-                    return int(self._queue.max_pending * 0.125)
-                return max(1, int(0.25 * slo.latency_ms / mean_ms * self.workers))
-
-            self.shedder = AdaptiveShedder(
-                cooldown_s=(
-                    shed_cooldown_s if shed_cooldown_s is not None else slo.short_window_s
-                ),
-                capacity_fn=budget_capacity,
-                clock=clock,
-            )
-            monitor.add_listener(
-                lambda state: self.shedder.signal(state.fast_firing, now=state.now)
-            )
-        self.slo_monitor = monitor
-        return monitor
+    # --------------------------------------------------------------- health
 
     def health_registry(self) -> Any:
         """The server's :class:`~repro.obs.health.HealthRegistry`
@@ -906,8 +792,8 @@ class SieveServer:
 
     def health(self) -> Any:
         """The rolled-up :class:`~repro.obs.health.HealthReport`:
-        worker-pool liveness, admission depth/shedding, policy
-        snapshot consistency, cache hit-rate floors, SLO burn state."""
+        worker-pool liveness, admission depth, policy snapshot
+        consistency, cache hit-rate floors."""
         return self.health_registry().report()
 
     def health_json(self) -> dict[str, Any]:

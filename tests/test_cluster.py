@@ -718,6 +718,8 @@ def test_cluster_requires_shards_and_stays_stopped():
     db, store, _grant, _next_id = build_world(n_rows=100)
     with pytest.raises(ClusterError):
         SieveCluster(store, [])
+    with pytest.raises(ClusterError):
+        SieveCluster.replicated(db, store, 2, workers_per_shard=0)
     cluster = make_cluster(db, store, n_shards=2)
     cluster.start()
     cluster.stop()

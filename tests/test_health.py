@@ -1,16 +1,16 @@
-"""Health tier: shedder hysteresis, health registries/endpoints, and
-the cluster's degraded-shard control loop (ISSUE satellite: fail_shard
-+ health endpoint agreement, routing deprioritization under one slow
-shard, recovery hysteresis that does not flap).
+"""Health tier: health registries/endpoints and the cluster's
+liveness control loop (fail_shard + health endpoint agreement, routing
+around a down shard, recovery hysteresis that does not flap, detours
+under faults and rebalances).
 
-Everything time-dependent runs on injected clocks — no sleeps in the
+Everything time-dependent runs on an injected clock — no sleeps in the
 hysteresis assertions."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ShardUnavailableError, SieveCluster
+from repro.cluster import RECOVERY_HOLD_S, ShardUnavailableError, SieveCluster
 from repro.core import Sieve
 from repro.db.database import connect
 from repro.obs.health import (
@@ -20,10 +20,8 @@ from repro.obs.health import (
     rollup_cluster,
     server_health,
 )
-from repro.obs.slo import SLO
 from repro.policy import ObjectCondition, Policy, PolicyStore
 from repro.service import SieveServer
-from repro.service.admission import AdaptiveShedder
 from repro.storage.schema import ColumnType, Schema
 
 TABLE = "WiFi_Dataset"
@@ -35,95 +33,20 @@ class FakeClock:
     def __init__(self, now: float = 0.0):
         self.now = now
 
-    def __call__(self) -> float:
-        return self.now
-
     def advance(self, dt: float) -> float:
         self.now += dt
         return self.now
 
 
-# ------------------------------------------------------------ shedder
-
-
-def test_shedder_engages_on_first_fire_and_counts_rising_edges():
-    clock = FakeClock()
-    shedder = AdaptiveShedder(cooldown_s=1.0, clock=clock)
-    assert not shedder.shedding
-    assert not shedder.should_shed(pending=10**6, max_pending=10**6)
-    shedder.signal(True)
-    assert shedder.shedding
-    shedder.signal(True)  # still one activation: no new rising edge
-    assert shedder.activations == 1
-    clock.advance(5.0)
-    shedder.signal(False)
-    shedder.signal(True)
-    assert shedder.activations == 2
-
-
-def test_shedder_does_not_flap_inside_the_cooldown():
-    clock = FakeClock()
-    shedder = AdaptiveShedder(cooldown_s=1.0, clock=clock)
-    shedder.signal(True)
-    # A marginal burn flickering off stays shedding until the signal
-    # has been continuously clear for the cooldown.
-    for dt in (0.2, 0.2, 0.2, 0.2):
-        clock.advance(dt)
-        shedder.signal(False)
-        assert shedder.shedding
-    clock.advance(0.3)  # 1.1s since the last fire
-    shedder.signal(False)
-    assert not shedder.shedding
-
-
-def test_clamped_rejection_refreshes_the_hold():
-    """While excess arrivals still hit the clamp, a clear burn signal
-    must NOT release shedding — that would limit-cycle admission under
-    sustained overload (the clamp keeps latency in budget, which
-    clears the burn)."""
-    clock = FakeClock()
-    shedder = AdaptiveShedder(cooldown_s=1.0, clock=clock)
-    shedder.signal(True, now=0.0)
-    clock.advance(0.9)
-    assert shedder.should_shed(pending=1000, max_pending=1000)  # refreshes hold
-    clock.advance(0.9)  # 1.8s after the fire, 0.9s after the rejection
-    shedder.signal(False)
-    assert shedder.shedding
-    clock.advance(0.2)  # now 1.1s after the last clamped rejection
-    shedder.signal(False)
-    assert not shedder.shedding
-    assert shedder.sheds == 1
-
-
-def test_shedder_capacity_clamp():
-    shedder = AdaptiveShedder(capacity_fn=lambda: 7)
-    assert shedder.capacity(max_pending=1000) == 7
-    assert shedder.capacity(max_pending=3) == 3  # never above the static bound
-    zero = AdaptiveShedder(capacity_fn=lambda: 0)
-    assert zero.capacity(max_pending=1000) == 1  # never below one request
-    default = AdaptiveShedder()
-    assert default.capacity(max_pending=1000) == 125
-    shedder.signal(True)
-    assert not shedder.should_shed(pending=6, max_pending=1000)
-    assert shedder.should_shed(pending=7, max_pending=1000)
-
-
-def test_shedder_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        AdaptiveShedder(shed_capacity_factor=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveShedder(shed_capacity_factor=1.5)
-    with pytest.raises(ValueError):
-        AdaptiveShedder(cooldown_s=-1.0)
-
-
 # ----------------------------------------------------- health registry
 
 
-def test_registry_accepts_all_three_check_shapes_and_rolls_up_worst():
+def test_registry_names_components_and_rolls_up_worst():
     registry = HealthRegistry()
-    registry.register("a", lambda: HealthStatus.HEALTHY)
-    registry.register("b", lambda: (HealthStatus.DEGRADED, "queue deep"))
+    registry.register("a", lambda: ComponentHealth("a", HealthStatus.HEALTHY))
+    registry.register(
+        "b", lambda: ComponentHealth("b", HealthStatus.DEGRADED, "queue deep")
+    )
     registry.register(
         "c",
         lambda: ComponentHealth("ignored-name", HealthStatus.HEALTHY, "ok", {"x": 1}),
@@ -152,6 +75,24 @@ def test_registry_rejects_duplicates_and_contains_raising_checks():
     report = registry.report()  # the endpoint must not throw
     assert report.status is HealthStatus.UNHEALTHY
     assert "sensor exploded" in report.component("broken").detail
+
+
+def test_registry_contains_a_check_of_the_wrong_shape():
+    """Only :class:`ComponentHealth` is a check result: a bare status,
+    a ``(status, detail)`` pair or ``None`` is contained like a raising
+    check — the component reads unhealthy, the endpoint does not throw."""
+    registry = HealthRegistry()
+    registry.register("bare", lambda: HealthStatus.HEALTHY)
+    registry.register("pair", lambda: (HealthStatus.HEALTHY, "fine"))
+    registry.register("none", lambda: None)
+    registry.register("ok", lambda: ComponentHealth("ok", HealthStatus.HEALTHY))
+    report = registry.report()
+    for name in ("bare", "pair", "none"):
+        component = report.component(name)
+        assert component.status is HealthStatus.UNHEALTHY
+        assert component.detail.startswith("check raised: ")
+    assert report.component("ok").status is HealthStatus.HEALTHY
+    assert report.status is HealthStatus.UNHEALTHY
 
 
 def test_worst_of_empty_is_healthy():
@@ -211,7 +152,7 @@ def _world(n_rows: int = 400):
     return db, store
 
 
-def test_server_health_endpoint_shapes_and_degrades_on_shedding():
+def test_server_health_endpoint_shapes_and_degrades_on_queue_depth():
     db, store = _world()
     with SieveServer(Sieve(db, store), workers=2) as server:
         server.execute(f"SELECT COUNT(*) FROM {TABLE}", QUERIERS[0], PURPOSE)
@@ -223,11 +164,9 @@ def test_server_health_endpoint_shapes_and_degrades_on_shedding():
         assert body["status"] == "healthy"
         assert {c["name"] for c in body["components"]} == names
 
-        # Shedding flips the admission component (and the roll-up) to
-        # degraded — the endpoint shows *why* requests are bouncing.
-        server.enable_slo(SLO(latency_ms=50.0), shed=True)
-        server.shedder.signal(True)
-        report = server.health()
+        # A queue past its floor flips the admission component (and the
+        # roll-up) to degraded — the endpoint shows *why* requests wait.
+        report = server_health(server, queue_floor=0.0).report()
         assert report.component("admission_queue").status is HealthStatus.DEGRADED
         assert report.status is HealthStatus.DEGRADED
 
@@ -254,11 +193,7 @@ def test_fail_shard_agrees_with_health_endpoint():
     db, store = _cluster_world()
     clock = FakeClock()
     with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
-        cluster.configure_health(
-            SLO(latency_ms=50.0, short_window_s=1.0, long_window_s=4.0),
-            clock=clock,
-        )
-        assert set(cluster.health_tick().values()) == {"healthy"}
+        assert set(cluster.health_tick(now=clock.now).values()) == {"healthy"}
         assert cluster.health().status is HealthStatus.HEALTHY
 
         victim_querier, victim = _victim_and_fallback(cluster)
@@ -292,13 +227,72 @@ def test_fail_shard_agrees_with_health_endpoint():
         cluster.restore_shard(victim)
 
 
+def test_health_tick_needs_no_configuration():
+    """A fresh cluster ticks on its own monotonic clock: every serving
+    shard is healthy, a failed one is unhealthy and detoured at once,
+    and a restored one stays detoured for the hold."""
+    db, store = _cluster_world()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        assert set(cluster.health_tick().values()) == {"healthy"}
+        assert cluster.reroutes() == {}
+        _querier, victim = _victim_and_fallback(cluster)
+        cluster.fail_shard(victim)
+        assert cluster.health_tick()[victim] == "unhealthy"
+        assert victim in cluster.reroutes()
+        cluster.restore_shard(victim)
+        assert cluster.health_tick()[victim] == "healthy"
+        assert victim in cluster.reroutes()  # far less than RECOVERY_HOLD_S served
+
+
+def test_a_slow_shard_is_healthy():
+    """Health is liveness: a shard that answers slowly still serves,
+    so it is neither unhealthy nor detoured (a hedged read is what
+    answers past it)."""
+    db, store = _cluster_world()
+    clock = FakeClock()
+    sql = f"SELECT COUNT(*) FROM {TABLE}"
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        querier, victim = _victim_and_fallback(cluster)
+        baseline = cluster.execute(sql, querier, PURPOSE, timeout=60).rows
+        cluster.slow_shard(victim, 0.05)
+        assert cluster.execute(sql, querier, PURPOSE, timeout=60).rows == baseline
+        assert cluster.health_tick(now=clock.advance(1.0))[victim] == "healthy"
+        assert cluster.reroutes() == {}
+        assert cluster.health().component(f"shard:{victim}").status is HealthStatus.HEALTHY
+        cluster.slow_shard(victim, 0.0)
+
+
+def test_a_crashed_shard_is_detoured_until_its_rebuild_holds():
+    """A crash (the process dies) reads unhealthy like a failed shard;
+    the supervisor's rebuild serves again at once, yet keeps the detour
+    for the full RECOVERY_HOLD_S — rebuilds get no shortcut."""
+    db, store = _cluster_world()
+    clock = FakeClock()
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        querier, victim = _victim_and_fallback(cluster)
+        baseline = sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows)
+        cluster.crash_shard(victim)
+        assert cluster.health_tick(now=clock.advance(1.0))[victim] == "unhealthy"
+        fallback = cluster.reroutes()[victim]
+        assert sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows) == baseline
+
+        assert [r.name for r in cluster.supervise()] == [victim]
+        assert cluster.health_tick(now=clock.advance(1.0))[victim] == "healthy"
+        cluster.health_tick(now=clock.advance(RECOVERY_HOLD_S - 1.0))
+        assert cluster.reroutes() == {victim: fallback}
+        cluster.health_tick(now=clock.advance(1.0))
+        assert cluster.reroutes() == {}
+        before = cluster.shard(victim).server.stats().requests
+        assert sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows) == baseline
+        assert cluster.shard(victim).server.stats().requests == before + 1
+
+
 def test_unrouted_failure_is_still_explicit_backpressure():
     """Without a healthy fallback there is nothing to detour onto —
     the ShardUnavailableError contract from the fault-injection tier
     still holds."""
     db, store = _cluster_world()
     with SieveCluster.replicated(db, store, n_shards=2, workers_per_shard=1) as cluster:
-        cluster.configure_health(SLO(latency_ms=50.0, short_window_s=1.0, long_window_s=4.0))
         for name in cluster.shard_names:
             cluster.fail_shard(name)
         cluster.health_tick()
@@ -310,43 +304,52 @@ def test_unrouted_failure_is_still_explicit_backpressure():
             )
 
 
-def test_slow_shard_is_deprioritized_and_recovery_holds():
-    """The full control loop on an injected clock: a slow shard burns
-    its SLO → degraded → rerouted (row-identical answers via the
-    fallback); after healing, the detour lifts only once the shard has
-    stayed healthy for the full hold — and a mid-recovery relapse
+def test_the_first_shard_back_covers_every_shard_still_down():
+    """With every shard down there is no stand-in; the first tick after
+    one is restored detours each shard still down onto it, and their
+    queriers get their answers back."""
+    db, store = _cluster_world()
+    clock = FakeClock()
+    sql = f"SELECT COUNT(*) FROM {TABLE}"
+    with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
+        baseline = {q: cluster.execute(sql, q, PURPOSE, timeout=60).rows for q in QUERIERS}
+        for name in cluster.shard_names:
+            cluster.fail_shard(name)
+        cluster.health_tick(now=clock.advance(1.0))
+        assert cluster.reroutes() == {}
+        survivor, *down = cluster.shard_names
+        cluster.restore_shard(survivor)
+        statuses = cluster.health_tick(now=clock.advance(1.0))
+        assert statuses == {survivor: "healthy", **{name: "unhealthy" for name in down}}
+        assert cluster.reroutes() == {name: survivor for name in down}
+        for querier, rows in baseline.items():
+            assert cluster.execute(sql, querier, PURPOSE, timeout=60).rows == rows
+        for name in down:
+            cluster.restore_shard(name)
+
+
+def test_failed_shard_is_detoured_and_recovery_holds():
+    """The full control loop on an injected clock: a failed shard →
+    unhealthy → rerouted (row-identical answers via the fallback);
+    after restore, the detour lifts only once the shard has stayed
+    healthy for the full RECOVERY_HOLD_S — and a mid-recovery relapse
     resets the streak (no flapping)."""
     db, store = _cluster_world()
     clock = FakeClock()
     sql = f"SELECT COUNT(*) FROM {TABLE}"
     with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
-        cluster.configure_health(
-            SLO(
-                latency_ms=10.0,
-                latency_target=0.9,
-                short_window_s=1.0,
-                long_window_s=2.0,
-                fast_burn=2.0,
-            ),
-            recovery_hold_s=5.0,
-            clock=clock,
-        )
         victim_querier, victim = _victim_and_fallback(cluster)
         baseline = sorted(
             cluster.execute(sql, victim_querier, PURPOSE, timeout=60).rows
         )
         assert cluster.health_tick(now=0.0)[victim] == "healthy"
 
-        # Burn the victim's SLO: every padded request blows the 10ms
-        # budget, so the short-window burn is 1/0.1 = 10x >= 2x.
-        cluster.slow_shard(victim, 0.05)
-        for _ in range(3):
-            cluster.execute(sql, victim_querier, PURPOSE, timeout=60)
+        cluster.fail_shard(victim)
         statuses = cluster.health_tick(now=clock.advance(1.0))
-        assert statuses[victim] == "degraded"
+        assert statuses[victim] == "unhealthy"
         fallback = cluster.reroutes()[victim]
         assert fallback != victim
-        assert cluster.shard_health()[victim] == "degraded"
+        assert cluster.shard_health()[victim] == "unhealthy"
         assert cluster.stats().reroutes == {victim: fallback}
 
         # Deprioritized: the victim's traffic lands on the fallback
@@ -359,25 +362,30 @@ def test_slow_shard_is_deprioritized_and_recovery_holds():
         assert cluster.shard(victim).server.stats().requests == victim_before
         assert cluster.shard(fallback).server.stats().requests == fallback_before + 1
 
-        # Heal.  The windows drain with no victim traffic, so the next
-        # tick sees it healthy — but the detour must hold.
-        cluster.slow_shard(victim, 0.0)
-        assert cluster.health_tick(now=clock.advance(3.0))[victim] == "healthy"
-        assert victim in cluster.reroutes()  # 0s of the 5s hold served
+        # Restore.  The next tick sees it healthy — but the detour must
+        # hold until the streak reaches the full hold.
+        cluster.restore_shard(victim)
+        assert cluster.health_tick(now=clock.advance(1.0))[victim] == "healthy"
+        assert victim in cluster.reroutes()  # streak began at t=2
+        cluster.health_tick(now=clock.advance(RECOVERY_HOLD_S - 1.0))
+        assert victim in cluster.reroutes()  # 1 s short of the hold
 
         # A relapse mid-hold resets the streak.
         cluster.fail_shard(victim)
-        assert cluster.health_tick(now=clock.advance(2.0))[victim] == "unhealthy"
+        assert cluster.health_tick(now=clock.advance(1.0))[victim] == "unhealthy"
         cluster.restore_shard(victim)
         assert cluster.health_tick(now=clock.advance(1.0))[victim] == "healthy"
-        # Streak restarted at t=7: at t=11 the *original* healthy tick
-        # (t=4) is 7s old but the streak is only 4s — still held.
-        assert victim in cluster.reroutes()
-        cluster.health_tick(now=clock.advance(4.0))
+        # The streak restarted here: one hold minus a second later the
+        # *original* healthy tick (t=2) is older than the hold, but the
+        # streak is not — still held.
+        restarted = clock.now
+        cluster.health_tick(now=clock.advance(RECOVERY_HOLD_S - 1.0))
+        assert clock.now - 2.0 > RECOVERY_HOLD_S
         assert victim in cluster.reroutes()
 
         # Streak complete: the detour lifts and traffic goes home.
-        cluster.health_tick(now=clock.advance(1.5))
+        cluster.health_tick(now=clock.advance(1.0))
+        assert clock.now - restarted == RECOVERY_HOLD_S
         assert victim not in cluster.reroutes()
         victim_before = cluster.shard(victim).server.stats().requests
         rows = sorted(cluster.execute(sql, victim_querier, PURPOSE, timeout=60).rows)
@@ -401,11 +409,6 @@ ROWS_SQL = f"SELECT * FROM {TABLE}"
 def _detour(cluster: SieveCluster, clock: FakeClock):
     """Fail ``QUERIERS[0]``'s home shard and tick once; returns
     ``(querier, home, fallback, the querier's baseline rows)``."""
-    cluster.configure_health(
-        SLO(latency_ms=50.0, short_window_s=1.0, long_window_s=4.0),
-        recovery_hold_s=0.0,
-        clock=clock,
-    )
     querier, home = _victim_and_fallback(cluster)
     baseline = sorted(cluster.execute(ROWS_SQL, querier, PURPOSE, timeout=60).rows)
     assert len(baseline) == 67
@@ -508,7 +511,8 @@ def test_a_lift_that_cannot_drain_never_shrinks_under_the_straggler(monkeypatch)
         cluster.slow_shard(fallback, 0.5)
         straggler = cluster.submit(ROWS_SQL, querier, PURPOSE)
         cluster.restore_shard(home)
-        cluster.health_tick(now=clock.advance(1.0))  # hold 0 s: lifts at once
+        cluster.health_tick(now=clock.advance(1.0))  # the healthy streak begins
+        cluster.health_tick(now=clock.advance(RECOVERY_HOLD_S))  # the hold has passed
         assert cluster.reroutes() == {}
         assert not straggler.done()
         assert cluster.shard(fallback).partition.owns_querier(querier)
@@ -517,14 +521,10 @@ def test_a_lift_that_cannot_drain_never_shrinks_under_the_straggler(monkeypatch)
         assert sorted(rows) == baseline
 
 
-def test_health_tick_requires_configuration():
+def test_slow_shard_rejects_a_negative_delay():
     db, store = _cluster_world()
     from repro.cluster import ClusterError
 
     with SieveCluster.replicated(db, store, n_shards=2, workers_per_shard=1) as cluster:
-        with pytest.raises(ClusterError):
-            cluster.health_tick()
-        with pytest.raises(ClusterError):
-            cluster.configure_health(SLO(latency_ms=10.0), recovery_hold_s=-1.0)
         with pytest.raises(ClusterError):
             cluster.slow_shard(cluster.shard_names[0], -0.5)

@@ -63,7 +63,6 @@ def test_empty_histogram():
     assert hist.percentile(50) == 0.0
     assert hist.percentile(99) == 0.0
     assert hist.mean_ms == 0.0
-    assert hist.count_over(0.0) == 0
     assert hist.buckets() == []
     assert hist.summary_dict()["count"] == 0
 
@@ -158,16 +157,6 @@ def test_to_dict_round_trips_exactly():
     empty_back = LatencyHistogram.from_dict(LatencyHistogram().to_dict())
     assert empty_back.count == 0
     assert empty_back.min_ms == math.inf
-
-
-def test_count_over_threshold():
-    hist = hist_of([1.0, 1.0, 10.0, 100.0])
-    assert hist.count_over(50.0) == 1
-    assert hist.count_over(5.0) == 2
-    # Representatives carry the bucket error, so only threshold values
-    # away from bucket edges are exact; far below min everything counts.
-    assert hist.count_over(0.0) == 4
-    assert hist.count_over(1e9) == 0
 
 
 # ------------------------------------------------- the merge-split property

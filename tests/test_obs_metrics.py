@@ -256,6 +256,28 @@ def test_cluster_exposition_reads_the_shards_that_executed():
     assert db.counters.tuples_scanned == 0
 
 
+def test_shard_health_gauge_reads_liveness():
+    """``sieve_shard_health`` is 2 for a shard the health loop found
+    not serving and 0 for every other: there is no degraded reading."""
+    db, _rows = make_wifi_db()
+    store = PolicyStore(db)
+    store.insert_many(make_policies())
+    with SieveCluster.replicated(db, store, n_shards=3) as cluster:
+        names = cluster.shard_names
+        assert _samples(cluster.metrics_json(), "sieve_shard_health") == {
+            (("shard", name),): 0.0 for name in names
+        }
+        victim = names[0]
+        cluster.fail_shard(victim)
+        cluster.health_tick(now=0.0)
+        body = cluster.metrics_json()
+        cluster.restore_shard(victim)
+    assert _samples(body, "sieve_shard_health") == {
+        (("shard", name),): 2.0 if name == victim else 0.0 for name in names
+    }
+    assert _samples(body, "sieve_cluster_reroutes") == {(): 1.0}
+
+
 def test_a_shard_removed_mid_scrape_leaves_the_scrape_whole():
     """Scale-in between the scrape's ``stats()`` snapshot and its read of
     the shards' engine counters: the scrape answers, with the counters of
@@ -286,8 +308,8 @@ def test_a_shard_removed_mid_scrape_leaves_the_scrape_whole():
     }
 
 
-#: Every metric name a server and a 2-shard cluster expose (no tracer,
-#: no SLO monitor attached).
+#: Every metric name a server and a 2-shard cluster expose (no tracer
+#: attached).
 SERVER_METRICS = (
     "sieve_audit_flushes_total", "sieve_audit_records_total", "sieve_backend_queries_total",
     "sieve_backend_rows_total", "sieve_batches_total", "sieve_expr_cache_hits_total",
@@ -302,7 +324,7 @@ SERVER_METRICS = (
     "sieve_request_latency_ms", "sieve_service_batches_total",
     "sieve_service_deadline_timeouts_total", "sieve_service_failures_total",
     "sieve_service_mean_batch_size", "sieve_service_pending", "sieve_service_rejections_total",
-    "sieve_service_requests_total", "sieve_service_sheds_total", "sieve_service_workers",
+    "sieve_service_requests_total", "sieve_service_workers",
     "sieve_total_latency_ms", "sieve_tuples_output_total", "sieve_tuples_scanned_total",
     "sieve_udf_invocations_total", "sieve_udf_policy_evals_total",
 )
@@ -349,6 +371,7 @@ RETIRED_METRICS = {
         },
         "sieve_service_queue_wait_us_total": "sieve_queue_wait_ms_sum",
         "sieve_service_exec_us_total": "sieve_request_latency_ms_sum",
+        "sieve_service_sheds_total": "always 0: no server sheds since the adaptive shedder went",
     },
     "cluster": {
         "sieve_service_queue_wait_us_total": "sieve_cluster_queue_wait_ms_sum",
@@ -406,6 +429,11 @@ def test_service_stats_to_dict_shapes():
         server.execute(SQL, "prof", "analytics")
         stats = server.stats()
     data = stats.to_dict()
+    assert set(data) == {
+        "workers", "pending", "requests", "batches", "rejections", "failures",
+        "deadline_timeouts", "mean_batch_size", "latency", "queue_wait", "total_latency",
+        "guard_cache", "rewrite_cache", "plan_cache",
+    }
     assert data["workers"] == 2
     assert data["requests"] == 1
     assert data["latency"]["count"] == 1

@@ -29,6 +29,7 @@ from repro.core import Sieve
 from repro.policy import GroupDirectory, ObjectCondition, Policy, PolicyStore
 from repro.service import (
     AdmissionQueue,
+    ServiceError,
     ServiceOverloadedError,
     ServiceRequest,
     ServiceStoppedError,
@@ -126,6 +127,16 @@ def test_admission_queue_bounded():
     batch = queue.take()
     assert len(batch) == 2
     queue.submit(_request(3))  # capacity freed by the take
+
+
+def test_serving_constructors_refuse_bad_sizes_typed():
+    with pytest.raises(ServiceError):
+        AdmissionQueue(max_pending=0)
+    with pytest.raises(ServiceError):
+        AdmissionQueue(max_batch=0)
+    db, store, _grant, _ = build_world(n_rows=100)
+    with pytest.raises(ServiceError):
+        SieveServer(Sieve(db, store), workers=0)
 
 
 def test_admission_queue_close_without_drain_abandons():

@@ -1,11 +1,11 @@
-"""Render a text health/SLO dashboard for a Sieve cluster (smoke CLI).
+"""Render a text health dashboard for a Sieve cluster (smoke CLI).
 
 The health tier's human surface: everything a pager-holder wants on
 one screen —
 
 * the rolled-up health report (per-component verdicts + evidence),
-* a per-shard table: status, active detour, served requests, sheds,
-  and histogram-backed p50/p95/p99,
+* a per-shard table: status, active detour, served requests, and
+  histogram-backed p50/p95/p99,
 * the cluster-merged latency histogram as a bar chart (buckets merged
   exactly across shards — the :class:`~repro.obs.histogram.
   LatencyHistogram` property the roll-up is built on).
@@ -16,8 +16,8 @@ any server/cluster embedding can print the same dashboard.
 
 As a script it is self-verifying (the CI smoke shape shared with
 ``tools/trace_dump.py``): build a small world, run traffic through a
-3-shard cluster, then slow one shard until the control loop flags it
-**degraded** and detours its queriers — and exit non-zero if the
+3-shard cluster, then fail one shard so the control loop flags it
+**unhealthy** and detours its queriers — and exit non-zero if the
 dashboard fails to show exactly that.  Then the detour meets a fault:
 the fallback is crashed and rebuilt by the supervisor, and the detoured
 querier's policy is revoked; a non-identical answer after the rebuild,
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 from typing import Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,7 +37,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.cluster import SieveCluster  # noqa: E402
 from repro.db.database import connect  # noqa: E402
 from repro.obs.histogram import LatencyHistogram  # noqa: E402
-from repro.obs.slo import SLO  # noqa: E402
 from repro.policy import ObjectCondition, Policy, PolicyStore  # noqa: E402
 from repro.storage.schema import ColumnType, Schema  # noqa: E402
 
@@ -60,7 +58,7 @@ def render_shards(stats) -> list[str]:
     :class:`~repro.cluster.ClusterStats`."""
     header = (
         f"  {'shard':<10} {'status':<10} {'detour':<12} {'requests':>9} "
-        f"{'sheds':>6} {'p50 ms':>9} {'p95 ms':>9} {'p99 ms':>9}"
+        f"{'p50 ms':>9} {'p95 ms':>9} {'p99 ms':>9}"
     )
     lines = ["shards:", header, "  " + "-" * (len(header) - 2)]
     for name in sorted(stats.per_shard):
@@ -69,7 +67,7 @@ def render_shards(stats) -> list[str]:
         detour = f"-> {stats.reroutes[name]}" if name in stats.reroutes else ""
         lines.append(
             f"  {name:<10} {status:<10} {detour:<12} {shard.requests:>9} "
-            f"{shard.sheds:>6} {shard.latency.p50_ms:>9.2f} "
+            f"{shard.latency.p50_ms:>9.2f} "
             f"{shard.latency.p95_ms:>9.2f} {shard.latency.p99_ms:>9.2f}"
         )
     return lines
@@ -162,11 +160,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     db, store = _world(args.rows)
     sql = f"SELECT COUNT(*) FROM {TABLE}"
     with SieveCluster.replicated(db, store, n_shards=3, workers_per_shard=1) as cluster:
-        cluster.configure_health(
-            SLO(latency_ms=10.0, latency_target=0.9,
-                short_window_s=0.5, long_window_s=5.0, fast_burn=2.0),
-            recovery_hold_s=2.0,
-        )
         for querier in QUERIERS:
             cluster.execute(sql, querier, PURPOSE, timeout=60)
         cluster.health_tick()
@@ -175,30 +168,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("\n".join(render_dashboard(cluster)))
 
         victim = cluster.route(QUERIERS[0])
-        cluster.slow_shard(victim, 0.05)
-        deadline = time.monotonic() + 15.0
-        while victim not in cluster.reroutes():
-            cluster.execute(sql, QUERIERS[0], PURPOSE, timeout=60)
-            cluster.health_tick()
-            if time.monotonic() > deadline:
-                print(f"FAIL: {victim} never flagged degraded")
-                return 1
+        cluster.fail_shard(victim)
+        cluster.health_tick()
+        if victim not in cluster.reroutes():
+            print(f"FAIL: {victim} failed but not detoured")
+            return 1
         # Traffic keeps flowing through the detour while it is up.
         cluster.execute(sql, QUERIERS[0], PURPOSE, timeout=60)
 
-        print(f"\n== {victim} slowed 50ms/request " + "=" * 32)
+        print(f"\n== {victim} failed " + "=" * 45)
         lines = render_dashboard(cluster)
         print("\n".join(lines))
 
         statuses = cluster.shard_health()
-        if statuses.get(victim) != "degraded":
-            print(f"FAIL: expected {victim} degraded, got {statuses}")
+        if statuses.get(victim) != "unhealthy":
+            print(f"FAIL: expected {victim} unhealthy, got {statuses}")
             return 1
         if not any(victim in line and "->" in line for line in lines):
             print("FAIL: dashboard does not show the detour")
             return 1
         fallback = cluster.reroutes()[victim]
-        print(f"\nOK: {victim} degraded and detoured to {fallback}; dashboard rendered")
+        print(f"\nOK: {victim} unhealthy and detoured to {fallback}; dashboard rendered")
 
         # Detour x fault: the fallback answers for the victim's
         # queriers now, so a rebuilt fallback must still cover them and
