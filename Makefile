@@ -35,7 +35,8 @@ profile-fresh:
 
 # The same for a warm request (one fixed text per querier and shape:
 # the statement memo skips parsing and the plan cache hits, so what is
-# left is the engine — scans, the guard kernel, projection).
+# left is the engine — scans, the guard kernel, projection).  Exits
+# non-zero if a warm read parses or compiles.
 profile-warm:
 	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
 
@@ -51,9 +52,10 @@ profile-churn:
 # ... and for a cold request, each querier's first, which generates its
 # guards (Section 4): the median over three fresh 12-querier worlds and
 # its split timed plainly (candidates / merge sweep / selection / plan /
-# branch compile() / execute / other), then guard generation for one
-# shop at 150 / 400 / 1 000 / 2 000 policies and how it grows, then a
-# fourth world's cold requests under cProfile.
+# compile() / execute / other) and its compile() calls (dispatch shells,
+# guard branches, other), then guard generation for one shop at 150 /
+# 400 / 1 000 / 2 000 policies and how it grows, then a fourth world's
+# cold requests under cProfile.
 profile-cold:
 	$(PYTHON) tools/profile_request.py --mode cold -n 36
 

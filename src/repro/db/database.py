@@ -193,7 +193,10 @@ class Database:
         """Execute an already-planned query in the database's engine
         mode (a warm plan-cache hit enters here, skipping planning).
         The oracle gets no compiled-expression cache, so a differential
-        never compares the product with its own cached kernels."""
+        never compares the product with its own cached kernels.  A
+        ``TypeError`` the query raises on the way (an ordering or
+        arithmetic across types, a function given the wrong arguments)
+        leaves as an :class:`ExecutionError`."""
         executor_cls = VectorizedExecutor if self.vectorized else Executor
         executor = executor_cls(
             self.catalog,
@@ -202,7 +205,10 @@ class Database:
             plan_subquery=self._plan_subquery,
             fn_cache=self.expr_cache if self.vectorized else None,
         )
-        return executor.run(planned.root, planned.cte_plans)
+        try:
+            return executor.run(planned.root, planned.cte_plans)
+        except TypeError as exc:
+            raise ExecutionError(f"query failed: {exc}") from exc
 
     # ----------------------------------------------------------- statements
 

@@ -291,7 +291,8 @@ class VectorizedExecutor(Executor):
     ):
         """What ``build()`` returns, through the compiled-expression
         cache under ``expr`` — an expression, or a guard kernel's
-        generated source (mode ``"shell"``, its code object)."""
+        generated source (mode ``"source"``, its code object: a guard's
+        dispatch shell, or a guard branch's shape)."""
         cache = self.fn_cache
         if cache is None:
             return build()
@@ -323,18 +324,18 @@ class VectorizedExecutor(Executor):
     def _guard_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
         codegen = self._compiler(binding)
 
-        def branch(node: Expr) -> Callable:
+        def code(source: str) -> CodeType:
             return self._cached(
-                node, binding, "branch", lambda: codegen.compile_guard_branch(node)
+                source, binding, "source", lambda: codegen.compile_source(source), by_identity=False
             )
 
-        def shell(source: str) -> CodeType:
+        def branch(node: Expr) -> Callable:
             return self._cached(
-                source, binding, "shell", lambda: codegen.compile_source(source), by_identity=False
+                node, binding, "branch", lambda: codegen.compile_guard_branch(node, code)
             )
 
         try:
-            kernel = codegen.compile_batch_guard(conj, branch, shell)
+            kernel = codegen.compile_batch_guard(conj, branch, code)
         except (CodegenUnsupported, SyntaxError):
             return self._row_stage(conj, binding)
         return lambda batch, sel: kernel(batch.columns(), sel, batch.rows)

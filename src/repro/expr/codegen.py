@@ -28,8 +28,12 @@ Two compilation modes exist:
   :class:`~repro.engine.vector.RowBatch` via a list comprehension (or,
   for a top-level policy OR, a fused metering kernel in which a row
   *looks up* the guard branches that can hold for it instead of
-  walking them all, and tries those through row functions compiled one
-  per branch) with the expression inlined.  Nested metered ORs
+  walking them all, and tries those through one row function per
+  branch) with the expression inlined.  A branch's row function is
+  rendered as its *shape* — every literal and column position a
+  placeholder constant — so one code object serves every branch of
+  that shape, each instantiated with its own values bound into a copy
+  of the code object's constants.  Nested metered ORs
   compile to kernel-local per-index helpers so ``policy_evals``
   accounting survives inside batch kernels; only scalar subqueries are
   refused
@@ -39,7 +43,8 @@ Two compilation modes exist:
 :class:`CompiledExprCache` is the cross-execution LRU for compiled
 callables (keyed by structural expression equality — of the shape,
 for a non-guard kernel — + binding layout + mode; a guard kernel's
-dispatch shell is keyed by its source and holds its code object); the
+dispatch shell and a guard branch's shape are keyed by their source
+and hold its code object, which each branch rebinds); the
 Database owns one instance so repeated queries
 stop recompiling identical predicates every run.  Expressions
 containing subqueries are never cached: IN memberships are data
@@ -96,7 +101,7 @@ _CMP_OPS: dict[CompareOp, str] = {
 
 
 #: What a predicate / value kernel takes: a guard kernel's constants
-#: stay inlined (its dispatch tables are built from them).
+#: stay in its environment (its dispatch tables are built from them).
 _SHAPE_ARGS = "_cols, _sel, _consts=()"
 
 
@@ -165,9 +170,13 @@ class CompiledExprCache:
 
     Keys are ``(expr, (binding.cache_key(), mode, ...))`` — expression
     nodes are frozen dataclasses, so structurally identical predicates
-    from independent rewrites hit the same entry.  The cache counts its
-    own :meth:`lookup` traffic, :attr:`hits` and :attr:`misses`, under
-    its lock.
+    from independent rewrites hit the same entry.  Under mode
+    ``"source"`` the key is a generated source and the value its code
+    object: a guard kernel's dispatch shell, or a guard branch's shape,
+    from which each branch of that shape is instantiated with its own
+    constants (:meth:`CodegenExprCompiler.compile_guard_branch`).  The
+    cache counts its own :meth:`lookup` traffic, :attr:`hits` and
+    :attr:`misses`, under its lock.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -320,7 +329,13 @@ class _Emitter:
     constants/callables that cannot be inlined land in ``env``.
     """
 
-    def __init__(self, compiler: "CodegenExprCompiler", mode: str, hoisted: bool = False):
+    def __init__(
+        self,
+        compiler: "CodegenExprCompiler",
+        mode: str,
+        hoisted: bool = False,
+        slotted: bool = False,
+    ):
         self.compiler = compiler
         self.mode = mode
         #: What a helper function takes: the row, or the row's index.
@@ -340,6 +355,11 @@ class _Emitter:
         #: How many slots of the kernel's constants vector the tree
         #: reads (``_q<index>`` locals, unpacked in the prelude).
         self.n_consts = 0
+        #: When a list (a guard branch's row function), the source is a
+        #: *shape*: every literal and column position is spelled as a
+        #: placeholder constant, ``"\0<index>"``, and its value is
+        #: ``slots[index]``, bound into the compiled code (:func:`_bind_slots`).
+        self.slots: list | None = [] if slotted else None
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -351,7 +371,17 @@ class _Emitter:
         self.env[name] = value
         return name
 
+    def slot(self, value: Any) -> str:
+        """A placeholder constant that :func:`_bind_slots` replaces by
+        ``value``.  Placeholders are unique strings starting with NUL,
+        and every string literal is slotted too, so the compiler can
+        neither merge two slots nor confuse a slot with a real constant."""
+        self.slots.append(value)  # type: ignore[union-attr]
+        return repr(f"\0{len(self.slots) - 1}")  # type: ignore[arg-type]
+
     def literal(self, value: Any) -> str:
+        if self.slots is not None:
+            return self.slot(value)
         if value is None or isinstance(value, (bool, int, str)):
             return repr(value)
         if isinstance(value, float) and math.isfinite(value):
@@ -360,13 +390,20 @@ class _Emitter:
 
     def column(self, pos: int) -> str:
         if self.mode == "row":
-            return f"_r[{pos}]"
+            return f"_r[{pos if self.slots is None else self.slot(pos)}]"
         self.used_columns.add(pos)
         if self.hoisted:
             return f"_v{pos}"
         return f"_c{pos}[_i]"
 
     # ------------------------------------------------------------ rendering
+
+    def test(self, expr: Expr) -> str:
+        """``expr`` where a truth value is tested (``if`` / ``not``): a
+        literal there goes through ``bool()``, or the compiler would
+        fold the test and drop a slot's placeholder."""
+        text = self.emit(expr)
+        return f"bool({text})" if isinstance(expr, Literal) else text
 
     def emit(self, expr: Expr) -> str:
         c = self.compiler
@@ -434,7 +471,7 @@ class _Emitter:
             parts = [f"bool({self.emit(ch)})" for ch in expr.children]
             return "(" + " or ".join(parts) + ")"
         if isinstance(expr, Not):
-            return f"(not {self.emit(expr.child)})"
+            return f"(not {self.test(expr.child)})"
         if isinstance(expr, Arith):
             lt, rt = self.fresh("t"), self.fresh("t")
             left, right = self.emit(expr.left), self.emit(expr.right)
@@ -506,7 +543,7 @@ class _Emitter:
         ctr = self.const(self.compiler.counters)
         lines = [f"def {name}({self.arg}):"]
         for i, child in enumerate(expr.children):
-            lines.append(f"    if {self.emit(child)}:")
+            lines.append(f"    if {self.test(child)}:")
             lines.append(f"        {ctr}.policy_evals += {i + 1}")
             lines.append("        return True")
         lines.append(f"    {ctr}.policy_evals += {len(expr.children)}")
@@ -585,6 +622,27 @@ def _span_table(spans: list[tuple]) -> tuple[list, tuple]:
     return points, tuple(map(tuple, table))
 
 
+def _bind_slots(code: CodeType, values: list) -> CodeType:
+    """``code`` with each placeholder constant (:meth:`_Emitter.slot`)
+    replaced by its value, in the nested helpers' code objects too.
+    Raises ``ValueError`` unless every slot is bound — a placeholder
+    the compiler folded away would leave its value unread."""
+    slots = {f"\0{index}": value for index, value in enumerate(values)}
+
+    def rebind(code: CodeType) -> CodeType:
+        return code.replace(
+            co_consts=tuple(
+                rebind(const) if type(const) is CodeType else slots.pop(const, const)
+                for const in code.co_consts
+            )
+        )
+
+    code = rebind(code)
+    if slots:
+        raise ValueError("a placeholder constant was folded")
+    return code
+
+
 def _merge_candidates(*found: tuple | None) -> tuple:
     """Several look-ups' branch ordinals as one ascending tuple."""
     parts = [part for part in found if part]
@@ -618,14 +676,22 @@ class CodegenExprCompiler:
     # ------------------------------------------------------------- row mode
 
     def compile(self, expr: Expr) -> RowFn:
+        return self._row_fn(expr, _Emitter(self, "row"))
+
+    def _row_fn(
+        self,
+        expr: Expr,
+        emitter: _Emitter,
+        compiled: Callable[[str], CodeType] | None = None,
+    ) -> RowFn:
         try:
-            emitter = _Emitter(self, "row")
             if is_metered_or(expr, self.counters):
                 main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
             else:
                 main = "_main"
                 emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
-            return self._exec("\n\n".join(emitter.defs), emitter.env)[main]
+            src = "\n\n".join(emitter.defs)
+            return self._exec(src, emitter.env, compiled, emitter.slots)[main]
         except ExecutionError:
             raise
         except Exception:
@@ -671,7 +737,7 @@ class CodegenExprCompiler:
         self,
         expr: Or,
         compiled_branch: Callable[[Expr], RowFn] | None = None,
-        compiled_shell: Callable[[str], CodeType] | None = None,
+        compiled_source: Callable[[str], CodeType] | None = None,
     ) -> BatchPredFn:
         """The fused form of guard-by-guard evaluation: one wide
         (metered) OR as a single kernel.
@@ -694,20 +760,23 @@ class CodegenExprCompiler:
         metering inside it).
 
         The compile unit of that form is the *branch*, not the OR: what
-        a candidate still has to evaluate is a row function compiled on
-        its own (:meth:`compile_guard_branch`; ``compiled_branch(branch)``
-        lets the caller supply it from a cache) and the kernel is only
-        the dispatch shell — the look-up tables, rebuilt from the heads,
-        and the two loops — around those.  An OR that differs from one
-        already compiled in one branch therefore compiles one branch.
-        Which branch function a row calls, and in which order, depends
-        on the heads alone, so the charge is the one above whichever way
-        the functions were obtained.  The shell's source names no
-        constant of the OR — its width, tables and branch functions are
-        environment constants — so ORs of one shape (the same look-up
-        columns and kinds) share one source, and ``compiled_shell(source)``
-        lets the caller supply its code object from a cache: a write that
-        keeps the guard count compiles no shell.  The shell takes the batch's row
+        a candidate still has to evaluate is a row function of its own
+        (:meth:`compile_guard_branch`; ``compiled_branch(branch)`` lets
+        the caller supply it from a cache) and the kernel is only the
+        dispatch shell — the look-up tables, rebuilt from the heads, and
+        the two loops — around those.  Which branch function a row
+        calls, and in which order, depends on the heads alone, so the
+        charge is the one above whichever way the functions were
+        obtained.  Neither source names a constant of the OR: the
+        shell's width, tables and branch functions are environment
+        constants, and a branch's literals and column positions are
+        placeholders bound per branch into a copy of its code object.
+        So ORs of one shape (the same look-up columns and kinds) share
+        one shell source, branches of one shape one branch source, and
+        ``compiled_source(source)`` lets the caller supply each code
+        object from a cache, keyed by that source: a write that keeps
+        the guard count compiles no shell, and a branch of a known shape
+        compiles nothing.  The shell takes the batch's row
         tuples beside its columns, ``fn(columns, selection, rows)`` —
         the first pass reads a column per row, the second hands the few
         candidates' tuples to the branch functions (without ``rows`` it
@@ -766,17 +835,27 @@ class CodegenExprCompiler:
         if candidates is None:
             unrolled = self._kernel(emitter, lines)
             return lambda cols, sel, rows=None: unrolled(cols, sel)
-        return self._kernel(emitter, lines, "_cols, _sel, _rows=None", compiled_shell)
+        return self._kernel(emitter, lines, "_cols, _sel, _rows=None", compiled_source)
 
-    def compile_guard_branch(self, branch: Expr) -> RowFn:
+    def compile_guard_branch(
+        self, branch: Expr, compiled_source: Callable[[str], CodeType] | None = None
+    ) -> RowFn:
         """One branch of a dispatched guard OR as a row function: what
         is left to evaluate of a row once the look-up has named the
         branch a candidate — the whole branch, or only its remainder
         (nothing: ``True``) behind a head a dict found, whose hit *is*
-        the head evaluated true."""
+        the head evaluated true.
+
+        The source is the branch's *shape*: its literals and column
+        positions are placeholder constants, so branches that differ
+        only in those — a querier's guards, and every other querier's —
+        share one source, and ``compiled_source(source)`` lets the
+        caller supply its code object from a cache.  Each branch binds
+        its own values into a copy of that code object's constants."""
         head, rest = _guard_head(branch)
         test = rest if _head_points(head) is not None else branch
-        return self.compile(test if test is not None else Literal(True))
+        test = test if test is not None else Literal(True)
+        return self._row_fn(test, _Emitter(self, "row", slotted=True), compiled_source)
 
     def _guard_candidates(self, emitter: _Emitter, branches: tuple[Expr, ...]) -> str | None:
         """How a row finds the branches of a guard OR that can hold for
@@ -850,12 +929,20 @@ class CodegenExprCompiler:
 
     @classmethod
     def _exec(
-        cls, src: str, env: dict[str, Any], compiled: Callable[[str], CodeType] | None = None
+        cls,
+        src: str,
+        env: dict[str, Any],
+        compiled: Callable[[str], CodeType] | None = None,
+        slots: list | None = None,
     ) -> dict[str, Any]:
         """Run the generated module ``src`` over ``env``: its code object
-        from ``compiled(src)`` when given, else :meth:`compile_source`."""
+        from ``compiled(src)`` when given, else :meth:`compile_source`,
+        with ``slots`` bound into its placeholders when given."""
+        code = (compiled or cls.compile_source)(src)
+        if slots is not None:
+            code = _bind_slots(code, slots)
         namespace = dict(env)
-        exec((compiled or cls.compile_source)(src), namespace)  # noqa: S102
+        exec(code, namespace)  # noqa: S102
         return namespace
 
     @staticmethod

@@ -163,10 +163,14 @@ class BPlusTreeIndex:
 
     def search_eq(self, key: Any, counters: Any = None) -> list[int]:
         """Rowids whose key equals ``key``; the nodes visited are added
-        to ``counters.index_node_visits``."""
-        leaf, visits = self._find_leaf(key)
+        to ``counters.index_node_visits``.  A key the index cannot order
+        against its keys equals none of them, as ``==`` says: no rows."""
+        try:
+            leaf, visits = self._find_leaf(key)
+            pos = bisect.bisect_left(leaf.keys, key)
+        except TypeError:
+            return []
         self._charge(visits, counters)
-        pos = bisect.bisect_left(leaf.keys, key)
         if pos < len(leaf.keys) and leaf.keys[pos] == key:
             return list(leaf.values[pos])
         return []

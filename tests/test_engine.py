@@ -52,6 +52,46 @@ class TestScansAndFilters:
         assert sorted(row[0] for row in r) == [5, 6, 7, 8]
 
 
+def owner_db(indexed: bool):
+    db = connect("mysql")
+    db.create_table("t", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
+    db.insert("t", [(i, i % 7) for i in range(200)])
+    if indexed:
+        db.create_index("t", "owner")
+    db.analyze()
+    return db
+
+
+class TestTypeMismatches:
+    """Whether a query fails does not depend on its access path, and a
+    failure is typed."""
+
+    def test_equality_with_an_unorderable_key_finds_no_rows_on_any_path(self):
+        sql = "SELECT * FROM t WHERE owner = 'x'"
+        assert owner_db(indexed=False).execute(sql).rows == []
+        indexed = owner_db(indexed=True)
+        assert indexed.execute("SELECT * FROM t FORCE INDEX (idx_t_owner) WHERE owner = 'x'").rows == []
+        assert indexed.execute(sql).rows == []
+        assert indexed.execute("SELECT * FROM t WHERE owner IN ('x', 3)").rows == [
+            (i, 3) for i in range(3, 200, 7)
+        ]
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM t WHERE owner < 'x'",
+            "SELECT * FROM t WHERE owner BETWEEN 'a' AND 3",
+            "SELECT abs()",
+            "SELECT * FROM t WHERE owner = 1 + 'a'",
+        ],
+    )
+    def test_a_type_error_is_an_execution_error(self, indexed, sql):
+        with pytest.raises(ExecutionError) as err:
+            owner_db(indexed).execute(sql)
+        assert isinstance(err.value.__cause__, TypeError)
+
+
 class TestBitmapScan:
     def test_bitmap_or_dedups_pages_and_rows(self):
         db, rows = make_wifi_db("postgres", n_rows=30_000, n_owners=800)

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.counters import CounterSet
-from repro.expr.analysis import conjuncts
+from repro.expr.analysis import conjuncts, map_children, walk
 from repro.expr.codegen import (
     CodegenExprCompiler,
     CompiledExprCache,
+    _guard_head,
+    _head_points,
     contains_metered_or,
     is_metered_or,
 )
@@ -215,6 +217,7 @@ def test_nested_metered_or_metered_in_batch_kernels():
 # ------------------------------------------------- guard dispatch kernels
 
 NAN = float("nan")
+INF = float("inf")
 #: What a column holds, and is compared with.  Numbers mix int / float
 #: / bool (equal across types: ``1 == 1.0 == True``) with the two
 #: values a look-up cannot reproduce, NULL and NaN.
@@ -360,6 +363,106 @@ def test_guard_kernel_assembled_from_cached_branches_matches_row_mode(expr, seed
     expected = [i for i in sel if row_fn(rows[i])]
     assert kernel(list(zip(*rows)), sel, rows) == expected  # as the executor calls it
     assert counters.policy_evals == row_counters.policy_evals
+
+
+#: Constants a shape-bound branch must carry exactly: NULL, NaN, the
+#: infinities, bools, ±0.0 and strings — one equal to a placeholder.
+BOUND_CONSTANTS = [None, NAN, INF, -INF, True, False, 0.0, -0.0, 2.5, -1, 3, "y", "", "\x000"]
+
+
+def relabel(expr, values):
+    """``expr`` with each literal replaced, in walk order, by the next of ``values``."""
+    if isinstance(expr, Literal):
+        return Literal(next(values))
+    return map_children(expr, lambda child: relabel(child, values))
+
+
+def branch_remainder(branch):
+    """What :meth:`CodegenExprCompiler.compile_guard_branch` evaluates
+    of ``branch``: the whole branch, or what follows a head a dict finds."""
+    head, rest = _guard_head(branch)
+    test = rest if _head_points(head) is not None else branch
+    return Literal(True) if test is None else test
+
+
+def branch_outcomes(fn, rows):
+    """``fn`` over ``rows``: its value, or the name of what it raised."""
+    out = []
+    for row in rows:
+        try:
+            out.append(fn(row))
+        except TypeError as exc:  # an ordering across types, on the row that meets it
+            out.append(type(exc).__name__)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=guard_or_strategy(), seed=st.integers(0, 40), data=st.data())
+def test_shape_bound_branch_equals_its_literal_rendering(expr, seed, data):
+    """A branch function instantiated from its shape's shared code
+    object keeps the values and ``policy_evals`` of the same branch
+    rendered with its literals inline — over the strategy's constants
+    and over the same branches rebound to NULL, NaN, ±inf, bools, ±0.0
+    and strings."""
+    binding = make_binding()
+    rows = guard_rows(seed)
+    codes: dict[str, object] = {}
+
+    def code(source):
+        if source not in codes:
+            codes[source] = CodegenExprCompiler.compile_source(source)
+        return codes[source]
+
+    def observe(make):
+        counters = CounterSet()
+        fn = make(CodegenExprCompiler(binding, counters=counters))
+        return branch_outcomes(fn, rows), counters.policy_evals
+
+    rebound = [
+        relabel(branch, iter(data.draw(st.lists(st.sampled_from(BOUND_CONSTANTS), min_size=n, max_size=n))))
+        for branch in expr.children
+        for n in [sum(isinstance(node, Literal) for node in walk(branch))]
+    ]
+    for branch in [*expr.children, *rebound]:
+        shaped = observe(lambda compiler: compiler.compile_guard_branch(branch, code))
+        assert shaped == observe(lambda compiler: compiler.compile(branch_remainder(branch)))
+
+
+def test_branches_of_one_shape_share_one_code_object():
+    """Two branches that differ only in their constants and columns are
+    instantiated from one compiled code object — a literal disjunct of
+    a nested policy OR and a negated literal included — and each
+    answers, and charges, by its own values only."""
+    binding = make_binding()
+
+    def branch(column, lo, hi, first, text, negated):
+        partition = Or(
+            (Literal(first), Comparison(CompareOp.EQ, col("c"), Literal(text)), Between(column, Literal(lo), Literal(hi)))
+        )
+        return And((Comparison(CompareOp.NE, column, Literal(lo)), partition, Not(Literal(negated))))
+
+    one, two = branch(col("a"), 1, 3, None, "x", False), branch(col("d"), 10, 20, "y", "\x000", 0)
+    asked: list[str] = []
+    codes: dict[str, object] = {}
+
+    def code(source):
+        asked.append(source)
+        if source not in codes:
+            codes[source] = CodegenExprCompiler.compile_source(source)
+        return codes[source]
+
+    rows = [(2, 0, "z", 15), (1, 0, "x", 10), (5, 0, "\x000", 20)]
+    expected = {one: ([True, False, False], 6), two: ([True, False, True], 2)}
+    fns = []
+    for node in (one, two):
+        counters = CounterSet()
+        fn = CodegenExprCompiler(binding, counters=counters).compile_guard_branch(node, code)
+        assert (branch_outcomes(fn, rows), counters.policy_evals) == expected[node]
+        fns.append(fn)
+    assert len(asked) == 2 and len(codes) == 1  # one source, asked for twice
+    assert fns[0].__code__ is not fns[1].__code__  # generated, not the closure fallback:
+    assert {fn.__code__.co_filename for fn in fns} == {"<sieve-codegen>"}
+    assert fns[0].__code__.co_code == fns[1].__code__.co_code
 
 
 def test_guard_dispatch_charges_the_sequential_walk():
@@ -517,21 +620,44 @@ def test_mall_guard_kernel_finds_its_guards(monkeypatch):
     assert "continue" not in kernel and " == " not in kernel
 
 
-def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
-    """A maintained write hands the engine an OR that shares every
-    branch node but one with its predecessor: the next execution
-    compiles that branch and nothing else — the write kept the guard
-    count, so the dispatch shell around the cached rest has a source
-    already compiled once, and its code object comes from the cache."""
+def mall_sieve(monkeypatch):
+    """``(mall, store, sieve, sources)``: a small Mall world under a
+    ``Sieve``, and the list every generated source compiled from now on
+    is appended to."""
     from repro.core import Sieve
-    from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
-    from repro.policy.model import ObjectCondition, Policy
+    from repro.datasets.mall import MallConfig, generate_mall
     from repro.policy.store import PolicyStore
 
     mall = generate_mall(MallConfig(seed=23, n_customers=100, days=8))
     store = PolicyStore(mall.db, mall.groups)
     store.insert_many(mall.policies)
-    sieve = Sieve(mall.db, store)
+    sources: list[str] = []
+    compile_source = CodegenExprCompiler.compile_source
+    monkeypatch.setattr(
+        CodegenExprCompiler,
+        "compile_source",
+        staticmethod(lambda src: sources.append(src) or compile_source(src)),
+    )
+    return mall, store, Sieve(mall.db, store), sources
+
+
+def is_branch_source(src: str) -> bool:
+    """A guard branch's row function: a shape, its constants placeholders."""
+    return "'\\x00" in src
+
+
+def test_one_inserted_policy_compiles_at_most_one_guard_branch(monkeypatch):
+    """A maintained write hands the engine an OR that shares every
+    branch node but one with its predecessor: the next execution
+    compiles at most that branch, and none when its shape is known —
+    the write kept the guard count, so the dispatch shell around the
+    cached rest has a source already compiled once, and its code object
+    comes from the cache.  A second policy of the shape the first one
+    made compiles nothing."""
+    from repro.datasets.mall import CONNECTIVITY_TABLE
+    from repro.policy.model import ObjectCondition, Policy
+
+    mall, store, sieve, sources = mall_sieve(monkeypatch)
     querier = mall.shop_querier(mall.shops[0])
     sql = f"SELECT * FROM {CONNECTIVITY_TABLE}"
     sieve.execute(sql, querier, "analytics")
@@ -539,29 +665,58 @@ def test_one_inserted_policy_compiles_one_guard_branch(monkeypatch):
     width = len(expression.guards)
     branch_entries = lambda: sum(e.extra[1] == "branch" for e in mall.db.expr_cache._entries)  # noqa: E731
     assert width >= 3 and branch_entries() == width
-
-    sources = []
-    compile_source = CodegenExprCompiler.compile_source
-    monkeypatch.setattr(
-        CodegenExprCompiler,
-        "compile_source",
-        staticmethod(lambda src: sources.append(src) or compile_source(src)),
-    )
     guard = expression.guards[0]
-    store.insert(
-        Policy(
+
+    def policy(first_day):
+        return Policy(
             owner=guard.policies[0].owner, querier=querier, purpose="analytics",
             table=CONNECTIVITY_TABLE,
-            object_conditions=(guard.condition, ObjectCondition("ts_date", ">=", 1, "<=", 3)),
+            object_conditions=(guard.condition, ObjectCondition("ts_date", ">=", first_day, "<=", first_day + 2)),
         )
-    )
-    info = sieve.execute_with_info(sql, querier, "analytics")
-    assert info.regenerated_tables == []
-    branches = [src for src in sources if "(_r):" in src]
-    shells = [src for src in sources if "_hits" in src]
-    assert len(branches) == 1 and shells == [] and len(sources) == 1
-    assert branch_entries() == width  # the retired branch's entry left as the new one came
-    assert len(sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE).guards) == width
+
+    inserted = policy(1)
+    for write in (lambda: store.insert(inserted), lambda: store.delete(inserted.id), lambda: store.insert(policy(4))):
+        known = {e.expr for e in mall.db.expr_cache._entries if e.extra[1] == "source"}
+        sources.clear()
+        write()
+        info = sieve.execute_with_info(sql, querier, "analytics")
+        assert info.regenerated_tables == []
+        branches = [src for src in sources if is_branch_source(src)]
+        assert len(branches) <= 1 and len(sources) == len(branches)  # no shell
+        assert not known.intersection(branches)  # a known shape compiles nothing
+        assert branch_entries() == width  # the retired branch's entry left as the new one came
+        assert len(sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE).guards) == width
+    assert sources == []  # the last write's branch has the shape the first one compiled
+
+
+def test_a_querier_of_known_branch_shapes_compiles_no_branch(monkeypatch):
+    """Queriers' guard branches differ in their constants, rarely in
+    their shape: a querier's first request compiles only the branch
+    shapes no earlier querier compiled, and a querier whose every
+    branch shape is known compiles no branch at all."""
+    from repro.datasets.mall import CONNECTIVITY_TABLE
+
+    mall, _store, sieve, sources = mall_sieve(monkeypatch)
+    shapes: list[str] = []
+    compile_guard_branch = CodegenExprCompiler.compile_guard_branch
+
+    def spying(self, branch, compiled_source=None):
+        return compile_guard_branch(self, branch, lambda src: shapes.append(src) or compiled_source(src))
+
+    monkeypatch.setattr(CodegenExprCompiler, "compile_guard_branch", spying)
+    seen: set[str] = set()
+    all_known = 0
+    for shop in mall.shops[:6]:
+        shapes.clear()
+        sources.clear()
+        querier = mall.shop_querier(shop)
+        sieve.execute(f"SELECT * FROM {CONNECTIVITY_TABLE}", querier, "analytics")
+        # A branch equal to one already compiled comes from the cache whole.
+        assert len(shapes) <= len(sieve.guard_store.peek(querier, "analytics", CONNECTIVITY_TABLE).guards)
+        assert sorted(src for src in sources if is_branch_source(src)) == sorted(set(shapes) - seen)
+        all_known += bool(shapes) and seen.issuperset(shapes)
+        seen.update(shapes)
+    assert all_known >= 2
 
 
 def test_udfs_and_builtins_in_codegen():

@@ -54,6 +54,8 @@ inflates call heavy code; use it to find where time goes, and
 from __future__ import annotations
 
 import argparse
+import builtins
+import contextlib
 import cProfile
 import pathlib
 import pstats
@@ -62,7 +64,7 @@ import statistics
 import sys
 import time
 from collections import Counter, defaultdict
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
@@ -180,11 +182,10 @@ def make_requests(world: World, mode: str, n: int, seed: int) -> list[tuple[str,
     return out
 
 
-def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
+def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[str, float]]:
     """Run ``requests`` once, unprofiled; the median time per read kind,
-    then the ``parse_query`` and ``compile()`` calls per read of each kind."""
-    import builtins
-
+    then the ``parse_query`` and ``compile()`` calls per read of each
+    kind — as a report, and the calls per plain read by name."""
     taken: dict[str, list[float]] = defaultdict(list)
     calls: dict[str, Counter] = defaultdict(Counter)
     kind = ""
@@ -209,6 +210,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
     names = {"read": "read", "after_write": "read after a write", "write": "policy write"}
     kinds = [k for k in ("after_write", "read", "write") if taken[k]]
     reads = [k for k in kinds if k != "write"]
+    per_read = {name: count / len(taken["read"]) for name, count in calls["read"].items()}
     return (
         "median, timed without cProfile: "
         + ", ".join(f"{names[k]} {statistics.median(taken[k]):.2f} ms (n={len(taken[k])})" for k in kinds)
@@ -217,7 +219,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> str:
             f"{names[k]} {calls[k]['parse_query'] / len(taken[k]):.2f} / {calls[k]['compile()'] / len(taken[k]):.2f}"
             for k in reads
         )
-    )
+    ), per_read
 
 
 def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
@@ -227,12 +229,9 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
     every plan once more, so what the *first* execution of a plan costs
     beyond a repeat (kernel compilation) shows; plus ``compile()``
     calls per request.  Medians over the requests."""
-    import builtins
-
     from repro.core import middleware
 
     taken: dict[str, list[float]] = defaultdict(list)
-    compiles = [0]
 
     def stage(name: str, fn: Callable) -> Callable:
         def run(*args, **kwargs):
@@ -252,22 +251,16 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
         stage("repeat execution", run_plan)(planned)
         return result
 
-    def counting_compile(*args, **kwargs):
-        compiles[0] += 1
-        return real_compile(*args, **kwargs)
-
-    real_compile = builtins.compile
     saved = (middleware.bind_query, middleware.choose_strategy)
     middleware.bind_query = stage("bind", saved[0])
     middleware.choose_strategy = stage("strategy", saved[1])
     rewriter.rewrite = stage("rewrite", rewriter.rewrite)
     db.plan, db.run_plan = stage("plan", db.plan), run_twice
-    builtins.compile = counting_compile
     try:
-        for _kind, request in requests:
-            request()
+        with compiles_counted() as compiles:
+            for _kind, request in requests:
+                request()
     finally:
-        builtins.compile = real_compile
         middleware.bind_query, middleware.choose_strategy = saved
         del rewriter.rewrite, db.plan, db.run_plan
     med = {name: statistics.median(times) for name, times in taken.items()}
@@ -278,7 +271,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
         + ", ".join(parts)
         + f", first execution - repeat of the same plan {first_cost:.3f}"
         f" ({med['first execution']:.3f} - {med['repeat execution']:.3f});"
-        f" compile() calls per request {compiles[0] / len(requests):.2f}"
+        f" compile() calls per request {sum(compiles.values()) / len(requests):.2f}"
     )
 
 
@@ -288,6 +281,41 @@ def cold_requests(world: World, seed: int) -> list[Callable[[], object]]:
     rng = random.Random(f"{seed}:cold")
     texts = [(shop, world.bind(i % len(SHAPES), shop, rng)) for i, shop in enumerate(world.shops)]
     return [lambda s=shop, t=text: world.serve(s, t) for shop, text in texts]
+
+
+def compile_kind(source: object) -> str:
+    """What a ``compile()`` of ``source`` builds: a guard kernel's
+    dispatch ``"shell"``, a guard ``"branch"``'s row function (a shape:
+    its constants are ``'\\x00<n>'`` placeholders) or ``"other"``."""
+    if not isinstance(source, str):
+        return "other"
+    return "shell" if "_hits" in source else "branch" if "'\\x00" in source else "other"
+
+
+@contextlib.contextmanager
+def compiles_counted() -> Iterator[Counter]:
+    """A ``Counter`` of the ``compile()`` calls made in the block, by
+    :func:`compile_kind` (clear it to count one request)."""
+    counted: Counter = Counter()
+    real_compile = builtins.compile
+
+    def counting(source, *args, **kwargs):
+        counted[compile_kind(source)] += 1
+        return real_compile(source, *args, **kwargs)
+
+    builtins.compile = counting
+    try:
+        yield counted
+    finally:
+        builtins.compile = real_compile
+
+
+def compile_counts(per_request: list[Counter], average: Callable = statistics.median) -> str:
+    """``compile()`` calls per request, in all and by kind."""
+    kinds = [("dispatch shells", "shell"), ("guard branches", "branch"), ("other", "other")]
+    return f"{average([sum(c.values()) for c in per_request]):.2f} (" + ", ".join(
+        f"{label} {average([c[kind] for c in per_request]):.2f}" for label, kind in kinds
+    ) + ")"
 
 
 class StageClock:
@@ -372,19 +400,23 @@ def cold_split(worlds: int, seed: int) -> str:
 
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
+    compiled: list[Counter] = []
     for round_ in range(worlds):
         world = World(seed + round_)
         stages = [
             (name, world.mall.db if module is None else importlib.import_module(module), attr)
             for name, module, attr in COLD_STAGES
         ]
-        with StageClock(stages) as clock:
+        with compiles_counted() as counted, StageClock(stages) as clock:
             for request in cold_requests(world, seed + round_):
+                counted.clear()
                 totals.append(clock.timed(request, own))
+                compiled.append(counted.copy())
     return (
         f"cold request (first per querier, {len(totals)} over {worlds} worlds), median "
         f"{statistics.median(totals):.2f} ms; own time per stage, medians in ms, timed without "
-        "cProfile: " + clock.split(own)
+        "cProfile: " + clock.split(own) + "\n"
+        f"compile() calls per cold request, median: {compile_counts(compiled)}"
     )
 
 
@@ -398,8 +430,6 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     and the ``compile()`` calls per after-write read, dispatch shells
     (generated guard kernels) and guard branches (row functions)
     counted apart.  Medians over the after-write reads."""
-    import builtins
-
     from repro.core import middleware
     from repro.engine.vector import VectorizedExecutor
 
@@ -417,34 +447,19 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     )
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
-    compiled = Counter()
-    counting = [False]  # only while a read after a write runs
-    real_compile = builtins.compile
-
-    def counting_compile(source, *args, **kwargs):
-        if isinstance(source, str) and counting[0]:
-            kind = "shell" if "_hits" in source else "branch" if "(_r):" in source else "other"
-            compiled[kind] += 1
-        return real_compile(source, *args, **kwargs)
-
-    builtins.compile = counting_compile
-    try:
-        with StageClock(stages) as clock:
-            for kind, request in requests:
-                counting[0] = kind == "after_write"
-                if counting[0]:
-                    totals.append(clock.timed(request, own))
-                else:
-                    request()
-    finally:
-        builtins.compile = real_compile
-    n = len(totals)
+    compiled: list[Counter] = []
+    with compiles_counted() as counted, StageClock(stages) as clock:
+        for kind, request in requests:
+            if kind == "after_write":
+                counted.clear()
+                totals.append(clock.timed(request, own))
+                compiled.append(counted.copy())
+            else:
+                request()
     return (
-        f"read after a write ({n}), median {statistics.median(totals):.2f} ms; own time per stage, "
-        "medians in ms, timed without cProfile: " + clock.split(own) + "\n"
-        f"compile() calls per read after a write: {sum(compiled.values()) / n:.2f} "
-        f"(dispatch shells {compiled['shell'] / n:.2f}, guard branches {compiled['branch'] / n:.2f}, "
-        f"other {compiled['other'] / n:.2f})"
+        f"read after a write ({len(totals)}), median {statistics.median(totals):.2f} ms; own time "
+        "per stage, medians in ms, timed without cProfile: " + clock.split(own) + "\n"
+        f"compile() calls per read after a write: {compile_counts(compiled, statistics.mean)}"
     )
 
 
@@ -619,7 +634,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # churned corpus as it found it): timed plainly, then profiled.
         n = args.n + (-args.n) % (2 * READS_PER_WRITE) if args.mode == "churn" else args.n
         requests = make_requests(world, args.mode, n, args.seed)
-        print(timed(requests))
+        report_text, per_read = timed(requests)
+        print(report_text)
+        if args.mode == "warm" and (per_read.get("parse_query") or per_read.get("compile()")):
+            print("FAIL: a warm read parsed or compiled", file=sys.stderr)
+            return 1
         if args.mode == "churn":
             print(churn_split(world, requests))
         if args.mode == "fresh":
