@@ -23,12 +23,14 @@ bench-selftest:
 	python3 bench/selftest.py --quick
 
 # Where a fresh-literal request spends its time: N prepared requests
-# with never-seen literals, single-threaded — the median timed plainly
-# with parse_query / compile() calls per read, the miss-path split (bind / strategy / rewrite / plan / first minus
-# repeat execution of a plan) and compile() calls per request, then
-# under cProfile as ms per src/repro layer plus the top functions
-# (--mode warm|churn for the other request kinds).  For finding waste;
-# bench/ measures a change.
+# with never-seen literals in known shapes, single-threaded — the median
+# timed plainly with parse_query / compile() calls per read, the
+# miss-path split (front end / strategy / bind / plan / first minus
+# repeat execution of a plan), rewriter.rewrite and compile() calls and
+# GC pause ms per request, then under cProfile as ms per src/repro layer
+# plus the top functions (--mode warm|churn for the other request
+# kinds).  Exits non-zero if a fresh read of a known shape parses.  For
+# finding waste; bench/ measures a change.
 N ?= 200
 profile-fresh:
 	$(PYTHON) tools/profile_request.py --mode fresh -n $(N)

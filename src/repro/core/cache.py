@@ -136,26 +136,33 @@ class FencedCache:
     def lookup(self, key: Hashable, epoch: int, version: tuple | None = None) -> Any:
         """The entry under ``key`` if it serves at this fence, else ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and (entry.version != version or entry.epoch < epoch):
-                # Version moved (catalog / stats / UDFs): the plan may
-                # be arbitrarily wrong at any epoch.  Older epoch: no
-                # mutation hook carried it forward (an unheard bump, or
-                # admission under an older epoch after capacity churn).
-                del self._entries[key]
-                entry = None
-            elif entry is not None and entry.epoch > epoch:
-                # The caller's snapshot is pinned behind a concurrent
-                # mutation that carried this entry forward.  Miss for
-                # this request (it must plan against its own epoch) but
-                # KEEP the entry — it is valid for live-epoch traffic.
-                entry = None
+            entry = self._serving(key, epoch, version)
             if entry is None:
                 self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
+            else:
+                self.stats.hits += 1
             return entry
+
+    def _serving(self, key: Hashable, epoch: int, version: tuple | None) -> Any:
+        """:meth:`lookup` without the count; the caller holds the lock."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry.version != version or entry.epoch < epoch:
+            # Version moved (catalog / stats / UDFs): the plan may
+            # be arbitrarily wrong at any epoch.  Older epoch: no
+            # mutation hook carried it forward (an unheard bump, or
+            # admission under an older epoch after capacity churn).
+            del self._entries[key]
+            return None
+        if entry.epoch > epoch:
+            # The caller's snapshot is pinned behind a concurrent
+            # mutation that carried this entry forward.  Miss for
+            # this request (it must plan against its own epoch) but
+            # KEEP the entry — it is valid for live-epoch traffic.
+            return None
+        self._entries.move_to_end(key)
+        return entry
 
     def admit(self, key: Hashable, entry: Any) -> Any:
         """Store ``entry`` (evicting least-recently-used ones past the
@@ -315,7 +322,8 @@ class CachedPlan:
     ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
     bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
     (``None`` when a backend executes the printed ``info.sql``
-    instead).  Executors never mutate plan nodes, so one PlannedQuery
+    instead, and for a template's rewrite, which is bound, not run —
+    see :class:`PlanCache`).  Executors never mutate plan nodes, so one PlannedQuery
     is safely re-executed any number of times from any thread.
     ``info`` is the original rewrite's full bookkeeping — strategy
     decisions, guard keys, denied tables — so a hit's audit record
@@ -334,6 +342,9 @@ class CachedPlan:
     planned: Any  # PlannedQuery | None (backend executions carry None)
     info: Any  # RewriteInfo (not imported: cycle with core.rewriter)
     policies_considered: int
+    #: A template rewrite's guarded expressions, by table: it serves
+    #: only a request that resolved these very objects.
+    guards: dict[str, GuardedExpression] | None = None
 
 
 class PlanCache(FencedCache):
@@ -348,8 +359,24 @@ class PlanCache(FencedCache):
     counter-identical to the unprepared one by construction; repeated
     shapes with repeated values (the Fig. 6 serving workload — and any
     zero-literal query) skip parse → strategy → rewrite → plan
-    entirely.
+    entirely.  Each value is keyed with its type: ``2`` and ``2.0``
+    are one Python key but two SQL constants.
+
+    Beside the plans it holds each template's *rewrite* per decision
+    shape (``planned=None``, keyed ``(querier, purpose, template_key,
+    per-table decision shape, denied tables)`` by
+    :meth:`Sieve._rewritten_template
+    <repro.core.middleware.Sieve._rewritten_template>`): a fresh
+    binding whose plan misses binds it instead of rewriting.  Those
+    entries are fenced, evicted and invalidated like the plans, but
+    :meth:`rewrite_entry` does not count in :attr:`stats`.
     """
+
+    def rewrite_entry(self, key: Hashable, epoch: int, version: tuple) -> CachedPlan | None:
+        """The template rewrite under ``key`` if it serves at this
+        fence, uncounted."""
+        with self._lock:
+            return self._serving(key, epoch, version)
 
 
 class SieveSession:

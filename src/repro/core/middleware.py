@@ -84,7 +84,14 @@ from repro.core.rewriter import (
 from repro.core.strategy import StrategyDecision, choose_strategy
 from repro.engine.executor import QueryResult
 from repro.expr.nodes import ColumnRef, Star
-from repro.expr.params import collect_params, bind_query, normalize_bindings
+from repro.expr.params import (
+    bind_expr,
+    bind_query,
+    bind_slots,
+    collect_params,
+    normalize_bindings,
+    parameterize_query,
+)
 from repro.obs.tracing import SlowQueryLog, Tracer, current_trace_id, span
 from repro.policy.store import PolicySnapshot, PolicyStore
 from repro.sql.ast import Query, Select
@@ -399,25 +406,42 @@ class Sieve:
     # ------------------------------------------------------------ execution
 
     def _prepare(
-        self, sql: str | Query, querier: Any, purpose: str
+        self,
+        sql: "str | Query | PreparedQuery",
+        querier: Any,
+        purpose: str,
+        values: tuple = (),
     ) -> tuple[SieveExecution, Query]:
         """Run the middleware pipeline up to (not including) execution.
 
+        One path for prepared and unprepared queries: ``sql`` is a
+        :class:`PreparedQuery` with its binding ``values``, or a
+        statement, which is parsed and split into a template and the
+        binding that restores it (:func:`parameterize_query`) here.
         Per-relation policy filtering and guard fetch go through the
-        session guard cache; only parse, strategy choice and rewrite
-        remain per-query work on the warm path.  The whole request
+        session guard cache.  Strategy choice reads the binding's
+        literals (Section 5.5), so it runs per binding, on the
+        template's query conjuncts bound.  The rewrite reads the
+        guards and the decisions' shape, never a literal: a template's
+        rewrite is kept in the plan cache per decision shape
+        (:meth:`_rewritten_template`) and bound per binding, so a fresh
+        literal in a known shape is not rewritten.  The whole request
         plans against one policy snapshot, so concurrent mutations can
         never show a query a half-applied corpus (an update's delete
         and re-insert are observed together or not at all)."""
         start = time.perf_counter()
         metadata = QueryMetadata(querier=querier, purpose=purpose)
         with span("middleware.prepare"):
+            if isinstance(sql, PreparedQuery):
+                prepared = sql
+            else:
+                with span("parse"):
+                    query = parse_query(sql) if isinstance(sql, str) else sql
+                template, values = parameterize_query(query)
+                prepared = PreparedQuery(self, template, querier, purpose)
             snapshot = self.policy_store.snapshot()
             session = self.session(querier, purpose)
-            with span("parse"):
-                query = parse_query(sql) if isinstance(sql, str) else sql
-
-            targets = _protected_relations(query, snapshot)
+            template = prepared.template
 
             expressions: dict[str, GuardedExpression] = {}
             decisions: dict[str, StrategyDecision] = {}
@@ -425,8 +449,9 @@ class Sieve:
             denied: set[str] = set()
             regenerated: list[str] = []
             policies_considered = 0
+            bound: dict = {}  # one binding per template node (bind_expr's memo)
 
-            for table_name in targets:
+            for table_name in sorted(prepared.tables & snapshot.protected):
                 entry, rebuilt = session.resolve(table_name, snapshot=snapshot)
                 policies_considered += len(entry.policies)
                 if entry.expression is None:
@@ -437,23 +462,30 @@ class Sieve:
                     regenerated.append(table_name)
                 heap = self.db.catalog.table(table_name)
                 qpreds = query_predicates[table_name] = query_predicates_for(
-                    query, table_name, {c.lower() for c in heap.schema.names}
+                    template, table_name, {c.lower() for c in heap.schema.names}
                 )
                 with span("strategy", table=table_name) as st:
                     decisions[table_name] = choose_strategy(
                         self.db,
                         table_name,
                         expression,
-                        qpreds,
+                        [bind_expr(p, values, bound) for p in qpreds] if values else qpreds,
                         self.cost_model,
                         personality=self.execution_personality,
                     )
                     st.set(strategy=decisions[table_name].strategy.value)
                 expressions[table_name] = expression
 
-            rewritten, info = self.rewriter.rewrite(
-                query, expressions, decisions, denied, query_predicates
-            )
+            if values:
+                rewritten, info = self._rewritten_template(
+                    prepared, snapshot.epoch, expressions, decisions, denied, query_predicates
+                )
+                rewritten = bind_slots(rewritten, values, bound)
+                info = info.bound(rewritten, decisions)
+            else:
+                rewritten, info = self.rewriter.rewrite(
+                    template, expressions, decisions, denied, query_predicates
+                )
             middleware_ms = (time.perf_counter() - start) * 1000.0
             execution = SieveExecution(
                 result=QueryResult(columns=[], rows=[]),
@@ -465,6 +497,66 @@ class Sieve:
                 policy_epoch=snapshot.epoch,
             )
             return execution, rewritten
+
+    def _rewritten_template(
+        self,
+        prepared: "PreparedQuery",
+        epoch: int,
+        expressions: dict[str, GuardedExpression],
+        decisions: dict[str, StrategyDecision],
+        denied: set[str],
+        query_predicates: dict[str, list],
+    ) -> tuple[Query, RewriteInfo]:
+        """The enforcement rewrite of ``prepared``'s template, Params
+        and all, from the plan cache when this decision shape has been
+        rewritten over these very guards.
+
+        The rewriter reads of a decision only its strategy, its
+        ``query_index_column`` and its Δ set — of those, only the Δ set
+        under a personality that ignores index hints
+        (:meth:`SieveRewriter.decision_shape
+        <repro.core.rewriter.SieveRewriter.decision_shape>`) — so that
+        shape, per table, and the denied tables key the entry beside
+        the template.  The entry serves only if each guarded expression
+        it was rewritten over ``is`` the one resolved now, and it is
+        fenced and released like the plans beside it (a policy write
+        drops it).  Its look-ups are not counted in the cache's stats,
+        which stay the plans' own."""
+        cache = self.plan_cache
+        key = (
+            prepared.querier,
+            prepared.purpose,
+            prepared.template_key,
+            tuple(
+                (table, self.rewriter.decision_shape(decision))
+                for table, decision in decisions.items()
+            ),
+            tuple(sorted(denied)),
+        )
+        version = self.db.plan_version
+        entry = cache.rewrite_entry(key, epoch, version)
+        if entry is not None and all(
+            entry.guards[table] is expression for table, expression in expressions.items()
+        ):
+            return entry.rewritten, entry.info
+        rewritten, info = self.rewriter.rewrite(
+            prepared.template, expressions, decisions, denied, query_predicates
+        )
+        cache.admit(
+            key,
+            CachedPlan(
+                querier=prepared.querier,
+                tables=prepared.tables,
+                epoch=epoch,
+                version=version,
+                rewritten=rewritten,
+                planned=None,
+                info=info,
+                policies_considered=0,
+                guards=dict(expressions),
+            ),
+        )
+        return rewritten, info
 
     def rewrite(self, sql: str | Query, querier: Any, purpose: str) -> Query:
         """The enforcement rewrite as an AST (without executing it)."""
@@ -626,13 +718,19 @@ class Sieve:
         start = time.perf_counter()
         metadata = QueryMetadata(querier=prepared.querier, purpose=prepared.purpose)
         cache = self.plan_cache
-        key = (prepared.querier, prepared.purpose, prepared.template_key, values)
+        # Each value's type is part of the key: 2 and 2.0 are equal in
+        # Python but not in SQL (``v / 2`` vs ``v / 2.0`` on SQLite).
+        key = (
+            prepared.querier,
+            prepared.purpose,
+            prepared.template_key,
+            tuple((value.__class__, value) for value in values),
+        )
         snapshot = self.policy_store.snapshot()
 
         def build():
-            bound = bind_query(prepared.template, values)
             execution, rewritten = self._prepare(
-                bound, prepared.querier, prepared.purpose
+                prepared, prepared.querier, prepared.purpose, values
             )
             planned = None if self.backend is not None else self.db.plan(rewritten)
             # Stamp the entry with the epoch and plan version the
@@ -648,7 +746,7 @@ class Sieve:
                 info=execution.rewrite,
                 policies_considered=execution.policies_considered,
             )
-            return cache.admit(key, entry), (execution, rewritten, bound, planned)
+            return cache.admit(key, entry), (execution, rewritten, planned)
 
         with span("middleware.prepare") as prep:
             entry, built, hit = cache.get_or_build(
@@ -656,7 +754,7 @@ class Sieve:
             )
             prep.set(cached=hit, template=prepared.template_key)
             if built is not None:
-                execution, rewritten, bound, planned = built
+                execution, rewritten, planned = built
             else:
                 # Warm hit (or coalesced follower): rebuild the view of
                 # the execution from the entry — the same bookkeeping
@@ -664,7 +762,6 @@ class Sieve:
                 # cache-transparent.
                 rewritten = entry.rewritten
                 planned = entry.planned
-                bound = None
                 execution = SieveExecution(
                     result=QueryResult(columns=[], rows=[]),
                     rewrite=entry.info,
@@ -673,16 +770,13 @@ class Sieve:
                     middleware_ms=(time.perf_counter() - start) * 1000.0,
                     policy_epoch=entry.epoch,
                 )
-        if bound is None:
-            # The audit record wants the bound statement (replay reruns
-            # it); binding is only worth paying for when auditing.
-            sql_for_audit: str | Query = (
-                bind_query(prepared.template, values)
-                if self.audit is not None
-                else prepared.template_key
-            )
-        else:
-            sql_for_audit = bound
+        # The audit record wants the bound statement (replay reruns
+        # it); binding is only worth paying for when auditing.
+        sql_for_audit: str | Query = (
+            bind_query(prepared.template, values)
+            if self.audit is not None
+            else prepared.template_key
+        )
         self._finish_execution(sql_for_audit, execution, rewritten, planned=planned)
         return execution, rewritten
 

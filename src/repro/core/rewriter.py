@@ -98,6 +98,15 @@ class RewriteInfo:
     rewritten: Query | None = field(default=None, init=False, repr=False, compare=False)
     dialect: Any = field(default=None, init=False, repr=False, compare=False)
 
+    def bound(self, rewritten: Query, decisions: dict[str, StrategyDecision]) -> "RewriteInfo":
+        """This template rewrite's bookkeeping for one binding: the
+        tables, denial and guard keys are the template's, the
+        decisions (whose costs read the literals) and the bound tree
+        the binding's own."""
+        info = RewriteInfo(self.enforced_tables, dict(decisions), self.denied_tables, self.guard_keys)
+        info.rewritten, info.dialect = rewritten, self.dialect
+        return info
+
     @cached_property
     def sql(self) -> str:
         """The rewritten query as the executing engine's SQL text.
@@ -248,6 +257,17 @@ class SieveRewriter:
         self.delta = delta
         self.personality = personality or db.personality
         self.dialect = dialect or DEFAULT_DIALECT
+
+    def decision_shape(self, decision: StrategyDecision) -> tuple:
+        """What :meth:`rewrite` reads of a decision: its Δ set and, only
+        under a personality that honours index hints, its strategy and
+        (for IndexQuery) the column whose index it forces.  Decisions
+        of one shape rewrite a query identically; their costs, which
+        read the literals, are not part of it."""
+        if not self.personality.honors_index_hints:
+            return (decision.delta_guards,)
+        column = decision.query_index_column if decision.strategy is Strategy.INDEX_QUERY else None
+        return (decision.strategy, column, decision.delta_guards)
 
     def rewrite(
         self,

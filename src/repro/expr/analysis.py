@@ -18,6 +18,7 @@ from repro.expr.nodes import (
     Literal,
     Not,
     Or,
+    Param,
     ScalarSubquery,
 )
 
@@ -141,9 +142,11 @@ class Facts(NamedTuple):
 
     columns: frozenset[ColumnRef]  # not descending into subqueries
     has_subquery: bool  # a ScalarSubquery or InSubquery anywhere
+    has_param: bool  # a Param outside subqueries (binding skips trees without)
 
 
-_NO_FACTS = Facts(frozenset(), False)
+_NO_FACTS = Facts(frozenset(), False, False)
+_PARAM_FACTS = Facts(frozenset(), False, True)
 
 
 def facts(expr: Expr) -> Facts:
@@ -162,11 +165,14 @@ def facts(expr: Expr) -> Facts:
             object.__setattr__(expr, "_facts", known)
         return known
     if isinstance(expr, ColumnRef):
-        return Facts(frozenset((expr,)), False)
+        return Facts(frozenset((expr,)), False, False)
+    if isinstance(expr, Param):
+        return _PARAM_FACTS
     if isinstance(expr, ScalarSubquery):
-        return Facts(frozenset(), True)
+        return Facts(frozenset(), True, False)
     if isinstance(expr, InSubquery):
-        return Facts(facts(expr.expr).columns, True)
+        probe = facts(expr.expr)
+        return Facts(probe.columns, True, probe.has_param)
     return _merged(children(expr))
 
 
@@ -177,6 +183,7 @@ def _merged(parts: tuple[Expr, ...]) -> Facts:
     return Facts(
         frozenset().union(*(f.columns for f in found)),
         any(f.has_subquery for f in found),
+        any(f.has_param for f in found),
     )
 
 

@@ -64,9 +64,23 @@ class Expr:
         return print_expr(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
+    """A constant.  Two literals are equal when their values are equal
+    *and of one type*: ``2``, ``2.0`` and ``TRUE`` are equal Python
+    values but different SQL constants (``v / 2`` is not ``v / 2.0``),
+    and every cache keyed by an expression must keep them apart."""
+
     value: Any
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        mine, theirs = self.value, other.value  # type: ignore[attr-defined]
+        return mine.__class__ is theirs.__class__ and (mine,) == (theirs,)
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
 @dataclass(frozen=True)

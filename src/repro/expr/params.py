@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ParseError
-from repro.expr.analysis import children, map_children
+from repro.expr.analysis import children, facts, map_children
 from repro.expr.nodes import (
     And,
     Arith,
@@ -164,16 +164,36 @@ def normalize_bindings(
     return vals
 
 
-def bind_expr(expr: Expr, values: Sequence[Any]) -> Expr:
+def bind_expr(expr: Expr, values: Sequence[Any], memo: dict[int, Expr] | None = None) -> Expr:
     """Substitute Params with Literal(values[slot]), sharing Param-free
-    subtrees with the input."""
+    subtrees with the input.  An ``And``/``Or`` whose remembered
+    :func:`facts <repro.expr.analysis.facts>` show no Param and no
+    subquery is not entered: the guard OR of a rewritten template is
+    one look at its node, so a binding costs the query's own nodes, not
+    the guard's.  ``memo`` (a node's ``id`` → its binding, for nodes
+    alive throughout) binds a node several trees share once — a query
+    conjunct copied into the enforcement CTE, or into each of its
+    UNION arms — and the bound trees share its binding as well."""
     if isinstance(expr, Param):
         return Literal(values[expr.index])
+    if memo is None:
+        memo = {}
+    known = memo.get(id(expr))
+    if known is not None:
+        return known
+    if isinstance(expr, (And, Or)):
+        found = facts(expr)
+        if not (found.has_param or found.has_subquery):
+            return expr
+    bound = expr
     if isinstance(expr, (ScalarSubquery, InSubquery)):
-        sub = bind_query(expr.select, values)
+        sub = bind_slots(expr.select, values, memo)
         if sub is not expr.select:
-            expr = replace(expr, select=sub)
-    return map_children(expr, lambda child: bind_expr(child, values))
+            bound = replace(expr, select=sub)
+    bound = map_children(bound, lambda child: bind_expr(child, values, memo))
+    if bound is not expr:
+        memo[id(expr)] = bound
+    return bound
 
 
 def bind_query(query: Query, values: Sequence[Any] | Mapping[str, Any] | None = None) -> Query:
@@ -184,12 +204,21 @@ def bind_query(query: Query, values: Sequence[Any] | Mapping[str, Any] | None = 
     same object.
     """
     vals = normalize_bindings(collect_params(query), values)
-    return _bind_query_tuple(query, vals)
+    return bind_slots(query, vals)
 
 
-def _bind_query_tuple(query: Query, values: tuple[Any, ...]) -> Query:
-    ctes = [CTE(c.name, _bind_query_tuple(c.query, values)) for c in query.ctes]
-    body = _bind_core(query.body, values)
+def bind_slots(
+    query: Query, values: tuple[Any, ...], memo: dict[int, Expr] | None = None
+) -> Query:
+    """:func:`bind_query` for a slot-ordered tuple already checked
+    against the template's slots (:func:`normalize_bindings`): the
+    tree is not walked again to collect them.  A query under the same
+    slots — the enforcement rewrite of a template — binds with the
+    template's values.  ``memo`` as for :func:`bind_expr`."""
+    if memo is None:
+        memo = {}
+    ctes = [CTE(c.name, bind_slots(c.query, values, memo)) for c in query.ctes]
+    body = _bind_core(query.body, values, memo)
     if body is query.body and all(
         a.query is b.query for a, b in zip(ctes, query.ctes)
     ):
@@ -197,10 +226,10 @@ def _bind_query_tuple(query: Query, values: tuple[Any, ...]) -> Query:
     return Query(body=body, ctes=ctes)
 
 
-def _bind_core(core: SelectCore, values: tuple[Any, ...]) -> SelectCore:
+def _bind_core(core: SelectCore, values: tuple[Any, ...], memo: dict[int, Expr]) -> SelectCore:
     if isinstance(core, SetOp):
-        left = _bind_core(core.left, values)
-        right = _bind_core(core.right, values)
+        left = _bind_core(core.left, values, memo)
+        right = _bind_core(core.right, values, memo)
         if left is core.left and right is core.right:
             return core
         return SetOp(core.op, left, right, all=core.all)
@@ -208,16 +237,16 @@ def _bind_core(core: SelectCore, values: tuple[Any, ...]) -> SelectCore:
 
     def b(expr: Expr) -> Expr:
         nonlocal changed
-        out = bind_expr(expr, values)
+        out = bind_expr(expr, values, memo)
         if out is not expr:
             changed = True
         return out
 
-    items = [SelectItem(b(i.expr), i.alias) for i in core.items]
+    items = [i if (e := b(i.expr)) is i.expr else SelectItem(e, i.alias) for i in core.items]
     from_items: list[FromItem] = []
     for item in core.from_items:
         if isinstance(item, DerivedTable):
-            sub = _bind_query_tuple(item.query, values)
+            sub = bind_slots(item.query, values, memo)
             if sub is not item.query:
                 changed = True
                 item = DerivedTable(sub, item.alias)
@@ -226,16 +255,19 @@ def _bind_core(core: SelectCore, values: tuple[Any, ...]) -> SelectCore:
     for join in core.joins:
         join_item = join.item
         if isinstance(join_item, DerivedTable):
-            sub = _bind_query_tuple(join_item.query, values)
+            sub = bind_slots(join_item.query, values, memo)
             if sub is not join_item.query:
                 changed = True
                 join_item = DerivedTable(sub, join_item.alias)
         condition = None if join.condition is None else b(join.condition)
-        joins.append(JoinClause(join_item, condition))
+        if join_item is join.item and condition is join.condition:
+            joins.append(join)
+        else:
+            joins.append(JoinClause(join_item, condition))
     where = None if core.where is None else b(core.where)
     group_by = [b(e) for e in core.group_by]
     having = None if core.having is None else b(core.having)
-    order_by = [OrderItem(b(o.expr), o.ascending) for o in core.order_by]
+    order_by = [o if (e := b(o.expr)) is o.expr else OrderItem(e, o.ascending) for o in core.order_by]
     if not changed:
         return core
     return Select(
@@ -256,10 +288,13 @@ def _bind_core(core: SelectCore, values: tuple[Any, ...]) -> SelectCore:
 
 class _Extractor:
     """Replaces predicate-position Literals with positional Params,
-    assigning slots in textual order and recording the values."""
+    assigning slots in textual order and recording the values — and,
+    per slot, the index of the token its literal was parsed from
+    (``None`` when it was not read from exactly one token)."""
 
     def __init__(self) -> None:
         self.values: list[Any] = []
+        self.tokens: list[int | None] = []
 
     def _slot(self, value: Any) -> Param:
         self.values.append(value)
@@ -303,6 +338,7 @@ class _Extractor:
     def value(self, expr: Expr) -> Expr:
         """Extract from a value position inside a predicate."""
         if isinstance(expr, Literal):
+            self.tokens.append(expr.__dict__.get("_token"))
             return self._slot(expr.value)
         if isinstance(expr, Arith):
             return Arith(
@@ -406,8 +442,21 @@ def parameterize_query(query: Query) -> tuple[Query, tuple[Any, ...]]:
     Queries that already contain Params pass through unchanged (their
     author chose the template boundary).
     """
+    template, values, _tokens = parameterize_traced(query)
+    return template, values
+
+
+def parameterize_traced(
+    query: Query,
+) -> tuple[Query, tuple[Any, ...], tuple[int | None, ...]]:
+    """:func:`parameterize_query` plus, per slot, the index of the lexer
+    token its literal was parsed from — ``None`` for a literal not read
+    from exactly one NUMBER or STRING token (a folded ``-5``, ``TRUE``,
+    ``NULL``, a node built in code).  The statement memo of
+    :mod:`repro.service.server` reads a new text's values off these
+    tokens."""
     if collect_params(query):
-        return query, ()
+        return query, (), ()
     extractor = _Extractor()
     template = extractor.query(query)
-    return template, tuple(extractor.values)
+    return template, tuple(extractor.values), tuple(extractor.tokens)

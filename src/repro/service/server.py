@@ -70,9 +70,10 @@ from repro.common.errors import (
     WorkerCrashedError,
 )
 from repro.core.middleware import Sieve
-from repro.expr.params import collect_params, parameterize_query
+from repro.expr.params import collect_params, parameterize_traced
 from repro.sql.ast import Query
-from repro.sql.parser import parse_query
+from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.parser import literal_value, parse_query
 from repro.sql.printer import to_sql
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.tracing import (
@@ -86,9 +87,58 @@ DEFAULT_WORKERS = 4
 DEFAULT_MAX_PENDING = 1024
 DEFAULT_MAX_BATCH = 16
 #: Bound on the per-server map of prepared handles, one per query
-#: shape (auto-parameterized template) and (querier, purpose);
-#: least-recently-created shapes age out beyond it.
+#: shape (auto-parameterized template) and (querier, purpose), and on
+#: each probe of the statement memo (texts, token shapes);
+#: least-recently-created entries age out beyond it.
 AUTO_PREPARE_MAX_SHAPES = 512
+
+
+def _shape_of(tokens: list[Token]) -> tuple[tuple, list[int]]:
+    """A text's token stream with each NUMBER and STRING value masked by
+    its kind — the key of the statement memo's second probe — and the
+    indices of those literal tokens, in text order.  Keywords,
+    operators and punctuation key by their text, identifiers and
+    parameters by theirs in a tuple (a quoted ``"("`` is not ``(``)."""
+    key: list = []
+    literals: list[int] = []
+    for index, token in enumerate(tokens):
+        kind = token.type
+        if kind is TokenType.NUMBER or kind is TokenType.STRING:
+            literals.append(index)
+            key.append("\0number" if kind is TokenType.NUMBER else "\0string")
+        elif kind is TokenType.IDENT or kind is TokenType.PARAM:
+            key.append((kind is TokenType.IDENT, token.value))
+        else:
+            key.append(token.value)
+    return tuple(key), literals
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The statement memo's entry for a token shape, made from the one
+    parse of its first text: the auto-parameterized template, its key,
+    and per literal token (text order) what a new text's token there
+    is — the value of slot ``j`` (an ``int``), or text that must read
+    exactly as recorded (a ``str``: ``LIMIT 20``, a select-list
+    constant, which stay in the template)."""
+
+    template: Query
+    template_key: str
+    reads: tuple[int | str, ...]
+    slots: int
+
+    def values_of(self, tokens: list[Token], literals: list[int]) -> tuple | None:
+        """A new text's binding — each slot converted by the parser's
+        own :func:`~repro.sql.parser.literal_value` — or ``None`` when
+        a recorded text differs."""
+        values: list = [None] * self.slots
+        for index, read in zip(literals, self.reads):
+            token = tokens[index]
+            if isinstance(read, int):
+                values[read] = literal_value(token)
+            elif token.value != read:
+                return None
+        return tuple(values)
 
 
 @dataclass
@@ -246,12 +296,15 @@ class SieveServer:
         # PreparedQuery; bounded FIFO (dict order).
         self._prepare_lock = threading.Lock()
         self._prepared: dict[tuple, Any] = {}
-        # The statement memo: SQL text → (template_key, values), so a
-        # repeated *text* also skips lex → parse → parameterize → print
-        # and goes straight to its querier's handle.  Shared by
-        # queriers (parsing is a pure function of the text); bounded
-        # FIFO like _prepared, written under _prepare_lock.
+        # The statement memo, two probes shared by queriers (parsing is
+        # a pure function of the text), each a bounded FIFO like
+        # _prepared, written under _prepare_lock.  By text: SQL text →
+        # (template_key, values), so a repeated text skips even the
+        # lexer.  By shape: masked token stream → _Shape, so a fresh
+        # literal in a known shape is lexed, not parsed, parameterized
+        # or printed.
         self._statements: dict[str, tuple[str, tuple]] = {}
+        self._shapes: dict[tuple, _Shape] = {}
         self.workers = workers
         self._queue = AdmissionQueue(max_pending=max_pending, max_batch=max_batch)
         self._threads: list[threading.Thread] = []
@@ -654,39 +707,74 @@ class SieveServer:
         """``(PreparedQuery, binding values)`` for a parameter-free
         SELECT, or ``None`` to take the plain ``Sieve.execute`` path.
 
-        A text served before is looked up in the statement memo: its
-        template key and values lead straight to the (querier, purpose)
-        handle, with nothing parsed, parameterized or printed.  Any
-        other request — a new text, or a known text whose handle this
-        querier lacks or has aged out — is parsed, its literals are
-        auto-parameterized (:func:`repro.expr.params.parameterize_query`)
-        and the resulting template is prepared once per (querier,
-        purpose), at first sight; every request of the shape — same SQL
-        or different literals — executes through the plan cache.  Row-
-        and enforcement-counter identical to the plain path by
-        construction (the cache is value-keyed), so callers cannot
-        observe it except in latency and the plan cache's
-        :class:`~repro.core.cache.CacheStats`.
+        The statement memo is probed twice.  A text served before is
+        found by its text: its template key and values lead straight
+        to the (querier, purpose) handle, with nothing lexed.  A new
+        text is lexed, and a known *shape* (its token stream with the
+        literal values masked) gives the template without a parse: the
+        values are read off the tokens the first text's lifted
+        literals came from.  Anything else — a new shape, a shape whose
+        inline literal (``LIMIT 20``) reads differently, a text whose
+        literals were not each one token (``-5``, ``TRUE``) — is
+        parsed, its literals are auto-parameterized
+        (:func:`repro.expr.params.parameterize_traced`) and the
+        template is prepared once per (querier, purpose), at first
+        sight; a querier new to a known shape is prepared from its
+        template.  Every request of the shape then executes through
+        the plan cache.  Row- and enforcement-counter identical to the
+        plain path by construction (the cache is value-keyed), so
+        callers cannot observe it except in latency and the plan
+        cache's :class:`~repro.core.cache.CacheStats`.
 
         Never raises: non-SELECT statements, unparseable SQL and
         already-parameterized queries fall through so the plain path
         surfaces its usual errors; none of them is memoized.
         """
-        memo = self._statements.get(sql) if isinstance(sql, str) else None
-        if memo is not None:
-            prepared = self._prepared.get((querier, purpose, memo[0]))
-            if prepared is not None:
-                return prepared, memo[1]
+        shape_key = None
+        if isinstance(sql, str):
+            memo = self._statements.get(sql)
+            if memo is not None:
+                prepared = self._prepared.get((querier, purpose, memo[0]))
+                if prepared is not None:
+                    return prepared, memo[1]
+            try:
+                tokens = tokenize(sql)
+                shape_key, literals = _shape_of(tokens)
+                shape = self._shapes.get(shape_key)
+                values = None if shape is None else shape.values_of(tokens, literals)
+            except Exception:
+                return None
+            if values is not None:
+                return self._handle(sql, querier, purpose, shape.template, shape.template_key, values)
         try:
             query = parse_query(sql) if isinstance(sql, str) else sql
             if not isinstance(query, Query) or collect_params(query):
                 return None
-            template, values = parameterize_query(query)
-            key = (querier, purpose, to_sql(template))
+            template, values, sources = parameterize_traced(query)
+            template_key = to_sql(template)
         except Exception:
             return None
+        prepared, values = self._handle(sql, querier, purpose, template, template_key, values)
+        # The shape is memoized only when each slot's value is one
+        # token's own: a lifted TRUE, NULL or folded ``-5`` has no token
+        # to read a new value from (and ``-0`` lifts 0, which equals
+        # its token but must not serve ``-3`` as 3).
+        if shape_key is not None and None not in sources and len(set(sources)) == len(sources):
+            slot_of = {token: slot for slot, token in enumerate(sources)}
+            reads = tuple(slot_of.get(i, tokens[i].value) for i in literals)
+            with self._prepare_lock:
+                self._shapes[shape_key] = _Shape(template, prepared.template_key, reads, len(sources))
+                while len(self._shapes) > AUTO_PREPARE_MAX_SHAPES:
+                    self._shapes.pop(next(iter(self._shapes)))
+        return prepared, values
+
+    def _handle(
+        self, sql: Any, querier: Any, purpose: str, template: Query, template_key: str, values: tuple
+    ) -> tuple[Any, tuple]:
+        """(querier, purpose)'s handle on ``template`` — prepared now if
+        it has none — with ``values``; a text is filed in the memo."""
         with self._prepare_lock:
-            prepared = self._prepared.get(key)
+            prepared = self._prepared.get((querier, purpose, template_key))
             if prepared is None:
                 # A handle holds the template and nothing else, so
                 # building one under the lock costs a print of it.

@@ -9,7 +9,8 @@ single quotes with ``''`` escaping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.common.errors import ParseError
 
@@ -35,8 +36,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -48,8 +48,13 @@ class Token:
         return f"{self.value!r}"
 
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "%")
+#: Two-character operators (tried first) and their spelling; ``<>`` is ``!=``.
+_TWO_CHAR_OPERATORS = {"<>": "!=", "!=": "!=", "<=": "<=", ">=": ">="}
+_ONE_CHAR_OPERATORS = "=<>+-*/%"
 _PUNCT = "(),."
+#: An identifier's tail: ``\w`` is exactly ``str.isalnum()`` or ``_``.
+_WORD_TAIL = re.compile(r"[\w$]*")
+_SPACE = re.compile(r"\s*")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -60,7 +65,7 @@ def tokenize(text: str) -> list[Token]:
     while i < n:
         ch = text[i]
         if ch.isspace():
-            i += 1
+            i = _SPACE.match(text, i + 1).end()
             continue
         if text.startswith("--", i):
             nl = text.find("\n", i)
@@ -97,8 +102,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                i += 1
+            i = _WORD_TAIL.match(text, i + 1).end()
             word = text[start:i]
             lowered = word.lower()
             if lowered in KEYWORDS:
@@ -106,14 +110,14 @@ def tokenize(text: str) -> list[Token]:
             else:
                 tokens.append(Token(TokenType.IDENT, word, start))
             continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, "!=" if op == "<>" else op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
+        op = _TWO_CHAR_OPERATORS.get(text[i : i + 2])
+        if op is not None:
+            tokens.append(Token(TokenType.OPERATOR, op, i))
+            i += 2
+            continue
+        if ch in _ONE_CHAR_OPERATORS:
+            tokens.append(Token(TokenType.OPERATOR, ch, i))
+            i += 1
             continue
         if ch in _PUNCT:
             tokens.append(Token(TokenType.PUNCT, ch, i))

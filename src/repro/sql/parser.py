@@ -76,6 +76,23 @@ _COMPARE_OPS = {
 }
 
 
+def literal_value(token: Token) -> int | float | str:
+    """The value of a NUMBER or STRING token, as its ``Literal`` holds
+    it: a number with a point or an exponent is a ``float``, any other
+    an ``int``; a string is the token's unescaped text.  The statement
+    memo of :mod:`repro.service.server` reads a fresh text's literals
+    through this same function."""
+    if token.type is TokenType.STRING:
+        return token.value
+    text = token.value
+    try:
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        return int(text)
+    except ValueError as exc:  # e.g. more digits than int() converts
+        raise ParseError(f"malformed number: {exc}", token.position) from None
+
+
 def parse_query(text: str) -> Query:
     """Parse a full SQL statement into a Query AST."""
     parser = _Parser(tokenize(text))
@@ -234,7 +251,7 @@ class _Parser:
                 raise ParseError("LIMIT expects a number", token.position)
             if not token.value.isdigit():
                 raise ParseError("LIMIT expects a whole number", token.position)
-            select.limit = int(token.value)
+            select.limit = literal_value(token)
         return select
 
     def _parse_select_item(self) -> SelectItem:
@@ -436,15 +453,14 @@ class _Parser:
 
     def _parse_primary(self) -> Expr:
         token = self._cur
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            literal = Literal(literal_value(token))
+            # Provenance: the one token this literal was read from (an
+            # index into the token list, outside the node's fields).
+            # The statement memo maps each lifted slot back to it.
+            object.__setattr__(literal, "_token", self._pos)
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Literal(token.value)
+            return literal
         if token.is_keyword("null"):
             self._advance()
             return Literal(None)

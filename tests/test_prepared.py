@@ -64,7 +64,7 @@ from repro.optimizer.stats import ColumnStats
 from repro.policy.model import ObjectCondition, Policy
 from repro.policy.store import PolicyStore
 from repro.sql.parser import parse_query
-from repro.sql.printer import to_sql
+from repro.sql.printer import DIALECTS, to_sql
 from repro.storage.schema import ColumnType, Schema
 
 # --------------------------------------------------------- SQL front end
@@ -880,6 +880,51 @@ def test_plan_cache_lru_evicts_at_capacity():
     assert sieve.plan_cache.stats.hits == hits + 1
 
 
+def _int_and_float_world():
+    """``v`` of 14 and 15, both admitted: ``v / 2 = 7`` holds for both
+    rows under SQLite's integer division, ``v / 2.0 = 7`` for one."""
+    db = connect("mysql")
+    db.create_table("t", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT), ("v", ColumnType.INT)))
+    db.insert("t", [(1, 0, 14), (2, 0, 15)])
+    db.create_index("t", "owner")
+    db.analyze()
+    store = PolicyStore(db)
+    store.insert(
+        Policy(
+            owner=0,
+            querier="alice",
+            purpose="analytics",
+            table="t",
+            object_conditions=(ObjectCondition("owner", "=", 0),),
+        )
+    )
+    return db, store, SqliteBackend().ship(db)
+
+
+def test_equal_values_of_two_types_share_no_plan():
+    """``2`` and ``2.0`` are equal Python keys but different SQL: each
+    binding gets its own plan, through a prepared handle and through
+    the server (the parent served the second text the first's rows)."""
+    from repro.service import SieveServer
+
+    db, store, backend = _int_and_float_world()
+    who = ("alice", "analytics")
+    texts = ("SELECT id FROM t WHERE v / 2 = 7", "SELECT id FROM t WHERE v / 2.0 = 7")
+    want = [sorted(Sieve(db, store, backend=backend).execute(text, *who).rows) for text in texts]
+    assert want == [[(1,), (2,)], [(1,)]]
+    prepared = Sieve(db, store, backend=backend).prepare("SELECT id FROM t WHERE v / ? = ?", *who)
+    assert [sorted(prepared.execute(values).rows) for values in ([2, 7], [2.0, 7])] == want
+    with SieveServer(Sieve(db, store, backend=backend), workers=1) as server:
+        assert [sorted(server.execute(text, *who, timeout=60).rows) for text in texts] == want
+
+
+def test_equal_constants_of_two_types_share_no_compiled_expression():
+    db = connect()
+    assert db.execute("SELECT 1 + 1").rows == [(2,)]
+    assert db.execute("SELECT 1.0 + 1").rows == [(2.0,)]
+    assert type(db.execute("SELECT 1.0 + 1").rows[0][0]) is float
+
+
 def test_server_auto_prepares_repeated_shapes():
     from repro.service import SieveServer
 
@@ -891,11 +936,12 @@ def test_server_auto_prepares_repeated_shapes():
     stats = sieve.plan_cache.stats
     with SieveServer(sieve, workers=2) as server:
         # A shape is prepared at first sight: the first request is a
-        # plan-cache miss that admits, its repeat is a hit.
+        # plan-cache miss that admits, its repeat is a hit.  The cache
+        # holds the plan and the template's rewrite (uncounted).
         for _ in range(2):
             got = server.execute(sql(300), *who, timeout=60)
             assert got.rows == oracle_sieve.execute(sql(300), *who).rows
-        assert (stats.misses, stats.hits, len(sieve.plan_cache)) == (1, 1, 1)
+        assert (stats.misses, stats.hits, len(sieve.plan_cache)) == (1, 1, 2)
         # A fresh literal is the same shape: one more miss, no new handle.
         server.execute(sql(301), *who, timeout=60)
         assert (stats.misses, stats.hits) == (2, 1)
@@ -965,12 +1011,17 @@ def test_server_serves_a_repeated_text_without_parsing_it(monkeypatch):
         for _ in range(3):
             assert server.execute(sql, *who, timeout=60).rows == expected
         assert parses[0] == 1
-        # A new literal in the known shape is parsed once, for its own values.
-        server.execute(sql.replace("300", "301"), *who, timeout=60)
-        assert parses[0] == 2 and len(server._prepared) == 1
+        # A new literal in the known shape is lexed, not parsed: its
+        # value is read off the token the first text's literal came from.
+        fresh = sql.replace("300", "301")
+        assert server.execute(fresh, *who, timeout=60).rows == Sieve(db, store).execute(fresh, *who).rows
+        assert parses[0] == 1 and len(server._prepared) == 1 and len(server._shapes) == 1
+        assert server._statements[fresh][1] == (301,)
         # Both texts share the handle's template key, not prints of their own.
         (handle,) = server._prepared.values()
         assert all(key is handle.template_key for key, _values in server._statements.values())
+        (shape,) = server._shapes.values()
+        assert shape.template is handle.template and shape.template_key is handle.template_key
     assert sieve.plan_cache.stats.hits == 3
 
 
@@ -987,7 +1038,9 @@ def test_a_shared_text_selects_each_queriers_own_handle(first):
     with SieveServer(Sieve(db, store), workers=1) as server:
         for who in order * 2:
             assert server.execute(sql, who, "analytics", timeout=60).rows == expected[who]
-        assert len(server._statements) == 1
+        assert len(server._statements) == 1 and len(server._shapes) == 1
+        # The second querier's handle was prepared from the memo's template.
+        assert len({id(handle.template) for handle in server._prepared.values()}) == 1
         assert sorted(key[0] for key in server._prepared) == ["alice", "bob"]
         assert {handle.querier for handle in server._prepared.values()} == {"alice", "bob"}
         for (querier, _purpose, _template), handle in server._prepared.items():
@@ -1006,7 +1059,18 @@ def test_statement_memo_stays_within_its_bound():
     assert len(server._statements) == AUTO_PREPARE_MAX_SHAPES
     # FIFO: the first texts aged out, the latest are held.
     assert texts[0] not in server._statements and texts[-1] in server._statements
-    assert len(server._prepared) == 1
+    assert len(server._prepared) == 1 and len(server._shapes) == 1
+    # Shapes (one per alias here) hold the same bound; the texts that
+    # keep arriving never evict a shape.
+    shaped = [f"SELECT id AS c{i} FROM t WHERE v < 1" for i in range(AUTO_PREPARE_MAX_SHAPES + 40)]
+    for text in shaped:
+        server._auto_prepare(text, "alice", "analytics")
+    assert len(server._shapes) == len(server._prepared) == AUTO_PREPARE_MAX_SHAPES
+    assert len(server._statements) == AUTO_PREPARE_MAX_SHAPES
+    newest = next(reversed(server._shapes))
+    for i in range(AUTO_PREPARE_MAX_SHAPES + 40):
+        server._auto_prepare(f"SELECT id FROM t WHERE v < {10_000 + i}", "alice", "analytics")
+    assert newest in server._shapes and len(server._shapes) == AUTO_PREPARE_MAX_SHAPES
 
 
 def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
@@ -1022,11 +1086,13 @@ def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
         (key,) = server._prepared
         evicted = server._prepared.pop(key)
         assert sql in server._statements
+        # Prepared again from the shape's template: no second parse.
         assert server.execute(sql, *who, timeout=60).rows == expected
-        assert parses[0] == 2
+        assert parses[0] == 1
         assert server._prepared[key] is not evicted
+        assert server._prepared[key].template is evicted.template
         assert server.execute(sql, *who, timeout=60).rows == expected
-        assert parses[0] == 2
+        assert parses[0] == 1
 
 
 def test_statement_memo_under_eight_threads(monkeypatch):
@@ -1063,8 +1129,154 @@ def test_statement_memo_under_eight_threads(monkeypatch):
         for thread in threads:
             thread.join()
         assert errors == []
-        assert len(server._statements) <= 6 and len(server._prepared) <= 6
+        assert len(server._statements) <= 6 and len(server._prepared) <= 6 and len(server._shapes) <= 6
     assert any(rows for rows in expected.values()) and any(not rows for rows in expected.values())
+
+
+# ------------------------------------------- the statement memo by shape
+#
+# A new text of a known token shape is lexed, and its values are read
+# off the tokens the first text's lifted literals came from.  It must
+# give what parsing would: the same template key and the same values,
+# of the same types — or fall through to the parse.
+
+_FRONT_END_SHAPES = (
+    "SELECT id FROM t WHERE v < {} ORDER BY id",
+    "SELECT id, {} FROM t WHERE v BETWEEN {} AND {}",
+    "SELECT id FROM t WHERE owner IN ({}, {}) AND v >= {} ORDER BY id LIMIT {}",
+    "SELECT id FROM t -- {}\nWHERE v < {}",
+    'SELECT "id" FROM t WHERE "v" < {} AND "owner" = {}',
+    "SELECT id FROM t WHERE v - {} > {}",
+    "SELECT id FROM t WHERE id IN (SELECT id FROM t WHERE v < {}) AND owner = {}",
+    "SELECT COUNT(*) FROM t WHERE v = {} OR owner <> {}",
+)
+_LITERAL_SPELLINGS = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.integers(min_value=0, max_value=999).map(lambda n: f"-{n}"),
+    st.sampled_from(["-0", "3e0", ".5", "5.", "1.25", "2E-3", "7.0", "1.2.3", "TRUE", "FALSE", "NULL", "?"]),
+    st.text(alphabet="ab1' 2", max_size=5).map(lambda t: "'" + t.replace("'", "''") + "'"),
+)
+
+
+def _parsed_front_end(text):
+    """(template key, values) by parse → ``parameterize_query`` →
+    ``to_sql``, or ``None`` where the server takes the plain path."""
+    try:
+        query = parse_query(text)
+    except ParseError:
+        return None
+    if collect_params(query):
+        return None
+    template, values = parameterize_query(query)
+    return to_sql(template), values
+
+
+def _typed(values):
+    return tuple((type(value), value) for value in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(_FRONT_END_SHAPES) - 1),
+            st.lists(_LITERAL_SPELLINGS, min_size=4, max_size=4),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_the_memo_front_end_equals_the_parse(texts):
+    from repro.service import SieveServer
+
+    if "world" not in _FRONT_END:
+        _FRONT_END["world"] = small_world(n_rows=40)
+    server = SieveServer(Sieve(*_FRONT_END["world"]))  # never started: the front end alone
+    for shape, spellings in texts:
+        text = _FRONT_END_SHAPES[shape].format(*spellings)
+        got = server._auto_prepare(text, "alice", "analytics")
+        want = _parsed_front_end(text)
+        if want is None:
+            assert got is None, text
+        else:
+            prepared, values = got
+            assert (prepared.template_key, _typed(values)) == (want[0], _typed(want[1])), text
+
+
+_FRONT_END: dict = {}
+
+#: Served in this order through one server; each reply (rows, or the
+#: error's type and text) must be the plain path's.
+ADVERSARIAL_TEXTS = (
+    "SELECT id FROM t WHERE v < 300 ORDER BY id -- 1",
+    "SELECT id FROM t WHERE v < 301 ORDER BY id -- 2",
+    'SELECT "id" FROM t WHERE "v" < 120 AND "owner" = 1 ORDER BY id',
+    'SELECT "id" FROM t WHERE "v" < 700 AND "owner" = 2 ORDER BY id',
+    "SELECT id FROM t WHERE v - 500 > -0 ORDER BY id",
+    "SELECT id FROM t WHERE v - 500 > -3 ORDER BY id",
+    "SELECT id FROM t WHERE v - 500 > 3 ORDER BY id",
+    "SELECT id, v / 2 FROM t WHERE v < 3e0 ORDER BY id",
+    "SELECT id, v / 2 FROM t WHERE v < .5 ORDER BY id",
+    "SELECT id, v / 2 FROM t WHERE v < 5. ORDER BY id",
+    "SELECT id, v / 2 FROM t WHERE v < 15 ORDER BY id",
+    "SELECT id, 7 FROM t WHERE v < 300 ORDER BY id LIMIT 2",
+    "SELECT id, 8 FROM t WHERE v < 300 ORDER BY id LIMIT 2",
+    "SELECT id, 7 FROM t WHERE v < 300 ORDER BY id LIMIT 3",
+    "SELECT id, 7 FROM t WHERE v < 301 ORDER BY id LIMIT 2",
+    "SELECT id FROM t WHERE v < 1.2.3",
+    "SELECT id FROM t WHERE v < 1.5 ORDER BY id",
+    "SELECT id FROM t WHERE v < 1.2.3",
+    "SELECT id FROM t WHERE v < 300 AND 'a''1' < 'b2' ORDER BY id",
+    "SELECT id FROM t WHERE v < 300 AND 'c''9' < 'b2' ORDER BY id",
+    "SELECT id FROM t WHERE id IN (SELECT id FROM t WHERE v < 100) ORDER BY id",
+    "SELECT id FROM t WHERE id IN (SELECT id FROM t WHERE v < 200) ORDER BY id",
+    "SELECT id FROM t WHERE v < ?",
+    "SELECT id FROM t WHERE v < 2 ORDER BY id",
+    "SELECT id FROM t WHERE v < 300 AND owner <> TRUE ORDER BY id",
+    "SELECT id FROM t WHERE v < 301 AND owner <> TRUE ORDER BY id",
+)
+
+
+def _reply(run):
+    try:
+        return run().rows
+    except Exception as exc:  # compared by type and text below
+        return (type(exc), str(exc))
+
+
+def test_awkward_texts_through_the_memo_match_the_plain_path():
+    from repro.service import SieveServer
+
+    db, store = small_world()
+    oracle = Sieve(db, store)
+    replies = []
+    with SieveServer(Sieve(db, store), workers=1) as server:
+        for text in ADVERSARIAL_TEXTS:
+            got = _reply(lambda: server.execute(text, "alice", "analytics", timeout=60))
+            want = _reply(lambda: oracle.execute(text, "alice", "analytics"))
+            assert got == want, text
+            replies.append(got)
+        shapes = len(server._shapes)
+    assert replies[4] != replies[5] != replies[6]  # -0, -3, 3: three answers
+    assert replies[15][0] is ParseError and replies[22][0] is ExecutionError
+    assert replies[11] != replies[12] and len(replies[13]) == 3
+    assert shapes < len(ADVERSARIAL_TEXTS) // 2  # most texts met a known shape
+
+
+def test_a_second_querier_on_a_known_shape_is_prepared_without_a_parse(monkeypatch):
+    from repro.service import SieveServer
+
+    db, store = two_querier_world()
+    oracle = Sieve(db, store)
+    parses = counting_parses(monkeypatch)
+    with SieveServer(Sieve(db, store), workers=1) as server:
+        server.execute("SELECT id FROM t WHERE v < 500 ORDER BY id", "alice", "analytics", timeout=60)
+        assert parses[0] == 1
+        text = "SELECT id FROM t WHERE v < 250 ORDER BY id"
+        got = server.execute(text, "bob", "analytics", timeout=60)
+        assert got.rows == oracle.execute(text, "bob", "analytics").rows
+        assert parses[0] == 1
+        assert {key[0] for key in server._prepared} == {"alice", "bob"}
 
 
 @pytest.mark.parametrize("change", ["first-policy", "protect"])
@@ -1302,3 +1514,147 @@ def test_memo_cold_equals_memo_warm(engine, personality, delta, shape, who, bind
         first, _ = _observe(cold, lambda: cold["sieve"].execute_with_info(bound, querier, purpose))
         assert warm == first, (dataset, bound)
         assert warm_plan == cold_plan, (dataset, bound)
+
+
+# ---------------------------- the bound rewrite (one per decision shape)
+#
+# A template is rewritten once per (querier, purpose, decision shape)
+# and each binding binds that rewrite.  It must be exactly the rewrite
+# of the bound query: compared by ``==`` and in every dialect's text,
+# against the rewriter run on the bound statement over the same guards
+# and decisions.
+
+BOUND_SHAPES = MEMO_SHAPES + (
+    # a JOIN with an unprotected relation
+    "SELECT s.type, COUNT(*) FROM {table} w JOIN Shop s ON w.shop_id = s.id "
+    "WHERE w.ts_date BETWEEN ? AND ? GROUP BY s.type",
+    # an IN subquery over a protected relation the querier has no policy on
+    "SELECT * FROM {table} WHERE owner IN (SELECT id FROM Users WHERE id < ?) AND ts_time >= ?",
+    # an IN subquery over the enforced relation itself
+    "SELECT id FROM {table} WHERE id IN (SELECT id FROM {table} WHERE ts_date = ?) AND ts_time < ?",
+)
+BOUND_VALUES = ((1, 3), (2, 600), (0, 1200))
+
+
+def _counting_rewrites(sieve) -> list[int]:
+    calls = [0]
+    real = sieve.rewriter.rewrite
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    sieve.rewriter.rewrite = spy
+    return calls
+
+
+def _assert_bound_rewrites(sieve, querier, purpose, template, bindings) -> list:
+    """Execute ``template`` under each binding; each rewrite equals the
+    rewriter's on the bound query, and the template is rewritten once
+    per decision shape.  Returns the executions' RewriteInfos."""
+    rewrites = _counting_rewrites(sieve)
+    prepared = sieve.prepare(template, querier, purpose)
+    infos = []
+    for values in bindings:
+        info = prepared.execute_with_info(values).rewrite
+        expressions = {
+            name: sieve.guard_cache.peek(querier, purpose, name).expression
+            for name in info.enforced_tables
+        }
+        reference, ref_info = sieve.rewriter._rewrite(
+            bind_query(prepared.template, values), expressions, info.decisions, set(info.denied_tables)
+        )
+        assert info.rewritten == reference, (template, values)
+        for dialect in DIALECTS.values():
+            assert to_sql(info.rewritten, dialect=dialect) == to_sql(reference, dialect=dialect)
+        assert "?" not in info.sql
+        assert (info.enforced_tables, info.denied_tables, info.guard_keys) == (
+            ref_info.enforced_tables,
+            ref_info.denied_tables,
+            ref_info.guard_keys,
+        )
+        infos.append(info)
+    shapes = {
+        tuple(sieve.rewriter.decision_shape(d) for d in info.decisions.values()) for info in infos
+    }
+    assert rewrites[0] == len(shapes), template
+    del sieve.rewriter.rewrite
+    return infos
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["inline", "delta"])
+@pytest.mark.parametrize("personality", ["postgres", "mysql"])
+def test_bound_rewrite_is_the_rewrite_of_the_bound_query(personality, delta):
+    world = _memo_world("mall", personality, delta)
+    sieve, table, purpose = world["sieve"], world["table"], world["purpose"]
+    sieve.policy_store.protect("Users")  # protected, and nobody's policy names it
+    querier = world["queriers"][0]
+    infos = [
+        info
+        for shape in BOUND_SHAPES
+        for info in _assert_bound_rewrites(sieve, querier, purpose, shape.format(table=table), BOUND_VALUES)
+    ]
+    assert sum(bool(info.denied_tables) for info in infos) == len(BOUND_VALUES)
+    assert any("sieve_delta" in info.sql for info in infos) == delta
+
+
+def test_bound_rewrite_of_index_guards():
+    """MySQL IndexGuards: the guards' UNION arms each carry the bound
+    query predicate."""
+    db, store = sparse_world()
+    bindings = ((300, 7), (500, 9))
+    infos = _assert_bound_rewrites(
+        Sieve(db, store), "alice", "analytics", "SELECT id FROM t WHERE v < ? AND id > ?", bindings
+    )
+    for info, (_, low) in zip(infos, bindings):
+        assert info.sql.count("UNION") == len(info.guard_keys["t"]) - 1 > 0
+        assert info.sql.count(f"id > {low}") == len(info.guard_keys["t"]) + 1  # every arm, and the outer query
+
+
+def test_backend_runs_the_bound_text():
+    """Through SQLite the executed text is the bound rewrite, with no
+    ``?`` left: the rows are a fresh Sieve's, and a fresh binding of
+    the shape does not rewrite."""
+    world = _memo_world("mall", "postgres", False)
+    db, sieve = world["db"], world["sieve"]
+    backend = SqliteBackend().ship(db)
+    served = Sieve(db, sieve.policy_store, backend=backend)
+    querier, purpose = world["queriers"][1], world["purpose"]
+    template = MEMO_SHAPES[0].format(table=world["table"])
+    prepared = served.prepare(template, querier, purpose)
+    prepared.execute([0, 2])
+    rewrites = _counting_rewrites(served)
+    for values in ([1, 4], [3, 5]):
+        execution = prepared.execute_with_info(values)
+        bound = bind_query(prepared.template, values)
+        assert "?" not in execution.rewrite.sql
+        assert execution.rewrite.sql == Sieve(db, sieve.policy_store, backend=backend).rewritten_sql(
+            bound, querier, purpose
+        )
+        fresh = Sieve(db, sieve.policy_store, backend=backend).execute(bound, querier, purpose)
+        assert execution.result.rows == fresh.rows
+    assert rewrites[0] == 0
+
+
+def test_a_policy_write_drops_the_queriers_rewrite_entry():
+    db, store = two_querier_world()
+    sieve = Sieve(db, store)
+
+    def rewrite_entries():
+        return sorted(key[0] for key in sieve.plan_cache.keys() if len(key) == 5)
+
+    for who in ("alice", "bob"):
+        sieve.prepare("SELECT id FROM t WHERE v < ?", who, "analytics").execute([300])
+    assert rewrite_entries() == ["alice", "bob"]
+    store.insert(
+        Policy(
+            owner=9,
+            querier="alice",
+            purpose="analytics",
+            table="t",
+            object_conditions=(ObjectCondition("owner", "=", 9),),
+        )
+    )
+    assert rewrite_entries() == ["bob"]
+    rows = sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics").execute([301]).rows
+    assert rows == Sieve(db, store).execute("SELECT id FROM t WHERE v < 301", "alice", "analytics").rows

@@ -211,12 +211,17 @@ class TestRewriteShares:
         assert "FROM wifi " not in body + " " and "JOIN wifi " not in body + " "
 
     def test_untouched_nodes_are_the_inputs_own(self):
-        """Only the spine down to a replaced reference is rebuilt."""
+        """Only the spine down to a replaced reference is rebuilt: the
+        rewriter shares every other node with the query it is given."""
         original = parse_query(
             "SELECT id FROM wifi WHERE ts_date = 3 AND id IN (SELECT id FROM plain) "
             "AND owner IN (SELECT owner FROM wifi) ORDER BY id"
         )
-        rewritten = self.sieve.rewrite(original, "prof", "analytics")
+        execution, _ = self.sieve._prepare(original, "prof", "analytics")
+        expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")
+        rewritten, _info = self.sieve.rewriter.rewrite(
+            original, {"wifi": expression}, execution.rewrite.decisions
+        )
         assert rewritten.body is not original.body
         assert rewritten.body.items[0] is original.body.items[0]
         assert rewritten.body.order_by[0] is original.body.order_by[0]

@@ -11,15 +11,19 @@ started (its statement memo, or parse, auto-parameterize and
 mean under the profiler, the time spent inside each ``src/repro/<layer>``
 (own time of its functions, so the column adds up) and the top functions
 by cumulative time.  In ``fresh`` mode it also prints the miss-path
-split, timed without the profiler — bind / strategy / rewrite / plan /
-what a plan's first execution costs beyond a repeat — and the
-``compile()`` calls per request.
+split, timed without the profiler — front end / strategy / bind / plan
+(and rewrite, when a template is rewritten at all) / what a plan's
+first execution costs beyond a repeat — and the ``rewriter.rewrite``
+and ``compile()`` calls and the garbage collector's pause ms per
+request.  ``warm`` exits non-zero if a read parses or compiles,
+``fresh`` if a fresh read of a known shape parses.
 
 Modes (the canonical benchmark's workloads, one thread, no queue):
 
 * ``fresh`` — every request binds never-seen literals (each pass its
-  own): plan-cache miss, so strategy choice, rewrite and planning run
-  per request;
+  own): a statement-memo hit by shape (lexed, not parsed) and a
+  plan-cache miss, so strategy choice, binding the template's rewrite
+  and planning run per request;
 * ``warm``  — one fixed text per (querier, shape): a statement-memo hit
   (no parse) and a plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
@@ -57,6 +61,7 @@ import argparse
 import builtins
 import contextlib
 import cProfile
+import gc
 import pathlib
 import pstats
 import random
@@ -222,13 +227,37 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
     ), per_read
 
 
+@contextlib.contextmanager
+def gc_paused() -> Iterator[list[float]]:
+    """Collect the ms of every garbage-collector pause of this process
+    while open (``gc.callbacks``: the time from a collection's start to
+    its stop)."""
+    pauses: list[float] = []
+    began = [0.0]
+
+    def callback(phase: str, _info: dict) -> None:
+        if phase == "start":
+            began[0] = time.perf_counter()
+        else:
+            pauses.append((time.perf_counter() - began[0]) * 1000.0)
+
+    gc.callbacks.append(callback)
+    try:
+        yield pauses
+    finally:
+        gc.callbacks.remove(callback)
+
+
 def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
     """Where a plan-cache miss spends its time, stage by stage: run
-    ``requests`` (fresh literals) once with a plain timer around each
-    stage of ``_prepared_execute.build`` — no cProfile — and re-run
-    every plan once more, so what the *first* execution of a plan costs
-    beyond a repeat (kernel compilation) shows; plus ``compile()``
-    calls per request.  Medians over the requests."""
+    ``requests`` (fresh literals of known shapes) once with a plain
+    timer around each stage — the server's front end (statement memo),
+    strategy choice, binding the template's rewrite, the rewrite when
+    the template is rewritten at all, planning — no cProfile, and
+    re-run every plan once more, so what the *first* execution of a
+    plan costs beyond a repeat shows; plus ``rewriter.rewrite`` and
+    ``compile()`` calls per request and the garbage collector's pauses.
+    Medians over the requests."""
     from repro.core import middleware
 
     taken: dict[str, list[float]] = defaultdict(list)
@@ -243,7 +272,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
 
         return run
 
-    db, rewriter = world.mall.db, world.sieve.rewriter
+    db, rewriter, front = world.mall.db, world.sieve.rewriter, world.server
     run_plan = db.run_plan
 
     def run_twice(planned):
@@ -251,27 +280,33 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
         stage("repeat execution", run_plan)(planned)
         return result
 
-    saved = (middleware.bind_query, middleware.choose_strategy)
-    middleware.bind_query = stage("bind", saved[0])
+    saved = (middleware.bind_slots, middleware.choose_strategy)
+    middleware.bind_slots = stage("bind", saved[0])
     middleware.choose_strategy = stage("strategy", saved[1])
     rewriter.rewrite = stage("rewrite", rewriter.rewrite)
+    front._auto_prepare = stage("front end", front._auto_prepare)
     db.plan, db.run_plan = stage("plan", db.plan), run_twice
     try:
-        with compiles_counted() as compiles:
+        with compiles_counted() as compiles, gc_paused() as pauses:
             for _kind, request in requests:
                 request()
     finally:
-        middleware.bind_query, middleware.choose_strategy = saved
-        del rewriter.rewrite, db.plan, db.run_plan
+        middleware.bind_slots, middleware.choose_strategy = saved
+        del rewriter.rewrite, front._auto_prepare, db.plan, db.run_plan
     med = {name: statistics.median(times) for name, times in taken.items()}
     first_cost = med["first execution"] - med["repeat execution"]
-    parts = [f"{name} {med[name]:.3f}" for name in ("bind", "strategy", "rewrite", "plan")]
+    parts = [f"{name} {med[name]:.3f}" for name in ("front end", "strategy", "bind", "plan") if name in med]
+    rewrites = len(taken["rewrite"])
     return (
         "miss path, medians in ms, timed without cProfile: "
         + ", ".join(parts)
+        + (f", rewrite {med['rewrite']:.3f}" if rewrites else "")
         + f", first execution - repeat of the same plan {first_cost:.3f}"
         f" ({med['first execution']:.3f} - {med['repeat execution']:.3f});"
-        f" compile() calls per request {sum(compiles.values()) / len(requests):.2f}"
+        f" rewriter.rewrite calls per request {rewrites / len(requests):.2f};"
+        f" compile() calls per request {sum(compiles.values()) / len(requests):.2f};"
+        f" GC pauses {sum(pauses) / len(requests):.3f} ms per request"
+        f" ({len(pauses)} collections, longest {max(pauses, default=0.0):.2f} ms)"
     )
 
 
@@ -638,6 +673,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(report_text)
         if args.mode == "warm" and (per_read.get("parse_query") or per_read.get("compile()")):
             print("FAIL: a warm read parsed or compiled", file=sys.stderr)
+            return 1
+        if args.mode == "fresh" and per_read.get("parse_query"):
+            print("FAIL: a fresh read of a known shape was parsed", file=sys.stderr)
             return 1
         if args.mode == "churn":
             print(churn_split(world, requests))
