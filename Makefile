@@ -24,12 +24,13 @@ bench-selftest:
 
 # Where a fresh-literal request spends its time: N prepared requests
 # with never-seen literals in known shapes, single-threaded — the median
-# timed plainly with parse_query / compile() calls per read, the
-# miss-path split (front end / strategy / bind / plan / first minus
-# repeat execution of a plan), rewriter.rewrite and compile() calls and
-# GC pause ms per request, then under cProfile as ms per src/repro layer
-# plus the top functions (--mode warm|churn for the other request
-# kinds).  Exits non-zero if a fresh read of a known shape parses.  For
+# timed plainly with parse_query / compile() / Planner.prepare calls per
+# read, the miss-path split (front end / strategy / bind / plan.template
+# / plan.bind / first minus repeat execution of a plan), Planner.prepare,
+# rewriter.rewrite and compile() calls and GC pause ms per request, then
+# under cProfile as ms per src/repro layer plus the top functions
+# (--mode warm|churn for the other request kinds).  Exits non-zero if a
+# fresh read of a known shape parses or runs phase 1 of planning.  For
 # finding waste; bench/ measures a change.
 N ?= 200
 profile-fresh:
@@ -45,9 +46,9 @@ profile-warm:
 # ... and under policy churn ([1 write, 5 reads]): prints the median
 # read after a write next to the median warm read — what a write costs
 # the next request — then that read's own time per stage timed plainly
-# (release / guard maintenance / strategy / rewrite / plan / guard-kernel
-# build / compile() / execute / other) and its compile() calls, dispatch
-# shells and guard branches counted apart.
+# (release / guard maintenance / strategy / rewrite / plan.template /
+# plan.bind / guard-kernel build / compile() / execute / other) and its
+# compile() calls, dispatch shells and guard branches counted apart.
 profile-churn:
 	$(PYTHON) tools/profile_request.py --mode churn -n $(N)
 

@@ -322,8 +322,9 @@ class CachedPlan:
     ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
     bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
     (``None`` when a backend executes the printed ``info.sql``
-    instead, and for a template's rewrite, which is bound, not run —
-    see :class:`PlanCache`).  Executors never mutate plan nodes, so one PlannedQuery
+    instead); for a template's rewrite, which is bound, not run, it is
+    that rewrite's :class:`~repro.optimizer.planner.PlanTemplate` once
+    a binding has planned it (``None`` before) — see :class:`PlanCache`.  Executors never mutate plan nodes, so one PlannedQuery
     is safely re-executed any number of times from any thread.
     ``info`` is the original rewrite's full bookkeeping — strategy
     decisions, guard keys, denied tables — so a hit's audit record
@@ -363,11 +364,11 @@ class PlanCache(FencedCache):
     are one Python key but two SQL constants.
 
     Beside the plans it holds each template's *rewrite* per decision
-    shape (``planned=None``, keyed ``(querier, purpose, template_key,
-    per-table decision shape, denied tables)`` by
-    :meth:`Sieve._rewritten_template
-    <repro.core.middleware.Sieve._rewritten_template>`): a fresh
-    binding whose plan misses binds it instead of rewriting.  Those
+    shape (keyed ``(querier, purpose, template_key, per-table decision
+    shape, denied tables)`` by :meth:`Sieve._rewritten_template
+    <repro.core.middleware.Sieve._rewritten_template>`), with the
+    rewrite's plan template as its ``planned``: a fresh binding whose
+    plan misses binds both instead of rewriting and planning.  Those
     entries are fenced, evicted and invalidated like the plans, but
     :meth:`rewrite_entry` does not count in :attr:`stats`.
     """

@@ -57,7 +57,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.audit import AuditLog, Explanation, explain_row, make_payload, result_digest
 from repro.common.errors import SieveError
@@ -92,6 +92,7 @@ from repro.expr.params import (
     normalize_bindings,
     parameterize_query,
 )
+from repro.optimizer.planner import PlannedQuery
 from repro.obs.tracing import SlowQueryLog, Tracer, current_trace_id, span
 from repro.policy.store import PolicySnapshot, PolicyStore
 from repro.sql.ast import Query, Select
@@ -411,8 +412,8 @@ class Sieve:
         querier: Any,
         purpose: str,
         values: tuple = (),
-    ) -> tuple[SieveExecution, Query]:
-        """Run the middleware pipeline up to (not including) execution.
+    ) -> tuple[SieveExecution, Query, Callable[[], PlannedQuery]]:
+        """Run the middleware pipeline up to (not including) planning.
 
         One path for prepared and unprepared queries: ``sql`` is a
         :class:`PreparedQuery` with its binding ``values``, or a
@@ -425,10 +426,14 @@ class Sieve:
         guards and the decisions' shape, never a literal: a template's
         rewrite is kept in the plan cache per decision shape
         (:meth:`_rewritten_template`) and bound per binding, so a fresh
-        literal in a known shape is not rewritten.  The whole request
-        plans against one policy snapshot, so concurrent mutations can
-        never show a query a half-applied corpus (an update's delete
-        and re-insert are observed together or not at all)."""
+        literal in a known shape is not rewritten.  Nor is it planned
+        from scratch: the third value returned plans the bound rewrite
+        by binding the rewrite's :class:`PlanTemplate
+        <repro.optimizer.planner.PlanTemplate>`, held in the same entry
+        (:meth:`_bound_plan`).  The whole request plans against one
+        policy snapshot, so concurrent mutations can never show a query
+        a half-applied corpus (an update's delete and re-insert are
+        observed together or not at all)."""
         start = time.perf_counter()
         metadata = QueryMetadata(querier=querier, purpose=purpose)
         with span("middleware.prepare"):
@@ -477,15 +482,23 @@ class Sieve:
                 expressions[table_name] = expression
 
             if values:
-                rewritten, info = self._rewritten_template(
+                entry = self._rewritten_template(
                     prepared, snapshot.epoch, expressions, decisions, denied, query_predicates
                 )
-                rewritten = bind_slots(rewritten, values, bound)
-                info = info.bound(rewritten, decisions)
+                rewritten = bind_slots(entry.rewritten, values, bound)
+                info = entry.info.bound(rewritten, decisions)
+
+                def plan() -> PlannedQuery:
+                    return self._bound_plan(entry, values, bound)
+
             else:
                 rewritten, info = self.rewriter.rewrite(
                     template, expressions, decisions, denied, query_predicates
                 )
+
+                def plan() -> PlannedQuery:
+                    return self.db.plan(rewritten)
+
             middleware_ms = (time.perf_counter() - start) * 1000.0
             execution = SieveExecution(
                 result=QueryResult(columns=[], rows=[]),
@@ -496,7 +509,7 @@ class Sieve:
                 middleware_ms=middleware_ms,
                 policy_epoch=snapshot.epoch,
             )
-            return execution, rewritten
+            return execution, rewritten, plan
 
     def _rewritten_template(
         self,
@@ -506,10 +519,10 @@ class Sieve:
         decisions: dict[str, StrategyDecision],
         denied: set[str],
         query_predicates: dict[str, list],
-    ) -> tuple[Query, RewriteInfo]:
-        """The enforcement rewrite of ``prepared``'s template, Params
-        and all, from the plan cache when this decision shape has been
-        rewritten over these very guards.
+    ) -> CachedPlan:
+        """The plan-cache entry of the enforcement rewrite of
+        ``prepared``'s template, Params and all, for this decision
+        shape over these very guards (rewritten here on a miss).
 
         The rewriter reads of a decision only its strategy, its
         ``query_index_column`` and its Δ set — of those, only the Δ set
@@ -521,7 +534,10 @@ class Sieve:
         it was rewritten over ``is`` the one resolved now, and it is
         fenced and released like the plans beside it (a policy write
         drops it).  Its look-ups are not counted in the cache's stats,
-        which stay the plans' own."""
+        which stay the plans' own.  Its ``planned`` is the rewrite's
+        :class:`PlanTemplate <repro.optimizer.planner.PlanTemplate>`
+        once a binding has planned it, so the fence that serves the
+        rewrite serves the template too."""
         cache = self.plan_cache
         key = (
             prepared.querier,
@@ -538,11 +554,11 @@ class Sieve:
         if entry is not None and all(
             entry.guards[table] is expression for table, expression in expressions.items()
         ):
-            return entry.rewritten, entry.info
+            return entry
         rewritten, info = self.rewriter.rewrite(
             prepared.template, expressions, decisions, denied, query_predicates
         )
-        cache.admit(
+        return cache.admit(
             key,
             CachedPlan(
                 querier=prepared.querier,
@@ -556,11 +572,21 @@ class Sieve:
                 guards=dict(expressions),
             ),
         )
-        return rewritten, info
+
+    def _bound_plan(self, entry: CachedPlan, values: tuple, memo: dict) -> PlannedQuery:
+        """The plan of ``entry``'s rewrite under ``values``: its
+        template bound (phase 2 only), the template prepared first when
+        the entry has none yet or the catalog or statistics it read have
+        moved on since.  ``memo`` is the one the statement was bound
+        with, so the plan's filters are the bound rewrite's nodes."""
+        template = entry.planned
+        if template is None or not template.current():
+            template = entry.planned = self.db.plan_template(entry.rewritten)
+        return template.bind(values, memo)
 
     def rewrite(self, sql: str | Query, querier: Any, purpose: str) -> Query:
         """The enforcement rewrite as an AST (without executing it)."""
-        _execution, rewritten = self._prepare(sql, querier, purpose)
+        _execution, rewritten, _plan = self._prepare(sql, querier, purpose)
         return rewritten
 
     def execute(self, sql: str | Query, querier: Any, purpose: str) -> QueryResult:
@@ -599,7 +625,7 @@ class Sieve:
     def _execute_with_info(
         self, sql: str | Query, querier: Any, purpose: str
     ) -> tuple[SieveExecution, Query]:
-        execution, rewritten = self._prepare(sql, querier, purpose)
+        execution, rewritten, _plan = self._prepare(sql, querier, purpose)
         self._finish_execution(sql, execution, rewritten)
         return execution, rewritten
 
@@ -729,10 +755,10 @@ class Sieve:
         snapshot = self.policy_store.snapshot()
 
         def build():
-            execution, rewritten = self._prepare(
+            execution, rewritten, plan = self._prepare(
                 prepared, prepared.querier, prepared.purpose, values
             )
-            planned = None if self.backend is not None else self.db.plan(rewritten)
+            planned = None if self.backend is not None else plan()
             # Stamp the entry with the epoch and plan version the
             # pipeline *actually* saw (``_prepare`` snapshots the store
             # itself, and planning may lazily rebuild stats).

@@ -25,7 +25,7 @@ from repro.engine.vector import VectorizedExecutor
 from repro.expr.codegen import CompiledExprCache
 from repro.obs.tracing import span
 from repro.optimizer.explain import ExplainNode, TableAccess, access_summary, explain_plan
-from repro.optimizer.planner import PlannedQuery, Planner
+from repro.optimizer.planner import PlannedQuery, Planner, PlanTemplate
 from repro.optimizer.stats import StatsCatalog, TableStats
 from repro.sql.ast import Query
 from repro.sql.parser import parse_query
@@ -173,6 +173,12 @@ class Database:
     def plan(self, query: str | Query) -> PlannedQuery:
         ast = parse_query(query) if isinstance(query, str) else query
         return self._planner().plan(ast)
+
+    def plan_template(self, query: Query) -> PlanTemplate:
+        """Phase 1 of planning a template with ``?`` slots, once:
+        :meth:`PlanTemplate.bind <repro.optimizer.planner.PlanTemplate.bind>`
+        then plans each binding as :meth:`plan` plans the bound query."""
+        return self._planner().prepare(query)
 
     def execute(self, query: str | Query) -> QueryResult:
         """Execute any supported statement.

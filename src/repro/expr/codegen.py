@@ -388,6 +388,19 @@ class _Emitter:
             return repr(value)
         return self.const(value)
 
+    def bound(self, expr: Expr) -> tuple[str, str | None]:
+        """A BETWEEN bound as ``(value, test)``: ``test`` is true when the
+        value is not NULL — ``None`` for a literal or lifted constant that
+        is not (``lift_constants`` leaves no NULL in a slot), ``False``
+        for a NULL literal, else an assignment of the value to a fresh
+        local, evaluated once."""
+        if isinstance(expr, Literal) and expr.value is None:
+            return "None", "False"
+        if isinstance(expr, (Literal, KernelConst)):
+            return self.emit(expr), None
+        name = self.fresh("t")
+        return name, f"({name} := {self.emit(expr)}) is not None"
+
     def column(self, pos: int) -> str:
         if self.mode == "row":
             return f"_r[{pos if self.slots is None else self.slot(pos)}]"
@@ -438,19 +451,34 @@ class _Emitter:
                 f"{lt} is not None and {rt} is not None and {lt} {op} {rt})"
             )
         if isinstance(expr, Between):
+            # SQL in WHERE: BETWEEN is lo <= x AND x <= hi, never true
+            # with a NULL bound; NOT BETWEEN is true past a non-NULL one.
             t = self.fresh("t")
             inner = self.emit(expr.expr)
-            low, high = self.emit(expr.low), self.emit(expr.high)
-            body = f"{low} <= {t} <= {high}"
-            if expr.negated:
-                body = f"not ({body})"
+            (low, low_ok), (high, high_ok) = self.bound(expr.low), self.bound(expr.high)
+            if low_ok is None and high_ok is None:  # bounds that cannot be NULL
+                body = f"{low} <= {t} <= {high}"
+                if expr.negated:
+                    body = f"not ({body})"
+            elif expr.negated:
+                past_low = f"not ({low} <= {t})" if low_ok is None else f"{low_ok} and not ({low} <= {t})"
+                past_high = f"not ({t} <= {high})" if high_ok is None else f"{high_ok} and not ({t} <= {high})"
+                body = f"({past_low}) or ({past_high})"
+            else:
+                body = " and ".join(
+                    part for part in (low_ok, f"{low} <= {t}", high_ok, f"{t} <= {high}") if part
+                )
             return f"(({t} := {inner}) is not None and ({body}))"
         if isinstance(expr, InList):
+            # NOT IN with a NULL item is never true in WHERE.
             t = self.fresh("t")
             inner = self.emit(expr.expr)
             members = None
             if all(isinstance(i, Literal) for i in expr.items):
-                members = self.const(frozenset(i.value for i in expr.items))  # type: ignore[union-attr]
+                values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
+                if expr.negated and None in values:
+                    return f"(({t} := {inner}) is not None and False)"
+                members = self.const(values)
             elif len(expr.items) == 1 and isinstance(expr.items[0], KernelConst):
                 members = self.emit(expr.items[0])  # a lifted list: the set arrives whole
             if members is not None:
@@ -458,7 +486,10 @@ class _Emitter:
                 return f"(({t} := {inner}) is not None and {t} {op} {members})"
             items = [self.emit(i) for i in expr.items]
             if expr.negated:
-                body = " and ".join(f"{t} != {item}" for item in items)
+                names = [self.fresh("t") for _ in items]
+                body = " and ".join(
+                    f"({x} := {item}) is not None and {t} != {x}" for x, item in zip(names, items)
+                )
             else:
                 body = " or ".join(f"{t} == {item}" for item in items)
             return f"(({t} := {inner}) is not None and ({body}))"

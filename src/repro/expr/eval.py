@@ -191,28 +191,38 @@ class ExprCompiler:
             fn = _cmp(expr.op)
             return lambda row: fn(left(row), right(row))
         if isinstance(expr, Between):
+            # SQL in WHERE: BETWEEN is lo <= x AND x <= hi, never true
+            # with a NULL bound; NOT BETWEEN is true past a non-NULL one.
             inner = self.compile(expr.expr)
             low = self.compile(expr.low)
             high = self.compile(expr.high)
             if expr.negated:
-                return lambda row: (
-                    (v := inner(row)) is not None and not (low(row) <= v <= high(row))
+                return lambda row: (v := inner(row)) is not None and (
+                    ((lo := low(row)) is not None and not lo <= v)
+                    or ((hi := high(row)) is not None and not v <= hi)
                 )
             return lambda row: (
-                (v := inner(row)) is not None and low(row) <= v <= high(row)
+                (v := inner(row)) is not None
+                and (lo := low(row)) is not None
+                and lo <= v
+                and (hi := high(row)) is not None
+                and v <= hi
             )
         if isinstance(expr, InList):
+            # NOT IN with a NULL item is never true in WHERE.
             inner = self.compile(expr.expr)
             if all(isinstance(i, Literal) for i in expr.items):
                 values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
                 if expr.negated:
+                    if None in values:
+                        return lambda row: inner(row) is not None and False
                     return lambda row: (v := inner(row)) is not None and v not in values
                 return lambda row: (v := inner(row)) is not None and v in values
             item_fns = [self.compile(i) for i in expr.items]
             if expr.negated:
                 return lambda row: (
                     (v := inner(row)) is not None
-                    and all(v != fn(row) for fn in item_fns)
+                    and all(x is not None and v != x for x in (fn(row) for fn in item_fns))
                 )
             return lambda row: (
                 (v := inner(row)) is not None and any(v == fn(row) for fn in item_fns)

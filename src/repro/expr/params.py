@@ -105,6 +105,16 @@ def _walk_expr(expr: Expr):
             yield from _walk_expr(sub)
 
 
+def mentions_param(expr: Expr) -> bool:
+    """Whether a Param occurs anywhere in ``expr``, subquery bodies
+    included (:func:`repro.expr.analysis.facts` does not look inside
+    them, so only a tree holding a subquery is walked)."""
+    found = facts(expr)
+    if not found.has_subquery:
+        return found.has_param
+    return any(isinstance(node, Param) for node in _walk_expr(expr))
+
+
 def collect_params(query: Query) -> tuple[Param, ...]:
     """All distinct Params in slot order; validates slots are dense.
 
@@ -400,7 +410,11 @@ class _KernelLifter(_Extractor):
     statement: slots are :class:`KernelConst` nodes (a surviving Param
     is still an unbound parameter), subqueries keep their literals
     (they are planned and run on their own), and an all-literal IN list
-    is one ``frozenset`` slot — the membership test the kernel emits."""
+    is one ``frozenset`` slot — the membership test the kernel emits.
+    NULL is never a slot's value, nor in a slot's set: it stays in the
+    shape, where the code generator sees it (a NULL bound makes BETWEEN
+    never true, a NULL item NOT IN), so a slot needs no NULL test per
+    row.  An IN list drops it (no row's value equals NULL)."""
 
     def _slot(self, value: Any) -> Expr:
         self.values.append(value)
@@ -409,10 +423,17 @@ class _KernelLifter(_Extractor):
     def predicate(self, expr: Expr) -> Expr:
         if isinstance(expr, InList) and all(isinstance(i, Literal) for i in expr.items):
             members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
-            return InList(self.value(expr.expr), (self._slot(members),), negated=expr.negated)
+            if not (expr.negated and None in members):
+                members = members - {None}
+                return InList(self.value(expr.expr), (self._slot(members),), negated=expr.negated)
         if isinstance(expr, (Literal, Arith, FuncCall)):
             return self.value(expr)
         return super().predicate(expr)
+
+    def value(self, expr: Expr) -> Expr:
+        if isinstance(expr, Literal) and expr.value is None:
+            return expr
+        return super().value(expr)
 
     def query(self, query: Query) -> Query:
         return query

@@ -75,7 +75,28 @@ def estimate_conjunction(
     """Selectivity of every conjunct and of their AND, each conjunct
     estimated once — the same figures as :func:`estimate_selectivity`
     of each part and of ``make_and(parts)``."""
-    raw = [_estimate(part, stats) for part in parts]
+    return combine_conjunction([conjunct_estimate(part, stats) for part in parts])
+
+
+def conjunct_estimate(part: Expr, stats: TableStats) -> float:
+    """One conjunct's unclamped figure, as :func:`combine_conjunction`
+    takes it: a planner that estimated some conjuncts earlier supplies
+    the rest through this and gets :func:`estimate_conjunction`'s
+    floats bit for bit.  The node remembers it with the ``TableStats``
+    it came from (as ``_estimate`` does an And's or Or's): strategy
+    choice and the planner estimate a binding's conjuncts, the same
+    bound nodes, once between them."""
+    known = part.__dict__.get("_selectivity")
+    if known is not None and known[0]() is stats:
+        return known[1]
+    sel = _estimate(part, stats)
+    object.__setattr__(part, "_selectivity", (weakref.ref(stats), sel))
+    return sel
+
+
+def combine_conjunction(raw: list[float]) -> tuple[list[float], float]:
+    """:func:`estimate_conjunction` from each conjunct's unclamped
+    figure (:func:`conjunct_estimate`), multiplied in conjunct order."""
     combined = 1.0
     for sel in raw:
         combined *= sel

@@ -1,4 +1,4 @@
-"""Query planner: AST -> physical plan.
+"""Query planner: AST -> physical plan, in two phases.
 
 Planning follows a deliberately transparent recipe (this engine is a
 substrate for studying Sieve, not a research optimizer):
@@ -17,13 +17,28 @@ substrate for studying Sieve, not a research optimizer):
 
 Index-usage hints (FORCE/USE/IGNORE INDEX) are obeyed only when the
 active personality honours them, mirroring MySQL vs PostgreSQL.
+
+The recipe runs in two phases, so a query template with ``?``
+parameters is planned once and costed per binding.
+:meth:`Planner.prepare` (phase 1) does everything no literal changes:
+the sources and the conjuncts' classification, each base table's
+pushed conjuncts with the selectivities of the Param-free ones, which
+conjuncts an index can probe, the BitmapOr arms of a Param-free OR,
+the join, aggregation, projection, sort and limit skeleton and every
+row binding.  :meth:`PlanTemplate.bind` (phase 2) estimates the
+Param-bearing conjuncts, costs every candidate with the same formulas
+(the selectivities multiplied in conjunct order, so the floats are
+those of planning the bound query outright), takes the same argmin and
+builds the plan nodes with bound filters and probes.
+:meth:`Planner.plan` is ``prepare(query).bind(())``: there is one
+planner.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, NamedTuple
 
 from repro.common.errors import PlanError
 from repro.db.personality import Personality
@@ -31,10 +46,12 @@ from repro.expr.analysis import (
     columns_referenced,
     conjuncts,
     disjuncts,
+    facts,
     make_and,
     map_children,
 )
 from repro.expr.eval import RowBinding
+from repro.expr.params import bind_expr, bind_slots, mentions_param
 from repro.obs.tracing import span
 from repro.expr.nodes import (
     AGGREGATE_FUNCTIONS,
@@ -47,12 +64,11 @@ from repro.expr.nodes import (
     Expr,
     FuncCall,
     InList,
-    InSubquery,
     IsNull,
     Literal,
     Not,
     Or,
-    ScalarSubquery,
+    Param,
     Star,
 )
 from repro.engine.plans import (
@@ -77,7 +93,8 @@ from repro.engine.plans import (
 )
 from repro.optimizer.cardinality import (
     DEFAULT_SELECTIVITY,
-    estimate_conjunction,
+    combine_conjunction,
+    conjunct_estimate,
     estimate_selectivity,
     expected_pages,
     filter_evals,
@@ -104,10 +121,323 @@ class PlannedQuery:
     cte_plans: dict[str, PlanNode]
 
 
+class _Bind:
+    """What phase 2 is given: the binding's slot values, the memo it
+    shares with the binding of the statement itself (``bind_expr``'s:
+    a conjunct bound there is not bound again, and the plan's filters
+    are the bound statement's nodes) and the CTE plans bound so far."""
+
+    __slots__ = ("values", "memo", "ctes")
+
+    def __init__(self, values: tuple, memo: dict, ctes: dict[str, PlanNode]):
+        self.values = values
+        self.memo = memo
+        self.ctes = ctes
+
+
+class _Step:
+    """One plan subtree after phase 1: its row binding (no literal
+    changes it) and ``bind``, phase 2, which builds the subtree's nodes
+    for one binding.  ``projected`` is the child of a projection step
+    (a sort whose keys the projection dropped goes beneath it)."""
+
+    __slots__ = ("binding", "bind", "projected")
+
+    def __init__(
+        self,
+        binding: RowBinding,
+        bind: Callable[[_Bind], PlanNode],
+        projected: "_Step | None" = None,
+    ):
+        self.binding = binding
+        self.bind = bind
+        self.projected = projected
+
+
+def _binds(expr: Expr) -> bool:
+    """Whether a binding rewrites ``expr``: it holds a Param, or a
+    subquery (whose body may hold one)."""
+    found = facts(expr)
+    return found.has_param or found.has_subquery
+
+
+class _Parts:
+    """Conjuncts as phase 1 holds them, and which of them a binding
+    rewrites (``late``, by position)."""
+
+    __slots__ = ("parts", "late")
+
+    def __init__(self, parts: list[Expr]):
+        self.parts = parts
+        self.late = [k for k, part in enumerate(parts) if _binds(part)]
+
+    def bound(self, b: _Bind) -> list[Expr]:
+        """The conjuncts under ``b`` (the held list itself when nothing
+        is bound: read it, never change it)."""
+        if not self.late or not b.values:
+            return self.parts
+        out = list(self.parts)
+        for k in self.late:
+            out[k] = bind_expr(out[k], b.values, b.memo)
+        return out
+
+
+class _Path(NamedTuple):
+    """One costed access path, before its node is built."""
+
+    est_cost: float
+    kind: type  # SeqScanPlan | IndexScanPlan | BitmapOrPlan
+    index_name: str | None  # an IndexScan's index (what a hint names)
+    detail: Any  # IndexScan: (column, probes); BitmapOr: its arms
+    filter_parts: list[Expr]
+
+
+class _AccessPaths:
+    """Phase 1 of access-path choice for one base table under its
+    pushed conjuncts: the unclamped selectivity of each Param-free
+    conjunct, the conjuncts an index can probe (with their probes when
+    Param-free) and the BitmapOr arms of each Param-free top-level OR —
+    a guard OR's, hundreds of disjuncts, derived here once per template.
+    :meth:`paths` is phase 2."""
+
+    def __init__(
+        self,
+        planner: "Planner",
+        table_name: str,
+        alias: str,
+        pushed: list[Expr],
+        stats: TableStats,
+        binding: RowBinding,
+    ):
+        self.planner = planner
+        self.table_name = table_name
+        self.alias = alias
+        self.stats = stats
+        self.binding = binding
+        self.pushed = _Parts(pushed)
+        late = set(self.pushed.late)
+        self.raw = [
+            None if k in late else conjunct_estimate(conj, stats)
+            for k, conj in enumerate(pushed)
+        ]
+        p = planner.personality
+        self.seq_base = stats.page_count * p.seq_page_cost + stats.row_count * p.cpu_tuple_cost
+        catalog = planner.catalog
+        # (position, index, column, correlation, probes — None until a
+        # binding gives a Param-bearing conjunct its values); the index
+        # itself, as its height grows with the rows no fence counts
+        self.index_scans: list[tuple[int, Any, str, float, list[IndexProbe] | None]] = []
+        for k, conj in enumerate(pushed):
+            shape = planner._sargable_shape(conj)
+            if shape is None:
+                continue
+            column, points = shape
+            index = catalog.index_on_column(table_name, column)
+            if index is None:
+                continue
+            if index.kind == "hash" and not points:
+                continue
+            probes = None
+            if k not in late:
+                spec = planner._sargable(conj)
+                if spec is None:
+                    continue  # a NULL operand: no index finds what it admits
+                probes = spec.probes
+            cstats = stats.column(column)
+            correlation = cstats.correlation if cstats is not None else 0.0
+            self.index_scans.append((k, index, column, correlation, probes))
+        # (position, arms or None until a binding gives the OR its values)
+        self.bitmaps: list[tuple[int, tuple | None]] = []
+        if p.supports_bitmap_or:
+            version = catalog.version  # read before any arm derived under it
+            for k, conj in enumerate(pushed):
+                if not isinstance(conj, Or):
+                    continue
+                if k in late:
+                    self.bitmaps.append((k, None))
+                    continue
+                arms = planner._or_arms(table_name, conj, stats, version)
+                if arms is not None:
+                    self.bitmaps.append((k, arms))
+
+    def paths(self, b: _Bind) -> tuple[list[_Path], float]:
+        """Phase 2: every access path costed under ``b``, SeqScan first,
+        and the rows each returns.
+
+        A path's filter is costed by :func:`filter_evals` — the
+        evaluation ticks the executor charges for it — so a guard OR
+        costs about its width on every row that reaches it."""
+        planner, stats = self.planner, self.stats
+        p = planner.personality
+        pushed = self.pushed.bound(b)
+        raw = self.raw
+        if self.pushed.late:
+            raw = list(raw)
+            for k in self.pushed.late:
+                raw[k] = conjunct_estimate(pushed[k], stats)
+        conj_sels, full_sel = combine_conjunction(raw)
+        out_rows = full_sel * stats.row_count
+
+        paths = [
+            _Path(
+                self.seq_base
+                + filter_evals(pushed, conj_sels, stats.row_count) * p.cpu_predicate_cost,
+                SeqScanPlan,
+                None,
+                None,
+                pushed,
+            )
+        ]
+        for k, index, column, correlation, probes in self.index_scans:
+            conj = pushed[k]
+            if probes is None:
+                spec = planner._sargable(conj)
+                if spec is None:
+                    continue  # bound to NULL (or left unbound)
+                probes = spec.probes
+            match_rows = conj_sels[k] * stats.row_count
+            residual_parts = [c for c in pushed if c is not conj]
+            residual_sels = [s for c, s in zip(pushed, conj_sels) if c is not conj]
+            cost = (
+                len(probes) * getattr(index, "height", 1) * p.index_node_cost
+                + expected_pages(match_rows, stats.page_count, correlation, stats.row_count)
+                * p.random_page_cost
+                + match_rows * p.cpu_tuple_cost
+                + filter_evals(residual_parts, residual_sels, match_rows) * p.cpu_predicate_cost
+            )
+            paths.append(_Path(cost, IndexScanPlan, index.name, (column, probes), residual_parts))
+        best: _Path | None = None
+        for k, found in self.bitmaps:
+            conj = pushed[k]
+            if found is None:
+                found = planner._or_arms(self.table_name, conj, stats, planner.catalog.version)
+                if found is None:
+                    continue
+            arms, total_sel, fetch_rows, est_pages, n_probes = found
+            # Every fetched row satisfies an arm and every row the OR
+            # admits is fetched, so it admits sel / total_sel of them.
+            filter_sels = [
+                (sel / total_sel if sel < total_sel else 1.0) if c is conj else sel
+                for c, sel in zip(pushed, conj_sels)
+            ]
+            cost = (
+                n_probes * 2 * p.index_node_cost
+                + fetch_rows * p.index_node_cost
+                + est_pages * p.bitmap_page_cost
+                + fetch_rows * p.cpu_tuple_cost
+                + filter_evals(pushed, filter_sels, fetch_rows) * p.cpu_predicate_cost
+            )
+            if best is None or cost < best.est_cost:
+                best = _Path(cost, BitmapOrPlan, None, arms, pushed)
+        if best is not None:
+            paths.append(best)
+        return paths, out_rows
+
+    def make(self, path: _Path, est_rows: float) -> PlanNode:
+        """The plan node of one costed path."""
+        common = dict(
+            binding=self.binding,
+            est_rows=est_rows,
+            est_cost=path.est_cost,
+            table_name=self.table_name,
+            alias=self.alias,
+            filter=make_and(path.filter_parts),
+        )
+        if path.kind is SeqScanPlan:
+            return SeqScanPlan(**common)
+        if path.kind is IndexScanPlan:
+            column, probes = path.detail
+            return IndexScanPlan(
+                index_name=path.index_name, column=column, probes=probes, **common
+            )
+        return BitmapOrPlan(arms=path.detail, **common)
+
+
+_NO_PARAM = (Star, ColumnRef, Literal)  # leaves that cannot be or hold one
+
+
+def _late_params(query: Query) -> bool:
+    """Whether a Param sits outside every WHERE / JOIN ON conjunct — in
+    a select item, GROUP BY, HAVING or ORDER BY, where phase 1 matches
+    expressions (aggregates against groups, sort keys against the
+    projection) that a value could make equal.  Parameterization
+    extracts none there but HAVING's; a written template may."""
+    return any(_late_params(cte.query) for cte in query.ctes) or _core_late_params(query.body)
+
+
+def _core_late_params(core: SelectCore) -> bool:
+    if isinstance(core, SetOp):
+        return _core_late_params(core.left) or _core_late_params(core.right)
+    exprs = [item.expr for item in core.items] + list(core.group_by)
+    exprs += [order.expr for order in core.order_by]
+    if core.having is not None:
+        exprs.append(core.having)
+    if any(not isinstance(expr, _NO_PARAM) and mentions_param(expr) for expr in exprs):
+        return True
+    items = [*core.from_items, *(join.item for join in core.joins)]
+    return any(isinstance(item, DerivedTable) and _late_params(item.query) for item in items)
+
+
+class PlanTemplate:
+    """Phase 1's output for one query: :meth:`bind` plans it for one
+    binding of its Params (``()`` for a query without any) in phase 2
+    only.
+
+    It holds what it was prepared from — each base table's
+    ``TableStats``, the catalog version — and :meth:`current` says
+    whether those are still the database's.  A template with a Param
+    outside the WHERE / JOIN ON conjuncts is prepared per binding
+    instead (phase 1 reads those expressions)."""
+
+    def __init__(
+        self,
+        planner: "Planner",
+        ctes: list[tuple[str, _Step]],
+        root: _Step | None,
+        read: list[tuple[Any, TableStats]],
+        version: int,
+        late: Query | None = None,
+    ):
+        self._planner = planner
+        self._ctes = ctes
+        self._root = root
+        self._read = read
+        self._version = version
+        self._late = late
+
+    def current(self) -> bool:
+        """Whether planning the query now would read what this template
+        was prepared from: the catalog is unchanged and every table's
+        statistics are the same object (a drift past the staleness
+        ratio rebuilds them here, as planning would)."""
+        planner = self._planner
+        return self._version == planner.catalog.version and all(
+            planner.stats.get(table) is stats for table, stats in self._read
+        )
+
+    def bind(self, values: tuple = (), memo: dict | None = None) -> PlannedQuery:
+        """Phase 2: the plan of the query with ``values`` bound into its
+        slots — the plan :meth:`Planner.plan` builds for the bound
+        query.  ``memo`` is ``bind_expr``'s, shared with the binding of
+        the statement itself."""
+        with span("plan.bind"):
+            if self._late is not None:
+                held = self._planner
+                planner = Planner(held.catalog, held.stats, held.personality, held.udf_names)
+                if not values:
+                    return planner._prepare(self._late).bind(())
+                return planner.prepare(bind_slots(self._late, values, memo)).bind(())
+            b = _Bind(values, {} if memo is None else memo, {})
+            for key, step in self._ctes:
+                b.ctes[key] = step.bind(b)
+            root = self._root.bind(b)  # type: ignore[union-attr]
+            return PlannedQuery(root=root, cte_plans=b.ctes)
+
+
 @dataclass
 class _Source:
     alias: str
-    plan: PlanNode | None  # None until access path chosen (base tables)
+    step: _Step | None  # None until access path prepared (base tables)
     table_name: str | None  # base table name, None for derived/CTE
     hint: IndexHint | None
     column_names: list[str]
@@ -126,6 +456,10 @@ class _Sargable:
     conjunct: Expr
 
 
+_RANGE_OPS = frozenset((CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE))
+_OPERANDS = (Literal, Param)
+
+
 class Planner:
     """Plans queries against a catalog under a given personality."""
 
@@ -140,22 +474,35 @@ class Planner:
         self.stats = stats
         self.personality = personality
         self.udf_names = udf_names
-        self._cte_bindings: dict[str, list[str]] = {}
+        self._read: list[tuple[Any, TableStats]] = []
 
     # ------------------------------------------------------------- top level
 
     def plan(self, query: Query) -> PlannedQuery:
         with span("plan", ctes=len(query.ctes)):
-            cte_plans: dict[str, PlanNode] = {}
-            self._cte_bindings = {}
-            for cte in query.ctes:
-                sub = self._plan_core(cte.query.body, extra_ctes=cte_plans)
-                if cte.query.ctes:
-                    raise PlanError("nested WITH inside a CTE is not supported")
-                cte_plans[cte.name.lower()] = sub
-                self._cte_bindings[cte.name.lower()] = sub.binding.column_names
-            root = self._plan_core(query.body, extra_ctes=cte_plans)
-            return PlannedQuery(root=root, cte_plans=cte_plans)
+            return self.prepare(query).bind(())
+
+    def prepare(self, query: Query) -> PlanTemplate:
+        """Phase 1: a :class:`PlanTemplate` of ``query``, whose Params
+        each :meth:`PlanTemplate.bind` supplies."""
+        with span("plan.template"):
+            if _late_params(query):
+                return PlanTemplate(self, [], None, [], self.catalog.version, late=query)
+            return self._prepare(query)
+
+    def _prepare(self, query: Query) -> PlanTemplate:
+        version = self.catalog.version  # read before anything derived under it
+        self._read = []
+        ctes: list[tuple[str, _Step]] = []
+        columns: dict[str, list[str]] = {}
+        for cte in query.ctes:
+            step = self._prepare_core(cte.query.body, columns)
+            if cte.query.ctes:
+                raise PlanError("nested WITH inside a CTE is not supported")
+            ctes.append((cte.name.lower(), step))
+            columns[cte.name.lower()] = step.binding.column_names
+        root = self._prepare_core(query.body, columns)
+        return PlanTemplate(self, ctes, root, self._read, version)
 
     def plan_subquery(self, query: Query, outer_ctes: dict[str, PlanNode]) -> PlanNode:
         """Plan an expression subquery of a statement planned earlier:
@@ -163,33 +510,43 @@ class Planner:
         the executor has materialised by the time it asks)."""
         if query.ctes:
             raise PlanError("WITH inside an expression subquery is not supported")
-        self._cte_bindings = {}
-        return self._plan_core(query.body, extra_ctes=outer_ctes)
+        columns = {key: plan.binding.column_names for key, plan in outer_ctes.items()}
+        step = self._prepare_core(query.body, columns)
+        return step.bind(_Bind((), {}, outer_ctes))
 
-    def _plan_core(self, core: SelectCore, extra_ctes: dict[str, PlanNode]) -> PlanNode:
+    def _prepare_core(self, core: SelectCore, ctes: dict[str, list[str]]) -> _Step:
         if isinstance(core, SetOp):
-            left = self._plan_core(core.left, extra_ctes)
-            right = self._plan_core(core.right, extra_ctes)
+            left = self._prepare_core(core.left, ctes)
+            right = self._prepare_core(core.right, ctes)
             if left.binding.width != right.binding.width:
                 raise PlanError(
                     f"set operation arity mismatch: {left.binding.width} vs {right.binding.width}"
                 )
-            node = SetOpPlan(op=core.op, all=core.all, left=left, right=right)
-            node.binding = left.binding
-            node.est_rows = left.est_rows + right.est_rows
-            node.est_cost = left.est_cost + right.est_cost
-            return node
-        return self._plan_select(core, extra_ctes)
+
+            def bind_set_op(b: _Bind) -> PlanNode:
+                lhs, rhs = left.bind(b), right.bind(b)
+                return SetOpPlan(
+                    binding=lhs.binding,
+                    est_rows=lhs.est_rows + rhs.est_rows,
+                    est_cost=lhs.est_cost + rhs.est_cost,
+                    op=core.op,
+                    all=core.all,
+                    left=lhs,
+                    right=rhs,
+                )
+
+            return _Step(left.binding, bind_set_op)
+        return self._prepare_select(core, ctes)
 
     # ---------------------------------------------------------------- SELECT
 
-    def _plan_select(self, select: Select, extra_ctes: dict[str, PlanNode]) -> PlanNode:
+    def _prepare_select(self, select: Select, ctes: dict[str, list[str]]) -> _Step:
         if not select.from_items:
-            return self._plan_table_less(select)
-        sources = [self._make_source(item, extra_ctes) for item in select.from_items]
+            return self._prepare_table_less(select)
+        sources = [self._make_source(item, ctes) for item in select.from_items]
         join_conditions: list[Expr] = []
         for join in select.joins:
-            sources.append(self._make_source(join.item, extra_ctes))
+            sources.append(self._make_source(join.item, ctes))
             if join.condition is not None:
                 join_conditions.append(join.condition)
 
@@ -197,38 +554,54 @@ class Planner:
         for cond in join_conditions:
             all_conjuncts.extend(conjuncts(cond))
 
-        by_alias = {s.alias.lower(): s for s in sources}
         single, multi = self._classify(all_conjuncts, sources)
 
-        # Choose access paths for base tables with their pushed predicates.
+        # Prepare access paths for base tables with their pushed predicates.
         for source in sources:
             pushed = single.get(source.alias.lower(), [])
-            source.plan = self._plan_source_access(source, pushed)
+            source.step = self._prepare_source_access(source, pushed)
 
-        plan = self._fold_joins(sources, multi, by_alias)
-        plan = self._plan_aggregation_and_projection(select, plan)
+        step = self._fold_joins(sources, multi)
+        step = self._prepare_aggregation_and_projection(select, step)
+        cpu_tuple = self.personality.cpu_tuple_cost
         if select.distinct:
-            inner = plan
-            plan = DistinctPlan(child=inner)
-            plan.binding = inner.binding
-            plan.est_rows = inner.est_rows
-            plan.est_cost = inner.est_cost + inner.est_rows * self.personality.cpu_tuple_cost
-        if select.order_by:
-            plan = self._attach_sort(plan, select)
-        if select.limit is not None:
-            inner = plan
-            plan = LimitPlan(child=inner, limit=select.limit)
-            plan.binding = inner.binding
-            plan.est_rows = min(inner.est_rows, select.limit)
-            plan.est_cost = inner.est_cost
-        return plan
+            below = step
 
-    def _attach_sort(self, plan: PlanNode, select: Select) -> PlanNode:
+            def bind_distinct(b: _Bind) -> PlanNode:
+                inner = below.bind(b)
+                return DistinctPlan(
+                    binding=inner.binding,
+                    est_rows=inner.est_rows,
+                    est_cost=inner.est_cost + inner.est_rows * cpu_tuple,
+                    child=inner,
+                )
+
+            step = _Step(below.binding, bind_distinct)
+        if select.order_by:
+            step = self._attach_sort(step, select)
+        if select.limit is not None:
+            limited, limit = step, select.limit
+
+            def bind_limit(b: _Bind) -> PlanNode:
+                inner = limited.bind(b)
+                return LimitPlan(
+                    binding=inner.binding,
+                    est_rows=min(inner.est_rows, limit),
+                    est_cost=inner.est_cost,
+                    child=inner,
+                    limit=limit,
+                )
+
+            step = _Step(limited.binding, bind_limit)
+        return step
+
+    def _attach_sort(self, step: _Step, select: Select) -> _Step:
         """Wrap in a Sort, beneath the projection when the sort keys
         reference source columns the projection dropped (SQL allows
         ``SELECT name ... ORDER BY id``)."""
         sort_exprs = [o.expr for o in select.order_by]
         ascending = [o.ascending for o in select.order_by]
+        cpu_tuple = self.personality.cpu_tuple_cost
 
         def resolvable(binding: RowBinding) -> bool:
             return all(
@@ -237,29 +610,33 @@ class Planner:
                 for ref in columns_referenced(e)
             )
 
-        target = plan
+        def sort_over(inner: PlanNode) -> SortPlan:
+            return SortPlan(
+                binding=inner.binding,
+                est_rows=inner.est_rows,
+                est_cost=inner.est_cost + inner.est_rows * cpu_tuple * 2,
+                child=inner,
+                sort_exprs=sort_exprs,
+                ascending=ascending,
+            )
+
         wrap_under_projection = (
-            not resolvable(plan.binding)
-            and isinstance(plan, ProjectPlan)
-            and plan.child is not None
-            and resolvable(plan.child.binding)
+            not resolvable(step.binding)
+            and step.projected is not None
+            and resolvable(step.projected.binding)
             and not select.distinct
         )
         if wrap_under_projection:
-            inner = plan.child
-            sort = SortPlan(child=inner, sort_exprs=sort_exprs, ascending=ascending)
-            sort.binding = inner.binding
-            sort.est_rows = inner.est_rows
-            sort.est_cost = inner.est_cost + inner.est_rows * self.personality.cpu_tuple_cost * 2
-            plan.child = sort
-            return plan
-        sort = SortPlan(child=target, sort_exprs=sort_exprs, ascending=ascending)
-        sort.binding = target.binding
-        sort.est_rows = target.est_rows
-        sort.est_cost = target.est_cost + target.est_rows * self.personality.cpu_tuple_cost * 2
-        return sort
 
-    def _plan_table_less(self, select: Select) -> PlanNode:
+            def bind_under(b: _Bind) -> PlanNode:
+                plan = step.bind(b)
+                plan.child = sort_over(plan.child)  # type: ignore[attr-defined]
+                return plan
+
+            return _Step(step.binding, bind_under)
+        return _Step(step.binding, lambda b: sort_over(step.bind(b)))
+
+    def _prepare_table_less(self, select: Select) -> _Step:
         """SELECT without FROM: one row of constant expressions."""
         exprs: list[Expr] = []
         names: list[str] = []
@@ -268,37 +645,49 @@ class Planner:
                 raise PlanError("SELECT * requires a FROM clause")
             exprs.append(item.expr)
             names.append(item.output_name)
-        node = ProjectPlan(child=None, exprs=exprs, names=names)
-        node.binding = RowBinding.for_table("_const", names)
-        node.est_rows = 1
-        return node
+        binding = RowBinding.for_table("_const", names)
+        return _Step(
+            binding,
+            lambda b: ProjectPlan(binding=binding, est_rows=1, child=None, exprs=exprs, names=names),
+        )
 
     # --------------------------------------------------------------- sources
 
-    def _make_source(self, item: FromItem, extra_ctes: dict[str, PlanNode]) -> _Source:
+    def _make_source(self, item: FromItem, ctes: dict[str, list[str]]) -> _Source:
         if isinstance(item, DerivedTable):
-            sub = self.plan(item.query)
-            if sub.cte_plans:
+            if item.query.ctes:
                 raise PlanError("WITH inside a derived table is not supported")
-            wrapper = DerivedScanPlan(child=sub.root, alias=item.alias)
-            names = sub.root.binding.column_names
-            wrapper.binding = RowBinding.for_table(item.alias, names)
-            wrapper.est_rows = sub.root.est_rows
-            wrapper.est_cost = sub.root.est_cost
-            return _Source(item.alias, wrapper, None, None, names)
+            sub = self._prepare_core(item.query.body, {})
+            names = sub.binding.column_names
+            binding = RowBinding.for_table(item.alias, names)
+
+            def bind_derived(b: _Bind) -> PlanNode:
+                child = sub.bind(b)
+                return DerivedScanPlan(
+                    binding=binding,
+                    est_rows=child.est_rows,
+                    est_cost=child.est_cost,
+                    child=child,
+                    alias=item.alias,
+                )
+
+            return _Source(item.alias, _Step(binding, bind_derived), None, None, names)
         assert isinstance(item, TableRef)
         key = item.name.lower()
-        if key in extra_ctes or key in self._cte_bindings:
-            names = (
-                extra_ctes[key].binding.column_names
-                if key in extra_ctes
-                else self._cte_bindings[key]
-            )
+        if key in ctes:
+            names = ctes[key]
             alias = item.binding_name
-            node = CTEScanPlan(cte_name=item.name, alias=alias)
-            node.binding = RowBinding.for_table(alias, names)
-            node.est_rows = extra_ctes[key].est_rows if key in extra_ctes else 0.0
-            return _Source(alias, node, None, item.hint, names)
+            binding = RowBinding.for_table(alias, names)
+
+            def bind_cte_scan(b: _Bind) -> PlanNode:
+                return CTEScanPlan(
+                    binding=binding,
+                    est_rows=b.ctes[key].est_rows,
+                    cte_name=item.name,
+                    alias=alias,
+                )
+
+            return _Source(alias, _Step(binding, bind_cte_scan), None, item.hint, names)
         table = self.catalog.table(item.name)
         return _Source(
             item.binding_name, None, table.name, item.hint, table.schema.names
@@ -343,22 +732,40 @@ class Planner:
 
     # ----------------------------------------------------------- access path
 
-    def _plan_source_access(self, source: _Source, pushed: list[Expr]) -> PlanNode:
-        if source.plan is not None:
+    def _prepare_source_access(self, source: _Source, pushed: list[Expr]) -> _Step:
+        if source.step is not None:
             # CTE/derived: attach pushed predicate as a residual filter.
-            if pushed:
-                inner = source.plan
-                pred = make_and(pushed)
-                node = FilterPlan(child=inner, expr=pred)
-                node.binding = inner.binding
-                node.est_rows = inner.est_rows / 3.0
-                node.est_cost = inner.est_cost
-                return node
-            return source.plan
+            if not pushed:
+                return source.step
+            inner_step, parts = source.step, _Parts(pushed)
+
+            def bind_filter(b: _Bind) -> PlanNode:
+                inner = inner_step.bind(b)
+                return FilterPlan(
+                    binding=inner.binding,
+                    est_rows=inner.est_rows / 3.0,
+                    est_cost=inner.est_cost,
+                    child=inner,
+                    expr=make_and(parts.bound(b)),
+                )
+
+            return _Step(inner_step.binding, bind_filter)
         assert source.table_name is not None
-        return self.choose_access_path(
-            source.table_name, source.alias, pushed, source.hint
-        )
+        access = self._access(source.table_name, source.alias, pushed)
+        hint = source.hint
+
+        def bind_access(b: _Bind) -> PlanNode:
+            paths, est_rows = access.paths(b)
+            return access.make(self._apply_hint(paths, hint), est_rows)
+
+        return _Step(access.binding, bind_access)
+
+    def _access(self, table_name: str, alias: str, pushed: list[Expr]) -> _AccessPaths:
+        table = self.catalog.table(table_name)
+        stats = self.stats.get(table)
+        self._read.append((table, stats))
+        binding = RowBinding.for_table(alias, table.schema.names)
+        return _AccessPaths(self, table.name, alias, pushed, stats, binding)
 
     def choose_access_path(
         self,
@@ -372,65 +779,33 @@ class Planner:
         Public because Sieve's strategy selector (paper Section 5.5)
         interrogates it through EXPLAIN.
         """
-        return self._apply_hint(self.access_paths(table_name, alias, pushed), hint)
+        access = self._access(table_name, alias, pushed)
+        paths, est_rows = access.paths(_Bind((), {}, {}))
+        return access.make(self._apply_hint(paths, hint), est_rows)
 
     def access_paths(self, table_name: str, alias: str, pushed: list[Expr]) -> list[PlanNode]:
         """Every access path :meth:`choose_access_path` weighs for one
         table under its pushed conjuncts, SeqScan first, each with its
-        ``est_cost``.
+        ``est_cost``."""
+        access = self._access(table_name, alias, pushed)
+        paths, est_rows = access.paths(_Bind((), {}, {}))
+        return [access.make(path, est_rows) for path in paths]
 
-        A path's filter is costed by :func:`filter_evals` — the
-        evaluation ticks the executor charges for it — so a guard OR
-        costs about its width on every row that reaches it.
-        """
-        table = self.catalog.table(table_name)
-        stats = self.stats.get(table)
-        p = self.personality
-        # Each pushed conjunct is estimated once per plan; the candidate
-        # paths below share the figures (a guarded expression's OR is
-        # hundreds of leaf estimates).
-        conj_sels, full_sel = estimate_conjunction(pushed, stats)
-        out_rows = full_sel * stats.row_count
-
-        binding = RowBinding.for_table(alias, table.schema.names)
-
-        seq = SeqScanPlan(table_name=table.name, alias=alias, filter=make_and(pushed))
-        seq.binding = binding
-        seq.est_rows = out_rows
-        seq.est_cost = (
-            stats.page_count * p.seq_page_cost
-            + stats.row_count * p.cpu_tuple_cost
-            + filter_evals(pushed, conj_sels, stats.row_count) * p.cpu_predicate_cost
-        )
-        candidates: list[PlanNode] = [seq]
-        candidates += self._index_scan_candidates(
-            table.name, alias, pushed, conj_sels, stats, binding, out_rows
-        )
-        if p.supports_bitmap_or:
-            bitmap = self._bitmap_or_candidate(
-                table.name, alias, pushed, conj_sels, stats, binding, out_rows
-            )
-            if bitmap is not None:
-                candidates.append(bitmap)
-        return candidates
-
-    def _apply_hint(self, candidates: list[PlanNode], hint: IndexHint | None) -> PlanNode:
+    def _apply_hint(self, candidates: list[_Path], hint: IndexHint | None) -> _Path:
         seq = candidates[0]
 
-        def cheapest(nodes: list[PlanNode]) -> PlanNode:
-            return min(nodes, key=lambda node: node.est_cost)
+        def cheapest(paths: list[_Path]) -> _Path:
+            return min(paths, key=lambda path: path.est_cost)
 
         if hint is None or not self.personality.honors_index_hints:
             return cheapest(candidates)
         names = {n.lower() for n in hint.index_names}
 
-        def index_name_of(node: PlanNode) -> str | None:
-            if isinstance(node, IndexScanPlan):
-                return node.index_name.lower()
-            return None
+        def index_name_of(path: _Path) -> str | None:
+            return path.index_name.lower() if path.index_name is not None else None
 
         if hint.kind == "FORCE":
-            forced = [node for node in candidates if index_name_of(node) in names]
+            forced = [path for path in candidates if index_name_of(path) in names]
             if forced:
                 return cheapest(forced)
             return seq  # MySQL: table scan only when the index is unusable
@@ -439,132 +814,47 @@ class Planner:
                 return seq  # USE INDEX () => avoid all indexes
             return cheapest(
                 [
-                    node
-                    for node in candidates
-                    if index_name_of(node) in names or isinstance(node, SeqScanPlan)
+                    path
+                    for path in candidates
+                    if index_name_of(path) in names or path.kind is SeqScanPlan
                 ]
             )
         # IGNORE
-        return cheapest([node for node in candidates if index_name_of(node) not in names])
+        return cheapest([path for path in candidates if index_name_of(path) not in names])
 
-    def _index_scan_candidates(
-        self,
-        table_name: str,
-        alias: str,
-        pushed: list[Expr],
-        conj_sels: list[float],
-        stats: TableStats,
-        binding: RowBinding,
-        out_rows: float,
-    ) -> list[PlanNode]:
-        p = self.personality
-        out: list[PlanNode] = []
-        for conj, sel in zip(pushed, conj_sels):
-            spec = self._sargable(conj)
-            if spec is None:
-                continue
-            index = self.catalog.index_on_column(table_name, spec.column)
-            if index is None:
-                continue
-            if index.kind == "hash" and not all(pr.is_point for pr in spec.probes):
-                continue
-            match_rows = sel * stats.row_count
-            height = getattr(index, "height", 1)
-            residual_parts = [c for c in pushed if c is not conj]
-            residual_sels = [s for c, s in zip(pushed, conj_sels) if c is not conj]
-            cstats = stats.column(spec.column)
-            correlation = cstats.correlation if cstats is not None else 0.0
-            node = IndexScanPlan(
-                table_name=table_name,
-                alias=alias,
-                index_name=index.name,
-                column=spec.column,
-                probes=spec.probes,
-                filter=make_and(residual_parts),
-            )
-            node.binding = binding
-            node.est_rows = out_rows
-            node.est_cost = (
-                len(spec.probes) * height * p.index_node_cost
-                + expected_pages(
-                    match_rows, stats.page_count, correlation, stats.row_count
-                )
-                * p.random_page_cost
-                + match_rows * p.cpu_tuple_cost
-                + filter_evals(residual_parts, residual_sels, match_rows) * p.cpu_predicate_cost
-            )
-            out.append(node)
-        return out
-
-    def _bitmap_or_candidate(
-        self,
-        table_name: str,
-        alias: str,
-        pushed: list[Expr],
-        conj_sels: list[float],
-        stats: TableStats,
-        binding: RowBinding,
-        out_rows: float,
-    ) -> PlanNode | None:
-        """A BitmapOr over a top-level OR conjunct, if one qualifies."""
-        p = self.personality
-        version = self.catalog.version  # read before any arm derived under it
-        best: PlanNode | None = None
-        for conj in pushed:
-            if not isinstance(conj, Or):
-                continue
-            arms: list[tuple[str, str, list[IndexProbe]]] = []
-            total_sel = 0.0
-            feasible = True
-            for disjunct in disjuncts(conj):
-                # A guard branch reaches every plan of its querier as
-                # the same node until a policy write touches that guard,
-                # and its arm depends on the node, the statistics and
-                # which indexes exist: the node remembers it with both
-                # (as ``cardinality._estimate`` does the selectivity).
-                known = disjunct.__dict__.get("_arm")
-                if known is not None and known[0]() is stats and known[1] == version:
-                    arm = known[2]
-                else:
-                    arm = self._best_arm(table_name, disjunct, stats)
-                    object.__setattr__(disjunct, "_arm", (weakref.ref(stats), version, arm))
-                if arm is None:
-                    feasible = False
-                    break
-                index_name, column, probes, sel = arm
-                arms.append((index_name, column, probes))
-                total_sel += sel
-            if not feasible or not arms:
-                continue
-            total_sel = min(1.0, total_sel)
-            fetch_rows = total_sel * stats.row_count
-            pages = stats.page_count
-            est_pages = pages * (1.0 - (1.0 - 1.0 / max(1, pages)) ** fetch_rows)
-            n_probes = sum(len(probes) for _, _, probes in arms)
-            # Every fetched row satisfies an arm and every row the OR
-            # admits is fetched, so it admits sel / total_sel of them.
-            filter_sels = [
-                (sel / total_sel if sel < total_sel else 1.0) if c is conj else sel
-                for c, sel in zip(pushed, conj_sels)
-            ]
-            node = BitmapOrPlan(
-                table_name=table_name,
-                alias=alias,
-                arms=arms,
-                filter=make_and(pushed),
-            )
-            node.binding = binding
-            node.est_rows = out_rows
-            node.est_cost = (
-                n_probes * 2 * p.index_node_cost
-                + fetch_rows * p.index_node_cost
-                + est_pages * p.bitmap_page_cost
-                + fetch_rows * p.cpu_tuple_cost
-                + filter_evals(pushed, filter_sels, fetch_rows) * p.cpu_predicate_cost
-            )
-            if best is None or node.est_cost < best.est_cost:
-                best = node
-        return best
+    def _or_arms(
+        self, table_name: str, conj: Expr, stats: TableStats, version: int
+    ) -> tuple[list, float, float, float, int] | None:
+        """A BitmapOr over the OR ``conj``, if every disjunct carries an
+        indexable component: ``(arms, total_sel, fetch_rows, est_pages,
+        n_probes)``, none of which any other conjunct moves."""
+        arms: list[tuple[str, str, list[IndexProbe]]] = []
+        total_sel = 0.0
+        for disjunct in disjuncts(conj):
+            # A guard branch reaches every plan of its querier as the
+            # same node until a policy write touches that guard, and its
+            # arm depends on the node, the statistics and which indexes
+            # exist: the node remembers it with both (as
+            # ``cardinality._estimate`` does the selectivity).
+            known = disjunct.__dict__.get("_arm")
+            if known is not None and known[0]() is stats and known[1] == version:
+                arm = known[2]
+            else:
+                arm = self._best_arm(table_name, disjunct, stats)
+                object.__setattr__(disjunct, "_arm", (weakref.ref(stats), version, arm))
+            if arm is None:
+                return None
+            index_name, column, probes, sel = arm
+            arms.append((index_name, column, probes))
+            total_sel += sel
+        if not arms:
+            return None
+        total_sel = min(1.0, total_sel)
+        fetch_rows = total_sel * stats.row_count
+        pages = stats.page_count
+        est_pages = pages * (1.0 - (1.0 - 1.0 / max(1, pages)) ** fetch_rows)
+        n_probes = sum(len(probes) for _, _, probes in arms)
+        return arms, total_sel, fetch_rows, est_pages, n_probes
 
     def _best_arm(
         self, table_name: str, disjunct: Expr, stats: TableStats
@@ -586,12 +876,46 @@ class Planner:
         return best
 
     @staticmethod
+    def _sargable_shape(conj: Expr) -> tuple[str, bool] | None:
+        """``(column, probes are points)`` of a conjunct an index can
+        probe once its operands are values — a column compared with
+        literals or parameters — decided on the node type and its
+        operands alone.  :meth:`_sargable` reads the values."""
+        if isinstance(conj, Comparison):
+            if isinstance(conj.left, ColumnRef) and isinstance(conj.right, _OPERANDS):
+                col, op = conj.left.name, conj.op
+            elif isinstance(conj.right, ColumnRef) and isinstance(conj.left, _OPERANDS):
+                col, op = conj.right.name, conj.op.flip()
+            else:
+                return None
+            if op is CompareOp.EQ:
+                return col, True
+            return (col, False) if op in _RANGE_OPS else None
+        if isinstance(conj, Between) and not conj.negated:
+            if (
+                isinstance(conj.expr, ColumnRef)
+                and isinstance(conj.low, _OPERANDS)
+                and isinstance(conj.high, _OPERANDS)
+            ):
+                return conj.expr.name, False
+            return None
+        if isinstance(conj, InList) and not conj.negated:
+            if isinstance(conj.expr, ColumnRef) and all(
+                isinstance(i, _OPERANDS) for i in conj.items
+            ):
+                return conj.expr.name, True
+        return None
+
+    @staticmethod
     def _sargable(conj: Expr) -> _Sargable | None:
         """Extract an index-probe spec from one conjunct, if possible.
 
-        Only a column compared with literals qualifies, so the node type
-        and its operands decide without walking the tree — a policy-wide
-        OR (or anything holding a subquery) is turned away at once."""
+        Only a column compared with non-NULL literals qualifies, so the
+        node type and its operands decide without walking the tree — a
+        policy-wide OR (or anything holding a subquery) is turned away
+        at once.  A NULL bound or list item admits no row an index
+        could find (``x BETWEEN NULL AND 4`` is never true), so it
+        disqualifies the conjunct rather than open that side."""
         if isinstance(conj, Comparison):
             col, value, op = None, None, conj.op
             if isinstance(conj.left, ColumnRef) and isinstance(conj.right, Literal):
@@ -616,6 +940,8 @@ class Planner:
                 isinstance(conj.expr, ColumnRef)
                 and isinstance(conj.low, Literal)
                 and isinstance(conj.high, Literal)
+                and conj.low.value is not None
+                and conj.high.value is not None
             ):
                 return _Sargable(
                     conj.expr.name,
@@ -625,7 +951,7 @@ class Planner:
             return None
         if isinstance(conj, InList) and not conj.negated:
             if isinstance(conj.expr, ColumnRef) and all(
-                isinstance(i, Literal) for i in conj.items
+                isinstance(i, Literal) and i.value is not None for i in conj.items
             ):
                 probes = [IndexProbe.point(i.value) for i in conj.items]  # type: ignore[union-attr]
                 return _Sargable(conj.expr.name, probes, conj)
@@ -633,14 +959,9 @@ class Planner:
 
     # ----------------------------------------------------------------- joins
 
-    def _fold_joins(
-        self,
-        sources: list[_Source],
-        multi: list[Expr],
-        by_alias: dict[str, _Source],
-    ) -> PlanNode:
+    def _fold_joins(self, sources: list[_Source], multi: list[Expr]) -> _Step:
         remaining = list(multi)
-        combined = sources[0].plan
+        combined = sources[0].step
         assert combined is not None
         combined_aliases = {sources[0].alias.lower()}
 
@@ -655,112 +976,107 @@ class Planner:
                 else:
                     rest.append(conj)
             remaining = rest
-            combined = self._join_pair(combined, combined_aliases, source, usable)
+            combined = self._join_pair(combined, source, usable)
             combined_aliases = next_aliases
 
-        if remaining:
-            pred = make_and(remaining)
-            inner = combined
-            combined = FilterPlan(child=inner, expr=pred)
-            combined.binding = inner.binding
-            combined.est_rows = inner.est_rows / 3.0
-            combined.est_cost = (
-                inner.est_cost
-                + filter_evals(remaining, [DEFAULT_SELECTIVITY] * len(remaining), inner.est_rows)
-                * self.personality.cpu_predicate_cost
-            )
-        return combined
+        if not remaining:
+            return combined
+        below, parts = combined, _Parts(remaining)
+        cpu_pred = self.personality.cpu_predicate_cost
 
-    def _join_pair(
-        self,
-        left: PlanNode,
-        left_aliases: set[str],
-        right_source: _Source,
-        conds: list[Expr],
-    ) -> PlanNode:
-        right = right_source.plan
+        def bind_filter(b: _Bind) -> PlanNode:
+            inner = below.bind(b)
+            bound = parts.bound(b)
+            return FilterPlan(
+                binding=inner.binding,
+                est_rows=inner.est_rows / 3.0,
+                est_cost=inner.est_cost
+                + filter_evals(bound, [DEFAULT_SELECTIVITY] * len(bound), inner.est_rows)
+                * cpu_pred,
+                child=inner,
+                expr=make_and(bound),
+            )
+
+        return _Step(below.binding, bind_filter)
+
+    def _join_pair(self, left: _Step, right_source: _Source, conds: list[Expr]) -> _Step:
+        right = right_source.step
         assert right is not None
         p = self.personality
 
         equi: list[tuple[Expr, Expr, Expr]] = []  # (left key, right key, conjunct)
         residual_parts: list[Expr] = []
         for conj in conds:
-            pair = self._equi_pair(conj, left, right)
+            pair = self._equi_pair(conj, left.binding, right.binding)
             if pair is not None:
                 equi.append((pair[0], pair[1], conj))
             else:
                 residual_parts.append(conj)
-        residual = make_and(residual_parts)
+        residual_template = _Parts(residual_parts)
 
         joined_binding = RowBinding()
-        for alias, names in self._binding_tables(left):
+        for alias, names in self._binding_tables(left.binding):
             joined_binding.add_table(alias, names)
-        for alias, names in self._binding_tables(right):
+        for alias, names in self._binding_tables(right.binding):
             joined_binding.add_table(alias, names)
 
-        out_rows = max(1.0, left.est_rows) * max(1.0, right.est_rows)
-        if equi:
-            out_rows = max(left.est_rows, right.est_rows, 1.0)
+        # Index nested-loop candidates: right is a bare base-table scan
+        # (known per binding) and one equi key is its indexed column.
+        inl = self._index_nl_specs(right_source, equi)
+        left_keys = [lk for lk, _, _ in equi]
+        right_keys = [rk for _, rk, _ in equi]
 
-        # Index nested-loop candidate: right is a bare base-table scan and
-        # one equi key is its indexed column.
-        inl = self._index_nl_candidate(left, right_source, equi, residual, joined_binding)
-
-        if equi:
-            hash_cost = (
-                left.est_cost
-                + right.est_cost
-                + (left.est_rows + right.est_rows) * p.cpu_tuple_cost * 2
+        def bind_join(b: _Bind) -> PlanNode:
+            lhs, rhs = left.bind(b), right.bind(b)
+            residual = make_and(residual_template.bound(b))
+            out_rows = max(1.0, lhs.est_rows) * max(1.0, rhs.est_rows)
+            if equi:
+                out_rows = max(lhs.est_rows, rhs.est_rows, 1.0)
+            index_nl = None
+            if inl and isinstance(rhs, SeqScanPlan):
+                index_nl = self._index_nl_join(lhs, rhs, right_source, inl, residual, joined_binding)
+            if equi:
+                hash_cost = (
+                    lhs.est_cost
+                    + rhs.est_cost
+                    + (lhs.est_rows + rhs.est_rows) * p.cpu_tuple_cost * 2
+                )
+                if index_nl is not None and index_nl.est_cost < hash_cost:
+                    return index_nl
+                return HashJoinPlan(
+                    binding=joined_binding,
+                    est_rows=out_rows,
+                    est_cost=hash_cost,
+                    left=lhs,
+                    right=rhs,
+                    left_keys=left_keys,
+                    right_keys=right_keys,
+                    residual=residual,
+                )
+            if index_nl is not None:
+                return index_nl
+            return NLJoinPlan(
+                binding=joined_binding,
+                est_rows=out_rows / 3.0 if residual is not None else out_rows,
+                est_cost=lhs.est_cost + max(1.0, lhs.est_rows) * rhs.est_cost,
+                left=lhs,
+                right=rhs,
+                condition=residual,
             )
-            node: PlanNode = HashJoinPlan(
-                left=left,
-                right=right,
-                left_keys=[lk for lk, _, _ in equi],
-                right_keys=[rk for _, rk, _ in equi],
-                residual=residual,
-            )
-            node.binding = joined_binding
-            node.est_rows = out_rows
-            node.est_cost = hash_cost
-            if inl is not None and inl.est_cost < hash_cost:
-                return inl
-            return node
 
-        if inl is not None:
-            return inl
-        node = NLJoinPlan(left=left, right=right, condition=residual)
-        node.binding = joined_binding
-        node.est_rows = out_rows / 3.0 if residual is not None else out_rows
-        node.est_cost = (
-            left.est_cost + max(1.0, left.est_rows) * right.est_cost
-        )
-        return node
+        return _Step(joined_binding, bind_join)
 
-    def _index_nl_candidate(
-        self,
-        left: PlanNode,
-        right_source: _Source,
-        equi: list[tuple[Expr, Expr, Expr]],
-        residual: Expr | None,
-        joined_binding: RowBinding,
-    ) -> IndexNLJoinPlan | None:
+    def _index_nl_specs(
+        self, right_source: _Source, equi: list[tuple[Expr, Expr, Expr]]
+    ) -> list[tuple[Any, str, Expr, float, list[Expr]]]:
+        """Per equi key on an indexed column of the right base table:
+        ``(index, column, outer key, rows per probe, the other equi
+        conditions)`` — the index nested-loop join's literal-free half."""
         if right_source.table_name is None or not equi:
-            return None
-        right_plan = right_source.plan
-        inner_filter: Expr | None = None
-        if isinstance(right_plan, SeqScanPlan):
-            inner_filter = right_plan.filter
-        elif isinstance(right_plan, (IndexScanPlan, BitmapOrPlan)):
-            # Reconstructing pushed predicates from an index plan is
-            # messier; only SeqScan right sides become INL inners.
-            return None
-        else:
-            return None
-        p = self.personality
+            return []
         table = self.catalog.table(right_source.table_name)
         stats = self.stats.get(table)
-        best: IndexNLJoinPlan | None = None
-        used_key_conj: Expr | None = None
+        specs = []
         for left_key, right_key, conj in equi:
             if not isinstance(right_key, ColumnRef):
                 continue
@@ -771,56 +1087,67 @@ class Planner:
             avg_match = (
                 stats.row_count / max(1, cstats.ndv) if cstats is not None else 1.0
             )
-            height = getattr(index, "height", 1)
-            cost = left.est_cost + max(1.0, left.est_rows) * (
-                height * p.index_node_cost
-                + avg_match * (p.random_page_cost + p.cpu_tuple_cost)
-            )
             other_equis = [
                 Comparison(CompareOp.EQ, lk, rk)
                 for lk, rk, c in equi
                 if c is not conj
             ]
-            full_residual = make_and(
-                [e for e in ([residual] + other_equis) if e is not None]
-            )
-            node = IndexNLJoinPlan(
-                left=left,
-                inner_table=table.name,
-                inner_alias=right_source.alias,
-                inner_index=index.name,
-                inner_column=right_key.name,
-                outer_key=left_key,
-                inner_filter=inner_filter,
-                residual=full_residual,
-            )
-            node.binding = joined_binding
-            node.est_rows = max(left.est_rows, 1.0) * avg_match
-            node.est_cost = cost
-            if best is None or cost < best.est_cost:
-                best = node
-                used_key_conj = conj
-        del used_key_conj
-        return best
+            specs.append((index, right_key.name, left_key, avg_match, other_equis))
+        return specs
 
+    def _index_nl_join(
+        self,
+        left: PlanNode,
+        right: SeqScanPlan,
+        right_source: _Source,
+        specs: list,
+        residual: Expr | None,
+        joined_binding: RowBinding,
+    ) -> IndexNLJoinPlan:
+        p = self.personality
+        best = None
+        best_cost = 0.0
+        for spec in specs:
+            index, avg_match = spec[0], spec[3]
+            height = getattr(index, "height", 1)
+            cost = left.est_cost + max(1.0, left.est_rows) * (
+                height * p.index_node_cost + avg_match * (p.random_page_cost + p.cpu_tuple_cost)
+            )
+            if best is None or cost < best_cost:
+                best, best_cost = spec, cost
+        index, column, outer_key, avg_match, other_equis = best
+        return IndexNLJoinPlan(
+            binding=joined_binding,
+            est_rows=max(left.est_rows, 1.0) * avg_match,
+            est_cost=best_cost,
+            left=left,
+            inner_table=right.table_name,
+            inner_alias=right_source.alias,
+            inner_index=index.name,
+            inner_column=column,
+            outer_key=outer_key,
+            inner_filter=right.filter,
+            residual=make_and([e for e in ([residual] + other_equis) if e is not None]),
+        )
+
+    @staticmethod
     def _equi_pair(
-        self, conj: Expr, left: PlanNode, right: PlanNode
+        conj: Expr, left: RowBinding, right: RowBinding
     ) -> tuple[Expr, Expr] | None:
         if not isinstance(conj, Comparison) or conj.op is not CompareOp.EQ:
             return None
         a, b = conj.left, conj.right
         if not isinstance(a, ColumnRef) or not isinstance(b, ColumnRef):
             return None
-        if left.binding.has(a) and right.binding.has(b):
+        if left.has(a) and right.has(b):
             return (a, b)
-        if left.binding.has(b) and right.binding.has(a):
+        if left.has(b) and right.has(a):
             return (b, a)
         return None
 
     @staticmethod
-    def _binding_tables(plan: PlanNode) -> list[tuple[str, list[str]]]:
-        """Recover (alias, columns) groups from a plan's binding."""
-        binding = plan.binding
+    def _binding_tables(binding: RowBinding) -> list[tuple[str, list[str]]]:
+        """Recover (alias, columns) groups from a binding."""
         groups: dict[str, list[str]] = {}
         order: list[str] = []
         # RowBinding does not retain the alias partition explicitly, so we
@@ -837,16 +1164,14 @@ class Planner:
 
     # ---------------------------------------------------- aggregation & proj
 
-    def _plan_aggregation_and_projection(
-        self, select: Select, child: PlanNode
-    ) -> PlanNode:
+    def _prepare_aggregation_and_projection(self, select: Select, child: _Step) -> _Step:
         has_aggregates = any(
             self._find_aggregates(item.expr) for item in select.items
         ) or (select.having is not None and bool(self._find_aggregates(select.having)))
         if not select.group_by and not has_aggregates:
             if select.having is not None:
                 raise PlanError("HAVING without aggregation or GROUP BY")
-            return self._plan_projection(select, child)
+            return self._prepare_projection(select, child)
 
         group_exprs = list(select.group_by)
         agg_calls: list[FuncCall] = []
@@ -868,13 +1193,22 @@ class Planner:
                 arg = call.args[0]
             specs.append(AggSpec(func=call.name.lower(), arg=arg, distinct=call.distinct))
 
-        agg = AggregatePlan(child=child, group_exprs=group_exprs, aggregates=specs)
         out_names = [f"g{i}" for i in range(len(group_exprs))] + [
             f"a{i}" for i in range(len(specs))
         ]
-        agg.binding = RowBinding.for_table("_agg", out_names)
-        agg.est_rows = max(1.0, child.est_rows / 10.0)
-        agg.est_cost = child.est_cost + child.est_rows * self.personality.cpu_tuple_cost
+        agg_binding = RowBinding.for_table("_agg", out_names)
+        cpu_tuple = self.personality.cpu_tuple_cost
+
+        def bind_aggregate(b: _Bind) -> PlanNode:
+            inner = child.bind(b)
+            return AggregatePlan(
+                binding=agg_binding,
+                est_rows=max(1.0, inner.est_rows / 10.0),
+                est_cost=inner.est_cost + inner.est_rows * cpu_tuple,
+                child=inner,
+                group_exprs=group_exprs,
+                aggregates=specs,
+            )
 
         substitutions: dict[Expr, Expr] = {}
         for i, gexpr in enumerate(group_exprs):
@@ -882,14 +1216,22 @@ class Planner:
         for j, call in enumerate(agg_calls):
             substitutions[call] = ColumnRef(f"a{j}")
 
-        plan: PlanNode = agg
+        step = _Step(agg_binding, bind_aggregate)
         if select.having is not None:
             having_expr = self._substitute(select.having, substitutions)
-            inner = plan
-            plan = FilterPlan(child=inner, expr=having_expr)
-            plan.binding = inner.binding
-            plan.est_rows = inner.est_rows / 3.0
-            plan.est_cost = inner.est_cost
+            aggregated = step
+
+            def bind_having(b: _Bind) -> PlanNode:
+                inner = aggregated.bind(b)
+                return FilterPlan(
+                    binding=inner.binding,
+                    est_rows=inner.est_rows / 3.0,
+                    est_cost=inner.est_cost,
+                    child=inner,
+                    expr=having_expr,
+                )
+
+            step = _Step(agg_binding, bind_having)
 
         exprs: list[Expr] = []
         names: list[str] = []
@@ -898,19 +1240,29 @@ class Planner:
                 raise PlanError("SELECT * cannot be combined with aggregation")
             exprs.append(self._substitute(item.expr, substitutions))
             names.append(item.output_name)
-        proj = ProjectPlan(child=plan, exprs=exprs, names=names)
-        proj.binding = RowBinding.for_table("_out", names)
-        proj.est_rows = plan.est_rows
-        proj.est_cost = plan.est_cost
-        return proj
+        binding = RowBinding.for_table("_out", names)
+        below = step
 
-    def _plan_projection(self, select: Select, child: PlanNode) -> PlanNode:
+        def bind_projection(b: _Bind) -> PlanNode:
+            inner = below.bind(b)
+            return ProjectPlan(
+                binding=binding,
+                est_rows=inner.est_rows,
+                est_cost=inner.est_cost,
+                child=inner,
+                exprs=exprs,
+                names=names,
+            )
+
+        return _Step(binding, bind_projection, projected=below)
+
+    def _prepare_projection(self, select: Select, child: _Step) -> _Step:
         exprs: list[Expr] = []
         names: list[str] = []
         star_only = all(isinstance(i.expr, Star) for i in select.items)
         for item in select.items:
             if isinstance(item.expr, Star):
-                for alias, cols in self._binding_tables(child):
+                for alias, cols in self._binding_tables(child.binding):
                     if item.expr.table is not None and alias != item.expr.table.lower():
                         continue
                     for col in cols:
@@ -923,11 +1275,21 @@ class Planner:
             # Pure SELECT *: pass rows through untouched (keeps qualified
             # names resolvable for ORDER BY etc.).
             return child
-        proj = ProjectPlan(child=child, exprs=exprs, names=names)
-        proj.binding = RowBinding.for_table("_out", names)
-        proj.est_rows = child.est_rows
-        proj.est_cost = child.est_cost + child.est_rows * self.personality.cpu_tuple_cost
-        return proj
+        binding = RowBinding.for_table("_out", names)
+        cpu_tuple = self.personality.cpu_tuple_cost
+
+        def bind_projection(b: _Bind) -> PlanNode:
+            inner = child.bind(b)
+            return ProjectPlan(
+                binding=binding,
+                est_rows=inner.est_rows,
+                est_cost=inner.est_cost + inner.est_rows * cpu_tuple,
+                child=inner,
+                exprs=exprs,
+                names=names,
+            )
+
+        return _Step(binding, bind_projection, projected=child)
 
     def _find_aggregates(self, expr: Expr) -> list[FuncCall]:
         out: list[FuncCall] = []

@@ -229,3 +229,70 @@ def test_refresh_propagates_new_rows(request, workload):
         )
         world.db.delete_row(world.table, rowid)
         world.backend.refresh(world.db, world.table)
+
+
+# ------------------------------------------------- NULL bounds and items
+#
+# SQL in WHERE: a BETWEEN with a NULL bound is never true, NOT BETWEEN is
+# true only past its non-NULL bound, and NOT IN with a NULL item is never
+# true.  SQLite is the reference; the bundled engine must agree on every
+# path — the planner's index probes (a NULL bound is not "unbounded"),
+# the product's generated code and the tuple oracle's closures — plain,
+# through Sieve, and with a ``?`` bound to NULL.
+
+NULL_PREDICATES = [
+    "ts_date BETWEEN NULL AND 4",
+    "ts_date BETWEEN 2 AND NULL",
+    "ts_date NOT BETWEEN NULL AND 4",
+    "ts_date NOT BETWEEN 2 AND NULL",
+    "ts_date NOT BETWEEN NULL AND NULL",
+    "owner NOT IN (NULL, 2)",
+    "owner IN (NULL, 2)",
+    "owner NOT IN (shop_id, NULL)",
+    "ts_date BETWEEN shop_id AND NULL",
+    "ts_date NOT BETWEEN NULL AND shop_id",
+]
+
+
+@pytest.mark.parametrize("predicate", NULL_PREDICATES)
+def test_null_bounds_and_items_answer_as_sqlite(mall_world, predicate):
+    world = mall_world
+    sql = f"SELECT id FROM {world.table} WHERE {predicate}"
+    expected = sorted(world.backend.execute(sql).rows)
+    try:
+        for vectorized in (True, False):
+            world.db.vectorized = vectorized
+            assert sorted(world.db.execute(sql).rows) == expected, (vectorized, sql)
+            for querier in world.queriers:
+                assert sorted(world.sieve.execute(sql, querier, world.purpose).rows) == sorted(
+                    world.sieve_backend.execute(sql, querier, world.purpose).rows
+                ), (vectorized, querier, sql)
+    finally:
+        world.db.vectorized = True
+
+
+@pytest.mark.parametrize(
+    "template, values",
+    [
+        ("ts_date BETWEEN ? AND ?", (None, 4)),
+        ("ts_date BETWEEN ? AND ?", (2, None)),
+        ("ts_date NOT BETWEEN ? AND ?", (None, 4)),
+        ("owner NOT IN (?, ?)", (None, 2)),
+        ("owner IN (?, ?)", (None, 2)),
+    ],
+)
+def test_a_parameter_bound_to_null_answers_as_sqlite(mall_world, template, values):
+    """The prepared path binds the NULL into a template planned for
+    values: the index candidate of a NULL-bound conjunct is dropped per
+    binding, and the rows are SQLite's for the bound text."""
+    world = mall_world
+    template = f"SELECT id FROM {world.table} WHERE {template}"
+    for querier in world.queriers:
+        prepared = world.sieve.prepare(template, querier, world.purpose)
+        prepared.execute([1, 3])  # the template is planned for values first
+        got = sorted(prepared.execute(list(values)).rows)
+        bound = to_sql(parse_query(template.replace("?", "{}").format(*("NULL" if v is None else v for v in values))))
+        assert got == sorted(world.sieve_backend.execute(bound, querier, world.purpose).rows), (
+            querier,
+            bound,
+        )

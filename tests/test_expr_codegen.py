@@ -863,7 +863,7 @@ def test_one_cache_entry_per_conjunct_shape():
         run("a BETWEEN 0 AND 0 AND b IN (2)", lambda r: r[0] == 0 and r[1] == 2)
         run("a BETWEEN 0 AND 9 AND b IN (0, 1, 2, NULL)", lambda r: r[1] is not None)
         assert compiles == [] and len(cache) == held
-        run("a BETWEEN 0 AND 9 AND b NOT IN (0, NULL)", lambda r: r[1] in (1, 2))
+        run("a BETWEEN 0 AND 9 AND b NOT IN (0, NULL)", lambda r: False)  # never true in SQL
         run("a < 3", lambda r: r[0] < 3)
         run("a <= 3", lambda r: r[0] <= 3)
         assert len(compiles) == 3 and len(cache) == held + 3

@@ -728,14 +728,14 @@ def test_fresh_literal_hammer_matches_the_oracle():
 
 
 def _observe_request(db, prepared, values):
-    """(plan shape, decisions, rows) of one execution: the plan it built."""
+    """(plan shape, decisions, rows) of one execution: the plan it ran."""
     plans = []
-    real_plan = db.plan
-    db.plan = lambda query: plans.append(real_plan(query)) or plans[-1]
+    real_run = db.run_plan
+    db.run_plan = lambda planned: plans.append(planned) or real_run(planned)
     try:
         execution = prepared.execute_with_info(values)
     finally:
-        del db.plan
+        del db.run_plan
     decisions = {
         table: (d.strategy, d.query_index_column, d.delta_guards, d.costs,
                 d.guard_est_rows, d.measured_guards)
@@ -1658,3 +1658,171 @@ def test_a_policy_write_drops_the_queriers_rewrite_entry():
     assert rewrite_entries() == ["bob"]
     rows = sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics").execute([301]).rows
     assert rows == Sieve(db, store).execute("SELECT id FROM t WHERE v < 301", "alice", "analytics").rows
+
+
+# ------------------------- the plan a binding ran (one template per shape)
+#
+# A template's rewrite is planned once per decision shape (phase 1,
+# ``Planner.prepare``) and each binding binds that plan (phase 2,
+# ``PlanTemplate.bind``).  The plan it runs — read off its plan-cache
+# entry — must be exactly the plan of the bound query in a world that
+# never planned it: tree, estimated rows and estimated cost.
+
+#: Bindings every example runs first: a whole range, an empty one and
+#: a ``?`` bound to NULL — between them the enforced relation's access
+#: path flips (IndexScan / BitmapOr on PostgreSQL, IndexScan / SeqScan
+#: on MySQL, where the strategy and so the decision shape flip too).
+FLIP_VALUES = ((0, 1439), (2, 2), (None, 3))
+
+_PLANNED_WORLDS: dict = {}
+
+
+def _executed_plan(sieve, prepared, values):
+    """The PlannedQuery in ``values``' plan-cache entry, after running them."""
+    execution = prepared.execute_with_info(values)
+    key = (
+        prepared.querier,
+        prepared.purpose,
+        prepared.template_key,
+        tuple((value.__class__, value) for value in values),
+    )
+    entry = sieve.plan_cache.lookup(key, execution.policy_epoch, sieve.db.plan_version)
+    return entry.planned, execution
+
+
+def _access_path(planned, table):
+    """Node name of the scan reading ``table`` (the enforcement CTE's)."""
+    found = []
+
+    def walk(node):
+        if getattr(node, "table_name", "").lower() == table:
+            found.append(node.node_name)
+        for child in node.children():
+            if child is not None:
+                walk(child)
+
+    for plan in (planned.root, *planned.cte_plans.values()):
+        walk(plan)
+    return found[0]
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["inline", "delta"])
+@pytest.mark.parametrize("personality", ["postgres", "mysql"])
+@settings(max_examples=6, deadline=None)
+@given(
+    shape=st.integers(min_value=0, max_value=len(BOUND_SHAPES) - 1),
+    who=st.integers(min_value=0, max_value=2),
+    bindings=st.lists(
+        st.tuples(*[st.one_of(st.none(), st.integers(0, 8), st.integers(0, 1439))] * 2),
+        max_size=3,
+    ),
+)
+def test_the_plan_a_binding_ran_is_the_plan_of_its_bound_query(
+    personality, delta, shape, who, bindings
+):
+    key = ("mall", personality, delta)
+    live = _PLANNED_WORLDS.get(key)
+    if live is None:
+        live = _PLANNED_WORLDS[key] = _memo_world(*key)
+        live["sieve"].policy_store.protect("Users")
+    sieve, table, purpose = live["sieve"], live["table"], live["purpose"]
+    querier = live["queriers"][who % len(live["queriers"])]
+    prepared = sieve.prepare(BOUND_SHAPES[shape].format(table=table), querier, purpose)
+    paths, decision_shapes = set(), set()
+    for values in FLIP_VALUES + tuple(bindings):
+        executed, execution = _executed_plan(sieve, prepared, values)
+        bound = to_sql(bind_query(prepared.template, values))
+        cold = _memo_world(*key)
+        cold["sieve"].policy_store.protect("Users")
+        reference = cold["db"].plan(cold["sieve"].rewrite(bound, querier, purpose))
+        assert _plan_shape(executed) == _plan_shape(reference), (personality, delta, bound)
+        if values in FLIP_VALUES:
+            paths.add(_access_path(executed, table.lower()))
+            decision_shapes.add(
+                tuple(sieve.rewriter.decision_shape(d) for d in execution.rewrite.decisions.values())
+            )
+    if shape < 2:  # one range over the enforced relation: the flips show
+        assert paths == {"IndexScan", "BitmapOr" if personality == "postgres" else "SeqScan"}
+        assert len(decision_shapes) == (2 if personality == "mysql" else 1)
+
+
+def _counting_prepares(monkeypatch) -> list[int]:
+    from repro.optimizer.planner import Planner
+
+    calls = [0]
+    real = Planner.prepare
+
+    def counting(self, query):
+        calls[0] += 1
+        return real(self, query)
+
+    monkeypatch.setattr(Planner, "prepare", counting)
+    return calls
+
+
+def test_a_plan_template_is_fenced_like_its_rewrite(monkeypatch):
+    """Between two bindings of one template, CREATE INDEX and ANALYZE
+    make the next binding prepare the template again — and plan as the
+    bound query plans outright, with the new index and the new
+    statistics — and a policy write drops it; a fresh binding alone
+    prepares nothing."""
+    world = _memo_world("mall", "postgres", False)
+    db, sieve, table = world["db"], world["sieve"], world["table"]
+    querier, purpose = world["queriers"][0], world["purpose"]
+    prepares = _counting_prepares(monkeypatch)
+    prepared = sieve.prepare(f"SELECT * FROM {table} WHERE id BETWEEN ? AND ?", querier, purpose)
+
+    def run(values):
+        """The plan ``values`` ran (the plan of its bound rewrite planned
+        outright), and the templates prepared to run it."""
+        before = prepares[0]
+        executed, execution = _executed_plan(sieve, prepared, values)
+        ran = prepares[0] - before
+        assert _plan_shape(executed) == _plan_shape(db.plan(execution.rewrite.rewritten))
+        return executed, ran
+
+    assert run((100, 110))[1] == 1
+    executed, ran = run((120, 130))
+    assert ran == 0  # a fresh literal binds the template
+    assert _access_path(executed, table.lower()) != "IndexScan"
+
+    db.create_index(table, "id")
+    executed, ran = run((140, 150))
+    assert ran == 1 and _access_path(executed, table.lower()) == "IndexScan"
+
+    (entry,) = [entry for key, entry in sieve.plan_cache._entries.items() if len(key) == 5]
+    db.insert(table, [(5000 + i, 0, 0, 700, 1) for i in range(150)])  # within the staleness ratio
+    db.analyze()
+    executed, ran = run((141, 151))
+    assert ran == 1
+    assert _plan_shape(executed) != _plan_shape(entry.planned.bind((141, 151)))  # it would be stale
+
+    sieve.policy_store.insert(
+        Policy(
+            owner=0,
+            querier=querier,
+            purpose=purpose,
+            table=table,
+            object_conditions=(ObjectCondition("owner", "=", 0),),
+        )
+    )
+    assert run((160, 170))[1] == 1
+
+
+def test_a_drift_past_the_staleness_ratio_prepares_the_template_again(monkeypatch):
+    """A table that drifts past the staleness ratio has its statistics
+    rebuilt when planning next reads them.  Nothing before planning
+    reads an unprotected relation's, so the fence still serves the
+    template: it checks the statistics it read are current, the next
+    binding prepares it again, and plans as the bound rewrite plans
+    outright."""
+    world = _memo_world("mall", "postgres", False)
+    db, sieve, table = world["db"], world["sieve"], world["table"]
+    querier, purpose = world["queriers"][0], world["purpose"]
+    prepared = sieve.prepare(BOUND_SHAPES[3].format(table=table), querier, purpose)
+    _executed_plan(sieve, prepared, (1, 3))
+    prepares = _counting_prepares(monkeypatch)
+    db.insert("Shop", [(100 + i, f"shop-x{i}", "food") for i in range(8)])  # 12 rows before
+    executed, execution = _executed_plan(sieve, prepared, (2, 4))
+    assert prepares[0] == 1
+    assert _plan_shape(executed) == _plan_shape(db.plan(execution.rewrite.rewritten))

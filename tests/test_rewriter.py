@@ -217,7 +217,7 @@ class TestRewriteShares:
             "SELECT id FROM wifi WHERE ts_date = 3 AND id IN (SELECT id FROM plain) "
             "AND owner IN (SELECT owner FROM wifi) ORDER BY id"
         )
-        execution, _ = self.sieve._prepare(original, "prof", "analytics")
+        execution = self.sieve._prepare(original, "prof", "analytics")[0]
         expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")
         rewritten, _info = self.sieve.rewriter.rewrite(
             original, {"wifi": expression}, execution.rewrite.decisions
@@ -232,7 +232,7 @@ class TestRewriteShares:
         assert new_wifi_in.select.body.from_items[0].name == "wifi_sieve"
 
     def test_guard_or_in_the_cte_is_the_expressions_node(self):
-        execution, rewritten = self.sieve._prepare(
+        execution, rewritten, _plan = self.sieve._prepare(
             "SELECT * FROM wifi WHERE ts_date = 3", "prof", "analytics"
         )
         expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")

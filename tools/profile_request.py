@@ -7,31 +7,35 @@ started (its statement memo, or parse, auto-parameterize and
 ``Sieve.prepare`` once per (querier, shape)), then
 ``PreparedQuery.execute`` per request — single-threaded under
 ``cProfile``.  Prints the median request time timed plainly and the
-``parse_query`` and ``compile()`` calls per read, then the
-mean under the profiler, the time spent inside each ``src/repro/<layer>``
-(own time of its functions, so the column adds up) and the top functions
-by cumulative time.  In ``fresh`` mode it also prints the miss-path
-split, timed without the profiler — front end / strategy / bind / plan
-(and rewrite, when a template is rewritten at all) / what a plan's
-first execution costs beyond a repeat — and the ``rewriter.rewrite``
-and ``compile()`` calls and the garbage collector's pause ms per
-request.  ``warm`` exits non-zero if a read parses or compiles,
-``fresh`` if a fresh read of a known shape parses.
+``parse_query``, ``compile()`` and ``Planner.prepare`` calls per read,
+then the mean under the profiler, the time spent inside each
+``src/repro/<layer>`` (own time of its functions, so the column adds up)
+and the top functions by cumulative time.  In ``fresh`` mode it also
+prints the miss-path split, timed without the profiler — front end /
+strategy / bind / planning's two phases, ``plan.template``
+(``Planner.prepare``, once per template) and ``plan.bind``
+(``PlanTemplate.bind``, once per binding) / the rewrite, when a template
+is rewritten at all / what a plan's first execution costs beyond a
+repeat — and the ``Planner.prepare``, ``rewriter.rewrite`` and
+``compile()`` calls and the garbage collector's pause ms per request.
+``warm`` exits non-zero if a read parses or compiles, ``fresh`` if a
+fresh read of a known shape parses or runs phase 1 of planning.
 
 Modes (the canonical benchmark's workloads, one thread, no queue):
 
 * ``fresh`` — every request binds never-seen literals (each pass its
   own): a statement-memo hit by shape (lexed, not parsed) and a
   plan-cache miss, so strategy choice, binding the template's rewrite
-  and planning run per request;
+  and binding its plan template run per request;
 * ``warm``  — one fixed text per (querier, shape): a statement-memo hit
   (no parse) and a plan-cache hit;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
   or every k-th insert a full regeneration) and re-plans; its split,
-  timed plainly — release, guard maintenance, strategy, rewrite, plan,
-  guard-kernel build, ``compile()``, execution and the rest — and its
-  ``compile()`` calls, dispatch shells and guard branches apart;
+  timed plainly — release, guard maintenance, strategy, rewrite, both
+  phases of planning, guard-kernel build, ``compile()``, execution and
+  the rest — and its ``compile()`` calls, dispatch shells and guard
+  branches apart;
 * ``cold``  — each querier's first request, which generates its guards
   (Section 4) and compiles its kernels: the median over fresh worlds
   (``-n`` rounds up to whole worlds of 12 queriers) and its split,
@@ -77,6 +81,7 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 from repro.bench.scenarios import mall_policies_for_shop  # noqa: E402
 from repro.core import Sieve  # noqa: E402
 from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
+from repro.optimizer.planner import Planner, PlanTemplate  # noqa: E402
 from repro.policy.store import PolicyStore  # noqa: E402
 from repro.service import SieveServer, server  # noqa: E402
 
@@ -194,7 +199,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
     taken: dict[str, list[float]] = defaultdict(list)
     calls: dict[str, Counter] = defaultdict(Counter)
     kind = ""
-    real_parse, real_compile = server.parse_query, builtins.compile
+    real_parse, real_compile, real_prepare = server.parse_query, builtins.compile, Planner.prepare
 
     def counting(name: str, fn: Callable) -> Callable:
         def run(*args, **kwargs):
@@ -205,23 +210,25 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
 
     server.parse_query = counting("parse_query", real_parse)
     builtins.compile = counting("compile()", real_compile)
+    Planner.prepare = counting("Planner.prepare", real_prepare)
     try:
         for kind, request in requests:
             start = time.perf_counter()
             request()
             taken[kind].append((time.perf_counter() - start) * 1000.0)
     finally:
-        server.parse_query, builtins.compile = real_parse, real_compile
+        server.parse_query, builtins.compile, Planner.prepare = real_parse, real_compile, real_prepare
     names = {"read": "read", "after_write": "read after a write", "write": "policy write"}
     kinds = [k for k in ("after_write", "read", "write") if taken[k]]
     reads = [k for k in kinds if k != "write"]
     per_read = {name: count / len(taken["read"]) for name, count in calls["read"].items()}
+    counted = ("parse_query", "compile()", "Planner.prepare")
     return (
         "median, timed without cProfile: "
         + ", ".join(f"{names[k]} {statistics.median(taken[k]):.2f} ms (n={len(taken[k])})" for k in kinds)
-        + "\nparse_query / compile() calls per "
+        + "\n" + " / ".join(counted) + " calls per "
         + ", per ".join(
-            f"{names[k]} {calls[k]['parse_query'] / len(taken[k]):.2f} / {calls[k]['compile()'] / len(taken[k]):.2f}"
+            f"{names[k]} " + " / ".join(f"{calls[k][name] / len(taken[k]):.2f}" for name in counted)
             for k in reads
         )
     ), per_read
@@ -280,22 +287,29 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
         stage("repeat execution", run_plan)(planned)
         return result
 
-    saved = (middleware.bind_slots, middleware.choose_strategy)
+    saved = (middleware.bind_slots, middleware.choose_strategy, Planner.prepare, PlanTemplate.bind)
     middleware.bind_slots = stage("bind", saved[0])
     middleware.choose_strategy = stage("strategy", saved[1])
+    Planner.prepare = stage("plan.template", saved[2])
+    PlanTemplate.bind = stage("plan.bind", saved[3])
     rewriter.rewrite = stage("rewrite", rewriter.rewrite)
     front._auto_prepare = stage("front end", front._auto_prepare)
-    db.plan, db.run_plan = stage("plan", db.plan), run_twice
+    db.run_plan = run_twice
     try:
         with compiles_counted() as compiles, gc_paused() as pauses:
             for _kind, request in requests:
                 request()
     finally:
-        middleware.bind_slots, middleware.choose_strategy = saved
-        del rewriter.rewrite, front._auto_prepare, db.plan, db.run_plan
+        middleware.bind_slots, middleware.choose_strategy, Planner.prepare, PlanTemplate.bind = saved
+        del rewriter.rewrite, front._auto_prepare, db.run_plan
     med = {name: statistics.median(times) for name, times in taken.items()}
     first_cost = med["first execution"] - med["repeat execution"]
-    parts = [f"{name} {med[name]:.3f}" for name in ("front end", "strategy", "bind", "plan") if name in med]
+    parts = [f"{name} {med[name]:.3f}" for name in ("front end", "strategy", "bind") if name in med]
+    # Phase 1 of planning runs once per template, so a fresh read of a
+    # known one has no plan.template sample at all.
+    templates = len(taken["plan.template"])
+    parts.append(f"plan.template {med['plan.template']:.3f}" if templates else "plan.template -")
+    parts += [f"plan.bind {med['plan.bind']:.3f}"] if "plan.bind" in med else []
     rewrites = len(taken["rewrite"])
     return (
         "miss path, medians in ms, timed without cProfile: "
@@ -303,6 +317,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
         + (f", rewrite {med['rewrite']:.3f}" if rewrites else "")
         + f", first execution - repeat of the same plan {first_cost:.3f}"
         f" ({med['first execution']:.3f} - {med['repeat execution']:.3f});"
+        f" Planner.prepare calls per request {templates / len(requests):.2f};"
         f" rewriter.rewrite calls per request {rewrites / len(requests):.2f};"
         f" compile() calls per request {sum(compiles.values()) / len(requests):.2f};"
         f" GC pauses {sum(pauses) / len(requests):.3f} ms per request"
@@ -415,12 +430,15 @@ class StageClock:
         self._saved.clear()
 
 
-#: The stages of a cold request timed in ``cold_split``: (label, module, attribute).
+#: The stages of a cold request timed in ``cold_split``: (label, owner,
+#: attribute); the owner is a module's name, a class, or ``None`` for the
+#: world's database.  Planning is both phases.
 COLD_STAGES = (
     ("candidates", "repro.core.generation", "generate_candidate_guards"),
     ("sweep", "repro.core.candidate_gen", "_sweep_merge"),
     ("selection", "repro.core.generation", "select_guards"),
-    ("plan", None, "plan"),
+    ("plan", Planner, "prepare"),
+    ("plan", PlanTemplate, "bind"),
     ("compile()", "builtins", "compile"),
     ("execute", None, "run_plan"),
 )
@@ -439,8 +457,14 @@ def cold_split(worlds: int, seed: int) -> str:
     for round_ in range(worlds):
         world = World(seed + round_)
         stages = [
-            (name, world.mall.db if module is None else importlib.import_module(module), attr)
-            for name, module, attr in COLD_STAGES
+            (
+                name,
+                world.mall.db
+                if owner is None
+                else importlib.import_module(owner) if isinstance(owner, str) else owner,
+                attr,
+            )
+            for name, owner, attr in COLD_STAGES
         ]
         with compiles_counted() as counted, StageClock(stages) as clock:
             for request in cold_requests(world, seed + round_):
@@ -460,7 +484,7 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     schedule ``requests`` once with each stage's own time taken
     (:class:`StageClock`) — the release of the retired guards' compiled
     predicates, guard maintenance (or a scheduled regeneration),
-    strategy choice, rewrite, planning, building the guard kernel
+    strategy choice, rewrite, planning's two phases, building the guard kernel
     around its cached branches, ``compile()``, execution and the rest —
     and the ``compile()`` calls per after-write read, dispatch shells
     (generated guard kernels) and guard branches (row functions)
@@ -475,7 +499,8 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
         ("guard maintenance", middleware, "build_guarded_expression"),
         ("strategy", middleware, "choose_strategy"),
         ("rewrite", world.sieve.rewriter, "rewrite"),
-        ("plan", db, "plan"),
+        ("plan.template", Planner, "prepare"),
+        ("plan.bind", PlanTemplate, "bind"),
         ("guard-kernel build", VectorizedExecutor, "_guard_stage"),
         ("compile()", builtins, "compile"),
         ("execute", db, "run_plan"),
@@ -676,6 +701,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         if args.mode == "fresh" and per_read.get("parse_query"):
             print("FAIL: a fresh read of a known shape was parsed", file=sys.stderr)
+            return 1
+        if args.mode == "fresh" and per_read.get("Planner.prepare"):
+            print("FAIL: a fresh read of a known template ran phase 1 of planning", file=sys.stderr)
             return 1
         if args.mode == "churn":
             print(churn_split(world, requests))
