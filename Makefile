@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-canonical bench-selftest bench-paper profile-fresh profile-warm profile-churn profile-cold profile-plans chaos-report health-report replay trace-dump audit-oracle docs-check
+.PHONY: test bench-canonical bench-selftest bench-paper profile-fresh profile-warm profile-churn profile-cold profile-plans chaos-report health-report replay trace-dump audit-oracle docs-check loc
 
 # Tier-1 gate: the full unit/integration suite.
 test:
@@ -106,6 +106,12 @@ audit-oracle:
 # benchmark - that is bench-canonical above.
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-only
+
+# Lines of Python per tree, the figures every CHANGES.md entry reports.
+loc:
+	@for tree in src tests tools bench benchmarks; do \
+		printf '%-12s %7d\n' "$$tree/" "$$(find $$tree -name '*.py' -exec cat {} + | wc -l)"; \
+	done
 
 # Fails if a module under src/repro lacks a docstring, a layer or metric
 # of the canonical benchmark is undocumented, or README / ARCHITECTURE /

@@ -1167,13 +1167,6 @@ class SieveCluster:
             [policy.querier], policy.table, lambda: self.store.insert(policy)
         )
 
-    def insert_policies(self, policies: Iterable[Policy]) -> int:
-        count = 0
-        for policy in policies:
-            self.insert_policy(policy)
-            count += 1
-        return count
-
     def delete_policy(self, policy_id: int) -> None:
         policy = self.store.get(policy_id)
         self._scatter_policy_write(
@@ -1522,12 +1515,6 @@ class SieveCluster:
         return merge_records(self.audit_logs().values())
 
     # ------------------------------------------------------------ accounting
-
-    def partition_sizes(self) -> dict[str, int]:
-        """Policies per shard partition — the ~1/N corpus share."""
-        with self._route_lock.read_locked():
-            shards = list(self._shards.values())
-        return {shard.name: shard.policy_count() for shard in shards}
 
     def shard_databases(self) -> dict[str, Database]:
         """Each shard's executing database, one ring snapshot (a scrape

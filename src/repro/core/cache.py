@@ -13,7 +13,8 @@ is where the repo keeps that promise:
   affect and re-stamps the rest, so unrelated queriers stay warm.
 * :class:`GuardCache` and :class:`PlanCache` — its two declarations:
   resolved ``(querier, purpose, relation)`` guard state, and the
-  post-rewrite, post-plan artifact of one prepared-query binding.
+  post-rewrite, post-plan artifacts of a statement's template and of
+  its bindings.
 * :class:`SieveSession` — the per-``(querier, purpose)`` façade
   returned by :meth:`Sieve.session <repro.core.middleware.Sieve.session>`;
   it resolves each referenced relation through the shared
@@ -317,15 +318,17 @@ class GuardCache(FencedCache):
 
 @dataclass
 class CachedPlan:
-    """One memoized end-of-pipeline artifact for a prepared query.
+    """One memoized end-of-pipeline artifact: a binding's plan, or a
+    template's rewrite.
 
     ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
     bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
     (``None`` when a backend executes the printed ``info.sql``
     instead); for a template's rewrite, which is bound, not run, it is
     that rewrite's :class:`~repro.optimizer.planner.PlanTemplate` once
-    a binding has planned it (``None`` before) — see :class:`PlanCache`.  Executors never mutate plan nodes, so one PlannedQuery
-    is safely re-executed any number of times from any thread.
+    a binding has planned it (``None`` before) — see :class:`PlanCache`.
+    Executors never mutate plan nodes, so one PlannedQuery is safely
+    re-executed any number of times from any thread.
     ``info`` is the original rewrite's full bookkeeping — strategy
     decisions, guard keys, denied tables — so a hit's audit record
     (:class:`~repro.audit.DecisionRecord`) is identical to the cold
@@ -351,7 +354,11 @@ class CachedPlan:
 class PlanCache(FencedCache):
     """The :class:`FencedCache` of post-rewrite, post-plan artifacts.
 
-    Keyed by ``(querier, purpose, template_key, binding values)`` —
+    Every execution consults it.  Prepared and served statements
+    (:meth:`Sieve.prepare <repro.core.middleware.Sieve.prepare>`,
+    :meth:`Sieve.serve <repro.core.middleware.Sieve.serve>`) keep a
+    plan per binding, keyed by ``(querier, purpose, template_key,
+    binding values)`` —
     the binding values are part of the key because strategy choice and
     access-path planning are *value-dependent* (selectivity estimates
     read the literals), so a plan cached per-template-only could
@@ -368,7 +375,9 @@ class PlanCache(FencedCache):
     shape, denied tables)`` by :meth:`Sieve._rewritten_template
     <repro.core.middleware.Sieve._rewritten_template>`), with the
     rewrite's plan template as its ``planned``: a fresh binding whose
-    plan misses binds both instead of rewriting and planning.  Those
+    plan misses — and every :meth:`Sieve.execute
+    <repro.core.middleware.Sieve.execute>`, which keeps no plan per
+    binding — binds both instead of rewriting and planning.  Those
     entries are fenced, evicted and invalidated like the plans, but
     :meth:`rewrite_entry` does not count in :attr:`stats`.
     """
@@ -486,6 +495,3 @@ class SieveSession:
         per query is O(parse + rewrite) instead of O(policy corpus).
         """
         return [self.execute(sql) for sql in sqls]
-
-    def execute_many_with_info(self, sqls: Iterable["str | Query"]) -> "list[SieveExecution]":
-        return [self.execute_with_info(sql) for sql in sqls]

@@ -25,7 +25,7 @@ terms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.expr.eval import ExprCompiler, RowBinding
@@ -96,9 +96,6 @@ class SieveCostModel:
         per_tuple = self.delta_cost_per_tuple(relevant_policies)
         denominator = self.alpha * self.ce
         return max(1, int(per_tuple / denominator) + 1)
-
-    def with_overrides(self, **kwargs: float) -> "SieveCostModel":
-        return replace(self, **kwargs)
 
     # --------------------------------------------- observed selectivities
 

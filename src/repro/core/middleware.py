@@ -54,13 +54,14 @@ See ``docs/ARCHITECTURE.md`` for the end-to-end dataflow.
 
 from __future__ import annotations
 
+import threading
 import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.audit import AuditLog, Explanation, explain_row, make_payload, result_digest
-from repro.common.errors import SieveError
+from repro.common.errors import ExecutionError, SieveError
 from repro.core.cache import (
     DEFAULT_GUARD_CACHE_CAPACITY,
     DEFAULT_PLAN_CACHE_CAPACITY,
@@ -86,18 +87,23 @@ from repro.engine.executor import QueryResult
 from repro.expr.nodes import ColumnRef, Star
 from repro.expr.params import (
     bind_expr,
-    bind_query,
     bind_slots,
     collect_params,
     normalize_bindings,
     parameterize_query,
+    parameterize_traced,
 )
 from repro.optimizer.planner import PlannedQuery
 from repro.obs.tracing import SlowQueryLog, Tracer, current_trace_id, span
 from repro.policy.store import PolicySnapshot, PolicyStore
 from repro.sql.ast import Query, Select
-from repro.sql.parser import parse_query
+from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.parser import literal_value, parse_query
 from repro.sql.printer import to_sql
+
+#: Bound on each probe of the statement memo (texts, token shapes);
+#: least-recently-created entries age out beyond it.
+AUTO_PREPARE_MAX_SHAPES = 512
 
 
 def _is_plain_select(query: Query) -> bool:
@@ -121,6 +127,61 @@ def _protected_relations(query: Query, snapshot: PolicySnapshot) -> list[str]:
     carry a policy: these are rewritten, and a querier no policy admits
     reads nothing from them (opt-out default deny, Section 3.1)."""
     return sorted(collect_table_names(query) & snapshot.protected)
+
+
+def _shape_of(tokens: list[Token]) -> tuple[tuple, list[int]]:
+    """A text's token stream with each NUMBER and STRING value masked by
+    its kind — the key of the statement memo's second probe — and the
+    indices of those literal tokens, in text order.  Keywords,
+    operators and punctuation key by their text, identifiers and
+    parameters by theirs in a tuple (a quoted ``"("`` is not ``(``)."""
+    key: list = []
+    literals: list[int] = []
+    for index, token in enumerate(tokens):
+        kind = token.type
+        if kind is TokenType.NUMBER or kind is TokenType.STRING:
+            literals.append(index)
+            key.append("\0number" if kind is TokenType.NUMBER else "\0string")
+        elif kind is TokenType.IDENT or kind is TokenType.PARAM:
+            key.append((kind is TokenType.IDENT, token.value))
+        else:
+            key.append(token.value)
+    return tuple(key), literals
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The statement memo's entry for a token shape, made from the one
+    parse of its first text: the memo entry of its template, and per
+    literal token (text order) what a new text's token there is — the
+    value of slot ``j`` (an ``int``), or text that must read exactly as
+    recorded (a ``str``: ``LIMIT 20``, a select-list constant, which
+    stay in the template)."""
+
+    statement: "QueryTemplate"
+    reads: tuple[int | str, ...]
+    slots: int
+
+    def values_of(self, tokens: list[Token], literals: list[int]) -> tuple | None:
+        """A new text's binding — each slot converted by the parser's
+        own :func:`~repro.sql.parser.literal_value` — or ``None`` when
+        a recorded text differs."""
+        values: list = [None] * self.slots
+        for index, read in zip(literals, self.reads):
+            token = tokens[index]
+            if isinstance(read, int):
+                values[read] = literal_value(token)
+            elif token.value != read:
+                return None
+        return tuple(values)
+
+
+def _file(memo: dict, key: Any, value: Any) -> None:
+    """Put ``key`` in a memo probe, the oldest entries aging out past
+    ``AUTO_PREPARE_MAX_SHAPES`` (dict order is creation order)."""
+    memo[key] = value
+    while len(memo) > AUTO_PREPARE_MAX_SHAPES:
+        memo.pop(next(iter(memo)))
 
 
 @dataclass(frozen=True)
@@ -182,11 +243,21 @@ class Sieve:
         self.guard_store = GuardStore(db, policy_store)
         self.regeneration = regeneration
         self.guard_cache = GuardCache(capacity=guard_cache_capacity)
-        # Prepared-query tier: post-rewrite, post-plan artifacts keyed
-        # by (querier, purpose, template, binding values) — see
-        # :class:`~repro.core.cache.PlanCache`.  Only :meth:`prepare`d
-        # queries consult it; unused, it is an empty dict.
+        # Post-rewrite, post-plan artifacts — see
+        # :class:`~repro.core.cache.PlanCache`.  Every execution binds a
+        # template rewrite and its plan template held there; prepared
+        # and served statements also keep a plan per binding.
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
+        # The statement memo (:meth:`_statement`), two probes shared by
+        # queriers (parsing is a pure function of the text), each a
+        # bounded FIFO written under _memo_lock.  By text: SQL text →
+        # (QueryTemplate, values), so a repeated text skips even the
+        # lexer.  By shape: masked token stream → _Shape, so a fresh
+        # literal in a known shape is lexed, not parsed, parameterized
+        # or printed.
+        self._memo_lock = threading.Lock()
+        self._statements: dict[str, tuple[QueryTemplate, tuple]] = {}
+        self._shapes: dict[tuple, _Shape] = {}
         # Optional audit tier (repro.audit): every execution appends a
         # hash-chained DecisionRecord.  None = off (zero cost).
         self.audit: AuditLog | None = None
@@ -407,26 +478,19 @@ class Sieve:
     # ------------------------------------------------------------ execution
 
     def _prepare(
-        self,
-        sql: "str | Query | PreparedQuery",
-        querier: Any,
-        purpose: str,
-        values: tuple = (),
+        self, statement: "QueryTemplate", querier: Any, purpose: str, values: tuple
     ) -> tuple[SieveExecution, Query, Callable[[], PlannedQuery]]:
-        """Run the middleware pipeline up to (not including) planning.
+        """Run the middleware pipeline on one binding of ``statement``
+        up to (not including) planning — one path for every caller.
 
-        One path for prepared and unprepared queries: ``sql`` is a
-        :class:`PreparedQuery` with its binding ``values``, or a
-        statement, which is parsed and split into a template and the
-        binding that restores it (:func:`parameterize_query`) here.
         Per-relation policy filtering and guard fetch go through the
         session guard cache.  Strategy choice reads the binding's
         literals (Section 5.5), so it runs per binding, on the
-        template's query conjuncts bound.  The rewrite reads the
-        guards and the decisions' shape, never a literal: a template's
-        rewrite is kept in the plan cache per decision shape
-        (:meth:`_rewritten_template`) and bound per binding, so a fresh
-        literal in a known shape is not rewritten.  Nor is it planned
+        template's query conjuncts bound.  The rewrite reads the guards
+        and the decisions' shape, never a literal: a template's rewrite
+        is kept in the plan cache per decision shape
+        (:meth:`_rewritten_template`) and bound per binding, so a
+        statement in a known shape is not rewritten.  Nor is it planned
         from scratch: the third value returned plans the bound rewrite
         by binding the rewrite's :class:`PlanTemplate
         <repro.optimizer.planner.PlanTemplate>`, held in the same entry
@@ -435,85 +499,63 @@ class Sieve:
         a half-applied corpus (an update's delete and re-insert are
         observed together or not at all)."""
         start = time.perf_counter()
-        metadata = QueryMetadata(querier=querier, purpose=purpose)
-        with span("middleware.prepare"):
-            if isinstance(sql, PreparedQuery):
-                prepared = sql
-            else:
-                with span("parse"):
-                    query = parse_query(sql) if isinstance(sql, str) else sql
-                template, values = parameterize_query(query)
-                prepared = PreparedQuery(self, template, querier, purpose)
-            snapshot = self.policy_store.snapshot()
-            session = self.session(querier, purpose)
-            template = prepared.template
+        snapshot = self.policy_store.snapshot()
+        session = self.session(querier, purpose)
+        template = statement.template
 
-            expressions: dict[str, GuardedExpression] = {}
-            decisions: dict[str, StrategyDecision] = {}
-            query_predicates: dict[str, list] = {}
-            denied: set[str] = set()
-            regenerated: list[str] = []
-            policies_considered = 0
-            bound: dict = {}  # one binding per template node (bind_expr's memo)
+        expressions: dict[str, GuardedExpression] = {}
+        decisions: dict[str, StrategyDecision] = {}
+        query_predicates: dict[str, list] = {}
+        denied: set[str] = set()
+        regenerated: list[str] = []
+        policies_considered = 0
+        bound: dict = {}  # one binding per template node (bind_expr's memo)
 
-            for table_name in sorted(prepared.tables & snapshot.protected):
-                entry, rebuilt = session.resolve(table_name, snapshot=snapshot)
-                policies_considered += len(entry.policies)
-                if entry.expression is None:
-                    denied.add(table_name)
-                    continue
-                expression = entry.expression
-                if rebuilt:
-                    regenerated.append(table_name)
-                heap = self.db.catalog.table(table_name)
-                qpreds = query_predicates[table_name] = query_predicates_for(
-                    template, table_name, {c.lower() for c in heap.schema.names}
-                )
-                with span("strategy", table=table_name) as st:
-                    decisions[table_name] = choose_strategy(
-                        self.db,
-                        table_name,
-                        expression,
-                        [bind_expr(p, values, bound) for p in qpreds] if values else qpreds,
-                        self.cost_model,
-                        personality=self.execution_personality,
-                    )
-                    st.set(strategy=decisions[table_name].strategy.value)
-                expressions[table_name] = expression
-
-            if values:
-                entry = self._rewritten_template(
-                    prepared, snapshot.epoch, expressions, decisions, denied, query_predicates
-                )
-                rewritten = bind_slots(entry.rewritten, values, bound)
-                info = entry.info.bound(rewritten, decisions)
-
-                def plan() -> PlannedQuery:
-                    return self._bound_plan(entry, values, bound)
-
-            else:
-                rewritten, info = self.rewriter.rewrite(
-                    template, expressions, decisions, denied, query_predicates
-                )
-
-                def plan() -> PlannedQuery:
-                    return self.db.plan(rewritten)
-
-            middleware_ms = (time.perf_counter() - start) * 1000.0
-            execution = SieveExecution(
-                result=QueryResult(columns=[], rows=[]),
-                rewrite=info,
-                metadata=metadata,
-                policies_considered=policies_considered,
-                regenerated_tables=regenerated,
-                middleware_ms=middleware_ms,
-                policy_epoch=snapshot.epoch,
+        for table_name in sorted(statement.tables & snapshot.protected):
+            entry, rebuilt = session.resolve(table_name, snapshot=snapshot)
+            policies_considered += len(entry.policies)
+            if entry.expression is None:
+                denied.add(table_name)
+                continue
+            expression = entry.expression
+            if rebuilt:
+                regenerated.append(table_name)
+            heap = self.db.catalog.table(table_name)
+            qpreds = query_predicates[table_name] = query_predicates_for(
+                template, table_name, {c.lower() for c in heap.schema.names}
             )
-            return execution, rewritten, plan
+            with span("strategy", table=table_name) as st:
+                decisions[table_name] = choose_strategy(
+                    self.db,
+                    table_name,
+                    expression,
+                    [bind_expr(p, values, bound) for p in qpreds],
+                    self.cost_model,
+                    personality=self.execution_personality,
+                )
+                st.set(strategy=decisions[table_name].strategy.value)
+            expressions[table_name] = expression
+
+        entry = self._rewritten_template(
+            statement, querier, purpose, snapshot.epoch, expressions, decisions, denied, query_predicates
+        )
+        rewritten = bind_slots(entry.rewritten, values, bound)
+        execution = SieveExecution(
+            result=QueryResult(columns=[], rows=[]),
+            rewrite=entry.info.bound(rewritten, decisions),
+            metadata=QueryMetadata(querier=querier, purpose=purpose),
+            policies_considered=policies_considered,
+            regenerated_tables=regenerated,
+            middleware_ms=(time.perf_counter() - start) * 1000.0,
+            policy_epoch=snapshot.epoch,
+        )
+        return execution, rewritten, lambda: self._bound_plan(entry, values, bound)
 
     def _rewritten_template(
         self,
-        prepared: "PreparedQuery",
+        statement: "QueryTemplate",
+        querier: Any,
+        purpose: str,
         epoch: int,
         expressions: dict[str, GuardedExpression],
         decisions: dict[str, StrategyDecision],
@@ -521,8 +563,8 @@ class Sieve:
         query_predicates: dict[str, list],
     ) -> CachedPlan:
         """The plan-cache entry of the enforcement rewrite of
-        ``prepared``'s template, Params and all, for this decision
-        shape over these very guards (rewritten here on a miss).
+        ``statement``'s template, Params and all, for this querier and
+        decision shape over these very guards (rewritten here on a miss).
 
         The rewriter reads of a decision only its strategy, its
         ``query_index_column`` and its Δ set — of those, only the Δ set
@@ -540,9 +582,9 @@ class Sieve:
         rewrite serves the template too."""
         cache = self.plan_cache
         key = (
-            prepared.querier,
-            prepared.purpose,
-            prepared.template_key,
+            querier,
+            purpose,
+            statement.template_key,
             tuple(
                 (table, self.rewriter.decision_shape(decision))
                 for table, decision in decisions.items()
@@ -556,13 +598,13 @@ class Sieve:
         ):
             return entry
         rewritten, info = self.rewriter.rewrite(
-            prepared.template, expressions, decisions, denied, query_predicates
+            statement.template, expressions, decisions, denied, query_predicates
         )
         return cache.admit(
             key,
             CachedPlan(
-                querier=prepared.querier,
-                tables=prepared.tables,
+                querier=querier,
+                tables=statement.tables,
                 epoch=epoch,
                 version=version,
                 rewritten=rewritten,
@@ -584,63 +626,108 @@ class Sieve:
             template = entry.planned = self.db.plan_template(entry.rewritten)
         return template.bind(values, memo)
 
+    def _parsed(self, sql: str | Query) -> tuple["QueryTemplate", tuple]:
+        """``sql`` parsed and split into a template and the binding that
+        restores it (:func:`parameterize_query`) — the unmemoized front
+        end of :meth:`execute` and :meth:`rewrite`.  A statement with
+        parameters of its own has no binding here: it is refused before
+        any work, as the engine refuses a Param it meets."""
+        with span("parse"):
+            query = parse_query(sql) if isinstance(sql, str) else sql
+        template, values = parameterize_query(query)
+        statement = QueryTemplate(template)
+        if len(values) != len(statement.params):
+            param = statement.params[0]
+            raise ExecutionError(
+                f"unbound parameter {param.name or param.index!r}: "
+                "bind values before execution (see repro.expr.params)"
+            )
+        return statement, values
+
     def rewrite(self, sql: str | Query, querier: Any, purpose: str) -> Query:
         """The enforcement rewrite as an AST (without executing it)."""
-        _execution, rewritten, _plan = self._prepare(sql, querier, purpose)
-        return rewritten
+        statement, values = self._parsed(sql)
+        return self._prepare(statement, querier, purpose, values)[1]
 
     def execute(self, sql: str | Query, querier: Any, purpose: str) -> QueryResult:
         """Enforce policies and run the query; the common entry point."""
         return self.execute_with_info(sql, querier, purpose).result
 
     def execute_with_info(self, sql: str | Query, querier: Any, purpose: str) -> SieveExecution:
+        """:meth:`execute` with the full bookkeeping.  It parses every
+        call and keeps no plan per binding: the rewrite and the plan
+        template of its shape are shared with the prepared path, each
+        call binds them."""
+        return self._traced(querier, purpose, self._execute, sql, querier, purpose)
+
+    def _execute(self, sql: str | Query, querier: Any, purpose: str) -> tuple[SieveExecution, Query]:
+        """One unmemoized execution: parse, the pipeline, the plan bound
+        from the template's plan template, run."""
+        with span("middleware.prepare"):
+            statement, values = self._parsed(sql)
+            execution, rewritten, plan = self._prepare(statement, querier, purpose, values)
+        planned = None
+        if self.backend is None:
+            with span("plan"):
+                planned = plan()
+        self._finish_execution(sql, execution, planned)
+        return execution, rewritten
+
+    def serve(self, sql: str | Query, querier: Any, purpose: str) -> SieveExecution:
+        """The serving tier's entry, one call per request: ``sql``
+        through the statement memo (:meth:`_statement`) to its template
+        and binding, then through the plan cache, which keeps a plan per
+        binding.  What the memo refuses — a non-SELECT statement,
+        unparseable SQL, a query with its own parameters — runs as
+        :meth:`execute_with_info` runs it, raising what that raises.
+        Row- and enforcement-counter identical to :meth:`execute` by
+        construction (the plan cache is keyed by the binding's values),
+        so callers cannot observe the memo except in latency and the
+        plan cache's :class:`~repro.core.cache.CacheStats`."""
+        found = self._statement(sql)
+        if found is None:
+            return self.execute_with_info(sql, querier, purpose)
+        statement, values = found
+        return self._traced(
+            querier, purpose, self._prepared_execute, statement, querier, purpose, values
+        )
+
+    def _traced(self, querier: Any, purpose: str, run: Callable, *args: Any) -> SieveExecution:
+        """``run(*args)`` — an execution and the rewrite it ran — under
+        a ``sieve.query`` root span when tracing is on."""
         if self.tracer is None:
-            return self._execute_with_info(sql, querier, purpose)[0]
+            return run(*args)[0]
         with self.tracer.trace(
             "sieve.query", querier=str(querier), purpose=purpose
         ) as root:
-            execution, rewritten = self._execute_with_info(sql, querier, purpose)
+            execution, rewritten = run(*args)
             execution.trace_id = root.trace_id
-            self._annotate_root_span(root, execution, rewritten)
+            root.set(
+                engine=execution.engine,
+                policy_epoch=execution.policy_epoch,
+                rows_admitted=len(execution.result.rows),
+                plain_select=_is_plain_select(rewritten),
+                enforcement={
+                    table: {
+                        "strategy": decision.strategy.value,
+                        "guard_keys": list(execution.rewrite.guard_keys.get(table, ())),
+                        "est_rows": list(decision.guard_est_rows),
+                        "query_conjuncts": decision.query_conjuncts,
+                    }
+                    for table, decision in execution.rewrite.decisions.items()
+                },
+            )
         return execution
 
-    @staticmethod
-    def _annotate_root_span(root, execution: SieveExecution, rewritten: Query) -> None:
-        root.set(
-            engine=execution.engine,
-            policy_epoch=execution.policy_epoch,
-            rows_admitted=len(execution.result.rows),
-            plain_select=_is_plain_select(rewritten),
-            enforcement={
-                table: {
-                    "strategy": decision.strategy.value,
-                    "guard_keys": list(execution.rewrite.guard_keys.get(table, ())),
-                    "est_rows": list(decision.guard_est_rows),
-                    "query_conjuncts": decision.query_conjuncts,
-                }
-                for table, decision in execution.rewrite.decisions.items()
-            },
-        )
-
-    def _execute_with_info(
-        self, sql: str | Query, querier: Any, purpose: str
-    ) -> tuple[SieveExecution, Query]:
-        execution, rewritten, _plan = self._prepare(sql, querier, purpose)
-        self._finish_execution(sql, execution, rewritten)
-        return execution, rewritten
-
     def _finish_execution(
-        self,
-        sql: str | Query,
-        execution: SieveExecution,
-        rewritten: Query,
-        planned=None,
+        self, sql: str | Query, execution: SieveExecution, planned: PlannedQuery | None
     ) -> SieveExecution:
         """Run a finished rewrite and record the audit/tracing delta.
 
-        ``planned`` is the prepared-query fast path: an already-built
-        :class:`~repro.optimizer.planner.PlannedQuery` executed via
-        ``db.run_plan`` so a warm hit skips planning too.  Audit scopes
+        ``planned`` is the bundled engine's plan of the bound rewrite
+        (``None`` when a backend runs its printed text), executed via
+        ``db.run_plan``: planning happened before, from the rewrite's
+        plan template or, on a warm hit, not at all.  Audit scopes
         its counter delta around *execution only*: guard generation /
         strategy / rewrite / planning charge no enforcement counters,
         so the recorded delta is identical for cache-hit and cold paths
@@ -666,15 +753,13 @@ class Sieve:
                 counters.backend_queries += 1
                 counters.backend_rows += len(execution.result.rows)
             else:
-                start = time.perf_counter()
-                if planned is not None:
-                    execution.result = self.db.run_plan(planned)
-                else:
-                    execution.result = self.db.execute(rewritten)
-                execution.execution_ms = (time.perf_counter() - start) * 1000.0
                 execution.engine = (
                     "vectorized" if getattr(self.db, "vectorized", False) else "tuple"
                 )
+                start = time.perf_counter()
+                with span("run", vectorized=execution.engine == "vectorized"):
+                    execution.result = self.db.run_plan(planned)
+                execution.execution_ms = (time.perf_counter() - start) * 1000.0
         if before is not None:
             delta = self.db.counters.diff(before)
             ex_span.set(
@@ -738,33 +823,32 @@ class Sieve:
         return PreparedQuery(self, template, querier, purpose)
 
     def _prepared_execute(
-        self, prepared: "PreparedQuery", params
+        self, statement: "QueryTemplate", querier: Any, purpose: str, values: tuple
     ) -> tuple[SieveExecution, Query]:
-        values = normalize_bindings(prepared.params, params)
+        """One binding of ``statement`` through the plan cache: a hit
+        skips strategy, rewrite and planning; a miss runs
+        :meth:`_prepare` and plans, and admits the result."""
         start = time.perf_counter()
-        metadata = QueryMetadata(querier=prepared.querier, purpose=prepared.purpose)
         cache = self.plan_cache
         # Each value's type is part of the key: 2 and 2.0 are equal in
         # Python but not in SQL (``v / 2`` vs ``v / 2.0`` on SQLite).
         key = (
-            prepared.querier,
-            prepared.purpose,
-            prepared.template_key,
+            querier,
+            purpose,
+            statement.template_key,
             tuple((value.__class__, value) for value in values),
         )
         snapshot = self.policy_store.snapshot()
 
         def build():
-            execution, rewritten, plan = self._prepare(
-                prepared, prepared.querier, prepared.purpose, values
-            )
+            execution, rewritten, plan = self._prepare(statement, querier, purpose, values)
             planned = None if self.backend is not None else plan()
             # Stamp the entry with the epoch and plan version the
             # pipeline *actually* saw (``_prepare`` snapshots the store
             # itself, and planning may lazily rebuild stats).
             entry = CachedPlan(
-                querier=prepared.querier,
-                tables=prepared.tables,
+                querier=querier,
+                tables=statement.tables,
                 epoch=execution.policy_epoch,
                 version=self.db.plan_version,
                 rewritten=rewritten,
@@ -778,7 +862,7 @@ class Sieve:
             entry, built, hit = cache.get_or_build(
                 key, snapshot.epoch, self.db.plan_version, build
             )
-            prep.set(cached=hit, template=prepared.template_key)
+            prep.set(cached=hit, template=statement.template_key)
             if built is not None:
                 execution, rewritten, planned = built
             else:
@@ -791,7 +875,7 @@ class Sieve:
                 execution = SieveExecution(
                     result=QueryResult(columns=[], rows=[]),
                     rewrite=entry.info,
-                    metadata=metadata,
+                    metadata=QueryMetadata(querier=querier, purpose=purpose),
                     policies_considered=entry.policies_considered,
                     middleware_ms=(time.perf_counter() - start) * 1000.0,
                     policy_epoch=entry.epoch,
@@ -799,12 +883,78 @@ class Sieve:
         # The audit record wants the bound statement (replay reruns
         # it); binding is only worth paying for when auditing.
         sql_for_audit: str | Query = (
-            bind_query(prepared.template, values)
+            bind_slots(statement.template, values)
             if self.audit is not None
-            else prepared.template_key
+            else statement.template_key
         )
-        self._finish_execution(sql_for_audit, execution, rewritten, planned=planned)
+        self._finish_execution(sql_for_audit, execution, planned)
         return execution, rewritten
+
+    # -------------------------------------------------------- statement memo
+
+    def _statement(self, sql: str | Query) -> "tuple[QueryTemplate, tuple] | None":
+        """The statement memo's entry for ``sql`` and ``sql``'s binding
+        of it, or ``None`` for what it does not serve.
+
+        The memo is probed twice.  A text seen before is found by its
+        text: nothing is lexed.  A new text is lexed, and a known
+        *shape* (its token stream with the literal values masked) gives
+        the entry without a parse: the values are read off the tokens
+        the first text's lifted literals came from.  Anything else — a
+        new shape, a shape whose inline literal (``LIMIT 20``) reads
+        differently, a text whose literals were not each one token
+        (``-5``, ``TRUE``) — is parsed and its literals are
+        auto-parameterized (:func:`repro.expr.params.parameterize_traced`).
+        Entries hold no querier: every (querier, purpose) binding a
+        shape shares its template, key, tables and slots.
+
+        Never raises: non-SELECT statements, unparseable SQL and
+        already-parameterized queries give ``None``, and none of them
+        is memoized."""
+        shape_key = None
+        if isinstance(sql, str):
+            found = self._statements.get(sql)
+            if found is not None:
+                return found
+            try:
+                tokens = tokenize(sql)
+                shape_key, literals = _shape_of(tokens)
+                shape = self._shapes.get(shape_key)
+                values = None if shape is None else shape.values_of(tokens, literals)
+            except Exception:
+                return None
+            if values is not None:
+                return self._memoize(sql, shape.statement, values)
+        try:
+            query = parse_query(sql) if isinstance(sql, str) else sql
+            if not isinstance(query, Query) or collect_params(query):
+                return None
+            template, values, sources = parameterize_traced(query)
+            statement = QueryTemplate(template)
+        except Exception:
+            return None
+        # The shape is memoized only when each slot's value is one
+        # token's own: a lifted TRUE, NULL or folded ``-5`` has no token
+        # to read a new value from (and ``-0`` lifts 0, which equals
+        # its token but must not serve ``-3`` as 3).
+        shape = None
+        if shape_key is not None and None not in sources and len(set(sources)) == len(sources):
+            slot_of = {token: slot for slot, token in enumerate(sources)}
+            reads = tuple(slot_of.get(i, tokens[i].value) for i in literals)
+            shape = (shape_key, _Shape(statement, reads, len(sources)))
+        return self._memoize(sql, statement, values, shape)
+
+    def _memoize(
+        self, sql: str | Query, statement: "QueryTemplate", values: tuple, shape: tuple | None = None
+    ) -> "tuple[QueryTemplate, tuple]":
+        """File a text (and a new shape) in the memo; each probe is a
+        FIFO of at most ``AUTO_PREPARE_MAX_SHAPES``."""
+        with self._memo_lock:
+            if isinstance(sql, str):
+                _file(self._statements, sql, (statement, values))
+            if shape is not None:
+                _file(self._shapes, *shape)
+        return statement, values
 
     def rewritten_sql(self, sql: str | Query, querier: Any, purpose: str) -> str:
         """The enforcement rewrite as SQL text (for inspection/docs) —
@@ -900,7 +1050,24 @@ class Sieve:
         return explanation
 
 
-class PreparedQuery:
+class QueryTemplate:
+    """A statement memo entry: a parameterized statement and what every
+    binding of it shares — its canonical key, the tables it names and
+    its parameter slots."""
+
+    def __init__(self, template: Query):
+        self.template = template
+        self.params = collect_params(template)
+        #: Canonical template identity — the default-dialect SQL text,
+        #: so the same shape prepared from different whitespace or via
+        #: the auto-parameterizer lands on the same cache entries.
+        self.template_key = to_sql(template)
+        #: The base tables the statement names (lower-cased) — what a
+        #: cached plan of any binding is invalidated by.
+        self.tables = frozenset(collect_table_names(template))
+
+
+class PreparedQuery(QueryTemplate):
     """A parsed, parameterized statement bound to one (querier, purpose).
 
     Obtained from :meth:`Sieve.prepare` or :meth:`SieveSession.prepare
@@ -922,18 +1089,10 @@ class PreparedQuery:
     """
 
     def __init__(self, sieve: Sieve, template: Query, querier: Any, purpose: str):
+        super().__init__(template)
         self._sieve = sieve
-        self.template = template
         self.querier = querier
         self.purpose = purpose
-        self.params = collect_params(template)
-        #: Canonical template identity — the default-dialect SQL text,
-        #: so the same shape prepared from different whitespace or via
-        #: the auto-parameterizer lands on the same cache entries.
-        self.template_key = to_sql(template)
-        #: The base tables the statement names (lower-cased) — what a
-        #: cached plan of any binding is invalidated by.
-        self.tables = frozenset(collect_table_names(template))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -946,16 +1105,11 @@ class PreparedQuery:
         return self.execute_with_info(params).result
 
     def execute_with_info(self, params=None) -> SieveExecution:
+        values = normalize_bindings(self.params, params)
         sieve = self._sieve
-        if sieve.tracer is None:
-            return sieve._prepared_execute(self, params)[0]
-        with sieve.tracer.trace(
-            "sieve.query", querier=str(self.querier), purpose=self.purpose
-        ) as root:
-            execution, rewritten = sieve._prepared_execute(self, params)
-            execution.trace_id = root.trace_id
-            sieve._annotate_root_span(root, execution, rewritten)
-        return execution
+        return sieve._traced(
+            self.querier, self.purpose, sieve._prepared_execute, self, self.querier, self.purpose, values
+        )
 
     def execute_many(self, param_sets) -> list[QueryResult]:
         """Run one execution per binding vector (the batch analogue of

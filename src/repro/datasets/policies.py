@@ -62,9 +62,6 @@ class CampusPolicies:
     designated_queriers: dict[str, list[int]]  # profile -> device ids
     user_kind: dict[int, str]  # device -> "unconcerned" | "advanced"
 
-    def policies_of_querier(self, querier: Any) -> list[Policy]:
-        return [p for p in self.policies if p.querier == querier]
-
 
 def _user_kind(rng, config: PolicyGenConfig) -> str:
     roll = rng.random()

@@ -82,10 +82,6 @@ class TippersConfig:
     page_size: int = 256
     personality: str = "mysql"
 
-    @property
-    def aps_per_region(self) -> int:
-        return max(1, self.n_aps // self.n_regions)
-
 
 @dataclass
 class TippersDataset:

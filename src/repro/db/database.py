@@ -148,11 +148,6 @@ class Database:
         """All registered UDFs by lowercase name (counted wrappers)."""
         return dict(self._udfs)
 
-    def drop_function(self, name: str) -> None:
-        self._udfs.pop(name.lower(), None)
-        self.expr_cache.clear()
-        self._udf_version += 1
-
     def release_compiled(self, nodes) -> int:
         """Forget compiled predicates whose expression is one of
         ``nodes`` or carries one as a top-level conjunct (matched by

@@ -81,9 +81,6 @@ class QueryResult:
             raise ExecutionError(f"no output column {name!r}; have {self.columns}") from None
         return [row[pos] for row in self.rows]
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class Executor:
     """Executes plan trees against a catalog, charging counters.

@@ -225,7 +225,3 @@ class IsNull(Expr):
 
 
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
-
-
-def is_aggregate_call(expr: Expr) -> bool:
-    return isinstance(expr, FuncCall) and expr.name.lower() in AGGREGATE_FUNCTIONS

@@ -473,9 +473,9 @@ def parameterize_traced(
     """:func:`parameterize_query` plus, per slot, the index of the lexer
     token its literal was parsed from — ``None`` for a literal not read
     from exactly one NUMBER or STRING token (a folded ``-5``, ``TRUE``,
-    ``NULL``, a node built in code).  The statement memo of
-    :mod:`repro.service.server` reads a new text's values off these
-    tokens."""
+    ``NULL``, a node built in code).  The statement memo
+    (:meth:`Sieve._statement <repro.core.middleware.Sieve._statement>`)
+    reads a new text's values off these tokens."""
     if collect_params(query):
         return query, (), ()
     extractor = _Extractor()

@@ -134,11 +134,6 @@ def _clamp(sel: float) -> float:
     return min(1.0, max(0.0, sel))
 
 
-def estimate_rows(expr: Expr | None, stats: TableStats) -> float:
-    """ρ(pred) as a row count."""
-    return estimate_selectivity(expr, stats) * stats.row_count
-
-
 def _estimate(expr: Expr, stats: TableStats) -> float:
     if isinstance(expr, (And, Or)):
         # A policy-wide guard OR reaches every plan of its epoch as the

@@ -49,6 +49,7 @@ from repro.expr.analysis import (
     facts,
     make_and,
     map_children,
+    walk,
 )
 from repro.expr.eval import RowBinding
 from repro.expr.params import bind_expr, bind_slots, mentions_param
@@ -357,11 +358,12 @@ _NO_PARAM = (Star, ColumnRef, Literal)  # leaves that cannot be or hold one
 
 
 def _late_params(query: Query) -> bool:
-    """Whether a Param sits outside every WHERE / JOIN ON conjunct — in
-    a select item, GROUP BY, HAVING or ORDER BY, where phase 1 matches
-    expressions (aggregates against groups, sort keys against the
-    projection) that a value could make equal.  Parameterization
-    extracts none there but HAVING's; a written template may."""
+    """Whether a Param sits outside every WHERE / JOIN ON conjunct where
+    phase 1 matches expressions (aggregates against groups, sort keys
+    against the projection) that a value could make equal: in a select
+    item, GROUP BY or ORDER BY, or in a HAVING that
+    :func:`_having_rematches`.  Parameterization extracts none there
+    but HAVING's; a written template may."""
     return any(_late_params(cte.query) for cte in query.ctes) or _core_late_params(query.body)
 
 
@@ -370,12 +372,30 @@ def _core_late_params(core: SelectCore) -> bool:
         return _core_late_params(core.left) or _core_late_params(core.right)
     exprs = [item.expr for item in core.items] + list(core.group_by)
     exprs += [order.expr for order in core.order_by]
-    if core.having is not None:
-        exprs.append(core.having)
     if any(not isinstance(expr, _NO_PARAM) and mentions_param(expr) for expr in exprs):
+        return True
+    if core.having is not None and mentions_param(core.having) and _having_rematches(core):
         return True
     items = [*core.from_items, *(join.item for join in core.joins)]
     return any(isinstance(item, DerivedTable) and _late_params(item.query) for item in items)
+
+
+def _having_rematches(select: Select) -> bool:
+    """Whether binding HAVING's Params could change what phase 1 matched
+    in it: a Param under an aggregate call (each binding another
+    aggregate), or a GROUP BY expression holding a literal or a
+    subquery (a bound HAVING expression could equal it).  Otherwise —
+    an aggregate or a group compared with a Param, ``COUNT(*) > ?`` —
+    phase 2 binds the HAVING filter."""
+    for expr in select.group_by:
+        if facts(expr).has_subquery or any(isinstance(node, Literal) for node in walk(expr)):
+            return True
+    return any(
+        isinstance(node, FuncCall)
+        and node.name.lower() in AGGREGATE_FUNCTIONS
+        and mentions_param(node)
+        for node in walk(select.having)
+    )
 
 
 class PlanTemplate:
@@ -386,8 +406,8 @@ class PlanTemplate:
     It holds what it was prepared from — each base table's
     ``TableStats``, the catalog version — and :meth:`current` says
     whether those are still the database's.  A template with a Param
-    outside the WHERE / JOIN ON conjuncts is prepared per binding
-    instead (phase 1 reads those expressions)."""
+    where phase 1 matches expressions (:func:`_late_params`) is
+    prepared per binding instead."""
 
     def __init__(
         self,
@@ -767,26 +787,10 @@ class Planner:
         binding = RowBinding.for_table(alias, table.schema.names)
         return _AccessPaths(self, table.name, alias, pushed, stats, binding)
 
-    def choose_access_path(
-        self,
-        table_name: str,
-        alias: str,
-        pushed: list[Expr],
-        hint: IndexHint | None,
-    ) -> PlanNode:
-        """Cost-based choice among SeqScan / IndexScan / BitmapOr.
-
-        Public because Sieve's strategy selector (paper Section 5.5)
-        interrogates it through EXPLAIN.
-        """
-        access = self._access(table_name, alias, pushed)
-        paths, est_rows = access.paths(_Bind((), {}, {}))
-        return access.make(self._apply_hint(paths, hint), est_rows)
-
     def access_paths(self, table_name: str, alias: str, pushed: list[Expr]) -> list[PlanNode]:
-        """Every access path :meth:`choose_access_path` weighs for one
-        table under its pushed conjuncts, SeqScan first, each with its
-        ``est_cost``."""
+        """Every access path planning weighs for one table under its
+        pushed conjuncts (SeqScan / IndexScan / BitmapOr), SeqScan
+        first, each with its ``est_cost``."""
         access = self._access(table_name, alias, pushed)
         paths, est_rows = access.paths(_Bind((), {}, {}))
         return [access.make(path, est_rows) for path in paths]
@@ -1218,7 +1222,9 @@ class Planner:
 
         step = _Step(agg_binding, bind_aggregate)
         if select.having is not None:
-            having_expr = self._substitute(select.having, substitutions)
+            # Its Params (if any) match nothing phase 1 matched
+            # (_having_rematches): each binding binds the filter itself.
+            having = _Parts([self._substitute(select.having, substitutions)])
             aggregated = step
 
             def bind_having(b: _Bind) -> PlanNode:
@@ -1228,7 +1234,7 @@ class Planner:
                     est_rows=inner.est_rows / 3.0,
                     est_cost=inner.est_cost,
                     child=inner,
-                    expr=having_expr,
+                    expr=having.bound(b)[0],
                 )
 
             step = _Step(agg_binding, bind_having)

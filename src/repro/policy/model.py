@@ -231,13 +231,6 @@ class Policy:
         return tuple(oc for oc in self.object_conditions if oc is not owner)
 
     @property
-    def querier_conditions(self) -> tuple[QuerierCondition, ...]:
-        return (
-            QuerierCondition("querier", "=", self.querier),
-            QuerierCondition("purpose", "=", self.purpose),
-        )
-
-    @property
     def has_derived_conditions(self) -> bool:
         return any(oc.is_derived for oc in self.object_conditions)
 

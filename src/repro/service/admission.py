@@ -221,14 +221,6 @@ class AdmissionQueue:
         with self._cond:
             return self._pending
 
-    def depth_by_key(self) -> dict[SessionKey, int]:
-        with self._cond:
-            return {key: len(bucket) for key, bucket in self._by_key.items()}
-
-    def in_flight_keys(self) -> set[SessionKey]:
-        with self._cond:
-            return set(self._in_flight)
-
     def wait_quiesced(
         self, match: Callable[[SessionKey], bool], timeout: float | None = None
     ) -> bool:

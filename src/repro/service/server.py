@@ -14,11 +14,13 @@ and runs a fixed pool of worker threads over a bounded
         │  admit (bounded queue; ServiceOverloadedError = backpressure)
         ▼
     AdmissionQueue — batch same-(querier, purpose), serialize per key
-        │  worker pickup (queue-wait recorded)
+        │  worker pickup (queue-wait recorded; deadline checked; fault
+        │  hooks in chaos runs)
         ▼
-    Sieve pipeline — policy snapshot → shared guard cache (single-
-        flight) → strategy → rewrite → execute (bundled engine or a
-        Backend with per-thread connections)
+    Sieve.serve — statement memo → plan cache → policy snapshot →
+        shared guard cache (single-flight) → strategy → rewrite → plan
+        → execute (bundled engine or a Backend with per-thread
+        connections)
         │
         ▼
     Future resolved; latency split into queue-wait + service time
@@ -70,11 +72,6 @@ from repro.common.errors import (
     WorkerCrashedError,
 )
 from repro.core.middleware import Sieve
-from repro.expr.params import collect_params, parameterize_traced
-from repro.sql.ast import Query
-from repro.sql.lexer import Token, TokenType, tokenize
-from repro.sql.parser import literal_value, parse_query
-from repro.sql.printer import to_sql
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.tracing import (
     clear_inherited_trace_id,
@@ -86,59 +83,6 @@ from repro.service.admission import AdmissionQueue, Batch, ServiceRequest
 DEFAULT_WORKERS = 4
 DEFAULT_MAX_PENDING = 1024
 DEFAULT_MAX_BATCH = 16
-#: Bound on the per-server map of prepared handles, one per query
-#: shape (auto-parameterized template) and (querier, purpose), and on
-#: each probe of the statement memo (texts, token shapes);
-#: least-recently-created entries age out beyond it.
-AUTO_PREPARE_MAX_SHAPES = 512
-
-
-def _shape_of(tokens: list[Token]) -> tuple[tuple, list[int]]:
-    """A text's token stream with each NUMBER and STRING value masked by
-    its kind — the key of the statement memo's second probe — and the
-    indices of those literal tokens, in text order.  Keywords,
-    operators and punctuation key by their text, identifiers and
-    parameters by theirs in a tuple (a quoted ``"("`` is not ``(``)."""
-    key: list = []
-    literals: list[int] = []
-    for index, token in enumerate(tokens):
-        kind = token.type
-        if kind is TokenType.NUMBER or kind is TokenType.STRING:
-            literals.append(index)
-            key.append("\0number" if kind is TokenType.NUMBER else "\0string")
-        elif kind is TokenType.IDENT or kind is TokenType.PARAM:
-            key.append((kind is TokenType.IDENT, token.value))
-        else:
-            key.append(token.value)
-    return tuple(key), literals
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """The statement memo's entry for a token shape, made from the one
-    parse of its first text: the auto-parameterized template, its key,
-    and per literal token (text order) what a new text's token there
-    is — the value of slot ``j`` (an ``int``), or text that must read
-    exactly as recorded (a ``str``: ``LIMIT 20``, a select-list
-    constant, which stay in the template)."""
-
-    template: Query
-    template_key: str
-    reads: tuple[int | str, ...]
-    slots: int
-
-    def values_of(self, tokens: list[Token], literals: list[int]) -> tuple | None:
-        """A new text's binding — each slot converted by the parser's
-        own :func:`~repro.sql.parser.literal_value` — or ``None`` when
-        a recorded text differs."""
-        values: list = [None] * self.slots
-        for index, read in zip(literals, self.reads):
-            token = tokens[index]
-            if isinstance(read, int):
-                values[read] = literal_value(token)
-            elif token.value != read:
-                return None
-        return tuple(values)
 
 
 @dataclass
@@ -258,6 +202,13 @@ class ServiceStats:
 class SieveServer:
     """A thread-pooled, batching front end over one Sieve pipeline.
 
+    The server keeps admission, batching, deadlines, the fault hooks,
+    the trace id a request carries from its admitting thread, and its
+    own stats.  Everything from SQL text to result is the middleware's:
+    a worker calls :meth:`Sieve.serve <repro.core.middleware.Sieve.serve>`
+    once per request, which turns the text into a statement-memo entry
+    and its binding and runs that through the plan cache.
+
     Usage::
 
         server = SieveServer(sieve, workers=4)
@@ -288,23 +239,6 @@ class SieveServer:
         if workers <= 0:
             raise ServiceError("worker count must be positive")
         self.sieve = sieve
-        # Serving implies repeated traffic: every SELECT is served
-        # through the PreparedQuery of its shape from the first
-        # sighting, so a repeated shape skips strategy → rewrite → plan
-        # (value-keyed, epoch- and plan-version-fenced — see
-        # core.cache.PlanCache).  (querier, purpose, template_key) →
-        # PreparedQuery; bounded FIFO (dict order).
-        self._prepare_lock = threading.Lock()
-        self._prepared: dict[tuple, Any] = {}
-        # The statement memo, two probes shared by queriers (parsing is
-        # a pure function of the text), each a bounded FIFO like
-        # _prepared, written under _prepare_lock.  By text: SQL text →
-        # (template_key, values), so a repeated text skips even the
-        # lexer.  By shape: masked token stream → _Shape, so a fresh
-        # literal in a known shape is lexed, not parsed, parameterized
-        # or printed.
-        self._statements: dict[str, tuple[str, tuple]] = {}
-        self._shapes: dict[tuple, _Shape] = {}
         self.workers = workers
         self._queue = AdmissionQueue(max_pending=max_pending, max_batch=max_batch)
         self._threads: list[threading.Thread] = []
@@ -628,9 +562,6 @@ class SieveServer:
                 )
                 self._record(request, failed=True, expired=True)
                 continue
-            # Resolved before any fault fires, so a duplicated delivery
-            # runs the very handle and bindings the delivered one does.
-            auto = self._auto_prepare(request.sql, querier, purpose)
             # Fault-injection hooks run OUTSIDE the per-request
             # try/except below: an injected worker crash must escape to
             # the worker loop's crash barrier, not resolve this one
@@ -667,9 +598,11 @@ class SieveServer:
                         # Duplicated delivery: the query runs twice, down
                         # the same path (double engine work, double
                         # counters); only the second answer is
-                        # delivered.  Safe — queries are read-only.
+                        # delivered.  Safe — queries are read-only.  The
+                        # copy files its text in the statement memo, so
+                        # the delivered run reads the same binding back.
                         try:
-                            self._run(request.sql, querier, purpose, auto)
+                            self.sieve.serve(request.sql, querier, purpose)
                         except Exception:
                             pass  # the delivered attempt decides the outcome
             if request.trace_id:
@@ -677,7 +610,7 @@ class SieveServer:
             if self.inject_delay_s > 0.0:
                 time.sleep(self.inject_delay_s)
             try:
-                info = self._run(request.sql, querier, purpose, auto)
+                info = self.sieve.serve(request.sql, querier, purpose)
                 result: Any = info if request.with_info else info.result
             except BaseException as exc:  # resolve, never kill the worker
                 failed = True
@@ -694,100 +627,6 @@ class SieveServer:
             return  # an all-cancelled batch must not skew batch stats
         with self._lock:
             self._batches += 1
-
-    def _run(self, sql: Any, querier: Any, purpose: str, auto: Any) -> Any:
-        """One execution of a request: through its prepared handle when
-        :meth:`_auto_prepare` found one, else the plain pipeline."""
-        if auto is None:
-            return self.sieve.execute_with_info(sql, querier, purpose)
-        prepared, values = auto
-        return prepared.execute_with_info(values)
-
-    def _auto_prepare(self, sql: Any, querier: Any, purpose: str) -> Any:
-        """``(PreparedQuery, binding values)`` for a parameter-free
-        SELECT, or ``None`` to take the plain ``Sieve.execute`` path.
-
-        The statement memo is probed twice.  A text served before is
-        found by its text: its template key and values lead straight
-        to the (querier, purpose) handle, with nothing lexed.  A new
-        text is lexed, and a known *shape* (its token stream with the
-        literal values masked) gives the template without a parse: the
-        values are read off the tokens the first text's lifted
-        literals came from.  Anything else — a new shape, a shape whose
-        inline literal (``LIMIT 20``) reads differently, a text whose
-        literals were not each one token (``-5``, ``TRUE``) — is
-        parsed, its literals are auto-parameterized
-        (:func:`repro.expr.params.parameterize_traced`) and the
-        template is prepared once per (querier, purpose), at first
-        sight; a querier new to a known shape is prepared from its
-        template.  Every request of the shape then executes through
-        the plan cache.  Row- and enforcement-counter identical to the
-        plain path by construction (the cache is value-keyed), so
-        callers cannot observe it except in latency and the plan
-        cache's :class:`~repro.core.cache.CacheStats`.
-
-        Never raises: non-SELECT statements, unparseable SQL and
-        already-parameterized queries fall through so the plain path
-        surfaces its usual errors; none of them is memoized.
-        """
-        shape_key = None
-        if isinstance(sql, str):
-            memo = self._statements.get(sql)
-            if memo is not None:
-                prepared = self._prepared.get((querier, purpose, memo[0]))
-                if prepared is not None:
-                    return prepared, memo[1]
-            try:
-                tokens = tokenize(sql)
-                shape_key, literals = _shape_of(tokens)
-                shape = self._shapes.get(shape_key)
-                values = None if shape is None else shape.values_of(tokens, literals)
-            except Exception:
-                return None
-            if values is not None:
-                return self._handle(sql, querier, purpose, shape.template, shape.template_key, values)
-        try:
-            query = parse_query(sql) if isinstance(sql, str) else sql
-            if not isinstance(query, Query) or collect_params(query):
-                return None
-            template, values, sources = parameterize_traced(query)
-            template_key = to_sql(template)
-        except Exception:
-            return None
-        prepared, values = self._handle(sql, querier, purpose, template, template_key, values)
-        # The shape is memoized only when each slot's value is one
-        # token's own: a lifted TRUE, NULL or folded ``-5`` has no token
-        # to read a new value from (and ``-0`` lifts 0, which equals
-        # its token but must not serve ``-3`` as 3).
-        if shape_key is not None and None not in sources and len(set(sources)) == len(sources):
-            slot_of = {token: slot for slot, token in enumerate(sources)}
-            reads = tuple(slot_of.get(i, tokens[i].value) for i in literals)
-            with self._prepare_lock:
-                self._shapes[shape_key] = _Shape(template, prepared.template_key, reads, len(sources))
-                while len(self._shapes) > AUTO_PREPARE_MAX_SHAPES:
-                    self._shapes.pop(next(iter(self._shapes)))
-        return prepared, values
-
-    def _handle(
-        self, sql: Any, querier: Any, purpose: str, template: Query, template_key: str, values: tuple
-    ) -> tuple[Any, tuple]:
-        """(querier, purpose)'s handle on ``template`` — prepared now if
-        it has none — with ``values``; a text is filed in the memo."""
-        with self._prepare_lock:
-            prepared = self._prepared.get((querier, purpose, template_key))
-            if prepared is None:
-                # A handle holds the template and nothing else, so
-                # building one under the lock costs a print of it.
-                # It is filed under that print, which the memo shares.
-                prepared = self.sieve.prepare(template, querier, purpose)
-                self._prepared[(querier, purpose, prepared.template_key)] = prepared
-                while len(self._prepared) > AUTO_PREPARE_MAX_SHAPES:
-                    self._prepared.pop(next(iter(self._prepared)))
-            if isinstance(sql, str):
-                self._statements[sql] = (prepared.template_key, values)
-                while len(self._statements) > AUTO_PREPARE_MAX_SHAPES:
-                    self._statements.pop(next(iter(self._statements)))
-        return prepared, values
 
     def _fail_unresolved(self, batch: Batch) -> None:
         """The crash barrier's cleanup: every request of the batch the

@@ -80,8 +80,8 @@ def literal_value(token: Token) -> int | float | str:
     """The value of a NUMBER or STRING token, as its ``Literal`` holds
     it: a number with a point or an exponent is a ``float``, any other
     an ``int``; a string is the token's unescaped text.  The statement
-    memo of :mod:`repro.service.server` reads a fresh text's literals
-    through this same function."""
+    memo (:meth:`Sieve._statement <repro.core.middleware.Sieve._statement>`)
+    reads a fresh text's literals through this same function."""
     if token.type is TokenType.STRING:
         return token.value
     text = token.value

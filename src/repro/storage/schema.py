@@ -87,9 +87,6 @@ class Schema:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._index
-
     def index_of(self, name: str) -> int:
         """Position of column ``name`` or CatalogError if absent."""
         try:

@@ -321,9 +321,9 @@ def test_hedged_read_wins_past_a_dropped_reply():
 
 
 def test_duplicated_delivery_runs_the_delivered_path():
-    """A duplicated first-sight request runs twice through the prepared
-    handle the shard serves it with: the copy misses the plan cache and
-    admits the plan, the delivered attempt hits it."""
+    """A duplicated first-sight request runs twice down the path the
+    shard serves it on: the copy misses the plan cache and admits the
+    plan, the delivered attempt hits it."""
     db, store, _, _ = build_world()
     plan = FaultPlan(seed=0, request_faults=(RequestFault(0, "duplicate"),))
     with make_cluster(db, store, n_shards=2, fault_injector=FaultInjector(plan)) as cluster:
@@ -546,7 +546,8 @@ def test_cluster_counts_are_pinned_under_a_fault_plan():
     assert (stats.requests, stats.batches, stats.rejections, stats.failures) == (18, 18, 0, 1)
     events = ("hits", "misses", "evictions", "invalidations", "coalesced")
     assert [stats.guard_cache[k] for k in events] == [0, 7, 0, 1, 0]
-    assert [stats.plan_cache[k] for k in events] == [10, 7, 0, 1, 0]
+    # The write drops the querier's plan and its template's rewrite.
+    assert [stats.plan_cache[k] for k in events] == [10, 7, 0, 2, 0]
     assert {name: s.requests for name, s in stats.per_shard.items()} == {
         "shard-0": 16,
         "shard-1": 2,

@@ -942,14 +942,14 @@ def test_server_auto_prepares_repeated_shapes():
             got = server.execute(sql(300), *who, timeout=60)
             assert got.rows == oracle_sieve.execute(sql(300), *who).rows
         assert (stats.misses, stats.hits, len(sieve.plan_cache)) == (1, 1, 2)
-        # A fresh literal is the same shape: one more miss, no new handle.
+        # A fresh literal is the same shape: one more miss, no new memo entry.
         server.execute(sql(301), *who, timeout=60)
         assert (stats.misses, stats.hits) == (2, 1)
-        assert len(server._prepared) == 1
+        assert len(sieve._shapes) == 1
         thresholds = [(i * 53) % 400 for i in range(12)]
         got = server.execute_many([sql(t) for t in thresholds], *who, timeout=60)
         assert [r.rows for r in got] == [oracle_sieve.execute(sql(t), *who).rows for t in thresholds]
-        assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
+        assert stats.misses + stats.hits == 15 and len(sieve._shapes) == 1
         # What cannot be prepared falls through to Sieve.execute and
         # raises what it raises, at every sighting: it is never memoized.
         for bad in ("DELETE FROM t", "SELEC id FROM t", "SELECT id FROM t WHERE v < ?"):
@@ -959,23 +959,24 @@ def test_server_auto_prepares_repeated_shapes():
                 with pytest.raises(type(direct.value)) as served:
                     server.execute(bad, *who, timeout=60)
                 assert str(served.value) == str(direct.value)
-            assert bad not in server._statements
-        assert stats.misses + stats.hits == 15 and len(server._prepared) == 1
+            assert bad not in sieve._statements
+        assert stats.misses + stats.hits == 15 and len(sieve._shapes) == 1
 
 
 def counting_parses(monkeypatch) -> list[int]:
-    """Count the server's ``parse_query`` calls: the returned one-item
-    list holds the running total."""
-    from repro.service import server as server_module
+    """Count the middleware's ``parse_query`` calls (the statement
+    memo's, and ``Sieve.execute``'s): the returned one-item list holds
+    the running total."""
+    from repro.core import middleware
 
     calls = [0]
-    real = server_module.parse_query
+    real = middleware.parse_query
 
     def spy(text):
         calls[0] += 1
         return real(text)
 
-    monkeypatch.setattr(server_module, "parse_query", spy)
+    monkeypatch.setattr(middleware, "parse_query", spy)
     return calls
 
 
@@ -1004,6 +1005,8 @@ def test_server_serves_a_repeated_text_without_parsing_it(monkeypatch):
     who = ("alice", "analytics")
     sql = "SELECT id FROM t WHERE v < 300 ORDER BY id"
     expected = Sieve(db, store).execute(sql, *who).rows
+    fresh = sql.replace("300", "301")
+    expected_fresh = Sieve(db, store).execute(fresh, *who).rows
     parses = counting_parses(monkeypatch)
     with SieveServer(sieve, workers=1) as server:
         assert server.execute(sql, *who, timeout=60).rows == expected
@@ -1013,20 +1016,17 @@ def test_server_serves_a_repeated_text_without_parsing_it(monkeypatch):
         assert parses[0] == 1
         # A new literal in the known shape is lexed, not parsed: its
         # value is read off the token the first text's literal came from.
-        fresh = sql.replace("300", "301")
-        assert server.execute(fresh, *who, timeout=60).rows == Sieve(db, store).execute(fresh, *who).rows
-        assert parses[0] == 1 and len(server._prepared) == 1 and len(server._shapes) == 1
-        assert server._statements[fresh][1] == (301,)
-        # Both texts share the handle's template key, not prints of their own.
-        (handle,) = server._prepared.values()
-        assert all(key is handle.template_key for key, _values in server._statements.values())
-        (shape,) = server._shapes.values()
-        assert shape.template is handle.template and shape.template_key is handle.template_key
+        assert server.execute(fresh, *who, timeout=60).rows == expected_fresh
+        assert parses[0] == 1 and len(sieve._shapes) == 1
+        assert sieve._statements[fresh][1] == (301,)
+        # Both texts share the shape's memo entry, not parses of their own.
+        (shape,) = sieve._shapes.values()
+        assert all(entry is shape.statement for entry, _values in sieve._statements.values())
     assert sieve.plan_cache.stats.hits == 3
 
 
 @pytest.mark.parametrize("first", ["alice", "bob"])
-def test_a_shared_text_selects_each_queriers_own_handle(first):
+def test_a_shared_text_runs_each_queriers_own_plan(first):
     from repro.service import SieveServer
 
     db, store = two_querier_world()
@@ -1035,45 +1035,46 @@ def test_a_shared_text_selects_each_queriers_own_handle(first):
     expected = {who: oracle.execute(sql, who, "analytics").rows for who in ("alice", "bob")}
     assert expected["alice"] != expected["bob"]
     order = [first, "bob" if first == "alice" else "alice"]
-    with SieveServer(Sieve(db, store), workers=1) as server:
+    sieve = Sieve(db, store)
+    with SieveServer(sieve, workers=1) as server:
         for who in order * 2:
             assert server.execute(sql, who, "analytics", timeout=60).rows == expected[who]
-        assert len(server._statements) == 1 and len(server._shapes) == 1
-        # The second querier's handle was prepared from the memo's template.
-        assert len({id(handle.template) for handle in server._prepared.values()}) == 1
-        assert sorted(key[0] for key in server._prepared) == ["alice", "bob"]
-        assert {handle.querier for handle in server._prepared.values()} == {"alice", "bob"}
-        for (querier, _purpose, _template), handle in server._prepared.items():
-            assert handle.querier == querier
+        assert len(sieve._statements) == 1 and len(sieve._shapes) == 1
+        # One memo entry, one plan per querier under its template key.
+        ((entry, _values),) = sieve._statements.values()
+        plans = {key: plan for key, plan in sieve.plan_cache._entries.items() if len(key) == 4}
+        assert sorted(key[0] for key in plans) == ["alice", "bob"]
+        assert {key[2] for key in plans} == {entry.template_key}
+        for (querier, _purpose, _template, _values), plan in plans.items():
+            assert plan.querier == querier
 
 
 def test_statement_memo_stays_within_its_bound():
-    from repro.service import SieveServer
-    from repro.service.server import AUTO_PREPARE_MAX_SHAPES
+    from repro.core.middleware import AUTO_PREPARE_MAX_SHAPES
 
     db, store = small_world()
-    server = SieveServer(Sieve(db, store))  # never started: the front end alone
+    sieve = Sieve(db, store)  # the front end alone: nothing executes
     texts = [f"SELECT id FROM t WHERE v < {i}" for i in range(AUTO_PREPARE_MAX_SHAPES + 40)]
     for text in texts:
-        server._auto_prepare(text, "alice", "analytics")
-    assert len(server._statements) == AUTO_PREPARE_MAX_SHAPES
+        sieve._statement(text)
+    assert len(sieve._statements) == AUTO_PREPARE_MAX_SHAPES
     # FIFO: the first texts aged out, the latest are held.
-    assert texts[0] not in server._statements and texts[-1] in server._statements
-    assert len(server._prepared) == 1 and len(server._shapes) == 1
+    assert texts[0] not in sieve._statements and texts[-1] in sieve._statements
+    assert len(sieve._shapes) == 1
     # Shapes (one per alias here) hold the same bound; the texts that
     # keep arriving never evict a shape.
     shaped = [f"SELECT id AS c{i} FROM t WHERE v < 1" for i in range(AUTO_PREPARE_MAX_SHAPES + 40)]
     for text in shaped:
-        server._auto_prepare(text, "alice", "analytics")
-    assert len(server._shapes) == len(server._prepared) == AUTO_PREPARE_MAX_SHAPES
-    assert len(server._statements) == AUTO_PREPARE_MAX_SHAPES
-    newest = next(reversed(server._shapes))
+        sieve._statement(text)
+    assert len(sieve._shapes) == AUTO_PREPARE_MAX_SHAPES
+    assert len(sieve._statements) == AUTO_PREPARE_MAX_SHAPES
+    newest = next(reversed(sieve._shapes))
     for i in range(AUTO_PREPARE_MAX_SHAPES + 40):
-        server._auto_prepare(f"SELECT id FROM t WHERE v < {10_000 + i}", "alice", "analytics")
-    assert newest in server._shapes and len(server._shapes) == AUTO_PREPARE_MAX_SHAPES
+        sieve._statement(f"SELECT id FROM t WHERE v < {10_000 + i}")
+    assert newest in sieve._shapes and len(sieve._shapes) == AUTO_PREPARE_MAX_SHAPES
 
 
-def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
+def test_a_text_that_aged_out_of_the_memo_is_served_by_its_shape(monkeypatch):
     from repro.service import SieveServer
 
     db, store = small_world()
@@ -1081,16 +1082,14 @@ def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
     sql = "SELECT id FROM t WHERE v < 300 ORDER BY id"
     expected = Sieve(db, store).execute(sql, *who).rows
     parses = counting_parses(monkeypatch)
-    with SieveServer(Sieve(db, store), workers=1) as server:
+    sieve = Sieve(db, store)
+    with SieveServer(sieve, workers=1) as server:
         server.execute(sql, *who, timeout=60)
-        (key,) = server._prepared
-        evicted = server._prepared.pop(key)
-        assert sql in server._statements
-        # Prepared again from the shape's template: no second parse.
+        evicted, values = sieve._statements.pop(sql)
+        # Read again off the shape's tokens: no second parse, the same entry.
         assert server.execute(sql, *who, timeout=60).rows == expected
         assert parses[0] == 1
-        assert server._prepared[key] is not evicted
-        assert server._prepared[key].template is evicted.template
+        assert sieve._statements[sql] == (evicted, values) and sieve._statements[sql][0] is evicted
         assert server.execute(sql, *who, timeout=60).rows == expected
         assert parses[0] == 1
 
@@ -1098,11 +1097,12 @@ def test_a_memoized_text_whose_handle_aged_out_is_prepared_again(monkeypatch):
 def test_statement_memo_under_eight_threads(monkeypatch):
     """Eight clients, one querier each, share one server (eight
     workers) over texts they all send and texts only they send; a bound
-    of 6 keeps the memo and the handle map evicting while hits read
+    of 6 keeps both probes of the memo evicting while hits read
     them.  Every reply matches the oracle, the memo holds its bound."""
-    from repro.service import SieveServer, server as server_module
+    from repro.core import middleware
+    from repro.service import SieveServer
 
-    monkeypatch.setattr(server_module, "AUTO_PREPARE_MAX_SHAPES", 6)
+    monkeypatch.setattr(middleware, "AUTO_PREPARE_MAX_SHAPES", 6)
     db, store = two_querier_world()
     queriers = ["alice", "bob"] + [f"q{i}" for i in range(6)]
     sql = "SELECT id FROM t WHERE v < {} ORDER BY id".format
@@ -1129,7 +1129,7 @@ def test_statement_memo_under_eight_threads(monkeypatch):
         for thread in threads:
             thread.join()
         assert errors == []
-        assert len(server._statements) <= 6 and len(server._prepared) <= 6 and len(server._shapes) <= 6
+        assert len(server.sieve._statements) <= 6 and len(server.sieve._shapes) <= 6
     assert any(rows for rows in expected.values()) and any(not rows for rows in expected.values())
 
 
@@ -1187,20 +1187,18 @@ def _typed(values):
     )
 )
 def test_the_memo_front_end_equals_the_parse(texts):
-    from repro.service import SieveServer
-
     if "world" not in _FRONT_END:
         _FRONT_END["world"] = small_world(n_rows=40)
-    server = SieveServer(Sieve(*_FRONT_END["world"]))  # never started: the front end alone
+    sieve = Sieve(*_FRONT_END["world"])  # the front end alone: nothing executes
     for shape, spellings in texts:
         text = _FRONT_END_SHAPES[shape].format(*spellings)
-        got = server._auto_prepare(text, "alice", "analytics")
+        got = sieve._statement(text)
         want = _parsed_front_end(text)
         if want is None:
             assert got is None, text
         else:
-            prepared, values = got
-            assert (prepared.template_key, _typed(values)) == (want[0], _typed(want[1])), text
+            statement, values = got
+            assert (statement.template_key, _typed(values)) == (want[0], _typed(want[1])), text
 
 
 _FRONT_END: dict = {}
@@ -1256,27 +1254,28 @@ def test_awkward_texts_through_the_memo_match_the_plain_path():
             want = _reply(lambda: oracle.execute(text, "alice", "analytics"))
             assert got == want, text
             replies.append(got)
-        shapes = len(server._shapes)
+        shapes = len(server.sieve._shapes)
     assert replies[4] != replies[5] != replies[6]  # -0, -3, 3: three answers
     assert replies[15][0] is ParseError and replies[22][0] is ExecutionError
     assert replies[11] != replies[12] and len(replies[13]) == 3
     assert shapes < len(ADVERSARIAL_TEXTS) // 2  # most texts met a known shape
 
 
-def test_a_second_querier_on_a_known_shape_is_prepared_without_a_parse(monkeypatch):
+def test_a_second_querier_on_a_known_shape_is_served_without_a_parse(monkeypatch):
     from repro.service import SieveServer
 
     db, store = two_querier_world()
-    oracle = Sieve(db, store)
+    text = "SELECT id FROM t WHERE v < 250 ORDER BY id"
+    expected = Sieve(db, store).execute(text, "bob", "analytics").rows
     parses = counting_parses(monkeypatch)
-    with SieveServer(Sieve(db, store), workers=1) as server:
+    sieve = Sieve(db, store)
+    with SieveServer(sieve, workers=1) as server:
         server.execute("SELECT id FROM t WHERE v < 500 ORDER BY id", "alice", "analytics", timeout=60)
         assert parses[0] == 1
-        text = "SELECT id FROM t WHERE v < 250 ORDER BY id"
         got = server.execute(text, "bob", "analytics", timeout=60)
-        assert got.rows == oracle.execute(text, "bob", "analytics").rows
+        assert got.rows == expected
         assert parses[0] == 1
-        assert {key[0] for key in server._prepared} == {"alice", "bob"}
+        assert sieve.plan_cache.queriers() == {"alice", "bob"}
 
 
 @pytest.mark.parametrize("change", ["first-policy", "protect"])
@@ -1295,7 +1294,8 @@ def test_a_relation_becoming_protected_reaches_warm_plans(change):
         for _ in range(2):  # cached, and served from the cache
             assert len(held.execute().rows) == 50
             assert len(server.execute("SELECT id FROM t", "bob", "analytics", timeout=60).rows) == 50
-        assert len(sieve.plan_cache) == 2 and sieve.plan_cache.stats.hits == 2
+        # Two plans and their templates' rewrites (uncounted).
+        assert len(sieve.plan_cache) == 4 and sieve.plan_cache.stats.hits == 2
         if change == "protect":
             store.protect("t")
         else:
@@ -1532,6 +1532,11 @@ BOUND_SHAPES = MEMO_SHAPES + (
     "SELECT * FROM {table} WHERE owner IN (SELECT id FROM Users WHERE id < ?) AND ts_time >= ?",
     # an IN subquery over the enforced relation itself
     "SELECT id FROM {table} WHERE id IN (SELECT id FROM {table} WHERE ts_date = ?) AND ts_time < ?",
+    # a HAVING aggregate compared with a Param: bound in phase 2
+    "SELECT owner, COUNT(*) FROM {table} WHERE ts_time >= ? GROUP BY owner HAVING COUNT(*) > ?",
+    # a HAVING Param beside a GROUP BY literal it could equal: phase 1 per binding
+    "SELECT ts_date + 1 AS d, COUNT(*) FROM {table} WHERE ts_time < ? "
+    "GROUP BY ts_date + 1 HAVING COUNT(*) > ?",
 )
 BOUND_VALUES = ((1, 3), (2, 600), (0, 1200))
 
@@ -1826,3 +1831,75 @@ def test_a_drift_past_the_staleness_ratio_prepares_the_template_again(monkeypatc
     executed, execution = _executed_plan(sieve, prepared, (2, 4))
     assert prepares[0] == 1
     assert _plan_shape(executed) == _plan_shape(db.plan(execution.rewrite.rewritten))
+
+
+def test_a_having_literal_binds_without_preparing_again(monkeypatch):
+    """A Param compared with an aggregate in HAVING is bound in phase 2:
+    the second binding runs ``Planner.prepare`` 0 times.  Beside a
+    GROUP BY expression holding a literal, which a bound HAVING
+    expression could equal, each binding prepares its own."""
+    world = _memo_world("mall", "postgres", False)
+    db, sieve, table = world["db"], world["sieve"], world["table"]
+    querier, purpose = world["queriers"][0], world["purpose"]
+    grouped, late = (sieve.prepare(BOUND_SHAPES[i].format(table=table), querier, purpose) for i in (6, 7))
+    for prepared in (grouped, late):
+        _executed_plan(sieve, prepared, (600, 2))
+    prepares = _counting_prepares(monkeypatch)
+    for prepared, expected in ((grouped, 0), (late, 1)):
+        before = prepares[0]
+        executed, execution = _executed_plan(sieve, prepared, (700, 3))
+        assert prepares[0] - before == expected
+        assert _plan_shape(executed) == _plan_shape(db.plan(execution.rewrite.rewritten))
+
+
+# ------------------------------------------ Sieve.execute: the one path
+#
+# The unprepared path keeps no plan per binding, but it binds the
+# template's rewrite and plan template like every other path: a fresh
+# literal in a known shape is neither rewritten nor planned from phase
+# 1, and what it runs is the plan of its bound rewrite.
+
+
+def test_execute_rewrites_and_prepares_a_shape_once(monkeypatch):
+    world = _memo_world("mall", "postgres", False)
+    sieve, table = world["sieve"], world["table"]
+    querier, purpose = world["queriers"][0], world["purpose"]
+    prepares = _counting_prepares(monkeypatch)
+    rewrites = _counting_rewrites(sieve)
+    for shape in (
+        f"SELECT * FROM {table} WHERE ts_date BETWEEN {{}} AND {{}}",
+        f"SELECT owner, COUNT(*) FROM {table} WHERE ts_time >= {{}} GROUP BY owner HAVING COUNT(*) > {{}}",
+    ):
+        before = (prepares[0], rewrites[0])
+        for values in ((1, 3), (2, 4)):
+            sieve.execute(shape.format(*values), querier, purpose)
+        assert (prepares[0] - before[0], rewrites[0] - before[1]) == (1, 1), shape
+    before = (prepares[0], rewrites[0])
+    for _ in range(2):  # slot-less
+        sieve.execute(f"SELECT COUNT(*) FROM {table}", querier, purpose)
+    assert (prepares[0] - before[0], rewrites[0] - before[1]) == (1, 1)
+    assert sieve.plan_cache.stats.hits + sieve.plan_cache.stats.misses == 0  # no plan per binding
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["inline", "delta"])
+@pytest.mark.parametrize("personality", ["postgres", "mysql"])
+def test_execute_runs_the_plan_of_its_bound_rewrite(personality, delta):
+    """Rows and engine counters of ``Sieve.execute`` equal
+    ``db.execute`` of the bound rewrite it reports."""
+    world = _memo_world("mall", personality, delta)
+    db, sieve, table = world["db"], world["sieve"], world["table"]
+    querier, purpose = world["queriers"][1], world["purpose"]
+    texts = [f"SELECT COUNT(*) FROM {table}"] + [
+        to_sql(bind_query(parse_query(shape.format(table=table)), values))
+        for shape in BOUND_SHAPES
+        for values in BOUND_VALUES
+    ]
+    sieve.execute(texts[0], querier, purpose)  # guards generated outside the window
+    for text in texts:
+        before = db.counters.snapshot()
+        execution = sieve.execute_with_info(text, querier, purpose)
+        ran = db.counters.diff(before)
+        before = db.counters.snapshot()
+        direct = db.execute(execution.rewrite.rewritten)
+        assert (execution.result.rows, ran) == (direct.rows, db.counters.diff(before)), text
+

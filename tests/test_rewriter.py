@@ -192,6 +192,12 @@ class TestRewriteShares:
         self.db.create_table("plain", Schema.of(("id", ColumnType.INT),))
         self.db.insert("plain", [(i,) for i in range(20)])
 
+    def _prepare(self, sql):
+        """The middleware pipeline up to planning, as ``Sieve.execute``
+        runs it: parsed and parameterized, then prepared."""
+        statement, values = self.sieve._parsed(sql)
+        return self.sieve._prepare(statement, "prof", "analytics", values)
+
     @pytest.mark.parametrize("sql", NESTED_SHAPES)
     def test_input_untouched_and_every_reference_redirected(self, sql):
         """The rewrite shares the input's nodes instead of copying them:
@@ -201,8 +207,9 @@ class TestRewriteShares:
         table included (the parent left both reading the bare table)."""
         original = parse_query(sql)
         before = str(original)
-        first = self.sieve._prepare(original, "prof", "analytics")[0].rewrite
-        again = self.sieve._prepare(original, "prof", "analytics")[0].rewrite
+        first = self._prepare(original)[0].rewrite
+        self.sieve.plan_cache.invalidate()  # rewrite again, not the held template rewrite
+        again = self._prepare(original)[0].rewrite
         assert str(original) == before
         assert first.sql == again.sql
         body = first.sql[first.sql.index("wifi_sieve AS (") :]
@@ -217,7 +224,7 @@ class TestRewriteShares:
             "SELECT id FROM wifi WHERE ts_date = 3 AND id IN (SELECT id FROM plain) "
             "AND owner IN (SELECT owner FROM wifi) ORDER BY id"
         )
-        execution = self.sieve._prepare(original, "prof", "analytics")[0]
+        execution = self._prepare(original)[0]
         expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")
         rewritten, _info = self.sieve.rewriter.rewrite(
             original, {"wifi": expression}, execution.rewrite.decisions
@@ -232,9 +239,7 @@ class TestRewriteShares:
         assert new_wifi_in.select.body.from_items[0].name == "wifi_sieve"
 
     def test_guard_or_in_the_cte_is_the_expressions_node(self):
-        execution, rewritten, _plan = self.sieve._prepare(
-            "SELECT * FROM wifi WHERE ts_date = 3", "prof", "analytics"
-        )
+        execution, rewritten, _plan = self._prepare("SELECT * FROM wifi WHERE ts_date = 3")
         expression = self.sieve.guard_store.peek("prof", "analytics", "wifi")
         decision = execution.rewrite.decisions["wifi"]
         guard_or = expression.to_expr(

@@ -2,11 +2,9 @@
 
 Builds the Fig. 6 Mall world (~37 k ``WiFi_Connectivity`` rows, 12 shop
 queriers x 150 policies) through the public API and drives the serving
-tier's prepared path — the front end of a ``SieveServer`` that is never
-started (its statement memo, or parse, auto-parameterize and
-``Sieve.prepare`` once per (querier, shape)), then
-``PreparedQuery.execute`` per request — single-threaded under
-``cProfile``.  Prints the median request time timed plainly and the
+tier's one entry, ``Sieve.serve`` — the statement memo (or parse and
+auto-parameterize, once per shape), then the plan cache — per request,
+single-threaded under ``cProfile``.  Prints the median request time timed plainly and the
 ``parse_query``, ``compile()`` and ``Planner.prepare`` calls per read,
 then the mean under the profiler, the time spent inside each
 ``src/repro/<layer>`` (own time of its functions, so the column adds up)
@@ -79,11 +77,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.bench.scenarios import mall_policies_for_shop  # noqa: E402
-from repro.core import Sieve  # noqa: E402
+from repro.core import Sieve, middleware  # noqa: E402
 from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
 from repro.optimizer.planner import Planner, PlanTemplate  # noqa: E402
 from repro.policy.store import PolicyStore  # noqa: E402
-from repro.service import SieveServer, server  # noqa: E402
 
 TABLE = "WiFi_Connectivity"
 PURPOSE = "any"
@@ -118,9 +115,9 @@ SHAPES = (
 
 
 class World:
-    """The Mall database, its policy store, one ``Sieve`` and the
-    serving tier's front end over it (a ``SieveServer`` never started:
-    its statement memo and prepared handles, no workers)."""
+    """The Mall database, its policy store and one ``Sieve``, served
+    through ``Sieve.serve`` as a server's worker serves it (no queue,
+    no workers)."""
 
     def __init__(self, seed: int):
         self.mall = generate_mall(MallConfig(seed=13, n_customers=900, days=25))
@@ -133,7 +130,6 @@ class World:
             self.owners[shop] = sorted({p.owner for p in policies})
             self.store.insert_many(policies)
         self.sieve = Sieve(self.mall.db, self.store)
-        self.server = SieveServer(self.sieve)
 
     def bind(self, shape: int, shop: int, rng: random.Random) -> str:
         """One SQL text of ``SHAPES[shape]`` with literals from ``rng``."""
@@ -149,9 +145,8 @@ class World:
         return sql.format(**values)
 
     def serve(self, shop: int, sql: str) -> int:
-        """One request down the auto-prepared path; returns its row count."""
-        prepared, values = self.server._auto_prepare(sql, self.mall.shop_querier(shop), PURPOSE)
-        return len(prepared.execute(values).rows)
+        """One request down the serving path; returns its row count."""
+        return len(self.sieve.serve(sql, self.mall.shop_querier(shop), PURPOSE).result.rows)
 
 
 def make_requests(world: World, mode: str, n: int, seed: int) -> list[tuple[str, Callable[[], object]]]:
@@ -199,7 +194,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
     taken: dict[str, list[float]] = defaultdict(list)
     calls: dict[str, Counter] = defaultdict(Counter)
     kind = ""
-    real_parse, real_compile, real_prepare = server.parse_query, builtins.compile, Planner.prepare
+    real_parse, real_compile, real_prepare = middleware.parse_query, builtins.compile, Planner.prepare
 
     def counting(name: str, fn: Callable) -> Callable:
         def run(*args, **kwargs):
@@ -208,7 +203,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
 
         return run
 
-    server.parse_query = counting("parse_query", real_parse)
+    middleware.parse_query = counting("parse_query", real_parse)
     builtins.compile = counting("compile()", real_compile)
     Planner.prepare = counting("Planner.prepare", real_prepare)
     try:
@@ -217,7 +212,7 @@ def timed(requests: list[tuple[str, Callable[[], object]]]) -> tuple[str, dict[s
             request()
             taken[kind].append((time.perf_counter() - start) * 1000.0)
     finally:
-        server.parse_query, builtins.compile, Planner.prepare = real_parse, real_compile, real_prepare
+        middleware.parse_query, builtins.compile, Planner.prepare = real_parse, real_compile, real_prepare
     names = {"read": "read", "after_write": "read after a write", "write": "policy write"}
     kinds = [k for k in ("after_write", "read", "write") if taken[k]]
     reads = [k for k in kinds if k != "write"]
@@ -258,15 +253,14 @@ def gc_paused() -> Iterator[list[float]]:
 def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
     """Where a plan-cache miss spends its time, stage by stage: run
     ``requests`` (fresh literals of known shapes) once with a plain
-    timer around each stage — the server's front end (statement memo),
-    strategy choice, binding the template's rewrite, the rewrite when
-    the template is rewritten at all, planning — no cProfile, and
+    timer around each stage — the front end (``Sieve._statement``, the
+    statement memo), strategy choice, binding the template's rewrite,
+    the rewrite when the template is rewritten at all, planning — no
+    cProfile, and
     re-run every plan once more, so what the *first* execution of a
     plan costs beyond a repeat shows; plus ``rewriter.rewrite`` and
     ``compile()`` calls per request and the garbage collector's pauses.
     Medians over the requests."""
-    from repro.core import middleware
-
     taken: dict[str, list[float]] = defaultdict(list)
 
     def stage(name: str, fn: Callable) -> Callable:
@@ -279,7 +273,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
 
         return run
 
-    db, rewriter, front = world.mall.db, world.sieve.rewriter, world.server
+    db, rewriter, front = world.mall.db, world.sieve.rewriter, world.sieve
     run_plan = db.run_plan
 
     def run_twice(planned):
@@ -293,7 +287,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
     Planner.prepare = stage("plan.template", saved[2])
     PlanTemplate.bind = stage("plan.bind", saved[3])
     rewriter.rewrite = stage("rewrite", rewriter.rewrite)
-    front._auto_prepare = stage("front end", front._auto_prepare)
+    front._statement = stage("front end", front._statement)
     db.run_plan = run_twice
     try:
         with compiles_counted() as compiles, gc_paused() as pauses:
@@ -301,7 +295,7 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
                 request()
     finally:
         middleware.bind_slots, middleware.choose_strategy, Planner.prepare, PlanTemplate.bind = saved
-        del rewriter.rewrite, front._auto_prepare, db.run_plan
+        del rewriter.rewrite, front._statement, db.run_plan
     med = {name: statistics.median(times) for name, times in taken.items()}
     first_cost = med["first execution"] - med["repeat execution"]
     parts = [f"{name} {med[name]:.3f}" for name in ("front end", "strategy", "bind") if name in med]
@@ -489,7 +483,6 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     and the ``compile()`` calls per after-write read, dispatch shells
     (generated guard kernels) and guard branches (row functions)
     counted apart.  Medians over the after-write reads."""
-    from repro.core import middleware
     from repro.engine.vector import VectorizedExecutor
 
     db = world.mall.db

@@ -10,8 +10,10 @@ queries, and pretty-prints each trace as an indented tree::
         guard.resolve 0.388ms table=WiFi_Connectivity hit=False
         strategy 0.102ms table=WiFi_Connectivity strategy=LinearScan
         rewrite 0.201ms enforced=1
-      execute 2.001ms engine=vectorized tuples_scanned=4231
-        plan 0.310ms
+      plan 0.310ms
+        plan.template 0.240ms
+        plan.bind 0.052ms
+      execute 1.691ms engine=vectorized tuples_scanned=4231
         run 1.622ms
       audit.record 0.050ms
 
