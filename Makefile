@@ -53,12 +53,18 @@ profile-churn:
 	$(PYTHON) tools/profile_request.py --mode churn -n $(N)
 
 # ... and for a cold request, each querier's first, which generates its
-# guards (Section 4): the median over three fresh 12-querier worlds and
-# its split timed plainly (candidates / merge sweep / selection / plan /
-# compile() / execute / other) and its compile() calls (dispatch shells,
-# guard branches, other), then guard generation for one shop at 150 /
-# 400 / 1 000 / 2 000 policies and how it grows, then a fourth world's
-# cold requests under cProfile.
+# guards (Section 4), in the canonical serve_warm world (bench/workloads.py,
+# bench/system.py): the median over three fresh instances of it and its
+# split timed plainly (front end / candidates / merge sweep / selection /
+# guard persistence / strategy / rewrite / bind / plan.template /
+# plan.bind / guard-kernel build / compile() / execute / other), the
+# share the named stages hold, its compile() calls (dispatch shells,
+# guard branches, other) and its selectivity_range calls, facts merges
+# and guard-branch renderings, then guard generation for one shop at
+# 150 / 400 / 1 000 / 2 000 policies and how it grows, then a fourth
+# world's cold requests under cProfile.  Exits non-zero if a cold
+# request makes more selectivity_range calls or facts merges than the
+# tool's COLD_CEILINGS.
 profile-cold:
 	$(PYTHON) tools/profile_request.py --mode cold -n 36
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.cost_model import SieveCostModel
+from repro.optimizer.cardinality import point_key, range_key
 from repro.optimizer.stats import TableStats
 from repro.policy.model import ObjectCondition, Policy
 
@@ -54,6 +55,8 @@ def condition_cardinality(oc: ObjectCondition, stats: TableStats) -> float:
     if oc.op == "IN":
         return cstats.selectivity_in(list(oc.value)) * stats.row_count
     if oc.is_range:
+        if _is_closed(oc) and cstats.histogram is not None:
+            return cstats.histogram.closed_ranges([(oc.value, oc.value2)])[0] * stats.row_count
         sel = cstats.selectivity_range(
             oc.value, oc.value2, oc.op == ">=", oc.op2 == "<="
         )
@@ -71,6 +74,41 @@ def condition_cardinality(oc: ObjectCondition, stats: TableStats) -> float:
             * stats.row_count
         )
     return stats.row_count / 3.0
+
+
+def _is_closed(oc: ObjectCondition) -> bool:
+    return oc.op == ">=" and oc.op2 == "<="
+
+
+def _estimate_candidates(candidates: Sequence[CandidateGuard], attr: str, stats: TableStats) -> None:
+    """Set ρ of each of one attribute's candidates, as
+    :func:`condition_cardinality` gives it, and keep in ``stats.figures``
+    the planner's figure for the condition's expression where the two
+    agree to the bit (a closed numeric range, an ``=``), so planning the
+    guard OR reads it (:func:`repro.optimizer.cardinality.figure_key`).
+    The closed ranges are estimated together: one histogram look-up per
+    distinct end, not four per range."""
+    cstats = stats.column(attr)
+    hist = cstats.histogram if cstats is not None else None
+    closed: list[CandidateGuard] = []
+    for candidate in candidates:
+        oc = candidate.condition
+        if hist is not None and _is_closed(oc) and _numeric(oc.value) and _numeric(oc.value2):
+            closed.append(candidate)
+        elif hist is not None and oc.op == "=":
+            sel = stats.figures[point_key(attr, oc.value)] = hist.selectivity_eq(oc.value)
+            candidate.cardinality = sel * stats.row_count
+        else:
+            candidate.cardinality = condition_cardinality(oc, stats)
+    if closed:
+        spans = [(c.condition.value, c.condition.value2) for c in closed]
+        for (lo, hi), candidate, sel in zip(spans, closed, hist.closed_ranges(spans)):  # type: ignore[union-attr]
+            candidate.cardinality = sel * stats.row_count
+            stats.figures[range_key(attr, lo, hi)] = sel
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _closed_range_rows(
@@ -142,13 +180,12 @@ def generate_candidate_guards(
         for oc in _eligible_conditions(policy, indexed_columns):
             candidate = by_condition.get(oc)
             if candidate is None:
-                candidate = CandidateGuard(
-                    condition=oc,
-                    cardinality=condition_cardinality(oc, stats),
-                )
+                candidate = CandidateGuard(condition=oc)
                 by_condition[oc] = candidate
                 by_attr.setdefault(oc.attr.lower(), []).append(candidate)
             candidate.policy_ids.add(policy.id)
+    for attr, candidates in by_attr.items():
+        _estimate_candidates(candidates, attr, stats)
 
     out: list[CandidateGuard] = list(by_condition.values())
 
@@ -159,7 +196,7 @@ def generate_candidate_guards(
             span = _closed_span(candidate.condition, stats)
             if span is None:
                 continue
-            if not isinstance(span[0], (int, float)) or isinstance(span[0], bool):
+            if not _numeric(span[0]):
                 continue  # only numeric ranges merge
             rangeable.append((*span, candidate))
         if len(rangeable) < 2:

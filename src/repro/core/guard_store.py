@@ -240,8 +240,7 @@ class GuardStore:
             (ge_id, str(key[0]), expression.table, key[1], "allow", False, ge_id),
         )
         self._cache[key] = entry = _CacheEntry(expression, ge_rowid)
-        for guard in expression.guards:
-            entry.guard_rows[guard.key] = self._write_guard(ge_id, guard)
+        self._write_guards(entry, ge_id, expression.guards)
 
     def _persist_edit(self, entry: _CacheEntry, maintained: GuardedExpression) -> None:
         """``maintained`` succeeds ``entry.expression`` under the same
@@ -255,25 +254,31 @@ class GuardStore:
         self.db.release_compiled(held.rendered_exprs(retired))
         for guard in retired:
             self._delete_guard(entry.guard_rows.pop(guard.key))
-        for guard in maintained.guards:
-            if guard.key not in entry.guard_rows:
-                # created_at is the rGE id, carried through every edit.
-                entry.guard_rows[guard.key] = self._write_guard(held.created_at, guard)
+        # created_at is the rGE id, carried through every edit.
+        added = [guard for guard in maintained.guards if guard.key not in entry.guard_rows]
+        self._write_guards(entry, held.created_at, added)
         entry.expression = maintained
 
-    def _write_guard(self, ge_id: int, guard: Guard) -> tuple[int, list[int]]:
-        guard_id = next(self._guard_ids)
-        oc = guard.condition
-        tag, payload = _serialize(oc.value)
-        payload2 = _serialize(oc.value2)[1] if oc.op2 is not None else ""
-        rowid = self.db.insert_row(
-            GUARD_TABLE,
-            (guard_id, ge_id, tag, oc.attr, oc.op, payload, oc.op2 or "", payload2),
-        )
-        return rowid, [
-            self.db.insert_row(PARTITION_TABLE, (guard_id, policy.id))
-            for policy in guard.policies
-        ]
+    def _write_guards(self, entry: _CacheEntry, ge_id: int, guards: list[Guard]) -> None:
+        """Persist ``guards`` under rGE id ``ge_id``: their rGG rows in
+        one batch, then their rGP rows in another (each validated
+        against its schema once), in guard order — the rows and rowids
+        writing them guard by guard gives."""
+        guard_rows, partition_rows = [], []
+        for guard in guards:
+            guard_id = next(self._guard_ids)
+            oc = guard.condition
+            tag, payload = _serialize(oc.value)
+            payload2 = _serialize(oc.value2)[1] if oc.op2 is not None else ""
+            guard_rows.append((guard_id, ge_id, tag, oc.attr, oc.op, payload, oc.op2 or "", payload2))
+            partition_rows.extend((guard_id, policy.id) for policy in guard.policies)
+        guard_ids = iter(self.db.insert_batch(GUARD_TABLE, guard_rows))
+        partition_ids = iter(self.db.insert_batch(PARTITION_TABLE, partition_rows))
+        for guard in guards:
+            entry.guard_rows[guard.key] = (
+                next(guard_ids),
+                [next(partition_ids) for _ in guard.policies],
+            )
 
     def _delete_guard(self, rows: tuple[int, list[int]]) -> None:
         self.db.delete_row(GUARD_TABLE, rows[0])

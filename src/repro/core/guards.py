@@ -31,7 +31,7 @@ from typing import Any, Collection, Iterable, Sequence
 from repro.common.errors import SieveError
 from repro.core.candidate_gen import _eligible_conditions, condition_cardinality
 from repro.core.cost_model import SieveCostModel
-from repro.expr.analysis import make_and, make_or
+from repro.expr.analysis import Facts, facts, make_and, make_or, stamp_facts
 from repro.expr.nodes import ColumnRef, Expr, FuncCall, Literal
 from repro.optimizer.stats import TableStats
 from repro.policy.model import ObjectCondition, Policy
@@ -114,7 +114,24 @@ class Guard:
             return guard_expr
         result = make_and([guard_expr, body])
         assert result is not None
+        # What a walk of the branch would find, read off the conditions:
+        # their columns, no Param, a subquery only for a derived value.
+        if use_delta:
+            head = ColumnRef(self.condition.attr, qualifier)
+            found = Facts(facts(body).columns | {head}, False, False)
+        else:
+            columns = frozenset(ColumnRef(a, qualifier) for a in self._partition_attrs)
+            found = Facts(columns, self.has_derived_conditions, False)
+        stamp_facts(result, found)
         return result
+
+    @cached_property
+    def _partition_attrs(self) -> frozenset[str]:
+        """The attributes the inlined branch reads: the guard's and every
+        condition of the partition's."""
+        return frozenset(
+            {self.condition.attr, *(oc.attr for p in self.policies for oc in p.object_conditions)}
+        )
 
     def branch_expr(
         self,
@@ -250,8 +267,11 @@ class GuardedExpression:
             self.branch_expr(i, qualifier, i in delta_guards, delta_udf, columns)
             for i in range(len(self.guards))
         ]
+        guard_or = make_or(branches)
+        if guard_or is not None:
+            facts(guard_or)  # from the branches' stamps: no walk below them
         # setdefault: two threads rendering at once still share one AST.
-        return self._expr_memo.setdefault(memo_key, make_or(branches))
+        return self._expr_memo.setdefault(memo_key, guard_or)
 
     def branch_expr(
         self,

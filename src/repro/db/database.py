@@ -114,6 +114,10 @@ class Database:
     def insert_row(self, table: str, row: Sequence[Any]) -> int:
         return self.catalog.insert_row(table, row)
 
+    def insert_batch(self, table: str, rows: Sequence[Sequence[Any]]) -> range:
+        """Insert ``rows`` in order, validated as one batch; their rowids."""
+        return self.catalog.insert_batch(table, rows)
+
     def delete_row(self, table: str, rowid: int) -> None:
         self.catalog.delete_row(table, rowid)
 

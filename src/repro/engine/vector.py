@@ -329,9 +329,12 @@ class VectorizedExecutor(Executor):
                 source, binding, "source", lambda: codegen.compile_source(source), by_identity=False
             )
 
+        def shape(key: tuple, build: Callable) -> Callable:
+            return self._cached(key, binding, "shape", build, by_identity=False)
+
         def branch(node: Expr) -> Callable:
             return self._cached(
-                node, binding, "branch", lambda: codegen.compile_guard_branch(node, code)
+                node, binding, "branch", lambda: codegen.compile_guard_branch(node, code, shape)
             )
 
         try:

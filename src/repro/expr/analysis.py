@@ -176,6 +176,15 @@ def facts(expr: Expr) -> Facts:
     return _merged(children(expr))
 
 
+def stamp_facts(node: Expr, found: Facts) -> None:
+    """Give an ``And``/``Or`` the :class:`Facts` its builder already
+    knows — a guard branch's, read off its policy conditions — so that
+    :func:`facts` never walks below it.  ``found`` must be what the
+    walk would compute; anything else is left alone."""
+    if isinstance(node, (And, Or)):
+        object.__setattr__(node, "_facts", found)
+
+
 def _merged(parts: tuple[Expr, ...]) -> Facts:
     if not parts:
         return _NO_FACTS

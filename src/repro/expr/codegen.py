@@ -4,11 +4,11 @@ The closure compiler in :mod:`repro.expr.eval` builds a *tree* of
 nested lambdas — evaluating ``a = 1 AND b < 5`` costs five Python
 frames per row.  This module instead renders the whole tree into one
 Python source function and ``compile()``s it, so a row evaluation is
-one call whose body is plain inline bytecode.  Semantics (two-valued
-NULL logic, short-circuiting, metered policy ORs) are identical to the
-closure compiler by construction: every construct is generated from
-the same rules, and the differential/property tests assert value and
-counter equality.  Any tree the generator cannot render falls back to
+one call whose body is plain inline bytecode.  Semantics (NULL logic —
+two-valued except beneath ``NOT``, three-valued there — short-circuiting,
+metered policy ORs) are identical to the closure compiler by
+construction: every construct is generated from the same rules, and
+the differential/property tests assert value and counter equality.  Any tree the generator cannot render falls back to
 the closure compiler, so codegen is always total.
 
 Two compilation modes exist:
@@ -502,7 +502,8 @@ class _Emitter:
             parts = [f"bool({self.emit(ch)})" for ch in expr.children]
             return "(" + " or ".join(parts) + ")"
         if isinstance(expr, Not):
-            return f"(not {self.test(expr.child)})"
+            # True only when the child is false: NOT of unknown is unknown.
+            return f"({self.tri(expr.child)} is False)"
         if isinstance(expr, Arith):
             lt, rt = self.fresh("t"), self.fresh("t")
             left, right = self.emit(expr.left), self.emit(expr.right)
@@ -549,6 +550,79 @@ class _Emitter:
             )
         raise CodegenUnsupported(f"no codegen for {type(expr).__name__}")
 
+    def tri(self, expr: Expr) -> str:
+        """``expr`` in SQL's three-valued logic: Python source giving
+        ``True``, ``False`` or ``None`` (unknown).  Only what a ``NOT``
+        negates is emitted this way — everywhere else unknown and false
+        both reject the row, so the two-valued form of :meth:`emit`
+        stands, and guard and query predicates keep their source."""
+        if isinstance(expr, Not):
+            t = self.fresh("t")
+            return f"(None if ({t} := {self.tri(expr.child)}) is None else not {t})"
+        if isinstance(expr, (And, Or)):
+            if is_metered_or(expr, self.compiler.counters):
+                return f"{self.metered_helper(expr, tri=True)}({self.arg})"
+            # Kleene: the first false (AND) or true (OR) decides, else
+            # unknown if any child was, else the other truth value.
+            decides, other = ("False", "True") if isinstance(expr, And) else ("True", "False")
+            names = [self.fresh("t") for _ in expr.children]
+            tries = [
+                f"{decides} if ({name} := {self.tri(child)}) is {decides} else "
+                for name, child in zip(names, expr.children)
+            ]
+            unknown = " or ".join(f"{name} is None" for name in names)
+            return f"({''.join(tries)}None if {unknown} else {other})"
+        if isinstance(expr, Comparison):
+            lt, rt = self.fresh("t"), self.fresh("t")
+            left, right = self.emit(expr.left), self.emit(expr.right)
+            compared = f"{lt} {_CMP_OPS[expr.op]} {rt}"
+            if isinstance(expr.right, (Literal, KernelConst, ColumnRef)):  # lazy, as in emit
+                return f"(None if ({lt} := {left}) is None or ({rt} := {right}) is None else {compared})"
+            return f"((({lt} := {left}), ({rt} := {right})) and (None if {lt} is None or {rt} is None else {compared}))"
+        if isinstance(expr, Between):
+            # x BETWEEN lo AND hi is lo <= x AND x <= hi, in Kleene logic.
+            t, lo, hi = self.fresh("t"), self.fresh("t"), self.fresh("t")
+            inner, low, high = self.emit(expr.expr), self.emit(expr.low), self.emit(expr.high)
+            body = (
+                f"(None if ({t} := {inner}) is None else False if "
+                f"(({lo} := {low}) is not None and not {lo} <= {t}) or "
+                f"(({hi} := {high}) is not None and not {t} <= {hi}) "
+                f"else None if {lo} is None or {hi} is None else True)"
+            )
+            return self._negated3(body) if expr.negated else body
+        if isinstance(expr, (InList, InSubquery)):
+            t = self.fresh("t")
+            inner = self.emit(expr.expr)
+            if isinstance(expr, InSubquery):
+                if self.compiler.in_subquery_fn is None:
+                    raise CodegenUnsupported("IN subqueries unavailable here")
+                members = self.compiler.in_subquery_fn(expr.select)
+                body = self._member3(t, inner, self.const(members), None in members)
+            elif all(isinstance(i, Literal) for i in expr.items):
+                values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
+                body = self._member3(t, inner, self.const(values), None in values)
+            elif len(expr.items) == 1 and isinstance(expr.items[0], KernelConst):
+                # A lifted list: its set holds no NULL beneath a NOT.
+                body = self._member3(t, inner, self.emit(expr.items[0]), False)
+            else:
+                items = ", ".join(self.emit(i) for i in expr.items)
+                body = f"(None if ({t} := {inner}) is None else {self.const(_in3)}({t}, ({items},)))"
+            return self._negated3(body) if expr.negated else body
+        if isinstance(expr, IsNull):
+            return self.emit(expr)  # never unknown
+        t = self.fresh("t")
+        return f"(None if ({t} := {self.emit(expr)}) is None else bool({t}))"
+
+    def _member3(self, t: str, inner: str, members: str, has_null: bool) -> str:
+        """``inner IN members``: unknown for a NULL probe, or when no
+        member equals it and one is NULL."""
+        missing = "None" if has_null else "False"
+        return f"(None if ({t} := {inner}) is None else True if {t} in {members} else {missing})"
+
+    def _negated3(self, body: str) -> str:
+        t = self.fresh("t")
+        return f"(None if ({t} := {body}) is None else not {t})"
+
     def _emit_call(self, expr: FuncCall) -> str:
         name = expr.name.lower()
         target = self.compiler.udfs.get(name) or _BUILTIN_SCALARS.get(name)
@@ -561,7 +635,7 @@ class _Emitter:
         args = ", ".join(self.emit(a) for a in expr.args)
         return f"{fn}({args})"
 
-    def metered_helper(self, expr: Or) -> str:
+    def metered_helper(self, expr: Or, tri: bool = False) -> str:
         """A wide OR becomes a flat helper (returns its name; the value
         is ``name(arg)``): per-row short-circuit with
         ``policy_evals += <disjuncts actually checked>`` — byte-for-byte
@@ -569,21 +643,41 @@ class _Emitter:
 
         In row mode the helper takes the row; in column mode it takes
         the row index and closes over the kernel's column locals, so
-        nested policy ORs stay metered inside batch kernels."""
+        nested policy ORs stay metered inside batch kernels.  ``tri``
+        (beneath a ``NOT``) makes it three-valued: a row no disjunct
+        admits is unknown when one of them was, at the same charge."""
         name = self.fresh("h")
         ctr = self.const(self.compiler.counters)
         lines = [f"def {name}({self.arg}):"]
+        if tri:
+            lines.append("    _u = False")
         for i, child in enumerate(expr.children):
-            lines.append(f"    if {self.test(child)}:")
+            if tri:
+                lines.append(f"    _x = {self.tri(child)}")
+                lines.append("    if _x is None:")
+                lines.append("        _u = True")
+                lines.append("    elif _x:")
+            else:
+                lines.append(f"    if {self.test(child)}:")
             lines.append(f"        {ctr}.policy_evals += {i + 1}")
             lines.append("        return True")
         lines.append(f"    {ctr}.policy_evals += {len(expr.children)}")
-        lines.append("    return False")
+        lines.append("    return None if _u else False" if tri else "    return False")
         if self.mode == "row":
             self.defs.append("\n".join(lines))
         else:
             self.inner_defs.append("\n".join(lines))
         return name
+
+
+def _in3(value: Any, items: tuple) -> bool | None:
+    """``value IN items`` for a non-NULL ``value`` in three-valued logic.
+    An item matches as a set member does — the very object (a NaN) or
+    an equal one — so a list the shape lifter keeps item by item reads
+    as the same list held as one set."""
+    if any(item is value or (item is not None and value == item) for item in items):
+        return True
+    return None if None in items else False
 
 
 def _probe_constant(value: Any) -> bool:
@@ -658,20 +752,171 @@ def _bind_slots(code: CodeType, values: list) -> CodeType:
     replaced by its value, in the nested helpers' code objects too.
     Raises ``ValueError`` unless every slot is bound — a placeholder
     the compiler folded away would leave its value unread."""
-    slots = {f"\0{index}": value for index, value in enumerate(values)}
-
-    def rebind(code: CodeType) -> CodeType:
-        return code.replace(
-            co_consts=tuple(
-                rebind(const) if type(const) is CodeType else slots.pop(const, const)
-                for const in code.co_consts
-            )
-        )
-
-    code = rebind(code)
-    if slots:
+    found: set[int] = set()
+    plan = _slot_plan(code, found)
+    if found != set(range(len(values))):
         raise ValueError("a placeholder constant was folded")
-    return code
+    return _bind_plan(plan, values)
+
+
+def _same_values(mine: list | None, theirs: list) -> bool:
+    """Equal value for value and type (``1`` is not ``1.0`` nor ``True``
+    as a constant), or the very object (NaN)."""
+    return (
+        mine is not None
+        and len(mine) == len(theirs)
+        and all(a is b or (type(a) is type(b) and a == b) for a, b in zip(mine, theirs))
+    )
+
+
+class BranchShape:
+    """A guard branch's compiled shape: the code object with its
+    placeholder constants — where each sits, found once — the name of
+    the row function it defines, and the names its environment
+    constants take, in emission order."""
+
+    __slots__ = ("plan", "main", "names")
+
+    def __init__(self, code: CodeType, main: str, names: tuple[str, ...], n_slots: int):
+        found: set[int] = set()
+        self.plan = _slot_plan(code, found)
+        if found != set(range(n_slots)):
+            raise ValueError("a placeholder constant was folded")  # as _bind_slots refuses it
+        self.main = main
+        self.names = names
+
+    def instance(self, slots: list, consts: list) -> RowFn:
+        """The row function of one branch of this shape: its slot
+        values bound into a copy of the code object (as
+        :func:`_bind_slots` binds them), its constants as the
+        environment."""
+        namespace = dict(zip(self.names, consts))
+        exec(_bind_plan(self.plan, slots), namespace)  # noqa: S102
+        return namespace[self.main]
+
+
+def _slot_plan(code: CodeType, found: set[int]) -> tuple:
+    """``(code, placeholders, nested)``: the positions in ``co_consts``
+    of each placeholder, as ``(position, slot)``, and of each nested
+    code object, as ``(position, its plan)``; the slots seen go to
+    ``found``."""
+    placeholders, nested = [], []
+    for at, const in enumerate(code.co_consts):
+        if type(const) is CodeType:
+            nested.append((at, _slot_plan(const, found)))
+        elif type(const) is str and const[:1] == "\0":
+            placeholders.append((at, int(const[1:])))
+            found.add(placeholders[-1][1])
+    return code, placeholders, nested
+
+
+def _bind_plan(plan: tuple, values: list) -> CodeType:
+    code, placeholders, nested = plan
+    consts = list(code.co_consts)
+    for at, slot in placeholders:
+        consts[at] = values[slot]
+    for at, inner in nested:
+        consts[at] = _bind_plan(inner, values)
+    return code.replace(co_consts=tuple(consts))
+
+
+class _ShapeReader:
+    """A guard branch's shape key, slot values and environment constants,
+    read off its nodes without rendering: it visits them in the order
+    :class:`_Emitter` (row mode, slotted) emits them, taking a slot for
+    every literal and column position and a constant for every set, UDF
+    and metering counter the emitter would take.  The key spells each
+    node's kind and whatever else of it the source depends on; a tree
+    holding anything else (a subquery, ``NOT``, a lifted constant) reads
+    as ``None`` and is rendered."""
+
+    def __init__(self, compiler: "CodegenExprCompiler"):
+        self.compiler = compiler
+        self.slots: list = []
+        self.consts: list = []
+
+    def read(self, expr: Expr) -> tuple[tuple, list, list] | None:
+        try:
+            key = self.key(expr)
+        except _Unreadable:
+            return None
+        return key, self.slots, self.consts
+
+    def key(self, expr: Expr) -> tuple | str:
+        kind = expr.__class__
+        if kind is Between or kind is Comparison:
+            # A policy condition — a column against literals — read in
+            # one step; the general cases below give the same key.
+            column = expr.expr if kind is Between else expr.left  # type: ignore[attr-defined]
+            if column.__class__ is ColumnRef:
+                if kind is Comparison and expr.right.__class__ is Literal:  # type: ignore[attr-defined]
+                    self.slots += (self.compiler.binding.resolve(column), expr.right.value)  # type: ignore[attr-defined]
+                    return _COMPARISON_KEYS[expr.op]  # type: ignore[attr-defined]
+                if (
+                    kind is Between
+                    and expr.low.__class__ is Literal  # type: ignore[attr-defined]
+                    and expr.high.__class__ is Literal  # type: ignore[attr-defined]
+                    and expr.low.value is not None  # type: ignore[attr-defined]
+                    and expr.high.value is not None  # type: ignore[attr-defined]
+                ):
+                    self.slots += (self.compiler.binding.resolve(column), expr.low.value, expr.high.value)  # type: ignore[attr-defined]
+                    return _BETWEEN_KEYS[expr.negated]  # type: ignore[attr-defined]
+        if isinstance(expr, Literal):
+            self.slots.append(expr.value)
+            return "L"
+        if isinstance(expr, ColumnRef):
+            self.slots.append(self.compiler.binding.resolve(expr))
+            return "C"
+        if isinstance(expr, Comparison):
+            simple = isinstance(expr.right, (Literal, KernelConst, ColumnRef))
+            return ("cmp", expr.op.value, simple, self.key(expr.left), self.key(expr.right))
+        if isinstance(expr, Between):
+            return ("btw", expr.negated, self.key(expr.expr), self.bound(expr.low), self.bound(expr.high))
+        if isinstance(expr, InList):
+            inner = self.key(expr.expr)
+            if all(isinstance(i, Literal) for i in expr.items):
+                try:
+                    values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
+                except TypeError:
+                    raise _Unreadable from None
+                if expr.negated and None in values:
+                    return ("in-null", inner)
+                self.consts.append(values)
+                return ("in", expr.negated, inner)
+            return ("in-items", expr.negated, inner, *map(self.key, expr.items))
+        if isinstance(expr, And):
+            return ("and", *map(self.key, expr.children))
+        if isinstance(expr, Or):
+            if is_metered_or(expr, self.compiler.counters):
+                self.consts.append(self.compiler.counters)
+                return ("metered", *map(self.key, expr.children))
+            return ("or", *map(self.key, expr.children))
+        if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/", "%"):
+            return ("arith", expr.op, self.key(expr.left), self.key(expr.right))
+        if isinstance(expr, FuncCall):
+            name = expr.name.lower()
+            target = self.compiler.udfs.get(name) or _BUILTIN_SCALARS.get(name)
+            if target is None:
+                raise _Unreadable
+            self.consts.append(target)
+            return ("call", *map(self.key, expr.args))
+        if isinstance(expr, IsNull):
+            return ("isnull", self.key(expr.child))
+        raise _Unreadable
+
+    def bound(self, expr: Expr) -> tuple | str:
+        """A BETWEEN bound, as :meth:`_Emitter.bound` tells them apart."""
+        if isinstance(expr, Literal) and expr.value is None:
+            return "null"
+        return self.key(expr) if isinstance(expr, Literal) else ("value", self.key(expr))
+
+
+_COMPARISON_KEYS = {op: ("cmp", op.value, True, "C", "L") for op in CompareOp}
+_BETWEEN_KEYS = {negated: ("btw", negated, "C", "L", "L") for negated in (False, True)}
+
+
+class _Unreadable(Exception):
+    """A node :class:`_ShapeReader` does not read."""
 
 
 def _merge_candidates(*found: tuple | None) -> tuple:
@@ -716,17 +961,22 @@ class CodegenExprCompiler:
         compiled: Callable[[str], CodeType] | None = None,
     ) -> RowFn:
         try:
-            if is_metered_or(expr, self.counters):
-                main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
-            else:
-                main = "_main"
-                emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
-            src = "\n\n".join(emitter.defs)
+            src, main = self._render(expr, emitter)
             return self._exec(src, emitter.env, compiled, emitter.slots)[main]
         except ExecutionError:
             raise
         except Exception:
             return self._closure().compile(expr)
+
+    def _render(self, expr: Expr, emitter: _Emitter) -> tuple[str, str]:
+        """``expr`` as a module defining its row function: the source
+        and the function's name."""
+        if is_metered_or(expr, self.counters):
+            main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
+        else:
+            main = "_main"
+            emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
+        return "\n\n".join(emitter.defs), main
 
     def _closure(self) -> ExprCompiler:
         return ExprCompiler(
@@ -869,7 +1119,11 @@ class CodegenExprCompiler:
         return self._kernel(emitter, lines, "_cols, _sel, _rows=None", compiled_source)
 
     def compile_guard_branch(
-        self, branch: Expr, compiled_source: Callable[[str], CodeType] | None = None
+        self,
+        branch: Expr,
+        compiled_source: Callable[[str], CodeType] | None = None,
+        compiled_shape: Callable[[tuple, Callable[[], "BranchShape | None"]], "BranchShape | None"]
+        | None = None,
     ) -> RowFn:
         """One branch of a dispatched guard OR as a row function: what
         is left to evaluate of a row once the look-up has named the
@@ -880,13 +1134,50 @@ class CodegenExprCompiler:
         The source is the branch's *shape*: its literals and column
         positions are placeholder constants, so branches that differ
         only in those — a querier's guards, and every other querier's —
-        share one source, and ``compiled_source(source)`` lets the
-        caller supply its code object from a cache.  Each branch binds
-        its own values into a copy of that code object's constants."""
+        share one source.  Each branch binds its own values into a copy
+        of that shape's code object's constants.
+
+        ``compiled_shape(key, build)`` lets the caller keep each shape's
+        code object under a key read off the branch's node kinds
+        (:class:`_ShapeReader`), with its slot values and environment
+        constants read off the nodes in the order rendering would emit
+        them, so a branch of a known shape is neither rendered nor
+        compiled — ``build()``, which renders and compiles it, runs for
+        a shape not seen before.  A branch the reader cannot key is
+        rendered, and ``compiled_source(source)`` supplies its code
+        object from the caller's cache."""
         head, rest = _guard_head(branch)
         test = rest if _head_points(head) is not None else branch
         test = test if test is not None else Literal(True)
+        if compiled_shape is not None:
+            read = _ShapeReader(self).read(test)
+            if read is not None:
+                key, slots, consts = read
+                shape = compiled_shape(key, lambda: self._branch_shape(test, slots, consts))
+                if shape is not None:
+                    return shape.instance(slots, consts)
         return self._row_fn(test, _Emitter(self, "row", slotted=True), compiled_source)
+
+    def _branch_shape(self, test: Expr, slots: list, consts: list) -> "BranchShape | None":
+        """Render and compile ``test``'s shape once — the code object is
+        kept under its key, so a keyed branch never asks the source
+        cache; ``None`` unless the rendering's slots and environment are
+        exactly what :class:`_ShapeReader` read (then the key does not
+        stand for this source, and the branch is rendered as before)."""
+        emitter = _Emitter(self, "row", slotted=True)
+        try:
+            # Whatever rendering raises, the render path the caller falls
+            # back to raises it again or falls back to the closure compiler.
+            src, main = self._render(test, emitter)
+            code = self.compile_source(src)
+        except Exception:
+            return None
+        if not (_same_values(emitter.slots, slots) and _same_values(list(emitter.env.values()), consts)):
+            return None
+        try:
+            return BranchShape(code, main, tuple(emitter.env), len(slots))
+        except ValueError:
+            return None
 
     def _guard_candidates(self, emitter: _Emitter, branches: tuple[Expr, ...]) -> str | None:
         """How a row finds the branches of a guard OR that can hold for

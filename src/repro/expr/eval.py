@@ -6,14 +6,17 @@ then invoked per row.  This matters: policy expressions are evaluated
 against many thousands of tuples, so per-row name resolution would
 dominate runtime.
 
-Null semantics are simplified two-valued logic: any comparison against
-None yields False.  The paper's workload never relies on three-valued
-logic, and keeping booleans two-valued makes guard-cost reasoning
-exact.
+Null semantics: a predicate that is unknown (a comparison against
+None) rejects the row exactly as a false one does, so everywhere but
+beneath ``NOT`` booleans stay two-valued, which keeps guard-cost
+reasoning exact.  What a ``NOT`` negates is evaluated in SQL's
+three-valued (Kleene) logic (:meth:`ExprCompiler.compile_tri`): the
+negation of unknown is unknown, and rejects the row too.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import ExecutionError
@@ -129,6 +132,15 @@ def _cmp(op: CompareOp) -> Callable[[Any, Any], bool]:
         return lambda a, b: a is not None and b is not None and a > b
     return lambda a, b: a is not None and b is not None and a >= b
 
+
+_OPERATORS: dict[CompareOp, Callable[[Any, Any], bool]] = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+}
 
 _ARITH_FNS: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
@@ -255,8 +267,8 @@ class ExprCompiler:
                 return lambda row: bool(f0(row)) or bool(f1(row))
             return lambda row: any(fn(row) for fn in fns)
         if isinstance(expr, Not):
-            fn = self.compile(expr.child)
-            return lambda row: not fn(row)
+            fn = self.compile_tri(expr.child)
+            return lambda row: fn(row) is False
         if isinstance(expr, Arith):
             left = self.compile(expr.left)
             right = self.compile(expr.right)
@@ -295,6 +307,89 @@ class ExprCompiler:
                 "bind values before execution (see repro.expr.params)"
             )
         raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
+
+    def compile_tri(self, expr: Expr) -> RowFn:
+        """``expr`` in three-valued logic: a row callable giving
+        ``True``, ``False`` or ``None`` (unknown) — what a ``NOT``
+        negates (the generated code's ``tri`` is the same rules)."""
+        if isinstance(expr, Not):
+            fn = self.compile_tri(expr.child)
+            return lambda row: None if (v := fn(row)) is None else not v
+        if isinstance(expr, (And, Or)):
+            fns = [self.compile_tri(c) for c in expr.children]
+            decides = isinstance(expr, Or)  # the value that settles it
+            counters = self.counters if isinstance(expr, Or) and len(fns) >= self.METERED_OR_WIDTH else None
+
+            def kleene(row):
+                unknown = False
+                for checked, fn in enumerate(fns, 1):
+                    v = fn(row)
+                    if v is None:
+                        unknown = True
+                    elif v is decides:
+                        if counters is not None:
+                            counters.policy_evals += checked
+                        return decides
+                if counters is not None:
+                    counters.policy_evals += len(fns)
+                return None if unknown else not decides
+
+            return kleene
+        if isinstance(expr, Comparison):
+            left, right = self.compile(expr.left), self.compile(expr.right)
+            op = _OPERATORS[expr.op]
+            return lambda row: (
+                None if (a := left(row)) is None or (b := right(row)) is None else op(a, b)
+            )
+        if isinstance(expr, Between):
+            inner, low, high = (self.compile(e) for e in (expr.expr, expr.low, expr.high))
+
+            def between(row):
+                v = inner(row)
+                if v is None:
+                    return None
+                lo, hi = low(row), high(row)
+                if (lo is not None and not lo <= v) or (hi is not None and not v <= hi):
+                    return expr.negated
+                return None if lo is None or hi is None else not expr.negated
+
+            return between
+        if isinstance(expr, (InList, InSubquery)):
+            inner = self.compile(expr.expr)
+            if isinstance(expr, InSubquery):
+                if self.in_subquery_fn is None:
+                    raise ExecutionError("IN subqueries are not available in this context")
+                members = self.in_subquery_fn(expr.select)
+            elif all(isinstance(i, Literal) for i in expr.items):
+                members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
+            else:
+                item_fns = [self.compile(i) for i in expr.items]
+
+                def listed(row):
+                    v = inner(row)
+                    if v is None:
+                        return None
+                    found = [fn(row) for fn in item_fns]
+                    if any(x is v or (x is not None and v == x) for x in found):  # as _in3
+                        return not expr.negated
+                    return None if None in found else expr.negated
+
+                return listed
+            has_null = None in members
+
+            def member(row):
+                v = inner(row)
+                if v is None:
+                    return None
+                if v in members:
+                    return not expr.negated
+                return None if has_null else expr.negated
+
+            return member
+        if isinstance(expr, IsNull):
+            return self.compile(expr)  # never unknown
+        fn = self.compile(expr)
+        return lambda row: None if (v := fn(row)) is None else bool(v)
 
     def _compile_call(self, expr: FuncCall) -> RowFn:
         name = expr.name.lower()

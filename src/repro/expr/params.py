@@ -414,16 +414,28 @@ class _KernelLifter(_Extractor):
     NULL is never a slot's value, nor in a slot's set: it stays in the
     shape, where the code generator sees it (a NULL bound makes BETWEEN
     never true, a NULL item NOT IN), so a slot needs no NULL test per
-    row.  An IN list drops it (no row's value equals NULL)."""
+    row.  An IN list drops it (no row's value equals NULL) — except
+    beneath ``NOT``, where a NULL item makes a miss unknown rather than
+    false, and the list keeps its items apart."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.beneath_not = False
 
     def _slot(self, value: Any) -> Expr:
         self.values.append(value)
         return KernelConst(len(self.values) - 1)
 
     def predicate(self, expr: Expr) -> Expr:
+        if isinstance(expr, Not):
+            outer, self.beneath_not = self.beneath_not, True
+            try:
+                return Not(self.predicate(expr.child))
+            finally:
+                self.beneath_not = outer
         if isinstance(expr, InList) and all(isinstance(i, Literal) for i in expr.items):
             members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
-            if not (expr.negated and None in members):
+            if None not in members or not (expr.negated or self.beneath_not):
                 members = members - {None}
                 return InList(self.value(expr.expr), (self._slot(members),), negated=expr.negated)
         if isinstance(expr, (Literal, Arith, FuncCall)):

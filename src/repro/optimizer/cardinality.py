@@ -130,6 +130,34 @@ def filter_evals(parts: list[Expr], sels: list[float], rows: float) -> float:
     return evals
 
 
+def figure_key(expr: Expr) -> tuple | None:
+    """The key guard generation files a column-against-literals leaf's
+    selectivity under (``TableStats.figures``): what the estimate reads
+    of it — the column's name, the operator, the values — so equal
+    leaves of any branch, maintained OR or template read one figure.
+    ``None`` for any other node."""
+    kind = expr.__class__
+    if kind is Between:
+        column, low, high = expr.expr, expr.low, expr.high  # type: ignore[attr-defined]
+        if column.__class__ is ColumnRef and low.__class__ is Literal and high.__class__ is Literal:
+            return range_key(column.name, low.value, high.value, expr.negated)  # type: ignore[attr-defined]
+    elif kind is Comparison:
+        column, value = expr.left, expr.right  # type: ignore[attr-defined]
+        if column.__class__ is ColumnRef and value.__class__ is Literal:
+            return (expr.op, column.name.lower(), value.value)  # type: ignore[attr-defined]
+    return None
+
+
+def range_key(column: str, lo: Any, hi: Any, negated: bool = False) -> tuple:
+    """:func:`figure_key` of ``column BETWEEN lo AND hi``."""
+    return ("between", column.lower(), lo, hi, negated)
+
+
+def point_key(column: str, value: Any) -> tuple:
+    """:func:`figure_key` of ``column = value``."""
+    return (CompareOp.EQ, column.lower(), value)
+
+
 def _clamp(sel: float) -> float:
     return min(1.0, max(0.0, sel))
 
@@ -159,6 +187,22 @@ def _estimate(expr: Expr, stats: TableStats) -> float:
                 sel = sel + child_sel - sel * child_sel
         object.__setattr__(expr, "_selectivity", (weakref.ref(stats), sel))
         return sel
+    # A policy condition's leaf: guard generation kept the figure it
+    # computed under these statistics (``TableStats.figures``).  Only
+    # generation files figures, so no query literal grows the table.
+    if stats.figures:
+        key = figure_key(expr)
+        if key is not None:
+            try:
+                sel = stats.figures.get(key)
+            except TypeError:  # an unhashable literal
+                sel = None
+            if sel is not None:
+                return sel
+    return _estimate_leaf(expr, stats)
+
+
+def _estimate_leaf(expr: Expr, stats: TableStats) -> float:
     if isinstance(expr, Not):
         return 1.0 - _estimate(expr.child, stats)
     if isinstance(expr, Comparison):

@@ -157,6 +157,19 @@ class EquiDepthHistogram:
         :meth:`cumulative` as that end, its equality mass) is looked up
         once per distinct point, and a range combines two entries in
         O(1)."""
+        return self._closed_estimator(lows, highs, rows)
+
+    def closed_ranges(self, spans: Sequence[tuple[Any, Any]]) -> list[float]:
+        """``selectivity_range(lo, hi)`` of each closed ``(lo, hi)`` in
+        ``spans``, to the bit: one :meth:`closed_range_estimator`-style
+        look-up per distinct end, so a policy set's range conditions
+        share the ends they have in common."""
+        estimate = self._closed_estimator((lo for lo, _ in spans), (hi for _, hi in spans), 1.0)
+        return [estimate(lo, hi) for lo, hi in spans]
+
+    def _closed_estimator(
+        self, lows: Iterable[Any], highs: Iterable[Any], rows: float
+    ) -> Callable[[Any, Any], float]:
         lows, highs = set(lows), set(highs)
         try:
             mass = {x: self.selectivity_eq(x) for x in lows | highs}
@@ -244,6 +257,12 @@ class TableStats:
     row_count: int
     page_count: int
     columns: dict[str, ColumnStats] = field(default_factory=dict)
+    #: Selectivities guard generation took of policy conditions under
+    #: these statistics, by :func:`repro.optimizer.cardinality.figure_key`;
+    #: the planner reads them and files none, so the table holds policy
+    #: conditions only.  They go with the statistics: ``ANALYZE`` builds
+    #: a new, empty table.
+    figures: dict[Any, float] = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, name: str) -> ColumnStats | None:
         return self.columns.get(name.lower())

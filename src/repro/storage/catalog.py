@@ -127,19 +127,23 @@ class Catalog:
 
     def insert_row(self, table_name: str, row: Sequence[Any]) -> int:
         """Insert a row and maintain all indexes on the table."""
-        table = self.table(table_name)
-        rowid = table.insert(row)
-        for index in self.indexes_on(table_name):
-            col_pos = table.schema.index_of(index.column)
-            index.insert(row[col_pos], rowid)
-        return rowid
+        return self.insert_batch(table_name, (row,))[0]
 
     def insert_rows(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert_row(table_name, row)
-            count += 1
-        return count
+        return len(self.insert_batch(table_name, rows if isinstance(rows, (list, tuple)) else list(rows)))
+
+    def insert_batch(self, table_name: str, rows: Sequence[Sequence[Any]]) -> range:
+        """Insert ``rows`` in order and maintain all indexes on the
+        table, with the schema checked once for the batch
+        (:meth:`Schema.validate_rows`); returns the rowids.  A row that
+        fails the check leaves the table as it was."""
+        table = self.table(table_name)
+        rowids = table.insert_all(rows)
+        for index in self.indexes_on(table_name):
+            col_pos = table.schema.index_of(index.column)
+            for row, rowid in zip(rows, rowids):
+                index.insert(row[col_pos], rowid)
+        return rowids
 
     def delete_row(self, table_name: str, rowid: int) -> None:
         table = self.table(table_name)

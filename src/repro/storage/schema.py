@@ -46,16 +46,21 @@ class Column:
     ctype: ColumnType
     nullable: bool = False
 
+    def accepts(self, value: Any) -> bool:
+        """Whether ``value`` is storable in this column."""
+        if value is None:
+            return self.nullable
+        return isinstance(value, self.ctype.python_types)
+
     def validate(self, value: Any) -> None:
         """Raise CatalogError when ``value`` is not storable in this column."""
-        if value is None:
-            if not self.nullable:
-                raise CatalogError(f"column {self.name!r} is not nullable")
+        if self.accepts(value):
             return
-        if not isinstance(value, self.ctype.python_types):
-            raise CatalogError(
-                f"column {self.name!r} expects {self.ctype.value}, got {type(value).__name__}: {value!r}"
-            )
+        if value is None:
+            raise CatalogError(f"column {self.name!r} is not nullable")
+        raise CatalogError(
+            f"column {self.name!r} expects {self.ctype.value}, got {type(value).__name__}: {value!r}"
+        )
 
 
 @dataclass
@@ -105,6 +110,20 @@ class Schema:
             )
         for col, value in zip(self.columns, row):
             col.validate(value)
+
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """:meth:`validate_row` of every row, raising what it raises for
+        the first bad one: a batch's column values are checked in one
+        pass each (:meth:`Column.accepts`, the rule :meth:`Column.validate`
+        enforces), and its rows are walked one by one only to name a
+        failure."""
+        width = len(self.columns)
+        if len(rows) > 1 and all(len(row) == width for row in rows) and all(
+            all(map(col.accepts, [row[at] for row in rows])) for at, col in enumerate(self.columns)
+        ):
+            return
+        for row in rows:
+            self.validate_row(row)
 
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema containing just ``names`` in the given order."""

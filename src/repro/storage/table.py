@@ -18,7 +18,7 @@ over storage the table already holds.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.common.errors import CatalogError, ExecutionError
 from repro.storage.schema import Schema
@@ -44,16 +44,18 @@ class HeapTable:
 
     def insert(self, row: Sequence[Any], validate: bool = True) -> int:
         """Append a row; returns its stable rowid."""
-        if validate:
-            self.schema.validate_row(row)
-        self._rows.append(tuple(row))
-        self._live_count += 1
-        self._version += 1
-        return len(self._rows) - 1
+        return self.insert_all((row,), validate)[0]
 
-    def extend(self, rows: Iterable[Sequence[Any]], validate: bool = True) -> None:
-        for row in rows:
-            self.insert(row, validate=validate)
+    def insert_all(self, rows: Sequence[Sequence[Any]], validate: bool = True) -> range:
+        """Append rows, validated as one batch (:meth:`Schema.validate_rows`:
+        a bad row raises before any is appended); returns their rowids."""
+        if validate:
+            self.schema.validate_rows(rows)
+        first = len(self._rows)
+        self._rows.extend(map(tuple, rows))
+        self._live_count += len(rows)
+        self._version += len(rows)
+        return range(first, len(self._rows))
 
     def update(self, rowid: int, row: Sequence[Any], validate: bool = True) -> None:
         if validate:

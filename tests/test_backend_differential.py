@@ -22,9 +22,11 @@ from repro.core.strategy import Strategy, StrategyDecision
 from repro.datasets.mall import CONNECTIVITY_TABLE, MallConfig, generate_mall
 from repro.datasets.policies import PolicyGenConfig, generate_campus_policies
 from repro.datasets.tippers import TippersConfig, WIFI_TABLE, generate_tippers
+from repro.db.database import connect
 from repro.policy.store import PolicyStore
 from repro.sql.parser import parse_query
 from repro.sql.printer import to_sql
+from repro.storage.schema import Column, ColumnType, Schema
 
 
 @dataclass
@@ -296,3 +298,38 @@ def test_a_parameter_bound_to_null_answers_as_sqlite(mall_world, template, value
             querier,
             bound,
         )
+
+
+# ------------------------------------------------- NOT over an unknown
+#
+# Beneath NOT, a predicate is three-valued: the negation of unknown is
+# unknown and rejects the row, like false.  The probe table holds one NULL.
+
+NOT_PROBES = [
+    ("NOT (v > 2)", [1]),
+    ("NOT (v < NULL)", []),
+    ("NOT (v = 1 OR v = NULL)", []),
+    ("NOT (v > 2 OR id = 2)", [1]),
+    ("NOT (v > 2 AND id < 3)", [1, 3]),
+    ("NOT (v BETWEEN 0 AND 2)", [3]),
+    ("NOT (v BETWEEN NULL AND 2)", [3]),
+    ("NOT (v IN (1, NULL))", []),
+    ("NOT (v NOT IN (1, NULL))", [1]),
+    ("NOT (NOT (v > 2))", [3]),
+    ("NOT (v IS NULL)", [1, 3]),
+    ("NOT (id = 1 OR v > 2 OR v = 7)", []),  # a metered OR: unknown on row 2
+]
+
+
+@pytest.mark.parametrize("predicate, ids", NOT_PROBES)
+def test_not_over_an_unknown_answers_as_sqlite(predicate, ids):
+    db = connect("postgres")
+    db.create_table("t", Schema([Column("id", ColumnType.INT), Column("v", ColumnType.INT, nullable=True)]))
+    db.insert("t", [(1, 1), (2, None), (3, 5)])
+    db.analyze()
+    backend = SqliteBackend().ship(db)
+    sql = f"SELECT id FROM t WHERE {predicate}"
+    assert sorted(row[0] for row in backend.execute(sql).rows) == ids
+    for vectorized in (True, False):
+        db.vectorized = vectorized
+        assert sorted(row[0] for row in db.execute(sql).rows) == ids, (vectorized, sql)

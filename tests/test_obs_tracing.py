@@ -301,6 +301,35 @@ def test_cluster_routing_span_correlates_with_shard_execution():
     assert routes[0].attrs["shard"] in cluster.shard_names
 
 
+def test_each_cluster_route_trace_id_reaches_its_worker_root():
+    """Requests from several queriers, in flight together across both
+    shards: each ``cluster.route`` root's trace id rides the admitted
+    request into the serving worker, whose ``sieve.query`` root for
+    that request — same querier, on the shard the route chose — takes
+    it, and no other root does."""
+    db, _rows = make_wifi_db()
+    store = PolicyStore(db)
+    queriers = [f"prof{i}" for i in range(6)]
+    for querier in queriers:
+        store.insert_many(make_policies(n_owners=10, querier=querier))
+    cluster = SieveCluster.replicated(db, store, n_shards=2)
+    tracer = cluster.enable_tracing()
+    with cluster:
+        futures = [(q, cluster.submit_with_info(SQL, q, "analytics")) for q in queriers * 3]
+        executions = [(q, future.result(timeout=60)) for q, future in futures]
+    roots = tracer.traces()
+    routes = {r.trace_id: r for r in roots if r.name == "cluster.route"}
+    queries = {r.trace_id: r for r in roots if r.name == "sieve.query"}
+    assert len(routes) == len(queries) == len(executions) == len(roots) // 2
+    shards = set()
+    for querier, execution in executions:
+        route, query = routes[execution.trace_id], queries[execution.trace_id]
+        assert route.attrs["querier"] == query.attrs["querier"] == querier
+        assert route.attrs["shard"] == cluster.route(querier)
+        shards.add(route.attrs["shard"])
+    assert shards == set(cluster.shard_names)
+
+
 # ------------------------------------------------------------------- replay
 
 

@@ -35,12 +35,21 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
   the rest — and its ``compile()`` calls, dispatch shells and guard
   branches apart;
 * ``cold``  — each querier's first request, which generates its guards
-  (Section 4) and compiles its kernels: the median over fresh worlds
+  (Section 4) and compiles its kernels, in the canonical benchmark's
+  own ``serve_warm`` world (``bench/workloads.py`` / ``bench/system.py``,
+  the request ``cold_query_p50_ms`` times, served by ``Sieve.serve``
+  without a server): the median over fresh instances of that world
   (``-n`` rounds up to whole worlds of 12 queriers) and its split,
-  timed plainly — candidate generation besides the merge sweep, the
-  sweep, selection, planning, ``compile()``, execution and the rest —
-  then guard generation alone for one shop at 150 / 400 / 1 000 /
-  2 000 policies and its growth, then one more world under cProfile;
+  timed plainly — the front end, candidate generation besides the
+  merge sweep, the sweep, selection, guard persistence, strategy,
+  rewrite, binding, both phases of planning, the guard-kernel build,
+  ``compile()``, execution and the rest — the share of the request the
+  named stages hold, and per cold request the ``selectivity_range``
+  calls, ``facts`` merges and guard-branch renderings; it exits
+  non-zero when a cold request makes more ``selectivity_range`` calls
+  or ``facts`` merges than ``COLD_CEILINGS`` allows.  Then guard
+  generation alone for one shop at 150 / 400 / 1 000 / 2 000 policies
+  and its growth, then one more world under cProfile;
 * ``plans`` — no profile: the canonical benchmark's own ``serve_warm``
   world (``bench/workloads.py``, 12 queriers x 8 shapes = 96 pairs).
   For each pair, every access path the planner weighs for the guarded
@@ -78,7 +87,9 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.bench.scenarios import mall_policies_for_shop  # noqa: E402
 from repro.core import Sieve, middleware  # noqa: E402
+from repro.core.guard_store import GuardStore  # noqa: E402
 from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
+from repro.engine.vector import VectorizedExecutor  # noqa: E402
 from repro.optimizer.planner import Planner, PlanTemplate  # noqa: E402
 from repro.policy.store import PolicyStore  # noqa: E402
 
@@ -319,12 +330,34 @@ def miss_path_split(world: World, requests: list[tuple[str, Callable[[], object]
     )
 
 
-def cold_requests(world: World, seed: int) -> list[Callable[[], object]]:
-    """Each querier's first request — the one that generates its guards —
-    on a shape that cycles with the querier."""
-    rng = random.Random(f"{seed}:cold")
-    texts = [(shop, world.bind(i % len(SHAPES), shop, rng)) for i, shop in enumerate(world.shops)]
-    return [lambda s=shop, t=text: world.serve(s, t) for shop, text in texts]
+class CanonicalWorld:
+    """The canonical benchmark's ``serve_warm`` world at its corpus seed
+    — the Mall database, the workload's policy corpus and one ``Sieve``
+    — built from ``bench/workloads.py`` and ``bench/system.py`` as the
+    benchmark builds it, without the server."""
+
+    def __init__(self):
+        from bench import workloads
+        from bench.system import to_policy
+
+        self.inputs = workloads.generate("serve_warm", 0, 0, 0)
+        self.mall = generate_mall(MallConfig(**workloads.MALL))
+        self.db = self.mall.db
+        self.store = PolicyStore(self.db, self.mall.groups)
+        self.store.insert_many(to_policy(spec) for spec in self.inputs.policies)
+        self.sieve = Sieve(self.db, self.store)
+        self.purpose = workloads.PURPOSE
+
+    def cold_requests(self) -> list[Callable[[], object]]:
+        """Each querier's first request — its first (querier, SQL) pair,
+        as the benchmark's cold pass issues it."""
+        first: dict[str, str] = {}
+        for querier, sql in self.inputs.warm_pairs:
+            first.setdefault(querier, sql)
+        return [
+            lambda q=querier, t=sql: self.sieve.serve(t, q, self.purpose)
+            for querier, sql in first.items()
+        ]
 
 
 def compile_kind(source: object) -> str:
@@ -425,52 +458,125 @@ class StageClock:
 
 
 #: The stages of a cold request timed in ``cold_split``: (label, owner,
-#: attribute); the owner is a module's name, a class, or ``None`` for the
-#: world's database.  Planning is both phases.
+#: attribute); the owner is a module's name, a class, or a name the
+#: world resolves (``"db"``, ``"sieve"``, ``"rewriter"``).
 COLD_STAGES = (
+    ("front end", "sieve", "_statement"),
     ("candidates", "repro.core.generation", "generate_candidate_guards"),
     ("sweep", "repro.core.candidate_gen", "_sweep_merge"),
     ("selection", "repro.core.generation", "select_guards"),
-    ("plan", Planner, "prepare"),
-    ("plan", PlanTemplate, "bind"),
+    ("guard persistence", GuardStore, "_persist"),
+    ("strategy", "repro.core.middleware", "choose_strategy"),
+    ("rewrite", "rewriter", "rewrite"),
+    ("bind", "repro.core.middleware", "bind_slots"),
+    ("bind", "repro.core.middleware", "bind_expr"),
+    ("plan.template", Planner, "prepare"),
+    ("plan.bind", PlanTemplate, "bind"),
+    ("guard-kernel build", VectorizedExecutor, "_guard_stage"),
     ("compile()", "builtins", "compile"),
-    ("execute", None, "run_plan"),
+    ("execute", "db", "run_plan"),
 )
 
+#: Per cold request at most this many of each count (``cold`` mode
+#: exits non-zero above them): a quarter of what a cold request made
+#: before guards carried their facts (312 and 617 on the canonical
+#: world).  Counts, not times, so no host noise can trip them.
+COLD_CEILINGS = {"selectivity_range": 78, "facts merges": 154}
 
-def cold_split(worlds: int, seed: int) -> str:
-    """The median cold request over ``worlds`` fresh worlds (each
-    querier's first request, single-threaded), and its split: each
-    stage's own time (:class:`StageClock`) and the rest of the request
-    as ``other``.  Medians over the requests."""
+
+@contextlib.contextmanager
+def cold_counts() -> Iterator[Counter]:
+    """A ``Counter`` of the work a cold request should not repeat, while
+    open: histogram range estimates (``selectivity_range``), ``facts``
+    merges (``analysis._merged``: a walk below an And/Or whose facts
+    nobody stamped) and guard-branch renderings (a branch's source
+    generated — by its shape key's first sighting, or for a branch
+    with no key)."""
+    from repro.expr import analysis
+    from repro.expr.codegen import CodegenExprCompiler
+    from repro.optimizer.stats import EquiDepthHistogram
+
+    counted: Counter = Counter()
+    saved = [
+        (EquiDepthHistogram, "selectivity_range", "selectivity_range"),
+        (analysis, "_merged", "facts merges"),
+    ]
+    originals = [getattr(owner, attr) for owner, attr, _ in saved]
+    real_render = CodegenExprCompiler._render
+
+    def counting(fn: Callable, name: str) -> Callable:
+        def run(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    def render(self, expr, emitter):
+        counted["branch renderings"] += emitter.slots is not None
+        return real_render(self, expr, emitter)
+
+    for (owner, attr, name), fn in zip(saved, originals):
+        setattr(owner, attr, counting(fn, name))
+    CodegenExprCompiler._render = render
+    try:
+        yield counted
+    finally:
+        for (owner, attr, _), fn in zip(saved, originals):
+            setattr(owner, attr, fn)
+        CodegenExprCompiler._render = real_render
+
+
+def cold_split(worlds: int) -> tuple[str, list[str]]:
+    """The median cold request over ``worlds`` fresh instances of the
+    canonical world (each querier's first request, single-threaded), its
+    split — each stage's own time (:class:`StageClock`) and the rest of
+    the request as ``other`` — and the share of the request the named
+    stages hold; then ``compile()`` calls and the :func:`cold_counts`
+    per cold request.  Medians over the requests.  Also returns the
+    ``COLD_CEILINGS`` a cold request broke, one line each."""
     import importlib
 
     own: dict[str, list[float]] = defaultdict(list)
     totals: list[float] = []
     compiled: list[Counter] = []
-    for round_ in range(worlds):
-        world = World(seed + round_)
+    counts: list[Counter] = []
+    for _round in range(worlds):
+        world = CanonicalWorld()
+        named = {"db": world.db, "sieve": world.sieve, "rewriter": world.sieve.rewriter}
         stages = [
             (
                 name,
-                world.mall.db
-                if owner is None
-                else importlib.import_module(owner) if isinstance(owner, str) else owner,
+                named.get(owner) or importlib.import_module(owner) if isinstance(owner, str) else owner,
                 attr,
             )
             for name, owner, attr in COLD_STAGES
         ]
-        with compiles_counted() as counted, StageClock(stages) as clock:
-            for request in cold_requests(world, seed + round_):
-                counted.clear()
+        with compiles_counted() as compiles, cold_counts() as work, StageClock(stages) as clock:
+            for request in world.cold_requests():
+                compiles.clear()
+                work.clear()
                 totals.append(clock.timed(request, own))
-                compiled.append(counted.copy())
+                compiled.append(compiles.copy())
+                counts.append(work.copy())
+    attributed = [1.0 - other / total for other, total in zip(own["other"], totals)]
+    names = ("selectivity_range", "facts merges", "branch renderings")
+    broken = [
+        f"a cold request made {most} {name} calls (ceiling {ceiling})"
+        for name, ceiling in COLD_CEILINGS.items()
+        if (most := max(c[name] for c in counts)) > ceiling
+    ]
     return (
         f"cold request (first per querier, {len(totals)} over {worlds} worlds), median "
         f"{statistics.median(totals):.2f} ms; own time per stage, medians in ms, timed without "
         "cProfile: " + clock.split(own) + "\n"
-        f"compile() calls per cold request, median: {compile_counts(compiled)}"
-    )
+        f"named stages hold {statistics.median(attributed):.1%} of a cold request (median)\n"
+        f"compile() calls per cold request, median: {compile_counts(compiled)}\n"
+        "per cold request, median (max): "
+        + ", ".join(
+            f"{name} {statistics.median(c[name] for c in counts):.0f} ({max(c[name] for c in counts)})"
+            for name in names
+        )
+    ), broken
 
 
 def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) -> str:
@@ -483,8 +589,6 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     and the ``compile()`` calls per after-write read, dispatch shells
     (generated guard kernels) and guard branches (row functions)
     counted apart.  Medians over the after-write reads."""
-    from repro.engine.vector import VectorizedExecutor
-
     db = world.mall.db
     stages = (
         ("release", db, "release_compiled"),
@@ -556,18 +660,13 @@ def plan_regret(runs: int) -> str:
     time as the median of ``runs``.  One block per shape, then the
     regret summary."""
     from bench import workloads
-    from bench.system import to_policy
 
     from repro.db.counters import CounterSet
     from repro.expr.analysis import conjuncts
     from repro.optimizer.planner import PlannedQuery, Planner
 
-    inputs = workloads.generate("serve_warm", 0, 0, 0)
-    mall = generate_mall(MallConfig(**workloads.MALL))
-    db = mall.db
-    store = PolicyStore(db, mall.groups)
-    store.insert_many(to_policy(spec) for spec in inputs.policies)
-    sieve = Sieve(db, store)
+    world = CanonicalWorld()
+    inputs, db, sieve = world.inputs, world.db, world.sieve
     planner = Planner(db.catalog, db.stats, db.personality)
     table = workloads.TABLE.lower()
     shapes = list(workloads.TEMPLATES)
@@ -676,10 +775,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.mode == "cold":
         worlds = -(-args.n // N_QUERIERS)
-        print(cold_split(worlds, args.seed))
-        world = World(args.seed + worlds)  # a cold one more, for the profile
-        print(generation_ladder(world))
-        requests = [("read", request) for request in cold_requests(world, args.seed + worlds)]
+        report_text, broken = cold_split(worlds)
+        print(report_text)
+        print(generation_ladder(World(args.seed)))
+        # A cold one more, for the profile.
+        requests = [("read", request) for request in CanonicalWorld().cold_requests()]
         n = len(requests)
     else:
         world = World(args.seed)
@@ -712,6 +812,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     profile.disable()
     wall_s = time.perf_counter() - start
     print(report(profile, n, wall_s, args.top))
+    if args.mode == "cold" and broken:
+        print("FAIL: " + "; ".join(broken), file=sys.stderr)
+        return 1
     return 0
 
 
