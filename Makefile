@@ -38,8 +38,11 @@ profile-fresh:
 
 # The same for a warm request (one fixed text per querier and shape:
 # the statement memo skips parsing and the plan cache hits, so what is
-# left is the engine — scans, the guard kernel, projection).  Exits
-# non-zero if a warm read parses or compiles.
+# left is the engine — scans, the guard kernel, projection), then the
+# guard-branch calls and rows per call of each warm read of the
+# canonical serve_warm world, by shape.  Exits non-zero if a warm read
+# parses or compiles, or makes more guard-branch calls than its
+# BitmapOr has arms.
 profile-warm:
 	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.cost_model import SieveCostModel
 from repro.optimizer.cardinality import point_key, range_key
-from repro.optimizer.stats import TableStats
+from repro.optimizer.stats import ClosedEnds, TableStats
 from repro.policy.model import ObjectCondition, Policy
 
 
@@ -80,20 +80,27 @@ def _is_closed(oc: ObjectCondition) -> bool:
     return oc.op == ">=" and oc.op2 == "<="
 
 
-def _estimate_candidates(candidates: Sequence[CandidateGuard], attr: str, stats: TableStats) -> None:
+def _closed_numeric(oc: ObjectCondition) -> bool:
+    return _is_closed(oc) and _numeric(oc.value) and _numeric(oc.value2)
+
+
+def _estimate_candidates(
+    candidates: Sequence[CandidateGuard], attr: str, stats: TableStats, ends: ClosedEnds | None = None
+) -> None:
     """Set ρ of each of one attribute's candidates, as
     :func:`condition_cardinality` gives it, and keep in ``stats.figures``
     the planner's figure for the condition's expression where the two
     agree to the bit (a closed numeric range, an ``=``), so planning the
     guard OR reads it (:func:`repro.optimizer.cardinality.figure_key`).
     The closed ranges are estimated together: one histogram look-up per
-    distinct end, not four per range."""
+    distinct end, not four per range — none where ``ends`` (the
+    attribute's table, shared with the merge sweep) holds them."""
     cstats = stats.column(attr)
     hist = cstats.histogram if cstats is not None else None
     closed: list[CandidateGuard] = []
     for candidate in candidates:
         oc = candidate.condition
-        if hist is not None and _is_closed(oc) and _numeric(oc.value) and _numeric(oc.value2):
+        if hist is not None and _closed_numeric(oc):
             closed.append(candidate)
         elif hist is not None and oc.op == "=":
             sel = stats.figures[point_key(attr, oc.value)] = hist.selectivity_eq(oc.value)
@@ -102,7 +109,7 @@ def _estimate_candidates(candidates: Sequence[CandidateGuard], attr: str, stats:
             candidate.cardinality = condition_cardinality(oc, stats)
     if closed:
         spans = [(c.condition.value, c.condition.value2) for c in closed]
-        for (lo, hi), candidate, sel in zip(spans, closed, hist.closed_ranges(spans)):  # type: ignore[union-attr]
+        for (lo, hi), candidate, sel in zip(spans, closed, hist.closed_ranges(spans, ends)):  # type: ignore[union-attr]
             candidate.cardinality = sel * stats.row_count
             stats.figures[range_key(attr, lo, hi)] = sel
 
@@ -112,17 +119,17 @@ def _numeric(value: Any) -> bool:
 
 
 def _closed_range_rows(
-    los: Sequence[Any], his: Sequence[Any], stats: TableStats, attr: str
+    los: Sequence[Any], his: Sequence[Any], stats: TableStats, attr: str, ends: ClosedEnds | None = None
 ) -> Callable[[Any, Any], float]:
     """ρ([lo, hi]) over ``attr`` for closed ranges starting at one of
     ``los`` and ending at one of ``his`` — every hull and intersection
     the sweep weighs is one — from one histogram look-up per distinct
-    end, not per range."""
+    end, not per range (none where ``ends`` holds them)."""
     cstats = stats.column(attr)
     if cstats is None or cstats.histogram is None:
         rows = stats.row_count / 3.0 if cstats is None else 0.0
         return lambda lo, hi: rows
-    return cstats.histogram.closed_range_estimator(los, his, stats.row_count)
+    return cstats.histogram.closed_range_estimator(los, his, stats.row_count, ends)
 
 
 def _eligible_conditions(
@@ -184,12 +191,10 @@ def generate_candidate_guards(
                 by_condition[oc] = candidate
                 by_attr.setdefault(oc.attr.lower(), []).append(candidate)
             candidate.policy_ids.add(policy.id)
-    for attr, candidates in by_attr.items():
-        _estimate_candidates(candidates, attr, stats)
-
     out: list[CandidateGuard] = list(by_condition.values())
 
-    # 2) Per attribute: sorted sweep producing beneficial merged ranges.
+    # 2) Per attribute: ρ of each candidate, then the sorted sweep
+    #    producing beneficial merged ranges.
     for attr, candidates in by_attr.items():
         rangeable: list[tuple[Any, Any, CandidateGuard]] = []
         for candidate in candidates:
@@ -199,13 +204,31 @@ def generate_candidate_guards(
             if not _numeric(span[0]):
                 continue  # only numeric ranges merge
             rangeable.append((*span, candidate))
-        if len(rangeable) < 2:
-            continue
         rangeable.sort(key=lambda entry: (entry[0], entry[1]))
-        los, his, ordered = (list(column) for column in zip(*rangeable))
-        merged = _sweep_merge(los, his, ordered, attr, stats, cost_model)
-        out.extend(merged)
+        los, his, ordered = (list(column) for column in zip(*rangeable)) if rangeable else ([], [], [])
+        ends = _range_ends(candidates, attr, stats, los, his)
+        _estimate_candidates(candidates, attr, stats, ends)
+        if len(rangeable) >= 2:
+            out.extend(_sweep_merge(los, his, ordered, attr, stats, cost_model, ends))
     return out
+
+
+def _range_ends(
+    candidates: Sequence[CandidateGuard], attr: str, stats: TableStats, los: list, his: list
+) -> ClosedEnds | None:
+    """One attribute's histogram look-ups, once per distinct range end:
+    the ends of its closed numeric conditions (their ρ) and of the
+    sweep's ranges (every hull and intersection it weighs).  ``None``
+    without a histogram, or where the ends do not compare (each estimate
+    then builds its own table, as apart they would)."""
+    cstats = stats.column(attr)
+    if cstats is None or cstats.histogram is None:
+        return None
+    closed = [c.condition for c in candidates if _closed_numeric(c.condition)]
+    ends = cstats.histogram.closed_range_ends(
+        [oc.value for oc in closed] + los, [oc.value2 for oc in closed] + his
+    )
+    return ends if ends.low_at is not None else None
 
 
 def _next_higher(his: Sequence[Any]) -> list[int]:
@@ -230,9 +253,12 @@ def _sweep_merge(
     attr: str,
     stats: TableStats,
     cost_model: SieveCostModel,
+    ends: ClosedEnds | None = None,
 ) -> list[CandidateGuard]:
     """The sorted merge sweep with the Corollary 1.1/1.2 cut-off, over
-    one attribute's ranges ``[los[j], his[j]]`` sorted by ``(lo, hi)``.
+    one attribute's ranges ``[los[j], his[j]]`` sorted by ``(lo, hi)``;
+    ``ends`` is the attribute's table of histogram look-ups, when built
+    (:func:`_range_ends`).
 
     An anchor's hull starts as its own range and absorbs, left to right,
     every overlapping neighbour that passes the Eq. 8 check against the
@@ -264,7 +290,7 @@ def _sweep_merge(
     if all(h == n for h in step):
         return []  # no hull can grow (distinct points, say): nothing to weigh
     threshold = cost_model.merge_threshold()
-    rho = _closed_range_rows(los, his, stats, attr)
+    rho = _closed_range_rows(los, his, stats, attr, ends)
     own = [rho(lo, hi) for lo, hi in zip(los, his)]
     ids = [candidate.policy_ids for candidate in candidates]
     step_rho = [rho(los[h], his[k]) if h < n else 0.0 for k, h in enumerate(step)]

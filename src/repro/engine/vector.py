@@ -19,7 +19,9 @@ the actual work.  This module replaces it with batch execution:
   its literals lifted out — and handed this conjunct's constants at
   every call; a policy-style wide OR becomes one fused
   **guard** kernel in which a row tries only the branches that can
-  hold for it, and ``counters.policy_evals`` is charged what the
+  hold for it — the rows sharing candidates in one call per branch,
+  and a drained BitmapOr's rows arm by arm, each arm to the branches
+  its key names — and ``counters.policy_evals`` is charged what the
   closure compiler's short-circuit metering would charge — tick for
   tick identical to the tuple path (see ``docs/ARCHITECTURE.md``,
   "Vectorized engine").  A conjunct column mode cannot express (a
@@ -52,7 +54,13 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
 from repro.expr.analysis import conjuncts, contains_subquery
-from repro.expr.codegen import CodegenExprCompiler, CodegenUnsupported, is_metered_or
+from repro.expr.codegen import (
+    CodegenExprCompiler,
+    CodegenUnsupported,
+    GuardKernel,
+    is_metered_or,
+    probe_constant,
+)
 from repro.expr.eval import RowBinding
 from repro.expr.nodes import Expr
 from repro.expr.params import lift_constants
@@ -165,6 +173,20 @@ class BatchPredicate:
         return sel
 
 
+class _GuardStage:
+    """A guard OR's stage: its compiled kernel over the batch's columns
+    — kept where the stage is cached, so a BitmapOr drained arm by arm
+    finds the branch functions and their look-up through it."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: GuardKernel):
+        self.kernel = kernel
+
+    def __call__(self, batch: RowBatch, sel: list) -> list:
+        return self.kernel(batch.columns(), sel)
+
+
 def _filtered(batch: RowBatch, pred: BatchPredicate | None) -> RowBatch | None:
     """``batch`` under the selection ``pred`` leaves of it; ``None``
     when it leaves nothing."""
@@ -224,8 +246,15 @@ class VectorizedExecutor(Executor):
         return QueryResult(columns=root.binding.column_names, rows=rows)
 
     def _collect_rows(self, plan: PlanNode) -> list[tuple]:
+        """The plan's rows, all of them: a BitmapOr here is drained
+        (:meth:`_vexec_BitmapOrPlan`)."""
         out: list[tuple] = []
-        for batch in self._batches(plan):
+        batches = (
+            self._vexec_BitmapOrPlan(plan, drained=True)
+            if isinstance(plan, BitmapOrPlan)
+            else self._batches(plan)
+        )
+        for batch in batches:
             out.extend(batch.take())
         return out
 
@@ -338,10 +367,9 @@ class VectorizedExecutor(Executor):
             )
 
         try:
-            kernel = codegen.compile_batch_guard(conj, branch, code)
+            return _GuardStage(codegen.compile_batch_guard(conj, branch, code))
         except (CodegenUnsupported, SyntaxError):
             return self._row_stage(conj, binding)
-        return lambda batch, sel: kernel(batch.columns(), sel, batch.rows)
 
     def _batch_pred(self, expr: Expr | None, binding: RowBinding) -> BatchPredicate | None:
         """The filter as a stage per conjunct.  Stages are cached one
@@ -357,14 +385,17 @@ class VectorizedExecutor(Executor):
     # --------------------------------------------------------------- scans
 
     def _table_batches(
-        self, plan, table, chunks: Iterable[list[int]], page_counter: str | None
+        self,
+        pred: BatchPredicate | None,
+        table,
+        chunks: Iterable[list[int]],
+        page_counter: str | None,
     ) -> Iterator[RowBatch]:
         """Table-backed batches, one per chunk of rowids (tombstones
         dropped here; an emptied chunk forms no batch).  Per-row counters
         are charged as the tuple path charges them, each page a chunk
         touches once per scan on ``page_counter``, and the filter runs
         over the table's own column arrays."""
-        pred = self._batch_pred(plan.filter, plan.binding)
         counters = self.counters
         page_size = table.page_size
         slots, columns = table.slots, table.column_arrays()
@@ -395,16 +426,29 @@ class VectorizedExecutor(Executor):
             list(range(start, min(start + step, table.slot_count)))
             for start in range(0, table.slot_count, step)
         )
-        yield from self._table_batches(plan, table, chunks, "pages_sequential")
+        pred = self._batch_pred(plan.filter, plan.binding)
+        yield from self._table_batches(pred, table, chunks, "pages_sequential")
 
     def _vexec_IndexScanPlan(self, plan: IndexScanPlan) -> Iterator[RowBatch]:
         table = self.catalog.table(plan.table_name)
         index = self.catalog.index_by_name(plan.table_name, plan.index_name)
         rowids = list(dict.fromkeys(self._probe_rowids(index, plan.probes)))
-        yield from self._table_batches(plan, table, _chunked(rowids), "pages_random")
+        pred = self._batch_pred(plan.filter, plan.binding)
+        yield from self._table_batches(pred, table, _chunked(rowids), "pages_random")
 
-    def _vexec_BitmapOrPlan(self, plan: BitmapOrPlan) -> Iterator[RowBatch]:
+    def _vexec_BitmapOrPlan(self, plan: BitmapOrPlan, drained: bool = False) -> Iterator[RowBatch]:
+        """The arms' rowids OR-ed, each live row filtered once.  Where
+        the scan is ``drained`` (every row will be pulled, as a CTE's
+        materialisation pulls them) and its arms are the look-up of a
+        guard stage of the filter (:meth:`_guard_arms`), each arm's rows
+        go to that arm's own branches (:meth:`_arm_batches`); otherwise
+        the union is sorted and filtered in chunks, so a bare ``LIMIT``
+        above stops after the batch it needs."""
         table = self.catalog.table(plan.table_name)
+        pred = self._batch_pred(plan.filter, plan.binding)
+        if drained and (armed := self._guard_arms(plan, table, pred)) is not None:
+            yield from self._arm_batches(plan, table, pred, *armed)
+            return
         found: set[int] = set()
         for index_name, _column, probes in plan.arms:
             index = self.catalog.index_by_name(plan.table_name, index_name)
@@ -412,7 +456,81 @@ class VectorizedExecutor(Executor):
         rowids = sorted(found)  # one heap visit per row, in page order
         page_size = table.page_size
         self.counters.pages_bitmap += len({rowid // page_size for rowid in rowids})
-        yield from self._table_batches(plan, table, _chunked(rowids), None)
+        yield from self._table_batches(pred, table, _chunked(rowids), None)
+
+    def _guard_arms(self, plan: BitmapOrPlan, table, pred: BatchPredicate | None):
+        """``(index, stage position, guard kernel)`` when every arm of
+        ``plan`` is point probes on one index, with constants a dict can
+        find, and a guard stage of ``pred`` finds each of its branches by
+        that index's column in one dict: a row an arm's key found has that
+        key's branches as its candidates, so each arm's rows are one
+        group.  ``None`` otherwise."""
+        names = {index_name for index_name, _column, _probes in plan.arms}
+        if pred is None or len(names) != 1:
+            return None
+        if not all(p.is_point and probe_constant(p.eq_value) for _n, _c, probes in plan.arms for p in probes):
+            return None
+        index = self.catalog.index_by_name(plan.table_name, names.pop())
+        pos = table.schema.index_of(index.column)
+        for at, stage in enumerate(pred.stages):
+            if isinstance(stage, _GuardStage) and stage.kernel.points is not None:
+                if stage.kernel.points[0] == pos:
+                    return index, at, stage.kernel
+        return None
+
+    def _arm_batches(
+        self, plan: BitmapOrPlan, table, pred: BatchPredicate, index, at: int, kernel: GuardKernel
+    ) -> Iterator[RowBatch]:
+        """A drained BitmapOr, arm key by arm key: each key's live rows
+        (one batch) run the filter's stages before the guard, then only
+        the branches the key names — each branch called once, on the rows
+        the previous one missed — then the stages after it on the hits.
+        Every counter is charged as the sorted union's chunks charge it
+        (the keys are distinct and a row has one value, so the arms'
+        rowids are disjoint); only the hits are sorted, into page order."""
+        counters = self.counters
+        groups: dict[Any, list[int]] = {}
+        for _name, _column, probes in plan.arms:
+            for probe in probes:  # each probe's own node visits, as _probe_rowids charges them
+                groups.setdefault(probe.eq_value, index.search_eq(probe.eq_value, counters))
+        page_size = table.page_size
+        counters.pages_bitmap += len({rowid // page_size for rowids in groups.values() for rowid in rowids})
+        slots, columns = table.slots, table.column_arrays()
+        tombstones = table.row_count < table.slot_count
+        batch = RowBatch(slots, None, columns)
+        before, after = pred.stages[:at], pred.stages[at + 1 :]
+        fns, width, ordinals = kernel.branches, kernel.width, kernel.points[1]  # type: ignore[index]
+        hits: list[int] = []
+        charge = 0
+        for key, sel in groups.items():
+            if tombstones:
+                sel = [rowid for rowid in sel if slots[rowid] is not None]
+            if not sel:
+                continue
+            counters.tuples_scanned += len(sel)
+            counters.predicate_evals += len(sel)
+            counters.batches += 1
+            for stage in before:
+                sel = stage(batch, sel)
+                if not sel:
+                    break
+            else:  # rows reached the guard
+                for j in ordinals.get(key, ()):
+                    found, sel, spent = fns[j](columns, sel)
+                    charge += spent + (j + 1) * len(found)
+                    for stage in after:
+                        if not found:
+                            break
+                        found = stage(batch, found)
+                    hits += found
+                    if not sel:
+                        break
+                else:  # rows no branch of the key admits
+                    charge += width * len(sel)
+        counters.policy_evals += charge
+        hits.sort()
+        for chunk in _chunked(hits):
+            yield RowBatch(slots, chunk, columns)
 
     def _vexec_CTEScanPlan(self, plan: CTEScanPlan) -> Iterator[RowBatch]:
         key = plan.cte_name.lower()

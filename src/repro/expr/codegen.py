@@ -28,12 +28,13 @@ Two compilation modes exist:
   :class:`~repro.engine.vector.RowBatch` via a list comprehension (or,
   for a top-level policy OR, a fused metering kernel in which a row
   *looks up* the guard branches that can hold for it instead of
-  walking them all, and tries those through one row function per
-  branch) with the expression inlined.  A branch's row function is
-  rendered as its *shape* — every literal and column position a
-  placeholder constant — so one code object serves every branch of
-  that shape, each instantiated with its own values bound into a copy
-  of the code object's constants.  Nested metered ORs
+  walking them all, and the rows that share candidates go to those
+  branches' batch functions, one call per branch per group) with the
+  expression inlined.  A branch's function is rendered as its *shape*
+  — every literal and column position a placeholder constant — so one
+  code object serves every branch of that shape, each instantiated
+  with its own values bound into a copy of the code object's
+  constants.  Nested metered ORs
   compile to kernel-local per-index helpers so ``policy_evals``
   accounting survives inside batch kernels; only scalar subqueries are
   refused
@@ -323,43 +324,44 @@ class CompiledExprCache:
 class _Emitter:
     """Renders one expression tree into Python source.
 
-    ``mode`` is ``"row"`` (references spelled ``_r[pos]``) or ``"col"``
+    ``mode`` is ``"row"`` (references spelled ``_r[pos]``), ``"col"``
     (``_c<pos>[_i]``, with the touched columns recorded for the kernel
-    prelude).  Helper functions (metered ORs) accumulate in ``defs``;
-    constants/callables that cannot be inlined land in ``env``.
+    prelude) or ``"branch"`` (a guard branch's loop over ``_i``: each
+    column reference its own array ``_c<k>[_i]``, ``k`` in emission
+    order, and a metered OR charging the loop's local ``_n``).  Helper
+    functions (metered ORs) accumulate in ``defs``; constants/callables
+    that cannot be inlined land in ``env``.
     """
 
     def __init__(
         self,
         compiler: "CodegenExprCompiler",
         mode: str,
-        hoisted: bool = False,
         slotted: bool = False,
     ):
         self.compiler = compiler
         self.mode = mode
         #: What a helper function takes: the row, or the row's index.
         self.arg = "_r" if mode == "row" else "_i"
-        #: When True (loop-form kernels), column refs read per-row
-        #: hoisted locals ``_v<pos>`` assigned once at the top of the
-        #: row loop, instead of subscripting the column array at every
-        #: occurrence across hundreds of guard conditions.
-        self.hoisted = hoisted
         self.defs: list[str] = []  # row mode: module-level helper functions
         self.inner_defs: list[str] = []  # col mode: helpers nested in the kernel
         self.env: dict[str, Any] = {}
         self.used_columns: set[int] = set()
         #: Columns a guard kernel's first pass reads (bound in the
-        #: prelude like ``used_columns``, never hoisted per row).
+        #: prelude like ``used_columns``).
         self.probe_columns: set[int] = set()
         #: How many slots of the kernel's constants vector the tree
         #: reads (``_q<index>`` locals, unpacked in the prelude).
         self.n_consts = 0
-        #: When a list (a guard branch's row function), the source is a
-        #: *shape*: every literal and column position is spelled as a
-        #: placeholder constant, ``"\0<index>"``, and its value is
-        #: ``slots[index]``, bound into the compiled code (:func:`_bind_slots`).
+        #: When a list (a guard branch), the source is a *shape*: every
+        #: literal and column position is spelled as a placeholder
+        #: constant, ``"\0<index>"``, and its value is ``slots[index]``,
+        #: bound into the compiled code (:func:`_bind_slots`).
         self.slots: list | None = [] if slotted else None
+        #: Branch mode: per column reference, in emission order, the
+        #: ``_cols`` subscript (a placeholder when slotted) that binds its
+        #: array ``_c<k>`` once per call.
+        self.branch_columns: list[str] = []
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -403,10 +405,13 @@ class _Emitter:
 
     def column(self, pos: int) -> str:
         if self.mode == "row":
-            return f"_r[{pos if self.slots is None else self.slot(pos)}]"
+            return f"_r[{pos}]"
+        if self.mode == "branch":
+            # A reference per array, whatever column it reads: which
+            # references share a column is no part of the shape.
+            self.branch_columns.append(str(pos) if self.slots is None else self.slot(pos))
+            return f"_c{len(self.branch_columns) - 1}[_i]"
         self.used_columns.add(pos)
-        if self.hoisted:
-            return f"_v{pos}"
         return f"_c{pos}[_i]"
 
     # ------------------------------------------------------------ rendering
@@ -498,6 +503,8 @@ class _Emitter:
             return "(" + " and ".join(parts) + ")"
         if isinstance(expr, Or):
             if is_metered_or(expr, c.counters):
+                if self.mode == "branch":
+                    return self.charged_or(expr)
                 return f"{self.metered_helper(expr)}({self.arg})"
             parts = [f"bool({self.emit(ch)})" for ch in expr.children]
             return "(" + " or ".join(parts) + ")"
@@ -534,10 +541,13 @@ class _Emitter:
             op = "not in" if expr.negated else "in"
             return f"(({t} := {inner}) is not None and {t} {op} {members})"
         if isinstance(expr, ScalarSubquery):
-            if self.mode != "row" or c.subquery_fn is None:
-                raise CodegenUnsupported("scalar subqueries need row mode")
+            if self.mode == "col" or c.subquery_fn is None:
+                raise CodegenUnsupported("scalar subqueries need the row")
             fn = self.const(c.subquery_fn)
             ast = self.const(expr.select)
+            if self.mode == "branch":
+                self.env["_row_at"] = _row_at
+                return f"{fn}({ast}, _row_at(_cols, _i))"
             return f"{fn}({ast}, _r)"
         if isinstance(expr, Star):
             raise ExecutionError("'*' is only valid in a SELECT list")
@@ -635,6 +645,13 @@ class _Emitter:
         args = ", ".join(self.emit(a) for a in expr.args)
         return f"{fn}({args})"
 
+    def charged_or(self, expr: Or) -> str:
+        """A wide OR inside a guard branch's loop, inline: the first true
+        disjunct adds its ordinal + 1 to the loop's charge ``_n``, none
+        adds the width — the metered helper's accounting, with no call."""
+        parts = [f"{self.test(child)} and (_n := _n + {i + 1}) > 0" for i, child in enumerate(expr.children)]
+        return "(" + " or ".join([*parts, f"(_n := _n + {len(expr.children)}) < 0"]) + ")"
+
     def metered_helper(self, expr: Or, tri: bool = False) -> str:
         """A wide OR becomes a flat helper (returns its name; the value
         is ``name(arg)``): per-row short-circuit with
@@ -646,6 +663,8 @@ class _Emitter:
         nested policy ORs stay metered inside batch kernels.  ``tri``
         (beneath a ``NOT``) makes it three-valued: a row no disjunct
         admits is unknown when one of them was, at the same charge."""
+        if self.mode == "branch":
+            raise CodegenUnsupported("a metered OR beneath NOT in a guard branch")
         name = self.fresh("h")
         ctr = self.const(self.compiler.counters)
         lines = [f"def {name}({self.arg}):"]
@@ -670,6 +689,12 @@ class _Emitter:
         return name
 
 
+def _row_at(cols: list, i: int) -> tuple:
+    """The row at index ``i`` of column arrays ``cols`` (what a scalar
+    subquery in a guard branch is handed as its outer row)."""
+    return tuple([col[i] for col in cols])
+
+
 def _in3(value: Any, items: tuple) -> bool | None:
     """``value IN items`` for a non-NULL ``value`` in three-valued logic.
     An item matches as a set member does — the very object (a NaN) or
@@ -680,7 +705,7 @@ def _in3(value: Any, items: tuple) -> bool | None:
     return None if None in items else False
 
 
-def _probe_constant(value: Any) -> bool:
+def probe_constant(value: Any) -> bool:
     """Can a dict or ``bisect`` look-up stand in for ``==`` / ``<=``
     against this constant?  Not NULL (equal to nothing), not NaN
     (unequal to itself), not an unhashable value."""
@@ -710,7 +735,7 @@ def _head_points(head: Expr) -> tuple[ColumnRef, list] | None:
     else:
         return None
     if isinstance(column, ColumnRef) and all(
-        isinstance(item, Literal) and _probe_constant(item.value) for item in items
+        isinstance(item, Literal) and probe_constant(item.value) for item in items
     ):
         return column, [item.value for item in items]
     return None
@@ -725,8 +750,8 @@ def _head_span(head: Expr) -> tuple[ColumnRef, Any, Any] | None:
         and isinstance(head.expr, ColumnRef)
         and isinstance(head.low, Literal)
         and isinstance(head.high, Literal)
-        and _probe_constant(head.low.value)
-        and _probe_constant(head.high.value)
+        and probe_constant(head.low.value)
+        and probe_constant(head.high.value)
     ):
         return head.expr, head.low.value, head.high.value
     return None
@@ -771,28 +796,26 @@ def _same_values(mine: list | None, theirs: list) -> bool:
 
 class BranchShape:
     """A guard branch's compiled shape: the code object with its
-    placeholder constants — where each sits, found once — the name of
-    the row function it defines, and the names its environment
-    constants take, in emission order."""
+    placeholder constants — where each sits, found once — and the names
+    its environment constants take, in emission order."""
 
-    __slots__ = ("plan", "main", "names")
+    __slots__ = ("plan", "names")
 
-    def __init__(self, code: CodeType, main: str, names: tuple[str, ...], n_slots: int):
+    def __init__(self, code: CodeType, names: tuple[str, ...], n_slots: int):
         found: set[int] = set()
         self.plan = _slot_plan(code, found)
         if found != set(range(n_slots)):
             raise ValueError("a placeholder constant was folded")  # as _bind_slots refuses it
-        self.main = main
         self.names = names
 
-    def instance(self, slots: list, consts: list) -> RowFn:
-        """The row function of one branch of this shape: its slot
+    def instance(self, slots: list, consts: list) -> "BranchFn":
+        """The branch function of one branch of this shape: its slot
         values bound into a copy of the code object (as
         :func:`_bind_slots` binds them), its constants as the
         environment."""
         namespace = dict(zip(self.names, consts))
         exec(_bind_plan(self.plan, slots), namespace)  # noqa: S102
-        return namespace[self.main]
+        return namespace["_branch"]
 
 
 def _slot_plan(code: CodeType, found: set[int]) -> tuple:
@@ -823,12 +846,12 @@ def _bind_plan(plan: tuple, values: list) -> CodeType:
 class _ShapeReader:
     """A guard branch's shape key, slot values and environment constants,
     read off its nodes without rendering: it visits them in the order
-    :class:`_Emitter` (row mode, slotted) emits them, taking a slot for
-    every literal and column position and a constant for every set, UDF
-    and metering counter the emitter would take.  The key spells each
-    node's kind and whatever else of it the source depends on; a tree
-    holding anything else (a subquery, ``NOT``, a lifted constant) reads
-    as ``None`` and is rendered."""
+    :class:`_Emitter` (branch mode, slotted) emits them, taking a slot
+    for every literal and column position and a constant for every set
+    and UDF the emitter would take.  The key spells each node's kind and
+    whatever else of it the source depends on; a tree holding anything
+    else (a subquery, ``NOT``, a lifted constant) reads as ``None`` and
+    is rendered."""
 
     def __init__(self, compiler: "CodegenExprCompiler"):
         self.compiler = compiler
@@ -887,10 +910,8 @@ class _ShapeReader:
         if isinstance(expr, And):
             return ("and", *map(self.key, expr.children))
         if isinstance(expr, Or):
-            if is_metered_or(expr, self.compiler.counters):
-                self.consts.append(self.compiler.counters)
-                return ("metered", *map(self.key, expr.children))
-            return ("or", *map(self.key, expr.children))
+            metered = is_metered_or(expr, self.compiler.counters)
+            return ("metered" if metered else "or", *map(self.key, expr.children))
         if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/", "%"):
             return ("arith", expr.op, self.key(expr.left), self.key(expr.right))
         if isinstance(expr, FuncCall):
@@ -917,6 +938,79 @@ _BETWEEN_KEYS = {negated: ("btw", negated, "C", "L", "L") for negated in (False,
 
 class _Unreadable(Exception):
     """A node :class:`_ShapeReader` does not read."""
+
+
+def _guard_lookups(binding: RowBinding, branches: tuple[Expr, ...]) -> tuple[dict, dict, set[int]]:
+    """How the branches of a guard OR are found: ``(points, spans,
+    always)`` — per column position, a dict from each ``=`` / ``IN``
+    constant to the ascending ordinals of the branches it opens, and the
+    :func:`_span_table` of the ``BETWEEN`` heads on it; ``always`` holds
+    the ordinals neither stands in for."""
+    points: dict[int, dict[Any, list[int]]] = {}
+    ranges: dict[int, list[tuple]] = {}  # column -> (lo, hi, ordinal)
+    for j, branch in enumerate(branches):
+        head = _guard_head(branch)[0]
+        if (eq := _head_points(head)) is not None:
+            found = points.setdefault(binding.resolve(eq[0]), {})
+            for value in eq[1]:
+                ordinals = found.setdefault(value, [])
+                if not ordinals or ordinals[-1] != j:
+                    ordinals.append(j)
+        elif (span := _head_span(head)) is not None:
+            ranges.setdefault(binding.resolve(span[0]), []).append((*span[1:], j))
+    always = set(range(len(branches)))
+    for found in points.values():
+        always.difference_update(*found.values())
+    spans: dict[int, tuple[list, tuple]] = {}
+    for pos, column_spans in ranges.items():
+        try:
+            spans[pos] = _span_table(column_spans)
+        except TypeError:
+            continue  # bounds without a common order: candidates of every row
+        always.difference_update(j for _lo, _hi, j in column_spans)
+    tables = {pos: {value: tuple(js) for value, js in found.items()} for pos, found in points.items()}
+    return tables, spans, always
+
+
+#: A guard branch compiled: ``fn(columns, indices) -> (hits, misses,
+#: charge)`` (:meth:`CodegenExprCompiler.compile_guard_branch`).
+BranchFn = Callable[[list, list], tuple]
+
+
+class GuardKernel:
+    """A guard OR compiled (:meth:`CodegenExprCompiler.compile_batch_guard`):
+    called as ``kernel(columns, selection) -> passing indices``, charging
+    ``policy_evals``.  It keeps its ``branches`` (the branch functions,
+    by ordinal) and its ``width``; ``points`` is
+    ``(column position, {constant: ordinals})`` when that one dict finds
+    every branch — what a BitmapOr of point probes on the column hands
+    each arm's rows to — else ``None``."""
+
+    __slots__ = ("run", "branches", "width", "points")
+
+    def __init__(self, run: Callable, branches: tuple, width: int, points: tuple | None):
+        self.run = run
+        self.branches = branches
+        self.width = width
+        self.points = points
+
+    def __call__(self, cols: list, sel: list) -> list:
+        return self.run(cols, sel)
+
+
+def _row_branch(fn: RowFn) -> BranchFn:
+    """A row function as a branch function — the closure compiler's,
+    where codegen cannot render the branch; it ticks ``policy_evals``
+    itself, so its charge is 0."""
+
+    def branch(cols: list, idx: list) -> tuple:
+        hits: list[int] = []
+        misses: list[int] = []
+        for i in idx:
+            (hits if fn(_row_at(cols, i)) else misses).append(i)
+        return hits, misses, 0
+
+    return branch
 
 
 def _merge_candidates(*found: tuple | None) -> tuple:
@@ -952,31 +1046,18 @@ class CodegenExprCompiler:
     # ------------------------------------------------------------- row mode
 
     def compile(self, expr: Expr) -> RowFn:
-        return self._row_fn(expr, _Emitter(self, "row"))
-
-    def _row_fn(
-        self,
-        expr: Expr,
-        emitter: _Emitter,
-        compiled: Callable[[str], CodeType] | None = None,
-    ) -> RowFn:
+        emitter = _Emitter(self, "row")
         try:
-            src, main = self._render(expr, emitter)
-            return self._exec(src, emitter.env, compiled, emitter.slots)[main]
+            if is_metered_or(expr, self.counters):
+                main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
+            else:
+                main = "_main"
+                emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
+            return self._exec("\n\n".join(emitter.defs), emitter.env)[main]
         except ExecutionError:
             raise
         except Exception:
             return self._closure().compile(expr)
-
-    def _render(self, expr: Expr, emitter: _Emitter) -> tuple[str, str]:
-        """``expr`` as a module defining its row function: the source
-        and the function's name."""
-        if is_metered_or(expr, self.counters):
-            main = emitter.metered_helper(expr)  # a row function already: no wrapper frame
-        else:
-            main = "_main"
-            emitter.defs.append(f"def _main(_r):\n    return {emitter.emit(expr)}")
-        return "\n\n".join(emitter.defs), main
 
     def _closure(self) -> ExprCompiler:
         return ExprCompiler(
@@ -1017,106 +1098,89 @@ class CodegenExprCompiler:
     def compile_batch_guard(
         self,
         expr: Or,
-        compiled_branch: Callable[[Expr], RowFn] | None = None,
+        compiled_branch: Callable[[Expr], "BranchFn"] | None = None,
         compiled_source: Callable[[str], CodeType] | None = None,
-    ) -> BatchPredFn:
+    ) -> "GuardKernel":
         """The fused form of guard-by-guard evaluation: one wide
-        (metered) OR as a single kernel.
+        (metered) OR as a single kernel, ``kernel(columns, selection)
+        -> passing indices`` in the selection's order.
 
-        Per index, disjuncts are tried in order; the first hit appends
-        the index to the output selection and stops — accumulating the
-        per-row checked count so one ``policy_evals`` update per batch
-        carries exactly the tuple path's total.
+        Per index, disjuncts are tried in order; the first hit keeps
+        the index and stops — accumulating the per-row checked count so
+        one ``policy_evals`` update per call carries exactly the tuple
+        path's total.
 
         A branch ``head`` or ``head AND rest`` whose head compares one
         column with constants (``=``, ``IN``, ``BETWEEN`` — what a guard
         is) is not walked to but *found* (:meth:`_guard_candidates`).
-        A first pass keeps ``(index, candidates)`` for the rows that
-        have a candidate branch and charges the others ``width`` apiece
-        in one multiplication; the second tries only the candidates, in
-        ordinal order, charging ``ordinal + 1`` on the first hit and
-        ``width`` on none.  That is the sequential walk's charge tick
-        for tick: a skipped branch's head is false for the row, so the
-        walk never reached its remainder (nor the partition OR's own
-        metering inside it).
+        A first pass groups the indices of the selection by their tuple
+        of candidate branches and counts the rows with none, charged
+        ``width`` apiece in one multiplication; then each group is handed
+        to its candidates' branch functions, in ordinal order, each
+        taking the rows the previous one missed, and the shell charges
+        ``ordinal + 1`` per hit and ``width`` per row none admits.  That
+        is the sequential walk's charge tick for tick: a skipped branch's
+        head is false for the row, so the walk never reached its
+        remainder (nor the partition OR's own metering inside it, which
+        a branch function returns as its charge).
+
+        When no branch can be looked up, every branch is a candidate of
+        every row: the selection is one group.
 
         The compile unit of that form is the *branch*, not the OR: what
-        a candidate still has to evaluate is a row function of its own
+        a candidate still has to evaluate is a batch function of its own
         (:meth:`compile_guard_branch`; ``compiled_branch(branch)`` lets
         the caller supply it from a cache) and the kernel is only the
         dispatch shell — the look-up tables, rebuilt from the heads, and
-        the two loops — around those.  Which branch function a row
-        calls, and in which order, depends on the heads alone, so the
+        the two passes — around those.  Which branch function a row
+        meets, and in which order, depends on the heads alone, so the
         charge is the one above whichever way the functions were
-        obtained.  Neither source names a constant of the OR: the
-        shell's width, tables and branch functions are environment
-        constants, and a branch's literals and column positions are
-        placeholders bound per branch into a copy of its code object.
-        So ORs of one shape (the same look-up columns and kinds) share
-        one shell source, branches of one shape one branch source, and
-        ``compiled_source(source)`` lets the caller supply each code
-        object from a cache, keyed by that source: a write that keeps
-        the guard count compiles no shell, and a branch of a known shape
-        compiles nothing.  The shell takes the batch's row
-        tuples beside its columns, ``fn(columns, selection, rows)`` —
-        the first pass reads a column per row, the second hands the few
-        candidates' tuples to the branch functions (without ``rows`` it
-        transposes the columns back).
-
-        When no branch can be looked up, every branch is a candidate of
-        every row: the candidate loop is emitted unrolled, in one unit
-        over the columns alone (``rows`` is accepted and unused), and
-        there is no first pass.
+        obtained.  The shell's source names no constant of the OR: its
+        width, tables and branch functions are environment constants,
+        so ORs of one shape (the same look-up columns and kinds) share
+        one shell source, and ``compiled_source(source)`` lets the
+        caller supply its code object from a cache, keyed by that
+        source: a write that keeps the guard count compiles no shell.
         """
-        emitter = _Emitter(self, "col", hoisted=True)
-        candidates = self._guard_candidates(emitter, expr.children)
-        if candidates is None:
-            width = len(expr.children)
-            tries: list[str] = []
-            for j, test in enumerate(expr.children):
-                tries += [
-                    f"        if {emitter.emit(test)}:",
-                    f"            _n += {j + 1}",
-                    "            _add(_i)",
-                    "            continue",
-                ]
-            tries.append(f"        _n += {width}")
-            loop = ["    _n = 0", "    for _i in _sel:"]
-        else:
-            compiled = compiled_branch or self.compile_guard_branch
-            fns = emitter.const(tuple(compiled(branch) for branch in expr.children))
-            width = emitter.const(len(expr.children))
-            loop = [
-                f"    _fns, _width = {fns}, {width}",
-                "    if _rows is None:",
-                "        _rows = list(zip(*_cols))",
-                f"    _cand = [(_i, _js) for _i in _sel if (_js := {candidates})]",
-                "    _n = _width * (len(_sel) - len(_cand))",
-                "    for _i, _js in _cand:",
-            ]
-            tries = [
-                "        for _j in _js:",
-                "            if _fns[_j](_rows[_i]):",
-                "                _n += _j + 1",
-                "                _add(_i)",
-                "                break",
-                "        else:",
-                "            _n += _width",
-            ]
-        ctr = emitter.const(self.counters)
+        emitter = _Emitter(self, "col")
+        points, spans, always = _guard_lookups(self.binding, expr.children)
+        candidates = self._guard_candidates(emitter, points, spans, always)
+        width = len(expr.children)
+        compiled = compiled_branch or self.compile_guard_branch
+        branches = tuple(compiled(branch) for branch in expr.children)
+        fns, width_name, ctr = emitter.const(branches), emitter.const(width), emitter.const(self.counters)
         lines = [
-            "    _hits = []",
-            "    _add = _hits.append",
-            *loop,
-            *(f"        _v{pos} = _c{pos}[_i]" for pos in sorted(emitter.used_columns)),
-            *tries,
+            f"    _fns, _width = {fns}, {width_name}",
+            "    _groups = {}",
+            "    _none = 0",
+            "    for _i in _sel:",
+            f"        if _js := {candidates}:",
+            "            if (_g := _groups.get(_js)) is None:",
+            "                _groups[_js] = [_i]",
+            "            else:",
+            "                _g.append(_i)",
+            "        else:",
+            "            _none += 1",
+            "    _n = _width * _none",
+            "    _parts = []",
+            "    for _js, _idx in _groups.items():",
+            "        for _j in _js:",
+            "            _h, _idx, _k = _fns[_j](_cols, _idx)",
+            "            _n += _k + (_j + 1) * len(_h)",
+            "            if _h:",
+            "                _parts.append(_h)",
+            "            if not _idx:",
+            "                break",
+            "        else:",
+            "            _n += _width * len(_idx)",
             f"    {ctr}.policy_evals += _n",
-            "    return _hits",
+            "    if len(_parts) < 2:",
+            "        return _parts[0] if _parts else []",
+            "    return list(filter(set().union(*_parts).__contains__, _sel))",
         ]
-        if candidates is None:
-            unrolled = self._kernel(emitter, lines)
-            return lambda cols, sel, rows=None: unrolled(cols, sel)
-        return self._kernel(emitter, lines, "_cols, _sel, _rows=None", compiled_source)
+        shell = self._kernel(emitter, lines, compiled=compiled_source)
+        pure = len(points) == 1 and not spans and not always
+        return GuardKernel(shell, branches, width, next(iter(points.items())) if pure else None)
 
     def compile_guard_branch(
         self,
@@ -1124,12 +1188,18 @@ class CodegenExprCompiler:
         compiled_source: Callable[[str], CodeType] | None = None,
         compiled_shape: Callable[[tuple, Callable[[], "BranchShape | None"]], "BranchShape | None"]
         | None = None,
-    ) -> RowFn:
-        """One branch of a dispatched guard OR as a row function: what
-        is left to evaluate of a row once the look-up has named the
-        branch a candidate — the whole branch, or only its remainder
-        (nothing: ``True``) behind a head a dict found, whose hit *is*
-        the head evaluated true.
+    ) -> "BranchFn":
+        """One branch of a dispatched guard OR as a batch function,
+        ``fn(columns, indices) -> (hits, misses, charge)``: what is left
+        to evaluate of the rows once the look-up has named the branch a
+        candidate — the whole branch, or only its remainder (nothing:
+        ``True``) behind a head a dict found, whose hit *is* the head
+        evaluated true.  It is one loop over ``indices`` that reads the
+        branch's columns once per row; a partition OR is unrolled inline
+        as ``if`` / ``elif`` tests adding ``k + 1`` on a hit and the width
+        on a miss to ``charge`` (the ``policy_evals`` the metered walk
+        ticks), so the caller charges one sum per call.  Hits and misses
+        keep the order of ``indices``.
 
         The source is the branch's *shape*: its literals and column
         positions are placeholder constants, so branches that differ
@@ -1156,7 +1226,48 @@ class CodegenExprCompiler:
                 shape = compiled_shape(key, lambda: self._branch_shape(test, slots, consts))
                 if shape is not None:
                     return shape.instance(slots, consts)
-        return self._row_fn(test, _Emitter(self, "row", slotted=True), compiled_source)
+        emitter = _Emitter(self, "branch", slotted=True)
+        try:
+            src = self._render_branch(test, emitter)
+            return self._exec(src, emitter.env, compiled_source, emitter.slots)["_branch"]
+        except ExecutionError:
+            raise
+        except Exception:
+            return _row_branch(self._closure().compile(test))
+
+    def _render_branch(self, test: Expr, emitter: _Emitter) -> str:
+        """``test`` as a module defining its branch function
+        (:meth:`compile_guard_branch`).  A test that ends in a metered
+        OR — the partition, alone or behind a range head — is the loop's
+        ``if`` / ``elif`` chain; any other is one ``if``."""
+        *prefix, last = test.children if isinstance(test, And) else (test,)
+        body: list[str] = []
+        if is_metered_or(last, self.counters):
+            keyword = "if"
+            if prefix:
+                conditions = " and ".join(f"bool({emitter.emit(part)})" for part in prefix)
+                body += [f"        if not ({conditions}):", "            _out(_i)"]
+                keyword = "elif"
+            for k, child in enumerate(last.children):
+                body += [f"        {keyword} {emitter.test(child)}:", f"            _n += {k + 1}", "            _hit(_i)"]
+                keyword = "elif"
+            body += ["        else:", f"            _n += {len(last.children)}", "            _out(_i)"]
+        else:
+            body += [f"        if {emitter.test(test)}:", "            _hit(_i)", "        else:", "            _out(_i)"]
+        return "\n".join(
+            [
+                "def _branch(_cols, _idx):",
+                *(f"    _c{k} = _cols[{at}]" for k, at in enumerate(emitter.branch_columns)),
+                "    _hits = []",
+                "    _misses = []",
+                "    _hit = _hits.append",
+                "    _out = _misses.append",
+                "    _n = 0",
+                "    for _i in _idx:",
+                *body,
+                "    return _hits, _misses, _n",
+            ]
+        )
 
     def _branch_shape(self, test: Expr, slots: list, consts: list) -> "BranchShape | None":
         """Render and compile ``test``'s shape once — the code object is
@@ -1164,63 +1275,42 @@ class CodegenExprCompiler:
         cache; ``None`` unless the rendering's slots and environment are
         exactly what :class:`_ShapeReader` read (then the key does not
         stand for this source, and the branch is rendered as before)."""
-        emitter = _Emitter(self, "row", slotted=True)
+        emitter = _Emitter(self, "branch", slotted=True)
         try:
             # Whatever rendering raises, the render path the caller falls
             # back to raises it again or falls back to the closure compiler.
-            src, main = self._render(test, emitter)
-            code = self.compile_source(src)
+            code = self.compile_source(self._render_branch(test, emitter))
         except Exception:
             return None
         if not (_same_values(emitter.slots, slots) and _same_values(list(emitter.env.values()), consts)):
             return None
         try:
-            return BranchShape(code, main, tuple(emitter.env), len(slots))
+            return BranchShape(code, tuple(emitter.env), len(slots))
         except ValueError:
             return None
 
-    def _guard_candidates(self, emitter: _Emitter, branches: tuple[Expr, ...]) -> str | None:
+    def _guard_candidates(
+        self, emitter: _Emitter, points: dict[int, dict], spans: dict[int, tuple], always: set[int]
+    ) -> str:
         """How a row finds the branches of a guard OR that can hold for
-        it: an expression (over ``_c<pos>[_i]``; ``None`` when no branch
-        can be looked up) giving the ascending ordinals of the row's
-        candidate branches, or something false.  Per guard column, a
-        dict maps each ``=`` / ``IN`` constant to its branches, and a
-        sorted-bounds table (:func:`_span_table`) each value to the
-        ``BETWEEN`` heads containing it; a branch neither can stand in
-        for is a candidate of every row.
+        it (:func:`_guard_lookups`): an expression (over ``_c<pos>[_i]``)
+        giving the ascending ordinals of the row's candidate branches, or
+        something false.
+        Per guard column, a dict maps each ``=`` / ``IN`` constant to its
+        branches, and a sorted-bounds table (:func:`_span_table`) each
+        value to the ``BETWEEN`` heads containing it; ``always`` are the
+        branches neither can stand in for, candidates of every row.
         """
-        points: dict[int, dict[Any, list[int]]] = {}  # column -> constant -> ordinals
-        spans: dict[int, list[tuple]] = {}  # column -> (lo, hi, ordinal)
-        for j, branch in enumerate(branches):
-            head = _guard_head(branch)[0]
-            if (eq := _head_points(head)) is not None:
-                found = points.setdefault(self.binding.resolve(eq[0]), {})
-                for value in eq[1]:
-                    ordinals = found.setdefault(value, [])
-                    if not ordinals or ordinals[-1] != j:
-                        ordinals.append(j)
-            elif (span := _head_span(head)) is not None:
-                spans.setdefault(self.binding.resolve(span[0]), []).append((*span[1:], j))
         lookups: list[str] = []
-        always = set(range(len(branches)))
         for pos, found in points.items():
-            table = emitter.const({value: tuple(js) for value, js in found.items()}.get)
-            lookups.append(f"{table}(_c{pos}[_i])")
-            always.difference_update(*found.values())
+            lookups.append(f"{emitter.const(found.get)}(_c{pos}[_i])")
             emitter.probe_columns.add(pos)
-        for pos, column_spans in spans.items():
-            try:
-                bounds, slots = _span_table(column_spans)
-            except TypeError:
-                continue  # bounds without a common order: candidates of every row
+        for pos, (bounds, slots) in spans.items():
             at, table = emitter.const(bounds), emitter.const(slots)
             lookups.append(
                 f"((_w := _c{pos}[_i]) is not None and {table}[_bl({at}, _w) + _br({at}, _w)])"
             )
-            always.difference_update(j for _lo, _hi, j in column_spans)
             emitter.probe_columns.add(pos)
-        if not lookups:
-            return None
         if always:
             lookups.insert(0, emitter.const(tuple(sorted(always))))
         emitter.env.update(_bl=bisect_left, _br=bisect_right, _mrg=_merge_candidates)

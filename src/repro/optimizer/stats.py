@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.storage.table import HeapTable
 
 DEFAULT_BUCKETS = 64
 _NUMERIC = (int, float)
+
+
+class ClosedEnds(NamedTuple):
+    """What closed-range estimates read of their ends
+    (:meth:`EquiDepthHistogram.closed_range_ends`), by end: ``(cumulative,
+    equality mass)`` as a lower end and as an upper end; both ``None``
+    when the ends do not compare with the column's values."""
+
+    low_at: dict[Any, tuple[float, float]] | None
+    high_at: dict[Any, tuple[float, float]] | None
 
 
 @dataclass
@@ -149,34 +159,48 @@ class EquiDepthHistogram:
         return k + self._edge(k, x, 0.0)
 
     def closed_range_estimator(
-        self, lows: Iterable[Any], highs: Iterable[Any], rows: float
+        self, lows: Iterable[Any], highs: Iterable[Any], rows: float, ends: ClosedEnds | None = None
     ) -> Callable[[Any, Any], float]:
         """``selectivity_range(lo, hi) * rows`` — closed, both ends given
         — for ranges whose lower end comes from ``lows`` and upper end
         from ``highs``, to the bit: what the estimate reads of an end (its
         :meth:`cumulative` as that end, its equality mass) is looked up
         once per distinct point, and a range combines two entries in
-        O(1)."""
-        return self._closed_estimator(lows, highs, rows)
+        O(1).  ``ends`` is a table :meth:`closed_range_ends` already
+        built over (at least) those ends, so none is looked up again."""
+        if ends is None:
+            ends = self.closed_range_ends(lows, highs)
+        return self._closed_estimator(ends, rows)
 
-    def closed_ranges(self, spans: Sequence[tuple[Any, Any]]) -> list[float]:
+    def closed_ranges(
+        self, spans: Sequence[tuple[Any, Any]], ends: ClosedEnds | None = None
+    ) -> list[float]:
         """``selectivity_range(lo, hi)`` of each closed ``(lo, hi)`` in
         ``spans``, to the bit: one :meth:`closed_range_estimator`-style
-        look-up per distinct end, so a policy set's range conditions
-        share the ends they have in common."""
-        estimate = self._closed_estimator((lo for lo, _ in spans), (hi for _, hi in spans), 1.0)
+        look-up per distinct end (none with ``ends``), so a policy set's
+        range conditions share the ends they have in common."""
+        if ends is None:
+            ends = self.closed_range_ends((lo for lo, _ in spans), (hi for _, hi in spans))
+        estimate = self._closed_estimator(ends, 1.0)
         return [estimate(lo, hi) for lo, hi in spans]
 
-    def _closed_estimator(
-        self, lows: Iterable[Any], highs: Iterable[Any], rows: float
-    ) -> Callable[[Any, Any], float]:
+    def closed_range_ends(self, lows: Iterable[Any], highs: Iterable[Any]) -> ClosedEnds:
+        """What a closed-range estimate reads of each distinct end, once:
+        ``(cumulative as a lower end, equality mass)`` of each of ``lows``
+        and ``(cumulative as an upper end, equality mass)`` of each of
+        ``highs`` — ``None`` for points the column's values do not
+        compare with."""
         lows, highs = set(lows), set(highs)
         try:
             mass = {x: self.selectivity_eq(x) for x in lows | highs}
             low_at = {x: (self.cumulative(x, False), mass[x]) for x in lows}
             high_at = {x: (self.cumulative(x, True), mass[x]) for x in highs}
         except TypeError:
-            low_at = None  # points the column's values do not compare with
+            return ClosedEnds(None, None)
+        return ClosedEnds(low_at, high_at)
+
+    def _closed_estimator(self, ends: ClosedEnds, rows: float) -> Callable[[Any, Any], float]:
+        low_at, high_at = ends
         if low_at is None or self.total == 0:
             return lambda lo, hi: 0.0 * rows
         scale = self.depth / self.total
@@ -188,7 +212,7 @@ class EquiDepthHistogram:
                 return lo_mass * rows
             if lo > high or hi < low or hi < lo:
                 return 0.0 * rows
-            upto, hi_mass = high_at[hi]
+            upto, hi_mass = high_at[hi]  # type: ignore[index]
             return min(1.0, max(0.0, (upto - below) * scale, lo_mass, hi_mass)) * rows
 
         return estimate

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 from repro.common.errors import CatalogError
@@ -29,13 +30,18 @@ class ColumnType(enum.Enum):
 
     @property
     def python_types(self) -> tuple[type, ...]:
-        if self in (ColumnType.INT, ColumnType.TIME, ColumnType.DATE):
-            return (int,)
-        if self is ColumnType.FLOAT:
-            return (int, float)
-        if self is ColumnType.VARCHAR:
-            return (str,)
-        return (bool, int)
+        return _PYTHON_TYPES[self]
+
+
+#: The Python types each declared type stores, built once per type.
+_PYTHON_TYPES: dict[ColumnType, tuple[type, ...]] = {
+    ColumnType.INT: (int,),
+    ColumnType.TIME: (int,),
+    ColumnType.DATE: (int,),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.VARCHAR: (str,),
+    ColumnType.BOOL: (bool, int),
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,14 @@ class Column:
         """Whether ``value`` is storable in this column."""
         if value is None:
             return self.nullable
-        return isinstance(value, self.ctype.python_types)
+        return isinstance(value, _PYTHON_TYPES[self.ctype])
+
+    def accepts_all(self, values: list) -> bool:
+        """Whether every one of ``values`` is storable (:meth:`accepts`),
+        checked in one pass."""
+        if self.nullable:
+            values = [value for value in values if value is not None]
+        return all(map(isinstance, values, repeat(_PYTHON_TYPES[self.ctype])))
 
     def validate(self, value: Any) -> None:
         """Raise CatalogError when ``value`` is not storable in this column."""
@@ -114,12 +127,12 @@ class Schema:
     def validate_rows(self, rows: Sequence[Sequence[Any]]) -> None:
         """:meth:`validate_row` of every row, raising what it raises for
         the first bad one: a batch's column values are checked in one
-        pass each (:meth:`Column.accepts`, the rule :meth:`Column.validate`
+        pass each (:meth:`Column.accepts_all`, the rule :meth:`Column.validate`
         enforces), and its rows are walked one by one only to name a
         failure."""
         width = len(self.columns)
         if len(rows) > 1 and all(len(row) == width for row in rows) and all(
-            all(map(col.accepts, [row[at] for row in rows])) for at, col in enumerate(self.columns)
+            col.accepts_all([row[at] for row in rows]) for at, col in enumerate(self.columns)
         ):
             return
         for row in rows:

@@ -197,10 +197,11 @@ def test_candidates_always_cover_all_policies(windows):
 # ------------------------------------------------- the sweep vs its reference
 
 
-def pairwise_sweep(los, his, candidates, attr, stats, cost_model):
+def pairwise_sweep(los, his, candidates, attr, stats, cost_model, ends=None):
     """The merge sweep as the hull walk replaced it: per anchor, every
     overlapping neighbour in order, each weighed by Eq. 8 against the
-    hull as it stands, ρ straight from ``selectivity_range``."""
+    hull as it stands, ρ straight from ``selectivity_range`` (not from
+    the table of range ends generation hands the sweep)."""
     cstats = stats.column(attr)
     if cstats is None or cstats.histogram is None:
         flat = stats.row_count / 3.0 if cstats is None else 0.0

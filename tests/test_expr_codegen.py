@@ -350,7 +350,7 @@ def test_guard_kernel_assembled_from_cached_branches_matches_row_mode(expr, seed
 
     compiler.compile_batch_guard(expr, branch)
     known = len(compiled)
-    assert known <= len(expr.children)  # the unrolled form asks for none
+    assert known <= len(expr.children)
     branches = list(expr.children)
     moved = branches.pop(data.draw(st.integers(0, len(branches) - 1)))
     edit = data.draw(st.sampled_from(["dropped", "moved", "new"]))
@@ -366,7 +366,7 @@ def test_guard_kernel_assembled_from_cached_branches_matches_row_mode(expr, seed
     row_counters = CounterSet()
     row_fn = CodegenExprCompiler(binding, counters=row_counters).compile(sibling)
     expected = [i for i in sel if row_fn(rows[i])]
-    assert kernel(list(zip(*rows)), sel, rows) == expected  # as the executor calls it
+    assert kernel(list(zip(*rows)), sel) == expected
     assert counters.policy_evals == row_counters.policy_evals
 
 
@@ -390,15 +390,33 @@ def branch_remainder(branch):
     return Literal(True) if test is None else test
 
 
-def branch_outcomes(fn, rows):
-    """``fn`` over ``rows``: its value, or the name of what it raised."""
+def branch_outcomes(fn, rows, counters):
+    """Branch function ``fn`` over ``rows``, row by row: whether it kept
+    each (or the name of what it raised), and ``counters.policy_evals``
+    plus the charges it returned."""
+    cols, out, charged = list(zip(*rows)), [], counters.policy_evals
+    for i in range(len(rows)):
+        try:
+            hits, misses, charge = fn(cols, [i])
+        except TypeError as exc:  # an ordering across types, on the row that meets it
+            out.append(type(exc).__name__)
+            continue
+        assert sorted(hits + misses) == [i]
+        out.append(hits == [i])
+        charged += charge
+    return out, charged
+
+
+def row_outcomes(fn, rows, counters):
+    """Row function ``fn`` over ``rows``: whether it admitted each (or
+    the name of what it raised), and ``counters.policy_evals``."""
     out = []
     for row in rows:
         try:
-            out.append(fn(row))
-        except TypeError as exc:  # an ordering across types, on the row that meets it
+            out.append(bool(fn(row)))
+        except TypeError as exc:
             out.append(type(exc).__name__)
-    return out
+    return out, counters.policy_evals
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,10 +436,10 @@ def test_shape_bound_branch_equals_its_literal_rendering(expr, seed, data):
             codes[source] = CodegenExprCompiler.compile_source(source)
         return codes[source]
 
-    def observe(make):
+    def observe(make, outcomes):
         counters = CounterSet()
         fn = make(CodegenExprCompiler(binding, counters=counters))
-        return branch_outcomes(fn, rows), counters.policy_evals
+        return outcomes(fn, rows, counters)
 
     rebound = [
         relabel(branch, iter(data.draw(st.lists(st.sampled_from(BOUND_CONSTANTS), min_size=n, max_size=n))))
@@ -429,8 +447,8 @@ def test_shape_bound_branch_equals_its_literal_rendering(expr, seed, data):
         for n in [sum(isinstance(node, Literal) for node in walk(branch))]
     ]
     for branch in [*expr.children, *rebound]:
-        shaped = observe(lambda compiler: compiler.compile_guard_branch(branch, code))
-        assert shaped == observe(lambda compiler: compiler.compile(branch_remainder(branch)))
+        shaped = observe(lambda compiler: compiler.compile_guard_branch(branch, code), branch_outcomes)
+        assert shaped == observe(lambda compiler: compiler.compile(branch_remainder(branch)), row_outcomes)
 
 
 def test_branches_of_one_shape_share_one_code_object():
@@ -462,7 +480,7 @@ def test_branches_of_one_shape_share_one_code_object():
     for node in (one, two):
         counters = CounterSet()
         fn = CodegenExprCompiler(binding, counters=counters).compile_guard_branch(node, code)
-        assert (branch_outcomes(fn, rows), counters.policy_evals) == expected[node]
+        assert branch_outcomes(fn, rows, counters) == expected[node]
         fns.append(fn)
     assert len(asked) == 2 and len(codes) == 1  # one source, asked for twice
     assert fns[0].__code__ is not fns[1].__code__  # generated, not the closure fallback:
@@ -524,9 +542,12 @@ def test_guard_constants_no_lookup_reproduces_are_always_tried():
     assert "_mrg(" in source  # branches 0-4 ride along as candidates of every row
 
 
-def test_guard_kernel_without_lookup_is_the_unrolled_loop():
-    """No branch a look-up can find: byte for byte the kernel this OR
-    compiled to before dispatch existed."""
+def test_guard_kernel_without_lookup_is_one_group():
+    """No branch a look-up can find: every branch is a candidate of
+    every row, so the selection is one group and each branch is called
+    once — on the rows every earlier branch missed — keeping the rows
+    and charging the ``policy_evals`` of the row-mode walk; a nested
+    metered OR charges inline, a literal disjunct through ``bool()``."""
     a, b, c, d = (col(name) for name in COLUMNS)
     nested = Or(tuple(Comparison(CompareOp.EQ, d, Literal(v)) for v in range(3)))
     guard = Or(
@@ -537,64 +558,24 @@ def test_guard_kernel_without_lookup_is_the_unrolled_loop():
             And((Comparison(CompareOp.EQ, a, b), nested)),
         )
     )
-    _kernel, source = guard_kernel(guard, CounterSet())
-    assert source == UNROLLED_GUARD_KERNEL
-    # ... in one compile unit: no branch is asked of a caller's cache.
-    asked = []
-    kernel = CodegenExprCompiler(make_binding(), counters=CounterSet()).compile_batch_guard(
-        guard, asked.append
-    )
-    assert asked == []
+    calls = []
+    counters = CounterSet()
+    compiler = CodegenExprCompiler(make_binding(), counters=counters)
+
+    def branch(node):
+        fn = compiler.compile_guard_branch(node)
+        return lambda cols, idx: calls.append((node, list(idx))) or fn(cols, idx)
+
+    kernel = compiler.compile_batch_guard(guard, branch)
+    assert kernel.points is None  # so no arm hands rows to a branch
     rows = guard_rows(3)
-    sel = list(range(len(rows)))  # ... and takes (and ignores) the row tuples the shell form needs
-    assert kernel(list(zip(*rows)), sel, rows) == kernel(list(zip(*rows)), sel)
-
-
-UNROLLED_GUARD_KERNEL = """\
-def _kernel(_cols, _sel):
-    _c0 = _cols[0]
-    _c1 = _cols[1]
-    _c2 = _cols[2]
-    _c3 = _cols[3]
-    def _h11(_i):
-        if ((_t13 := _v3) is not None and (_t14 := 0) is not None and _t13 == _t14):
-            _k12.policy_evals += 1
-            return True
-        if ((_t15 := _v3) is not None and (_t16 := 1) is not None and _t15 == _t16):
-            _k12.policy_evals += 2
-            return True
-        if ((_t17 := _v3) is not None and (_t18 := 2) is not None and _t17 == _t18):
-            _k12.policy_evals += 3
-            return True
-        _k12.policy_evals += 3
-        return False
-    _hits = []
-    _add = _hits.append
-    _n = 0
-    for _i in _sel:
-        _v0 = _c0[_i]
-        _v1 = _c1[_i]
-        _v2 = _c2[_i]
-        _v3 = _c3[_i]
-        if (bool(((_t1 := _v0) is not None and (_t2 := 1) is not None and _t1 > _t2)) and bool(((_t3 := _v0) is not None and (_t4 := 9) is not None and _t3 < _t4))):
-            _n += 1
-            _add(_i)
-            continue
-        if ((_t5 := _v1) is not None and (_t6 := None) is not None and _t5 == _t6):
-            _n += 2
-            _add(_i)
-            continue
-        if ((_t7 := _v2) is not None and _t7 not in _k8):
-            _n += 3
-            _add(_i)
-            continue
-        if (bool(((_t9 := _v0) is not None and (_t10 := _v1) is not None and _t9 == _t10)) and bool(_h11(_i))):
-            _n += 4
-            _add(_i)
-            continue
-        _n += 4
-    _k19.policy_evals += _n
-    return _hits"""
+    sel = list(range(len(rows)))
+    row_counters = CounterSet()
+    row_fn = CodegenExprCompiler(make_binding(), counters=row_counters).compile(guard)
+    assert kernel(list(zip(*rows)), sel) == [i for i in sel if row_fn(rows[i])]
+    assert counters.policy_evals == row_counters.policy_evals
+    assert [node for node, _idx in calls] == list(guard.children)[: len(calls)]
+    assert calls[0][1] == sel
 
 
 def test_mall_guard_kernel_finds_its_guards(monkeypatch):
@@ -620,8 +601,8 @@ def test_mall_guard_kernel_finds_its_guards(monkeypatch):
     expression, _ = sieve.guarded_expression_for(querier, "analytics", CONNECTIVITY_TABLE)
     assert len(expression.guards) >= 3
     sieve.execute(f"SELECT * FROM {CONNECTIVITY_TABLE}", querier, "analytics")
-    (kernel,) = [src for src in sources if "_hits" in src]
-    assert "_cand = [(_i, _js) for _i in _sel if (_js := " in kernel
+    (kernel,) = [src for src in sources if src.startswith("def _kernel(_cols, _sel):")]
+    assert "        if _js := " in kernel and "_groups[_js] = [_i]" in kernel
     assert "continue" not in kernel and " == " not in kernel
 
 
@@ -647,8 +628,9 @@ def mall_sieve(monkeypatch):
 
 
 def is_branch_source(src: str) -> bool:
-    """A guard branch's row function: a shape, its constants placeholders."""
-    return "'\\x00" in src
+    """A guard branch's batch function (a shape: its constants are
+    placeholders)."""
+    return src.startswith("def _branch(")
 
 
 def test_one_inserted_policy_compiles_at_most_one_guard_branch(monkeypatch):
@@ -704,15 +686,13 @@ def test_a_querier_of_known_branch_shapes_compiles_no_branch(monkeypatch):
 
     mall, _store, sieve, sources = mall_sieve(monkeypatch)
     rendered: list[str] = []
-    render = CodegenExprCompiler._render
+    render = CodegenExprCompiler._render_branch
 
-    def spying(self, expr, emitter):
-        src, main = render(self, expr, emitter)
-        if emitter.slots is not None:  # a guard branch's shape
-            rendered.append(src)
-        return src, main
+    def spying(self, test, emitter):
+        rendered.append(render(self, test, emitter))
+        return rendered[-1]
 
-    monkeypatch.setattr(CodegenExprCompiler, "_render", spying)
+    monkeypatch.setattr(CodegenExprCompiler, "_render_branch", spying)
     seen: set[str] = set()
     all_known = 0
     for shop in mall.shops[:6]:
@@ -859,9 +839,9 @@ def test_a_shape_key_stands_for_one_rendering(conj):
     if read is None:
         return
     key, slots, consts = read
-    emitter = _Emitter(compiler, "row", slotted=True)
+    emitter = _Emitter(compiler, "branch", slotted=True)
     try:
-        src, _main = compiler._render(conj, emitter)
+        src = compiler._render_branch(conj, emitter)
     except (CodegenUnsupported, ExecutionError):
         return
     assert _same_values(emitter.slots, slots)

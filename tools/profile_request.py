@@ -76,6 +76,7 @@ import gc
 import pathlib
 import pstats
 import random
+import re
 import statistics
 import sys
 import time
@@ -90,6 +91,7 @@ from repro.core import Sieve, middleware  # noqa: E402
 from repro.core.guard_store import GuardStore  # noqa: E402
 from repro.datasets.mall import MallConfig, generate_mall  # noqa: E402
 from repro.engine.vector import VectorizedExecutor  # noqa: E402
+from repro.expr.codegen import CodegenExprCompiler  # noqa: E402
 from repro.optimizer.planner import Planner, PlanTemplate  # noqa: E402
 from repro.policy.store import PolicyStore  # noqa: E402
 
@@ -360,13 +362,85 @@ class CanonicalWorld:
         ]
 
 
+@contextlib.contextmanager
+def branch_calls_counted() -> Iterator[Counter]:
+    """A ``Counter``, while open, of guard-branch calls (``"calls"``)
+    and the rows handed to them (``"rows"``) — every branch compiled in
+    the block is wrapped to count its own — and of the BitmapOr scans
+    run (``"bitmaps"``) and their arms (``"arms"``)."""
+    counted: Counter = Counter()
+    real_branch, real_bitmap = CodegenExprCompiler.compile_guard_branch, VectorizedExecutor._vexec_BitmapOrPlan
+
+    def compile_guard_branch(self, *args, **kwargs):
+        fn = real_branch(self, *args, **kwargs)
+
+        def counting(cols, idx):
+            counted["calls"] += 1
+            counted["rows"] += len(idx)
+            return fn(cols, idx)
+
+        return counting
+
+    def bitmap(self, plan, *args, **kwargs):
+        counted["bitmaps"] += 1
+        counted["arms"] += len(plan.arms)
+        return real_bitmap(self, plan, *args, **kwargs)
+
+    CodegenExprCompiler.compile_guard_branch = compile_guard_branch
+    VectorizedExecutor._vexec_BitmapOrPlan = bitmap
+    try:
+        yield counted
+    finally:
+        CodegenExprCompiler.compile_guard_branch = real_branch
+        VectorizedExecutor._vexec_BitmapOrPlan = real_bitmap
+
+
+def warm_branch_calls() -> tuple[str, list[str]]:
+    """The guard-branch calls and rows per call of each warm read of the
+    canonical ``serve_warm`` world (its 96 querier x SQL pairs, each
+    served once before), summed up per query shape; and, one line each,
+    the reads that made more branch calls than their BitmapOr has arms
+    — a drained BitmapOr of ``owner =`` arms calls each arm's branch
+    once."""
+    with branch_calls_counted() as counted:
+        world = CanonicalWorld()
+        pairs = world.inputs.warm_pairs
+        for querier, sql in pairs:
+            world.sieve.serve(sql, querier, world.purpose)
+        per_read: list[tuple[str, str, Counter]] = []
+        for querier, sql in pairs:
+            counted.clear()
+            world.sieve.serve(sql, querier, world.purpose)
+            per_read.append((querier, sql, counted.copy()))
+    shapes: dict[str, list[Counter]] = defaultdict(list)
+    for _querier, sql, c in per_read:
+        shapes[re.sub(r"\d+", "?", sql)].append(c)
+    lines = [f"guard-branch calls per warm read, canonical serve_warm world ({len(per_read)} reads), by shape:"]
+    for shape, counts in shapes.items():
+        calls = [c["calls"] for c in counts]
+        rows = sum(c["rows"] for c in counts) / max(1, sum(calls))
+        arms = statistics.median(c["arms"] for c in counts)
+        lines.append(
+            f"  calls median {statistics.median(calls):.0f} (max {max(calls)}), rows per call {rows:.1f}, "
+            f"BitmapOr arms median {arms:.0f} | {shape[:90]}"
+        )
+    broken = [
+        f"a warm read made {c['calls']} guard-branch calls over {c['arms']} BitmapOr arms ({querier}: {sql})"
+        for querier, sql, c in per_read
+        if c["bitmaps"] and c["calls"] > c["arms"]
+    ]
+    return "\n".join(lines), broken
+
+
 def compile_kind(source: object) -> str:
     """What a ``compile()`` of ``source`` builds: a guard kernel's
-    dispatch ``"shell"``, a guard ``"branch"``'s row function (a shape:
-    its constants are ``'\\x00<n>'`` placeholders) or ``"other"``."""
+    dispatch ``"shell"`` (a guard kernel takes no constants vector), a
+    guard ``"branch"``'s batch function or ``"other"``."""
     if not isinstance(source, str):
         return "other"
-    return "shell" if "_hits" in source else "branch" if "'\\x00" in source else "other"
+    if source.startswith("def _kernel(_cols, _sel):"):
+        return "shell"
+    return "branch" if source.startswith("def _branch(") else "other"
 
 
 @contextlib.contextmanager
@@ -493,7 +567,6 @@ def cold_counts() -> Iterator[Counter]:
     generated — by its shape key's first sighting, or for a branch
     with no key)."""
     from repro.expr import analysis
-    from repro.expr.codegen import CodegenExprCompiler
     from repro.optimizer.stats import EquiDepthHistogram
 
     counted: Counter = Counter()
@@ -502,7 +575,7 @@ def cold_counts() -> Iterator[Counter]:
         (analysis, "_merged", "facts merges"),
     ]
     originals = [getattr(owner, attr) for owner, attr, _ in saved]
-    real_render = CodegenExprCompiler._render
+    real_render = CodegenExprCompiler._render_branch
 
     def counting(fn: Callable, name: str) -> Callable:
         def run(*args, **kwargs):
@@ -511,19 +584,19 @@ def cold_counts() -> Iterator[Counter]:
 
         return run
 
-    def render(self, expr, emitter):
-        counted["branch renderings"] += emitter.slots is not None
-        return real_render(self, expr, emitter)
+    def render(self, test, emitter):
+        counted["branch renderings"] += 1
+        return real_render(self, test, emitter)
 
     for (owner, attr, name), fn in zip(saved, originals):
         setattr(owner, attr, counting(fn, name))
-    CodegenExprCompiler._render = render
+    CodegenExprCompiler._render_branch = render
     try:
         yield counted
     finally:
         for (owner, attr, _), fn in zip(saved, originals):
             setattr(owner, attr, fn)
-        CodegenExprCompiler._render = real_render
+        CodegenExprCompiler._render_branch = real_render
 
 
 def cold_split(worlds: int) -> tuple[str, list[str]]:
@@ -587,7 +660,7 @@ def churn_split(world: World, requests: list[tuple[str, Callable[[], object]]]) 
     strategy choice, rewrite, planning's two phases, building the guard kernel
     around its cached branches, ``compile()``, execution and the rest —
     and the ``compile()`` calls per after-write read, dispatch shells
-    (generated guard kernels) and guard branches (row functions)
+    (generated guard kernels) and guard branches (batch functions)
     counted apart.  Medians over the after-write reads."""
     db = world.mall.db
     stages = (
@@ -792,6 +865,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.mode == "warm" and (per_read.get("parse_query") or per_read.get("compile()")):
             print("FAIL: a warm read parsed or compiled", file=sys.stderr)
             return 1
+        if args.mode == "warm":
+            calls_text, broken = warm_branch_calls()
+            print(calls_text)
+            if broken:
+                print("FAIL: " + "; ".join(broken), file=sys.stderr)
+                return 1
         if args.mode == "fresh" and per_read.get("parse_query"):
             print("FAIL: a fresh read of a known shape was parsed", file=sys.stderr)
             return 1
