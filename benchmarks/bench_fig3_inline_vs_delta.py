@@ -101,8 +101,9 @@ def test_fig3_inline_vs_delta(benchmark, campus_mysql, monkeypatch):
                 querier=querier, purpose="x", table=WIFI_TABLE,
                 guards=[guard], policy_count=len(policies),
             )
-            sieve.guard_store.get_or_build(
-                querier, "x", WIFI_TABLE, lambda: expression, lambda held: held
+            sieve.guard_store.resolve(
+                querier, "x", WIFI_TABLE, store.snapshot(),
+                lambda *_: (lambda: expression, lambda held: held),
             )
             inserted = policies
 

@@ -92,8 +92,8 @@ def main() -> None:
     print(f"latency p50/p95: {stats.latency.p50_ms:.2f} / "
           f"{stats.latency.p95_ms:.2f} ms   "
           f"queue wait p95: {stats.queue_wait.p95_ms:.2f} ms")
-    print(f"guard cache: {sieve.guard_cache.stats.hits} hits, "
-          f"{sieve.guard_cache.stats.misses} misses; "
+    print(f"guard tier: {sieve.guard_store.stats.hits} hits, "
+          f"{sieve.guard_store.stats.misses} misses; "
           f"plan cache: {sieve.plan_cache.stats.hits} hits")
     count_row = results[0].rows[0][0]
     print(f"Prof.Smith sees {count_row} of {db.catalog.table('WiFi_Dataset').row_count} events")

@@ -380,14 +380,9 @@ class ClusterShard:
         )
 
     def cached_queriers(self) -> set[Any]:
-        """Queriers with warm state in any shard-local tier (guard
-        cache, plan cache, or persisted guard store)."""
-        sieve = self.sieve
-        return (
-            sieve.guard_cache.queriers()
-            | sieve.plan_cache.queriers()
-            | {e.querier for e in sieve.guard_store.cached_expressions()}
-        )
+        """Queriers with warm state in either shard-local tier (the
+        guard tier or the plan cache)."""
+        return self.sieve.guard_store.queriers() | self.sieve.plan_cache.queriers()
 
     def forget(self, keep: Callable[[Any], bool]) -> int:
         """Drop the state every shard tier holds for queriers outside

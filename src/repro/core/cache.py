@@ -1,64 +1,46 @@
-"""Fenced caching — the middleware amortization layer.
+"""The plan cache and the cache counts.
 
-The paper's core bet is that guarded expressions are generated *once*
-and amortized over many queries (Section 5.1: "the one-time cost of
-generating guards is amortized across query executions").  This module
-is where the repo keeps that promise:
+The paper's core bet is that enforcement work is done *once* and
+amortized over many queries (Section 5.1: "the one-time cost of
+generating guards is amortized across query executions").  Guarded
+expressions are amortized by the guard tier,
+:class:`~repro.core.guard_store.GuardStore`; this module holds what is
+amortized beside them:
 
-* :class:`FencedCache` — the one mechanism: a bounded, thread-safe LRU
-  whose entries serve only at the policy epoch (and, optionally, the
-  catalog/statistics version) they were built for.  Every policy
-  mutation bumps the :class:`~repro.policy.store.PolicyStore` epoch;
-  the mutation hook drops only the entries the mutated policy can
-  affect and re-stamps the rest, so unrelated queriers stay warm.
-* :class:`GuardCache` and :class:`PlanCache` — its two declarations:
-  resolved ``(querier, purpose, relation)`` guard state, and the
-  post-rewrite, post-plan artifacts of a statement's template and of
-  its bindings.
-* :class:`SieveSession` — the per-``(querier, purpose)`` façade
-  returned by :meth:`Sieve.session <repro.core.middleware.Sieve.session>`;
-  it resolves each referenced relation through the shared
-  :class:`GuardCache`, so the policy corpus is filtered once per
-  session (per epoch) rather than once per query.
+* :class:`PlanCache` — a bounded, thread-safe LRU of the post-rewrite,
+  post-plan artifacts of a statement's template and of its bindings,
+  each serving only at the policy epoch and the catalog/statistics
+  version it was built for.  A policy write drops only the entries the
+  written policy can affect and re-stamps the rest, so unrelated
+  queriers stay warm.
+* :class:`CacheStats` — the hit/miss counts of a cache, kept by the
+  plan cache and by the guard tier alike, so benches and the serving
+  tier assert hit rates without wall clocks.
 
-Interplay with Section 6 regeneration: a policy mutation evicts the
-affected cache entries, and the next resolve admits the guarded
-expression *maintained* to the new corpus at the current epoch; when
-its guards are selected afresh instead still belongs to
-:class:`~repro.core.regeneration.RegenerationController` (the k̃-th
-insertion, Theorem 2).
-
-Cache traffic is counted once, in each cache's :class:`CacheStats`
-(under the lookup's own lock), so benches and the serving tier assert
-hit rates without wall clocks.  ``docs/ARCHITECTURE.md`` §3 places this
-layer in the dataflow and states the memoisation rule it is held to.
+``docs/ARCHITECTURE.md`` §3 places both tiers in the dataflow and
+states the memoisation rule they are held to.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.common.concurrency import SingleFlight
 from repro.core.guards import GuardedExpression
-from repro.obs.tracing import span
 from repro.policy.model import Policy
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (middleware imports us)
-    from repro.core.middleware import Sieve, SieveExecution
-    from repro.engine.executor import QueryResult
-    from repro.policy.store import PolicySnapshot
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sql.ast import Query
 
-DEFAULT_GUARD_CACHE_CAPACITY = 512
 DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one :class:`FencedCache`."""
+    """Hit/miss accounting for the plan cache or the guard tier."""
 
     hits: int = 0
     misses: int = 0
@@ -89,30 +71,84 @@ class CacheStats:
         return total.snapshot()
 
 
-class FencedCache:
-    """A bounded LRU whose entries serve only inside their fence — the
-    one place the rule "what a querier sees across policy-state
-    changes" lives.
+@dataclass
+class CachedPlan:
+    """One memoized end-of-pipeline artifact: a binding's plan, or a
+    template's rewrite.
 
-    An entry is any object carrying the ``querier`` and lowercased
-    ``tables`` it was built for (what invalidation matches on) and its
-    fence: the policy ``epoch`` it is valid at and a ``version`` (the
-    database's ``plan_version``; ``None`` for state without that axis).
-    :meth:`lookup` serves an entry only when both equal the caller's.
-    Group-directory edits (and, for unversioned state, ``db.analyze()``)
-    move neither — call :meth:`Sieve.invalidate_caches
+    ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
+    bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
+    (``None`` when a backend executes the printed ``info.sql``
+    instead); for a template's rewrite, which is bound, not run, it is
+    that rewrite's :class:`~repro.optimizer.planner.PlanTemplate` once
+    a binding has planned it (``None`` before) — see :class:`PlanCache`.
+    Executors never mutate plan nodes, so one PlannedQuery is safely
+    re-executed any number of times from any thread.
+    ``info`` is the original rewrite's full bookkeeping — strategy
+    decisions, guard keys, denied tables — so a hit's audit record
+    (:class:`~repro.audit.DecisionRecord`) is identical to the cold
+    path's (asserted by ``tests/test_prepared.py`` and the replay
+    oracle).  Fenced on two axes: the policy ``epoch`` (stale guards
+    must never run) and ``version``, the database's ``plan_version``
+    (catalog / UDF / statistics changes re-plan).
+    """
+
+    querier: Any
+    tables: frozenset[str]  # lowercased names of every relation referenced
+    epoch: int
+    version: tuple
+    rewritten: "Query"
+    planned: Any  # PlannedQuery | None (backend executions carry None)
+    info: Any  # RewriteInfo (not imported: cycle with core.rewriter)
+    policies_considered: int
+    #: A template rewrite's guarded expressions, by table: it serves
+    #: only a request that resolved these very objects.
+    guards: dict[str, GuardedExpression] | None = None
+
+
+class PlanCache:
+    """A bounded LRU of post-rewrite, post-plan artifacts whose entries
+    serve only inside their fence: the policy ``epoch`` they are valid
+    at and ``version``, the database's ``plan_version``.
+    :meth:`lookup` serves an entry only when both equal the caller's;
+    a policy write drops the entries it can affect and re-stamps the
+    rest (:meth:`on_policy_mutation`, the guard tier's rule too).
+    Group-directory edits move neither — call
+    :meth:`Sieve.invalidate_caches
     <repro.core.middleware.Sieve.invalidate_caches>` after them.
 
-    **Thread-safe** and process-wide shareable: every public method
-    holds an internal lock around the LRU dict (the seed's bare
-    ``OrderedDict`` corrupted under concurrent sessions — eviction
-    during another thread's iteration), never while calling out (no
-    store/builder re-entry → no lock-order cycles).
+    Every execution consults it.  Prepared and served statements
+    (:meth:`Sieve.prepare <repro.core.middleware.Sieve.prepare>`,
+    :meth:`Sieve.serve <repro.core.middleware.Sieve.serve>`) keep a
+    plan per binding, keyed by ``(querier, purpose, template_key,
+    binding values)`` — the binding values are part of the key because
+    strategy choice and access-path planning are *value-dependent*
+    (selectivity estimates read the literals), so keying on them keeps
+    the prepared path row- and counter-identical to the unprepared one
+    by construction; repeated shapes with repeated values (the Fig. 6
+    serving workload — and any zero-literal query) skip parse →
+    strategy → rewrite → plan entirely.  Each value is keyed with its
+    type: ``2`` and ``2.0`` are one Python key but two SQL constants.
+
+    Beside the plans it holds each template's *rewrite* per decision
+    shape (keyed ``(querier, purpose, template_key, per-table decision
+    shape, denied tables)`` by :meth:`Sieve._rewritten_template
+    <repro.core.middleware.Sieve._rewritten_template>`), with the
+    rewrite's plan template as its ``planned``: a fresh binding whose
+    plan misses — and every :meth:`Sieve.execute
+    <repro.core.middleware.Sieve.execute>`, which keeps no plan per
+    binding — binds both instead of rewriting and planning.  Those
+    entries are fenced, evicted and invalidated like the plans, but
+    :meth:`rewrite_entry` does not count in :attr:`stats`.
+
+    **Thread-safe**: every public method holds an internal lock around
+    the LRU dict, never while calling out (no builder re-entry → no
+    lock-order cycles).
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
-            raise ValueError(f"{type(self).__name__} capacity must be positive")
+            raise ValueError("PlanCache capacity must be positive")
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
@@ -134,7 +170,7 @@ class FencedCache:
         with self._lock:
             return {entry.querier for entry in self._entries.values()}
 
-    def lookup(self, key: Hashable, epoch: int, version: tuple | None = None) -> Any:
+    def lookup(self, key: Hashable, epoch: int, version: tuple) -> Any:
         """The entry under ``key`` if it serves at this fence, else ``None``."""
         with self._lock:
             entry = self._serving(key, epoch, version)
@@ -144,7 +180,7 @@ class FencedCache:
                 self.stats.hits += 1
             return entry
 
-    def _serving(self, key: Hashable, epoch: int, version: tuple | None) -> Any:
+    def _serving(self, key: Hashable, epoch: int, version: tuple) -> Any:
         """:meth:`lookup` without the count; the caller holds the lock."""
         entry = self._entries.get(key)
         if entry is None:
@@ -182,7 +218,7 @@ class FencedCache:
                 self.stats.evictions += 1
         return entry
 
-    def get_or_build(self, key: Hashable, epoch: int, version: tuple | None, builder: Callable):
+    def get_or_build(self, key: Hashable, epoch: int, version: tuple, builder: Callable):
         """:meth:`lookup`, then *single-flight* population: N concurrent
         misses of one key at one fence run one builder; the rest wait
         and share its entry (``stats.coalesced``).  ``builder()`` runs
@@ -250,248 +286,8 @@ class FencedCache:
             self.stats.invalidations += dropped
         return dropped
 
-
-@dataclass
-class CachedGuardEntry:
-    """Resolved per-``(querier, purpose, relation)`` enforcement state.
-
-    ``expression is None`` means the querier holds no applicable
-    policies on the relation — the default-deny outcome (Section 3.1)
-    is cached too, so repeated denied queries stay O(1).
-    """
-
-    querier: Any
-    purpose: str
-    table: str  # lowercased relation name
-    policies: list[Policy] = field(default_factory=list)
-    expression: GuardedExpression | None = None
-    epoch: int = 0
-    version = None  # not a field: guard state is fenced on the epoch alone
-
-    @property
-    def tables(self) -> tuple[str]:
-        return (self.table,)
-
-
-class GuardCache(FencedCache):
-    """The :class:`FencedCache` of resolved guard state, keyed by
-    ``(querier, purpose, relation)`` and fenced on the policy epoch: a
-    hit skips the PQM filter (Section 3.2) and the guard fetch."""
-
-    @staticmethod
-    def _key(querier: Any, purpose: str, table: str) -> tuple[Any, str, str]:
-        return (querier, purpose, table.lower())
-
-    def get(self, querier: Any, purpose: str, table: str, epoch: int) -> CachedGuardEntry | None:
-        return self.lookup(self._key(querier, purpose, table), epoch)
-
-    def peek(self, querier: Any, purpose: str, table: str) -> CachedGuardEntry | None:
-        """The stored entry regardless of epoch (introspection/tests)."""
-        with self._lock:
-            return self._entries.get(self._key(querier, purpose, table))
-
-    def put(
-        self,
-        querier: Any,
-        purpose: str,
-        table: str,
-        epoch: int,
-        policies: list[Policy],
-        expression: GuardedExpression | None,
-    ) -> CachedGuardEntry:
-        key = self._key(querier, purpose, table)
-        entry = CachedGuardEntry(querier, purpose, key[2], list(policies), expression, epoch)
-        return self.admit(key, entry)
-
-    def resolve(
-        self, querier: Any, purpose: str, table: str, epoch: int, builder: Callable
-    ) -> tuple[CachedGuardEntry, bool, bool]:
-        """:meth:`get_or_build` for one relation.  ``builder()`` returns
-        ``(entry, rebuilt)`` and is expected to :meth:`put` the entry
-        itself.  Returns ``(entry, rebuilt, hit)``; followers of a
-        coalesced build report ``rebuilt=False`` (they did not
-        regenerate anything themselves)."""
-        key = self._key(querier, purpose, table)
-        entry, rebuilt, hit = self.get_or_build(key, epoch, None, builder)
-        return entry, bool(rebuilt), hit
-
-
-@dataclass
-class CachedPlan:
-    """One memoized end-of-pipeline artifact: a binding's plan, or a
-    template's rewrite.
-
-    ``rewritten`` is the enforcement rewrite's AST, ``planned`` the
-    bundled engine's :class:`~repro.optimizer.planner.PlannedQuery`
-    (``None`` when a backend executes the printed ``info.sql``
-    instead); for a template's rewrite, which is bound, not run, it is
-    that rewrite's :class:`~repro.optimizer.planner.PlanTemplate` once
-    a binding has planned it (``None`` before) — see :class:`PlanCache`.
-    Executors never mutate plan nodes, so one PlannedQuery is safely
-    re-executed any number of times from any thread.
-    ``info`` is the original rewrite's full bookkeeping — strategy
-    decisions, guard keys, denied tables — so a hit's audit record
-    (:class:`~repro.audit.DecisionRecord`) is identical to the cold
-    path's (asserted by ``tests/test_prepared.py`` and the replay
-    oracle).  Fenced on two axes: the policy ``epoch`` (stale guards
-    must never run) and ``version``, the database's ``plan_version``
-    (catalog / UDF / statistics changes re-plan).
-    """
-
-    querier: Any
-    tables: frozenset[str]  # lowercased names of every relation referenced
-    epoch: int
-    version: tuple
-    rewritten: "Query"
-    planned: Any  # PlannedQuery | None (backend executions carry None)
-    info: Any  # RewriteInfo (not imported: cycle with core.rewriter)
-    policies_considered: int
-    #: A template rewrite's guarded expressions, by table: it serves
-    #: only a request that resolved these very objects.
-    guards: dict[str, GuardedExpression] | None = None
-
-
-class PlanCache(FencedCache):
-    """The :class:`FencedCache` of post-rewrite, post-plan artifacts.
-
-    Every execution consults it.  Prepared and served statements
-    (:meth:`Sieve.prepare <repro.core.middleware.Sieve.prepare>`,
-    :meth:`Sieve.serve <repro.core.middleware.Sieve.serve>`) keep a
-    plan per binding, keyed by ``(querier, purpose, template_key,
-    binding values)`` —
-    the binding values are part of the key because strategy choice and
-    access-path planning are *value-dependent* (selectivity estimates
-    read the literals), so a plan cached per-template-only could
-    diverge from what the unprepared pipeline would build for other
-    values.  Keying on the values keeps the prepared path row- and
-    counter-identical to the unprepared one by construction; repeated
-    shapes with repeated values (the Fig. 6 serving workload — and any
-    zero-literal query) skip parse → strategy → rewrite → plan
-    entirely.  Each value is keyed with its type: ``2`` and ``2.0``
-    are one Python key but two SQL constants.
-
-    Beside the plans it holds each template's *rewrite* per decision
-    shape (keyed ``(querier, purpose, template_key, per-table decision
-    shape, denied tables)`` by :meth:`Sieve._rewritten_template
-    <repro.core.middleware.Sieve._rewritten_template>`), with the
-    rewrite's plan template as its ``planned``: a fresh binding whose
-    plan misses — and every :meth:`Sieve.execute
-    <repro.core.middleware.Sieve.execute>`, which keeps no plan per
-    binding — binds both instead of rewriting and planning.  Those
-    entries are fenced, evicted and invalidated like the plans, but
-    :meth:`rewrite_entry` does not count in :attr:`stats`.
-    """
-
     def rewrite_entry(self, key: Hashable, epoch: int, version: tuple) -> CachedPlan | None:
         """The template rewrite under ``key`` if it serves at this
         fence, uncounted."""
         with self._lock:
             return self._serving(key, epoch, version)
-
-
-class SieveSession:
-    """A ``(querier, purpose)``-scoped handle on the middleware.
-
-    Obtained via :meth:`Sieve.session
-    <repro.core.middleware.Sieve.session>`; all executions share the
-    middleware's :class:`GuardCache`, so the PQM filter and guard
-    fetch run only on the first query per relation (per policy epoch)::
-
-        session = sieve.session("Prof.Smith", "analytics")
-        results = session.execute_many(queries)   # corpus filtered once
-        print(session.cache_stats.hit_rate)
-
-    Sessions are cheap, long-lived views — they hold no query state of
-    their own, so a mutation to the policy store is picked up by every
-    session at its next execution (via the epoch check).  The one
-    exception is :class:`~repro.policy.groups.GroupDirectory`
-    membership edits, which do not bump the policy epoch; call
-    :meth:`refresh` after changing group membership mid-session.
-    """
-
-    def __init__(self, sieve: "Sieve", querier: Any, purpose: str):
-        self._sieve = sieve
-        self.querier = querier
-        self.purpose = purpose
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SieveSession(querier={self.querier!r}, purpose={self.purpose!r})"
-
-    def resolve(
-        self, table: str, snapshot: "PolicySnapshot | None" = None
-    ) -> tuple[CachedGuardEntry, bool]:
-        """Guard state for one relation, from cache when warm.
-
-        Returns ``(entry, regenerated?)`` where ``regenerated`` is True
-        only when this call selected the guards afresh (mirrors
-        :meth:`GuardStore.get_or_build
-        <repro.core.guard_store.GuardStore.get_or_build>`).
-
-        ``snapshot`` pins the corpus view: the middleware passes one
-        :meth:`PolicyStore.snapshot
-        <repro.policy.store.PolicyStore.snapshot>` per request so every
-        relation resolves against the same epoch even while writers
-        mutate concurrently.  Concurrent misses of one key wait for one
-        build (single-flight) instead of each re-generating the guards.
-        """
-        sieve = self._sieve
-        snap = snapshot if snapshot is not None else sieve.policy_store.snapshot()
-
-        def build() -> tuple[CachedGuardEntry, bool]:
-            policies = snap.policies_for(self.querier, self.purpose, table)
-            expression: GuardedExpression | None = None
-            rebuilt = False
-            if policies:
-                expression, rebuilt = sieve.guarded_expression_for(
-                    self.querier, self.purpose, table, snapshot=snap
-                )
-            entry = sieve.guard_cache.put(
-                self.querier, self.purpose, table, snap.epoch, policies, expression
-            )
-            return entry, rebuilt
-
-        with span("guard.resolve", table=table) as sp:
-            entry, rebuilt, hit = sieve.guard_cache.resolve(
-                self.querier, self.purpose, table, snap.epoch, build
-            )
-            sp.set(hit=hit, rebuilt=rebuilt, policies=len(entry.policies))
-        return entry, rebuilt
-
-    def refresh(self) -> int:
-        """Drop this querier's cached state in every tier
-        (:meth:`Sieve.invalidate_caches
-        <repro.core.middleware.Sieve.invalidate_caches>`) — e.g. after
-        group directory edits, which bypass the policy epoch."""
-        return self._sieve.invalidate_caches(querier=self.querier)
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Stats of the middleware-wide guard cache this session feeds."""
-        return self._sieve.guard_cache.stats
-
-    def rewrite(self, sql: "str | Query") -> "Query":
-        return self._sieve.rewrite(sql, self.querier, self.purpose)
-
-    def rewritten_sql(self, sql: "str | Query") -> str:
-        return self._sieve.rewritten_sql(sql, self.querier, self.purpose)
-
-    def prepare(self, sql: "str | Query") -> Any:
-        """A :class:`~repro.core.middleware.PreparedQuery` bound to this
-        session's (querier, purpose); see :meth:`Sieve.prepare
-        <repro.core.middleware.Sieve.prepare>`."""
-        return self._sieve.prepare(sql, self.querier, self.purpose)
-
-    def execute(self, sql: "str | Query") -> "QueryResult":
-        return self._sieve.execute(sql, self.querier, self.purpose)
-
-    def execute_with_info(self, sql: "str | Query") -> "SieveExecution":
-        return self._sieve.execute_with_info(sql, self.querier, self.purpose)
-
-    def execute_many(self, sqls: Iterable["str | Query"]) -> "list[QueryResult]":
-        """Run a batch of queries under one metadata context.
-
-        The first query per referenced relation pays the PQM filter and
-        guard fetch; the rest hit the shared cache, so middleware work
-        per query is O(parse + rewrite) instead of O(policy corpus).
-        """
-        return [self.execute(sql) for sql in sqls]

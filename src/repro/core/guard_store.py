@@ -1,4 +1,5 @@
-"""Guarded-expression persistence (paper Sections 5.1, 6).
+"""The guard tier: one guarded expression per (querier, purpose,
+relation), answered at the policy epoch (paper Sections 5.1, 6).
 
 Three relations mirror the paper's layout:
 
@@ -7,21 +8,29 @@ Three relations mirror the paper's layout:
 * ``rGG`` (``sieve_guards``): ``<id, guard_expression_id, attr, op, val, op2, val2>``
 * ``rGP`` (``sieve_guard_partitions``): ``<guard_id, policy_id>``
 
-Guarded expressions are brought up to date lazily: a policy write flips
-the ``outdated`` flag of every affected querier's expressions (found
-via the group directory); the next query by that querier either
-*maintains* the expression — the caller's ``maintain`` edits it to the
-querier's current policies and only the rGG/rGP rows of the guards that
-changed are rewritten — or rebuilds and re-persists it whole (Section
-5.1 "we generate guards during query execution using triggers in case
-the current guards are outdated").  Which of the two is the caller's
-decision (Section 6, :mod:`repro.core.regeneration`).
+Each (querier, purpose, relation) has one :class:`GuardEntry` in one
+map: the querier's applicable policies on the relation (the PQM filter,
+Section 3.2) and the guarded expression that enforces them — ``None``
+for the default-deny outcome (Section 3.1), which gets no rGE row —
+stamped with the policy epoch it answered at.  :meth:`GuardStore.resolve`
+serves an entry stamped with the request's epoch without taking the
+build lock; any other request maintains or builds under that lock.
 
-This store is the *durable* tier: it owns the rGE/rGG/rGP rows and the
-staleness flags.  The fast tier —
-the epoch-validated LRU the hot path actually hits — lives above it in
-:mod:`repro.core.cache`; on a cache miss the middleware falls through
-to :meth:`GuardStore.get_or_build` here.
+A policy write reaches the store through its one listener.  An entry
+the written policy can affect — its relation, and a querier the policy
+names directly or through one of the querier's groups — loses its stamp
+and its rGE row is flagged ``outdated``; every other entry current at
+the previous epoch is re-stamped to the new one, so unrelated queriers
+stay warm.  The next request for an outdated entry either *maintains*
+its expression — the caller's ``maintain`` edits it to the querier's
+current policies and only the rGG/rGP rows of the guards that changed
+are rewritten — or rebuilds and re-persists it whole (Section 5.1 "we
+generate guards during query execution using triggers in case the
+current guards are outdated").  Which of the two is the caller's
+decision (Section 6, :mod:`repro.core.regeneration`).  A querier whose
+last policy was revoked is served the default deny while the entry
+keeps its expression, so a re-grant maintains it instead of selecting
+afresh.
 """
 
 from __future__ import annotations
@@ -29,12 +38,14 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from repro.core.cache import CacheStats
 from repro.core.guards import Guard, GuardedExpression
+from repro.obs.tracing import span
 from repro.policy.model import ObjectCondition, Policy
-from repro.policy.store import PolicyStore, _deserialize, _serialize
+from repro.policy.store import PolicySnapshot, PolicyStore, _deserialize, _serialize
 from repro.storage.schema import ColumnType, Schema
 
 GE_TABLE = "sieve_guarded_expressions"
@@ -43,9 +54,19 @@ PARTITION_TABLE = "sieve_guard_partitions"
 
 CacheKey = tuple[Any, str, str]  # (querier, purpose, table lowercased)
 
+#: ``generation(querier, purpose, table, policies)`` → ``(builder,
+#: maintain)``: ``builder()`` selects G(P) afresh; ``maintain(held)``
+#: edits ``held`` to ``policies`` (``held`` itself when nothing changed)
+#: or returns ``None`` to have it regenerated.
+Generation = Callable[[Any, str, str, list], tuple[Callable, Callable]]
 
-@dataclass
-class _CacheEntry:
+
+@dataclass(eq=False)
+class _Rows:
+    """The persisted state of one key: the held expression — what
+    maintenance edits — and its rGE/rGG/rGP rows.  Touched only under
+    the build lock."""
+
     expression: GuardedExpression
     ge_rowid: int
     outdated: bool = False
@@ -53,26 +74,48 @@ class _CacheEntry:
     guard_rows: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
 
 
+@dataclass(eq=False)
+class GuardEntry:
+    """One (querier, purpose, relation)'s answer at policy epoch
+    ``epoch``: the querier's applicable policies on the relation and the
+    guarded expression enforcing them, ``None`` when there are none.
+    ``epoch`` is ``None`` once a policy write affected the entry: it
+    serves no request until maintained.  Only the stamp ever changes; a
+    new answer is a new entry."""
+
+    querier: Any
+    purpose: str
+    table: str  # lowercased relation name
+    policies: list[Policy]
+    expression: GuardedExpression | None
+    epoch: int | None
+    rows: _Rows | None = None
+
+
 class GuardStore:
-    """Cache + persistence for guarded expressions, with staleness."""
+    """The guard tier: resolution at the policy epoch, staleness, and
+    persistence of guarded expressions."""
 
     def __init__(self, db, policy_store: PolicyStore):
         self.db = db
         self.policy_store = policy_store
-        self._cache: dict[CacheKey, _CacheEntry] = {}
-        # Serializes guard persistence: builds write rGE/rGG/rGP rows
-        # into the bundled engine, whose heap/index internals are not
-        # safe under concurrent mutation.  Reentrant because
-        # Sieve.guarded_expression_for wraps its decide-and-build
-        # sequence in the same lock.  Never held while reading the
-        # policy store (builders consume a pre-taken snapshot), so no
-        # ordering against the store's RW lock can arise.
+        #: Lookups of :meth:`resolve` — the serving tier's
+        #: ``guard_cache`` counts.
+        self.stats = CacheStats()
+        self._count_lock = threading.Lock()
+        self._entries: dict[CacheKey, GuardEntry] = {}
+        # The build lock: serializes every change to the map and guard
+        # persistence, which writes rGE/rGG/rGP rows into the bundled
+        # engine, whose heap/index internals are not safe under
+        # concurrent mutation.  Never held while reading the policy
+        # store (builds consume a pre-taken snapshot), so no ordering
+        # against the store's RW lock can arise.
         self.lock = threading.RLock()
         self._ge_ids = itertools.count(1)
         self._guard_ids = itertools.count(1)
         self._install()
         # Weak registration, as in Sieve.__init__: a dead GuardStore
-        # (and its cached expressions) must not be pinned by the store.
+        # (and its expressions) must not be pinned by the policy store.
         self_ref = weakref.ref(self)
 
         def _policy_hook(kind: str, policy: Policy, epoch: int) -> None:
@@ -80,7 +123,7 @@ class GuardStore:
             if live is None:
                 policy_store.remove_mutation_listener(_policy_hook)
                 return
-            live._on_policy_change(policy)
+            live._on_policy_mutation(policy, epoch)
 
         policy_store.add_mutation_listener(_policy_hook)
 
@@ -120,146 +163,222 @@ class GuardStore:
             ),
         )
 
-    # ------------------------------------------------------------ staleness
+    # ------------------------------------------------------------ resolution
 
-    def _on_policy_change(self, policy: Policy) -> None:
-        """Policy inserted/deleted: flip outdated on affected queriers
-        (all the store needs to hear of a write — what changed is read
-        off the corpus when the expression is next asked for).
-
-        Fired by the policy store *after* its write lock is released,
-        so taking the guard-store lock here cannot form a cycle with a
-        concurrent build (which holds this lock but never blocks on the
-        policy store — builders read a pre-taken snapshot)."""
-        with self.lock:
-            for (querier, purpose, table), entry in self._cache.items():
-                if table != policy.table.lower():
-                    continue
-                affected = policy.querier == querier or (
-                    policy.querier in self.policy_store.groups.groups_of(querier)
-                )
-                if affected:
-                    self._flag(entry, True)
-
-    def _flag(self, entry: _CacheEntry, outdated: bool) -> None:
-        if entry.outdated != outdated:
-            entry.outdated = outdated
-            row = list(self.db.catalog.table(GE_TABLE).row(entry.ge_rowid))
-            row[5] = outdated
-            self.db.update_row(GE_TABLE, entry.ge_rowid, row)
-
-    def is_outdated(self, querier: Any, purpose: str, table: str) -> bool:
-        with self.lock:
-            entry = self._cache.get((querier, purpose, table.lower()))
-            return entry is None or entry.outdated
-
-    # --------------------------------------------------------------- access
-
-    def get_or_build(
+    def resolve(
         self,
         querier: Any,
         purpose: str,
         table: str,
+        snapshot: PolicySnapshot,
+        generation: Generation,
+        force_rebuild: bool = False,
+    ) -> tuple[GuardEntry, bool]:
+        """The guard state of one relation at ``snapshot``'s epoch.
+
+        An entry stamped with that epoch is served as it is, without
+        the build lock.  Otherwise, under the lock, the policies
+        ``snapshot`` holds for the querier are read and the held
+        expression is maintained to them, or built when there is none,
+        when ``maintain`` declines or on ``force_rebuild``
+        (``generation`` gives both steps; see :data:`Generation`).
+        Requests that waited on the lock for a build of the same key at
+        the same epoch share its entry (``stats.coalesced``).  Returns
+        ``(entry, regenerated?)`` — ``regenerated`` only when this call
+        selected the guards afresh."""
+        key: CacheKey = (querier, purpose, table.lower())
+        with span("guard.resolve", table=table) as sp:
+            entry = self._entries.get(key)
+            hit = not force_rebuild and entry is not None and entry.epoch == snapshot.epoch
+            with self._count_lock:
+                if hit:
+                    self.stats.hits += 1
+                else:
+                    self.stats.misses += 1
+            rebuilt = False
+            if not hit:
+                entry, rebuilt = self._build(key, snapshot, generation, force_rebuild)
+            sp.set(hit=hit, rebuilt=rebuilt, policies=len(entry.policies))
+        return entry, rebuilt
+
+    def _build(
+        self, key: CacheKey, snapshot: PolicySnapshot, generation: Generation, force_rebuild: bool
+    ) -> tuple[GuardEntry, bool]:
+        """:meth:`resolve`'s miss: the corpus and the statistics are
+        read before the lock is taken, the rest runs under it."""
+        querier, purpose, table = key
+        epoch = snapshot.epoch
+        policies = snapshot.policies_for(querier, purpose, table)
+        steps = generation(querier, purpose, table, policies) if policies else None
+        with self.lock:
+            current = self._entries.get(key)
+            if current is not None and current.epoch == epoch and not force_rebuild:
+                with self._count_lock:
+                    self.stats.coalesced += 1
+                return current, False
+            rows = current.rows if current is not None else None
+            expression, rebuilt = None, False
+            if steps is not None:
+                expression, rows, rebuilt = self._maintain(key, rows, *steps, force_rebuild)
+            entry = GuardEntry(querier, purpose, table, policies, expression, epoch, rows)
+            if current is None or current.epoch is None or current.epoch <= epoch:
+                self._entries[key] = entry
+            elif current.rows is None and rows is not None:
+                # Pinned behind an entry a newer epoch stamped: that
+                # answer stays, but it takes over the rows built here.
+                self._entries[key] = replace(current, rows=rows)
+            return entry, rebuilt
+
+    def _maintain(
+        self,
+        key: CacheKey,
+        rows: _Rows | None,
         builder: Callable[[], GuardedExpression],
         maintain: Callable[[GuardedExpression], GuardedExpression | None],
-        force_rebuild: bool = False,
-    ) -> tuple[GuardedExpression, bool]:
-        """Return the cached G(P), brought up to date first.
+        force_rebuild: bool,
+    ) -> tuple[GuardedExpression, _Rows, bool]:
+        """The held expression brought up to date, under the lock:
+        ``maintain(held)`` is asked whatever the ``outdated`` flag says,
+        so a caller pinned to another epoch's corpus than the last one
+        still gets an expression exact for its own.  Returns
+        ``(expression, rows, regenerated?)``."""
+        if rows is not None and not force_rebuild:
+            maintained = maintain(rows.expression)
+            if maintained is not None:
+                if maintained is not rows.expression:
+                    self._persist_edit(rows, maintained)
+                self._flag(rows, False)
+                return maintained, rows, False
+        expression = builder()
+        return expression, self._persist(key, expression, rows), True
 
-        ``maintain(held)`` returns the held expression edited to the
-        caller's corpus (``held`` itself when nothing changed), or
-        ``None`` to have it regenerated; it is asked whatever the
-        ``outdated`` flag says, so a caller pinned to another epoch's
-        corpus than the last one still gets an expression exact for its
-        own.  Returns (expression, regenerated?) — ``regenerated`` only
-        when ``builder`` ran.
-        """
-        key: CacheKey = (querier, purpose, table.lower())
+    # ------------------------------------------------------------ staleness
+
+    def _on_policy_mutation(self, policy: Policy, epoch: int) -> None:
+        """A policy was inserted, deleted or updated (``epoch`` is the
+        store's epoch after *this* write): affected entries lose their
+        stamp and their rows are flagged outdated, every other entry
+        stamped ``epoch - 1`` is carried to ``epoch``.  What changed is
+        read off the corpus when the entry is next asked for.
+
+        Entries already stale from an *unheard* bump
+        (:meth:`reload_from_database
+        <repro.policy.store.PolicyStore.reload_from_database>` and a
+        change to the protected set — corpus-wide, so no per-querier
+        event may carry an entry across them) stay stale.  Fired by the
+        policy store *after* its write lock is released, and a write's
+        events may arrive after a later write's, so the event's own
+        ``epoch`` is the one compared, never the live store's."""
+        table = policy.table.lower()
+        groups = self.policy_store.groups
+        invalidated = 0
         with self.lock:
-            entry = self._cache.get(key)
-            if entry is not None and not force_rebuild:
-                maintained = maintain(entry.expression)
-                if maintained is not None:
-                    if maintained is not entry.expression:
-                        self._persist_edit(entry, maintained)
-                    self._flag(entry, False)
-                    return maintained, False
-            expression = builder()
-            self._persist(key, expression, replacing=entry)
-            return expression, True
+            for entry in self._entries.values():
+                if entry.table == table and (
+                    policy.querier == entry.querier
+                    or policy.querier in groups.groups_of(entry.querier)
+                ):
+                    if entry.rows is not None:
+                        self._flag(entry.rows, True)
+                    if entry.epoch is not None:
+                        entry.epoch = None
+                        invalidated += 1
+                elif entry.epoch == epoch - 1:
+                    entry.epoch = epoch
+        if invalidated:
+            with self._count_lock:
+                self.stats.invalidations += invalidated
+
+    def _flag(self, rows: _Rows, outdated: bool) -> None:
+        if rows.outdated != outdated:
+            rows.outdated = outdated
+            row = list(self.db.catalog.table(GE_TABLE).row(rows.ge_rowid))
+            row[5] = outdated
+            self.db.update_row(GE_TABLE, rows.ge_rowid, row)
+
+    def is_outdated(self, querier: Any, purpose: str, table: str) -> bool:
+        entry = self._entries.get((querier, purpose, table.lower()))
+        return entry is None or entry.rows is None or entry.rows.outdated
+
+    # --------------------------------------------------------------- access
+
+    def entry(self, querier: Any, purpose: str, table: str) -> GuardEntry | None:
+        """The entry held for the key, whatever its stamp."""
+        return self._entries.get((querier, purpose, table.lower()))
 
     def peek(self, querier: Any, purpose: str, table: str) -> GuardedExpression | None:
-        with self.lock:
-            entry = self._cache.get((querier, purpose, table.lower()))
-            return entry.expression if entry else None
+        """The held expression — the persisted one maintenance edits."""
+        entry = self._entries.get((querier, purpose, table.lower()))
+        return entry.rows.expression if entry is not None and entry.rows is not None else None
 
-    def cached_expressions(self) -> list[GuardedExpression]:
-        with self.lock:
-            return [entry.expression for entry in self._cache.values()]
+    def __len__(self) -> int:
+        return len(self._entries)
 
-    def cache_size(self) -> int:
-        """Number of (querier, purpose, relation) expressions held."""
+    def keys(self) -> list[CacheKey]:
         with self.lock:
-            return len(self._cache)
+            return list(self._entries)
 
-    def drop(self, querier: Any, purpose: str, table: str) -> bool:
-        """Forget one cached expression and its persisted rows
-        (explicit invalidation; the next query rebuilds from scratch)."""
+    def queriers(self) -> set[Any]:
+        """Distinct queriers holding an entry — what the cluster's
+        rebalance and recovery sweeps consult."""
         with self.lock:
-            entry = self._cache.pop((querier, purpose, table.lower()), None)
-            if entry is None:
-                return False
-            self._retire(entry)
-            return True
+            return {key[0] for key in self._entries}
 
     def invalidate(self, querier: Any = None) -> int:
-        """Drop every cached expression (and its persisted rows) for
-        ``querier``, or for everyone when ``None`` — the hard reset
-        behind :meth:`Sieve.invalidate_caches
+        """Drop every entry (and its persisted rows) for ``querier``, or
+        for everyone when ``None`` — the hard reset behind
+        :meth:`Sieve.invalidate_caches
         <repro.core.middleware.Sieve.invalidate_caches>` after group
-        directory edits, which the ``outdated`` machinery cannot see."""
+        directory edits, which no policy epoch sees."""
         with self.lock:
-            doomed = [
-                key for key in self._cache if querier is None or key[0] == querier
-            ]
+            doomed = [key for key in self._entries if querier is None or key[0] == querier]
             for key in doomed:
-                self._retire(self._cache.pop(key))
-            return len(doomed)
+                rows = self._entries.pop(key).rows
+                if rows is not None:
+                    self._retire(rows)
+        with self._count_lock:
+            self.stats.invalidations += len(doomed)
+        return len(doomed)
 
     # ---------------------------------------------------------- persistence
 
-    def _persist(
-        self, key: CacheKey, expression: GuardedExpression, replacing: _CacheEntry | None
-    ) -> None:
-        if replacing is not None:
-            self._retire(replacing)
+    def _persist(self, key: CacheKey, expression: GuardedExpression, rows: _Rows | None) -> _Rows:
+        """Persist a freshly built ``expression`` under a new rGE row,
+        retiring the one ``rows`` held; returns the key's rows."""
+        if rows is not None:
+            self._retire(rows)
         ge_id = next(self._ge_ids)
         expression.created_at = ge_id
         ge_rowid = self.db.insert_row(
             GE_TABLE,
             (ge_id, str(key[0]), expression.table, key[1], "allow", False, ge_id),
         )
-        self._cache[key] = entry = _CacheEntry(expression, ge_rowid)
-        self._write_guards(entry, ge_id, expression.guards)
+        if rows is None:
+            rows = _Rows(expression, ge_rowid)
+        else:
+            rows.expression, rows.ge_rowid, rows.outdated = expression, ge_rowid, False
+            rows.guard_rows = {}
+        self._write_guards(rows, ge_id, expression.guards)
+        return rows
 
-    def _persist_edit(self, entry: _CacheEntry, maintained: GuardedExpression) -> None:
-        """``maintained`` succeeds ``entry.expression`` under the same
+    def _persist_edit(self, rows: _Rows, maintained: GuardedExpression) -> None:
+        """``maintained`` succeeds ``rows.expression`` under the same
         rGE row.  Guards the two share by identity keep their rows and
         their compiled branches; the others' rows are rewritten, and the
         engine is told to forget the branches no expression holds any
         more and the ORs that held them."""
-        held = entry.expression
+        held = rows.expression
         shared = {id(guard) for guard in maintained.guards}
         retired = [guard for guard in held.guards if id(guard) not in shared]
         self.db.release_compiled(held.rendered_exprs(retired))
         for guard in retired:
-            self._delete_guard(entry.guard_rows.pop(guard.key))
+            self._delete_guard(rows.guard_rows.pop(guard.key))
         # created_at is the rGE id, carried through every edit.
-        added = [guard for guard in maintained.guards if guard.key not in entry.guard_rows]
-        self._write_guards(entry, held.created_at, added)
-        entry.expression = maintained
+        added = [guard for guard in maintained.guards if guard.key not in rows.guard_rows]
+        self._write_guards(rows, held.created_at, added)
+        rows.expression = maintained
 
-    def _write_guards(self, entry: _CacheEntry, ge_id: int, guards: list[Guard]) -> None:
+    def _write_guards(self, rows: _Rows, ge_id: int, guards: list[Guard]) -> None:
         """Persist ``guards`` under rGE id ``ge_id``: their rGG rows in
         one batch, then their rGP rows in another (each validated
         against its schema once), in guard order — the rows and rowids
@@ -275,7 +394,7 @@ class GuardStore:
         guard_ids = iter(self.db.insert_batch(GUARD_TABLE, guard_rows))
         partition_ids = iter(self.db.insert_batch(PARTITION_TABLE, partition_rows))
         for guard in guards:
-            entry.guard_rows[guard.key] = (
+            rows.guard_rows[guard.key] = (
                 next(guard_ids),
                 [next(partition_ids) for _ in guard.policies],
             )
@@ -285,19 +404,19 @@ class GuardStore:
         for rowid in rows[1]:
             self.db.delete_row(PARTITION_TABLE, rowid)
 
-    def _retire(self, entry: _CacheEntry) -> None:
+    def _retire(self, rows: _Rows) -> None:
         """A replaced or dropped expression takes its persisted rows and
         the engine's compiled predicates over its guard AST with it —
         no later rewrite can produce that AST object again, and each
         compiled predicate pins the AST plus a generated kernel."""
-        self.db.release_compiled(entry.expression.rendered_exprs())
-        self.db.delete_row(GE_TABLE, entry.ge_rowid)
-        for rows in entry.guard_rows.values():
-            self._delete_guard(rows)
+        self.db.release_compiled(rows.expression.rendered_exprs())
+        self.db.delete_row(GE_TABLE, rows.ge_rowid)
+        for guard_rows in rows.guard_rows.values():
+            self._delete_guard(guard_rows)
 
     def load_persisted(self, querier: Any, purpose: str, table: str) -> GuardedExpression | None:
         """Rebuild a GuardedExpression from the rGE/rGG/rGP tables
-        (round-trip check used by tests; the hot path uses the cache)."""
+        (round-trip check used by tests; the hot path reads the map)."""
         ge_table = self.db.catalog.table(GE_TABLE)
         target = None
         for _rowid, row in ge_table.scan():

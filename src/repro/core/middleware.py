@@ -25,12 +25,11 @@ Per query, Sieve:
 4. rewrites the query with enforcement CTEs (Section 5.3) and runs it
    on the underlying database.
 
-Steps 1-2 are amortized across queries by the session guard cache
-(:mod:`repro.core.cache`): repeated queries by the same (querier,
-purpose) resolve each relation from a policy-epoch-validated LRU
-instead of re-filtering the corpus.  Use :meth:`Sieve.session` for an
-explicit per-querier handle with batched ``execute_many``; the plain
-``execute`` entry points route through the same cache.
+Steps 1-2 are amortized across queries by the guard tier
+(:mod:`repro.core.guard_store`): repeated queries by the same (querier,
+purpose) are answered from each relation's entry stamped with the current
+policy epoch instead of re-filtering the corpus.  Steps 3-4 are
+amortized by the plan cache (:mod:`repro.core.cache`).
 
 Protected relations (the store's declared set,
 :attr:`PolicySnapshot.protected <repro.policy.store.PolicySnapshot.protected>`)
@@ -62,14 +61,7 @@ from typing import Any, Callable
 
 from repro.audit import AuditLog, Explanation, explain_row, make_payload, result_digest
 from repro.common.errors import ExecutionError, SieveError
-from repro.core.cache import (
-    DEFAULT_GUARD_CACHE_CAPACITY,
-    DEFAULT_PLAN_CACHE_CAPACITY,
-    CachedPlan,
-    GuardCache,
-    PlanCache,
-    SieveSession,
-)
+from repro.core.cache import DEFAULT_PLAN_CACHE_CAPACITY, CachedPlan, PlanCache
 from repro.core.cost_model import SieveCostModel, calibrate
 from repro.core.delta import DELTA_UDF_NAME, DeltaOperator
 from repro.core.generation import build_guarded_expression, maintain_guarded_expression
@@ -231,7 +223,6 @@ class Sieve:
         policy_store: PolicyStore,
         cost_model: SieveCostModel | None = None,
         regeneration: RegenerationController | None = None,
-        guard_cache_capacity: int = DEFAULT_GUARD_CACHE_CAPACITY,
         backend=None,
         plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
         audit: AuditLog | None = None,
@@ -242,7 +233,6 @@ class Sieve:
         self.delta = DeltaOperator.for_database(db)
         self.guard_store = GuardStore(db, policy_store)
         self.regeneration = regeneration
-        self.guard_cache = GuardCache(capacity=guard_cache_capacity)
         # Post-rewrite, post-plan artifacts — see
         # :class:`~repro.core.cache.PlanCache`.  Every execution binds a
         # template rewrite and its plan template held there; prepared
@@ -270,7 +260,7 @@ class Sieve:
         self.slow_query_log: SlowQueryLog | None = None
         self.profiler = None
         # Optional real-DBMS execution tier (repro.backend).  The whole
-        # middleware pipeline — PQM filter, guard cache, strategy,
+        # middleware pipeline — PQM filter, guard tier, strategy,
         # rewrite, Δ registration — is unchanged; only the final
         # execution hops engines.  Strategy choice and rewrite shape
         # follow the personality of the engine that will actually run
@@ -290,10 +280,14 @@ class Sieve:
         )
         if backend is not None:
             backend.register_udf(DELTA_UDF_NAME, db.function(DELTA_UDF_NAME))
-        # Register weakly: short-lived Sieve instances over a long-lived
-        # store must not be pinned (and kept invalidating) forever by the
-        # store's listener list.  A hook that finds its Sieve collected
-        # deregisters itself.
+        # The plan cache's targeted invalidation on corpus mutations
+        # (the guard tier listens for itself).  ``epoch`` is this
+        # event's own: events are dispatched after the store's write
+        # lock drops, so the live ``store.epoch`` may already be ahead.
+        # Registered weakly: short-lived Sieve instances over a
+        # long-lived store must not be pinned (and kept invalidating)
+        # forever by the store's listener list.  A hook that finds its
+        # Sieve collected deregisters itself.
         self_ref = weakref.ref(self)
 
         def _mutation_hook(kind: str, policy, epoch: int) -> None:
@@ -301,18 +295,11 @@ class Sieve:
             if live is None:
                 policy_store.remove_mutation_listener(_mutation_hook)
                 return
-            live._on_policy_mutation(kind, policy, epoch)
+            live.plan_cache.on_policy_mutation(kind, policy, epoch, policy_store.groups)
 
         policy_store.add_mutation_listener(_mutation_hook)
 
-    # ------------------------------------------------------------- sessions
-
-    def session(self, querier: Any, purpose: str) -> SieveSession:
-        """A session handle for one (querier, purpose) — Section 3.2's
-        QM pair, the natural unit of amortization.  Handles are
-        stateless views over the shared guard cache, so they are cheap
-        to create and any number may coexist."""
-        return SieveSession(self, querier, purpose)
+    # ------------------------------------------------------------ observers
 
     def enable_audit(self, log: AuditLog | None = None) -> AuditLog:
         """Attach an append-only decision log (idempotent).
@@ -369,28 +356,15 @@ class Sieve:
             self.cost_model.attach_profile(self.profiler)
         return self.profiler
 
-    def _on_policy_mutation(self, kind: str, policy, epoch: int) -> None:
-        """Targeted guard- and plan-cache invalidation on corpus mutations.
-
-        ``epoch`` is the mutated-to version of *this* event; events are
-        dispatched after the store's write lock drops, so the live
-        ``store.epoch`` may already be ahead (e.g. the second event of
-        a cross-querier update) and re-stamping against it would strand
-        unrelated warm entries one epoch short."""
-        for cache in (self.guard_cache, self.plan_cache):
-            cache.on_policy_mutation(kind, policy, epoch, self.policy_store.groups)
-
     def invalidate_caches(self, querier: Any = None) -> int:
-        """Drop ``querier``'s (default: everyone's) cached state in
-        every tier — guard cache, plan cache, and the guard store's
-        expressions, whose compiled predicates go with them (e.g. after
-        editing the group directory, which does not bump the policy
-        epoch; state built under the old membership must not survive
-        any tier).  Returns the number of entries dropped."""
-        return (
-            self.guard_cache.invalidate(querier=querier)
-            + self.plan_cache.invalidate(querier=querier)
-            + self.guard_store.invalidate(querier=querier)
+        """Drop ``querier``'s (default: everyone's) state in both tiers
+        — the plan cache, and the guard tier's entries, whose persisted
+        rows and compiled predicates go with them (e.g. after editing
+        the group directory, which does not bump the policy epoch;
+        state built under the old membership must not survive any
+        tier).  Returns the number of entries dropped."""
+        return self.plan_cache.invalidate(querier=querier) + self.guard_store.invalidate(
+            querier=querier
         )
 
     # ------------------------------------------------------------- plumbing
@@ -406,37 +380,34 @@ class Sieve:
         return self.cost_model
 
     def guarded_expression_for(
-        self,
-        querier: Any,
-        purpose: str,
-        table: str,
-        force_rebuild: bool = False,
-        snapshot=None,
-    ) -> tuple[GuardedExpression, bool]:
-        """Fetch/build G(P) for one (querier, purpose, relation).
+        self, querier: Any, purpose: str, table: str, force_rebuild: bool = False, snapshot=None
+    ) -> tuple[GuardedExpression | None, bool]:
+        """G(P) for one (querier, purpose, relation) through the guard
+        tier at ``snapshot`` (the live store's when omitted), its guards
+        selected afresh on ``force_rebuild``.  Returns ``(expression,
+        regenerated?)``, ``None`` for a querier without a policy there."""
+        snapshot = snapshot if snapshot is not None else self.policy_store.snapshot()
+        entry, rebuilt = self.guard_store.resolve(
+            querier, purpose, table, snapshot, self._generation, force_rebuild
+        )
+        return entry.expression, rebuilt
 
-        ``snapshot`` (a :class:`~repro.policy.store.PolicySnapshot`)
-        pins the corpus the expression must cover; without one the live
-        store is consulted.  An expression the guard store already holds
-        is *maintained* to that corpus — the written policies leave or
-        join partitions, every other guard is shared with its
-        predecessor (:func:`~repro.core.generation.maintain_guarded_expression`)
-        — so it is exact at once, and the guards are selected afresh
-        only when the Section 6 schedule says the accumulated inserts
-        have made that worth its cost (``self.regeneration``, by default
-        a :class:`~repro.core.regeneration.RegenerationController` over
+    def _generation(self, querier: Any, purpose: str, table: str, policies: list):
+        """The guard tier's two steps for ``policies`` (``(builder,
+        maintain)``, :data:`~repro.core.guard_store.Generation`).  An
+        expression the tier already holds is *maintained* to the
+        corpus — the written policies leave or join partitions, every
+        other guard is shared with its predecessor
+        (:func:`~repro.core.generation.maintain_guarded_expression`) —
+        so it is exact at once, and the guards are selected afresh only
+        when the Section 6 schedule says the accumulated inserts have
+        made that worth its cost (``self.regeneration``, by default a
+        :class:`~repro.core.regeneration.RegenerationController` over
         the current cost model), when maintenance cannot reach the
-        corpus, on ``force_rebuild``, or — so that decision records stay
-        replayable from their epoch alone — on every change while an
-        audit log is attached.  Returns ``(expression,
-        regenerated?)``.  Deciding, editing and persisting run under the
-        guard store's lock — persistence writes rGE/rGG/rGP rows into
-        the bundled engine, which is not safe to mutate from two threads
-        (this is the amortized-away cold path, so the serialization
-        never sits on warm-path queries); the corpus and the statistics
-        are read before it is taken."""
-        source = snapshot if snapshot is not None else self.policy_store
-        policies = source.policies_for(querier, purpose, table)
+        corpus, or — so that decision records stay replayable from
+        their epoch alone — on every change while an audit log is
+        attached.  The statistics are read here, before the tier takes
+        its build lock; both steps run under it."""
         heap = self.db.catalog.table(table)
         stats = self.db.stats.get(heap)
         indexed = frozenset(self.db.catalog.indexed_columns(table))
@@ -471,9 +442,7 @@ class Sieve:
                 return None
             return maintained
 
-        return self.guard_store.get_or_build(
-            querier, purpose, table, builder, maintain, force_rebuild=force_rebuild
-        )
+        return builder, maintain
 
     # ------------------------------------------------------------ execution
 
@@ -484,7 +453,7 @@ class Sieve:
         up to (not including) planning — one path for every caller.
 
         Per-relation policy filtering and guard fetch go through the
-        session guard cache.  Strategy choice reads the binding's
+        guard tier.  Strategy choice reads the binding's
         literals (Section 5.5), so it runs per binding, on the
         template's query conjuncts bound.  The rewrite reads the guards
         and the decisions' shape, never a literal: a template's rewrite
@@ -500,7 +469,6 @@ class Sieve:
         observed together or not at all)."""
         start = time.perf_counter()
         snapshot = self.policy_store.snapshot()
-        session = self.session(querier, purpose)
         template = statement.template
 
         expressions: dict[str, GuardedExpression] = {}
@@ -512,7 +480,9 @@ class Sieve:
         bound: dict = {}  # one binding per template node (bind_expr's memo)
 
         for table_name in sorted(statement.tables & snapshot.protected):
-            entry, rebuilt = session.resolve(table_name, snapshot=snapshot)
+            entry, rebuilt = self.guard_store.resolve(
+                querier, purpose, table_name, snapshot, self._generation
+            )
             policies_considered += len(entry.policies)
             if entry.expression is None:
                 denied.add(table_name)
@@ -991,8 +961,8 @@ class Sieve:
         policy-protected relation; ``row`` is a full tuple of that
         relation (schema-ordered sequence, or a mapping by column
         name).  The trace is built from the *same* guard structures
-        the enforcement rewrite uses — resolved through the session
-        guard cache against the current policy snapshot — so the named
+        the enforcement rewrite uses — resolved through the guard tier
+        against the current policy snapshot — so the named
         guards and policies are the ones a query right now would be
         rewritten with (see :mod:`repro.audit.explain`).
         """
@@ -1000,8 +970,8 @@ class Sieve:
         snapshot = self.policy_store.snapshot()
         heap = self.db.catalog.table(table)
         if table.lower() in snapshot.protected:
-            entry, _rebuilt = self.session(querier, purpose).resolve(
-                table.lower(), snapshot=snapshot
+            entry, _rebuilt = self.guard_store.resolve(
+                querier, purpose, table.lower(), snapshot, self._generation
             )
             policies, expression = entry.policies, entry.expression
         else:
@@ -1070,8 +1040,7 @@ class QueryTemplate:
 class PreparedQuery(QueryTemplate):
     """A parsed, parameterized statement bound to one (querier, purpose).
 
-    Obtained from :meth:`Sieve.prepare` or :meth:`SieveSession.prepare
-    <repro.core.cache.SieveSession.prepare>`::
+    Obtained from :meth:`Sieve.prepare`::
 
         prepared = sieve.prepare(
             "SELECT * FROM WiFi_Dataset WHERE ts_date BETWEEN ? AND ?",
@@ -1112,7 +1081,5 @@ class PreparedQuery(QueryTemplate):
         )
 
     def execute_many(self, param_sets) -> list[QueryResult]:
-        """Run one execution per binding vector (the batch analogue of
-        :meth:`SieveSession.execute_many
-        <repro.core.cache.SieveSession.execute_many>`)."""
+        """Run one execution per binding vector."""
         return [self.execute(params) for params in param_sets]

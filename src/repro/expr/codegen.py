@@ -82,6 +82,7 @@ from repro.expr.nodes import (
     Not,
     Or,
     Param,
+    PREDICATES,
     ScalarSubquery,
     Star,
 )
@@ -203,7 +204,7 @@ class CompiledExprCache:
         # The cache is shared by every executor of one Database — and
         # the serving tier's workers execute on one Database from many
         # threads, where an unlocked LRU's move_to_end/popitem races
-        # would corrupt mid-query (the same hazard GuardCache locks
+        # would corrupt mid-query (the same hazard the plan cache locks
         # against).  Compilation and tree hashing stay outside the lock.
         self._lock = threading.Lock()
         self.hits = self.misses = 0
@@ -529,9 +530,11 @@ class _Emitter:
             return self._emit_call(expr)
         if isinstance(expr, IsNull):
             # Bind through a temp so a literal child never produces an
-            # ``<literal> is None`` SyntaxWarning.
+            # ``<literal> is None`` SyntaxWarning.  A predicate is NULL
+            # when it is unknown: its three-valued form tells.
             t = self.fresh("t")
-            return f"(({t} := {self.emit(expr.child)}) is None)"
+            child = self.tri(expr.child) if isinstance(expr.child, PREDICATES) else self.emit(expr.child)
+            return f"(({t} := {child}) is None)"
         if isinstance(expr, InSubquery):
             if c.in_subquery_fn is None:
                 raise CodegenUnsupported("IN subqueries unavailable here")

@@ -36,6 +36,7 @@ from repro.expr.nodes import (
     Not,
     Or,
     Param,
+    PREDICATES,
     ScalarSubquery,
     Star,
 )
@@ -297,7 +298,10 @@ class ExprCompiler:
                 return lambda row: (v := inner(row)) is not None and v not in members
             return lambda row: (v := inner(row)) is not None and v in members
         if isinstance(expr, IsNull):
-            inner = self.compile(expr.child)
+            # A predicate is NULL when it is unknown, which only its
+            # three-valued form tells apart from false.
+            predicate = isinstance(expr.child, PREDICATES)
+            inner = self.compile_tri(expr.child) if predicate else self.compile(expr.child)
             return lambda row: inner(row) is None
         if isinstance(expr, Star):
             raise ExecutionError("'*' is only valid in a SELECT list")
@@ -338,9 +342,14 @@ class ExprCompiler:
         if isinstance(expr, Comparison):
             left, right = self.compile(expr.left), self.compile(expr.right)
             op = _OPERATORS[expr.op]
-            return lambda row: (
-                None if (a := left(row)) is None or (b := right(row)) is None else op(a, b)
-            )
+
+            def compare(row):
+                # Both operands, as compile() evaluates them: one that
+                # raises raises on a NULL other side too.
+                a, b = left(row), right(row)
+                return None if a is None or b is None else op(a, b)
+
+            return compare
         if isinstance(expr, Between):
             inner, low, high = (self.compile(e) for e in (expr.expr, expr.low, expr.high))
 

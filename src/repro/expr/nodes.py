@@ -224,4 +224,8 @@ class IsNull(Expr):
     child: Expr
 
 
+#: The nodes whose value is a truth value — unknown (NULL) included,
+#: which the compilers' two-valued form reads as false.
+PREDICATES = (Comparison, Between, InList, InSubquery, And, Or, Not)
+
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})

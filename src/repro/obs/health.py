@@ -8,9 +8,9 @@ holds named check callables, each returning a
 and rolls the statuses up worst-first:
 
 * ``healthy`` — serving normally;
-* ``degraded`` — serving, but outside normal operating bounds (hit
-  rate under its floor, queue depth near the admission bound, one
-  shard down in a cluster that routes around it);
+* ``degraded`` — serving, but outside normal operating bounds (queue
+  depth near the admission bound, one shard down in a cluster that
+  routes around it);
 * ``unhealthy`` — not serving (server stopped, worker threads dead,
   every shard unreachable).
 
@@ -43,17 +43,11 @@ __all__ = [
     "server_health",
     "cluster_health",
     "rollup_cluster",
-    "DEFAULT_HIT_RATE_FLOOR",
     "DEFAULT_QUEUE_FLOOR",
-    "MIN_LOOKUPS_FOR_FLOOR",
 ]
 
-#: A cache hit rate below this (after warm-up) marks the tier degraded.
-DEFAULT_HIT_RATE_FLOOR = 0.5
 #: Queue depth above this fraction of ``max_pending`` marks admission degraded.
 DEFAULT_QUEUE_FLOOR = 0.8
-#: Hit-rate floors only apply once a cache has seen this many lookups.
-MIN_LOOKUPS_FOR_FLOOR = 100
 
 
 class HealthStatus(str, enum.Enum):
@@ -161,40 +155,9 @@ class HealthRegistry:
 # --------------------------------------------------------------- check makers
 
 
-def _cache_floor_check(
-    name: str,
-    read: Callable[[], dict[str, float]],
-    floor: float,
-    min_lookups: int,
-) -> Callable[[], ComponentHealth]:
-    def check() -> ComponentHealth:
-        snap = read()
-        lookups = snap.get("hits", 0) + snap.get("misses", 0)
-        hit_rate = float(snap.get("hit_rate", 0.0))
-        data = {"hit_rate": hit_rate, "lookups": lookups, "floor": floor}
-        if lookups < min_lookups:
-            return ComponentHealth(name, HealthStatus.HEALTHY, "warming", data)
-        if hit_rate < floor:
-            return ComponentHealth(
-                name,
-                HealthStatus.DEGRADED,
-                f"hit rate {hit_rate:.2f} under the {floor:.2f} floor",
-                data,
-            )
-        return ComponentHealth(name, HealthStatus.HEALTHY, "", data)
-
-    return check
-
-
-def server_health(
-    server: Any,
-    hit_rate_floor: float = DEFAULT_HIT_RATE_FLOOR,
-    queue_floor: float = DEFAULT_QUEUE_FLOOR,
-    min_lookups: int = MIN_LOOKUPS_FOR_FLOOR,
-) -> HealthRegistry:
+def server_health(server: Any, queue_floor: float = DEFAULT_QUEUE_FLOOR) -> HealthRegistry:
     """The standard registry over one ``SieveServer``: worker-pool
-    liveness, admission-queue depth, policy snapshot consistency and
-    the guard cache's hit-rate floor."""
+    liveness, admission-queue depth and policy snapshot consistency."""
     registry = HealthRegistry()
 
     def workers() -> ComponentHealth:
@@ -255,17 +218,6 @@ def server_health(
     registry.register("workers", workers)
     registry.register("admission_queue", admission)
     registry.register("policy_store", policy_store)
-    # No such floor for the plan cache: it is value-keyed, so legitimate
-    # fresh-literal traffic (hit rate ≈ 0.01) would read DEGRADED.
-    registry.register(
-        "guard_cache",
-        _cache_floor_check(
-            "guard_cache",
-            lambda: server.sieve.guard_cache.stats.snapshot(),
-            hit_rate_floor,
-            min_lookups,
-        ),
-    )
     return registry
 
 

@@ -3,9 +3,9 @@
 The scheduler's unit of work is not a single request but a **batch**:
 all queued requests sharing one ``(querier, purpose)`` — the paper's
 QM pair (Section 3.1), which is exactly the granularity the guard
-cache amortizes over.  Handing a worker the whole batch means one
-:meth:`SieveSession.execute <repro.core.cache.SieveSession>` context
-serves N requests, and — just as important for the bundled engine —
+tier amortizes over.  Handing a worker the whole batch means one
+(querier, purpose) serves N requests, and — just as important for the
+bundled engine —
 **no two workers ever run the same (querier, purpose) at once**: a
 key is marked in flight while its batch executes, so per-key state
 downstream (Δ partition registration at rewrite time) is naturally

@@ -123,7 +123,9 @@ class ServiceStats:
     ``guard_cache`` / ``plan_cache`` are
     :meth:`~repro.core.cache.CacheStats.snapshot` dicts (``hits``,
     ``misses``, ``evictions``, ``invalidations``, ``coalesced``,
-    ``hit_rate``) of the pipeline's two memoization tiers.
+    ``hit_rate``) of the pipeline's two memoization tiers, the guard
+    tier (:class:`~repro.core.guard_store.GuardStore`, which evicts
+    nothing) and the plan cache.
     Serving dashboards read hit rates and rejection counts from here;
     :class:`~repro.cluster.ClusterStats` aggregates them across shards.
     This is the one count of each serving event — no other counter
@@ -701,7 +703,7 @@ class SieveServer:
             latency_hist=latency_hist,
             queue_wait_hist=queue_wait_hist,
             total_latency_hist=total_hist,
-            guard_cache=self.sieve.guard_cache.stats.snapshot(),
+            guard_cache=self.sieve.guard_store.stats.snapshot(),
             plan_cache=self.sieve.plan_cache.stats.snapshot(),
         )
 
@@ -720,7 +722,7 @@ class SieveServer:
     def health(self) -> Any:
         """The rolled-up :class:`~repro.obs.health.HealthReport`:
         worker-pool liveness, admission depth, policy snapshot
-        consistency, cache hit-rate floors."""
+        consistency."""
         return self.health_registry().report()
 
     def health_json(self) -> dict[str, Any]:

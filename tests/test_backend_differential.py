@@ -333,3 +333,49 @@ def test_not_over_an_unknown_answers_as_sqlite(predicate, ids):
     for vectorized in (True, False):
         db.vectorized = vectorized
         assert sorted(row[0] for row in db.execute(sql).rows) == ids, (vectorized, sql)
+
+
+# ------------------------------------------ IS NULL over a predicate
+#
+# A predicate is NULL where it is unknown, so ``(p) IS NULL`` holds on
+# exactly the rows ``p`` neither admits nor refutes.  The probe table
+# holds NULLs in both nullable columns; a truth value reads as 0 / 1.
+
+IS_NULL_PROBES = [
+    ("SELECT id FROM t WHERE (v > 2) IS NULL", [(2,), (4,)]),
+    ("SELECT id FROM t WHERE (v > 2) IS NOT NULL", [(1,), (3,)]),
+    ("SELECT id FROM t WHERE (v IN (1, NULL)) IS NULL", [(2,), (3,), (4,)]),
+    ("SELECT COUNT(*) FROM t WHERE (v > 2) IS NULL", [(2,)]),
+    ("SELECT id, (v > 2) IS NULL FROM t", [(1, 0), (2, 1), (3, 0), (4, 1)]),
+    ("SELECT id FROM t WHERE (v > 2 AND w > 2) IS NULL", [(2,), (4,)]),
+    ("SELECT id FROM t WHERE (v > 2 OR w > 2) IS NULL", [(1,), (4,)]),
+    ("SELECT id FROM t WHERE (v = w) IS NOT NULL", [(3,)]),
+    ("SELECT id FROM t WHERE (v BETWEEN 0 AND w) IS NULL", [(1,), (2,), (4,)]),
+    ("SELECT id FROM t WHERE (NOT (v > 2)) IS NULL", [(2,), (4,)]),
+    ("SELECT id FROM t WHERE ((v > 2) IS NULL) IS NULL", []),
+    ("SELECT id FROM t WHERE (id = 1 OR v > 2 OR v = 7) IS NULL", [(2,), (4,)]),  # metered
+]
+
+
+@pytest.mark.parametrize("sql, rows", IS_NULL_PROBES)
+def test_is_null_over_a_predicate_answers_as_sqlite(sql, rows):
+    db = connect("postgres")
+    db.create_table(
+        "t",
+        Schema([
+            Column("id", ColumnType.INT),
+            Column("v", ColumnType.INT, nullable=True),
+            Column("w", ColumnType.INT, nullable=True),
+        ]),
+    )
+    db.insert("t", [(1, 1, None), (2, None, 3), (3, 5, 5), (4, None, None)])
+    db.analyze()
+    backend = SqliteBackend().ship(db)
+
+    def read(result):
+        return sorted(tuple(int(x) if isinstance(x, bool) else x for x in row) for row in result.rows)
+
+    assert read(backend.execute(sql)) == rows
+    for vectorized in (True, False):
+        db.vectorized = vectorized
+        assert read(db.execute(sql)) == rows, (vectorized, sql)

@@ -431,7 +431,7 @@ def test_add_shard_migrates_few_and_preserves_warm_guards(cluster_world):
         for querier in QUERIERS:  # warm every querier's guard state
             cluster.execute(queries[0], querier, PURPOSE, timeout=60)
         warm_before = {
-            name: set(cluster.shard(name).sieve.guard_cache.keys())
+            name: set(cluster.shard(name).sieve.guard_store.keys())
             for name in cluster.shard_names
         }
         report = cluster.add_shard(cluster.replica_spec())
@@ -441,7 +441,7 @@ def test_add_shard_migrates_few_and_preserves_warm_guards(cluster_world):
         assert report.moved_fraction < 0.5
         moved = report.moved_queriers
         for name, keys in warm_before.items():
-            surviving = set(cluster.shard(name).sieve.guard_cache.keys())
+            surviving = set(cluster.shard(name).sieve.guard_store.keys())
             for key in keys:
                 if key[0] in moved:
                     assert key not in surviving, (
@@ -688,7 +688,7 @@ def test_rebalance_sweeps_plan_only_queriers():
         shard = cluster.shard(cluster.route(visitor))
         for _ in range(2):  # the repeat trips auto-prepare: one plan entry
             assert cluster.execute("SELECT * FROM Rooms", visitor, PURPOSE, timeout=60).rows
-        assert visitor not in shard.sieve.guard_cache.queriers()
+        assert visitor not in shard.sieve.guard_store.queriers()
         assert visitor in shard.sieve.plan_cache.queriers()
         assert visitor in shard.cached_queriers()
         report = cluster.add_shard(ShardSpec(db=replicate_database(db), name="joiner"))

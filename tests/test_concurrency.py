@@ -1,6 +1,6 @@
 """Thread-safety regressions for the primitives under the serving tier.
 
-The seed's GuardCache, SqliteBackend, and DeltaOperator were all
+The seed's guard cache, SqliteBackend, and DeltaOperator were all
 single-thread-only (bare OrderedDict mutation, one sqlite3 connection
 pinned to its creating thread, unregister-then-register windows);
 each test here is the hammer that caught or would have caught the
@@ -18,8 +18,9 @@ import pytest
 from repro import connect
 from repro.backend import SqliteBackend
 from repro.common.concurrency import RWLock, SingleFlight
-from repro.core.cache import CachedPlan, GuardCache, PlanCache
-from repro.policy import GroupDirectory, ObjectCondition, Policy
+from repro.core import Sieve
+from repro.core.cache import CachedPlan, PlanCache
+from repro.policy import GroupDirectory, ObjectCondition, Policy, PolicyStore
 from repro.storage.schema import ColumnType, Schema
 
 N_THREADS = 8
@@ -204,7 +205,7 @@ def test_single_flight_leader_crash_reaches_every_waiter_once():
     assert value == "rebuilt" and leader
 
 
-# --------------------------------------------------------------- GuardCache
+# -------------------------------------------------------- the plan cache
 
 
 def _policy(querier, table="T", pid=1):
@@ -218,32 +219,12 @@ def _policy(querier, table="T", pid=1):
     )
 
 
-def _guard_ops(cache):
-    """GuardCache through its own (querier, purpose, relation) surface."""
-    return (
-        lambda q, t, epoch: cache.get(q, "p", t, epoch),
-        lambda q, t, epoch: cache.put(q, "p", t, epoch, [], None),
-    )
-
-
-def _plan_ops(cache):
-    """PlanCache the way the middleware drives it: key + CachedPlan."""
-    return (
-        lambda q, t, epoch: cache.lookup((q, "p", t, ()), epoch, ("v",)),
-        lambda q, t, epoch: cache.admit(
-            (q, "p", t, ()), CachedPlan(q, frozenset({t}), epoch, ("v",), None, None, None, 0)
-        ),
-    )
-
-
-@pytest.mark.parametrize("cls, ops", [(GuardCache, _guard_ops), (PlanCache, _plan_ops)])
-def test_fenced_cache_hammer_8_threads(cls, ops):
-    """The satellite regression: concurrent get/put/invalidate/mutation
-    over a tiny LRU (constant eviction churn), on both declarations of
-    the one fenced cache.  The seed's unlocked OrderedDict died here
-    with RuntimeError/KeyError."""
-    cache = cls(capacity=8)
-    get, put = ops(cache)
+def test_fenced_cache_hammer_8_threads():
+    """The satellite regression: concurrent lookup/admit/invalidate/
+    mutation over a tiny LRU (constant eviction churn), driven the way
+    the middleware drives the plan cache.  The seed's unlocked
+    OrderedDict died here with RuntimeError/KeyError."""
+    cache = PlanCache(capacity=8)
     groups = GroupDirectory()
     queriers = [f"q{i}" for i in range(4)]
     tables = ["t1", "t2", "t3"]
@@ -253,8 +234,11 @@ def test_fenced_cache_hammer_8_threads(cls, ops):
         for n in range(400):
             table = tables[n % len(tables)]
             epoch = n % 5
-            if get(querier, table, epoch) is None:
-                put(querier, table, epoch)
+            key = (querier, "p", table, ())
+            if cache.lookup(key, epoch, ("v",)) is None:
+                cache.admit(
+                    key, CachedPlan(querier, frozenset({table}), epoch, ("v",), None, None, None, 0)
+                )
             if n % 17 == 0:
                 cache.invalidate(querier=querier)
             if n % 29 == 0:
@@ -276,6 +260,116 @@ def test_fenced_cache_hammer_8_threads(cls, ops):
     assert len(cache) <= 8
     stats = cache.stats
     assert stats.hits + stats.misses == N_THREADS * 400  # no lost update under the lock
+
+
+# ---------------------------------------------------------- the guard tier
+
+
+def _tier_world(queriers):
+    """A small WiFi table and one owner policy per (querier, owner)."""
+    db = connect("mysql")
+    db.create_table("wifi", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
+    db.insert("wifi", [(i, i % 6) for i in range(120)])
+    db.create_index("wifi", "owner")
+    db.analyze()
+    store = PolicyStore(db, GroupDirectory())
+    store.insert_many(
+        Policy(owner=owner, querier=querier, purpose="p", table="wifi",
+               object_conditions=(ObjectCondition("owner", "=", owner),))
+        for querier in queriers
+        for owner in range(3)
+    )
+    return db, store, Sieve(db, store)
+
+
+def test_guard_tier_hammer_8_threads():
+    """Eight threads resolve through the guard tier while they write
+    and revoke policies and drop entries: no lookup is counted twice or
+    lost, and every answer holds exactly the policies of the epoch the
+    request was pinned to — a stale stamp would show here."""
+    queriers = [f"q{i}" for i in range(4)]
+    _db, store, sieve = _tier_world(queriers)
+    tier = sieve.guard_store
+    rounds = 60
+
+    def worker(i):
+        querier = queriers[i % len(queriers)]
+        written = None
+        for n in range(rounds):
+            snapshot = store.snapshot()
+            entry, _rebuilt = tier.resolve(querier, "p", "wifi", snapshot, sieve._generation)
+            want = {p.id for p in snapshot.policies_for(querier, "p", "wifi")}
+            assert {p.id for p in entry.policies} == want, (querier, snapshot.epoch)
+            assert (entry.expression is None) == (not want)
+            if n % 7 == 3:
+                if written is None:
+                    written = store.insert(
+                        Policy(owner=3 + i % 3, querier=querier, purpose="p", table="wifi",
+                               object_conditions=(ObjectCondition("owner", "=", 3 + i % 3),))
+                    )
+                else:
+                    store.delete(written.id)
+                    written = None
+            if n % 23 == 11:
+                tier.invalidate(querier=querier)
+            if n % 19 == 0:
+                tier.keys()
+                tier.queriers()
+                len(tier)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside the critical sections
+    try:
+        errors = _run_threads(worker)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors, errors[:3]
+    stats = tier.stats
+    assert stats.hits + stats.misses == N_THREADS * rounds  # no lost update
+    assert stats.hits > 0 and stats.invalidations > 0
+
+
+def test_a_held_build_blocks_no_warm_read():
+    """While querier A's guard build is held on an Event (holding the
+    tier's build lock), querier B's warm requests — a fresh literal, so
+    the plan misses and B's guards are resolved — return."""
+    _db, store, sieve = _tier_world(["a", "b"])
+    sql = "SELECT id FROM wifi WHERE id < {}"
+    sieve.serve(sql.format(100), "b", "p")  # b is warm
+    inside, release = threading.Event(), threading.Event()
+    generation = sieve._generation
+
+    def held(querier, purpose, table, policies):
+        builder, maintain = generation(querier, purpose, table, policies)
+
+        def held_builder():
+            inside.set()
+            assert release.wait(timeout=10)
+            return builder()
+
+        return held_builder, maintain
+
+    sieve._generation = held
+    cold = threading.Thread(target=sieve.serve, args=(sql.format(100), "a", "p"))
+    cold.start()
+    try:
+        assert inside.wait(timeout=10)
+        assert not sieve.guard_store.lock.acquire(blocking=False)  # a holds it
+        hits = sieve.guard_store.stats.hits
+        done = []
+        warm = threading.Thread(
+            target=lambda: done.extend(
+                sieve.serve(sql.format(n), "b", "p").result.rows for n in (50, 60)
+            )
+        )
+        warm.start()
+        warm.join(timeout=10)
+        assert not warm.is_alive() and len(done) == 2
+        assert sieve.guard_store.stats.hits == hits + 2
+    finally:
+        release.set()
+        cold.join(timeout=10)
+    assert not cold.is_alive()
 
 
 def test_compiled_expr_cache_counts_every_lookup_8_threads():

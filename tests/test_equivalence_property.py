@@ -139,10 +139,12 @@ def test_all_engines_agree(seed, policies, sql):
 
     # Force heavy Δ usage on a second pass: still identical.
     sieve_m.cost_model = SieveCostModel(udf_invocation=1e-9, udf_per_policy=1e-9)
-    sieve_m.guard_store.get_or_build(
-        "prof", "analytics", "wifi",
-        lambda: (_ for _ in ()).throw(AssertionError("cache must hold")),
-        lambda held: held,
+    sieve_m.guard_store.resolve(
+        "prof", "analytics", "wifi", store_m.snapshot(),
+        lambda *_: (
+            lambda: (_ for _ in ()).throw(AssertionError("the tier must hold")),
+            lambda held: held,
+        ),
     )
     assert sorted(sieve_m.execute(sql, "prof", "analytics").rows) == expected
 

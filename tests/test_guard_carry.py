@@ -190,7 +190,7 @@ def test_query_literals_file_no_figures(template):
     assert stats.figures == filed
 
 
-def _per_guard_writes(self, entry, ge_id, guards):
+def _per_guard_writes(self, rows, ge_id, guards):
     """Guard persistence as it was written guard by guard: each rGG
     row, then that guard's rGP rows, one validated insert at a time."""
     for guard in guards:
@@ -201,7 +201,7 @@ def _per_guard_writes(self, entry, ge_id, guards):
         rowid = self.db.insert_row(
             GUARD_TABLE, (guard_id, ge_id, tag, oc.attr, oc.op, payload, oc.op2 or "", payload2)
         )
-        entry.guard_rows[guard.key] = rowid, [
+        rows.guard_rows[guard.key] = rowid, [
             self.db.insert_row(PARTITION_TABLE, (guard_id, policy.id)) for policy in guard.policies
         ]
 
@@ -227,8 +227,8 @@ def test_batched_persistence_writes_the_per_guard_rows(monkeypatch):
     def rows(world):
         db, _store, sieve = world
         tables = [list(db.catalog.table(name).scan()) for name in (GE_TABLE, GUARD_TABLE, PARTITION_TABLE)]
-        entry = sieve.guard_store._cache.get((querier, "analytics", CONNECTIVITY_TABLE.lower()))
-        return tables, None if entry is None else (entry.ge_rowid, entry.guard_rows)
+        entry = sieve.guard_store.entry(querier, "analytics", CONNECTIVITY_TABLE)
+        return tables, None if entry is None else (entry.rows.ge_rowid, entry.rows.guard_rows)
 
     def persisted(world):
         found = world[2].guard_store.load_persisted(querier, "analytics", CONNECTIVITY_TABLE)

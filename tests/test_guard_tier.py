@@ -1,8 +1,9 @@
-"""Session guard cache: warm == cold, targeted invalidation, LRU.
+"""The guard tier and the plan cache: warm == cold, targeted
+invalidation, the fence contract.
 
-The acceptance bar for the cache layer is *bit-identical* results:
-whatever a cold middleware answers, a warm session must answer too —
-including immediately after policy inserts, deletes and updates.
+The acceptance bar for both tiers is *bit-identical* results: whatever a
+cold middleware answers, a warm one must answer too — including
+immediately after policy inserts, deletes and updates.
 """
 
 import threading
@@ -12,7 +13,8 @@ import pytest
 
 from repro.core import Sieve
 from repro.common.errors import PolicyError
-from repro.core.cache import CachedGuardEntry, CachedPlan, CacheStats, GuardCache, PlanCache
+from repro.core.cache import CachedPlan, CacheStats, PlanCache
+from repro.core.guards import GuardedExpression
 from repro.policy.groups import GroupDirectory
 from repro.policy.model import ObjectCondition, Policy
 from repro.policy.store import PolicyStore
@@ -49,42 +51,21 @@ def fresh_reference(db, store, sql, querier, purpose="analytics"):
 class TestWarmEqualsCold:
     def test_repeated_queries_bit_identical(self):
         db, rows, store, sieve = build_world()
-        session = sieve.session("prof", "analytics")
         for sql in QUERIES:
             cold = sieve.execute(sql, "prof", "analytics")  # first touch may build
             for _ in range(3):
-                warm = session.execute(sql)
+                warm = sieve.execute(sql, "prof", "analytics")
                 assert warm.columns == cold.columns
                 assert warm.rows == cold.rows
 
     def test_warm_path_actually_hits_cache(self):
         db, rows, store, sieve = build_world()
-        session = sieve.session("prof", "analytics")
-        session.execute(QUERIES[0])
-        hits_before = sieve.guard_cache.stats.hits
-        session.execute(QUERIES[0])
-        session.execute(QUERIES[1])
-        assert sieve.guard_cache.stats.hits >= hits_before + 2
-        assert session.cache_stats.hit_rate > 0
-
-    def test_execute_many_matches_per_query_execute(self):
-        db, rows, store, sieve = build_world(seed=5)
-        batch = sieve.session("prof", "analytics").execute_many(QUERIES)
-        singles = [fresh_reference(db, store, sql, "prof") for sql in QUERIES]
-        for got, want in zip(batch, singles):
-            assert got.columns == want.columns
-            assert got.rows == want.rows
-
-    def test_session_handles_share_cache(self):
-        """Handles are stateless views: two handles for the same QM pair
-        share all guard state through the middleware's cache."""
-        db, _rows, _store, sieve = build_world()
-        first = sieve.session("prof", "analytics")
-        first.execute(QUERIES[0])
-        hits = sieve.guard_cache.stats.hits
-        second = sieve.session("prof", "analytics")
-        second.execute(QUERIES[0])
-        assert sieve.guard_cache.stats.hits == hits + 1
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        hits_before = sieve.guard_store.stats.hits
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        sieve.execute(QUERIES[1], "prof", "analytics")
+        assert sieve.guard_store.stats.hits >= hits_before + 2
+        assert sieve.guard_store.stats.hit_rate > 0
 
     def test_warm_path_charges_identical_enforcement_counters(self):
         """Bit-identical means the *counters* too: the cached-guard
@@ -93,12 +74,11 @@ class TestWarmEqualsCold:
         policy evaluation it should have done) would show up here even
         when the row sets happen to agree."""
         db, rows, store, sieve = build_world(seed=21)
-        session = sieve.session("prof", "analytics")
         for sql in QUERIES:
-            session.execute(sql)  # warm the guard + rewrite caches
+            sieve.execute(sql, "prof", "analytics")  # warm the guard tier and the plan cache
         for sql in QUERIES:
             before = db.counters.snapshot()
-            warm = session.execute(sql)
+            warm = sieve.execute(sql, "prof", "analytics")
             warm_delta = db.counters.diff(before)
             cold_sieve = Sieve(db, store)  # no warm cache at all
             before = db.counters.snapshot()
@@ -112,20 +92,19 @@ class TestWarmEqualsCold:
 
     def test_denied_querier_cached_and_still_denied(self):
         db, _rows, store, sieve = build_world()
-        session = sieve.session("stranger", "analytics")
-        assert session.execute(QUERIES[0]).rows == []
-        before = sieve.guard_cache.stats.hits
-        assert session.execute(QUERIES[0]).rows == []
-        assert sieve.guard_cache.stats.hits == before + 1  # denial is cached too
+        assert sieve.execute(QUERIES[0], "stranger", "analytics").rows == []
+        before = sieve.guard_store.stats.hits
+        assert sieve.execute(QUERIES[0], "stranger", "analytics").rows == []
+        assert sieve.guard_store.stats.hits == before + 1  # denial is held too
+        entry = sieve.guard_store.entry("stranger", "analytics", "wifi")
+        assert entry.expression is None and entry.rows is None  # and gets no rGE row
 
 
 class TestMutationInvalidation:
     def test_insert_invalidates_only_affected_querier(self):
         db, rows, store, sieve = build_world(extra_queriers=("colleague",))
-        prof = sieve.session("prof", "analytics")
-        other = sieve.session("colleague", "analytics")
-        prof.execute(QUERIES[0])
-        other.execute(QUERIES[0])
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        sieve.execute(QUERIES[0], "colleague", "analytics")
 
         epoch_before = store.epoch
         store.insert(Policy(
@@ -135,14 +114,15 @@ class TestMutationInvalidation:
         assert store.epoch == epoch_before + 1
 
         # prof's entry survived (re-stamped, still hits) ...
-        entry = sieve.guard_cache.peek("prof", "analytics", "wifi")
+        entry = sieve.guard_store.entry("prof", "analytics", "wifi")
         assert entry is not None and entry.epoch == store.epoch
-        hits = sieve.guard_cache.stats.hits
-        prof.execute(QUERIES[0])
-        assert sieve.guard_cache.stats.hits == hits + 1
-        # ... while colleague's was dropped and rebuilds on next query.
-        assert sieve.guard_cache.peek("colleague", "analytics", "wifi") is None
-        got = other.execute(QUERIES[0])
+        hits = sieve.guard_store.stats.hits
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        assert sieve.guard_store.stats.hits == hits + 1
+        # ... while colleague's lost its stamp and is maintained on next query.
+        assert sieve.guard_store.entry("colleague", "analytics", "wifi").epoch is None
+        assert sieve.guard_store.is_outdated("colleague", "analytics", "wifi")
+        got = sieve.execute(QUERIES[0], "colleague", "analytics")
         want = fresh_reference(db, store, QUERIES[0], "colleague")
         assert got.rows == want.rows
         assert any(r[2] == 0 for r in got.rows)  # new policy visible
@@ -154,23 +134,21 @@ class TestMutationInvalidation:
         db.create_table("othertab", Schema.of(("id", ColumnType.INT), ("owner", ColumnType.INT)))
         db.analyze()
         store.protect("othertab")  # its first policy would otherwise be a corpus-wide flush
-        session = sieve.session("prof", "analytics")
-        session.execute(QUERIES[0])
+        sieve.execute(QUERIES[0], "prof", "analytics")
         store.insert(Policy(
             owner=1, querier="prof", purpose="analytics", table="othertab",
             object_conditions=(ObjectCondition("owner", "=", 1),),
         ))
-        entry = sieve.guard_cache.peek("prof", "analytics", "wifi")
+        entry = sieve.guard_store.entry("prof", "analytics", "wifi")
         assert entry is not None and entry.epoch == store.epoch
 
     def test_delete_invalidates_and_results_track_fresh(self):
         db, rows, store, sieve = build_world(seed=9)
-        session = sieve.session("prof", "analytics")
-        session.execute(QUERIES[0])
+        sieve.execute(QUERIES[0], "prof", "analytics")
         victim = store.all_policies()[0]
         store.delete(victim.id)
-        assert sieve.guard_cache.peek("prof", "analytics", "wifi") is None
-        got = session.execute(QUERIES[0])
+        assert sieve.guard_store.entry("prof", "analytics", "wifi").epoch is None
+        got = sieve.execute(QUERIES[0], "prof", "analytics")
         want = fresh_reference(db, store, QUERIES[0], "prof")
         assert got.rows == want.rows
         brute = sorted(
@@ -179,10 +157,9 @@ class TestMutationInvalidation:
         )
         assert sorted(got.rows) == brute
 
-    def test_update_reflected_in_warm_session(self):
+    def test_update_reflected_in_a_warm_sieve(self):
         db, rows, store, sieve = build_world(seed=11)
-        session = sieve.session("prof", "analytics")
-        session.execute(QUERIES[0])
+        sieve.execute(QUERIES[0], "prof", "analytics")
         victim = store.all_policies()[0]
         replacement = Policy(
             owner=victim.owner, querier="prof", purpose="analytics", table="wifi",
@@ -192,7 +169,7 @@ class TestMutationInvalidation:
         epoch_before = store.epoch
         store.update(replacement)
         assert store.epoch > epoch_before
-        got = session.execute(QUERIES[0])
+        got = sieve.execute(QUERIES[0], "prof", "analytics")
         want = fresh_reference(db, store, QUERIES[0], "prof")
         assert got.rows == want.rows
 
@@ -206,16 +183,15 @@ class TestMutationInvalidation:
             owner=3, querier="faculty", purpose="any", table="wifi",
             object_conditions=(ObjectCondition("owner", "=", 3),),
         ))
-        session = sieve.session("prof.smith", "analytics")
-        first = session.execute("SELECT * FROM wifi")
+        first = sieve.execute("SELECT * FROM wifi", "prof.smith", "analytics")
         assert sorted(first.rows) == sorted(r for r in rows if r[2] == 3)
         # A new policy on the *group* must invalidate the member's entry.
         store.insert(Policy(
             owner=5, querier="faculty", purpose="any", table="wifi",
             object_conditions=(ObjectCondition("owner", "=", 5),),
         ))
-        assert sieve.guard_cache.peek("prof.smith", "analytics", "wifi") is None
-        second = session.execute("SELECT * FROM wifi")
+        assert sieve.guard_store.entry("prof.smith", "analytics", "wifi").epoch is None
+        second = sieve.execute("SELECT * FROM wifi", "prof.smith", "analytics")
         assert sorted(second.rows) == sorted(r for r in rows if r[2] in (3, 5))
 
     def test_protected_set_grows_by_insert_and_shrinks_only_by_unprotect(self):
@@ -236,9 +212,9 @@ class TestMutationInvalidation:
 
     def test_membership_change_applied_after_invalidate_caches(self):
         """Group-directory edits bypass the epoch; the documented remedy
-        (invalidate_caches / session.refresh) must flush BOTH cache
-        tiers — a guarded expression built under the old membership
-        surviving in the guard store would be an access-control leak."""
+        (invalidate_caches) must flush BOTH tiers — a guarded expression
+        built under the old membership surviving in the guard tier or a
+        plan over it in the plan cache would be an access-control leak."""
         db, rows, _store, _sieve = build_world(n_owners=10)
         groups = GroupDirectory()
         groups.add_member("faculty", "alice")
@@ -252,19 +228,18 @@ class TestMutationInvalidation:
             object_conditions=(ObjectCondition("owner", "=", 4),),
         ))
         sieve = Sieve(db, store)
-        session = sieve.session("alice", "analytics")
-        assert sorted(session.execute("SELECT * FROM wifi").rows) == sorted(
+        assert sorted(sieve.execute("SELECT * FROM wifi", "alice", "analytics").rows) == sorted(
             r for r in rows if r[2] == 3
         )
         # Grant alice staff membership: no policy mutation happens, so
         # without a full flush both tiers would keep the faculty-only view.
         groups.add_member("staff", "alice")
         sieve.invalidate_caches()
-        assert sorted(session.execute("SELECT * FROM wifi").rows) == sorted(
+        assert sorted(sieve.execute("SELECT * FROM wifi", "alice", "analytics").rows) == sorted(
             r for r in rows if r[2] in (3, 4)
         )
 
-    def test_session_refresh_flushes_guard_store_tier(self):
+    def test_invalidate_caches_by_querier_flushes_a_held_denial(self):
         db, rows, _store, _sieve = build_world(n_owners=10)
         groups = GroupDirectory()
         store = PolicyStore(db, groups)
@@ -273,18 +248,16 @@ class TestMutationInvalidation:
             object_conditions=(ObjectCondition("owner", "=", 3),),
         ))
         sieve = Sieve(db, store)
-        session = sieve.session("bob", "analytics")
-        assert session.execute("SELECT * FROM wifi").rows == []
+        assert sieve.execute("SELECT * FROM wifi", "bob", "analytics").rows == []
         groups.add_member("club", "bob")
-        session.refresh()
-        assert sorted(session.execute("SELECT * FROM wifi").rows) == sorted(
+        assert sieve.invalidate_caches(querier="bob") >= 1
+        assert sorted(sieve.execute("SELECT * FROM wifi", "bob", "analytics").rows) == sorted(
             r for r in rows if r[2] == 3
         )
 
     def test_failed_update_preserves_old_policy(self):
         db, rows, store, sieve = build_world(seed=13)
-        session = sieve.session("prof", "analytics")
-        baseline = session.execute(QUERIES[0])
+        baseline = sieve.execute(QUERIES[0], "prof", "analytics")
         victim = store.all_policies()[0]
         bad = Policy(
             owner=victim.owner, querier="prof", purpose="analytics", table="wifi",
@@ -295,7 +268,7 @@ class TestMutationInvalidation:
         with pytest.raises(PolicyError):
             store.update(bad)
         assert store.get(victim.id) is victim  # old version intact
-        assert session.execute(QUERIES[0]).rows == baseline.rows
+        assert sieve.execute(QUERIES[0], "prof", "analytics").rows == baseline.rows
 
     def test_mutation_event_kinds(self):
         _db, _rows, store, _sieve = build_world()
@@ -349,48 +322,32 @@ class TestMutationInvalidation:
         assert seen == sorted(seen) and len(set(seen)) == len(seen)
 
 
-def _guard_entry(querier, table, epoch, version=None):
-    assert version is None  # guard state has no second fence axis
-    return CachedGuardEntry(querier, "p", table, [], None, epoch)
-
-
-def _plan_entry(querier, table, epoch, version):
+def _plan_entry(querier, table, epoch, version=("catalog", 1)):
     return CachedPlan(querier, frozenset({table}), epoch, version, None, None, None, 0)
 
 
-@pytest.fixture(
-    params=[(GuardCache, _guard_entry, None), (PlanCache, _plan_entry, ("catalog", 1))],
-    ids=["guard", "plan"],
-)
-def declared(request):
-    """One FencedCache declaration: (class, entry factory, the version
-    its entries are fenced on)."""
-    return request.param
-
-
 class TestFenceContract:
-    """The rule every declaration of ``FencedCache`` inherits, checked
-    once over both: what serves, what is dropped, what is kept."""
+    """The plan cache's fence: what serves, what is dropped, what is
+    kept.  The guard tier keeps the same rule (:class:`TestGuardTier`)."""
 
-    def test_stale_epoch_is_a_miss_and_dropped(self, declared):
-        cls, entry, version = declared
-        cache = cls(capacity=4)
-        cache.admit("k", entry("a", "t", 0, version))
-        assert cache.lookup("k", 1, version) is None
+    def test_stale_epoch_is_a_miss_and_dropped(self):
+        cache = PlanCache(capacity=4)
+        cache.admit("k", _plan_entry("a", "t", 0))
+        assert cache.lookup("k", 1, ("catalog", 1)) is None
         assert cache.keys() == []
         assert (cache.stats.misses, cache.stats.hits) == (1, 0)
 
-    def test_future_epoch_is_a_miss_but_kept_and_never_clobbered(self, declared):
+    def test_future_epoch_is_a_miss_but_kept_and_never_clobbered(self):
         """A request pinned to an old policy snapshot must miss without
         evicting state a concurrent mutation already carried forward —
         and must not clobber it on admit either (churn otherwise makes
         every in-flight key rebuild twice per mutation)."""
-        cls, entry, version = declared
-        cache = cls(capacity=8)
-        fresh = cache.admit("k", entry("q", "t", 5, version))
+        version = ("catalog", 1)
+        cache = PlanCache(capacity=8)
+        fresh = cache.admit("k", _plan_entry("q", "t", 5))
         assert cache.lookup("k", 4, version) is None  # pinned behind
         assert cache.keys() == ["k"]  # ...but not evicted
-        stale = entry("q", "t", 4, version)
+        stale = _plan_entry("q", "t", 4)
         assert cache.admit("k", stale) is stale  # the pinned caller gets its own view
         assert cache.lookup("k", 5, version) is fresh  # ...without clobbering
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
@@ -398,13 +355,13 @@ class TestFenceContract:
     def test_version_mismatch_drops_at_any_epoch(self):
         for caller_epoch in (4, 5, 6):  # entry newer, equal, older
             cache = PlanCache(capacity=4)
-            cache.admit("k", _plan_entry("q", "t", 5, ("catalog", 1)))
+            cache.admit("k", _plan_entry("q", "t", 5))
             assert cache.lookup("k", caller_epoch, ("catalog", 2)) is None
             assert cache.keys() == []
 
-    def test_coalesced_followers_share_the_leaders_entry(self, declared):
-        cls, entry, version = declared
-        cache = cls(capacity=4)
+    def test_coalesced_followers_share_the_leaders_entry(self):
+        version = ("catalog", 1)
+        cache = PlanCache(capacity=4)
         inside, release = threading.Event(), threading.Event()
         builds = []
 
@@ -412,7 +369,7 @@ class TestFenceContract:
             builds.append(1)
             inside.set()
             assert release.wait(timeout=10)
-            return cache.admit("k", entry("q", "t", 3, version)), "leader-only"
+            return cache.admit("k", _plan_entry("q", "t", 3)), "leader-only"
 
         got = []
 
@@ -435,40 +392,33 @@ class TestFenceContract:
         assert not any(hit for _e, _extra, hit in got)
         assert cache.get_or_build("k", 3, version, build)[1:] == (None, True)  # now a hit
 
-    def test_targeted_invalidation_and_restamp(self, declared):
+    def test_targeted_invalidation_and_restamp(self):
         """Direct and group-derived drops; every survivor valid at the
         previous epoch is carried forward; one staled by an unheard
         bump (a store reload fires no events) stays stale."""
-        cls, entry, version = declared
+        version = ("catalog", 1)
         groups = GroupDirectory()
         groups.add_member("staff", "bob")
-        cache = cls(capacity=8)
-        cache.admit("alice-t", entry("alice", "t", 4, version))
-        cache.admit("alice-u", entry("alice", "u", 4, version))
-        cache.admit("bob-t", entry("bob", "t", 4, version))
-        cache.admit("carol-t", entry("carol", "t", 4, version))
-        cache.admit("dave-t", entry("dave", "t", 2, version))  # missed 2 -> 4
+        cache = PlanCache(capacity=8)
+        cache.admit("alice-t", _plan_entry("alice", "t", 4))
+        cache.admit("alice-u", _plan_entry("alice", "u", 4))
+        cache.admit("bob-t", _plan_entry("bob", "t", 4))
+        cache.admit("carol-t", _plan_entry("carol", "t", 4))
+        cache.admit("dave-t", _plan_entry("dave", "t", 2))  # missed 2 -> 4
 
-        def policy(querier):
-            return Policy(
-                owner=1, querier=querier, purpose="any", table="T",
-                object_conditions=(ObjectCondition("owner", "=", 1),),
-            )
-
-        assert cache.on_policy_mutation("insert", policy("alice"), 5, groups) == 1
+        assert cache.on_policy_mutation("insert", _policy("alice", "T"), 5, groups) == 1
         assert sorted(cache.keys()) == ["alice-u", "bob-t", "carol-t", "dave-t"]
-        assert cache.on_policy_mutation("delete", policy("staff"), 6, groups) == 1
+        assert cache.on_policy_mutation("delete", _policy("staff", "T"), 6, groups) == 1
         assert cache.stats.invalidations == 2
         for key in ("alice-u", "carol-t"):
             assert cache.lookup(key, 6, version) is not None
         assert cache.lookup("dave-t", 6, version) is None  # not revived
 
-    def test_invalidate_by_querier_and_table(self, declared):
-        cls, entry, version = declared
-        cache = cls(capacity=8)
-        cache.admit(1, entry("a", "t1", 0, version))
-        cache.admit(2, entry("a", "t2", 0, version))
-        cache.admit(3, entry("b", "t1", 0, version))
+    def test_invalidate_by_querier_and_table(self):
+        cache = PlanCache(capacity=8)
+        cache.admit(1, _plan_entry("a", "t1", 0))
+        cache.admit(2, _plan_entry("a", "t2", 0))
+        cache.admit(3, _plan_entry("b", "t1", 0))
         assert cache.queriers() == {"a", "b"}
         assert cache.invalidate(querier="a", table="T1") == 1  # case-insensitive
         assert cache.invalidate(querier="b") == 1
@@ -476,39 +426,28 @@ class TestFenceContract:
         assert cache.invalidate() == 1 and len(cache) == 0
         assert cache.stats.invalidations == 3
 
-    def test_lru_eviction_order(self, declared):
-        cls, entry, version = declared
-        cache = cls(capacity=2)
-        cache.admit(1, entry("a", "t", 0, version))
-        cache.admit(2, entry("a", "t", 0, version))
-        assert cache.lookup(1, 0, version) is not None  # 1 now most-recent
-        cache.admit(3, entry("a", "t", 0, version))  # evicts 2
+    def test_lru_eviction_order(self):
+        cache = PlanCache(capacity=2)
+        cache.admit(1, _plan_entry("a", "t", 0))
+        cache.admit(2, _plan_entry("a", "t", 0))
+        assert cache.lookup(1, 0, ("catalog", 1)) is not None  # 1 now most-recent
+        cache.admit(3, _plan_entry("a", "t", 0))  # evicts 2
         assert cache.keys() == [1, 3]
         assert cache.stats.evictions == 1
 
-    def test_capacity_must_be_positive(self, declared):
+    def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            declared[0](capacity=0)
+            PlanCache(capacity=0)
 
-    def test_the_cache_counts_each_lookup_once(self, declared):
+    def test_the_cache_counts_each_lookup_once(self):
         """A lookup's count is the cache's own: its ``CacheStats``, under
         the lookup's lock — there is no second copy to charge."""
-        cls, entry, version = declared
-        cache = cls(capacity=1)
-        cache.admit("k", entry("a", "t", 0, version))
-        assert cache.lookup("k", 0, version) is not None
-        assert cache.lookup("gone", 0, version) is None
+        cache = PlanCache(capacity=1)
+        cache.admit("k", _plan_entry("a", "t", 0))
+        assert cache.lookup("k", 0, ("catalog", 1)) is not None
+        assert cache.lookup("gone", 0, ("catalog", 1)) is None
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert not hasattr(cache, "charge")
-
-    def test_guard_cache_spells_the_key_by_relation(self):
-        """``GuardCache``'s own surface: (querier, purpose, relation)
-        parts, relation matched case-insensitively."""
-        cache = GuardCache(capacity=4)
-        entry = cache.put("a", "p", "WiFi", 0, [], None)
-        assert entry.table == "wifi" and cache.keys() == [("a", "p", "wifi")]
-        assert cache.get("a", "p", "WIFI", 0) is cache.peek("a", "p", "wifi") is entry
-        assert cache.resolve("a", "p", "Wifi", 0, None) == (entry, False, True)
 
     def test_stats_hit_rate_and_merge(self):
         stats = CacheStats(hits=3, misses=1)
@@ -519,13 +458,188 @@ class TestFenceContract:
         assert merged == CacheStats(hits=3, misses=5).snapshot()
         assert merged["hit_rate"] == pytest.approx(0.375)
 
+
+def _policy(querier, table="wifi", owner=1):
+    return Policy(
+        owner=owner, querier=querier, purpose="any", table=table,
+        object_conditions=(ObjectCondition("owner", "=", owner),),
+    )
+
+
+class _Counted:
+    """A Sieve's generation steps, counting the builds and maintenances
+    the tier asks for; ``gate`` (if set) runs inside each build."""
+
+    def __init__(self, sieve, gate=None):
+        self.sieve, self.gate = sieve, gate
+        self.builds = self.maintains = 0
+
+    def __call__(self, querier, purpose, table, policies):
+        builder, maintain = self.sieve._generation(querier, purpose, table, policies)
+
+        def counted_builder():
+            self.builds += 1
+            if self.gate is not None:
+                self.gate()
+            return builder()
+
+        def counted_maintain(held):
+            self.maintains += 1
+            return maintain(held)
+
+        return counted_builder, counted_maintain
+
+
+class TestGuardTier:
+    """The guard tier's own contract (:meth:`GuardStore.resolve
+    <repro.core.guard_store.GuardStore.resolve>`): one entry per
+    (querier, purpose, relation), served at the epoch it is stamped
+    with; the fence cases of :class:`TestFenceContract` on the tier."""
+
+    def _world(self):
+        groups = GroupDirectory()
+        groups.add_member("staff", "bob")
+        db, _rows = make_wifi_db(n_rows=400, n_owners=8)
+        store = PolicyStore(db, groups)
+        for querier in ("alice", "bob", "carol"):
+            store.insert_many(make_policies(n_owners=8, per_owner=1, querier=querier))
+        sieve = Sieve(db, store)
+        return store, sieve, _Counted(sieve)
+
+    def test_stale_epoch_is_a_miss_and_replaced(self):
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        first, rebuilt = tier.resolve("alice", "analytics", "wifi", store.snapshot(), steps)
+        assert rebuilt and first.epoch == store.epoch
+        store.protect("elsewhere")  # an unheard, corpus-wide bump
+        second, rebuilt = tier.resolve("alice", "analytics", "wifi", store.snapshot(), steps)
+        assert second is not first and second.epoch == store.epoch and not rebuilt
+        assert second.expression is first.expression  # maintained: nothing changed
+        assert tier.entry("alice", "analytics", "wifi") is second
+        assert (tier.stats.misses, tier.stats.hits) == (2, 0)
+        assert (steps.builds, steps.maintains) == (1, 1)
+
+    def test_pinned_behind_is_a_miss_and_never_clobbers(self):
+        """A request pinned to a snapshot older than the entry's stamp
+        gets an answer exact for its own epoch without replacing the
+        newer one."""
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        pinned = store.snapshot()
+        store.insert(_policy("alice", owner=7))
+        current, _ = tier.resolve("alice", "any", "wifi", store.snapshot(), steps)
+        assert current.epoch == store.epoch and len(current.policies) == 1
+        behind, _ = tier.resolve("alice", "any", "wifi", pinned, steps)
+        assert behind is not current and behind.epoch == pinned.epoch
+        assert behind.expression is None  # alice held no "any" policy back then
+        assert tier.entry("alice", "any", "wifi") is current
+        again, _ = tier.resolve("alice", "any", "wifi", store.snapshot(), steps)
+        assert again is current
+        assert (tier.stats.misses, tier.stats.hits) == (2, 1)
+
+    def test_coalesced_followers_share_the_leaders_entry(self):
+        store, sieve, _steps = self._world()
+        tier = sieve.guard_store
+        inside, release = threading.Event(), threading.Event()
+
+        def gate():
+            inside.set()
+            assert release.wait(timeout=10)
+
+        steps = _Counted(sieve, gate)
+        snapshot = store.snapshot()
+        got = []
+
+        def call():
+            got.append(tier.resolve("alice", "analytics", "wifi", snapshot, steps))
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        threads[0].start()
+        assert inside.wait(timeout=10)  # thread 0 leads
+        for t in threads[1:]:
+            t.start()
+        time.sleep(0.1)  # let every follower reach the build lock
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert steps.builds == 1 and tier.stats.coalesced == 3
+        assert len({id(entry) for entry, _rebuilt in got}) == 1
+        assert sorted(rebuilt for _entry, rebuilt in got) == [False] * 3 + [True]
+        assert (tier.stats.misses, tier.stats.hits) == (4, 0)
+
+    def test_targeted_invalidation_and_restamp(self):
+        """Direct and group-derived writes take the stamp of the
+        entries they affect and flag their rows outdated; every other
+        entry valid at the previous epoch is carried forward; one
+        staled by an unheard bump stays stale."""
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        snapshot = store.snapshot()
+        for querier in ("alice", "bob", "carol"):
+            tier.resolve(querier, "analytics", "wifi", snapshot, steps)
+        tier.resolve("dave", "analytics", "wifi", snapshot, steps)  # a held denial
+        store.insert(_policy("alice"))
+        assert tier.entry("alice", "analytics", "wifi").epoch is None
+        assert tier.is_outdated("alice", "analytics", "wifi")
+        store.insert(_policy("staff"))
+        assert tier.entry("bob", "analytics", "wifi").epoch is None
+        assert tier.stats.invalidations == 2
+        for querier in ("carol", "dave"):
+            assert tier.entry(querier, "analytics", "wifi").epoch == store.epoch
+        assert not tier.is_outdated("carol", "analytics", "wifi")
+        store.protect("elsewhere")  # unheard: nobody is carried across it
+        store.insert(_policy("erin"))
+        assert tier.entry("carol", "analytics", "wifi").epoch == store.epoch - 2
+
+    def test_invalidate_by_querier(self):
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        snapshot = store.snapshot()
+        for querier in ("alice", "bob", "dave"):
+            tier.resolve(querier, "analytics", "wifi", snapshot, steps)
+        assert tier.queriers() == {"alice", "bob", "dave"}
+        held = sieve.db.catalog.table("sieve_guarded_expressions").row_count
+        assert tier.invalidate(querier="alice") == 1
+        assert sieve.db.catalog.table("sieve_guarded_expressions").row_count == held - 1
+        assert tier.invalidate(querier="dave") == 1  # a denial has no rows to drop
+        assert tier.keys() == [("bob", "analytics", "wifi")] and tier.queriers() == {"bob"}
+        assert tier.invalidate() == 1 and len(tier) == 0
+        assert tier.stats.invalidations == 3
+
+    def test_the_key_spells_the_relation_in_lower_case(self):
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        entry, _ = tier.resolve("alice", "analytics", "WiFi", store.snapshot(), steps)
+        assert entry.table == "wifi" and tier.keys() == [("alice", "analytics", "wifi")]
+        assert tier.entry("alice", "analytics", "WIFI") is entry
+        assert tier.resolve("alice", "analytics", "Wifi", store.snapshot(), steps) == (entry, False)
+
+    def test_a_revoke_to_empty_serves_denial_and_keeps_the_expression(self):
+        """The last policy revoked: the entry answers deny, but keeps
+        the held expression and its rows, so a re-grant is maintained
+        instead of selected afresh."""
+        store, sieve, steps = self._world()
+        tier = sieve.guard_store
+        grant = store.insert(_policy("erin", owner=3))
+        granted, rebuilt = tier.resolve("erin", "any", "wifi", store.snapshot(), steps)
+        assert rebuilt and isinstance(granted.expression, GuardedExpression)
+        store.delete(grant.id)
+        denied, rebuilt = tier.resolve("erin", "any", "wifi", store.snapshot(), steps)
+        assert denied.expression is None and denied.policies == [] and not rebuilt
+        assert tier.peek("erin", "any", "wifi") is granted.expression
+        assert tier.is_outdated("erin", "any", "wifi")
+        store.insert(_policy("erin", owner=3))
+        regranted, rebuilt = tier.resolve("erin", "any", "wifi", store.snapshot(), steps)
+        assert not rebuilt and regranted.expression is not None
+        assert steps.builds == 1 and not tier.is_outdated("erin", "any", "wifi")
+
     def test_cross_querier_update_keeps_unrelated_entries_warm(self):
         """An update() that moves a policy to another querier bumps the
         epoch twice (two events); unrelated queriers' entries must be
         carried across BOTH bumps, not stranded one epoch short."""
         db, _rows, store, sieve = build_world(extra_queriers=("aud",))
-        session_prof = sieve.session("prof", "analytics")
-        session_prof.execute(QUERIES[0])  # warm 'prof'
+        sieve.execute(QUERIES[0], "prof", "analytics")  # warm 'prof'
         moved = store.policies_for("aud", "analytics", "wifi")[0]
         store.update(
             Policy(
@@ -537,9 +651,9 @@ class TestFenceContract:
                 id=moved.id,
             )
         )
-        hits_before = sieve.guard_cache.stats.hits
-        session_prof.execute(QUERIES[0])
-        assert sieve.guard_cache.stats.hits == hits_before + 1, (
+        hits_before = sieve.guard_store.stats.hits
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        assert sieve.guard_store.stats.hits == hits_before + 1, (
             "unrelated querier lost its warm guard state across a "
             "cross-querier update"
         )

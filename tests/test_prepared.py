@@ -334,7 +334,7 @@ def test_policy_churn_retains_nothing_per_write(world):
         return (
             len(db.expr_cache),
             len(sieve.plan_cache),
-            sieve.guard_store.cache_size(),
+            len(sieve.guard_store),
             db.catalog.table(GUARD_TABLE).row_count,
             db.catalog.table(PARTITION_TABLE).row_count,
         )
@@ -856,13 +856,12 @@ def test_a_policy_write_rederives_one_arm(monkeypatch):
     _assert_as_if_built_now(monkeypatch, db, sieve, [153, 420, 4], rows, policies)
 
 
-def test_session_refresh_drops_plan_entries():
+def test_invalidate_caches_drops_plan_entries():
     db, store = small_world()
     sieve = Sieve(db, store)
-    session = sieve.session("alice", "analytics")
-    prepared = session.prepare("SELECT id FROM t WHERE v < ?")
+    prepared = sieve.prepare("SELECT id FROM t WHERE v < ?", "alice", "analytics")
     prepared.execute([300])
-    assert session.refresh() >= 1
+    assert sieve.invalidate_caches(querier="alice") >= 1
     misses = sieve.plan_cache.stats.misses
     prepared.execute([300])
     assert sieve.plan_cache.stats.misses == misses + 1
@@ -1563,7 +1562,7 @@ def _assert_bound_rewrites(sieve, querier, purpose, template, bindings) -> list:
     for values in bindings:
         info = prepared.execute_with_info(values).rewrite
         expressions = {
-            name: sieve.guard_cache.peek(querier, purpose, name).expression
+            name: sieve.guard_store.entry(querier, purpose, name).expression
             for name in info.enforced_tables
         }
         reference, ref_info = sieve.rewriter._rewrite(
