@@ -40,9 +40,13 @@ profile-fresh:
 # the statement memo skips parsing and the plan cache hits, so what is
 # left is the engine — scans, the guard kernel, projection), then the
 # guard-branch calls and rows per call of each warm read of the
-# canonical serve_warm world, by shape.  Exits non-zero if a warm read
-# parses or compiles, or makes more guard-branch calls than its
-# BitmapOr has arms.
+# canonical serve_warm world, by shape, and its compiled-expression
+# cache look-ups and CTE tuples copied (a cached plan's operators are
+# resolved on its first execution; a guarded CTE is held as heap
+# rowids).  Exits non-zero if a warm read parses or compiles, makes
+# more guard-branch calls than its BitmapOr has arms, or makes any
+# compiled-expression look-up or CTE tuple copy — counts, which no
+# host noise moves.
 profile-warm:
 	$(PYTHON) tools/profile_request.py --mode warm -n $(N)
 

@@ -14,7 +14,10 @@ Section 3.2) and the guarded expression that enforces them — ``None``
 for the default-deny outcome (Section 3.1), which gets no rGE row —
 stamped with the policy epoch it answered at.  :meth:`GuardStore.resolve`
 serves an entry stamped with the request's epoch without taking the
-build lock; any other request maintains or builds under that lock.
+build lock; any other request maintains or builds under that lock.  A
+querier with no applicable policy and no held expression — a stranger —
+gets the default deny without the lock and without an entry, so the map
+does not grow with the names callers make up.
 
 A policy write reaches the store through its one listener.  An entry
 the written policy can affect — its relation, and a querier the policy
@@ -209,6 +212,11 @@ class GuardStore:
         querier, purpose, table = key
         epoch = snapshot.epoch
         policies = snapshot.policies_for(querier, purpose, table)
+        if not policies and ((current := self._entries.get(key)) is None or current.rows is None):
+            # A querier with nothing applicable and nothing held: the
+            # default deny, answered without the lock and filed nowhere,
+            # so a stranger's name leaves no entry behind.
+            return GuardEntry(querier, purpose, table, policies, None, epoch), False
         steps = generation(querier, purpose, table, policies) if policies else None
         with self.lock:
             current = self._entries.get(key)

@@ -197,21 +197,21 @@ class Database:
     def run_plan(self, planned: PlannedQuery) -> QueryResult:
         """Execute an already-planned query in the database's engine
         mode (a warm plan-cache hit enters here, skipping planning).
+        The batch executor files what it resolves for each plan node in
+        ``planned.resolved`` and reads it back on the plan's repeats.
         The oracle gets no compiled-expression cache, so a differential
         never compares the product with its own cached kernels.  A
         ``TypeError`` the query raises on the way (an ordering or
         arithmetic across types, a function given the wrong arguments)
         leaves as an :class:`ExecutionError`."""
-        executor_cls = VectorizedExecutor if self.vectorized else Executor
-        executor = executor_cls(
-            self.catalog,
-            self.counters,
-            self._udfs,
-            plan_subquery=self._plan_subquery,
-            fn_cache=self.expr_cache if self.vectorized else None,
-        )
         try:
-            return executor.run(planned.root, planned.cte_plans)
+            if self.vectorized:
+                executor = VectorizedExecutor(
+                    self.catalog, self.counters, self._udfs, self._plan_subquery, self.expr_cache
+                )
+                return executor.run(planned.root, planned.cte_plans, planned.resolved)
+            oracle = Executor(self.catalog, self.counters, self._udfs, self._plan_subquery)
+            return oracle.run(planned.root, planned.cte_plans)
         except TypeError as exc:
             raise ExecutionError(f"query failed: {exc}") from exc
 

@@ -96,6 +96,10 @@ class Executor:
     #: executor, which keeps only the subquery evaluation below.
     compiler_cls: type = ExprCompiler
 
+    #: Set when a function compiled through ``fn_cache`` was left out of
+    #: it because it holds a subquery (it closes over this executor).
+    _holds_subquery = False
+
     def __init__(
         self,
         catalog: Catalog,
@@ -145,21 +149,27 @@ class Executor:
             counters=self.counters,
         )
 
-    def _row_fn(self, expr: Expr, binding: RowBinding):
+    def _row_fn(self, expr: Expr, binding: RowBinding, value: bool = False):
         """Compile one expression to a row callable, reusing the shared
-        compiled-function cache across executions.
+        compiled-function cache across executions.  ``value``: the
+        expression is read as a value (a select-list item, a key), where
+        a predicate is three-valued — unknown reads NULL.
 
         Expressions containing subqueries are compiled fresh every
         time: IN memberships are data dependent and scalar subqueries
         capture this executor's plan/caches."""
         cache = self.fn_cache
         if cache is None:
-            return self._compiler(binding).compile(expr)
-        extra = (binding.cache_key(), "row")
+            compiler = self._compiler(binding)
+            return compiler.compile_value(expr) if value else compiler.compile(expr)
+        extra = (binding.cache_key(), "value" if value else "row")
         fn = cache.lookup(expr, extra)
         if fn is None:
-            fn = self._compiler(binding).compile(expr)
-            if not contains_subquery(expr):
+            compiler = self._compiler(binding)
+            fn = compiler.compile_value(expr) if value else compiler.compile(expr)
+            if contains_subquery(expr):
+                self._holds_subquery = True
+            else:
                 cache.store(expr, extra, fn)
         return fn
 
@@ -289,10 +299,10 @@ class Executor:
 
     def _exec_ProjectPlan(self, plan: ProjectPlan) -> Iterator[tuple]:
         if plan.child is None:
-            fns = [self._row_fn(e, RowBinding()) for e in plan.exprs]
+            fns = [self._row_fn(e, RowBinding(), value=True) for e in plan.exprs]
             yield tuple(fn(()) for fn in fns)
             return
-        fns = [self._row_fn(e, plan.child.binding) for e in plan.exprs]
+        fns = [self._row_fn(e, plan.child.binding, value=True) for e in plan.exprs]
         for row in self._iter(plan.child):
             yield tuple(fn(row) for fn in fns)
 
@@ -300,8 +310,8 @@ class Executor:
 
     def _exec_HashJoinPlan(self, plan: HashJoinPlan) -> Iterator[tuple]:
         assert plan.left is not None and plan.right is not None
-        left_key_fns = [self._row_fn(k, plan.left.binding) for k in plan.left_keys]
-        right_key_fns = [self._row_fn(k, plan.right.binding) for k in plan.right_keys]
+        left_key_fns = [self._row_fn(k, plan.left.binding, value=True) for k in plan.left_keys]
+        right_key_fns = [self._row_fn(k, plan.right.binding, value=True) for k in plan.right_keys]
         residual = self._compile_filter(plan.residual, plan.binding)
 
         table: dict[tuple, list[tuple]] = {}
@@ -343,7 +353,7 @@ class Executor:
         assert plan.left is not None and plan.outer_key is not None
         table = self.catalog.table(plan.inner_table)
         index = self.catalog.index_by_name(plan.inner_table, plan.inner_index)
-        outer_fn = self._row_fn(plan.outer_key, plan.left.binding)
+        outer_fn = self._row_fn(plan.outer_key, plan.left.binding, value=True)
         inner_binding = RowBinding.for_table(plan.inner_alias, table.schema.names)
         inner_pred = self._compile_filter(plan.inner_filter, inner_binding)
         residual = self._compile_filter(plan.residual, plan.binding)
@@ -379,9 +389,9 @@ class Executor:
     def _exec_AggregatePlan(self, plan: AggregatePlan) -> Iterator[tuple]:
         assert plan.child is not None
         binding = plan.child.binding
-        group_fns = [self._row_fn(e, binding) for e in plan.group_exprs]
+        group_fns = [self._row_fn(e, binding, value=True) for e in plan.group_exprs]
         arg_fns = [
-            self._row_fn(spec.arg, binding) if spec.arg is not None else None
+            self._row_fn(spec.arg, binding, value=True) if spec.arg is not None else None
             for spec in plan.aggregates
         ]
         groups: dict[tuple, list[_AggState]] = {}
@@ -405,7 +415,7 @@ class Executor:
 
     def _exec_SortPlan(self, plan: SortPlan) -> Iterator[tuple]:
         assert plan.child is not None
-        fns = [self._row_fn(e, plan.child.binding) for e in plan.sort_exprs]
+        fns = [self._row_fn(e, plan.child.binding, value=True) for e in plan.sort_exprs]
         rows = list(self._iter(plan.child))
         # Stable multi-key sort: apply keys from least to most significant.
         for fn, asc in reversed(list(zip(fns, plan.ascending))):

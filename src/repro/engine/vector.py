@@ -31,7 +31,13 @@ the actual work.  This module replaces it with batch execution:
   for every concrete plan node; a product run never enters the tuple
   methods of the :class:`~repro.engine.executor.Executor` it extends
   (the differential oracle), from which it keeps construction, the
-  row-function cache and subquery evaluation.
+  row-function cache and subquery evaluation.  A CTE whose body is a
+  table scan (every Sieve rewrite's guarded relation) is held as the
+  rowids the scan admitted over the heap, never copied; and what an
+  operator resolves for its node — its predicate's stages, its value
+  functions, a drained BitmapOr's arm dispatch — is filed in the
+  plan's own dict (``PlannedQuery.resolved``) on the plan's first
+  execution, so a cached plan's repeat makes no kernel look-up.
 
 Counter semantics in batch mode: ``tuples_scanned``, page counters,
 ``predicate_evals`` (one per input row per filter) and
@@ -140,6 +146,14 @@ class RowBatch:
         rows = self.rows
         return [rows[i] for i in self.sel]
 
+    def slices(self) -> Iterator["RowBatch"]:
+        """This batch in batches of ``BATCH_ROWS`` rows: slices of the
+        selection over the same storage, or of an unselected batch's
+        rows (each transposed only if a kernel reads its columns)."""
+        if self.sel is None:
+            return map(RowBatch, _chunked(self.rows))
+        return map(self.narrow, _chunked(self.sel))
+
 
 # Stage evaluators all share one shape: fn(batch, sel) -> passing indices.
 _StageFn = Callable[[RowBatch, list], list]
@@ -152,11 +166,12 @@ class BatchPredicate:
     closure compiler's ``all()`` would evaluate them — so rows reach a
     guard stage exactly when the tuple path would have reached the
     wide OR, keeping ``policy_evals`` identical.  Every stage is a
-    ``fn(batch, sel) -> narrowed sel``; guard (metered OR) stages and
-    composed disjunct pipelines are closures over sub-stages.
+    ``fn(batch, sel) -> narrowed sel``: a conjunct's column kernel
+    (:class:`_KernelStage`), a guard OR's (:class:`_GuardStage`) or a
+    per-row closure.
     """
 
-    __slots__ = ("stages", "counters")
+    __slots__ = ("stages", "counters", "__weakref__")
 
     def __init__(self, stages: list[_StageFn], counters: Any):
         self.stages = stages
@@ -173,6 +188,20 @@ class BatchPredicate:
         return sel
 
 
+class _KernelStage:
+    """A conjunct's stage: the column kernel of its shape over this
+    conjunct's constants."""
+
+    __slots__ = ("kernel", "consts")
+
+    def __init__(self, kernel: Callable, consts: list):
+        self.kernel = kernel
+        self.consts = consts
+
+    def __call__(self, batch: RowBatch, sel: list) -> list:
+        return self.kernel(batch.columns(), sel, self.consts)
+
+
 class _GuardStage:
     """A guard OR's stage: its compiled kernel over the batch's columns
     — kept where the stage is cached, so a BitmapOr drained arm by arm
@@ -185,6 +214,45 @@ class _GuardStage:
 
     def __call__(self, batch: RowBatch, sel: list) -> list:
         return self.kernel(batch.columns(), sel)
+
+
+def _guard_run(columns: list, sel: list, kernel: GuardKernel) -> list:
+    """A guard kernel called as a column kernel is."""
+    return kernel.run(columns, sel)
+
+
+def _direct(stage: _StageFn) -> tuple[Callable, Any] | None:
+    """``(fn, arg)`` that runs ``stage`` over column arrays as
+    ``fn(columns, sel, arg)``; ``None`` for a per-row stage, which reads
+    the rows."""
+    if isinstance(stage, _KernelStage):
+        return stage.kernel, stage.consts
+    if isinstance(stage, _GuardStage):
+        return _guard_run, stage.kernel
+    return None
+
+
+class _Arms:
+    """A drained BitmapOr's arm dispatch, resolved once per plan
+    (:meth:`VectorizedExecutor._arm_dispatch`): the name of the index
+    the arms probe (the index itself is found by name at every read),
+    the guard kernel whose branches the arm keys name and the filter's
+    stages before and after it, each as ``(fn, arg)`` (:func:`_direct`)."""
+
+    __slots__ = ("index_name", "kernel", "before", "after")
+
+    def __init__(self, index_name: str, kernel: GuardKernel, before: list, after: list):
+        self.index_name = index_name
+        self.kernel = kernel
+        self.before = before
+        self.after = after
+
+
+#: A plan node's entry not yet filed in its resolved dict.
+_UNRESOLVED = object()
+
+#: The table scans whose rows a CTE holds as a selection of the heap.
+_SCANS = (SeqScanPlan, IndexScanPlan, BitmapOrPlan)
 
 
 def _filtered(batch: RowBatch, pred: BatchPredicate | None) -> RowBatch | None:
@@ -234,34 +302,95 @@ class VectorizedExecutor(Executor):
 
     compiler_cls = CodegenExprCompiler
 
+    #: The running plan's resolved dict (see :meth:`run`); ``None`` files
+    #: nothing — an operator run outside :meth:`run`, or a subquery's plan.
+    _resolved: dict | None = None
+    _cte_rows: dict[str, RowBatch]  # each CTE's rows (:meth:`_materialise`)
+
     # ------------------------------------------------------------ plumbing
 
-    def run(self, root: PlanNode, cte_plans: dict[str, PlanNode]) -> QueryResult:
+    def run(
+        self, root: PlanNode, cte_plans: dict[str, PlanNode], resolved: dict | None = None
+    ) -> QueryResult:
+        """Run the plan.  ``resolved`` is the plan's own dict
+        (``PlannedQuery.resolved``): an operator files in it, keyed by
+        its node, what it resolved on the plan's first execution and
+        reads it back on every later one (:meth:`_resolve`)."""
+        self._resolved = resolved
         self._cte_plans = cte_plans
-        self._cte_rows = {}
-        for name, plan in cte_plans.items():
-            self._cte_rows[name] = self._collect_rows(plan)
+        self._cte_rows = {name: self._materialise(plan) for name, plan in cte_plans.items()}
         rows = self._collect_rows(root)
         self.counters.tuples_output += len(rows)
         return QueryResult(columns=root.binding.column_names, rows=rows)
 
+    def _drained(self, plan: PlanNode) -> Iterator[RowBatch]:
+        """The plan's batches when all of them will be pulled: a
+        BitmapOr here is drained (:meth:`_vexec_BitmapOrPlan`)."""
+        if isinstance(plan, BitmapOrPlan):
+            return self._vexec_BitmapOrPlan(plan, drained=True)
+        return self._batches(plan)
+
     def _collect_rows(self, plan: PlanNode) -> list[tuple]:
-        """The plan's rows, all of them: a BitmapOr here is drained
-        (:meth:`_vexec_BitmapOrPlan`)."""
+        """The plan's rows, all of them."""
         out: list[tuple] = []
-        batches = (
-            self._vexec_BitmapOrPlan(plan, drained=True)
-            if isinstance(plan, BitmapOrPlan)
-            else self._batches(plan)
-        )
-        for batch in batches:
+        for batch in self._drained(plan):
             out.extend(batch.take())
         return out
 
+    def _materialise(self, plan: PlanNode) -> RowBatch:
+        """A CTE's rows, once per execution, for every reference to it.
+        A table scan's stay in the heap: one table-backed batch, the
+        rowids the scan admitted (in scan order) over the table's slots
+        and column arrays.  Any other body's rows are tuples."""
+        if not isinstance(plan, _SCANS):
+            return RowBatch(self._collect_rows(plan))
+        rowids: list[int] = []
+        last = None
+        for last in self._drained(plan):
+            rowids += last.sel  # type: ignore[arg-type]
+        return RowBatch([], rowids) if last is None else last.narrow(rowids)
+
     def _iter(self, plan: PlanNode) -> Iterator[tuple]:
-        """The plan's rows, for the inherited subquery evaluation."""
-        for batch in self._batches(plan):
-            yield from batch.take()
+        """A subquery plan's rows, for the inherited subquery evaluation.
+        That plan is planned afresh at every execution, so nothing of it
+        is filed: the resolved dict is set aside while it runs."""
+        resolved, self._resolved = self._resolved, None
+        try:
+            return iter(self._collect_rows(plan))
+        finally:
+            self._resolved = resolved
+
+    def _resolve(self, plan: PlanNode, role: str, build: Callable):
+        """What ``build()`` resolves for ``plan`` in ``role`` (a filter,
+        its keys, its values): filed in the plan's resolved dict on its
+        first execution and read back after, so a repeat makes no kernel
+        look-up.  Nothing holding a subquery is filed: its kernels close
+        over this executor's subquery state, so the compiled-expression
+        cache never keeps them either — a build that compiled one
+        (``_holds_subquery``) files nothing."""
+        memo = self._resolved
+        if memo is None or self.fn_cache is None:
+            return build()
+        key = (id(plan), role)
+        found = memo.get(key, _UNRESOLVED)
+        if found is _UNRESOLVED:
+            self._holds_subquery = False
+            found = build()
+            if not self._holds_subquery:
+                memo[key] = found
+        return found
+
+    def _pred(self, plan: PlanNode, role: str, expr: Expr | None, binding: RowBinding):
+        """``plan``'s filter in ``role`` as a :class:`BatchPredicate`,
+        resolved once per plan."""
+        return self._resolve(plan, role, lambda: self._batch_pred(expr, binding))
+
+    def _values(self, plan: PlanNode, role: str, exprs: list, binding: RowBinding) -> list:
+        """``plan``'s value functions in ``role`` (:meth:`_value_fn`; a
+        ``None`` stays ``None``), resolved once per plan."""
+        return self._resolve(
+            plan, role, lambda: [None if e is None else self._value_fn(e, binding) for e in exprs]
+        )
 
     def _batches(self, plan: PlanNode) -> Iterator[RowBatch]:
         operator = getattr(self, f"_vexec_{type(plan).__name__}", None)
@@ -287,7 +416,7 @@ class VectorizedExecutor(Executor):
         column mode cannot express the tree (a scalar subquery)."""
         kernel, consts = self._shape_kernel(expr, binding, "colval")
         if kernel is None:
-            fn = self._row_fn(expr, binding)
+            fn = self._row_fn(expr, binding, value=True)
             return lambda batch, sel: [fn(batch.rows[i]) for i in sel]
         return lambda batch, sel: kernel(batch.columns(), sel, consts)
 
@@ -297,7 +426,7 @@ class VectorizedExecutor(Executor):
         with its literals lifted out, so a binding never seen before
         costs one structural probe and no ``compile()``.  ``kernel`` is
         ``None`` where column mode cannot express the tree."""
-        shape, consts = lift_constants(expr)
+        shape, consts = lift_constants(expr, value=mode == "colval")
 
         def build():
             codegen = self._compiler(binding)
@@ -329,8 +458,11 @@ class VectorizedExecutor(Executor):
         fn = cache.lookup(expr, extra, by_identity)
         if fn is None:
             fn = build()
-            if fn is not None and not (isinstance(expr, Expr) and contains_subquery(expr)):
-                cache.store(expr, extra, fn, by_identity)
+            if fn is not None:
+                if isinstance(expr, Expr) and contains_subquery(expr):
+                    self._holds_subquery = True
+                else:
+                    cache.store(expr, extra, fn, by_identity)
         return fn
 
     def _conjunct_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
@@ -348,7 +480,7 @@ class VectorizedExecutor(Executor):
         kernel, consts = self._shape_kernel(conj, binding, "stage")
         if kernel is None:
             return self._row_stage(conj, binding)
-        return lambda batch, sel: kernel(batch.columns(), sel, consts)
+        return _KernelStage(kernel, consts)
 
     def _guard_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
         codegen = self._compiler(binding)
@@ -426,29 +558,32 @@ class VectorizedExecutor(Executor):
             list(range(start, min(start + step, table.slot_count)))
             for start in range(0, table.slot_count, step)
         )
-        pred = self._batch_pred(plan.filter, plan.binding)
+        pred = self._pred(plan, "filter", plan.filter, plan.binding)
         yield from self._table_batches(pred, table, chunks, "pages_sequential")
 
     def _vexec_IndexScanPlan(self, plan: IndexScanPlan) -> Iterator[RowBatch]:
         table = self.catalog.table(plan.table_name)
         index = self.catalog.index_by_name(plan.table_name, plan.index_name)
         rowids = list(dict.fromkeys(self._probe_rowids(index, plan.probes)))
-        pred = self._batch_pred(plan.filter, plan.binding)
+        pred = self._pred(plan, "filter", plan.filter, plan.binding)
         yield from self._table_batches(pred, table, _chunked(rowids), "pages_random")
 
     def _vexec_BitmapOrPlan(self, plan: BitmapOrPlan, drained: bool = False) -> Iterator[RowBatch]:
         """The arms' rowids OR-ed, each live row filtered once.  Where
         the scan is ``drained`` (every row will be pulled, as a CTE's
         materialisation pulls them) and its arms are the look-up of a
-        guard stage of the filter (:meth:`_guard_arms`), each arm's rows
+        guard stage of the filter (:meth:`_arm_dispatch`), each arm's rows
         go to that arm's own branches (:meth:`_arm_batches`); otherwise
         the union is sorted and filtered in chunks, so a bare ``LIMIT``
         above stops after the batch it needs."""
         table = self.catalog.table(plan.table_name)
-        pred = self._batch_pred(plan.filter, plan.binding)
-        if drained and (armed := self._guard_arms(plan, table, pred)) is not None:
-            yield from self._arm_batches(plan, table, pred, *armed)
-            return
+        pred = self._pred(plan, "filter", plan.filter, plan.binding)
+        if drained:
+            arms = self._resolve(plan, "arms", lambda: self._arm_dispatch(plan, table, pred))
+            if arms is not None:
+                index = self.catalog.index_by_name(plan.table_name, arms.index_name)
+                yield from self._arm_batches(plan, table, index, arms)
+                return
         found: set[int] = set()
         for index_name, _column, probes in plan.arms:
             index = self.catalog.index_by_name(plan.table_name, index_name)
@@ -458,33 +593,37 @@ class VectorizedExecutor(Executor):
         self.counters.pages_bitmap += len({rowid // page_size for rowid in rowids})
         yield from self._table_batches(pred, table, _chunked(rowids), None)
 
-    def _guard_arms(self, plan: BitmapOrPlan, table, pred: BatchPredicate | None):
-        """``(index, stage position, guard kernel)`` when every arm of
-        ``plan`` is point probes on one index, with constants a dict can
-        find, and a guard stage of ``pred`` finds each of its branches by
-        that index's column in one dict: a row an arm's key found has that
-        key's branches as its candidates, so each arm's rows are one
-        group.  ``None`` otherwise."""
+    def _arm_dispatch(self, plan: BitmapOrPlan, table, pred: BatchPredicate | None) -> "_Arms | None":
+        """The arm dispatch when every arm of ``plan`` is point probes on
+        one index, with constants a dict can find, and a guard stage of
+        ``pred`` finds each of its branches by that index's column in one
+        dict: a row an arm's key found has that key's branches as its
+        candidates, so each arm's rows are one group.  The filter's other
+        stages must run over column arrays (:func:`_direct`).  ``None``
+        otherwise."""
         names = {index_name for index_name, _column, _probes in plan.arms}
         if pred is None or len(names) != 1:
             return None
         if not all(p.is_point and probe_constant(p.eq_value) for _n, _c, probes in plan.arms for p in probes):
             return None
-        index = self.catalog.index_by_name(plan.table_name, names.pop())
-        pos = table.schema.index_of(index.column)
+        index_name = names.pop()
+        pos = table.schema.index_of(self.catalog.index_by_name(plan.table_name, index_name).column)
         for at, stage in enumerate(pred.stages):
-            if isinstance(stage, _GuardStage) and stage.kernel.points is not None:
-                if stage.kernel.points[0] == pos:
-                    return index, at, stage.kernel
+            points = stage.kernel.points if isinstance(stage, _GuardStage) else None
+            if points is not None and points[0] == pos:
+                before = [_direct(other) for other in pred.stages[:at]]
+                after = [_direct(other) for other in pred.stages[at + 1 :]]
+                if None in before or None in after:
+                    return None
+                return _Arms(index_name, stage.kernel, before, after)
         return None
 
-    def _arm_batches(
-        self, plan: BitmapOrPlan, table, pred: BatchPredicate, index, at: int, kernel: GuardKernel
-    ) -> Iterator[RowBatch]:
+    def _arm_batches(self, plan: BitmapOrPlan, table, index, arms: "_Arms") -> Iterator[RowBatch]:
         """A drained BitmapOr, arm key by arm key: each key's live rows
         (one batch) run the filter's stages before the guard, then only
         the branches the key names — each branch called once, on the rows
         the previous one missed — then the stages after it on the hits.
+        Every stage is called over the table's column arrays directly.
         Every counter is charged as the sorted union's chunks charge it
         (the keys are distinct and a row has one value, so the arms'
         rowids are disjoint); only the hits are sorted, into page order."""
@@ -497,8 +636,7 @@ class VectorizedExecutor(Executor):
         counters.pages_bitmap += len({rowid // page_size for rowids in groups.values() for rowid in rowids})
         slots, columns = table.slots, table.column_arrays()
         tombstones = table.row_count < table.slot_count
-        batch = RowBatch(slots, None, columns)
-        before, after = pred.stages[:at], pred.stages[at + 1 :]
+        kernel, before, after = arms.kernel, arms.before, arms.after
         fns, width, ordinals = kernel.branches, kernel.width, kernel.points[1]  # type: ignore[index]
         hits: list[int] = []
         charge = 0
@@ -510,18 +648,18 @@ class VectorizedExecutor(Executor):
             counters.tuples_scanned += len(sel)
             counters.predicate_evals += len(sel)
             counters.batches += 1
-            for stage in before:
-                sel = stage(batch, sel)
+            for fn, arg in before:
+                sel = fn(columns, sel, arg)
                 if not sel:
                     break
             else:  # rows reached the guard
                 for j in ordinals.get(key, ()):
                     found, sel, spent = fns[j](columns, sel)
                     charge += spent + (j + 1) * len(found)
-                    for stage in after:
+                    for fn, arg in after:
                         if not found:
                             break
-                        found = stage(batch, found)
+                        found = fn(columns, found, arg)
                     hits += found
                     if not sel:
                         break
@@ -533,21 +671,23 @@ class VectorizedExecutor(Executor):
             yield RowBatch(slots, chunk, columns)
 
     def _vexec_CTEScanPlan(self, plan: CTEScanPlan) -> Iterator[RowBatch]:
-        key = plan.cte_name.lower()
-        if key not in self._cte_rows:
+        """The CTE's materialised batch (:meth:`_materialise`) in slices
+        of ``BATCH_ROWS``, each charged as a scan batch of that many
+        rows and filtered."""
+        source = self._cte_rows.get(plan.cte_name.lower())
+        if source is None:
             raise ExecutionError(f"CTE {plan.cte_name!r} was not materialised")
-        pred = self._batch_pred(plan.filter, plan.binding)
+        pred = self._pred(plan, "filter", plan.filter, plan.binding)
         counters = self.counters
-        source = self._cte_rows[key]
-        for rows in _chunked(source):
-            counters.tuples_scanned += len(rows)
+        for batch in source.slices():
+            counters.tuples_scanned += len(batch.rows if batch.sel is None else batch.sel)
             counters.batches += 1
-            if (batch := _filtered(RowBatch(rows), pred)) is not None:
+            if (batch := _filtered(batch, pred)) is not None:
                 yield batch
 
     def _vexec_DerivedScanPlan(self, plan: DerivedScanPlan) -> Iterator[RowBatch]:
         assert plan.child is not None
-        pred = self._batch_pred(plan.filter, plan.binding)
+        pred = self._pred(plan, "filter", plan.filter, plan.binding)
         for batch in self._batches(plan.child):
             if (batch := _filtered(batch, pred)) is not None:
                 yield batch
@@ -556,16 +696,18 @@ class VectorizedExecutor(Executor):
 
     def _vexec_FilterPlan(self, plan: FilterPlan) -> Iterator[RowBatch]:
         assert plan.child is not None and plan.expr is not None
-        pred = self._batch_pred(plan.expr, plan.child.binding)
+        pred = self._pred(plan, "filter", plan.expr, plan.child.binding)
         for batch in self._batches(plan.child):
             if (batch := _filtered(batch, pred)) is not None:
                 yield batch
 
     def _vexec_ProjectPlan(self, plan: ProjectPlan) -> Iterator[RowBatch]:
         if plan.child is None:  # table-less SELECT: the one constant row
-            yield RowBatch([tuple(self._row_fn(e, RowBinding())(()) for e in plan.exprs)])
+            binding = RowBinding()
+            fns = self._resolve(plan, "values", lambda: [self._row_fn(e, binding, value=True) for e in plan.exprs])
+            yield RowBatch([tuple(fn(()) for fn in fns)])
             return
-        fns = [self._value_fn(e, plan.child.binding) for e in plan.exprs]
+        fns = self._values(plan, "values", plan.exprs, plan.child.binding)
         for batch in self._batches(plan.child):
             sel = batch.indices()
             if not sel:
@@ -576,9 +718,9 @@ class VectorizedExecutor(Executor):
 
     def _vexec_HashJoinPlan(self, plan: HashJoinPlan) -> Iterator[RowBatch]:
         assert plan.left is not None and plan.right is not None
-        left_key_fns = [self._value_fn(k, plan.left.binding) for k in plan.left_keys]
-        right_key_fns = [self._value_fn(k, plan.right.binding) for k in plan.right_keys]
-        residual = self._batch_pred(plan.residual, plan.binding)
+        left_key_fns = self._values(plan, "left", plan.left_keys, plan.left.binding)
+        right_key_fns = self._values(plan, "right", plan.right_keys, plan.right.binding)
+        residual = self._pred(plan, "residual", plan.residual, plan.binding)
 
         table: dict[tuple, list[tuple]] = {}
         for batch in self._batches(plan.right):
@@ -611,7 +753,7 @@ class VectorizedExecutor(Executor):
 
     def _vexec_NLJoinPlan(self, plan: NLJoinPlan) -> Iterator[RowBatch]:
         assert plan.left is not None and plan.right is not None
-        condition = self._batch_pred(plan.condition, plan.binding)
+        condition = self._pred(plan, "condition", plan.condition, plan.binding)
         right_rows = self._collect_rows(plan.right)
         for batch in self._batches(plan.left):
             pairs = (lrow + rrow for lrow in batch.take() for rrow in right_rows)
@@ -623,10 +765,10 @@ class VectorizedExecutor(Executor):
         assert plan.left is not None and plan.outer_key is not None
         table = self.catalog.table(plan.inner_table)
         index = self.catalog.index_by_name(plan.inner_table, plan.inner_index)
-        outer_key = self._value_fn(plan.outer_key, plan.left.binding)
+        (outer_key,) = self._values(plan, "outer", [plan.outer_key], plan.left.binding)
         inner_binding = RowBinding.for_table(plan.inner_alias, table.schema.names)
-        inner_pred = self._batch_pred(plan.inner_filter, inner_binding)
-        residual = self._batch_pred(plan.residual, plan.binding)
+        inner_pred = self._pred(plan, "inner", plan.inner_filter, inner_binding)
+        residual = self._pred(plan, "residual", plan.residual, plan.binding)
         counters = self.counters
         page_size, slots = table.page_size, table.slots
         touched: set[int] = set()  # per-join buffer-pool model
@@ -664,11 +806,8 @@ class VectorizedExecutor(Executor):
         one, also over no rows."""
         assert plan.child is not None
         binding = plan.child.binding
-        group_fns = [self._value_fn(e, binding) for e in plan.group_exprs]
-        arg_fns = [
-            self._value_fn(spec.arg, binding) if spec.arg is not None else None
-            for spec in plan.aggregates
-        ]
+        group_fns = self._values(plan, "groups", plan.group_exprs, binding)
+        arg_fns = self._values(plan, "args", [spec.arg for spec in plan.aggregates], binding)
         keys: list[tuple] = []
         args: list[list | None] = [None if fn is None else [] for fn in arg_fns]
         rows_in = 0
@@ -715,8 +854,9 @@ class VectorizedExecutor(Executor):
             return
         batch = RowBatch(rows)
         sel, order = batch.indices(), batch.indices()
-        for expr, asc in reversed(list(zip(plan.sort_exprs, plan.ascending))):
-            keys = _sort_keys(self._value_fn(expr, plan.child.binding)(batch, sel))
+        fns = self._values(plan, "keys", plan.sort_exprs, plan.child.binding)
+        for fn, asc in reversed(list(zip(fns, plan.ascending))):
+            keys = _sort_keys(fn(batch, sel))
             order.sort(key=keys.__getitem__, reverse=not asc)
         for chunk in _chunked(order):
             yield RowBatch([rows[i] for i in chunk])
@@ -769,7 +909,7 @@ class VectorizedExecutor(Executor):
             else:
                 yield from self._first_seen(inputs)
             return
-        right = set(self._iter(plan.right))
+        right = set(self._collect_rows(plan.right))
         if plan.op == "EXCEPT":
             yield from self._first_seen([plan.left], lambda row: row not in right)
         else:  # INTERSECT

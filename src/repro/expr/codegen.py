@@ -5,7 +5,8 @@ nested lambdas — evaluating ``a = 1 AND b < 5`` costs five Python
 frames per row.  This module instead renders the whole tree into one
 Python source function and ``compile()``s it, so a row evaluation is
 one call whose body is plain inline bytecode.  Semantics (NULL logic —
-two-valued except beneath ``NOT``, three-valued there — short-circuiting,
+two-valued where a predicate is tested, three-valued beneath ``NOT`` and
+where a predicate's value is read — short-circuiting,
 metered policy ORs) are identical to the closure compiler by
 construction: every construct is generated from the same rules, and
 the differential/property tests assert value and counter equality.  Any tree the generator cannot render falls back to
@@ -402,7 +403,7 @@ class _Emitter:
         if isinstance(expr, (Literal, KernelConst)):
             return self.emit(expr), None
         name = self.fresh("t")
-        return name, f"({name} := {self.emit(expr)}) is not None"
+        return name, f"({name} := {self.value(expr)}) is not None"
 
     def column(self, pos: int) -> str:
         if self.mode == "row":
@@ -435,7 +436,7 @@ class _Emitter:
             return self.column(c.binding.resolve(expr))
         if isinstance(expr, Comparison):
             lt, rt = self.fresh("t"), self.fresh("t")
-            left, right = self.emit(expr.left), self.emit(expr.right)
+            left, right = self.value(expr.left), self.value(expr.right)
             op = _CMP_OPS[expr.op]
             if isinstance(expr.right, (Literal, KernelConst, ColumnRef)):
                 # Lazy right side: a literal/column evaluation has no
@@ -460,7 +461,7 @@ class _Emitter:
             # SQL in WHERE: BETWEEN is lo <= x AND x <= hi, never true
             # with a NULL bound; NOT BETWEEN is true past a non-NULL one.
             t = self.fresh("t")
-            inner = self.emit(expr.expr)
+            inner = self.value(expr.expr)
             (low, low_ok), (high, high_ok) = self.bound(expr.low), self.bound(expr.high)
             if low_ok is None and high_ok is None:  # bounds that cannot be NULL
                 body = f"{low} <= {t} <= {high}"
@@ -478,7 +479,7 @@ class _Emitter:
         if isinstance(expr, InList):
             # NOT IN with a NULL item is never true in WHERE.
             t = self.fresh("t")
-            inner = self.emit(expr.expr)
+            inner = self.value(expr.expr)
             members = None
             if all(isinstance(i, Literal) for i in expr.items):
                 values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
@@ -490,7 +491,7 @@ class _Emitter:
             if members is not None:
                 op = "not in" if expr.negated else "in"
                 return f"(({t} := {inner}) is not None and {t} {op} {members})"
-            items = [self.emit(i) for i in expr.items]
+            items = [self.value(i) for i in expr.items]
             if expr.negated:
                 names = [self.fresh("t") for _ in items]
                 body = " and ".join(
@@ -514,7 +515,7 @@ class _Emitter:
             return f"({self.tri(expr.child)} is False)"
         if isinstance(expr, Arith):
             lt, rt = self.fresh("t"), self.fresh("t")
-            left, right = self.emit(expr.left), self.emit(expr.right)
+            left, right = self.value(expr.left), self.value(expr.right)
             if expr.op in ("/", "%"):
                 # Matches the closure compiler: divide-by-zero/NULL -> NULL.
                 inner = f"(({lt} {expr.op} {rt}) if {rt} else None)"
@@ -533,14 +534,13 @@ class _Emitter:
             # ``<literal> is None`` SyntaxWarning.  A predicate is NULL
             # when it is unknown: its three-valued form tells.
             t = self.fresh("t")
-            child = self.tri(expr.child) if isinstance(expr.child, PREDICATES) else self.emit(expr.child)
-            return f"(({t} := {child}) is None)"
+            return f"(({t} := {self.value(expr.child)}) is None)"
         if isinstance(expr, InSubquery):
             if c.in_subquery_fn is None:
                 raise CodegenUnsupported("IN subqueries unavailable here")
             members = self.const(c.in_subquery_fn(expr.select))
             t = self.fresh("t")
-            inner = self.emit(expr.expr)
+            inner = self.value(expr.expr)
             op = "not in" if expr.negated else "in"
             return f"(({t} := {inner}) is not None and {t} {op} {members})"
         if isinstance(expr, ScalarSubquery):
@@ -563,10 +563,17 @@ class _Emitter:
             )
         raise CodegenUnsupported(f"no codegen for {type(expr).__name__}")
 
+    def value(self, expr: Expr) -> str:
+        """``expr`` where its value is read — a select-list item, a key,
+        an operand: a predicate there is three-valued (:meth:`tri`), so
+        unknown reads NULL; anything else is :meth:`emit`'s source."""
+        return self.tri(expr) if isinstance(expr, PREDICATES) else self.emit(expr)
+
     def tri(self, expr: Expr) -> str:
         """``expr`` in SQL's three-valued logic: Python source giving
         ``True``, ``False`` or ``None`` (unknown).  Only what a ``NOT``
-        negates is emitted this way — everywhere else unknown and false
+        negates and a predicate whose value is read (:meth:`value`) are
+        emitted this way — where a predicate is tested, unknown and false
         both reject the row, so the two-valued form of :meth:`emit`
         stands, and guard and query predicates keep their source."""
         if isinstance(expr, Not):
@@ -587,7 +594,7 @@ class _Emitter:
             return f"({''.join(tries)}None if {unknown} else {other})"
         if isinstance(expr, Comparison):
             lt, rt = self.fresh("t"), self.fresh("t")
-            left, right = self.emit(expr.left), self.emit(expr.right)
+            left, right = self.value(expr.left), self.value(expr.right)
             compared = f"{lt} {_CMP_OPS[expr.op]} {rt}"
             if isinstance(expr.right, (Literal, KernelConst, ColumnRef)):  # lazy, as in emit
                 return f"(None if ({lt} := {left}) is None or ({rt} := {right}) is None else {compared})"
@@ -595,7 +602,7 @@ class _Emitter:
         if isinstance(expr, Between):
             # x BETWEEN lo AND hi is lo <= x AND x <= hi, in Kleene logic.
             t, lo, hi = self.fresh("t"), self.fresh("t"), self.fresh("t")
-            inner, low, high = self.emit(expr.expr), self.emit(expr.low), self.emit(expr.high)
+            inner, low, high = self.value(expr.expr), self.value(expr.low), self.value(expr.high)
             body = (
                 f"(None if ({t} := {inner}) is None else False if "
                 f"(({lo} := {low}) is not None and not {lo} <= {t}) or "
@@ -605,7 +612,7 @@ class _Emitter:
             return self._negated3(body) if expr.negated else body
         if isinstance(expr, (InList, InSubquery)):
             t = self.fresh("t")
-            inner = self.emit(expr.expr)
+            inner = self.value(expr.expr)
             if isinstance(expr, InSubquery):
                 if self.compiler.in_subquery_fn is None:
                     raise CodegenUnsupported("IN subqueries unavailable here")
@@ -618,7 +625,7 @@ class _Emitter:
                 # A lifted list: its set holds no NULL beneath a NOT.
                 body = self._member3(t, inner, self.emit(expr.items[0]), False)
             else:
-                items = ", ".join(self.emit(i) for i in expr.items)
+                items = ", ".join(self.value(i) for i in expr.items)
                 body = f"(None if ({t} := {inner}) is None else {self.const(_in3)}({t}, ({items},)))"
             return self._negated3(body) if expr.negated else body
         if isinstance(expr, IsNull):
@@ -645,7 +652,7 @@ class _Emitter:
                 "(aggregates are only valid in SELECT/HAVING)"
             )
         fn = self.const(target)
-        args = ", ".join(self.emit(a) for a in expr.args)
+        args = ", ".join(self.value(a) for a in expr.args)
         return f"{fn}({args})"
 
     def charged_or(self, expr: Or) -> str:
@@ -1062,6 +1069,21 @@ class CodegenExprCompiler:
         except Exception:
             return self._closure().compile(expr)
 
+    def compile_value(self, expr: Expr) -> RowFn:
+        """``expr`` where its value is read (:meth:`_Emitter.value`): as
+        :meth:`compile`, but a predicate is three-valued, so unknown
+        reads NULL."""
+        if not isinstance(expr, PREDICATES):
+            return self.compile(expr)
+        emitter = _Emitter(self, "row")
+        try:
+            emitter.defs.append(f"def _main(_r):\n    return {emitter.tri(expr)}")
+            return self._exec("\n\n".join(emitter.defs), emitter.env)["_main"]
+        except ExecutionError:
+            raise
+        except Exception:
+            return self._closure().compile_value(expr)
+
     def _closure(self) -> ExprCompiler:
         return ExprCompiler(
             self.binding,
@@ -1095,7 +1117,7 @@ class CodegenExprCompiler:
         """``fn(columns, selection, constants=()) -> value list`` (one
         per index); constants as in :meth:`compile_batch_predicate`."""
         emitter = _Emitter(self, "col")
-        body = emitter.emit(expr)
+        body = emitter.value(expr)
         return self._kernel(emitter, [f"    return [{body} for _i in _sel]"], _SHAPE_ARGS)
 
     def compile_batch_guard(

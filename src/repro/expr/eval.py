@@ -7,11 +7,13 @@ against many thousands of tuples, so per-row name resolution would
 dominate runtime.
 
 Null semantics: a predicate that is unknown (a comparison against
-None) rejects the row exactly as a false one does, so everywhere but
-beneath ``NOT`` booleans stay two-valued, which keeps guard-cost
-reasoning exact.  What a ``NOT`` negates is evaluated in SQL's
-three-valued (Kleene) logic (:meth:`ExprCompiler.compile_tri`): the
-negation of unknown is unknown, and rejects the row too.
+None) rejects the row exactly as a false one does, so where a predicate
+is tested booleans stay two-valued, which keeps guard-cost reasoning
+exact.  What a ``NOT`` negates, and a predicate whose value is read (a
+select-list item, a key, an operand: :meth:`ExprCompiler.compile_value`),
+is evaluated in SQL's three-valued (Kleene) logic
+(:meth:`ExprCompiler.compile_tri`): the negation of unknown is unknown,
+and rejects the row too; read as a value, unknown is NULL.
 """
 
 from __future__ import annotations
@@ -199,16 +201,16 @@ class ExprCompiler:
             pos = self.binding.resolve(expr)
             return lambda row: row[pos]
         if isinstance(expr, Comparison):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
+            left = self.compile_value(expr.left)
+            right = self.compile_value(expr.right)
             fn = _cmp(expr.op)
             return lambda row: fn(left(row), right(row))
         if isinstance(expr, Between):
             # SQL in WHERE: BETWEEN is lo <= x AND x <= hi, never true
             # with a NULL bound; NOT BETWEEN is true past a non-NULL one.
-            inner = self.compile(expr.expr)
-            low = self.compile(expr.low)
-            high = self.compile(expr.high)
+            inner = self.compile_value(expr.expr)
+            low = self.compile_value(expr.low)
+            high = self.compile_value(expr.high)
             if expr.negated:
                 return lambda row: (v := inner(row)) is not None and (
                     ((lo := low(row)) is not None and not lo <= v)
@@ -223,7 +225,7 @@ class ExprCompiler:
             )
         if isinstance(expr, InList):
             # NOT IN with a NULL item is never true in WHERE.
-            inner = self.compile(expr.expr)
+            inner = self.compile_value(expr.expr)
             if all(isinstance(i, Literal) for i in expr.items):
                 values = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
                 if expr.negated:
@@ -231,7 +233,7 @@ class ExprCompiler:
                         return lambda row: inner(row) is not None and False
                     return lambda row: (v := inner(row)) is not None and v not in values
                 return lambda row: (v := inner(row)) is not None and v in values
-            item_fns = [self.compile(i) for i in expr.items]
+            item_fns = [self.compile_value(i) for i in expr.items]
             if expr.negated:
                 return lambda row: (
                     (v := inner(row)) is not None
@@ -271,8 +273,8 @@ class ExprCompiler:
             fn = self.compile_tri(expr.child)
             return lambda row: fn(row) is False
         if isinstance(expr, Arith):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
+            left = self.compile_value(expr.left)
+            right = self.compile_value(expr.right)
             op_fn = _ARITH_FNS.get(expr.op)
             if op_fn is None:
                 raise ExecutionError(f"unknown arithmetic operator {expr.op!r}")
@@ -293,15 +295,14 @@ class ExprCompiler:
             if self.in_subquery_fn is None:
                 raise ExecutionError("IN subqueries are not available in this context")
             members = self.in_subquery_fn(expr.select)
-            inner = self.compile(expr.expr)
+            inner = self.compile_value(expr.expr)
             if expr.negated:
                 return lambda row: (v := inner(row)) is not None and v not in members
             return lambda row: (v := inner(row)) is not None and v in members
         if isinstance(expr, IsNull):
             # A predicate is NULL when it is unknown, which only its
             # three-valued form tells apart from false.
-            predicate = isinstance(expr.child, PREDICATES)
-            inner = self.compile_tri(expr.child) if predicate else self.compile(expr.child)
+            inner = self.compile_value(expr.child)
             return lambda row: inner(row) is None
         if isinstance(expr, Star):
             raise ExecutionError("'*' is only valid in a SELECT list")
@@ -311,6 +312,12 @@ class ExprCompiler:
                 "bind values before execution (see repro.expr.params)"
             )
         raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
+
+    def compile_value(self, expr: Expr) -> RowFn:
+        """``expr`` where its value is read — a select-list item, a key,
+        an operand: a predicate there is three-valued (:meth:`compile_tri`),
+        so unknown reads NULL, as SQL has it."""
+        return self.compile_tri(expr) if isinstance(expr, PREDICATES) else self.compile(expr)
 
     def compile_tri(self, expr: Expr) -> RowFn:
         """``expr`` in three-valued logic: a row callable giving
@@ -340,7 +347,7 @@ class ExprCompiler:
 
             return kleene
         if isinstance(expr, Comparison):
-            left, right = self.compile(expr.left), self.compile(expr.right)
+            left, right = self.compile_value(expr.left), self.compile_value(expr.right)
             op = _OPERATORS[expr.op]
 
             def compare(row):
@@ -351,7 +358,7 @@ class ExprCompiler:
 
             return compare
         if isinstance(expr, Between):
-            inner, low, high = (self.compile(e) for e in (expr.expr, expr.low, expr.high))
+            inner, low, high = (self.compile_value(e) for e in (expr.expr, expr.low, expr.high))
 
             def between(row):
                 v = inner(row)
@@ -364,7 +371,7 @@ class ExprCompiler:
 
             return between
         if isinstance(expr, (InList, InSubquery)):
-            inner = self.compile(expr.expr)
+            inner = self.compile_value(expr.expr)
             if isinstance(expr, InSubquery):
                 if self.in_subquery_fn is None:
                     raise ExecutionError("IN subqueries are not available in this context")
@@ -372,7 +379,7 @@ class ExprCompiler:
             elif all(isinstance(i, Literal) for i in expr.items):
                 members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
             else:
-                item_fns = [self.compile(i) for i in expr.items]
+                item_fns = [self.compile_value(i) for i in expr.items]
 
                 def listed(row):
                     v = inner(row)
@@ -402,7 +409,7 @@ class ExprCompiler:
 
     def _compile_call(self, expr: FuncCall) -> RowFn:
         name = expr.name.lower()
-        arg_fns = [self.compile(a) for a in expr.args]
+        arg_fns = [self.compile_value(a) for a in expr.args]
         udf = self.udfs.get(name)
         if udf is not None:
             return lambda row: udf(*[fn(row) for fn in arg_fns])

@@ -415,12 +415,15 @@ class _KernelLifter(_Extractor):
     shape, where the code generator sees it (a NULL bound makes BETWEEN
     never true, a NULL item NOT IN), so a slot needs no NULL test per
     row.  An IN list drops it (no row's value equals NULL) — except
-    beneath ``NOT``, where a NULL item makes a miss unknown rather than
-    false, and the list keeps its items apart."""
+    beneath ``NOT``, or anywhere when ``keep_null`` (a predicate whose
+    value is read), where a NULL item makes a miss unknown rather than
+    false, and the list keeps its items apart.  ``dropped_null`` tells
+    whether a list dropped one."""
 
-    def __init__(self) -> None:
+    def __init__(self, keep_null: bool = False) -> None:
         super().__init__()
-        self.beneath_not = False
+        self.beneath_not = keep_null
+        self.dropped_null = False
 
     def _slot(self, value: Any) -> Expr:
         self.values.append(value)
@@ -436,6 +439,7 @@ class _KernelLifter(_Extractor):
         if isinstance(expr, InList) and all(isinstance(i, Literal) for i in expr.items):
             members = frozenset(i.value for i in expr.items)  # type: ignore[union-attr]
             if None not in members or not (expr.negated or self.beneath_not):
+                self.dropped_null |= None in members
                 members = members - {None}
                 return InList(self.value(expr.expr), (self._slot(members),), negated=expr.negated)
         if isinstance(expr, (Literal, Arith, FuncCall)):
@@ -451,20 +455,25 @@ class _KernelLifter(_Extractor):
         return query
 
 
-def lift_constants(expr: Expr) -> tuple[Expr, tuple[Any, ...]]:
-    """``(shape, constants)`` of one filter conjunct or projection
-    value: ``shape`` is ``expr`` with the literals parameterization
-    would extract replaced by :class:`KernelConst` slots, so two
-    expressions that differ only in those literals have equal shapes —
-    the key one compiled kernel is shared under.  The node remembers
-    the answer (it is the node's alone, so it needs no stamp): a cached
-    plan's filter is lifted once, not once per execution."""
+def lift_constants(expr: Expr, value: bool = False) -> tuple[Expr, tuple[Any, ...]]:
+    """``(shape, constants)`` of one filter conjunct or, with ``value``,
+    projection value: ``shape`` is ``expr`` with the literals
+    parameterization would extract replaced by :class:`KernelConst`
+    slots, so two expressions that differ only in those literals have
+    equal shapes — the key one compiled kernel is shared under.  The
+    node remembers the answer (it is the node's alone, so it needs no
+    stamp): a cached plan's filter is lifted once, not once per
+    execution.  A value whose IN list dropped a NULL item, which only a
+    tested predicate may, is lifted again keeping it."""
     known = expr.__dict__.get("_lifted")
     if known is None:
         lifter = _KernelLifter()
-        known = (lifter.predicate(expr), tuple(lifter.values))
+        known = (lifter.predicate(expr), tuple(lifter.values), lifter.dropped_null)
         object.__setattr__(expr, "_lifted", known)
-    return known
+    if value and known[2]:
+        lifter = _KernelLifter(keep_null=True)
+        return lifter.predicate(expr), tuple(lifter.values)
+    return known[0], known[1]
 
 
 def parameterize_query(query: Query) -> tuple[Query, tuple[Any, ...]]:

@@ -37,7 +37,7 @@ planner.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from repro.common.errors import PlanError
@@ -116,10 +116,18 @@ from repro.storage.catalog import Catalog
 
 @dataclass
 class PlannedQuery:
-    """A plan plus the CTE plans it depends on (materialised at exec)."""
+    """A plan plus the CTE plans it depends on (materialised at exec).
+
+    ``resolved`` is the plan's own dict, in which the batch executor
+    files, per plan node, what its operator resolved on the plan's first
+    execution — the node's batch predicates, value functions and a
+    drained BitmapOr's arm dispatch (``engine/vector.py``) — so a cached
+    plan's repeat makes no kernel look-up.  It lives and dies with this
+    object: a plan evicted from the plan cache takes it along."""
 
     root: PlanNode
     cte_plans: dict[str, PlanNode]
+    resolved: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class _Bind:

@@ -357,6 +357,43 @@ IS_NULL_PROBES = [
 ]
 
 
+# ------------------------------------------- a predicate read as a value
+#
+# Where a predicate's value is read — a select-list item, an operand, an
+# aggregate's argument, a sort key — it is three-valued: unknown is NULL.
+# On the ``NOT`` probes' table; a truth value reads as 0 / 1.
+
+VALUE_PROBES = [
+    ("SELECT id, v > 2 FROM t", [(1, 0), (2, None), (3, 1)]),
+    ("SELECT id, NOT (v > 2) FROM t", [(1, 1), (2, None), (3, 0)]),
+    ("SELECT id, (v > 2) AND (id > 0) FROM t", [(1, 0), (2, None), (3, 1)]),
+    ("SELECT id, (v > 2) OR (id = 2) FROM t", [(1, 0), (2, 1), (3, 1)]),
+    ("SELECT id, v BETWEEN 0 AND 2 FROM t", [(1, 1), (2, None), (3, 0)]),
+    ("SELECT id, v IN (1, NULL) FROM t", [(1, 1), (2, None), (3, None)]),
+    ("SELECT id, (v > 2) + 1 FROM t", [(1, 1), (2, None), (3, 2)]),
+    ("SELECT id, COALESCE(v > 2, 7) FROM t", [(1, 0), (2, 7), (3, 1)]),
+    ("SELECT id FROM t WHERE (v > 2) = (id > 2)", [(1,), (3,)]),
+    ("SELECT COUNT(v > 2), SUM(v > 2) FROM t", [(2, 1)]),
+]
+
+
+@pytest.mark.parametrize("sql, rows", VALUE_PROBES)
+def test_a_predicate_read_as_a_value_answers_as_sqlite(sql, rows):
+    db = connect("postgres")
+    db.create_table("t", Schema([Column("id", ColumnType.INT), Column("v", ColumnType.INT, nullable=True)]))
+    db.insert("t", [(1, 1), (2, None), (3, 5)])
+    db.analyze()
+    backend = SqliteBackend().ship(db)
+
+    def read(result):
+        return sorted(tuple(int(x) if isinstance(x, bool) else x for x in row) for row in result.rows)
+
+    assert read(backend.execute(sql)) == rows
+    for vectorized in (True, False):
+        db.vectorized = vectorized
+        assert read(db.execute(sql)) == rows, (vectorized, sql)
+
+
 @pytest.mark.parametrize("sql, rows", IS_NULL_PROBES)
 def test_is_null_over_a_predicate_answers_as_sqlite(sql, rows):
     db = connect("postgres")

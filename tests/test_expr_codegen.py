@@ -151,13 +151,15 @@ def test_codegen_matches_closure_rowwise(expr, seed):
 @given(expr=expr_strategy(), seed=st.integers(0, 50))
 def test_batch_kernels_match_rowwise(expr, seed):
     """Column-mode kernels agree with per-row evaluation (no metering
-    in column mode by contract, so compile without counters)."""
+    in column mode by contract, so compile without counters): a value
+    kernel with the value form, where a predicate reads unknown as NULL,
+    and a predicate kernel with its truth."""
     binding = make_binding()
     rows = random_rows(seed)
     cols = list(zip(*rows))
     sel = list(range(len(rows)))
     compiler = CodegenExprCompiler(binding)
-    row_fn = ExprCompiler(binding).compile(expr)
+    row_fn = ExprCompiler(binding).compile_value(expr)
 
     def rowwise_ok():
         try:
@@ -799,7 +801,9 @@ def test_shape_kernel_equals_literal_kernel_and_row_mode(conj, seed):
     """The kernel compiled from a conjunct's shape, applied to the
     conjunct's constants, keeps the indices — and charges the
     ``policy_evals`` — of the kernel compiled from the literal conjunct
-    (what the parent cached per binding) and of the row function."""
+    (what the parent cached per binding) and of the row function; and
+    the value kernel of its value shape, the literal value kernel's
+    values."""
     binding = make_binding()
     rows = typed_rows(seed)
     cols, sel = list(zip(*rows)), list(range(len(rows)))
@@ -820,6 +824,8 @@ def test_shape_kernel_equals_literal_kernel_and_row_mode(conj, seed):
     shaped = observe(lambda compiler: compiler.compile_batch_predicate(shape)(cols, sel, consts))
     assert shaped == literal == observe(by_row)
     values = observe(lambda compiler: compiler.compile_batch_values(conj)(cols, sel))
+    # Read as a value, an IN list's NULL item makes a miss NULL: its own lift keeps the item.
+    shape, consts = lift_constants(conj, value=True)
     assert observe(lambda compiler: compiler.compile_batch_values(shape)(cols, sel, consts)) == values
 
 

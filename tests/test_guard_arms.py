@@ -60,10 +60,10 @@ GUARD = (
 ARM_KEYS = ([1], [2, 3], [3], [4], [5], [6])
 
 
-def make_db(seed: int, index_kind: str = "btree", nulls: bool = False, dead: int = 0):
-    """``t(id, owner, v, w)``: 600 rows over owners 0-8 (NULL owners when
-    ``nulls``, with a hash index, which files them), ``dead`` of them
-    deleted, and the UDF ``delta``."""
+def make_db(seed: int, index_kind: str = "btree", nulls: bool = False, dead: int = 0, rows: int = 600):
+    """``t(id, owner, v, w)``: ``rows`` rows over owners 0-8 (NULL owners
+    when ``nulls``, with a hash index, which files them), ``dead`` of
+    them deleted, and the UDF ``delta``."""
     rng = random.Random(seed)
     db = connect("postgres", page_size=16)
     db.create_table(
@@ -78,11 +78,11 @@ def make_db(seed: int, index_kind: str = "btree", nulls: bool = False, dead: int
         ),
     )
     owners = list(range(9)) + ([None, None] if nulls else [])
-    db.insert("t", [(i, rng.choice(owners), rng.randrange(100), rng.randrange(8)) for i in range(600)])
+    db.insert("t", [(i, rng.choice(owners), rng.randrange(100), rng.randrange(8)) for i in range(rows)])
     db.create_index("t", "owner", kind=index_kind)
     db.create_index("t", "v")
     db.create_function("delta", lambda owner, v: None if v is None else v % 3 == 0)
-    for rowid in rng.sample(range(600), dead):
+    for rowid in rng.sample(range(rows), dead):
         db.delete_row("t", rowid)
     db.analyze()
     return db

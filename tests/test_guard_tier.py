@@ -90,14 +90,13 @@ class TestWarmEqualsCold:
                 f"counters for {sql!r}"
             )
 
-    def test_denied_querier_cached_and_still_denied(self):
+    def test_denied_querier_still_denied_and_not_held(self):
         db, _rows, store, sieve = build_world()
         assert sieve.execute(QUERIES[0], "stranger", "analytics").rows == []
-        before = sieve.guard_store.stats.hits
+        before = sieve.guard_store.stats.misses
         assert sieve.execute(QUERIES[0], "stranger", "analytics").rows == []
-        assert sieve.guard_store.stats.hits == before + 1  # denial is held too
-        entry = sieve.guard_store.entry("stranger", "analytics", "wifi")
-        assert entry.expression is None and entry.rows is None  # and gets no rGE row
+        assert sieve.guard_store.stats.misses == before + 1  # a stranger's denial is not held
+        assert sieve.guard_store.entry("stranger", "analytics", "wifi") is None  # nor persisted
 
 
 class TestMutationInvalidation:
@@ -578,15 +577,15 @@ class TestGuardTier:
         snapshot = store.snapshot()
         for querier in ("alice", "bob", "carol"):
             tier.resolve(querier, "analytics", "wifi", snapshot, steps)
-        tier.resolve("dave", "analytics", "wifi", snapshot, steps)  # a held denial
+        denied, _ = tier.resolve("dave", "analytics", "wifi", snapshot, steps)
+        assert denied.expression is None and tier.entry("dave", "analytics", "wifi") is None  # not held
         store.insert(_policy("alice"))
         assert tier.entry("alice", "analytics", "wifi").epoch is None
         assert tier.is_outdated("alice", "analytics", "wifi")
         store.insert(_policy("staff"))
         assert tier.entry("bob", "analytics", "wifi").epoch is None
         assert tier.stats.invalidations == 2
-        for querier in ("carol", "dave"):
-            assert tier.entry(querier, "analytics", "wifi").epoch == store.epoch
+        assert tier.entry("carol", "analytics", "wifi").epoch == store.epoch
         assert not tier.is_outdated("carol", "analytics", "wifi")
         store.protect("elsewhere")  # unheard: nobody is carried across it
         store.insert(_policy("erin"))
@@ -598,14 +597,14 @@ class TestGuardTier:
         snapshot = store.snapshot()
         for querier in ("alice", "bob", "dave"):
             tier.resolve(querier, "analytics", "wifi", snapshot, steps)
-        assert tier.queriers() == {"alice", "bob", "dave"}
+        assert tier.queriers() == {"alice", "bob"}  # dave, denied, is not held
         held = sieve.db.catalog.table("sieve_guarded_expressions").row_count
         assert tier.invalidate(querier="alice") == 1
         assert sieve.db.catalog.table("sieve_guarded_expressions").row_count == held - 1
-        assert tier.invalidate(querier="dave") == 1  # a denial has no rows to drop
+        assert tier.invalidate(querier="dave") == 0
         assert tier.keys() == [("bob", "analytics", "wifi")] and tier.queriers() == {"bob"}
         assert tier.invalidate() == 1 and len(tier) == 0
-        assert tier.stats.invalidations == 3
+        assert tier.stats.invalidations == 2
 
     def test_the_key_spells_the_relation_in_lower_case(self):
         store, sieve, steps = self._world()
@@ -657,3 +656,48 @@ class TestGuardTier:
             "unrelated querier lost its warm guard state across a "
             "cross-querier update"
         )
+
+
+class _Forbidden:
+    """A lock no caller may take."""
+
+    def __enter__(self):
+        raise AssertionError("the build lock was taken")
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestStrangers:
+    """A querier with no applicable policy and nothing held is denied
+    without the build lock and files no entry, so made-up names do not
+    grow the tier."""
+
+    def test_strangers_file_no_entry_and_read_nothing(self):
+        db, _rows, store, sieve = build_world(n_owners=10, per_owner=1)
+        sieve.execute(QUERIES[0], "prof", "analytics")
+        held = len(sieve.guard_store)
+        lock, sieve.guard_store.lock = sieve.guard_store.lock, _Forbidden()
+        try:
+            for i in range(2000):
+                assert sieve.execute(QUERIES[2], f"stranger-{i}", "analytics").rows == []
+        finally:
+            sieve.guard_store.lock = lock
+        assert len(sieve.guard_store) == held
+        assert sieve.guard_store.entry("stranger-7", "analytics", "wifi") is None
+
+    def test_a_stranger_granted_a_policy_is_served_it_at_the_new_epoch(self):
+        db, rows, store, sieve = build_world(n_owners=10, per_owner=1)
+        sql = "SELECT * FROM wifi"
+        assert sieve.serve(sql, "newcomer", "analytics").result.rows == []
+        store.insert(
+            Policy(
+                owner=3, querier="newcomer", purpose="analytics", table="wifi",
+                object_conditions=(ObjectCondition("owner", "=", 3),),
+            )
+        )
+        got = sieve.serve(sql, "newcomer", "analytics")
+        assert got.policy_epoch == store.epoch
+        assert sorted(got.result.rows) == sorted(row for row in rows if row[2] == 3)
+        entry = sieve.guard_store.entry("newcomer", "analytics", "wifi")
+        assert entry is not None and entry.epoch == store.epoch and entry.expression is not None

@@ -16,8 +16,10 @@ strategy / bind / planning's two phases, ``plan.template``
 is rewritten at all / what a plan's first execution costs beyond a
 repeat — and the ``Planner.prepare``, ``rewriter.rewrite`` and
 ``compile()`` calls and the garbage collector's pause ms per request.
-``warm`` exits non-zero if a read parses or compiles, ``fresh`` if a
-fresh read of a known shape parses or runs phase 1 of planning.
+``warm`` exits non-zero if a read parses or compiles, or if a warm read
+of the canonical world looks up a compiled expression or copies a CTE's
+tuples; ``fresh`` if a fresh read of a known shape parses or runs phase
+1 of planning.
 
 Modes (the canonical benchmark's workloads, one thread, no queue):
 
@@ -26,7 +28,10 @@ Modes (the canonical benchmark's workloads, one thread, no queue):
   plan-cache miss, so strategy choice, binding the template's rewrite
   and binding its plan template run per request;
 * ``warm``  — one fixed text per (querier, shape): a statement-memo hit
-  (no parse) and a plan-cache hit;
+  (no parse) and a plan-cache hit, whose plan's operators were resolved
+  on its first execution; then per warm read of the canonical
+  ``serve_warm`` world its guard-branch calls, compiled-expression cache
+  look-ups and CTE tuples copied;
 * ``churn`` — [1 policy write, 5 reads]: the first read after a write
   brings the written querier's guards to the new corpus (maintenance,
   or every k-th insert a full regeneration) and re-plans; its split,
@@ -395,22 +400,48 @@ def branch_calls_counted() -> Iterator[Counter]:
         VectorizedExecutor._vexec_BitmapOrPlan = real_bitmap
 
 
+@contextlib.contextmanager
+def cte_copies_counted(counted: Counter) -> Iterator[Counter]:
+    """``counted["copied"]``, while open, grows by the tuples each CTE
+    materialisation copies out of its body — a table scan's CTE is held
+    as heap rowids and copies none."""
+    real = VectorizedExecutor._materialise
+
+    def materialise(self, plan):
+        held = real(self, plan)
+        if held.sel is None:
+            counted["copied"] += len(held.rows)
+        return held
+
+    VectorizedExecutor._materialise = materialise
+    try:
+        yield counted
+    finally:
+        VectorizedExecutor._materialise = real
+
+
 def warm_branch_calls() -> tuple[str, list[str]]:
     """The guard-branch calls and rows per call of each warm read of the
     canonical ``serve_warm`` world (its 96 querier x SQL pairs, each
-    served once before), summed up per query shape; and, one line each,
-    the reads that made more branch calls than their BitmapOr has arms
-    — a drained BitmapOr of ``owner =`` arms calls each arm's branch
-    once."""
-    with branch_calls_counted() as counted:
+    served once before), summed up per query shape, and what a warm read
+    resolves again: its compiled-expression cache look-ups (a cached
+    plan's operators are resolved on its first execution) and the CTE
+    tuples it copies.  And, one line each, the reads that made more
+    branch calls than their BitmapOr has arms — a drained BitmapOr of
+    ``owner =`` arms calls each arm's branch once — or any look-up or
+    copy."""
+    with branch_calls_counted() as counted, cte_copies_counted(counted):
         world = CanonicalWorld()
         pairs = world.inputs.warm_pairs
         for querier, sql in pairs:
             world.sieve.serve(sql, querier, world.purpose)
         per_read: list[tuple[str, str, Counter]] = []
+        cache = world.db.expr_cache
         for querier, sql in pairs:
             counted.clear()
+            looked = cache.hits + cache.misses
             world.sieve.serve(sql, querier, world.purpose)
+            counted["lookups"] = cache.hits + cache.misses - looked
             per_read.append((querier, sql, counted.copy()))
     shapes: dict[str, list[Counter]] = defaultdict(list)
     for _querier, sql, c in per_read:
@@ -424,10 +455,18 @@ def warm_branch_calls() -> tuple[str, list[str]]:
             f"  calls median {statistics.median(calls):.0f} (max {max(calls)}), rows per call {rows:.1f}, "
             f"BitmapOr arms median {arms:.0f} | {shape[:90]}"
         )
+    for label, kind in (("compiled-expression cache look-ups", "lookups"), ("CTE tuples copied", "copied")):
+        counts = [c[kind] for _q, _s, c in per_read]
+        lines.append(f"{label} per warm read: median {statistics.median(counts):.0f} (max {max(counts)})")
     broken = [
         f"a warm read made {c['calls']} guard-branch calls over {c['arms']} BitmapOr arms ({querier}: {sql})"
         for querier, sql, c in per_read
         if c["bitmaps"] and c["calls"] > c["arms"]
+    ] + [
+        f"a warm read made {c['lookups']} compiled-expression cache look-ups"
+        f" and copied {c['copied']} CTE tuples ({querier}: {sql})"
+        for querier, sql, c in per_read
+        if c["lookups"] or c["copied"]
     ]
     return "\n".join(lines), broken
 
