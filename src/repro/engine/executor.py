@@ -96,10 +96,6 @@ class Executor:
     #: executor, which keeps only the subquery evaluation below.
     compiler_cls: type = ExprCompiler
 
-    #: Set when a function compiled through ``fn_cache`` was left out of
-    #: it because it holds a subquery (it closes over this executor).
-    _holds_subquery = False
-
     def __init__(
         self,
         catalog: Catalog,
@@ -167,9 +163,7 @@ class Executor:
         if fn is None:
             compiler = self._compiler(binding)
             fn = compiler.compile_value(expr) if value else compiler.compile(expr)
-            if contains_subquery(expr):
-                self._holds_subquery = True
-            else:
+            if not contains_subquery(expr):
                 cache.store(expr, extra, fn)
         return fn
 

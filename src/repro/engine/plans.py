@@ -63,8 +63,17 @@ class PlanNode:
     def children(self) -> list["PlanNode"]:
         return []
 
+    def expressions(self) -> list[Expr]:
+        """The node's own expressions (a filter, keys, values), not its
+        children's."""
+        return []
+
     def describe(self) -> str:
         return ""
+
+
+def _present(*exprs: Optional[Expr]) -> list[Expr]:
+    return [e for e in exprs if e is not None]
 
 
 @dataclass
@@ -72,6 +81,9 @@ class SeqScanPlan(PlanNode):
     table_name: str = ""
     alias: str = ""
     filter: Optional[Expr] = None
+
+    def expressions(self) -> list[Expr]:
+        return _present(self.filter)
 
     def describe(self) -> str:
         text = f"{self.table_name} AS {self.alias}"
@@ -88,6 +100,9 @@ class IndexScanPlan(PlanNode):
     column: str = ""
     probes: list[IndexProbe] = field(default_factory=list)
     filter: Optional[Expr] = None  # residual predicate applied to fetched rows
+
+    def expressions(self) -> list[Expr]:
+        return _present(self.filter)
 
     def describe(self) -> str:
         probe_text = " or ".join(p.describe() for p in self.probes)
@@ -111,6 +126,9 @@ class BitmapOrPlan(PlanNode):
     # arms: (index_name, column, probes)
     filter: Optional[Expr] = None
 
+    def expressions(self) -> list[Expr]:
+        return _present(self.filter)
+
     def describe(self) -> str:
         arm_text = "; ".join(
             f"{ix}({col} {' or '.join(p.describe() for p in probes)})"
@@ -128,6 +146,9 @@ class CTEScanPlan(PlanNode):
     alias: str = ""
     filter: Optional[Expr] = None
 
+    def expressions(self) -> list[Expr]:
+        return _present(self.filter)
+
     def describe(self) -> str:
         text = f"{self.cte_name} AS {self.alias}"
         if self.filter is not None:
@@ -141,6 +162,9 @@ class DerivedScanPlan(PlanNode):
     alias: str = ""
     filter: Optional[Expr] = None
 
+    def expressions(self) -> list[Expr]:
+        return _present(self.filter)
+
     def children(self) -> list[PlanNode]:
         return [self.child] if self.child else []
 
@@ -152,6 +176,9 @@ class DerivedScanPlan(PlanNode):
 class FilterPlan(PlanNode):
     child: Optional[PlanNode] = None
     expr: Optional[Expr] = None
+
+    def expressions(self) -> list[Expr]:
+        return _present(self.expr)
 
     def children(self) -> list[PlanNode]:
         return [self.child] if self.child else []
@@ -165,6 +192,9 @@ class ProjectPlan(PlanNode):
     child: Optional[PlanNode] = None
     exprs: list[Expr] = field(default_factory=list)
     names: list[str] = field(default_factory=list)
+
+    def expressions(self) -> list[Expr]:
+        return list(self.exprs)
 
     def children(self) -> list[PlanNode]:
         return [self.child] if self.child else []
@@ -180,6 +210,9 @@ class HashJoinPlan(PlanNode):
     left_keys: list[Expr] = field(default_factory=list)
     right_keys: list[Expr] = field(default_factory=list)
     residual: Optional[Expr] = None
+
+    def expressions(self) -> list[Expr]:
+        return [*self.left_keys, *self.right_keys, *_present(self.residual)]
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -197,6 +230,9 @@ class NLJoinPlan(PlanNode):
     left: Optional[PlanNode] = None
     right: Optional[PlanNode] = None
     condition: Optional[Expr] = None
+
+    def expressions(self) -> list[Expr]:
+        return _present(self.condition)
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -217,6 +253,9 @@ class IndexNLJoinPlan(PlanNode):
     outer_key: Optional[Expr] = None
     inner_filter: Optional[Expr] = None  # pushed single-table predicate on inner
     residual: Optional[Expr] = None  # join-level residual over combined rows
+
+    def expressions(self) -> list[Expr]:
+        return _present(self.outer_key, self.inner_filter, self.residual)
 
     def children(self) -> list[PlanNode]:
         return [self.left] if self.left else []
@@ -256,6 +295,9 @@ class AggregatePlan(PlanNode):
     group_exprs: list[Expr] = field(default_factory=list)
     aggregates: list[AggSpec] = field(default_factory=list)
 
+    def expressions(self) -> list[Expr]:
+        return [*self.group_exprs, *_present(*(spec.arg for spec in self.aggregates))]
+
     def children(self) -> list[PlanNode]:
         return [self.child] if self.child else []
 
@@ -270,6 +312,9 @@ class SortPlan(PlanNode):
     child: Optional[PlanNode] = None
     sort_exprs: list[Expr] = field(default_factory=list)
     ascending: list[bool] = field(default_factory=list)
+
+    def expressions(self) -> list[Expr]:
+        return list(self.sort_exprs)
 
     def children(self) -> list[PlanNode]:
         return [self.child] if self.child else []

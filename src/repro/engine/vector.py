@@ -216,28 +216,12 @@ class _GuardStage:
         return self.kernel(batch.columns(), sel)
 
 
-def _guard_run(columns: list, sel: list, kernel: GuardKernel) -> list:
-    """A guard kernel called as a column kernel is."""
-    return kernel.run(columns, sel)
-
-
-def _direct(stage: _StageFn) -> tuple[Callable, Any] | None:
-    """``(fn, arg)`` that runs ``stage`` over column arrays as
-    ``fn(columns, sel, arg)``; ``None`` for a per-row stage, which reads
-    the rows."""
-    if isinstance(stage, _KernelStage):
-        return stage.kernel, stage.consts
-    if isinstance(stage, _GuardStage):
-        return _guard_run, stage.kernel
-    return None
-
-
 class _Arms:
     """A drained BitmapOr's arm dispatch, resolved once per plan
     (:meth:`VectorizedExecutor._arm_dispatch`): the name of the index
     the arms probe (the index itself is found by name at every read),
     the guard kernel whose branches the arm keys name and the filter's
-    stages before and after it, each as ``(fn, arg)`` (:func:`_direct`)."""
+    stages before and after it."""
 
     __slots__ = ("index_name", "kernel", "before", "after")
 
@@ -362,21 +346,20 @@ class VectorizedExecutor(Executor):
 
     def _resolve(self, plan: PlanNode, role: str, build: Callable):
         """What ``build()`` resolves for ``plan`` in ``role`` (a filter,
-        its keys, its values): filed in the plan's resolved dict on its
-        first execution and read back after, so a repeat makes no kernel
-        look-up.  Nothing holding a subquery is filed: its kernels close
-        over this executor's subquery state, so the compiled-expression
-        cache never keeps them either — a build that compiled one
-        (``_holds_subquery``) files nothing."""
+        its keys, its values, its arm dispatch): filed in the plan's
+        resolved dict on its first execution and read back after, so a
+        repeat makes no kernel look-up.  Nothing of a node whose own
+        expressions hold a subquery is filed: its kernels carry the
+        subquery's answer and close over this executor, so the compiled-
+        expression cache never keeps them either."""
         memo = self._resolved
         if memo is None or self.fn_cache is None:
             return build()
         key = (id(plan), role)
         found = memo.get(key, _UNRESOLVED)
         if found is _UNRESOLVED:
-            self._holds_subquery = False
             found = build()
-            if not self._holds_subquery:
+            if not any(map(contains_subquery, plan.expressions())):
                 memo[key] = found
         return found
 
@@ -458,11 +441,8 @@ class VectorizedExecutor(Executor):
         fn = cache.lookup(expr, extra, by_identity)
         if fn is None:
             fn = build()
-            if fn is not None:
-                if isinstance(expr, Expr) and contains_subquery(expr):
-                    self._holds_subquery = True
-                else:
-                    cache.store(expr, extra, fn, by_identity)
+            if fn is not None and not (isinstance(expr, Expr) and contains_subquery(expr)):
+                cache.store(expr, extra, fn, by_identity)
         return fn
 
     def _conjunct_stage(self, conj: Expr, binding: RowBinding) -> _StageFn:
@@ -598,9 +578,7 @@ class VectorizedExecutor(Executor):
         one index, with constants a dict can find, and a guard stage of
         ``pred`` finds each of its branches by that index's column in one
         dict: a row an arm's key found has that key's branches as its
-        candidates, so each arm's rows are one group.  The filter's other
-        stages must run over column arrays (:func:`_direct`).  ``None``
-        otherwise."""
+        candidates, so each arm's rows are one group.  ``None`` otherwise."""
         names = {index_name for index_name, _column, _probes in plan.arms}
         if pred is None or len(names) != 1:
             return None
@@ -611,11 +589,7 @@ class VectorizedExecutor(Executor):
         for at, stage in enumerate(pred.stages):
             points = stage.kernel.points if isinstance(stage, _GuardStage) else None
             if points is not None and points[0] == pos:
-                before = [_direct(other) for other in pred.stages[:at]]
-                after = [_direct(other) for other in pred.stages[at + 1 :]]
-                if None in before or None in after:
-                    return None
-                return _Arms(index_name, stage.kernel, before, after)
+                return _Arms(index_name, stage.kernel, pred.stages[:at], pred.stages[at + 1 :])
         return None
 
     def _arm_batches(self, plan: BitmapOrPlan, table, index, arms: "_Arms") -> Iterator[RowBatch]:
@@ -623,7 +597,6 @@ class VectorizedExecutor(Executor):
         (one batch) run the filter's stages before the guard, then only
         the branches the key names — each branch called once, on the rows
         the previous one missed — then the stages after it on the hits.
-        Every stage is called over the table's column arrays directly.
         Every counter is charged as the sorted union's chunks charge it
         (the keys are distinct and a row has one value, so the arms'
         rowids are disjoint); only the hits are sorted, into page order."""
@@ -636,6 +609,7 @@ class VectorizedExecutor(Executor):
         counters.pages_bitmap += len({rowid // page_size for rowids in groups.values() for rowid in rowids})
         slots, columns = table.slots, table.column_arrays()
         tombstones = table.row_count < table.slot_count
+        batch = RowBatch(slots, None, columns)
         kernel, before, after = arms.kernel, arms.before, arms.after
         fns, width, ordinals = kernel.branches, kernel.width, kernel.points[1]  # type: ignore[index]
         hits: list[int] = []
@@ -648,18 +622,18 @@ class VectorizedExecutor(Executor):
             counters.tuples_scanned += len(sel)
             counters.predicate_evals += len(sel)
             counters.batches += 1
-            for fn, arg in before:
-                sel = fn(columns, sel, arg)
+            for stage in before:
+                sel = stage(batch, sel)
                 if not sel:
                     break
             else:  # rows reached the guard
                 for j in ordinals.get(key, ()):
                     found, sel, spent = fns[j](columns, sel)
                     charge += spent + (j + 1) * len(found)
-                    for fn, arg in after:
+                    for stage in after:
                         if not found:
                             break
-                        found = fn(columns, found, arg)
+                        found = stage(batch, found)
                     hits += found
                     if not sel:
                         break

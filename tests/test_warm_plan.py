@@ -17,6 +17,7 @@ either change (``PINNED``: ``CounterSet`` order, ``batches`` included).
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pathlib
 import re
@@ -26,9 +27,10 @@ import pytest
 
 from repro.core import Sieve
 from repro.db.counters import CounterSet
-from repro.engine.plans import BitmapOrPlan, IndexScanPlan, PlanNode, SeqScanPlan
+from repro.engine.plans import AggSpec, BitmapOrPlan, IndexScanPlan, PlanNode, SeqScanPlan
 from repro.engine.vector import BATCH_ROWS, BatchPredicate, VectorizedExecutor
 from repro.expr.analysis import contains_subquery
+from repro.expr.nodes import ColumnRef
 from repro.optimizer.planner import PlannedQuery
 from repro.policy.groups import GroupDirectory
 from repro.policy.model import ObjectCondition, Policy
@@ -193,26 +195,67 @@ def plan_nodes(planned: PlannedQuery) -> dict[int, PlanNode]:
     return nodes
 
 
-def test_nothing_of_a_subquery_is_filed():
+#: Plans whose filter holds an ``IN`` subquery, and a row whose insert
+#: changes that subquery's answer: through the planned CTE scan, and
+#: through a drained BitmapOr whose arm path runs the subquery conjunct
+#: before the guard.
+SUBQUERY_PLANS = {
+    "planned": lambda db: db.plan(G + "SELECT id FROM g WHERE id IN (SELECT id FROM t WHERE w = 7) AND v > 10"),
+    "bitmap-or": lambda db: PlannedQuery(
+        bitmap_plan(db, f"v IN (SELECT v FROM t WHERE id >= 10000) AND ({GUARD})"), {}
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(SUBQUERY_PLANS), ids=list(SUBQUERY_PLANS))
+def test_nothing_of_a_subquery_is_filed(path, monkeypatch):
     """Keys name nodes of the plan itself — never a node of a subquery's
-    plan, which is planned afresh per execution — and no node whose
-    expression holds a subquery: its kernel carries the subquery's
-    answer, which a write can change between two executions."""
+    plan, which is planned afresh per execution — and nothing of a node
+    whose expressions hold a subquery, a drained BitmapOr's arm dispatch
+    included: its stages carry the subquery's answer, which a write can
+    change between two executions."""
+    arm_runs = []
+    real = VectorizedExecutor._arm_batches
+
+    def arm_batches(self, *args):
+        arm_runs.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(VectorizedExecutor, "_arm_batches", arm_batches)
     db = make_db(6)
-    sql = G + "SELECT id FROM g WHERE id IN (SELECT id FROM t WHERE w = 7) AND v > 10"
-    planned = db.plan(sql)
-    run(db, planned, vectorized=True)
+    planned = SUBQUERY_PLANS[path](db)
+    assert run(db, planned, vectorized=True)[0] == run(db, planned, vectorized=False)[0]
+    assert bool(arm_runs) == (path == "bitmap-or")
     nodes = plan_nodes(planned)
-    assert planned.resolved
     for node_id, role in planned.resolved:
         assert node_id in nodes, role
-        node = nodes[node_id]
-        exprs = [getattr(node, attr, None) for attr in ("filter", "expr", "residual", "condition")]
-        assert not any(e is not None and contains_subquery(e) for e in exprs), role
-    # The subquery's answer moves: a filed kernel would keep the old one.
+        assert not any(map(contains_subquery, nodes[node_id].expressions())), role
+    # The subquery's answer moves: a filed stage would keep the old one.
     db.insert("t", [(10_000, 4, 60, 7)])
-    assert run(db, planned, vectorized=True)[0] == run(db, planned, vectorized=False)[0]
-    assert (10_000,) in run(db, planned, vectorized=True)[0]
+    got = run(db, planned, vectorized=True)[0]
+    assert got == run(db, planned, vectorized=False)[0]
+    assert got and got[-1][0] == 10_000, got
+
+
+def test_a_node_names_every_expression_it_holds():
+    """``PlanNode.expressions()`` decides whether a node's resolved
+    stages may be filed, so every plan node names each expression field
+    it has — single, listed, or an aggregate's argument."""
+    for cls in PlanNode.__subclasses__():
+        node, held = cls(), []
+        for spec in dataclasses.fields(cls):
+            made = ColumnRef(spec.name)
+            if spec.type == "Optional[Expr]":
+                setattr(node, spec.name, made)
+            elif spec.type == "list[Expr]":
+                setattr(node, spec.name, [made])
+            elif spec.type == "list[AggSpec]":
+                setattr(node, spec.name, [AggSpec("sum", made), AggSpec("count")])
+            else:
+                assert "Expr" not in spec.type, (cls.__name__, spec.name)
+                continue
+            held.append(made)
+        assert [id(e) for e in node.expressions()] == [id(e) for e in held], cls.__name__
 
 
 def test_a_repeat_execution_makes_no_compiled_cache_lookup():
