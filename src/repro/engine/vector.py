@@ -59,7 +59,7 @@ from types import CodeType
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ExecutionError
-from repro.expr.analysis import conjuncts, contains_subquery
+from repro.expr.analysis import conjuncts, contains_subquery, holds_subquery
 from repro.expr.codegen import (
     CodegenExprCompiler,
     CodegenUnsupported,
@@ -359,7 +359,7 @@ class VectorizedExecutor(Executor):
         found = memo.get(key, _UNRESOLVED)
         if found is _UNRESOLVED:
             found = build()
-            if not any(map(contains_subquery, plan.expressions())):
+            if not any(map(holds_subquery, plan.expressions())):
                 memo[key] = found
         return found
 
@@ -557,13 +557,16 @@ class VectorizedExecutor(Executor):
         the union is sorted and filtered in chunks, so a bare ``LIMIT``
         above stops after the batch it needs."""
         table = self.catalog.table(plan.table_name)
-        pred = self._pred(plan, "filter", plan.filter, plan.binding)
-        if drained:
-            arms = self._resolve(plan, "arms", lambda: self._arm_dispatch(plan, table, pred))
-            if arms is not None:
-                index = self.catalog.index_by_name(plan.table_name, arms.index_name)
-                yield from self._arm_batches(plan, table, index, arms)
-                return
+
+        def build():
+            pred = self._batch_pred(plan.filter, plan.binding)
+            return pred, self._arm_dispatch(plan, table, pred) if drained else None
+
+        pred, arms = self._resolve(plan, "filter", build)
+        if arms is not None:
+            index = self.catalog.index_by_name(plan.table_name, arms.index_name)
+            yield from self._arm_batches(plan, table, index, arms)
+            return
         found: set[int] = set()
         for index_name, _column, probes in plan.arms:
             index = self.catalog.index_by_name(plan.table_name, index_name)

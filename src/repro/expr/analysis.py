@@ -205,6 +205,19 @@ def contains_subquery(expr: Expr) -> bool:
     return facts(expr).has_subquery
 
 
+def holds_subquery(expr: Expr) -> bool:
+    """:func:`contains_subquery` for a tree asked once: an ``And``/``Or``
+    that remembers its :class:`Facts` answers from them, and the rest is
+    walked, stopping at the first subquery — no column set is computed
+    and nothing is stored on a node."""
+    if isinstance(expr, (ScalarSubquery, InSubquery)):
+        return True
+    known = getattr(expr, "_facts", None)
+    if known is not None:
+        return known.has_subquery
+    return any(map(holds_subquery, children(expr)))
+
+
 def is_constant(expr: Expr) -> bool:
     """True when the expression references no columns or subqueries."""
     found = facts(expr)

@@ -288,6 +288,8 @@ def resolved_refs(planned: PlannedQuery) -> list[weakref.ref]:
     plan's executions filed."""
     refs = []
     for value in planned.resolved.values():
+        if isinstance(value, tuple):  # a BitmapOr's filter and its arm dispatch
+            value = value[0]
         if isinstance(value, BatchPredicate):
             refs.append(weakref.ref(value))
         elif isinstance(value, list):
